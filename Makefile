@@ -1,9 +1,9 @@
 # Convenience targets; `make check` mirrors CI.
 
 GO ?= go
-BENCH_OUT ?= BENCH_10.json
+BENCH_OUT ?= BENCH_local.json
 
-.PHONY: build vet lint fmt-check docs-check test test-short race sanitize stress bench shardmap check clean
+.PHONY: build vet lint fmt-check docs-check test test-short race sanitize stress bench bench-check check clean
 
 build:
 	$(GO) build ./...
@@ -29,24 +29,20 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# The full-run byte-identity test covers the parallel engine at full
-# fan-out, and the wedge regression drives it through the watchdog — so
-# this step is also the race-detector pass over the parallel engine's
-# barrier and exchange paths (docs/PARALLEL.md).
+# The race detector over what does run concurrently — the experiment
+# pool and RunSuite's workers, each driving whole single-goroutine
+# simulations — plus the engine identity tests inside them.
 race:
 	$(GO) test -race -timeout 30m ./internal/experiments/... ./internal/lint/...
-	$(GO) test -race -timeout 30m -run 'TestEnginesByteIdenticalFullRuns|TestWatchdogCatchesWedgeOnNonZeroPartitionParallel' .
+	$(GO) test -race -timeout 30m -run 'TestEnginesByteIdenticalFullRuns|TestWatchdogCatchesWedgeOnNonZeroPartition' .
 	$(GO) test -race -timeout 30m -run 'TestEngines|TestSanitize|TestParseEngine|TestQuietVsWake|TestMaxCycles' ./internal/core/
 
 # Hint-soundness smoke: a cheap three-benchmark subset to natural
 # completion under the sanitizer engine (every claimed-idle window
-# stepped and verified; see DESIGN.md §9), then the same subset under
-# the partition-parallel engine — whose outputs the byte-identity tests
-# pin to the serial engines'. The full capped suites run under
-# `go test .` (TestSanitizeSuite, TestParallelEngineByteIdenticalAcrossSuite).
+# stepped and verified; see DESIGN.md §9). The full capped suite runs
+# under `go test .` (TestSanitizeSuite).
 sanitize:
 	$(GO) run ./cmd/nubasim -bench DWT2D,BH,MVT -scale 0.125 -engine sanitize
-	$(GO) run ./cmd/nubasim -bench DWT2D,BH,MVT -scale 0.125 -engine parallel
 
 # The seeded fault-injection stress matrix (docs/ROBUSTNESS.md): every
 # fault class injected into a short run and caught by the layer that
@@ -56,19 +52,20 @@ sanitize:
 stress:
 	$(GO) test -timeout 20m -run 'TestStress' ./internal/experiments/
 
-# The committed perf trajectory: run the engine-throughput benches and
-# regenerate $(BENCH_OUT) (schema in docs/PERF.md).
+# Engine-throughput benches folded into a BENCH_<n>.json-shaped record
+# (schema in docs/PERF.md). The committed BENCH_*.json files are history;
+# the repo's benchmark is bench/ (BENCHMARK.json, bench/README.md).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineThroughput' -benchmem -count 1 . \
 		| $(GO) run ./cmd/nubabench -o $(BENCH_OUT)
 
-# Regenerate the committed partition plan (docs/SHARDING.md). CI and
-# TestShardMapMatchesCommitted fail when docs/shardmap.json drifts from
-# `nubalint -shardmap` output; rerun this and review the diff.
-shardmap:
-	$(GO) run ./cmd/nubalint -shardmap ./... > docs/shardmap.json
+# bench/ is a nested module, invisible to `go build ./...` and
+# `go test ./...` above: build and short-test it here so a rename in the
+# simulator that breaks the benchmark's build is noticed.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
-check: vet build lint fmt-check docs-check test race sanitize stress
+check: vet build lint fmt-check docs-check test race sanitize stress bench-check
 
 clean:
 	$(GO) clean ./...

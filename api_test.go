@@ -93,7 +93,7 @@ func TestParseKernelAPI(t *testing.T) {
 
 func TestRunLaunchesAPI(t *testing.T) {
 	cfg := NUBAConfig().Scale(0.125)
-	res, err := RunLaunches(cfg, func(sys *System) ([]*Launch, error) {
+	res, err := Run(context.Background(), cfg, Benchmark{}, WithLaunches(func(sys *System) ([]*Launch, error) {
 		k, err := ParseKernel(`
 .kernel mini
 .param .ptr A
@@ -117,7 +117,7 @@ func TestRunLaunchesAPI(t *testing.T) {
 				{Base: sys.NewBuffer(size), Size: size},
 			},
 		}}, nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunContext(ctx, NUBAConfig().Scale(0.125), bench); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, NUBAConfig().Scale(0.125), bench); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
@@ -209,34 +209,6 @@ func TestRunSuiteRejectsSingleRunOptions(t *testing.T) {
 	if _, err := RunSuite(ctx, NUBAConfig(), []Benchmark{b},
 		WithLaunches(func(*System) ([]*Launch, error) { return nil, nil })); err == nil {
 		t.Fatal("RunSuite accepted WithLaunches")
-	}
-}
-
-// TestDeprecatedWrappersDelegate: the pre-unification entry points must
-// remain thin shims over the unified Run, producing identical results.
-func TestDeprecatedWrappersDelegate(t *testing.T) {
-	bench, err := BenchmarkByAbbr("BP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := NUBAConfig().Scale(0.125)
-	ctx := context.Background()
-	unified, err := Run(ctx, cfg, bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaContext, err := RunContext(ctx, cfg, bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaTraced, err := RunTraced(ctx, cfg, bench, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, res := range map[string]*Result{"RunContext": viaContext, "RunTraced": viaTraced} {
-		if res.Stats.Cycles != unified.Stats.Cycles {
-			t.Errorf("%s: %d cycles, unified Run %d", name, res.Stats.Cycles, unified.Stats.Cycles)
-		}
 	}
 }
 

@@ -18,7 +18,6 @@ package nuba_test
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"testing"
 
@@ -186,13 +185,7 @@ func sparseLaunch(kernel *nuba.Kernel, grid, iters int) func(sys *nuba.System) (
 // core subset plus SPARSE, the synthetic low-occupancy workload above;
 // cmd/nubabench turns the emitted metrics into ns/simulated-cycle and
 // simulated-cycles-per-second, so the naive/hybrid ratio is the
-// idle-skip engine's speedup and the parallel/hybrid ratio the
-// partition-parallel engine's speedup on that workload. The dense
-// multi-partition stencil (AN) additionally runs the parallel engine's
-// scaling row — workers 1 up to NumPartitions, sub-benchmarks named
-// parallel-w<k> — which nubabench folds into the record's scaling
-// section. Parallel speedup needs GOMAXPROCS >= the worker count; the
-// record's host_cpus field says what the snapshot's host could offer.
+// idle-skip engine's speedup on that workload.
 func BenchmarkEngineThroughput(b *testing.B) {
 	scale := 0.25
 	if os.Getenv("NUBA_BENCH_FULL") != "" {
@@ -212,7 +205,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		b.ReportMetric(float64(cycles), "simcycles/run")
 		b.ReportMetric(float64(instrs), "siminstrs/run")
 	}
-	engines := []nuba.Engine{nuba.EngineHybrid, nuba.EngineNaive, nuba.EngineParallel}
+	engines := []nuba.Engine{nuba.EngineHybrid, nuba.EngineNaive}
 	for _, abbr := range []string{"LBM", "AN", "BT"} {
 		bench, err := nuba.BenchmarkByAbbr(abbr)
 		if err != nil {
@@ -222,27 +215,6 @@ func BenchmarkEngineThroughput(b *testing.B) {
 			b.Run(abbr+"/"+engine.String(), func(b *testing.B) {
 				runOnce(b, bench, nuba.WithEngine(engine))
 			})
-		}
-	}
-	// The scaling row: AN under the parallel engine at 1, 2, 4, ...
-	// NumPartitions workers (full fan-out always included, power of two
-	// or not).
-	an, err := nuba.BenchmarkByAbbr("AN")
-	if err != nil {
-		b.Fatal(err)
-	}
-	scaled := nuba.NUBAConfig().Scale(scale)
-	parts := scaled.NumPartitions()
-	for w := 1; ; w *= 2 {
-		if w > parts {
-			w = parts
-		}
-		workers := w
-		b.Run(fmt.Sprintf("AN/parallel-w%d", workers), func(b *testing.B) {
-			runOnce(b, an, nuba.WithEngine(nuba.EngineParallel), nuba.WithPartitionWorkers(workers))
-		})
-		if w == parts {
-			break
 		}
 	}
 	sparse, err := nuba.ParseKernel(sparseSrc)

@@ -2,16 +2,12 @@
 // BENCH_<n>.json perf-trajectory record (schema in docs/PERF.md). It
 // reads the benchmark output on stdin, derives simulator-throughput
 // metrics (ns per simulated cycle, simulated cycles per second) from the
-// custom simcycles/run metric the benches report, pairs engine runs of
-// the same workload into speedup entries (hybrid vs naive, parallel vs
-// hybrid), and folds the parallel engine's parallel-w<k> sub-benchmarks
-// into a worker-scaling section. The record carries the converting
-// host's CPU count so a scaling row measured on a small host is not
-// mistaken for the engine's ceiling.
+// custom simcycles/run metric the benches report, and pairs the hybrid
+// and naive runs of the same workload into speedup entries.
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'BenchmarkEngineThroughput' -benchmem . | nubabench -o BENCH_10.json
+//	go test -run '^$' -bench 'BenchmarkEngineThroughput' -benchmem . | nubabench -o BENCH_<n>.json
 package main
 
 import (
@@ -46,10 +42,6 @@ type Result struct {
 	// BytesPerOp and AllocsPerOp are present when -benchmem was set.
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	// Workers is the pinned partition-worker count of a parallel-w<k>
-	// scaling run; 0 for every other line (including the plain
-	// "parallel" engine column, which runs at full fan-out).
-	Workers int `json:"workers,omitempty"`
 }
 
 // Speedup pairs the engines on one workload.
@@ -58,20 +50,6 @@ type Speedup struct {
 	// HybridVsNaive is naive ns/op over hybrid ns/op: >1 means the
 	// idle-skip engine is faster on this workload.
 	HybridVsNaive float64 `json:"hybrid_vs_naive"`
-	// ParallelVsHybrid is hybrid ns/op over full-fan-out parallel
-	// ns/op: >1 means the partition-parallel engine is faster. Needs
-	// GOMAXPROCS >= NumPartitions to mean anything — check host_cpus.
-	ParallelVsHybrid float64 `json:"parallel_vs_hybrid,omitempty"`
-}
-
-// ScalingPoint is one worker count of the parallel engine's scaling row.
-type ScalingPoint struct {
-	Benchmark string  `json:"benchmark"`
-	Workers   int     `json:"workers"`
-	NsPerOp   float64 `json:"ns_per_op"`
-	// VsOneWorker is the speedup over the same benchmark at workers=1:
-	// ns/op(w=1) / ns/op(w=k).
-	VsOneWorker float64 `json:"vs_one_worker,omitempty"`
 }
 
 // Report is the whole BENCH_<n>.json document.
@@ -80,14 +58,11 @@ type Report struct {
 	GOARCH string `json:"goarch,omitempty"`
 	CPU    string `json:"cpu,omitempty"`
 	// HostCPUs is runtime.NumCPU() on the converting host (the machine
-	// that ran `make bench`). Parallel-engine speedups are bounded by
-	// it: a scaling row flat at 1.0x on a 1-CPU host says nothing about
-	// the engine, only about the host.
-	HostCPUs   int            `json:"host_cpus,omitempty"`
-	Package    string         `json:"pkg,omitempty"`
-	Benchmarks []Result       `json:"benchmarks"`
-	Speedups   []Speedup      `json:"speedups,omitempty"`
-	Scaling    []ScalingPoint `json:"scaling,omitempty"`
+	// that ran `make bench`).
+	HostCPUs   int       `json:"host_cpus,omitempty"`
+	Package    string    `json:"pkg,omitempty"`
+	Benchmarks []Result  `json:"benchmarks"`
+	Speedups   []Speedup `json:"speedups,omitempty"`
 }
 
 func main() {
@@ -157,7 +132,6 @@ func parse(r io.Reader) (*Report, error) {
 	}
 	rep.HostCPUs = runtime.NumCPU()
 	rep.Speedups = pairSpeedups(rep.Benchmarks)
-	rep.Scaling = scalingRows(rep.Benchmarks)
 	return rep, nil
 }
 
@@ -197,18 +171,9 @@ func parseBenchLine(line string) (*Result, error) {
 		res.SimCyclesPerSec = res.SimCycles / (res.NsPerOp / 1e9)
 	}
 	// BenchmarkEngineThroughput/<bench>/<engine> carries the trajectory.
-	// The parallel engine's scaling runs arrive as engine
-	// "parallel-w<k>"; they keep Engine "parallel" and record the pinned
-	// worker count so pairSpeedups never mixes them with the full-fan-out
-	// column.
 	if parts := strings.Split(res.Name, "/"); len(parts) == 3 &&
 		parts[0] == "BenchmarkEngineThroughput" {
 		res.Benchmark, res.Engine = parts[1], parts[2]
-		if w, ok := strings.CutPrefix(res.Engine, "parallel-w"); ok {
-			if n, err := strconv.Atoi(w); err == nil && n > 0 {
-				res.Engine, res.Workers = "parallel", n
-			}
-		}
 	}
 	return res, nil
 }
@@ -226,14 +191,12 @@ func trimProcs(name string) string {
 	return name[:i]
 }
 
-// pairSpeedups derives per-workload engine speedups — hybrid vs naive,
-// full-fan-out parallel vs hybrid — for every workload that ran under
-// both engines of a pair, sorted by workload name. Pinned-worker
-// scaling runs (Workers > 0) are excluded; they feed scalingRows.
+// pairSpeedups derives the hybrid-vs-naive speedup of every workload
+// that ran under both engines, sorted by workload name.
 func pairSpeedups(results []Result) []Speedup {
 	byEngine := make(map[string]map[string]float64) // bench -> engine -> ns/op
 	for _, r := range results {
-		if r.Benchmark == "" || r.Engine == "" || r.NsPerOp <= 0 || r.Workers > 0 {
+		if r.Benchmark == "" || r.Engine == "" || r.NsPerOp <= 0 {
 			continue
 		}
 		if byEngine[r.Benchmark] == nil {
@@ -250,41 +213,8 @@ func pairSpeedups(results []Result) []Speedup {
 	for _, name := range names {
 		h, n := byEngine[name]["hybrid"], byEngine[name]["naive"]
 		if h > 0 && n > 0 {
-			s := Speedup{Benchmark: name, HybridVsNaive: n / h}
-			if p := byEngine[name]["parallel"]; p > 0 {
-				s.ParallelVsHybrid = h / p
-			}
-			out = append(out, s)
+			out = append(out, Speedup{Benchmark: name, HybridVsNaive: n / h})
 		}
 	}
 	return out
-}
-
-// scalingRows collects the parallel engine's pinned-worker runs into the
-// scaling section, sorted by workload then worker count, with each row's
-// speedup over its own workers=1 baseline.
-func scalingRows(results []Result) []ScalingPoint {
-	var rows []ScalingPoint
-	base := make(map[string]float64) // bench -> ns/op at workers=1
-	for _, r := range results {
-		if r.Engine != "parallel" || r.Workers <= 0 || r.NsPerOp <= 0 {
-			continue
-		}
-		rows = append(rows, ScalingPoint{Benchmark: r.Benchmark, Workers: r.Workers, NsPerOp: r.NsPerOp})
-		if r.Workers == 1 {
-			base[r.Benchmark] = r.NsPerOp
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Benchmark != rows[j].Benchmark {
-			return rows[i].Benchmark < rows[j].Benchmark
-		}
-		return rows[i].Workers < rows[j].Workers
-	})
-	for i := range rows {
-		if b := base[rows[i].Benchmark]; b > 0 {
-			rows[i].VsOneWorker = b / rows[i].NsPerOp
-		}
-	}
-	return rows
 }

@@ -6,12 +6,12 @@
 //
 // Usage:
 //
-//	nubalint [-policy lint.policy] [-rules r1,r2] [-json] [-ownership] [-shardmap] [packages]
+//	nubalint [-policy lint.policy] [-rules r1,r2] [-json] [-ownership] [packages]
 //
 // Packages default to ./... resolved against the enclosing module.
 // Rules: nondet-map-range, no-wallclock, import-layering,
 // ctx-propagation, goroutine-in-core run per package;
-// config-liveness, metrics-liveness, hint-purity, engine-contract and
+// config-liveness, metrics-liveness, hint-purity and
 // partition-isolation analyze the module-wide use graph;
 // unit-consistency checks //nubaunit: dimensional annotations
 // (default: all). Findings are suppressed in place with
@@ -26,13 +26,6 @@
 // -ownership skips the rules and instead prints the field→writers map
 // of every struct audited by partition-isolation — the auditing view
 // of the same use-graph data the rule enforces.
-//
-// -shardmap skips the rules and instead prints the partition plan as
-// deterministic JSON (schema nuba-shardmap/v1): for every component in
-// `structs shard-footprint`, the transitive read/write footprint of its
-// tick-and-hint closure grouped by owner and classification, plus the
-// declared seams and the engine phase order. The committed copy lives
-// at docs/shardmap.json; CI fails when the two drift.
 package main
 
 import (
@@ -51,18 +44,10 @@ func main() {
 	jsonOut := flag.Bool("json", false, "print findings as a JSON array")
 	rulesFlag := flag.String("rules", "", "comma-separated rules to run (default: all)")
 	ownership := flag.Bool("ownership", false, "print the partition-isolation field->writers map instead of running rules")
-	shardmap := flag.Bool("shardmap", false, "print the shard-safety partition map as JSON instead of running rules")
 	flag.Parse()
 
 	if *ownership {
 		if err := runOwnership(*policyPath, flag.Args()); err != nil {
-			fmt.Fprintln(os.Stderr, "nubalint:", err)
-			os.Exit(2)
-		}
-		return
-	}
-	if *shardmap {
-		if err := runShardMap(*policyPath, flag.Args()); err != nil {
 			fmt.Fprintln(os.Stderr, "nubalint:", err)
 			os.Exit(2)
 		}
@@ -97,32 +82,6 @@ func runOwnership(policyPath string, patterns []string) error {
 		return err
 	}
 	fmt.Print(report)
-	return nil
-}
-
-// runShardMap loads the module and prints the shard-safety partition
-// map (see lint.ShardMapJSON).
-func runShardMap(policyPath string, patterns []string) error {
-	mod, err := lint.FindModule(".")
-	if err != nil {
-		return err
-	}
-	if policyPath == "" {
-		policyPath = filepath.Join(mod.Dir, "lint.policy")
-	}
-	pol, err := lint.ParsePolicy(policyPath)
-	if err != nil {
-		return err
-	}
-	prog, err := lint.Load(mod, patterns)
-	if err != nil {
-		return err
-	}
-	out, err := lint.ShardMapJSON(prog, pol)
-	if err != nil {
-		return err
-	}
-	os.Stdout.Write(out)
 	return nil
 }
 

@@ -42,7 +42,6 @@ func main() {
 	traceOut := flag.String("trace-out", "trace", "trace output path prefix; writes <prefix>.ndjson and <prefix>.trace.json (multi-benchmark runs insert the benchmark abbreviation)")
 	traceEpoch := flag.Int64("trace-epoch", 0, "trace sampling interval in cycles (0 = the config's MDR epoch)")
 	engineFlag := flag.String("engine", "hybrid", nuba.EngineUsage())
-	partWorkers := flag.Int("partition-workers", 0, "goroutines per simulation for -engine=parallel, 0 = one per partition (results are byte-identical at every count; see docs/PARALLEL.md)")
 	watchdog := flag.Int64("watchdog", 0, "fail a run once no component state changes for this many cycles while work is pending (0 = off)")
 	flag.Parse()
 
@@ -118,9 +117,9 @@ func main() {
 	tr := traceArgs{on: *traceOn, out: *traceOut, epoch: *traceEpoch}
 	wd := nuba.WatchdogOptions{NoProgressCycles: *watchdog}
 	if len(benches) == 1 {
-		err = runOne(ctx, cfg, benches[0], tr, engine, *partWorkers, wd)
+		err = runOne(ctx, cfg, benches[0], tr, engine, wd)
 	} else {
-		err = runMany(ctx, cfg, benches, *jobs, *verbose, tr, engine, *partWorkers, wd)
+		err = runMany(ctx, cfg, benches, *jobs, *verbose, tr, engine, wd)
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
@@ -186,7 +185,7 @@ func openTrace(prefix string, epoch int64) (*nuba.TraceOptions, []*sink, error) 
 }
 
 // runOne simulates a single benchmark and prints the full statistics.
-func runOne(ctx context.Context, cfg nuba.Config, b nuba.Benchmark, tr traceArgs, engine nuba.Engine, pw int, wd nuba.WatchdogOptions) error {
+func runOne(ctx context.Context, cfg nuba.Config, b nuba.Benchmark, tr traceArgs, engine nuba.Engine, wd nuba.WatchdogOptions) error {
 	fmt.Printf("running %s (%s) on %s...\n", b.Abbr, b.Name, cfg.Name())
 	var topts *nuba.TraceOptions
 	var sinks []*sink
@@ -198,7 +197,7 @@ func runOne(ctx context.Context, cfg nuba.Config, b nuba.Benchmark, tr traceArgs
 		}
 	}
 	res, err := nuba.Run(ctx, cfg, b, nuba.WithTrace(topts), nuba.WithEngine(engine),
-		nuba.WithPartitionWorkers(pw), nuba.WithWatchdog(wd))
+		nuba.WithWatchdog(wd))
 	for _, s := range sinks {
 		if cerr := s.Close(); cerr != nil && err == nil {
 			err = cerr
@@ -277,14 +276,14 @@ func npbChart(path string) (string, error) {
 
 // runMany simulates the benchmarks across a worker pool and prints a
 // compact table in input order (independent of completion order).
-func runMany(ctx context.Context, cfg nuba.Config, benches []nuba.Benchmark, jobs int, verbose bool, tr traceArgs, engine nuba.Engine, pw int, wd nuba.WatchdogOptions) error {
+func runMany(ctx context.Context, cfg nuba.Config, benches []nuba.Benchmark, jobs int, verbose bool, tr traceArgs, engine nuba.Engine, wd nuba.WatchdogOptions) error {
 	workers := jobs
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	fmt.Printf("running %d benchmarks on %s (%d workers)...\n", len(benches), cfg.Name(), workers)
 	opts := []nuba.RunOption{nuba.WithWorkers(jobs), nuba.WithEngine(engine),
-		nuba.WithPartitionWorkers(pw), nuba.WithWatchdog(wd)}
+		nuba.WithWatchdog(wd)}
 	if verbose {
 		opts = append(opts, nuba.WithProgress(func(ev nuba.RunEvent) {
 			fmt.Fprintf(os.Stderr, "  [%d/%d] %-7s cycles=%-9d elapsed=%s\n",

@@ -44,7 +44,6 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-run progress")
 	list := flag.Bool("list", false, "list experiments and benchmarks")
 	engineFlag := flag.String("engine", "hybrid", nuba.EngineUsage())
-	partWorkers := flag.Int("partition-workers", 0, "goroutines per simulation for -engine=parallel, 0 = one per partition (multiplies with -jobs; see docs/PARALLEL.md)")
 	watchdog := flag.Int64("watchdog", 0, "fail a run once no component state changes for this many cycles while work is pending (0 = off)")
 	retries := flag.Int("retries", 0, "retries per job for transient failures")
 	flag.Parse()
@@ -75,7 +74,7 @@ func main() {
 		os.Exit(2)
 	}
 	opts := experiments.Options{Scale: *scale, Jobs: *jobs, Engine: engine,
-		PartitionWorkers: *partWorkers, Watchdog: *watchdog, Retries: *retries}
+		Watchdog: *watchdog, Retries: *retries}
 	if *verbose {
 		opts.OnEvent = progressPrinter(os.Stderr)
 	}

@@ -44,19 +44,12 @@ type cappedCapture struct {
 // directly because the public Run returns no Result for a capped run,
 // while the cross-engine comparison needs the stats snapshot either way.
 func runCapped(t *testing.T, cfg Config, b Benchmark, e Engine) cappedCapture {
-	return runCappedWorkers(t, cfg, b, e, 0)
-}
-
-// runCappedWorkers is runCapped with EngineParallel's worker count
-// pinned (0 = one worker per partition; other engines ignore it).
-func runCappedWorkers(t *testing.T, cfg Config, b Benchmark, e Engine, workers int) cappedCapture {
 	t.Helper()
 	g, err := core.New(cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", b.Abbr, err)
 	}
 	g.SetEngine(e)
-	g.SetPartitionWorkers(workers)
 	var series bytes.Buffer
 	tr := trace.New(trace.Options{Series: &series, EpochCycles: 10_000}, cfg.CoreClockGHz)
 	tr.Begin(trace.Meta{Bench: b.Abbr, Config: cfg.Name(), Partitions: cfg.NumPartitions()})
@@ -122,7 +115,7 @@ func TestEnginesByteIdenticalAcrossSuite(t *testing.T) {
 }
 
 // TestSanitizeSuite is the dynamic half of the wake-hint-contract proof
-// (the static half is nubalint's hint-purity/engine-contract rules):
+// (the static half is nubalint's hint-purity rule):
 // every Table 2 benchmark runs under EngineSanitize with the same cap as
 // TestEnginesByteIdenticalAcrossSuite, so every idle window the hint
 // scan claims across the whole suite is stepped cycle-by-cycle and
@@ -152,46 +145,6 @@ func TestSanitizeSuite(t *testing.T) {
 	}
 }
 
-// TestParallelEngineByteIdenticalAcrossSuite extends the cross-engine
-// byte-identity guarantee to the partition-parallel engine at every
-// interesting worker count: 1 (the inline degenerate — barrier schedule,
-// no goroutines), 2 (partitions split across a real worker plus the
-// coordinator, exercising the exchange queues and the VM gate across
-// goroutines) and NumPartitions (maximum fan-out, one worker per
-// partition). Each must match the serial naive reference byte for byte
-// — counters, rendered report and streamed NDJSON trace — on all 29
-// capped benchmarks. The barrier/exchange paths this walks are also run
-// under the race detector (`make race` / CI), which is what makes
-// "deterministic" here a checked claim rather than a hope.
-func TestParallelEngineByteIdenticalAcrossSuite(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-backed; runs every benchmark four times")
-	}
-	cfg := NUBAConfig().Scale(0.125)
-	cfg.MaxCycles = 256 * 1024
-	workerCounts := []int{1, 2, cfg.NumPartitions()}
-	for _, b := range Suite() {
-		naive := runCapped(t, cfg, b, EngineNaive)
-		if len(naive.series) == 0 {
-			t.Errorf("%s: empty trace — comparison is vacuous", b.Abbr)
-		}
-		for _, w := range workerCounts {
-			par := runCappedWorkers(t, cfg, b, EngineParallel, w)
-			if naive.outcome != par.outcome {
-				t.Errorf("%s: outcomes diverge at %d workers\nnaive:    %s\nparallel: %s",
-					b.Abbr, w, naive.outcome, par.outcome)
-			}
-			if naive.report != par.report {
-				t.Errorf("%s: reports diverge at %d workers\nnaive:    %s\nparallel: %s",
-					b.Abbr, w, naive.report, par.report)
-			}
-			if !bytes.Equal(naive.series, par.series) {
-				t.Errorf("%s: NDJSON epoch traces diverge at %d workers", b.Abbr, w)
-			}
-		}
-	}
-}
-
 // fullRunSubset is one representative per cheap workload class, kept
 // under ~1 s each so both engines complete naturally in test budget:
 // wavelet stencil, irregular tree, decomposition, RNN, CNN, matvec.
@@ -216,11 +169,11 @@ func TestEnginesByteIdenticalFullRuns(t *testing.T) {
 		series []byte
 		chrome []byte
 	}
-	runAll := func(e Engine, extra ...RunOption) []capture {
+	runAll := func(e Engine) []capture {
 		t.Helper()
 		type sinks struct{ series, chrome bytes.Buffer }
 		byIdx := make([]sinks, len(benches))
-		opts := append([]RunOption{
+		opts := []RunOption{
 			WithEngine(e),
 			WithBenchTrace(func(b Benchmark) *TraceOptions {
 				for i := range benches {
@@ -231,7 +184,7 @@ func TestEnginesByteIdenticalFullRuns(t *testing.T) {
 				t.Errorf("unknown benchmark %s", b.Abbr)
 				return nil
 			}),
-		}, extra...)
+		}
 		results, err := RunSuite(context.Background(), cfg, benches, opts...)
 		if err != nil {
 			t.Fatalf("%v engine: %v", e, err)
@@ -249,27 +202,19 @@ func TestEnginesByteIdenticalFullRuns(t *testing.T) {
 
 	naive := runAll(EngineNaive)
 	hybrid := runAll(EngineHybrid)
-	// The parallel engine goes through the public RunSuite path too, at
-	// full fan-out, covering the kernel-boundary flush, the final drain
-	// and the finished Chrome trace stream a capped run never reaches.
-	parallel := runAll(EngineParallel, WithPartitionWorkers(0))
-	compare := func(name string, got []capture) {
-		for i, b := range benches {
-			if naive[i].report != got[i].report {
-				t.Errorf("%s: reports diverge between engines\nnaive: %s\n%s: %s",
-					b.Abbr, naive[i].report, name, got[i].report)
-			}
-			if !bytes.Equal(naive[i].series, got[i].series) {
-				t.Errorf("%s: NDJSON epoch traces diverge between naive and %s", b.Abbr, name)
-			}
-			if !bytes.Equal(naive[i].chrome, got[i].chrome) {
-				t.Errorf("%s: Chrome traces diverge between naive and %s", b.Abbr, name)
-			}
-			if len(naive[i].series) == 0 || len(naive[i].chrome) == 0 {
-				t.Errorf("%s: empty trace — comparison is vacuous", b.Abbr)
-			}
+	for i, b := range benches {
+		if naive[i].report != hybrid[i].report {
+			t.Errorf("%s: reports diverge between engines\nnaive: %s\nhybrid: %s",
+				b.Abbr, naive[i].report, hybrid[i].report)
+		}
+		if !bytes.Equal(naive[i].series, hybrid[i].series) {
+			t.Errorf("%s: NDJSON epoch traces diverge between naive and hybrid", b.Abbr)
+		}
+		if !bytes.Equal(naive[i].chrome, hybrid[i].chrome) {
+			t.Errorf("%s: Chrome traces diverge between naive and hybrid", b.Abbr)
+		}
+		if len(naive[i].series) == 0 || len(naive[i].chrome) == 0 {
+			t.Errorf("%s: empty trace — comparison is vacuous", b.Abbr)
 		}
 	}
-	compare("hybrid", hybrid)
-	compare("parallel", parallel)
 }

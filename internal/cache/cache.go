@@ -232,8 +232,3 @@ func (c *Cache) HitRate() float64 {
 	}
 	return float64(c.Hits) / float64(c.Accesses)
 }
-
-// ResetStats zeroes the cumulative counters (epoch boundaries).
-func (c *Cache) ResetStats() {
-	c.Accesses, c.Hits, c.Misses, c.Evictions, c.Writebacks = 0, 0, 0, 0, 0
-}

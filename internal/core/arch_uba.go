@@ -1,0 +1,260 @@
+package core
+
+import (
+	"github.com/nuba-gpu/nuba/internal/addrmap"
+	"github.com/nuba-gpu/nuba/internal/noc"
+	"github.com/nuba-gpu/nuba/internal/sim"
+)
+
+// The two UBA baselines: every L1 miss crosses a crossbar. The request
+// fabric runs SMs -> slices and the reply fabric slices -> SMs.
+
+// buildUBA is what both UBA builders share: SM-to-slice crossbars, the
+// reply path and the no-forward guard (only NUBA replica slices forward).
+func (g *GPU) buildUBA() {
+	g.buildXbars(g.smsPerModule(), g.slicesPerModule())
+	for _, sl := range g.slices {
+		sl.SendReply = g.ubaSliceReply(sl.ID)
+		sl.SendForward = func(*sim.MemReq, sim.Cycle) bool { panic("core: forward on UBA") }
+	}
+}
+
+// ubaSliceReply returns replies over the crossbar toward the SM (both UBA
+// variants; SMs and their caching slices share a module by construction).
+func (g *GPU) ubaSliceReply(sliceID int) func(*sim.MemReq, sim.Cycle) bool {
+	return func(req *sim.MemReq, now sim.Cycle) bool {
+		bytes := sim.MessageBytes(req, true)
+		ms, mr := g.moduleOfSlice(sliceID), g.moduleOfSM(req.SM)
+		if ms == mr {
+			return g.replyXbars[ms].Inject(g.slicePort(sliceID), now,
+				noc.Msg{Req: req, Dst: g.smPort(req.SM), Bytes: bytes, Reply: true})
+		}
+		link := g.interModule[ms][mr]
+		if !link.CanSend(now) {
+			return false
+		}
+		link.Send(now, noc.Msg{Req: req, Dst: req.SM, Bytes: bytes, Reply: true}, bytes)
+		return true
+	}
+}
+
+// ubaAcceptReply consumes a reply leaving the NoC at an SM.
+func (g *GPU) ubaAcceptReply(smID int, req *sim.MemReq, now sim.Cycle) bool {
+	g.accountService(req)
+	g.sms[smID].AcceptReply(req, now)
+	return true
+}
+
+// --- Memory-side UBA -------------------------------------------------
+
+// buildUBAMem creates the memory-side UBA: each address has one home
+// slice in front of its channel, reached over the module crossbar or,
+// for MCM, an inter-module link.
+func (g *GPU) buildUBAMem() {
+	g.mods = max(g.cfg.NumModules, 1)
+	g.buildUBA()
+	g.buildInterModule()
+	for _, s := range g.sms {
+		s.Send = g.ubaMemSend(s.ID)
+	}
+	g.installMemPorts(g.sliceMiss, g.memRespond)
+	g.moveFabric = g.moveUBAMem
+}
+
+// moveUBAMem is the memory-side UBA's fabric phase of step.
+func (g *GPU) moveUBAMem(now sim.Cycle) {
+	g.moveXbars(now, g.ubaAcceptReply)
+	g.moveInterModule(now, g.ubaAcceptReply)
+}
+
+// ubaMemSend routes an L1 miss over the module crossbar (or inter-module
+// link) to the home slice.
+func (g *GPU) ubaMemSend(smID int) func(*sim.MemReq, sim.Cycle) bool {
+	return func(req *sim.MemReq, now sim.Cycle) bool {
+		req.Slice = g.mapper.Slice(req.Addr)
+		req.Channel = g.mapper.Channel(req.Addr)
+		req.Remote = true // every UBA L1 miss traverses the NoC
+		bytes := sim.MessageBytes(req, false)
+		ms, md := g.moduleOfSM(smID), g.moduleOfSlice(req.Slice)
+		if ms == md {
+			if !g.reqXbars[ms].Inject(g.smPort(smID), now, noc.Msg{Req: req, Dst: g.slicePort(req.Slice), Bytes: bytes}) {
+				return false
+			}
+		} else {
+			link := g.interModule[ms][md]
+			if !link.CanSend(now) {
+				return false
+			}
+			link.Send(now, noc.Msg{Req: req, Dst: req.Slice, Bytes: bytes}, bytes)
+		}
+		g.recordPlacementAccess(req, g.cfg.PartitionOfSM(smID))
+		return true
+	}
+}
+
+// --- SM-side UBA ------------------------------------------------------
+
+// buildUBASMSide creates the A100-style SM-side UBA: two halves, each
+// with its own crossbars, whose slices may cache any address. What the
+// halves exchange — LLC misses to the other half's channels, the
+// returning fills and coherence invalidations — rides two inter-half
+// links (index = source half).
+func (g *GPU) buildUBASMSide() {
+	g.mods = 2
+	g.buildUBA()
+	// The halves are stitched with abundant bandwidth; half the per-half
+	// crossbar bandwidth each direction keeps the link from becoming an
+	// artificial bottleneck relative to the paper's SM-side UBA (which
+	// performs within ~1% of the memory-side baseline).
+	w := g.cfg.NoCPortBytes() * max(g.slicesPerModule(), 1)
+	for h := range g.interHalf {
+		l := sim.NewLink[noc.Msg](g.cfg.NoCLatency, w, 8*g.cfg.NoCPortBuffer)
+		g.interHalf[h] = l
+		g.register(linkPart[noc.Msg]{l}, "inter-half link", h, -1)
+	}
+	for _, s := range g.sms {
+		s.Send = g.smSideSend(s.ID)
+	}
+	g.installMemPorts(g.smSideMiss, g.smSideRespond)
+	g.moveFabric = g.moveUBASMSide
+}
+
+// moveUBASMSide is the SM-side UBA's fabric phase of step.
+func (g *GPU) moveUBASMSide(now sim.Cycle) {
+	g.drainInvalQueue(now)
+	g.moveXbars(now, g.ubaAcceptReply)
+	g.moveInterHalf(now)
+	g.retryFills()
+}
+
+// smSideSlice picks the caching slice for an SM-side UBA access: a slice
+// in the SM's half, selected by address hash (every slice may cache every
+// address).
+func (g *GPU) smSideSlice(sm int, addr uint64) int {
+	half := g.moduleOfSM(sm)
+	sph := g.cfg.NumLLCSlices / 2
+	return half*sph + int(sim.Mix(addr/addrmap.RowBytes)%uint64(sph))
+}
+
+// mirrorSlice returns the other half's slice caching the same addresses.
+func (g *GPU) mirrorSlice(slice int) int {
+	sph := g.cfg.NumLLCSlices / 2
+	return (1-slice/sph)*sph + slice%sph
+}
+
+// smSideSend routes an L1 miss to a slice in the SM's half and, for
+// stores, emits the cross-half coherence invalidation.
+func (g *GPU) smSideSend(smID int) func(*sim.MemReq, sim.Cycle) bool {
+	return func(req *sim.MemReq, now sim.Cycle) bool {
+		req.Slice = g.smSideSlice(smID, req.Addr)
+		req.Channel = g.mapper.Channel(req.Addr)
+		req.Remote = true
+		bytes := sim.MessageBytes(req, false)
+		half := g.moduleOfSM(smID)
+		if !g.reqXbars[half].Inject(g.smPort(smID), now, noc.Msg{Req: req, Dst: g.slicePort(req.Slice), Bytes: bytes}) {
+			return false
+		}
+		if req.IsWrite() {
+			inval := &sim.MemReq{
+				Kind: sim.Store, Addr: req.Addr, Size: 0, SM: -1, DstReg: -1,
+				Slice: g.mirrorSlice(req.Slice), ReplicaSlice: -1, Inval: true,
+			}
+			g.invalQueue.Push(inval)
+		}
+		g.recordPlacementAccess(req, g.cfg.PartitionOfSM(smID))
+		return true
+	}
+}
+
+// drainInvalQueue pushes pending coherence invalidations over the
+// inter-half links.
+func (g *GPU) drainInvalQueue(now sim.Cycle) {
+	for {
+		inv, ok := g.invalQueue.Peek()
+		if !ok {
+			return
+		}
+		srcHalf := 1 - g.moduleOfSlice(inv.Slice)
+		link := g.interHalf[srcHalf]
+		if !link.CanSend(now) {
+			return
+		}
+		link.Send(now, noc.Msg{Req: inv, Dst: inv.Slice, Bytes: sim.ReqBytes, Inval: true}, sim.ReqBytes)
+		g.stats.CoherenceTraffic += sim.ReqBytes
+		g.invalQueue.Pop()
+	}
+}
+
+// smSideMiss issues an LLC miss or writeback to the owning channel,
+// over the inter-half link when the channel sits in the other half.
+func (g *GPU) smSideMiss(req *sim.MemReq, now sim.Cycle) bool {
+	ch := g.mapper.Channel(req.Addr)
+	srcHalf := g.moduleOfSlice(req.Slice)
+	if g.moduleOfChannel(ch) == srcHalf {
+		return g.chans[ch].Enqueue(req)
+	}
+	link := g.interHalf[srcHalf]
+	if !link.CanSend(now) {
+		return false
+	}
+	bytes := sim.MessageBytes(req, false)
+	link.Send(now, noc.Msg{Req: req, Dst: ch, Bytes: bytes}, bytes)
+	return true
+}
+
+// smSideRespond routes a finished DRAM read back to the slice that
+// missed, over the inter-half link when it sits in the other half. A
+// saturated link delays the fill one cycle through migFillRetry.
+func (g *GPU) smSideRespond(req *sim.MemReq) {
+	if req.SM < 0 && req.Kind == sim.Load {
+		return // page-copy read: no consumer
+	}
+	now := g.cycle
+	chHalf := g.moduleOfChannel(g.mapper.Channel(req.Addr))
+	if chHalf == g.moduleOfSlice(req.Slice) {
+		g.slices[req.Slice].AcceptFill(req, now)
+		return
+	}
+	bytes := sim.MessageBytes(req, true)
+	if !g.interHalf[chHalf].Send(now, noc.Msg{Req: req, Dst: req.Slice, Bytes: bytes, Reply: true}, bytes) {
+		g.migFillRetry = append(g.migFillRetry, req)
+	}
+}
+
+// retryFills re-attempts fills that found the inter-half link saturated.
+func (g *GPU) retryFills() {
+	if len(g.migFillRetry) == 0 {
+		return
+	}
+	pending := g.migFillRetry
+	g.migFillRetry = g.migFillRetry[:0]
+	for _, req := range pending {
+		g.smSideRespond(req)
+	}
+}
+
+// moveInterHalf drains the cross-half links.
+func (g *GPU) moveInterHalf(now sim.Cycle) {
+	for _, link := range g.interHalf {
+		for {
+			msg, ok := link.Peek(now)
+			if !ok {
+				break
+			}
+			var accepted bool
+			switch {
+			case msg.Inval:
+				accepted = g.enqueueRemote(msg.Dst, msg.Req)
+			case msg.Reply:
+				g.slices[msg.Dst].AcceptFill(msg.Req, now)
+				accepted = true
+			default:
+				accepted = g.chans[msg.Dst].Enqueue(msg.Req)
+			}
+			if !accepted {
+				break
+			}
+			link.Pop(now)
+		}
+	}
+}

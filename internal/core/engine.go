@@ -8,12 +8,13 @@ import (
 	"github.com/nuba-gpu/nuba/internal/sim"
 )
 
-// Engine selects the cycle-loop strategy. All engines produce
-// cycle-exact, byte-identical reports and traces; they differ only in
-// wall-clock speed. EngineHybrid is the default; EngineNaive is the
-// serial reference kept as an escape hatch and as the oracle the
-// cross-engine tests compare against; EngineSanitize is the hybrid
-// engine's soundness checker (sanitize.go).
+// Engine selects what the one cycle loop (GPU.advance) does with a
+// window the wake hints claim idle: skip it (EngineHybrid, the
+// default), never ask (EngineNaive, the reference the cross-engine
+// tests compare against) or step through it verifying the claim
+// (EngineSanitize, sanitize.go). All three produce cycle-exact,
+// byte-identical reports and traces; they differ only in wall-clock
+// speed.
 type Engine uint8
 
 const (
@@ -27,11 +28,6 @@ const (
 	// cross-checking each component's state signature against its wake
 	// hint, and fails the run on the first unsound hint.
 	EngineSanitize
-	// EngineParallel simulates partitions on separate goroutines,
-	// synchronizing at the phase barriers tick-phase-order pins
-	// (parallel.go). Results stay byte-identical to the serial engines
-	// at every worker count.
-	EngineParallel
 )
 
 // engines is the single registry behind String, ParseEngine,
@@ -46,7 +42,6 @@ var engines = []struct {
 	{EngineHybrid, "hybrid", "idle-skip cycle loop (default)"},
 	{EngineNaive, "naive", "tick every component every cycle (serial reference)"},
 	{EngineSanitize, "sanitize", "hybrid with per-cycle hint-soundness checks (slow)"},
-	{EngineParallel, "parallel", "partition-parallel cycle loop (deterministic goroutine workers)"},
 }
 
 // String returns the engine's flag spelling.
@@ -110,106 +105,21 @@ func (g *GPU) Engine() Engine { return g.engine }
 // make progress on its own: g.cycle+1 while something is active, a future
 // cycle when everything is parked on known timers (DRAM bursts, LLC
 // pipelines, link arrivals, scheduler sleeps), and sim.Never when every
-// component is drained or waiting on another one. The scan is ordered
-// active-likely-first and returns as soon as one active component proves
+// component is drained or waiting on another one. The table is ordered
+// SMs first and the scan returns as soon as one active component proves
 // the next cycle must run, so its cost on busy cycles is one SM hint.
 func (g *GPU) componentWake() sim.Cycle {
 	now := g.cycle
 	next := now + 1
 	wake := sim.Never
-	for _, s := range g.sms {
-		t := s.NextWake(now)
+	for i := range g.parts {
+		t := g.parts[i].wakeAt(now)
 		if t <= next {
 			return next
 		}
 		if t < wake {
 			wake = t
 		}
-	}
-	if !g.migQueue.Empty() || !g.invalQueue.Empty() || len(g.migFillRetry) > 0 {
-		return next
-	}
-	// A crossbar holding messages moves them between stages every cycle:
-	// its hint is next or Never, never a future timer.
-	for _, x := range g.reqXbars {
-		if x.NextEvent(now) <= next {
-			return next
-		}
-	}
-	for _, x := range g.replyXbars {
-		if x.NextEvent(now) <= next {
-			return next
-		}
-	}
-	for _, l := range g.smReqLinks {
-		if t := l.NextReady(); t <= next {
-			return next
-		} else if t < wake {
-			wake = t
-		}
-	}
-	for _, l := range g.sliceReplyLinks {
-		if t := l.NextReady(); t <= next {
-			return next
-		} else if t < wake {
-			wake = t
-		}
-	}
-	for _, l := range g.interHalf {
-		if l == nil {
-			continue
-		}
-		if t := l.NextReady(); t <= next {
-			return next
-		} else if t < wake {
-			wake = t
-		}
-	}
-	for _, row := range g.interModule {
-		for _, l := range row {
-			if l == nil {
-				continue
-			}
-			if t := l.NextReady(); t <= next {
-				return next
-			} else if t < wake {
-				wake = t
-			}
-		}
-	}
-	for _, sl := range g.slices {
-		t := sl.NextEvent(now)
-		if t <= next {
-			return next
-		}
-		if t < wake {
-			wake = t
-		}
-	}
-	// Channels tick on the memory clock: their next chance to act is the
-	// first mem-clock boundary at or after their own next event.
-	div := sim.Cycle(g.cfg.MemClockDiv)
-	boundary := (now/div + 1) * div
-	for _, ch := range g.chans {
-		m, ok := ch.NextEvent()
-		if !ok {
-			continue
-		}
-		t := m * div
-		if t < boundary {
-			t = boundary
-		}
-		if t <= next {
-			return next
-		}
-		if t < wake {
-			wake = t
-		}
-	}
-	if t := g.vmsys.NextEvent(); t <= next {
-		return next
-	} else if t < wake {
-		wake = t
 	}
 	return wake
 }
@@ -239,38 +149,53 @@ func (g *GPU) nextWake() sim.Cycle {
 	return wake
 }
 
-// advanceTo advances the clock to target: it steps cycles where some
-// component or timer can act and fast-forwards over gaps where ticking
-// every component is provably a no-op. Stepping resumes one cycle before
-// each wake-up so the event cycle itself runs through the ordinary step,
-// with every modulo check and tick ordering identical to EngineNaive.
+// advance moves the clock to target. It is the only cycle loop: it
+// steps cycles where some component or timer can act, and what it does
+// with a gap the hint scan claims idle is the whole difference between
+// the engines.
 //
-// On busy verdicts the hint scan backs off: stepping is always
-// cycle-exact (it is exactly what EngineNaive does), so after a scan
-// proves the machine busy the engine blind-steps a stride of cycles
-// before scanning again. The stride doubles up to half a batch and
-// resets the moment a scan finds skippable idle time, so dense
-// workloads pay for at most two scans per 64-cycle batch while
-// idle-heavy workloads still fast-forward promptly.
-func (g *GPU) advanceTo(target sim.Cycle) {
+//   - EngineNaive never asks: every cycle counts as busy and is stepped.
+//   - EngineHybrid skips the gap. Stepping resumes one cycle before the
+//     wake-up so the event cycle itself runs through the ordinary step,
+//     with every modulo check and tick ordering identical to naive.
+//   - EngineSanitize steps through the gap checking that nothing changes
+//     (verifyIdleWindow), and fails the run on the first unsound hint.
+//
+// On busy verdicts the hybrid scan backs off: stepping is always
+// cycle-exact, so after a scan proves the machine busy the loop
+// blind-steps a stride of cycles before scanning again. The stride
+// doubles up to half a batch and resets the moment a scan finds idle
+// time, so dense workloads pay for at most two scans per 64-cycle batch
+// while idle-heavy workloads still fast-forward promptly. The sanitizer
+// keeps the stride at zero so it scans — and can verify — every cycle.
+func (g *GPU) advance(target sim.Cycle) error {
 	for g.cycle < target {
-		w := g.nextWake()
+		w := g.cycle + 1
+		if g.engine != EngineNaive {
+			w = g.nextWake()
+		}
 		if w <= g.cycle+1 {
 			for i := sim.Cycle(0); i <= g.busyStride && g.cycle < target; i++ {
 				g.step()
 			}
-			if g.busyStride < batchCycles/2 {
+			if g.engine != EngineSanitize && g.busyStride < batchCycles/2 {
 				g.busyStride = 2*g.busyStride + 1
 			}
 			continue
 		}
 		g.busyStride = 0
-		if w > target {
-			// Nothing can act in (cycle, target]: jump the clock.
-			g.cycle = target
-			return
+		// Nothing can act in (cycle, end].
+		end := min(w-1, target)
+		if g.engine == EngineSanitize {
+			if err := g.verifyIdleWindow(w, end); err != nil {
+				return err
+			}
+			continue
 		}
-		g.cycle = w - 1
-		g.step()
+		g.cycle = end
+		if w <= target {
+			g.step()
+		}
 	}
+	return nil
 }

@@ -48,6 +48,19 @@ func TestParseEngine(t *testing.T) {
 	}
 }
 
+// The retired partition-parallel engine's spelling must fail like any
+// other unknown engine, with an error that lists the three survivors —
+// the text `nubasim -engine parallel` prints before exiting 2.
+func TestParseEngineRejectsRetiredParallel(t *testing.T) {
+	_, err := ParseEngine("parallel")
+	if err == nil {
+		t.Fatal(`ParseEngine("parallel") succeeded`)
+	}
+	if want := `unknown engine "parallel" (want hybrid, naive, sanitize)`; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not contain %q", err, want)
+	}
+}
+
 // runEngine executes the tiny streaming kernel on cfg under the given
 // engine and returns the final statistics.
 func runEngine(t *testing.T, cfg config.Config, e Engine) *metrics.Stats {
@@ -114,7 +127,7 @@ func TestEnginesWakeTies(t *testing.T) {
 // A component that re-activates exactly at a fast-forward target: with
 // the epoch equal to the batch size every MDR wake-up coincides with the
 // batch boundary the fast-forward aims at, exercising the w == target
-// path of advanceTo.
+// path of advance.
 func TestEngineReactivationAtFastForwardTarget(t *testing.T) {
 	cfg := tinyConfig(config.NUBA)
 	cfg.Replication = config.MDR
@@ -229,7 +242,9 @@ func TestQuietVsWakeInvariant(t *testing.T) {
 		if quiet {
 			break
 		}
-		g.advanceTo(g.cycle + batchCycles)
+		if err := g.advance(g.cycle + batchCycles); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if g.Stats().Instructions == 0 {
 		t.Fatal("invariant walk executed no instructions")

@@ -14,7 +14,6 @@ import (
 	"github.com/nuba-gpu/nuba/internal/dram"
 	"github.com/nuba-gpu/nuba/internal/driver"
 	"github.com/nuba-gpu/nuba/internal/energy"
-	"github.com/nuba-gpu/nuba/internal/kir"
 	"github.com/nuba-gpu/nuba/internal/llc"
 	"github.com/nuba-gpu/nuba/internal/mdr"
 	"github.com/nuba-gpu/nuba/internal/metrics"
@@ -37,6 +36,19 @@ type GPU struct {
 	sms    []*smcore.SM
 	slices []*llc.Slice
 	chans  []*dram.Channel
+
+	// parts is the component table (parts.go): one row per SM,
+	// crossbar, link, slice and channel, the VM system and the core's
+	// own queues, in scan order. Every "all components" walk — the wake
+	// scan, quiet, the sanitizer, the watchdog — is a loop over it.
+	parts []part
+	// mods is the number of crossbar domains: MCM modules, the two
+	// halves of the SM-side UBA, 1 otherwise. moveFabric moves one
+	// cycle's messages between SMs and slices. Both are set by the
+	// architecture's builder (arch_nuba.go, arch_uba.go), the one place the
+	// architectures differ.
+	mods       int
+	moveFabric func(sim.Cycle)
 
 	// Per-module request and reply fabrics (one pair for monolithic
 	// GPUs). For the UBA layouts the request fabric runs SMs -> slices
@@ -64,7 +76,7 @@ type GPU struct {
 	hitMaxCycles bool
 	engine       Engine
 	// busyStride is the hybrid engine's hint-scan backoff: how many
-	// extra cycles advanceTo blind-steps after a scan proves the
+	// extra cycles advance blind-steps after a scan proves the
 	// machine busy. Purely an engine-speed knob — never observable in
 	// simulated state.
 	busyStride sim.Cycle
@@ -74,26 +86,9 @@ type GPU struct {
 	// wd is the forward-progress watchdog, nil unless armed with
 	// SetWatchdog (see watchdog.go).
 	wd *watchdog
-	// par is the partition-parallel engine state (parallel.go), built
-	// lazily on the first EngineParallel batch for configurations the
-	// parallel cycle supports; nil for every serial engine and for
-	// fallback configurations. parWorkers is the requested worker count
-	// (0 = one worker per partition); parTried latches the capability
-	// probe.
-	par        *parState
-	parWorkers int
-	parTried   bool
-
 	// migQueue holds background page-copy traffic awaiting channel space.
 	migQueue    *sim.Queue[*sim.MemReq]
 	nextMigScan sim.Cycle
-
-	// dbgToMemSum/dbgToMemCnt accumulate L1-miss-to-memory-controller
-	// latency for diagnostics, sharded per partition (indexed by the
-	// request's home-slice partition) so the parallel engine's phase-B
-	// workers never share an accumulator.
-	dbgToMemSum, dbgToMemCnt []int64
-	dbgFillSum, dbgFillCnt   []int64
 
 	// invalQueue holds SM-side UBA coherence invalidations awaiting
 	// inter-half link space.
@@ -126,32 +121,48 @@ func New(cfg config.Config) (*GPU, error) {
 	g.drv = driver.New(&g.cfg, g.mapper)
 	g.vmsys = vm.NewSystem(&g.cfg, g.drv, g.stats)
 
-	parts := cfg.NumPartitions()
-	g.dbgToMemSum = make([]int64, parts)
-	g.dbgToMemCnt = make([]int64, parts)
-	g.dbgFillSum = make([]int64, parts)
-	g.dbgFillCnt = make([]int64, parts)
-
+	// The translation and store-ack ports are the same on every
+	// architecture; the builder installs the rest.
+	vmRequest, storeDone := g.vmsys.Request, g.storeDone
 	for i := 0; i < cfg.NumSMs; i++ {
-		part := g.cfg.PartitionOfSM(i)
-		s := smcore.New(i, part, &g.cfg, g.stats, g.hist)
+		s := smcore.New(i, g.cfg.PartitionOfSM(i), &g.cfg, g.stats, g.hist)
+		s.VMRequest = vmRequest
+		s.PageLookup = g.pageLookup(s.Part)
 		g.sms = append(g.sms, s)
+		g.register(smPart{s}, "SM", i, -1)
 	}
 	for j := 0; j < cfg.NumLLCSlices; j++ {
-		g.slices = append(g.slices, llc.New(j, g.cfg.PartitionOfSlice(j), &g.cfg, g.stats))
+		sl := llc.New(j, g.cfg.PartitionOfSlice(j), &g.cfg, g.stats)
+		sl.StoreDone = storeDone
+		g.slices = append(g.slices, sl)
 	}
 	for c := 0; c < cfg.NumChannels; c++ {
-		ch := dram.NewChannel(c, &g.cfg, g.mapper)
-		g.chans = append(g.chans, ch)
+		g.chans = append(g.chans, dram.NewChannel(c, &g.cfg, g.mapper))
 	}
 
-	g.buildInterconnect()
-	g.wire()
-
-	if cfg.Arch == config.NUBA && cfg.Replication == config.MDR {
-		g.mdrProf = mdr.NewProfiler(&g.cfg, 0)
-		g.mdrCtl = mdr.NewController(&g.cfg, g.stats, g.mdrProf)
+	// The architecture is chosen here and nowhere else: each builder
+	// creates its crossbars and links, registers them in g.parts,
+	// installs the routing ports and sets g.moveFabric.
+	switch cfg.Arch {
+	case config.NUBA:
+		g.buildNUBA()
+	case config.UBASMSide:
+		g.buildUBASMSide()
+	default:
+		g.buildUBAMem()
 	}
+
+	for j, sl := range g.slices {
+		g.register(slicePart{sl}, "LLC slice", j, -1)
+	}
+	div := sim.Cycle(cfg.MemClockDiv)
+	chanParts := make([]chanPart, len(g.chans))
+	for c, ch := range g.chans {
+		chanParts[c] = chanPart{ch, div}
+		g.register(&chanParts[c], "DRAM channel", c, -1)
+	}
+	g.register(vmPart{g.vmsys}, "vm system", -1, -1)
+	g.register(coreQueues{g}, "core queues", -1, -1)
 	return g, nil
 }
 
@@ -183,19 +194,8 @@ func (g *GPU) MDRController() *mdr.Controller { return g.mdrCtl }
 // HitMaxCycles reports whether a run aborted at the MaxCycles safety net.
 func (g *GPU) HitMaxCycles() bool { return g.hitMaxCycles }
 
-// modules returns the number of crossbar domains.
-func (g *GPU) modules() int {
-	if g.cfg.Arch == config.UBASMSide {
-		return 2
-	}
-	if g.cfg.NumModules > 1 {
-		return g.cfg.NumModules
-	}
-	return 1
-}
-
-func (g *GPU) smsPerModule() int    { return g.cfg.NumSMs / g.modules() }
-func (g *GPU) slicesPerModule() int { return g.cfg.NumLLCSlices / g.modules() }
+func (g *GPU) smsPerModule() int    { return g.cfg.NumSMs / g.mods }
+func (g *GPU) slicesPerModule() int { return g.cfg.NumLLCSlices / g.mods }
 
 // moduleOfSM returns the crossbar domain of an SM (the half for SM-side).
 func (g *GPU) moduleOfSM(sm int) int { return sm / g.smsPerModule() }
@@ -204,72 +204,7 @@ func (g *GPU) moduleOfSM(sm int) int { return sm / g.smsPerModule() }
 func (g *GPU) moduleOfSlice(s int) int { return s / g.slicesPerModule() }
 
 // moduleOfChannel returns the crossbar domain of a channel.
-func (g *GPU) moduleOfChannel(c int) int { return c / (g.cfg.NumChannels / g.modules()) }
-
-// buildInterconnect creates the crossbars and links for the architecture.
-func (g *GPU) buildInterconnect() {
-	width := g.cfg.NoCPortBytes()
-	mods := g.modules()
-	for m := 0; m < mods; m++ {
-		var reqIn, reqOut int
-		switch g.cfg.Arch {
-		case config.NUBA:
-			reqIn, reqOut = g.slicesPerModule(), g.slicesPerModule()
-		default: // UBA-mem and SM-side halves
-			reqIn, reqOut = g.smsPerModule(), g.slicesPerModule()
-		}
-		g.reqXbars = append(g.reqXbars,
-			noc.NewCrossbar(reqIn, reqOut, width, g.cfg.NoCLatency, g.cfg.NoCPortBuffer, g.cfg.NoCPortBuffer))
-		g.replyXbars = append(g.replyXbars,
-			noc.NewCrossbar(reqOut, reqIn, width, g.cfg.NoCLatency, g.cfg.NoCPortBuffer, g.cfg.NoCPortBuffer))
-	}
-
-	if g.cfg.Arch == config.NUBA {
-		for i := 0; i < g.cfg.NumSMs; i++ {
-			g.smReqLinks = append(g.smReqLinks,
-				sim.NewLink[*sim.MemReq](g.cfg.LocalLinkLatency, g.cfg.LocalLinkBytes, g.cfg.LocalLinkBuffer))
-		}
-		for j := 0; j < g.cfg.NumLLCSlices; j++ {
-			g.sliceReplyLinks = append(g.sliceReplyLinks,
-				sim.NewLink[*sim.MemReq](g.cfg.LocalLinkLatency, g.cfg.LocalLinkBytes, g.cfg.LocalLinkBuffer))
-		}
-	}
-
-	if g.cfg.Arch == config.UBASMSide {
-		// Inter-half links carry LLC misses to remote channels, the
-		// returning fills and coherence invalidations. The A100-style
-		// halves are stitched with abundant bandwidth; half the per-half
-		// crossbar bandwidth each direction keeps the link from becoming
-		// an artificial bottleneck relative to the paper's SM-side UBA
-		// (which performs within ~1% of the memory-side baseline).
-		w := width * g.slicesPerModule()
-		if w < width {
-			w = width
-		}
-		g.interHalf[0] = sim.NewLink[noc.Msg](g.cfg.NoCLatency, w, 8*g.cfg.NoCPortBuffer)
-		g.interHalf[1] = sim.NewLink[noc.Msg](g.cfg.NoCLatency, w, 8*g.cfg.NoCPortBuffer)
-	}
-
-	if g.cfg.NumModules > 1 {
-		// All-to-all inter-module links; each module's InterModuleGBs is
-		// split across its (mods-1) peers and the two directions.
-		per := g.cfg.InterModuleGBs / (2 * float64(mods-1) * g.cfg.CoreClockGHz)
-		w := int(per + 0.5)
-		if w < 1 {
-			w = 1
-		}
-		g.interModule = make([][]*sim.Link[noc.Msg], mods)
-		for a := 0; a < mods; a++ {
-			g.interModule[a] = make([]*sim.Link[noc.Msg], mods)
-			for b := 0; b < mods; b++ {
-				if a == b {
-					continue
-				}
-				g.interModule[a][b] = sim.NewLink[noc.Msg](g.cfg.NoCLatency*2, w, 8*g.cfg.NoCPortBuffer)
-			}
-		}
-	}
-}
+func (g *GPU) moduleOfChannel(c int) int { return c / (g.cfg.NumChannels / g.mods) }
 
 // NoCGeometry returns the total crossbar endpoint count (inputs plus
 // outputs of the request fabric, summed over modules; the reply fabric
@@ -301,14 +236,4 @@ func (g *GPU) NewBuffer(size uint64) uint64 {
 func (g *GPU) String() string {
 	return fmt.Sprintf("%s: %d SMs, %d LLC slices, %d channels, NoC %.0f GB/s",
 		g.cfg.Arch, g.cfg.NumSMs, g.cfg.NumLLCSlices, g.cfg.NumChannels, g.cfg.NoCBandwidthGBs)
-}
-
-// launchFor builds a kir.Launch bound into this GPU's address space; used
-// by the workload package through the public facade.
-func (g *GPU) launchFor(k *kir.Kernel, grid, ctaThreads int, scalars []int64, bufs []kir.Binding) (*kir.Launch, error) {
-	l := &kir.Launch{Kernel: k, GridDim: grid, CTAThreads: ctaThreads, Scalars: scalars, Buffers: bufs}
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
-	return l, nil
 }

@@ -1,0 +1,116 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"github.com/nuba-gpu/nuba/internal/config"
+	"github.com/nuba-gpu/nuba/internal/kir"
+	"github.com/nuba-gpu/nuba/internal/trace"
+)
+
+// topologies returns the five fabric shapes the builders produce, all
+// at Scale(0.125): the three architectures plus the two-module MCM
+// variants of the two that support it.
+func topologies() []struct {
+	name string
+	cfg  config.Config
+} {
+	mcm := func(arch config.Arch) config.Config {
+		cfg := tinyConfig(arch)
+		cfg.NumModules = 2
+		cfg.InterModuleGBs = 256
+		return cfg
+	}
+	return []struct {
+		name string
+		cfg  config.Config
+	}{
+		{"nuba", tinyConfig(config.NUBA)},
+		{"uba-mem", tinyConfig(config.UBAMem)},
+		{"uba-sm", tinyConfig(config.UBASMSide)},
+		{"mcm-nuba", mcm(config.NUBA)},
+		{"mcm-uba", mcm(config.UBAMem)},
+	}
+}
+
+// The component table must hold exactly one row per thing the builders
+// created — no component missing from the engine's walks, none listed
+// twice — and a freshly built GPU must be idle through every row.
+func TestPartsTableCoversEveryComponent(t *testing.T) {
+	for _, tc := range topologies() {
+		g := MustNew(tc.cfg)
+		links := len(g.smReqLinks) + len(g.sliceReplyLinks)
+		for _, l := range g.interHalf {
+			if l != nil {
+				links++
+			}
+		}
+		for _, row := range g.interModule {
+			for _, l := range row {
+				if l != nil {
+					links++
+				}
+			}
+		}
+		want := len(g.sms) + len(g.slices) + len(g.chans) +
+			len(g.reqXbars) + len(g.replyXbars) + links + 2 // + VM system + core queues
+		if len(g.parts) != want {
+			t.Errorf("%s: table has %d rows, want %d", tc.name, len(g.parts), want)
+		}
+		if _, ok := g.parts[0].component.(smPart); !ok {
+			t.Errorf("%s: first row is %q; SMs must lead the scan order", tc.name, g.parts[0].name())
+		}
+		names := make(map[string]bool, len(g.parts))
+		for i := range g.parts {
+			p := &g.parts[i]
+			if names[p.name()] {
+				t.Errorf("%s: duplicate row %q", tc.name, p.name())
+			}
+			names[p.name()] = true
+			if p.pending() {
+				t.Errorf("%s: %s pending on a freshly built GPU", tc.name, p.name())
+			}
+		}
+		if !g.quiet() {
+			t.Errorf("%s: freshly built GPU is not quiet", tc.name)
+		}
+		if g.mods != len(g.reqXbars) {
+			t.Errorf("%s: %d modules but %d request crossbars", tc.name, g.mods, len(g.reqXbars))
+		}
+	}
+}
+
+// The one cycle loop against plain stepping: on every topology, naive
+// (advance never asks, so it is step in a loop), hybrid (skips) and
+// sanitize (verifies) must end on the same cycle with the same counters
+// and the same NDJSON trace bytes.
+func TestAdvanceMatchesStep(t *testing.T) {
+	run := func(cfg config.Config, e Engine) string {
+		g := MustNew(cfg)
+		g.SetEngine(e)
+		var series bytes.Buffer
+		tr := trace.New(trace.Options{Series: &series, EpochCycles: 1000}, cfg.CoreClockGHz)
+		tr.Begin(trace.Meta{Bench: "tiny", Config: cfg.Name(), Partitions: cfg.NumPartitions()})
+		g.AttachTracer(tr)
+		if err := g.RunProgram([]*kir.Launch{tinyLaunch(t, g, 32, 4)}); err != nil {
+			t.Fatalf("%v: %v", e, err)
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if series.Len() == 0 {
+			t.Fatal("empty trace — comparison is vacuous")
+		}
+		return fmt.Sprintf("cycle=%d\n%+v\n%s", g.cycle, *g.Stats(), series.Bytes())
+	}
+	for _, tc := range topologies() {
+		naive := run(tc.cfg, EngineNaive)
+		for _, e := range []Engine{EngineHybrid, EngineSanitize} {
+			if got := run(tc.cfg, e); got != naive {
+				t.Errorf("%s: %v diverges from naive\nnaive: %s\n%v: %s", tc.name, e, naive, e, got)
+			}
+		}
+	}
+}

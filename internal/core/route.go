@@ -3,14 +3,14 @@ package core
 import (
 	"github.com/nuba-gpu/nuba/internal/addrmap"
 	"github.com/nuba-gpu/nuba/internal/config"
-	"github.com/nuba-gpu/nuba/internal/metrics"
 	"github.com/nuba-gpu/nuba/internal/noc"
 	"github.com/nuba-gpu/nuba/internal/sim"
 )
 
-// This file wires SMs, LLC slices, the NoC and the memory controllers
-// together for each architecture and implements the per-cycle message
-// movement between them.
+// Routing shared by every architecture: the helpers the builders
+// (arch_nuba.go, arch_uba.go) assemble their fabrics from, the ports no
+// architecture changes, and the crossbar and inter-module movement that
+// differs only in who consumes an egressing reply.
 
 // smPort returns an SM's port index within its module's fabrics
 // (request-fabric input, reply-fabric output for the UBA layouts).
@@ -32,54 +32,6 @@ func (g *GPU) partitionSlice(part int, addr uint64) int {
 	// memory controller (mirroring the home-slice selection, which uses
 	// the least-significant randomized bank bits).
 	return part*spp + int(sim.Mix(addr/addrmap.RowBytes)%uint64(spp))
-}
-
-// smSideSlice picks the caching slice for an SM-side UBA access: a slice
-// in the SM's half, selected by address hash (every slice may cache every
-// address).
-func (g *GPU) smSideSlice(sm int, addr uint64) int {
-	half := g.moduleOfSM(sm)
-	sph := g.cfg.NumLLCSlices / 2
-	return half*sph + int(sim.Mix(addr/addrmap.RowBytes)%uint64(sph))
-}
-
-// mirrorSlice returns the other half's slice caching the same addresses.
-// mirrorSliceDoc (see below).
-func (g *GPU) mirrorSlice(slice int, addr uint64) int {
-	sph := g.cfg.NumLLCSlices / 2
-	return (1-slice/sph)*sph + slice%sph
-}
-
-// replicating reports whether read-only shared lines are currently
-// replicated.
-func (g *GPU) replicating() bool {
-	switch g.cfg.Replication {
-	case config.FullRep:
-		return true
-	case config.MDR:
-		return g.mdrCtl != nil && g.mdrCtl.Replicating()
-	default:
-		return false
-	}
-}
-
-// accountService classifies a serviced L1 miss for the Figure 9 breakdown.
-func (g *GPU) accountService(req *sim.MemReq) { g.accountServiceTo(g.stats, req) }
-
-// accountServiceTo is accountService into an explicit sink; the parallel
-// engine's phase-B workers pass their partition's stats shard.
-func (g *GPU) accountServiceTo(st *metrics.Stats, req *sim.MemReq) {
-	if req.SM < 0 {
-		return
-	}
-	if req.Remote {
-		st.RemoteAccesses++
-		return
-	}
-	st.LocalAccesses++
-	if req.Replicated {
-		st.ReplicatedAccesses++
-	}
 }
 
 // recordPlacementAccess feeds the §7.6 migration/replication counters and
@@ -163,65 +115,25 @@ func (g *GPU) drainMigQueue() {
 	}
 }
 
-// wire installs the architecture-specific callbacks on SMs, slices and
-// channels.
-func (g *GPU) wire() {
-	for _, s := range g.sms {
-		// gatedVMRequest forwards to vmsys.Request; under the parallel
-		// engine it first serializes callers into partition order (the
-		// VM system is the one shared branch-sensitive structure on the
-		// SM tick path — see parallel.go). Serial engines pay one nil
-		// check.
-		s.VMRequest = g.gatedVMRequest
-		s.PageLookup = g.pageLookup(s.Part)
+// accountService classifies a serviced L1 miss for the Figure 9 breakdown.
+func (g *GPU) accountService(req *sim.MemReq) {
+	if req.SM < 0 {
+		return
 	}
-	for _, ch := range g.chans {
-		ch.Respond = g.memRespond
+	if req.Remote {
+		g.stats.RemoteAccesses++
+		return
 	}
-	for _, s := range g.slices {
-		s.SendMiss = g.sliceMiss
-		s.StoreDone = g.storeDone
-	}
-	switch g.cfg.Arch {
-	case config.NUBA:
-		for _, s := range g.sms {
-			s.Send = g.nubaSend(s.ID, s.Part)
-		}
-		for _, sl := range g.slices {
-			sl.SendReply = g.nubaSliceReply(sl.ID, sl.Part)
-			sl.SendForward = g.nubaForward(sl.ID)
-		}
-	case config.UBASMSide:
-		for _, s := range g.sms {
-			s.Send = g.smSideSend(s.ID)
-		}
-		for _, sl := range g.slices {
-			sl.SendReply = g.ubaSliceReply(sl.ID)
-			sl.SendForward = func(req *sim.MemReq, now sim.Cycle) bool { panic("core: forward on UBA") }
-		}
-	default: // UBA-mem
-		for _, s := range g.sms {
-			s.Send = g.ubaMemSend(s.ID)
-		}
-		for _, sl := range g.slices {
-			sl.SendReply = g.ubaSliceReply(sl.ID)
-			sl.SendForward = func(req *sim.MemReq, now sim.Cycle) bool { panic("core: forward on UBA") }
-		}
+	g.stats.LocalAccesses++
+	if req.Replicated {
+		g.stats.ReplicatedAccesses++
 	}
 }
 
 // storeDone retires a committed store at its SM (no wire traffic; see
-// DESIGN.md on acknowledgements). The acknowledging slice may sit in a
-// different partition than the store's SM, so during the parallel
-// engine's memory phase the ack is parked in the slice's outbox and
-// replayed at the phase barrier in slice-ID order — exactly the order
-// the serial engines produce it in (parallel.go).
+// DESIGN.md on acknowledgements).
 func (g *GPU) storeDone(req *sim.MemReq, now sim.Cycle) {
 	if req.SM < 0 {
-		return
-	}
-	if p := g.par; p != nil && p.inPhase {
-		p.ackOut[req.Slice] = append(p.ackOut[req.Slice], storeAck{req: req, now: now})
 		return
 	}
 	g.accountService(req)
@@ -230,329 +142,98 @@ func (g *GPU) storeDone(req *sim.MemReq, now sim.Cycle) {
 
 // sliceMiss issues an LLC miss or writeback to the owning channel.
 func (g *GPU) sliceMiss(req *sim.MemReq, now sim.Cycle) bool {
-	if req.SM >= 0 && req.Kind == sim.Load {
-		p := g.cfg.PartitionOfSlice(req.Slice)
-		g.dbgToMemSum[p] += int64(now - req.Issue)
-		g.dbgToMemCnt[p]++
-	}
-	ch := g.mapper.Channel(req.Addr)
-	if g.cfg.Arch == config.UBASMSide {
-		srcHalf := g.moduleOfSlice(req.Slice)
-		if g.moduleOfChannel(ch) != srcHalf {
-			link := g.interHalf[srcHalf]
-			bytes := sim.MessageBytes(req, false)
-			if !link.CanSend(now) {
-				return false
-			}
-			link.Send(now, noc.Msg{Req: req, Dst: ch, Bytes: bytes}, bytes)
-			return true
-		}
-	}
-	return g.chans[ch].Enqueue(req)
+	return g.chans[g.mapper.Channel(req.Addr)].Enqueue(req)
 }
 
 // memRespond routes a finished DRAM read back to the slice that missed.
 func (g *GPU) memRespond(req *sim.MemReq) {
-	now := g.cycle
-	if req.SM >= 0 && req.Kind == sim.Load {
-		p := g.cfg.PartitionOfSlice(req.Slice)
-		g.dbgFillSum[p] += int64(now - req.Issue)
-		g.dbgFillCnt[p]++
-	}
 	if req.SM < 0 && req.Kind == sim.Load {
 		return // page-copy read: no consumer
 	}
-	target := req.Slice
-	if g.cfg.Arch == config.UBASMSide {
-		ch := g.mapper.Channel(req.Addr)
-		if g.moduleOfChannel(ch) != g.moduleOfSlice(target) {
-			link := g.interHalf[g.moduleOfChannel(ch)]
-			bytes := sim.MessageBytes(req, true)
-			if link.Send(now, noc.Msg{Req: req, Dst: target, Bytes: bytes, Reply: true}, bytes) {
-				return
+	g.slices[req.Slice].AcceptFill(req, g.cycle)
+}
+
+// installMemPorts installs the slice-to-channel miss port and the
+// channel-to-slice fill port.
+func (g *GPU) installMemPorts(miss func(*sim.MemReq, sim.Cycle) bool, respond func(*sim.MemReq)) {
+	for _, sl := range g.slices {
+		sl.SendMiss = miss
+	}
+	for _, ch := range g.chans {
+		ch.Respond = respond
+	}
+}
+
+// buildXbars creates one request and one reply crossbar per module and
+// registers them. The reply fabric mirrors the request fabric.
+func (g *GPU) buildXbars(reqIn, reqOut int) {
+	width, lat, buf := g.cfg.NoCPortBytes(), g.cfg.NoCLatency, g.cfg.NoCPortBuffer
+	for m := 0; m < g.mods; m++ {
+		g.reqXbars = append(g.reqXbars, noc.NewCrossbar(reqIn, reqOut, width, lat, buf, buf))
+		g.replyXbars = append(g.replyXbars, noc.NewCrossbar(reqOut, reqIn, width, lat, buf, buf))
+	}
+	for m, x := range g.reqXbars {
+		g.register(xbarPart{x}, "req crossbar", m, -1)
+	}
+	for m, x := range g.replyXbars {
+		g.register(xbarPart{x}, "reply crossbar", m, -1)
+	}
+}
+
+// buildInterModule creates the MCM all-to-all inter-module links; each
+// module's InterModuleGBs is split across its (mods-1) peers and the
+// two directions. A monolithic GPU has none.
+func (g *GPU) buildInterModule() {
+	mods := g.mods
+	if mods == 1 {
+		return
+	}
+	per := g.cfg.InterModuleGBs / (2 * float64(mods-1) * g.cfg.CoreClockGHz)
+	w := max(int(per+0.5), 1)
+	g.interModule = make([][]*sim.Link[noc.Msg], mods)
+	for a := 0; a < mods; a++ {
+		g.interModule[a] = make([]*sim.Link[noc.Msg], mods)
+		for b := 0; b < mods; b++ {
+			if a == b {
+				continue
 			}
-			// Link saturated: the fill is delayed one cycle by retrying
-			// through the pending queue.
-			g.migFillRetry = append(g.migFillRetry, req)
-			return
-		}
-	}
-	g.slices[target].AcceptFill(req, now)
-}
-
-// --- Memory-side UBA -------------------------------------------------
-
-// ubaMemSend routes an L1 miss over the module crossbar (or inter-module
-// link) to the home slice.
-func (g *GPU) ubaMemSend(smID int) func(*sim.MemReq, sim.Cycle) bool {
-	return func(req *sim.MemReq, now sim.Cycle) bool {
-		req.Slice = g.mapper.Slice(req.Addr)
-		req.Channel = g.mapper.Channel(req.Addr)
-		req.Remote = true // every UBA L1 miss traverses the NoC
-		bytes := sim.MessageBytes(req, false)
-		ms, md := g.moduleOfSM(smID), g.moduleOfSlice(req.Slice)
-		if ms == md {
-			if !g.reqXbars[ms].Inject(g.smPort(smID), now, noc.Msg{Req: req, Dst: g.slicePort(req.Slice), Bytes: bytes}) {
-				return false
-			}
-		} else {
-			link := g.interModule[ms][md]
-			if !link.CanSend(now) {
-				return false
-			}
-			link.Send(now, noc.Msg{Req: req, Dst: req.Slice, Bytes: bytes}, bytes)
-		}
-		g.recordPlacementAccess(req, g.cfg.PartitionOfSM(smID))
-		return true
-	}
-}
-
-// ubaSliceReply returns replies over the crossbar toward the SM (both UBA
-// variants; SMs and their caching slices share a module by construction).
-func (g *GPU) ubaSliceReply(sliceID int) func(*sim.MemReq, sim.Cycle) bool {
-	return func(req *sim.MemReq, now sim.Cycle) bool {
-		bytes := sim.MessageBytes(req, true)
-		ms, mr := g.moduleOfSlice(sliceID), g.moduleOfSM(req.SM)
-		if ms == mr {
-			return g.replyXbars[ms].Inject(g.slicePort(sliceID), now,
-				noc.Msg{Req: req, Dst: g.smPort(req.SM), Bytes: bytes, Reply: true})
-		}
-		link := g.interModule[ms][mr]
-		if !link.CanSend(now) {
-			return false
-		}
-		link.Send(now, noc.Msg{Req: req, Dst: req.SM, Bytes: bytes, Reply: true}, bytes)
-		return true
-	}
-}
-
-// --- SM-side UBA ------------------------------------------------------
-
-// smSideSend routes an L1 miss to a slice in the SM's half and, for
-// stores, emits the cross-half coherence invalidation.
-func (g *GPU) smSideSend(smID int) func(*sim.MemReq, sim.Cycle) bool {
-	return func(req *sim.MemReq, now sim.Cycle) bool {
-		req.Slice = g.smSideSlice(smID, req.Addr)
-		req.Channel = g.mapper.Channel(req.Addr)
-		req.Remote = true
-		bytes := sim.MessageBytes(req, false)
-		half := g.moduleOfSM(smID)
-		if !g.reqXbars[half].Inject(g.smPort(smID), now, noc.Msg{Req: req, Dst: g.slicePort(req.Slice), Bytes: bytes}) {
-			return false
-		}
-		if req.IsWrite() {
-			inval := &sim.MemReq{
-				Kind: sim.Store, Addr: req.Addr, Size: 0, SM: -1, DstReg: -1,
-				Slice: g.mirrorSlice(req.Slice, req.Addr), ReplicaSlice: -1, Inval: true,
-			}
-			g.invalQueue.Push(inval)
-		}
-		g.recordPlacementAccess(req, g.cfg.PartitionOfSM(smID))
-		return true
-	}
-}
-
-// drainInvalQueue pushes pending coherence invalidations over the
-// inter-half links.
-func (g *GPU) drainInvalQueue(now sim.Cycle) {
-	for {
-		inv, ok := g.invalQueue.Peek()
-		if !ok {
-			return
-		}
-		srcHalf := 1 - g.moduleOfSlice(inv.Slice)
-		link := g.interHalf[srcHalf]
-		if !link.CanSend(now) {
-			return
-		}
-		link.Send(now, noc.Msg{Req: inv, Dst: inv.Slice, Bytes: sim.ReqBytes, Inval: true}, sim.ReqBytes)
-		g.stats.CoherenceTraffic += sim.ReqBytes
-		g.invalQueue.Pop()
-	}
-}
-
-// --- NUBA --------------------------------------------------------------
-
-// nubaSend injects an L1 miss into the SM's point-to-point request link;
-// classification, replica routing and MDR profiling happen here.
-func (g *GPU) nubaSend(smID, part int) func(*sim.MemReq, sim.Cycle) bool {
-	return func(req *sim.MemReq, now sim.Cycle) bool {
-		link := g.smReqLinks[smID]
-		if !link.CanSend(now) {
-			return false
-		}
-		req.Slice = g.mapper.Slice(req.Addr)
-		req.Channel = g.mapper.Channel(req.Addr)
-		local := g.cfg.PartitionOfSlice(req.Slice) == part
-		if !local && req.ReadOnly && req.Kind == sim.Load && g.replicating() {
-			req.ReplicaSlice = g.partitionSlice(part, req.Addr)
-		}
-		if g.mdrProf != nil {
-			// The profiler's shadow tags are LRU (order-dependent), so
-			// during the parallel engine's SM phase the observation is
-			// parked per SM and replayed at the phase barrier in SM-ID
-			// order — the serial engines' exact order (parallel.go). The
-			// captured fields (Addr, Kind, ReadOnly) never mutate after
-			// send, so deferred replay sees identical inputs.
-			if p := g.par; p != nil && p.inPhase {
-				p.obsOut[smID] = append(p.obsOut[smID], mdrObs{
-					req: req, home: req.Slice, local: local,
-					replicaWouldBe: g.partitionSlice(part, req.Addr), now: now,
-				})
-			} else {
-				g.mdrProf.Observe(req, req.Slice, local, g.partitionSlice(part, req.Addr), now)
-			}
-		}
-		g.recordPlacementAccess(req, part)
-		bytes := sim.MessageBytes(req, false)
-		link.Send(now, req, bytes)
-		return true
-	}
-}
-
-// moveNUBARequestLinks delivers arrived requests from SM links into local
-// slices or onto the NoC.
-func (g *GPU) moveNUBARequestLinks(now sim.Cycle) {
-	g.moveNUBARequestLinksRange(0, len(g.smReqLinks), now)
-}
-
-// moveNUBARequestLinksRange drains the SM request links in [lo, hi).
-// Every destination it touches is partition-local to the source SM (its
-// own slices, or its own NoC injection port), so the parallel engine's
-// phase-A workers call it for their partitions' SM ranges.
-func (g *GPU) moveNUBARequestLinksRange(lo, hi int, now sim.Cycle) {
-	for smID := lo; smID < hi; smID++ {
-		link := g.smReqLinks[smID]
-		part := g.cfg.PartitionOfSM(smID)
-		for {
-			req, ok := link.Peek(now)
-			if !ok {
-				break
-			}
-			var accepted bool
-			switch {
-			case req.ReplicaSlice >= 0:
-				accepted = g.slices[req.ReplicaSlice].EnqueueLocal(req)
-			case g.cfg.PartitionOfSlice(req.Slice) == part:
-				accepted = g.slices[req.Slice].EnqueueLocal(req)
-			default:
-				accepted = g.nubaInjectNoC(g.partitionSlice(part, req.Addr), req.Slice, req, false, now)
-			}
-			if !accepted {
-				break
-			}
-			link.Pop(now)
+			l := sim.NewLink[noc.Msg](g.cfg.NoCLatency*2, w, 8*g.cfg.NoCPortBuffer)
+			g.interModule[a][b] = l
+			g.register(linkPart[noc.Msg]{l}, "inter-module link", a, b)
 		}
 	}
 }
 
-// nubaInjectNoC injects a request or reply into the slice-to-slice NoC
-// from srcSlice toward dstSlice, crossing module links when needed.
-func (g *GPU) nubaInjectNoC(srcSlice, dstSlice int, req *sim.MemReq, reply bool, now sim.Cycle) bool {
-	req.Remote = true
-	bytes := sim.MessageBytes(req, reply)
-	ms, md := g.moduleOfSlice(srcSlice), g.moduleOfSlice(dstSlice)
-	if ms == md {
-		fabric := g.reqXbars[ms]
-		if reply {
-			fabric = g.replyXbars[ms]
-		}
-		return fabric.Inject(g.slicePort(srcSlice), now,
-			noc.Msg{Req: req, Dst: g.slicePort(dstSlice), Bytes: bytes, Reply: reply})
-	}
-	link := g.interModule[ms][md]
-	if !link.CanSend(now) {
-		return false
-	}
-	link.Send(now, noc.Msg{Req: req, Dst: dstSlice, Bytes: bytes, Reply: reply}, bytes)
-	return true
+// enqueueRemote offers a request arriving over the NoC to a slice's
+// remote queue.
+func (g *GPU) enqueueRemote(slice int, req *sim.MemReq) bool {
+	sl := g.slices[slice]
+	return sl.CanAcceptRemote() && sl.EnqueueRemote(req)
 }
 
-// nubaSliceReply routes a finished request from a slice: locally over the
-// partition reply link, or across the NoC toward the requester's
-// partition (or the replica slice awaiting a fill).
-func (g *GPU) nubaSliceReply(sliceID, part int) func(*sim.MemReq, sim.Cycle) bool {
-	return func(req *sim.MemReq, now sim.Cycle) bool {
-		// Home slice answering a forwarded replica miss: return the line
-		// to the replica slice.
-		if req.ReplicaSlice >= 0 && req.ReplicaSlice != sliceID {
-			return g.nubaInjectNoC(sliceID, req.ReplicaSlice, req, true, now)
-		}
-		rp := g.cfg.PartitionOfSM(req.SM)
-		if rp == part {
-			link := g.sliceReplyLinks[sliceID]
-			bytes := sim.MessageBytes(req, true)
-			if !link.CanSend(now) {
-				return false
-			}
-			link.Send(now, req, bytes)
-			return true
-		}
-		return g.nubaInjectNoC(sliceID, g.partitionSlice(rp, req.Addr), req, true, now)
-	}
-}
-
-// nubaForward sends a replica-slice miss to the line's home slice.
-func (g *GPU) nubaForward(sliceID int) func(*sim.MemReq, sim.Cycle) bool {
-	return func(req *sim.MemReq, now sim.Cycle) bool {
-		return g.nubaInjectNoC(sliceID, req.Slice, req, false, now)
-	}
-}
-
-// moveNUBAReplyLinks delivers replies from slice links to their SMs.
-func (g *GPU) moveNUBAReplyLinks(now sim.Cycle) {
-	g.moveNUBAReplyLinksRange(0, len(g.sliceReplyLinks), g.stats, now)
-}
-
-// moveNUBAReplyLinksRange drains the slice reply links in [lo, hi) into
-// their SMs, accounting into st. A partition's reply links only ever
-// carry replies for that partition's SMs (nubaSliceReply routes remote
-// requesters over the NoC instead), so the parallel engine's phase-B
-// workers call it for their partitions' slice ranges with the
-// partition's stats shard.
-func (g *GPU) moveNUBAReplyLinksRange(lo, hi int, st *metrics.Stats, now sim.Cycle) {
-	for s := lo; s < hi; s++ {
-		link := g.sliceReplyLinks[s]
-		for {
-			req, ok := link.Pop(now)
-			if !ok {
-				break
-			}
-			g.accountServiceTo(st, req)
-			g.sms[req.SM].AcceptReply(req, now)
-		}
-	}
-}
-
-// moveXbars runs both fabrics' arbitration and drains their egress ports.
-func (g *GPU) moveXbars(now sim.Cycle) {
+// moveXbars runs both fabrics' arbitration and drains their egress
+// ports. Requests egress into slices on every architecture; replies go
+// to acceptReply, the architecture's consumer at reply-fabric output
+// dst (an SM for the UBA layouts, a slice for NUBA), which reports
+// back-pressure by returning false.
+func (g *GPU) moveXbars(now sim.Cycle, acceptReply func(dst int, req *sim.MemReq, now sim.Cycle) bool) {
 	for m := range g.reqXbars {
 		rq, rp := g.reqXbars[m], g.replyXbars[m]
 		rq.Tick(now)
 		rp.Tick(now)
-		// Request egress: slices consume.
 		for p := 0; p < rq.OutPorts(); p++ {
 			for {
 				msg, ok := rq.Peek(p, now)
-				if !ok {
+				if !ok || !g.enqueueRemote(m*rq.OutPorts()+p, msg.Req) {
 					break
 				}
-				sl := g.slices[m*g.slicesPerModule()+p]
-				if !sl.CanAcceptRemote() {
-					break
-				}
-				sl.EnqueueRemote(msg.Req)
 				rq.Pop(p, now)
 			}
 		}
-		// Reply egress: SMs (UBA) or slices (NUBA pass-through/replica).
 		for p := 0; p < rp.OutPorts(); p++ {
 			for {
 				msg, ok := rp.Peek(p, now)
-				if !ok {
-					break
-				}
-				if !g.deliverReply(m, p, msg, now) {
+				if !ok || !acceptReply(m*rp.OutPorts()+p, msg.Req, now) {
 					break
 				}
 				rp.Pop(p, now)
@@ -561,70 +242,11 @@ func (g *GPU) moveXbars(now sim.Cycle) {
 	}
 }
 
-// deliverReply hands an egressing reply to its consumer, reporting
-// whether it was accepted (back-pressure otherwise).
-func (g *GPU) deliverReply(module, port int, msg noc.Msg, now sim.Cycle) bool {
-	req := msg.Req
-	if g.cfg.Arch == config.NUBA {
-		sliceID := module*g.slicesPerModule() + port
-		sl := g.slices[sliceID]
-		if req.ReplicaSlice == sliceID && req.Slice != sliceID {
-			sl.AcceptReplicaFill(req, now)
-			return true
-		}
-		// Pass-through reply toward a local SM.
-		link := g.sliceReplyLinks[sliceID]
-		if !link.CanSend(now) {
-			return false
-		}
-		link.Send(now, req, sim.MessageBytes(req, true))
-		return true
-	}
-	smID := module*g.smsPerModule() + port
-	g.accountService(req)
-	g.sms[smID].AcceptReply(req, now)
-	return true
-}
-
-// moveInterHalf drains the SM-side UBA cross-half links.
-func (g *GPU) moveInterHalf(now sim.Cycle) {
-	for h := 0; h < 2; h++ {
-		link := g.interHalf[h]
-		if link == nil {
-			continue
-		}
-		for {
-			msg, ok := link.Peek(now)
-			if !ok {
-				break
-			}
-			var accepted bool
-			switch {
-			case msg.Inval:
-				sl := g.slices[msg.Dst]
-				accepted = sl.CanAcceptRemote() && sl.EnqueueRemote(msg.Req)
-			case msg.Reply:
-				g.slices[msg.Dst].AcceptFill(msg.Req, now)
-				accepted = true
-			default:
-				accepted = g.chans[msg.Dst].Enqueue(msg.Req)
-			}
-			if !accepted {
-				break
-			}
-			link.Pop(now)
-		}
-	}
-}
-
-// moveInterModule drains MCM inter-module links.
-func (g *GPU) moveInterModule(now sim.Cycle) {
-	if g.interModule == nil {
-		return
-	}
+// moveInterModule drains the MCM inter-module links: requests into
+// their home slice, replies to the architecture's consumer.
+func (g *GPU) moveInterModule(now sim.Cycle, acceptReply func(dst int, req *sim.MemReq, now sim.Cycle) bool) {
 	for a := range g.interModule {
-		for b := range g.interModule[a] {
-			link := g.interModule[a][b]
+		for _, link := range g.interModule[a] {
 			if link == nil {
 				continue
 			}
@@ -633,48 +255,16 @@ func (g *GPU) moveInterModule(now sim.Cycle) {
 				if !ok {
 					break
 				}
-				if !g.deliverInterModule(msg, now) {
+				if msg.Reply {
+					ok = acceptReply(msg.Dst, msg.Req, now)
+				} else {
+					ok = g.enqueueRemote(msg.Dst, msg.Req)
+				}
+				if !ok {
 					break
 				}
 				link.Pop(now)
 			}
 		}
 	}
-}
-
-// deliverInterModule hands an inter-module message to its target.
-func (g *GPU) deliverInterModule(msg noc.Msg, now sim.Cycle) bool {
-	req := msg.Req
-	if g.cfg.Arch == config.NUBA {
-		sl := g.slices[msg.Dst]
-		if msg.Reply {
-			if req.ReplicaSlice == msg.Dst && req.Slice != msg.Dst {
-				sl.AcceptReplicaFill(req, now)
-				return true
-			}
-			link := g.sliceReplyLinks[msg.Dst]
-			if !link.CanSend(now) {
-				return false
-			}
-			link.Send(now, req, sim.MessageBytes(req, true))
-			return true
-		}
-		if !sl.CanAcceptRemote() {
-			return false
-		}
-		sl.EnqueueRemote(req)
-		return true
-	}
-	// UBA-mem MCM.
-	if msg.Reply {
-		g.accountService(req)
-		g.sms[msg.Dst].AcceptReply(req, now)
-		return true
-	}
-	sl := g.slices[msg.Dst]
-	if !sl.CanAcceptRemote() {
-		return false
-	}
-	sl.EnqueueRemote(req)
-	return true
 }

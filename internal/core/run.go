@@ -80,7 +80,7 @@ func (g *GPU) assignCTAs(l *kir.Launch) {
 }
 
 // batchCycles is the granularity at which runUntilIdle polls the context
-// and checks for quiescence and the MaxCycles limit. Both engines
+// and checks for quiescence and the MaxCycles limit. All engines
 // evaluate those conditions only at batch boundaries, which keeps their
 // reported cycle counts on the same lattice and therefore byte-identical.
 const batchCycles = 64
@@ -91,15 +91,6 @@ const batchCycles = 64
 // is clamped at MaxCycles so a runaway workload stops exactly at the
 // configured limit instead of overshooting by up to a whole batch.
 func (g *GPU) runUntilIdle(ctx context.Context) error {
-	if g.engine == EngineParallel {
-		// The parallel engine's background workers live exactly as long
-		// as one runUntilIdle call: the pool is cheap to start relative
-		// to a kernel's cycle count, and scoping it here means the
-		// experiment pool can hold many GPUs without leaking goroutines.
-		if stop := g.startParWorkers(); stop != nil {
-			defer stop()
-		}
-	}
 	for {
 		if err := ctx.Err(); err != nil {
 			g.stats.Cycles = int64(g.cycle)
@@ -110,21 +101,10 @@ func (g *GPU) runUntilIdle(ctx context.Context) error {
 		if maxC := sim.Cycle(g.cfg.MaxCycles); g.cycle < maxC && target > maxC {
 			target = maxC
 		}
-		switch g.engine {
-		case EngineNaive:
-			for g.cycle < target {
-				g.step()
-			}
-		case EngineSanitize:
-			if err := g.advanceToSanitize(target); err != nil {
-				g.stats.Cycles = int64(g.cycle)
-				g.collect()
-				return err
-			}
-		case EngineParallel:
-			g.advanceToParallel(target)
-		default:
-			g.advanceTo(target)
+		if err := g.advance(target); err != nil {
+			g.stats.Cycles = int64(g.cycle)
+			g.collect()
+			return err
 		}
 		if f := g.flt; f != nil && f.panicAt > 0 && g.cycle >= f.panicAt {
 			panic(fmt.Sprintf("core: injected fault: panic at cycle %d", g.cycle))
@@ -149,7 +129,11 @@ func (g *GPU) runUntilIdle(ctx context.Context) error {
 	}
 }
 
-// step advances the whole system by one core cycle.
+// step advances the whole system by one core cycle. It is the only
+// function that sequences component ticks: translation, SMs, the
+// architecture's fabric (links, crossbars and the egress deliveries
+// between SMs and slices), slices, channels on the memory clock, then
+// the timers.
 func (g *GPU) step() {
 	g.cycle++
 	now := g.cycle
@@ -158,27 +142,10 @@ func (g *GPU) step() {
 	for _, s := range g.sms {
 		s.Tick(now)
 	}
-
-	switch g.cfg.Arch {
-	case config.NUBA:
-		g.moveNUBARequestLinks(now)
-		g.moveXbars(now)
-		g.moveInterModule(now)
-		g.moveNUBAReplyLinks(now)
-	case config.UBASMSide:
-		g.drainInvalQueue(now)
-		g.moveXbars(now)
-		g.moveInterHalf(now)
-		g.retryFills(now)
-	default:
-		g.moveXbars(now)
-		g.moveInterModule(now)
-	}
-
+	g.moveFabric(now)
 	for _, sl := range g.slices {
 		sl.Tick(now)
 	}
-
 	if now%sim.Cycle(g.cfg.MemClockDiv) == 0 {
 		mem := int64(now) / int64(g.cfg.MemClockDiv)
 		for _, ch := range g.chans {
@@ -201,19 +168,6 @@ func (g *GPU) step() {
 	}
 }
 
-// retryFills re-attempts SM-side fills that found the inter-half link
-// saturated.
-func (g *GPU) retryFills(now sim.Cycle) {
-	if len(g.migFillRetry) == 0 {
-		return
-	}
-	pending := g.migFillRetry
-	g.migFillRetry = g.migFillRetry[:0]
-	for _, req := range pending {
-		g.memRespond(req)
-	}
-}
-
 // runMigrationScan applies the §7.6 migration policy's interval decision.
 func (g *GPU) runMigrationScan(now sim.Cycle) {
 	// The page busy window covers the 4 KB copy plus TLB shootdown.
@@ -232,57 +186,12 @@ func (g *GPU) runMigrationScan(now sim.Cycle) {
 
 // quiet reports whether every component has drained.
 func (g *GPU) quiet() bool {
-	for _, s := range g.sms {
-		if !s.Idle() {
+	for i := range g.parts {
+		if g.parts[i].pending() {
 			return false
 		}
 	}
-	if g.vmsys.Pending() {
-		return false
-	}
-	for _, x := range g.reqXbars {
-		if x.Pending() {
-			return false
-		}
-	}
-	for _, x := range g.replyXbars {
-		if x.Pending() {
-			return false
-		}
-	}
-	for _, sl := range g.slices {
-		if sl.Pending() {
-			return false
-		}
-	}
-	for _, ch := range g.chans {
-		if ch.Pending() {
-			return false
-		}
-	}
-	for _, l := range g.smReqLinks {
-		if l.Pending() > 0 {
-			return false
-		}
-	}
-	for _, l := range g.sliceReplyLinks {
-		if l.Pending() > 0 {
-			return false
-		}
-	}
-	for _, l := range g.interHalf {
-		if l != nil && l.Pending() > 0 {
-			return false
-		}
-	}
-	for _, row := range g.interModule {
-		for _, l := range row {
-			if l != nil && l.Pending() > 0 {
-				return false
-			}
-		}
-	}
-	return g.migQueue.Empty() && g.invalQueue.Empty() && len(g.migFillRetry) == 0
+	return true
 }
 
 // kernelBoundaryFlush applies software coherence at the kernel boundary:
@@ -300,7 +209,6 @@ func (g *GPU) kernelBoundaryFlush() {
 
 // collect aggregates component counters into the run statistics.
 func (g *GPU) collect() {
-	g.foldShards()
 	var dramReads, dramWrites, rowHits, rowMisses int64
 	for _, ch := range g.chans {
 		dramReads += ch.Reads

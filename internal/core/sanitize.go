@@ -6,135 +6,65 @@ import (
 	"github.com/nuba-gpu/nuba/internal/sim"
 )
 
-// The sanitizer build of the hybrid engine (EngineSanitize). The hybrid
-// engine's correctness rests on one contract: when nextWake() returns w,
-// ticking every component on any cycle in (now, w-1] is a no-op. The
-// static half of that proof is nubalint's hint-purity / engine-contract
-// rules; this file is the dynamic half. Instead of fast-forwarding over
-// a claimed-idle window, the sanitizer steps through it cycle by cycle
-// — exactly what EngineNaive would do — and cross-checks every
-// component's state signature (StateSig, internal/sim/sig.go) plus the
-// run statistics after each step. Any change proves the hint unsound
-// and fails the run with the cycle, the component and the claimed wake.
+// EngineSanitize, the dynamic proof of the wake-hint contract. The
+// hybrid engine's correctness rests on one claim: when nextWake()
+// returns w, ticking every component on any cycle in (now, w-1] is a
+// no-op. nubalint's hint-purity rule proves the hints have no side
+// effects; this file checks that they are right. Instead of skipping a
+// claimed-idle window, GPU.advance hands it to verifyIdleWindow, which
+// steps through it cycle by cycle — exactly what EngineNaive would do —
+// and cross-checks every table row's state signature (StateSig,
+// internal/sim/sig.go), the timers and the run statistics after each
+// step. Any change proves the hint unsound and fails the run with the
+// cycle, the component and the claimed wake.
 //
-// Because verification is plain naive stepping, a clean sanitize run is
+// Because verification is plain stepping, a clean sanitize run is
 // byte-identical to both other engines; its only cost is wall-clock.
 
-// sanProbe pairs a ticked component's display name with its
-// state-signature function.
-type sanProbe struct {
-	name string
-	sig  func() uint64
-}
-
-// sanProbes enumerates every component the cycle loop ticks, plus a
-// pseudo-probe over the core's own queues and timers. The list mirrors
-// the `structs engine-contract` policy set in lint.policy: a component
-// the engine ticks but the sanitizer cannot see would be a hole in the
-// dynamic proof.
-func (g *GPU) sanProbes() []sanProbe {
-	var ps []sanProbe
-	for i, s := range g.sms {
-		ps = append(ps, sanProbe{fmt.Sprintf("SM %d", i), s.StateSig})
-	}
-	for i, x := range g.reqXbars {
-		ps = append(ps, sanProbe{fmt.Sprintf("req crossbar %d", i), x.StateSig})
-	}
-	for i, x := range g.replyXbars {
-		ps = append(ps, sanProbe{fmt.Sprintf("reply crossbar %d", i), x.StateSig})
-	}
-	for i, l := range g.smReqLinks {
-		ps = append(ps, sanProbe{fmt.Sprintf("SM-request link %d", i), l.StateSig})
-	}
-	for i, l := range g.sliceReplyLinks {
-		ps = append(ps, sanProbe{fmt.Sprintf("slice-reply link %d", i), l.StateSig})
-	}
-	for i, l := range g.interHalf {
-		if l != nil {
-			ps = append(ps, sanProbe{fmt.Sprintf("inter-half link %d", i), l.StateSig})
-		}
-	}
-	for src, row := range g.interModule {
-		for dst, l := range row {
-			if l != nil {
-				ps = append(ps, sanProbe{fmt.Sprintf("inter-module link %d->%d", src, dst), l.StateSig})
-			}
-		}
-	}
-	for i, sl := range g.slices {
-		ps = append(ps, sanProbe{fmt.Sprintf("LLC slice %d", i), sl.StateSig})
-	}
-	for i, ch := range g.chans {
-		ps = append(ps, sanProbe{fmt.Sprintf("DRAM channel %d", i), ch.StateSig})
-	}
-	ps = append(ps, sanProbe{"vm system", g.vmsys.StateSig})
-	if g.mdrCtl != nil {
-		ps = append(ps, sanProbe{"mdr controller", g.mdrCtl.StateSig})
-	}
-	ps = append(ps, sanProbe{"core queues/timers", g.coreStateSig})
-	return ps
-}
-
-// coreStateSig covers the state the GPU itself owns between components:
-// the migration and invalidation queues, the retry list and the timer
-// deadlines. (Request ids are SM-local sequences, covered by
-// SM.StateSig.)
-func (g *GPU) coreStateSig() uint64 {
-	h := sim.MixSig(sim.SigSeed, uint64(g.migQueue.Len()))
-	h = sim.MixSig(h, uint64(g.invalQueue.Len()))
-	h = sim.MixSig(h, uint64(len(g.migFillRetry)))
-	h = sim.MixSig(h, uint64(g.nextMigScan))
+// timerSig covers the time-driven state that has no table row: the MDR
+// controller and the migration-scan and trace-epoch deadlines. nextWake
+// bounds every idle window by them, so they too must hold still inside
+// one.
+func (g *GPU) timerSig() uint64 {
+	h := sim.MixSig(sim.SigSeed, uint64(g.nextMigScan))
 	h = sim.MixSig(h, uint64(g.tr.next))
+	if g.mdrCtl != nil {
+		h = sim.MixSig(h, g.mdrCtl.StateSig())
+	}
 	return h
 }
 
-// advanceToSanitize is the EngineSanitize counterpart of advanceTo: the
-// same wake-hint scan, but claimed-idle windows are stepped and verified
-// instead of skipped. Stepping is exactly EngineNaive's loop, so a clean
-// run's state trajectory — and therefore every report and trace — is
-// byte-identical to the other engines.
-func (g *GPU) advanceToSanitize(target sim.Cycle) error {
-	for g.cycle < target {
-		w := g.nextWake()
-		if w <= g.cycle+1 {
-			g.step()
-			continue
-		}
-		end := w - 1
-		if end > target {
-			end = target
-		}
-		if err := g.verifyIdleWindow(w, end); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // verifyIdleWindow checks the hint contract over (g.cycle, end]: it
-// snapshots every probe signature and the run statistics, then steps
-// one cycle at a time re-checking both. wake is the hint scan's claimed
-// next wake-up (end is wake-1 clamped to the batch target), reported in
-// the diagnostic so an unsound hint is immediately attributable.
+// snapshots every row's signature, the timers and the run statistics,
+// then steps one cycle at a time re-checking all three. wake is the
+// hint scan's claimed next wake-up (end is wake-1 clamped to the batch
+// target), reported in the diagnostic so an unsound hint is immediately
+// attributable.
 func (g *GPU) verifyIdleWindow(wake, end sim.Cycle) error {
-	probes := g.sanProbes()
-	sigs := make([]uint64, len(probes))
-	for i, p := range probes {
-		sigs[i] = p.sig()
+	n := len(g.parts)
+	sigs := make([]uint64, n+1)
+	for i := range g.parts {
+		sigs[i] = g.parts[i].StateSig()
 	}
+	sigs[n] = g.timerSig()
 	statsBefore := *g.stats
 	start := g.cycle
+	unsound := func(what string) error {
+		return fmt.Errorf("core: sanitize: unsound wake hint: %s at cycle %d inside idle window (%d, %d] (hint scan at cycle %d claimed no progress before %d)",
+			what, g.cycle, start, end, start, wake)
+	}
 	for g.cycle < end {
 		g.step()
-		for i, p := range probes {
-			if s := p.sig(); s != sigs[i] {
-				return fmt.Errorf("core: sanitize: unsound wake hint: %s changed state at cycle %d inside idle window (%d, %d] (hint scan at cycle %d claimed no progress before %d)",
-					probes[i].name, g.cycle, start, end, start, wake)
+		for i := range g.parts {
+			if g.parts[i].StateSig() != sigs[i] {
+				return unsound(g.parts[i].name() + " changed state")
 			}
 		}
+		if g.timerSig() != sigs[n] {
+			return unsound("core timers changed state")
+		}
 		if *g.stats != statsBefore {
-			return fmt.Errorf("core: sanitize: unsound wake hint: run statistics changed at cycle %d inside idle window (%d, %d] (hint scan at cycle %d claimed no progress before %d)",
-				g.cycle, start, end, start, wake)
+			return unsound("run statistics changed")
 		}
 	}
 	return nil

@@ -59,10 +59,7 @@ func (g *GPU) traceSample(now sim.Cycle) {
 	if elapsed <= 0 {
 		return
 	}
-	// Under the parallel engine, SM/slice counters live in per-partition
-	// shards until end of run; sample a non-destructive merged view so
-	// the emitted deltas match the serial engines byte for byte.
-	stats := g.statsView()
+	stats := g.stats
 	g.tr.epoch++
 	s := trace.EpochSample{Epoch: g.tr.epoch, Cycle: now, Cycles: int64(elapsed)}
 
@@ -198,7 +195,7 @@ func (g *GPU) traceMDRDecision(ev mdr.DecisionEvent) {
 		PredFullRepBPC: ev.PredFullRep,
 		ApplyAt:        ev.ApplyAt,
 	}
-	replies := g.statsView().Replies
+	replies := g.stats.Replies
 	if dc := ev.Now - g.tr.mdrCycle; dc > 0 {
 		d.ObservedBPC = float64(replies-g.tr.mdrReplies) * float64(sim.LineSize) / float64(dc)
 	}

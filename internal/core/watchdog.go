@@ -11,7 +11,7 @@ import (
 // loop spinning — its wake hint claims "next cycle" forever while its
 // state never changes — and the run only dies at MaxCycles, tens of
 // millions of cycles later, with no diagnosis. The watchdog reuses the
-// sanitizer's per-component StateSig probes as a progress signature: if
+// sanitizer's per-component StateSig rows as a progress signature: if
 // the signature holds still for a full window of cycles while work is
 // outstanding, the run fails immediately with a structured HangReport
 // naming the stuck components, their queue depths and their last wake
@@ -76,49 +76,15 @@ func (wd *watchdog) check(g *GPU) error {
 	return nil
 }
 
-// progressSig folds every ticked component's StateSig into one progress
-// signature. Unlike the sanitizer's probe set it excludes pure
-// time-driven state — the MDR controller's epoch clock, the migration
-// scan and trace timers — which advances even while the machine is
-// wedged and would mask a hang.
+// progressSig folds every table row's StateSig into one progress
+// signature. The table has no row for pure time-driven state — the MDR
+// controller's epoch clock, the migration scan and trace timers — which
+// advances even while the machine is wedged and would mask a hang.
 func (g *GPU) progressSig() uint64 {
-	h := sim.MixSig(sim.SigSeed, uint64(g.migQueue.Len()))
-	h = sim.MixSig(h, uint64(g.invalQueue.Len()))
-	h = sim.MixSig(h, uint64(len(g.migFillRetry)))
-	for _, s := range g.sms {
-		h = sim.MixSig(h, s.StateSig())
+	h := sim.SigSeed
+	for i := range g.parts {
+		h = sim.MixSig(h, g.parts[i].StateSig())
 	}
-	for _, x := range g.reqXbars {
-		h = sim.MixSig(h, x.StateSig())
-	}
-	for _, x := range g.replyXbars {
-		h = sim.MixSig(h, x.StateSig())
-	}
-	for _, l := range g.smReqLinks {
-		h = sim.MixSig(h, l.StateSig())
-	}
-	for _, l := range g.sliceReplyLinks {
-		h = sim.MixSig(h, l.StateSig())
-	}
-	for _, l := range g.interHalf {
-		if l != nil {
-			h = sim.MixSig(h, l.StateSig())
-		}
-	}
-	for _, row := range g.interModule {
-		for _, l := range row {
-			if l != nil {
-				h = sim.MixSig(h, l.StateSig())
-			}
-		}
-	}
-	for _, sl := range g.slices {
-		h = sim.MixSig(h, sl.StateSig())
-	}
-	for _, ch := range g.chans {
-		h = sim.MixSig(h, ch.StateSig())
-	}
-	h = sim.MixSig(h, g.vmsys.StateSig())
 	return h
 }
 
@@ -213,77 +179,15 @@ func (g *GPU) CaptureHang(reason string, window sim.Cycle, lastProgress sim.Cycl
 		Reason:       reason,
 	}
 	now := g.cycle
-	add := func(name string, wake sim.Cycle, detail string) {
+	for i := range g.parts {
+		p := &g.parts[i]
+		if !p.pending() {
+			continue
+		}
 		r.stuckAll++
 		if len(r.Stuck) < hangReportMaxStuck {
-			r.Stuck = append(r.Stuck, ComponentState{Name: name, Wake: wake, Detail: detail})
+			r.Stuck = append(r.Stuck, ComponentState{Name: p.name(), Wake: p.wakeAt(now), Detail: p.detail(now)})
 		}
-	}
-	for i, s := range g.sms {
-		if !s.Idle() {
-			add(fmt.Sprintf("SM %d", i), s.NextWake(now), s.DebugState())
-		}
-	}
-	for i, x := range g.reqXbars {
-		if x.Pending() {
-			add(fmt.Sprintf("req crossbar %d", i), x.NextEvent(now), fmt.Sprintf("occupancy=%d", x.Occupancy()))
-		}
-	}
-	for i, x := range g.replyXbars {
-		if x.Pending() {
-			add(fmt.Sprintf("reply crossbar %d", i), x.NextEvent(now), fmt.Sprintf("occupancy=%d", x.Occupancy()))
-		}
-	}
-	for i, l := range g.smReqLinks {
-		if l.Pending() > 0 {
-			add(fmt.Sprintf("SM-request link %d", i), l.NextReady(), fmt.Sprintf("pending=%d", l.Pending()))
-		}
-	}
-	for i, l := range g.sliceReplyLinks {
-		if l.Pending() > 0 {
-			add(fmt.Sprintf("slice-reply link %d", i), l.NextReady(), fmt.Sprintf("pending=%d", l.Pending()))
-		}
-	}
-	for i, l := range g.interHalf {
-		if l != nil && l.Pending() > 0 {
-			add(fmt.Sprintf("inter-half link %d", i), l.NextReady(), fmt.Sprintf("pending=%d", l.Pending()))
-		}
-	}
-	for src, row := range g.interModule {
-		for dst, l := range row {
-			if l != nil && l.Pending() > 0 {
-				add(fmt.Sprintf("inter-module link %d->%d", src, dst), l.NextReady(), fmt.Sprintf("pending=%d", l.Pending()))
-			}
-		}
-	}
-	for i, sl := range g.slices {
-		if sl.Pending() {
-			add(fmt.Sprintf("LLC slice %d", i), sl.NextEvent(now), sl.DebugState())
-		}
-	}
-	div := sim.Cycle(g.cfg.MemClockDiv)
-	memNow := int64(now) / int64(div)
-	for i, ch := range g.chans {
-		if ch.Pending() {
-			wake := sim.Never
-			if t, ok := ch.NextEvent(); ok {
-				// Convert the memory-cycle event to the next core cycle
-				// on a mem-clock boundary at or after it.
-				mc := sim.Cycle(t) * div
-				if next := (now/div + 1) * div; mc < next {
-					mc = next
-				}
-				wake = mc
-			}
-			add(fmt.Sprintf("DRAM channel %d", i), wake, ch.DebugState(memNow))
-		}
-	}
-	if g.vmsys.Pending() {
-		add("vm system", g.vmsys.NextEvent(), "in-flight page walks")
-	}
-	if !g.migQueue.Empty() || !g.invalQueue.Empty() || len(g.migFillRetry) > 0 {
-		add("core queues", now+1, fmt.Sprintf("migQ=%d invalQ=%d fillRetry=%d",
-			g.migQueue.Len(), g.invalQueue.Len(), len(g.migFillRetry)))
 	}
 	return r
 }

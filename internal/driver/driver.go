@@ -54,17 +54,6 @@ type Driver struct {
 	frameSeq        []uint64
 	rrNext          int
 
-	// staging defers d.pages map inserts while the partition-parallel
-	// engine's SM phase is running: SMs on other goroutines read d.pages
-	// concurrently (PageLookup/Translate), so the insert — the only
-	// mutation those readers could observe — is parked in staged and
-	// flushed at the next phase barrier. Everything else Allocate touches
-	// (counters, frame sequence, RNG) is only ever accessed under the
-	// engine's allocation gate and mutates in place. Serial engines never
-	// arm staging.
-	staging bool
-	staged  []*Page
-
 	// Stats.
 	Allocations   int64
 	FirstTouchOps int64
@@ -90,36 +79,6 @@ func New(cfg *config.Config, mapper *addrmap.Mapper) *Driver {
 func (d *Driver) Lookup(vpn uint64) (*Page, bool) {
 	p, ok := d.pages[vpn]
 	return p, ok
-}
-
-// LookupPending is Lookup including allocations staged but not yet
-// flushed. The VM system's fault path uses it so a walk started in the
-// same phase as a staged allocation sees the mapping exactly as it
-// would under a serial engine. Callers must hold the engine's
-// allocation gate; with staging off it is identical to Lookup.
-func (d *Driver) LookupPending(vpn uint64) (*Page, bool) {
-	if p, ok := d.pages[vpn]; ok {
-		return p, true
-	}
-	for _, p := range d.staged {
-		if p.VPN == vpn {
-			return p, true
-		}
-	}
-	return nil, false
-}
-
-// StageAllocations arms (or disarms) deferred page-table inserts for the
-// partition-parallel engine's concurrent SM phase.
-func (d *Driver) StageAllocations(on bool) { d.staging = on }
-
-// FlushStagedAllocations publishes staged page-table inserts. The engine
-// calls it at phase barriers, when no reader goroutines are running.
-func (d *Driver) FlushStagedAllocations() {
-	for _, p := range d.staged {
-		d.pages[p.VPN] = p
-	}
-	d.staged = d.staged[:0]
 }
 
 // NPB computes the Normalized Page Balance of Equation 1:
@@ -200,7 +159,7 @@ func (d *Driver) chooseChannel(homePart int) int {
 // returns the page record. writable comes from the kernel's data-flow
 // analysis and gates page replication.
 func (d *Driver) Allocate(vpn uint64, homePart int, writable bool) *Page {
-	if p, ok := d.LookupPending(vpn); ok {
+	if p, ok := d.Lookup(vpn); ok {
 		return p
 	}
 	ch := d.chooseChannel(homePart)
@@ -210,11 +169,7 @@ func (d *Driver) Allocate(vpn uint64, homePart int, writable bool) *Page {
 	if d.cfg.Placement == config.Migration || d.cfg.Placement == config.PageReplication {
 		p.accesses = make([]int32, d.cfg.NumChannels)
 	}
-	if d.staging {
-		d.staged = append(d.staged, p)
-	} else {
-		d.pages[vpn] = p
-	}
+	d.pages[vpn] = p
 	d.pagesPerChannel[ch]++
 	d.Allocations++
 	return p

@@ -55,17 +55,10 @@ type Options struct {
 	// byte-identical for any Jobs value, and each run's trace is too.
 	Trace func(cfgName, bench string) *nuba.TraceOptions
 	// Engine selects the cycle-loop engine (default nuba.EngineHybrid).
-	// Like Trace it never enters the memo key: both engines are
+	// Like Trace it never enters the memo key: all engines are
 	// cycle-exact, so the engine changes only how fast a job simulates,
 	// never its result.
 	Engine nuba.Engine
-	// PartitionWorkers tunes nuba.EngineParallel's goroutine count per
-	// run (0 = one worker per partition); other engines ignore it. Like
-	// Engine it is an execution knob outside the memo key — results are
-	// byte-identical at every worker count. Note it multiplies with Jobs:
-	// each of the Jobs concurrent simulations runs this many workers, so
-	// keep Jobs * PartitionWorkers near GOMAXPROCS (docs/PARALLEL.md).
-	PartitionWorkers int
 	// Watchdog arms each run's forward-progress watchdog: the run fails
 	// with a structured hang report once no component state changes for
 	// this many simulated cycles while work is outstanding (0 = off).
@@ -275,7 +268,6 @@ func (r *Runner) simulate(ctx context.Context, cfg nuba.Config, b workload.Bench
 	opts := []nuba.RunOption{
 		nuba.WithTrace(topts),
 		nuba.WithEngine(r.opts.Engine),
-		nuba.WithPartitionWorkers(r.opts.PartitionWorkers),
 	}
 	if r.opts.Watchdog > 0 {
 		opts = append(opts, nuba.WithWatchdog(nuba.WatchdogOptions{NoProgressCycles: r.opts.Watchdog}))

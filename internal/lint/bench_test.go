@@ -5,13 +5,12 @@ import (
 	"testing"
 )
 
-// BenchmarkNubalint measures a full analyzer pass — all sixteen rules
-// over the real module with the real policy — excluding the one-time
+// BenchmarkNubalint measures a full analyzer pass — every rule over
+// the real module with the real policy — excluding the one-time
 // parse/type-check (Load), which is amortized across rules in the CLI
-// too. This is the `make lint` inner loop; the module-wide use graph
-// and shard analysis are built once per Run and shared by every rule
-// that needs them, so the benchmark catches a rule accidentally
-// rebuilding either.
+// too. This is the `make lint` inner loop; the module-wide use graph is
+// built once per Run and shared by every rule that needs it, so the
+// benchmark catches a rule accidentally rebuilding it.
 func BenchmarkNubalint(b *testing.B) {
 	mod, err := FindModule("../..")
 	if err != nil {
@@ -33,30 +32,6 @@ func BenchmarkNubalint(b *testing.B) {
 		}
 		if len(diags) != 0 {
 			b.Fatalf("repo not lint-clean: %d findings", len(diags))
-		}
-	}
-}
-
-// BenchmarkShardMap measures partition-plan emission alone: the shard
-// analysis (component closures, classification, phase walk) plus JSON
-// encoding, on a pre-loaded module.
-func BenchmarkShardMap(b *testing.B) {
-	mod, err := FindModule("../..")
-	if err != nil {
-		b.Fatalf("FindModule: %v", err)
-	}
-	pol, err := ParsePolicy(filepath.Join(mod.Dir, "lint.policy"))
-	if err != nil {
-		b.Fatalf("ParsePolicy: %v", err)
-	}
-	prog, err := Load(mod, []string{"./..."})
-	if err != nil {
-		b.Fatalf("Load: %v", err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ShardMapJSON(prog, pol); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -74,12 +74,8 @@ func Run(prog *Program, pol *Policy, rules []string) ([]Diagnostic, error) {
 	// annotation must surface even when unit-consistency is deselected.
 	units := collectUnits(prog, emit)
 
-	// Module-wide facts shared by every package's checkers, computed
-	// once: the deprecated root-API set.
-	deprecated := deprecatedRootFuncs(prog)
-
 	for _, pkg := range prog.Pkgs {
-		c := &pkgCtx{prog: prog, pol: pol, pkg: pkg, emitPos: emit, deprecated: deprecated}
+		c := &pkgCtx{prog: prog, pol: pol, pkg: pkg, emitPos: emit}
 		for _, r := range rules {
 			if fn, ok := ruleFuncs[r]; ok {
 				fn(c)

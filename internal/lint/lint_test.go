@@ -57,7 +57,7 @@ func TestFixtureGolden(t *testing.T) {
 	}
 }
 
-// TestEveryRuleFires asserts the fixture exercises all sixteen rules
+// TestEveryRuleFires asserts the fixture exercises every rule
 // (plus the directive pseudo-rule), so a rule that silently stops
 // matching cannot hide behind a stale golden file.
 func TestEveryRuleFires(t *testing.T) {
@@ -208,16 +208,12 @@ func mustUnmarshal(t *testing.T, data []byte) []Diagnostic {
 // unknown input instead of silently ignoring it.
 func TestPolicyParseErrors(t *testing.T) {
 	bad := []string{
-		"layer internal/core internal/sim",    // missing '='
-		"scope made-up-rule = internal/sim",   // unknown rule
-		"allow made-up-rule = x.go",           // unknown rule
-		"frobnicate a = b",                    // unknown directive
-		"layer a = b\nlayer a = c",            // duplicate layer
-		"seams made-up-rule = a.T.F",          // seams verb, unknown rule
-		"shared made-up-rule = partition:a.T", // shared verb, unknown rule
-		"shared shard-shared = a.T",           // shared entry without class:
-		"shared shard-shared = perCore:a.T",   // unknown classification
-		"shared shard-shared = partition:",    // class with empty spec
+		"layer internal/core internal/sim",  // missing '='
+		"scope made-up-rule = internal/sim", // unknown rule
+		"allow made-up-rule = x.go",         // unknown rule
+		"frobnicate a = b",                  // unknown directive
+		"layer a = b\nlayer a = c",          // duplicate layer
+		"seams hint-purity = a.T.F",         // retired verb
 	}
 	for _, src := range bad {
 		if _, err := ParsePolicyData(src, "test.policy"); err == nil {
@@ -251,21 +247,5 @@ func TestPolicyParseErrors(t *testing.T) {
 	}
 	if _, err := ParsePolicyData("funcs made-up-rule = a.B", "test.policy"); err == nil {
 		t.Error("funcs verb accepted an unknown rule")
-	}
-
-	// The seams and shared verbs (shard-safety) round-trip in order,
-	// with the classification prefix preserved.
-	shard := "seams shard-footprint = pkg/a.T.Port pkg/a.cross\nshared shard-shared = partition:pkg/a.T commutative:pkg/m.Stats.N\n"
-	pol, err = ParsePolicyData(shard, "test.policy")
-	if err != nil {
-		t.Fatalf("ParsePolicyData(shard): %v", err)
-	}
-	seams := pol.Seams(RuleShardFootprint)
-	if len(seams) != 2 || seams[0] != "pkg/a.T.Port" || seams[1] != "pkg/a.cross" {
-		t.Errorf("Seams(shard-footprint) = %v", seams)
-	}
-	shared := pol.Shared(RuleShardShared)
-	if len(shared) != 2 || shared[0] != "partition:pkg/a.T" || shared[1] != "commutative:pkg/m.Stats.N" {
-		t.Errorf("Shared(shard-shared) = %v", shared)
 	}
 }

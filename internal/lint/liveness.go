@@ -35,10 +35,6 @@ type progCtx struct {
 	emitPos emitFunc
 
 	graph *useGraph
-	// shard caches the shard-safety analysis (shardsafety.go), built
-	// once and shared by the three shard rules and -shardmap.
-	shard    *shardAnalysis
-	shardErr error
 }
 
 func (c *progCtx) useGraph() *useGraph {

@@ -11,14 +11,9 @@
 //	config-liveness     every audited config knob is read by the simulator
 //	metrics-liveness    every counter is written by the model and reported
 //	unit-consistency    nubaunit dimensional analysis over annotated values
-//	deprecated-api      scoped packages never call deprecated root functions
 //	hint-purity         declared wake hints are transitively side-effect-free
-//	engine-contract     every ticked component is declared and exposes a hint
 //	partition-isolation partition-owned fields accept only sanctioned writers
 //	fault-containment   the fault harness is importable only from the pool
-//	shard-footprint     component ticks stay inside their declared seams
-//	shard-shared        reachable shared mutables carry a classification
-//	tick-phase-order    the engine phase sequence matches the declaration
 //
 // Which packages each rule covers, which files are allowlisted, and the
 // allowed import edges all come from a committed policy file (see

@@ -2,49 +2,22 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
 	"strings"
 )
 
-// Ownership rules for the engine contract (DESIGN.md §7/§9):
-//
-//   - engine-contract: every type the engine ticks must expose a wake
-//     hint (a NextWake, NextEvent or NextReady method) and be declared
-//     in `structs engine-contract`, so a new tickable component cannot
-//     silently join the cycle loop without joining componentWake's
-//     hint scan. Stale policy entries (listed but never ticked) are
-//     findings too, so the list cannot rot.
-//
-//   - partition-isolation: writes to fields of the partition-owned
-//     component structs listed in `structs partition-isolation` may
-//     only originate from the struct's own package or from the seam
-//     functions/files declared in `writers partition-isolation` (the
-//     core's wiring of callbacks and request-id allocators). Anything
-//     else is a cross-partition mutation that would make ROADMAP item
-//     2's partition-parallel engine nondeterministic.
+// partition-isolation (DESIGN.md §7): writes to fields of the
+// partition-owned component structs listed in `structs
+// partition-isolation` may only originate from the struct's own package
+// or from the seam functions/files declared in `writers
+// partition-isolation` (the core's construction-time port installs).
+// Anything else is one component reaching into another's state behind
+// the ports.
 //
 // OwnershipReport (nubalint -ownership) prints the audited field →
 // writers map for manual auditing of the same data.
-
-// hintMethodNames are the accepted wake-hint spellings.
-var hintMethodNames = []string{"NextWake", "NextEvent", "NextReady"}
-
-// hasWakeHint reports whether the named type declares one of the wake
-// hint methods (value or pointer receiver).
-func hasWakeHint(named *types.Named) bool {
-	for i := 0; i < named.NumMethods(); i++ {
-		name := named.Method(i).Name()
-		for _, h := range hintMethodNames {
-			if name == h {
-				return true
-			}
-		}
-	}
-	return false
-}
 
 // resolveNamed maps a policy struct spec "internal/smcore.SM" to its
 // *types.Named and the module-relative package that declares it.
@@ -74,110 +47,10 @@ func (c *progCtx) resolveNamed(spec string) (*types.Named, string, error) {
 	return nil, "", fmt.Errorf("struct spec %q: package %s is not among the loaded packages", spec, pkgRel)
 }
 
-// --- engine-contract ---------------------------------------------------
-
-// tickedTypes scans the rule's in-scope packages for method calls named
-// Tick and resolves each receiver to its module-declared named type,
-// returning the first call position per type.
-func tickedTypes(c *progCtx) map[*types.Named]token.Pos {
-	out := make(map[*types.Named]token.Pos)
-	for _, pkg := range c.prog.Pkgs {
-		if !c.pol.InScope(RuleEngineContract, pkg.RelName()) {
-			continue
-		}
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-				if !ok || fn.Name() != "Tick" {
-					return true
-				}
-				sig, ok := fn.Type().(*types.Signature)
-				if !ok || sig.Recv() == nil {
-					return true
-				}
-				t := sig.Recv().Type()
-				if p, ok := t.(*types.Pointer); ok {
-					t = p.Elem()
-				}
-				named, ok := t.(*types.Named)
-				if !ok {
-					return true
-				}
-				obj := named.Obj()
-				if obj.Pkg() == nil {
-					return true
-				}
-				if _, internal := internalRel(c.prog.Mod, obj.Pkg().Path()); !internal {
-					return true
-				}
-				if _, seen := out[named]; !seen {
-					out[named] = call.Pos()
-				}
-				return true
-			})
-		}
-	}
-	return out
-}
-
-func checkEngineContract(c *progCtx) error {
-	specs := c.pol.Structs(RuleEngineContract)
-	if len(specs) == 0 {
-		return nil
-	}
-	listed := make(map[*types.Named]string, len(specs))
-	for _, spec := range specs {
-		named, _, err := c.resolveNamed(spec)
-		if err != nil {
-			return fmt.Errorf("engine-contract: %w", err)
-		}
-		listed[named] = spec
-	}
-	ticked := tickedTypes(c)
-
-	// Deterministic order: sort ticked types by first call position.
-	order := make([]*types.Named, 0, len(ticked))
-	for named := range ticked {
-		order = append(order, named)
-	}
-	sort.Slice(order, func(i, j int) bool { return ticked[order[i]] < ticked[order[j]] })
-
-	for _, named := range order {
-		spec, ok := listed[named]
-		if !ok {
-			c.emitPos(ticked[named], RuleEngineContract,
-				fmt.Sprintf("engine ticks %s.%s, which is not in `structs engine-contract` (lint.policy); every ticked component must declare a wake hint and join the list",
-					named.Obj().Pkg().Name(), named.Obj().Name()))
-			continue
-		}
-		if !hasWakeHint(named) {
-			c.emitPos(named.Obj().Pos(), RuleEngineContract,
-				fmt.Sprintf("%s is ticked by the engine but exposes no wake hint (want a %s method)",
-					spec, strings.Join(hintMethodNames, ", ")))
-		}
-	}
-	for _, spec := range specs {
-		named, _, _ := c.resolveNamed(spec)
-		if _, ok := ticked[named]; !ok {
-			c.emitPos(named.Obj().Pos(), RuleEngineContract,
-				fmt.Sprintf("lint.policy lists %s in `structs engine-contract` but the engine never ticks it; drop the stale entry", spec))
-		}
-	}
-	return nil
-}
-
 // --- partition-isolation -----------------------------------------------
 
 // isFuncSpecPattern distinguishes a writers entry naming a single
-// function ("internal/core.GPU.wire") from one naming a package or
+// function ("internal/core.GPU.buildNUBA") from one naming a package or
 // file ("internal/noc", "internal/core/route.go").
 func isFuncSpecPattern(pat string) bool {
 	if strings.HasSuffix(pat, ".go") || strings.ContainsAny(pat, "*?[") {

@@ -55,27 +55,6 @@ import (
 //	    package dot name ("internal/sim.Link.NextReady",
 //	    "internal/core.GPU.nextWake"). hint-purity audits these and
 //	    everything they transitively call for side effects.
-//	    tick-phase-order instead reads a driver spec followed by its
-//	    phase methods in declared order ("internal/core.GPU.step
-//	    internal/vm.System.Tick ...").
-//
-// The shard-safety rules (shardsafety.go) add two more:
-//
-//	seams <rule> = <pkg.Type.Field-or-func-spec...>
-//	    Declares the partition seam: func-typed ports
-//	    ("internal/smcore.SM.Send") and seam functions
-//	    ("internal/core.GPU.drainMigQueue" or "internal/core.moveXbars")
-//	    where a partition tick legitimately hands work across the
-//	    partition boundary. Component footprint traversal stops at a
-//	    declared seam; the crossing is recorded in the shard map.
-//
-//	shared <rule> = <class>:<spec...>
-//	    Classifies shared state for the partition-parallel plan. <class>
-//	    is one of partition, commutative, barrier-exchange, message or
-//	    unsafe; <spec> is a package ("internal/metrics"), a type
-//	    ("internal/sim.Link") or a field ("internal/vm.TLB.entries"),
-//	    most specific match winning. shard-shared requires every shared
-//	    mutable object reachable from a tick to carry a classification.
 type Policy struct {
 	layers  map[string][]string // pkg pattern -> allowed internal imports
 	scopes  map[string][]string // rule -> pkg patterns
@@ -84,8 +63,6 @@ type Policy struct {
 	readers map[string][]string // rule -> pkg/file patterns
 	writers map[string][]string // rule -> pkg/file patterns
 	funcs   map[string][]string // rule -> pkg.Func / pkg.Type.Method specs
-	seams   map[string][]string // rule -> seam port/function specs
-	shared  map[string][]string // rule -> class:spec classifications
 }
 
 // ParsePolicy reads and parses a policy file.
@@ -107,8 +84,6 @@ func ParsePolicyData(src, name string) (*Policy, error) {
 		readers: make(map[string][]string),
 		writers: make(map[string][]string),
 		funcs:   make(map[string][]string),
-		seams:   make(map[string][]string),
-		shared:  make(map[string][]string),
 	}
 	for i, line := range strings.Split(src, "\n") {
 		if idx := strings.IndexByte(line, '#'); idx >= 0 {
@@ -144,28 +119,17 @@ func ParsePolicyData(src, name string) (*Policy, error) {
 				return nil, fmt.Errorf("%s:%d: allow for unknown rule %q", name, i+1, subject)
 			}
 			p.allows[subject] = append(p.allows[subject], vals...)
-		case "structs", "readers", "writers", "funcs", "seams", "shared":
+		case "structs", "readers", "writers", "funcs":
 			if !knownRule(subject) {
 				return nil, fmt.Errorf("%s:%d: %s for unknown rule %q", name, i+1, verb, subject)
 			}
-			if verb == "shared" {
-				for _, v := range vals {
-					class, spec, ok := strings.Cut(v, ":")
-					if !ok || spec == "" {
-						return nil, fmt.Errorf("%s:%d: shared entry %q is not class:spec", name, i+1, v)
-					}
-					if !knownSharedClass(class) {
-						return nil, fmt.Errorf("%s:%d: unknown shared class %q in %q (want partition/commutative/barrier-exchange/message/unsafe)", name, i+1, class, v)
-					}
-				}
-			}
 			m := map[string]map[string][]string{
 				"structs": p.structs, "readers": p.readers, "writers": p.writers,
-				"funcs": p.funcs, "seams": p.seams, "shared": p.shared,
+				"funcs": p.funcs,
 			}[verb]
 			m[subject] = append(m[subject], vals...)
 		default:
-			return nil, fmt.Errorf("%s:%d: unknown directive %q (want layer/scope/allow/structs/readers/writers/funcs/seams/shared)", name, i+1, verb)
+			return nil, fmt.Errorf("%s:%d: unknown directive %q (want layer/scope/allow/structs/readers/writers/funcs)", name, i+1, verb)
 		}
 	}
 	return p, nil
@@ -230,26 +194,6 @@ func (p *Policy) Writers(rule string) []string { return p.writers[rule] }
 // Funcs returns the function specs ("pkg.Func" or "pkg.Type.Method")
 // a rule audits.
 func (p *Policy) Funcs(rule string) []string { return p.funcs[rule] }
-
-// Seams returns the declared seam specs (func-typed ports as
-// "pkg.Type.Field", seam functions as "pkg.Func"/"pkg.Type.Method")
-// for a shard-safety rule.
-func (p *Policy) Seams(rule string) []string { return p.seams[rule] }
-
-// Shared returns the class:spec shared-state classifications for a
-// shard-safety rule. Each entry's class is already validated by the
-// parser.
-func (p *Policy) Shared(rule string) []string { return p.shared[rule] }
-
-// knownSharedClass reports whether class is a valid shared-state
-// classification (see shardsafety.go for semantics).
-func knownSharedClass(class string) bool {
-	switch class {
-	case "partition", "commutative", "barrier-exchange", "message", "unsafe":
-		return true
-	}
-	return false
-}
 
 // Allowed reports whether rule exempts the given module-relative file
 // (or its package relName) via an allow entry.

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path"
 	"sort"
 	"strings"
 )
@@ -29,7 +28,7 @@ const (
 	RuleLayering = "import-layering"
 	// RuleCtx flags context.Background()/context.TODO() calls inside
 	// functions that already receive a context.Context: resetting the
-	// chain detaches callees from cancellation below RunContext.
+	// chain detaches callees from cancellation below Run.
 	RuleCtx = "ctx-propagation"
 	// RuleGoroutine flags go statements inside cycle-level model
 	// packages; concurrency belongs to the experiment engine.
@@ -46,12 +45,6 @@ const (
 	// RuleUnits flags mixed-unit arithmetic between expressions whose
 	// units are known from //nubaunit: annotations. See units.go.
 	RuleUnits = "unit-consistency"
-	// RuleDeprecatedAPI flags calls to deprecated functions of the module
-	// root package (those whose doc comment carries a "Deprecated:"
-	// paragraph). The policy scopes it to cmd/*: the CLIs must use the
-	// unified nuba.Run surface, while tests keep the compatibility
-	// wrappers exercised.
-	RuleDeprecatedAPI = "deprecated-api"
 	// RuleHintPurity flags side effects (field or package-variable
 	// writes, channel operations, goroutine starts) and unanalyzable
 	// external calls in the wake-hint methods listed in
@@ -59,10 +52,6 @@ const (
 	// hybrid engine's idle-skip is only cycle-exact if hints are pure
 	// observations. See purity.go.
 	RuleHintPurity = "hint-purity"
-	// RuleEngineContract flags types the engine ticks that are missing
-	// from `structs engine-contract` or missing a wake hint method, and
-	// stale policy entries the engine no longer ticks. See ownership.go.
-	RuleEngineContract = "engine-contract"
 	// RulePartitionIsolation flags writes to partition-owned component
 	// state (`structs partition-isolation`) from outside the owning
 	// package, unless the writing function is a declared seam
@@ -75,32 +64,6 @@ const (
 	// _test.go files, which the linter never loads — may reach it, so
 	// injection hooks cannot leak into production simulation paths.
 	RuleFaultContainment = "fault-containment"
-	// RuleShardFootprint flags a partition component tick (the Tick and
-	// wake-hint methods of `structs shard-footprint` types, plus
-	// everything they transitively call) that reaches another partition
-	// component's state, or dispatches through a func-typed port of its
-	// own component that is not declared in `seams shard-footprint`.
-	// Declared seams stop the traversal: they are where the future
-	// partition-parallel engine will exchange work at barriers. See
-	// shardsafety.go.
-	RuleShardFootprint = "shard-footprint"
-	// RuleShardShared flags shared mutable state reachable from a
-	// partition tick that carries no classification in
-	// `shared shard-shared`, classified state touched in ways its class
-	// forbids (a barrier-exchange or unsafe object read or written
-	// mid-tick, a commutative counter written non-accumulatively), and
-	// stale classifications matching nothing the analysis can see. See
-	// shardsafety.go.
-	RuleShardShared = "shard-shared"
-	// RuleTickPhaseOrder audits the engine's per-cycle phase sequence
-	// (`funcs tick-phase-order`: the driver followed by its phase
-	// methods in declared order): the driver must call the phases in
-	// that order, every Tick the driver calls must be declared, stale
-	// declared phases are findings, and unclassified shared state
-	// written by a later phase and read by an earlier one — a backward
-	// cross-phase dataflow that a partition barrier would reorder — is
-	// flagged. See shardsafety.go.
-	RuleTickPhaseOrder = "tick-phase-order"
 	// RuleDirective reports malformed //nubalint:ignore comments and
 	// nubaunit annotations. It is always on: a directive that silently
 	// fails to parse would hide real findings.
@@ -111,10 +74,8 @@ const (
 func AllRules() []string {
 	return []string{
 		RuleMapRange, RuleWallclock, RuleLayering, RuleCtx, RuleGoroutine,
-		RuleConfigLive, RuleMetricsLive, RuleUnits, RuleDeprecatedAPI,
-		RuleHintPurity, RuleEngineContract, RulePartitionIsolation,
-		RuleFaultContainment, RuleShardFootprint, RuleShardShared,
-		RuleTickPhaseOrder,
+		RuleConfigLive, RuleMetricsLive, RuleUnits, RuleHintPurity,
+		RulePartitionIsolation, RuleFaultContainment,
 	}
 }
 
@@ -148,7 +109,6 @@ var ruleFuncs = map[string]func(*pkgCtx){
 	RuleLayering:         checkLayering,
 	RuleCtx:              checkCtx,
 	RuleGoroutine:        checkGoroutine,
-	RuleDeprecatedAPI:    checkDeprecatedAPI,
 	RuleFaultContainment: checkFaultContainment,
 }
 
@@ -158,11 +118,7 @@ var progRuleFuncs = map[string]func(*progCtx) error{
 	RuleConfigLive:         checkConfigLiveness,
 	RuleMetricsLive:        checkMetricsLiveness,
 	RuleHintPurity:         checkHintPurity,
-	RuleEngineContract:     checkEngineContract,
 	RulePartitionIsolation: checkPartitionIsolation,
-	RuleShardFootprint:     checkShardFootprint,
-	RuleShardShared:        checkShardShared,
-	RuleTickPhaseOrder:     checkTickPhaseOrder,
 }
 
 // emitFunc reports a diagnostic at a token position, applying
@@ -175,9 +131,6 @@ type pkgCtx struct {
 	pol     *Policy
 	pkg     *Package
 	emitPos emitFunc
-	// deprecated is the module-wide deprecated root-API set, computed
-	// once in Run and shared by every package's deprecated-api check.
-	deprecated map[string]bool
 }
 
 // --- nondet-map-range ------------------------------------------------
@@ -559,63 +512,6 @@ func isContextType(t types.Type) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
 
-// --- deprecated-api --------------------------------------------------
-
-// deprecatedRootFuncs collects the exported functions of the module's
-// root package whose doc comment contains a "Deprecated:" paragraph (the
-// godoc convention). The root package must be among the loaded targets;
-// when it is not (a narrowed lint invocation), the set is empty and the
-// rule finds nothing.
-func deprecatedRootFuncs(prog *Program) map[string]bool {
-	out := make(map[string]bool)
-	for _, pkg := range prog.Pkgs {
-		if pkg.RelName() != "." {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Recv != nil || fn.Doc == nil || !fn.Name.IsExported() {
-					continue
-				}
-				if strings.Contains(fn.Doc.Text(), "Deprecated:") {
-					out[fn.Name.Name] = true
-				}
-			}
-		}
-	}
-	return out
-}
-
-// checkDeprecatedAPI flags calls from in-scope packages to deprecated
-// root-package entry points. Resolution goes through the type info, so a
-// local identifier shadowing the package name does not fool it, and only
-// the module's own API counts.
-func checkDeprecatedAPI(c *pkgCtx) {
-	if !c.pol.InScope(RuleDeprecatedAPI, c.pkg.RelName()) {
-		return
-	}
-	deprecated := c.deprecated
-	if len(deprecated) == 0 {
-		return
-	}
-	for _, f := range c.pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			pkg, name := pkgFuncCall(c.pkg.Info, call)
-			if pkg == c.prog.Mod.Path && deprecated[name] {
-				base := path.Base(pkg)
-				c.emitPos(call.Pos(), RuleDeprecatedAPI,
-					fmt.Sprintf("call to deprecated %s.%s; use the unified entry point %s.Run (with Run options)", base, name, base))
-			}
-			return true
-		})
-	}
-}
-
 // --- goroutine-in-core -----------------------------------------------
 
 func checkGoroutine(c *pkgCtx) {
@@ -623,12 +519,6 @@ func checkGoroutine(c *pkgCtx) {
 		return
 	}
 	for _, f := range c.pkg.Files {
-		// Per-file exemptions (`allow goroutine-in-core = <file>`) carve
-		// out the partition-parallel engine's worker pool, the one
-		// sanctioned concurrency seam inside the cycle-level model.
-		if c.pol.Allowed(RuleGoroutine, c.prog.RelFile(f.Pos()), c.pkg.RelName()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				c.emitPos(g.Go, RuleGoroutine,

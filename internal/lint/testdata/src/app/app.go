@@ -8,10 +8,9 @@ import (
 	"example.com/fixture/simcore"
 )
 
-// Main exercises the imports; the RunOld call is the deprecated-api
-// positive.
+// Main exercises the imports.
 func Main() {
 	engine.Drive(map[string]int{"a": 1}, func() {})
 	simcore.Spawn(func() {})
-	fixture.RunOld()
+	fixture.Run()
 }

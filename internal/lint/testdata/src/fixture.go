@@ -1,12 +1,6 @@
 // Package fixture is the root package of the lint fixture module: the
-// public API surface whose pre-unification wrappers the deprecated-api
-// rule polices.
+// public API surface the app layer may import.
 package fixture
 
-// Run is the unified entry point.
+// Run is the entry point.
 func Run() int { return 1 }
-
-// RunOld is the pre-unification entry point.
-//
-// Deprecated: call Run instead.
-func RunOld() int { return Run() }

@@ -1,12 +1,11 @@
 // Package hints holds the wake-hint contract fixtures: pure and impure
-// hint methods for hint-purity, and the ticked/hintless/stale component
-// types engine-contract audits against the policy's structs list.
+// hint methods for hint-purity.
 package hints
 
 import "strings"
 
-// Comp is the sound component: ticked by the engine package, listed in
-// the policy, and exposing a side-effect-free wake hint. No findings.
+// Comp is the sound component: ticked by the engine package and
+// exposing a side-effect-free wake hint. No findings.
 type Comp struct {
 	next int64
 	n    int
@@ -29,27 +28,6 @@ func (c *Comp) floor(now int64) int64 {
 	}
 	return c.next
 }
-
-// NoHint is ticked and listed in the engine-contract policy but exposes
-// no wake hint: a finding at this type.
-type NoHint struct{ n int }
-
-// Tick advances the component.
-func (h *NoHint) Tick(now int64) { h.n++ }
-
-// Stale is listed in the engine-contract policy but nothing ticks it:
-// a stale-entry finding at this type.
-type Stale struct{}
-
-// NextEvent is a hint no cycle loop consults.
-func (Stale) NextEvent(now int64) int64 { return now }
-
-// Rogue is ticked by the engine but missing from the engine-contract
-// policy list: a finding at the tick site.
-type Rogue struct{ n int }
-
-// Tick advances the component.
-func (r *Rogue) Tick(now int64) { r.n++ }
 
 // FieldComp's hint mutates the component itself: a root-effect finding.
 type FieldComp struct {
@@ -103,4 +81,19 @@ func (e *ExternComp) NextEvent(now int64) int64 {
 		return now + 1
 	}
 	return now
+}
+
+// TableComp's hint is impure, and no policy line names it: it is only
+// reachable through the engine fixture's component table, the way
+// core's g.parts reaches every real hint. A finding rooted at
+// engine.Loop.nextWake whose call path crosses the table's interface.
+type TableComp struct {
+	polls int64
+	next  int64
+}
+
+// NextEvent counts its own evaluations.
+func (t *TableComp) NextEvent(now int64) int64 {
+	t.polls++
+	return t.next
 }

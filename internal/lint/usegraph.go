@@ -33,27 +33,6 @@ type effect struct {
 	desc string
 }
 
-// dynCall is one call through a func-typed struct field or package
-// variable — the callback-port dispatch the static call edges cannot
-// follow. The shard-safety analysis resolves it through fieldTargets
-// (declared seam ports stop the traversal instead).
-type dynCall struct {
-	field *types.Var
-	pos   token.Pos
-}
-
-// fieldAssign records a function value being installed into a
-// func-typed field or package variable: a method value
-// (`ch.Respond = g.memRespond`), a factory call returning a closure
-// (`s.Send = g.nubaSend(id, part)` — the closure body is scanned into
-// the factory's node), or a function literal (whose body is scanned
-// into the assigning node, marked lit).
-type fieldAssign struct {
-	field  *types.Var
-	target *types.Func // nil when lit
-	lit    bool
-}
-
 // funcNode is one node of the use graph.
 type funcNode struct {
 	pkg  *Package
@@ -68,30 +47,17 @@ type funcNode struct {
 	callPos    map[*types.Func]token.Pos // first reference site per callee
 	reads      map[types.Object][]token.Pos
 	writes     map[types.Object][]token.Pos
-	// nonAccum holds the subset of writes that are NOT commutative
-	// accumulation (++, --, +=, -=, |=) applied directly to the object:
-	// plain overwrites, other compound ops, direct address-taking and
-	// composite-literal initialization. Writes that reach the object
-	// through an index or pointer dereference mutate an element, not the
-	// cell itself, and are not recorded here. shard-shared uses this to
-	// police the `commutative` classification (shardsafety.go).
-	nonAccum map[types.Object][]token.Pos
-	dynCalls []dynCall // calls through func-typed fields, in source order
-	// fieldAssigns records func values installed into func-typed fields,
-	// in source order; buildUseGraph folds them into fieldTargets.
-	fieldAssigns []fieldAssign
-	effects      []effect // side effects, in source order
+	effects    []effect // side effects, in source order
 }
 
 func newFuncNode(pkg *Package, file string) *funcNode {
 	return &funcNode{
-		pkg:      pkg,
-		file:     file,
-		calls:    make(map[*types.Func]bool),
-		callPos:  make(map[*types.Func]token.Pos),
-		reads:    make(map[types.Object][]token.Pos),
-		writes:   make(map[types.Object][]token.Pos),
-		nonAccum: make(map[types.Object][]token.Pos),
+		pkg:     pkg,
+		file:    file,
+		calls:   make(map[*types.Func]bool),
+		callPos: make(map[*types.Func]token.Pos),
+		reads:   make(map[types.Object][]token.Pos),
+		writes:  make(map[types.Object][]token.Pos),
 	}
 }
 
@@ -103,12 +69,6 @@ type useGraph struct {
 	// methodsByName indexes every declared method by name, the basis of
 	// the interface-dispatch over-approximation in calleeNodes.
 	methodsByName map[string][]*types.Func
-	// fieldTargets maps each func-typed field (or package variable) to
-	// the nodes whose code may run when it is invoked: the bodies of
-	// assigned method values and closure factories, or the assigning
-	// node itself for function literals. Deterministic: built from the
-	// nodes in declaration order.
-	fieldTargets map[*types.Var][]*funcNode
 }
 
 // buildUseGraph scans every loaded package once.
@@ -160,28 +120,6 @@ func buildUseGraph(prog *Program) *useGraph {
 			}
 		}
 	}
-	g.fieldTargets = make(map[*types.Var][]*funcNode)
-	for _, n := range g.nodes {
-		for _, fa := range n.fieldAssigns {
-			t := n
-			if !fa.lit {
-				t = g.byObj[fa.target]
-			}
-			if t == nil {
-				continue
-			}
-			dup := false
-			for _, e := range g.fieldTargets[fa.field] {
-				if e == t {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				g.fieldTargets[fa.field] = append(g.fieldTargets[fa.field], t)
-			}
-		}
-	}
 	return g
 }
 
@@ -195,9 +133,6 @@ func scanBody(info *types.Info, n *funcNode, root ast.Node) {
 	// operations, goroutine starts, and any assignment whose target is
 	// state that outlives the call.
 	kinds := make(map[*ast.Ident]accessKind)
-	// nonAcc marks write sites that are NOT commutative accumulation;
-	// see funcNode.nonAccum.
-	nonAcc := make(map[*ast.Ident]bool)
 	mark := func(e ast.Expr, k accessKind) {
 		if id := lvalueIdent(e); id != nil {
 			kinds[id] = k
@@ -215,28 +150,15 @@ func scanBody(info *types.Info, n *funcNode, root ast.Node) {
 			// Plain and compound assignment both count as writes only:
 			// a counter that is merely `+=`-bumped has not been read by
 			// the reporting path.
-			accum := x.Tok == token.ADD_ASSIGN || x.Tok == token.SUB_ASSIGN ||
-				x.Tok == token.OR_ASSIGN
 			for _, lhs := range x.Lhs {
 				markWrite(lhs)
-				if id, direct := lvalueInfo(lhs); id != nil && direct && !accum {
-					nonAcc[id] = true
-				}
-			}
-			if x.Tok == token.ASSIGN && len(x.Lhs) == len(x.Rhs) {
-				for i := range x.Lhs {
-					recordFieldAssign(info, n, x.Lhs[i], x.Rhs[i])
-				}
 			}
 		case *ast.IncDecStmt:
-			markWrite(x.X) // ++/-- is commutative accumulation: not nonAcc
+			markWrite(x.X)
 		case *ast.UnaryExpr:
 			if x.Op == token.AND {
 				// Taking the address may lead to either access.
 				mark(x.X, accessReadWrite)
-				if id, direct := lvalueInfo(x.X); id != nil && direct {
-					nonAcc[id] = true
-				}
 			} else if x.Op == token.ARROW {
 				n.effects = append(n.effects, effect{pos: x.Pos(), desc: "receives from a channel"})
 			}
@@ -247,19 +169,9 @@ func scanBody(info *types.Info, n *funcNode, root ast.Node) {
 		case *ast.GoStmt:
 			n.effects = append(n.effects, effect{pos: x.Go, desc: "starts a goroutine"})
 		case *ast.CallExpr:
-			switch fun := x.Fun.(type) {
-			case *ast.Ident:
-				switch obj := objOf(info, fun).(type) {
-				case *types.Builtin:
-					if obj.Name() == "close" {
-						n.effects = append(n.effects, effect{pos: x.Pos(), desc: "closes a channel"})
-					}
-				case *types.Var:
-					recordDynCall(n, obj, fun.Pos())
-				}
-			case *ast.SelectorExpr:
-				if v, ok := objOf(info, fun.Sel).(*types.Var); ok {
-					recordDynCall(n, v, fun.Sel.Pos())
+			if fun, ok := x.Fun.(*ast.Ident); ok {
+				if b, ok := objOf(info, fun).(*types.Builtin); ok && b.Name() == "close" {
+					n.effects = append(n.effects, effect{pos: x.Pos(), desc: "closes a channel"})
 				}
 			}
 		case *ast.CompositeLit:
@@ -268,8 +180,6 @@ func scanBody(info *types.Info, n *funcNode, root ast.Node) {
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
 					if id, ok := kv.Key.(*ast.Ident); ok {
 						kinds[id] = accessWrite
-						nonAcc[id] = true
-						recordFieldAssign(info, n, kv.Key, kv.Value)
 					}
 				}
 			}
@@ -307,9 +217,6 @@ func scanBody(info *types.Info, n *funcNode, root ast.Node) {
 			default:
 				n.reads[obj] = append(n.reads[obj], id.Pos())
 			}
-			if nonAcc[id] && kinds[id] != accessRead {
-				n.nonAccum[obj] = append(n.nonAccum[obj], id.Pos())
-			}
 		case *types.Const:
 			n.reads[obj] = append(n.reads[obj], id.Pos())
 		}
@@ -317,100 +224,25 @@ func scanBody(info *types.Info, n *funcNode, root ast.Node) {
 	})
 }
 
-// recordDynCall records a call through v if it is a func-typed struct
-// field or package variable — a callback-port dispatch.
-func recordDynCall(n *funcNode, v *types.Var, pos token.Pos) {
-	v = v.Origin()
-	if _, ok := v.Type().Underlying().(*types.Signature); !ok {
-		return
-	}
-	if !v.IsField() && !isPkgLevel(v) {
-		return
-	}
-	n.dynCalls = append(n.dynCalls, dynCall{field: v, pos: pos})
-}
-
-// recordFieldAssign records rhs being installed into lhs when lhs is a
-// func-typed field or package variable written directly (not through an
-// index or dereference). The recorded target is the function whose body
-// may run on dispatch: the literal's enclosing node (lit), the factory
-// whose returned closure was scanned into its node, or the bound method.
-func recordFieldAssign(info *types.Info, n *funcNode, lhs, rhs ast.Expr) {
-	id, direct := lvalueInfo(lhs)
-	if id == nil || !direct {
-		return
-	}
-	v, ok := objOf(info, id).(*types.Var)
-	if !ok {
-		return
-	}
-	v = v.Origin()
-	if _, ok := v.Type().Underlying().(*types.Signature); !ok {
-		return
-	}
-	if !v.IsField() && !isPkgLevel(v) {
-		return
-	}
-	switch r := ast.Unparen(rhs).(type) {
-	case *ast.FuncLit:
-		n.fieldAssigns = append(n.fieldAssigns, fieldAssign{field: v, lit: true})
-	case *ast.CallExpr:
-		if fn := calleeFunc(info, r.Fun); fn != nil {
-			n.fieldAssigns = append(n.fieldAssigns, fieldAssign{field: v, target: fn})
-		}
-	default:
-		if fn := calleeFunc(info, rhs); fn != nil {
-			n.fieldAssigns = append(n.fieldAssigns, fieldAssign{field: v, target: fn})
-		}
-	}
-}
-
-// calleeFunc resolves an expression to the declared function or method
-// it names, or nil.
-func calleeFunc(info *types.Info, e ast.Expr) *types.Func {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if fn, ok := objOf(info, x).(*types.Func); ok {
-			return fn.Origin()
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := objOf(info, x.Sel).(*types.Func); ok {
-			return fn.Origin()
-		}
-	}
-	return nil
-}
-
 // lvalueIdent finds the identifier an assignment target binds: the
 // selector's field for `x.F = v` (and `x.F[i] = v`, `*x.F = v`), the
 // identifier itself for `x = v`. Blank and unresolvable targets yield
 // nil.
 func lvalueIdent(e ast.Expr) *ast.Ident {
-	id, _ := lvalueInfo(e)
-	return id
-}
-
-// lvalueInfo is lvalueIdent plus directness: direct is false when the
-// path to the identifier crosses an index or dereference — the write
-// then mutates an element behind the object, not the cell itself.
-func lvalueInfo(e ast.Expr) (id *ast.Ident, direct bool) {
-	direct = true
 	for {
 		switch x := e.(type) {
 		case *ast.ParenExpr:
 			e = x.X
 		case *ast.IndexExpr:
-			direct = false
 			e = x.X
 		case *ast.StarExpr:
-			direct = false
 			e = x.X
 		case *ast.SelectorExpr:
-			return x.Sel, direct
+			return x.Sel
 		case *ast.Ident:
-			return x, direct
+			return x
 		default:
-			return nil, false
+			return nil
 		}
 	}
 }

@@ -110,12 +110,6 @@ func New(id, part int, cfg *config.Config, stats *metrics.Stats) *Slice {
 	}
 }
 
-// SetStats re-points the slice's counter sink. The partition-parallel
-// engine calls it once at setup to give every partition's slices a
-// private stats shard (written by a single goroutine, folded
-// deterministically at end of run); the serial engines never call it.
-func (s *Slice) SetStats(stats *metrics.Stats) { s.stats = stats }
-
 // Tags exposes the tag array (flushes, tests, occupancy probes).
 func (s *Slice) Tags() *cache.Cache { return s.tags }
 

@@ -6,18 +6,14 @@ package metrics
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 )
 
 // Stats aggregates the counters of one simulation run. Components hold a
 // pointer to the run's Stats and bump fields directly; everything is a
-// plain int64/float64 so there is no synchronization. Under the serial
-// engines a run has exactly one Stats; the partition-parallel engine
-// gives each partition its own shard (each still written by a single
-// goroutine) and folds them with Add, which is exact because every
-// counter is integer accumulation.
+// plain int64/float64 and a run has exactly one Stats, written by the
+// one goroutine that simulates it, so there is no synchronization.
 type Stats struct {
 	// Cycles is the total simulated core cycles.
 	// nubaunit: cycles
@@ -101,26 +97,6 @@ type Stats struct {
 	StaticEnergyNJ float64 // nubaunit: nJ
 }
 
-// Add accumulates o into s field by field (int64 counters and float64
-// energy terms alike). It is the commutative merge the shard map
-// classifies metrics state under: folding per-partition shards in any
-// order yields the same totals, bit-exactly for the integer counters
-// (the float64 energy fields are filled once at end of run, after
-// folding, so they never mix partial sums).
-func (s *Stats) Add(o *Stats) {
-	sv := reflect.ValueOf(s).Elem()
-	ov := reflect.ValueOf(o).Elem()
-	for i := 0; i < sv.NumField(); i++ {
-		f := sv.Field(i)
-		switch f.Kind() {
-		case reflect.Int64:
-			f.SetInt(f.Int() + ov.Field(i).Int())
-		case reflect.Float64:
-			f.SetFloat(f.Float() + ov.Field(i).Float())
-		}
-	}
-}
-
 // IPC returns warp instructions per cycle across the whole GPU.
 func (s *Stats) IPC() float64 {
 	if s.Cycles == 0 {
@@ -202,24 +178,6 @@ func (h *SharingHistogram) Touch(page uint64, sm int) {
 		h.pageSMs[page] = set
 	}
 	set[sm] = struct{}{}
-}
-
-// Merge folds o's page→sharer sets into h. Set union is commutative
-// and idempotent, so merging per-partition shards in any order yields
-// the same histogram the serial engines build in place.
-func (h *SharingHistogram) Merge(o *SharingHistogram) {
-	//nubalint:ignore nondet-map-range order-independent merge (set union commutes)
-	for page, set := range o.pageSMs {
-		dst, ok := h.pageSMs[page]
-		if !ok {
-			dst = make(map[int]struct{}, len(set))
-			h.pageSMs[page] = dst
-		}
-		//nubalint:ignore nondet-map-range order-independent merge (set union commutes)
-		for sm := range set {
-			dst[sm] = struct{}{}
-		}
-	}
 }
 
 // Pages returns the number of distinct pages touched.

@@ -46,10 +46,8 @@ type inPort struct {
 	q        *sim.Queue[Msg]
 	nextFree sim.Cycle
 	busy     int64
-	// bytes and msgs count traffic accepted at this port. Keeping the
-	// counters per port (summed on read by Bytes/Messages) lets the
-	// partition-parallel engine inject on partition-owned ports from
-	// different goroutines without sharing an accumulator.
+	// bytes and msgs count traffic accepted at this port (summed on
+	// read by Bytes/Messages).
 	bytes int64
 	msgs  int64
 }
@@ -229,9 +227,7 @@ func (x *Crossbar) Occupancy() int {
 
 // NextEvent returns the crossbar's wake hint: a crossbar holding any
 // message moves it between stages on the very next tick, so the hint
-// is now+1 while occupied and sim.Never when empty. This satisfies the
-// engine contract (every ticked component exposes a hint the idle-skip
-// scan can read; see lint.policy `structs engine-contract`).
+// is now+1 while occupied and sim.Never when empty.
 func (x *Crossbar) NextEvent(now sim.Cycle) sim.Cycle {
 	if x.Pending() {
 		return now + 1

@@ -173,16 +173,6 @@ func New(id, part int, cfg *config.Config, stats *metrics.Stats,
 	return s
 }
 
-// SetStats re-points the SM's counter sinks. The partition-parallel
-// engine calls it once at setup to give every partition's SMs a private
-// stats shard and sharing-histogram shard (each written by a single
-// goroutine, folded deterministically at end of run); the serial engines
-// never call it.
-func (s *SM) SetStats(stats *metrics.Stats, hist *metrics.SharingHistogram) {
-	s.stats = stats
-	s.hist = hist
-}
-
 // L1 exposes the data cache (for flushes and tests).
 func (s *SM) L1() *cache.Cache { return s.l1 }
 

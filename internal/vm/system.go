@@ -127,7 +127,7 @@ func (s *System) startOrQueueWalk(w *walk, at sim.Cycle) {
 	w.started = true
 	s.stats.PageWalks++
 	lat := s.cfg.PageWalkLatency
-	if _, mapped := s.drv.LookupPending(w.vpn); !mapped {
+	if _, mapped := s.drv.Lookup(w.vpn); !mapped {
 		// First touch: the walk page-faults and the driver allocates.
 		// The walker is released after the walk itself; the fixed fault
 		// penalty is a latency charged to the waiting warps, not a

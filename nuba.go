@@ -174,10 +174,11 @@ type Result struct {
 // IPC is shorthand for Stats.IPC.
 func (r *Result) IPC() float64 { return r.Stats.IPC() }
 
-// Engine selects the cycle-loop strategy of a run. All engines are
-// cycle-exact — reports and traces are byte-identical — and differ only
-// in wall-clock speed; EngineNaive is the serial reference kept as an
-// escape hatch and as the oracle the cross-engine tests compare against.
+// Engine selects what the cycle loop does with windows the wake hints
+// claim idle (skip, never ask, verify). All engines are cycle-exact —
+// reports and traces are byte-identical — and differ only in wall-clock
+// speed; EngineNaive is the reference the cross-engine tests compare
+// against.
 type Engine = core.Engine
 
 // Cycle-loop engines.
@@ -194,14 +195,6 @@ const (
 	// runs are byte-identical to the other engines but much slower —
 	// a verification tool, not a production engine.
 	EngineSanitize = core.EngineSanitize
-	// EngineParallel simulates partitions on separate goroutines,
-	// synchronizing at the phase barriers of the serial tick order, with
-	// cross-partition traffic exchanged only at the NoC barriers. Results
-	// are byte-identical to the other engines at every worker count (see
-	// docs/PARALLEL.md); configurations without an exploitable partition
-	// structure fall back to the hybrid loop. Tune with
-	// WithPartitionWorkers.
-	EngineParallel = core.EngineParallel
 )
 
 // ParseEngine parses a -engine flag value (one of EngineNames).
@@ -221,15 +214,14 @@ type RunOption func(*runConfig)
 // what used to be TraceOptions plumbing and the RunOptions struct into a
 // single type behind functional options.
 type runConfig struct {
-	trace       *TraceOptions
-	traceFor    func(b Benchmark) *TraceOptions
-	launches    func(sys *System) ([]*Launch, error)
-	workers     int
-	progress    func(RunEvent)
-	engine      Engine
-	partWorkers int
-	watchdog    WatchdogOptions
-	arm         func(sys *System) error
+	trace    *TraceOptions
+	traceFor func(b Benchmark) *TraceOptions
+	launches func(sys *System) ([]*Launch, error)
+	workers  int
+	progress func(RunEvent)
+	engine   Engine
+	watchdog WatchdogOptions
+	arm      func(sys *System) error
 }
 
 // WithTrace attaches observability sinks to a single run: the NDJSON
@@ -275,25 +267,10 @@ func WithProgress(f func(RunEvent)) RunOption {
 	return func(rc *runConfig) { rc.progress = f }
 }
 
-// WithEngine selects the cycle-loop engine (default EngineHybrid). Both
-// engines produce byte-identical results; EngineNaive is the serial
-// reference escape hatch.
+// WithEngine selects the cycle-loop engine (default EngineHybrid). All
+// engines produce byte-identical results.
 func WithEngine(e Engine) RunOption {
 	return func(rc *runConfig) { rc.engine = e }
-}
-
-// WithPartitionWorkers sets EngineParallel's goroutine count: 0 (the
-// default) uses one worker per partition, 1 runs the barrier schedule
-// inline, and values above the partition count are clamped to it. Like
-// the engine choice itself it is an execution knob, never a simulation
-// parameter: results are byte-identical at every worker count, and the
-// setting lives outside Config so all worker counts share config
-// fingerprints (the experiment engine's memo key). Other engines ignore
-// it. Speedup over the serial engines additionally needs GOMAXPROCS >=
-// the worker count; see the tuning guide in docs/PARALLEL.md for how
-// this knob composes with RunSuite's WithWorkers pool.
-func WithPartitionWorkers(n int) RunOption {
-	return func(rc *runConfig) { rc.partWorkers = n }
 }
 
 // WatchdogOptions configures the forward-progress watchdog of a run.
@@ -397,36 +374,7 @@ func (e *PanicError) Error() string {
 // cancellation.
 var errWallClockBudget = errors.New("nuba: watchdog wall-clock budget exceeded")
 
-// RunContext runs b on cfg under a context.
-//
-// Deprecated: RunContext is the pre-unification spelling; call [Run],
-// which has the same signature and behavior.
-func RunContext(ctx context.Context, cfg Config, b Benchmark) (*Result, error) {
-	return Run(ctx, cfg, b)
-}
-
-// RunTraced runs b on cfg with tracing attached.
-//
-// Deprecated: Call [Run] with [WithTrace].
-func RunTraced(ctx context.Context, cfg Config, b Benchmark, topts *TraceOptions) (*Result, error) {
-	return Run(ctx, cfg, b, WithTrace(topts))
-}
-
-// RunLaunches runs caller-constructed launches on a fresh system.
-//
-// Deprecated: Call [Run] with [WithLaunches] (and a zero Benchmark).
-func RunLaunches(cfg Config, build func(sys *System) ([]*Launch, error)) (*Result, error) {
-	return Run(context.Background(), cfg, Benchmark{}, WithLaunches(build))
-}
-
-// RunLaunchesContext is RunLaunches under a context.
-//
-// Deprecated: Call [Run] with [WithLaunches] (and a zero Benchmark).
-func RunLaunchesContext(ctx context.Context, cfg Config, build func(sys *System) ([]*Launch, error)) (*Result, error) {
-	return Run(ctx, cfg, Benchmark{}, WithLaunches(build))
-}
-
-// execute is the single execution path behind every Run* entry point:
+// execute is the single execution path behind Run and RunSuite:
 // assemble a system, attach tracing when requested, build the launches
 // into the address space, run them under the context and bundle the
 // measurements. Trace sinks, the engine choice and the watchdog
@@ -447,7 +395,6 @@ func execute(ctx context.Context, cfg Config, build func(sys *System) ([]*Launch
 		return nil, err
 	}
 	g.SetEngine(rc.engine)
-	g.SetPartitionWorkers(rc.partWorkers)
 	if rc.watchdog.NoProgressCycles > 0 {
 		g.SetWatchdog(rc.watchdog.NoProgressCycles)
 	}

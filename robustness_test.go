@@ -127,17 +127,12 @@ func TestWatchdogCyclesOption(t *testing.T) {
 	}
 }
 
-// TestWatchdogCatchesWedgeOnNonZeroPartitionParallel: the partition
-// audit regression for the parallel engine. Fault targets are global
-// component indices resolved pre-run (before any worker goroutine
-// exists), and the watchdog samples its progress signature only at
-// batch boundaries while every worker is parked — so a fault injected
-// into a partition owned by a background worker, not the coordinator,
-// must be armed, simulated and detected exactly as under the serial
-// engines. Wedging the machine's LAST SM (highest partition, always a
-// background worker's block at full fan-out) would silently pass if
-// either Arm or the watchdog sampled only coordinator-owned state.
-func TestWatchdogCatchesWedgeOnNonZeroPartitionParallel(t *testing.T) {
+// TestWatchdogCatchesWedgeOnNonZeroPartition: fault targets are global
+// component indices, and the watchdog's progress signature and hang
+// report walk the whole component table — so wedging the machine's LAST
+// SM (highest partition) must be armed, simulated, detected and named
+// exactly as a wedge on SM 0 is.
+func TestWatchdogCatchesWedgeOnNonZeroPartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
 	}
@@ -153,23 +148,20 @@ func TestWatchdogCatchesWedgeOnNonZeroPartitionParallel(t *testing.T) {
 	}
 	spec := &fault.Spec{Faults: []fault.Fault{{Kind: fault.WedgeSM, Target: lastSM, At: 2000}}}
 	want := fmt.Sprintf("SM %d", lastSM)
-	for _, e := range []Engine{EngineHybrid, EngineParallel} {
-		_, err := Run(context.Background(), cfg, b,
-			WithEngine(e), WithPartitionWorkers(0),
-			WithWatchdog(WatchdogOptions{NoProgressCycles: 16384}), WithArm(spec.Arm))
-		var he *HangError
-		if !errors.As(err, &he) {
-			t.Fatalf("%v engine: want *HangError, got %v", e, err)
+	_, err = Run(context.Background(), cfg, b,
+		WithWatchdog(WatchdogOptions{NoProgressCycles: 16384}), WithArm(spec.Arm))
+	var he *HangError
+	if !errors.As(err, &he) {
+		t.Fatalf("want *HangError, got %v", err)
+	}
+	found := false
+	for _, c := range he.Report.Stuck {
+		if c.Name == want {
+			found = true
 		}
-		found := false
-		for _, c := range he.Report.Stuck {
-			if c.Name == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%v engine: hang report does not name the wedged %s: %+v", e, want, he.Report.Stuck)
-		}
+	}
+	if !found {
+		t.Errorf("hang report does not name the wedged %s: %+v", want, he.Report.Stuck)
 	}
 }
 

@@ -23,7 +23,7 @@ var tracedBP = sync.OnceValues(func() (struct{ series, chrome []byte }, error) {
 	}
 	var series, chrome bytes.Buffer
 	topts := &TraceOptions{Series: &series, Chrome: &chrome}
-	if _, err := RunTraced(context.Background(), NUBAConfig().Scale(0.125), b, topts); err != nil {
+	if _, err := Run(context.Background(), NUBAConfig().Scale(0.125), b, WithTrace(topts)); err != nil {
 		return out, err
 	}
 	out.series, out.chrome = series.Bytes(), chrome.Bytes()
@@ -84,12 +84,12 @@ func TestTraceDeterministicAcrossJobs(t *testing.T) {
 
 	// Passivity: a traced run simulates the exact same cycles.
 	b := benches[0] // BP
-	plain, err := RunContext(context.Background(), cfg, b)
+	plain, err := Run(context.Background(), cfg, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sink bytes.Buffer
-	res, err := RunTraced(context.Background(), cfg, b, &TraceOptions{Series: &sink})
+	res, err := Run(context.Background(), cfg, b, WithTrace(&TraceOptions{Series: &sink}))
 	if err != nil {
 		t.Fatal(err)
 	}
