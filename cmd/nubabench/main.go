@@ -21,6 +21,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"github.com/nuba-gpu/nuba/internal/hostprof"
 )
 
 // Result is one benchmark line of the record. Benchmark and Engine are
@@ -65,35 +67,46 @@ type Report struct {
 	Speedups   []Speedup `json:"speedups,omitempty"`
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit status, so deferred work — closing the output,
+// finishing the profiles — happens on every path out.
+func run() int {
+	prof := hostprof.Flags()
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
+	if err := prof.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, "nubabench:", err)
+		return 2
+	}
+	defer prof.Stop()
 
 	rep, err := parse(os.Stdin)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nubabench:", err)
-		os.Exit(1)
+		return 1
 	}
 	if len(rep.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "nubabench: no benchmark lines on stdin (pipe `go test -bench` output)")
-		os.Exit(1)
+		return 1
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nubabench:", err)
-		os.Exit(1)
+		return 1
 	}
 	data = append(data, '\n')
 	if *out == "" {
 		os.Stdout.Write(data)
-		return
+		return 0
 	}
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "nubabench:", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Printf("nubabench: wrote %d benchmarks (%d engine pairs) to %s\n",
 		len(rep.Benchmarks), len(rep.Speedups), *out)
+	return 0
 }
 
 // parse consumes `go test -bench` output: the goos/goarch/pkg/cpu

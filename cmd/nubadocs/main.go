@@ -42,6 +42,9 @@ var externalFlags = map[string]bool{
 	"timeout":   true, // go test -timeout
 	"l":         true, // gofmt -l
 	"r":         true, // jq -r
+	"top":       true, // go tool pprof -top
+	"cum":       true, // go tool pprof -cum
+	"sample":    true, // go tool pprof -sample_index (the match stops at the underscore)
 }
 
 func main() {
@@ -119,13 +122,20 @@ func docFiles(root string) ([]string, error) {
 	return append(docs, extra...), nil
 }
 
-// definedFlags parses every Go file under cmd/ and collects the names
-// registered through the flag package (flag.String("name", ...) etc.).
+// definedFlags parses every Go file under cmd/ — and the one package
+// that registers flags on the CLIs' behalf, internal/hostprof — and
+// collects the names registered through the flag package
+// (flag.String("name", ...) etc.).
 func definedFlags(root string) (map[string]bool, error) {
 	files, err := filepath.Glob(filepath.Join(root, "cmd", "*", "*.go"))
 	if err != nil {
 		return nil, err
 	}
+	shared, err := filepath.Glob(filepath.Join(root, "internal", "hostprof", "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	files = append(files, shared...)
 	ctors := map[string]bool{
 		"String": true, "Bool": true, "Int": true, "Int64": true,
 		"Uint": true, "Uint64": true, "Float64": true, "Duration": true,

@@ -22,9 +22,15 @@ import (
 
 	"github.com/nuba-gpu/nuba"
 	"github.com/nuba-gpu/nuba/internal/experiments"
+	"github.com/nuba-gpu/nuba/internal/hostprof"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit status, so deferred work — closing the output,
+// finishing the profiles — happens on every path out.
+func run() int {
+	prof := hostprof.Flags()
 	out := flag.String("o", "", "output file (default stdout)")
 	scale := flag.Float64("scale", 1, "GPU scale factor")
 	benchList := flag.String("bench", "", "comma-separated benchmark subset")
@@ -35,11 +41,16 @@ func main() {
 	watchdog := flag.Int64("watchdog", 0, "fail a run once no component state changes for this many cycles while work is pending (0 = off)")
 	retries := flag.Int("retries", 0, "retries per job for transient failures")
 	flag.Parse()
+	if err := prof.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, "nubareport:", err)
+		return 2
+	}
+	defer prof.Stop()
 
 	engine, err := nuba.ParseEngine(*engineFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nubareport:", err)
-		os.Exit(2)
+		return 2
 	}
 	opts := experiments.Options{Scale: *scale, Jobs: *jobs, Engine: engine,
 		Watchdog: *watchdog, Retries: *retries}
@@ -58,7 +69,7 @@ func main() {
 			b, err := nuba.BenchmarkByAbbr(strings.TrimSpace(abbr))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "nubareport:", err)
-				os.Exit(2)
+				return 2
 			}
 			opts.Benchmarks = append(opts.Benchmarks, b)
 		}
@@ -75,7 +86,7 @@ func main() {
 		f, err := os.Create(*out)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "nubareport:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		w = f
@@ -99,7 +110,7 @@ func main() {
 			if errors.Is(err, context.Canceled) {
 				fmt.Fprintf(w, "## %s\n\nINTERRUPTED\n\n", e.Title)
 				fmt.Fprintln(os.Stderr, "nubareport: interrupted")
-				os.Exit(130)
+				return 130
 			}
 			fmt.Fprintf(w, "## %s\n\nERROR: %v\n\n", e.Title, err)
 			failed++
@@ -112,6 +123,7 @@ func main() {
 	failed += len(r.Failures())
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "nubareport: %d job(s) or experiment(s) failed; the report is partial\n", failed)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

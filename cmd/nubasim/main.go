@@ -25,9 +25,15 @@ import (
 	"sync"
 
 	"github.com/nuba-gpu/nuba"
+	"github.com/nuba-gpu/nuba/internal/hostprof"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit status, so deferred work — closing the output,
+// finishing the profiles — happens on every path out.
+func run() int {
+	prof := hostprof.Flags()
 	arch := flag.String("arch", "nuba", "architecture: uba | sm-side | nuba")
 	bench := flag.String("bench", "SGEMM", "benchmark abbreviation(s), comma-separated, or 'all' (see nubasweep -list)")
 	nocGBs := flag.Float64("noc", 1400, "NoC bandwidth in GB/s")
@@ -44,11 +50,16 @@ func main() {
 	engineFlag := flag.String("engine", "hybrid", nuba.EngineUsage())
 	watchdog := flag.Int64("watchdog", 0, "fail a run once no component state changes for this many cycles while work is pending (0 = off)")
 	flag.Parse()
+	if err := prof.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, "nubasim:", err)
+		return 2
+	}
+	defer prof.Stop()
 
 	engine, err := nuba.ParseEngine(*engineFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nubasim:", err)
-		os.Exit(2)
+		return 2
 	}
 
 	var cfg nuba.Config
@@ -61,7 +72,7 @@ func main() {
 		cfg = nuba.NUBAConfig()
 	default:
 		fmt.Fprintf(os.Stderr, "nubasim: unknown arch %q\n", *arch)
-		os.Exit(2)
+		return 2
 	}
 	cfg = cfg.WithNoC(*nocGBs).Scale(*scale)
 	cfg.Seed = *seed
@@ -82,7 +93,7 @@ func main() {
 		cfg.Placement = nuba.PageReplication
 	default:
 		fmt.Fprintf(os.Stderr, "nubasim: unknown placement %q\n", *placement)
-		os.Exit(2)
+		return 2
 	}
 	switch strings.ToLower(*replication) {
 	case "":
@@ -94,7 +105,7 @@ func main() {
 		cfg.Replication = nuba.MDR
 	default:
 		fmt.Fprintf(os.Stderr, "nubasim: unknown replication %q\n", *replication)
-		os.Exit(2)
+		return 2
 	}
 
 	var benches []nuba.Benchmark
@@ -105,7 +116,7 @@ func main() {
 			b, err := nuba.BenchmarkByAbbr(strings.ToUpper(strings.TrimSpace(abbr)))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "nubasim:", err)
-				os.Exit(2)
+				return 2
 			}
 			benches = append(benches, b)
 		}
@@ -124,7 +135,7 @@ func main() {
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "nubasim: interrupted")
-			os.Exit(130)
+			return 130
 		}
 		// A detected hang carries a structured report naming the stuck
 		// components; print it in full before the one-line error. Every
@@ -135,8 +146,9 @@ func main() {
 			fmt.Fprint(os.Stderr, hang.Report.String())
 		}
 		fmt.Fprintln(os.Stderr, "nubasim:", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // traceArgs carries the -trace/-trace-out/-trace-epoch flags.

@@ -20,6 +20,7 @@ import (
 
 	"github.com/nuba-gpu/nuba"
 	"github.com/nuba-gpu/nuba/internal/experiments"
+	"github.com/nuba-gpu/nuba/internal/hostprof"
 )
 
 // progressPrinter returns an event sink that prints one line per
@@ -36,7 +37,12 @@ func progressPrinter(w *os.File) func(experiments.Event) {
 	}
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit status, so deferred work — closing the output,
+// finishing the profiles — happens on every path out.
+func run() int {
+	prof := hostprof.Flags()
 	exp := flag.String("exp", "", "experiment name (see -list)")
 	benchList := flag.String("bench", "", "comma-separated benchmark abbreviations (default: full suite)")
 	scale := flag.Float64("scale", 1, "GPU scale factor (1 = 64-SM baseline)")
@@ -47,11 +53,16 @@ func main() {
 	watchdog := flag.Int64("watchdog", 0, "fail a run once no component state changes for this many cycles while work is pending (0 = off)")
 	retries := flag.Int("retries", 0, "retries per job for transient failures")
 	flag.Parse()
+	if err := prof.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, "nubasweep:", err)
+		return 2
+	}
+	defer prof.Stop()
 
 	engine, err := nuba.ParseEngine(*engineFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nubasweep:", err)
-		os.Exit(2)
+		return 2
 	}
 
 	if *list {
@@ -67,11 +78,11 @@ func main() {
 			}
 			fmt.Printf("  %-8s %-28s %s-sharing\n", b.Abbr, b.Name, cls)
 		}
-		return
+		return 0
 	}
 	if *exp == "" {
 		fmt.Fprintln(os.Stderr, "nubasweep: -exp required (or -list)")
-		os.Exit(2)
+		return 2
 	}
 	opts := experiments.Options{Scale: *scale, Jobs: *jobs, Engine: engine,
 		Watchdog: *watchdog, Retries: *retries}
@@ -83,7 +94,7 @@ func main() {
 			b, err := nuba.BenchmarkByAbbr(strings.TrimSpace(abbr))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "nubasweep:", err)
-				os.Exit(2)
+				return 2
 			}
 			opts.Benchmarks = append(opts.Benchmarks, b)
 		}
@@ -91,7 +102,7 @@ func main() {
 	e, err := experiments.ByName(*exp)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nubasweep:", err)
-		os.Exit(2)
+		return 2
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -103,16 +114,17 @@ func main() {
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "nubasweep: interrupted")
-			os.Exit(130)
+			return 130
 		}
 		fmt.Fprintln(os.Stderr, "nubasweep:", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Print(report.Text)
 	if n := len(report.Failures); n > 0 {
 		// The failed jobs are already detailed in the report's failures
 		// section; exit non-zero so sweeps in scripts and CI notice.
 		fmt.Fprintf(os.Stderr, "nubasweep: %d job(s) failed; the report above is partial\n", n)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -37,6 +37,7 @@ type cappedCapture struct {
 	report  string
 	series  []byte
 	outcome string // "drained" or the run error text
+	live    int64  // memory requests not yet retired when the run ended
 }
 
 // runCapped executes b on cfg under engine e, tolerating (and recording)
@@ -72,6 +73,7 @@ func runCapped(t *testing.T, cfg Config, b Benchmark, e Engine) cappedCapture {
 		report:  fmt.Sprintf("%+v\n%s", *st, DetailTable(st)),
 		series:  series.Bytes(),
 		outcome: outcome,
+		live:    g.LiveRequests(),
 	}
 }
 
@@ -103,6 +105,11 @@ func TestEnginesByteIdenticalAcrossSuite(t *testing.T) {
 		}
 		if naive.outcome == "drained" {
 			drained++
+			// Request conservation: a drained machine has retired every
+			// request it created (a double release panics in the run).
+			if naive.live != 0 || hybrid.live != 0 {
+				t.Errorf("%s: requests never retired: naive %d, hybrid %d", b.Abbr, naive.live, hybrid.live)
+			}
 		} else {
 			capped++
 		}

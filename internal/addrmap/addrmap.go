@@ -82,11 +82,18 @@ func (m *Mapper) Row(paddr uint64) uint64 {
 // channel, and the least-significant bank bit(s) select the slice within
 // the channel's group (Section 2).
 func (m *Mapper) Slice(paddr uint64) int {
+	_, slice := m.Home(paddr)
+	return slice
+}
+
+// Home returns the memory channel and the home LLC slice of paddr in one
+// decode, for the routing code that stamps both on a request.
+func (m *Mapper) Home(paddr uint64) (channel, slice int) {
 	ch := m.Channel(paddr)
 	if m.slicesPerChannel == 1 {
-		return ch
+		return ch, ch
 	}
-	return ch*m.slicesPerChannel + m.Bank(paddr)%m.slicesPerChannel
+	return ch, ch*m.slicesPerChannel + m.Bank(paddr)%m.slicesPerChannel
 }
 
 // ChannelOfSlice returns the memory channel attached to an LLC slice.

@@ -9,6 +9,10 @@ import "github.com/nuba-gpu/nuba/internal/sim"
 type MSHRFile struct {
 	capacity int
 	entries  map[uint64]*MSHREntry
+	// free holds released entries for the next Allocate; it fills as
+	// misses retire, up to capacity, and is never pre-sized. A recycled
+	// entry keeps its Waiters backing array.
+	free []*MSHREntry
 
 	// Merges counts secondary misses folded into an existing entry;
 	// StallsFull counts allocation attempts rejected because the file
@@ -50,6 +54,21 @@ func (m *MSHRFile) Lookup(line uint64) (*MSHREntry, bool) {
 	return e, ok
 }
 
+// Admit reports what Allocate would do with a miss on line — merge it
+// behind an outstanding fill, or take a new entry — and counts the stall
+// when it would refuse. A caller that builds its request only once the
+// miss is certain to be tracked asks here first.
+func (m *MSHRFile) Admit(line uint64) (merge, ok bool) {
+	if _, exists := m.entries[line]; exists {
+		return true, true
+	}
+	if m.Full() {
+		m.StallsFull++
+		return false, false
+	}
+	return false, true
+}
+
 // Allocate registers req's miss on line at cycle now. If an entry for the
 // line already exists the request is merged as a secondary miss and
 // merged=true is returned. If the file is full and no entry exists,
@@ -65,17 +84,27 @@ func (m *MSHRFile) Allocate(line uint64, req *sim.MemReq, now sim.Cycle) (entry 
 		m.StallsFull++
 		return nil, false, false
 	}
-	e := &MSHREntry{Line: line, Primary: req, Allocated: now}
+	var e *MSHREntry
+	if n := len(m.free); n > 0 {
+		e = m.free[n-1]
+		m.free = m.free[:n-1]
+		clear(e.Waiters) // the previous miss's requests are not ours to keep alive
+		*e = MSHREntry{Line: line, Primary: req, Waiters: e.Waiters[:0], Allocated: now}
+	} else {
+		e = &MSHREntry{Line: line, Primary: req, Allocated: now}
+	}
 	m.entries[line] = e
 	return e, false, true
 }
 
 // Release removes and returns the entry for line when its fill completes.
-// ok is false if no entry was outstanding.
+// ok is false if no entry was outstanding. The entry stays readable until
+// the next Allocate, which may hand the same object out again.
 func (m *MSHRFile) Release(line uint64) (*MSHREntry, bool) {
 	e, ok := m.entries[line]
 	if ok {
 		delete(m.entries, line)
+		m.free = append(m.free, e)
 	}
 	return e, ok
 }

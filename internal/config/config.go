@@ -559,9 +559,21 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: %d SMs not divisible across %d modules", c.NumSMs, c.NumModules)
 	case c.LABThreshold <= 0 || c.LABThreshold > 1:
 		return fmt.Errorf("config: LAB threshold %.2f out of (0,1]", c.LABThreshold)
+	case c.BanksPerChan < 1 || c.BanksPerChan > MaxBanksPerChan:
+		return fmt.Errorf("config: BanksPerChan %d out of [1,%d] (the memory controller tracks banks in one 64-bit mask)",
+			c.BanksPerChan, MaxBanksPerChan)
+	case c.MemQueueDepth < 1:
+		return fmt.Errorf("config: MemQueueDepth %d must be positive (a memory controller with no bounded queue never back-pressures)",
+			c.MemQueueDepth)
+	case c.L1MSHRs < 1 || c.LLCMSHRs < 1:
+		return fmt.Errorf("config: MSHR files must have at least one entry (L1 %d, LLC %d)", c.L1MSHRs, c.LLCMSHRs)
 	}
 	return nil
 }
+
+// MaxBanksPerChan is the most DRAM banks a channel can have: the FR-FCFS
+// scheduler's per-tick "banks already considered" set is one machine word.
+const MaxBanksPerChan = 64
 
 // Fingerprint returns a canonical identity string covering every
 // semantic field of the configuration, including nested timing. Two

@@ -2,6 +2,7 @@ package config
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -137,6 +138,45 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+}
+
+// TestValidateBoundsFixedCapacityStructures covers the sizes the memory
+// path's fixed-capacity structures are built from: each bad value used to
+// be a panic deep in a run (or, for the queue depth and the bank mask, a
+// silently different scheduler) and must be a named error instead.
+func TestValidateBoundsFixedCapacityStructures(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Config)
+		want string // substring of the error; "" = valid
+	}{
+		{"baseline", func(*Config) {}, ""},
+		{"one bank", func(c *Config) { c.BanksPerChan = 1 }, ""},
+		{"64 banks", func(c *Config) { c.BanksPerChan = MaxBanksPerChan }, ""},
+		{"no banks", func(c *Config) { c.BanksPerChan = 0 }, "BanksPerChan 0"},
+		{"negative banks", func(c *Config) { c.BanksPerChan = -4 }, "BanksPerChan -4"},
+		{"65 banks", func(c *Config) { c.BanksPerChan = 65 }, "BanksPerChan 65"},
+		{"queue of one", func(c *Config) { c.MemQueueDepth = 1 }, ""},
+		{"unbounded queue", func(c *Config) { c.MemQueueDepth = 0 }, "MemQueueDepth 0"},
+		{"negative queue", func(c *Config) { c.MemQueueDepth = -1 }, "MemQueueDepth -1"},
+		{"no L1 MSHRs", func(c *Config) { c.L1MSHRs = 0 }, "MSHR files"},
+		{"negative L1 MSHRs", func(c *Config) { c.L1MSHRs = -2 }, "MSHR files"},
+		{"no LLC MSHRs", func(c *Config) { c.LLCMSHRs = 0 }, "MSHR files"},
+		{"one MSHR each", func(c *Config) { c.L1MSHRs, c.LLCMSHRs = 1, 1 }, ""},
+	}
+	for _, tc := range cases {
+		c := Baseline()
+		tc.mut(&c)
+		err := c.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not name the field (want %q)", tc.name, err, tc.want)
 		}
 	}
 }

@@ -75,8 +75,7 @@ func (g *GPU) nubaSend(smID, part int) func(*sim.MemReq, sim.Cycle) bool {
 		if !link.CanSend(now) {
 			return false
 		}
-		req.Slice = g.mapper.Slice(req.Addr)
-		req.Channel = g.mapper.Channel(req.Addr)
+		req.Channel, req.Slice = g.mapper.Home(req.Addr)
 		local := g.cfg.PartitionOfSlice(req.Slice) == part
 		if !local && req.ReadOnly && req.Kind == sim.Load && g.replicating() {
 			req.ReplicaSlice = g.partitionSlice(part, req.Addr)

@@ -71,8 +71,7 @@ func (g *GPU) moveUBAMem(now sim.Cycle) {
 // link) to the home slice.
 func (g *GPU) ubaMemSend(smID int) func(*sim.MemReq, sim.Cycle) bool {
 	return func(req *sim.MemReq, now sim.Cycle) bool {
-		req.Slice = g.mapper.Slice(req.Addr)
-		req.Channel = g.mapper.Channel(req.Addr)
+		req.Channel, req.Slice = g.mapper.Home(req.Addr)
 		req.Remote = true // every UBA L1 miss traverses the NoC
 		bytes := sim.MessageBytes(req, false)
 		ms, md := g.moduleOfSM(smID), g.moduleOfSlice(req.Slice)
@@ -155,11 +154,10 @@ func (g *GPU) smSideSend(smID int) func(*sim.MemReq, sim.Cycle) bool {
 			return false
 		}
 		if req.IsWrite() {
-			inval := &sim.MemReq{
+			g.invalQueue.Push(g.reqs.Get(sim.MemReq{
 				Kind: sim.Store, Addr: req.Addr, Size: 0, SM: -1, DstReg: -1,
-				Slice: g.mirrorSlice(req.Slice), ReplicaSlice: -1, Inval: true,
-			}
-			g.invalQueue.Push(inval)
+				Slice: g.mirrorSlice(req.Slice), Channel: -1, ReplicaSlice: -1, Inval: true,
+			}))
 		}
 		g.recordPlacementAccess(req, g.cfg.PartitionOfSM(smID))
 		return true
@@ -188,7 +186,7 @@ func (g *GPU) drainInvalQueue(now sim.Cycle) {
 // smSideMiss issues an LLC miss or writeback to the owning channel,
 // over the inter-half link when the channel sits in the other half.
 func (g *GPU) smSideMiss(req *sim.MemReq, now sim.Cycle) bool {
-	ch := g.mapper.Channel(req.Addr)
+	ch := g.homeChannel(req)
 	srcHalf := g.moduleOfSlice(req.Slice)
 	if g.moduleOfChannel(ch) == srcHalf {
 		return g.chans[ch].Enqueue(req)
@@ -206,11 +204,11 @@ func (g *GPU) smSideMiss(req *sim.MemReq, now sim.Cycle) bool {
 // missed, over the inter-half link when it sits in the other half. A
 // saturated link delays the fill one cycle through migFillRetry.
 func (g *GPU) smSideRespond(req *sim.MemReq) {
-	if req.SM < 0 && req.Kind == sim.Load {
-		return // page-copy read: no consumer
+	if g.retirePageCopyRead(req) {
+		return
 	}
 	now := g.cycle
-	chHalf := g.moduleOfChannel(g.mapper.Channel(req.Addr))
+	chHalf := g.moduleOfChannel(req.Channel)
 	if chHalf == g.moduleOfSlice(req.Slice) {
 		g.slices[req.Slice].AcceptFill(req, now)
 		return

@@ -86,6 +86,11 @@ type GPU struct {
 	// wd is the forward-progress watchdog, nil unless armed with
 	// SetWatchdog (see watchdog.go).
 	wd *watchdog
+	// reqs recycles the requests no SM creates: slice writebacks,
+	// SM-side invalidations and page-copy traffic. Each retires where
+	// it dies — a write when its burst completes in the channel, an
+	// invalidation in the slice, a page-copy read in memRespond.
+	reqs sim.ReqPool
 	// migQueue holds background page-copy traffic awaiting channel space.
 	migQueue    *sim.Queue[*sim.MemReq]
 	nextMigScan sim.Cycle
@@ -134,10 +139,13 @@ func New(cfg config.Config) (*GPU, error) {
 	for j := 0; j < cfg.NumLLCSlices; j++ {
 		sl := llc.New(j, g.cfg.PartitionOfSlice(j), &g.cfg, g.stats)
 		sl.StoreDone = storeDone
+		sl.Reqs = &g.reqs
 		g.slices = append(g.slices, sl)
 	}
 	for c := 0; c < cfg.NumChannels; c++ {
-		g.chans = append(g.chans, dram.NewChannel(c, &g.cfg, g.mapper))
+		ch := dram.NewChannel(c, &g.cfg, g.mapper)
+		ch.Reqs = &g.reqs
+		g.chans = append(g.chans, ch)
 	}
 
 	// The architecture is chosen here and nowhere else: each builder
@@ -190,6 +198,17 @@ func (g *GPU) Config() *config.Config { return &g.cfg }
 
 // MDRController returns the MDR controller, or nil when MDR is inactive.
 func (g *GPU) MDRController() *mdr.Controller { return g.mdrCtl }
+
+// LiveRequests returns how many memory requests exist that their owner
+// has not retired — the SMs' plus the GPU's own. It is zero whenever the
+// machine is quiet: every request created has come home.
+func (g *GPU) LiveRequests() int64 {
+	n := g.reqs.Live()
+	for _, s := range g.sms {
+		n += s.LiveRequests()
+	}
+	return n
+}
 
 // HitMaxCycles reports whether a run aborted at the MaxCycles safety net.
 func (g *GPU) HitMaxCycles() bool { return g.hitMaxCycles }

@@ -82,6 +82,32 @@ func TestPartsTableCoversEveryComponent(t *testing.T) {
 	}
 }
 
+// checkConserved asserts request conservation on a drained GPU: every
+// object a free list handed out has come back to it — the SMs' requests
+// and LSU accesses, and the GPU's own writebacks, invalidations and page
+// copies. A request leaked on some path (or retired on the wrong list)
+// shows here as a nonzero count; one retired twice panics in ReqPool.Put.
+func checkConserved(t *testing.T, name string, g *GPU) {
+	t.Helper()
+	if !g.quiet() {
+		t.Fatalf("%s: conservation is only defined on a quiet GPU", name)
+	}
+	if n := g.reqs.Live(); n != 0 {
+		t.Errorf("%s: %d GPU-owned requests (writebacks, invalidations, page copies) never retired", name, n)
+	}
+	for _, s := range g.sms {
+		if n := s.LiveRequests(); n != 0 {
+			t.Errorf("%s: SM%d has %d requests that never retired", name, s.ID, n)
+		}
+		if n := s.LiveAccesses(); n != 0 {
+			t.Errorf("%s: SM%d has %d LSU accesses off its free list", name, s.ID, n)
+		}
+	}
+	if n := g.LiveRequests(); n != 0 {
+		t.Errorf("%s: LiveRequests() = %d on a quiet GPU", name, n)
+	}
+}
+
 // The one cycle loop against plain stepping: on every topology, naive
 // (advance never asks, so it is step in a loop), hybrid (skips) and
 // sanitize (verifies) must end on the same cycle with the same counters
@@ -103,6 +129,7 @@ func TestAdvanceMatchesStep(t *testing.T) {
 		if series.Len() == 0 {
 			t.Fatal("empty trace — comparison is vacuous")
 		}
+		checkConserved(t, fmt.Sprintf("%s/%v", cfg.Name(), e), g)
 		return fmt.Sprintf("cycle=%d\n%+v\n%s", g.cycle, *g.Stats(), series.Bytes())
 	}
 	for _, tc := range topologies() {

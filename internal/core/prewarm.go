@@ -40,6 +40,9 @@ func (g *GPU) prewarm(l *kir.Launch) {
 	per := (l.GridDim + n - 1) / n
 	cursors := make([]int, n) // next CTA offset per SM
 	current := make([]*prewarmCTA, n)
+	// Each SM runs its CTAs one after another through one prewarmCTA,
+	// whose warps are reset in place.
+	ctas := make([]prewarmCTA, n)
 	shift := g.mapper.PageShift()
 
 	var mem kir.MemInfo
@@ -54,7 +57,8 @@ func (g *GPU) prewarm(l *kir.Launch) {
 					continue
 				}
 				cursors[smID]++
-				cta = newPrewarmCTA(l, idx)
+				cta = &ctas[smID]
+				cta.reset(l, idx)
 				current[smID] = cta
 			}
 			live++
@@ -66,13 +70,20 @@ func (g *GPU) prewarm(l *kir.Launch) {
 	}
 }
 
-func newPrewarmCTA(l *kir.Launch, cta int) *prewarmCTA {
-	wpc := l.WarpsPerCTA()
-	p := &prewarmCTA{atBar: make([]bool, wpc)}
-	for w := 0; w < wpc; w++ {
-		p.warps = append(p.warps, kir.NewWarp(l, cta, w))
+// reset makes p the warps of CTA cta, none of them run yet.
+func (p *prewarmCTA) reset(l *kir.Launch, cta int) {
+	if p.warps == nil {
+		wpc := l.WarpsPerCTA()
+		p.atBar = make([]bool, wpc)
+		for w := 0; w < wpc; w++ {
+			p.warps = append(p.warps, new(kir.Warp))
+		}
 	}
-	return p
+	for w := range p.warps {
+		p.warps[w].Reset(l, cta, w)
+	}
+	clear(p.atBar)
+	p.exited = 0
 }
 
 // prewarmQuantumRun advances every warp of the CTA by up to

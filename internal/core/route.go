@@ -90,12 +90,14 @@ func (g *GPU) shootdown(vpn uint64) {
 // chargePageCopy enqueues background DRAM traffic copying one page from
 // frame src to frame dst (line reads + line writes).
 func (g *GPU) chargePageCopy(src, dst uint64) {
-	shift := g.mapper.PageShift()
+	from, to := g.mapper.FrameToAddr(src), g.mapper.FrameToAddr(dst)
+	// A page lives in one channel.
+	fromCh, toCh := g.mapper.Channel(from), g.mapper.Channel(to)
 	lines := int(g.cfg.PageSize) / sim.LineSize
 	for i := 0; i < lines; i++ {
 		off := uint64(i * sim.LineSize)
-		g.migQueue.Push(&sim.MemReq{Kind: sim.Load, Addr: src<<shift | off, Size: sim.LineSize, SM: -1, DstReg: -1, ReplicaSlice: -1})
-		g.migQueue.Push(&sim.MemReq{Kind: sim.Store, Addr: dst<<shift | off, Size: sim.LineSize, SM: -1, DstReg: -1, ReplicaSlice: -1})
+		g.migQueue.Push(g.reqs.Get(sim.MemReq{Kind: sim.Load, Addr: from | off, Size: sim.LineSize, SM: -1, DstReg: -1, Channel: fromCh, ReplicaSlice: -1}))
+		g.migQueue.Push(g.reqs.Get(sim.MemReq{Kind: sim.Store, Addr: to | off, Size: sim.LineSize, SM: -1, DstReg: -1, Channel: toCh, ReplicaSlice: -1}))
 	}
 }
 
@@ -106,7 +108,7 @@ func (g *GPU) drainMigQueue() {
 		if !ok {
 			return
 		}
-		ch := g.chans[g.mapper.Channel(req.Addr)]
+		ch := g.chans[req.Channel]
 		if !ch.CanEnqueue() {
 			return
 		}
@@ -140,15 +142,36 @@ func (g *GPU) storeDone(req *sim.MemReq, now sim.Cycle) {
 	g.sms[req.SM].AcceptReply(req, now)
 }
 
+// homeChannel returns the channel a request leaving a slice is bound
+// for. An SM's request had it decoded when it was sent; a writeback is
+// created by a slice, which has no address map, so it leaves the slice
+// undecoded (-1) and is decoded here, the first time it is offered.
+func (g *GPU) homeChannel(req *sim.MemReq) int {
+	if req.Channel < 0 {
+		req.Channel = g.mapper.Channel(req.Addr)
+	}
+	return req.Channel
+}
+
 // sliceMiss issues an LLC miss or writeback to the owning channel.
 func (g *GPU) sliceMiss(req *sim.MemReq, now sim.Cycle) bool {
-	return g.chans[g.mapper.Channel(req.Addr)].Enqueue(req)
+	return g.chans[g.homeChannel(req)].Enqueue(req)
+}
+
+// retirePageCopyRead reports whether a finished DRAM read is page-copy
+// traffic, which has no consumer, and retires it if so.
+func (g *GPU) retirePageCopyRead(req *sim.MemReq) bool {
+	if req.SM >= 0 || req.Kind != sim.Load {
+		return false
+	}
+	g.reqs.Put(req)
+	return true
 }
 
 // memRespond routes a finished DRAM read back to the slice that missed.
 func (g *GPU) memRespond(req *sim.MemReq) {
-	if req.SM < 0 && req.Kind == sim.Load {
-		return // page-copy read: no consumer
+	if g.retirePageCopyRead(req) {
+		return
 	}
 	g.slices[req.Slice].AcceptFill(req, g.cycle)
 }

@@ -27,9 +27,24 @@ type bank struct {
 	readyAct int64
 	readyCAS int64
 	readyPre int64
-	// openedFor marks the request whose conflict opened the current row;
-	// its own CAS is a row miss, not a hit.
-	openedFor *sim.MemReq
+	// openedFor is the queue sequence number of the request whose
+	// conflict opened the current row — its own CAS is a row miss, not a
+	// hit — and 0 once a CAS has reached the bank. A number, not the
+	// request's address: requests are recycled (sim.ReqPool), sequence
+	// numbers are not.
+	openedFor uint64
+}
+
+// entry is one queued request with everything the scheduler asks about
+// it, decoded once at Enqueue: the two FR-FCFS passes read entries and
+// bank state only — no address hashing, no request dereference.
+type entry struct {
+	req   *sim.MemReq
+	row   uint64
+	seq   uint64 // per-channel arrival number, from 1
+	bank  uint8  // Config.Validate bounds BanksPerChan at 64
+	group uint8
+	store bool // req.Kind == sim.Store: a write burst, completes silently
 }
 
 type completion struct {
@@ -45,12 +60,20 @@ type Channel struct {
 	mapper *addrmap.Mapper
 	t      config.HBMTiming
 
-	queue *sim.Queue[*sim.MemReq]
-	banks []bank
+	// queue holds the pending requests oldest first, in a flat slice of
+	// capacity MemQueueDepth: scans are a range loop and a removal is
+	// one copy over at most that many small entries.
+	queue    []entry
+	seq      uint64
+	banks    []bank
+	allBanks uint64 // one bit per bank: pass 2 has seen them all
 
 	busFreeAt int64 // memory cycle the data bus frees up
 	burst     int64 // data-bus cycles per 128 B transaction
-	lastActs  []int64
+	// lastActs is a ring of the four most recent ACT cycles (tFAW);
+	// numActs counts ACTs ever issued, so numActs%4 is the oldest slot.
+	lastActs [4]int64
+	numActs  int64
 
 	// Bank-group timing state. HBM splits each channel's banks into
 	// four bank groups; back-to-back commands inside one group pay the
@@ -70,6 +93,11 @@ type Channel struct {
 	// originating request; writes complete silently. The core wires this
 	// to the owning LLC slice's fill path.
 	Respond func(*sim.MemReq)
+	// Reqs is where a silently completed write retires: nothing
+	// downstream sees it again. The core installs the list its
+	// writebacks and page copies come from; nil (a channel on its own)
+	// leaves the request to the collector.
+	Reqs *sim.ReqPool
 
 	// Stats.
 	Reads      int64
@@ -110,10 +138,10 @@ func NewChannel(id int, cfg *config.Config, mapper *addrmap.Mapper) *Channel {
 		cfg:         cfg,
 		mapper:      mapper,
 		t:           cfg.Timing,
-		queue:       sim.NewQueue[*sim.MemReq](cfg.MemQueueDepth),
+		queue:       make([]entry, 0, cfg.MemQueueDepth),
 		banks:       make([]bank, cfg.BanksPerChan),
+		allBanks:    1<<uint(cfg.BanksPerChan) - 1,
 		burst:       burst,
-		lastActs:    make([]int64, 0, 4),
 		numGroups:   groups,
 		lastActAt:   -1,
 		lastCASAt:   -1,
@@ -155,7 +183,7 @@ func (c *Channel) actOK(now int64, g int) bool {
 // casOK reports whether a CAS targeting group g satisfies tCCD_L/tCCD_S
 // spacing and — for reads after a write burst — the tWTR_L/tWTR_S
 // write-to-read turnaround.
-func (c *Channel) casOK(now int64, g int, req *sim.MemReq) bool {
+func (c *Channel) casOK(now int64, g int, store bool) bool {
 	if c.lastCASAt >= 0 {
 		gap := int64(c.t.TCCDS)
 		if g == c.lastCASGroup {
@@ -165,7 +193,7 @@ func (c *Channel) casOK(now int64, g int, req *sim.MemReq) bool {
 			return false
 		}
 	}
-	if req.Kind != sim.Store && c.lastWrEndAt >= 0 {
+	if !store && c.lastWrEndAt >= 0 {
 		turn := int64(c.t.TWTRS)
 		if g == c.lastWrGroup {
 			turn = int64(c.t.TWTRL)
@@ -181,34 +209,51 @@ func (c *Channel) casOK(now int64, g int, req *sim.MemReq) bool {
 func (c *Channel) ID() int { return c.id }
 
 // CanEnqueue reports whether the request queue has room.
-func (c *Channel) CanEnqueue() bool { return !c.queue.Full() }
+func (c *Channel) CanEnqueue() bool { return len(c.queue) < cap(c.queue) }
 
-// Enqueue adds a request to the channel queue, reporting acceptance.
+// Enqueue adds a request to the channel queue, reporting acceptance. The
+// bank, bank group and row are decoded here, once per request.
 func (c *Channel) Enqueue(req *sim.MemReq) bool {
-	if !c.queue.Push(req) {
+	if !c.CanEnqueue() {
 		c.stallFull++
 		return false
 	}
+	bi := c.mapper.Bank(req.Addr)
+	c.seq++
+	c.queue = append(c.queue, entry{
+		req:   req,
+		row:   c.mapper.Row(req.Addr),
+		seq:   c.seq,
+		bank:  uint8(bi),
+		group: uint8(c.groupOf(bi)),
+		store: req.Kind == sim.Store,
+	})
 	return true
 }
 
-// QueueLen returns the number of pending requests.
-func (c *Channel) QueueLen() int { return c.queue.Len() }
+// remove drops entry i, keeping the rest in arrival order.
+func (c *Channel) remove(i int) {
+	n := len(c.queue) - 1
+	copy(c.queue[i:], c.queue[i+1:])
+	c.queue[n] = entry{} // drop the request pointer
+	c.queue = c.queue[:n]
+}
 
-// faw reports whether a fourth activate within the window would violate
+// QueueLen returns the number of pending requests.
+func (c *Channel) QueueLen() int { return len(c.queue) }
+
+// fawOK reports whether a fourth activate within the window would violate
 // tFAW at memory cycle now.
 func (c *Channel) fawOK(now int64) bool {
-	if len(c.lastActs) < 4 {
+	if c.numActs < 4 {
 		return true
 	}
-	return now-c.lastActs[len(c.lastActs)-4] >= int64(c.t.TFAW)
+	return now-c.lastActs[c.numActs%4] >= int64(c.t.TFAW)
 }
 
 func (c *Channel) recordAct(now int64, g int) {
-	c.lastActs = append(c.lastActs, now)
-	if len(c.lastActs) > 8 {
-		c.lastActs = c.lastActs[len(c.lastActs)-4:]
-	}
+	c.lastActs[c.numActs%4] = now
+	c.numActs++
 	c.lastActAt = now
 	c.lastActGroup = g
 }
@@ -231,7 +276,11 @@ func (c *Channel) Tick(now int64) {
 			break
 		}
 		c.completions.Pop()
-		if comp.req.Kind != sim.Store && c.Respond != nil {
+		if comp.req.Kind == sim.Store {
+			c.Reqs.Put(comp.req) // a write ends here
+			continue
+		}
+		if c.Respond != nil {
 			if f := c.flt; f != nil && !f.dropped && f.delivered == f.dropAfter {
 				f.dropped = true
 				continue
@@ -242,40 +291,55 @@ func (c *Channel) Tick(now int64) {
 			c.Respond(comp.req)
 		}
 	}
-	if c.queue.Empty() {
+	if len(c.queue) == 0 {
 		return
 	}
 
 	// FR-FCFS pass 1: the first request whose row is open and whose
-	// bank + data bus can take the CAS now.
-	n := c.queue.Len()
-	for i := 0; i < n; i++ {
-		req := c.queue.At(i)
-		bi := c.mapper.Bank(req.Addr)
-		b := &c.banks[bi]
-		if b.rowOpen && b.row == c.mapper.Row(req.Addr) && b.readyCAS <= now &&
-			c.busFreeAt <= c.casDataStart(now, req) && c.casOK(now, c.groupOf(bi), req) {
-			c.issueCAS(now, req, b, c.groupOf(bi), b.openedFor != req)
-			b.openedFor = nil
-			c.queue.RemoveAt(i)
+	// bank + data bus can take the CAS now. Whether the bus is free by
+	// the time the burst would start depends only on the kind, so it is
+	// decided here, once; with the bus taken for both kinds no CAS can
+	// issue and the scan is skipped.
+	rdBus := c.busFreeAt <= now+int64(c.t.TCL)
+	wrBus := c.busFreeAt <= now+int64(c.t.TWL)
+	if rdBus || wrBus {
+		for i := range c.queue {
+			e := &c.queue[i]
+			b := &c.banks[e.bank]
+			if !b.rowOpen || b.row != e.row || b.readyCAS > now {
+				continue
+			}
+			if e.store {
+				if !wrBus {
+					continue
+				}
+			} else if !rdBus {
+				continue
+			}
+			if !c.casOK(now, int(e.group), e.store) {
+				continue
+			}
+			c.issueCAS(now, e, b, b.openedFor != e.seq)
+			b.openedFor = 0
+			c.remove(i)
 			return
 		}
 	}
 	// Pass 2: issue one PRE or ACT for the oldest request of some bank,
 	// preserving bank-level parallelism — considering only each bank's
-	// oldest request avoids thrashing rows under younger requests.
+	// oldest request avoids thrashing rows under younger requests. Once
+	// every bank has shown its oldest request the rest cannot matter.
 	var seen uint64
-	for i := 0; i < n; i++ {
-		req := c.queue.At(i)
-		bi := c.mapper.Bank(req.Addr)
-		if seen&(1<<uint(bi)) != 0 {
+	for i := range c.queue {
+		e := &c.queue[i]
+		bit := uint64(1) << e.bank
+		if seen&bit != 0 {
 			continue
 		}
-		seen |= 1 << uint(bi)
-		b := &c.banks[bi]
-		row := c.mapper.Row(req.Addr)
+		seen |= bit
+		b := &c.banks[e.bank]
 		switch {
-		case b.rowOpen && b.row == row:
+		case b.rowOpen && b.row == e.row:
 			// Waiting on tRCD or the data bus; pass 1 issues the CAS
 			// when it becomes legal. No command for this bank.
 		case b.rowOpen: // row conflict: precharge
@@ -285,32 +349,30 @@ func (c *Channel) Tick(now int64) {
 				return
 			}
 		default: // closed: activate
-			if b.readyAct <= now && c.actOK(now, c.groupOf(bi)) && c.fawOK(now) {
+			if b.readyAct <= now && c.actOK(now, int(e.group)) && c.fawOK(now) {
 				b.rowOpen = true
-				b.row = row
+				b.row = e.row
 				b.readyCAS = now + int64(c.t.TRCD)
 				b.readyPre = now + int64(c.t.TRAS)
 				b.readyAct = now + int64(c.t.TRC)
-				b.openedFor = req
-				c.recordAct(now, c.groupOf(bi))
+				b.openedFor = e.seq
+				c.recordAct(now, int(e.group))
 				c.RowMisses++
 				return
 			}
 		}
+		if seen == c.allBanks {
+			return
+		}
 	}
 }
 
-// casDataStart returns the memory cycle the data burst would start if the
-// CAS issued at now.
-func (c *Channel) casDataStart(now int64, req *sim.MemReq) int64 {
-	if req.Kind == sim.Store {
-		return now + int64(c.t.TWL)
+func (c *Channel) issueCAS(now int64, e *entry, b *bank, rowHit bool) {
+	g := int(e.group)
+	start := now + int64(c.t.TCL)
+	if e.store {
+		start = now + int64(c.t.TWL)
 	}
-	return now + int64(c.t.TCL)
-}
-
-func (c *Channel) issueCAS(now int64, req *sim.MemReq, b *bank, g int, rowHit bool) {
-	start := c.casDataStart(now, req)
 	end := start + c.burst
 	c.busFreeAt = end
 	c.BusyCycles += c.burst
@@ -320,7 +382,7 @@ func (c *Channel) issueCAS(now int64, req *sim.MemReq, b *bank, g int, rowHit bo
 	if rowHit {
 		c.RowHits++
 	}
-	if req.Kind == sim.Store {
+	if e.store {
 		c.Writes++
 		c.lastWrEndAt = end
 		c.lastWrGroup = g
@@ -329,12 +391,12 @@ func (c *Channel) issueCAS(now int64, req *sim.MemReq, b *bank, g int, rowHit bo
 		c.Reads++
 		b.readyPre = max64(b.readyPre, now+int64(c.t.TRTP))
 	}
-	c.completions.Push(completion{done: end, req: req})
+	c.completions.Push(completion{done: end, req: e.req})
 }
 
 // Pending reports whether any request or in-flight burst remains.
 func (c *Channel) Pending() bool {
-	return !c.queue.Empty() || !c.completions.Empty()
+	return len(c.queue) > 0 || !c.completions.Empty()
 }
 
 // NextEvent returns the earliest memory cycle at which the channel could
@@ -344,7 +406,7 @@ func (c *Channel) Pending() bool {
 // pushed in data-bus order (busFreeAt serializes bursts), so the head's
 // done cycle is the minimum in flight.
 func (c *Channel) NextEvent() (int64, bool) {
-	if !c.queue.Empty() {
+	if len(c.queue) > 0 {
 		return 0, true
 	}
 	if comp, ok := c.completions.Peek(); ok {
@@ -358,7 +420,7 @@ func (c *Channel) NextEvent() (int64, bool) {
 // trackers and every pending burst completion. The traffic counters are
 // accounting and excluded.
 func (c *Channel) StateSig() uint64 {
-	h := sim.MixSig(sim.SigSeed, uint64(c.queue.Len()))
+	h := sim.MixSig(sim.SigSeed, uint64(len(c.queue)))
 	for i := range c.banks {
 		b := &c.banks[i]
 		h = sim.MixSigBool(h, b.rowOpen)
@@ -394,12 +456,12 @@ func max64(a, b int64) int64 {
 
 // DebugState summarizes controller state for stall diagnosis.
 func (c *Channel) DebugState(now int64) string {
-	s := fmt.Sprintf("q=%d busFree=%+d comps=%d", c.queue.Len(), c.busFreeAt-now, c.completions.Len())
-	if c.queue.Len() > 0 {
-		req := c.queue.At(0)
-		b := &c.banks[c.mapper.Bank(req.Addr)]
+	s := fmt.Sprintf("q=%d busFree=%+d comps=%d", len(c.queue), c.busFreeAt-now, c.completions.Len())
+	if len(c.queue) > 0 {
+		e := &c.queue[0]
+		b := &c.banks[e.bank]
 		s += fmt.Sprintf(" head={%v addr=%#x bank=%d grp=%d} bank={open=%v row=%d rdyAct=%+d rdyCAS=%+d rdyPre=%+d} lastAct=%+d",
-			req.Kind, req.Addr, c.mapper.Bank(req.Addr), c.groupOf(c.mapper.Bank(req.Addr)),
+			e.req.Kind, e.req.Addr, e.bank, e.group,
 			b.rowOpen, b.row, b.readyAct-now, b.readyCAS-now, b.readyPre-now, c.lastActAt-now)
 	}
 	return s

@@ -68,6 +68,10 @@ func (l *Launch) Validate() error {
 type Value struct {
 	lanes  *[WarpSize]int64
 	scalar int64
+	// spare is the lane vector the value held before it last went
+	// uniform, kept so the next spread — or the next warp to take over
+	// this register file (Warp.Reset) — does not allocate another.
+	spare *[WarpSize]int64
 }
 
 // Uniform reports whether all lanes share one scalar.
@@ -82,16 +86,24 @@ func (v *Value) Lane(l int) int64 {
 }
 
 // setUniform makes v uniform with the given scalar.
-func (v *Value) setUniform(x int64) { v.lanes, v.scalar = nil, x }
+func (v *Value) setUniform(x int64) {
+	if v.lanes != nil {
+		v.spare = v.lanes
+	}
+	v.lanes, v.scalar = nil, x
+}
 
 // spread converts v to per-lane form.
 func (v *Value) spread() *[WarpSize]int64 {
 	if v.lanes == nil {
-		var a [WarpSize]int64
+		a := v.spare
+		if a == nil {
+			a = new([WarpSize]int64)
+		}
 		for i := range a {
 			a[i] = v.scalar
 		}
-		v.lanes = &a
+		v.lanes = a
 	}
 	return v.lanes
 }
@@ -213,6 +225,16 @@ func (w *Warp) resolve(o Operand) laneRef {
 
 // NewWarp returns warp warpInCTA of CTA cta, ready at PC 0.
 func NewWarp(l *Launch, cta, warpInCTA int) *Warp {
+	w := &Warp{}
+	w.Reset(l, cta, warpInCTA)
+	return w
+}
+
+// Reset makes w warp warpInCTA of CTA cta of launch l, ready at PC 0 —
+// exactly the warp NewWarp returns — reusing the register file and the
+// lane vectors w already owns. A hardware warp slot runs many warps over
+// a kernel; this is what lets it do so without allocating.
+func (w *Warp) Reset(l *Launch, cta, warpInCTA int) {
 	threads := l.CTAThreads - warpInCTA*WarpSize
 	if threads > WarpSize {
 		threads = WarpSize
@@ -223,18 +245,32 @@ func NewWarp(l *Launch, cta, warpInCTA int) *Warp {
 	} else {
 		mask = (1 << uint(threads)) - 1
 	}
-	w := &Warp{
+	regs, preds := w.Regs, w.Preds
+	if cap(regs) < l.Kernel.NumRegs {
+		regs = make([]Value, l.Kernel.NumRegs)
+	} else {
+		regs = regs[:l.Kernel.NumRegs]
+		for i := range regs {
+			regs[i].setUniform(0)
+		}
+	}
+	if cap(preds) < l.Kernel.NumPreds {
+		preds = make([]uint32, l.Kernel.NumPreds)
+	} else {
+		preds = preds[:l.Kernel.NumPreds]
+		clear(preds)
+	}
+	*w = Warp{
 		L:          l,
 		CTA:        cta,
 		WarpInCTA:  warpInCTA,
 		ActiveMask: mask,
-		Regs:       make([]Value, l.Kernel.NumRegs),
-		Preds:      make([]uint32, l.Kernel.NumPreds),
+		Regs:       regs,
+		Preds:      preds,
 	}
 	for i := range w.tidLanes {
 		w.tidLanes[i] = int64(warpInCTA*WarpSize + i)
 	}
-	return w
 }
 
 // Current returns the instruction at PC, or nil if the warp has exited.

@@ -508,3 +508,85 @@ func TestKernelStringAndIndex(t *testing.T) {
 		t.Fatal("String() empty")
 	}
 }
+
+// resetKernel mixes what a reused warp could carry over: laneful and
+// uniform values in the same register at different times, a predicate, a
+// loop, loads and a store.
+const resetKernel = `
+.kernel reuse
+.param .ptr A
+.param .ptr B
+.param .u64 n
+  mov r0, %tid
+  mov r1, %ctaid
+  mad r2, r1, 64, r0
+  mov r3, 0
+  mov r6, 7
+loop:
+  shl r4, r2, 3
+  ld.global.u64 r5, [A + r4]
+  add r6, r6, r5
+  mov r5, 1
+  add r2, r2, 256
+  add r3, r3, 1
+  setp.lt p0, r3, n
+  @p0 bra loop
+  shl r4, r0, 3
+  st.global.u64 [B + r4], r6
+  exit
+`
+
+// TestWarpResetMatchesNewWarp: a warp object that has already run one
+// warp to completion and is Reset to another behaves exactly as the warp
+// NewWarp builds — same instruction stream, same addresses, same final
+// registers — and a reused warp runs without allocating.
+func TestWarpResetMatchesNewWarp(t *testing.T) {
+	l := simpleLaunch(t, resetKernel, []int64{5},
+		[]Binding{{Base: 1 << 20, Size: 1 << 16}, {Base: 1 << 24, Size: 1 << 16}})
+
+	reused := NewWarp(l, 0, 0)
+	execAll(t, reused, 1000)
+	for _, id := range []struct{ cta, w int }{{3, 1}, {1, 0}, {2, 1}} {
+		reused.Reset(l, id.cta, id.w)
+		fresh := NewWarp(l, id.cta, id.w)
+		if reused.PC != 0 || reused.Exited || reused.ActiveMask != fresh.ActiveMask {
+			t.Fatalf("cta %d warp %d: Reset left PC=%d exited=%v mask=%#x", id.cta, id.w, reused.PC, reused.Exited, reused.ActiveMask)
+		}
+		gotOps, gotMems := execAll(t, reused, 1000)
+		wantOps, wantMems := execAll(t, fresh, 1000)
+		if len(gotMems) != len(wantMems) {
+			t.Fatalf("cta %d warp %d: %d memory accesses, fresh warp %d", id.cta, id.w, len(gotMems), len(wantMems))
+		}
+		for i := range gotMems {
+			if gotMems[i] != wantMems[i] {
+				t.Fatalf("cta %d warp %d: access %d differs\n got %+v\nwant %+v", id.cta, id.w, i, gotMems[i], wantMems[i])
+			}
+		}
+		for op, n := range wantOps {
+			if gotOps[op] != n {
+				t.Fatalf("cta %d warp %d: %d x %v, fresh warp %d", id.cta, id.w, gotOps[op], op, n)
+			}
+		}
+		for r := range fresh.Regs {
+			for lane := 0; lane < WarpSize; lane++ {
+				if g, w := reused.Regs[r].Lane(lane), fresh.Regs[r].Lane(lane); g != w {
+					t.Fatalf("cta %d warp %d: r%d lane %d = %d, fresh warp %d", id.cta, id.w, r, lane, g, w)
+				}
+			}
+			if reused.Regs[r].Uniform() != fresh.Regs[r].Uniform() {
+				t.Fatalf("cta %d warp %d: r%d uniformity differs", id.cta, id.w, r)
+			}
+		}
+	}
+
+	var mem MemInfo
+	allocs := testing.AllocsPerRun(20, func() {
+		reused.Reset(l, 1, 1)
+		for !reused.Exited {
+			reused.Exec(&mem)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a reused warp allocated %.0f objects per run", allocs)
+	}
+}

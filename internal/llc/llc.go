@@ -69,6 +69,11 @@ type Slice struct {
 	SendMiss    func(req *sim.MemReq, now sim.Cycle) bool
 	SendForward func(req *sim.MemReq, now sim.Cycle) bool
 	StoreDone   func(req *sim.MemReq, now sim.Cycle)
+	// Reqs is the list the slice's writebacks are drawn from and the
+	// requests that end in the slice (invalidations, absorbed
+	// writebacks) retire to. Installed by the core; nil (a slice on its
+	// own) allocates and drops.
+	Reqs *sim.ReqPool
 
 	// Invalidations counts coherence invalidations applied (SM-side UBA).
 	Invalidations int64
@@ -186,8 +191,7 @@ func (s *Slice) StateSig() uint64 {
 // caller draining the outbox.
 func (s *Slice) Flush(now sim.Cycle) {
 	for _, line := range s.tags.InvalidateAll() {
-		wb := &sim.MemReq{Kind: sim.Store, Addr: line, Size: sim.LineSize, SM: -1, Slice: s.ID, ReplicaSlice: -1}
-		s.outbox.Push(completion{ready: now, kind: outToMem, req: wb})
+		s.outbox.Push(completion{ready: now, kind: outToMem, req: s.newWriteback(line)})
 	}
 }
 
@@ -302,6 +306,7 @@ func (s *Slice) process(req *sim.MemReq, now sim.Cycle) bool {
 		s.tags.Invalidate(req.Addr)
 		s.Invalidations++
 		s.stats.CoherenceInvalidations++
+		s.Reqs.Put(req) // no reply: the invalidation ends here
 		return true
 	}
 
@@ -317,6 +322,7 @@ func (s *Slice) process(req *sim.MemReq, now sim.Cycle) bool {
 			if wb {
 				s.pushWriteback(victim, done)
 			}
+			s.Reqs.Put(req)
 			return true
 		}
 		s.stats.LLCAccesses++
@@ -361,8 +367,14 @@ func (s *Slice) process(req *sim.MemReq, now sim.Cycle) bool {
 }
 
 func (s *Slice) pushWriteback(victim uint64, at sim.Cycle) {
-	wb := &sim.MemReq{Kind: sim.Store, Addr: victim, Size: sim.LineSize, SM: -1, Slice: s.ID, ReplicaSlice: -1}
-	s.pipe.Push(completion{ready: at, kind: outToMem, req: wb})
+	s.pipe.Push(completion{ready: at, kind: outToMem, req: s.newWriteback(victim)})
+}
+
+// newWriteback builds the store that carries a dirty line to memory. It
+// has no SM and no reply; the memory controller retires it when the
+// write burst completes.
+func (s *Slice) newWriteback(line uint64) *sim.MemReq {
+	return s.Reqs.Get(sim.MemReq{Kind: sim.Store, Addr: line, Size: sim.LineSize, SM: -1, Slice: s.ID, Channel: -1, ReplicaSlice: -1})
 }
 
 // AcceptFill handles data returning from the memory controller (home

@@ -55,7 +55,9 @@ func (k ReqKind) String() string {
 // A MemReq is created by an SM's load/store unit, travels through the L1,
 // the interconnect, an LLC slice and possibly DRAM, and is finally returned
 // to the SM as a reply. The same value is reused for the reply to avoid
-// allocation churn; direction is implied by which queue carries it.
+// allocation churn; direction is implied by which queue carries it. Whoever
+// created it retires it to a ReqPool, after which the object is another
+// access's: nothing may hold the pointer past that hand-off.
 type MemReq struct {
 	// ID is a globally unique request identifier, assigned by the SM.
 	ID uint64
@@ -84,7 +86,9 @@ type MemReq struct {
 	// policy. For replicated requests this remains the home slice; the
 	// replica slice is carried in ReplicaSlice.
 	Slice int
-	// Channel is the home memory channel.
+	// Channel is the home memory channel, decoded once where the request
+	// is created or first routed and read by everything that routes
+	// toward memory; -1 until then.
 	Channel int
 	// ReplicaSlice is the local slice that holds (or will hold) a
 	// replica when the request takes the replication path; -1 otherwise.
@@ -108,6 +112,11 @@ type MemReq struct {
 	// Inval marks an SM-side UBA coherence invalidation: the receiving
 	// slice drops the line and produces no reply.
 	Inval bool
+
+	// pool is the free list that handed the request out (nil for one
+	// built with a literal); idle marks it returned. See ReqPool.
+	pool *ReqPool
+	idle bool
 }
 
 // IsWrite reports whether the request modifies memory.

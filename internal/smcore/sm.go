@@ -44,16 +44,29 @@ type lineReq struct {
 	readyAt sim.Cycle
 }
 
-// memAccess is a warp memory instruction in flight in the LSU.
+// memAccess is a warp memory instruction in flight in the LSU. Accesses
+// are recycled through SM.freeAcc: enqueueMem takes one, tickLSU returns
+// it when the access leaves the LSU.
 type memAccess struct {
 	warp     int // warp slot
 	store    bool
 	atomic   bool
 	ro       bool
 	dstReg   int8
-	lines    []lineReq
-	nextLine int
 	writable bool // the target buffer is read-write (for fault metadata)
+	nextLine int
+	n        int // coalesced lines in use: lines[:n]
+	// walkAt is the cycle lines[nextLine] missed the L1 TLB and went to
+	// the shared VM system; walked is the completion callback handed to
+	// VMRequest, bound once when the access is first built rather than
+	// once per miss. One callback is enough because the LSU works on
+	// lines in order, so only lines[nextLine] can be mid-translation —
+	// and it is safe to point into a recycled object because an access
+	// with a line still translating never leaves the LSU.
+	walkAt sim.Cycle
+	walked func()
+	// One line per lane is the most a warp instruction coalesces to.
+	lines [kir.WarpSize]lineReq
 }
 
 // warpSlot is one hardware warp context.
@@ -114,7 +127,12 @@ type SM struct {
 	order [][]int
 
 	lsu       *sim.Queue[*memAccess]
+	freeAcc   []*memAccess
+	accMade   int // memAccess objects ever allocated; all on freeAcc when the LSU is empty
 	sendQueue *sim.Queue[*sim.MemReq]
+	// reqs recycles the requests this SM creates: every one of them
+	// comes back through AcceptReply, where it retires.
+	reqs sim.ReqPool
 
 	// Send injects a request into the interconnect; installed by the
 	// core. It returns false on back-pressure and the SM retries.
@@ -135,7 +153,8 @@ type SM struct {
 	// path).
 	reqSeq uint64
 
-	scratch kir.MemInfo
+	pageShift uint // log2(cfg.PageSize)
+	scratch   kir.MemInfo
 
 	// flt is the nil-gated fault-injection hook (never set outside
 	// tests; see InjectWedge).
@@ -170,8 +189,20 @@ func New(id, part int, cfg *config.Config, stats *metrics.Stats,
 	for i := range s.greedy {
 		s.greedy[i] = -1
 	}
+	for p := cfg.PageSize; p > 1; p >>= 1 {
+		s.pageShift++
+	}
 	return s
 }
+
+// LiveRequests returns how many requests the SM has created and not yet
+// seen retire: zero whenever the SM and everything downstream of it have
+// drained.
+func (s *SM) LiveRequests() int64 { return s.reqs.Live() }
+
+// LiveAccesses returns how many LSU access records are off the SM's free
+// list: the LSU's occupancy, and zero once it has drained.
+func (s *SM) LiveAccesses() int { return s.accMade - len(s.freeAcc) }
 
 // L1 exposes the data cache (for flushes and tests).
 func (s *SM) L1() *cache.Cache { return s.l1 }
@@ -224,11 +255,18 @@ func (s *SM) fillCTAs() {
 			s.ctas = append(s.ctas, ctaState{})
 			ctaSlot = len(s.ctas) - 1
 		}
+		cs.slots = s.ctas[ctaSlot].slots[:0]
 		for wi := 0; wi < wpc; wi++ {
 			slot := s.takeSlot()
 			ws := &s.warps[slot]
+			// The slot keeps its warp object across the warps it runs.
+			w := ws.w
+			if w == nil {
+				w = new(kir.Warp)
+			}
+			w.Reset(s.launch, ctaID, wi)
 			*ws = warpSlot{
-				w:       kir.NewWarp(s.launch, ctaID, wi),
+				w:       w,
 				valid:   true,
 				ctaSlot: ctaSlot,
 				age:     s.nextAge,
@@ -290,7 +328,7 @@ func (s *SM) NextWake(now sim.Cycle) sim.Cycle {
 	wake := sim.Never
 	for i := 0; i < s.lsu.Len(); i++ {
 		acc := s.lsu.At(i)
-		if acc.nextLine >= len(acc.lines) {
+		if acc.nextLine >= acc.n {
 			return now + 1 // finished access awaiting removal
 		}
 		switch line := &acc.lines[acc.nextLine]; line.state {
@@ -354,7 +392,7 @@ func (s *SM) StateSig() uint64 {
 		acc := s.lsu.At(i)
 		h = sim.MixSig(h, uint64(acc.warp))
 		h = sim.MixSig(h, uint64(acc.nextLine))
-		for j := acc.nextLine; j < len(acc.lines); j++ {
+		for j := acc.nextLine; j < acc.n; j++ {
 			h = sim.MixSig(h, uint64(acc.lines[j].state))
 			h = sim.MixSig(h, uint64(acc.lines[j].readyAt))
 		}
@@ -515,13 +553,12 @@ func (s *SM) execWarp(slot int, now sim.Cycle) {
 func (s *SM) enqueueMem(slot int, res kir.StepInfo, now sim.Cycle) {
 	ws := &s.warps[slot]
 	m := &s.scratch
-	acc := &memAccess{
-		warp:   slot,
-		store:  m.Store,
-		atomic: m.Atomic,
-		ro:     m.RO,
-		dstReg: res.DstReg,
-	}
+	acc := s.newAccess()
+	acc.warp = slot
+	acc.store = m.Store
+	acc.atomic = m.Atomic
+	acc.ro = m.RO
+	acc.dstReg = res.DstReg
 	// The target buffer's writability feeds the fault path (page
 	// replication never clones writable pages).
 	acc.writable = !s.launch.Kernel.Buffers[m.Buf].ReadOnly
@@ -534,29 +571,52 @@ func (s *SM) enqueueMem(slot int, res kir.StepInfo, now sim.Cycle) {
 		}
 		la := m.Addrs[l] &^ uint64(sim.LineSize-1)
 		found := false
-		for i := range acc.lines {
+		for i := 0; i < acc.n; i++ {
 			if acc.lines[i].vaddr == la {
 				found = true
 				break
 			}
 		}
 		if !found {
-			acc.lines = append(acc.lines, lineReq{vaddr: la})
+			acc.lines[acc.n] = lineReq{vaddr: la}
+			acc.n++
 		}
 	}
-	if len(acc.lines) == 0 {
+	if acc.n == 0 {
+		s.freeAcc = append(s.freeAcc, acc)
 		return
 	}
 	if res.DstReg >= 0 {
 		// The destination becomes ready only when every line returns.
 		ws.regReadyAt[res.DstReg] = pendingForever
-		ws.regPending[res.DstReg] += int16(len(acc.lines))
+		ws.regPending[res.DstReg] += int16(acc.n)
 	}
 	// Outstanding work is counted here, not at L1-access time: a warp
 	// slot must not recycle while the LSU or send queue still hold its
 	// accesses.
-	ws.outstanding += len(acc.lines)
+	ws.outstanding += acc.n
 	s.lsu.Push(acc)
+}
+
+// newAccess returns an empty access: a recycled one with everything but
+// its bound callback reset (lines are overwritten as they are added), or
+// a new one with the callback bound.
+func (s *SM) newAccess() *memAccess {
+	if n := len(s.freeAcc); n > 0 {
+		acc := s.freeAcc[n-1]
+		s.freeAcc = s.freeAcc[:n-1]
+		acc.nextLine, acc.n = 0, 0
+		return acc
+	}
+	acc := &memAccess{}
+	acc.walked = func() { s.finishWalk(acc) }
+	s.accMade++
+	return acc
+}
+
+// retireAccess removes the finished access at LSU position i.
+func (s *SM) retireAccess(i int) {
+	s.freeAcc = append(s.freeAcc, s.lsu.RemoveAt(i))
 }
 
 // tickLSU processes up to LSUOpsPerCycle line operations per cycle:
@@ -570,8 +630,8 @@ func (s *SM) tickLSU(now sim.Cycle) {
 	ops := 0
 	for i := 0; ops < LSUOpsPerCycle && i < s.lsu.Len(); {
 		acc := s.lsu.At(i)
-		if acc.nextLine >= len(acc.lines) {
-			s.lsu.RemoveAt(i)
+		if acc.nextLine >= acc.n {
+			s.retireAccess(i)
 			continue
 		}
 		line := &acc.lines[acc.nextLine]
@@ -606,8 +666,8 @@ func (s *SM) tickLSU(now sim.Cycle) {
 			line.state = lineDone
 			acc.nextLine++
 			ops++
-			if acc.nextLine >= len(acc.lines) {
-				s.lsu.RemoveAt(i)
+			if acc.nextLine >= acc.n {
+				s.retireAccess(i)
 			}
 		case lineDone:
 			acc.nextLine++
@@ -618,7 +678,7 @@ func (s *SM) tickLSU(now sim.Cycle) {
 // translate resolves the line's physical address. It returns false when
 // the access could make no progress this cycle.
 func (s *SM) translate(acc *memAccess, line *lineReq, now sim.Cycle) bool {
-	vpn := line.vaddr >> s.pageShift()
+	vpn := line.vaddr >> s.pageShift
 	s.stats.TLBAccesses++
 	if s.l1TLB.Lookup(vpn, now) {
 		if !s.finishTranslate(line, vpn, now) {
@@ -630,18 +690,22 @@ func (s *SM) translate(acc *memAccess, line *lineReq, now sim.Cycle) bool {
 	if s.hist != nil {
 		s.hist.Touch(vpn, s.ID)
 	}
-	lineRef := line
-	accepted := s.VMRequest(s.Part, vpn, acc.writable, now, func() {
-		s.l1TLB.Insert(vpn, now)
-		lineRef.state = lineTranslated
-		// The physical frame is resolved when the LSU next processes the
-		// line, so a migration that lands in between stays coherent.
-	})
-	if !accepted {
+	if !s.VMRequest(s.Part, vpn, acc.writable, now, acc.walked) {
 		return false
 	}
+	acc.walkAt = now
 	line.state = lineTranslating
 	return true
+}
+
+// finishWalk is acc.walked: the shared VM system resolved the page of the
+// line acc is parked on. The L1 TLB entry is stamped with the cycle of the
+// miss. The physical frame is resolved when the LSU next processes the
+// line, so a migration that lands in between stays coherent.
+func (s *SM) finishWalk(acc *memAccess) {
+	line := &acc.lines[acc.nextLine]
+	s.l1TLB.Insert(line.vaddr>>s.pageShift, acc.walkAt)
+	line.state = lineTranslated
 }
 
 // finishTranslate fills line.paddr from the driver's current mapping.
@@ -655,25 +719,18 @@ func (s *SM) finishTranslate(line *lineReq, vpn uint64, now sim.Cycle) bool {
 		// re-mark the line. Treat as no progress.
 		return false
 	}
-	line.paddr = ppn<<s.pageShift() | (line.vaddr & (s.cfg.PageSize - 1))
+	line.paddr = ppn<<s.pageShift | (line.vaddr & (s.cfg.PageSize - 1))
 	line.state = lineTranslated
 	return true
 }
 
-func (s *SM) pageShift() uint {
-	sh := uint(0)
-	for p := s.cfg.PageSize; p > 1; p >>= 1 {
-		sh++
-	}
-	return sh
-}
-
 // accessL1 performs the L1 lookup for a translated line and creates the
 // downstream request on a miss. It returns false if it could not complete
-// this cycle (MSHR or send queue full).
+// this cycle (MSHR or send queue full); a refused line has created
+// nothing — no request, no request id — so a retry costs only the lookup.
 func (s *SM) accessL1(acc *memAccess, line *lineReq, now sim.Cycle) bool {
 	if line.paddr == 0 {
-		vpn := line.vaddr >> s.pageShift()
+		vpn := line.vaddr >> s.pageShift
 		if !s.finishTranslate(line, vpn, now) {
 			return false
 		}
@@ -710,22 +767,19 @@ func (s *SM) accessL1(acc *memAccess, line *lineReq, now sim.Cycle) bool {
 		return true
 	}
 	la := s.l1.LineAddr(line.paddr)
-	if _, merged, ok := s.l1MSHR.Allocate(la, s.newReq(acc, line, now), now); !ok {
+	// A miss either rides behind an outstanding fill of its line or is
+	// the primary, which needs an MSHR entry and must actually go out.
+	merge, ok := s.l1MSHR.Admit(la)
+	if !ok || (!merge && s.sendQueue.Full()) {
 		s.stats.L1Accesses-- // retried next cycle: don't double count
-		return false         // MSHR full
-	} else if merged {
-		s.stats.L1Misses++
-		return true // rides behind the primary miss
-	}
-	if s.sendQueue.Full() {
-		// Roll back: the primary must actually go out.
-		s.l1MSHR.Release(la)
-		s.stats.L1Accesses--
 		return false
 	}
 	s.stats.L1Misses++
-	entry, _ := s.l1MSHR.Lookup(la)
-	s.sendQueue.Push(entry.Primary)
+	req := s.newReq(acc, line, now)
+	s.l1MSHR.Allocate(la, req, now)
+	if !merge {
+		s.sendQueue.Push(req)
+	}
 	return true
 }
 
@@ -742,7 +796,7 @@ func (s *SM) newReq(acc *memAccess, line *lineReq, now sim.Cycle) *sim.MemReq {
 		dst = acc.dstReg
 	}
 	s.reqSeq++
-	return &sim.MemReq{
+	return s.reqs.Get(sim.MemReq{
 		ID:           uint64(s.ID+1)<<40 | s.reqSeq,
 		Kind:         kind,
 		Addr:         s.l1.LineAddr(line.paddr),
@@ -752,9 +806,10 @@ func (s *SM) newReq(acc *memAccess, line *lineReq, now sim.Cycle) *sim.MemReq {
 		SM:           s.ID,
 		Warp:         acc.warp,
 		DstReg:       dst,
+		Channel:      -1, // decoded by Send
 		ReplicaSlice: -1,
 		Issue:        now,
-	}
+	})
 }
 
 // completeLine credits one returned (or L1-hit) line toward the warp's
@@ -784,6 +839,7 @@ func (s *SM) AcceptReply(req *sim.MemReq, now sim.Cycle) {
 			panic(fmt.Sprintf("SM%d warp %d negative outstanding on store id=%d addr=%#x", s.ID, req.Warp, req.ID, req.Addr))
 		}
 		s.maybeRecycle(req.Warp)
+		s.reqs.Put(req)
 		return
 	}
 	s.stats.Replies++
@@ -806,12 +862,15 @@ func (s *SM) AcceptReply(req *sim.MemReq, now sim.Cycle) {
 	s.finishLoad(req, now)
 }
 
+// finishLoad completes one load or atomic at its warp and retires the
+// request: nothing reads req after this.
 func (s *SM) finishLoad(req *sim.MemReq, now sim.Cycle) {
 	s.warps[req.Warp].outstanding--
 	if s.warps[req.Warp].outstanding < 0 {
 		panic(fmt.Sprintf("SM%d warp %d negative outstanding on load id=%d addr=%#x merged=%v", s.ID, req.Warp, req.ID, req.Addr, req.MergedBehind))
 	}
 	s.completeLine(req.Warp, req.DstReg, now)
+	s.reqs.Put(req)
 }
 
 // maybeRecycle frees an exited warp's slot once its traffic drained, and

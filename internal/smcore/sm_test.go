@@ -26,9 +26,16 @@ type testRig struct {
 
 func newRig(t *testing.T, delay sim.Cycle) *testRig {
 	t.Helper()
+	return newRigWith(t, delay, func(*config.Config) {})
+}
+
+// newRigWith is newRig with the configuration adjusted by mut.
+func newRigWith(t *testing.T, delay sim.Cycle, mut func(*config.Config)) *testRig {
+	t.Helper()
 	cfg := config.Baseline()
 	cfg.WarpsPerSM = 16
 	cfg.MaxCTAsPerSM = 4
+	mut(&cfg)
 	m := addrmap.New(&cfg)
 	drv := driver.New(&cfg, m)
 	st := &metrics.Stats{}

@@ -1,8 +1,6 @@
 package vm
 
 import (
-	"container/heap"
-
 	"github.com/nuba-gpu/nuba/internal/config"
 	"github.com/nuba-gpu/nuba/internal/driver"
 	"github.com/nuba-gpu/nuba/internal/metrics"
@@ -28,9 +26,15 @@ type System struct {
 	walkersBusy int
 	walkQueue   *sim.Queue[*walk]
 	walks       map[uint64]*walk // in-flight walks by VPN (merged)
+	// freeWalks holds finished walk records for the next L2 TLB miss;
+	// a recycled record keeps its waiters backing array.
+	freeWalks []*walk
 
 	events   eventHeap
 	lastTick sim.Cycle
+	// release is releaseWalker as a func value, bound once: the fault
+	// path schedules it as an event.
+	release func()
 }
 
 type walk struct {
@@ -50,23 +54,52 @@ type event struct {
 	walkerFreed bool
 }
 
+// eventHeap is a binary min-heap on ready. push and pop sift exactly as
+// container/heap does — events that tie on ready fire in the order that
+// package would fire them, which the simulated timing depends on — but on
+// the concrete type, so scheduling an event boxes nothing.
 type eventHeap []event
 
-func (h eventHeap) Len() int            { return len(h) }
-func (h eventHeap) Less(i, j int) bool  { return h[i].ready < h[j].ready }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	ev := *h
+	for j := len(ev) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || ev[j].ready >= ev[i].ready {
+			break
+		}
+		ev[i], ev[j] = ev[j], ev[i]
+		j = i
+	}
+}
+
+func (h *eventHeap) pop() event {
+	ev := *h
+	n := len(ev) - 1
+	ev[0], ev[n] = ev[n], ev[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n || j < 0 {
+			break
+		}
+		if r := j + 1; r < n && ev[r].ready < ev[j].ready {
+			j = r
+		}
+		if ev[j].ready >= ev[i].ready {
+			break
+		}
+		ev[i], ev[j] = ev[j], ev[i]
+		i = j
+	}
+	e := ev[n]
+	ev[n] = event{} // drop the callback and walk pointers
+	*h = ev[:n]
 	return e
 }
 
 // NewSystem returns the shared translation system.
 func NewSystem(cfg *config.Config, drv *driver.Driver, stats *metrics.Stats) *System {
-	return &System{
+	s := &System{
 		cfg:       cfg,
 		drv:       drv,
 		stats:     stats,
@@ -74,6 +107,8 @@ func NewSystem(cfg *config.Config, drv *driver.Driver, stats *metrics.Stats) *Sy
 		walkQueue: sim.NewQueue[*walk](0),
 		walks:     make(map[uint64]*walk),
 	}
+	s.release = s.releaseWalker
+	return s
 }
 
 // L2 exposes the shared TLB (for shootdowns and tests).
@@ -103,7 +138,7 @@ func (s *System) Request(part int, vpn uint64, writable bool, now sim.Cycle, don
 	}
 	s.stats.L2TLBAccesses++
 	if s.l2.Lookup(vpn, now) {
-		heap.Push(&s.events, event{ready: now + s.cfg.L2TLBLatency, fire: done})
+		s.events.push(event{ready: now + s.cfg.L2TLBLatency, fire: done})
 		return true
 	}
 	s.stats.L2TLBMisses++
@@ -112,10 +147,24 @@ func (s *System) Request(part int, vpn uint64, writable bool, now sim.Cycle, don
 		w.waiters = append(w.waiters, done)
 		return true
 	}
-	w := &walk{vpn: vpn, homePart: part, writable: writable, waiters: []func(){done}}
+	w := s.newWalk()
+	w.vpn, w.homePart, w.writable = vpn, part, writable
+	w.waiters = append(w.waiters, done)
 	s.walks[vpn] = w
 	s.startOrQueueWalk(w, now+s.cfg.L2TLBLatency)
 	return true
+}
+
+// newWalk returns a zeroed walk record with an empty waiter list.
+func (s *System) newWalk() *walk {
+	n := len(s.freeWalks)
+	if n == 0 {
+		return &walk{}
+	}
+	w := s.freeWalks[n-1]
+	s.freeWalks = s.freeWalks[:n-1]
+	*w = walk{waiters: w.waiters[:0]}
+	return w
 }
 
 func (s *System) startOrQueueWalk(w *walk, at sim.Cycle) {
@@ -137,11 +186,11 @@ func (s *System) startOrQueueWalk(w *walk, at sim.Cycle) {
 		s.stats.PageFaults++
 		s.drv.Allocate(w.vpn, w.homePart, w.writable)
 		lat += s.cfg.PageFaultLatency
-		heap.Push(&s.events, event{ready: at + s.cfg.PageWalkLatency, fire: s.releaseWalker})
-		heap.Push(&s.events, event{ready: at + lat, walk: w, walkerFreed: true})
+		s.events.push(event{ready: at + s.cfg.PageWalkLatency, fire: s.release})
+		s.events.push(event{ready: at + lat, walk: w, walkerFreed: true})
 		return
 	}
-	heap.Push(&s.events, event{ready: at + lat, walk: w})
+	s.events.push(event{ready: at + lat, walk: w})
 }
 
 // releaseWalker frees one walker slot and admits a queued walk.
@@ -158,7 +207,7 @@ func (s *System) releaseWalker() {
 func (s *System) Tick(now sim.Cycle) {
 	s.lastTick = now
 	for len(s.events) > 0 && s.events[0].ready <= now {
-		e := heap.Pop(&s.events).(event)
+		e := s.events.pop()
 		if e.walk == nil {
 			e.fire()
 			continue
@@ -172,6 +221,8 @@ func (s *System) Tick(now sim.Cycle) {
 		for _, f := range w.waiters {
 			f()
 		}
+		clear(w.waiters) // callers' callbacks are not ours to keep alive
+		s.freeWalks = append(s.freeWalks, w)
 	}
 }
 
