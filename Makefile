@@ -1,9 +1,8 @@
 # Convenience targets; `make check` mirrors CI.
 
 GO ?= go
-BENCH_OUT ?= BENCH_local.json
 
-.PHONY: build vet lint fmt-check docs-check test test-short race sanitize stress bench bench-check check clean
+.PHONY: build vet lint fmt-check docs-check test test-short race sanitize stress bench-check check clean
 
 build:
 	$(GO) build ./...
@@ -32,8 +31,10 @@ test-short:
 # The race detector over what does run concurrently — the experiment
 # pool and RunSuite's workers, each driving whole single-goroutine
 # simulations — plus the engine identity tests inside them.
+# TestEveryExperiment is left to `make test`: it checks what renderers
+# read, not the pool, and costs 8 minutes under the detector.
 race:
-	$(GO) test -race -timeout 30m ./internal/experiments/... ./internal/lint/...
+	$(GO) test -race -timeout 30m -skip TestEveryExperiment ./internal/experiments/... ./internal/lint/...
 	$(GO) test -race -timeout 30m -run 'TestEnginesByteIdenticalFullRuns|TestWatchdogCatchesWedgeOnNonZeroPartition' .
 	$(GO) test -race -timeout 30m -run 'TestEngines|TestSanitize|TestParseEngine|TestQuietVsWake|TestMaxCycles' ./internal/core/
 
@@ -47,17 +48,10 @@ sanitize:
 # The seeded fault-injection stress matrix (docs/ROBUSTNESS.md): every
 # fault class injected into a short run and caught by the layer that
 # owns it — the forward-progress watchdog, the sanitize engine or the
-# panic-isolating experiment pool — plus retry, partial-report and
-# cancel-under-fault coverage. Deterministic: failures reproduce exactly.
+# panic-isolating experiment pool — plus partial-report, failure-isolation
+# and cancel-under-fault coverage. Deterministic: failures reproduce exactly.
 stress:
 	$(GO) test -timeout 20m -run 'TestStress' ./internal/experiments/
-
-# Engine-throughput benches folded into a BENCH_<n>.json-shaped record
-# (schema in docs/PERF.md). The committed BENCH_*.json files are history;
-# the repo's benchmark is bench/ (BENCHMARK.json, bench/README.md).
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineThroughput' -benchmem -count 1 . \
-		| $(GO) run ./cmd/nubabench -o $(BENCH_OUT)
 
 # bench/ is a nested module, invisible to `go build ./...` and
 # `go test ./...` above: build and short-test it here so a rename in the

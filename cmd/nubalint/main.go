@@ -6,14 +6,12 @@
 //
 // Usage:
 //
-//	nubalint [-policy lint.policy] [-rules r1,r2] [-json] [-ownership] [packages]
+//	nubalint [-policy lint.policy] [-rules r1,r2] [-json] [packages]
 //
 // Packages default to ./... resolved against the enclosing module.
-// Rules: nondet-map-range, no-wallclock, import-layering,
-// ctx-propagation, goroutine-in-core run per package;
-// config-liveness, metrics-liveness, hint-purity and
-// partition-isolation analyze the module-wide use graph;
-// unit-consistency checks //nubaunit: dimensional annotations
+// Rules: nondet-map-range, no-wallclock and import-layering run per
+// package; config-liveness, metrics-liveness and hint-purity analyze
+// the module-wide use graph; unit-consistency checks //nubaunit: dimensional annotations
 // (default: all). Findings are suppressed in place with
 // `//nubalint:ignore <rule> <reason>`; package scopes, file
 // allowlists, the import DAG, the liveness structs/readers/writers
@@ -22,10 +20,6 @@
 // -json emits a deterministic, schema-stable array sorted by
 // (file, line, col, rule); each finding carries a severity field
 // (currently always "error": every rule gates CI).
-//
-// -ownership skips the rules and instead prints the field→writers map
-// of every struct audited by partition-isolation — the auditing view
-// of the same use-graph data the rule enforces.
 package main
 
 import (
@@ -43,46 +37,12 @@ func main() {
 	policyPath := flag.String("policy", "", "policy file (default: lint.policy at the module root)")
 	jsonOut := flag.Bool("json", false, "print findings as a JSON array")
 	rulesFlag := flag.String("rules", "", "comma-separated rules to run (default: all)")
-	ownership := flag.Bool("ownership", false, "print the partition-isolation field->writers map instead of running rules")
 	flag.Parse()
 
-	if *ownership {
-		if err := runOwnership(*policyPath, flag.Args()); err != nil {
-			fmt.Fprintln(os.Stderr, "nubalint:", err)
-			os.Exit(2)
-		}
-		return
-	}
 	if err := run(*policyPath, *rulesFlag, *jsonOut, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "nubalint:", err)
 		os.Exit(2)
 	}
-}
-
-// runOwnership loads the module and prints the audited field->writers
-// report (see lint.OwnershipReport).
-func runOwnership(policyPath string, patterns []string) error {
-	mod, err := lint.FindModule(".")
-	if err != nil {
-		return err
-	}
-	if policyPath == "" {
-		policyPath = filepath.Join(mod.Dir, "lint.policy")
-	}
-	pol, err := lint.ParsePolicy(policyPath)
-	if err != nil {
-		return err
-	}
-	prog, err := lint.Load(mod, patterns)
-	if err != nil {
-		return err
-	}
-	report, err := lint.OwnershipReport(prog, pol)
-	if err != nil {
-		return err
-	}
-	fmt.Print(report)
-	return nil
 }
 
 func run(policyPath, rulesFlag string, jsonOut bool, patterns []string) error {

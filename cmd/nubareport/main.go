@@ -39,7 +39,6 @@ func run() int {
 	verbose := flag.Bool("v", false, "per-run progress on stderr")
 	engineFlag := flag.String("engine", "hybrid", nuba.EngineUsage())
 	watchdog := flag.Int64("watchdog", 0, "fail a run once no component state changes for this many cycles while work is pending (0 = off)")
-	retries := flag.Int("retries", 0, "retries per job for transient failures")
 	flag.Parse()
 	if err := prof.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "nubareport:", err)
@@ -52,8 +51,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "nubareport:", err)
 		return 2
 	}
-	opts := experiments.Options{Scale: *scale, Jobs: *jobs, Engine: engine,
-		Watchdog: *watchdog, Retries: *retries}
+	opts := experiments.Options{Scale: *scale, Jobs: *jobs, Engine: engine, Watchdog: *watchdog}
 	if *verbose {
 		opts.OnEvent = func(ev experiments.Event) {
 			line := fmt.Sprintf("  [%d/%d] %-7s on %-28s cycles=%-9d elapsed=%s",
@@ -65,18 +63,18 @@ func run() int {
 		}
 	}
 	if *benchList != "" {
-		for _, abbr := range strings.Split(*benchList, ",") {
-			b, err := nuba.BenchmarkByAbbr(strings.TrimSpace(abbr))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "nubareport:", err)
-				return 2
-			}
-			opts.Benchmarks = append(opts.Benchmarks, b)
+		if opts.Benchmarks, err = nuba.ParseBenchmarks(*benchList); err != nil {
+			fmt.Fprintln(os.Stderr, "nubareport:", err)
+			return 2
 		}
 	}
 	skipSet := map[string]bool{}
 	for _, s := range strings.Split(*skip, ",") {
 		if s = strings.TrimSpace(s); s != "" {
+			if _, err := experiments.ByName(s); err != nil {
+				fmt.Fprintln(os.Stderr, "nubareport: -skip:", err)
+				return 2
+			}
 			skipSet[s] = true
 		}
 	}
@@ -112,17 +110,21 @@ func run() int {
 				fmt.Fprintln(os.Stderr, "nubareport: interrupted")
 				return 130
 			}
-			fmt.Fprintf(w, "## %s\n\nERROR: %v\n\n", e.Title, err)
+			fmt.Fprintf(w, "## %s\n\nERROR: %v\n", e.Title, err)
+			if report != nil {
+				fmt.Fprintf(w, "```%s```\n", report.Text) // every benchmark failed: say why
+			}
+			fmt.Fprintln(w)
 			failed++
 			continue
 		}
 		fmt.Fprintf(w, "## %s\n\n```\n%s```\n(%.0fs)\n\n", e.Title, report.Text, time.Since(start).Seconds())
+		if len(report.Failures) > 0 {
+			failed++
+		}
 	}
-	// The runner is shared across experiments, so its failure list is the
-	// whole run's; count it once rather than per experiment.
-	failed += len(r.Failures())
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "nubareport: %d job(s) or experiment(s) failed; the report is partial\n", failed)
+		fmt.Fprintf(os.Stderr, "nubareport: %d experiment(s) failed or are partial\n", failed)
 		return 1
 	}
 	return 0

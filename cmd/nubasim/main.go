@@ -108,18 +108,10 @@ func run() int {
 		return 2
 	}
 
-	var benches []nuba.Benchmark
-	if strings.EqualFold(*bench, "all") {
-		benches = nuba.Suite()
-	} else {
-		for _, abbr := range strings.Split(*bench, ",") {
-			b, err := nuba.BenchmarkByAbbr(strings.ToUpper(strings.TrimSpace(abbr)))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "nubasim:", err)
-				return 2
-			}
-			benches = append(benches, b)
-		}
+	benches, err := nuba.ParseBenchmarks(*bench)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nubasim:", err)
+		return 2
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

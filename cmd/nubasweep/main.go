@@ -16,7 +16,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 
 	"github.com/nuba-gpu/nuba"
 	"github.com/nuba-gpu/nuba/internal/experiments"
@@ -51,7 +50,6 @@ func run() int {
 	list := flag.Bool("list", false, "list experiments and benchmarks")
 	engineFlag := flag.String("engine", "hybrid", nuba.EngineUsage())
 	watchdog := flag.Int64("watchdog", 0, "fail a run once no component state changes for this many cycles while work is pending (0 = off)")
-	retries := flag.Int("retries", 0, "retries per job for transient failures")
 	flag.Parse()
 	if err := prof.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "nubasweep:", err)
@@ -84,19 +82,14 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "nubasweep: -exp required (or -list)")
 		return 2
 	}
-	opts := experiments.Options{Scale: *scale, Jobs: *jobs, Engine: engine,
-		Watchdog: *watchdog, Retries: *retries}
+	opts := experiments.Options{Scale: *scale, Jobs: *jobs, Engine: engine, Watchdog: *watchdog}
 	if *verbose {
 		opts.OnEvent = progressPrinter(os.Stderr)
 	}
 	if *benchList != "" {
-		for _, abbr := range strings.Split(*benchList, ",") {
-			b, err := nuba.BenchmarkByAbbr(strings.TrimSpace(abbr))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "nubasweep:", err)
-				return 2
-			}
-			opts.Benchmarks = append(opts.Benchmarks, b)
+		if opts.Benchmarks, err = nuba.ParseBenchmarks(*benchList); err != nil {
+			fmt.Fprintln(os.Stderr, "nubasweep:", err)
+			return 2
 		}
 	}
 	e, err := experiments.ByName(*exp)
@@ -115,6 +108,9 @@ func run() int {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "nubasweep: interrupted")
 			return 130
+		}
+		if report != nil {
+			fmt.Print(report.Text) // every benchmark failed: say why
 		}
 		fmt.Fprintln(os.Stderr, "nubasweep:", err)
 		return 1

@@ -227,11 +227,6 @@ type Config struct {
 	LLCWays       int
 	LLCLatency    sim.Cycle // nubaunit: cycles
 	LLCMSHRs      int
-	// LLCQueue is the nominal LMR/RMR queue depth. The slice model uses
-	// elastic queues for deadlock freedom (see internal/llc), so this is
-	// retained for documentation and future credit-based modeling.
-	//nubalint:ignore config-liveness documented placeholder until credit-based LLC queues land
-	LLCQueue int
 
 	// Memory system.
 	NumChannels   int
@@ -330,7 +325,6 @@ func Baseline() Config {
 		LLCWays:       16,
 		LLCLatency:    120,
 		LLCMSHRs:      128,
-		LLCQueue:      32,
 
 		NumChannels:            32,
 		BanksPerChan:           16,

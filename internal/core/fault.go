@@ -10,7 +10,7 @@ import (
 // GPU stays nil in production runs (one nil check on the paths that
 // consult it), mirroring the nil-gated trace probes. Faults are armed
 // through the Inject* methods below — internal/fault and tests are the
-// only callers; the lint fault-containment rule keeps it that way.
+// only callers; lint.policy's import layering keeps it that way.
 type coreFault struct {
 	// hintBias is added to every future wake the hint scan reports — a
 	// deliberately unsound hint EngineSanitize must catch (generalizes

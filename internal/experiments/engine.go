@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -21,81 +22,142 @@ type Job struct {
 }
 
 // jobKey is the memo-cache identity of a job.
-func jobKey(cfg *nuba.Config, abbr string) string {
-	return cfg.Fingerprint() + "|" + abbr
-}
+func jobKey(fingerprint, abbr string) string { return fingerprint + "|" + abbr }
 
-// workers returns the effective worker-pool size.
-func (r *Runner) workers() int {
-	if r.opts.Jobs > 0 {
-		return r.opts.Jobs
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Execute runs one experiment through the concurrent engine: it
-// enumerates the experiment's deduplicated jobs, simulates them across
-// the worker pool into the memo cache, then renders the report serially
-// from the warm cache. The rendered report is byte-identical to a fully
-// serial run for any worker count, because rendering always walks the
-// benchmarks in presentation order and every simulation is deterministic
-// given its configuration. A canceled ctx stops scheduling promptly and
-// surfaces an error wrapping ctx.Err().
-//
-// A failed job does not abort the experiment: the pool records it (see
-// JobFailure), the failing benchmark is excluded from the rendered
-// tables, and the partial report carries an explicit failures section.
-// Execute only errors when the context is canceled, when rendering
-// itself breaks, or when every benchmark failed.
-func (r *Runner) Execute(ctx context.Context, e Experiment) (*Report, error) {
-	if e.Plan != nil {
-		if err := r.Prefetch(ctx, e.Plan(r)); err != nil {
-			return nil, err
+// cross pairs every configuration with every benchmark, configuration-
+// major, and returns the jobs with their cache keys.
+func cross(cfgs []nuba.Config, benches []workload.Benchmark) ([]Job, []string) {
+	jobs := make([]Job, 0, len(cfgs)*len(benches))
+	keys := make([]string, 0, len(cfgs)*len(benches))
+	for i := range cfgs {
+		fp := cfgs[i].Fingerprint()
+		for _, b := range benches {
+			jobs = append(jobs, Job{Config: cfgs[i], Bench: b})
+			keys = append(keys, jobKey(fp, b.Abbr))
 		}
 	}
-	if err := ctx.Err(); err != nil {
+	return jobs, keys
+}
+
+// configs returns the experiment's declared configurations (none for an
+// experiment that simulates nothing).
+func (e Experiment) configs(r *Runner) []nuba.Config {
+	if e.Configs == nil {
+		return nil
+	}
+	return e.Configs(r)
+}
+
+// Plan returns the simulations the experiment consumes: its declared
+// configurations crossed with the runner's benchmarks.
+func (e Experiment) Plan(r *Runner) []Job {
+	jobs, _ := cross(e.configs(r), r.opts.Benchmarks)
+	return jobs
+}
+
+// view is all a renderer reads: the experiment's configurations as
+// declared, the benchmarks on which every one of them finished, and those
+// runs' results.
+type view struct {
+	cfgs    []nuba.Config
+	benches []workload.Benchmark
+	res     [][]*nuba.Result // res[i][j] is benches[i] on cfgs[j]
+}
+
+// Execute runs one experiment: it simulates the experiment's plan across
+// the worker pool into the memo cache, then renders the report once from
+// the finished runs. The report is byte-identical for any worker count,
+// because rendering walks the benchmarks in presentation order and every
+// simulation is deterministic given its configuration. A canceled ctx
+// stops scheduling promptly and surfaces an error wrapping ctx.Err().
+//
+// A failed job does not abort the experiment: a benchmark that failed on
+// any of this experiment's own configurations is excluded from the
+// rendered tables and listed in the report's failures section instead;
+// failures of jobs the experiment does not use never touch it. When every
+// benchmark failed, Execute returns the failures and their section along
+// with the error.
+func (r *Runner) Execute(ctx context.Context, e Experiment) (*Report, error) {
+	cfgs, benches := e.configs(r), r.opts.Benchmarks
+	jobs, keys := cross(cfgs, benches)
+	if err := r.prefetch(ctx, jobs, keys); err != nil {
 		return nil, err
 	}
 
-	// Render from the warm cache, degrading to a partial view when jobs
-	// failed: a benchmark with any terminal failure is dropped from
-	// r.opts.Benchmarks (every renderer walks that list) and reported in
-	// the failures section instead. Rendering can itself surface new
-	// failures — an uncached (config, benchmark) pair a renderer
-	// simulates inline — so the filter loop repeats until a render
-	// succeeds or stops producing new failures.
-	orig := r.opts.Benchmarks
-	defer func() { r.opts.Benchmarks = orig }()
-	for tries := 0; tries <= len(orig); tries++ {
-		failed := r.failedBenches()
-		if len(failed) > 0 {
-			kept := make([]workload.Benchmark, 0, len(orig))
-			for _, b := range orig {
-				if !failed[b.Abbr] {
-					kept = append(kept, b)
-				}
-			}
-			if len(kept) == 0 {
-				return &Report{Failures: r.Failures()},
-					fmt.Errorf("experiments: %s: every benchmark failed (%d job failures)", e.Name, r.failureCount())
-			}
-			r.opts.Benchmarks = kept
-		}
-		before := r.failureCount()
-		text, err := e.Run(r)
-		if err != nil {
-			if ctx.Err() != nil || r.failureCount() == before {
-				return nil, err
-			}
-			continue // new failures during render: re-filter and re-render
-		}
-		rep := &Report{Text: text, Failures: r.Failures()}
-		if len(rep.Failures) > 0 {
-			rep.Text += failuresSection(rep.Failures)
-		}
-		return rep, nil
+	// jobs is configuration-major: job k is benches[k%len(benches)] on
+	// cfgs[k/len(benches)].
+	var failures []JobFailure
+	failed := make([]bool, len(benches))
+	rows := make([][]*nuba.Result, len(benches))
+	for i := range rows {
+		rows[i] = make([]*nuba.Result, len(cfgs))
 	}
-	return nil, fmt.Errorf("experiments: %s: rendering kept failing with new job failures", e.Name)
+	for k, key := range keys {
+		ent, err := r.finished(ctx, key)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %s on %s: %w", e.Name, jobs[k].Bench.Abbr, jobs[k].Config.Name(), err)
+		}
+		i, j := k%len(benches), k/len(benches)
+		if ent.err != nil {
+			failures = append(failures, newJobFailure(&jobs[k], ent.err))
+			failed[i] = true
+		}
+		rows[i][j] = ent.res
+	}
+	v := &view{cfgs: cfgs}
+	for i, b := range benches {
+		if !failed[i] {
+			v.benches = append(v.benches, b)
+			v.res = append(v.res, rows[i])
+		}
+	}
+
+	rep := &Report{Failures: failures}
+	if len(failures) > 0 {
+		rep.Text = failuresSection(failures)
+	}
+	if len(v.benches) == 0 {
+		return rep, fmt.Errorf("experiments: %s: every benchmark failed (%d job failures)", e.Name, len(failures))
+	}
+	text, err := e.render(v)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", e.Name, err)
+	}
+	rep.Text = text + rep.Text
+	return rep, nil
+}
+
+// finished returns the completed cache entry for key, waiting for a
+// concurrent caller's in-flight simulation if need be. It never
+// simulates: an absent entry is an error.
+func (r *Runner) finished(ctx context.Context, key string) (*cacheEntry, error) {
+	r.mu.Lock()
+	ent := r.cache[key]
+	r.mu.Unlock()
+	if ent == nil {
+		return nil, errors.New("no finished run (evicted by a concurrent canceled call)")
+	}
+	select {
+	case <-ent.ready:
+		return ent, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+func newJobFailure(j *Job, err error) JobFailure {
+	jf := JobFailure{
+		Config:      j.Config.Name(),
+		Fingerprint: j.Config.Fingerprint(),
+		Bench:       j.Bench.Abbr,
+		Err:         err.Error(),
+	}
+	var pe *nuba.PanicError
+	if errors.As(err, &pe) {
+		jf.Panic = true
+		jf.Stack = string(pe.Stack)
+	}
+	return jf
 }
 
 // failuresSection renders the explicit failures block appended to a
@@ -108,71 +170,66 @@ func failuresSection(fs []JobFailure) string {
 		if f.Panic {
 			kind = "panic"
 		}
-		fmt.Fprintf(&b, "  %-16s %-8s %s after %d attempt(s): %s\n", f.Config, f.Bench, kind, f.Attempts, f.Err)
+		fmt.Fprintf(&b, "  %-16s %-8s %s: %s\n", f.Config, f.Bench, kind, f.Err)
 	}
 	return b.String()
 }
 
 // Prefetch simulates the given jobs across the worker pool, deduplicating
-// against each other and against runs already cached. Job failures are
-// recorded on the runner (see Failures) without canceling the remaining
+// against each other and against runs already cached. A job's failure
+// stays in its cache entry (see Execute) without canceling the remaining
 // jobs; Prefetch itself only errors when the context is canceled.
 func (r *Runner) Prefetch(ctx context.Context, jobs []Job) error {
-	fresh := r.admit(jobs)
-	if len(fresh) == 0 {
-		return ctx.Err()
+	keys := make([]string, len(jobs))
+	for k := range jobs {
+		keys[k] = jobKey(jobs[k].Config.Fingerprint(), jobs[k].Bench.Abbr)
 	}
+	return r.prefetch(ctx, jobs, keys)
+}
 
-	workers := r.workers()
+func (r *Runner) prefetch(ctx context.Context, jobs []Job, keys []string) error {
+	fresh := r.admit(keys)
+	workers := r.opts.Jobs
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > len(fresh) {
 		workers = len(fresh)
 	}
 	var wg sync.WaitGroup
-	ch := make(chan Job)
+	ch := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range ch {
-				if ctx.Err() != nil {
-					continue // drain without simulating after cancel
-				}
-				// Errors are recorded by runCtx; one bad job must not
-				// take down the rest of the sweep.
-				_, _ = r.runCtx(ctx, j.Config, j.Bench)
+			for k := range ch {
+				r.simulate(ctx, keys[k], &jobs[k])
 			}
 		}()
 	}
-feed:
-	for _, j := range fresh {
-		select {
-		case ch <- j:
-		case <-ctx.Done():
-			break feed
-		}
+	// Every admitted job is handed to a worker even after a cancel: its
+	// cache entry exists, and simulate is what evicts it.
+	for _, k := range fresh {
+		ch <- k
 	}
 	close(ch)
 	wg.Wait()
 	return ctx.Err()
 }
 
-// admit deduplicates jobs against each other and the cache, accounts the
-// survivors in the progress totals and returns them.
-func (r *Runner) admit(jobs []Job) []Job {
-	var fresh []Job
-	seen := make(map[string]bool, len(jobs))
+// admit gives every job not yet in the cache an entry, accounts those
+// jobs in the progress totals and returns their indices. Creating the
+// entry here is what makes a job simulate exactly once.
+func (r *Runner) admit(keys []string) []int {
+	var fresh []int
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, j := range jobs {
-		k := jobKey(&j.Config, j.Bench.Abbr)
-		if seen[k] {
+	for k, key := range keys {
+		if _, ok := r.cache[key]; ok {
 			continue
 		}
-		seen[k] = true
-		if _, ok := r.cache[k]; ok {
-			continue
-		}
-		fresh = append(fresh, j)
+		r.cache[key] = &cacheEntry{ready: make(chan struct{})}
+		fresh = append(fresh, k)
 	}
 	r.planned += len(fresh)
 	if len(fresh) > 0 {
@@ -181,83 +238,39 @@ func (r *Runner) admit(jobs []Job) []Job {
 	return fresh
 }
 
-// cross pairs every benchmark of the runner's workload set with every
-// configuration, in order.
-func (r *Runner) cross(cfgs ...nuba.Config) []Job {
-	jobs := make([]Job, 0, len(cfgs)*len(r.opts.Benchmarks))
-	for _, cfg := range cfgs {
-		for _, b := range r.opts.Benchmarks {
-			jobs = append(jobs, Job{Config: cfg, Bench: b})
+// simulate runs one admitted job with the runner's engine, watchdog and
+// fault plan applied and completes its cache entry. A failed run stays
+// cached with its error (re-running would fail identically); a canceled
+// one is evicted so a later call can simulate it.
+func (r *Runner) simulate(ctx context.Context, key string, j *Job) {
+	var res *nuba.Result
+	err := ctx.Err()
+	if err == nil {
+		opts := []nuba.RunOption{nuba.WithEngine(r.opts.Engine)}
+		if r.opts.Watchdog > 0 {
+			opts = append(opts, nuba.WithWatchdog(nuba.WatchdogOptions{NoProgressCycles: r.opts.Watchdog}))
 		}
+		if r.opts.Faults != nil {
+			if spec, ok := r.opts.Faults.For(j.Config.Name(), j.Bench.Abbr); ok {
+				opts = append(opts, nuba.WithArm(spec.Arm))
+			}
+		}
+		res, err = nuba.Run(ctx, j.Config, j.Bench, opts...)
 	}
-	return jobs
-}
-
-// isoPlan enumerates the shared Section 7 iso-resource runs
-// (fig7/8/9/13).
-func (r *Runner) isoPlan() []Job {
-	cfgs := r.isoConfigs()
-	var list []nuba.Config
-	for _, name := range sortedKeys(cfgs) {
-		list = append(list, cfgs[name])
+	if err != nil {
+		err = fmt.Errorf("%s on %s: %w", j.Bench.Abbr, j.Config.Name(), err)
 	}
-	return r.cross(list...)
-}
 
-func (r *Runner) fig3Plan() []Job {
-	return r.cross(r.scaled(nuba.Baseline()))
-}
-
-func (r *Runner) fig10Plan() []Job {
-	cfgs := []nuba.Config{r.scaled(nuba.Baseline())}
-	for _, p := range r.fig10Points() {
-		cfgs = append(cfgs, p.cfg)
+	r.mu.Lock()
+	ent := r.cache[key]
+	ent.res, ent.err = res, err
+	switch {
+	case err == nil:
+		r.done++
+		r.emitLocked(j.Config.Name(), j.Bench.Abbr, res)
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		delete(r.cache, key)
 	}
-	return r.cross(cfgs...)
-}
-
-func (r *Runner) fig11Plan() []Job {
-	base, ft, rr, lab := r.fig11Configs()
-	return r.cross(base, ft, rr, lab)
-}
-
-func (r *Runner) fig12Plan() []Job {
-	noRep, fullRep, mdr := r.fig12Configs()
-	return r.cross(noRep, fullRep, mdr)
-}
-
-// sensitivityPlan enumerates the UBA-vs-NUBA runs of one Figure 14
-// sensitivity sweep.
-func (r *Runner) sensitivityPlan(variants map[string]func(nuba.Config) nuba.Config) []Job {
-	var cfgs []nuba.Config
-	for _, name := range sortedKeys(variants) {
-		f := variants[name]
-		cfgs = append(cfgs, f(r.scaled(nuba.Baseline())), f(r.scaled(nuba.NUBAConfig())))
-	}
-	return r.cross(cfgs...)
-}
-
-func (r *Runner) fig14SizePlan() []Job      { return r.sensitivityPlan(fig14SizeVariants) }
-func (r *Runner) fig14PartitionPlan() []Job { return r.sensitivityPlan(fig14PartitionVariants) }
-func (r *Runner) fig14LLCPlan() []Job       { return r.sensitivityPlan(fig14LLCVariants) }
-func (r *Runner) fig14PagePlan() []Job      { return r.sensitivityPlan(fig14PageVariants) }
-
-func (r *Runner) fig14AddrMapPlan() []Job {
-	ubaPAE, nub := r.fig14AddrMapConfigs()
-	return r.cross(ubaPAE, nub)
-}
-
-func (r *Runner) fig14LABPlan() []Job {
-	base, variants := r.fig14LABConfigs()
-	return r.cross(append([]nuba.Config{base}, variants...)...)
-}
-
-func (r *Runner) fig16Plan() []Job {
-	monoUBA, monoNUBA, mcmUBA, mcmNUBA := r.fig16Configs()
-	return r.cross(monoUBA, monoNUBA, mcmUBA, mcmNUBA)
-}
-
-func (r *Runner) altPlacementPlan() []Job {
-	base, lab, mig, rep := r.altConfigs()
-	return r.cross(base, lab, mig, rep)
+	r.mu.Unlock()
+	close(ent.ready)
 }

@@ -25,16 +25,34 @@ func TestNamesAndByName(t *testing.T) {
 	}
 }
 
-func TestTable2RunsWithoutSimulation(t *testing.T) {
-	r := NewRunner(Options{})
-	out, err := r.table2()
+// execute runs the named experiment on r and returns its report text,
+// failing the test on an error or a job failure.
+func execute(t *testing.T, r *Runner, name string) string {
+	t.Helper()
+	e, err := ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep, err := r.Execute(context.Background(), e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Failures) != 0 {
+		t.Fatalf("%s: unexpected job failures: %+v", name, rep.Failures)
+	}
+	return rep.Text
+}
+
+func TestTable2RunsWithoutSimulation(t *testing.T) {
+	r := NewRunner(Options{})
+	out := execute(t, r, "table2")
 	for _, b := range workload.Suite() {
 		if !strings.Contains(out, b.Abbr) {
 			t.Fatalf("table2 missing %s:\n%s", b.Abbr, out)
 		}
+	}
+	if len(r.cache) != 0 {
+		t.Fatalf("table2 simulated %d runs", len(r.cache))
 	}
 }
 
@@ -45,10 +63,7 @@ func TestFig3SmallSubset(t *testing.T) {
 	bp, _ := workload.ByAbbr("BP")
 	sg, _ := workload.ByAbbr("SGEMM")
 	r := NewRunner(Options{Scale: 0.125, Benchmarks: []workload.Benchmark{bp, sg}})
-	out, err := r.fig3()
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := execute(t, r, "fig3")
 	if !strings.Contains(out, "BP") || !strings.Contains(out, "SGEMM") {
 		t.Fatalf("fig3 output:\n%s", out)
 	}
@@ -102,28 +117,48 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestExecutePrefetchesPlan checks that the engine's job plan covers the
-// runs the renderer consumes: after Prefetch, rendering must hit the
-// cache only (no new simulations).
-func TestExecutePrefetchesPlan(t *testing.T) {
+// TestEveryExperiment executes each experiment on a two-benchmark subset
+// and checks that it renders, from finished runs alone, without a
+// failure: the plan derived from Configs is all a renderer can read, so
+// rendering after a Prefetch of the plan must leave the cache untouched.
+func TestEveryExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed experiment")
 	}
-	bp, _ := workload.ByAbbr("BP")
-	r := NewRunner(Options{Scale: 0.125, Benchmarks: []workload.Benchmark{bp}, Jobs: 2})
-	e, _ := ByName("fig12")
-	if err := r.Prefetch(context.Background(), e.Plan(r)); err != nil {
-		t.Fatal(err)
+	r := NewRunner(Options{Scale: 0.125,
+		Benchmarks: []workload.Benchmark{stressBench(t, "BH"), stressBench(t, "AN")}})
+	for _, e := range All() {
+		t.Run(e.Name, func(t *testing.T) {
+			plan := e.Plan(r)
+			if (len(plan) == 0) != (e.Configs == nil) {
+				t.Fatalf("plan has %d jobs", len(plan))
+			}
+			if err := r.Prefetch(context.Background(), plan); err != nil {
+				t.Fatal(err)
+			}
+			before := len(r.cache)
+			if out := execute(t, r, e.Name); out == "" {
+				t.Fatal("empty report")
+			}
+			if len(r.cache) != before {
+				t.Fatalf("rendering simulated %d runs the plan missed", len(r.cache)-before)
+			}
+		})
 	}
-	before := len(r.cache)
-	if before == 0 {
-		t.Fatal("plan enumerated no jobs")
+}
+
+// TestEmptySharingClassRendersNA: a subset with no high-sharing benchmark
+// has no high-sharing harmonic mean to report — not a -100% one.
+func TestEmptySharingClassRendersNA(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed experiment")
 	}
-	if _, err := e.Run(r); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.cache) != before {
-		t.Fatalf("rendering simulated %d runs the plan missed", len(r.cache)-before)
+	r := NewRunner(Options{Scale: 0.125, Benchmarks: []workload.Benchmark{stressBench(t, "LEU")}})
+	for _, name := range []string{"fig7", "fig14-llc", "fig14-lab"} {
+		out := execute(t, r, name)
+		if !strings.Contains(out, "n/a") || strings.Contains(out, "-100.0%") {
+			t.Errorf("%s renders the empty high-sharing class as:\n%s", name, out)
+		}
 	}
 }
 
@@ -175,10 +210,7 @@ func TestFig7SmallSubset(t *testing.T) {
 	}
 	bp, _ := workload.ByAbbr("BP")
 	r := NewRunner(Options{Scale: 0.125, Benchmarks: []workload.Benchmark{bp}})
-	out, err := r.fig7()
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := execute(t, r, "fig7")
 	if !strings.Contains(out, "NUBA") || !strings.Contains(out, "%") {
 		t.Fatalf("fig7 output:\n%s", out)
 	}
@@ -188,9 +220,7 @@ func TestFig7SmallSubset(t *testing.T) {
 		t.Fatal("runner cache empty")
 	}
 	before := len(r.cache)
-	if _, err := r.fig9(); err != nil {
-		t.Fatal(err)
-	}
+	execute(t, r, "fig9")
 	if len(r.cache) != before {
 		t.Fatal("fig9 re-simulated runs fig7 already did")
 	}

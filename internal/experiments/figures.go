@@ -10,10 +10,14 @@ import (
 	"github.com/nuba-gpu/nuba/internal/workload"
 )
 
+// Each experiment below is a Configs function, which states the
+// experiment's configurations once, and a renderer, which reads row[j] —
+// the run of one benchmark on the j-th declared configuration.
+
 // table2 prints the suite with the paper's and the scaled footprints.
-func (r *Runner) table2() (string, error) {
+func table2(v *view) (string, error) {
 	t := &metrics.Table{Header: []string{"Benchmark", "Abbr", "Sharing", "Paper MB/RO", "Sim MB", "Launches"}}
-	for _, b := range r.opts.Benchmarks {
+	for _, b := range v.benches {
 		var total uint64
 		n := 0
 		alloc := func(size uint64) uint64 {
@@ -25,106 +29,85 @@ func (r *Runner) table2() (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("%s: %w", b.Abbr, err)
 		}
-		sharing := "low"
-		if b.High {
-			sharing = "high"
-		}
-		t.AddRow(b.Name, b.Abbr, sharing,
+		t.AddRow(b.Name, b.Abbr, class(b),
 			fmt.Sprintf("%.0f / %.2f", b.PaperMB, b.PaperROMB),
 			mbs(float64(total)/workload.MB), fmt.Sprintf("%d", len(launches)))
 	}
 	return t.String(), nil
 }
 
+func (r *Runner) fig3Configs() []nuba.Config {
+	return []nuba.Config{r.scaled(nuba.Baseline())}
+}
+
 // fig3 reports the page sharing histogram per benchmark on the baseline
 // UBA GPU, as in Figure 3.
-func (r *Runner) fig3() (string, error) {
-	cfg := r.scaled(nuba.Baseline())
+func fig3(v *view) (string, error) {
 	t := &metrics.Table{Header: []string{"Bench", "Class", "Pages", "1 SM", "2-10", "11-25", ">25", "Shared%"}}
-	for _, b := range r.opts.Benchmarks {
-		res, err := r.run(cfg, b)
-		if err != nil {
-			return "", err
-		}
+	for i, b := range v.benches {
+		res := v.res[i][0]
 		one, two, eleven, over := res.Sharing.Buckets()
-		cls := "low"
-		if b.High {
-			cls = "high"
-		}
-		t.AddRow(b.Abbr, cls, fmt.Sprintf("%d", res.Sharing.Pages()),
+		t.AddRow(b.Abbr, class(b), fmt.Sprintf("%d", res.Sharing.Pages()),
 			f2(one), f2(two), f2(eleven), f2(over), pct(res.Sharing.SharedFraction()*100))
 	}
 	return t.String(), nil
 }
 
-// isoRuns executes the four Section 7 configurations over the suite.
-func (r *Runner) isoRuns() (map[string]map[string]*nuba.Result, error) {
-	cfgs := r.isoConfigs()
-	out := make(map[string]map[string]*nuba.Result)
-	for _, name := range sortedKeys(cfgs) {
-		cfg := cfgs[name]
-		out[name] = make(map[string]*nuba.Result)
-		for _, b := range r.opts.Benchmarks {
-			res, err := r.run(cfg, b)
-			if err != nil {
-				return nil, err
-			}
-			out[name][b.Abbr] = res
-		}
+// The four headline iso-resource configurations of Section 7, shared by
+// fig7/8/9/13.
+const (
+	isoNUBA = iota
+	isoNoRep
+	isoUBASM
+	isoUBAMem
+)
+
+func (r *Runner) isoConfigs() []nuba.Config {
+	noRep := r.scaled(nuba.NUBAConfig())
+	noRep.Replication = nuba.NoRep
+	return []nuba.Config{
+		isoNUBA:   r.scaled(nuba.NUBAConfig()),
+		isoNoRep:  noRep,
+		isoUBASM:  r.scaled(nuba.SMSideConfig()),
+		isoUBAMem: r.scaled(nuba.Baseline()),
 	}
-	return out, nil
 }
 
 // fig7 reports speedup of NUBA-No-Rep and NUBA over the memory-side UBA.
-func (r *Runner) fig7() (string, error) {
-	runs, err := r.isoRuns()
-	if err != nil {
-		return "", err
-	}
+func fig7(v *view) (string, error) {
 	t := &metrics.Table{Header: []string{"Bench", "Class", "UBA-SM", "NUBA-No-Rep", "NUBA"}}
-	var lowN, highN, lowR, highR []float64
-	for _, b := range r.opts.Benchmarks {
-		base := runs["UBA-mem"][b.Abbr]
-		sm := speedupPct(runs["UBA-SM"][b.Abbr], base)
-		nr := speedupPct(runs["NUBA-No-Rep"][b.Abbr], base)
-		nb := speedupPct(runs["NUBA"][b.Abbr], base)
-		cls := "low"
-		if b.High {
-			cls = "high"
-			highN = append(highN, 1+nr/100)
-			highR = append(highR, 1+nb/100)
-		} else {
-			lowN = append(lowN, 1+nr/100)
-			lowR = append(lowR, 1+nb/100)
-		}
-		t.AddRow(b.Abbr, cls, pct(sm), pct(nr), pct(nb))
-	}
 	chart := &metrics.BarChart{Title: "NUBA speedup over UBA (%)", Width: 50}
-	for _, b := range r.opts.Benchmarks {
-		chart.Add(b.Abbr, speedupPct(runs["NUBA"][b.Abbr], runs["UBA-mem"][b.Abbr]))
+	var noRep, full byClass
+	for i, b := range v.benches {
+		row := v.res[i]
+		base := row[isoUBAMem]
+		sm := speedupPct(row[isoUBASM], base)
+		nr := speedupPct(row[isoNoRep], base)
+		nb := speedupPct(row[isoNUBA], base)
+		noRep.add(b, 1+nr/100)
+		full.add(b, 1+nb/100)
+		t.AddRow(b.Abbr, class(b), pct(sm), pct(nr), pct(nb))
+		chart.Add(b.Abbr, nb)
 	}
 	var bld strings.Builder
 	bld.WriteString(t.String())
 	bld.WriteByte('\n')
 	bld.WriteString(chart.String())
-	groupSummary(&bld, "NUBA-No-Rep vs UBA", lowN, highN)
-	groupSummary(&bld, "NUBA        vs UBA", lowR, highR)
+	groupSummary(&bld, "NUBA-No-Rep vs UBA", &noRep)
+	groupSummary(&bld, "NUBA        vs UBA", &full)
 	bld.WriteString("(paper: NUBA +30.4% low, +15.1% high, +23.1% overall vs memory-side UBA)\n")
 	return bld.String(), nil
 }
 
 // fig8 reports the perceived bandwidth in replies per cycle.
-func (r *Runner) fig8() (string, error) {
-	runs, err := r.isoRuns()
-	if err != nil {
-		return "", err
-	}
+func fig8(v *view) (string, error) {
 	t := &metrics.Table{Header: []string{"Bench", "UBA-mem", "NUBA-No-Rep", "NUBA", "Gain"}}
 	var gains []float64
-	for _, b := range r.opts.Benchmarks {
-		u := runs["UBA-mem"][b.Abbr].Stats.RepliesPerCycle()
-		nr := runs["NUBA-No-Rep"][b.Abbr].Stats.RepliesPerCycle()
-		nb := runs["NUBA"][b.Abbr].Stats.RepliesPerCycle()
+	for i, b := range v.benches {
+		row := v.res[i]
+		u := row[isoUBAMem].Stats.RepliesPerCycle()
+		nr := row[isoNoRep].Stats.RepliesPerCycle()
+		nb := row[isoNUBA].Stats.RepliesPerCycle()
 		gain := 0.0
 		if u > 0 {
 			gain = (nb/u - 1) * 100
@@ -134,22 +117,19 @@ func (r *Runner) fig8() (string, error) {
 	}
 	var bld strings.Builder
 	bld.WriteString(t.String())
-	fmt.Fprintf(&bld, "harmonic-mean perceived-bandwidth gain: %+.1f%% (paper: +38.9%%)\n", summarize(gains))
+	fmt.Fprintf(&bld, "harmonic-mean perceived-bandwidth gain: %s (paper: +38.9%%)\n", hmean(gains))
 	return bld.String(), nil
 }
 
 // fig9 reports the L1 miss service breakdown.
-func (r *Runner) fig9() (string, error) {
-	runs, err := r.isoRuns()
-	if err != nil {
-		return "", err
-	}
+func fig9(v *view) (string, error) {
 	t := &metrics.Table{Header: []string{"Bench", "UBA local", "NoRep local", "NUBA local", "NUBA replica"}}
 	var localSum, n float64
-	for _, b := range r.opts.Benchmarks {
-		u := runs["UBA-mem"][b.Abbr].Stats
-		nr := runs["NUBA-No-Rep"][b.Abbr].Stats
-		nb := runs["NUBA"][b.Abbr].Stats
+	for i, b := range v.benches {
+		row := v.res[i]
+		u := row[isoUBAMem].Stats
+		nr := row[isoNoRep].Stats
+		nb := row[isoNUBA].Stats
 		repFrac := 0.0
 		if tot := nb.LocalAccesses + nb.RemoteAccesses; tot > 0 {
 			repFrac = float64(nb.ReplicatedAccesses) / float64(tot)
@@ -164,49 +144,34 @@ func (r *Runner) fig9() (string, error) {
 	return bld.String(), nil
 }
 
-// fig10Point is one architecture/NoC-bandwidth combination of Figure 10.
-type fig10Point struct {
-	arch string
-	cfg  nuba.Config
-}
-
-// fig10Points enumerates the Figure 10 sweep (shared by the renderer and
-// the engine's job plan).
-func (r *Runner) fig10Points() []fig10Point {
-	var points []fig10Point
+// fig10Configs is the UBA baseline followed by the Figure 10 sweep: each
+// architecture at each NoC bandwidth.
+func (r *Runner) fig10Configs() []nuba.Config {
+	cfgs := []nuba.Config{r.scaled(nuba.Baseline())}
 	for _, gbs := range []float64{700, 1400, 2800, 5600} {
-		points = append(points,
-			fig10Point{"UBA-mem", r.scaled(nuba.Baseline().WithNoC(gbs))},
-			fig10Point{"UBA-SM", r.scaled(nuba.SMSideConfig().WithNoC(gbs))},
-			fig10Point{"NUBA", r.scaled(nuba.NUBAConfig().WithNoC(gbs))},
-		)
+		cfgs = append(cfgs,
+			r.scaled(nuba.Baseline().WithNoC(gbs)),
+			r.scaled(nuba.SMSideConfig().WithNoC(gbs)),
+			r.scaled(nuba.NUBAConfig().WithNoC(gbs)))
 	}
-	return points
+	return cfgs
 }
 
 // fig10 sweeps the NoC bandwidth and reports performance vs NoC power.
-func (r *Runner) fig10() (string, error) {
-	points := r.fig10Points()
-	baseCfg := r.scaled(nuba.Baseline())
+func fig10(v *view) (string, error) {
 	t := &metrics.Table{Header: []string{"Config", "NoC GB/s", "Perf vs UBA@1400", "NoC power (W)"}}
-	for _, p := range points {
+	for j := 1; j < len(v.cfgs); j++ {
+		cfg := &v.cfgs[j]
 		var speedups []float64
 		var power float64
-		for _, b := range r.opts.Benchmarks {
-			base, err := r.run(baseCfg, b)
-			if err != nil {
-				return "", err
-			}
-			res, err := r.run(p.cfg, b)
-			if err != nil {
-				return "", err
-			}
+		for _, row := range v.res {
+			base, res := row[0], row[j]
 			speedups = append(speedups, float64(base.Stats.Cycles)/float64(res.Stats.Cycles))
 			power += energy.NoCPowerW(energy.Breakdown{NoCNJ: res.Stats.NoCEnergyNJ},
-				res.Stats.Cycles, p.cfg.CoreClockGHz)
+				res.Stats.Cycles, cfg.CoreClockGHz)
 		}
-		power /= float64(len(r.opts.Benchmarks))
-		t.AddRow(p.arch, fmt.Sprintf("%.0f", p.cfg.NoCBandwidthGBs), pct(summarize(speedups)), f2(power))
+		power /= float64(len(v.benches))
+		t.AddRow(cfg.Arch.String(), fmt.Sprintf("%.0f", cfg.NoCBandwidthGBs), hmean(speedups), f2(power))
 	}
 	var bld strings.Builder
 	bld.WriteString(t.String())
@@ -214,280 +179,191 @@ func (r *Runner) fig10() (string, error) {
 	return bld.String(), nil
 }
 
-// fig11Configs returns the Figure 11 comparison set.
-func (r *Runner) fig11Configs() (base, ft, rr, lab nuba.Config) {
-	base = r.scaled(nuba.Baseline())
-	ft = r.scaled(nuba.NUBAConfig())
-	ft.Placement = nuba.FirstTouch
-	rr = r.scaled(nuba.NUBAConfig())
-	rr.Placement = nuba.RoundRobin
-	lab = r.scaled(nuba.NUBAConfig())
-	lab.Placement = nuba.LAB
-	return base, ft, rr, lab
+// fig11Configs is UBA, then NUBA under first-touch, round-robin and LAB
+// placement.
+func (r *Runner) fig11Configs() []nuba.Config {
+	cfgs := []nuba.Config{r.scaled(nuba.Baseline())}
+	for _, p := range []nuba.PlacementPolicy{nuba.FirstTouch, nuba.RoundRobin, nuba.LAB} {
+		cfg := r.scaled(nuba.NUBAConfig())
+		cfg.Placement = p
+		cfgs = append(cfgs, cfg)
+	}
+	return cfgs
 }
 
-// fig11 compares page allocation policies on NUBA (no replication, to
-// isolate placement as in the paper's Figure 11 with MDR active — the
-// paper applies MDR; we follow it).
-func (r *Runner) fig11() (string, error) {
-	base, ft, rr, lab := r.fig11Configs()
+// fig11 compares page allocation policies on NUBA (with MDR active, as
+// in the paper's Figure 11).
+func fig11(v *view) (string, error) {
 	t := &metrics.Table{Header: []string{"Bench", "Class", "FT vs UBA", "RR vs UBA", "LAB vs UBA"}}
 	var ftS, rrS, labS []float64
-	for _, b := range r.opts.Benchmarks {
-		ub, err := r.run(base, b)
-		if err != nil {
-			return "", err
-		}
-		rf, err := r.run(ft, b)
-		if err != nil {
-			return "", err
-		}
-		rrr, err := r.run(rr, b)
-		if err != nil {
-			return "", err
-		}
-		rl, err := r.run(lab, b)
-		if err != nil {
-			return "", err
-		}
-		cls := "low"
-		if b.High {
-			cls = "high"
-		}
-		ftS = append(ftS, float64(ub.Stats.Cycles)/float64(rf.Stats.Cycles))
-		rrS = append(rrS, float64(ub.Stats.Cycles)/float64(rrr.Stats.Cycles))
-		labS = append(labS, float64(ub.Stats.Cycles)/float64(rl.Stats.Cycles))
-		t.AddRow(b.Abbr, cls, pct(speedupPct(rf, ub)), pct(speedupPct(rrr, ub)), pct(speedupPct(rl, ub)))
+	for i, b := range v.benches {
+		ub, ft, rr, lab := v.res[i][0], v.res[i][1], v.res[i][2], v.res[i][3]
+		ftS = append(ftS, float64(ub.Stats.Cycles)/float64(ft.Stats.Cycles))
+		rrS = append(rrS, float64(ub.Stats.Cycles)/float64(rr.Stats.Cycles))
+		labS = append(labS, float64(ub.Stats.Cycles)/float64(lab.Stats.Cycles))
+		t.AddRow(b.Abbr, class(b), pct(speedupPct(ft, ub)), pct(speedupPct(rr, ub)), pct(speedupPct(lab, ub)))
 	}
 	var bld strings.Builder
 	bld.WriteString(t.String())
-	fmt.Fprintf(&bld, "harmonic means vs UBA: FT %+.1f%%  RR %+.1f%%  LAB %+.1f%%\n",
-		summarize(ftS), summarize(rrS), summarize(labS))
+	fmt.Fprintf(&bld, "harmonic means vs UBA: FT %s  RR %s  LAB %s\n", hmean(ftS), hmean(rrS), hmean(labS))
 	bld.WriteString("(paper: LAB +14.8% vs UBA; LAB beats FT by 88.9% and RR by 14.3% on NUBA)\n")
 	return bld.String(), nil
 }
 
-// fig12Configs returns the Figure 12 replication-policy set.
-func (r *Runner) fig12Configs() (noRep, fullRep, mdr nuba.Config) {
-	noRep = r.scaled(nuba.NUBAConfig())
+// fig12Configs is NUBA (LAB placement) under no, full and model-driven
+// replication.
+func (r *Runner) fig12Configs() []nuba.Config {
+	noRep := r.scaled(nuba.NUBAConfig())
 	noRep.Replication = nuba.NoRep
-	fullRep = r.scaled(nuba.NUBAConfig())
+	fullRep := r.scaled(nuba.NUBAConfig())
 	fullRep.Replication = nuba.FullRep
-	mdr = r.scaled(nuba.NUBAConfig())
-	return noRep, fullRep, mdr
+	return []nuba.Config{noRep, fullRep, r.scaled(nuba.NUBAConfig())}
 }
 
 // fig12 compares replication policies on NUBA with LAB placement.
-func (r *Runner) fig12() (string, error) {
-	noRep, fullRep, mdr := r.fig12Configs()
+func fig12(v *view) (string, error) {
 	t := &metrics.Table{Header: []string{"Bench", "Class", "Full-Rep", "MDR", "LLCmiss No/Full"}}
 	var fullS, mdrS []float64
-	for _, b := range r.opts.Benchmarks {
-		rn, err := r.run(noRep, b)
-		if err != nil {
-			return "", err
-		}
-		rf, err := r.run(fullRep, b)
-		if err != nil {
-			return "", err
-		}
-		rm, err := r.run(mdr, b)
-		if err != nil {
-			return "", err
-		}
-		cls := "low"
-		if b.High {
-			cls = "high"
-		}
+	for i, b := range v.benches {
+		rn, rf, rm := v.res[i][0], v.res[i][1], v.res[i][2]
 		fullS = append(fullS, float64(rn.Stats.Cycles)/float64(rf.Stats.Cycles))
 		mdrS = append(mdrS, float64(rn.Stats.Cycles)/float64(rm.Stats.Cycles))
-		t.AddRow(b.Abbr, cls, pct(speedupPct(rf, rn)), pct(speedupPct(rm, rn)),
+		t.AddRow(b.Abbr, class(b), pct(speedupPct(rf, rn)), pct(speedupPct(rm, rn)),
 			fmt.Sprintf("%.2f/%.2f", 1-rn.Stats.LLCHitRate(), 1-rf.Stats.LLCHitRate()))
 	}
 	var bld strings.Builder
 	bld.WriteString(t.String())
-	fmt.Fprintf(&bld, "harmonic means vs No-Rep: Full-Rep %+.1f%%  MDR %+.1f%%\n", summarize(fullS), summarize(mdrS))
+	fmt.Fprintf(&bld, "harmonic means vs No-Rep: Full-Rep %s  MDR %s\n", hmean(fullS), hmean(mdrS))
 	bld.WriteString("(paper: MDR +15.1% vs No-Rep; Full-Rep helps 2MM/AN/SN/RN, hurts SC/BT/GRU/BICG)\n")
 	return bld.String(), nil
 }
 
 // fig13 reports the energy breakdown.
-func (r *Runner) fig13() (string, error) {
-	runs, err := r.isoRuns()
-	if err != nil {
-		return "", err
-	}
+func fig13(v *view) (string, error) {
 	t := &metrics.Table{Header: []string{"Bench", "UBA NoC%", "NUBA NoC%", "NoC energy vs UBA", "Total vs UBA"}}
-	var nocRatios, totRatios []float64
-	for _, b := range r.opts.Benchmarks {
-		u := runs["UBA-mem"][b.Abbr].Stats
-		nb := runs["NUBA"][b.Abbr].Stats
+	var mn, mt float64
+	for i, b := range v.benches {
+		u := v.res[i][isoUBAMem].Stats
+		nb := v.res[i][isoNUBA].Stats
 		uNoC := u.NoCEnergyNJ / u.TotalEnergyNJ() * 100
 		nNoC := nb.NoCEnergyNJ / nb.TotalEnergyNJ() * 100
 		nocR := (nb.NoCEnergyNJ/u.NoCEnergyNJ - 1) * 100
 		totR := (nb.TotalEnergyNJ()/u.TotalEnergyNJ() - 1) * 100
-		nocRatios = append(nocRatios, nb.NoCEnergyNJ/u.NoCEnergyNJ)
-		totRatios = append(totRatios, nb.TotalEnergyNJ()/u.TotalEnergyNJ())
+		mn += nb.NoCEnergyNJ / u.NoCEnergyNJ
+		mt += nb.TotalEnergyNJ() / u.TotalEnergyNJ()
 		t.AddRow(b.Abbr, f2(uNoC), f2(nNoC), pct(nocR), pct(totR))
 	}
-	var mn, mt float64
-	for i := range nocRatios {
-		mn += nocRatios[i]
-		mt += totRatios[i]
-	}
-	mn /= float64(len(nocRatios))
-	mt /= float64(len(totRatios))
+	mn /= float64(len(v.benches))
+	mt /= float64(len(v.benches))
 	var bld strings.Builder
 	bld.WriteString(t.String())
 	fmt.Fprintf(&bld, "mean NUBA/UBA: NoC energy %.2fx, total energy %.2fx (paper: NoC -54.5%%, total -16.0%%)\n", mn, mt)
 	return bld.String(), nil
 }
 
-// sensitivity runs UBA vs NUBA under a config transform and reports the
-// harmonic-mean NUBA improvement.
-func (r *Runner) sensitivity(label string, variants map[string]func(nuba.Config) nuba.Config) (string, error) {
-	t := &metrics.Table{Header: []string{label, "NUBA vs UBA (low)", "(high)", "(all)"}}
-	for _, name := range sortedKeys(variants) {
-		f := variants[name]
-		uba := f(r.scaled(nuba.Baseline()))
-		nub := f(r.scaled(nuba.NUBAConfig()))
-		var low, high []float64
-		for _, b := range r.opts.Benchmarks {
-			ub, err := r.run(uba, b)
-			if err != nil {
-				return "", err
-			}
-			nb, err := r.run(nub, b)
-			if err != nil {
-				return "", err
-			}
-			s := float64(ub.Stats.Cycles) / float64(nb.Stats.Cycles)
-			if b.High {
-				high = append(high, s)
-			} else {
-				low = append(low, s)
-			}
+// sensitivity is one Figure 14 sweep: UBA versus NUBA under each of a
+// list of configuration transforms, one table row per transform.
+type sensitivity struct {
+	label    string
+	variants []variant
+}
+
+type variant struct {
+	name  string
+	apply func(nuba.Config) nuba.Config
+}
+
+func same(c nuba.Config) nuba.Config { return c }
+
+var (
+	fig14Size = sensitivity{"GPU size", []variant{
+		{"0.5x (32 SMs)", func(c nuba.Config) nuba.Config { return c.Scale(0.5) }},
+		{"1x (64 SMs)", same},
+		{"2x (128 SMs)", func(c nuba.Config) nuba.Config { return c.Scale(2) }},
+	}}
+	fig14Partition = sensitivity{"Slices/partition", []variant{
+		{"1 slice", func(c nuba.Config) nuba.Config { return c.WithPartition(1) }},
+		{"2 slices", same},
+		{"4 slices", func(c nuba.Config) nuba.Config { return c.WithPartition(4) }},
+	}}
+	fig14LLC = sensitivity{"LLC capacity", []variant{
+		{"0.5x (3 MB)", func(c nuba.Config) nuba.Config { return c.WithLLCCapacity(0.5) }},
+		{"1x (6 MB)", same},
+		{"2x (12 MB)", func(c nuba.Config) nuba.Config { return c.WithLLCCapacity(2) }},
+	}}
+	fig14Page = sensitivity{"Page size", []variant{
+		{"2 MB", func(c nuba.Config) nuba.Config { c.PageSize = 2 << 20; return c }},
+		{"4 KB", same},
+	}}
+)
+
+// configs is each variant's UBA then NUBA configuration, in row order.
+func (s sensitivity) configs(r *Runner) []nuba.Config {
+	var cfgs []nuba.Config
+	for _, vr := range s.variants {
+		cfgs = append(cfgs, vr.apply(r.scaled(nuba.Baseline())), vr.apply(r.scaled(nuba.NUBAConfig())))
+	}
+	return cfgs
+}
+
+// render reports the harmonic-mean NUBA improvement under each variant.
+func (s sensitivity) render(v *view) (string, error) {
+	t := &metrics.Table{Header: []string{s.label, "NUBA vs UBA (low)", "(high)", "(all)"}}
+	for k, vr := range s.variants {
+		var c byClass
+		for i, b := range v.benches {
+			ub, nb := v.res[i][2*k], v.res[i][2*k+1]
+			c.add(b, float64(ub.Stats.Cycles)/float64(nb.Stats.Cycles))
 		}
-		all := append(append([]float64{}, low...), high...)
-		t.AddRow(name, pct(summarize(low)), pct(summarize(high)), pct(summarize(all)))
+		low, high, all := c.hmeans()
+		t.AddRow(vr.name, low, high, all)
 	}
 	return t.String(), nil
 }
 
-// The Figure 14 sensitivity variants, shared between the renderers and
-// the engine's job plans. Immutable after init.
-var (
-	fig14SizeVariants = map[string]func(nuba.Config) nuba.Config{
-		"0.5x (32 SMs)": func(c nuba.Config) nuba.Config { return c.Scale(0.5) },
-		"1x (64 SMs)":   func(c nuba.Config) nuba.Config { return c },
-		"2x (128 SMs)":  func(c nuba.Config) nuba.Config { return c.Scale(2) },
-	}
-	fig14PartitionVariants = map[string]func(nuba.Config) nuba.Config{
-		"1 slice":  func(c nuba.Config) nuba.Config { return c.WithPartition(1) },
-		"2 slices": func(c nuba.Config) nuba.Config { return c },
-		"4 slices": func(c nuba.Config) nuba.Config { return c.WithPartition(4) },
-	}
-	fig14LLCVariants = map[string]func(nuba.Config) nuba.Config{
-		"0.5x (3 MB)": func(c nuba.Config) nuba.Config { return c.WithLLCCapacity(0.5) },
-		"1x (6 MB)":   func(c nuba.Config) nuba.Config { return c },
-		"2x (12 MB)":  func(c nuba.Config) nuba.Config { return c.WithLLCCapacity(2) },
-	}
-	fig14PageVariants = map[string]func(nuba.Config) nuba.Config{
-		"4 KB": func(c nuba.Config) nuba.Config { return c },
-		"2 MB": func(c nuba.Config) nuba.Config { c.PageSize = 2 << 20; return c },
-	}
-)
-
-func (r *Runner) fig14Size() (string, error) {
-	return r.sensitivity("GPU size", fig14SizeVariants)
-}
-
-func (r *Runner) fig14Partition() (string, error) {
-	return r.sensitivity("Slices/partition", fig14PartitionVariants)
-}
-
-func (r *Runner) fig14LLC() (string, error) {
-	return r.sensitivity("LLC capacity", fig14LLCVariants)
-}
-
-func (r *Runner) fig14Page() (string, error) {
-	return r.sensitivity("Page size", fig14PageVariants)
-}
-
-// fig14AddrMapConfigs returns the UBA+PAE versus NUBA pair.
-func (r *Runner) fig14AddrMapConfigs() (ubaPAE, nub nuba.Config) {
-	ubaPAE = r.scaled(nuba.Baseline())
+// fig14AddrMapConfigs is the UBA+PAE versus NUBA pair.
+func (r *Runner) fig14AddrMapConfigs() []nuba.Config {
+	ubaPAE := r.scaled(nuba.Baseline())
 	ubaPAE.AddressMap = nuba.PAE
-	nub = r.scaled(nuba.NUBAConfig())
-	return ubaPAE, nub
+	return []nuba.Config{ubaPAE, r.scaled(nuba.NUBAConfig())}
 }
 
 // fig14AddrMap compares NUBA (fixed-channel) against UBA with PAE.
-func (r *Runner) fig14AddrMap() (string, error) {
-	ubaPAE, nub := r.fig14AddrMapConfigs()
-	var low, high []float64
-	for _, b := range r.opts.Benchmarks {
-		ub, err := r.run(ubaPAE, b)
-		if err != nil {
-			return "", err
-		}
-		nb, err := r.run(nub, b)
-		if err != nil {
-			return "", err
-		}
-		s := float64(ub.Stats.Cycles) / float64(nb.Stats.Cycles)
-		if b.High {
-			high = append(high, s)
-		} else {
-			low = append(low, s)
-		}
+func fig14AddrMap(v *view) (string, error) {
+	var c byClass
+	for i, b := range v.benches {
+		ub, nb := v.res[i][0], v.res[i][1]
+		c.add(b, float64(ub.Stats.Cycles)/float64(nb.Stats.Cycles))
 	}
 	var bld strings.Builder
-	groupSummary(&bld, "NUBA vs UBA+PAE", low, high)
+	groupSummary(&bld, "NUBA vs UBA+PAE", &c)
 	bld.WriteString("(paper: +19.7% average improvement over UBA with PAE)\n")
 	return bld.String(), nil
 }
 
-// fig14LABThresholds are the Figure 14 LAB sweep points.
-var fig14LABThresholds = []float64{0.8, 0.9, 0.95}
-
-// fig14LABConfigs returns the UBA baseline plus one NUBA(No-Rep) config
-// per swept LAB threshold, in sweep order.
-func (r *Runner) fig14LABConfigs() (base nuba.Config, variants []nuba.Config) {
-	base = r.scaled(nuba.Baseline())
-	for _, th := range fig14LABThresholds {
+// fig14LABConfigs is the UBA baseline followed by one NUBA(No-Rep)
+// configuration per swept LAB threshold.
+func (r *Runner) fig14LABConfigs() []nuba.Config {
+	cfgs := []nuba.Config{r.scaled(nuba.Baseline())}
+	for _, th := range []float64{0.8, 0.9, 0.95} {
 		cfg := r.scaled(nuba.NUBAConfig())
 		cfg.Replication = nuba.NoRep
 		cfg.LABThreshold = th
-		variants = append(variants, cfg)
+		cfgs = append(cfgs, cfg)
 	}
-	return base, variants
+	return cfgs
 }
 
-func (r *Runner) fig14LAB() (string, error) {
-	base, variants := r.fig14LABConfigs()
+func fig14LAB(v *view) (string, error) {
 	t := &metrics.Table{Header: []string{"LAB threshold", "vs UBA (low)", "(high)", "(all)"}}
-	for i, th := range fig14LABThresholds {
-		cfg := variants[i]
-		var low, high []float64
-		for _, b := range r.opts.Benchmarks {
-			ub, err := r.run(base, b)
-			if err != nil {
-				return "", err
-			}
-			nb, err := r.run(cfg, b)
-			if err != nil {
-				return "", err
-			}
-			s := float64(ub.Stats.Cycles) / float64(nb.Stats.Cycles)
-			if b.High {
-				high = append(high, s)
-			} else {
-				low = append(low, s)
-			}
+	for j := 1; j < len(v.cfgs); j++ {
+		var c byClass
+		for i, b := range v.benches {
+			ub, nb := v.res[i][0], v.res[i][j]
+			c.add(b, float64(ub.Stats.Cycles)/float64(nb.Stats.Cycles))
 		}
-		all := append(append([]float64{}, low...), high...)
-		t.AddRow(fmt.Sprintf("%.2f", th), pct(summarize(low)), pct(summarize(high)), pct(summarize(all)))
+		low, high, all := c.hmeans()
+		t.AddRow(fmt.Sprintf("%.2f", v.cfgs[j].LABThreshold), low, high, all)
 	}
 	var bld strings.Builder
 	bld.WriteString(t.String())
@@ -495,91 +371,49 @@ func (r *Runner) fig14LAB() (string, error) {
 	return bld.String(), nil
 }
 
-// fig16Configs returns the Figure 16 monolithic/MCM comparison set.
-func (r *Runner) fig16Configs() (monoUBA, monoNUBA, mcmUBA, mcmNUBA nuba.Config) {
-	monoUBA = r.scaled(nuba.Baseline().Scale(2))
-	monoNUBA = r.scaled(nuba.NUBAConfig().Scale(2))
-	mcmUBA = r.scaled(nuba.MCMConfig(nuba.UBAMem))
-	mcmNUBA = r.scaled(nuba.MCMConfig(nuba.NUBA))
-	return monoUBA, monoNUBA, mcmUBA, mcmNUBA
+// fig16Configs is the monolithic 2x GPU as UBA and NUBA, then the
+// four-module MCM as UBA and NUBA.
+func (r *Runner) fig16Configs() []nuba.Config {
+	return []nuba.Config{
+		r.scaled(nuba.Baseline().Scale(2)),
+		r.scaled(nuba.NUBAConfig().Scale(2)),
+		r.scaled(nuba.MCMConfig(nuba.UBAMem)),
+		r.scaled(nuba.MCMConfig(nuba.NUBA)),
+	}
 }
 
 // fig16 compares UBA and NUBA in the four-module MCM configuration
 // against the monolithic 2x GPU.
-func (r *Runner) fig16() (string, error) {
-	monoUBA, monoNUBA, mcmUBA, mcmNUBA := r.fig16Configs()
-	var monoLow, monoHigh, mcmLow, mcmHigh []float64
-	for _, b := range r.opts.Benchmarks {
-		mu, err := r.run(monoUBA, b)
-		if err != nil {
-			return "", err
-		}
-		mn, err := r.run(monoNUBA, b)
-		if err != nil {
-			return "", err
-		}
-		xu, err := r.run(mcmUBA, b)
-		if err != nil {
-			return "", err
-		}
-		xn, err := r.run(mcmNUBA, b)
-		if err != nil {
-			return "", err
-		}
-		sMono := float64(mu.Stats.Cycles) / float64(mn.Stats.Cycles)
-		sMCM := float64(xu.Stats.Cycles) / float64(xn.Stats.Cycles)
-		if b.High {
-			monoHigh = append(monoHigh, sMono)
-			mcmHigh = append(mcmHigh, sMCM)
-		} else {
-			monoLow = append(monoLow, sMono)
-			mcmLow = append(mcmLow, sMCM)
-		}
+func fig16(v *view) (string, error) {
+	var mono, mcm byClass
+	for i, b := range v.benches {
+		mu, mn, xu, xn := v.res[i][0], v.res[i][1], v.res[i][2], v.res[i][3]
+		mono.add(b, float64(mu.Stats.Cycles)/float64(mn.Stats.Cycles))
+		mcm.add(b, float64(xu.Stats.Cycles)/float64(xn.Stats.Cycles))
 	}
 	var bld strings.Builder
-	groupSummary(&bld, "monolithic 2x NUBA vs UBA", monoLow, monoHigh)
-	groupSummary(&bld, "MCM 4-module NUBA vs UBA ", mcmLow, mcmHigh)
+	groupSummary(&bld, "monolithic 2x NUBA vs UBA", &mono)
+	groupSummary(&bld, "MCM 4-module NUBA vs UBA ", &mcm)
 	bld.WriteString("(paper: +30.1% monolithic vs +40.0% MCM)\n")
 	return bld.String(), nil
 }
 
-// altConfigs returns the §7.6 placement-alternative comparison set.
-func (r *Runner) altConfigs() (base, lab, mig, rep nuba.Config) {
-	base = r.scaled(nuba.Baseline())
-	lab = r.scaled(nuba.NUBAConfig())
-	mig = r.scaled(nuba.NUBAConfig())
+// altConfigs is UBA, then NUBA under LAB, migration and page replication
+// — the §7.6 placement alternatives.
+func (r *Runner) altConfigs() []nuba.Config {
+	mig := r.scaled(nuba.NUBAConfig())
 	mig.Placement = nuba.Migration
-	rep = r.scaled(nuba.NUBAConfig())
+	rep := r.scaled(nuba.NUBAConfig())
 	rep.Placement = nuba.PageReplication
-	return base, lab, mig, rep
+	return []nuba.Config{r.scaled(nuba.Baseline()), r.scaled(nuba.NUBAConfig()), mig, rep}
 }
 
 // altPlacement compares LAB against the §7.6 alternatives.
-func (r *Runner) altPlacement() (string, error) {
-	base, lab, mig, rep := r.altConfigs()
+func altPlacement(v *view) (string, error) {
 	t := &metrics.Table{Header: []string{"Bench", "Class", "LAB", "Migration", "PageRep", "Migrations", "PageReplicas"}}
-	for _, b := range r.opts.Benchmarks {
-		ub, err := r.run(base, b)
-		if err != nil {
-			return "", err
-		}
-		rl, err := r.run(lab, b)
-		if err != nil {
-			return "", err
-		}
-		rm, err := r.run(mig, b)
-		if err != nil {
-			return "", err
-		}
-		rp, err := r.run(rep, b)
-		if err != nil {
-			return "", err
-		}
-		cls := "low"
-		if b.High {
-			cls = "high"
-		}
-		t.AddRow(b.Abbr, cls, pct(speedupPct(rl, ub)), pct(speedupPct(rm, ub)), pct(speedupPct(rp, ub)),
+	for i, b := range v.benches {
+		ub, rl, rm, rp := v.res[i][0], v.res[i][1], v.res[i][2], v.res[i][3]
+		t.AddRow(b.Abbr, class(b), pct(speedupPct(rl, ub)), pct(speedupPct(rm, ub)), pct(speedupPct(rp, ub)),
 			fmt.Sprintf("%d", rm.Stats.PageMigrations), fmt.Sprintf("%d", rp.Stats.PageReplicas))
 	}
 	var bld strings.Builder

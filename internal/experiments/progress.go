@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/nuba-gpu/nuba"
@@ -24,12 +23,10 @@ type Event struct {
 	IPC       float64
 	LocalFrac float64
 	// Done counts completed simulations; Total the simulations planned
-	// so far (Total is 0 when running outside the engine, where the job
-	// set is unknown).
+	// so far.
 	Done, Total int
 	// Elapsed is the wall-clock time since the first simulation
-	// started; Remaining is the linear-extrapolation ETA (zero when
-	// Total is unknown).
+	// started; Remaining is the linear-extrapolation ETA.
 	Elapsed, Remaining time.Duration
 }
 
@@ -41,28 +38,21 @@ func (r *Runner) markStarted() {
 	}
 }
 
-// emitLocked reports one completed run to the configured sinks. Callers
-// hold r.mu, which also serializes OnEvent callbacks.
+// emitLocked reports one completed run to OnEvent. Callers hold r.mu,
+// which also serializes the callbacks.
 func (r *Runner) emitLocked(cfgName, abbr string, res *nuba.Result) {
-	if r.opts.Progress == nil && r.opts.OnEvent == nil {
+	if r.opts.OnEvent == nil {
 		return
 	}
-	elapsed := time.Since(r.started)
-	if r.opts.Progress != nil {
-		fmt.Fprintf(r.opts.Progress, "  ran %-7s on %-28s cycles=%-9d ipc=%.2f local=%.2f\n",
-			abbr, cfgName, res.Stats.Cycles, res.Stats.IPC(), res.Stats.LocalFraction())
+	ev := Event{
+		Bench:  abbr,
+		Config: cfgName,
+		Cycles: res.Stats.Cycles, IPC: res.Stats.IPC(), LocalFrac: res.Stats.LocalFraction(),
+		Done: r.done, Total: r.planned,
+		Elapsed: time.Since(r.started),
 	}
-	if r.opts.OnEvent != nil {
-		ev := Event{
-			Bench:  abbr,
-			Config: cfgName,
-			Cycles: res.Stats.Cycles, IPC: res.Stats.IPC(), LocalFrac: res.Stats.LocalFraction(),
-			Done: r.done, Total: r.planned,
-			Elapsed: elapsed,
-		}
-		if r.planned > r.done && r.done > 0 {
-			ev.Remaining = time.Duration(float64(elapsed) / float64(r.done) * float64(r.planned-r.done))
-		}
-		r.opts.OnEvent(ev)
+	if r.planned > r.done && r.done > 0 {
+		ev.Remaining = time.Duration(float64(ev.Elapsed) / float64(r.done) * float64(r.planned-r.done))
 	}
+	r.opts.OnEvent(ev)
 }

@@ -4,10 +4,9 @@ package experiments
 // class in internal/fault is injected into a short run and must be
 // caught by the layer docs/ROBUSTNESS.md assigns it to — the
 // forward-progress watchdog (hangs and deadlocks), the sanitize engine
-// (unsound hints), or the experiment pool (panics and transient
-// failures) — while the live-but-degraded faults must NOT trip anything
-// (the false-positive guard). Everything is seeded, so a failure here
-// reproduces exactly.
+// (unsound hints), or the experiment pool (panics) — while the
+// live-but-degraded faults must NOT trip anything (the false-positive
+// guard). Everything is seeded, so a failure here reproduces exactly.
 
 import (
 	"context"
@@ -165,46 +164,41 @@ func TestStressPoolIsolatesFailures(t *testing.T) {
 	}
 }
 
-// TestStressTransientRetry: an injected flake that fails the first two
-// attempts must be absorbed by the retry policy, while a zero-retry
-// pool records it as a terminal failure after one attempt.
-func TestStressTransientRetry(t *testing.T) {
+// TestStressFailureStaysInItsExperiment: a job that fails on a
+// configuration only fig11 uses must not cost fig12 — run next on the
+// same Runner — that benchmark.
+func TestStressFailureStaysInItsExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed stress matrix")
 	}
-	bp := stressBench(t, "BP")
-	e, err := ByName("fig3")
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	rr := nuba.NUBAConfig().Scale(0.125)
+	rr.Placement = nuba.RoundRobin
 	plan := fault.NewPlan()
-	plan.FailTransiently("", "BP", 2)
+	plan.Add(rr.Name(), "BP", fault.Spec{Seed: stressSeed,
+		Faults: []fault.Fault{{Kind: fault.PanicAt, At: 2000}}})
 	r := NewRunner(Options{
-		Scale: 0.125, Benchmarks: []workload.Benchmark{bp}, Jobs: 1,
-		Faults: plan, Retries: 3, RetryBackoff: time.Millisecond,
+		Scale: 0.125, Benchmarks: []workload.Benchmark{stressBench(t, "BP"), stressBench(t, "MVT")},
+		Faults: plan,
 	})
-	rep, err := r.Execute(context.Background(), e)
-	if err != nil {
-		t.Fatalf("retries must absorb a transient failure: %v", err)
+	reports := map[string]*Report{}
+	for _, name := range []string{"fig11", "fig12"} {
+		e, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reports[name], err = r.Execute(context.Background(), e); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
-	if len(rep.Failures) != 0 || !strings.Contains(rep.Text, "BP") {
-		t.Fatalf("flaky-but-recovered job misreported: failures=%+v\n%s", rep.Failures, rep.Text)
+	if fs := reports["fig11"].Failures; len(fs) != 1 || fs[0].Bench != "BP" || fs[0].Config != rr.Name() {
+		t.Fatalf("fig11 must report the one injected failure: %+v", fs)
 	}
-
-	plan = fault.NewPlan()
-	plan.FailTransiently("", "BP", 2)
-	r = NewRunner(Options{
-		Scale: 0.125, Benchmarks: []workload.Benchmark{bp}, Jobs: 1,
-		Faults: plan, // Retries: 0
-	})
-	_, err = r.Execute(context.Background(), e)
-	if err == nil {
-		t.Fatal("every benchmark failed; Execute must error")
+	tables, _, _ := strings.Cut(reports["fig11"].Text, "\nFAILED JOBS")
+	if strings.Contains(tables, "BP") || !strings.Contains(tables, "MVT") {
+		t.Errorf("fig11's tables must drop BP and keep MVT:\n%s", reports["fig11"].Text)
 	}
-	fs := r.Failures()
-	if len(fs) != 1 || fs[0].Attempts != 1 || !strings.Contains(fs[0].Err, "transient") {
-		t.Fatalf("zero-retry pool must fail after one attempt: %+v", fs)
+	if rep := reports["fig12"]; len(rep.Failures) != 0 || !strings.Contains(rep.Text, "BP") {
+		t.Errorf("fig12 uses none of fig11's failed job, yet: failures=%+v\n%s", rep.Failures, rep.Text)
 	}
 }
 

@@ -12,7 +12,7 @@
 // detection, repeatably.
 //
 // The package is importable only from internal/experiments and _test.go
-// files (nubalint's fault-containment rule): fault hooks must stay off
+// files (lint.policy lists it for that package alone): fault hooks must stay off
 // the model hot path, nil-gated like the trace probes.
 package fault
 

@@ -1,25 +1,19 @@
 package fault
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // Plan maps experiment jobs — (config name, benchmark abbreviation)
-// pairs — to fault specs and injected transient failures. The
-// experiment pool consults it per job: specs are armed onto the run's
-// system via Spec.Arm, transient failures make the job's first N
-// attempts fail with a retryable error (exercising the pool's bounded
-// backoff). Safe for concurrent use by the pool's workers.
+// pairs — to fault specs. The experiment pool consults it per job and
+// arms the spec onto the run's system via Spec.Arm. Safe for concurrent
+// use by the pool's workers.
 type Plan struct {
-	mu        sync.Mutex
-	specs     map[string]*Spec
-	transient map[string]int
+	mu    sync.Mutex
+	specs map[string]*Spec
 }
 
 // NewPlan returns an empty plan.
 func NewPlan() *Plan {
-	return &Plan{specs: make(map[string]*Spec), transient: make(map[string]int)}
+	return &Plan{specs: make(map[string]*Spec)}
 }
 
 func planKey(cfgName, bench string) string { return cfgName + "|" + bench }
@@ -44,43 +38,3 @@ func (p *Plan) For(cfgName, bench string) (*Spec, bool) {
 	s, ok := p.specs[planKey("", bench)]
 	return s, ok
 }
-
-// FailTransiently makes the job's next times attempts fail with a
-// *TransientError before the simulation even starts — the injected
-// flake the pool's retry loop must absorb. An empty cfgName matches the
-// benchmark under every configuration, like Add.
-func (p *Plan) FailTransiently(cfgName, bench string, times int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.transient[planKey(cfgName, bench)] = times
-}
-
-// TakeTransientFailure consumes one pending transient failure for the
-// job — trying the exact key first and the benchmark-wide ("", bench)
-// key second — returning the error to fail the attempt with, or nil
-// once the budget is exhausted.
-func (p *Plan) TakeTransientFailure(cfgName, bench string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, k := range []string{planKey(cfgName, bench), planKey("", bench)} {
-		if n := p.transient[k]; n > 0 {
-			p.transient[k] = n - 1
-			return &TransientError{Remaining: n - 1}
-		}
-	}
-	return nil
-}
-
-// TransientError is a retryable injected failure; the pool's retry loop
-// recognizes it through the Transient() method.
-type TransientError struct {
-	// Remaining is how many more attempts will fail after this one.
-	Remaining int
-}
-
-func (e *TransientError) Error() string {
-	return fmt.Sprintf("fault: injected transient failure (%d more to come)", e.Remaining)
-}
-
-// Transient marks the error as retryable.
-func (e *TransientError) Transient() bool { return true }

@@ -52,7 +52,7 @@ func TestNoFlagsDoesNothing(t *testing.T) {
 	p.Stop()
 }
 
-// TestToolsWriteProfiles is the CLI smoke test: each of the four tools
+// TestToolsWriteProfiles is the CLI smoke test: each of the three tools
 // that carry the flags is built and run on its cheapest input with both
 // set, and must exit cleanly leaving two profiles behind.
 func TestToolsWriteProfiles(t *testing.T) {
@@ -61,7 +61,7 @@ func TestToolsWriteProfiles(t *testing.T) {
 	}
 	bin := t.TempDir()
 	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator),
-		"../../cmd/nubasim", "../../cmd/nubasweep", "../../cmd/nubareport", "../../cmd/nubabench")
+		"../../cmd/nubasim", "../../cmd/nubasweep", "../../cmd/nubareport")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -86,21 +86,18 @@ func TestToolsWriteProfiles(t *testing.T) {
 	}
 
 	tools := []struct {
-		name  string
-		args  []string
-		stdin string
+		name string
+		args []string
 	}{
-		{"nubasim", []string{"-bench", "LEU", "-scale", "0.125"}, ""},
-		{"nubasweep", []string{"-exp", "table2"}, ""},
-		{"nubareport", []string{"-scale", "0.125", "-bench", "LEU", "-skip", strings.Join(skip, ",")}, ""},
-		{"nubabench", nil, "goos: linux\nBenchmarkEngineThroughput/BP/hybrid-2 \t 1\t 1000 ns/op\t 5 B/op\t 1 allocs/op\n"},
+		{"nubasim", []string{"-bench", "LEU", "-scale", "0.125"}},
+		{"nubasweep", []string{"-exp", "table2"}},
+		{"nubareport", []string{"-scale", "0.125", "-bench", "LEU", "-skip", strings.Join(skip, ",")}},
 	}
 	for _, tool := range tools {
 		out := t.TempDir()
 		cpu, mem := filepath.Join(out, "cpu.prof"), filepath.Join(out, "mem.prof")
 		cmd := exec.Command(filepath.Join(bin, tool.name),
 			append([]string{"-cpuprofile", cpu, "-memprofile", mem}, tool.args...)...)
-		cmd.Stdin = strings.NewReader(tool.stdin)
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
 		if err := cmd.Run(); err != nil {

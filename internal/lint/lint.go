@@ -28,10 +28,10 @@ func (d Diagnostic) String() string {
 // selection.
 //
 // Per-package rules (nondet-map-range, no-wallclock, import-layering,
-// ctx-propagation, goroutine-in-core, unit-consistency) run package by
-// package; the liveness rules then run once over the module-wide use
-// graph (see usegraph.go), so a config knob read only from a package
-// the analysis never loaded still counts as dead.
+// unit-consistency) run package by package; the liveness rules then
+// run once over the module-wide use graph (see usegraph.go), so a
+// config knob read only from a package the analysis never loaded still
+// counts as dead.
 func Run(prog *Program, pol *Policy, rules []string) ([]Diagnostic, error) {
 	if len(rules) == 0 {
 		rules = AllRules()

@@ -129,22 +129,22 @@ func TestSuppressionsHold(t *testing.T) {
 // (malformed directives are still always reported).
 func TestRuleSelection(t *testing.T) {
 	prog, pol := loadFixture(t)
-	diags, err := Run(prog, pol, []string{RuleGoroutine})
+	diags, err := Run(prog, pol, []string{RuleLayering})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	var goroutines int
+	var layering int
 	for _, d := range diags {
 		switch d.Rule {
-		case RuleGoroutine:
-			goroutines++
+		case RuleLayering:
+			layering++
 		case RuleDirective:
 		default:
 			t.Errorf("unselected rule reported: %s", d)
 		}
 	}
-	if goroutines != 1 {
-		t.Errorf("goroutine-in-core findings = %d, want 1", goroutines)
+	if layering != 1 {
+		t.Errorf("import-layering findings = %d, want 1", layering)
 	}
 
 	if _, err := Run(prog, pol, []string{"bogus-rule"}); err == nil {

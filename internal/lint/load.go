@@ -6,14 +6,10 @@
 //	nondet-map-range    no unordered map iteration in simulation-core code
 //	no-wallclock        no time.Now/time.Since/math/rand in simulation-core code
 //	import-layering     the package DAG declared in lint.policy holds
-//	ctx-propagation     ctx-receiving functions never reset the context chain
-//	goroutine-in-core   no go statements inside cycle-level model packages
 //	config-liveness     every audited config knob is read by the simulator
 //	metrics-liveness    every counter is written by the model and reported
 //	unit-consistency    nubaunit dimensional analysis over annotated values
 //	hint-purity         declared wake hints are transitively side-effect-free
-//	partition-isolation partition-owned fields accept only sanctioned writers
-//	fault-containment   the fault harness is importable only from the pool
 //
 // Which packages each rule covers, which files are allowlisted, and the
 // allowed import edges all come from a committed policy file (see

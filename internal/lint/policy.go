@@ -43,12 +43,9 @@ import (
 //	    Name the packages (or single files, e.g.
 //	    "internal/metrics/chart.go") whose code — including everything
 //	    transitively called from it — counts as a legitimate read
-//	    (resp. write) of the audited fields. partition-isolation's
-//	    writers additionally accept function specs ("pkg.Func" or
-//	    "pkg.Type.Method"), naming individual seam functions rather
-//	    than whole files.
+//	    (resp. write) of the audited fields.
 //
-// The wake-hint contract rules (purity.go, ownership.go) add one more:
+// The wake-hint contract rule (purity.go) adds one more:
 //
 //	funcs <rule> = <pkg.Func-or-pkg.Type.Method...>
 //	    Names individual functions or methods, as module-relative

@@ -26,13 +26,6 @@ const (
 	// RuleLayering flags module-internal imports not permitted by the
 	// package DAG declared in lint.policy.
 	RuleLayering = "import-layering"
-	// RuleCtx flags context.Background()/context.TODO() calls inside
-	// functions that already receive a context.Context: resetting the
-	// chain detaches callees from cancellation below Run.
-	RuleCtx = "ctx-propagation"
-	// RuleGoroutine flags go statements inside cycle-level model
-	// packages; concurrency belongs to the experiment engine.
-	RuleGoroutine = "goroutine-in-core"
 	// RuleConfigLive flags exported parameter-struct fields that no
 	// simulator package ever reads (module-wide, over the use graph):
 	// a paper knob plumbed into internal/config but never wired into
@@ -52,18 +45,6 @@ const (
 	// hybrid engine's idle-skip is only cycle-exact if hints are pure
 	// observations. See purity.go.
 	RuleHintPurity = "hint-purity"
-	// RulePartitionIsolation flags writes to partition-owned component
-	// state (`structs partition-isolation`) from outside the owning
-	// package, unless the writing function is a declared seam
-	// (`writers partition-isolation`). See ownership.go.
-	RulePartitionIsolation = "partition-isolation"
-	// RuleFaultContainment flags module-internal imports of the
-	// fault-injection harness (`writers fault-containment`) from packages
-	// outside the sanctioned importer set (`readers fault-containment`).
-	// The harness is test infrastructure: only the experiment pool — and
-	// _test.go files, which the linter never loads — may reach it, so
-	// injection hooks cannot leak into production simulation paths.
-	RuleFaultContainment = "fault-containment"
 	// RuleDirective reports malformed //nubalint:ignore comments and
 	// nubaunit annotations. It is always on: a directive that silently
 	// fails to parse would hide real findings.
@@ -73,9 +54,8 @@ const (
 // AllRules lists the selectable rules in documentation order.
 func AllRules() []string {
 	return []string{
-		RuleMapRange, RuleWallclock, RuleLayering, RuleCtx, RuleGoroutine,
+		RuleMapRange, RuleWallclock, RuleLayering,
 		RuleConfigLive, RuleMetricsLive, RuleUnits, RuleHintPurity,
-		RulePartitionIsolation, RuleFaultContainment,
 	}
 }
 
@@ -100,25 +80,21 @@ func knownRule(name string) bool {
 }
 
 // ruleFuncs maps each per-package rule to its checker. The module-wide
-// rules (config-liveness, metrics-liveness) live in progRuleFuncs and
+// rules (the liveness pair, hint-purity) live in progRuleFuncs and
 // unit-consistency is dispatched separately because it needs the
 // module-wide annotation table (see Run).
 var ruleFuncs = map[string]func(*pkgCtx){
-	RuleMapRange:         checkMapRange,
-	RuleWallclock:        checkWallclock,
-	RuleLayering:         checkLayering,
-	RuleCtx:              checkCtx,
-	RuleGoroutine:        checkGoroutine,
-	RuleFaultContainment: checkFaultContainment,
+	RuleMapRange:  checkMapRange,
+	RuleWallclock: checkWallclock,
+	RuleLayering:  checkLayering,
 }
 
 // progRuleFuncs maps each module-wide rule to its checker; these run
 // once over the whole program, after the per-package rules.
 var progRuleFuncs = map[string]func(*progCtx) error{
-	RuleConfigLive:         checkConfigLiveness,
-	RuleMetricsLive:        checkMetricsLiveness,
-	RuleHintPurity:         checkHintPurity,
-	RulePartitionIsolation: checkPartitionIsolation,
+	RuleConfigLive:  checkConfigLiveness,
+	RuleMetricsLive: checkMetricsLiveness,
+	RuleHintPurity:  checkHintPurity,
 }
 
 // emitFunc reports a diagnostic at a token position, applying
@@ -382,149 +358,4 @@ func allowedList(allowed map[string]bool) string {
 	}
 	sort.Strings(list)
 	return strings.Join(list, " ")
-}
-
-// --- fault-containment -----------------------------------------------
-
-// checkFaultContainment flags imports of the protected fault-injection
-// packages (`writers fault-containment`) from packages outside the
-// sanctioned importer set (`readers fault-containment`). The protected
-// packages may import each other. _test.go files are exempt by
-// construction: the loader never parses them (see goSources), so tests
-// anywhere in the module can arm faults freely.
-func checkFaultContainment(c *pkgCtx) {
-	if !c.pol.InScope(RuleFaultContainment, c.pkg.RelName()) {
-		return
-	}
-	protected := c.pol.Writers(RuleFaultContainment)
-	if len(protected) == 0 {
-		return
-	}
-	sanctioned := c.pol.Readers(RuleFaultContainment)
-	rel := c.pkg.RelName()
-	if matchAnyPkg(protected, rel) || matchAnyPkg(sanctioned, rel) {
-		return
-	}
-	for _, f := range c.pkg.Files {
-		for _, imp := range f.Imports {
-			p := strings.Trim(imp.Path.Value, `"`)
-			impRel, internal := internalRel(c.prog.Mod, p)
-			if !internal || !matchAnyPkg(protected, impRel) {
-				continue
-			}
-			c.emitPos(imp.Pos(), RuleFaultContainment,
-				fmt.Sprintf("package %s imports fault-injection harness %s; only %s and _test.go files may (readers fault-containment in lint.policy)",
-					rel, impRel, strings.Join(sanctioned, " ")))
-		}
-	}
-}
-
-// matchAnyPkg reports whether any policy pattern matches relName.
-func matchAnyPkg(patterns []string, relName string) bool {
-	for _, pat := range patterns {
-		if matchPkg(pat, relName) {
-			return true
-		}
-	}
-	return false
-}
-
-// --- ctx-propagation -------------------------------------------------
-
-func checkCtx(c *pkgCtx) {
-	if !c.pol.InScope(RuleCtx, c.pkg.RelName()) {
-		return
-	}
-	for _, f := range c.pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body == nil || !hasCtxParam(c.pkg.Info.Defs[fn.Name]) {
-					return true
-				}
-				body = fn.Body
-			case *ast.FuncLit:
-				if !hasCtxParamType(c.pkg.Info.TypeOf(fn)) {
-					return true
-				}
-				body = fn.Body
-			default:
-				return true
-			}
-			scanCtxBody(c, body)
-			return true
-		})
-	}
-}
-
-// scanCtxBody flags context.Background/TODO calls inside the body of a
-// ctx-receiving function. Nested function literals that receive their
-// own context are skipped — they are scanned on their own when the
-// inspection reaches them.
-func scanCtxBody(c *pkgCtx, body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok && hasCtxParamType(c.pkg.Info.TypeOf(lit)) {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		pkg, name := pkgFuncCall(c.pkg.Info, call)
-		if pkg == "context" && (name == "Background" || name == "TODO") {
-			c.emitPos(call.Pos(), RuleCtx,
-				fmt.Sprintf("function receives a context.Context but calls context.%s(); propagate the caller's ctx", name))
-		}
-		return true
-	})
-}
-
-// hasCtxParam reports whether obj is a function whose signature has a
-// context.Context parameter.
-func hasCtxParam(obj types.Object) bool {
-	if obj == nil {
-		return false
-	}
-	return hasCtxParamType(obj.Type())
-}
-
-func hasCtxParamType(t types.Type) bool {
-	sig, ok := t.(*types.Signature)
-	if !ok {
-		return false
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if isContextType(sig.Params().At(i).Type()) {
-			return true
-		}
-	}
-	return false
-}
-
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// --- goroutine-in-core -----------------------------------------------
-
-func checkGoroutine(c *pkgCtx) {
-	if !c.pol.InScope(RuleGoroutine, c.pkg.RelName()) {
-		return
-	}
-	for _, f := range c.pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok {
-				c.emitPos(g.Go, RuleGoroutine,
-					"go statement in cycle-level model package; concurrency belongs to the experiment engine")
-			}
-			return true
-		})
-	}
 }

@@ -7,17 +7,16 @@ import (
 
 // TestRepoLintsClean runs the real analyzer, with the real committed
 // lint.policy, over the real module — the same invocation as
-// `go run ./cmd/nubalint ./...` — under all eleven rules. The repo
+// `go run ./cmd/nubalint ./...` — under all seven rules. The repo
 // must stay finding-free: a new unsorted map range on the report path,
-// a stray time.Now or go statement in a model package, an import edge
-// outside the DAG, a config knob no simulator package reads, a Stats
-// counter nothing writes or reports, an expression mixing //nubaunit:
-// dimensions, an impure wake hint, a foreign write to partition-owned
-// state or a non-pool import of the fault-injection harness fails this
-// test (and with it `make check` and CI).
+// a stray time.Now in a model package, an import edge outside the DAG
+// (a non-pool import of the fault-injection harness is one), a config
+// knob no simulator package reads, a Stats counter nothing writes or
+// reports, an expression mixing //nubaunit: dimensions or an impure
+// wake hint fails this test (and with it `make check` and CI).
 func TestRepoLintsClean(t *testing.T) {
-	if n := len(AllRules()); n != 11 {
-		t.Fatalf("AllRules() has %d rules, want 11; update this test and the docs", n)
+	if n := len(AllRules()); n != 7 {
+		t.Fatalf("AllRules() has %d rules, want 7; update this test and the docs", n)
 	}
 	mod, err := FindModule("../..")
 	if err != nil {

@@ -11,6 +11,6 @@ import (
 // Main exercises the imports.
 func Main() {
 	engine.Drive(map[string]int{"a": 1}, func() {})
-	simcore.Spawn(func() {})
+	simcore.Jitter()
 	fixture.Run()
 }

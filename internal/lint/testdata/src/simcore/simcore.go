@@ -4,7 +4,6 @@
 package simcore
 
 import (
-	"context"
 	"math/rand"
 	"sort"
 	"time"
@@ -62,23 +61,4 @@ func StampIgnored(t0 time.Time) time.Duration {
 // Jitter uses math/rand (flagged at the import, not here).
 func Jitter() int {
 	return rand.Intn(8)
-}
-
-// Spawn starts a goroutine inside the model: goroutine-in-core positive.
-func Spawn(f func()) {
-	go f()
-}
-
-// Detach receives a ctx but resets the chain: ctx-propagation positive.
-func Detach(ctx context.Context) error {
-	return wait(context.Background())
-}
-
-// Wait propagates its ctx properly: clean.
-func Wait(ctx context.Context) error {
-	return wait(ctx)
-}
-
-func wait(ctx context.Context) error {
-	return ctx.Err()
 }

@@ -19,6 +19,7 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/nuba-gpu/nuba/internal/kir"
 	"github.com/nuba-gpu/nuba/internal/sim"
@@ -73,10 +74,10 @@ func filter(high bool) []Benchmark {
 	return out
 }
 
-// ByAbbr returns the benchmark with the given abbreviation.
+// ByAbbr returns the benchmark with the given abbreviation, in any case.
 func ByAbbr(abbr string) (Benchmark, error) {
 	for _, b := range suite {
-		if b.Abbr == abbr {
+		if strings.EqualFold(b.Abbr, abbr) {
 			return b, nil
 		}
 	}

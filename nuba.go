@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"time"
 
@@ -145,8 +146,25 @@ func LowSharing() []Benchmark { return workload.LowSharing() }
 func HighSharing() []Benchmark { return workload.HighSharing() }
 
 // BenchmarkByAbbr looks a benchmark up by its Table 2 abbreviation
-// (e.g. "SGEMM", "BICG").
+// (e.g. "SGEMM", "BICG"), in any case.
 func BenchmarkByAbbr(abbr string) (Benchmark, error) { return workload.ByAbbr(abbr) }
+
+// ParseBenchmarks parses a -bench flag value: a comma-separated list of
+// abbreviations (spaces and case ignored), or "all" for the full suite.
+func ParseBenchmarks(list string) ([]Benchmark, error) {
+	if strings.EqualFold(strings.TrimSpace(list), "all") {
+		return Suite(), nil
+	}
+	var out []Benchmark
+	for _, abbr := range strings.Split(list, ",") {
+		b, err := workload.ByAbbr(strings.TrimSpace(abbr))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, b)
+	}
+	return out, nil
+}
 
 // ParseKernel compiles kernel assembly (see internal/kir for the grammar)
 // and runs the read-only data-flow analysis.
