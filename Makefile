@@ -28,15 +28,15 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# The race detector over what does run concurrently — the experiment
-# pool and RunSuite's workers, each driving whole single-goroutine
-# simulations — plus the engine identity tests inside them.
-# TestEveryExperiment is left to `make test`: it checks what renderers
-# read, not the pool, and costs 8 minutes under the detector.
+# The race detector where there is a race to find: the experiment pool
+# is the one place that starts goroutines, and its workers drive real
+# concurrent nuba.Run calls through every model package — which is what
+# would expose state shared between simulations. Everything below it is
+# single-goroutine code. TestEveryExperiment is left to `make test`: it
+# checks what renderers read, not the pool, and costs 8 minutes under
+# the detector.
 race:
-	$(GO) test -race -timeout 30m -skip TestEveryExperiment ./internal/experiments/... ./internal/lint/...
-	$(GO) test -race -timeout 30m -run 'TestEnginesByteIdenticalFullRuns|TestWatchdogCatchesWedgeOnNonZeroPartition' .
-	$(GO) test -race -timeout 30m -run 'TestEngines|TestSanitize|TestParseEngine|TestQuietVsWake|TestMaxCycles' ./internal/core/
+	$(GO) test -race -timeout 30m -skip TestEveryExperiment ./internal/experiments/...
 
 # Hint-soundness smoke: a cheap three-benchmark subset to natural
 # completion under the sanitizer engine (every claimed-idle window

@@ -143,75 +143,6 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 }
 
-// TestRunSuiteMatchesRun: RunSuite must return results in input order
-// that match individual Run calls, for any worker count.
-func TestRunSuiteMatchesRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-backed")
-	}
-	var benches []Benchmark
-	for _, abbr := range []string{"BP", "LEU"} {
-		b, err := BenchmarkByAbbr(abbr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		benches = append(benches, b)
-	}
-	cfg := NUBAConfig().Scale(0.125)
-
-	var events int
-	results, err := RunSuite(context.Background(), cfg, benches,
-		WithWorkers(4),
-		WithProgress(func(RunEvent) { events++ }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(benches) || events != len(benches) {
-		t.Fatalf("got %d results, %d events for %d benchmarks", len(results), events, len(benches))
-	}
-	for i, b := range benches {
-		serial, err := Run(context.Background(), cfg, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if results[i].Stats.Cycles != serial.Stats.Cycles {
-			t.Fatalf("%s: RunSuite %d cycles, Run %d cycles",
-				b.Abbr, results[i].Stats.Cycles, serial.Stats.Cycles)
-		}
-	}
-}
-
-// TestRunSuiteCancellation: RunSuite under a pre-canceled context
-// returns ctx.Err() without simulating.
-func TestRunSuiteCancellation(t *testing.T) {
-	b, err := BenchmarkByAbbr("BP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RunSuite(ctx, NUBAConfig().Scale(0.125), []Benchmark{b, b}, WithWorkers(2)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-}
-
-// TestRunSuiteRejectsSingleRunOptions: WithTrace and WithLaunches make no
-// sense across a concurrent batch and must be rejected up front.
-func TestRunSuiteRejectsSingleRunOptions(t *testing.T) {
-	b, err := BenchmarkByAbbr("BP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := RunSuite(ctx, NUBAConfig(), []Benchmark{b}, WithTrace(&TraceOptions{})); err == nil {
-		t.Fatal("RunSuite accepted WithTrace")
-	}
-	if _, err := RunSuite(ctx, NUBAConfig(), []Benchmark{b},
-		WithLaunches(func(*System) ([]*Launch, error) { return nil, nil })); err == nil {
-		t.Fatal("RunSuite accepted WithLaunches")
-	}
-}
-
 func TestSpeedupHelper(t *testing.T) {
 	a := &Result{Stats: &Stats{Cycles: 50}}
 	b := &Result{Stats: &Stats{Cycles: 100}}

@@ -53,14 +53,7 @@ func run() int {
 	}
 	opts := experiments.Options{Scale: *scale, Jobs: *jobs, Engine: engine, Watchdog: *watchdog}
 	if *verbose {
-		opts.OnEvent = func(ev experiments.Event) {
-			line := fmt.Sprintf("  [%d/%d] %-7s on %-28s cycles=%-9d elapsed=%s",
-				ev.Done, ev.Total, ev.Bench, ev.Config, ev.Cycles, ev.Elapsed.Round(1e8))
-			if ev.Remaining > 0 {
-				line += fmt.Sprintf(" eta=%s", ev.Remaining.Round(1e9))
-			}
-			fmt.Fprintln(os.Stderr, line)
-		}
+		opts.OnEvent = experiments.ProgressPrinter(os.Stderr)
 	}
 	if *benchList != "" {
 		if opts.Benchmarks, err = nuba.ParseBenchmarks(*benchList); err != nil {

@@ -1,8 +1,9 @@
 // Command nubasim runs one or more benchmarks on one GPU configuration
 // and prints the measured statistics — the quickest way to poke at the
 // simulator. With several benchmarks (comma-separated, or "all" for the
-// full Table 2 suite) the runs execute across a worker pool (-jobs) and
-// print a compact per-benchmark table in suite order.
+// full Table 2 suite) the runs are one batch on the experiment runner's
+// worker pool (-jobs) and print a compact per-benchmark table in input
+// order; a benchmark that fails costs its row, not the table.
 //
 // Usage:
 //
@@ -22,9 +23,9 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
-	"sync"
 
 	"github.com/nuba-gpu/nuba"
+	"github.com/nuba-gpu/nuba/internal/experiments"
 	"github.com/nuba-gpu/nuba/internal/hostprof"
 )
 
@@ -119,10 +120,25 @@ func run() int {
 
 	tr := traceArgs{on: *traceOn, out: *traceOut, epoch: *traceEpoch}
 	wd := nuba.WatchdogOptions{NoProgressCycles: *watchdog}
-	if len(benches) == 1 {
+	switch {
+	case len(benches) == 1:
 		err = runOne(ctx, cfg, benches[0], tr, engine, wd)
-	} else {
-		err = runMany(ctx, cfg, benches, *jobs, *verbose, tr, engine, wd)
+	case tr.on:
+		// A traced suite is a debugging run, not a throughput one: one
+		// benchmark after another, each with its own pair of files.
+		for _, b := range benches {
+			btr := tr
+			btr.out = tr.out + "." + b.Abbr
+			if err = runOne(ctx, cfg, b, btr, engine, wd); err != nil {
+				break
+			}
+		}
+	default:
+		opts := experiments.Options{Benchmarks: benches, Jobs: *jobs, Engine: engine, Watchdog: *watchdog}
+		if *verbose {
+			opts.OnEvent = experiments.ProgressPrinter(os.Stderr)
+		}
+		err = runSuite(ctx, cfg, opts)
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
@@ -217,9 +233,9 @@ func runOne(ctx context.Context, cfg nuba.Config, b nuba.Benchmark, tr traceArgs
 	fmt.Printf("L1 miss rate:      %.3f\n", st.L1MissRate())
 	fmt.Printf("LLC hit rate:      %.3f\n", st.LLCHitRate())
 	fmt.Printf("local fraction:    %.3f (replicated %.3f)\n", st.LocalFraction(),
-		float64(st.ReplicatedAccesses)/float64(max64(1, st.LocalAccesses+st.RemoteAccesses)))
+		float64(st.ReplicatedAccesses)/float64(max(1, st.LocalAccesses+st.RemoteAccesses)))
 	fmt.Printf("DRAM reads/writes: %d / %d (row hit %.2f)\n", st.DRAMReads, st.DRAMWrites,
-		float64(st.DRAMRowHits)/float64(max64(1, st.DRAMRowHits+st.DRAMRowMisses)))
+		float64(st.DRAMRowHits)/float64(max(1, st.DRAMRowHits+st.DRAMRowMisses)))
 	fmt.Printf("page faults:       %d (walks %d)\n", st.PageFaults, st.PageWalks)
 	fmt.Printf("mem latency:       %.0f cycles avg\n", st.AvgMemLatency())
 	one, two, eleven, over := res.Sharing.Buckets()
@@ -278,65 +294,17 @@ func npbChart(path string) (string, error) {
 	return chart.String(), nil
 }
 
-// runMany simulates the benchmarks across a worker pool and prints a
-// compact table in input order (independent of completion order).
-func runMany(ctx context.Context, cfg nuba.Config, benches []nuba.Benchmark, jobs int, verbose bool, tr traceArgs, engine nuba.Engine, wd nuba.WatchdogOptions) error {
-	workers := jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// runSuite simulates the benchmarks as one experiment on the batch
+// runner and prints its compact table in input order. Failed jobs are
+// listed under the table and make the run an error.
+func runSuite(ctx context.Context, cfg nuba.Config, opts experiments.Options) error {
+	fmt.Printf("running %d benchmarks on %s...\n", len(opts.Benchmarks), cfg.Name())
+	report, err := experiments.NewRunner(opts).Execute(ctx, experiments.SuiteOn(cfg))
+	if report != nil {
+		fmt.Print(report.Text)
 	}
-	fmt.Printf("running %d benchmarks on %s (%d workers)...\n", len(benches), cfg.Name(), workers)
-	opts := []nuba.RunOption{nuba.WithWorkers(jobs), nuba.WithEngine(engine),
-		nuba.WithWatchdog(wd)}
-	if verbose {
-		opts = append(opts, nuba.WithProgress(func(ev nuba.RunEvent) {
-			fmt.Fprintf(os.Stderr, "  [%d/%d] %-7s cycles=%-9d elapsed=%s\n",
-				ev.Done, ev.Total, ev.Benchmark, ev.Result.Stats.Cycles, ev.Elapsed.Round(1e8))
-		}))
+	if err == nil && len(report.Failures) > 0 {
+		err = fmt.Errorf("%d job(s) failed; the table above is partial", len(report.Failures))
 	}
-	var (
-		sinkMu sync.Mutex
-		sinks  []*sink
-	)
-	if tr.on {
-		opts = append(opts, nuba.WithBenchTrace(func(b nuba.Benchmark) *nuba.TraceOptions {
-			topts, ss, err := openTrace(fmt.Sprintf("%s.%s", tr.out, b.Abbr), tr.epoch)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "nubasim: %s untraced: %v\n", b.Abbr, err)
-				return nil
-			}
-			sinkMu.Lock()
-			sinks = append(sinks, ss...)
-			sinkMu.Unlock()
-			return topts
-		}))
-	}
-	results, err := nuba.RunSuite(ctx, cfg, benches, opts...)
-	sinkMu.Lock()
-	for _, s := range sinks {
-		if cerr := s.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	sinkMu.Unlock()
-	if err != nil {
-		return err
-	}
-	if tr.on {
-		fmt.Printf("per-benchmark traces under %s.<bench>.{ndjson,trace.json}\n", tr.out)
-	}
-	fmt.Printf("%-8s %-12s %-8s %-10s %-8s %-8s\n", "Bench", "Cycles", "IPC", "Replies/c", "L1miss", "Local")
-	for i, b := range benches {
-		st := results[i].Stats
-		fmt.Printf("%-8s %-12d %-8.3f %-10.3f %-8.3f %-8.3f\n",
-			b.Abbr, st.Cycles, st.IPC(), st.RepliesPerCycle(), st.L1MissRate(), st.LocalFraction())
-	}
-	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return err
 }

@@ -1,0 +1,61 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestMultiBenchmarkMode is the CLI smoke test of the batch front door:
+// the binary is built once and run on a clean batch, on a batch with a
+// job that hangs, and on a benchmark that does not exist.
+func TestMultiBenchmarkMode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs nubasim")
+	}
+	bin := filepath.Join(t.TempDir(), "nubasim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	// run returns the tool's stdout, stderr and exit status.
+	run := func(args ...string) (string, string, int) {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if err != nil && !errors.As(err, &exit) {
+			t.Fatalf("nubasim %s: %v", strings.Join(args, " "), err)
+		}
+		return stdout.String(), stderr.String(), cmd.ProcessState.ExitCode()
+	}
+	hasRow := func(stdout, abbr string) bool {
+		return regexp.MustCompile(`(?m)^` + abbr + ` +[1-9][0-9]* `).MatchString(stdout)
+	}
+
+	stdout, stderr, code := run("-bench", "BH,LEU", "-scale", "0.125")
+	if code != 0 || !hasRow(stdout, "BH") || !hasRow(stdout, "LEU") {
+		t.Errorf("clean batch: exit %d\n%s%s", code, stdout, stderr)
+	}
+
+	// LBM on NUBA with round-robin placement deadlocks at this scale
+	// (ROADMAP item 4): it must cost its own row and nothing else.
+	stdout, stderr, code = run("-arch", "nuba", "-placement", "rr", "-bench", "LBM,LEU,BH",
+		"-scale", "0.125", "-watchdog", "300000")
+	if code != 1 || !hasRow(stdout, "LEU") || !hasRow(stdout, "BH") || hasRow(stdout, "LBM") {
+		t.Errorf("batch with a hanging job: exit %d\n%s%s", code, stdout, stderr)
+	}
+	if _, failures, ok := strings.Cut(stdout, "FAILED JOBS (1)"); !ok ||
+		!strings.Contains(failures, "LBM") || !strings.Contains(failures, "watchdog") {
+		t.Errorf("no FAILED JOBS section naming LBM's hang:\n%s", stdout)
+	}
+
+	if _, stderr, code = run("-bench", "nosuch"); code != 2 || !strings.Contains(stderr, "nosuch") {
+		t.Errorf("unknown benchmark: exit %d, stderr %q", code, stderr)
+	}
+}

@@ -22,20 +22,6 @@ import (
 	"github.com/nuba-gpu/nuba/internal/hostprof"
 )
 
-// progressPrinter returns an event sink that prints one line per
-// completed run with counts, elapsed time and the linear-extrapolation
-// ETA.
-func progressPrinter(w *os.File) func(experiments.Event) {
-	return func(ev experiments.Event) {
-		line := fmt.Sprintf("  [%d/%d] %-7s on %-28s cycles=%-9d ipc=%.2f elapsed=%s",
-			ev.Done, ev.Total, ev.Bench, ev.Config, ev.Cycles, ev.IPC, ev.Elapsed.Round(1e8))
-		if ev.Remaining > 0 {
-			line += fmt.Sprintf(" eta=%s", ev.Remaining.Round(1e9))
-		}
-		fmt.Fprintln(w, line)
-	}
-}
-
 func main() { os.Exit(run()) }
 
 // run is main with an exit status, so deferred work — closing the output,
@@ -84,7 +70,7 @@ func run() int {
 	}
 	opts := experiments.Options{Scale: *scale, Jobs: *jobs, Engine: engine, Watchdog: *watchdog}
 	if *verbose {
-		opts.OnEvent = progressPrinter(os.Stderr)
+		opts.OnEvent = experiments.ProgressPrinter(os.Stderr)
 	}
 	if *benchList != "" {
 		if opts.Benchmarks, err = nuba.ParseBenchmarks(*benchList); err != nil {

@@ -24,7 +24,7 @@ import (
 //     grow at the test's 0.125 scale (NW alone exceeds the 80 M-cycle
 //     safety limit there).
 //   - TestEnginesByteIdenticalFullRuns runs a cheap subset to natural
-//     completion through the public RunSuite path, covering the
+//     completion through the public Run path, covering the
 //     kernel-boundary flush, the final drain and the finished NDJSON +
 //     Chrome trace streams that a capped run never reaches.
 //
@@ -40,17 +40,32 @@ type cappedCapture struct {
 	live    int64  // memory requests not yet retired when the run ended
 }
 
-// runCapped executes b on cfg under engine e, tolerating (and recording)
-// the MaxCycles error a capped run ends in. It drives internal/core
-// directly because the public Run returns no Result for a capped run,
-// while the cross-engine comparison needs the stats snapshot either way.
-func runCapped(t *testing.T, cfg Config, b Benchmark, e Engine) cappedCapture {
+// cappedConfig is the system the whole-suite identity tests share
+// (engines here and in TestSanitizeSuite, the watchdog in
+// robustness_test.go), so they can share one reference run too.
+func cappedConfig() Config {
+	cfg := NUBAConfig().Scale(0.125)
+	// A multiple of both the 64-cycle batch and MemClockDiv, far enough
+	// to reach steady state on every workload yet bounded in wall time.
+	cfg.MaxCycles = 256 * 1024
+	return cfg
+}
+
+// runCapped executes b on cappedConfig under engine e with the
+// forward-progress watchdog armed at window (0 = off), tolerating (and
+// recording) the MaxCycles error a capped run ends in — and nothing
+// else: a sanitizer diagnostic or a *HangError fails the test. It drives
+// internal/core directly because the public Run returns no Result for a
+// capped run, while the comparison needs the stats snapshot either way.
+func runCapped(t *testing.T, b Benchmark, e Engine, window int64) cappedCapture {
 	t.Helper()
+	cfg := cappedConfig()
 	g, err := core.New(cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", b.Abbr, err)
 	}
 	g.SetEngine(e)
+	g.SetWatchdog(window)
 	var series bytes.Buffer
 	tr := trace.New(trace.Options{Series: &series, EpochCycles: 10_000}, cfg.CoreClockGHz)
 	tr.Begin(trace.Meta{Bench: b.Abbr, Config: cfg.Name(), Partitions: cfg.NumPartitions()})
@@ -62,7 +77,7 @@ func runCapped(t *testing.T, cfg Config, b Benchmark, e Engine) cappedCapture {
 	outcome := "drained"
 	if err := g.RunProgramContext(context.Background(), launches); err != nil {
 		if !strings.Contains(err.Error(), "exceeded MaxCycles") {
-			t.Fatalf("%s: %v engine: unexpected error: %v", b.Abbr, e, err)
+			t.Fatalf("%s: %v engine, watchdog window %d: unexpected error: %v", b.Abbr, e, window, err)
 		}
 		outcome = err.Error()
 	}
@@ -77,19 +92,31 @@ func runCapped(t *testing.T, cfg Config, b Benchmark, e Engine) cappedCapture {
 	}
 }
 
+// cappedRefs memoises cappedReference per benchmark for the process.
+// Tests in this package run on one goroutine, so a plain map will do.
+var cappedRefs = map[string]cappedCapture{}
+
+// cappedReference is what every whole-suite test compares its variant
+// against: b under the default engine with no watchdog. It is simulated
+// on first use, so any one of those tests still runs alone under -run.
+func cappedReference(t *testing.T, b Benchmark) cappedCapture {
+	t.Helper()
+	ref, ok := cappedRefs[b.Abbr]
+	if !ok {
+		ref = runCapped(t, b, EngineHybrid, 0)
+		cappedRefs[b.Abbr] = ref
+	}
+	return ref
+}
+
 func TestEnginesByteIdenticalAcrossSuite(t *testing.T) {
 	if testing.Short() {
-		t.Skip("simulation-backed; runs every benchmark twice")
+		t.Skip("simulation-backed; runs every benchmark, plus the shared reference")
 	}
-	cfg := NUBAConfig().Scale(0.125)
-	// A multiple of both the 64-cycle batch and MemClockDiv, far enough
-	// to reach steady state on every workload yet bounded in wall time.
-	cfg.MaxCycles = 256 * 1024
-
 	var drained, capped int
 	for _, b := range Suite() {
-		naive := runCapped(t, cfg, b, EngineNaive)
-		hybrid := runCapped(t, cfg, b, EngineHybrid)
+		naive := runCapped(t, b, EngineNaive, 0)
+		hybrid := cappedReference(t, b)
 		if naive.outcome != hybrid.outcome {
 			t.Errorf("%s: outcomes diverge\nnaive:  %s\nhybrid: %s", b.Abbr, naive.outcome, hybrid.outcome)
 		}
@@ -132,13 +159,11 @@ func TestEnginesByteIdenticalAcrossSuite(t *testing.T) {
 // stay byte-identical to the hybrid engine they are vouching for.
 func TestSanitizeSuite(t *testing.T) {
 	if testing.Short() {
-		t.Skip("simulation-backed; runs every benchmark twice")
+		t.Skip("simulation-backed; runs every benchmark, plus the shared reference")
 	}
-	cfg := NUBAConfig().Scale(0.125)
-	cfg.MaxCycles = 256 * 1024
 	for _, b := range Suite() {
-		san := runCapped(t, cfg, b, EngineSanitize)
-		hybrid := runCapped(t, cfg, b, EngineHybrid)
+		san := runCapped(t, b, EngineSanitize, 0)
+		hybrid := cappedReference(t, b)
 		if san.outcome != hybrid.outcome {
 			t.Errorf("%s: outcomes diverge\nsanitize: %s\nhybrid:   %s", b.Abbr, san.outcome, hybrid.outcome)
 		}
@@ -178,30 +203,18 @@ func TestEnginesByteIdenticalFullRuns(t *testing.T) {
 	}
 	runAll := func(e Engine) []capture {
 		t.Helper()
-		type sinks struct{ series, chrome bytes.Buffer }
-		byIdx := make([]sinks, len(benches))
-		opts := []RunOption{
-			WithEngine(e),
-			WithBenchTrace(func(b Benchmark) *TraceOptions {
-				for i := range benches {
-					if benches[i].Abbr == b.Abbr {
-						return &TraceOptions{Series: &byIdx[i].series, Chrome: &byIdx[i].chrome}
-					}
-				}
-				t.Errorf("unknown benchmark %s", b.Abbr)
-				return nil
-			}),
-		}
-		results, err := RunSuite(context.Background(), cfg, benches, opts...)
-		if err != nil {
-			t.Fatalf("%v engine: %v", e, err)
-		}
 		caps := make([]capture, len(benches))
-		for i, res := range results {
+		for i, b := range benches {
+			var series, chrome bytes.Buffer
+			res, err := Run(context.Background(), cfg, b, WithEngine(e),
+				WithTrace(&TraceOptions{Series: &series, Chrome: &chrome}))
+			if err != nil {
+				t.Fatalf("%s: %v engine: %v", b.Abbr, e, err)
+			}
 			caps[i] = capture{
 				report: fmt.Sprintf("%+v\n%s", *res.Stats, DetailTable(res.Stats)),
-				series: byIdx[i].series.Bytes(),
-				chrome: byIdx[i].chrome.Bytes(),
+				series: series.Bytes(),
+				chrome: chrome.Bytes(),
 			}
 		}
 		return caps

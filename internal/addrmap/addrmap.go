@@ -28,7 +28,6 @@ type Mapper struct {
 	slicesPerChannel int
 	banks            int
 	pageShift        uint
-	pageMask         uint64
 }
 
 // New returns a Mapper for the configuration.
@@ -43,7 +42,6 @@ func New(cfg *config.Config) *Mapper {
 		slicesPerChannel: cfg.NumLLCSlices / cfg.NumChannels,
 		banks:            cfg.BanksPerChan,
 		pageShift:        shift,
-		pageMask:         cfg.PageSize - 1,
 	}
 }
 
@@ -96,9 +94,6 @@ func (m *Mapper) Home(paddr uint64) (channel, slice int) {
 	return ch, ch*m.slicesPerChannel + m.Bank(paddr)%m.slicesPerChannel
 }
 
-// ChannelOfSlice returns the memory channel attached to an LLC slice.
-func (m *Mapper) ChannelOfSlice(slice int) int { return slice / m.slicesPerChannel }
-
 // ComposeFrame builds the physical page number for the frameSeq-th frame
 // allocated to channel: the channel bits are the low bits of the PPN so
 // that the fixed-channel policy preserves the driver's placement decision.
@@ -108,6 +103,3 @@ func (m *Mapper) ComposeFrame(frameSeq uint64, channel int) uint64 {
 
 // FrameToAddr returns the base physical address of a physical page number.
 func (m *Mapper) FrameToAddr(ppn uint64) uint64 { return ppn << m.pageShift }
-
-// PageOffset returns the offset of paddr within its page.
-func (m *Mapper) PageOffset(paddr uint64) uint64 { return paddr & m.pageMask }

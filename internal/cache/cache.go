@@ -63,12 +63,6 @@ func New(sets, ways int, policy Policy) *Cache {
 	return c
 }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 // LineAddr returns the line-aligned address of addr.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift << c.lineShift }
 

@@ -462,27 +462,6 @@ func (c *Config) SMsPerPartitionActual() int { return c.NumSMs / c.NumPartitions
 // SlicesPerPartitionActual returns NumLLCSlices / NumPartitions.
 func (c *Config) SlicesPerPartitionActual() int { return c.NumLLCSlices / c.NumPartitions() }
 
-// ModuleOfSM returns the MCM module an SM belongs to (0 when monolithic).
-func (c *Config) ModuleOfSM(sm int) int {
-	if c.NumModules <= 1 {
-		return 0
-	}
-	return sm / (c.NumSMs / c.NumModules)
-}
-
-// ModuleOfChannel returns the MCM module a memory channel belongs to.
-func (c *Config) ModuleOfChannel(ch int) int {
-	if c.NumModules <= 1 {
-		return 0
-	}
-	return ch / (c.NumChannels / c.NumModules)
-}
-
-// ModuleOfSlice returns the MCM module an LLC slice belongs to.
-func (c *Config) ModuleOfSlice(s int) int {
-	return c.ModuleOfChannel(c.PartitionOfSlice(s))
-}
-
 // NoCPortBytes returns the per-port link width in bytes per cycle implied
 // by the aggregate NoC bandwidth: width = BW / clock / ports, with one
 // port per LLC slice (the narrow side of the crossbar). The baseline
@@ -505,19 +484,6 @@ func (c *Config) NoCPortBytes() int {
 		if f > 0.85 && f < 1.15 {
 			return p
 		}
-	}
-	return int(w + 0.5)
-}
-
-// InterModuleBytes returns the per-direction inter-module link width in
-// bytes per cycle for MCM configurations.
-func (c *Config) InterModuleBytes() int {
-	if c.NumModules <= 1 || c.InterModuleGBs <= 0 {
-		return 0
-	}
-	w := c.InterModuleGBs / (2 * c.CoreClockGHz) // bidirectional: half each way
-	if w < 1 {
-		return 1
 	}
 	return int(w + 0.5)
 }

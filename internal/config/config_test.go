@@ -111,12 +111,6 @@ func TestMCMConfig(t *testing.T) {
 	if c.NumSMs != 128 || c.NumModules != 4 || c.InterModuleGBs != 720 {
 		t.Fatal("MCM geometry wrong")
 	}
-	if c.ModuleOfSM(0) != 0 || c.ModuleOfSM(127) != 3 || c.ModuleOfChannel(63) != 3 {
-		t.Fatal("module maps wrong")
-	}
-	if c.InterModuleBytes() <= 0 {
-		t.Fatal("inter-module width zero")
-	}
 }
 
 func TestValidateRejectsBadConfigs(t *testing.T) {

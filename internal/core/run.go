@@ -9,15 +9,11 @@ import (
 	"github.com/nuba-gpu/nuba/internal/sim"
 )
 
-// RunKernel executes one kernel launch to completion, including the
-// kernel-boundary software-coherence flush (L1s and LLC, replica drop).
-func (g *GPU) RunKernel(l *kir.Launch) error {
-	return g.RunKernelContext(context.Background(), l)
-}
-
-// RunKernelContext is RunKernel with cancellation: the cycle loop polls
-// ctx between batches of cycles and aborts the simulation with an error
-// wrapping ctx.Err() once the context is done.
+// RunKernelContext executes one kernel launch to completion, including
+// the kernel-boundary software-coherence flush (L1s and LLC, replica
+// drop). The cycle loop polls ctx between batches of cycles and aborts
+// the simulation with an error wrapping ctx.Err() once the context is
+// done.
 func (g *GPU) RunKernelContext(ctx context.Context, l *kir.Launch) error {
 	if err := l.Validate(); err != nil {
 		return err

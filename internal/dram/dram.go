@@ -239,9 +239,6 @@ func (c *Channel) remove(i int) {
 	c.queue = c.queue[:n]
 }
 
-// QueueLen returns the number of pending requests.
-func (c *Channel) QueueLen() int { return len(c.queue) }
-
 // fawOK reports whether a fourth activate within the window would violate
 // tFAW at memory cycle now.
 func (c *Channel) fawOK(now int64) bool {

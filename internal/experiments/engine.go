@@ -240,8 +240,9 @@ func (r *Runner) admit(keys []string) []int {
 
 // simulate runs one admitted job with the runner's engine, watchdog and
 // fault plan applied and completes its cache entry. A failed run stays
-// cached with its error (re-running would fail identically); a canceled
-// one is evicted so a later call can simulate it.
+// cached with its error (re-running would fail identically) and counts
+// and reports as a simulated job like a finished one; a canceled one is
+// evicted, and un-planned, so a later call can simulate it.
 func (r *Runner) simulate(ctx context.Context, key string, j *Job) {
 	var res *nuba.Result
 	err := ctx.Err()
@@ -257,19 +258,19 @@ func (r *Runner) simulate(ctx context.Context, key string, j *Job) {
 		}
 		res, err = nuba.Run(ctx, j.Config, j.Bench, opts...)
 	}
-	if err != nil {
-		err = fmt.Errorf("%s on %s: %w", j.Bench.Abbr, j.Config.Name(), err)
-	}
 
 	r.mu.Lock()
 	ent := r.cache[key]
-	ent.res, ent.err = res, err
-	switch {
-	case err == nil:
-		r.done++
-		r.emitLocked(j.Config.Name(), j.Bench.Abbr, res)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+	ent.res = res
+	if err != nil {
+		ent.err = fmt.Errorf("%s on %s: %w", j.Bench.Abbr, j.Config.Name(), err)
+	}
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		delete(r.cache, key)
+		r.planned--
+	} else {
+		r.done++
+		r.emitLocked(j.Config.Name(), j.Bench.Abbr, res, err)
 	}
 	r.mu.Unlock()
 	close(ent.ready)

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/nuba-gpu/nuba"
+	"github.com/nuba-gpu/nuba/internal/fault"
 	"github.com/nuba-gpu/nuba/internal/workload"
 )
 
@@ -223,5 +225,76 @@ func TestFig7SmallSubset(t *testing.T) {
 	execute(t, r, "fig9")
 	if len(r.cache) != before {
 		t.Fatal("fig9 re-simulated runs fig7 already did")
+	}
+}
+
+// TestSuiteOn is nubasim's multi-benchmark mode: one configuration taken
+// as given, a repeated benchmark simulated once but rendered once per
+// mention, rows in input order, the same bytes for any worker count.
+func TestSuiteOn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed experiment")
+	}
+	cfg := nuba.NUBAConfig().Scale(0.125)
+	benches := []workload.Benchmark{stressBench(t, "BH"), stressBench(t, "BH"), stressBench(t, "LEU")}
+	var texts []string
+	for _, jobs := range []int{1, 4} {
+		events := 0
+		r := NewRunner(Options{Benchmarks: benches, Jobs: jobs, OnEvent: func(Event) { events++ }})
+		rep, err := r.Execute(context.Background(), SuiteOn(cfg))
+		if err != nil || len(rep.Failures) != 0 {
+			t.Fatalf("jobs=%d: %v, failures %+v", jobs, err, rep)
+		}
+		if len(r.cache) != 2 || events != 2 {
+			t.Fatalf("jobs=%d: %d cached runs, %d events; want 2 of each", jobs, len(r.cache), events)
+		}
+		texts = append(texts, rep.Text)
+	}
+	if texts[0] != texts[1] {
+		t.Fatalf("jobs=4 table differs from jobs=1:\n%s\n%s", texts[0], texts[1])
+	}
+	var rows []string
+	for _, line := range strings.Split(strings.TrimSpace(texts[0]), "\n")[1:] {
+		rows = append(rows, strings.Fields(line)[0])
+	}
+	if got := strings.Join(rows, ","); got != "BH,BH,LEU" {
+		t.Fatalf("rows %s, want BH,BH,LEU:\n%s", got, texts[0])
+	}
+}
+
+// TestFailedJobCountsAsProgress: a job that fails is still one simulated
+// job — it reaches OnEvent once, carrying its error and no counters, and
+// the last event of the batch reads done == total.
+func TestFailedJobCountsAsProgress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed experiment")
+	}
+	plan := fault.NewPlan()
+	plan.Add("", "BP", fault.Spec{Seed: stressSeed,
+		Faults: []fault.Fault{{Kind: fault.PanicAt, At: 2000}}})
+	var events []Event
+	r := NewRunner(Options{
+		Benchmarks: []workload.Benchmark{stressBench(t, "BP"), stressBench(t, "LEU")},
+		Jobs:       1, Faults: plan,
+		OnEvent: func(ev Event) { events = append(events, ev) },
+	})
+	rep, err := r.Execute(context.Background(), SuiteOn(nuba.NUBAConfig().Scale(0.125)))
+	if err != nil || len(rep.Failures) != 1 {
+		t.Fatalf("want a partial report with one failure: %v, %+v", err, rep)
+	}
+	if len(events) != 2 {
+		t.Fatalf("want one event per simulated job, got %d: %+v", len(events), events)
+	}
+	bp, last := events[0], events[1]
+	if bp.Bench != "BP" || !strings.Contains(bp.Err, "panic") || bp.Cycles != 0 || bp.IPC != 0 {
+		t.Errorf("failed job's event: %+v", bp)
+	}
+	if last.Err != "" || last.Cycles == 0 || last.Done != 2 || last.Total != 2 || last.Remaining != 0 {
+		t.Errorf("last event must close the batch: %+v", last)
+	}
+	var line strings.Builder
+	ProgressPrinter(&line)(bp)
+	if !strings.Contains(line.String(), "[1/2] BP") || !strings.Contains(line.String(), "FAILED: ") {
+		t.Errorf("progress line of a failed job: %q", line.String())
 	}
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"io"
 	"time"
 
 	"github.com/nuba-gpu/nuba"
@@ -13,17 +15,21 @@ import (
 // ETA estimates only, so confining it keeps the byte-identical-report
 // guarantee machine-checkable.
 
-// Event is one structured progress notification from the engine.
+// Event is one structured progress notification from the engine: one
+// per simulated job, finished or failed.
 type Event struct {
-	// Bench and Config identify the completed run.
+	// Bench and Config identify the run.
 	Bench  string
 	Config string
-	// Cycles, IPC and LocalFrac summarize the run.
+	// Cycles, IPC and LocalFrac summarize a finished run; a failed one
+	// leaves them zero.
 	Cycles    int64
 	IPC       float64
 	LocalFrac float64
-	// Done counts completed simulations; Total the simulations planned
-	// so far.
+	// Err is the error text of a failed run, empty for a finished one.
+	Err string
+	// Done counts simulated jobs, failed ones included; Total the jobs
+	// planned so far.
 	Done, Total int
 	// Elapsed is the wall-clock time since the first simulation
 	// started; Remaining is the linear-extrapolation ETA.
@@ -38,21 +44,44 @@ func (r *Runner) markStarted() {
 	}
 }
 
-// emitLocked reports one completed run to OnEvent. Callers hold r.mu,
-// which also serializes the callbacks.
-func (r *Runner) emitLocked(cfgName, abbr string, res *nuba.Result) {
+// emitLocked reports one simulated job — its result, or the error it
+// failed with — to OnEvent. Callers hold r.mu, which also serializes the
+// callbacks.
+func (r *Runner) emitLocked(cfgName, abbr string, res *nuba.Result, err error) {
 	if r.opts.OnEvent == nil {
 		return
 	}
 	ev := Event{
 		Bench:  abbr,
 		Config: cfgName,
-		Cycles: res.Stats.Cycles, IPC: res.Stats.IPC(), LocalFrac: res.Stats.LocalFraction(),
-		Done: r.done, Total: r.planned,
+		Done:   r.done, Total: r.planned,
 		Elapsed: time.Since(r.started),
+	}
+	if err != nil {
+		ev.Err = err.Error()
+	} else {
+		ev.Cycles, ev.IPC, ev.LocalFrac = res.Stats.Cycles, res.Stats.IPC(), res.Stats.LocalFraction()
 	}
 	if r.planned > r.done && r.done > 0 {
 		ev.Remaining = time.Duration(float64(ev.Elapsed) / float64(r.done) * float64(r.planned-r.done))
 	}
 	r.opts.OnEvent(ev)
+}
+
+// ProgressPrinter returns the OnEvent sink the command-line tools share:
+// one line per simulated job with counts, elapsed time and the
+// linear-extrapolation ETA, a failed job as a FAILED line.
+func ProgressPrinter(w io.Writer) func(Event) {
+	return func(ev Event) {
+		outcome := fmt.Sprintf("cycles=%-9d ipc=%.2f", ev.Cycles, ev.IPC)
+		if ev.Err != "" {
+			outcome = "FAILED: " + ev.Err
+		}
+		line := fmt.Sprintf("  [%d/%d] %-7s on %-28s %s elapsed=%s",
+			ev.Done, ev.Total, ev.Bench, ev.Config, outcome, ev.Elapsed.Round(1e8))
+		if ev.Remaining > 0 {
+			line += fmt.Sprintf(" eta=%s", ev.Remaining.Round(1e9))
+		}
+		fmt.Fprintln(w, line)
+	}
 }

@@ -31,8 +31,9 @@ type Options struct {
 	// Jobs is the worker-pool size used to execute an experiment's job
 	// set; zero or negative selects runtime.GOMAXPROCS(0).
 	Jobs int
-	// OnEvent, when non-nil, receives a structured Event per completed
-	// run (run counts, elapsed time, ETA). Calls are serialized.
+	// OnEvent, when non-nil, receives a structured Event per simulated
+	// job, finished or failed (counts, elapsed time, ETA). Calls are
+	// serialized. ProgressPrinter is the sink the CLIs pass.
 	OnEvent func(Event)
 	// Engine selects the cycle-loop engine (default nuba.EngineHybrid).
 	// It never enters the memo key: all engines are cycle-exact, so the
@@ -89,7 +90,7 @@ type Runner struct {
 	mu      sync.Mutex
 	cache   map[string]*cacheEntry
 	planned int       // jobs scheduled across Execute/Prefetch calls
-	done    int       // simulations completed
+	done    int       // jobs simulated, finished or failed
 	started time.Time // first simulation start, for elapsed/ETA
 }
 
@@ -166,6 +167,30 @@ func Names() []string {
 		out = append(out, e.Name)
 	}
 	return out
+}
+
+// SuiteOn returns the experiment behind nubasim's multi-benchmark mode:
+// the runner's benchmarks on the one configuration cfg, taken as given
+// (Options.Scale does not apply), rendered as a compact counter table in
+// input order. It is built per call, so it is not in All().
+func SuiteOn(cfg nuba.Config) Experiment {
+	return Experiment{
+		Name:    "suite",
+		Title:   "Benchmarks on " + cfg.Name(),
+		Configs: func(*Runner) []nuba.Config { return []nuba.Config{cfg} },
+		render:  suiteTable,
+	}
+}
+
+func suiteTable(v *view) (string, error) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-8s %-12s %-8s %-10s %-8s %-8s\n", "Bench", "Cycles", "IPC", "Replies/c", "L1miss", "Local")
+	for i, bench := range v.benches {
+		st := v.res[i][0].Stats
+		fmt.Fprintf(&b, "%-8s %-12d %-8.3f %-10.3f %-8.3f %-8.3f\n",
+			bench.Abbr, st.Cycles, st.IPC(), st.RepliesPerCycle(), st.L1MissRate(), st.LocalFraction())
+	}
+	return b.String(), nil
 }
 
 // scaled applies the Runner's GPU scale to a configuration.

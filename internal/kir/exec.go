@@ -322,36 +322,6 @@ func (w *Warp) operand(o Operand, lane int) int64 {
 	return 0
 }
 
-// operandUniform evaluates o if it is warp-uniform.
-func (w *Warp) operandUniform(o Operand) (int64, bool) {
-	switch o.Kind {
-	case OpdReg:
-		v := &w.Regs[o.Val]
-		if v.Uniform() {
-			return v.scalar, true
-		}
-		return 0, false
-	case OpdImm:
-		return o.Val, true
-	case OpdParam:
-		return w.L.Scalars[o.Val], true
-	case OpdSpecial:
-		switch Special(o.Val) {
-		case SpecCtaid:
-			return int64(w.CTA), true
-		case SpecNtid:
-			return int64(w.L.CTAThreads), true
-		case SpecNctaid:
-			return int64(w.L.GridDim), true
-		case SpecWarpid:
-			return int64(w.WarpInCTA), true
-		default:
-			return 0, false
-		}
-	}
-	return 0, false
-}
-
 func alu(op Op, a, b, c int64) int64 {
 	switch op {
 	case OpMov, OpFma:
@@ -415,26 +385,6 @@ func compare(c Cmp, a, b int64) bool {
 		return a == b
 	default:
 		return a != b
-	}
-}
-
-// writeReg writes per-lane results into register d under mask, keeping the
-// uniform fast path when the whole warp writes the same scalar.
-func (w *Warp) writeReg(d int8, mask uint32, full bool, uniformVal int64, uniformOK bool, f func(lane int) int64) {
-	r := &w.Regs[d]
-	if full && uniformOK {
-		r.setUniform(uniformVal)
-		return
-	}
-	lanes := r.spread()
-	for l := 0; l < WarpSize; l++ {
-		if mask&(1<<uint(l)) != 0 {
-			if uniformOK {
-				lanes[l] = uniformVal
-			} else {
-				lanes[l] = f(l)
-			}
-		}
 	}
 }
 

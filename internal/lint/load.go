@@ -106,17 +106,6 @@ type Program struct {
 	Pkgs []*Package
 }
 
-// pkgByRel returns the loaded package with the given policy-style
-// rel-name ("." for the root), or nil.
-func (p *Program) pkgByRel(rel string) *Package {
-	for _, pkg := range p.Pkgs {
-		if pkg.RelName() == rel {
-			return pkg
-		}
-	}
-	return nil
-}
-
 // RelFile returns pos's file path relative to the module root.
 func (p *Program) RelFile(pos token.Pos) string {
 	f := p.Fset.Position(pos).Filename

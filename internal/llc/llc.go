@@ -129,10 +129,6 @@ func (s *Slice) EnqueueLocal(req *sim.MemReq) bool { return s.lmr.Push(req) }
 // EnqueueRemote offers a request to the RMR queue.
 func (s *Slice) EnqueueRemote(req *sim.MemReq) bool { return s.rmr.Push(req) }
 
-// CanAcceptLocal reports whether the LMR queue has room (always true for
-// the elastic queue; kept for call-site symmetry).
-func (s *Slice) CanAcceptLocal() bool { return !s.lmr.Full() }
-
 // CanAcceptRemote reports whether the RMR queue has room (always true for
 // the elastic queue; kept for call-site symmetry).
 func (s *Slice) CanAcceptRemote() bool { return !s.rmr.Full() }
@@ -426,16 +422,6 @@ func (s *Slice) AcceptReplicaFill(req *sim.MemReq, now sim.Cycle) {
 	}
 }
 
-// InvalidateLine applies a coherence invalidation immediately (used by
-// the SM-side UBA write path when modeled without queueing).
-func (s *Slice) InvalidateLine(addr uint64) bool {
-	found, _ := s.tags.Invalidate(addr)
-	if found {
-		s.Invalidations++
-	}
-	return found
-}
-
 // HitRate returns the tag-array hit rate since the last reset.
 func (s *Slice) HitRate() float64 { return s.tags.HitRate() }
 
@@ -444,7 +430,3 @@ func (s *Slice) DebugState() string {
 	return fmt.Sprintf("lmr=%d rmr=%d pipe=%d outbox=%d mshr=%d",
 		s.lmr.Len(), s.rmr.Len(), s.pipe.Len(), s.outbox.Len(), s.mshr.Len())
 }
-
-// MSHRStalls returns how many cycles the slice stalled on a full MSHR
-// file.
-func (s *Slice) MSHRStalls() int64 { return s.mshr.StallsFull }

@@ -108,9 +108,6 @@ func NewProfiler(cfg *config.Config, targetSlice int) *Profiler {
 	}
 }
 
-// TargetSlice returns the profiled slice.
-func (p *Profiler) TargetSlice() int { return p.targetSlice }
-
 // sampleIndex returns the shadow set index for addr, or -1 if the
 // address's set is not sampled.
 func (p *Profiler) sampleIndex(addr uint64) int {

@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -289,14 +288,4 @@ func HarmonicMeanSpeedup(speedups []float64) float64 {
 		inv += 1 / s
 	}
 	return float64(len(speedups)) / inv
-}
-
-// SortedKeys returns map keys in sorted order, for deterministic printing.
-func SortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

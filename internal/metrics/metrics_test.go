@@ -133,14 +133,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	ks := SortedKeys(m)
-	if len(ks) != 3 || ks[0] != "a" || ks[2] != "c" {
-		t.Fatalf("keys %v", ks)
-	}
-}
-
 func TestTotalEnergy(t *testing.T) {
 	s := &Stats{NoCEnergyNJ: 1, DRAMEnergyNJ: 2, CoreEnergyNJ: 3, LLCEnergyNJ: 4, StaticEnergyNJ: 5}
 	if s.TotalEnergyNJ() != 15 {

@@ -290,25 +290,3 @@ func (x *Crossbar) BusyCycles() int64 {
 	}
 	return t
 }
-
-// StageUtilization returns the average busy fraction of the input ports,
-// middle links and output links over elapsed cycles (diagnostics).
-func (x *Crossbar) StageUtilization(elapsed sim.Cycle) (in, mid, out float64) {
-	var ib, mb, ob int64
-	for i := range x.in {
-		ib += x.in[i].busy
-	}
-	for _, l := range x.mid {
-		mb += l.BusyCycles
-	}
-	for _, l := range x.out {
-		ob += l.BusyCycles
-	}
-	if elapsed <= 0 {
-		return 0, 0, 0
-	}
-	e := float64(elapsed)
-	return float64(ib) / (e * float64(len(x.in))),
-		float64(mb) / (e * float64(len(x.mid)) * MidSpeedup),
-		float64(ob) / (e * float64(len(x.out)))
-}

@@ -179,8 +179,4 @@ func TestBusyCyclesAccumulate(t *testing.T) {
 	if x.BusyCycles() == 0 || x.Bytes() != 136 || x.Messages() != 1 {
 		t.Fatalf("stats: busy=%d bytes=%d msgs=%d", x.BusyCycles(), x.Bytes(), x.Messages())
 	}
-	in, mid, out := x.StageUtilization(100)
-	if in <= 0 || mid <= 0 || out <= 0 {
-		t.Fatalf("stage utilization %v %v %v", in, mid, out)
-	}
 }

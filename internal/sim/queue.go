@@ -23,9 +23,6 @@ func NewQueue[T any](capacity int) *Queue[T] {
 // Len returns the number of queued entries.
 func (q *Queue[T]) Len() int { return q.count }
 
-// Cap returns the configured capacity (0 for unbounded).
-func (q *Queue[T]) Cap() int { return q.limit }
-
 // Empty reports whether the queue holds no entries.
 func (q *Queue[T]) Empty() bool { return q.count == 0 }
 

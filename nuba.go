@@ -28,10 +28,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/nuba-gpu/nuba/internal/config"
@@ -225,43 +223,26 @@ func EngineNames() []string { return core.EngineNames() }
 // a one-line description, for CLIs to pass to flag.String.
 func EngineUsage() string { return core.EngineUsage() }
 
-// RunOption configures a Run or RunSuite call.
+// RunOption configures a Run call.
 type RunOption func(*runConfig)
 
-// runConfig is the merged option set of one Run/RunSuite call. It folds
-// what used to be TraceOptions plumbing and the RunOptions struct into a
-// single type behind functional options.
+// runConfig is the merged option set of one Run call.
 type runConfig struct {
 	trace    *TraceOptions
-	traceFor func(b Benchmark) *TraceOptions
 	launches func(sys *System) ([]*Launch, error)
-	workers  int
-	progress func(RunEvent)
 	engine   Engine
 	watchdog WatchdogOptions
 	arm      func(sys *System) error
 }
 
-// WithTrace attaches observability sinks to a single run: the NDJSON
-// epoch time series and/or Chrome trace selected by topts (schema in
+// WithTrace attaches observability sinks to the run: the NDJSON epoch
+// time series and/or Chrome trace selected by topts (schema in
 // docs/OBSERVABILITY.md). A nil topts — or one with no sink — runs
 // untraced; tracing is passive, so the simulated cycles are identical
 // either way. The caller owns the sink writers; the run finishes the
-// streams but does not close files. For RunSuite use WithBenchTrace,
-// which hands each concurrent run its own writers.
+// streams but does not close files.
 func WithTrace(topts *TraceOptions) RunOption {
 	return func(rc *runConfig) { rc.trace = topts }
-}
-
-// WithBenchTrace attaches per-benchmark observability sinks to a
-// RunSuite batch: f is consulted once per benchmark before its run
-// starts and may return that run's trace sinks (nil keeps the run
-// untraced). It is called concurrently from the worker pool, so it must
-// be safe for concurrent use and must hand each run its own writers.
-// Per-run traces are byte-identical for any worker count: each
-// simulation is deterministic in isolation and never shares a sink.
-func WithBenchTrace(f func(b Benchmark) *TraceOptions) RunOption {
-	return func(rc *runConfig) { rc.traceFor = f }
 }
 
 // WithLaunches replaces the benchmark's kernels with caller-constructed
@@ -270,19 +251,6 @@ func WithBenchTrace(f func(b Benchmark) *TraceOptions) RunOption {
 // of Run then only labels the run (an empty one reads "custom").
 func WithLaunches(build func(sys *System) ([]*Launch, error)) RunOption {
 	return func(rc *runConfig) { rc.launches = build }
-}
-
-// WithWorkers sets the number of simulations RunSuite runs concurrently.
-// Zero or negative selects runtime.GOMAXPROCS(0). Single runs ignore it.
-func WithWorkers(n int) RunOption {
-	return func(rc *runConfig) { rc.workers = n }
-}
-
-// WithProgress installs a per-completed-run callback for RunSuite. Calls
-// are serialized (never concurrent) but arrive in completion order,
-// which under more than one worker need not be input order.
-func WithProgress(f func(RunEvent)) RunOption {
-	return func(rc *runConfig) { rc.progress = f }
 }
 
 // WithEngine selects the cycle-loop engine (default EngineHybrid). All
@@ -326,50 +294,6 @@ func WithArm(arm func(sys *System) error) RunOption {
 	return func(rc *runConfig) { rc.arm = arm }
 }
 
-// apply folds opts into a runConfig.
-func apply(opts []RunOption) runConfig {
-	var rc runConfig
-	for _, o := range opts {
-		o(&rc)
-	}
-	return rc
-}
-
-// workerCount returns the effective RunSuite worker-pool size.
-func (rc *runConfig) workerCount() int {
-	if rc.workers > 0 {
-		return rc.workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Run is the single entry point for one simulation: it assembles a GPU
-// for cfg, executes the benchmark's kernels to completion and returns
-// the measured result. A long simulation stops promptly once ctx is
-// canceled and returns an error wrapping ctx.Err(). Options select
-// tracing (WithTrace), caller-constructed launches (WithLaunches) and
-// the cycle-loop engine (WithEngine); batch-only options are ignored.
-func Run(ctx context.Context, cfg Config, b Benchmark, opts ...RunOption) (*Result, error) {
-	rc := apply(opts)
-	return runOne(ctx, cfg, b, &rc)
-}
-
-// runOne executes one simulation under an already-merged option set.
-func runOne(ctx context.Context, cfg Config, b Benchmark, rc *runConfig) (*Result, error) {
-	build := rc.launches
-	label := b.Abbr
-	if build == nil {
-		build = func(g *System) ([]*Launch, error) { return b.Build(g.NewBuffer) }
-	} else if label == "" {
-		label = "custom"
-	}
-	topts := rc.trace
-	if topts == nil && rc.traceFor != nil {
-		topts = rc.traceFor(b)
-	}
-	return execute(ctx, cfg, build, topts, label, rc)
-}
-
 // PanicError is the error a run fails with when the simulator panics (a
 // model invariant blown mid-run). Run recovers the panic so one bad job
 // cannot take down a whole sweep process; the original panic value and
@@ -392,16 +316,34 @@ func (e *PanicError) Error() string {
 // cancellation.
 var errWallClockBudget = errors.New("nuba: watchdog wall-clock budget exceeded")
 
-// execute is the single execution path behind Run and RunSuite:
-// assemble a system, attach tracing when requested, build the launches
-// into the address space, run them under the context and bundle the
-// measurements. Trace sinks, the engine choice and the watchdog
-// deliberately live outside Config so traced/untraced, hybrid/naive and
-// guarded/unguarded runs share config fingerprints (the experiment
-// engine's memo key) and simulate identically. A simulator panic is
-// recovered into a *PanicError so one bad run cannot take down a whole
-// sweep process.
-func execute(ctx context.Context, cfg Config, build func(sys *System) ([]*Launch, error), topts *TraceOptions, label string, rc *runConfig) (res *Result, err error) {
+// Run is the single entry point for one simulation: it assembles a GPU
+// for cfg, attaches tracing when requested (WithTrace), builds the
+// benchmark's kernels — or the caller's (WithLaunches) — into the
+// address space, executes them to completion under ctx and bundles the
+// measurements. A long simulation stops promptly once ctx is canceled
+// and returns an error wrapping ctx.Err(). Trace sinks, the engine
+// choice (WithEngine) and the watchdog (WithWatchdog) deliberately live
+// outside Config so traced/untraced, hybrid/naive and guarded/unguarded
+// runs share config fingerprints (the experiment engine's memo key) and
+// simulate identically. A simulator panic is recovered into a
+// *PanicError so one bad run cannot take down a whole sweep process.
+//
+// Run is one simulation on the calling goroutine and holds no state
+// between calls, so concurrent calls are independent; a batch of them —
+// memoised, with failures kept as data — is internal/experiments'
+// Runner, which the command-line tools drive.
+func Run(ctx context.Context, cfg Config, b Benchmark, opts ...RunOption) (res *Result, err error) {
+	var rc runConfig
+	for _, o := range opts {
+		o(&rc)
+	}
+	build := rc.launches
+	label := b.Abbr
+	if build == nil {
+		build = func(g *System) ([]*Launch, error) { return b.Build(g.NewBuffer) }
+	} else if label == "" {
+		label = "custom"
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			res = nil
@@ -427,8 +369,8 @@ func execute(ctx context.Context, cfg Config, build func(sys *System) ([]*Launch
 		}
 	}
 	var tr *trace.Tracer
-	if topts != nil && topts.Enabled() {
-		o := *topts
+	if rc.trace != nil && rc.trace.Enabled() {
+		o := *rc.trace
 		if o.EpochCycles <= 0 {
 			o.EpochCycles = cfg.MDREpoch
 		}
@@ -455,109 +397,6 @@ func execute(ctx context.Context, cfg Config, build func(sys *System) ([]*Launch
 	}
 	bd := g.EnergyBreakdown(energy.DefaultParams())
 	return &Result{Stats: g.Stats(), Energy: bd, Sharing: g.Sharing(), System: g}, nil
-}
-
-// RunEvent describes one completed run within a RunSuite batch, for
-// progress reporting.
-type RunEvent struct {
-	// Benchmark is the completed benchmark's abbreviation; Config the
-	// configuration's Name().
-	Benchmark string
-	Config    string
-	// Index is the benchmark's position in the input slice; Done the
-	// number of runs completed so far; Total the batch size.
-	Index, Done, Total int
-	// Result is the completed run's measurement.
-	Result *Result
-	// Elapsed is the wall-clock time since the batch started.
-	Elapsed time.Duration
-}
-
-// RunSuite runs every benchmark on cfg across a worker pool and returns
-// the results in benchmark order (independent of completion order). Each
-// run uses its own freshly assembled System, and the simulator holds no
-// mutable global state, so results are identical to running the
-// benchmarks serially. The first error cancels the remaining runs and is
-// returned; a canceled ctx surfaces as an error wrapping ctx.Err().
-// Options select the pool size (WithWorkers), a completion callback
-// (WithProgress), per-benchmark trace sinks (WithBenchTrace) and the
-// cycle-loop engine (WithEngine); WithTrace and WithLaunches are
-// single-run options and are rejected here, since a shared sink or a
-// shared launch builder cannot label concurrent runs apart.
-func RunSuite(ctx context.Context, cfg Config, benchmarks []Benchmark, opts ...RunOption) ([]*Result, error) {
-	rc := apply(opts)
-	if rc.trace != nil {
-		return nil, fmt.Errorf("nuba: WithTrace is a single-run option; use WithBenchTrace so each concurrent run gets its own writers")
-	}
-	if rc.launches != nil {
-		return nil, fmt.Errorf("nuba: WithLaunches is a single-run option; call Run per custom-kernel system")
-	}
-	results := make([]*Result, len(benchmarks))
-	if len(benchmarks) == 0 {
-		return results, ctx.Err()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	start := time.Now()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		done     int
-	)
-	idx := make(chan int)
-	workers := rc.workerCount()
-	if workers > len(benchmarks) {
-		workers = len(benchmarks)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				res, err := runOne(ctx, cfg, benchmarks[i], &rc)
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("%s on %s: %w", benchmarks[i].Abbr, cfg.Name(), err)
-						cancel()
-					}
-					mu.Unlock()
-					continue
-				}
-				results[i] = res
-				done++
-				if rc.progress != nil {
-					rc.progress(RunEvent{
-						Benchmark: benchmarks[i].Abbr,
-						Config:    cfg.Name(),
-						Index:     i, Done: done, Total: len(benchmarks),
-						Result:  res,
-						Elapsed: time.Since(start),
-					})
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-feed:
-	for i := range benchmarks {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // NoCPowerW converts a run's NoC energy into average NoC power in

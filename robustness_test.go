@@ -9,59 +9,24 @@ import (
 	"testing"
 	"time"
 
-	"github.com/nuba-gpu/nuba/internal/core"
 	"github.com/nuba-gpu/nuba/internal/fault"
-	"github.com/nuba-gpu/nuba/internal/trace"
 )
-
-// runCappedWatchdog mirrors runCapped (engines_test.go) with the
-// forward-progress watchdog armed at the given window (0 = off).
-func runCappedWatchdog(t *testing.T, cfg Config, b Benchmark, window int64) cappedCapture {
-	t.Helper()
-	g, err := core.New(cfg)
-	if err != nil {
-		t.Fatalf("%s: %v", b.Abbr, err)
-	}
-	g.SetWatchdog(window)
-	var series bytes.Buffer
-	tr := trace.New(trace.Options{Series: &series, EpochCycles: 10_000}, cfg.CoreClockGHz)
-	tr.Begin(trace.Meta{Bench: b.Abbr, Config: cfg.Name(), Partitions: cfg.NumPartitions()})
-	g.AttachTracer(tr)
-	launches, err := b.Build(g.NewBuffer)
-	if err != nil {
-		t.Fatalf("%s: build: %v", b.Abbr, err)
-	}
-	outcome := "drained"
-	if err := g.RunProgramContext(context.Background(), launches); err != nil {
-		if !strings.Contains(err.Error(), "exceeded MaxCycles") {
-			t.Fatalf("%s: window=%d: unexpected error: %v", b.Abbr, window, err)
-		}
-		outcome = err.Error()
-	}
-	st := g.Stats()
-	return cappedCapture{
-		report:  fmt.Sprintf("%+v\n%s", *st, DetailTable(st)),
-		series:  series.Bytes(),
-		outcome: outcome,
-	}
-}
 
 // TestWatchdogSuiteNoFalsePositives is the watchdog's false-positive
 // proof over the whole Table 2 suite: with the watchdog armed, every
-// capped benchmark run must end exactly as the unwatched run does —
-// same drained/capped outcome (any *HangError fails the helper
-// immediately), same counters, same trace bytes. The watchdog reads
+// capped benchmark run (runCapped, engines_test.go) must end exactly as
+// the unwatched reference run does — same drained/capped outcome (any
+// *HangError fails the helper immediately), same counters, same trace
+// bytes. The watchdog reads
 // only pure state signatures, so byte-identity is the contract, not
 // just a nice-to-have.
 func TestWatchdogSuiteNoFalsePositives(t *testing.T) {
 	if testing.Short() {
-		t.Skip("simulation-backed; runs every benchmark twice")
+		t.Skip("simulation-backed; runs every benchmark, plus the shared reference")
 	}
-	cfg := NUBAConfig().Scale(0.125)
-	cfg.MaxCycles = 256 * 1024
 	for _, b := range Suite() {
-		off := runCappedWatchdog(t, cfg, b, 0)
-		on := runCappedWatchdog(t, cfg, b, 32*1024)
+		off := cappedReference(t, b)
+		on := runCapped(t, b, EngineHybrid, 32*1024)
 		if off.outcome != on.outcome {
 			t.Errorf("%s: outcomes diverge\nwatchdog off: %s\nwatchdog on:  %s", b.Abbr, off.outcome, on.outcome)
 		}

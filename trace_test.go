@@ -31,8 +31,9 @@ var tracedBP = sync.OnceValues(func() (struct{ series, chrome []byte }, error) {
 })
 
 // The acceptance bar of the tracing subsystem: for one (Config,
-// Benchmark) the trace byte streams are identical across worker counts
-// and across runs, and tracing never changes the simulated result.
+// Benchmark) the trace byte streams are identical whether the run has
+// the process to itself or shares it with another simulation, and across
+// repeated runs, and tracing never changes the simulated result.
 func TestTraceDeterministicAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
@@ -47,37 +48,51 @@ func TestTraceDeterministicAcrossJobs(t *testing.T) {
 	}
 	cfg := NUBAConfig().Scale(0.125)
 
+	// capture traces every benchmark with its own sinks: one Run after
+	// another, or all at once on goroutines the test starts itself.
 	type sinks struct{ series, chrome bytes.Buffer }
-	capture := func(jobs int) map[string]*sinks {
+	capture := func(concurrent bool) []*sinks {
 		t.Helper()
-		byAbbr := make(map[string]*sinks, len(benches))
-		for _, b := range benches {
-			byAbbr[b.Abbr] = &sinks{}
+		out := make([]*sinks, len(benches))
+		errs := make([]error, len(benches))
+		var wg sync.WaitGroup
+		for i, b := range benches {
+			out[i] = &sinks{}
+			run := func() {
+				_, errs[i] = Run(context.Background(), cfg, b,
+					WithTrace(&TraceOptions{Series: &out[i].series, Chrome: &out[i].chrome}))
+			}
+			if !concurrent {
+				run()
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run()
+			}()
 		}
-		_, err := RunSuite(context.Background(), cfg, benches,
-			WithWorkers(jobs),
-			WithBenchTrace(func(b Benchmark) *TraceOptions {
-				s := byAbbr[b.Abbr] // read-only map access: concurrency-safe
-				return &TraceOptions{Series: &s.series, Chrome: &s.chrome}
-			}))
-		if err != nil {
-			t.Fatal(err)
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: %v", benches[i].Abbr, err)
+			}
 		}
-		return byAbbr
+		return out
 	}
 
-	serial, parallel, again := capture(1), capture(8), capture(8)
-	for _, b := range benches {
-		if !bytes.Equal(serial[b.Abbr].series.Bytes(), parallel[b.Abbr].series.Bytes()) {
-			t.Errorf("%s: NDJSON trace differs between -jobs=1 and -jobs=8", b.Abbr)
+	serial, parallel, again := capture(false), capture(true), capture(true)
+	for i, b := range benches {
+		if !bytes.Equal(serial[i].series.Bytes(), parallel[i].series.Bytes()) {
+			t.Errorf("%s: NDJSON trace differs between a serial and a concurrent run", b.Abbr)
 		}
-		if !bytes.Equal(serial[b.Abbr].chrome.Bytes(), parallel[b.Abbr].chrome.Bytes()) {
-			t.Errorf("%s: Chrome trace differs between -jobs=1 and -jobs=8", b.Abbr)
+		if !bytes.Equal(serial[i].chrome.Bytes(), parallel[i].chrome.Bytes()) {
+			t.Errorf("%s: Chrome trace differs between a serial and a concurrent run", b.Abbr)
 		}
-		if !bytes.Equal(parallel[b.Abbr].series.Bytes(), again[b.Abbr].series.Bytes()) {
+		if !bytes.Equal(parallel[i].series.Bytes(), again[i].series.Bytes()) {
 			t.Errorf("%s: NDJSON trace differs between identical runs", b.Abbr)
 		}
-		if serial[b.Abbr].series.Len() == 0 {
+		if serial[i].series.Len() == 0 {
 			t.Errorf("%s: empty NDJSON trace", b.Abbr)
 		}
 	}
