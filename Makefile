@@ -38,12 +38,14 @@ test-short:
 race:
 	$(GO) test -race -timeout 30m -skip TestEveryExperiment ./internal/experiments/...
 
-# Hint-soundness smoke: a cheap three-benchmark subset to natural
+# Hint-soundness smoke: a cheap four-benchmark subset to natural
 # completion under the sanitizer engine (every claimed-idle window
-# stepped and verified; see DESIGN.md §9). The full capped suite runs
-# under `go test .` (TestSanitizeSuite).
+# stepped and verified; see DESIGN.md §9). AN is the LSU-bound one: its
+# SMs spend the run with warps waiting for an LSU entry, the state whose
+# wake hint is "never" rather than "next cycle". The full capped suite
+# runs under `go test .` (TestSanitizeSuite).
 sanitize:
-	$(GO) run ./cmd/nubasim -bench DWT2D,BH,MVT -scale 0.125 -engine sanitize
+	$(GO) run ./cmd/nubasim -bench DWT2D,BH,MVT,AN -scale 0.125 -engine sanitize
 
 # The seeded fault-injection stress matrix (docs/ROBUSTNESS.md): every
 # fault class injected into a short run and caught by the layer that

@@ -511,6 +511,12 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: cache geometry yields no sets (L1 %d, LLC %d)", c.L1Sets(), c.LLCSets())
 	case c.WarpSize <= 0 || c.WarpsPerSM <= 0:
 		return fmt.Errorf("config: warp geometry invalid (%d warps of %d)", c.WarpsPerSM, c.WarpSize)
+	case c.SchedulersPerSM < 1:
+		return fmt.Errorf("config: SchedulersPerSM %d must be positive (warp slots are dealt to schedulers round-robin)",
+			c.SchedulersPerSM)
+	case (c.WarpsPerSM+c.SchedulersPerSM-1)/c.SchedulersPerSM > MaxWarpsPerScheduler:
+		return fmt.Errorf("config: %d warps over %d schedulers puts more than %d on one (a scheduler tracks its warps' readiness in one 64-bit mask)",
+			c.WarpsPerSM, c.SchedulersPerSM, MaxWarpsPerScheduler)
 	case c.MemClockDiv <= 0:
 		return fmt.Errorf("config: MemClockDiv must be positive")
 	case c.Arch == UBASMSide && c.NumLLCSlices < 2:
@@ -534,6 +540,11 @@ func (c *Config) Validate() error {
 // MaxBanksPerChan is the most DRAM banks a channel can have: the FR-FCFS
 // scheduler's per-tick "banks already considered" set is one machine word.
 const MaxBanksPerChan = 64
+
+// MaxWarpsPerScheduler is the most warp slots one SM warp scheduler can
+// own: its ready, memory-op and timed-wait sets are one machine word each,
+// one bit per warp in age order.
+const MaxWarpsPerScheduler = 64
 
 // Fingerprint returns a canonical identity string covering every
 // semantic field of the configuration, including nested timing. Two

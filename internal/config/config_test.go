@@ -159,6 +159,12 @@ func TestValidateBoundsFixedCapacityStructures(t *testing.T) {
 		{"negative L1 MSHRs", func(c *Config) { c.L1MSHRs = -2 }, "MSHR files"},
 		{"no LLC MSHRs", func(c *Config) { c.LLCMSHRs = 0 }, "MSHR files"},
 		{"one MSHR each", func(c *Config) { c.L1MSHRs, c.LLCMSHRs = 1, 1 }, ""},
+		{"no schedulers", func(c *Config) { c.SchedulersPerSM = 0 }, "SchedulersPerSM 0"},
+		{"negative schedulers", func(c *Config) { c.SchedulersPerSM = -1 }, "SchedulersPerSM -1"},
+		{"one scheduler, 64 warps", func(c *Config) { c.SchedulersPerSM = 1 }, ""},
+		{"64 warps each", func(c *Config) { c.WarpsPerSM = 2 * MaxWarpsPerScheduler }, ""},
+		{"65 warps on one scheduler", func(c *Config) { c.WarpsPerSM = 2*MaxWarpsPerScheduler + 1 }, "64-bit mask"},
+		{"one scheduler, 65 warps", func(c *Config) { c.WarpsPerSM, c.SchedulersPerSM = 65, 1 }, "64-bit mask"},
 	}
 	for _, tc := range cases {
 		c := Baseline()

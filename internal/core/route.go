@@ -71,10 +71,10 @@ func (g *GPU) recordPlacementAccess(req *sim.MemReq, part int) {
 // a frame mid-migration; ok whether a mapping exists yet.
 func (g *GPU) pageLookup(part int) func(uint64, sim.Cycle) (uint64, bool, bool) {
 	return func(vpn uint64, now sim.Cycle) (ppn uint64, busy, ok bool) {
-		if p, ok := g.drv.Lookup(vpn); ok && p.BusyUntil > now {
+		ppn, busyUntil, ok := g.drv.Resolve(vpn, part)
+		if busyUntil > now {
 			return 0, true, false
 		}
-		ppn, ok = g.drv.Translate(vpn, part)
 		return ppn, false, ok
 	}
 }

@@ -179,16 +179,24 @@ func (d *Driver) Allocate(vpn uint64, homePart int, writable bool) *Page {
 // vpn: the local replica when one exists, the home page otherwise. ok is
 // false when the page is unmapped (a first-touch fault must be taken).
 func (d *Driver) Translate(vpn uint64, part int) (ppn uint64, ok bool) {
+	ppn, _, ok = d.Resolve(vpn, part)
+	return ppn, ok
+}
+
+// Resolve is Translate plus the cycle until which the page is
+// mid-migration (Page.BusyUntil), from one page-table probe: what an SM
+// needs to finish a translation after a TLB hit.
+func (d *Driver) Resolve(vpn uint64, part int) (ppn uint64, busyUntil sim.Cycle, ok bool) {
 	p, exists := d.pages[vpn]
 	if !exists {
-		return 0, false
+		return 0, 0, false
 	}
 	if p.Replicas != nil {
 		if r, has := p.Replicas[part]; has {
-			return r, true
+			return r, p.BusyUntil, true
 		}
 	}
-	return p.PPN, true
+	return p.PPN, p.BusyUntil, true
 }
 
 // ChannelBalance returns each channel's page count normalized to the

@@ -139,7 +139,7 @@ func TestPageReplicationFlow(t *testing.T) {
 	if d.Replications != 1 {
 		t.Fatalf("replications = %d", d.Replications)
 	}
-	ppn7, _ := d.Translate(55, 7)
+	ppn7, _, _ := d.Resolve(55, 7)
 	ppn0, _ := d.Translate(55, 0)
 	if ppn7 == ppn0 {
 		t.Fatal("partition 7 not redirected to its replica")
@@ -185,6 +185,13 @@ func TestMigrationCandidates(t *testing.T) {
 	}
 	if d.Migrations != 1 {
 		t.Fatalf("migrations = %d", d.Migrations)
+	}
+	// One probe gives an SM both the new frame and how long it is busy.
+	if ppn, busyUntil, ok := d.Resolve(70, 0); !ok || ppn != newPPN || busyUntil != 500 {
+		t.Fatalf("Resolve after migration = (%d, %d, %v), want (%d, 500, true)", ppn, busyUntil, ok, newPPN)
+	}
+	if _, _, ok := d.Resolve(9999, 0); ok {
+		t.Fatal("Resolve mapped an unmapped page")
 	}
 	// Counters reset: a second scan finds nothing.
 	if acts := d.MigrationCandidates(200); len(acts) != 0 {

@@ -12,6 +12,7 @@ package smcore
 import (
 	"fmt"
 	"math/bits"
+	"strings"
 
 	"github.com/nuba-gpu/nuba/internal/cache"
 	"github.com/nuba-gpu/nuba/internal/config"
@@ -73,15 +74,41 @@ type memAccess struct {
 type warpSlot struct {
 	w           *kir.Warp
 	valid       bool
-	ctaSlot     int
-	age         int64 // activation order for GTO "oldest"
 	atBarrier   bool
+	pos         uint8 // position in its scheduler's age order
+	ctaSlot     int
+	age         int64     // activation order: what pos ranks (sm_test.go's scan oracle orders by it)
+	wakeAt      sim.Cycle // while in the scheduler's timed set: the cycle its operands are ready
 	regReadyAt  [kir.MaxRegs]int64
 	regPending  [kir.MaxRegs]int16 // outstanding line fills per register
 	outstanding int                // total in-flight line requests (loads+stores)
-	// nextReady caches the earliest cycle the warp could issue again;
-	// pendingForever while blocked on an outstanding load.
-	nextReady int64
+}
+
+// scheduler is one GTO warp scheduler's view of its warps: slot s belongs
+// to scheduler s % SchedulersPerSM. Its live warps sit at positions
+// 0..n-1 in activation (age) order and each set below is a word with one
+// bit per position, so "the oldest warp that can issue" is the lowest set
+// bit of a mask expression. Nothing scans warps to keep the sets current:
+// SM.classify recomputes one warp's bits at each event that can change
+// them. A live warp in neither ready nor timed is waiting for an event
+// that will reclassify it — a load reply or a barrier release — or has
+// exited and waits only for its stores to drain.
+type scheduler struct {
+	// greedy is the slot that issued last (-1: none yet). It is a slot,
+	// not a warp: it stays put while nothing issues and across the slot
+	// recycling, so a new warp activated in it inherits the preference.
+	greedy int
+	n      int
+	ready  uint64 // operands ready; can issue (given an LSU entry, if mem)
+	mem    uint64 // next instruction is a memory op
+	timed  uint64 // operands ready at the warp's wakeAt: a fixed-latency scoreboard wait
+	// minWake is the earliest wakeAt among timed (sim.Never when empty):
+	// the cycle pick next moves warps from timed to ready.
+	minWake sim.Cycle
+	// slot maps a position to its warp slot. The table sits outside the
+	// struct so that the words above, which Tick and NextWake read for
+	// every scheduler of every SM on every stepped cycle, stay packed.
+	slot *[config.MaxWarpsPerScheduler]int16
 }
 
 // ctaState tracks a resident CTA for barrier accounting and refill.
@@ -114,17 +141,7 @@ type SM struct {
 	freeSlots []int
 	nextAge   int64
 	liveWarps int
-
-	// Schedulers: slot s belongs to scheduler s % SchedulersPerSM.
-	greedy []int // per-scheduler greedy warp (-1 none)
-	// sleepUntil caches, per scheduler, the earliest cycle any of its
-	// warps could become issuable; the scheduler skips its scan until
-	// then. Completion events reset it to zero.
-	sleepUntil []int64
-	// order holds, per scheduler, its live warp slots in activation
-	// (age) order, so the GTO "oldest" scan can stop at the first
-	// issuable warp.
-	order [][]int
+	sched     []scheduler // the warp schedulers, one ready set each
 
 	lsu       *sim.Queue[*memAccess]
 	freeAcc   []*memAccess
@@ -170,24 +187,25 @@ const LSUOpsPerCycle = 1
 func New(id, part int, cfg *config.Config, stats *metrics.Stats,
 	hist *metrics.SharingHistogram) *SM {
 	s := &SM{
-		ID:         id,
-		Part:       part,
-		cfg:        cfg,
-		stats:      stats,
-		hist:       hist,
-		l1:         cache.New(cfg.L1Sets(), cfg.L1Ways, cache.WriteThrough),
-		l1MSHR:     cache.NewMSHRFile(cfg.L1MSHRs),
-		l1TLB:      vm.NewTLB(cfg.L1TLBEntries, 8),
-		ctaQueue:   sim.NewQueue[int](0),
-		warps:      make([]warpSlot, cfg.WarpsPerSM),
-		greedy:     make([]int, cfg.SchedulersPerSM),
-		sleepUntil: make([]int64, cfg.SchedulersPerSM),
-		order:      make([][]int, cfg.SchedulersPerSM),
-		lsu:        sim.NewQueue[*memAccess](16),
-		sendQueue:  sim.NewQueue[*sim.MemReq](8),
+		ID:        id,
+		Part:      part,
+		cfg:       cfg,
+		stats:     stats,
+		hist:      hist,
+		l1:        cache.New(cfg.L1Sets(), cfg.L1Ways, cache.WriteThrough),
+		l1MSHR:    cache.NewMSHRFile(cfg.L1MSHRs),
+		l1TLB:     vm.NewTLB(cfg.L1TLBEntries, 8),
+		ctaQueue:  sim.NewQueue[int](0),
+		warps:     make([]warpSlot, cfg.WarpsPerSM),
+		sched:     make([]scheduler, cfg.SchedulersPerSM),
+		lsu:       sim.NewQueue[*memAccess](16),
+		sendQueue: sim.NewQueue[*sim.MemReq](8),
 	}
-	for i := range s.greedy {
-		s.greedy[i] = -1
+	slots := make([][config.MaxWarpsPerScheduler]int16, len(s.sched))
+	for i := range s.sched {
+		s.sched[i].greedy = -1
+		s.sched[i].minWake = sim.Never
+		s.sched[i].slot = &slots[i]
 	}
 	for p := cfg.PageSize; p > 1; p >>= 1 {
 		s.pageShift++
@@ -265,23 +283,23 @@ func (s *SM) fillCTAs() {
 				w = new(kir.Warp)
 			}
 			w.Reset(s.launch, ctaID, wi)
+			sc := s.schedOf(slot)
 			*ws = warpSlot{
 				w:       w,
 				valid:   true,
 				ctaSlot: ctaSlot,
 				age:     s.nextAge,
-			}
-			for r := range ws.regReadyAt {
-				ws.regReadyAt[r] = 0
+				pos:     uint8(sc.n),
 			}
 			s.nextAge++
-			sched := slot % s.cfg.SchedulersPerSM
-			s.order[sched] = append(s.order[sched], slot)
+			sc.slot[sc.n] = int16(slot)
+			sc.n++
+			// A fresh warp waits on no register: ready at any cycle.
+			s.classify(slot, 0)
 			cs.slots = append(cs.slots, slot)
 			s.liveWarps++
 		}
 		s.ctas[ctaSlot] = cs
-		s.wake(-1)
 	}
 }
 
@@ -317,10 +335,12 @@ func (s *SM) Idle() bool {
 
 // NextWake returns a conservative earliest cycle at which ticking the SM
 // could change its state: now+1 while anything can make progress, a
-// future cycle when progress waits only on a known timer (scheduler
-// sleep, L1 TLB hit latency), and sim.Never when progress requires an
+// future cycle when progress waits only on a known timer (a scoreboard
+// wait, L1 TLB hit latency), and sim.Never when progress requires an
 // external event — a memory reply, a finished page walk or a kernel
-// launch, all of which reset the relevant caches when they arrive.
+// launch, all of which reclassify the warps they unblock when they arrive.
+// A warp that waits for an LSU entry wakes with the LSU: an entry frees
+// only in a tick the LSU scan below already asks for.
 func (s *SM) NextWake(now sim.Cycle) sim.Cycle {
 	if !s.sendQueue.Empty() {
 		return now + 1
@@ -346,37 +366,36 @@ func (s *SM) NextWake(now sim.Cycle) sim.Cycle {
 			return now + 1
 		}
 	}
-	for _, su := range s.sleepUntil {
-		if su <= now {
-			// The scheduler would scan on the next tick. With warps (or
-			// CTAs to activate) that scan can issue; without, it only
-			// re-parks itself, which changes nothing observable.
-			if s.liveWarps > 0 || !s.ctaQueue.Empty() {
-				return now + 1
-			}
-		} else if su < wake {
-			wake = su
+	for i := range s.sched {
+		sc := &s.sched[i]
+		if s.issuable(sc) != 0 {
+			return now + 1
 		}
+		if sc.minWake < wake {
+			wake = sc.minWake
+		}
+	}
+	if wake <= now {
+		return now + 1
 	}
 	return wake
 }
 
 // StateSig returns a signature of the SM's observable state: live-warp
-// and queue occupancy, per-warp scheduling state and the LSU's in-flight
-// accesses. The scheduler sleep caches are included only while work
-// remains: with no live warps and no queued CTAs a tick may lazily
-// re-park an expired sleep entry, which changes nothing observable — the
-// exact case SM.NextWake's hint declares idle.
+// and queue occupancy, each scheduler's ready sets, per-warp scheduling
+// state and the LSU's in-flight accesses.
 func (s *SM) StateSig() uint64 {
 	h := sim.MixSig(sim.SigSeed, uint64(s.liveWarps))
 	h = sim.MixSig(h, uint64(s.ctaQueue.Len()))
 	h = sim.MixSig(h, uint64(s.sendQueue.Len()))
 	h = sim.MixSig(h, uint64(s.nextAge))
 	h = sim.MixSig(h, s.reqSeq)
-	if s.liveWarps > 0 || !s.ctaQueue.Empty() {
-		for _, su := range s.sleepUntil {
-			h = sim.MixSig(h, uint64(su))
-		}
+	for i := range s.sched {
+		sc := &s.sched[i]
+		h = sim.MixSig(h, sc.ready)
+		h = sim.MixSig(h, sc.mem)
+		h = sim.MixSig(h, sc.timed)
+		h = sim.MixSig(h, uint64(sc.minWake))
 	}
 	for slot := range s.warps {
 		ws := &s.warps[slot]
@@ -384,7 +403,6 @@ func (s *SM) StateSig() uint64 {
 			continue
 		}
 		h = sim.MixSig(h, uint64(slot))
-		h = sim.MixSig(h, uint64(ws.nextReady))
 		h = sim.MixSig(h, uint64(ws.outstanding))
 		h = sim.MixSigBool(h, ws.atBarrier)
 	}
@@ -422,8 +440,14 @@ func (s *SM) Tick(now sim.Cycle) {
 	}
 	s.drainSendQueue(now)
 	s.tickLSU(now)
-	for sched := 0; sched < s.cfg.SchedulersPerSM; sched++ {
-		s.issue(sched, now)
+	for i := range s.sched {
+		sc := &s.sched[i]
+		if sc.ready == 0 && sc.minWake > now {
+			continue // asleep: every warp waits for an event or a later cycle
+		}
+		if slot := s.pick(sc, now); slot >= 0 {
+			s.execWarp(slot, now)
+		}
 	}
 }
 
@@ -441,87 +465,93 @@ func (s *SM) drainSendQueue(now sim.Cycle) {
 	}
 }
 
-// issue lets scheduler sched pick one ready warp (greedy, then oldest) and
-// execute its next instruction. When nothing can issue, the scheduler
-// records the earliest wake-up time and skips its scan until then.
-func (s *SM) issue(sched int, now sim.Cycle) {
-	if s.sleepUntil[sched] > now {
-		return
+// schedOf returns the scheduler that owns warp slot slot.
+func (s *SM) schedOf(slot int) *scheduler { return &s.sched[slot%len(s.sched)] }
+
+// pick returns the slot of the warp scheduler sc issues at cycle now —
+// the greedy slot's warp if it can issue, else the oldest that can — or
+// -1. The LSU is consulted here, at pick time: a memory instruction an
+// earlier scheduler issued this cycle may have taken the last entry, and
+// one the LSU retired this cycle has freed it.
+func (s *SM) pick(sc *scheduler, now sim.Cycle) int {
+	if sc.minWake <= now {
+		s.promote(sc, now)
 	}
-	if g := s.greedy[sched]; g >= 0 && s.issuable(g, now) {
-		s.execWarp(g, now)
-		return
+	can := s.issuable(sc)
+	if can == 0 {
+		return -1
 	}
-	minNext := int64(1) << 62
-	for _, slot := range s.order[sched] {
-		ws := &s.warps[slot]
-		if !ws.valid || ws.w.Exited || ws.atBarrier {
-			continue
-		}
-		if s.issuable(slot, now) {
-			// Age order: the first issuable warp is the oldest.
-			s.greedy[sched] = slot
-			s.execWarp(slot, now)
-			return
-		}
-		// Blocked: issuable refreshed nextReady when the block is a
-		// scoreboard wait; structural stalls (LSU full) retry next cycle.
-		nr := ws.nextReady
-		if nr <= now {
-			nr = now + 1
-		}
-		if nr < minNext {
-			minNext = nr
-		}
+	if g := sc.greedy; g >= 0 && s.warps[g].valid && can&(1<<uint(s.warps[g].pos)) != 0 {
+		return g
 	}
-	s.sleepUntil[sched] = minNext
+	sc.greedy = int(sc.slot[bits.TrailingZeros64(can)])
+	return sc.greedy
 }
 
-// wake clears the scheduler sleep cache for the given warp slot (or all
-// schedulers when slot < 0).
-func (s *SM) wake(slot int) {
-	if slot >= 0 {
-		s.sleepUntil[slot%s.cfg.SchedulersPerSM] = 0
-		return
+// issuable returns sc's warps that can issue now: the ready ones, less
+// those that need an LSU entry while there is none (the LSU is looked at
+// only when a ready warp needs it).
+func (s *SM) issuable(sc *scheduler) uint64 {
+	if sc.ready&sc.mem != 0 && s.lsu.Full() {
+		return sc.ready &^ sc.mem
 	}
-	for i := range s.sleepUntil {
-		s.sleepUntil[i] = 0
+	return sc.ready
+}
+
+// promote moves the warps whose scoreboard wait ended by cycle now from
+// timed to ready.
+func (s *SM) promote(sc *scheduler, now sim.Cycle) {
+	sc.minWake = sim.Never
+	for t := sc.timed; t != 0; t &= t - 1 {
+		pos := bits.TrailingZeros64(t)
+		if at := s.warps[sc.slot[pos]].wakeAt; at <= now {
+			sc.timed &^= 1 << uint(pos)
+			sc.ready |= 1 << uint(pos)
+		} else if at < sc.minWake {
+			sc.minWake = at
+		}
 	}
 }
 
-// issuable reports whether the warp in slot can issue this cycle: it must
-// be live, not at a barrier, its operands ready and, for memory ops, the
-// LSU must have room. The nextReady cache skips warps known to be blocked
-// until a future cycle (or until an outstanding load returns).
-func (s *SM) issuable(slot int, now sim.Cycle) bool {
+// classify recomputes the scheduler bits of the warp in slot as of cycle
+// now. A warp's readiness changes only at the five places that call this:
+// its own instruction issuing (execWarp: new PC, new scoreboard entries),
+// a load, atomic or L1 hit resolving one of its registers (completeLine),
+// its barrier releasing (releaseBarrier), its activation (fillCTAs) and —
+// by removal rather than classification — its retirement (maybeRecycle).
+func (s *SM) classify(slot int, now sim.Cycle) {
 	ws := &s.warps[slot]
-	if ws.nextReady > now {
-		return false
+	if !ws.valid {
+		return
 	}
-	if !ws.valid || ws.w.Exited || ws.atBarrier {
-		return false
+	sc := s.schedOf(slot)
+	bit := uint64(1) << uint(ws.pos)
+	sc.ready &^= bit
+	sc.mem &^= bit
+	sc.timed &^= bit
+	if ws.atBarrier || ws.w.Exited {
+		return
 	}
 	in := ws.w.Current()
-	if in == nil {
-		return false
+	if in.Op.IsMem() {
+		sc.mem |= bit
 	}
-	var blockedUntil int64
+	var until int64
 	for need := in.NeedMask; need != 0; need &= need - 1 {
-		r := bits.TrailingZeros32(need)
-		if t := ws.regReadyAt[r]; t > blockedUntil {
-			blockedUntil = t
+		if t := ws.regReadyAt[bits.TrailingZeros32(need)]; t > until {
+			until = t
 		}
 	}
-	if blockedUntil > now {
-		// Cache the wake time; completeLine resets it when a pending
-		// load resolves a register early.
-		ws.nextReady = blockedUntil
-		return false
+	switch {
+	case until <= now:
+		sc.ready |= bit
+	case until < pendingForever:
+		sc.timed |= bit
+		ws.wakeAt = until
+		if until < sc.minWake {
+			sc.minWake = until
+		}
 	}
-	if in.Op.IsMem() && s.lsu.Full() {
-		return false
-	}
-	return true
 }
 
 // execWarp executes one instruction of the warp in slot.
@@ -542,10 +572,11 @@ func (s *SM) execWarp(slot int, now sim.Cycle) {
 	case kir.StepMem:
 		s.enqueueMem(slot, res, now)
 	case kir.StepBarrier:
-		s.arriveBarrier(slot)
+		s.arriveBarrier(slot, now)
 	case kir.StepExit:
-		s.retireWarp(slot)
+		s.retireWarp(slot, now)
 	}
+	s.classify(slot, now)
 }
 
 // enqueueMem coalesces the scratch MemInfo into unique lines and queues
@@ -761,9 +792,8 @@ func (s *SM) accessL1(acc *memAccess, line *lineReq, now sim.Cycle) bool {
 		s.stats.L1Hits++
 		ws.outstanding--
 		// The register becomes ready after the configured L1 hit
-		// latency (completeLine credits it at now+1, so offset by
-		// L1Latency-1; the 1-cycle default is the pre-existing timing).
-		s.completeLine(acc.warp, acc.dstReg, now+s.cfg.L1Latency-1)
+		// latency (1 cycle by default, the same as a returning fill).
+		s.completeLine(acc.warp, acc.dstReg, now+s.cfg.L1Latency, now)
 		return true
 	}
 	la := s.l1.LineAddr(line.paddr)
@@ -813,17 +843,17 @@ func (s *SM) newReq(acc *memAccess, line *lineReq, now sim.Cycle) *sim.MemReq {
 }
 
 // completeLine credits one returned (or L1-hit) line toward the warp's
-// destination register.
-func (s *SM) completeLine(slot int, dstReg int8, now sim.Cycle) {
+// destination register, which becomes ready at readyAt once its last line
+// is in: a timed wake, never an immediate one.
+func (s *SM) completeLine(slot int, dstReg int8, readyAt, now sim.Cycle) {
 	ws := &s.warps[slot]
 	if dstReg >= 0 {
 		ws.regPending[dstReg]--
 		if ws.regPending[dstReg] <= 0 {
 			ws.regPending[dstReg] = 0
-			ws.regReadyAt[dstReg] = now + 1
+			ws.regReadyAt[dstReg] = readyAt
+			s.classify(slot, now)
 		}
-		ws.nextReady = 0 // wake the scheduler's blocked-warp cache
-		s.wake(slot)
 	}
 	s.maybeRecycle(slot)
 }
@@ -869,7 +899,7 @@ func (s *SM) finishLoad(req *sim.MemReq, now sim.Cycle) {
 	if s.warps[req.Warp].outstanding < 0 {
 		panic(fmt.Sprintf("SM%d warp %d negative outstanding on load id=%d addr=%#x merged=%v", s.ID, req.Warp, req.ID, req.Addr, req.MergedBehind))
 	}
-	s.completeLine(req.Warp, req.DstReg, now)
+	s.completeLine(req.Warp, req.DstReg, now+1, now)
 	s.reqs.Put(req)
 }
 
@@ -881,13 +911,7 @@ func (s *SM) maybeRecycle(slot int) {
 		return
 	}
 	ws.valid = false
-	sched := slot % s.cfg.SchedulersPerSM
-	for i, sl := range s.order[sched] {
-		if sl == slot {
-			s.order[sched] = append(s.order[sched][:i], s.order[sched][i+1:]...)
-			break
-		}
-	}
+	s.removePos(s.schedOf(slot), int(ws.pos))
 	s.freeSlots = append(s.freeSlots, slot)
 	cs := &s.ctas[ws.ctaSlot]
 	cs.live--
@@ -898,39 +922,53 @@ func (s *SM) maybeRecycle(slot int) {
 	}
 }
 
+// removePos closes the gap a retired warp leaves at position pos of sc:
+// younger warps move down one position, in the slot table and in every
+// mask, so bit order stays age order.
+func (s *SM) removePos(sc *scheduler, pos int) {
+	below := uint64(1)<<uint(pos) - 1
+	squeeze := func(w uint64) uint64 { return w&below | w>>uint(pos+1)<<uint(pos) }
+	sc.ready, sc.mem, sc.timed = squeeze(sc.ready), squeeze(sc.mem), squeeze(sc.timed)
+	copy(sc.slot[pos:], sc.slot[pos+1:sc.n])
+	sc.n--
+	for p := pos; p < sc.n; p++ {
+		s.warps[sc.slot[p]].pos = uint8(p)
+	}
+}
+
 // arriveBarrier registers the warp at its CTA barrier and releases the
 // barrier when every participating (non-exited) warp of the CTA has
 // arrived.
-func (s *SM) arriveBarrier(slot int) {
+func (s *SM) arriveBarrier(slot int, now sim.Cycle) {
 	ws := &s.warps[slot]
 	cs := &s.ctas[ws.ctaSlot]
 	ws.atBarrier = true
 	cs.arrived++
 	if cs.arrived >= s.liveAtBarrierDenominator(cs) {
-		s.releaseBarrier(cs)
+		s.releaseBarrier(cs, now)
 	}
 }
 
-func (s *SM) releaseBarrier(cs *ctaState) {
+func (s *SM) releaseBarrier(cs *ctaState, now sim.Cycle) {
 	for _, sl := range cs.slots {
 		if s.warps[sl].valid && s.warps[sl].atBarrier {
 			s.warps[sl].atBarrier = false
+			s.classify(sl, now)
 		}
 	}
 	cs.arrived = 0
-	s.wake(-1)
 }
 
 // retireWarp marks the warp exited; the slot recycles when its memory
 // traffic drains. An exiting warp may release a barrier its siblings wait
 // on.
-func (s *SM) retireWarp(slot int) {
+func (s *SM) retireWarp(slot int, now sim.Cycle) {
 	ws := &s.warps[slot]
 	cs := &s.ctas[ws.ctaSlot]
 	// A warp that exits while siblings wait at a barrier no longer
 	// participates: re-check release.
 	if cs.arrived > 0 && cs.arrived >= s.liveAtBarrierDenominator(cs) {
-		s.releaseBarrier(cs)
+		s.releaseBarrier(cs, now)
 	}
 	s.maybeRecycle(slot)
 }
@@ -947,10 +985,15 @@ func (s *SM) liveAtBarrierDenominator(cs *ctaState) int {
 	return n
 }
 
-// DebugState summarizes live warps and queues for stall diagnosis.
+// DebugState summarizes live warps and queues for stall diagnosis, then
+// says per scheduler what its warps wait for: how many can issue, wait for
+// an LSU entry, wait out a scoreboard timer (and the earliest), wait for a
+// load or atomic reply, sit at a barrier, or have exited and are draining
+// stores.
 func (s *SM) DebugState() string {
-	live, bar, out := 0, 0, 0
+	live, out := 0, 0
 	pc := -1
+	bar, drain := make([]int, len(s.sched)), make([]int, len(s.sched))
 	for i := range s.warps {
 		ws := &s.warps[i]
 		if !ws.valid {
@@ -958,15 +1001,30 @@ func (s *SM) DebugState() string {
 		}
 		live++
 		out += ws.outstanding
-		if ws.atBarrier {
-			bar++
+		switch {
+		case ws.w.Exited:
+			drain[i%len(s.sched)]++
+		case ws.atBarrier:
+			bar[i%len(s.sched)]++
 		}
 		if !ws.w.Exited && pc < 0 {
 			pc = ws.w.PC
 		}
 	}
-	return fmt.Sprintf("live=%d bar=%d outstanding=%d lsu=%d send=%d ctaQ=%d firstPC=%d",
-		live, bar, out, s.lsu.Len(), s.sendQueue.Len(), s.ctaQueue.Len(), pc)
+	var b strings.Builder
+	fmt.Fprintf(&b, "live=%d outstanding=%d lsu=%d send=%d ctaQ=%d firstPC=%d",
+		live, out, s.lsu.Len(), s.sendQueue.Len(), s.ctaQueue.Len(), pc)
+	for i := range s.sched {
+		sc := &s.sched[i]
+		can := bits.OnesCount64(s.issuable(sc))
+		ready, timed := bits.OnesCount64(sc.ready), bits.OnesCount64(sc.timed)
+		fmt.Fprintf(&b, " sched%d[ready=%d lsu-wait=%d timed=%d", i, can, ready-can, timed)
+		if timed > 0 {
+			fmt.Fprintf(&b, "(min=%d)", sc.minWake)
+		}
+		fmt.Fprintf(&b, " load-wait=%d barrier=%d drain=%d]", sc.n-ready-timed-bar[i]-drain[i], bar[i], drain[i])
+	}
+	return b.String()
 }
 
 // L1MSHRStalls returns how many line operations stalled on a full L1 MSHR
