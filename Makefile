@@ -1,4 +1,4 @@
-# Convenience targets; `make check` mirrors CI.
+# Convenience targets; `make check` runs what CI gates on.
 
 GO ?= go
 
@@ -18,7 +18,8 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Docs-versus-code drift: flags mentioned in README/docs must exist in
-# cmd/*, and intra-repo Markdown links must resolve (see cmd/nubadocs).
+# cmd/*, quoted `make` targets must exist here, and intra-repo Markdown
+# links must resolve (see cmd/nubadocs).
 docs-check:
 	$(GO) run ./cmd/nubadocs
 
@@ -52,6 +53,8 @@ sanitize:
 # owns it — the forward-progress watchdog, the sanitize engine or the
 # panic-isolating experiment pool — plus partial-report, failure-isolation
 # and cancel-under-fault coverage. Deterministic: failures reproduce exactly.
+# Not a prerequisite of `check`: `test` and `race` both already run
+# TestStress*; this target is for running the matrix alone.
 stress:
 	$(GO) test -timeout 20m -run 'TestStress' ./internal/experiments/
 
@@ -61,7 +64,7 @@ stress:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
-check: vet build lint fmt-check docs-check test race sanitize stress bench-check
+check: vet build lint fmt-check docs-check test race sanitize bench-check
 
 clean:
 	$(GO) clean ./...

@@ -5,7 +5,9 @@
 //   - every CLI flag mentioned in a documentation code span (inline
 //     backticks or fenced blocks) must exist in some cmd/* flag set,
 //     parsed straight out of the sources with go/parser — or be a
-//     known flag of an external tool (go test -race, gofmt -l, ...);
+//     known flag of an external tool (go test -race, jq -r, ...);
+//   - every `make <target>` in a code span must be a target of the root
+//     Makefile;
 //   - every intra-repo Markdown link must resolve to an existing file
 //     or directory.
 //
@@ -30,21 +32,15 @@ import (
 )
 
 // externalFlags are flags the docs legitimately mention that belong to
-// external tooling, not to a cmd/* binary.
+// external tooling, not to a cmd/* binary. Only what a checked doc
+// quotes today is listed: an entry nothing uses would only let a
+// same-named typo through.
 var externalFlags = map[string]bool{
-	"race":      true, // go test -race
-	"bench":     true, // go test -bench (also a nubasim flag)
-	"benchmem":  true, // go test -benchmem
-	"benchtime": true, // go test -benchtime
-	"short":     true, // go test -short
-	"run":       true, // go test -run
-	"count":     true, // go test -count
-	"timeout":   true, // go test -timeout
-	"l":         true, // gofmt -l
-	"r":         true, // jq -r
-	"top":       true, // go tool pprof -top
-	"cum":       true, // go tool pprof -cum
-	"sample":    true, // go tool pprof -sample_index (the match stops at the underscore)
+	"race":   true, // go test -race
+	"r":      true, // jq -r
+	"top":    true, // go tool pprof -top
+	"cum":    true, // go tool pprof -cum
+	"sample": true, // go tool pprof -sample_index (the match stops at the underscore)
 }
 
 func main() {
@@ -61,6 +57,12 @@ func main() {
 		os.Exit(2)
 	}
 
+	targets, err := makeTargets(*root)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nubadocs:", err)
+		os.Exit(2)
+	}
+
 	docs, err := docFiles(*root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nubadocs:", err)
@@ -68,7 +70,7 @@ func main() {
 	}
 
 	var problems []string
-	flagMentions, linkChecks := 0, 0
+	flagMentions, targetMentions, linkChecks := 0, 0, 0
 	for _, doc := range docs {
 		data, err := os.ReadFile(doc)
 		if err != nil {
@@ -78,11 +80,19 @@ func main() {
 		rel, _ := filepath.Rel(*root, doc)
 		text := string(data)
 
-		for _, f := range mentionedFlags(text) {
+		spans := codeSpans(text)
+		for _, f := range mentionedFlags(spans) {
 			flagMentions++
 			if !defined[f] && !externalFlags[f] {
 				problems = append(problems,
 					fmt.Sprintf("%s: flag -%s is not defined by any cmd/* binary", rel, f))
+			}
+		}
+		for _, target := range mentionedTargets(spans) {
+			targetMentions++
+			if !targets[target] {
+				problems = append(problems,
+					fmt.Sprintf("%s: make %s is not a target of the Makefile", rel, target))
 			}
 		}
 		for _, target := range intraRepoLinks(text) {
@@ -101,8 +111,8 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("nubadocs: %d docs ok (%d flag mentions against %d defined flags, %d links)\n",
-		len(docs), flagMentions, len(defined), linkChecks)
+	fmt.Printf("nubadocs: %d docs ok (%d flag mentions against %d defined flags, %d make targets, %d links)\n",
+		len(docs), flagMentions, len(defined), targetMentions, linkChecks)
 }
 
 // docFiles returns the user-facing Markdown files to check.
@@ -182,16 +192,49 @@ func definedFlags(root string) (map[string]bool, error) {
 // negative numbers, arrows and kebab-case identifiers never match).
 var flagRe = regexp.MustCompile(`(?:^|[\s"'(=|])-([a-zA-Z][a-zA-Z0-9-]*)`)
 
-// mentionedFlags extracts flag names from the document's code spans.
-func mentionedFlags(text string) []string {
+// mentionedFlags extracts flag names from a document's code spans.
+func mentionedFlags(spans []string) []string {
 	var flags []string
-	for _, span := range codeSpans(text) {
+	for _, span := range spans {
 		for _, m := range flagRe.FindAllStringSubmatch(span, -1) {
 			name := strings.TrimRight(m[1], "-")
 			flags = append(flags, name)
 		}
 	}
 	return flags
+}
+
+// makeTargetRe matches a rule line of a Makefile ("name:" but not the
+// "name :=" of an assignment).
+var makeTargetRe = regexp.MustCompile(`(?m)^([A-Za-z0-9][A-Za-z0-9_.-]*)[ \t]*:(?:[^=]|$)`)
+
+// makeTargets returns the targets the root Makefile defines.
+func makeTargets(root string) (map[string]bool, error) {
+	data, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		return nil, err
+	}
+	targets := make(map[string]bool)
+	for _, m := range makeTargetRe.FindAllStringSubmatch(string(data), -1) {
+		targets[m[1]] = true
+	}
+	return targets, nil
+}
+
+// makeRe matches a `make <target>` invocation inside a code span: the
+// word after make is the target.
+var makeRe = regexp.MustCompile(`(?:^|[\s(])make[ \t]+([A-Za-z0-9][A-Za-z0-9_.-]*)`)
+
+// mentionedTargets extracts the make targets a document's code spans
+// invoke.
+func mentionedTargets(spans []string) []string {
+	var targets []string
+	for _, span := range spans {
+		for _, m := range makeRe.FindAllStringSubmatch(span, -1) {
+			targets = append(targets, m[1])
+		}
+	}
+	return targets
 }
 
 var inlineCodeRe = regexp.MustCompile("`([^`\n]+)`")

@@ -51,6 +51,10 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "nubareport:", err)
 		return 2
 	}
+	if !(*scale > 0) {
+		fmt.Fprintf(os.Stderr, "nubareport: -scale must be positive (got %g)\n", *scale)
+		return 2
+	}
 	opts := experiments.Options{Scale: *scale, Jobs: *jobs, Engine: engine, Watchdog: *watchdog}
 	if *verbose {
 		opts.OnEvent = experiments.ProgressPrinter(os.Stderr)

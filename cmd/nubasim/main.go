@@ -62,6 +62,10 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "nubasim:", err)
 		return 2
 	}
+	if !(*scale > 0) {
+		fmt.Fprintf(os.Stderr, "nubasim: -scale must be positive (got %g)\n", *scale)
+		return 2
+	}
 
 	var cfg nuba.Config
 	switch strings.ToLower(*arch) {

@@ -12,7 +12,8 @@ import (
 
 // TestMultiBenchmarkMode is the CLI smoke test of the batch front door:
 // the binary is built once and run on a clean batch, on a batch with a
-// job that hangs, and on a benchmark that does not exist.
+// job that hangs, on a benchmark that does not exist and on a scale that
+// is not a GPU.
 func TestMultiBenchmarkMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs nubasim")
@@ -57,5 +58,11 @@ func TestMultiBenchmarkMode(t *testing.T) {
 
 	if _, stderr, code = run("-bench", "nosuch"); code != 2 || !strings.Contains(stderr, "nosuch") {
 		t.Errorf("unknown benchmark: exit %d, stderr %q", code, stderr)
+	}
+	for _, scale := range []string{"0", "-1"} {
+		if stdout, stderr, code = run("-bench", "BH,LEU", "-scale", scale); code != 2 ||
+			stdout != "" || !strings.Contains(stderr, "-scale must be positive") {
+			t.Errorf("-scale %s: exit %d, stdout %q, stderr %q", scale, code, stdout, stderr)
+		}
 	}
 }

@@ -48,6 +48,10 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "nubasweep:", err)
 		return 2
 	}
+	if !(*scale > 0) {
+		fmt.Fprintf(os.Stderr, "nubasweep: -scale must be positive (got %g)\n", *scale)
+		return 2
+	}
 
 	if *list {
 		fmt.Println("experiments:")

@@ -148,15 +148,15 @@ func TestEnginesByteIdenticalAcrossSuite(t *testing.T) {
 	}
 }
 
-// TestSanitizeSuite is the dynamic half of the wake-hint-contract proof
-// (the static half is nubalint's hint-purity rule):
+// TestSanitizeSuite is the wake-hint-contract proof over the suite:
 // every Table 2 benchmark runs under EngineSanitize with the same cap as
 // TestEnginesByteIdenticalAcrossSuite, so every idle window the hint
-// scan claims across the whole suite is stepped cycle-by-cycle and
-// cross-checked against per-component state signatures. A single
-// unsound hint fails the run with a cycle/component diagnostic
-// (runCapped tolerates only the MaxCycles cap), and the clean runs must
-// stay byte-identical to the hybrid engine they are vouching for.
+// scan claims across the whole suite is re-scanned, stepped
+// cycle-by-cycle and cross-checked against per-component state
+// signatures. A single unsound or impure hint fails the run with a
+// cycle/component diagnostic (runCapped tolerates only the MaxCycles
+// cap), and the clean runs must stay byte-identical to the hybrid engine
+// they are vouching for.
 func TestSanitizeSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed; runs every benchmark, plus the shared reference")

@@ -134,41 +134,24 @@ func (r ReplicationPolicy) String() string {
 	}
 }
 
-// HBMTiming holds the DRAM timing parameters of Table 1 in memory-clock
-// cycles (350 MHz). Every field carries the same dimension, so one
-// annotation per field keeps the unit-consistency rule honest about
-// arithmetic that mixes them with core-clock quantities.
+// HBMTiming holds the DRAM timing parameters of Table 1, every one in
+// memory-clock cycles (350 MHz) — not the core-clock sim.Cycle.
 type HBMTiming struct {
-	// nubaunit: memcycles
-	TRC int // ACT to ACT, same bank
-	// nubaunit: memcycles
-	TRCD int // ACT to CAS
-	// nubaunit: memcycles
-	TRP int // PRE to ACT
-	// nubaunit: memcycles
-	TCL int // CAS to data
-	// nubaunit: memcycles
-	TWL int // write CAS to data
-	// nubaunit: memcycles
-	TRAS int // ACT to PRE
-	// nubaunit: memcycles
+	TRC   int // ACT to ACT, same bank
+	TRCD  int // ACT to CAS
+	TRP   int // PRE to ACT
+	TCL   int // CAS to data
+	TWL   int // write CAS to data
+	TRAS  int // ACT to PRE
 	TRRDL int // ACT to ACT, same bank group
-	// nubaunit: memcycles
 	TRRDS int // ACT to ACT, different bank group
-	// nubaunit: memcycles
-	TFAW int // four-activate window
-	// nubaunit: memcycles
-	TRTP int // READ to PRE
-	// nubaunit: memcycles
+	TFAW  int // four-activate window
+	TRTP  int // READ to PRE
 	TCCDL int // CAS to CAS, same bank group
-	// nubaunit: memcycles
 	TCCDS int // CAS to CAS, different bank group
-	// nubaunit: memcycles
 	TWTRL int // write to read, same bank group
-	// nubaunit: memcycles
 	TWTRS int // write to read, different bank group
-	// nubaunit: memcycles
-	TWR int // write recovery
+	TWR   int // write recovery
 }
 
 // DefaultHBMTiming returns the Table 1 HBM timing.
@@ -187,7 +170,6 @@ type Config struct {
 	Seed uint64
 
 	// Core clock in GHz; the memory clock is CoreClockGHz/MemClockDiv.
-	// nubaunit: GHz
 	CoreClockGHz float64
 	MemClockDiv  int
 
@@ -199,33 +181,31 @@ type Config struct {
 	MaxCTAsPerSM    int
 
 	// L1 data cache (per SM): write-through, write-no-allocate.
-	L1Bytes      int // nubaunit: bytes
+	L1Bytes      int
 	L1Ways       int
 	L1MSHRs      int
-	L1Latency    sim.Cycle // nubaunit: cycles
+	L1Latency    sim.Cycle
 	L1TLBEntries int
-	L1TLBLatency sim.Cycle // nubaunit: cycles
+	L1TLBLatency sim.Cycle
 
 	// Shared L2 TLB and page walking.
 	L2TLBEntries int
 	L2TLBWays    int
-	L2TLBLatency sim.Cycle // nubaunit: cycles
+	L2TLBLatency sim.Cycle
 	L2TLBPorts   int
 	PageWalkers  int
 	// PageWalkLatency is the latency of a page table walk that hits in
 	// memory.
-	// nubaunit: cycles
 	PageWalkLatency sim.Cycle
 	// PageFaultLatency is the fixed 20 us first-touch fault penalty.
-	// nubaunit: cycles
 	PageFaultLatency sim.Cycle
-	PageSize         uint64 // nubaunit: bytes
+	PageSize         uint64 // bytes
 
 	// LLC organization: NumLLCSlices slices of LLCSliceBytes each.
 	NumLLCSlices  int
-	LLCSliceBytes int // nubaunit: bytes
+	LLCSliceBytes int
 	LLCWays       int
-	LLCLatency    sim.Cycle // nubaunit: cycles
+	LLCLatency    sim.Cycle
 	LLCMSHRs      int
 
 	// Memory system.
@@ -235,23 +215,20 @@ type Config struct {
 	Timing        HBMTiming
 	// MemBusBytesPerMemCycle is the per-channel data bus width per
 	// memory-clock cycle: 64 B gives 32 ch × 64 B × 350 MHz ≈ 720 GB/s.
-	// nubaunit: bytes/memcycle
 	MemBusBytesPerMemCycle int
 
 	// NoC: the inter-partition network.
-	// nubaunit: GB/s
 	NoCBandwidthGBs float64 // aggregate injection bandwidth
 	// NoCLatency is the hierarchical crossbar traversal (two 4-cycle
 	// stages).
-	// nubaunit: cycles
 	NoCLatency    sim.Cycle
 	NoCPortBuffer int
 
 	// NUBA point-to-point links between SMs and local LLC slices.
-	// LocalLinkBytes is the link width (32 B ≈ 2.8 TB/s aggregate).
-	// nubaunit: bytes/cycle
+	// LocalLinkBytes is the link width in bytes per cycle (32 B ≈
+	// 2.8 TB/s aggregate).
 	LocalLinkBytes   int
-	LocalLinkLatency sim.Cycle // nubaunit: cycles
+	LocalLinkLatency sim.Cycle
 	LocalLinkBuffer  int
 
 	// Policies.
@@ -259,21 +236,20 @@ type Config struct {
 	Placement    PlacementPolicy
 	LABThreshold float64
 	Replication  ReplicationPolicy
-	MDREpoch     sim.Cycle // nubaunit: cycles
+	MDREpoch     sim.Cycle
 	// MDREvalDelay is the 116-cycle hardware model evaluation.
-	// nubaunit: cycles
 	MDREvalDelay  sim.Cycle
 	MDRSampleSets int // dynamic set sampling: 8 sets per slice
 
 	// Migration/PageReplication knobs (§7.6 alternatives).
-	MigrationInterval  sim.Cycle // nubaunit: cycles
+	MigrationInterval  sim.Cycle
 	MigrationThreshold int
 
 	// MCM configuration (Figure 15/16). When NumModules > 1, the
 	// crossbar is split per module and inter-module traffic uses links of
 	// InterModuleGBs bidirectional bandwidth per module.
 	NumModules     int
-	InterModuleGBs float64 // nubaunit: GB/s
+	InterModuleGBs float64
 
 	// ColdStart disables the placement prewarm: every first touch then
 	// pays the full demand-fault penalty during the timed run. The

@@ -174,8 +174,8 @@ func New(cfg config.Config) (*GPU, error) {
 	return g, nil
 }
 
-// MustNew is New that panics on configuration errors (used by examples,
-// benchmarks and the experiment harness where configs are static).
+// MustNew is New that panics on configuration errors, for tests whose
+// configurations are static.
 func MustNew(cfg config.Config) *GPU {
 	g, err := New(cfg)
 	if err != nil {

@@ -31,7 +31,8 @@ type component interface {
 	// wakeAt returns the earliest cycle after now at which the component
 	// could make progress on its own: now+1 (or earlier) while active, a
 	// future cycle when parked on a known timer, sim.Never when drained
-	// or waiting on another component. It must be pure (hint-purity).
+	// or waiting on another component. It must be a pure observation:
+	// the sanitizer asks twice (verifyIdleWindow).
 	wakeAt(now sim.Cycle) sim.Cycle
 	// pending reports whether the component still holds work.
 	pending() bool

@@ -9,14 +9,16 @@ import (
 // EngineSanitize, the dynamic proof of the wake-hint contract. The
 // hybrid engine's correctness rests on one claim: when nextWake()
 // returns w, ticking every component on any cycle in (now, w-1] is a
-// no-op. nubalint's hint-purity rule proves the hints have no side
-// effects; this file checks that they are right. Instead of skipping a
-// claimed-idle window, GPU.advance hands it to verifyIdleWindow, which
-// steps through it cycle by cycle — exactly what EngineNaive would do —
-// and cross-checks every table row's state signature (StateSig,
-// internal/sim/sig.go), the timers and the run statistics after each
-// step. Any change proves the hint unsound and fails the run with the
-// cycle, the component and the claimed wake.
+// no-op. Instead of skipping a claimed-idle window, GPU.advance hands
+// it to verifyIdleWindow, which steps through it cycle by cycle —
+// exactly what EngineNaive would do — and cross-checks every table
+// row's state signature (StateSig, internal/sim/sig.go), the timers and
+// the run statistics after each step. Any change proves the hint
+// unsound and fails the run with the cycle, the component and the
+// claimed wake. The scan itself is held to the same standard: it is
+// repeated once after the snapshot, so a hint that is not a pure
+// observation — one that answers differently the second time, or
+// changes state a signature covers — fails the same way.
 //
 // Because verification is plain stepping, a clean sanitize run is
 // byte-identical to both other engines; its only cost is wall-clock.
@@ -36,9 +38,11 @@ func (g *GPU) timerSig() uint64 {
 
 // verifyIdleWindow checks the hint contract over (g.cycle, end]: it
 // snapshots every row's signature, the timers and the run statistics,
-// then steps one cycle at a time re-checking all three. wake is the
-// hint scan's claimed next wake-up (end is wake-1 clamped to the batch
-// target), reported in the diagnostic so an unsound hint is immediately
+// repeats the hint scan — which must answer wake again, and whose side
+// effects, if it has any, now sit on top of the snapshot — then steps
+// one cycle at a time re-checking all three. wake is the hint scan's
+// claimed next wake-up (end is wake-1 clamped to the batch target),
+// reported in the diagnostic so an unsound hint is immediately
 // attributable.
 func (g *GPU) verifyIdleWindow(wake, end sim.Cycle) error {
 	n := len(g.parts)
@@ -52,6 +56,9 @@ func (g *GPU) verifyIdleWindow(wake, end sim.Cycle) error {
 	unsound := func(what string) error {
 		return fmt.Errorf("core: sanitize: unsound wake hint: %s at cycle %d inside idle window (%d, %d] (hint scan at cycle %d claimed no progress before %d)",
 			what, g.cycle, start, end, start, wake)
+	}
+	if again := g.nextWake(); again != wake {
+		return unsound(fmt.Sprintf("hint scan not repeatable (a second scan claims %d)", again))
 	}
 	for g.cycle < end {
 		g.step()

@@ -7,6 +7,7 @@ import (
 
 	"github.com/nuba-gpu/nuba/internal/config"
 	"github.com/nuba-gpu/nuba/internal/kir"
+	"github.com/nuba-gpu/nuba/internal/sim"
 )
 
 // A clean sanitize run must be byte-identical to the serial reference:
@@ -57,6 +58,63 @@ func TestSanitizeCatchesInjectedBadHint(t *testing.T) {
 	}
 	if !strings.Contains(msg, "at cycle") || !strings.Contains(msg, "idle window") {
 		t.Errorf("diagnostic does not pin the violation to a cycle and window: %v", err)
+	}
+}
+
+// impureRow is a table row that holds no work and whose hint is not a
+// pure observation: every scan bumps a counter its signature mixes.
+// Without jitter it never asks to be woken, so it cannot shorten an
+// idle window; with jitter its answer alternates between two future
+// cycles from one call to the next.
+type impureRow struct {
+	scans  uint64
+	jitter bool
+}
+
+func (r *impureRow) wakeAt(now sim.Cycle) sim.Cycle {
+	r.scans++
+	if r.jitter {
+		return now + 2 + sim.Cycle(r.scans%2)
+	}
+	return sim.Never
+}
+func (r *impureRow) pending() bool           { return false }
+func (r *impureRow) StateSig() uint64        { return sim.MixSig(sim.SigSeed, r.scans) }
+func (r *impureRow) detail(sim.Cycle) string { return "" }
+
+// A hint scan must be a pure observation, or the scan itself is a
+// simulation event that naive (which never scans) does not replay. The
+// sanitizer states that dynamically: it scans a second time after its
+// snapshot, so a hint that mutates signed state trips the first
+// per-step comparison and a hint whose answer moves fails outright.
+// Hybrid cannot see either — which is why the check lives here.
+func TestSanitizeCatchesImpureHint(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		jitter bool
+		want   string
+	}{
+		{"mutates-signed-state", false, "impure row changed state"},
+		{"answer-moves", true, "hint scan not repeatable"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(e Engine) error {
+				g := MustNew(tinyConfig(config.NUBA))
+				g.SetEngine(e)
+				g.register(&impureRow{jitter: tc.jitter}, "impure row", -1, -1)
+				return g.RunProgram([]*kir.Launch{tinyLaunch(t, g, 32, 4)})
+			}
+			if err := run(EngineHybrid); err != nil {
+				t.Fatalf("hybrid engine cannot see an impure hint: %v", err)
+			}
+			err := run(EngineSanitize)
+			if err == nil {
+				t.Fatal("sanitize engine accepted an impure hint")
+			}
+			if msg := err.Error(); !strings.Contains(msg, "sanitize: unsound wake hint: "+tc.want) {
+				t.Errorf("diagnostic = %v, want it to say %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -436,14 +436,6 @@ func (c *Channel) StateSig() uint64 {
 	return h
 }
 
-// Utilization returns the data-bus busy fraction over elapsed memory cycles.
-func (c *Channel) Utilization(elapsedMemCycles int64) float64 {
-	if elapsedMemCycles <= 0 {
-		return 0
-	}
-	return float64(c.BusyCycles) / float64(elapsedMemCycles)
-}
-
 func max64(a, b int64) int64 {
 	if a > b {
 		return a

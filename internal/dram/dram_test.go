@@ -187,7 +187,7 @@ func TestUtilizationCounter(t *testing.T) {
 	ch.Respond = func(*sim.MemReq) {}
 	ch.Enqueue(&sim.MemReq{Kind: sim.Load, Addr: 0})
 	runUntil(ch, 0, 100)
-	if u := ch.Utilization(100); u <= 0 || u > 1 {
-		t.Fatalf("utilization %v", u)
+	if b := ch.BusyCycles; b <= 0 || b > 100 {
+		t.Fatalf("data bus busy %d of 100 memory cycles", b)
 	}
 }

@@ -20,25 +20,21 @@ import (
 type Params struct {
 	// PerWarpInstrNJ covers fetch, decode, register file and execution
 	// of one warp instruction across 32 lanes.
-	// nubaunit: nJ
 	PerWarpInstrNJ float64
 	// L1AccessNJ / LLCAccessNJ are per 128 B tag+data access.
-	L1AccessNJ  float64 // nubaunit: nJ
-	LLCAccessNJ float64 // nubaunit: nJ
+	L1AccessNJ  float64
+	LLCAccessNJ float64
 	// DRAMLineNJ is one 128 B HBM burst (~7 pJ/bit).
-	// nubaunit: nJ
 	DRAMLineNJ float64
 	// NoCByteBaseNJ is crossbar traversal energy per byte for a
 	// 64-endpoint reference; the effective per-byte energy scales with
 	// (1 + ports/64) to reflect wire length growth with radix.
-	// nubaunit: nJ/byte
 	NoCByteBaseNJ float64
 	// NoCStaticWPerUnit is crossbar leakage+clock power per
 	// ports^2 * widthBytes unit (DSENT-style quadratic area scaling).
 	NoCStaticWPerUnit float64
 	// LocalLinkByteNJ is the point-to-point SM<->LLC link energy per
 	// byte — short wires, no switching fabric.
-	// nubaunit: nJ/byte
 	LocalLinkByteNJ float64
 	// GPUStaticW is the rest-of-GPU static power.
 	GPUStaticW float64
@@ -61,11 +57,11 @@ func DefaultParams() Params {
 
 // Breakdown is the per-component energy of one run, in nanojoules.
 type Breakdown struct {
-	NoCNJ    float64 // nubaunit: nJ
-	DRAMNJ   float64 // nubaunit: nJ
-	CoreNJ   float64 // nubaunit: nJ
-	LLCNJ    float64 // nubaunit: nJ
-	StaticNJ float64 // nubaunit: nJ
+	NoCNJ    float64
+	DRAMNJ   float64
+	CoreNJ   float64
+	LLCNJ    float64
+	StaticNJ float64
 }
 
 // TotalNJ sums all components.
@@ -95,9 +91,6 @@ func Compute(cfg *config.Config, st *metrics.Stats, nocPorts, nocWidth int, p Pa
 	localLinks := float64(st.LocalLinkBytes) * p.LocalLinkByteNJ
 
 	b := Breakdown{
-		// The static term is watts × nanoseconds ≡ nJ, but the symbolic
-		// checker cannot reduce GHz⁻¹·cycle to ns.
-		//nubalint:ignore unit-consistency W*ns static term is dimensionally nJ
 		NoCNJ:    nocDynamic + nocStatic + localLinks,
 		DRAMNJ:   float64(st.DRAMReads+st.DRAMWrites) * p.DRAMLineNJ,
 		CoreNJ:   float64(st.Instructions)*p.PerWarpInstrNJ + float64(st.L1Accesses)*p.L1AccessNJ,

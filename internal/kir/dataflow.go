@@ -42,18 +42,3 @@ func AnalyzeReadOnly(k *Kernel) {
 	}
 	k.Analyzed = true
 }
-
-// ReadOnlyBuffers returns the names of buffers classified read-only; it
-// panics if AnalyzeReadOnly has not run.
-func ReadOnlyBuffers(k *Kernel) []string {
-	if !k.Analyzed {
-		panic("kir: kernel not analyzed")
-	}
-	var out []string
-	for _, b := range k.Buffers {
-		if b.ReadOnly {
-			out = append(out, b.Name)
-		}
-	}
-	return out
-}

@@ -328,9 +328,6 @@ func TestAnalyzeReadOnly(t *testing.T) {
 	if roLoads != 1 || plainLoads != 1 {
 		t.Fatalf("rewrites wrong: ro=%d plain=%d", roLoads, plainLoads)
 	}
-	if ro := ReadOnlyBuffers(k); len(ro) != 1 || ro[0] != "RO" {
-		t.Fatalf("ReadOnlyBuffers = %v", ro)
-	}
 }
 
 func TestAnalyzeDemotesUnsoundRO(t *testing.T) {

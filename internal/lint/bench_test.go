@@ -26,7 +26,7 @@ func BenchmarkNubalint(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		diags, err := Run(prog, pol, nil)
+		diags, err := Run(prog, pol)
 		if err != nil {
 			b.Fatal(err)
 		}

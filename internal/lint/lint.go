@@ -9,41 +9,27 @@ import (
 // Diagnostic is one finding, in vet style: file:line:col: rule: message.
 // File is module-relative so output is stable across checkouts.
 type Diagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Rule     string `json:"rule"`
-	Severity string `json:"severity"`
-	Message  string `json:"message"`
+	File    string
+	Line    int
+	Col     int
+	Rule    string
+	Message string
 }
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Rule, d.Message)
 }
 
-// Run analyzes the program's packages under the policy with the given
-// rules (nil or empty = all) and returns the findings sorted by
-// (file, line, col, rule). Malformed //nubalint:ignore directives and
-// nubaunit annotations are always reported, whatever the rule
-// selection.
+// Run analyzes the program's packages under the policy and returns the
+// findings sorted by (file, line, col, rule). Malformed
+// //nubalint:ignore directives are findings too.
 //
-// Per-package rules (nondet-map-range, no-wallclock, import-layering,
-// unit-consistency) run package by package; the liveness rules then
-// run once over the module-wide use graph (see usegraph.go), so a
-// config knob read only from a package the analysis never loaded still
-// counts as dead.
-func Run(prog *Program, pol *Policy, rules []string) ([]Diagnostic, error) {
-	if len(rules) == 0 {
-		rules = AllRules()
-	}
-	selected := make(map[string]bool, len(rules))
-	for _, r := range rules {
-		if !knownRule(r) {
-			return nil, fmt.Errorf("lint: unknown rule %q (have %v)", r, AllRules())
-		}
-		selected[r] = true
-	}
-
+// The per-package rules (nondet-map-range, no-wallclock,
+// import-layering) run package by package; the liveness rules then run
+// once over the module-wide use graph (see usegraph.go), so a config
+// knob read only from a package the analysis never loaded still counts
+// as dead.
+func Run(prog *Program, pol *Policy) ([]Diagnostic, error) {
 	// Index every file's suppression directives up front — module-wide
 	// rules emit into files of packages other than the one being
 	// walked, and a malformed directive is itself a finding.
@@ -52,7 +38,7 @@ func Run(prog *Program, pol *Policy, rules []string) ([]Diagnostic, error) {
 		posn := prog.Fset.Position(pos)
 		diags = append(diags, Diagnostic{
 			File: prog.RelFile(pos), Line: posn.Line, Col: posn.Column,
-			Rule: rule, Severity: severityOf(rule), Message: msg,
+			Rule: rule, Message: msg,
 		})
 	}
 	indexes := make(map[string]*directiveIndex) // by module-relative file
@@ -70,29 +56,19 @@ func Run(prog *Program, pol *Policy, rules []string) ([]Diagnostic, error) {
 		rawEmit(pos, rule, msg)
 	})
 
-	// The unit annotation table is built unconditionally: a malformed
-	// annotation must surface even when unit-consistency is deselected.
-	units := collectUnits(prog, emit)
-
 	for _, pkg := range prog.Pkgs {
 		c := &pkgCtx{prog: prog, pol: pol, pkg: pkg, emitPos: emit}
-		for _, r := range rules {
-			if fn, ok := ruleFuncs[r]; ok {
-				fn(c)
-			}
-		}
-		if selected[RuleUnits] {
-			checkUnits(c, units)
-		}
+		checkMapRange(c)
+		checkWallclock(c)
+		checkLayering(c)
 	}
 
 	pc := &progCtx{prog: prog, pol: pol, emitPos: emit}
-	for _, r := range rules {
-		if fn, ok := progRuleFuncs[r]; ok {
-			if err := fn(pc); err != nil {
-				return nil, err
-			}
-		}
+	if err := checkConfigLiveness(pc); err != nil {
+		return nil, err
+	}
+	if err := checkMetricsLiveness(pc); err != nil {
+		return nil, err
 	}
 
 	sort.Slice(diags, func(i, j int) bool {

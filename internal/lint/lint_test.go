@@ -1,8 +1,8 @@
 package lint
 
 import (
-	"bytes"
-	"encoding/json"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,12 +31,13 @@ func loadFixture(t *testing.T) (*Program, *Policy) {
 	return prog, pol
 }
 
-// TestFixtureGolden locks the analyzer's full output on the fixture
-// module against testdata/golden.txt: every rule's positive hit, every
-// suppression, and the exact diagnostic text.
-func TestFixtureGolden(t *testing.T) {
+// renderFixture runs one fully independent analysis of the fixture —
+// its own load, its own policy parse — and renders it the way the CLI
+// prints it.
+func renderFixture(t *testing.T) string {
+	t.Helper()
 	prog, pol := loadFixture(t)
-	diags, err := Run(prog, pol, nil)
+	diags, err := Run(prog, pol)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -45,7 +46,14 @@ func TestFixtureGolden(t *testing.T) {
 		b.WriteString(d.String())
 		b.WriteByte('\n')
 	}
-	got := b.String()
+	return b.String()
+}
+
+// TestFixtureGolden locks the analyzer's full output on the fixture
+// module against testdata/golden.txt: every rule's positive hit, every
+// suppression, and the exact diagnostic text.
+func TestFixtureGolden(t *testing.T) {
+	got := renderFixture(t)
 
 	goldenPath := filepath.Join("testdata", "golden.txt")
 	want, err := os.ReadFile(goldenPath)
@@ -62,7 +70,7 @@ func TestFixtureGolden(t *testing.T) {
 // matching cannot hide behind a stale golden file.
 func TestEveryRuleFires(t *testing.T) {
 	prog, pol := loadFixture(t)
-	diags, err := Run(prog, pol, nil)
+	diags, err := Run(prog, pol)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -83,7 +91,7 @@ func TestEveryRuleFires(t *testing.T) {
 // and the allowlisted clockok/clock.go.
 func TestSuppressionsHold(t *testing.T) {
 	prog, pol := loadFixture(t)
-	diags, err := Run(prog, pol, nil)
+	diags, err := Run(prog, pol)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -112,96 +120,42 @@ func TestSuppressionsHold(t *testing.T) {
 		}
 	}
 
-	// The liveness and unit suppressions must hold too: the Intentional
-	// knob carries an ignore directive, and units.Suppressed mixes units
-	// under one.
+	// The liveness suppression must hold too: the Intentional knob
+	// carries an ignore directive.
 	for _, d := range diags {
 		if strings.Contains(d.Message, "Intentional") {
 			t.Errorf("ignored config knob flagged: %s", d)
 		}
-		if d.Rule == RuleUnits && d.Message == "mixed units in '-': byte vs cycle" {
-			t.Errorf("suppressed unit mix flagged: %s", d)
-		}
-	}
-}
-
-// TestRuleSelection asserts -rules narrows the run to the chosen rule
-// (malformed directives are still always reported).
-func TestRuleSelection(t *testing.T) {
-	prog, pol := loadFixture(t)
-	diags, err := Run(prog, pol, []string{RuleLayering})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	var layering int
-	for _, d := range diags {
-		switch d.Rule {
-		case RuleLayering:
-			layering++
-		case RuleDirective:
-		default:
-			t.Errorf("unselected rule reported: %s", d)
-		}
-	}
-	if layering != 1 {
-		t.Errorf("import-layering findings = %d, want 1", layering)
-	}
-
-	if _, err := Run(prog, pol, []string{"bogus-rule"}); err == nil {
-		t.Error("Run accepted an unknown rule")
-	}
-}
-
-// TestDiagnosticJSON asserts the -json shape stays stable, severity
-// field included.
-func TestDiagnosticJSON(t *testing.T) {
-	d := Diagnostic{File: "a/b.go", Line: 3, Col: 7, Rule: RuleMapRange,
-		Severity: SeverityError, Message: "m"}
-	data, err := json.Marshal(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `{"file":"a/b.go","line":3,"col":7,"rule":"nondet-map-range","severity":"error","message":"m"}`
-	if string(data) != want {
-		t.Errorf("json = %s, want %s", data, want)
 	}
 }
 
 // TestJSONDeterministic asserts two fully independent analyses of the
-// same tree marshal to byte-identical JSON: same ordering (file, line,
-// col, rule), same severity, no map-iteration noise anywhere in the
-// engine. This is what lets CI diff nubalint -json output across runs.
+// same tree render byte-identical, identically ordered output — (file,
+// line, col, rule), no map-iteration noise anywhere in the engine. This
+// is what lets CI diff nubalint output across runs. (The name is
+// historical: the text form is the only form.)
 func TestJSONDeterministic(t *testing.T) {
-	var outs [][]byte
-	for i := 0; i < 2; i++ {
-		prog, pol := loadFixture(t)
-		diags, err := Run(prog, pol, nil)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		data, err := json.Marshal(diags)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs = append(outs, data)
-	}
-	if !bytes.Equal(outs[0], outs[1]) {
-		t.Errorf("JSON output differs across runs:\n--- 1 ---\n%s\n--- 2 ---\n%s", outs[0], outs[1])
-	}
-	for _, d := range mustUnmarshal(t, outs[0]) {
-		if d.Severity != SeverityError {
-			t.Errorf("finding %s has severity %q, want %q", d, d.Severity, SeverityError)
-		}
+	first, second := renderFixture(t), renderFixture(t)
+	if first != second {
+		t.Errorf("output differs across runs:\n--- 1 ---\n%s--- 2 ---\n%s", first, second)
 	}
 }
 
-func mustUnmarshal(t *testing.T, data []byte) []Diagnostic {
-	t.Helper()
-	var ds []Diagnostic
-	if err := json.Unmarshal(data, &ds); err != nil {
+// TestDirectiveNamingUnknownRule asserts an ignore directive for a rule
+// that does not exist (a typo, or a rule since deleted) is a finding,
+// not a silent no-op.
+func TestDirectiveNamingUnknownRule(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "x.go",
+		"package x\n\n//nubalint:ignore retired-rule the rule is gone\nvar V int\n", parser.ParseComments)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return ds
+	var got []string
+	collectDirectives(fset, f, func(_ token.Pos, rule, msg string) { got = append(got, rule+": "+msg) })
+	if len(got) != 1 || got[0] != "directive: directive names unknown rule retired-rule" {
+		t.Errorf("findings = %q, want one unknown-rule directive finding", got)
+	}
 }
 
 // TestPolicyParseErrors asserts the policy parser rejects malformed and
@@ -213,7 +167,8 @@ func TestPolicyParseErrors(t *testing.T) {
 		"allow made-up-rule = x.go",         // unknown rule
 		"frobnicate a = b",                  // unknown directive
 		"layer a = b\nlayer a = c",          // duplicate layer
-		"seams hint-purity = a.T.F",         // retired verb
+		"seams no-wallclock = a.T.F",        // retired verb
+		"funcs no-wallclock = a.T.F",        // retired verb
 	}
 	for _, src := range bad {
 		if _, err := ParsePolicyData(src, "test.policy"); err == nil {
@@ -233,19 +188,5 @@ func TestPolicyParseErrors(t *testing.T) {
 	}
 	if allowed, declared := pol.LayerFor("a"); !declared || !allowed["b"] || !allowed["c"] || allowed["d"] {
 		t.Errorf("LayerFor(a) = %v, %v", allowed, declared)
-	}
-
-	// The funcs verb (hint-purity roots) round-trips in order.
-	funcs := "funcs hint-purity = pkg/a.T.Hint pkg/b.Scan\n"
-	pol, err = ParsePolicyData(funcs, "test.policy")
-	if err != nil {
-		t.Fatalf("ParsePolicyData(funcs): %v", err)
-	}
-	got := pol.Funcs(RuleHintPurity)
-	if len(got) != 2 || got[0] != "pkg/a.T.Hint" || got[1] != "pkg/b.Scan" {
-		t.Errorf("Funcs(hint-purity) = %v", got)
-	}
-	if _, err := ParsePolicyData("funcs made-up-rule = a.B", "test.policy"); err == nil {
-		t.Error("funcs verb accepted an unknown rule")
 	}
 }

@@ -8,8 +8,6 @@
 //	import-layering     the package DAG declared in lint.policy holds
 //	config-liveness     every audited config knob is read by the simulator
 //	metrics-liveness    every counter is written by the model and reported
-//	unit-consistency    nubaunit dimensional analysis over annotated values
-//	hint-purity         declared wake hints are transitively side-effect-free
 //
 // Which packages each rule covers, which files are allowlisted, and the
 // allowed import edges all come from a committed policy file (see

@@ -44,14 +44,6 @@ import (
 //	    "internal/metrics/chart.go") whose code — including everything
 //	    transitively called from it — counts as a legitimate read
 //	    (resp. write) of the audited fields.
-//
-// The wake-hint contract rule (purity.go) adds one more:
-//
-//	funcs <rule> = <pkg.Func-or-pkg.Type.Method...>
-//	    Names individual functions or methods, as module-relative
-//	    package dot name ("internal/sim.Link.NextReady",
-//	    "internal/core.GPU.nextWake"). hint-purity audits these and
-//	    everything they transitively call for side effects.
 type Policy struct {
 	layers  map[string][]string // pkg pattern -> allowed internal imports
 	scopes  map[string][]string // rule -> pkg patterns
@@ -59,7 +51,6 @@ type Policy struct {
 	structs map[string][]string // rule -> pkg.Type specs
 	readers map[string][]string // rule -> pkg/file patterns
 	writers map[string][]string // rule -> pkg/file patterns
-	funcs   map[string][]string // rule -> pkg.Func / pkg.Type.Method specs
 }
 
 // ParsePolicy reads and parses a policy file.
@@ -80,7 +71,6 @@ func ParsePolicyData(src, name string) (*Policy, error) {
 		structs: make(map[string][]string),
 		readers: make(map[string][]string),
 		writers: make(map[string][]string),
-		funcs:   make(map[string][]string),
 	}
 	for i, line := range strings.Split(src, "\n") {
 		if idx := strings.IndexByte(line, '#'); idx >= 0 {
@@ -116,17 +106,16 @@ func ParsePolicyData(src, name string) (*Policy, error) {
 				return nil, fmt.Errorf("%s:%d: allow for unknown rule %q", name, i+1, subject)
 			}
 			p.allows[subject] = append(p.allows[subject], vals...)
-		case "structs", "readers", "writers", "funcs":
+		case "structs", "readers", "writers":
 			if !knownRule(subject) {
 				return nil, fmt.Errorf("%s:%d: %s for unknown rule %q", name, i+1, verb, subject)
 			}
 			m := map[string]map[string][]string{
 				"structs": p.structs, "readers": p.readers, "writers": p.writers,
-				"funcs": p.funcs,
 			}[verb]
 			m[subject] = append(m[subject], vals...)
 		default:
-			return nil, fmt.Errorf("%s:%d: unknown directive %q (want layer/scope/allow/structs/readers/writers/funcs)", name, i+1, verb)
+			return nil, fmt.Errorf("%s:%d: unknown directive %q (want layer/scope/allow/structs/readers/writers)", name, i+1, verb)
 		}
 	}
 	return p, nil
@@ -187,10 +176,6 @@ func (p *Policy) Readers(rule string) []string { return p.readers[rule] }
 // Writers returns the package/file patterns whose code (and its
 // transitive callees) counts as writing the rule's audited fields.
 func (p *Policy) Writers(rule string) []string { return p.writers[rule] }
-
-// Funcs returns the function specs ("pkg.Func" or "pkg.Type.Method")
-// a rule audits.
-func (p *Policy) Funcs(rule string) []string { return p.funcs[rule] }
 
 // Allowed reports whether rule exempts the given module-relative file
 // (or its package relName) via an allow entry.

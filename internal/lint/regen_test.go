@@ -2,7 +2,6 @@ package lint
 
 import (
 	"os"
-	"strings"
 	"testing"
 )
 
@@ -17,17 +16,7 @@ func TestRegenGolden(t *testing.T) {
 	if os.Getenv("REGEN") == "" {
 		t.Skip("set REGEN=1 to rewrite testdata/golden.txt")
 	}
-	prog, pol := loadFixture(t)
-	diags, err := Run(prog, pol, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	for _, d := range diags {
-		b.WriteString(d.String())
-		b.WriteByte('\n')
-	}
-	if err := os.WriteFile("testdata/golden.txt", []byte(b.String()), 0o644); err != nil {
+	if err := os.WriteFile("testdata/golden.txt", []byte(renderFixture(t)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

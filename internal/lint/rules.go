@@ -9,7 +9,7 @@ import (
 	"strings"
 )
 
-// Rule names, as spelled in -rules, lint.policy and ignore directives.
+// Rule names, as spelled in lint.policy and ignore directives.
 const (
 	// RuleMapRange flags `for ... := range m` over a map in a
 	// simulation-core package: Go randomizes map iteration order, so any
@@ -35,41 +35,21 @@ const (
 	// a simulator package (dead) or written but never read from the
 	// reporting path (unreported). See liveness.go.
 	RuleMetricsLive = "metrics-liveness"
-	// RuleUnits flags mixed-unit arithmetic between expressions whose
-	// units are known from //nubaunit: annotations. See units.go.
-	RuleUnits = "unit-consistency"
-	// RuleHintPurity flags side effects (field or package-variable
-	// writes, channel operations, goroutine starts) and unanalyzable
-	// external calls in the wake-hint methods listed in
-	// `funcs hint-purity` or anything they transitively call. The
-	// hybrid engine's idle-skip is only cycle-exact if hints are pure
-	// observations. See purity.go.
-	RuleHintPurity = "hint-purity"
-	// RuleDirective reports malformed //nubalint:ignore comments and
-	// nubaunit annotations. It is always on: a directive that silently
-	// fails to parse would hide real findings.
+	// RuleDirective reports malformed //nubalint:ignore comments: a
+	// directive that silently fails to parse would hide real findings.
 	RuleDirective = "directive"
 )
 
-// AllRules lists the selectable rules in documentation order.
+// AllRules lists the rules in documentation order.
 func AllRules() []string {
 	return []string{
 		RuleMapRange, RuleWallclock, RuleLayering,
-		RuleConfigLive, RuleMetricsLive, RuleUnits, RuleHintPurity,
+		RuleConfigLive, RuleMetricsLive,
 	}
 }
 
-// Severity levels carried on diagnostics (the -json "severity" field).
-// Every rule currently gates CI, so every finding is an error; the
-// mapping exists so tooling has a stable field to key on.
-const SeverityError = "error"
-
-// severityOf returns the severity for a rule's findings.
-func severityOf(rule string) string {
-	return SeverityError
-}
-
-// knownRule reports whether name is a selectable rule.
+// knownRule reports whether name is a rule a policy line or ignore
+// directive may name.
 func knownRule(name string) bool {
 	for _, r := range AllRules() {
 		if r == name {
@@ -77,24 +57,6 @@ func knownRule(name string) bool {
 		}
 	}
 	return false
-}
-
-// ruleFuncs maps each per-package rule to its checker. The module-wide
-// rules (the liveness pair, hint-purity) live in progRuleFuncs and
-// unit-consistency is dispatched separately because it needs the
-// module-wide annotation table (see Run).
-var ruleFuncs = map[string]func(*pkgCtx){
-	RuleMapRange:  checkMapRange,
-	RuleWallclock: checkWallclock,
-	RuleLayering:  checkLayering,
-}
-
-// progRuleFuncs maps each module-wide rule to its checker; these run
-// once over the whole program, after the per-package rules.
-var progRuleFuncs = map[string]func(*progCtx) error{
-	RuleConfigLive:  checkConfigLiveness,
-	RuleMetricsLive: checkMetricsLiveness,
-	RuleHintPurity:  checkHintPurity,
 }
 
 // emitFunc reports a diagnostic at a token position, applying

@@ -7,16 +7,15 @@ import (
 
 // TestRepoLintsClean runs the real analyzer, with the real committed
 // lint.policy, over the real module — the same invocation as
-// `go run ./cmd/nubalint ./...` — under all seven rules. The repo
+// `go run ./cmd/nubalint ./...` — under all five rules. The repo
 // must stay finding-free: a new unsorted map range on the report path,
 // a stray time.Now in a model package, an import edge outside the DAG
 // (a non-pool import of the fault-injection harness is one), a config
-// knob no simulator package reads, a Stats counter nothing writes or
-// reports, an expression mixing //nubaunit: dimensions or an impure
-// wake hint fails this test (and with it `make check` and CI).
+// knob no simulator package reads or a Stats counter nothing writes or
+// reports fails this test (and with it `make check` and CI).
 func TestRepoLintsClean(t *testing.T) {
-	if n := len(AllRules()); n != 7 {
-		t.Fatalf("AllRules() has %d rules, want 7; update this test and the docs", n)
+	if n := len(AllRules()); n != 5 {
+		t.Fatalf("AllRules() has %d rules, want 5; update this test and the docs", n)
 	}
 	mod, err := FindModule("../..")
 	if err != nil {
@@ -33,7 +32,7 @@ func TestRepoLintsClean(t *testing.T) {
 	if len(prog.Pkgs) < 20 {
 		t.Fatalf("loaded only %d packages; the loader is missing part of the module", len(prog.Pkgs))
 	}
-	diags, err := Run(prog, pol, nil)
+	diags, err := Run(prog, pol)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -5,9 +5,3 @@ package simcore
 
 //nubalint:ignore
 func Bad() {}
-
-// A nubaunit annotation that fails the grammar must also be a finding:
-// an annotation that silently parses to nothing checks nothing.
-
-// BadUnit carries a malformed unit annotation.
-const BadUnit = 1 // nubaunit: bytes per cycle

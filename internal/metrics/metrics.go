@@ -15,7 +15,6 @@ import (
 // one goroutine that simulates it, so there is no synchronization.
 type Stats struct {
 	// Cycles is the total simulated core cycles.
-	// nubaunit: cycles
 	Cycles int64
 	// Instructions is the number of warp instructions executed
 	// (one warp instruction counts once, not 32 times).
@@ -52,16 +51,15 @@ type Stats struct {
 
 	// NoCFlits is the total serialization cycles consumed on NoC ports;
 	// NoCBytes the payload bytes; both feed the NoC energy model.
-	NoCFlits int64 // nubaunit: cycles
-	NoCBytes int64 // nubaunit: bytes
+	NoCFlits int64
+	NoCBytes int64
 	// LocalLinkBytes is traffic on NUBA point-to-point links (not NoC).
-	// nubaunit: bytes
 	LocalLinkBytes int64
 
 	// CoherenceInvalidations counts SM-side UBA cross-partition
 	// invalidations; CoherenceTraffic their bytes.
 	CoherenceInvalidations int64
-	CoherenceTraffic       int64 // nubaunit: bytes
+	CoherenceTraffic       int64
 
 	// PageFaults is the number of first-touch page faults taken;
 	// PageMigrations counts pages moved by the migration policy;
@@ -85,15 +83,15 @@ type Stats struct {
 
 	// MemLatencySum/MemLatencyCount give average round-trip latency of L1
 	// misses in cycles.
-	MemLatencySum   int64 // nubaunit: cycles
+	MemLatencySum   int64
 	MemLatencyCount int64
 
 	// Energy in nanojoules, filled by the energy model at the end of a run.
-	NoCEnergyNJ    float64 // nubaunit: nJ
-	DRAMEnergyNJ   float64 // nubaunit: nJ
-	CoreEnergyNJ   float64 // nubaunit: nJ
-	LLCEnergyNJ    float64 // nubaunit: nJ
-	StaticEnergyNJ float64 // nubaunit: nJ
+	NoCEnergyNJ    float64
+	DRAMEnergyNJ   float64
+	CoreEnergyNJ   float64
+	LLCEnergyNJ    float64
+	StaticEnergyNJ float64
 }
 
 // IPC returns warp instructions per cycle across the whole GPU.
@@ -214,18 +212,6 @@ func (h *SharingHistogram) SharedFraction() float64 {
 		return 0
 	}
 	return 1 - one
-}
-
-// MaxSharers returns the largest sharer count observed.
-func (h *SharingHistogram) MaxSharers() int {
-	m := 0
-	//nubalint:ignore nondet-map-range order-independent aggregation (max commutes)
-	for _, set := range h.pageSMs {
-		if len(set) > m {
-			m = len(set)
-		}
-	}
-	return m
 }
 
 // Table is a minimal fixed-width text table used by the experiment harness

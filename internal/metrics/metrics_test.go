@@ -70,9 +70,6 @@ func TestSharingHistogramBuckets(t *testing.T) {
 	if h.SharedFraction() != 0.75 {
 		t.Fatalf("shared %v", h.SharedFraction())
 	}
-	if h.MaxSharers() != 40 {
-		t.Fatalf("max %d", h.MaxSharers())
-	}
 	if h.Pages() != 4 {
 		t.Fatalf("pages %d", h.Pages())
 	}
@@ -80,7 +77,7 @@ func TestSharingHistogramBuckets(t *testing.T) {
 
 func TestSharingHistogramEmpty(t *testing.T) {
 	h := NewSharingHistogram()
-	if h.SharedFraction() != 0 || h.MaxSharers() != 0 || h.Pages() != 0 {
+	if h.SharedFraction() != 0 || h.Pages() != 0 {
 		t.Fatal("empty histogram not zero")
 	}
 }

@@ -9,8 +9,8 @@
 // eight, output ports are grouped by eight, and every (ingress group,
 // egress group) pair is connected by one middle link. The middle links
 // are where a real hierarchical crossbar loses bandwidth under contention
-// — the overhead that motivates NUBA. A standard Clos-style internal
-// speedup of two keeps the fabric near its nominal bandwidth under
+// — the overhead that motivates NUBA. A Clos-style internal speedup of
+// three (MidSpeedup) keeps the fabric near its nominal bandwidth under
 // uniform traffic while preserving the contention loss under bursts.
 //
 // Requests and replies travel on separate fabrics (the core instantiates

@@ -145,12 +145,3 @@ func (l *Link[T]) StateSig() uint64 {
 	}
 	return h
 }
-
-// Utilization returns the fraction of cycles the link input was busy over
-// the elapsed cycle count, a direct input to the NoC power model.
-func (l *Link[T]) Utilization(elapsed Cycle) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(l.BusyCycles) / float64(elapsed)
-}

@@ -84,13 +84,6 @@ func (t *TLB) Flush(vpn uint64) {
 	}
 }
 
-// FlushAll empties the TLB.
-func (t *TLB) FlushAll() {
-	for i := range t.tags {
-		t.tags[i].valid = false
-	}
-}
-
 // HitRate returns hits per access.
 func (t *TLB) HitRate() float64 {
 	if t.Accesses == 0 {

@@ -29,12 +29,6 @@ func TestTLBFlush(t *testing.T) {
 	if tlb.Lookup(5, 1) {
 		t.Fatal("flushed entry still present")
 	}
-	tlb.Insert(6, 2)
-	tlb.Insert(7, 3)
-	tlb.FlushAll()
-	if tlb.Lookup(6, 4) || tlb.Lookup(7, 5) {
-		t.Fatal("FlushAll incomplete")
-	}
 	if tlb.HitRate() != 0 {
 		t.Fatalf("hit rate %v", tlb.HitRate())
 	}
