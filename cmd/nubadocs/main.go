@@ -8,6 +8,9 @@
 //     known flag of an external tool (go test -race, jq -r, ...);
 //   - every `make <target>` in a code span must be a target of the root
 //     Makefile;
+//   - every `TestXxx` / `BenchmarkXxx` in a code span must be a function
+//     declared in some _test.go under the root (a trailing `*` makes it
+//     a prefix: `TestStress*`);
 //   - every intra-repo Markdown link must resolve to an existing file
 //     or directory.
 //
@@ -24,6 +27,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -63,6 +67,12 @@ func main() {
 		os.Exit(2)
 	}
 
+	tests, err := declaredTests(*root)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nubadocs:", err)
+		os.Exit(2)
+	}
+
 	docs, err := docFiles(*root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nubadocs:", err)
@@ -70,7 +80,7 @@ func main() {
 	}
 
 	var problems []string
-	flagMentions, targetMentions, linkChecks := 0, 0, 0
+	flagMentions, targetMentions, testMentions, linkChecks := 0, 0, 0, 0
 	for _, doc := range docs {
 		data, err := os.ReadFile(doc)
 		if err != nil {
@@ -81,18 +91,26 @@ func main() {
 		text := string(data)
 
 		spans := codeSpans(text)
-		for _, f := range mentionedFlags(spans) {
+		for _, f := range mentions(spans, flagRe) {
+			f = strings.TrimRight(f, "-")
 			flagMentions++
 			if !defined[f] && !externalFlags[f] {
 				problems = append(problems,
 					fmt.Sprintf("%s: flag -%s is not defined by any cmd/* binary", rel, f))
 			}
 		}
-		for _, target := range mentionedTargets(spans) {
+		for _, target := range mentions(spans, makeRe) {
 			targetMentions++
 			if !targets[target] {
 				problems = append(problems,
 					fmt.Sprintf("%s: make %s is not a target of the Makefile", rel, target))
+			}
+		}
+		for _, name := range mentions(spans, testRe) {
+			testMentions++
+			if !declared(tests, name) {
+				problems = append(problems,
+					fmt.Sprintf("%s: %s is not declared in any _test.go", rel, name))
 			}
 		}
 		for _, target := range intraRepoLinks(text) {
@@ -111,8 +129,8 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("nubadocs: %d docs ok (%d flag mentions against %d defined flags, %d make targets, %d links)\n",
-		len(docs), flagMentions, len(defined), targetMentions, linkChecks)
+	fmt.Printf("nubadocs: %d docs ok (%d flag mentions against %d defined flags, %d make targets, %d test names, %d links)\n",
+		len(docs), flagMentions, len(defined), targetMentions, testMentions, linkChecks)
 }
 
 // docFiles returns the user-facing Markdown files to check.
@@ -192,16 +210,16 @@ func definedFlags(root string) (map[string]bool, error) {
 // negative numbers, arrows and kebab-case identifiers never match).
 var flagRe = regexp.MustCompile(`(?:^|[\s"'(=|])-([a-zA-Z][a-zA-Z0-9-]*)`)
 
-// mentionedFlags extracts flag names from a document's code spans.
-func mentionedFlags(spans []string) []string {
-	var flags []string
+// mentions extracts what re's first group captures — a flag, make
+// target or test name — from a document's code spans.
+func mentions(spans []string, re *regexp.Regexp) []string {
+	var names []string
 	for _, span := range spans {
-		for _, m := range flagRe.FindAllStringSubmatch(span, -1) {
-			name := strings.TrimRight(m[1], "-")
-			flags = append(flags, name)
+		for _, m := range re.FindAllStringSubmatch(span, -1) {
+			names = append(names, m[1])
 		}
 	}
-	return flags
+	return names
 }
 
 // makeTargetRe matches a rule line of a Makefile ("name:" but not the
@@ -225,16 +243,57 @@ func makeTargets(root string) (map[string]bool, error) {
 // word after make is the target.
 var makeRe = regexp.MustCompile(`(?:^|[\s(])make[ \t]+([A-Za-z0-9][A-Za-z0-9_.-]*)`)
 
-// mentionedTargets extracts the make targets a document's code spans
-// invoke.
-func mentionedTargets(spans []string) []string {
-	var targets []string
-	for _, span := range spans {
-		for _, m := range makeRe.FindAllStringSubmatch(span, -1) {
-			targets = append(targets, m[1])
+// declaredTests parses every _test.go under root (nested modules
+// included, dot-directories and testdata not) and returns the top-level
+// functions a doc can name as a test.
+func declaredTests(root string) (map[string]bool, error) {
+	tests := make(map[string]bool)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); p != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				tests[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	return tests, err
+}
+
+// testRe matches a test or benchmark name inside a code span, with its
+// optional prefix star. A name after a dot or inside a longer
+// identifier (nuba.BenchmarkByAbbr) is not one.
+var testRe = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.])((?:Test|Benchmark)[A-Z][A-Za-z0-9_]*\*?)`)
+
+// declared reports whether a quoted name is a declared test, or, with a
+// trailing star, a prefix of one.
+func declared(tests map[string]bool, name string) bool {
+	prefix, star := strings.CutSuffix(name, "*")
+	if !star {
+		return tests[name]
+	}
+	for t := range tests {
+		if strings.HasPrefix(t, prefix) {
+			return true
 		}
 	}
-	return targets
+	return false
 }
 
 var inlineCodeRe = regexp.MustCompile("`([^`\n]+)`")

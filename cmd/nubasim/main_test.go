@@ -45,7 +45,7 @@ func TestMultiBenchmarkMode(t *testing.T) {
 	}
 
 	// LBM on NUBA with round-robin placement deadlocks at this scale
-	// (ROADMAP item 4): it must cost its own row and nothing else.
+	// (the NUBA + MDR deadlock): it must cost its own row and nothing else.
 	stdout, stderr, code = run("-arch", "nuba", "-placement", "rr", "-bench", "LBM,LEU,BH",
 		"-scale", "0.125", "-watchdog", "300000")
 	if code != 1 || !hasRow(stdout, "LEU") || !hasRow(stdout, "BH") || hasRow(stdout, "LBM") {

@@ -1,0 +1,67 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"github.com/nuba-gpu/nuba/internal/experiments"
+)
+
+// TestSweepFrontDoor is the CLI smoke test of the experiment front door:
+// the binary is built once and run on one small experiment with one and
+// with four workers, on an experiment that does not exist, on a scale
+// that is not a GPU, and asked for its list.
+func TestSweepFrontDoor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs nubasweep")
+	}
+	bin := filepath.Join(t.TempDir(), "nubasweep")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	// run returns the tool's stdout, stderr and exit status.
+	run := func(args ...string) (string, string, int) {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if err != nil && !errors.As(err, &exit) {
+			t.Fatalf("nubasweep %s: %v", strings.Join(args, " "), err)
+		}
+		return stdout.String(), stderr.String(), cmd.ProcessState.ExitCode()
+	}
+
+	serial, stderr, code := run("-exp", "fig12", "-bench", "BP", "-scale", "0.125", "-jobs", "1")
+	if code != 0 || !strings.Contains(serial, "BP") {
+		t.Fatalf("fig12 -jobs 1: exit %d\n%s%s", code, serial, stderr)
+	}
+	if pooled, stderr, code := run("-exp", "fig12", "-bench", "BP", "-scale", "0.125", "-jobs", "4"); code != 0 || pooled != serial {
+		t.Errorf("fig12 -jobs 4: exit %d, stdout differs from -jobs 1's:\n%s%s\n-jobs 1:\n%s", code, pooled, stderr, serial)
+	}
+
+	for name, args := range map[string][]string{
+		"unknown experiment": {"-exp", "nosuch"},
+		"zero scale":         {"-exp", "fig12", "-bench", "BP", "-scale", "0"},
+	} {
+		stdout, stderr, code := run(args...)
+		if code != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "nubasweep: ") {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 2 and one line on stderr", name, code, stdout, stderr)
+		}
+	}
+
+	list, stderr, code := run("-list")
+	if code != 0 {
+		t.Fatalf("-list: exit %d\n%s", code, stderr)
+	}
+	for _, e := range experiments.All() {
+		if !strings.Contains(list, "\n  "+e.Name+" ") {
+			t.Errorf("-list does not name %s:\n%s", e.Name, list)
+		}
+	}
+}

@@ -80,8 +80,8 @@ type GPU struct {
 	// machine busy. Purely an engine-speed knob — never observable in
 	// simulated state.
 	busyStride sim.Cycle
-	// flt is the nil-gated core-level fault-injection state (hint bias,
-	// scheduled panic; see fault.go). Never set outside tests.
+	// flt is the armed fault-injection state (fault.go); nil unless a
+	// test called Inject.
 	flt *coreFault
 	// wd is the forward-progress watchdog, nil unless armed with
 	// SetWatchdog (see watchdog.go).
@@ -234,6 +234,34 @@ func (g *GPU) NoCGeometry() (ports, width int) {
 		ports += x.InPorts() + x.OutPorts()
 	}
 	return ports, g.cfg.NoCPortBytes()
+}
+
+// nocTotals walks every inter-partition carrier once — both crossbar
+// fabrics, the inter-half and the inter-module links — and returns their
+// cumulative bytes and busy cycles and the messages in flight now.
+func (g *GPU) nocTotals() (bytes, busyCycles int64, occupancy int) {
+	for m, rq := range g.reqXbars {
+		rp := g.replyXbars[m]
+		bytes += rq.Bytes() + rp.Bytes()
+		busyCycles += rq.BusyCycles() + rp.BusyCycles()
+		occupancy += rq.Occupancy() + rp.Occupancy()
+	}
+	link := func(l *sim.Link[noc.Msg]) {
+		if l != nil {
+			bytes += l.Bytes
+			busyCycles += l.BusyCycles
+			occupancy += l.Pending()
+		}
+	}
+	for _, l := range g.interHalf {
+		link(l)
+	}
+	for _, row := range g.interModule {
+		for _, l := range row {
+			link(l)
+		}
+	}
+	return bytes, busyCycles, occupancy
 }
 
 // EnergyBreakdown computes and stores the run's energy model outputs.

@@ -240,9 +240,12 @@ func (g *GPU) enqueueRemote(slice int, req *sim.MemReq) bool {
 // dst (an SM for the UBA layouts, a slice for NUBA), which reports
 // back-pressure by returning false.
 func (g *GPU) moveXbars(now sim.Cycle, acceptReply func(dst int, req *sim.MemReq, now sim.Cycle) bool) {
+	flt := g.flt
 	for m := range g.reqXbars {
 		rq, rp := g.reqXbars[m], g.replyXbars[m]
-		rq.Tick(now)
+		if flt == nil || !flt.frozen(StallNoC, m, now) {
+			rq.Tick(now)
+		}
 		rp.Tick(now)
 		for p := 0; p < rq.OutPorts(); p++ {
 			for {

@@ -129,17 +129,24 @@ func (g *GPU) runUntilIdle(ctx context.Context) error {
 // function that sequences component ticks: translation, SMs, the
 // architecture's fabric (links, crossbars and the egress deliveries
 // between SMs and slices), slices, channels on the memory clock, then
-// the timers.
+// the timers. A frozen component (fault.go) is one whose tick is skipped.
 func (g *GPU) step() {
 	g.cycle++
 	now := g.cycle
+	flt := g.flt
 
 	g.vmsys.Tick(now)
-	for _, s := range g.sms {
+	for i, s := range g.sms {
+		if flt != nil && flt.frozen(WedgeSM, i, now) {
+			continue
+		}
 		s.Tick(now)
 	}
 	g.moveFabric(now)
-	for _, sl := range g.slices {
+	for j, sl := range g.slices {
+		if flt != nil && flt.frozen(StallLLC, j, now) {
+			continue
+		}
 		sl.Tick(now)
 	}
 	if now%sim.Cycle(g.cfg.MemClockDiv) == 0 {
@@ -217,31 +224,7 @@ func (g *GPU) collect() {
 	g.stats.DRAMRowHits = rowHits
 	g.stats.DRAMRowMisses = rowMisses
 
-	var nocBytes, nocFlits int64
-	for _, x := range g.reqXbars {
-		nocBytes += x.Bytes()
-		nocFlits += x.BusyCycles()
-	}
-	for _, x := range g.replyXbars {
-		nocBytes += x.Bytes()
-		nocFlits += x.BusyCycles()
-	}
-	for _, l := range g.interHalf {
-		if l != nil {
-			nocBytes += l.Bytes
-			nocFlits += l.BusyCycles
-		}
-	}
-	for _, row := range g.interModule {
-		for _, l := range row {
-			if l != nil {
-				nocBytes += l.Bytes
-				nocFlits += l.BusyCycles
-			}
-		}
-	}
-	g.stats.NoCBytes = nocBytes
-	g.stats.NoCFlits = nocFlits
+	g.stats.NoCBytes, g.stats.NoCFlits, _ = g.nocTotals()
 
 	var localBytes int64
 	for _, l := range g.smReqLinks {

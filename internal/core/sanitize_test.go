@@ -41,7 +41,9 @@ func TestSanitizeCatchesInjectedBadHint(t *testing.T) {
 	run := func(e Engine, bias int64) error {
 		g := MustNew(tinyConfig(config.NUBA))
 		g.SetEngine(e)
-		g.InjectHintBias(bias)
+		if err := g.Inject(0, Fault{Kind: HintBias, Bias: bias}); err != nil {
+			t.Fatal(err)
+		}
 		l := tinyLaunch(t, g, 32, 4)
 		return g.RunProgram([]*kir.Launch{l})
 	}

@@ -77,34 +77,16 @@ func (g *GPU) traceSample(now sim.Cycle) {
 		s.RMROcc = float64(rmr) / float64(n)
 	}
 
-	var occ int
-	var nocBytes int64
-	for _, x := range g.reqXbars {
-		occ += x.Occupancy()
-		nocBytes += x.Bytes()
-	}
-	for _, x := range g.replyXbars {
-		occ += x.Occupancy()
-		nocBytes += x.Bytes()
-	}
-	for _, l := range g.interHalf {
-		if l != nil {
-			occ += l.Pending()
-			nocBytes += l.Bytes
-		}
-	}
-	for _, row := range g.interModule {
-		for _, l := range row {
-			if l != nil {
-				occ += l.Pending()
-				nocBytes += l.Bytes
-			}
-		}
-	}
+	nocBytes, _, occ := g.nocTotals()
 	s.NoCOcc = int64(occ)
 	s.NoCBytes = nocBytes - g.tr.nocBytes
 	g.tr.nocBytes = nocBytes
-	if capacity := g.nocInjectionCapacity(); capacity > 0 {
+	// noc_util normalizes by the fabric's nominal aggregate injection
+	// bandwidth: every crossbar input port at full width. The reply
+	// fabric mirrors the request fabric, so its inputs are the request
+	// fabric's outputs and the port count is NoCGeometry's.
+	ports, width := g.NoCGeometry()
+	if capacity := ports * width; capacity > 0 {
 		s.NoCUtil = float64(s.NoCBytes) / (float64(elapsed) * float64(capacity))
 	}
 
@@ -164,20 +146,6 @@ func (g *GPU) traceGroupBusy(elapsed sim.Cycle) []float64 {
 	}
 	g.tr.groupBusy = cur
 	return out
-}
-
-// nocInjectionCapacity returns the fabric's nominal aggregate injection
-// bandwidth in bytes per cycle (every crossbar input port at full
-// width), the normalization of the noc_util probe.
-func (g *GPU) nocInjectionCapacity() int {
-	ports := 0
-	for _, x := range g.reqXbars {
-		ports += x.InPorts()
-	}
-	for _, x := range g.replyXbars {
-		ports += x.InPorts()
-	}
-	return ports * g.cfg.NoCPortBytes()
 }
 
 // traceMDRDecision is the mdr.Controller OnDecision hook: it adds the

@@ -11,15 +11,13 @@ import (
 	"github.com/nuba-gpu/nuba/internal/sim"
 )
 
-// wdRun runs the tiny kernel with an optional fault armed and the
+// wdRun runs the tiny kernel with the given faults armed and the
 // watchdog set to window.
-func wdRun(t *testing.T, window sim.Cycle, arm func(g *GPU) error) (*GPU, error) {
+func wdRun(t *testing.T, window sim.Cycle, faults ...Fault) (*GPU, error) {
 	t.Helper()
 	g := MustNew(tinyConfig(config.NUBA))
-	if arm != nil {
-		if err := arm(g); err != nil {
-			t.Fatalf("arm: %v", err)
-		}
+	if err := g.Inject(0, faults...); err != nil {
+		t.Fatalf("inject: %v", err)
 	}
 	g.SetWatchdog(window)
 	l := tinyLaunch(t, g, 32, 4)
@@ -29,11 +27,11 @@ func wdRun(t *testing.T, window sim.Cycle, arm func(g *GPU) error) (*GPU, error)
 // A clean run must be untouched by the watchdog: same cycle count as an
 // unwatched run, no error. The watchdog only reads pure signatures.
 func TestWatchdogCleanRunIdentical(t *testing.T) {
-	gOff, err := wdRun(t, 0, nil)
+	gOff, err := wdRun(t, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gOn, err := wdRun(t, 4096, nil)
+	gOn, err := wdRun(t, 4096)
 	if err != nil {
 		t.Fatalf("watchdog flagged a healthy run: %v", err)
 	}
@@ -45,7 +43,7 @@ func TestWatchdogCleanRunIdentical(t *testing.T) {
 // A wedged SM freezes the machine with work outstanding; the watchdog
 // must fail the run with a structured report naming stuck components.
 func TestWatchdogCatchesWedgedSM(t *testing.T) {
-	_, err := wdRun(t, 8192, func(g *GPU) error { return g.InjectWedgedSM(0, 2000) })
+	_, err := wdRun(t, 8192, Fault{Kind: WedgeSM, At: 2000})
 	var he *HangError
 	if !errors.As(err, &he) {
 		t.Fatalf("want *HangError, got %v", err)
@@ -69,7 +67,7 @@ func TestWatchdogCatchesWedgedSM(t *testing.T) {
 // goes to Never while work is pending, so the deadlock fast path fires
 // at the next check — no full no-progress window needed.
 func TestWatchdogCatchesDroppedDRAMReply(t *testing.T) {
-	_, err := wdRun(t, 1<<20, func(g *GPU) error { return g.InjectDRAMReplyDrop(0, 3) })
+	_, err := wdRun(t, 1<<20, Fault{Kind: DropDRAMReply, After: 3})
 	var he *HangError
 	if !errors.As(err, &he) {
 		t.Fatalf("want *HangError, got %v", err)
@@ -86,11 +84,11 @@ func TestWatchdogCatchesDroppedDRAMReply(t *testing.T) {
 // progress signature while claiming next-cycle wakes: the no-progress
 // path must catch each within ~1.25 windows of the stall.
 func TestWatchdogCatchesStalls(t *testing.T) {
-	for name, arm := range map[string]func(g *GPU) error{
-		"llc": func(g *GPU) error { return g.InjectLLCStall(0, 2000, 0) },
-		"noc": func(g *GPU) error { return g.InjectNoCStall(0, 2000) },
+	for name, f := range map[string]Fault{
+		"llc": {Kind: StallLLC, At: 2000},
+		"noc": {Kind: StallNoC, At: 2000},
 	} {
-		_, err := wdRun(t, 8192, arm)
+		_, err := wdRun(t, 8192, f)
 		var he *HangError
 		if !errors.As(err, &he) {
 			t.Fatalf("%s: want *HangError, got %v", name, err)
@@ -104,7 +102,7 @@ func TestWatchdogCatchesStalls(t *testing.T) {
 // A slow-but-live component makes progress every period; the watchdog
 // must not flag it as long as the window exceeds the period.
 func TestWatchdogSlowComponentNoFalsePositive(t *testing.T) {
-	_, err := wdRun(t, 32768, func(g *GPU) error { return g.InjectLLCSlow(0, 2000, 64) })
+	_, err := wdRun(t, 32768, Fault{Kind: SlowLLC, At: 2000, Period: 64})
 	if err != nil {
 		t.Fatalf("watchdog flagged a slow-but-live run: %v", err)
 	}
@@ -113,34 +111,17 @@ func TestWatchdogSlowComponentNoFalsePositive(t *testing.T) {
 // A transient stall shorter than the window must ride through cleanly,
 // and the run must still complete with the right result.
 func TestWatchdogToleratesTransientStall(t *testing.T) {
-	clean, err := wdRun(t, 0, nil)
+	clean, err := wdRun(t, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := wdRun(t, 32768, func(g *GPU) error { return g.InjectLLCStall(0, 2000, 4000) })
+	g, err := wdRun(t, 32768, Fault{Kind: StallLLC, At: 2000, Until: 4000})
 	if err != nil {
 		t.Fatalf("watchdog flagged a transient stall: %v", err)
 	}
 	if g.Stats().Cycles < clean.Stats().Cycles {
 		t.Fatalf("stalled run finished in %d cycles, faster than the clean run's %d",
 			g.Stats().Cycles, clean.Stats().Cycles)
-	}
-}
-
-// Inject* must validate component indices rather than panic.
-func TestInjectValidatesTargets(t *testing.T) {
-	g := MustNew(tinyConfig(config.NUBA))
-	for name, err := range map[string]error{
-		"sm":    g.InjectWedgedSM(10_000, 0),
-		"llc":   g.InjectLLCStall(-1, 0, 0),
-		"noc":   g.InjectNoCStall(99, 0),
-		"dram":  g.InjectDRAMReplyDrop(-3, 0),
-		"slow":  g.InjectLLCSlow(0, 0, 0), // bad period
-		"slow2": g.InjectLLCSlow(77, 0, 8),
-	} {
-		if err == nil {
-			t.Errorf("%s: out-of-range injection accepted", name)
-		}
 	}
 }
 
@@ -180,7 +161,9 @@ func TestInjectPanicFires(t *testing.T) {
 		}
 	}()
 	g := MustNew(tinyConfig(config.NUBA))
-	g.InjectPanic(1000)
+	if err := g.Inject(0, Fault{Kind: PanicAt, At: 1000}); err != nil {
+		t.Fatal(err)
+	}
 	l := tinyLaunch(t, g, 32, 4)
 	_ = g.RunProgram([]*kir.Launch{l})
 }

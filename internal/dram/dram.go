@@ -109,18 +109,6 @@ type Channel struct {
 	// groupBusy splits BusyCycles by the bank group that sourced the
 	// burst (the tracing layer's bank-group-pressure probe).
 	groupBusy []int64
-
-	// flt is the nil-gated fault-injection hook (never set outside
-	// tests; see InjectReplyDrop).
-	flt *chanFault
-}
-
-// chanFault holds the test-only fault-injection state; nil in
-// production runs so Tick pays a single nil check.
-type chanFault struct {
-	dropAfter int64 // drop the (dropAfter+1)-th read reply
-	delivered int64
-	dropped   bool
 }
 
 // NewChannel returns channel id of the configuration.
@@ -255,14 +243,6 @@ func (c *Channel) recordAct(now int64, g int) {
 	c.lastActGroup = g
 }
 
-// InjectReplyDrop makes the channel silently swallow one read reply:
-// the (after+1)-th finished read burst is popped but never responded,
-// so the waiting MSHR entry is never released — the classic lost-reply
-// deadlock. Test-only.
-func (c *Channel) InjectReplyDrop(after int64) {
-	c.flt = &chanFault{dropAfter: after}
-}
-
 // Tick advances the channel by one memory cycle, issuing at most one
 // command and delivering finished bursts.
 func (c *Channel) Tick(now int64) {
@@ -278,13 +258,6 @@ func (c *Channel) Tick(now int64) {
 			continue
 		}
 		if c.Respond != nil {
-			if f := c.flt; f != nil && !f.dropped && f.delivered == f.dropAfter {
-				f.dropped = true
-				continue
-			}
-			if f := c.flt; f != nil {
-				f.delivered++
-			}
 			c.Respond(comp.req)
 		}
 	}

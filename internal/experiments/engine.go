@@ -239,7 +239,7 @@ func (r *Runner) admit(keys []string) []int {
 }
 
 // simulate runs one admitted job with the runner's engine, watchdog and
-// fault plan applied and completes its cache entry. A failed run stays
+// arm hook applied and completes its cache entry. A failed run stays
 // cached with its error (re-running would fail identically) and counts
 // and reports as a simulated job like a finished one; a canceled one is
 // evicted, and un-planned, so a later call can simulate it.
@@ -251,10 +251,8 @@ func (r *Runner) simulate(ctx context.Context, key string, j *Job) {
 		if r.opts.Watchdog > 0 {
 			opts = append(opts, nuba.WithWatchdog(nuba.WatchdogOptions{NoProgressCycles: r.opts.Watchdog}))
 		}
-		if r.opts.Faults != nil {
-			if spec, ok := r.opts.Faults.For(j.Config.Name(), j.Bench.Abbr); ok {
-				opts = append(opts, nuba.WithArm(spec.Arm))
-			}
+		if r.opts.Arm != nil {
+			opts = append(opts, nuba.WithArm(r.opts.Arm(j.Config.Name(), j.Bench.Abbr)))
 		}
 		res, err = nuba.Run(ctx, j.Config, j.Bench, opts...)
 	}

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"github.com/nuba-gpu/nuba"
-	"github.com/nuba-gpu/nuba/internal/fault"
+	"github.com/nuba-gpu/nuba/internal/core"
 	"github.com/nuba-gpu/nuba/internal/workload"
 )
 
@@ -269,13 +269,11 @@ func TestFailedJobCountsAsProgress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed experiment")
 	}
-	plan := fault.NewPlan()
-	plan.Add("", "BP", fault.Spec{Seed: stressSeed,
-		Faults: []fault.Fault{{Kind: fault.PanicAt, At: 2000}}})
+	plan := armPlan{{"", "BP"}: {{Kind: core.PanicAt, At: 2000}}}
 	var events []Event
 	r := NewRunner(Options{
 		Benchmarks: []workload.Benchmark{stressBench(t, "BP"), stressBench(t, "LEU")},
-		Jobs:       1, Faults: plan,
+		Jobs:       1, Arm: plan.arm,
 		OnEvent: func(ev Event) { events = append(events, ev) },
 	})
 	rep, err := r.Execute(context.Background(), SuiteOn(nuba.NUBAConfig().Scale(0.125)))

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"github.com/nuba-gpu/nuba"
-	"github.com/nuba-gpu/nuba/internal/fault"
 	"github.com/nuba-gpu/nuba/internal/metrics"
 	"github.com/nuba-gpu/nuba/internal/workload"
 )
@@ -46,10 +45,11 @@ type Options struct {
 	// byte-identical with it on or off; like Engine it never enters the
 	// memo key.
 	Watchdog int64
-	// Faults, when non-nil, maps (config, benchmark) jobs to injected
-	// fault specs — the seeded stress matrix (see internal/fault and
-	// docs/ROBUSTNESS.md). Production sweeps leave it nil.
-	Faults *fault.Plan
+	// Arm, when non-nil, is asked per job for a nuba.WithArm hook to run
+	// on that job's assembled system (nil = none). The stress tests
+	// inject faults through it (docs/ROBUSTNESS.md); production sweeps
+	// leave it nil.
+	Arm func(cfgName, bench string) func(*nuba.System) error
 }
 
 // JobFailure records one job that could not be simulated: the failing

@@ -1,7 +1,7 @@
 package experiments
 
-// The seeded fault-injection stress matrix (`make stress`): every fault
-// class in internal/fault is injected into a short run and must be
+// The seeded fault-injection stress matrix (`make stress`): every
+// core.FaultKind is injected into a short run and must be
 // caught by the layer docs/ROBUSTNESS.md assigns it to — the
 // forward-progress watchdog (hangs and deadlocks), the sanitize engine
 // (unsound hints), or the experiment pool (panics) — while the
@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"github.com/nuba-gpu/nuba"
-	"github.com/nuba-gpu/nuba/internal/fault"
+	"github.com/nuba-gpu/nuba/internal/core"
 	"github.com/nuba-gpu/nuba/internal/workload"
 )
 
@@ -33,6 +33,26 @@ const (
 	stressSeed   = 0x9ba7_57e5 // arbitrary, fixed: reruns hit identical targets
 	stressWindow = 16384       // watchdog no-progress window for the matrix
 )
+
+// inject is the nuba.WithArm hook arming faults with the matrix's seed.
+func inject(faults ...core.Fault) func(*nuba.System) error {
+	return func(g *nuba.System) error { return g.Inject(stressSeed, faults...) }
+}
+
+// armPlan is the pool tests' Options.Arm: faults per {config, benchmark}
+// job, where an empty config name matches the benchmark under every
+// configuration (an exact entry wins).
+type armPlan map[[2]string][]core.Fault
+
+func (p armPlan) arm(cfgName, bench string) func(*nuba.System) error {
+	faults, ok := p[[2]string{cfgName, bench}]
+	if !ok {
+		if faults, ok = p[[2]string{"", bench}]; !ok {
+			return nil
+		}
+	}
+	return inject(faults...)
+}
 
 func stressBench(t *testing.T, abbr string) workload.Benchmark {
 	t.Helper()
@@ -52,7 +72,7 @@ func TestStressMatrix(t *testing.T) {
 	b := stressBench(t, "MVT")
 	cases := []struct {
 		name   string
-		faults []fault.Fault
+		faults []core.Fault
 		engine nuba.Engine
 		// want is the required outcome: "clean" (no error), "hang"
 		// (*nuba.HangError), "sanitize" (hint-soundness diagnostic) or
@@ -60,34 +80,33 @@ func TestStressMatrix(t *testing.T) {
 		want string
 	}{
 		{"control-clean", nil, nuba.EngineHybrid, "clean"},
-		{"wedge-sm", []fault.Fault{{Kind: fault.WedgeSM, Target: -1, At: 2000}}, nuba.EngineHybrid, "hang"},
-		{"stall-llc", []fault.Fault{{Kind: fault.StallLLC, Target: -1, At: 2000}}, nuba.EngineHybrid, "hang"},
-		{"stall-noc", []fault.Fault{{Kind: fault.StallNoC, Target: -1, At: 2000}}, nuba.EngineHybrid, "hang"},
-		{"drop-dram-reply", []fault.Fault{{Kind: fault.DropDRAMReply, Target: -1, After: 3}}, nuba.EngineHybrid, "hang"},
-		{"slow-llc", []fault.Fault{{Kind: fault.SlowLLC, Target: -1, At: 2000, Period: 64}}, nuba.EngineHybrid, "clean"},
-		{"hint-bias", []fault.Fault{{Kind: fault.HintBias, Bias: 64}}, nuba.EngineSanitize, "sanitize"},
-		{"panic", []fault.Fault{{Kind: fault.PanicAt, At: 2000}}, nuba.EngineHybrid, "panic"},
+		{"wedge-sm", []core.Fault{{Kind: core.WedgeSM, Target: -1, At: 2000}}, nuba.EngineHybrid, "hang"},
+		{"stall-llc", []core.Fault{{Kind: core.StallLLC, Target: -1, At: 2000}}, nuba.EngineHybrid, "hang"},
+		{"stall-noc", []core.Fault{{Kind: core.StallNoC, Target: -1, At: 2000}}, nuba.EngineHybrid, "hang"},
+		{"drop-dram-reply", []core.Fault{{Kind: core.DropDRAMReply, Target: -1, After: 3}}, nuba.EngineHybrid, "hang"},
+		{"slow-llc", []core.Fault{{Kind: core.SlowLLC, Target: -1, At: 2000, Period: 64}}, nuba.EngineHybrid, "clean"},
+		{"hint-bias", []core.Fault{{Kind: core.HintBias, Bias: 64}}, nuba.EngineSanitize, "sanitize"},
+		{"panic", []core.Fault{{Kind: core.PanicAt, At: 2000}}, nuba.EngineHybrid, "panic"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			spec := &fault.Spec{Seed: stressSeed, Faults: tc.faults}
 			run := func() error {
 				_, err := nuba.Run(context.Background(), stressConfig(), b,
 					nuba.WithEngine(tc.engine),
 					nuba.WithWatchdog(nuba.WatchdogOptions{NoProgressCycles: stressWindow}),
-					nuba.WithArm(spec.Arm))
+					nuba.WithArm(inject(tc.faults...)))
 				return err
 			}
 			err := run()
 			switch tc.want {
 			case "clean":
 				if err != nil {
-					t.Fatalf("injected %s must not trip anything: %v", spec.Describe(), err)
+					t.Fatalf("injected %s must not trip anything: %v", tc.name, err)
 				}
 			case "hang":
 				var he *nuba.HangError
 				if !errors.As(err, &he) {
-					t.Fatalf("injected %s not caught by the watchdog: %v", spec.Describe(), err)
+					t.Fatalf("injected %s not caught by the watchdog: %v", tc.name, err)
 				}
 				if len(he.Report.Stuck) == 0 {
 					t.Fatalf("hang report names no stuck components:\n%s", he.Report.String())
@@ -99,12 +118,12 @@ func TestStressMatrix(t *testing.T) {
 				}
 			case "sanitize":
 				if err == nil || !strings.Contains(err.Error(), "unsound wake hint") {
-					t.Fatalf("injected %s not caught by the sanitize engine: %v", spec.Describe(), err)
+					t.Fatalf("injected %s not caught by the sanitize engine: %v", tc.name, err)
 				}
 			case "panic":
 				var pe *nuba.PanicError
 				if !errors.As(err, &pe) {
-					t.Fatalf("injected %s not recovered as a PanicError: %v", spec.Describe(), err)
+					t.Fatalf("injected %s not recovered as a PanicError: %v", tc.name, err)
 				}
 				if len(pe.Stack) == 0 {
 					t.Fatal("recovered panic carries no stack")
@@ -122,18 +141,17 @@ func TestStressPoolIsolatesFailures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed stress matrix")
 	}
-	plan := fault.NewPlan()
-	plan.Add("", "BP", fault.Spec{Seed: stressSeed,
-		Faults: []fault.Fault{{Kind: fault.PanicAt, At: 2000}}})
-	plan.Add("", "SGEMM", fault.Spec{Seed: stressSeed,
-		Faults: []fault.Fault{{Kind: fault.WedgeSM, Target: 0, At: 2000}}})
+	plan := armPlan{
+		{"", "BP"}:    {{Kind: core.PanicAt, At: 2000}},
+		{"", "SGEMM"}: {{Kind: core.WedgeSM, Target: 0, At: 2000}},
+	}
 
 	benches := []workload.Benchmark{
 		stressBench(t, "BP"), stressBench(t, "SGEMM"), stressBench(t, "MVT"),
 	}
 	r := NewRunner(Options{
 		Scale: 0.125, Benchmarks: benches, Jobs: 2,
-		Watchdog: stressWindow, Faults: plan,
+		Watchdog: stressWindow, Arm: plan.arm,
 	})
 	e, err := ByName("fig3")
 	if err != nil {
@@ -173,12 +191,10 @@ func TestStressFailureStaysInItsExperiment(t *testing.T) {
 	}
 	rr := nuba.NUBAConfig().Scale(0.125)
 	rr.Placement = nuba.RoundRobin
-	plan := fault.NewPlan()
-	plan.Add(rr.Name(), "BP", fault.Spec{Seed: stressSeed,
-		Faults: []fault.Fault{{Kind: fault.PanicAt, At: 2000}}})
+	plan := armPlan{{rr.Name(), "BP"}: {{Kind: core.PanicAt, At: 2000}}}
 	r := NewRunner(Options{
 		Scale: 0.125, Benchmarks: []workload.Benchmark{stressBench(t, "BP"), stressBench(t, "MVT")},
-		Faults: plan,
+		Arm: plan.arm,
 	})
 	reports := map[string]*Report{}
 	for _, name := range []string{"fig11", "fig12"} {
@@ -212,13 +228,12 @@ func TestStressCancelUnderFault(t *testing.T) {
 	b := stressBench(t, "MVT")
 	for _, engine := range []nuba.Engine{nuba.EngineHybrid, nuba.EngineNaive, nuba.EngineSanitize} {
 		t.Run(engine.String(), func(t *testing.T) {
-			spec := &fault.Spec{Seed: stressSeed,
-				Faults: []fault.Fault{{Kind: fault.StallNoC, Target: 0, At: 1000}}}
 			ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 			defer cancel()
 			start := time.Now()
 			_, err := nuba.Run(ctx, stressConfig(), b,
-				nuba.WithEngine(engine), nuba.WithArm(spec.Arm))
+				nuba.WithEngine(engine),
+				nuba.WithArm(inject(core.Fault{Kind: core.StallNoC, Target: 0, At: 1000})))
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("want ctx deadline error, got %v", err)
 			}

@@ -77,18 +77,6 @@ type Slice struct {
 
 	// Invalidations counts coherence invalidations applied (SM-side UBA).
 	Invalidations int64
-
-	// flt is the nil-gated fault-injection hook (never set outside
-	// tests; see InjectStall and InjectSlow).
-	flt *sliceFault
-}
-
-// sliceFault holds the test-only fault-injection state; nil in
-// production runs so Tick pays a single nil check.
-type sliceFault struct {
-	stallFrom  sim.Cycle
-	stallUntil sim.Cycle // 0 = forever
-	period     sim.Cycle // >0: tick only every period-th cycle from stallFrom
 }
 
 // New returns slice id in partition part.
@@ -195,32 +183,9 @@ func (s *Slice) Flush(now sim.Cycle) {
 // boundary) and returns the count.
 func (s *Slice) DropReplicas() int { return s.tags.InvalidateReplicas() }
 
-// InjectStall freezes the slice from cycle from until cycle until
-// (until 0 = forever): Tick becomes a no-op while NextEvent keeps
-// claiming pending work, modeling a stuck queue arbiter. Test-only.
-func (s *Slice) InjectStall(from, until sim.Cycle) {
-	s.flt = &sliceFault{stallFrom: from, stallUntil: until}
-}
-
-// InjectSlow degrades the slice from cycle from onward: it ticks only
-// every period-th cycle, modeling a slow-but-live component. A correct
-// watchdog must NOT flag this (progress still happens). Test-only.
-func (s *Slice) InjectSlow(from, period sim.Cycle) {
-	s.flt = &sliceFault{stallFrom: from, period: period}
-}
-
 // Tick advances the slice one cycle: deliver finished completions, then
 // arbitrate one request into the tag pipeline.
 func (s *Slice) Tick(now sim.Cycle) {
-	if s.flt != nil && now >= s.flt.stallFrom {
-		if s.flt.period > 0 {
-			if (now-s.flt.stallFrom)%s.flt.period != 0 {
-				return
-			}
-		} else if s.flt.stallUntil == 0 || now < s.flt.stallUntil {
-			return
-		}
-	}
 	s.deliver(now)
 	s.retirePipe(now)
 	s.arbitrate(now)

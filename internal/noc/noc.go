@@ -63,16 +63,6 @@ type Crossbar struct {
 	// mid[ig*outGroups+og] carries ingress group ig -> egress group og.
 	mid []*sim.Link[Msg]
 	out []*sim.Link[Msg]
-
-	// flt is the nil-gated fault-injection hook (never set outside
-	// tests; see InjectStall).
-	flt *xbarFault
-}
-
-// xbarFault holds the test-only fault-injection state; nil in
-// production runs so Tick pays a single nil check.
-type xbarFault struct {
-	stallFrom sim.Cycle
 }
 
 // NewCrossbar returns a hierarchical crossbar. latency is the end-to-end
@@ -161,18 +151,8 @@ func (x *Crossbar) Messages() int64 {
 	return t
 }
 
-// InjectStall freezes the crossbar from cycle from onward: Tick becomes
-// a no-op while queued messages stay put, modeling a stuck switch
-// arbiter. Test-only.
-func (x *Crossbar) InjectStall(from sim.Cycle) {
-	x.flt = &xbarFault{stallFrom: from}
-}
-
 // Tick advances both stages by one cycle.
 func (x *Crossbar) Tick(now sim.Cycle) {
-	if x.flt != nil && now >= x.flt.stallFrom {
-		return
-	}
 	// Stage 1: move input heads into the middle links.
 	for i := range x.in {
 		p := &x.in[i]

@@ -4,7 +4,7 @@ import "testing"
 
 func TestReqPoolRecyclesAndResetsWhole(t *testing.T) {
 	var p ReqPool
-	a := p.Get(MemReq{ID: 1, Kind: Atomic, Addr: 0x80, Remote: true, Replicated: true, MergedBehind: true, Pending: 3})
+	a := p.Get(MemReq{ID: 1, Kind: Atomic, Addr: 0x80, Remote: true, Replicated: true, MergedBehind: true})
 	if p.Live() != 1 {
 		t.Fatalf("live %d after one Get", p.Live())
 	}

@@ -95,17 +95,11 @@ type MemReq struct {
 	ReplicaSlice int
 	// Issue is the cycle at which the request left the SM's L1.
 	Issue Cycle
-	// Done is the cycle at which the reply reached the SM.
-	Done Cycle
 	// Remote records whether the request crossed the inter-partition NoC.
 	Remote bool
 	// Replicated records whether the request was serviced through the
 	// replication path (hit or fill in a local replica).
 	Replicated bool
-	// Pending is the number of outstanding sub-operations; used by
-	// components that fan a request out (e.g. a store plus a coherence
-	// invalidation in the SM-side UBA).
-	Pending int8
 	// MergedBehind reports that the request was merged into an existing
 	// MSHR entry rather than issued to memory.
 	MergedBehind bool

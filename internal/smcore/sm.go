@@ -32,7 +32,6 @@ const (
 	lineNeedTranslate lineState = iota
 	lineTranslating
 	lineTranslated
-	lineDone
 )
 
 // lineReq is one coalesced 128 B line of a warp memory instruction.
@@ -172,10 +171,6 @@ type SM struct {
 
 	pageShift uint // log2(cfg.PageSize)
 	scratch   kir.MemInfo
-
-	// flt is the nil-gated fault-injection hook (never set outside
-	// tests; see InjectWedge).
-	flt *smFault
 }
 
 // LSUOpsPerCycle is the number of line operations (TLB+L1 lookups) the
@@ -362,7 +357,7 @@ func (s *SM) NextWake(now sim.Cycle) sim.Cycle {
 			if line.readyAt < wake {
 				wake = line.readyAt
 			}
-		default: // lineNeedTranslate, lineDone: the LSU acts next cycle
+		default: // lineNeedTranslate: the LSU acts next cycle
 			return now + 1
 		}
 	}
@@ -418,26 +413,9 @@ func (s *SM) StateSig() uint64 {
 	return h
 }
 
-// smFault holds the test-only fault-injection state; the pointer stays
-// nil in production runs so Tick pays a single nil check (same pattern
-// as the trace probes).
-type smFault struct {
-	wedgeAt sim.Cycle
-}
-
-// InjectWedge wedges the SM from cycle at onward: Tick becomes a no-op
-// while the wake hint and Idle keep claiming pending work, modeling a
-// core that stops retiring without ever quiescing. Test-only.
-func (s *SM) InjectWedge(at sim.Cycle) {
-	s.flt = &smFault{wedgeAt: at}
-}
-
 // Tick advances the SM by one cycle: drain the send queue, run the LSU,
 // then let each scheduler issue one instruction.
 func (s *SM) Tick(now sim.Cycle) {
-	if s.flt != nil && now >= s.flt.wedgeAt {
-		return
-	}
 	s.drainSendQueue(now)
 	s.tickLSU(now)
 	for i := range s.sched {
@@ -694,14 +672,11 @@ func (s *SM) tickLSU(now sim.Cycle) {
 			if !s.accessL1(acc, line, now) {
 				return // MSHR or send queue full: structural stall
 			}
-			line.state = lineDone
 			acc.nextLine++
 			ops++
 			if acc.nextLine >= acc.n {
 				s.retireAccess(i)
 			}
-		case lineDone:
-			acc.nextLine++
 		}
 	}
 }

@@ -286,10 +286,9 @@ func WithWatchdog(w WatchdogOptions) RunOption {
 }
 
 // WithArm installs a pre-run hook called after the system is assembled
-// and before any kernel launches, with the fully wired System. It is
-// the seam the fault-injection harness (internal/fault) arms faults
-// through; tests can use it for any pre-run system surgery. An error
-// aborts the run.
+// and before any kernel launches, with the fully wired System (nil =
+// none). Tests inject faults through it — sys.Inject, docs/ROBUSTNESS.md
+// — or do any other pre-run surgery. An error aborts the run.
 func WithArm(arm func(sys *System) error) RunOption {
 	return func(rc *runConfig) { rc.arm = arm }
 }

@@ -9,8 +9,14 @@ import (
 	"testing"
 	"time"
 
-	"github.com/nuba-gpu/nuba/internal/fault"
+	"github.com/nuba-gpu/nuba/internal/core"
 )
+
+// inject is the WithArm hook arming one fault (no seeded pick: every
+// fault here names its target).
+func inject(f core.Fault) func(*System) error {
+	return func(g *System) error { return g.Inject(0, f) }
+}
 
 // TestWatchdogSuiteNoFalsePositives is the watchdog's false-positive
 // proof over the whole Table 2 suite: with the watchdog armed, every
@@ -54,8 +60,8 @@ func TestRunRecoversInjectedPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := &fault.Spec{Faults: []fault.Fault{{Kind: fault.PanicAt, At: 2000}}}
-	_, err = Run(context.Background(), NUBAConfig().Scale(0.125), b, WithArm(spec.Arm))
+	_, err = Run(context.Background(), NUBAConfig().Scale(0.125), b,
+		WithArm(inject(core.Fault{Kind: core.PanicAt, At: 2000})))
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *PanicError, got %v", err)
@@ -78,11 +84,11 @@ func TestWatchdogCyclesOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := &fault.Spec{Faults: []fault.Fault{{Kind: fault.StallNoC, Target: 0, At: 1000}}}
 	cfg := NUBAConfig().Scale(0.125)
 	cfg.MaxCycles = 4 << 20
 	_, err = Run(context.Background(), cfg, b,
-		WithWatchdog(WatchdogOptions{NoProgressCycles: 16384}), WithArm(spec.Arm))
+		WithWatchdog(WatchdogOptions{NoProgressCycles: 16384}),
+		WithArm(inject(core.Fault{Kind: core.StallNoC, Target: 0, At: 1000})))
 	var he *HangError
 	if !errors.As(err, &he) {
 		t.Fatalf("want *HangError, got %v", err)
@@ -111,10 +117,10 @@ func TestWatchdogCatchesWedgeOnNonZeroPartition(t *testing.T) {
 	if part := cfg.PartitionOfSM(lastSM); part == 0 {
 		t.Fatalf("test needs a multi-partition config; SM %d is on partition 0", lastSM)
 	}
-	spec := &fault.Spec{Faults: []fault.Fault{{Kind: fault.WedgeSM, Target: lastSM, At: 2000}}}
 	want := fmt.Sprintf("SM %d", lastSM)
 	_, err = Run(context.Background(), cfg, b,
-		WithWatchdog(WatchdogOptions{NoProgressCycles: 16384}), WithArm(spec.Arm))
+		WithWatchdog(WatchdogOptions{NoProgressCycles: 16384}),
+		WithArm(inject(core.Fault{Kind: core.WedgeSM, Target: lastSM, At: 2000})))
 	var he *HangError
 	if !errors.As(err, &he) {
 		t.Fatalf("want *HangError, got %v", err)
@@ -141,12 +147,12 @@ func TestWatchdogWallClockBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := &fault.Spec{Faults: []fault.Fault{{Kind: fault.StallNoC, Target: 0, At: 1000}}}
 	cfg := NUBAConfig().Scale(0.125)
 	cfg.MaxCycles = 1 << 40 // effectively uncapped: only the budget can stop it
 	start := time.Now()
 	_, err = Run(context.Background(), cfg, b,
-		WithWatchdog(WatchdogOptions{WallClock: 300 * time.Millisecond}), WithArm(spec.Arm))
+		WithWatchdog(WatchdogOptions{WallClock: 300 * time.Millisecond}),
+		WithArm(inject(core.Fault{Kind: core.StallNoC, Target: 0, At: 1000})))
 	var he *HangError
 	if !errors.As(err, &he) {
 		t.Fatalf("want *HangError, got %v", err)
