@@ -25,6 +25,11 @@ func TestSmokeAllArchitectures(t *testing.T) {
 		if st.Cycles <= 0 || st.Instructions <= 0 || st.Replies == 0 {
 			t.Fatalf("%s: empty run: %+v", cfg.Name(), st)
 		}
+		// A direct caller keeps the machine (only the batch runner's
+		// memo cache drops it).
+		if res.System == nil || res.System.HitMaxCycles() {
+			t.Fatalf("%s: Run must return the system it finished on, got %v", cfg.Name(), res.System)
+		}
 	}
 }
 

@@ -40,6 +40,7 @@ import (
 // quotes today is listed: an entry nothing uses would only let a
 // same-named typo through.
 var externalFlags = map[string]bool{
+	"o":      true, // go build -o
 	"race":   true, // go test -race
 	"r":      true, // jq -r
 	"top":    true, // go tool pprof -top

@@ -300,12 +300,18 @@ func npbChart(path string) (string, error) {
 
 // runSuite simulates the benchmarks as one experiment on the batch
 // runner and prints its compact table in input order. Failed jobs are
-// listed under the table and make the run an error.
+// listed under the table — a hang's full report goes to stderr — and
+// make the run an error.
 func runSuite(ctx context.Context, cfg nuba.Config, opts experiments.Options) error {
 	fmt.Printf("running %d benchmarks on %s...\n", len(opts.Benchmarks), cfg.Name())
 	report, err := experiments.NewRunner(opts).Execute(ctx, experiments.SuiteOn(cfg))
 	if report != nil {
 		fmt.Print(report.Text)
+		for _, f := range report.Failures {
+			if f.Hang != "" {
+				fmt.Fprintf(os.Stderr, "%s on %s: %s", f.Bench, f.Config, f.Hang)
+			}
+		}
 	}
 	if err == nil && len(report.Failures) > 0 {
 		err = fmt.Errorf("%d job(s) failed; the table above is partial", len(report.Failures))

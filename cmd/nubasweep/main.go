@@ -1,10 +1,15 @@
-// Command nubasweep runs one named reproduction experiment (a paper table
-// or figure) and prints its report. Simulations execute across a worker
-// pool (-jobs); the report is byte-identical for any worker count.
+// Command nubasweep runs reproduction experiments (the paper's tables and
+// figures) and prints their reports: one by name, several as a
+// comma-separated list, or all of them — the whole evaluation — with
+// -exp all. The experiments of one invocation share one runner, so
+// figures that share simulations run them once. Simulations execute
+// across a worker pool (-jobs); the report is byte-identical for any
+// worker count.
 //
 // Usage:
 //
 //	nubasweep -exp fig7 [-jobs 8] [-bench SGEMM,BICG] [-scale 0.5] [-v]
+//	nubasweep -exp all > report.txt
 //	nubasweep -list
 package main
 
@@ -16,6 +21,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 
 	"github.com/nuba-gpu/nuba"
 	"github.com/nuba-gpu/nuba/internal/experiments"
@@ -28,7 +34,7 @@ func main() { os.Exit(run()) }
 // finishing the profiles — happens on every path out.
 func run() int {
 	prof := hostprof.Flags()
-	exp := flag.String("exp", "", "experiment name (see -list)")
+	exp := flag.String("exp", "", "experiment name, comma-separated list of names, or 'all' (see -list)")
 	benchList := flag.String("bench", "", "comma-separated benchmark abbreviations (default: full suite)")
 	scale := flag.Float64("scale", 1, "GPU scale factor (1 = 64-SM baseline)")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "simulations to run in parallel (1 = serial)")
@@ -82,35 +88,58 @@ func run() int {
 			return 2
 		}
 	}
-	e, err := experiments.ByName(*exp)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nubasweep:", err)
-		return 2
+	var exps []experiments.Experiment
+	if *exp == "all" {
+		exps = experiments.All()
+	} else {
+		for _, name := range strings.Split(*exp, ",") {
+			e, err := experiments.ByName(strings.TrimSpace(name))
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "nubasweep:", err)
+				return 2
+			}
+			exps = append(exps, e)
+		}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
+	// One runner for the whole invocation: an experiment finds the runs
+	// an earlier one simulated in its memo cache.
 	r := experiments.NewRunner(opts)
-	fmt.Printf("== %s ==\n", e.Title)
-	report, err := r.Execute(ctx, e)
-	if err != nil {
+	status := 0
+	hangShown := map[string]bool{} // a job shared by several experiments hangs once
+	for i, e := range exps {
+		if i > 0 {
+			fmt.Println()
+		}
+		fmt.Printf("== %s ==\n", e.Title)
+		report, err := r.Execute(ctx, e)
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "nubasweep: interrupted")
 			return 130
 		}
 		if report != nil {
-			fmt.Print(report.Text) // every benchmark failed: say why
+			// A whole or partial report, or — when every benchmark
+			// failed — the failures section alone.
+			fmt.Print(report.Text)
+			for _, f := range report.Failures {
+				if f.Hang != "" && !hangShown[f.Hang] {
+					hangShown[f.Hang] = true
+					fmt.Fprintf(os.Stderr, "%s on %s: %s", f.Bench, f.Config, f.Hang)
+				}
+			}
 		}
-		fmt.Fprintln(os.Stderr, "nubasweep:", err)
-		return 1
+		// One line per experiment that is not whole, and a non-zero exit
+		// so sweeps in scripts and CI notice.
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "nubasweep:", err)
+			status = 1
+		} else if n := len(report.Failures); n > 0 {
+			fmt.Fprintf(os.Stderr, "nubasweep: %s: %d job(s) failed; its report is partial\n", e.Name, n)
+			status = 1
+		}
 	}
-	fmt.Print(report.Text)
-	if n := len(report.Failures); n > 0 {
-		// The failed jobs are already detailed in the report's failures
-		// section; exit non-zero so sweeps in scripts and CI notice.
-		fmt.Fprintf(os.Stderr, "nubasweep: %d job(s) failed; the report above is partial\n", n)
-		return 1
-	}
-	return 0
+	return status
 }

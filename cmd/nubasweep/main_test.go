@@ -13,8 +13,9 @@ import (
 
 // TestSweepFrontDoor is the CLI smoke test of the experiment front door:
 // the binary is built once and run on one small experiment with one and
-// with four workers, on an experiment that does not exist, on a scale
-// that is not a GPU, and asked for its list.
+// with four workers, on a list of two that share their runs, on all of
+// them, on an experiment that does not exist (alone and in a list), on a
+// scale that is not a GPU, and asked for its list.
 func TestSweepFrontDoor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs nubasweep")
@@ -45,8 +46,39 @@ func TestSweepFrontDoor(t *testing.T) {
 		t.Errorf("fig12 -jobs 4: exit %d, stdout differs from -jobs 1's:\n%s%s\n-jobs 1:\n%s", code, pooled, stderr, serial)
 	}
 
+	// A list is its experiments' reports joined by a blank line, on one
+	// runner: fig8 and fig9 read the same four iso-resource runs.
+	small := []string{"-bench", "BH", "-scale", "0.125"}
+	fig8, _, _ := run(append([]string{"-exp", "fig8"}, small...)...)
+	fig9, _, _ := run(append([]string{"-exp", "fig9"}, small...)...)
+	both, stderr, code := run(append([]string{"-exp", "fig8,fig9", "-v"}, small...)...)
+	if code != 0 || both != fig8+"\n"+fig9 {
+		t.Errorf("-exp fig8,fig9: exit %d, stdout is not the two single reports joined by a blank line:\n%s", code, both)
+	}
+	if !strings.Contains(stderr, "[4/4]") || strings.Contains(stderr, "/8]") {
+		t.Errorf("-exp fig8,fig9 must simulate the shared runs once (4 jobs):\n%s", stderr)
+	}
+
+	all, stderr, code := run("-exp", "all", "-bench", "BH", "-scale", "0.125", "-jobs", "2")
+	if code != 0 {
+		t.Errorf("-exp all: exit %d\n%s", code, stderr)
+	}
+	var headers, want []string
+	for _, line := range strings.Split(all, "\n") {
+		if strings.HasPrefix(line, "== ") {
+			headers = append(headers, line)
+		}
+	}
+	for _, e := range experiments.All() {
+		want = append(want, "== "+e.Title+" ==")
+	}
+	if strings.Join(headers, "\n") != strings.Join(want, "\n") {
+		t.Errorf("-exp all must print every experiment once, in presentation order; got headers:\n%s", strings.Join(headers, "\n"))
+	}
+
 	for name, args := range map[string][]string{
 		"unknown experiment": {"-exp", "nosuch"},
+		"unknown in a list":  {"-exp", "table2,nosuch"},
 		"zero scale":         {"-exp", "fig12", "-bench", "BP", "-scale", "0"},
 	} {
 		stdout, stderr, code := run(args...)

@@ -1,8 +1,9 @@
 // Package cache implements the set-associative cache model shared by the
-// per-SM L1 data caches, the LLC slices and the MDR shadow-tag samplers:
-// LRU replacement, configurable write policy (write-through/write-no-
-// allocate for L1, write-back/write-allocate for the LLC) and a Miss
-// Status Holding Register (MSHR) file for merging outstanding misses.
+// per-SM L1 data caches and the LLC slices (the MDR shadow-tag samplers
+// are mdr's own shadowTags): LRU replacement, configurable write policy
+// (write-through/write-no-allocate for L1, write-back/write-allocate for
+// the LLC) and a Miss Status Holding Register (MSHR) file for merging
+// outstanding misses.
 package cache
 
 import (
@@ -217,12 +218,4 @@ func (c *Cache) Occupancy() float64 {
 		}
 	}
 	return float64(n) / float64(len(c.lines))
-}
-
-// HitRate returns hits per access since construction.
-func (c *Cache) HitRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(c.Accesses)
 }

@@ -54,6 +54,16 @@ func (m *MSHRFile) Lookup(line uint64) (*MSHREntry, bool) {
 	return e, ok
 }
 
+// Each calls fn on every outstanding entry in no particular order, so fn
+// may only fold entries into something order-independent — the counts of
+// a stall diagnosis.
+func (m *MSHRFile) Each(fn func(*MSHREntry)) {
+	//nubalint:ignore nondet-map-range callers fold the entries into counts, which commute
+	for _, e := range m.entries {
+		fn(e)
+	}
+}
+
 // Admit reports what Allocate would do with a miss on line — merge it
 // behind an outstanding fill, or take a new entry — and counts the stall
 // when it would refuse. A caller that builds its request only once the

@@ -98,9 +98,6 @@ func EngineUsage() string {
 // SetEngine selects the cycle-loop strategy for subsequent runs.
 func (g *GPU) SetEngine(e Engine) { g.engine = e }
 
-// Engine returns the selected cycle-loop strategy.
-func (g *GPU) Engine() Engine { return g.engine }
-
 // componentWake returns the earliest cycle at which any component could
 // make progress on its own: g.cycle+1 while something is active, a future
 // cycle when everything is parked on known timers (DRAM bursts, LLC

@@ -230,8 +230,7 @@ func (g *GPU) buildInterModule() {
 // enqueueRemote offers a request arriving over the NoC to a slice's
 // remote queue.
 func (g *GPU) enqueueRemote(slice int, req *sim.MemReq) bool {
-	sl := g.slices[slice]
-	return sl.CanAcceptRemote() && sl.EnqueueRemote(req)
+	return g.slices[slice].EnqueueRemote(req)
 }
 
 // moveXbars runs both fabrics' arbitration and drains their egress

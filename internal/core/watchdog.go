@@ -115,15 +115,23 @@ type HangReport struct {
 	// Reason is "no-progress" (signature frozen for Window cycles) or
 	// "deadlock" (no component will ever wake while work is pending).
 	Reason string
-	// Stuck lists the components still holding work (capped at
-	// hangReportMaxStuck entries; stuckAll counts them all).
-	Stuck    []ComponentState
-	stuckAll int
+	// Stuck lists the components still holding work in table order, at
+	// most hangReportMaxPerKind of each kind ("SM", "LLC slice", ...) so
+	// that the many SMs of a large GPU cannot crowd out the memory side;
+	// omitted counts the rest per kind.
+	Stuck   []ComponentState
+	omitted []kindCount
 }
 
-// hangReportMaxStuck caps the per-report component listing; the
+// kindCount is how many pending components of one kind a report left out.
+type kindCount struct {
+	label string
+	n     int
+}
+
+// hangReportMaxPerKind caps the report's listing per component kind; the
 // remainder is summarized as a count.
-const hangReportMaxStuck = 16
+const hangReportMaxPerKind = 4
 
 // String renders the full multi-line report.
 func (r *HangReport) String() string {
@@ -140,8 +148,8 @@ func (r *HangReport) String() string {
 		}
 		fmt.Fprintf(&b, "  %-24s wake=%-8s %s\n", c.Name, wake, c.Detail)
 	}
-	if extra := r.stuckAll - len(r.Stuck); extra > 0 {
-		fmt.Fprintf(&b, "  ... and %d more pending components\n", extra)
+	for _, k := range r.omitted {
+		fmt.Fprintf(&b, "  %-24s ... and %d more pending\n", k.label, k.n)
 	}
 	return b.String()
 }
@@ -179,14 +187,21 @@ func (g *GPU) CaptureHang(reason string, window sim.Cycle, lastProgress sim.Cycl
 		Reason:       reason,
 	}
 	now := g.cycle
+	pending := map[string]int{} // by kind
 	for i := range g.parts {
 		p := &g.parts[i]
 		if !p.pending() {
 			continue
 		}
-		r.stuckAll++
-		if len(r.Stuck) < hangReportMaxStuck {
+		if pending[p.label]++; pending[p.label] <= hangReportMaxPerKind {
 			r.Stuck = append(r.Stuck, ComponentState{Name: p.name(), Wake: p.wakeAt(now), Detail: p.detail(now)})
+		}
+	}
+	// A second walk of the table puts the summaries in table order too.
+	for i := range g.parts {
+		if l := g.parts[i].label; pending[l] > hangReportMaxPerKind {
+			r.omitted = append(r.omitted, kindCount{l, pending[l] - hangReportMaxPerKind})
+			pending[l] = 0
 		}
 	}
 	return r

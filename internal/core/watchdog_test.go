@@ -125,8 +125,8 @@ func TestWatchdogToleratesTransientStall(t *testing.T) {
 	}
 }
 
-// The report renders wake hints relative to the hang cycle and caps the
-// component listing.
+// The report renders wake hints relative to the hang cycle and
+// summarizes per kind what the listing left out.
 func TestHangReportRendering(t *testing.T) {
 	r := HangReport{
 		Cycle: 1000, LastProgress: 500, Window: 400, Reason: "no-progress",
@@ -134,10 +134,11 @@ func TestHangReportRendering(t *testing.T) {
 			{Name: "SM 0", Wake: 1001, Detail: "warps=3"},
 			{Name: "LLC slice 1", Wake: sim.Never, Detail: "mshr=2"},
 		},
-		stuckAll: 20,
+		omitted: []kindCount{{"SM", 60}, {"LLC slice", 3}},
 	}
 	s := r.String()
-	for _, want := range []string{"cycle 1000", "no-progress", "SM 0", "wake=+1", "wake=never", "18 more pending"} {
+	for _, want := range []string{"cycle 1000", "no-progress", "SM 0", "wake=+1", "wake=never",
+		"... and 60 more pending", "... and 3 more pending"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("report missing %q:\n%s", want, s)
 		}
@@ -145,6 +146,43 @@ func TestHangReportRendering(t *testing.T) {
 	e := &HangError{Report: r}
 	if msg := e.Error(); !strings.Contains(msg, "SM 0") || strings.Contains(msg, "\n") {
 		t.Errorf("one-line error must name the first stuck component on a single line: %q", msg)
+	}
+}
+
+// A hang on a GPU with more SMs than the listing shows of one kind must
+// still list the memory side: the cap is per component kind, and every
+// pending component is either listed or counted.
+func TestCaptureHangCapsPerKind(t *testing.T) {
+	g, err := wdRun(t, 8192, Fault{Kind: StallLLC, Target: 0, At: 2000})
+	var he *HangError
+	if !errors.As(err, &he) {
+		t.Fatalf("want *HangError, got %v", err)
+	}
+	pending, kindOf := map[string]int{}, map[string]string{}
+	for i := range g.parts {
+		if p := &g.parts[i]; p.pending() {
+			pending[p.label]++
+			kindOf[p.name()] = p.label
+		}
+	}
+	if pending["SM"] <= hangReportMaxPerKind || pending["LLC slice"] == 0 {
+		t.Fatalf("the scenario must leave more than %d SMs and a slice pending: %v", hangReportMaxPerKind, pending)
+	}
+	r := he.Report
+	listed := map[string]int{}
+	for _, c := range r.Stuck {
+		listed[kindOf[c.Name]]++
+	}
+	for _, k := range r.omitted {
+		if listed[k.label] != hangReportMaxPerKind {
+			t.Errorf("%s: %d listed next to a summary of %d more", k.label, listed[k.label], k.n)
+		}
+		listed[k.label] += k.n
+	}
+	for label, n := range pending {
+		if listed[label] != n {
+			t.Errorf("%s: %d pending, %d listed or counted\n%s", label, n, listed[label], r.String())
+		}
 	}
 }
 

@@ -39,13 +39,19 @@ func cross(cfgs []nuba.Config, benches []workload.Benchmark) ([]Job, []string) {
 	return jobs, keys
 }
 
-// configs returns the experiment's declared configurations (none for an
-// experiment that simulates nothing).
+// configs returns the experiment's declared configurations at the
+// runner's GPU scale (none for an experiment that simulates nothing).
 func (e Experiment) configs(r *Runner) []nuba.Config {
 	if e.Configs == nil {
 		return nil
 	}
-	return e.Configs(r)
+	cfgs := e.Configs()
+	if r.opts.Scale != 1 {
+		for i := range cfgs {
+			cfgs[i] = cfgs[i].Scale(r.opts.Scale)
+		}
+	}
+	return cfgs
 }
 
 // Plan returns the simulations the experiment consumes: its declared
@@ -146,11 +152,10 @@ func (r *Runner) finished(ctx context.Context, key string) (*cacheEntry, error) 
 }
 
 func newJobFailure(j *Job, err error) JobFailure {
-	jf := JobFailure{
-		Config:      j.Config.Name(),
-		Fingerprint: j.Config.Fingerprint(),
-		Bench:       j.Bench.Abbr,
-		Err:         err.Error(),
+	jf := JobFailure{Config: j.Config.Name(), Bench: j.Bench.Abbr, Err: err.Error()}
+	var he *nuba.HangError
+	if errors.As(err, &he) {
+		jf.Hang = he.Report.String()
 	}
 	var pe *nuba.PanicError
 	if errors.As(err, &pe) {
@@ -254,7 +259,11 @@ func (r *Runner) simulate(ctx context.Context, key string, j *Job) {
 		if r.opts.Arm != nil {
 			opts = append(opts, nuba.WithArm(r.opts.Arm(j.Config.Name(), j.Bench.Abbr)))
 		}
-		res, err = nuba.Run(ctx, j.Config, j.Bench, opts...)
+		if res, err = nuba.Run(ctx, j.Config, j.Bench, opts...); res != nil {
+			// The cache keeps what renderers read — the measurements —
+			// not the assembled GPU that produced them.
+			res.System = nil
+		}
 	}
 
 	r.mu.Lock()

@@ -228,6 +228,37 @@ func TestFig7SmallSubset(t *testing.T) {
 	}
 }
 
+// TestRunnerKeepsMeasurementsNotMachines: a finished job stays in the memo
+// cache as what renderers read — never as the assembled GPU, which is
+// what made a full report outgrow memory — and a later experiment still
+// renders the runs it shares from there.
+func TestRunnerKeepsMeasurementsNotMachines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed experiment")
+	}
+	var simulated []string
+	r := NewRunner(Options{Scale: 0.125, Benchmarks: []workload.Benchmark{stressBench(t, "BP")},
+		OnEvent: func(ev Event) { simulated = append(simulated, ev.Config) }})
+	execute(t, r, "fig12")
+	if len(r.cache) != 3 {
+		t.Fatalf("fig12 on one benchmark cached %d runs, want 3", len(r.cache))
+	}
+	for key, ent := range r.cache {
+		if ent.res == nil || ent.res.Stats == nil || ent.res.Sharing == nil {
+			t.Fatalf("run %q lost its measurements: %+v", key, ent.res)
+		}
+		if ent.res.System != nil {
+			t.Errorf("run %q pins its whole GPU in the cache", key)
+		}
+	}
+	// fig7 shares NUBA and NUBA-No-Rep with fig12: only the two UBA
+	// baselines are new.
+	execute(t, r, "fig7")
+	if len(simulated) != 5 || strings.Contains(strings.Join(simulated[3:], ","), "NUBA") {
+		t.Fatalf("fig12 then fig7 simulated %q, want fig12's three and then the two UBA configurations only", simulated)
+	}
+}
+
 // TestSuiteOn is nubasim's multi-benchmark mode: one configuration taken
 // as given, a repeated benchmark simulated once but rendered once per
 // mention, rows in input order, the same bytes for any worker count.

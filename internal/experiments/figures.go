@@ -36,8 +36,8 @@ func table2(v *view) (string, error) {
 	return t.String(), nil
 }
 
-func (r *Runner) fig3Configs() []nuba.Config {
-	return []nuba.Config{r.scaled(nuba.Baseline())}
+func fig3Configs() []nuba.Config {
+	return []nuba.Config{nuba.Baseline()}
 }
 
 // fig3 reports the page sharing histogram per benchmark on the baseline
@@ -62,14 +62,14 @@ const (
 	isoUBAMem
 )
 
-func (r *Runner) isoConfigs() []nuba.Config {
-	noRep := r.scaled(nuba.NUBAConfig())
+func isoConfigs() []nuba.Config {
+	noRep := nuba.NUBAConfig()
 	noRep.Replication = nuba.NoRep
 	return []nuba.Config{
-		isoNUBA:   r.scaled(nuba.NUBAConfig()),
+		isoNUBA:   nuba.NUBAConfig(),
 		isoNoRep:  noRep,
-		isoUBASM:  r.scaled(nuba.SMSideConfig()),
-		isoUBAMem: r.scaled(nuba.Baseline()),
+		isoUBASM:  nuba.SMSideConfig(),
+		isoUBAMem: nuba.Baseline(),
 	}
 }
 
@@ -146,13 +146,13 @@ func fig9(v *view) (string, error) {
 
 // fig10Configs is the UBA baseline followed by the Figure 10 sweep: each
 // architecture at each NoC bandwidth.
-func (r *Runner) fig10Configs() []nuba.Config {
-	cfgs := []nuba.Config{r.scaled(nuba.Baseline())}
+func fig10Configs() []nuba.Config {
+	cfgs := []nuba.Config{nuba.Baseline()}
 	for _, gbs := range []float64{700, 1400, 2800, 5600} {
 		cfgs = append(cfgs,
-			r.scaled(nuba.Baseline().WithNoC(gbs)),
-			r.scaled(nuba.SMSideConfig().WithNoC(gbs)),
-			r.scaled(nuba.NUBAConfig().WithNoC(gbs)))
+			nuba.Baseline().WithNoC(gbs),
+			nuba.SMSideConfig().WithNoC(gbs),
+			nuba.NUBAConfig().WithNoC(gbs))
 	}
 	return cfgs
 }
@@ -181,10 +181,10 @@ func fig10(v *view) (string, error) {
 
 // fig11Configs is UBA, then NUBA under first-touch, round-robin and LAB
 // placement.
-func (r *Runner) fig11Configs() []nuba.Config {
-	cfgs := []nuba.Config{r.scaled(nuba.Baseline())}
+func fig11Configs() []nuba.Config {
+	cfgs := []nuba.Config{nuba.Baseline()}
 	for _, p := range []nuba.PlacementPolicy{nuba.FirstTouch, nuba.RoundRobin, nuba.LAB} {
-		cfg := r.scaled(nuba.NUBAConfig())
+		cfg := nuba.NUBAConfig()
 		cfg.Placement = p
 		cfgs = append(cfgs, cfg)
 	}
@@ -212,12 +212,12 @@ func fig11(v *view) (string, error) {
 
 // fig12Configs is NUBA (LAB placement) under no, full and model-driven
 // replication.
-func (r *Runner) fig12Configs() []nuba.Config {
-	noRep := r.scaled(nuba.NUBAConfig())
+func fig12Configs() []nuba.Config {
+	noRep := nuba.NUBAConfig()
 	noRep.Replication = nuba.NoRep
-	fullRep := r.scaled(nuba.NUBAConfig())
+	fullRep := nuba.NUBAConfig()
 	fullRep.Replication = nuba.FullRep
-	return []nuba.Config{noRep, fullRep, r.scaled(nuba.NUBAConfig())}
+	return []nuba.Config{noRep, fullRep, nuba.NUBAConfig()}
 }
 
 // fig12 compares replication policies on NUBA with LAB placement.
@@ -298,10 +298,10 @@ var (
 )
 
 // configs is each variant's UBA then NUBA configuration, in row order.
-func (s sensitivity) configs(r *Runner) []nuba.Config {
+func (s sensitivity) configs() []nuba.Config {
 	var cfgs []nuba.Config
 	for _, vr := range s.variants {
-		cfgs = append(cfgs, vr.apply(r.scaled(nuba.Baseline())), vr.apply(r.scaled(nuba.NUBAConfig())))
+		cfgs = append(cfgs, vr.apply(nuba.Baseline()), vr.apply(nuba.NUBAConfig()))
 	}
 	return cfgs
 }
@@ -322,10 +322,10 @@ func (s sensitivity) render(v *view) (string, error) {
 }
 
 // fig14AddrMapConfigs is the UBA+PAE versus NUBA pair.
-func (r *Runner) fig14AddrMapConfigs() []nuba.Config {
-	ubaPAE := r.scaled(nuba.Baseline())
+func fig14AddrMapConfigs() []nuba.Config {
+	ubaPAE := nuba.Baseline()
 	ubaPAE.AddressMap = nuba.PAE
-	return []nuba.Config{ubaPAE, r.scaled(nuba.NUBAConfig())}
+	return []nuba.Config{ubaPAE, nuba.NUBAConfig()}
 }
 
 // fig14AddrMap compares NUBA (fixed-channel) against UBA with PAE.
@@ -343,10 +343,10 @@ func fig14AddrMap(v *view) (string, error) {
 
 // fig14LABConfigs is the UBA baseline followed by one NUBA(No-Rep)
 // configuration per swept LAB threshold.
-func (r *Runner) fig14LABConfigs() []nuba.Config {
-	cfgs := []nuba.Config{r.scaled(nuba.Baseline())}
+func fig14LABConfigs() []nuba.Config {
+	cfgs := []nuba.Config{nuba.Baseline()}
 	for _, th := range []float64{0.8, 0.9, 0.95} {
-		cfg := r.scaled(nuba.NUBAConfig())
+		cfg := nuba.NUBAConfig()
 		cfg.Replication = nuba.NoRep
 		cfg.LABThreshold = th
 		cfgs = append(cfgs, cfg)
@@ -373,12 +373,12 @@ func fig14LAB(v *view) (string, error) {
 
 // fig16Configs is the monolithic 2x GPU as UBA and NUBA, then the
 // four-module MCM as UBA and NUBA.
-func (r *Runner) fig16Configs() []nuba.Config {
+func fig16Configs() []nuba.Config {
 	return []nuba.Config{
-		r.scaled(nuba.Baseline().Scale(2)),
-		r.scaled(nuba.NUBAConfig().Scale(2)),
-		r.scaled(nuba.MCMConfig(nuba.UBAMem)),
-		r.scaled(nuba.MCMConfig(nuba.NUBA)),
+		nuba.Baseline().Scale(2),
+		nuba.NUBAConfig().Scale(2),
+		nuba.MCMConfig(nuba.UBAMem),
+		nuba.MCMConfig(nuba.NUBA),
 	}
 }
 
@@ -400,12 +400,12 @@ func fig16(v *view) (string, error) {
 
 // altConfigs is UBA, then NUBA under LAB, migration and page replication
 // — the §7.6 placement alternatives.
-func (r *Runner) altConfigs() []nuba.Config {
-	mig := r.scaled(nuba.NUBAConfig())
+func altConfigs() []nuba.Config {
+	mig := nuba.NUBAConfig()
 	mig.Placement = nuba.Migration
-	rep := r.scaled(nuba.NUBAConfig())
+	rep := nuba.NUBAConfig()
 	rep.Placement = nuba.PageReplication
-	return []nuba.Config{r.scaled(nuba.Baseline()), r.scaled(nuba.NUBAConfig()), mig, rep}
+	return []nuba.Config{nuba.Baseline(), nuba.NUBAConfig(), mig, rep}
 }
 
 // altPlacement compares LAB against the §7.6 alternatives.

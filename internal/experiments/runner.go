@@ -24,8 +24,9 @@ import (
 type Options struct {
 	// Benchmarks restricts the workload set (default: the full suite).
 	Benchmarks []workload.Benchmark
-	// Scale scales the GPU size (1.0 = the 64-SM baseline). Experiments
-	// that sweep GPU size ignore it.
+	// Scale scales every declared configuration's GPU size (1.0 = the
+	// 64-SM baseline); fig14-size and fig16 compose their own factors
+	// with it.
 	Scale float64
 	// Jobs is the worker-pool size used to execute an experiment's job
 	// set; zero or negative selects runtime.GOMAXPROCS(0).
@@ -53,18 +54,21 @@ type Options struct {
 }
 
 // JobFailure records one job that could not be simulated: the failing
-// configuration and benchmark, the error, and whether it was a recovered
-// panic (with the stack). The slice of these is the report's explicit
-// failures section — the schema is documented in docs/ROBUSTNESS.md.
+// configuration and benchmark, the error, the full hang report if the
+// watchdog ended it, and whether it was a recovered panic (with the
+// stack). The slice of these is the report's explicit failures section —
+// the schema is documented in docs/ROBUSTNESS.md.
 type JobFailure struct {
-	// Config is the configuration's display name; Fingerprint its
-	// canonical identity (the memo key prefix).
-	Config      string
-	Fingerprint string
+	// Config is the configuration's display name.
+	Config string
 	// Bench is the benchmark abbreviation.
 	Bench string
-	// Err is the run's error text.
+	// Err is the run's error text: one line, also for a hang.
 	Err string
+	// Hang is the rendered multi-line nuba.HangReport of a job the
+	// watchdog ended, empty otherwise. The failures section carries only
+	// Err; the command-line tools print Hang on stderr.
+	Hang string
 	// Panic reports whether the failure was a recovered simulator
 	// panic; Stack then holds the panicking goroutine's stack.
 	Panic bool
@@ -118,10 +122,11 @@ func NewRunner(opts Options) *Runner {
 type Experiment struct {
 	Name  string
 	Title string
-	// Configs declares, once, every configuration the experiment
-	// simulates; the job plan and the renderer's view both derive from
-	// it. Nil for experiments that need no simulation (table2).
-	Configs func(r *Runner) []nuba.Config
+	// Configs declares, once and at scale 1, every configuration the
+	// experiment simulates; the job plan and the renderer's view both
+	// derive from it, with Options.Scale applied. Nil for experiments
+	// that need no simulation (table2).
+	Configs func() []nuba.Config
 	// render prints the report from the experiment's finished runs.
 	render func(v *view) (string, error)
 }
@@ -130,22 +135,22 @@ type Experiment struct {
 func All() []Experiment {
 	return []Experiment{
 		{Name: "table2", Title: "Table 2: benchmark suite and footprints", render: table2},
-		{Name: "fig3", Title: "Figure 3: memory page sharing degree", Configs: (*Runner).fig3Configs, render: fig3},
-		{Name: "fig7", Title: "Figure 7: iso-resource speedup over UBA", Configs: (*Runner).isoConfigs, render: fig7},
-		{Name: "fig8", Title: "Figure 8: perceived bandwidth (replies/cycle)", Configs: (*Runner).isoConfigs, render: fig8},
-		{Name: "fig9", Title: "Figure 9: L1 miss breakdown (local/remote)", Configs: (*Runner).isoConfigs, render: fig9},
-		{Name: "fig10", Title: "Figure 10: performance vs NoC power", Configs: (*Runner).fig10Configs, render: fig10},
-		{Name: "fig11", Title: "Figure 11: page allocation policies", Configs: (*Runner).fig11Configs, render: fig11},
-		{Name: "fig12", Title: "Figure 12: data replication policies", Configs: (*Runner).fig12Configs, render: fig12},
-		{Name: "fig13", Title: "Figure 13: GPU energy breakdown", Configs: (*Runner).isoConfigs, render: fig13},
+		{Name: "fig3", Title: "Figure 3: memory page sharing degree", Configs: fig3Configs, render: fig3},
+		{Name: "fig7", Title: "Figure 7: iso-resource speedup over UBA", Configs: isoConfigs, render: fig7},
+		{Name: "fig8", Title: "Figure 8: perceived bandwidth (replies/cycle)", Configs: isoConfigs, render: fig8},
+		{Name: "fig9", Title: "Figure 9: L1 miss breakdown (local/remote)", Configs: isoConfigs, render: fig9},
+		{Name: "fig10", Title: "Figure 10: performance vs NoC power", Configs: fig10Configs, render: fig10},
+		{Name: "fig11", Title: "Figure 11: page allocation policies", Configs: fig11Configs, render: fig11},
+		{Name: "fig12", Title: "Figure 12: data replication policies", Configs: fig12Configs, render: fig12},
+		{Name: "fig13", Title: "Figure 13: GPU energy breakdown", Configs: isoConfigs, render: fig13},
 		{Name: "fig14-size", Title: "Figure 14: GPU size sensitivity", Configs: fig14Size.configs, render: fig14Size.render},
 		{Name: "fig14-partition", Title: "Figure 14: LLC slices per partition", Configs: fig14Partition.configs, render: fig14Partition.render},
 		{Name: "fig14-llc", Title: "Figure 14: LLC capacity sensitivity", Configs: fig14LLC.configs, render: fig14LLC.render},
 		{Name: "fig14-page", Title: "Figure 14: page size sensitivity", Configs: fig14Page.configs, render: fig14Page.render},
-		{Name: "fig14-addrmap", Title: "Figure 14: PAE address mapping", Configs: (*Runner).fig14AddrMapConfigs, render: fig14AddrMap},
-		{Name: "fig14-lab", Title: "Figure 14: LAB threshold sensitivity", Configs: (*Runner).fig14LABConfigs, render: fig14LAB},
-		{Name: "fig16", Title: "Figure 16: MCM-GPU", Configs: (*Runner).fig16Configs, render: fig16},
-		{Name: "alt-placement", Title: "Section 7.6: migration / page replication", Configs: (*Runner).altConfigs, render: altPlacement},
+		{Name: "fig14-addrmap", Title: "Figure 14: PAE address mapping", Configs: fig14AddrMapConfigs, render: fig14AddrMap},
+		{Name: "fig14-lab", Title: "Figure 14: LAB threshold sensitivity", Configs: fig14LABConfigs, render: fig14LAB},
+		{Name: "fig16", Title: "Figure 16: MCM-GPU", Configs: fig16Configs, render: fig16},
+		{Name: "alt-placement", Title: "Section 7.6: migration / page replication", Configs: altConfigs, render: altPlacement},
 	}
 }
 
@@ -170,14 +175,14 @@ func Names() []string {
 }
 
 // SuiteOn returns the experiment behind nubasim's multi-benchmark mode:
-// the runner's benchmarks on the one configuration cfg, taken as given
-// (Options.Scale does not apply), rendered as a compact counter table in
-// input order. It is built per call, so it is not in All().
+// the runner's benchmarks on the one configuration cfg, rendered as a
+// compact counter table in input order. It is built per call, so it is
+// not in All().
 func SuiteOn(cfg nuba.Config) Experiment {
 	return Experiment{
 		Name:    "suite",
 		Title:   "Benchmarks on " + cfg.Name(),
-		Configs: func(*Runner) []nuba.Config { return []nuba.Config{cfg} },
+		Configs: func() []nuba.Config { return []nuba.Config{cfg} },
 		render:  suiteTable,
 	}
 }
@@ -191,14 +196,6 @@ func suiteTable(v *view) (string, error) {
 			bench.Abbr, st.Cycles, st.IPC(), st.RepliesPerCycle(), st.L1MissRate(), st.LocalFraction())
 	}
 	return b.String(), nil
-}
-
-// scaled applies the Runner's GPU scale to a configuration.
-func (r *Runner) scaled(cfg nuba.Config) nuba.Config {
-	if r.opts.Scale != 1 {
-		cfg = cfg.Scale(r.opts.Scale)
-	}
-	return cfg
 }
 
 // speedupPct returns (base/cand - 1) * 100.

@@ -174,11 +174,14 @@ func TestStressPoolIsolatesFailures(t *testing.T) {
 	for _, f := range rep.Failures {
 		byBench[f.Bench] = f
 	}
-	if f := byBench["BP"]; !f.Panic || len(f.Stack) == 0 || !strings.Contains(f.Err, "panic") {
-		t.Errorf("BP failure must be a recovered panic with stack: %+v", f)
+	if f := byBench["BP"]; !f.Panic || len(f.Stack) == 0 || !strings.Contains(f.Err, "panic") || f.Hang != "" {
+		t.Errorf("BP failure must be a recovered panic with stack and no hang report: %+v", f)
 	}
-	if f := byBench["SGEMM"]; f.Panic || !strings.Contains(f.Err, "watchdog") {
-		t.Errorf("SGEMM failure must be a watchdog hang: %+v", f)
+	// The hang keeps its one-line error in the failures section and
+	// carries the full report, memory side included, for the CLI's stderr.
+	if f := byBench["SGEMM"]; f.Panic || !strings.Contains(f.Err, "watchdog") || strings.Contains(f.Err, "\n") ||
+		!strings.HasPrefix(f.Hang, "hang detected at cycle") || !strings.Contains(f.Hang, "\n  SM 0 ") {
+		t.Errorf("SGEMM failure must be a watchdog hang with its report: %+v", f)
 	}
 }
 

@@ -52,7 +52,7 @@ func TestNoFlagsDoesNothing(t *testing.T) {
 	p.Stop()
 }
 
-// TestToolsWriteProfiles is the CLI smoke test: each of the three tools
+// TestToolsWriteProfiles is the CLI smoke test: each of the two tools
 // that carry the flags is built and run on its cheapest input with both
 // set, and must exit cleanly leaving two profiles behind.
 func TestToolsWriteProfiles(t *testing.T) {
@@ -61,28 +61,9 @@ func TestToolsWriteProfiles(t *testing.T) {
 	}
 	bin := t.TempDir()
 	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator),
-		"../../cmd/nubasim", "../../cmd/nubasweep", "../../cmd/nubareport")
+		"../../cmd/nubasim", "../../cmd/nubasweep")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
-	// nubareport runs every experiment it is not told to skip: keep the
-	// static one, and take the names of the rest from nubasweep -list.
-	list, err := exec.Command(filepath.Join(bin, "nubasweep"), "-list").Output()
-	if err != nil {
-		t.Fatalf("nubasweep -list: %v", err)
-	}
-	var skip []string
-	for _, line := range strings.Split(string(list), "\n") {
-		if strings.HasPrefix(line, "benchmarks:") {
-			break
-		}
-		if f := strings.Fields(line); len(f) > 1 && strings.HasPrefix(line, "  ") && f[0] != "table2" {
-			skip = append(skip, f[0])
-		}
-	}
-	if len(skip) == 0 {
-		t.Fatalf("no experiment names in nubasweep -list:\n%s", list)
 	}
 
 	tools := []struct {
@@ -91,7 +72,6 @@ func TestToolsWriteProfiles(t *testing.T) {
 	}{
 		{"nubasim", []string{"-bench", "LEU", "-scale", "0.125"}},
 		{"nubasweep", []string{"-exp", "table2"}},
-		{"nubareport", []string{"-scale", "0.125", "-bench", "LEU", "-skip", strings.Join(skip, ",")}},
 	}
 	for _, tool := range tools {
 		out := t.TempDir()

@@ -15,6 +15,8 @@ package llc
 
 import (
 	"fmt"
+	"strings"
+
 	"github.com/nuba-gpu/nuba/internal/cache"
 	"github.com/nuba-gpu/nuba/internal/config"
 	"github.com/nuba-gpu/nuba/internal/metrics"
@@ -116,10 +118,6 @@ func (s *Slice) EnqueueLocal(req *sim.MemReq) bool { return s.lmr.Push(req) }
 
 // EnqueueRemote offers a request to the RMR queue.
 func (s *Slice) EnqueueRemote(req *sim.MemReq) bool { return s.rmr.Push(req) }
-
-// CanAcceptRemote reports whether the RMR queue has room (always true for
-// the elastic queue; kept for call-site symmetry).
-func (s *Slice) CanAcceptRemote() bool { return !s.rmr.Full() }
 
 // Pending reports whether the slice still holds work.
 func (s *Slice) Pending() bool {
@@ -259,6 +257,12 @@ func (s *Slice) arbitrate(now sim.Cycle) {
 	}
 }
 
+// onReplicaPath reports whether req is at this slice as its replica
+// slice, not its home: a miss here is forwarded to req.Slice.
+func (s *Slice) onReplicaPath(req *sim.MemReq) bool {
+	return req.ReplicaSlice == s.ID && req.Slice != s.ID
+}
+
 // process runs one request through the tag array. It returns false when
 // the request cannot proceed this cycle.
 func (s *Slice) process(req *sim.MemReq, now sim.Cycle) bool {
@@ -272,7 +276,7 @@ func (s *Slice) process(req *sim.MemReq, now sim.Cycle) bool {
 	}
 
 	done := now + s.cfg.LLCLatency
-	isReplicaPath := req.ReplicaSlice == s.ID && req.Slice != s.ID
+	isReplicaPath := s.onReplicaPath(req)
 
 	switch req.Kind {
 	case sim.Store:
@@ -387,11 +391,33 @@ func (s *Slice) AcceptReplicaFill(req *sim.MemReq, now sim.Cycle) {
 	}
 }
 
-// HitRate returns the tag-array hit rate since the last reset.
-func (s *Slice) HitRate() float64 { return s.tags.HitRate() }
-
-// DebugState summarizes queue occupancy for stall diagnosis.
+// DebugState summarizes queue occupancy for stall diagnosis and, while
+// misses are outstanding, what the MSHR entries wait on: how many
+// primaries are fills from memory, how many are replica-path forwards to
+// each home slice, and the cycle the oldest was allocated.
 func (s *Slice) DebugState() string {
-	return fmt.Sprintf("lmr=%d rmr=%d pipe=%d outbox=%d mshr=%d",
+	var b strings.Builder
+	fmt.Fprintf(&b, "lmr=%d rmr=%d pipe=%d outbox=%d mshr=%d",
 		s.lmr.Len(), s.rmr.Len(), s.pipe.Len(), s.outbox.Len(), s.mshr.Len())
+	if s.mshr.Len() == 0 {
+		return b.String()
+	}
+	mem, oldest := 0, sim.Never
+	fwd := make([]int, s.cfg.NumLLCSlices) // by home slice
+	s.mshr.Each(func(e *cache.MSHREntry) {
+		if s.onReplicaPath(e.Primary) {
+			fwd[e.Primary.Slice]++
+		} else {
+			mem++
+		}
+		oldest = min(oldest, e.Allocated)
+	})
+	fmt.Fprintf(&b, " [mem=%d", mem)
+	for home, n := range fwd {
+		if n > 0 {
+			fmt.Fprintf(&b, " fwd->%d=%d", home, n)
+		}
+	}
+	fmt.Fprintf(&b, " oldest=%d]", oldest)
+	return b.String()
 }

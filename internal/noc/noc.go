@@ -46,10 +46,9 @@ type inPort struct {
 	q        *sim.Queue[Msg]
 	nextFree sim.Cycle
 	busy     int64
-	// bytes and msgs count traffic accepted at this port (summed on
-	// read by Bytes/Messages).
+	// bytes counts traffic accepted at this port (summed on read by
+	// Bytes).
 	bytes int64
-	msgs  int64
 }
 
 // Crossbar is a hierarchical switch with inPorts input ports and outPorts
@@ -104,9 +103,6 @@ func (x *Crossbar) InPorts() int { return len(x.in) }
 // OutPorts returns the number of output ports.
 func (x *Crossbar) OutPorts() int { return len(x.out) }
 
-// Width returns the per-link width in bytes per cycle.
-func (x *Crossbar) Width() int { return x.width }
-
 // CanInject reports whether input port can accept a message at cycle now.
 func (x *Crossbar) CanInject(port int, now sim.Cycle) bool {
 	p := &x.in[port]
@@ -128,7 +124,6 @@ func (x *Crossbar) Inject(port int, now sim.Cycle, m Msg) bool {
 	p.busy += int64(ser)
 	p.q.Push(m)
 	p.bytes += int64(m.Bytes)
-	p.msgs++
 	return true
 }
 
@@ -138,15 +133,6 @@ func (x *Crossbar) Bytes() int64 {
 	var t int64
 	for i := range x.in {
 		t += x.in[i].bytes
-	}
-	return t
-}
-
-// Messages returns the total messages accepted across all input ports.
-func (x *Crossbar) Messages() int64 {
-	var t int64
-	for i := range x.in {
-		t += x.in[i].msgs
 	}
 	return t
 }
@@ -217,7 +203,7 @@ func (x *Crossbar) NextEvent(now sim.Cycle) sim.Cycle {
 
 // StateSig returns a signature of the crossbar's observable state: the
 // input-queue depths and port-free times plus the middle- and
-// egress-link signatures. Traffic counters (Bytes, Messages, busy) are
+// egress-link signatures. Traffic counters (Bytes, busy) are
 // accounting, not simulation state, and are excluded.
 func (x *Crossbar) StateSig() uint64 {
 	h := sim.SigSeed

@@ -176,7 +176,7 @@ func TestBusyCyclesAccumulate(t *testing.T) {
 	x.Inject(0, 0, msg(15, 136))
 	got := map[int]int{}
 	tickAndDrain(x, 0, 100, got)
-	if x.BusyCycles() == 0 || x.Bytes() != 136 || x.Messages() != 1 {
-		t.Fatalf("stats: busy=%d bytes=%d msgs=%d", x.BusyCycles(), x.Bytes(), x.Messages())
+	if x.BusyCycles() == 0 || x.Bytes() != 136 {
+		t.Fatalf("stats: busy=%d bytes=%d", x.BusyCycles(), x.Bytes())
 	}
 }

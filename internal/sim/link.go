@@ -27,8 +27,6 @@ type Link[T any] struct {
 	BusyCycles int64
 	// Bytes accumulates payload bytes accepted.
 	Bytes int64
-	// Messages accumulates messages accepted.
-	Messages int64
 }
 
 type linkItem[T any] struct {
@@ -48,12 +46,6 @@ func NewLink[T any](latency Cycle, width, buffer int) *Link[T] {
 	}
 	return &Link[T]{latency: latency, width: width, out: NewQueue[linkItem[T]](buffer)}
 }
-
-// Width returns the link width in bytes per cycle.
-func (l *Link[T]) Width() int { return l.width }
-
-// Latency returns the propagation latency in cycles.
-func (l *Link[T]) Latency() Cycle { return l.latency }
 
 // drain advances the byte backlog to cycle now.
 func (l *Link[T]) drain(now Cycle) {
@@ -91,7 +83,6 @@ func (l *Link[T]) Send(now Cycle, v T, bytes int) bool {
 	l.out.Push(linkItem[T]{ready: now + ser + l.latency, v: v})
 	l.BusyCycles += int64((bytes + l.width - 1) / l.width)
 	l.Bytes += int64(bytes)
-	l.Messages++
 	return true
 }
 

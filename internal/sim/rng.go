@@ -35,19 +35,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Uint64n returns a pseudo-random uint64 in [0, n). It panics if n == 0.
-func (r *RNG) Uint64n(n uint64) uint64 {
-	if n == 0 {
-		panic("sim: Uint64n with zero n")
-	}
-	return r.Uint64() % n
-}
-
-// Float64 returns a pseudo-random float64 in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
 // Mix hashes x with a 64-bit finalizer (splitmix64). It is used wherever
 // the simulator needs a stateless, reproducible "random" function of an
 // address or index, e.g. synthetic irregular access patterns and the PAE

@@ -217,9 +217,6 @@ func (s *SM) LiveRequests() int64 { return s.reqs.Live() }
 // list: the LSU's occupancy, and zero once it has drained.
 func (s *SM) LiveAccesses() int { return s.accMade - len(s.freeAcc) }
 
-// L1 exposes the data cache (for flushes and tests).
-func (s *SM) L1() *cache.Cache { return s.l1 }
-
 // L1TLB exposes the TLB (for shootdowns and tests).
 func (s *SM) L1TLB() *vm.TLB { return s.l1TLB }
 

@@ -13,9 +13,6 @@ type TLB struct {
 	sets int
 	ways int
 	tags []tlbEntry
-
-	Accesses int64
-	Hits     int64
 }
 
 type tlbEntry struct {
@@ -38,15 +35,13 @@ func (t *TLB) set(vpn uint64) []tlbEntry {
 	return t.tags[i : i+t.ways]
 }
 
-// Lookup probes for vpn at cycle now, updating LRU state and hit counters.
+// Lookup probes for vpn at cycle now, updating LRU state.
 func (t *TLB) Lookup(vpn uint64, now int64) bool {
-	t.Accesses++
 	set := t.set(vpn)
 	for i := range set {
 		e := &set[i]
 		if e.valid && e.vpn == vpn {
 			e.lastUse = now
-			t.Hits++
 			return true
 		}
 	}
@@ -82,12 +77,4 @@ func (t *TLB) Flush(vpn uint64) {
 			set[i].valid = false
 		}
 	}
-}
-
-// HitRate returns hits per access.
-func (t *TLB) HitRate() float64 {
-	if t.Accesses == 0 {
-		return 0
-	}
-	return float64(t.Hits) / float64(t.Accesses)
 }

@@ -183,7 +183,10 @@ type Result struct {
 	Energy EnergyBreakdown
 	// Sharing is the page-sharing histogram.
 	Sharing *SharingHistogram
-	// System is the GPU the run executed on, for deeper inspection.
+	// System is the GPU the run executed on, for deeper inspection. Run's
+	// direct callers get it; a result read back from a batch
+	// (internal/experiments' memo cache) has it nil, so that a finished
+	// job costs its measurements and not its whole machine.
 	System *System
 }
 
@@ -213,11 +216,8 @@ const (
 	EngineSanitize = core.EngineSanitize
 )
 
-// ParseEngine parses a -engine flag value (one of EngineNames).
+// ParseEngine parses a -engine flag value (EngineUsage lists them).
 func ParseEngine(s string) (Engine, error) { return core.ParseEngine(s) }
-
-// EngineNames returns the flag spellings of every engine, default first.
-func EngineNames() []string { return core.EngineNames() }
 
 // EngineUsage returns -engine flag help text listing every engine with
 // a one-line description, for CLIs to pass to flag.String.
