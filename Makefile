@@ -39,14 +39,18 @@ test-short:
 race:
 	$(GO) test -race -timeout 30m -skip TestEveryExperiment ./internal/experiments/...
 
-# Hint-soundness smoke: a cheap four-benchmark subset to natural
+# Hint-soundness smoke: a cheap five-benchmark subset to natural
 # completion under the sanitizer engine (every claimed-idle window
 # stepped and verified; see DESIGN.md §9). AN is the LSU-bound one: its
 # SMs spend the run with warps waiting for an LSU entry, the state whose
-# wake hint is "never" rather than "next cycle". The full capped suite
-# runs under `go test .` (TestSanitizeSuite).
+# wake hint is "never" rather than "next cycle". SM (Stringmatch) is the
+# fabric's: the other four stay ≥ 97 % local on NUBA, its atomics are 82 %
+# remote, and on the memory-side UBA every miss crosses both crossbars —
+# the flights the crossbar's earliest-arrival hint lets the engine skip.
+# The full capped suite runs under `go test .` (TestSanitizeSuite).
 sanitize:
-	$(GO) run ./cmd/nubasim -bench DWT2D,BH,MVT,AN -scale 0.125 -engine sanitize
+	$(GO) run ./cmd/nubasim -bench DWT2D,BH,MVT,AN,SM -scale 0.125 -engine sanitize
+	$(GO) run ./cmd/nubasim -arch uba -bench SM -scale 0.125 -engine sanitize
 
 # The seeded fault-injection stress matrix (docs/ROBUSTNESS.md): every
 # fault class injected into a short run and caught by the layer that

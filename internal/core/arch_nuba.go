@@ -16,8 +16,8 @@ import (
 // MCM — registers it, installs the routing ports and, under MDR, the
 // profiler and controller.
 func (g *GPU) buildNUBA() {
-	g.mods = max(g.cfg.NumModules, 1)
-	g.buildXbars(g.slicesPerModule(), g.slicesPerModule())
+	g.setMods(max(g.cfg.NumModules, 1))
+	g.buildXbars(g.slicesPerMod, g.slicesPerMod)
 	for i := range g.sms {
 		l := sim.NewLink[*sim.MemReq](g.cfg.LocalLinkLatency, g.cfg.LocalLinkBytes, g.cfg.LocalLinkBuffer)
 		g.smReqLinks = append(g.smReqLinks, l)
@@ -28,6 +28,7 @@ func (g *GPU) buildNUBA() {
 		g.sliceReplyLinks = append(g.sliceReplyLinks, l)
 		g.register(linkPart[*sim.MemReq]{l}, "slice-reply link", j, -1)
 	}
+	g.smReqOcc, g.sliceReplyOcc = sim.NewBits(len(g.sms)), sim.NewBits(len(g.slices))
 	g.buildInterModule()
 
 	if g.cfg.Replication == config.MDR {
@@ -76,7 +77,7 @@ func (g *GPU) nubaSend(smID, part int) func(*sim.MemReq, sim.Cycle) bool {
 			return false
 		}
 		req.Channel, req.Slice = g.mapper.Home(req.Addr)
-		local := g.cfg.PartitionOfSlice(req.Slice) == part
+		local := g.slices[req.Slice].Part == part
 		if !local && req.ReadOnly && req.Kind == sim.Load && g.replicating() {
 			req.ReplicaSlice = g.partitionSlice(part, req.Addr)
 		}
@@ -86,6 +87,7 @@ func (g *GPU) nubaSend(smID, part int) func(*sim.MemReq, sim.Cycle) bool {
 		g.recordPlacementAccess(req, part)
 		bytes := sim.MessageBytes(req, false)
 		link.Send(now, req, bytes)
+		g.smReqOcc.Set(smID)
 		return true
 	}
 }
@@ -93,8 +95,9 @@ func (g *GPU) nubaSend(smID, part int) func(*sim.MemReq, sim.Cycle) bool {
 // moveNUBARequestLinks delivers arrived requests from SM links into local
 // slices or onto the NoC.
 func (g *GPU) moveNUBARequestLinks(now sim.Cycle) {
-	for smID, link := range g.smReqLinks {
-		part := g.cfg.PartitionOfSM(smID)
+	occ := g.smReqOcc
+	for smID := occ.Next(0); smID >= 0; smID = occ.Next(smID + 1) {
+		link, part := g.smReqLinks[smID], g.sms[smID].Part
 		for {
 			req, ok := link.Peek(now)
 			if !ok {
@@ -104,7 +107,7 @@ func (g *GPU) moveNUBARequestLinks(now sim.Cycle) {
 			switch {
 			case req.ReplicaSlice >= 0:
 				accepted = g.slices[req.ReplicaSlice].EnqueueLocal(req)
-			case g.cfg.PartitionOfSlice(req.Slice) == part:
+			case g.slices[req.Slice].Part == part:
 				accepted = g.slices[req.Slice].EnqueueLocal(req)
 			default:
 				accepted = g.nubaInjectNoC(g.partitionSlice(part, req.Addr), req.Slice, req, false, now)
@@ -113,6 +116,9 @@ func (g *GPU) moveNUBARequestLinks(now sim.Cycle) {
 				break
 			}
 			link.Pop(now)
+		}
+		if link.Pending() == 0 {
+			occ.Clear(smID)
 		}
 	}
 }
@@ -147,6 +153,7 @@ func (g *GPU) nubaSendLocalReply(sliceID int, req *sim.MemReq, now sim.Cycle) bo
 		return false
 	}
 	link.Send(now, req, sim.MessageBytes(req, true))
+	g.sliceReplyOcc.Set(sliceID)
 	return true
 }
 
@@ -160,7 +167,7 @@ func (g *GPU) nubaSliceReply(sliceID, part int) func(*sim.MemReq, sim.Cycle) boo
 		if req.ReplicaSlice >= 0 && req.ReplicaSlice != sliceID {
 			return g.nubaInjectNoC(sliceID, req.ReplicaSlice, req, true, now)
 		}
-		rp := g.cfg.PartitionOfSM(req.SM)
+		rp := g.sms[req.SM].Part
 		if rp == part {
 			return g.nubaSendLocalReply(sliceID, req, now)
 		}
@@ -187,7 +194,9 @@ func (g *GPU) nubaAcceptReply(sliceID int, req *sim.MemReq, now sim.Cycle) bool 
 
 // moveNUBAReplyLinks delivers replies from slice links to their SMs.
 func (g *GPU) moveNUBAReplyLinks(now sim.Cycle) {
-	for _, link := range g.sliceReplyLinks {
+	occ := g.sliceReplyOcc
+	for j := occ.Next(0); j >= 0; j = occ.Next(j + 1) {
+		link := g.sliceReplyLinks[j]
 		for {
 			req, ok := link.Pop(now)
 			if !ok {
@@ -195,6 +204,9 @@ func (g *GPU) moveNUBAReplyLinks(now sim.Cycle) {
 			}
 			g.accountService(req)
 			g.sms[req.SM].AcceptReply(req, now)
+		}
+		if link.Pending() == 0 {
+			occ.Clear(j)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // buildUBA is what both UBA builders share: SM-to-slice crossbars, the
 // reply path and the no-forward guard (only NUBA replica slices forward).
 func (g *GPU) buildUBA() {
-	g.buildXbars(g.smsPerModule(), g.slicesPerModule())
+	g.buildXbars(g.smsPerMod, g.slicesPerMod)
 	for _, sl := range g.slices {
 		sl.SendReply = g.ubaSliceReply(sl.ID)
 		sl.SendForward = func(*sim.MemReq, sim.Cycle) bool { panic("core: forward on UBA") }
@@ -51,7 +51,7 @@ func (g *GPU) ubaAcceptReply(smID int, req *sim.MemReq, now sim.Cycle) bool {
 // slice in front of its channel, reached over the module crossbar or,
 // for MCM, an inter-module link.
 func (g *GPU) buildUBAMem() {
-	g.mods = max(g.cfg.NumModules, 1)
+	g.setMods(max(g.cfg.NumModules, 1))
 	g.buildUBA()
 	g.buildInterModule()
 	for _, s := range g.sms {
@@ -86,7 +86,7 @@ func (g *GPU) ubaMemSend(smID int) func(*sim.MemReq, sim.Cycle) bool {
 			}
 			link.Send(now, noc.Msg{Req: req, Dst: req.Slice, Bytes: bytes}, bytes)
 		}
-		g.recordPlacementAccess(req, g.cfg.PartitionOfSM(smID))
+		g.recordPlacementAccess(req, g.sms[smID].Part)
 		return true
 	}
 }
@@ -99,13 +99,13 @@ func (g *GPU) ubaMemSend(smID int) func(*sim.MemReq, sim.Cycle) bool {
 // returning fills and coherence invalidations — rides two inter-half
 // links (index = source half).
 func (g *GPU) buildUBASMSide() {
-	g.mods = 2
+	g.setMods(2)
 	g.buildUBA()
 	// The halves are stitched with abundant bandwidth; half the per-half
 	// crossbar bandwidth each direction keeps the link from becoming an
 	// artificial bottleneck relative to the paper's SM-side UBA (which
 	// performs within ~1% of the memory-side baseline).
-	w := g.cfg.NoCPortBytes() * max(g.slicesPerModule(), 1)
+	w := g.cfg.NoCPortBytes() * max(g.slicesPerMod, 1)
 	for h := range g.interHalf {
 		l := sim.NewLink[noc.Msg](g.cfg.NoCLatency, w, 8*g.cfg.NoCPortBuffer)
 		g.interHalf[h] = l
@@ -159,7 +159,7 @@ func (g *GPU) smSideSend(smID int) func(*sim.MemReq, sim.Cycle) bool {
 				Slice: g.mirrorSlice(req.Slice), Channel: -1, ReplicaSlice: -1, Inval: true,
 			}))
 		}
-		g.recordPlacementAccess(req, g.cfg.PartitionOfSM(smID))
+		g.recordPlacementAccess(req, g.sms[smID].Part)
 		return true
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"github.com/nuba-gpu/nuba/internal/config"
 	"github.com/nuba-gpu/nuba/internal/kir"
 	"github.com/nuba-gpu/nuba/internal/metrics"
+	"github.com/nuba-gpu/nuba/internal/noc"
 	"github.com/nuba-gpu/nuba/internal/sim"
 )
 
@@ -248,5 +249,105 @@ func TestQuietVsWakeInvariant(t *testing.T) {
 	}
 	if g.Stats().Instructions == 0 {
 		t.Fatal("invariant walk executed no instructions")
+	}
+}
+
+// hopKernel is two warps chasing cold loads: each iteration reads one
+// line no other iteration touches, so between two loads the only thing
+// in the machine is one request or one reply in flight.
+const hopKernel = `
+.kernel hop
+.param .ptr A
+.param .u64 k
+  mov r1, %ctaid
+  mov r4, 0
+  mov r5, 0
+loop:
+  shl r6, r4, 1
+  add r6, r6, r1
+  shl r6, r6, 7
+  ld.global.u64 r7, [A + r6]
+  add r5, r5, r7
+  add r4, r4, 1
+  setp.lt p0, r4, k
+  @p0 bra loop
+  shl r8, r1, 3
+  st.global.u64 [A + r8], r5
+  exit
+`
+
+// A message's flight through a crossbar is skipped, not stepped, and
+// skipping it changes nothing: a two-CTA remote-load kernel ends on the
+// same cycle with the same statistics under all three engines, on NUBA
+// (round-robin pages, so three loads in four cross the slice-to-slice
+// fabric) and on the memory-side UBA (every miss crosses both).
+func TestEnginesSkipNoCFlight(t *testing.T) {
+	const iters = 256
+	for _, arch := range []config.Arch{config.NUBA, config.UBAMem} {
+		cfg := tinyConfig(arch)
+		cfg.Placement = config.RoundRobin
+		var want string
+		for _, e := range []Engine{EngineNaive, EngineHybrid, EngineSanitize} {
+			g := MustNew(cfg)
+			g.SetEngine(e)
+			k := kir.MustParse(hopKernel)
+			kir.AnalyzeReadOnly(k)
+			size := uint64(2 * iters * sim.LineSize)
+			l := &kir.Launch{Kernel: k, GridDim: 2, CTAThreads: 32, Scalars: []int64{iters},
+				Buffers: []kir.Binding{{Base: g.NewBuffer(size), Size: size}}}
+			if err := g.RunProgram([]*kir.Launch{l}); err != nil {
+				t.Fatalf("%v/%v: %v", arch, e, err)
+			}
+			st := g.Stats()
+			if st.RemoteAccesses < iters {
+				t.Fatalf("%v/%v: %d remote accesses: the kernel does not cross the NoC", arch, e, st.RemoteAccesses)
+			}
+			if got := fmt.Sprintf("%+v", *st); e == EngineNaive {
+				want = got
+			} else if got != want {
+				t.Errorf("%v: %v diverges from naive\nnaive: %s\n%v: %s", arch, e, want, e, got)
+			}
+		}
+	}
+
+	// The hint itself: a quiet GPU whose only pending work is one reply on
+	// a reply crossbar wakes at that reply's arrival on its middle link,
+	// then at its arrival on its egress link — not on the next cycle.
+	g := MustNew(tinyConfig(config.NUBA))
+	if !g.quiet() || g.componentWake() != sim.Never {
+		t.Fatal("a new GPU is not quiet")
+	}
+	width, stage := g.cfg.NoCPortBytes(), g.cfg.NoCLatency/2
+	flits := func(w int) sim.Cycle { return sim.Cycle((sim.DataBytes + w - 1) / w) }
+	reply := noc.Msg{Req: &sim.MemReq{Kind: sim.Load, SM: 0}, Dst: 0, Bytes: sim.DataBytes, Reply: true}
+	if !g.replyXbars[0].Inject(1, g.cycle, reply) {
+		t.Fatal("inject rejected")
+	}
+	if w := g.nextWake(); w != g.cycle+1 {
+		t.Fatalf("reply at the input port: nextWake = %d, want %d", w, g.cycle+1)
+	}
+	g.step()
+	atMid := g.cycle + flits(noc.MidSpeedup*width) + stage
+	if w := g.nextWake(); w != atMid || w <= g.cycle+1 {
+		t.Fatalf("reply on a middle link at cycle %d: nextWake = %d, want its arrival %d", g.cycle, w, atMid)
+	}
+	if err := g.advance(atMid); err != nil {
+		t.Fatal(err)
+	}
+	atOut := atMid + flits(width) + stage
+	if w := g.nextWake(); g.cycle != atMid || w != atOut {
+		t.Fatalf("reply on an egress link at cycle %d: nextWake = %d, want its arrival %d", g.cycle, w, atOut)
+	}
+}
+
+// BenchmarkStepEmptyFabric is one stepped cycle of a quiet scale-0.25
+// NUBA GPU: what every component costs when nothing is anywhere — the
+// state bench/ has no row for.
+func BenchmarkStepEmptyFabric(b *testing.B) {
+	g := MustNew(config.Baseline().Scale(0.25).WithArch(config.NUBA))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.step()
 	}
 }

@@ -43,12 +43,13 @@ type GPU struct {
 	// scan, quiet, the sanitizer, the watchdog — is a loop over it.
 	parts []part
 	// mods is the number of crossbar domains: MCM modules, the two
-	// halves of the SM-side UBA, 1 otherwise. moveFabric moves one
-	// cycle's messages between SMs and slices. Both are set by the
-	// architecture's builder (arch_nuba.go, arch_uba.go), the one place the
-	// architectures differ.
-	mods       int
-	moveFabric func(sim.Cycle)
+	// halves of the SM-side UBA, 1 otherwise; smsPerMod and slicesPerMod
+	// are each domain's share (setMods). moveFabric moves one cycle's
+	// messages between SMs and slices. All are set by the architecture's
+	// builder (arch_nuba.go, arch_uba.go), the one place the architectures
+	// differ.
+	mods, smsPerMod, slicesPerMod int
+	moveFabric                    func(sim.Cycle)
 
 	// Per-module request and reply fabrics (one pair for monolithic
 	// GPUs). For the UBA layouts the request fabric runs SMs -> slices
@@ -58,9 +59,13 @@ type GPU struct {
 	reqXbars   []*noc.Crossbar
 	replyXbars []*noc.Crossbar
 
-	// NUBA point-to-point links.
+	// NUBA point-to-point links, and one occupancy word per array: a bit
+	// is set by the link's only sender (nubaSend, nubaSendLocalReply) and
+	// cleared by the move loop that empties it.
 	smReqLinks      []*sim.Link[*sim.MemReq] // per SM, toward its partition's slices
 	sliceReplyLinks []*sim.Link[*sim.MemReq] // per slice, toward its partition's SMs
+	smReqOcc        sim.Bits
+	sliceReplyOcc   sim.Bits
 
 	// Inter-half links for the SM-side UBA (index = source half) and
 	// inter-module links for MCM ([src][dst], nil on the diagonal).
@@ -213,14 +218,17 @@ func (g *GPU) LiveRequests() int64 {
 // HitMaxCycles reports whether a run aborted at the MaxCycles safety net.
 func (g *GPU) HitMaxCycles() bool { return g.hitMaxCycles }
 
-func (g *GPU) smsPerModule() int    { return g.cfg.NumSMs / g.mods }
-func (g *GPU) slicesPerModule() int { return g.cfg.NumLLCSlices / g.mods }
+// setMods fixes the number of crossbar domains and each one's share of
+// the SMs and slices, which per-message routing then reads.
+func (g *GPU) setMods(n int) {
+	g.mods, g.smsPerMod, g.slicesPerMod = n, g.cfg.NumSMs/n, g.cfg.NumLLCSlices/n
+}
 
 // moduleOfSM returns the crossbar domain of an SM (the half for SM-side).
-func (g *GPU) moduleOfSM(sm int) int { return sm / g.smsPerModule() }
+func (g *GPU) moduleOfSM(sm int) int { return sm / g.smsPerMod }
 
 // moduleOfSlice returns the crossbar domain of a slice.
-func (g *GPU) moduleOfSlice(s int) int { return s / g.slicesPerModule() }
+func (g *GPU) moduleOfSlice(s int) int { return s / g.slicesPerMod }
 
 // moduleOfChannel returns the crossbar domain of a channel.
 func (g *GPU) moduleOfChannel(c int) int { return c / (g.cfg.NumChannels / g.mods) }

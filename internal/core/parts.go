@@ -84,7 +84,10 @@ type xbarPart struct{ *noc.Crossbar }
 
 func (p xbarPart) wakeAt(now sim.Cycle) sim.Cycle { return p.NextEvent(now) }
 func (p xbarPart) pending() bool                  { return p.Pending() }
-func (p xbarPart) detail(sim.Cycle) string        { return fmt.Sprintf("occupancy=%d", p.Occupancy()) }
+func (p xbarPart) detail(sim.Cycle) string {
+	in, mid, out := p.Occupied()
+	return fmt.Sprintf("in=%d mid=%d out=%d", in, mid, out)
+}
 
 type linkPart[T any] struct{ *sim.Link[T] }
 

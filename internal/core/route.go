@@ -14,10 +14,10 @@ import (
 
 // smPort returns an SM's port index within its module's fabrics
 // (request-fabric input, reply-fabric output for the UBA layouts).
-func (g *GPU) smPort(sm int) int { return sm % g.smsPerModule() }
+func (g *GPU) smPort(sm int) int { return sm % g.smsPerMod }
 
 // slicePort returns a slice's port index within its module's fabrics.
-func (g *GPU) slicePort(slice int) int { return slice % g.slicesPerModule() }
+func (g *GPU) slicePort(slice int) int { return slice % g.slicesPerMod }
 
 // partitionSlice picks the slice of a partition that passes through /
 // replicates a given line (the least significant randomized bank bits, as
@@ -240,30 +240,16 @@ func (g *GPU) enqueueRemote(slice int, req *sim.MemReq) bool {
 // back-pressure by returning false.
 func (g *GPU) moveXbars(now sim.Cycle, acceptReply func(dst int, req *sim.MemReq, now sim.Cycle) bool) {
 	flt := g.flt
-	for m := range g.reqXbars {
-		rq, rp := g.reqXbars[m], g.replyXbars[m]
+	for m, rq := range g.reqXbars {
+		rp := g.replyXbars[m]
 		if flt == nil || !flt.frozen(StallNoC, m, now) {
 			rq.Tick(now)
 		}
 		rp.Tick(now)
-		for p := 0; p < rq.OutPorts(); p++ {
-			for {
-				msg, ok := rq.Peek(p, now)
-				if !ok || !g.enqueueRemote(m*rq.OutPorts()+p, msg.Req) {
-					break
-				}
-				rq.Pop(p, now)
-			}
-		}
-		for p := 0; p < rp.OutPorts(); p++ {
-			for {
-				msg, ok := rp.Peek(p, now)
-				if !ok || !acceptReply(m*rp.OutPorts()+p, msg.Req, now) {
-					break
-				}
-				rp.Pop(p, now)
-			}
-		}
+		// Port indices are local to the module.
+		slice0, dst0 := m*rq.OutPorts(), m*rp.OutPorts()
+		rq.Drain(now, func(p int, msg noc.Msg) bool { return g.enqueueRemote(slice0+p, msg.Req) })
+		rp.Drain(now, func(p int, msg noc.Msg) bool { return acceptReply(dst0+p, msg.Req, now) })
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"github.com/nuba-gpu/nuba/internal/config"
 	"github.com/nuba-gpu/nuba/internal/kir"
+	"github.com/nuba-gpu/nuba/internal/noc"
 	"github.com/nuba-gpu/nuba/internal/sim"
 )
 
@@ -128,16 +129,24 @@ func TestWatchdogToleratesTransientStall(t *testing.T) {
 // The report renders wake hints relative to the hang cycle and
 // summarizes per kind what the listing left out.
 func TestHangReportRendering(t *testing.T) {
+	// A crossbar wedged with its one message past the input stage: the
+	// row says where it sits (Occupancy, input queues only, reads 0).
+	x := noc.NewCrossbar(16, 16, 16, 8, 8, 8)
+	x.Inject(0, 990, noc.Msg{Req: &sim.MemReq{}, Dst: 9, Bytes: sim.ReqBytes})
+	x.Tick(991)
+	xbar := xbarPart{x}
 	r := HangReport{
 		Cycle: 1000, LastProgress: 500, Window: 400, Reason: "no-progress",
 		Stuck: []ComponentState{
 			{Name: "SM 0", Wake: 1001, Detail: "warps=3"},
 			{Name: "LLC slice 1", Wake: sim.Never, Detail: "mshr=2"},
+			{Name: "req crossbar 0", Wake: xbar.wakeAt(1000), Detail: xbar.detail(1000)},
 		},
 		omitted: []kindCount{{"SM", 60}, {"LLC slice", 3}},
 	}
 	s := r.String()
 	for _, want := range []string{"cycle 1000", "no-progress", "SM 0", "wake=+1", "wake=never",
+		"req crossbar 0", "in=0 mid=1 out=0",
 		"... and 60 more pending", "... and 3 more pending"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("report missing %q:\n%s", want, s)

@@ -54,14 +54,23 @@ type inPort struct {
 // Crossbar is a hierarchical switch with inPorts input ports and outPorts
 // output ports of width bytes/cycle each.
 type Crossbar struct {
-	width     int
-	stageLat  sim.Cycle
-	inGroups  int
-	outGroups int
-	in        []inPort
-	// mid[ig*outGroups+og] carries ingress group ig -> egress group og.
+	width    int
+	stageLat sim.Cycle
+	inGroups int
+	in       []inPort
+	// mid[og*inGroups+ig] carries ingress group ig -> egress group og:
+	// egress-group-major, so ascending index is stage 2's arbitration
+	// order.
 	mid []*sim.Link[Msg]
 	out []*sim.Link[Msg]
+	// Occupancy words, one bit per input queue, middle link and egress
+	// link, set while it holds a message. They are maintained where a
+	// message enters or leaves (Inject, Tick, pop) and are what Tick,
+	// Drain, Pending and NextEvent walk, so an empty carrier costs nothing.
+	inOcc, midOcc, outOcc sim.Bits
+	// arrival[p] is out[p].NextReady(), sim.Never while the port is empty:
+	// a port whose head has not arrived costs Drain and Pop one compare.
+	arrival []sim.Cycle
 }
 
 // NewCrossbar returns a hierarchical crossbar. latency is the end-to-end
@@ -76,20 +85,26 @@ func NewCrossbar(inPorts, outPorts, width int, latency sim.Cycle, inBuf, outBuf 
 	if stageLat < 1 {
 		stageLat = 1
 	}
+	wi, wm := sim.BitWords(inPorts), sim.BitWords(ig*og)
+	occ := make(sim.Bits, wi+wm+sim.BitWords(outPorts))
 	x := &Crossbar{
-		width:     width,
-		stageLat:  stageLat,
-		inGroups:  ig,
-		outGroups: og,
-		in:        make([]inPort, inPorts),
-		mid:       make([]*sim.Link[Msg], ig*og),
-		out:       make([]*sim.Link[Msg], outPorts),
+		width:    width,
+		stageLat: stageLat,
+		inGroups: ig,
+		in:       make([]inPort, inPorts),
+		mid:      make([]*sim.Link[Msg], ig*og),
+		out:      make([]*sim.Link[Msg], outPorts),
+		inOcc:    occ[:wi],
+		midOcc:   occ[wi : wi+wm],
+		outOcc:   occ[wi+wm:],
+		arrival:  make([]sim.Cycle, outPorts),
 	}
 	for i := range x.in {
 		x.in[i].q = sim.NewQueue[Msg](inBuf)
 	}
 	for i := range x.out {
 		x.out[i] = sim.NewLink[Msg](stageLat, width, outBuf)
+		x.arrival[i] = sim.Never
 	}
 	for i := range x.mid {
 		x.mid[i] = sim.NewLink[Msg](stageLat, MidSpeedup*width, outBuf)
@@ -123,6 +138,7 @@ func (x *Crossbar) Inject(port int, now sim.Cycle, m Msg) bool {
 	p.nextFree = now + ser
 	p.busy += int64(ser)
 	p.q.Push(m)
+	x.inOcc.Set(port)
 	p.bytes += int64(m.Bytes)
 	return true
 }
@@ -140,31 +156,48 @@ func (x *Crossbar) Bytes() int64 {
 // Tick advances both stages by one cycle.
 func (x *Crossbar) Tick(now sim.Cycle) {
 	// Stage 1: move input heads into the middle links.
-	for i := range x.in {
+	for i := x.inOcc.Next(0); i >= 0; i = x.inOcc.Next(i + 1) {
 		p := &x.in[i]
-		m, ok := p.q.Peek()
-		if !ok {
-			continue
-		}
-		ig, og := i/GroupSize, m.Dst/GroupSize
-		if x.mid[ig*x.outGroups+og].Send(now, m, m.Bytes) {
-			p.q.Pop()
+		m, _ := p.q.Peek()
+		k := m.Dst/GroupSize*x.inGroups + i/GroupSize
+		if x.mid[k].Send(now, m, m.Bytes) {
+			x.midOcc.Set(k)
+			if p.q.Pop(); p.q.Empty() {
+				x.inOcc.Clear(i)
+			}
 		}
 	}
 	// Stage 2: drain arrived middle-link heads into the egress links.
-	for og := 0; og < x.outGroups; og++ {
-		for ig := 0; ig < x.inGroups; ig++ {
-			link := x.mid[ig*x.outGroups+og]
-			for {
-				m, ok := link.Peek(now)
-				if !ok {
-					break
-				}
-				if !x.out[m.Dst].Send(now, m, m.Bytes) {
-					break
-				}
-				link.Pop(now)
+	for k := x.midOcc.Next(0); k >= 0; k = x.midOcc.Next(k + 1) {
+		link := x.mid[k]
+		for {
+			m, ok := link.Peek(now)
+			if !ok || !x.out[m.Dst].Send(now, m, m.Bytes) {
+				break
 			}
+			link.Pop(now)
+			if x.arrival[m.Dst] == sim.Never {
+				x.outOcc.Set(m.Dst)
+				x.arrival[m.Dst] = x.out[m.Dst].NextReady()
+			}
+		}
+		if link.Pending() == 0 {
+			x.midOcc.Clear(k)
+		}
+	}
+}
+
+// Drain offers every delivered message to sink, egress ports in
+// ascending order and each port's messages in arrival order. A message
+// sink refuses (back-pressure) stays at the head of its port, which is
+// not offered again this cycle.
+func (x *Crossbar) Drain(now sim.Cycle, sink func(port int, m Msg) bool) {
+	for p := x.outOcc.Next(0); p >= 0; p = x.outOcc.Next(p + 1) {
+		for x.arrival[p] <= now {
+			if m, _ := x.out[p].Peek(now); !sink(p, m) {
+				break
+			}
+			x.pop(p, now)
 		}
 	}
 }
@@ -172,13 +205,19 @@ func (x *Crossbar) Tick(now sim.Cycle) {
 // Pop retrieves the next delivered message at output port, if any has
 // arrived by cycle now.
 func (x *Crossbar) Pop(port int, now sim.Cycle) (Msg, bool) {
-	return x.out[port].Pop(now)
+	if x.arrival[port] > now {
+		return Msg{}, false
+	}
+	return x.pop(port, now), true
 }
 
-// Peek inspects the next delivered message at output port without
-// consuming it.
-func (x *Crossbar) Peek(port int, now sim.Cycle) (Msg, bool) {
-	return x.out[port].Peek(now)
+// pop consumes the arrived head of an egress link.
+func (x *Crossbar) pop(port int, now sim.Cycle) Msg {
+	m, _ := x.out[port].Pop(now)
+	if x.arrival[port] = x.out[port].NextReady(); x.arrival[port] == sim.Never {
+		x.outOcc.Clear(port)
+	}
+	return m
 }
 
 // Occupancy returns the number of messages buffered at the input stage
@@ -191,14 +230,29 @@ func (x *Crossbar) Occupancy() int {
 	return n
 }
 
-// NextEvent returns the crossbar's wake hint: a crossbar holding any
-// message moves it between stages on the very next tick, so the hint
-// is now+1 while occupied and sim.Never when empty.
+// Occupied returns how many input queues, middle links and egress links
+// hold a message: where a wedged crossbar's traffic sits.
+func (x *Crossbar) Occupied() (in, mid, out int) {
+	return x.inOcc.Count(), x.midOcc.Count(), x.outOcc.Count()
+}
+
+// NextEvent returns the crossbar's wake hint. An occupied input queue
+// tries its middle link on the very next tick, and so does a head that
+// has arrived and was refused: now+1. Otherwise nothing moves before the
+// earliest head arrival over the occupied middle and egress links;
+// sim.Never when empty.
 func (x *Crossbar) NextEvent(now sim.Cycle) sim.Cycle {
-	if x.Pending() {
+	if x.inOcc.Any() {
 		return now + 1
 	}
-	return sim.Never
+	wake := sim.Never
+	for k := x.midOcc.Next(0); k >= 0; k = x.midOcc.Next(k + 1) {
+		wake = min(wake, x.mid[k].NextReady())
+	}
+	for p := x.outOcc.Next(0); p >= 0; p = x.outOcc.Next(p + 1) {
+		wake = min(wake, x.arrival[p])
+	}
+	return max(wake, now+1)
 }
 
 // StateSig returns a signature of the crossbar's observable state: the
@@ -223,22 +277,7 @@ func (x *Crossbar) StateSig() uint64 {
 
 // Pending reports whether any message is buffered or in flight.
 func (x *Crossbar) Pending() bool {
-	for i := range x.in {
-		if !x.in[i].q.Empty() {
-			return true
-		}
-	}
-	for _, l := range x.out {
-		if l.Pending() > 0 {
-			return true
-		}
-	}
-	for _, l := range x.mid {
-		if l.Pending() > 0 {
-			return true
-		}
-	}
-	return false
+	return x.inOcc.Any() || x.midOcc.Any() || x.outOcc.Any()
 }
 
 // BusyCycles returns total link-serialization cycles (inputs, middle
