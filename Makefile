@@ -47,10 +47,15 @@ race:
 # fabric's: the other four stay ≥ 97 % local on NUBA, its atomics are 82 %
 # remote, and on the memory-side UBA every miss crosses both crossbars —
 # the flights the crossbar's earliest-arrival hint lets the engine skip.
+# The SM-side UBA is the one layout whose coherence invalidations enter
+# slices through EnqueueLocal/EnqueueRemote off the inter-half links, so
+# the per-component sleep check (DESIGN.md §9 "Sleep deadlines") runs to
+# natural completion on all three builders' doors.
 # The full capped suite runs under `go test .` (TestSanitizeSuite).
 sanitize:
 	$(GO) run ./cmd/nubasim -bench DWT2D,BH,MVT,AN,SM -scale 0.125 -engine sanitize
 	$(GO) run ./cmd/nubasim -arch uba -bench SM -scale 0.125 -engine sanitize
+	$(GO) run ./cmd/nubasim -arch sm-side -bench SM -scale 0.125 -engine sanitize
 
 # The seeded fault-injection stress matrix (docs/ROBUSTNESS.md): every
 # fault class injected into a short run and caught by the layer that

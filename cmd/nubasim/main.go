@@ -44,7 +44,7 @@ func run() int {
 	pae := flag.Bool("pae", false, "use the PAE address mapping")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "benchmarks to simulate in parallel (1 = serial)")
-	verbose := flag.Bool("v", false, "per-run progress on stderr (multi-benchmark mode)")
+	verbose := flag.Bool("v", false, "on stderr: per-run progress (multi-benchmark mode) or the cycle loop's own counters (one benchmark)")
 	traceOn := flag.Bool("trace", false, "emit an NDJSON epoch trace and a Chrome trace (docs/OBSERVABILITY.md)")
 	traceOut := flag.String("trace-out", "trace", "trace output path prefix; writes <prefix>.ndjson and <prefix>.trace.json (multi-benchmark runs insert the benchmark abbreviation)")
 	traceEpoch := flag.Int64("trace-epoch", 0, "trace sampling interval in cycles (0 = the config's MDR epoch)")
@@ -126,14 +126,14 @@ func run() int {
 	wd := nuba.WatchdogOptions{NoProgressCycles: *watchdog}
 	switch {
 	case len(benches) == 1:
-		err = runOne(ctx, cfg, benches[0], tr, engine, wd)
+		err = runOne(ctx, cfg, benches[0], tr, engine, wd, *verbose)
 	case tr.on:
 		// A traced suite is a debugging run, not a throughput one: one
 		// benchmark after another, each with its own pair of files.
 		for _, b := range benches {
 			btr := tr
 			btr.out = tr.out + "." + b.Abbr
-			if err = runOne(ctx, cfg, b, btr, engine, wd); err != nil {
+			if err = runOne(ctx, cfg, b, btr, engine, wd, false); err != nil {
 				break
 			}
 		}
@@ -209,7 +209,7 @@ func openTrace(prefix string, epoch int64) (*nuba.TraceOptions, []*sink, error) 
 }
 
 // runOne simulates a single benchmark and prints the full statistics.
-func runOne(ctx context.Context, cfg nuba.Config, b nuba.Benchmark, tr traceArgs, engine nuba.Engine, wd nuba.WatchdogOptions) error {
+func runOne(ctx context.Context, cfg nuba.Config, b nuba.Benchmark, tr traceArgs, engine nuba.Engine, wd nuba.WatchdogOptions, verbose bool) error {
 	fmt.Printf("running %s (%s) on %s...\n", b.Abbr, b.Name, cfg.Name())
 	var topts *nuba.TraceOptions
 	var sinks []*sink
@@ -229,6 +229,9 @@ func runOne(ctx context.Context, cfg nuba.Config, b nuba.Benchmark, tr traceArgs
 	}
 	if err != nil {
 		return err
+	}
+	if verbose {
+		fmt.Fprintln(os.Stderr, "engine:", res.System.EngineStats())
 	}
 	st := res.Stats
 	fmt.Printf("cycles:            %d\n", st.Cycles)

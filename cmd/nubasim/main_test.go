@@ -56,6 +56,13 @@ func TestMultiBenchmarkMode(t *testing.T) {
 		t.Errorf("no FAILED JOBS section naming LBM's hang:\n%s", stdout)
 	}
 
+	// One benchmark, -v: the cycle loop's own counters, on stderr only.
+	if stdout, stderr, code = run("-bench", "LEU", "-scale", "0.125", "-v"); code != 0 ||
+		!regexp.MustCompile(`(?m)^engine: cycles stepped=[1-9][0-9]* skipped=[1-9][0-9]*; ticks ran/slept, SM [1-9][0-9]*/[1-9]`).MatchString(stderr) ||
+		strings.Contains(stdout, "engine:") {
+		t.Errorf("-v on one benchmark: exit %d, stderr %q", code, stderr)
+	}
+
 	if _, stderr, code = run("-bench", "nosuch"); code != 2 || !strings.Contains(stderr, "nosuch") {
 		t.Errorf("unknown benchmark: exit %d, stderr %q", code, stderr)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -38,6 +39,7 @@ type cappedCapture struct {
 	series  []byte
 	outcome string // "drained" or the run error text
 	live    int64  // memory requests not yet retired when the run ended
+	digest  uint64 // Stats.Digest of the run
 }
 
 // cappedConfig is the system the whole-suite identity tests share
@@ -89,6 +91,7 @@ func runCapped(t *testing.T, b Benchmark, e Engine, window int64) cappedCapture 
 		series:  series.Bytes(),
 		outcome: outcome,
 		live:    g.LiveRequests(),
+		digest:  st.Digest(),
 	}
 }
 
@@ -107,6 +110,44 @@ func cappedReference(t *testing.T, b Benchmark) cappedCapture {
 		cappedRefs[b.Abbr] = ref
 	}
 	return ref
+}
+
+// TestSuiteDigestsGolden pins what the simulator says: one Stats digest
+// per Table 2 benchmark from the capped reference runs the other
+// whole-suite tests already share, against testdata/suite_digests.txt. A
+// PR that moves a simulated cycle anywhere in the suite fails here naming
+// the benchmarks; one that means to regenerates the file and shows the
+// moved rows as its diff:
+//
+//	REGEN=1 go test -run TestSuiteDigestsGolden .
+func TestSuiteDigestsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed; runs the shared reference of every benchmark")
+	}
+	const golden = "testdata/suite_digests.txt"
+	var got strings.Builder
+	for _, b := range Suite() {
+		fmt.Fprintf(&got, "%-8s %016x\n", b.Abbr, cappedReference(t, b).digest)
+	}
+	if os.Getenv("REGEN") != "" {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLines, gotLines := strings.Split(string(want), "\n"), strings.Split(got.String(), "\n")
+	if len(wantLines) != len(gotLines) {
+		t.Fatalf("%s has %d lines, the suite %d: regenerate it (REGEN=1)", golden, len(wantLines), len(gotLines))
+	}
+	for i, w := range wantLines {
+		if gotLines[i] != w {
+			t.Errorf("simulated statistics moved:\n got  %s\n want %s", gotLines[i], w)
+		}
+	}
 }
 
 func TestEnginesByteIdenticalAcrossSuite(t *testing.T) {

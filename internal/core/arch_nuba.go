@@ -18,17 +18,17 @@ import (
 func (g *GPU) buildNUBA() {
 	g.setMods(max(g.cfg.NumModules, 1))
 	g.buildXbars(g.slicesPerMod, g.slicesPerMod)
+	g.smReqOcc, g.sliceReplyOcc = sim.NewBits(len(g.sms)), sim.NewBits(len(g.slices))
 	for i := range g.sms {
 		l := sim.NewLink[*sim.MemReq](g.cfg.LocalLinkLatency, g.cfg.LocalLinkBytes, g.cfg.LocalLinkBuffer)
 		g.smReqLinks = append(g.smReqLinks, l)
-		g.register(linkPart[*sim.MemReq]{l}, "SM-request link", i, -1)
+		g.registerLink(l, "SM-request link", i, g.smReqOcc)
 	}
 	for j := range g.slices {
 		l := sim.NewLink[*sim.MemReq](g.cfg.LocalLinkLatency, g.cfg.LocalLinkBytes, g.cfg.LocalLinkBuffer)
 		g.sliceReplyLinks = append(g.sliceReplyLinks, l)
-		g.register(linkPart[*sim.MemReq]{l}, "slice-reply link", j, -1)
+		g.registerLink(l, "slice-reply link", j, g.sliceReplyOcc)
 	}
-	g.smReqOcc, g.sliceReplyOcc = sim.NewBits(len(g.sms)), sim.NewBits(len(g.slices))
 	g.buildInterModule()
 
 	if g.cfg.Replication == config.MDR {

@@ -39,7 +39,7 @@ loop:
   exit
 `
 
-func tinyLaunch(t *testing.T, g *GPU, grid int, iters int64) *kir.Launch {
+func tinyLaunch(t testing.TB, g *GPU, grid int, iters int64) *kir.Launch {
 	t.Helper()
 	k := kir.MustParse(tinyStream)
 	kir.AnalyzeReadOnly(k)

@@ -98,20 +98,50 @@ func EngineUsage() string {
 // SetEngine selects the cycle-loop strategy for subsequent runs.
 func (g *GPU) SetEngine(e Engine) { g.engine = e }
 
+// The kinds of component that sleep (DESIGN.md §9), and their row labels.
+const kindSM, kindSlice, kindChan = 0, 1, 2
+
+var kindLabel = [...]string{"SM", "LLC slice", "DRAM channel"}
+
+// EngineStats counts what the cycle loop did, not what the GPU did. It
+// differs between engines by design, so it stays out of metrics.Stats,
+// the digest, the memo key and every report (docs/OBSERVABILITY.md).
+type EngineStats struct {
+	Stepped, Skipped int64    // cycles run through step / jumped over
+	Ran, Slept       [3]int64 // component ticks on stepped cycles, by kind
+}
+
+// EngineStats returns the counters so far.
+func (g *GPU) EngineStats() EngineStats { return g.es }
+
+// String renders the counters as nubasim -v's one "engine:" line.
+func (es EngineStats) String() string {
+	return fmt.Sprintf("cycles stepped=%d skipped=%d; ticks ran/slept, SM %d/%d, LLC slice %d/%d, DRAM channel %d/%d",
+		es.Stepped, es.Skipped, es.Ran[kindSM], es.Slept[kindSM], es.Ran[kindSlice], es.Slept[kindSlice], es.Ran[kindChan], es.Slept[kindChan])
+}
+
 // componentWake returns the earliest cycle at which any component could
 // make progress on its own: g.cycle+1 while something is active, a future
 // cycle when everything is parked on known timers (DRAM bursts, LLC
 // pipelines, link arrivals, scheduler sleeps), and sim.Never when every
 // component is drained or waiting on another one. The table is ordered
 // SMs first and the scan returns as soon as one active component proves
-// the next cycle must run, so its cost on busy cycles is one SM hint.
+// the next cycle must run, so its cost on busy cycles is one SM hint. A
+// sleeping row is not asked: its stored deadline is the hint its last
+// tick computed, and no door has opened since. Nor is an empty NUBA link.
 func (g *GPU) componentWake() sim.Cycle {
 	now := g.cycle
 	next := now + 1
 	wake := sim.Never
 	for i := range g.parts {
-		t := g.parts[i].wakeAt(now)
-		if t <= next {
+		p := &g.parts[i]
+		if p.occ != nil && *p.occ&p.bit == 0 {
+			continue
+		}
+		var t sim.Cycle
+		if p.sleep != nil && *p.sleep > next {
+			t = *p.sleep
+		} else if t = p.wakeAt(now); t <= next {
 			return next
 		}
 		if t < wake {
@@ -166,7 +196,7 @@ func (g *GPU) nextWake() sim.Cycle {
 // while idle-heavy workloads still fast-forward promptly. The sanitizer
 // keeps the stride at zero so it scans — and can verify — every cycle.
 func (g *GPU) advance(target sim.Cycle) error {
-	for g.cycle < target {
+	for g.cycle < target && g.unsound == nil {
 		w := g.cycle + 1
 		if g.engine != EngineNaive {
 			w = g.nextWake()
@@ -189,10 +219,11 @@ func (g *GPU) advance(target sim.Cycle) error {
 			}
 			continue
 		}
+		g.es.Skipped += end - g.cycle
 		g.cycle = end
 		if w <= target {
 			g.step()
 		}
 	}
-	return nil
+	return g.unsound
 }

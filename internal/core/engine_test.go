@@ -351,3 +351,35 @@ func BenchmarkStepEmptyFabric(b *testing.B) {
 		g.step()
 	}
 }
+
+// BenchmarkStepOnePartitionBusy is one stepped cycle of the shape NUBA's
+// premise predicts and bench/ has no row for: one SM streaming through
+// its partition's slice and channel on a scale-0.25 NUBA GPU, the other
+// seven partitions asleep.
+func BenchmarkStepOnePartitionBusy(b *testing.B) {
+	g := MustNew(config.Baseline().Scale(0.25).WithArch(config.NUBA))
+	l := tinyLaunch(b, g, 1, 64)
+	g.prewarm(l)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if g.sms[0].Idle() {
+			g.assignCTAs(l)
+		}
+		g.step()
+	}
+}
+
+// BenchmarkComponentWake is the hint scan alone over a quiet scale-0.25
+// NUBA GPU: every SM, slice and channel asleep, every NUBA link empty.
+func BenchmarkComponentWake(b *testing.B) {
+	g := MustNew(config.Baseline().Scale(0.25).WithArch(config.NUBA))
+	g.step() // a first tick puts every component to sleep
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if g.componentWake() != sim.Never {
+			b.Fatal("the quiet GPU has a wake-up")
+		}
+	}
+}

@@ -85,6 +85,9 @@ type GPU struct {
 	// machine busy. Purely an engine-speed knob — never observable in
 	// simulated state.
 	busyStride sim.Cycle
+	es         EngineStats
+	// unsound is the first unsound sleep the sanitizer found (checkSleeper).
+	unsound error
 	// flt is the armed fault-injection state (fault.go); nil unless a
 	// test called Inject.
 	flt *coreFault
@@ -126,6 +129,8 @@ func New(cfg config.Config) (*GPU, error) {
 		migQueue:    sim.NewQueue[*sim.MemReq](0),
 		invalQueue:  sim.NewQueue[*sim.MemReq](0),
 		nextMigScan: cfg.MigrationInterval,
+		// Room for NUBA's table, the largest: two rows per SM and slice.
+		parts: make([]part, 0, 2*(cfg.NumSMs+cfg.NumLLCSlices)+cfg.NumChannels+8),
 	}
 	g.mapper = addrmap.New(&g.cfg)
 	g.drv = driver.New(&g.cfg, g.mapper)
@@ -139,7 +144,7 @@ func New(cfg config.Config) (*GPU, error) {
 		s.VMRequest = vmRequest
 		s.PageLookup = g.pageLookup(s.Part)
 		g.sms = append(g.sms, s)
-		g.register(smPart{s}, "SM", i, -1)
+		g.register(smPart{s}, kindLabel[kindSM], i, -1)
 	}
 	for j := 0; j < cfg.NumLLCSlices; j++ {
 		sl := llc.New(j, g.cfg.PartitionOfSlice(j), &g.cfg, g.stats)
@@ -166,13 +171,13 @@ func New(cfg config.Config) (*GPU, error) {
 	}
 
 	for j, sl := range g.slices {
-		g.register(slicePart{sl}, "LLC slice", j, -1)
+		g.register(slicePart{sl}, kindLabel[kindSlice], j, -1)
 	}
 	div := sim.Cycle(cfg.MemClockDiv)
 	chanParts := make([]chanPart, len(g.chans))
 	for c, ch := range g.chans {
 		chanParts[c] = chanPart{ch, div}
-		g.register(&chanParts[c], "DRAM channel", c, -1)
+		g.register(&chanParts[c], kindLabel[kindChan], c, -1)
 	}
 	g.register(vmPart{g.vmsys}, "vm system", -1, -1)
 	g.register(coreQueues{g}, "core queues", -1, -1)

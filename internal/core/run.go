@@ -129,17 +129,28 @@ func (g *GPU) runUntilIdle(ctx context.Context) error {
 // function that sequences component ticks: translation, SMs, the
 // architecture's fabric (links, crossbars and the egress deliveries
 // between SMs and slices), slices, channels on the memory clock, then
-// the timers. A frozen component (fault.go) is one whose tick is skipped.
+// the timers. A frozen component (fault.go) is one whose tick is skipped;
+// so is one whose sleep deadline is in the future — but naive ignores
+// deadlines and the sanitizer ticks the sleeper anyway (checkSleeper).
 func (g *GPU) step() {
 	g.cycle++
 	now := g.cycle
 	flt := g.flt
+	gate, check := g.engine != EngineNaive, g.engine == EngineSanitize
+	g.es.Stepped++
 
 	g.vmsys.Tick(now)
 	for i, s := range g.sms {
 		if flt != nil && flt.frozen(WedgeSM, i, now) {
 			continue
 		}
+		if gate && now < *s.SleepUntil() {
+			if g.es.Slept[kindSM]++; check {
+				g.checkSleeper(kindSM, i, s, now)
+			}
+			continue
+		}
+		g.es.Ran[kindSM]++
 		s.Tick(now)
 	}
 	g.moveFabric(now)
@@ -147,11 +158,25 @@ func (g *GPU) step() {
 		if flt != nil && flt.frozen(StallLLC, j, now) {
 			continue
 		}
+		if gate && now < *sl.SleepUntil() {
+			if g.es.Slept[kindSlice]++; check {
+				g.checkSleeper(kindSlice, j, sl, now)
+			}
+			continue
+		}
+		g.es.Ran[kindSlice]++
 		sl.Tick(now)
 	}
 	if now%sim.Cycle(g.cfg.MemClockDiv) == 0 {
 		mem := int64(now) / int64(g.cfg.MemClockDiv)
-		for _, ch := range g.chans {
+		for c, ch := range g.chans {
+			if gate && now < *ch.SleepUntil() {
+				if g.es.Slept[kindChan]++; check {
+					g.checkSleeper(kindChan, c, ch, mem)
+				}
+				continue
+			}
+			g.es.Ran[kindChan]++
 			ch.Tick(mem)
 		}
 	}

@@ -1,0 +1,131 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+
+	"github.com/nuba-gpu/nuba/internal/config"
+	"github.com/nuba-gpu/nuba/internal/sim"
+)
+
+// Sleep deadlines (DESIGN.md §9) under test from the core's side. The
+// three tests below write a wrong deadline through the table row's
+// pointer — the place the engine reads it — so no component carries
+// scaffolding for them and no Fault kind exists for them.
+
+// napping launches the tiny kernel on one SM of a fresh NUBA GPU under
+// engine e and steps until SM 0 sleeps on a scoreboard timer with live
+// warps and no memory request out: a finite deadline that no door can
+// clear before it comes due. It returns the GPU and SM 0's table row.
+func napping(t *testing.T, e Engine, window sim.Cycle, extra ...component) (*GPU, *part) {
+	t.Helper()
+	g := MustNew(tinyConfig(config.NUBA))
+	g.SetEngine(e)
+	g.SetWatchdog(window)
+	for _, c := range extra {
+		g.register(c, "test row", -1, -1)
+	}
+	g.assignCTAs(tinyLaunch(t, g, 1, 4))
+	row := &g.parts[0]
+	if row.name() != "SM 0" || row.sleep != g.sms[0].SleepUntil() {
+		t.Fatalf("row 0 is %q and does not point at SM 0's deadline", row.name())
+	}
+	for g.cycle < 1000 {
+		if err := g.advance(g.cycle + 1); err != nil {
+			t.Fatal(err)
+		}
+		if d := *row.sleep; d > g.cycle+1 && d != sim.Never {
+			if g.sms[0].Idle() || g.sms[0].LiveRequests() != 0 {
+				t.Fatal("scenario drifted: SM 0 must nap with live warps and nothing in flight")
+			}
+			return g, row
+		}
+	}
+	t.Fatal("SM 0 never slept on a timer")
+	return nil, nil
+}
+
+// busyRow is a table row that holds no work and always asks for the
+// next cycle: with it registered the hint scan never finds an idle
+// window, so every cycle is a stepped one.
+type busyRow struct{}
+
+func (busyRow) wakeAt(now sim.Cycle) sim.Cycle { return now + 1 }
+func (busyRow) pending() bool                  { return false }
+func (busyRow) StateSig() uint64               { return sim.SigSeed }
+func (busyRow) detail(sim.Cycle) string        { return "" }
+
+// A deadline one cycle late is an unsound sleep: hybrid would skip the
+// tick that issues the next instruction. The sanitizer ticks every
+// sleeper anyway and must fail the run naming the component and the
+// cycle — here on a stepped cycle outside any idle window, where the
+// whole-GPU check (verifyIdleWindow) never looks.
+func TestSanitizeCatchesUnsoundSleep(t *testing.T) {
+	g, row := napping(t, EngineSanitize, 0, busyRow{})
+	due := *row.sleep
+	*row.sleep = due + 1
+	err := g.runUntilIdle(context.Background())
+	if err == nil {
+		t.Fatal("sanitize engine accepted a sleep deadline one cycle late")
+	}
+	want := fmt.Sprintf("sanitize: unsound sleep: SM 0 changed state when ticked at cycle %d", due)
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("diagnostic = %v\nwant it to say %q", err, want)
+	}
+}
+
+// Naive is the independent reference: it ticks a component whatever its
+// deadline says, so a deadline of Never on an SM with live warps changes
+// nothing — and every cross-engine identity suite therefore proves
+// hybrid's gate, not a shared mistake.
+func TestNaiveIgnoresSleep(t *testing.T) {
+	clean, _ := napping(t, EngineHybrid, 0)
+	if err := clean.runUntilIdle(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	g, row := napping(t, EngineNaive, 0)
+	*row.sleep = sim.Never
+	if err := g.runUntilIdle(context.Background()); err != nil {
+		t.Fatalf("naive engine honoured a sleep deadline: %v", err)
+	}
+	if a, b := fmt.Sprintf("%+v", *clean.Stats()), fmt.Sprintf("%+v", *g.Stats()); a != b {
+		t.Errorf("naive with a poisoned deadline diverges from hybrid\nhybrid: %s\nnaive:  %s", a, b)
+	}
+	if es := g.EngineStats(); es.Slept != [3]int64{} || es.Skipped != 0 {
+		t.Errorf("naive slept or skipped: %v", es)
+	}
+	if es := clean.EngineStats(); es.Slept[kindSM] == 0 || es.Skipped == 0 {
+		t.Errorf("hybrid neither slept nor skipped: %v", es)
+	}
+}
+
+// A lost wake-up — work to do, a deadline that says never — is the bug
+// class sleep deadlines introduce, and without a watchdog it burns to
+// MaxCycles. With one it must be a HangError within the first sampling
+// interval, and the report must show the signature: a live hint of +1
+// next to asleep-until=never.
+func TestLostWakeIsAHang(t *testing.T) {
+	g, row := napping(t, EngineHybrid, 4096)
+	*row.sleep = sim.Never
+	err := g.runUntilIdle(context.Background())
+	var he *HangError
+	if !errors.As(err, &he) {
+		t.Fatalf("want *HangError, got %v", err)
+	}
+	if he.Report.Cycle > 4096 {
+		t.Errorf("hang declared at cycle %d; a lost wake-up must not wait out MaxCycles", he.Report.Cycle)
+	}
+	s := he.Report.String()
+	var line string
+	for _, l := range strings.Split(s, "\n") {
+		if strings.Contains(l, "SM 0 ") {
+			line = l
+		}
+	}
+	if !strings.Contains(line, "wake=+1") || !strings.HasSuffix(line, "asleep-until=never") {
+		t.Errorf("report does not show the lost wake-up on SM 0's line:\n%s", s)
+	}
+}

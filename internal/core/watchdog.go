@@ -96,6 +96,9 @@ type ComponentState struct {
 	// Wake is the component's claimed next wake-up cycle (sim.Never
 	// means it is only waiting on external input).
 	Wake sim.Cycle
+	// AsleepUntil is the component's stored sleep deadline when it lies
+	// beyond Wake — the signature of a lost wake-up — and 0 otherwise.
+	AsleepUntil sim.Cycle
 	// Detail is the component's DebugState / queue-depth summary.
 	Detail string
 }
@@ -141,12 +144,18 @@ func (r *HangReport) String() string {
 		fmt.Fprintf(&b, ": no component state change since cycle %d (window %d)", r.LastProgress, r.Window)
 	}
 	b.WriteByte('\n')
-	for _, c := range r.Stuck {
-		wake := "never"
-		if c.Wake != sim.Never {
-			wake = fmt.Sprintf("%+d", c.Wake-r.Cycle)
+	rel := func(t sim.Cycle) string {
+		if t == sim.Never {
+			return "never"
 		}
-		fmt.Fprintf(&b, "  %-24s wake=%-8s %s\n", c.Name, wake, c.Detail)
+		return fmt.Sprintf("%+d", t-r.Cycle)
+	}
+	for _, c := range r.Stuck {
+		fmt.Fprintf(&b, "  %-24s wake=%-8s %s", c.Name, rel(c.Wake), c.Detail)
+		if c.AsleepUntil != 0 {
+			fmt.Fprintf(&b, " asleep-until=%s", rel(c.AsleepUntil))
+		}
+		b.WriteByte('\n')
 	}
 	for _, k := range r.omitted {
 		fmt.Fprintf(&b, "  %-24s ... and %d more pending\n", k.label, k.n)
@@ -194,7 +203,11 @@ func (g *GPU) CaptureHang(reason string, window sim.Cycle, lastProgress sim.Cycl
 			continue
 		}
 		if pending[p.label]++; pending[p.label] <= hangReportMaxPerKind {
-			r.Stuck = append(r.Stuck, ComponentState{Name: p.name(), Wake: p.wakeAt(now), Detail: p.detail(now)})
+			c := ComponentState{Name: p.name(), Wake: p.wakeAt(now), Detail: p.detail(now)}
+			if p.sleep != nil && *p.sleep > c.Wake {
+				c.AsleepUntil = *p.sleep
+			}
+			r.Stuck = append(r.Stuck, c)
 		}
 	}
 	// A second walk of the table puts the summaries in table order too.

@@ -126,8 +126,9 @@ func TestWatchdogToleratesTransientStall(t *testing.T) {
 	}
 }
 
-// The report renders wake hints relative to the hang cycle and
-// summarizes per kind what the listing left out.
+// The report renders wake hints relative to the hang cycle, says so when
+// a row's stored sleep deadline lies beyond its live hint (a lost
+// wake-up) and summarizes per kind what the listing left out.
 func TestHangReportRendering(t *testing.T) {
 	// A crossbar wedged with its one message past the input stage: the
 	// row says where it sits (Occupancy, input queues only, reads 0).
@@ -140,6 +141,8 @@ func TestHangReportRendering(t *testing.T) {
 		Stuck: []ComponentState{
 			{Name: "SM 0", Wake: 1001, Detail: "warps=3"},
 			{Name: "LLC slice 1", Wake: sim.Never, Detail: "mshr=2"},
+			{Name: "LLC slice 2", Wake: 1001, AsleepUntil: sim.Never, Detail: "lmr=1"},
+			{Name: "DRAM channel 0", Wake: 1004, AsleepUntil: 1040, Detail: "q=1"},
 			{Name: "req crossbar 0", Wake: xbar.wakeAt(1000), Detail: xbar.detail(1000)},
 		},
 		omitted: []kindCount{{"SM", 60}, {"LLC slice", 3}},
@@ -147,6 +150,7 @@ func TestHangReportRendering(t *testing.T) {
 	s := r.String()
 	for _, want := range []string{"cycle 1000", "no-progress", "SM 0", "wake=+1", "wake=never",
 		"req crossbar 0", "in=0 mid=1 out=0",
+		"mshr=2\n", "lmr=1 asleep-until=never\n", "wake=+4       q=1 asleep-until=+40\n",
 		"... and 60 more pending", "... and 3 more pending"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("report missing %q:\n%s", want, s)

@@ -109,7 +109,15 @@ type Channel struct {
 	// groupBusy splits BusyCycles by the bank group that sourced the
 	// burst (the tracing layer's bank-group-pressure probe).
 	groupBusy []int64
+
+	// sleepUntil: ticking the channel before this *core* cycle is a
+	// proven no-op. Tick writes it from NextEvent; Enqueue, the one door
+	// work arrives through, clears it (DESIGN.md §9).
+	sleepUntil sim.Cycle
 }
+
+// SleepUntil is where the deadline lives; the caller gates, Tick does not.
+func (c *Channel) SleepUntil() *sim.Cycle { return &c.sleepUntil }
 
 // NewChannel returns channel id of the configuration.
 func NewChannel(id int, cfg *config.Config, mapper *addrmap.Mapper) *Channel {
@@ -206,6 +214,7 @@ func (c *Channel) Enqueue(req *sim.MemReq) bool {
 		c.stallFull++
 		return false
 	}
+	c.sleepUntil = 0
 	bi := c.mapper.Bank(req.Addr)
 	c.seq++
 	c.queue = append(c.queue, entry{
@@ -261,10 +270,17 @@ func (c *Channel) Tick(now int64) {
 			c.Respond(comp.req)
 		}
 	}
-	if len(c.queue) == 0 {
-		return
+	if len(c.queue) > 0 {
+		c.schedule(now)
 	}
+	c.sleepUntil = sim.Never
+	if m, ok := c.NextEvent(); ok {
+		c.sleepUntil = m * sim.Cycle(c.cfg.MemClockDiv)
+	}
+}
 
+// schedule issues at most one command for the queued requests.
+func (c *Channel) schedule(now int64) {
 	// FR-FCFS pass 1: the first request whose row is open and whose
 	// bank + data bus can take the CAS now. Whether the bus is free by
 	// the time the burst would start depends only on the kind, so it is

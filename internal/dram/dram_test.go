@@ -191,3 +191,44 @@ func TestUtilizationCounter(t *testing.T) {
 		t.Fatalf("data bus busy %d of 100 memory cycles", b)
 	}
 }
+
+// Enqueue is the one door work reaches a channel through, and it must
+// clear the sleep deadline (DESIGN.md §9 "Sleep deadlines"): a channel
+// the core has stopped ticking and that Enqueue does not wake never
+// issues the request. A table of one, like its siblings in llc and
+// smcore. The deadline is in core cycles.
+func TestDoorsWake(t *testing.T) {
+	for _, tc := range []struct {
+		door string
+		open func(ch *Channel)
+	}{
+		{"Enqueue", func(ch *Channel) { ch.Enqueue(&sim.MemReq{Kind: sim.Load, Addr: 0x3000}) }},
+	} {
+		t.Run(tc.door, func(t *testing.T) {
+			ch, _, cfg := newChan(t)
+			ch.Respond = func(*sim.MemReq) {}
+			div := sim.Cycle(cfg.MemClockDiv)
+			// Drained: asleep for ever. With a burst in flight: asleep
+			// until the core cycle its completion lands on.
+			ch.Tick(0)
+			if d := *ch.SleepUntil(); d != sim.Never {
+				t.Fatalf("drained channel asleep until %d, want Never", d)
+			}
+			ch.Enqueue(&sim.MemReq{Kind: sim.Load, Addr: 0x1000})
+			mem := int64(1)
+			for ; *ch.SleepUntil() <= (mem+1)*div; mem++ {
+				if mem > 1000 {
+					t.Fatal("channel never went to sleep")
+				}
+				ch.Tick(mem)
+			}
+			if d := *ch.SleepUntil(); d == sim.Never || d%div != 0 {
+				t.Fatalf("burst in flight: asleep until %d, want a memory-clock boundary", d)
+			}
+			tc.open(ch)
+			if d := *ch.SleepUntil(); d > mem*div {
+				t.Fatalf("%s left the channel asleep until core cycle %d at %d", tc.door, d, mem*div)
+			}
+		})
+	}
+}

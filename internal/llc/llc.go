@@ -79,7 +79,15 @@ type Slice struct {
 
 	// Invalidations counts coherence invalidations applied (SM-side UBA).
 	Invalidations int64
+
+	// sleepUntil: ticking the slice before this cycle is a proven no-op.
+	// Tick writes it from NextEvent; the doors work arrives through
+	// (Enqueue*, Accept*Fill, Flush) clear it (DESIGN.md §9).
+	sleepUntil sim.Cycle
 }
+
+// SleepUntil is where the deadline lives; the caller gates, Tick does not.
+func (s *Slice) SleepUntil() *sim.Cycle { return &s.sleepUntil }
 
 // New returns slice id in partition part.
 func New(id, part int, cfg *config.Config, stats *metrics.Stats) *Slice {
@@ -114,10 +122,10 @@ func (s *Slice) Tags() *cache.Cache { return s.tags }
 func (s *Slice) QueueDepths() (lmr, rmr int) { return s.lmr.Len(), s.rmr.Len() }
 
 // EnqueueLocal offers a request to the LMR queue.
-func (s *Slice) EnqueueLocal(req *sim.MemReq) bool { return s.lmr.Push(req) }
+func (s *Slice) EnqueueLocal(req *sim.MemReq) bool { s.sleepUntil = 0; return s.lmr.Push(req) }
 
 // EnqueueRemote offers a request to the RMR queue.
-func (s *Slice) EnqueueRemote(req *sim.MemReq) bool { return s.rmr.Push(req) }
+func (s *Slice) EnqueueRemote(req *sim.MemReq) bool { s.sleepUntil = 0; return s.rmr.Push(req) }
 
 // Pending reports whether the slice still holds work.
 func (s *Slice) Pending() bool {
@@ -172,6 +180,7 @@ func (s *Slice) StateSig() uint64 {
 // queue via SendMiss; lines that cannot be queued are retried by the
 // caller draining the outbox.
 func (s *Slice) Flush(now sim.Cycle) {
+	s.sleepUntil = 0
 	for _, line := range s.tags.InvalidateAll() {
 		s.outbox.Push(completion{ready: now, kind: outToMem, req: s.newWriteback(line)})
 	}
@@ -187,6 +196,7 @@ func (s *Slice) Tick(now sim.Cycle) {
 	s.deliver(now)
 	s.retirePipe(now)
 	s.arbitrate(now)
+	s.sleepUntil = s.NextEvent(now)
 }
 
 // deliver drains the outbox in order; a send failure blocks the head
@@ -346,6 +356,7 @@ func (s *Slice) newWriteback(line uint64) *sim.MemReq {
 // path) for an outstanding miss: install the line and reply to the
 // primary and all merged waiters.
 func (s *Slice) AcceptFill(req *sim.MemReq, now sim.Cycle) {
+	s.sleepUntil = 0
 	line := s.tags.LineAddr(req.Addr)
 	entry, ok := s.mshr.Release(line)
 	if !ok {
@@ -373,6 +384,7 @@ func (s *Slice) AcceptFill(req *sim.MemReq, now sim.Cycle) {
 // slice for a forwarded replica miss: install the line as a replica and
 // reply locally to the primary and merged waiters.
 func (s *Slice) AcceptReplicaFill(req *sim.MemReq, now sim.Cycle) {
+	s.sleepUntil = 0
 	line := s.tags.LineAddr(req.Addr)
 	entry, ok := s.mshr.Release(line)
 	if !ok {

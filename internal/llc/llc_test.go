@@ -241,3 +241,42 @@ func TestBackpressureRetries(t *testing.T) {
 		t.Fatal("miss not retried after unblock")
 	}
 }
+
+// Every door work can come through must clear the sleep deadline
+// (DESIGN.md §9 "Sleep deadlines"): a slice the core has stopped ticking
+// and that a door does not wake never runs again, and the run hangs.
+// One row per door, so a deleted reset fails by name.
+func TestDoorsWake(t *testing.T) {
+	for _, tc := range []struct {
+		door string
+		open func(h *harness, miss *sim.MemReq, now sim.Cycle)
+	}{
+		{"EnqueueLocal", func(h *harness, _ *sim.MemReq, _ sim.Cycle) { h.s.EnqueueLocal(load(9, 0x9000, 0)) }},
+		{"EnqueueRemote", func(h *harness, _ *sim.MemReq, _ sim.Cycle) { h.s.EnqueueRemote(load(9, 0x9000, 0)) }},
+		{"AcceptFill", func(h *harness, miss *sim.MemReq, now sim.Cycle) { h.s.AcceptFill(miss, now) }},
+		{"AcceptReplicaFill", func(h *harness, miss *sim.MemReq, now sim.Cycle) { h.s.AcceptReplicaFill(miss, now) }},
+		{"Flush", func(h *harness, _ *sim.MemReq, now sim.Cycle) { h.s.Flush(now) }},
+	} {
+		t.Run(tc.door, func(t *testing.T) {
+			// A miss sent to memory leaves the slice holding an MSHR
+			// entry and nothing to do: asleep until the fill.
+			h := newHarness(t)
+			miss := load(1, 0x1000, 0)
+			h.s.EnqueueLocal(miss)
+			now := sim.Cycle(1)
+			for ; *h.s.SleepUntil() != sim.Never; now++ {
+				if now > 1000 {
+					t.Fatal("slice never went to sleep")
+				}
+				h.s.Tick(now)
+			}
+			if len(h.misses) != 1 {
+				t.Fatalf("asleep with %d misses sent, want 1", len(h.misses))
+			}
+			tc.open(h, miss, now)
+			if d := *h.s.SleepUntil(); d > now {
+				t.Fatalf("%s left the slice asleep until %d at cycle %d", tc.door, d, now)
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@ package metrics
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
 )
 
@@ -92,6 +93,15 @@ type Stats struct {
 	CoreEnergyNJ   float64
 	LLCEnergyNJ    float64
 	StaticEnergyNJ float64
+}
+
+// Digest is FNV-1a over every field, name and value, in declaration
+// order: two runs share a digest exactly when they share every simulated
+// statistic (testdata/suite_digests.txt).
+func (s *Stats) Digest() uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", *s)
+	return h.Sum64()
 }
 
 // IPC returns warp instructions per cycle across the whole GPU.

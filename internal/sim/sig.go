@@ -6,7 +6,7 @@ package sim
 // at the start of a window the wake hints claim is idle, then steps
 // through the window and re-hashes after every cycle: any difference
 // proves a hint unsound and pins the violation to a cycle and a
-// component. Signatures are accumulated FNV-1a style:
+// component. Signatures are accumulated FNV-1a style, a word per step:
 //
 //	h := sim.SigSeed
 //	h = sim.MixSig(h, uint64(x))
@@ -22,14 +22,13 @@ const SigSeed uint64 = 14695981039346656037
 // sigPrime is the FNV-1a 64-bit prime.
 const sigPrime uint64 = 1099511628211
 
-// MixSig folds v into the signature h.
+// MixSig folds v into the signature h, a word at a time: each step is a
+// bijection on h, so one changed value always changes the result. The
+// sanitizer signs every sleeping component on every stepped cycle, which
+// is why this is three operations and not FNV's eight rounds.
 func MixSig(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= sigPrime
-		v >>= 8
-	}
-	return h
+	h = (h ^ v) * sigPrime
+	return h ^ h>>32
 }
 
 // MixSigBool folds a boolean into the signature h.

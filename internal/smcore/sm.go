@@ -171,7 +171,15 @@ type SM struct {
 
 	pageShift uint // log2(cfg.PageSize)
 	scratch   kir.MemInfo
+
+	// sleepUntil: ticking the SM before this cycle is a proven no-op.
+	// Tick writes it from NextWake; the doors work arrives through
+	// (StartKernel, AcceptReply, finishWalk) clear it (DESIGN.md §9).
+	sleepUntil sim.Cycle
 }
+
+// SleepUntil is where the deadline lives; the caller gates, Tick does not.
+func (s *SM) SleepUntil() *sim.Cycle { return &s.sleepUntil }
 
 // LSUOpsPerCycle is the number of line operations (TLB+L1 lookups) the
 // load-store unit performs per cycle — the L1 has one 128 B port, and the
@@ -225,6 +233,7 @@ func (s *SM) L1TLB() *vm.TLB { return s.l1TLB }
 // Taking the block as a range rather than a materialized slice keeps the
 // per-launch hot path allocation-free.
 func (s *SM) StartKernel(l *kir.Launch, lo, hi int) {
+	s.sleepUntil = 0
 	s.launch = l
 	for c := lo; c < hi; c++ {
 		s.ctaQueue.Push(c)
@@ -424,6 +433,7 @@ func (s *SM) Tick(now sim.Cycle) {
 			s.execWarp(slot, now)
 		}
 	}
+	s.sleepUntil = s.NextWake(now)
 }
 
 // drainSendQueue pushes pending requests into the interconnect.
@@ -706,6 +716,7 @@ func (s *SM) translate(acc *memAccess, line *lineReq, now sim.Cycle) bool {
 // miss. The physical frame is resolved when the LSU next processes the
 // line, so a migration that lands in between stays coherent.
 func (s *SM) finishWalk(acc *memAccess) {
+	s.sleepUntil = 0
 	line := &acc.lines[acc.nextLine]
 	s.l1TLB.Insert(line.vaddr>>s.pageShift, acc.walkAt)
 	line.state = lineTranslated
@@ -833,6 +844,7 @@ func (s *SM) completeLine(slot int, dstReg int8, readyAt, now sim.Cycle) {
 // AcceptReply handles a data reply (load/atomic) or store acknowledgement
 // arriving from the interconnect.
 func (s *SM) AcceptReply(req *sim.MemReq, now sim.Cycle) {
+	s.sleepUntil = 0
 	s.stats.MemLatencySum += int64(now - req.Issue)
 	s.stats.MemLatencyCount++
 	if req.Kind == sim.Store {

@@ -757,3 +757,67 @@ func TestRemovePosKeepsBitOrderAgeOrder(t *testing.T) {
 		}
 	}
 }
+
+// Every door work can come through must clear the sleep deadline
+// (DESIGN.md §9 "Sleep deadlines"): an SM the core has stopped ticking
+// and that a door does not wake never runs again, and the run hangs —
+// for minutes, at the test timeout. One row per door, so a deleted reset
+// fails here, by name, at once.
+func TestDoorsWake(t *testing.T) {
+	// asleep ticks the SM (and, with walks, the VM system) until its
+	// deadline is beyond the next cycle and ok holds.
+	asleep := func(t *testing.T, r *testRig, walks bool, ok func() bool) sim.Cycle {
+		for now := sim.Cycle(1); now < 100_000; now++ { // a first-touch fault is 28 k cycles
+			if walks {
+				r.vmsys.Tick(now)
+			}
+			r.sm.Tick(now)
+			if *r.sm.SleepUntil() > now+1 && ok() {
+				return now
+			}
+		}
+		t.Fatal("SM never went to sleep in the wanted state")
+		return 0
+	}
+	// translating returns the LSU access parked on a page walk, if any.
+	translating := func(s *SM) *memAccess {
+		for i := 0; i < s.lsu.Len(); i++ {
+			if acc := s.lsu.At(i); acc.nextLine < acc.n && acc.lines[acc.nextLine].state == lineTranslating {
+				return acc
+			}
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		door string
+		run  func(t *testing.T, r *testRig) sim.Cycle
+	}{
+		{"StartKernel", func(t *testing.T, r *testRig) sim.Cycle {
+			now := asleep(t, r, false, func() bool { return true }) // no kernel: asleep for ever
+			r.sm.StartKernel(rigLaunch(t, 1, 1), 0, 1)
+			return now
+		}},
+		{"AcceptReply", func(t *testing.T, r *testRig) sim.Cycle {
+			// Every warp waits on a load the rig never delivers.
+			r.sm.StartKernel(rigLaunch(t, 1, 1), 0, 1)
+			now := asleep(t, r, true, func() bool { return len(r.pending) > 0 })
+			r.sm.AcceptReply(r.pending[0], now)
+			return now
+		}},
+		{"finishWalk", func(t *testing.T, r *testRig) sim.Cycle {
+			// The VM system is never ticked: every warp waits on a walk.
+			r.sm.StartKernel(rigLaunch(t, 1, 1), 0, 1)
+			now := asleep(t, r, false, func() bool { return translating(r.sm) != nil })
+			translating(r.sm).walked()
+			return now
+		}},
+	} {
+		t.Run(tc.door, func(t *testing.T) {
+			r := newRig(t, 1<<40)
+			now := tc.run(t, r)
+			if d := *r.sm.SleepUntil(); d > now {
+				t.Fatalf("%s left the SM asleep until %d at cycle %d", tc.door, d, now)
+			}
+		})
+	}
+}
