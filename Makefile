@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint fmt-check docs-check test test-short race sanitize stress bench-check check clean
+.PHONY: build vet lint fmt-check docs-check test test-short race sanitize stress golden bench-check check clean
 
 build:
 	$(GO) build ./...
@@ -18,8 +18,9 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Docs-versus-code drift: flags mentioned in README/docs must exist in
-# cmd/*, quoted `make` targets must exist here, and intra-repo Markdown
-# links must resolve (see cmd/nubadocs).
+# cmd/*, quoted `make` targets must exist here, quoted test names must be
+# declared, intra-repo Markdown links must resolve and every `DESIGN.md §N`
+# must be a numbered section (see cmd/nubadocs).
 docs-check:
 	$(GO) run ./cmd/nubadocs
 
@@ -66,6 +67,15 @@ sanitize:
 # TestStress*; this target is for running the matrix alone.
 stress:
 	$(GO) test -timeout 20m -run 'TestStress' ./internal/experiments/
+
+# What the simulator says, pinned in tier-1: one Stats digest per benchmark
+# (testdata/suite_digests.txt) and the whole `nubasweep -exp all` report on
+# {BH, AN} at scale 0.125 (internal/experiments/testdata/all_s0125.txt). A
+# change that means to move simulated cycles regenerates both and shows the
+# moved lines as its diff; any other change leaves them untouched.
+golden:
+	REGEN=1 $(GO) test -run TestSuiteDigestsGolden .
+	REGEN=1 $(GO) test -run TestEveryExperiment ./internal/experiments
 
 # bench/ is a nested module, invisible to `go build ./...` and
 # `go test ./...` above: build and short-test it here so a rename in the

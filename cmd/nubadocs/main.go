@@ -12,7 +12,9 @@
 //     declared in some _test.go under the root (a trailing `*` makes it
 //     a prefix: `TestStress*`);
 //   - every intra-repo Markdown link must resolve to an existing file
-//     or directory.
+//     or directory;
+//   - every `DESIGN.md §N` pointer must name a numbered `## N.` heading
+//     of DESIGN.md.
 //
 // Checked files: README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md —
 // the user-facing documentation. Process records (CHANGES.md, ISSUE.md,
@@ -80,8 +82,18 @@ func main() {
 		os.Exit(2)
 	}
 
+	design, err := os.ReadFile(filepath.Join(*root, "DESIGN.md"))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nubadocs:", err)
+		os.Exit(2)
+	}
+	sections := make(map[string]bool)
+	for _, m := range headingRe.FindAllStringSubmatch(string(design), -1) {
+		sections[m[1]] = true
+	}
+
 	var problems []string
-	flagMentions, targetMentions, testMentions, linkChecks := 0, 0, 0, 0
+	flagMentions, targetMentions, testMentions, linkChecks, sectionChecks := 0, 0, 0, 0, 0
 	for _, doc := range docs {
 		data, err := os.ReadFile(doc)
 		if err != nil {
@@ -122,6 +134,13 @@ func main() {
 					fmt.Sprintf("%s: link target %q does not resolve", rel, target))
 			}
 		}
+		for _, m := range sectionRe.FindAllStringSubmatch(text, -1) {
+			sectionChecks++
+			if !sections[m[1]] {
+				problems = append(problems,
+					fmt.Sprintf("%s: DESIGN.md §%s is not a numbered section of DESIGN.md", rel, m[1]))
+			}
+		}
 	}
 
 	if len(problems) > 0 {
@@ -130,8 +149,8 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("nubadocs: %d docs ok (%d flag mentions against %d defined flags, %d make targets, %d test names, %d links)\n",
-		len(docs), flagMentions, len(defined), targetMentions, testMentions, linkChecks)
+	fmt.Printf("nubadocs: %d docs ok (%d flag mentions against %d defined flags, %d make targets, %d test names, %d links, %d section pointers)\n",
+		len(docs), flagMentions, len(defined), targetMentions, testMentions, linkChecks, sectionChecks)
 }
 
 // docFiles returns the user-facing Markdown files to check.
@@ -319,6 +338,14 @@ func codeSpans(text string) []string {
 	}
 	return spans
 }
+
+// sectionRe matches a pointer into the design document ("DESIGN.md §9",
+// possibly wrapped), headingRe one of its numbered section headings
+// ("## 9. The cycle loop").
+var (
+	sectionRe = regexp.MustCompile(`DESIGN\.md\s+§(\d+)`)
+	headingRe = regexp.MustCompile(`(?m)^## (\d+)\. `)
+)
 
 var linkRe = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 

@@ -12,8 +12,8 @@ import (
 
 // TestMultiBenchmarkMode is the CLI smoke test of the batch front door:
 // the binary is built once and run on a clean batch, on a batch with a
-// job that hangs, on a benchmark that does not exist and on a scale that
-// is not a GPU.
+// job that hangs, on a benchmark that does not exist, on a scale that is
+// not a GPU and on two that are not an SM-side UBA.
 func TestMultiBenchmarkMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs nubasim")
@@ -70,6 +70,16 @@ func TestMultiBenchmarkMode(t *testing.T) {
 		if stdout, stderr, code = run("-bench", "BH,LEU", "-scale", scale); code != 2 ||
 			stdout != "" || !strings.Contains(stderr, "-scale must be positive") {
 			t.Errorf("-scale %s: exit %d, stdout %q, stderr %q", scale, code, stdout, stderr)
+		}
+	}
+	// One channel cannot be split into halves (2/2/1 and 3/3/1 SMs, slices
+	// and channels): a one-line configuration error, where building the GPU
+	// used to divide by zero and index out of range.
+	for _, scale := range []string{"0.03125", "0.046875"} {
+		if _, stderr, code = run("-arch", "sm-side", "-bench", "BH", "-scale", scale); code != 1 ||
+			!strings.HasPrefix(stderr, "nubasim: config: SM-side UBA needs an even number of channels") ||
+			strings.Count(stderr, "\n") != 1 || strings.Contains(stderr, "panic in run") {
+			t.Errorf("-arch sm-side -scale %s: exit %d, stderr %q", scale, code, stderr)
 		}
 	}
 }

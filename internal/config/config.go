@@ -483,6 +483,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: %d LLC slices not divisible across %d partitions", c.NumLLCSlices, c.NumChannels)
 	case c.PageSize == 0 || c.PageSize&(c.PageSize-1) != 0:
 		return fmt.Errorf("config: page size %d is not a power of two", c.PageSize)
+	case c.L1Ways < 1 || c.LLCWays < 1:
+		return fmt.Errorf("config: cache associativity must be positive (L1Ways %d, LLCWays %d)", c.L1Ways, c.LLCWays)
 	case c.L1Sets() <= 0 || c.LLCSets() <= 0:
 		return fmt.Errorf("config: cache geometry yields no sets (L1 %d, LLC %d)", c.L1Sets(), c.LLCSets())
 	case c.WarpSize <= 0 || c.WarpsPerSM <= 0:
@@ -495,10 +497,13 @@ func (c *Config) Validate() error {
 			c.WarpsPerSM, c.SchedulersPerSM, MaxWarpsPerScheduler)
 	case c.MemClockDiv <= 0:
 		return fmt.Errorf("config: MemClockDiv must be positive")
-	case c.Arch == UBASMSide && c.NumLLCSlices < 2:
-		return fmt.Errorf("config: SM-side UBA needs at least 2 slices")
-	case c.NumModules > 1 && c.NumSMs%c.NumModules != 0:
-		return fmt.Errorf("config: %d SMs not divisible across %d modules", c.NumSMs, c.NumModules)
+	// SMs and slices are whole multiples of the channels (above), so a
+	// crossbar domain — an MCM module, a half of the SM-side UBA — holds
+	// its share of all three iff it holds a whole number of channels.
+	case c.Arch == UBASMSide && c.NumChannels%2 != 0:
+		return fmt.Errorf("config: SM-side UBA needs an even number of channels to split into two halves (NumChannels %d)", c.NumChannels)
+	case c.NumModules > 1 && c.NumChannels%c.NumModules != 0:
+		return fmt.Errorf("config: %d channels (with their SMs and slices) not divisible across %d modules", c.NumChannels, c.NumModules)
 	case c.LABThreshold <= 0 || c.LABThreshold > 1:
 		return fmt.Errorf("config: LAB threshold %.2f out of (0,1]", c.LABThreshold)
 	case c.BanksPerChan < 1 || c.BanksPerChan > MaxBanksPerChan:
@@ -509,9 +514,19 @@ func (c *Config) Validate() error {
 			c.MemQueueDepth)
 	case c.L1MSHRs < 1 || c.LLCMSHRs < 1:
 		return fmt.Errorf("config: MSHR files must have at least one entry (L1 %d, LLC %d)", c.L1MSHRs, c.LLCMSHRs)
+	case c.MDRSampleSets < 1 || c.MemBusBytesPerMemCycle < 1:
+		return fmt.Errorf("config: MDRSampleSets %d and MemBusBytesPerMemCycle %d must be positive", c.MDRSampleSets, c.MemBusBytesPerMemCycle)
+	case c.L1TLBEntries < 1 || c.L1TLBEntries%L1TLBWays != 0 || c.L2TLBWays < 1 || c.L2TLBEntries < 1 || c.L2TLBEntries%c.L2TLBWays != 0:
+		return fmt.Errorf("config: TLB geometry invalid: entries must be a positive multiple of the ways (L1TLBEntries %d over %d ways, L2TLBEntries %d over L2TLBWays %d)",
+			c.L1TLBEntries, L1TLBWays, c.L2TLBEntries, c.L2TLBWays)
+	case c.Arch == NUBA && c.LocalLinkBytes < 1:
+		return fmt.Errorf("config: LocalLinkBytes %d must be positive (the width of NUBA's point-to-point links)", c.LocalLinkBytes)
 	}
 	return nil
 }
+
+// L1TLBWays is the associativity of every SM's L1 TLB.
+const L1TLBWays = 8
 
 // MaxBanksPerChan is the most DRAM banks a channel can have: the FR-FCFS
 // scheduler's per-tick "banks already considered" set is one machine word.

@@ -181,6 +181,61 @@ func TestValidateBoundsFixedCapacityStructures(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsWhatUsedToPanic: each row built a GPU that died with a
+// runtime panic — a divide by zero or an index out of range in the module
+// arithmetic, a constructor's own geometry panic, or inside Validate itself
+// — and must be a named error instead.
+func TestValidateRejectsWhatUsedToPanic(t *testing.T) {
+	smSide := func(f float64) func(*Config) {
+		return func(c *Config) { *c = Baseline().Scale(f).WithArch(UBASMSide) }
+	}
+	cases := []struct {
+		name string
+		mut  func(*Config)
+		want string // substring of the error; "" = valid
+	}{
+		{"SM-side at scale 1/8", smSide(0.125), ""},
+		{"SM-side, one channel", smSide(0.03125), "two halves"},
+		{"SM-side, three SMs and slices", smSide(0.046875), "two halves"},
+		{"MCM", func(c *Config) { *c = MCM(NUBA) }, ""},
+		{"slices and channels over three modules", func(c *Config) {
+			c.NumSMs, c.NumLLCSlices, c.NumChannels, c.NumModules = 12, 8, 4, 3
+		}, "across 3 modules"},
+		{"no L1 ways", func(c *Config) { c.L1Ways = 0 }, "L1Ways 0"},
+		{"no LLC ways", func(c *Config) { c.LLCWays = 0 }, "LLCWays 0"},
+		{"no MDR sample sets", func(c *Config) { c.MDRSampleSets = 0 }, "MDRSampleSets 0"},
+		{"no memory bus", func(c *Config) { c.MemBusBytesPerMemCycle = 0 }, "MemBusBytesPerMemCycle 0"},
+		{"no L1 TLB", func(c *Config) { c.L1TLBEntries = 0 }, "L1TLBEntries 0"},
+		{"L1 TLB not a multiple of its ways", func(c *Config) { c.L1TLBEntries = 12 }, "L1TLBEntries 12"},
+		{"no L2 TLB", func(c *Config) { c.L2TLBEntries = 0 }, "L2TLBEntries 0"},
+		{"no L2 TLB ways", func(c *Config) { c.L2TLBWays = 0 }, "L2TLBWays 0"},
+		{"L2 TLB not a multiple of its ways", func(c *Config) { c.L2TLBWays = 7 }, "L2TLBWays 7"},
+		{"NUBA without link width", func(c *Config) { *c = c.WithArch(NUBA); c.LocalLinkBytes = 0 }, "LocalLinkBytes 0"},
+		{"UBA never builds the links", func(c *Config) { c.LocalLinkBytes = 0 }, ""},
+	}
+	for _, tc := range cases {
+		c := Baseline()
+		tc.mut(&c)
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = nil
+					t.Errorf("%s: Validate panicked: %v", tc.name, r)
+				}
+			}()
+			return c.Validate()
+		}()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not name the field (want %q)", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestArchPolicyDefaults(t *testing.T) {
 	if n := Baseline().WithArch(NUBA); n.Placement != LAB || n.Replication != MDR {
 		t.Fatal("NUBA defaults")

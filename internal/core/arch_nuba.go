@@ -3,7 +3,6 @@ package core
 import (
 	"github.com/nuba-gpu/nuba/internal/config"
 	"github.com/nuba-gpu/nuba/internal/mdr"
-	"github.com/nuba-gpu/nuba/internal/noc"
 	"github.com/nuba-gpu/nuba/internal/sim"
 )
 
@@ -18,16 +17,15 @@ import (
 func (g *GPU) buildNUBA() {
 	g.setMods(max(g.cfg.NumModules, 1))
 	g.buildXbars(g.slicesPerMod, g.slicesPerMod)
-	g.smReqOcc, g.sliceReplyOcc = sim.NewBits(len(g.sms)), sim.NewBits(len(g.slices))
+	local := func() *sim.Link[*sim.MemReq] {
+		return sim.NewLink[*sim.MemReq](g.cfg.LocalLinkLatency, g.cfg.LocalLinkBytes, g.cfg.LocalLinkBuffer)
+	}
+	g.smReq, g.sliceReply = newLinkSet[*sim.MemReq](len(g.sms)), newLinkSet[*sim.MemReq](len(g.slices))
 	for i := range g.sms {
-		l := sim.NewLink[*sim.MemReq](g.cfg.LocalLinkLatency, g.cfg.LocalLinkBytes, g.cfg.LocalLinkBuffer)
-		g.smReqLinks = append(g.smReqLinks, l)
-		g.registerLink(l, "SM-request link", i, g.smReqOcc)
+		g.smReq.add(g, i, local(), "SM-request link", i, -1)
 	}
 	for j := range g.slices {
-		l := sim.NewLink[*sim.MemReq](g.cfg.LocalLinkLatency, g.cfg.LocalLinkBytes, g.cfg.LocalLinkBuffer)
-		g.sliceReplyLinks = append(g.sliceReplyLinks, l)
-		g.registerLink(l, "slice-reply link", j, g.sliceReplyOcc)
+		g.sliceReply.add(g, j, local(), "slice-reply link", j, -1)
 	}
 	g.buildInterModule()
 
@@ -44,15 +42,7 @@ func (g *GPU) buildNUBA() {
 		sl.SendForward = g.nubaForward(sl.ID)
 	}
 	g.installMemPorts(g.sliceMiss, g.memRespond)
-	g.moveFabric = g.moveNUBA
-}
-
-// moveNUBA is NUBA's fabric phase of step.
-func (g *GPU) moveNUBA(now sim.Cycle) {
-	g.moveNUBARequestLinks(now)
-	g.moveXbars(now, g.nubaAcceptReply)
-	g.moveInterModule(now, g.nubaAcceptReply)
-	g.moveNUBAReplyLinks(now)
+	g.acceptReply = (*GPU).nubaAcceptReply
 }
 
 // replicating reports whether read-only shared lines are currently
@@ -72,8 +62,7 @@ func (g *GPU) replicating() bool {
 // classification, replica routing and MDR profiling happen here.
 func (g *GPU) nubaSend(smID, part int) func(*sim.MemReq, sim.Cycle) bool {
 	return func(req *sim.MemReq, now sim.Cycle) bool {
-		link := g.smReqLinks[smID]
-		if !link.CanSend(now) {
+		if !g.smReq.l[smID].CanSend(now) {
 			return false
 		}
 		req.Channel, req.Slice = g.mapper.Home(req.Addr)
@@ -85,76 +74,35 @@ func (g *GPU) nubaSend(smID, part int) func(*sim.MemReq, sim.Cycle) bool {
 			g.mdrProf.Observe(req, req.Slice, local, g.partitionSlice(part, req.Addr), now)
 		}
 		g.recordPlacementAccess(req, part)
-		bytes := sim.MessageBytes(req, false)
-		link.Send(now, req, bytes)
-		g.smReqOcc.Set(smID)
-		return true
+		return g.smReq.send(smID, now, req, sim.MessageBytes(req, false))
 	}
 }
 
-// moveNUBARequestLinks delivers arrived requests from SM links into local
-// slices or onto the NoC.
-func (g *GPU) moveNUBARequestLinks(now sim.Cycle) {
-	occ := g.smReqOcc
-	for smID := occ.Next(0); smID >= 0; smID = occ.Next(smID + 1) {
-		link, part := g.smReqLinks[smID], g.sms[smID].Part
-		for {
-			req, ok := link.Peek(now)
-			if !ok {
-				break
-			}
-			var accepted bool
-			switch {
-			case req.ReplicaSlice >= 0:
-				accepted = g.slices[req.ReplicaSlice].EnqueueLocal(req)
-			case g.slices[req.Slice].Part == part:
-				accepted = g.slices[req.Slice].EnqueueLocal(req)
-			default:
-				accepted = g.nubaInjectNoC(g.partitionSlice(part, req.Addr), req.Slice, req, false, now)
-			}
-			if !accepted {
-				break
-			}
-			link.Pop(now)
-		}
-		if link.Pending() == 0 {
-			occ.Clear(smID)
-		}
+// acceptSMRequest consumes a request leaving an SM's link: into a slice of
+// the SM's partition (the home, or the replica slice), or onto the NoC.
+func (g *GPU) acceptSMRequest(smID int, req *sim.MemReq, now sim.Cycle) bool {
+	part := g.sms[smID].Part
+	switch {
+	case req.ReplicaSlice >= 0:
+		return g.slices[req.ReplicaSlice].EnqueueLocal(req)
+	case g.slices[req.Slice].Part == part:
+		return g.slices[req.Slice].EnqueueLocal(req)
+	default:
+		return g.nubaInjectNoC(g.partitionSlice(part, req.Addr), req.Slice, req, false, now)
 	}
 }
 
 // nubaInjectNoC injects a request or reply into the slice-to-slice NoC
-// from srcSlice toward dstSlice, crossing module links when needed.
+// from srcSlice toward dstSlice.
 func (g *GPU) nubaInjectNoC(srcSlice, dstSlice int, req *sim.MemReq, reply bool, now sim.Cycle) bool {
 	req.Remote = true
-	bytes := sim.MessageBytes(req, reply)
-	ms, md := g.moduleOfSlice(srcSlice), g.moduleOfSlice(dstSlice)
-	if ms == md {
-		fabric := g.reqXbars[ms]
-		if reply {
-			fabric = g.replyXbars[ms]
-		}
-		return fabric.Inject(g.slicePort(srcSlice), now,
-			noc.Msg{Req: req, Dst: g.slicePort(dstSlice), Bytes: bytes, Reply: reply})
-	}
-	link := g.interModule[ms][md]
-	if !link.CanSend(now) {
-		return false
-	}
-	link.Send(now, noc.Msg{Req: req, Dst: dstSlice, Bytes: bytes, Reply: reply}, bytes)
-	return true
+	return g.cross(srcSlice, g.slicesPerMod, dstSlice, g.slicesPerMod, req, reply, now)
 }
 
 // nubaSendLocalReply puts a reply on a slice's link toward its
 // partition's SMs.
 func (g *GPU) nubaSendLocalReply(sliceID int, req *sim.MemReq, now sim.Cycle) bool {
-	link := g.sliceReplyLinks[sliceID]
-	if !link.CanSend(now) {
-		return false
-	}
-	link.Send(now, req, sim.MessageBytes(req, true))
-	g.sliceReplyOcc.Set(sliceID)
-	return true
+	return g.sliceReply.send(sliceID, now, req, sim.MessageBytes(req, true))
 }
 
 // nubaSliceReply routes a finished request from a slice: locally over the
@@ -190,23 +138,4 @@ func (g *GPU) nubaAcceptReply(sliceID int, req *sim.MemReq, now sim.Cycle) bool 
 		return true
 	}
 	return g.nubaSendLocalReply(sliceID, req, now)
-}
-
-// moveNUBAReplyLinks delivers replies from slice links to their SMs.
-func (g *GPU) moveNUBAReplyLinks(now sim.Cycle) {
-	occ := g.sliceReplyOcc
-	for j := occ.Next(0); j >= 0; j = occ.Next(j + 1) {
-		link := g.sliceReplyLinks[j]
-		for {
-			req, ok := link.Pop(now)
-			if !ok {
-				break
-			}
-			g.accountService(req)
-			g.sms[req.SM].AcceptReply(req, now)
-		}
-		if link.Pending() == 0 {
-			occ.Clear(j)
-		}
-	}
 }

@@ -19,30 +19,11 @@ func (g *GPU) buildUBA() {
 	}
 }
 
-// ubaSliceReply returns replies over the crossbar toward the SM (both UBA
-// variants; SMs and their caching slices share a module by construction).
+// ubaSliceReply returns replies over the crossbar toward the SM.
 func (g *GPU) ubaSliceReply(sliceID int) func(*sim.MemReq, sim.Cycle) bool {
 	return func(req *sim.MemReq, now sim.Cycle) bool {
-		bytes := sim.MessageBytes(req, true)
-		ms, mr := g.moduleOfSlice(sliceID), g.moduleOfSM(req.SM)
-		if ms == mr {
-			return g.replyXbars[ms].Inject(g.slicePort(sliceID), now,
-				noc.Msg{Req: req, Dst: g.smPort(req.SM), Bytes: bytes, Reply: true})
-		}
-		link := g.interModule[ms][mr]
-		if !link.CanSend(now) {
-			return false
-		}
-		link.Send(now, noc.Msg{Req: req, Dst: req.SM, Bytes: bytes, Reply: true}, bytes)
-		return true
+		return g.cross(sliceID, g.slicesPerMod, req.SM, g.smsPerMod, req, true, now)
 	}
-}
-
-// ubaAcceptReply consumes a reply leaving the NoC at an SM.
-func (g *GPU) ubaAcceptReply(smID int, req *sim.MemReq, now sim.Cycle) bool {
-	g.accountService(req)
-	g.sms[smID].AcceptReply(req, now)
-	return true
 }
 
 // --- Memory-side UBA -------------------------------------------------
@@ -58,13 +39,7 @@ func (g *GPU) buildUBAMem() {
 		s.Send = g.ubaMemSend(s.ID)
 	}
 	g.installMemPorts(g.sliceMiss, g.memRespond)
-	g.moveFabric = g.moveUBAMem
-}
-
-// moveUBAMem is the memory-side UBA's fabric phase of step.
-func (g *GPU) moveUBAMem(now sim.Cycle) {
-	g.moveXbars(now, g.ubaAcceptReply)
-	g.moveInterModule(now, g.ubaAcceptReply)
+	g.acceptReply = (*GPU).deliverToSM
 }
 
 // ubaMemSend routes an L1 miss over the module crossbar (or inter-module
@@ -73,18 +48,8 @@ func (g *GPU) ubaMemSend(smID int) func(*sim.MemReq, sim.Cycle) bool {
 	return func(req *sim.MemReq, now sim.Cycle) bool {
 		req.Channel, req.Slice = g.mapper.Home(req.Addr)
 		req.Remote = true // every UBA L1 miss traverses the NoC
-		bytes := sim.MessageBytes(req, false)
-		ms, md := g.moduleOfSM(smID), g.moduleOfSlice(req.Slice)
-		if ms == md {
-			if !g.reqXbars[ms].Inject(g.smPort(smID), now, noc.Msg{Req: req, Dst: g.slicePort(req.Slice), Bytes: bytes}) {
-				return false
-			}
-		} else {
-			link := g.interModule[ms][md]
-			if !link.CanSend(now) {
-				return false
-			}
-			link.Send(now, noc.Msg{Req: req, Dst: req.Slice, Bytes: bytes}, bytes)
+		if !g.cross(smID, g.smsPerMod, req.Slice, g.slicesPerMod, req, false, now) {
+			return false
 		}
 		g.recordPlacementAccess(req, g.sms[smID].Part)
 		return true
@@ -96,8 +61,8 @@ func (g *GPU) ubaMemSend(smID int) func(*sim.MemReq, sim.Cycle) bool {
 // buildUBASMSide creates the A100-style SM-side UBA: two halves, each
 // with its own crossbars, whose slices may cache any address. What the
 // halves exchange — LLC misses to the other half's channels, the
-// returning fills and coherence invalidations — rides two inter-half
-// links (index = source half).
+// returning fills and coherence invalidations — rides the two inter-half
+// links, g.inter with the halves as its domains.
 func (g *GPU) buildUBASMSide() {
 	g.setMods(2)
 	g.buildUBA()
@@ -106,24 +71,16 @@ func (g *GPU) buildUBASMSide() {
 	// artificial bottleneck relative to the paper's SM-side UBA (which
 	// performs within ~1% of the memory-side baseline).
 	w := g.cfg.NoCPortBytes() * max(g.slicesPerMod, 1)
-	for h := range g.interHalf {
+	g.inter = newLinkSet[noc.Msg](g.mods * g.mods)
+	for h := 0; h < 2; h++ {
 		l := sim.NewLink[noc.Msg](g.cfg.NoCLatency, w, 8*g.cfg.NoCPortBuffer)
-		g.interHalf[h] = l
-		g.register(linkPart[noc.Msg]{l}, "inter-half link", h, -1)
+		g.inter.add(g, g.interLink(h, 1-h), l, "inter-half link", h, -1)
 	}
 	for _, s := range g.sms {
 		s.Send = g.smSideSend(s.ID)
 	}
 	g.installMemPorts(g.smSideMiss, g.smSideRespond)
-	g.moveFabric = g.moveUBASMSide
-}
-
-// moveUBASMSide is the SM-side UBA's fabric phase of step.
-func (g *GPU) moveUBASMSide(now sim.Cycle) {
-	g.drainInvalQueue(now)
-	g.moveXbars(now, g.ubaAcceptReply)
-	g.moveInterHalf(now)
-	g.retryFills()
+	g.acceptReply, g.acceptInter = (*GPU).deliverToSM, (*GPU).acceptInterHalf
 }
 
 // smSideSlice picks the caching slice for an SM-side UBA access: a slice
@@ -148,10 +105,8 @@ func (g *GPU) smSideSend(smID int) func(*sim.MemReq, sim.Cycle) bool {
 		req.Slice = g.smSideSlice(smID, req.Addr)
 		req.Channel = g.mapper.Channel(req.Addr)
 		req.Remote = true
-		bytes := sim.MessageBytes(req, false)
-		half := g.moduleOfSM(smID)
-		if !g.reqXbars[half].Inject(g.smPort(smID), now, noc.Msg{Req: req, Dst: g.slicePort(req.Slice), Bytes: bytes}) {
-			return false
+		if !g.cross(smID, g.smsPerMod, req.Slice, g.slicesPerMod, req, false, now) {
+			return false // the slice is in the SM's half: always the half's crossbar
 		}
 		if req.IsWrite() {
 			g.invalQueue.Push(g.reqs.Get(sim.MemReq{
@@ -172,12 +127,10 @@ func (g *GPU) drainInvalQueue(now sim.Cycle) {
 		if !ok {
 			return
 		}
-		srcHalf := 1 - g.moduleOfSlice(inv.Slice)
-		link := g.interHalf[srcHalf]
-		if !link.CanSend(now) {
+		half := g.moduleOfSlice(inv.Slice)
+		if !g.sendInter(1-half, half, noc.Msg{Req: inv, Dst: inv.Slice, Bytes: sim.ReqBytes, Inval: true}, now) {
 			return
 		}
-		link.Send(now, noc.Msg{Req: inv, Dst: inv.Slice, Bytes: sim.ReqBytes, Inval: true}, sim.ReqBytes)
 		g.stats.CoherenceTraffic += sim.ReqBytes
 		g.invalQueue.Pop()
 	}
@@ -191,13 +144,7 @@ func (g *GPU) smSideMiss(req *sim.MemReq, now sim.Cycle) bool {
 	if g.moduleOfChannel(ch) == srcHalf {
 		return g.chans[ch].Enqueue(req)
 	}
-	link := g.interHalf[srcHalf]
-	if !link.CanSend(now) {
-		return false
-	}
-	bytes := sim.MessageBytes(req, false)
-	link.Send(now, noc.Msg{Req: req, Dst: ch, Bytes: bytes}, bytes)
-	return true
+	return g.sendInter(srcHalf, 1-srcHalf, noc.Msg{Req: req, Dst: ch, Bytes: sim.MessageBytes(req, false)}, now)
 }
 
 // smSideRespond routes a finished DRAM read back to the slice that
@@ -213,17 +160,13 @@ func (g *GPU) smSideRespond(req *sim.MemReq) {
 		g.slices[req.Slice].AcceptFill(req, now)
 		return
 	}
-	bytes := sim.MessageBytes(req, true)
-	if !g.interHalf[chHalf].Send(now, noc.Msg{Req: req, Dst: req.Slice, Bytes: bytes, Reply: true}, bytes) {
+	if !g.sendInter(chHalf, 1-chHalf, noc.Msg{Req: req, Dst: req.Slice, Bytes: sim.MessageBytes(req, true), Reply: true}, now) {
 		g.migFillRetry = append(g.migFillRetry, req)
 	}
 }
 
 // retryFills re-attempts fills that found the inter-half link saturated.
 func (g *GPU) retryFills() {
-	if len(g.migFillRetry) == 0 {
-		return
-	}
 	pending := g.migFillRetry
 	g.migFillRetry = g.migFillRetry[:0]
 	for _, req := range pending {
@@ -231,28 +174,16 @@ func (g *GPU) retryFills() {
 	}
 }
 
-// moveInterHalf drains the cross-half links.
-func (g *GPU) moveInterHalf(now sim.Cycle) {
-	for _, link := range g.interHalf {
-		for {
-			msg, ok := link.Peek(now)
-			if !ok {
-				break
-			}
-			var accepted bool
-			switch {
-			case msg.Inval:
-				accepted = g.enqueueRemote(msg.Dst, msg.Req)
-			case msg.Reply:
-				g.slices[msg.Dst].AcceptFill(msg.Req, now)
-				accepted = true
-			default:
-				accepted = g.chans[msg.Dst].Enqueue(msg.Req)
-			}
-			if !accepted {
-				break
-			}
-			link.Pop(now)
-		}
+// acceptInterHalf consumes what leaves an inter-half link: an invalidation
+// or a fill for a slice, or a miss for a channel.
+func (g *GPU) acceptInterHalf(_ int, msg noc.Msg, now sim.Cycle) bool {
+	switch {
+	case msg.Inval:
+		return g.slices[msg.Dst].EnqueueRemote(msg.Req)
+	case msg.Reply:
+		g.slices[msg.Dst].AcceptFill(msg.Req, now)
+		return true
+	default:
+		return g.chans[msg.Dst].Enqueue(msg.Req)
 	}
 }

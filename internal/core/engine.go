@@ -109,15 +109,24 @@ var kindLabel = [...]string{"SM", "LLC slice", "DRAM channel"}
 type EngineStats struct {
 	Stepped, Skipped int64    // cycles run through step / jumped over
 	Ran, Slept       [3]int64 // component ticks on stepped cycles, by kind
+	// EmptyDrains counts, per link set — SM-request, inter-domain,
+	// slice-reply — the stepped cycles whose drain found no link occupied
+	// (all of them for a set the architecture leaves empty).
+	EmptyDrains [3]int64
 }
 
 // EngineStats returns the counters so far.
-func (g *GPU) EngineStats() EngineStats { return g.es }
+func (g *GPU) EngineStats() EngineStats {
+	es := g.es
+	es.EmptyDrains = [3]int64{g.smReq.idle, g.inter.idle, g.sliceReply.idle}
+	return es
+}
 
 // String renders the counters as nubasim -v's one "engine:" line.
 func (es EngineStats) String() string {
-	return fmt.Sprintf("cycles stepped=%d skipped=%d; ticks ran/slept, SM %d/%d, LLC slice %d/%d, DRAM channel %d/%d",
-		es.Stepped, es.Skipped, es.Ran[kindSM], es.Slept[kindSM], es.Ran[kindSlice], es.Slept[kindSlice], es.Ran[kindChan], es.Slept[kindChan])
+	return fmt.Sprintf("cycles stepped=%d skipped=%d; ticks ran/slept, SM %d/%d, LLC slice %d/%d, DRAM channel %d/%d; drains that found the set empty, SM-request %d, inter-domain %d, slice-reply %d",
+		es.Stepped, es.Skipped, es.Ran[kindSM], es.Slept[kindSM], es.Ran[kindSlice], es.Slept[kindSlice], es.Ran[kindChan], es.Slept[kindChan],
+		es.EmptyDrains[0], es.EmptyDrains[1], es.EmptyDrains[2])
 }
 
 // componentWake returns the earliest cycle at which any component could
@@ -128,7 +137,7 @@ func (es EngineStats) String() string {
 // SMs first and the scan returns as soon as one active component proves
 // the next cycle must run, so its cost on busy cycles is one SM hint. A
 // sleeping row is not asked: its stored deadline is the hint its last
-// tick computed, and no door has opened since. Nor is an empty NUBA link.
+// tick computed, and no door has opened since. Nor is an empty link.
 func (g *GPU) componentWake() sim.Cycle {
 	now := g.cycle
 	next := now + 1

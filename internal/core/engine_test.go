@@ -13,6 +13,7 @@ import (
 	"github.com/nuba-gpu/nuba/internal/metrics"
 	"github.com/nuba-gpu/nuba/internal/noc"
 	"github.com/nuba-gpu/nuba/internal/sim"
+	"github.com/nuba-gpu/nuba/internal/workload"
 )
 
 func TestParseEngine(t *testing.T) {
@@ -349,6 +350,48 @@ func BenchmarkStepEmptyFabric(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.step()
+	}
+}
+
+// BenchmarkMoveFabric is one stepped cycle of a scale-0.25 GPU mid-run on
+// BH, on the fabrics whose links bench/ has no workload for: NUBA's
+// point-to-point sets, the SM-side UBA's inter-half links and a four-module
+// MCM's inter-module links (all three drained by moveFabric; the whole
+// step is timed, so compare a fabric with itself across commits).
+func BenchmarkMoveFabric(b *testing.B) {
+	bh, err := workload.ByAbbr("BH")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  config.Config
+	}{
+		{"nuba", config.Baseline().Scale(0.25).WithArch(config.NUBA)},
+		{"uba-sm", config.Baseline().Scale(0.25).WithArch(config.UBASMSide)},
+		{"mcm-nuba", config.MCM(config.NUBA).Scale(0.25)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			g := MustNew(tc.cfg)
+			launches, err := bh.Build(g.NewBuffer)
+			if err != nil {
+				b.Fatal(err)
+			}
+			l := launches[0]
+			g.prewarm(l)
+			g.assignCTAs(l)
+			for i := 0; i < 20000; i++ { // past the cold start
+				g.step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if g.quiet() {
+					g.assignCTAs(l)
+				}
+				g.step()
+			}
+		})
 	}
 }
 

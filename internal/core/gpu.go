@@ -44,12 +44,11 @@ type GPU struct {
 	parts []part
 	// mods is the number of crossbar domains: MCM modules, the two
 	// halves of the SM-side UBA, 1 otherwise; smsPerMod and slicesPerMod
-	// are each domain's share (setMods). moveFabric moves one cycle's
-	// messages between SMs and slices. All are set by the architecture's
-	// builder (arch_nuba.go, arch_uba.go), the one place the architectures
-	// differ.
+	// are each domain's share (setMods). These and the wires below are set
+	// by the architecture's builder (arch_nuba.go, arch_uba.go): the
+	// architectures differ in which wires exist, not in how step moves
+	// messages over them (moveFabric, route.go).
 	mods, smsPerMod, slicesPerMod int
-	moveFabric                    func(sim.Cycle)
 
 	// Per-module request and reply fabrics (one pair for monolithic
 	// GPUs). For the UBA layouts the request fabric runs SMs -> slices
@@ -59,18 +58,18 @@ type GPU struct {
 	reqXbars   []*noc.Crossbar
 	replyXbars []*noc.Crossbar
 
-	// NUBA point-to-point links, and one occupancy word per array: a bit
-	// is set by the link's only sender (nubaSend, nubaSendLocalReply) and
-	// cleared by the move loop that empties it.
-	smReqLinks      []*sim.Link[*sim.MemReq] // per SM, toward its partition's slices
-	sliceReplyLinks []*sim.Link[*sim.MemReq] // per slice, toward its partition's SMs
-	smReqOcc        sim.Bits
-	sliceReplyOcc   sim.Bits
-
-	// Inter-half links for the SM-side UBA (index = source half) and
-	// inter-module links for MCM ([src][dst], nil on the diagonal).
-	interHalf   [2]*sim.Link[noc.Msg]
-	interModule [][]*sim.Link[noc.Msg]
+	// The point-to-point links (links.go): NUBA's request link per SM and
+	// reply link per slice, within a partition, and the links between
+	// crossbar domains (interLink, nothing on the diagonal). A set the
+	// architecture has no use for stays empty.
+	smReq, sliceReply linkSet[*sim.MemReq]
+	inter             linkSet[noc.Msg]
+	// The two consumers the builder chooses, as method expressions:
+	// acceptReply takes what leaves a reply crossbar at output dst (an SM,
+	// or a NUBA slice), acceptInter what leaves inter-domain link k. Both
+	// refuse by returning false.
+	acceptReply func(g *GPU, dst int, req *sim.MemReq, now sim.Cycle) bool
+	acceptInter func(g *GPU, k int, msg noc.Msg, now sim.Cycle) bool
 
 	mdrProf *mdr.Profiler
 	mdrCtl  *mdr.Controller
@@ -159,8 +158,8 @@ func New(cfg config.Config) (*GPU, error) {
 	}
 
 	// The architecture is chosen here and nowhere else: each builder
-	// creates its crossbars and links, registers them in g.parts,
-	// installs the routing ports and sets g.moveFabric.
+	// creates its crossbars and links, registers them in g.parts and
+	// installs the routing ports and the two fabric sinks.
 	switch cfg.Arch {
 	case config.NUBA:
 		g.buildNUBA()
@@ -250,29 +249,15 @@ func (g *GPU) NoCGeometry() (ports, width int) {
 }
 
 // nocTotals walks every inter-partition carrier once — both crossbar
-// fabrics, the inter-half and the inter-module links — and returns their
-// cumulative bytes and busy cycles and the messages in flight now.
+// fabrics and the inter-domain links — and returns their cumulative bytes
+// and busy cycles and the messages in flight now.
 func (g *GPU) nocTotals() (bytes, busyCycles int64, occupancy int) {
+	bytes, busyCycles, occupancy = g.inter.totals()
 	for m, rq := range g.reqXbars {
 		rp := g.replyXbars[m]
 		bytes += rq.Bytes() + rp.Bytes()
 		busyCycles += rq.BusyCycles() + rp.BusyCycles()
 		occupancy += rq.Occupancy() + rp.Occupancy()
-	}
-	link := func(l *sim.Link[noc.Msg]) {
-		if l != nil {
-			bytes += l.Bytes
-			busyCycles += l.BusyCycles
-			occupancy += l.Pending()
-		}
-	}
-	for _, l := range g.interHalf {
-		link(l)
-	}
-	for _, row := range g.interModule {
-		for _, l := range row {
-			link(l)
-		}
 	}
 	return bytes, busyCycles, occupancy
 }

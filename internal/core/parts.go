@@ -51,8 +51,8 @@ type part struct {
 	label string
 	i, j  int // -1 when unused: "vm system", "SM 3", "inter-module link 0->1"
 	// sleep is where the component's sleep deadline lives (DESIGN.md §9),
-	// nil for a row without one; occ and bit are a NUBA link's occupancy
-	// word and its bit in it (registerLink), nil for every other row.
+	// nil for a row without one; occ and bit are a link's occupancy word
+	// and its bit in it (linkSet.add), nil for every other row.
 	sleep *sim.Cycle
 	occ   *uint64
 	bit   uint64
@@ -77,14 +77,6 @@ func (g *GPU) register(c component, label string, i, j int) {
 		p.sleep = s.SleepUntil()
 	}
 	g.parts = append(g.parts, p)
-}
-
-// registerLink registers NUBA link i, whose sender sets bit i of occ and
-// whose move loop clears it: the wake scan skips the row while it is clear.
-func (g *GPU) registerLink(l *sim.Link[*sim.MemReq], label string, i int, occ sim.Bits) {
-	g.register(linkPart[*sim.MemReq]{l}, label, i, -1)
-	p := &g.parts[len(g.parts)-1]
-	p.occ, p.bit = &occ[i>>6], 1<<(uint(i)&63)
 }
 
 // The adapters below spell each component's own hint vocabulary

@@ -7,6 +7,8 @@ import (
 
 	"github.com/nuba-gpu/nuba/internal/config"
 	"github.com/nuba-gpu/nuba/internal/kir"
+	"github.com/nuba-gpu/nuba/internal/noc"
+	"github.com/nuba-gpu/nuba/internal/sim"
 	"github.com/nuba-gpu/nuba/internal/trace"
 )
 
@@ -35,25 +37,24 @@ func topologies() []struct {
 	}
 }
 
+// countLinks returns how many links a set holds (nil entries are the
+// diagonal of the inter-domain set).
+func countLinks[T any](s *linkSet[T]) (n int) {
+	for _, l := range s.l {
+		if l != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // The component table must hold exactly one row per thing the builders
 // created — no component missing from the engine's walks, none listed
 // twice — and a freshly built GPU must be idle through every row.
 func TestPartsTableCoversEveryComponent(t *testing.T) {
 	for _, tc := range topologies() {
 		g := MustNew(tc.cfg)
-		links := len(g.smReqLinks) + len(g.sliceReplyLinks)
-		for _, l := range g.interHalf {
-			if l != nil {
-				links++
-			}
-		}
-		for _, row := range g.interModule {
-			for _, l := range row {
-				if l != nil {
-					links++
-				}
-			}
-		}
+		links := countLinks(&g.smReq) + countLinks(&g.sliceReply) + countLinks(&g.inter)
 		want := len(g.sms) + len(g.slices) + len(g.chans) +
 			len(g.reqXbars) + len(g.replyXbars) + links + 2 // + VM system + core queues
 		if len(g.parts) != want {
@@ -72,6 +73,21 @@ func TestPartsTableCoversEveryComponent(t *testing.T) {
 			if p.pending() {
 				t.Errorf("%s: %s pending on a freshly built GPU", tc.name, p.name())
 			}
+			// Every link row, on every topology, is skipped by the wake
+			// scan while its link is empty; no other row is.
+			isLink := false
+			switch p.component.(type) {
+			case linkPart[*sim.MemReq], linkPart[noc.Msg]:
+				isLink = true
+			}
+			if isLink != (p.occ != nil && p.bit != 0) {
+				t.Errorf("%s: %s: link=%v but occ=%v bit=%#x", tc.name, p.name(), isLink, p.occ != nil, p.bit)
+			} else if isLink {
+				links--
+			}
+		}
+		if links != 0 {
+			t.Errorf("%s: the three link sets hold %d links without a table row", tc.name, links)
 		}
 		if !g.quiet() {
 			t.Errorf("%s: freshly built GPU is not quiet", tc.name)

@@ -9,15 +9,7 @@ import (
 
 // Routing shared by every architecture: the helpers the builders
 // (arch_nuba.go, arch_uba.go) assemble their fabrics from, the ports no
-// architecture changes, and the crossbar and inter-module movement that
-// differs only in who consumes an egressing reply.
-
-// smPort returns an SM's port index within its module's fabrics
-// (request-fabric input, reply-fabric output for the UBA layouts).
-func (g *GPU) smPort(sm int) int { return sm % g.smsPerMod }
-
-// slicePort returns a slice's port index within its module's fabrics.
-func (g *GPU) slicePort(slice int) int { return slice % g.slicesPerMod }
+// architecture changes, and the one fabric phase of step (moveFabric).
 
 // partitionSlice picks the slice of a partition that passes through /
 // replicates a given line (the least significant randomized bank bits, as
@@ -211,34 +203,89 @@ func (g *GPU) buildInterModule() {
 	if mods == 1 {
 		return
 	}
+	g.acceptInter = (*GPU).acceptInterModule
 	per := g.cfg.InterModuleGBs / (2 * float64(mods-1) * g.cfg.CoreClockGHz)
 	w := max(int(per+0.5), 1)
-	g.interModule = make([][]*sim.Link[noc.Msg], mods)
+	g.inter = newLinkSet[noc.Msg](mods * mods)
 	for a := 0; a < mods; a++ {
-		g.interModule[a] = make([]*sim.Link[noc.Msg], mods)
 		for b := 0; b < mods; b++ {
-			if a == b {
-				continue
+			if a != b {
+				l := sim.NewLink[noc.Msg](g.cfg.NoCLatency*2, w, 8*g.cfg.NoCPortBuffer)
+				g.inter.add(g, g.interLink(a, b), l, "inter-module link", a, b)
 			}
-			l := sim.NewLink[noc.Msg](g.cfg.NoCLatency*2, w, 8*g.cfg.NoCPortBuffer)
-			g.interModule[a][b] = l
-			g.register(linkPart[noc.Msg]{l}, "inter-module link", a, b)
 		}
 	}
 }
 
-// enqueueRemote offers a request arriving over the NoC to a slice's
-// remote queue.
-func (g *GPU) enqueueRemote(slice int, req *sim.MemReq) bool {
-	return g.slices[slice].EnqueueRemote(req)
+// interLink returns the index in g.inter of the link from crossbar domain
+// src to domain dst.
+func (g *GPU) interLink(src, dst int) int { return src*g.mods + dst }
+
+// sendInter puts msg on that link.
+func (g *GPU) sendInter(src, dst int, msg noc.Msg, now sim.Cycle) bool {
+	return g.inter.send(g.interLink(src, dst), now, msg, msg.Bytes)
+}
+
+// cross sends req (or its reply) from endpoint src toward endpoint dst,
+// SMs or slices by their global index, of which every domain holds
+// srcPerMod and dstPerMod. It is the one place that knows what a domain
+// boundary means: within a domain the message enters the domain's request
+// or reply crossbar, ports local to the domain; across it the inter-domain
+// link, addressed to the destination itself.
+func (g *GPU) cross(src, srcPerMod, dst, dstPerMod int, req *sim.MemReq, reply bool, now sim.Cycle) bool {
+	msg := noc.Msg{Req: req, Dst: dst, Bytes: sim.MessageBytes(req, reply), Reply: reply}
+	srcMod, dstMod := src/srcPerMod, dst/dstPerMod
+	if srcMod != dstMod {
+		return g.sendInter(srcMod, dstMod, msg, now)
+	}
+	msg.Dst = dst % dstPerMod
+	if reply {
+		return g.replyXbars[srcMod].Inject(src%srcPerMod, now, msg)
+	}
+	return g.reqXbars[srcMod].Inject(src%srcPerMod, now, msg)
+}
+
+// acceptInterModule consumes what leaves an MCM inter-module link: a
+// request for its home slice, or a reply for the architecture's consumer.
+func (g *GPU) acceptInterModule(_ int, msg noc.Msg, now sim.Cycle) bool {
+	if msg.Reply {
+		return g.acceptReply(g, msg.Dst, msg.Req, now)
+	}
+	return g.slices[msg.Dst].EnqueueRemote(msg.Req)
+}
+
+// deliverToSM hands a reply to its SM: what leaves a NUBA slice-reply
+// link, and what leaves a UBA reply crossbar — at the port of req.SM, where
+// cross addressed it.
+func (g *GPU) deliverToSM(_ int, req *sim.MemReq, now sim.Cycle) bool {
+	g.accountService(req)
+	g.sms[req.SM].AcceptReply(req, now)
+	return true
+}
+
+// moveFabric is the fabric phase of step, the same on every architecture:
+// one cycle's messages move between SMs and slices over whatever wires
+// the builder installed. A carrier the architecture lacks is an empty
+// set or queue, so the order below is each architecture's own.
+func (g *GPU) moveFabric(now sim.Cycle) {
+	if !g.invalQueue.Empty() {
+		g.drainInvalQueue(now)
+	}
+	g.smReq.drain(g, now, (*GPU).acceptSMRequest)
+	g.moveXbars(now)
+	g.inter.drain(g, now, g.acceptInter)
+	g.sliceReply.drain(g, now, (*GPU).deliverToSM)
+	if len(g.migFillRetry) > 0 {
+		g.retryFills()
+	}
 }
 
 // moveXbars runs both fabrics' arbitration and drains their egress
 // ports. Requests egress into slices on every architecture; replies go
-// to acceptReply, the architecture's consumer at reply-fabric output
+// to g.acceptReply, the architecture's consumer at reply-fabric output
 // dst (an SM for the UBA layouts, a slice for NUBA), which reports
 // back-pressure by returning false.
-func (g *GPU) moveXbars(now sim.Cycle, acceptReply func(dst int, req *sim.MemReq, now sim.Cycle) bool) {
+func (g *GPU) moveXbars(now sim.Cycle) {
 	flt := g.flt
 	for m, rq := range g.reqXbars {
 		rp := g.replyXbars[m]
@@ -248,34 +295,7 @@ func (g *GPU) moveXbars(now sim.Cycle, acceptReply func(dst int, req *sim.MemReq
 		rp.Tick(now)
 		// Port indices are local to the module.
 		slice0, dst0 := m*rq.OutPorts(), m*rp.OutPorts()
-		rq.Drain(now, func(p int, msg noc.Msg) bool { return g.enqueueRemote(slice0+p, msg.Req) })
-		rp.Drain(now, func(p int, msg noc.Msg) bool { return acceptReply(dst0+p, msg.Req, now) })
-	}
-}
-
-// moveInterModule drains the MCM inter-module links: requests into
-// their home slice, replies to the architecture's consumer.
-func (g *GPU) moveInterModule(now sim.Cycle, acceptReply func(dst int, req *sim.MemReq, now sim.Cycle) bool) {
-	for a := range g.interModule {
-		for _, link := range g.interModule[a] {
-			if link == nil {
-				continue
-			}
-			for {
-				msg, ok := link.Peek(now)
-				if !ok {
-					break
-				}
-				if msg.Reply {
-					ok = acceptReply(msg.Dst, msg.Req, now)
-				} else {
-					ok = g.enqueueRemote(msg.Dst, msg.Req)
-				}
-				if !ok {
-					break
-				}
-				link.Pop(now)
-			}
-		}
+		rq.Drain(now, func(p int, msg noc.Msg) bool { return g.slices[slice0+p].EnqueueRemote(msg.Req) })
+		rp.Drain(now, func(p int, msg noc.Msg) bool { return g.acceptReply(g, dst0+p, msg.Req, now) })
 	}
 }

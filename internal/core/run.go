@@ -126,9 +126,9 @@ func (g *GPU) runUntilIdle(ctx context.Context) error {
 }
 
 // step advances the whole system by one core cycle. It is the only
-// function that sequences component ticks: translation, SMs, the
-// architecture's fabric (links, crossbars and the egress deliveries
-// between SMs and slices), slices, channels on the memory clock, then
+// function that sequences component ticks: translation, SMs, the fabric
+// (moveFabric: links, crossbars and the egress deliveries between SMs
+// and slices), slices, channels on the memory clock, then
 // the timers. A frozen component (fault.go) is one whose tick is skipped;
 // so is one whose sleep deadline is in the future — but naive ignores
 // deadlines and the sanitizer ticks the sleeper anyway (checkSleeper).
@@ -251,14 +251,9 @@ func (g *GPU) collect() {
 
 	g.stats.NoCBytes, g.stats.NoCFlits, _ = g.nocTotals()
 
-	var localBytes int64
-	for _, l := range g.smReqLinks {
-		localBytes += l.Bytes
-	}
-	for _, l := range g.sliceReplyLinks {
-		localBytes += l.Bytes
-	}
-	g.stats.LocalLinkBytes = localBytes
+	reqBytes, _, _ := g.smReq.totals()
+	replyBytes, _, _ := g.sliceReply.totals()
+	g.stats.LocalLinkBytes = reqBytes + replyBytes
 
 	g.stats.PageMigrations = g.drv.Migrations
 	g.stats.PageReplicas = g.drv.Replications

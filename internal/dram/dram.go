@@ -201,9 +201,6 @@ func (c *Channel) casOK(now int64, g int, store bool) bool {
 	return true
 }
 
-// ID returns the channel index.
-func (c *Channel) ID() int { return c.id }
-
 // CanEnqueue reports whether the request queue has room.
 func (c *Channel) CanEnqueue() bool { return len(c.queue) < cap(c.queue) }
 

@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -123,13 +125,22 @@ func TestParallelMatchesSerial(t *testing.T) {
 // and checks that it renders, from finished runs alone, without a
 // failure: the plan derived from Configs is all a renderer can read, so
 // rendering after a Prefetch of the plan must leave the cache untouched.
+// The reports, joined exactly as `nubasweep -exp all -bench BH,AN -scale
+// 0.125` prints them, are then held to testdata/all_s0125.txt: all three
+// architectures, PAE and the MCM layouts say what they said at the last
+// commit that meant to change them. One that means to regenerates the file
+// and shows the moved lines as its diff:
+//
+//	REGEN=1 go test -run TestEveryExperiment ./internal/experiments
 func TestEveryExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed experiment")
 	}
+	const golden = "testdata/all_s0125.txt"
 	r := NewRunner(Options{Scale: 0.125,
 		Benchmarks: []workload.Benchmark{stressBench(t, "BH"), stressBench(t, "AN")}})
-	for _, e := range All() {
+	var got strings.Builder
+	for i, e := range All() {
 		t.Run(e.Name, func(t *testing.T) {
 			plan := e.Plan(r)
 			if (len(plan) == 0) != (e.Configs == nil) {
@@ -139,13 +150,40 @@ func TestEveryExperiment(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := len(r.cache)
-			if out := execute(t, r, e.Name); out == "" {
+			out := execute(t, r, e.Name)
+			if out == "" {
 				t.Fatal("empty report")
 			}
 			if len(r.cache) != before {
 				t.Fatalf("rendering simulated %d runs the plan missed", len(r.cache)-before)
 			}
+			if i > 0 {
+				got.WriteByte('\n')
+			}
+			fmt.Fprintf(&got, "== %s ==\n%s", e.Title, out)
 		})
+	}
+	if t.Failed() {
+		return
+	}
+	if os.Getenv("REGEN") != "" {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLines, gotLines := strings.Split(string(want), "\n"), strings.Split(got.String(), "\n")
+	if len(wantLines) != len(gotLines) {
+		t.Fatalf("%s has %d lines, the report %d: regenerate it (REGEN=1)", golden, len(wantLines), len(gotLines))
+	}
+	for i, w := range wantLines {
+		if gotLines[i] != w {
+			t.Errorf("line %d of the report moved:\n got  %s\n want %s", i+1, gotLines[i], w)
+		}
 	}
 }
 

@@ -294,34 +294,6 @@ func (w *Warp) guardMask(in *Instr) uint32 {
 	return m
 }
 
-// operand evaluates o for one lane.
-func (w *Warp) operand(o Operand, lane int) int64 {
-	switch o.Kind {
-	case OpdReg:
-		return w.Regs[o.Val].Lane(lane)
-	case OpdImm:
-		return o.Val
-	case OpdParam:
-		return w.L.Scalars[o.Val]
-	case OpdSpecial:
-		switch Special(o.Val) {
-		case SpecTid:
-			return int64(w.WarpInCTA*WarpSize + lane)
-		case SpecCtaid:
-			return int64(w.CTA)
-		case SpecNtid:
-			return int64(w.L.CTAThreads)
-		case SpecNctaid:
-			return int64(w.L.GridDim)
-		case SpecWarpid:
-			return int64(w.WarpInCTA)
-		case SpecLaneid:
-			return int64(lane)
-		}
-	}
-	return 0
-}
-
 func alu(op Op, a, b, c int64) int64 {
 	switch op {
 	case OpMov, OpFma:

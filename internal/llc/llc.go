@@ -290,22 +290,16 @@ func (s *Slice) process(req *sim.MemReq, now sim.Cycle) bool {
 
 	switch req.Kind {
 	case sim.Store:
-		if req.SM < 0 {
-			// Writeback from an L1/flush path or another slice: commit.
-			s.stats.LLCAccesses++
-			victim, wb := s.tags.Insert(req.Addr, true, false, int64(now))
-			if wb {
-				s.pushWriteback(victim, done)
-			}
-			s.Reqs.Put(req)
-			return true
-		}
+		// The store commits into the line. An SM's store is then
+		// acknowledged; a writeback (from an L1/flush path or another
+		// slice) has no one to answer and ends here.
 		s.stats.LLCAccesses++
-		victim, wb := s.tags.Insert(req.Addr, true, false, int64(now))
-		if wb {
-			s.pushWriteback(victim, done)
+		s.install(req.Addr, true, false, now, done)
+		if req.SM < 0 {
+			s.Reqs.Put(req)
+		} else {
+			s.pipe.Push(completion{ready: done, kind: outStoreAck, req: req})
 		}
-		s.pipe.Push(completion{ready: done, kind: outStoreAck, req: req})
 		return true
 
 	case sim.Load, sim.Atomic:
@@ -341,8 +335,12 @@ func (s *Slice) process(req *sim.MemReq, now sim.Cycle) bool {
 	return true
 }
 
-func (s *Slice) pushWriteback(victim uint64, at sim.Cycle) {
-	s.pipe.Push(completion{ready: at, kind: outToMem, req: s.newWriteback(victim)})
+// install inserts a line into the tag array and, when that evicts a dirty
+// victim, sends the victim's writeback down the pipeline for cycle wbAt.
+func (s *Slice) install(addr uint64, dirty, replica bool, now, wbAt sim.Cycle) {
+	if victim, wb := s.tags.Insert(addr, dirty, replica, int64(now)); wb {
+		s.pipe.Push(completion{ready: wbAt, kind: outToMem, req: s.newWriteback(victim)})
+	}
 }
 
 // newWriteback builds the store that carries a dirty line to memory. It
@@ -353,9 +351,17 @@ func (s *Slice) newWriteback(line uint64) *sim.MemReq {
 }
 
 // AcceptFill handles data returning from the memory controller (home
-// path) for an outstanding miss: install the line and reply to the
-// primary and all merged waiters.
-func (s *Slice) AcceptFill(req *sim.MemReq, now sim.Cycle) {
+// path) for an outstanding miss: install the line, dirty if an atomic
+// waits on it, and reply to the primary and all merged waiters.
+func (s *Slice) AcceptFill(req *sim.MemReq, now sim.Cycle) { s.fill(req, now, false) }
+
+// AcceptReplicaFill handles a reply returning over the NoC from the home
+// slice for a forwarded replica miss: install the line as a replica and
+// reply locally to the primary and merged waiters, marked Replicated.
+func (s *Slice) AcceptReplicaFill(req *sim.MemReq, now sim.Cycle) { s.fill(req, now, true) }
+
+// fill is the body the two fill doors share.
+func (s *Slice) fill(req *sim.MemReq, now sim.Cycle, replica bool) {
 	s.sleepUntil = 0
 	line := s.tags.LineAddr(req.Addr)
 	entry, ok := s.mshr.Release(line)
@@ -364,41 +370,17 @@ func (s *Slice) AcceptFill(req *sim.MemReq, now sim.Cycle) {
 		s.outbox.Push(completion{ready: now, kind: outReply, req: req})
 		return
 	}
-	dirty := entry.Primary.Kind == sim.Atomic
+	// A home-path line arrives dirty when an atomic waits on it; a replica
+	// holds read-only data.
+	atomic := entry.Primary.Kind == sim.Atomic
 	for _, r := range entry.Waiters {
-		if r.Kind == sim.Atomic {
-			dirty = true
-		}
+		atomic = atomic || r.Kind == sim.Atomic
 	}
-	victim, wb := s.tags.Insert(line, dirty, false, int64(now))
-	if wb {
-		s.pushWriteback(victim, now)
-	}
+	s.install(line, atomic && !replica, replica, now, now)
+	entry.Primary.Replicated = entry.Primary.Replicated || replica
 	s.outbox.Push(completion{ready: now, kind: outReply, req: entry.Primary})
 	for _, r := range entry.Waiters {
-		s.outbox.Push(completion{ready: now, kind: outReply, req: r})
-	}
-}
-
-// AcceptReplicaFill handles a reply returning over the NoC from the home
-// slice for a forwarded replica miss: install the line as a replica and
-// reply locally to the primary and merged waiters.
-func (s *Slice) AcceptReplicaFill(req *sim.MemReq, now sim.Cycle) {
-	s.sleepUntil = 0
-	line := s.tags.LineAddr(req.Addr)
-	entry, ok := s.mshr.Release(line)
-	if !ok {
-		s.outbox.Push(completion{ready: now, kind: outReply, req: req})
-		return
-	}
-	victim, wb := s.tags.Insert(line, false, true, int64(now))
-	if wb {
-		s.pushWriteback(victim, now)
-	}
-	entry.Primary.Replicated = true
-	s.outbox.Push(completion{ready: now, kind: outReply, req: entry.Primary})
-	for _, r := range entry.Waiters {
-		r.Replicated = true
+		r.Replicated = r.Replicated || replica
 		s.outbox.Push(completion{ready: now, kind: outReply, req: r})
 	}
 }

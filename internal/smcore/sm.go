@@ -197,7 +197,7 @@ func New(id, part int, cfg *config.Config, stats *metrics.Stats,
 		hist:      hist,
 		l1:        cache.New(cfg.L1Sets(), cfg.L1Ways, cache.WriteThrough),
 		l1MSHR:    cache.NewMSHRFile(cfg.L1MSHRs),
-		l1TLB:     vm.NewTLB(cfg.L1TLBEntries, 8),
+		l1TLB:     vm.NewTLB(cfg.L1TLBEntries, config.L1TLBWays),
 		ctaQueue:  sim.NewQueue[int](0),
 		warps:     make([]warpSlot, cfg.WarpsPerSM),
 		sched:     make([]scheduler, cfg.SchedulersPerSM),
