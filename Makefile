@@ -19,8 +19,9 @@ fmt-check:
 
 # Docs-versus-code drift: flags mentioned in README/docs must exist in
 # cmd/*, quoted `make` targets must exist here, quoted test names must be
-# declared, intra-repo Markdown links must resolve and every `DESIGN.md §N`
-# must be a numbered section (see cmd/nubadocs).
+# declared, intra-repo Markdown links must resolve, every `DESIGN.md §N`
+# must be a numbered section and no PLACEHOLDER token may stand in for a
+# table (see cmd/nubadocs).
 docs-check:
 	$(GO) run ./cmd/nubadocs
 

@@ -14,7 +14,10 @@
 //   - every intra-repo Markdown link must resolve to an existing file
 //     or directory;
 //   - every `DESIGN.md §N` pointer must name a numbered `## N.` heading
-//     of DESIGN.md.
+//     of DESIGN.md;
+//   - no checked file may carry a PLACEHOLDER token — a stand-in for a
+//     table nobody generated (EXPERIMENTS.md shipped three from the seed
+//     commit on).
 //
 // Checked files: README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md —
 // the user-facing documentation. Process records (CHANGES.md, ISSUE.md,
@@ -140,6 +143,10 @@ func main() {
 				problems = append(problems,
 					fmt.Sprintf("%s: DESIGN.md §%s is not a numbered section of DESIGN.md", rel, m[1]))
 			}
+		}
+		for _, tok := range placeholderRe.FindAllString(text, -1) {
+			problems = append(problems,
+				fmt.Sprintf("%s: %s stands where generated output belongs", rel, tok))
 		}
 	}
 
@@ -346,6 +353,10 @@ var (
 	sectionRe = regexp.MustCompile(`DESIGN\.md\s+§(\d+)`)
 	headingRe = regexp.MustCompile(`(?m)^## (\d+)\. `)
 )
+
+// placeholderRe matches a stand-in left where a command's output was
+// meant to be pasted (PLACEHOLDER, PLACEHOLDER_FIG10, ...).
+var placeholderRe = regexp.MustCompile(`\bPLACEHOLDER\w*`)
 
 var linkRe = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 

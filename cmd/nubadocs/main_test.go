@@ -50,7 +50,8 @@ func TestDocsCheck(t *testing.T) {
 			"Then `tool -nosuchflag`, [a page](docs/MISSING.md) and:\n\n" +
 			"```sh\nmake nosuchtarget   # retired\n```\n\n" +
 			"Held by `TestRealThing`, `TestReal*` and `tool.TestHelper()`; not by `TestNoSuchThing` or `BenchmarkNo*`.\n\n" +
-			"Why: DESIGN.md §1; the cycle loop was DESIGN.md\n§9 before it moved.\n",
+			"Why: DESIGN.md §1; the cycle loop was DESIGN.md\n§9 before it moved.\n\n" +
+			"```\nPLACEHOLDER_FIG10\n```\n",
 	} {
 		p := filepath.Join(root, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
@@ -71,12 +72,13 @@ func TestDocsCheck(t *testing.T) {
 		"README.md: TestNoSuchThing is not declared",
 		"README.md: BenchmarkNo* is not declared",
 		"README.md: DESIGN.md §9 is not a numbered section",
+		"README.md: PLACEHOLDER_FIG10 stands where generated output belongs",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output does not name %q:\n%s", want, out)
 		}
 	}
-	if n := strings.Count(out, "nubadocs:"); n != 6 {
-		t.Errorf("%d problems reported, want exactly the 6 seeded ones:\n%s", n, out)
+	if n := strings.Count(out, "nubadocs:"); n != 7 {
+		t.Errorf("%d problems reported, want exactly the 7 seeded ones:\n%s", n, out)
 	}
 }

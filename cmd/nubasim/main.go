@@ -49,7 +49,6 @@ func run() int {
 	traceOut := flag.String("trace-out", "trace", "trace output path prefix; writes <prefix>.ndjson and <prefix>.trace.json (multi-benchmark runs insert the benchmark abbreviation)")
 	traceEpoch := flag.Int64("trace-epoch", 0, "trace sampling interval in cycles (0 = the config's MDR epoch)")
 	engineFlag := flag.String("engine", "hybrid", nuba.EngineUsage())
-	watchdog := flag.Int64("watchdog", 0, "fail a run once no component state changes for this many cycles while work is pending (0 = off)")
 	flag.Parse()
 	if err := prof.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "nubasim:", err)
@@ -123,22 +122,21 @@ func run() int {
 	defer stop()
 
 	tr := traceArgs{on: *traceOn, out: *traceOut, epoch: *traceEpoch}
-	wd := nuba.WatchdogOptions{NoProgressCycles: *watchdog}
 	switch {
 	case len(benches) == 1:
-		err = runOne(ctx, cfg, benches[0], tr, engine, wd, *verbose)
+		err = runOne(ctx, cfg, benches[0], tr, engine, *verbose)
 	case tr.on:
 		// A traced suite is a debugging run, not a throughput one: one
 		// benchmark after another, each with its own pair of files.
 		for _, b := range benches {
 			btr := tr
 			btr.out = tr.out + "." + b.Abbr
-			if err = runOne(ctx, cfg, b, btr, engine, wd, false); err != nil {
+			if err = runOne(ctx, cfg, b, btr, engine, false); err != nil {
 				break
 			}
 		}
 	default:
-		opts := experiments.Options{Benchmarks: benches, Jobs: *jobs, Engine: engine, Watchdog: *watchdog}
+		opts := experiments.Options{Benchmarks: benches, Jobs: *jobs, Engine: engine}
 		if *verbose {
 			opts.OnEvent = experiments.ProgressPrinter(os.Stderr)
 		}
@@ -209,7 +207,7 @@ func openTrace(prefix string, epoch int64) (*nuba.TraceOptions, []*sink, error) 
 }
 
 // runOne simulates a single benchmark and prints the full statistics.
-func runOne(ctx context.Context, cfg nuba.Config, b nuba.Benchmark, tr traceArgs, engine nuba.Engine, wd nuba.WatchdogOptions, verbose bool) error {
+func runOne(ctx context.Context, cfg nuba.Config, b nuba.Benchmark, tr traceArgs, engine nuba.Engine, verbose bool) error {
 	fmt.Printf("running %s (%s) on %s...\n", b.Abbr, b.Name, cfg.Name())
 	var topts *nuba.TraceOptions
 	var sinks []*sink
@@ -220,8 +218,7 @@ func runOne(ctx context.Context, cfg nuba.Config, b nuba.Benchmark, tr traceArgs
 			return err
 		}
 	}
-	res, err := nuba.Run(ctx, cfg, b, nuba.WithTrace(topts), nuba.WithEngine(engine),
-		nuba.WithWatchdog(wd))
+	res, err := nuba.Run(ctx, cfg, b, nuba.WithTrace(topts), nuba.WithEngine(engine))
 	for _, s := range sinks {
 		if cerr := s.Close(); cerr != nil && err == nil {
 			err = cerr

@@ -12,8 +12,9 @@ import (
 
 // TestMultiBenchmarkMode is the CLI smoke test of the batch front door:
 // the binary is built once and run on a clean batch, on a batch with a
-// job that hangs, on a benchmark that does not exist, on a scale that is
-// not a GPU and on two that are not an SM-side UBA.
+// job that hangs, on a benchmark that does not exist, with the retired
+// -watchdog flag, on a scale that is not a GPU and on two that are not an
+// SM-side UBA.
 func TestMultiBenchmarkMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs nubasim")
@@ -45,9 +46,10 @@ func TestMultiBenchmarkMode(t *testing.T) {
 	}
 
 	// LBM on NUBA with round-robin placement deadlocks at this scale
-	// (the NUBA + MDR deadlock): it must cost its own row and nothing else.
+	// (the NUBA + MDR deadlock): with no flag set it must cost its own row
+	// and nothing else.
 	stdout, stderr, code = run("-arch", "nuba", "-placement", "rr", "-bench", "LBM,LEU,BH",
-		"-scale", "0.125", "-watchdog", "300000")
+		"-scale", "0.125")
 	if code != 1 || !hasRow(stdout, "LEU") || !hasRow(stdout, "BH") || hasRow(stdout, "LBM") {
 		t.Errorf("batch with a hanging job: exit %d\n%s%s", code, stdout, stderr)
 	}
@@ -65,6 +67,10 @@ func TestMultiBenchmarkMode(t *testing.T) {
 
 	if _, stderr, code = run("-bench", "nosuch"); code != 2 || !strings.Contains(stderr, "nosuch") {
 		t.Errorf("unknown benchmark: exit %d, stderr %q", code, stderr)
+	}
+	if stdout, stderr, code = run("-bench", "LEU", "-watchdog", "1"); code != 2 || stdout != "" ||
+		!strings.Contains(stderr, "flag provided but not defined: -watchdog") {
+		t.Errorf("-watchdog: exit %d, stdout %q, stderr %q; the guard is not an option", code, stdout, stderr)
 	}
 	for _, scale := range []string{"0", "-1"} {
 		if stdout, stderr, code = run("-bench", "BH,LEU", "-scale", scale); code != 2 ||

@@ -41,7 +41,6 @@ func run() int {
 	verbose := flag.Bool("v", false, "print per-run progress")
 	list := flag.Bool("list", false, "list experiments and benchmarks")
 	engineFlag := flag.String("engine", "hybrid", nuba.EngineUsage())
-	watchdog := flag.Int64("watchdog", 0, "fail a run once no component state changes for this many cycles while work is pending (0 = off)")
 	flag.Parse()
 	if err := prof.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "nubasweep:", err)
@@ -78,7 +77,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "nubasweep: -exp required (or -list)")
 		return 2
 	}
-	opts := experiments.Options{Scale: *scale, Jobs: *jobs, Engine: engine, Watchdog: *watchdog}
+	opts := experiments.Options{Scale: *scale, Jobs: *jobs, Engine: engine}
 	if *verbose {
 		opts.OnEvent = experiments.ProgressPrinter(os.Stderr)
 	}

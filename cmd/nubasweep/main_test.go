@@ -14,8 +14,9 @@ import (
 // TestSweepFrontDoor is the CLI smoke test of the experiment front door:
 // the binary is built once and run on one small experiment with one and
 // with four workers, on a list of two that share their runs, on all of
-// them, on an experiment that does not exist (alone and in a list), on a
-// scale that is not a GPU, and asked for its list.
+// them, on one whose only job hangs, on an experiment that does not exist
+// (alone and in a list), on a scale that is not a GPU, with the retired
+// -watchdog flag, and asked for its list.
 func TestSweepFrontDoor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs nubasweep")
@@ -74,6 +75,20 @@ func TestSweepFrontDoor(t *testing.T) {
 	}
 	if strings.Join(headers, "\n") != strings.Join(want, "\n") {
 		t.Errorf("-exp all must print every experiment once, in presentation order; got headers:\n%s", strings.Join(headers, "\n"))
+	}
+
+	// BP on NUBA with 2 MB pages livelocks at this scale (the NUBA + MDR
+	// deadlock): with no flag set it is a FAILED JOBS line and, on stderr,
+	// the full hang report — not a spin to MaxCycles.
+	stdout, stderr, code := run("-exp", "fig14-page", "-bench", "BP", "-scale", "0.125")
+	if code != 1 || !strings.Contains(stdout, "FAILED JOBS (1)") ||
+		!strings.Contains(stdout, "core: watchdog: no forward progress") ||
+		!strings.Contains(stderr, "hang detected at cycle") || !strings.Contains(stderr, "\n  LLC slice ") {
+		t.Errorf("fig14-page on BP: exit %d\n%s%s", code, stdout, stderr)
+	}
+	if stdout, stderr, code = run("-exp", "fig12", "-bench", "BP", "-watchdog", "1"); code != 2 || stdout != "" ||
+		!strings.Contains(stderr, "flag provided but not defined: -watchdog") {
+		t.Errorf("-watchdog: exit %d, stdout %q, stderr %q; the guard is not an option", code, stdout, stderr)
 	}
 
 	for name, args := range map[string][]string{

@@ -44,7 +44,8 @@ type cappedCapture struct {
 
 // cappedConfig is the system the whole-suite identity tests share
 // (engines here and in TestSanitizeSuite, the watchdog in
-// robustness_test.go), so they can share one reference run too.
+// robustness_test.go — at a tighter window), so they can share one
+// reference run too.
 func cappedConfig() Config {
 	cfg := NUBAConfig().Scale(0.125)
 	// A multiple of both the 64-cycle batch and MemClockDiv, far enough
@@ -53,21 +54,19 @@ func cappedConfig() Config {
 	return cfg
 }
 
-// runCapped executes b on cappedConfig under engine e with the
-// forward-progress watchdog armed at window (0 = off), tolerating (and
-// recording) the MaxCycles error a capped run ends in — and nothing
-// else: a sanitizer diagnostic or a *HangError fails the test. It drives
-// internal/core directly because the public Run returns no Result for a
-// capped run, while the comparison needs the stats snapshot either way.
-func runCapped(t *testing.T, b Benchmark, e Engine, window int64) cappedCapture {
+// runCapped executes b on cfg (cappedConfig, or a variant of it) under
+// engine e, tolerating (and recording) the MaxCycles error a capped run
+// ends in — and nothing else: a sanitizer diagnostic or a *HangError
+// fails the test. It drives internal/core directly because the public
+// Run returns no Result for a capped run, while the comparison needs the
+// stats snapshot either way.
+func runCapped(t *testing.T, cfg Config, b Benchmark, e Engine) cappedCapture {
 	t.Helper()
-	cfg := cappedConfig()
 	g, err := core.New(cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", b.Abbr, err)
 	}
 	g.SetEngine(e)
-	g.SetWatchdog(window)
 	var series bytes.Buffer
 	tr := trace.New(trace.Options{Series: &series, EpochCycles: 10_000}, cfg.CoreClockGHz)
 	tr.Begin(trace.Meta{Bench: b.Abbr, Config: cfg.Name(), Partitions: cfg.NumPartitions()})
@@ -79,7 +78,7 @@ func runCapped(t *testing.T, b Benchmark, e Engine, window int64) cappedCapture 
 	outcome := "drained"
 	if err := g.RunProgramContext(context.Background(), launches); err != nil {
 		if !strings.Contains(err.Error(), "exceeded MaxCycles") {
-			t.Fatalf("%s: %v engine, watchdog window %d: unexpected error: %v", b.Abbr, e, window, err)
+			t.Fatalf("%s: %v engine: unexpected error: %v", b.Abbr, e, err)
 		}
 		outcome = err.Error()
 	}
@@ -100,13 +99,13 @@ func runCapped(t *testing.T, b Benchmark, e Engine, window int64) cappedCapture 
 var cappedRefs = map[string]cappedCapture{}
 
 // cappedReference is what every whole-suite test compares its variant
-// against: b under the default engine with no watchdog. It is simulated
+// against: b on cappedConfig under the default engine. It is simulated
 // on first use, so any one of those tests still runs alone under -run.
 func cappedReference(t *testing.T, b Benchmark) cappedCapture {
 	t.Helper()
 	ref, ok := cappedRefs[b.Abbr]
 	if !ok {
-		ref = runCapped(t, b, EngineHybrid, 0)
+		ref = runCapped(t, cappedConfig(), b, EngineHybrid)
 		cappedRefs[b.Abbr] = ref
 	}
 	return ref
@@ -156,7 +155,7 @@ func TestEnginesByteIdenticalAcrossSuite(t *testing.T) {
 	}
 	var drained, capped int
 	for _, b := range Suite() {
-		naive := runCapped(t, b, EngineNaive, 0)
+		naive := runCapped(t, cappedConfig(), b, EngineNaive)
 		hybrid := cappedReference(t, b)
 		if naive.outcome != hybrid.outcome {
 			t.Errorf("%s: outcomes diverge\nnaive:  %s\nhybrid: %s", b.Abbr, naive.outcome, hybrid.outcome)
@@ -203,7 +202,7 @@ func TestSanitizeSuite(t *testing.T) {
 		t.Skip("simulation-backed; runs every benchmark, plus the shared reference")
 	}
 	for _, b := range Suite() {
-		san := runCapped(t, b, EngineSanitize, 0)
+		san := runCapped(t, cappedConfig(), b, EngineSanitize)
 		hybrid := cappedReference(t, b)
 		if san.outcome != hybrid.outcome {
 			t.Errorf("%s: outcomes diverge\nsanitize: %s\nhybrid:   %s", b.Abbr, san.outcome, hybrid.outcome)

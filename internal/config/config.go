@@ -497,6 +497,10 @@ func (c *Config) Validate() error {
 			c.WarpsPerSM, c.SchedulersPerSM, MaxWarpsPerScheduler)
 	case c.MemClockDiv <= 0:
 		return fmt.Errorf("config: MemClockDiv must be positive")
+	case !(c.CoreClockGHz > 0):
+		return fmt.Errorf("config: CoreClockGHz %g must be positive (bandwidths in GB/s become bytes per core cycle through it)", c.CoreClockGHz)
+	case c.MaxCTAsPerSM < 1:
+		return fmt.Errorf("config: MaxCTAsPerSM %d must be positive (an SM that admits no CTA never starts its share of the grid)", c.MaxCTAsPerSM)
 	// SMs and slices are whole multiples of the channels (above), so a
 	// crossbar domain — an MCM module, a half of the SM-side UBA — holds
 	// its share of all three iff it holds a whole number of channels.
@@ -519,6 +523,13 @@ func (c *Config) Validate() error {
 	case c.L1TLBEntries < 1 || c.L1TLBEntries%L1TLBWays != 0 || c.L2TLBWays < 1 || c.L2TLBEntries < 1 || c.L2TLBEntries%c.L2TLBWays != 0:
 		return fmt.Errorf("config: TLB geometry invalid: entries must be a positive multiple of the ways (L1TLBEntries %d over %d ways, L2TLBEntries %d over L2TLBWays %d)",
 			c.L1TLBEntries, L1TLBWays, c.L2TLBEntries, c.L2TLBWays)
+	case c.L2TLBPorts < 1 || c.PageWalkers < 1:
+		return fmt.Errorf("config: L2TLBPorts %d and PageWalkers %d must be positive (a translation that misses the L1 TLB would wait forever)",
+			c.L2TLBPorts, c.PageWalkers)
+	case c.Placement == Migration && c.MigrationInterval < 1:
+		return fmt.Errorf("config: MigrationInterval %d must be positive under migration placement (the page scan would run every cycle)", c.MigrationInterval)
+	case c.MaxCycles < 1:
+		return fmt.Errorf("config: MaxCycles %d must be positive", c.MaxCycles)
 	case c.Arch == NUBA && c.LocalLinkBytes < 1:
 		return fmt.Errorf("config: LocalLinkBytes %d must be positive (the width of NUBA's point-to-point links)", c.LocalLinkBytes)
 	}

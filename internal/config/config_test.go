@@ -184,7 +184,8 @@ func TestValidateBoundsFixedCapacityStructures(t *testing.T) {
 // TestValidateRejectsWhatUsedToPanic: each row built a GPU that died with a
 // runtime panic — a divide by zero or an index out of range in the module
 // arithmetic, a constructor's own geometry panic, or inside Validate itself
-// — and must be a named error instead.
+// — or, the rows from "no core clock" on, one that panicked in the run or
+// could only spin to MaxCycles, and must be a named error instead.
 func TestValidateRejectsWhatUsedToPanic(t *testing.T) {
 	smSide := func(f float64) func(*Config) {
 		return func(c *Config) { *c = Baseline().Scale(f).WithArch(UBASMSide) }
@@ -212,6 +213,13 @@ func TestValidateRejectsWhatUsedToPanic(t *testing.T) {
 		{"L2 TLB not a multiple of its ways", func(c *Config) { c.L2TLBWays = 7 }, "L2TLBWays 7"},
 		{"NUBA without link width", func(c *Config) { *c = c.WithArch(NUBA); c.LocalLinkBytes = 0 }, "LocalLinkBytes 0"},
 		{"UBA never builds the links", func(c *Config) { c.LocalLinkBytes = 0 }, ""},
+		{"no core clock", func(c *Config) { c.CoreClockGHz = 0 }, "CoreClockGHz 0"},
+		{"no CTA slots", func(c *Config) { c.MaxCTAsPerSM = 0 }, "MaxCTAsPerSM 0"},
+		{"no page walkers", func(c *Config) { c.PageWalkers = 0 }, "PageWalkers 0"},
+		{"no L2 TLB ports", func(c *Config) { c.L2TLBPorts = 0 }, "L2TLBPorts 0"},
+		{"migration scan every cycle", func(c *Config) { *c = c.WithArch(NUBA); c.Placement, c.MigrationInterval = Migration, 0 }, "MigrationInterval 0"},
+		{"other placements never scan", func(c *Config) { c.MigrationInterval = 0 }, ""},
+		{"no cycle budget", func(c *Config) { c.MaxCycles = 0 }, "MaxCycles 0"},
 	}
 	for _, tc := range cases {
 		c := Baseline()

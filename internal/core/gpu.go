@@ -90,9 +90,8 @@ type GPU struct {
 	// flt is the armed fault-injection state (fault.go); nil unless a
 	// test called Inject.
 	flt *coreFault
-	// wd is the forward-progress watchdog, nil unless armed with
-	// SetWatchdog (see watchdog.go).
-	wd *watchdog
+	// wd is the forward-progress watchdog (watchdog.go).
+	wd watchdog
 	// reqs recycles the requests no SM creates: slice writebacks,
 	// SM-side invalidations and page-copy traffic. Each retires where
 	// it dies — a write when its burst completes in the channel, an
@@ -128,6 +127,7 @@ func New(cfg config.Config) (*GPU, error) {
 		migQueue:    sim.NewQueue[*sim.MemReq](0),
 		invalQueue:  sim.NewQueue[*sim.MemReq](0),
 		nextMigScan: cfg.MigrationInterval,
+		wd:          newWatchdog(watchdogWindow(&cfg)),
 		// Room for NUBA's table, the largest: two rows per SM and slice.
 		parts: make([]part, 0, 2*(cfg.NumSMs+cfg.NumLLCSlices)+cfg.NumChannels+8),
 	}

@@ -37,8 +37,12 @@ type prewarmCTA struct {
 // touch with the configured placement policy.
 func (g *GPU) prewarm(l *kir.Launch) {
 	n := g.cfg.NumSMs
-	per := (l.GridDim + n - 1) / n
-	cursors := make([]int, n) // next CTA offset per SM
+	// Each SM's next CTA and the end of its block, as the timed run
+	// will assign them.
+	todo := make([]struct{ next, end int }, n)
+	for smID := range todo {
+		todo[smID].next, todo[smID].end = ctaRange(l.GridDim, n, smID)
+	}
 	current := make([]*prewarmCTA, n)
 	// Each SM runs its CTAs one after another through one prewarmCTA,
 	// whose warps are reset in place.
@@ -52,13 +56,12 @@ func (g *GPU) prewarm(l *kir.Launch) {
 		for smID := 0; smID < n; smID++ {
 			cta := current[smID]
 			if cta == nil {
-				idx := smID*per + cursors[smID]
-				if idx >= l.GridDim || cursors[smID] >= per {
+				if todo[smID].next == todo[smID].end {
 					continue
 				}
-				cursors[smID]++
 				cta = &ctas[smID]
-				cta.reset(l, idx)
+				cta.reset(l, todo[smID].next)
+				todo[smID].next++
 				current[smID] = cta
 			}
 			live++

@@ -54,24 +54,27 @@ func (g *GPU) RunProgramContext(ctx context.Context, launches []*kir.Launch) err
 		}
 	}
 	g.traceFinish()
-	g.stats.Cycles = int64(g.cycle)
-	g.collect()
 	return nil
 }
 
-// assignCTAs implements distributed CTA scheduling: contiguous CTA blocks
-// per SM, maximizing the locality that first-touch/LAB placement exploits.
-// Blocks are passed as [lo, hi) ranges — no per-SM slice allocation, and
-// SMs beyond the grid (a launch smaller than the machine) get an empty
-// range instead of a negative one.
-func (g *GPU) assignCTAs(l *kir.Launch) {
-	n := g.cfg.NumSMs
-	grid := l.GridDim
+// ctaRange is distributed CTA scheduling: SM sm of n runs the contiguous
+// block [lo, hi) of a grid of grid CTAs, ⌈grid/n⌉ to an SM — contiguity
+// maximizes the locality that first-touch/LAB placement exploits. An SM
+// beyond the grid (a launch smaller than the machine) gets an empty
+// range. The timed run (assignCTAs) and the prewarm that reproduces its
+// first-touch placement both read it, so the two agree by construction.
+func ctaRange(grid, n, sm int) (lo, hi int) {
 	per := (grid + n - 1) / n
-	for smID := 0; smID < n; smID++ {
-		lo := min(smID*per, grid)
-		hi := min(lo+per, grid)
-		g.sms[smID].StartKernel(l, lo, hi)
+	lo = min(sm*per, grid)
+	return lo, min(lo+per, grid)
+}
+
+// assignCTAs hands every SM its block of the grid, as a range: no per-SM
+// slice allocation.
+func (g *GPU) assignCTAs(l *kir.Launch) {
+	for smID, s := range g.sms {
+		lo, hi := ctaRange(l.GridDim, len(g.sms), smID)
+		s.StartKernel(l, lo, hi)
 	}
 }
 
@@ -81,48 +84,45 @@ func (g *GPU) assignCTAs(l *kir.Launch) {
 // reported cycle counts on the same lattice and therefore byte-identical.
 const batchCycles = 64
 
-// runUntilIdle advances the clock until every component drains or the
-// context is canceled. The ctx poll sits outside the per-batch inner loop
-// so its cost is amortized over thousands of component ticks. The batch
-// is clamped at MaxCycles so a runaway workload stops exactly at the
+// runUntilIdle advances the clock until every component drains, the
+// context is canceled, the watchdog declares a hang or the run reaches
+// MaxCycles. The ctx poll sits outside the per-batch inner loop so its
+// cost is amortized over thousands of component ticks. The batch is
+// clamped at MaxCycles so a runaway workload stops exactly at the
 // configured limit instead of overshooting by up to a whole batch.
+// However the loop ends, the statistics reflect the cycles simulated.
 func (g *GPU) runUntilIdle(ctx context.Context) error {
+	var err error
 	for {
-		if err := ctx.Err(); err != nil {
-			g.stats.Cycles = int64(g.cycle)
-			g.collect()
-			return fmt.Errorf("core: run canceled at cycle %d: %w", g.cycle, err)
+		if cerr := ctx.Err(); cerr != nil {
+			err = fmt.Errorf("core: run canceled at cycle %d: %w", g.cycle, cerr)
+			break
 		}
 		target := g.cycle + batchCycles
 		if maxC := sim.Cycle(g.cfg.MaxCycles); g.cycle < maxC && target > maxC {
 			target = maxC
 		}
-		if err := g.advance(target); err != nil {
-			g.stats.Cycles = int64(g.cycle)
-			g.collect()
-			return err
+		if err = g.advance(target); err != nil {
+			break
 		}
 		if f := g.flt; f != nil && f.panicAt > 0 && g.cycle >= f.panicAt {
 			panic(fmt.Sprintf("core: injected fault: panic at cycle %d", g.cycle))
 		}
 		if g.quiet() {
-			g.stats.Cycles = int64(g.cycle)
-			return nil
+			break
 		}
-		if g.wd != nil {
-			if err := g.wd.check(g); err != nil {
-				g.stats.Cycles = int64(g.cycle)
-				g.collect()
-				return err
-			}
+		if err = g.wd.check(g); err != nil {
+			break
 		}
 		if int64(g.cycle) >= g.cfg.MaxCycles {
 			g.hitMaxCycles = true
-			g.stats.Cycles = int64(g.cycle)
-			g.collect()
-			return fmt.Errorf("core: run exceeded MaxCycles=%d (deadlock or runaway workload)", g.cfg.MaxCycles)
+			err = fmt.Errorf("core: run exceeded MaxCycles=%d (runaway workload)", g.cfg.MaxCycles)
+			break
 		}
 	}
+	g.stats.Cycles = int64(g.cycle)
+	g.collect()
+	return err
 }
 
 // step advances the whole system by one core cycle. It is the only

@@ -20,11 +20,10 @@ import (
 // engine e and steps until SM 0 sleeps on a scoreboard timer with live
 // warps and no memory request out: a finite deadline that no door can
 // clear before it comes due. It returns the GPU and SM 0's table row.
-func napping(t *testing.T, e Engine, window sim.Cycle, extra ...component) (*GPU, *part) {
+func napping(t *testing.T, e Engine, extra ...component) (*GPU, *part) {
 	t.Helper()
 	g := MustNew(tinyConfig(config.NUBA))
 	g.SetEngine(e)
-	g.SetWatchdog(window)
 	for _, c := range extra {
 		g.register(c, "test row", -1, -1)
 	}
@@ -64,7 +63,7 @@ func (busyRow) detail(sim.Cycle) string        { return "" }
 // cycle — here on a stepped cycle outside any idle window, where the
 // whole-GPU check (verifyIdleWindow) never looks.
 func TestSanitizeCatchesUnsoundSleep(t *testing.T) {
-	g, row := napping(t, EngineSanitize, 0, busyRow{})
+	g, row := napping(t, EngineSanitize, busyRow{})
 	due := *row.sleep
 	*row.sleep = due + 1
 	err := g.runUntilIdle(context.Background())
@@ -82,11 +81,11 @@ func TestSanitizeCatchesUnsoundSleep(t *testing.T) {
 // nothing — and every cross-engine identity suite therefore proves
 // hybrid's gate, not a shared mistake.
 func TestNaiveIgnoresSleep(t *testing.T) {
-	clean, _ := napping(t, EngineHybrid, 0)
+	clean, _ := napping(t, EngineHybrid)
 	if err := clean.runUntilIdle(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	g, row := napping(t, EngineNaive, 0)
+	g, row := napping(t, EngineNaive)
 	*row.sleep = sim.Never
 	if err := g.runUntilIdle(context.Background()); err != nil {
 		t.Fatalf("naive engine honoured a sleep deadline: %v", err)
@@ -103,12 +102,13 @@ func TestNaiveIgnoresSleep(t *testing.T) {
 }
 
 // A lost wake-up — work to do, a deadline that says never — is the bug
-// class sleep deadlines introduce, and without a watchdog it burns to
-// MaxCycles. With one it must be a HangError within the first sampling
-// interval, and the report must show the signature: a live hint of +1
-// next to asleep-until=never.
+// class sleep deadlines introduce. It must not burn to MaxCycles: it is
+// a HangError within the first sampling interval (of a window shortened
+// to 4096 cycles here), and the report must show the signature: a live
+// hint of +1 next to asleep-until=never.
 func TestLostWakeIsAHang(t *testing.T) {
-	g, row := napping(t, EngineHybrid, 4096)
+	g, row := napping(t, EngineHybrid)
+	g.wd = newWatchdog(4096)
 	*row.sleep = sim.Never
 	err := g.runUntilIdle(context.Background())
 	var he *HangError

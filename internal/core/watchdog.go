@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/nuba-gpu/nuba/internal/config"
 	"github.com/nuba-gpu/nuba/internal/sim"
 )
 
@@ -20,10 +21,10 @@ import (
 // ever run again (e.g. a dropped DRAM reply wedging an MSHR).
 //
 // The watchdog only reads the same pure signatures the sanitizer reads,
-// so arming it cannot perturb the simulation: runs are byte-identical
-// with the watchdog on or off.
+// so it cannot perturb the simulation. It is not an option: New arms it
+// on every GPU, at a window worked out from the configuration.
 
-// watchdog holds the armed watchdog's state (see GPU.SetWatchdog).
+// watchdog is the guard's state, a value field of every GPU.
 type watchdog struct {
 	window       sim.Cycle // fail after this many cycles without progress
 	every        sim.Cycle // signature sampling interval
@@ -33,21 +34,23 @@ type watchdog struct {
 	primed       bool
 }
 
-// SetWatchdog arms the forward-progress watchdog: the run fails with a
-// *HangError if no component state signature changes for window cycles
-// while work is outstanding. window <= 0 disarms. Signatures are
-// sampled every window/4 cycles (at least once per batch), so detection
-// lands within ~1.25 windows of the actual stall.
-func (g *GPU) SetWatchdog(window sim.Cycle) {
-	if window <= 0 {
-		g.wd = nil
-		return
-	}
-	every := window / 4
-	if every < batchCycles {
-		every = batchCycles
-	}
-	g.wd = &watchdog{window: window, every: every}
+// watchdogWindow is the no-progress window of a configuration's runs:
+// eight times the longest single latency a healthy run can sit on with
+// every signature frozen, and at least 64 Ki cycles. Today that latency
+// is PageFaultLatency — a lone cold fault holds the event heap, the
+// walkers and every queue still until it resolves — so the window is
+// 224,000 cycles at Baseline() and follows the fault penalty when a
+// configuration lengthens it. A new fixed wait that freezes every
+// StateSig joins the max here.
+func watchdogWindow(cfg *config.Config) sim.Cycle {
+	return max(8*cfg.PageFaultLatency, 64*1024)
+}
+
+// newWatchdog returns the guard for a window. Signatures are sampled
+// every window/4 cycles (at least once per batch), so detection lands
+// within ~1.25 windows of the actual stall.
+func newWatchdog(window sim.Cycle) watchdog {
+	return watchdog{window: window, every: max(window/4, batchCycles)}
 }
 
 // check runs at batch boundaries while work is outstanding. It returns
@@ -185,9 +188,7 @@ func (e *HangError) Error() string {
 }
 
 // CaptureHang assembles a HangReport naming every component that still
-// holds work, with its wake hint and debug summary. Besides the
-// watchdog it serves post-hoc diagnosis (e.g. a wall-clock budget
-// expiring in the caller).
+// holds work, with its wake hint and debug summary.
 func (g *GPU) CaptureHang(reason string, window sim.Cycle, lastProgress sim.Cycle) HangReport {
 	r := HangReport{
 		Cycle:        g.cycle,

@@ -13,31 +13,35 @@ import (
 )
 
 // wdRun runs the tiny kernel with the given faults armed and the
-// watchdog set to window.
+// watchdog's window shortened to window (0 = the configuration's own).
 func wdRun(t *testing.T, window sim.Cycle, faults ...Fault) (*GPU, error) {
 	t.Helper()
 	g := MustNew(tinyConfig(config.NUBA))
 	if err := g.Inject(0, faults...); err != nil {
 		t.Fatalf("inject: %v", err)
 	}
-	g.SetWatchdog(window)
+	if window > 0 {
+		g.wd = newWatchdog(window)
+	}
 	l := tinyLaunch(t, g, 32, 4)
 	return g, g.RunProgram([]*kir.Launch{l})
 }
 
-// A clean run must be untouched by the watchdog: same cycle count as an
-// unwatched run, no error. The watchdog only reads pure signatures.
+// A clean run must be untouched by the watchdog however tight its
+// window: the same cycle count at the configuration's window and at one
+// sampled fifty times as often, no error. The watchdog only reads pure
+// signatures.
 func TestWatchdogCleanRunIdentical(t *testing.T) {
-	gOff, err := wdRun(t, 0)
+	gWide, err := wdRun(t, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gOn, err := wdRun(t, 4096)
+	gTight, err := wdRun(t, 4096)
 	if err != nil {
 		t.Fatalf("watchdog flagged a healthy run: %v", err)
 	}
-	if a, b := gOff.Stats().Cycles, gOn.Stats().Cycles; a != b {
-		t.Fatalf("watchdog perturbed the run: %d cycles unwatched, %d watched", a, b)
+	if a, b := gWide.Stats().Cycles, gTight.Stats().Cycles; a != b {
+		t.Fatalf("watchdog perturbed the run: %d cycles at the derived window, %d at 4096", a, b)
 	}
 }
 
@@ -217,4 +221,41 @@ func TestInjectPanicFires(t *testing.T) {
 	}
 	l := tinyLaunch(t, g, 32, 4)
 	_ = g.RunProgram([]*kir.Launch{l})
+}
+
+// One cold page fault is the longest a healthy machine sits with every
+// signature frozen: the event heap, the walkers and every queue hold
+// still for PageFaultLatency cycles. The window is worked out from that
+// latency, so the run finishes — at Baseline()'s penalty, where the
+// 16384 cycles docs/ROBUSTNESS.md used to call safe declared a hang, at
+// four times it, and at sixteen times it, where Baseline()'s own window
+// held constant would.
+func TestWatchdogRidesOutAColdFault(t *testing.T) {
+	k := kir.MustParse(`
+.kernel coldload
+.param .ptr A
+  mov r0, %tid
+  shl r1, r0, 3
+  ld.global.u64 r2, [A + r1]
+  exit
+`)
+	kir.AnalyzeReadOnly(k)
+	for _, mult := range []sim.Cycle{1, 4, 16} {
+		cfg := tinyConfig(config.NUBA)
+		cfg.ColdStart = true
+		cfg.PageFaultLatency *= mult
+		g := MustNew(cfg)
+		const size = 256 * 8
+		l := &kir.Launch{Kernel: k, GridDim: 1, CTAThreads: 256,
+			Buffers: []kir.Binding{{Base: g.NewBuffer(size), Size: size}}}
+		if err := g.RunProgram([]*kir.Launch{l}); err != nil {
+			t.Fatalf("PageFaultLatency x%d: %v", mult, err)
+		}
+		// The walk, the fault and one DRAM access: 608 cycles at x1.
+		st, lat := g.Stats(), int64(cfg.PageFaultLatency)
+		if st.PageFaults != 1 || st.Cycles <= lat || st.Cycles > lat+1024 {
+			t.Errorf("PageFaultLatency x%d: %d page faults in %d cycles, want 1 in a little over %d",
+				mult, st.PageFaults, st.Cycles, lat)
+		}
+	}
 }

@@ -13,31 +13,14 @@ import (
 // Both are driven by per-interval access counters that the core updates on
 // every LLC access when one of these policies is active.
 
-// ActionKind identifies a placement action produced at an interval
-// boundary.
-type ActionKind int
-
-// Placement actions.
-const (
-	// Migrate moves a page's home to a new channel; accessors stall
-	// while the copy is in flight and cached lines of the old frame go
-	// cold.
-	Migrate ActionKind = iota
-	// Replicate creates a page replica in a reader partition.
-	Replicate
-	// Collapse removes all replicas of a page (triggered by a write).
-	Collapse
-)
-
-// Action describes one migration/replication decision for the core to
-// charge costs for (copy traffic, TLB shootdown, page busy time).
+// Action is one migration decision for the core to charge costs for
+// (copy traffic, TLB shootdown, page busy time): Page moves its home from
+// channel From to channel To; accessors stall while the copy is in flight
+// and cached lines of the old frame go cold.
 type Action struct {
-	Kind   ActionKind
-	Page   *Page
-	From   int
-	To     int
-	OldPPN uint64
-	NewPPN uint64
+	Page *Page
+	From int
+	To   int
 }
 
 // RecordAccess bumps the interval access counter of a page for the
@@ -98,7 +81,7 @@ func (d *Driver) MigrationCandidates(now sim.Cycle) []Action {
 		}
 		home := p.accesses[p.Channel]
 		if best != p.Channel && int(bestCount) >= d.cfg.MigrationThreshold && bestCount >= 2*home+1 {
-			actions = append(actions, Action{Kind: Migrate, Page: p, From: p.Channel, To: best, OldPPN: p.PPN})
+			actions = append(actions, Action{Page: p, From: p.Channel, To: best})
 		}
 		for ch := range p.accesses {
 			p.accesses[ch] = 0
@@ -122,24 +105,6 @@ func (d *Driver) ApplyMigration(p *Page, to int, busyUntil sim.Cycle) uint64 {
 }
 
 // CollapseReplicas removes every replica of a page (called when a store
-// targets a replicated page) and returns the dropped replica PPNs so the
-// core can invalidate any cached lines.
-func (d *Driver) CollapseReplicas(p *Page) []uint64 {
-	if p.Replicas == nil {
-		return nil
-	}
-	// Drop replicas in partition order so the caller's line
-	// invalidations replay identically across runs.
-	parts := make([]int, 0, len(p.Replicas))
-	for part := range p.Replicas {
-		parts = append(parts, part)
-	}
-	slices.Sort(parts)
-	dropped := make([]uint64, 0, len(parts))
-	for _, part := range parts {
-		dropped = append(dropped, p.Replicas[part])
-	}
-	p.Replicas = nil
-	d.Collapses++
-	return dropped
-}
+// targets a replicated page); every partition resolves to the home frame
+// again.
+func (d *Driver) CollapseReplicas(p *Page) { p.Replicas = nil }

@@ -60,7 +60,6 @@ type Driver struct {
 	LeastFirstOps int64
 	Migrations    int64
 	Replications  int64
-	Collapses     int64
 }
 
 // New returns a driver for the configuration.

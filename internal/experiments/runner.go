@@ -39,13 +39,6 @@ type Options struct {
 	// It never enters the memo key: all engines are cycle-exact, so the
 	// engine changes only how fast a job simulates, never its result.
 	Engine nuba.Engine
-	// Watchdog arms each run's forward-progress watchdog: the run fails
-	// with a structured hang report once no component state changes for
-	// this many simulated cycles while work is outstanding (0 = off).
-	// The watchdog reads only pure state signatures, so results are
-	// byte-identical with it on or off; like Engine it never enters the
-	// memo key.
-	Watchdog int64
 	// Arm, when non-nil, is asked per job for a nuba.WithArm hook to run
 	// on that job's assembled system (nil = none). The stress tests
 	// inject faults through it (docs/ROBUSTNESS.md); production sweeps

@@ -29,10 +29,7 @@ func stressConfig() nuba.Config {
 	return cfg
 }
 
-const (
-	stressSeed   = 0x9ba7_57e5 // arbitrary, fixed: reruns hit identical targets
-	stressWindow = 16384       // watchdog no-progress window for the matrix
-)
+const stressSeed = 0x9ba7_57e5 // arbitrary, fixed: reruns hit identical targets
 
 // inject is the nuba.WithArm hook arming faults with the matrix's seed.
 func inject(faults ...core.Fault) func(*nuba.System) error {
@@ -63,8 +60,8 @@ func stressBench(t *testing.T, abbr string) workload.Benchmark {
 	return b
 }
 
-// TestStressMatrix runs one fault class per row against a watchdogged
-// run and asserts the documented detection outcome.
+// TestStressMatrix runs one fault class per row — no option set beyond
+// the row's engine — and asserts the documented detection outcome.
 func TestStressMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed stress matrix")
@@ -93,7 +90,6 @@ func TestStressMatrix(t *testing.T) {
 			run := func() error {
 				_, err := nuba.Run(context.Background(), stressConfig(), b,
 					nuba.WithEngine(tc.engine),
-					nuba.WithWatchdog(nuba.WatchdogOptions{NoProgressCycles: stressWindow}),
 					nuba.WithArm(inject(tc.faults...)))
 				return err
 			}
@@ -134,9 +130,9 @@ func TestStressMatrix(t *testing.T) {
 }
 
 // TestStressPoolIsolatesFailures is the acceptance scenario: a sweep
-// containing one panicking job and one hanging job still renders a
-// report for every healthy benchmark, records both failures with their
-// cause, and marks the report partial.
+// containing one panicking job and one hanging job of each class — no
+// option set — still renders a report for every healthy benchmark,
+// records every failure with its cause, and marks the report partial.
 func TestStressPoolIsolatesFailures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed stress matrix")
@@ -144,14 +140,17 @@ func TestStressPoolIsolatesFailures(t *testing.T) {
 	plan := armPlan{
 		{"", "BP"}:    {{Kind: core.PanicAt, At: 2000}},
 		{"", "SGEMM"}: {{Kind: core.WedgeSM, Target: 0, At: 2000}},
+		{"", "LEU"}:   {{Kind: core.StallLLC, Target: 0, At: 2000}},
+		{"", "BH"}:    {{Kind: core.StallNoC, Target: 0, At: 2000}},
+		{"", "AN"}:    {{Kind: core.DropDRAMReply, Target: 0, After: 3}},
 	}
 
-	benches := []workload.Benchmark{
-		stressBench(t, "BP"), stressBench(t, "SGEMM"), stressBench(t, "MVT"),
+	var benches []workload.Benchmark
+	for _, abbr := range []string{"BP", "SGEMM", "LEU", "BH", "AN", "MVT"} {
+		benches = append(benches, stressBench(t, abbr))
 	}
 	r := NewRunner(Options{
-		Scale: 0.125, Benchmarks: benches, Jobs: 2,
-		Watchdog: stressWindow, Arm: plan.arm,
+		Scale: 0.125, Benchmarks: benches, Jobs: 2, Arm: plan.arm,
 	})
 	e, err := ByName("fig3")
 	if err != nil {
@@ -167,8 +166,8 @@ func TestStressPoolIsolatesFailures(t *testing.T) {
 	if !strings.Contains(rep.Text, "FAILED JOBS") {
 		t.Fatalf("partial report carries no failures section:\n%s", rep.Text)
 	}
-	if len(rep.Failures) != 2 {
-		t.Fatalf("want 2 job failures, got %d: %+v", len(rep.Failures), rep.Failures)
+	if len(rep.Failures) != len(plan) {
+		t.Fatalf("want %d job failures, got %d: %+v", len(plan), len(rep.Failures), rep.Failures)
 	}
 	byBench := map[string]JobFailure{}
 	for _, f := range rep.Failures {
@@ -182,6 +181,11 @@ func TestStressPoolIsolatesFailures(t *testing.T) {
 	if f := byBench["SGEMM"]; f.Panic || !strings.Contains(f.Err, "watchdog") || strings.Contains(f.Err, "\n") ||
 		!strings.HasPrefix(f.Hang, "hang detected at cycle") || !strings.Contains(f.Hang, "\n  SM 0 ") {
 		t.Errorf("SGEMM failure must be a watchdog hang with its report: %+v", f)
+	}
+	for _, abbr := range []string{"LEU", "BH", "AN"} {
+		if f := byBench[abbr]; !strings.Contains(f.Err, "watchdog") || f.Hang == "" {
+			t.Errorf("%s failure must be a watchdog hang with its report: %+v", abbr, f)
+		}
 	}
 }
 
@@ -221,9 +225,11 @@ func TestStressFailureStaysInItsExperiment(t *testing.T) {
 	}
 }
 
-// TestStressCancelUnderFault: with a stall fault armed and no watchdog,
-// the run can never finish — cancellation must still stop all three
-// engines promptly. Runs under -race via the experiments race target.
+// TestStressCancelUnderFault: a caller's deadline ends a run that is
+// live. One slice ticking every 4096th cycle makes progress inside every
+// watchdog window and would take hours to finish, so only cancellation
+// can end the run — and must, promptly, on all three engines. Runs under
+// -race via the experiments race target.
 func TestStressCancelUnderFault(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed stress matrix")
@@ -234,9 +240,11 @@ func TestStressCancelUnderFault(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 			defer cancel()
 			start := time.Now()
-			_, err := nuba.Run(ctx, stressConfig(), b,
+			cfg := stressConfig()
+			cfg.MaxCycles = 1 << 40 // effectively uncapped: only the deadline can stop it
+			_, err := nuba.Run(ctx, cfg, b,
 				nuba.WithEngine(engine),
-				nuba.WithArm(inject(core.Fault{Kind: core.StallNoC, Target: 0, At: 1000})))
+				nuba.WithArm(inject(core.Fault{Kind: core.SlowLLC, Target: 0, At: 1000, Period: 4096})))
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("want ctx deadline error, got %v", err)
 			}

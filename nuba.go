@@ -26,11 +26,9 @@ package nuba
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"strings"
-	"time"
 
 	"github.com/nuba-gpu/nuba/internal/config"
 	"github.com/nuba-gpu/nuba/internal/core"
@@ -77,9 +75,9 @@ type (
 	// LineChart is the ASCII time-series chart (for plotting epoch
 	// traces, e.g. NPB over time).
 	LineChart = metrics.LineChart
-	// HangError is the error a watchdog-armed run fails with when the
-	// machine stops making forward progress; its Report field carries
-	// the structured diagnosis (see docs/ROBUSTNESS.md).
+	// HangError is the error a run fails with when the machine stops
+	// making forward progress; its Report field carries the structured
+	// diagnosis (see docs/ROBUSTNESS.md).
 	HangError = core.HangError
 	// HangReport names the stuck components, their queue depths and
 	// their last wake hints at hang-detection time.
@@ -231,7 +229,6 @@ type runConfig struct {
 	trace    *TraceOptions
 	launches func(sys *System) ([]*Launch, error)
 	engine   Engine
-	watchdog WatchdogOptions
 	arm      func(sys *System) error
 }
 
@@ -259,32 +256,6 @@ func WithEngine(e Engine) RunOption {
 	return func(rc *runConfig) { rc.engine = e }
 }
 
-// WatchdogOptions configures the forward-progress watchdog of a run.
-// The zero value disables both limits.
-type WatchdogOptions struct {
-	// NoProgressCycles fails the run with a *HangError once no
-	// component state signature changes for that many simulated cycles
-	// while work is outstanding. The watchdog reads only the pure
-	// per-component signatures the sanitizer engine reads, so arming it
-	// never perturbs the simulation: results stay byte-identical with
-	// the watchdog on or off. <= 0 disables.
-	NoProgressCycles int64
-	// WallClock bounds the run's host-side duration; on expiry the run
-	// fails with a *HangError whose report captures the pending
-	// components at abort time (reason "wall-clock-budget"). Unlike
-	// NoProgressCycles this also trips on genuinely slow runs — it is a
-	// budget, not a hang proof. <= 0 disables.
-	WallClock time.Duration
-}
-
-// WithWatchdog arms the forward-progress watchdog (see WatchdogOptions
-// and docs/ROBUSTNESS.md). Watchdog settings deliberately live outside
-// Config so guarded and unguarded runs share config fingerprints and
-// simulate identically.
-func WithWatchdog(w WatchdogOptions) RunOption {
-	return func(rc *runConfig) { rc.watchdog = w }
-}
-
 // WithArm installs a pre-run hook called after the system is assembled
 // and before any kernel launches, with the fully wired System (nil =
 // none). Tests inject faults through it — sys.Inject, docs/ROBUSTNESS.md
@@ -310,22 +281,20 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("nuba: panic in run %s: %v", e.Label, e.Value)
 }
 
-// errWallClockBudget is the cancel cause installed by
-// WatchdogOptions.WallClock, distinguishing budget expiry from caller
-// cancellation.
-var errWallClockBudget = errors.New("nuba: watchdog wall-clock budget exceeded")
-
 // Run is the single entry point for one simulation: it assembles a GPU
 // for cfg, attaches tracing when requested (WithTrace), builds the
 // benchmark's kernels — or the caller's (WithLaunches) — into the
 // address space, executes them to completion under ctx and bundles the
 // measurements. A long simulation stops promptly once ctx is canceled
-// and returns an error wrapping ctx.Err(). Trace sinks, the engine
-// choice (WithEngine) and the watchdog (WithWatchdog) deliberately live
-// outside Config so traced/untraced, hybrid/naive and guarded/unguarded
-// runs share config fingerprints (the experiment engine's memo key) and
-// simulate identically. A simulator panic is recovered into a
-// *PanicError so one bad run cannot take down a whole sweep process.
+// and returns an error wrapping ctx.Err() — a caller's host-time budget
+// is a ctx deadline. Every run is guarded: one that stops making forward
+// progress fails with a *HangError within about 1.25 no-progress windows,
+// a window worked out from cfg (docs/ROBUSTNESS.md §2). Trace sinks and
+// the engine choice (WithEngine) deliberately live outside Config so
+// traced/untraced and hybrid/naive runs share config fingerprints (the
+// experiment engine's memo key) and simulate identically. A simulator
+// panic is recovered into a *PanicError so one bad run cannot take down
+// a whole sweep process.
 //
 // Run is one simulation on the calling goroutine and holds no state
 // between calls, so concurrent calls are independent; a batch of them —
@@ -354,14 +323,6 @@ func Run(ctx context.Context, cfg Config, b Benchmark, opts ...RunOption) (res *
 		return nil, err
 	}
 	g.SetEngine(rc.engine)
-	if rc.watchdog.NoProgressCycles > 0 {
-		g.SetWatchdog(rc.watchdog.NoProgressCycles)
-	}
-	if rc.watchdog.WallClock > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, rc.watchdog.WallClock, errWallClockBudget)
-		defer cancel()
-	}
 	if rc.arm != nil {
 		if err := rc.arm(g); err != nil {
 			return nil, fmt.Errorf("nuba: arm hook: %w", err)
@@ -388,10 +349,6 @@ func Run(ctx context.Context, cfg Config, b Benchmark, opts ...RunOption) (res *
 		}
 	}
 	if runErr != nil {
-		if errors.Is(runErr, context.DeadlineExceeded) && context.Cause(ctx) == errWallClockBudget {
-			rep := g.CaptureHang("wall-clock-budget", 0, 0)
-			return nil, &HangError{Report: rep}
-		}
 		return nil, runErr
 	}
 	bd := g.EnergyBreakdown(energy.DefaultParams())

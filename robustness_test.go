@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/nuba-gpu/nuba/internal/core"
 )
@@ -19,31 +18,37 @@ func inject(f core.Fault) func(*System) error {
 }
 
 // TestWatchdogSuiteNoFalsePositives is the watchdog's false-positive
-// proof over the whole Table 2 suite: with the watchdog armed, every
-// capped benchmark run (runCapped, engines_test.go) must end exactly as
-// the unwatched reference run does — same drained/capped outcome (any
-// *HangError fails the helper immediately), same counters, same trace
-// bytes. The watchdog reads
-// only pure state signatures, so byte-identity is the contract, not
-// just a nice-to-have.
+// proof over the whole Table 2 suite. Every whole-suite test runs
+// guarded, but at cappedConfig's own window — 224,000 cycles — the guard
+// cannot reach a verdict inside the 256 Ki-cycle cap. The suite is
+// prewarmed and never pays a page fault, so zeroing the fault penalty
+// moves no simulated cycle and only pulls the window down to its 64 Ki
+// floor: at a quarter of the production window, every capped run
+// (runCapped, engines_test.go) must end exactly as the reference does —
+// same drained/capped outcome (any *HangError fails the helper
+// immediately), same counters, same trace bytes. The watchdog reads only
+// pure state signatures, so byte-identity is the contract, not just a
+// nice-to-have.
 func TestWatchdogSuiteNoFalsePositives(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed; runs every benchmark, plus the shared reference")
 	}
+	tight := cappedConfig()
+	tight.PageFaultLatency = 0
 	for _, b := range Suite() {
-		off := cappedReference(t, b)
-		on := runCapped(t, b, EngineHybrid, 32*1024)
-		if off.outcome != on.outcome {
-			t.Errorf("%s: outcomes diverge\nwatchdog off: %s\nwatchdog on:  %s", b.Abbr, off.outcome, on.outcome)
+		ref := cappedReference(t, b)
+		got := runCapped(t, tight, b, EngineHybrid)
+		if ref.outcome != got.outcome {
+			t.Errorf("%s: outcomes diverge\nreference:    %s\ntight window: %s", b.Abbr, ref.outcome, got.outcome)
 		}
-		if off.report != on.report {
-			t.Errorf("%s: reports diverge with the watchdog armed\noff: %s\non:  %s",
-				b.Abbr, off.report, on.report)
+		if ref.report != got.report {
+			t.Errorf("%s: reports diverge at the tight window\nreference:    %s\ntight window: %s",
+				b.Abbr, ref.report, got.report)
 		}
-		if !bytes.Equal(off.series, on.series) {
-			t.Errorf("%s: NDJSON epoch traces diverge with the watchdog armed", b.Abbr)
+		if !bytes.Equal(ref.series, got.series) {
+			t.Errorf("%s: NDJSON epoch traces diverge at the tight window", b.Abbr)
 		}
-		if len(off.series) == 0 {
+		if len(ref.series) == 0 {
 			t.Errorf("%s: empty trace — comparison is vacuous", b.Abbr)
 		}
 	}
@@ -74,8 +79,9 @@ func TestRunRecoversInjectedPanic(t *testing.T) {
 	}
 }
 
-// TestWatchdogCyclesOption: the public WithWatchdog option catches an
-// injected stall as a *HangError with a populated report.
+// TestWatchdogCyclesOption: with no option set, Run ends each hanging
+// fault class as a *HangError with a populated report, in the first
+// quarter of the cycles the cap would let it spin.
 func TestWatchdogCyclesOption(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
@@ -86,15 +92,23 @@ func TestWatchdogCyclesOption(t *testing.T) {
 	}
 	cfg := NUBAConfig().Scale(0.125)
 	cfg.MaxCycles = 4 << 20
-	_, err = Run(context.Background(), cfg, b,
-		WithWatchdog(WatchdogOptions{NoProgressCycles: 16384}),
-		WithArm(inject(core.Fault{Kind: core.StallNoC, Target: 0, At: 1000})))
-	var he *HangError
-	if !errors.As(err, &he) {
-		t.Fatalf("want *HangError, got %v", err)
-	}
-	if len(he.Report.Stuck) == 0 || he.Report.Reason == "" {
-		t.Fatalf("hang report incomplete: %+v", he.Report)
+	for _, f := range []core.Fault{
+		{Kind: core.WedgeSM, Target: 0, At: 2000},
+		{Kind: core.StallLLC, Target: 0, At: 2000},
+		{Kind: core.StallNoC, Target: 0, At: 1000},
+		{Kind: core.DropDRAMReply, Target: 0, After: 3},
+	} {
+		_, err = Run(context.Background(), cfg, b, WithArm(inject(f)))
+		var he *HangError
+		if !errors.As(err, &he) {
+			t.Fatalf("%v: want *HangError, got %v", f.Kind, err)
+		}
+		if len(he.Report.Stuck) == 0 || he.Report.Reason == "" {
+			t.Errorf("%v: hang report incomplete: %+v", f.Kind, he.Report)
+		}
+		if he.Report.Cycle > 1<<20 {
+			t.Errorf("%v: hang declared only at cycle %d", f.Kind, he.Report.Cycle)
+		}
 	}
 }
 
@@ -119,7 +133,6 @@ func TestWatchdogCatchesWedgeOnNonZeroPartition(t *testing.T) {
 	}
 	want := fmt.Sprintf("SM %d", lastSM)
 	_, err = Run(context.Background(), cfg, b,
-		WithWatchdog(WatchdogOptions{NoProgressCycles: 16384}),
 		WithArm(inject(core.Fault{Kind: core.WedgeSM, Target: lastSM, At: 2000})))
 	var he *HangError
 	if !errors.As(err, &he) {
@@ -133,34 +146,5 @@ func TestWatchdogCatchesWedgeOnNonZeroPartition(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("hang report does not name the wedged %s: %+v", want, he.Report.Stuck)
-	}
-}
-
-// TestWatchdogWallClockBudget: the wall-clock half of WatchdogOptions
-// converts a runaway run into a *HangError with a component snapshot,
-// even with the cycle-based watchdog off.
-func TestWatchdogWallClockBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-backed")
-	}
-	b, err := BenchmarkByAbbr("MVT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := NUBAConfig().Scale(0.125)
-	cfg.MaxCycles = 1 << 40 // effectively uncapped: only the budget can stop it
-	start := time.Now()
-	_, err = Run(context.Background(), cfg, b,
-		WithWatchdog(WatchdogOptions{WallClock: 300 * time.Millisecond}),
-		WithArm(inject(core.Fault{Kind: core.StallNoC, Target: 0, At: 1000})))
-	var he *HangError
-	if !errors.As(err, &he) {
-		t.Fatalf("want *HangError, got %v", err)
-	}
-	if he.Report.Reason != "wall-clock-budget" {
-		t.Fatalf("want wall-clock-budget report, got %q", he.Report.Reason)
-	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("budget enforcement took %s", elapsed)
 	}
 }
