@@ -98,7 +98,7 @@ func TestParseKernelAPI(t *testing.T) {
 
 func TestRunLaunchesAPI(t *testing.T) {
 	cfg := NUBAConfig().Scale(0.125)
-	res, err := Run(context.Background(), cfg, Benchmark{}, WithLaunches(func(sys *System) ([]*Launch, error) {
+	res, err := Run(context.Background(), cfg, Benchmark{Abbr: "custom", Build: func(alloc Alloc) ([]*Launch, error) {
 		k, err := ParseKernel(`
 .kernel mini
 .param .ptr A
@@ -118,11 +118,11 @@ func TestRunLaunchesAPI(t *testing.T) {
 		return []*Launch{{
 			Kernel: k, GridDim: 16, CTAThreads: 256,
 			Buffers: []Binding{
-				{Base: sys.NewBuffer(size), Size: size},
-				{Base: sys.NewBuffer(size), Size: size},
+				{Base: alloc(size), Size: size},
+				{Base: alloc(size), Size: size},
 			},
 		}}, nil
-	}))
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"errors"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -11,8 +10,9 @@ import (
 )
 
 // TestLintFrontDoor is the CLI smoke test: the binary is built once and
-// run on this repository (clean), on the analyzer's fixture module (its
-// golden findings) and with a policy file that does not exist.
+// run on this repository — clean, with nothing on the command line —
+// and with the flag and the package argument it once took, which are
+// usage errors now.
 func TestLintFrontDoor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs nubalint")
@@ -38,21 +38,14 @@ func TestLintFrontDoor(t *testing.T) {
 	}
 	root := filepath.Join("..", "..")
 
-	if stdout, stderr, code := run(root, "./..."); code != 0 || stdout != "" {
+	if stdout, stderr, code := run(root); code != 0 || stdout != "" {
 		t.Errorf("the repository must lint clean: exit %d\n%s%s", code, stdout, stderr)
 	}
-
-	golden, err := os.ReadFile(filepath.Join(root, "internal", "lint", "testdata", "golden.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stdout, stderr, code := run(filepath.Join(root, "internal", "lint", "testdata", "src"))
-	if code != 1 || stdout != string(golden) {
-		t.Errorf("fixture module: exit %d, stdout differs from golden.txt:\n%s%s", code, stdout, stderr)
-	}
-
-	stdout, stderr, code = run(root, "-policy", "no-such.policy")
-	if code != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "nubalint: ") {
-		t.Errorf("missing policy: exit %d, stdout %q, stderr %q; want exit 2 and one line on stderr", code, stdout, stderr)
+	for _, args := range [][]string{{"-policy", "x"}, {"./internal/core"}} {
+		stdout, stderr, code := run(root, args...)
+		if code != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "nubalint: ") {
+			t.Errorf("nubalint %s: exit %d, stdout %q, stderr %q; want exit 2 and one line on stderr",
+				strings.Join(args, " "), code, stdout, stderr)
+		}
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 
 	"github.com/nuba-gpu/nuba"
 	"github.com/nuba-gpu/nuba/internal/experiments"
@@ -35,11 +34,11 @@ func main() { os.Exit(run()) }
 // finishing the profiles — happens on every path out.
 func run() int {
 	prof := hostprof.Flags()
-	arch := flag.String("arch", "nuba", "architecture: uba | sm-side | nuba")
+	arch := flag.String("arch", "nuba", "architecture: "+nuba.ArchUsage())
 	bench := flag.String("bench", "SGEMM", "benchmark abbreviation(s), comma-separated, or 'all' (see nubasweep -list)")
 	nocGBs := flag.Float64("noc", 1400, "NoC bandwidth in GB/s")
-	placement := flag.String("placement", "", "page placement: ft | rr | lab | migration | pagerep (default: arch default)")
-	replication := flag.String("replication", "", "replication: none | full | mdr (default: arch default)")
+	placement := flag.String("placement", "", "page placement: "+nuba.PlacementUsage()+" (default: arch default)")
+	replication := flag.String("replication", "", "replication: "+nuba.ReplicationUsage()+" (default: arch default)")
 	scale := flag.Float64("scale", 1, "GPU scale factor")
 	pae := flag.Bool("pae", false, "use the PAE address mapping")
 	seed := flag.Uint64("seed", 1, "simulation seed")
@@ -66,50 +65,27 @@ func run() int {
 		return 2
 	}
 
-	var cfg nuba.Config
-	switch strings.ToLower(*arch) {
-	case "uba", "uba-mem":
-		cfg = nuba.Baseline()
-	case "sm-side", "uba-sm":
-		cfg = nuba.SMSideConfig()
-	case "nuba":
-		cfg = nuba.NUBAConfig()
-	default:
-		fmt.Fprintf(os.Stderr, "nubasim: unknown arch %q\n", *arch)
+	a, err := nuba.ParseArch(*arch)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nubasim:", err)
 		return 2
 	}
-	cfg = cfg.WithNoC(*nocGBs).Scale(*scale)
+	cfg := nuba.Baseline().WithArch(a).WithNoC(*nocGBs).Scale(*scale)
 	cfg.Seed = *seed
 	if *pae {
 		cfg.AddressMap = nuba.PAE
 	}
-	switch strings.ToLower(*placement) {
-	case "":
-	case "ft", "first-touch":
-		cfg.Placement = nuba.FirstTouch
-	case "rr", "round-robin":
-		cfg.Placement = nuba.RoundRobin
-	case "lab":
-		cfg.Placement = nuba.LAB
-	case "migration":
-		cfg.Placement = nuba.Migration
-	case "pagerep", "page-replication":
-		cfg.Placement = nuba.PageReplication
-	default:
-		fmt.Fprintf(os.Stderr, "nubasim: unknown placement %q\n", *placement)
-		return 2
+	if *placement != "" {
+		if cfg.Placement, err = nuba.ParsePlacement(*placement); err != nil {
+			fmt.Fprintln(os.Stderr, "nubasim:", err)
+			return 2
+		}
 	}
-	switch strings.ToLower(*replication) {
-	case "":
-	case "none", "no-rep":
-		cfg.Replication = nuba.NoRep
-	case "full":
-		cfg.Replication = nuba.FullRep
-	case "mdr":
-		cfg.Replication = nuba.MDR
-	default:
-		fmt.Fprintf(os.Stderr, "nubasim: unknown replication %q\n", *replication)
-		return 2
+	if *replication != "" {
+		if cfg.Replication, err = nuba.ParseReplication(*replication); err != nil {
+			fmt.Fprintln(os.Stderr, "nubasim:", err)
+			return 2
+		}
 	}
 
 	benches, err := nuba.ParseBenchmarks(*bench)

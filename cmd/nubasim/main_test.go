@@ -12,8 +12,8 @@ import (
 
 // TestMultiBenchmarkMode is the CLI smoke test of the batch front door:
 // the binary is built once and run on a clean batch, on a batch with a
-// job that hangs, on a benchmark that does not exist, with the retired
-// -watchdog flag, on a scale that is not a GPU and on two that are not an
+// job that hangs, with the policy names its own tables print, on a
+// benchmark that does not exist, with the retired -watchdog flag, on a scale that is not a GPU and on two that are not an
 // SM-side UBA.
 func TestMultiBenchmarkMode(t *testing.T) {
 	if testing.Short() {
@@ -56,6 +56,18 @@ func TestMultiBenchmarkMode(t *testing.T) {
 	if _, failures, ok := strings.Cut(stdout, "FAILED JOBS (1)"); !ok ||
 		!strings.Contains(failures, "LBM") || !strings.Contains(failures, "watchdog") {
 		t.Errorf("no FAILED JOBS section naming LBM's hang:\n%s", stdout)
+	}
+
+	// The tool takes back the names it prints: "NUBA/LAB/Full-Rep" is a
+	// table heading, so each part is a flag value, in any case.
+	stdout, stderr, code = run("-arch", "NUBA", "-placement", "LAB", "-replication", "Full-Rep",
+		"-bench", "BH,LEU", "-scale", "0.125")
+	if code != 0 || !strings.Contains(stdout, "on NUBA/LAB/Full-Rep/") || !hasRow(stdout, "BH") {
+		t.Errorf("-replication Full-Rep: exit %d\n%s%s", code, stdout, stderr)
+	}
+	if _, stderr, code = run("-replication", "half", "-bench", "BH"); code != 2 ||
+		stderr != "nubasim: unknown replication \"half\" (want none | full | mdr)\n" {
+		t.Errorf("-replication half: exit %d, stderr %q", code, stderr)
 	}
 
 	// One benchmark, -v: the cycle loop's own counters, on stderr only.

@@ -57,7 +57,7 @@ func main() {
 		grid = 128
 		k    = 16
 	)
-	res, err := nuba.Run(context.Background(), cfg, nuba.Benchmark{}, nuba.WithLaunches(func(sys *nuba.System) ([]*nuba.Launch, error) {
+	custom := nuba.Benchmark{Abbr: "custom", Build: func(alloc nuba.Alloc) ([]*nuba.Launch, error) {
 		n := uint64(grid * 256)
 		asize := n * k * 8
 		vsize := uint64(k * 8)
@@ -67,13 +67,14 @@ func main() {
 			CTAThreads: 256,
 			Scalars:    []int64{k},
 			Buffers: []nuba.Binding{
-				{Base: sys.NewBuffer(asize), Size: asize},
-				{Base: sys.NewBuffer(vsize), Size: vsize},
-				{Base: sys.NewBuffer(n * 8), Size: n * 8},
+				{Base: alloc(asize), Size: asize},
+				{Base: alloc(vsize), Size: vsize},
+				{Base: alloc(n * 8), Size: n * 8},
 			},
 		}
 		return []*nuba.Launch{l}, nil
-	}))
+	}}
+	res, err := nuba.Run(context.Background(), cfg, custom)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,14 +16,7 @@ import (
 )
 
 func main() {
-	policies := []struct {
-		name string
-		p    int
-	}{
-		{"first-touch", 0},
-		{"round-robin", 1},
-		{"LAB", 2},
-	}
+	policies := []nuba.PlacementPolicy{nuba.FirstTouch, nuba.RoundRobin, nuba.LAB}
 	for _, abbr := range []string{"BP", "SGEMM"} {
 		bench, err := nuba.BenchmarkByAbbr(abbr)
 		if err != nil {
@@ -38,14 +31,7 @@ func main() {
 		for _, pol := range policies {
 			cfg := nuba.NUBAConfig().Scale(0.5)
 			cfg.Replication = nuba.NoRep // isolate placement effects
-			switch pol.p {
-			case 0:
-				cfg.Placement = nuba.FirstTouch
-			case 1:
-				cfg.Placement = nuba.RoundRobin
-			case 2:
-				cfg.Placement = nuba.LAB
-			}
+			cfg.Placement = pol
 			res, err := nuba.Run(context.Background(), cfg, bench)
 			if err != nil {
 				log.Fatal(err)
@@ -54,7 +40,7 @@ func main() {
 				baseCycles = res.Stats.Cycles
 			}
 			fmt.Printf("  %-12s cycles=%-9d local=%.2f  vs first-touch %+.1f%%\n",
-				pol.name, res.Stats.Cycles, res.Stats.LocalFraction(),
+				pol, res.Stats.Cycles, res.Stats.LocalFraction(),
 				(float64(baseCycles)/float64(res.Stats.Cycles)-1)*100)
 		}
 		fmt.Println()

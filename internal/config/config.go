@@ -7,6 +7,7 @@ package config
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/nuba-gpu/nuba/internal/sim"
 )
@@ -30,19 +31,73 @@ const (
 	NUBA
 )
 
-// String returns the architecture name used in result tables.
-func (a Arch) String() string {
-	switch a {
-	case UBAMem:
-		return "UBA-mem"
-	case UBASMSide:
-		return "UBA-SM"
-	case NUBA:
-		return "NUBA"
-	default:
-		return fmt.Sprintf("Arch(%d)", int(a))
+// spelling is how one value of a policy enum is written: Table is the
+// name result tables print (String), Flag the short form a command line
+// takes. The Parse functions accept either, in any case, so a tool can
+// be given back any name it printed.
+type spelling struct{ Table, Flag string }
+
+// The one table per enum that String, Parse* and *Usage read.
+var (
+	archNames = [...]spelling{
+		UBAMem:    {"UBA-mem", "uba"},
+		UBASMSide: {"UBA-SM", "sm-side"},
+		NUBA:      {"NUBA", "nuba"},
 	}
+	placementNames = [...]spelling{
+		FirstTouch:      {"first-touch", "ft"},
+		RoundRobin:      {"round-robin", "rr"},
+		LAB:             {"LAB", "lab"},
+		Migration:       {"migration", "migration"},
+		PageReplication: {"page-replication", "pagerep"},
+	}
+	replicationNames = [...]spelling{
+		NoRep:   {"No-Rep", "none"},
+		FullRep: {"Full-Rep", "full"},
+		MDR:     {"MDR", "mdr"},
+	}
+)
+
+// tableName is String for all three enums: an array read, so that
+// Config.Fingerprint's %+v allocates nothing for them.
+func tableName(names []spelling, kind string, v int) string {
+	if v >= 0 && v < len(names) {
+		return names[v].Table
+	}
+	return fmt.Sprintf("%s(%d)", kind, v)
 }
+
+// parseSpelling is Parse* for all three enums.
+func parseSpelling(names []spelling, kind, s string) (int, error) {
+	for v, n := range names {
+		if strings.EqualFold(s, n.Table) || strings.EqualFold(s, n.Flag) {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown %s %q (want %s)", kind, s, flagUsage(names))
+}
+
+// flagUsage lists the flag spellings for help text: "uba | sm-side | nuba".
+func flagUsage(names []spelling) string {
+	flags := make([]string, len(names))
+	for v, n := range names {
+		flags[v] = n.Flag
+	}
+	return strings.Join(flags, " | ")
+}
+
+// String returns the architecture name used in result tables.
+func (a Arch) String() string { return tableName(archNames[:], "Arch", int(a)) }
+
+// ParseArch parses an -arch flag value: a name ArchUsage lists or one
+// String prints ("sm-side", "UBA-SM"), in any case.
+func ParseArch(s string) (Arch, error) {
+	v, err := parseSpelling(archNames[:], "arch", s)
+	return Arch(v), err
+}
+
+// ArchUsage lists the -arch flag spellings for help text.
+func ArchUsage() string { return flagUsage(archNames[:]) }
 
 // AddressMapping selects the physical address mapping policy.
 type AddressMapping int
@@ -90,21 +145,18 @@ const (
 
 // String returns the policy name used in result tables.
 func (p PlacementPolicy) String() string {
-	switch p {
-	case FirstTouch:
-		return "first-touch"
-	case RoundRobin:
-		return "round-robin"
-	case LAB:
-		return "LAB"
-	case Migration:
-		return "migration"
-	case PageReplication:
-		return "page-replication"
-	default:
-		return fmt.Sprintf("PlacementPolicy(%d)", int(p))
-	}
+	return tableName(placementNames[:], "PlacementPolicy", int(p))
 }
+
+// ParsePlacement parses a -placement flag value: a name PlacementUsage
+// lists or one String prints ("rr", "round-robin"), in any case.
+func ParsePlacement(s string) (PlacementPolicy, error) {
+	v, err := parseSpelling(placementNames[:], "placement", s)
+	return PlacementPolicy(v), err
+}
+
+// PlacementUsage lists the -placement flag spellings for help text.
+func PlacementUsage() string { return flagUsage(placementNames[:]) }
 
 // ReplicationPolicy selects the cache-line replication policy (Section 5).
 type ReplicationPolicy int
@@ -122,17 +174,19 @@ const (
 
 // String returns the policy name used in result tables.
 func (r ReplicationPolicy) String() string {
-	switch r {
-	case NoRep:
-		return "No-Rep"
-	case FullRep:
-		return "Full-Rep"
-	case MDR:
-		return "MDR"
-	default:
-		return fmt.Sprintf("ReplicationPolicy(%d)", int(r))
-	}
+	return tableName(replicationNames[:], "ReplicationPolicy", int(r))
 }
+
+// ParseReplication parses a -replication flag value: a name
+// ReplicationUsage lists or one String prints ("full", "Full-Rep"), in
+// any case.
+func ParseReplication(s string) (ReplicationPolicy, error) {
+	v, err := parseSpelling(replicationNames[:], "replication", s)
+	return ReplicationPolicy(v), err
+}
+
+// ReplicationUsage lists the -replication flag spellings for help text.
+func ReplicationUsage() string { return flagUsage(replicationNames[:]) }
 
 // HBMTiming holds the DRAM timing parameters of Table 1, every one in
 // memory-clock cycles (350 MHz) — not the core-clock sim.Cycle.

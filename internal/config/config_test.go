@@ -320,3 +320,52 @@ func TestStringers(t *testing.T) {
 		t.Fatal("mapping names")
 	}
 }
+
+// checkSpellings asserts every value of one enum parses back from the
+// name tables print and from its flag spelling, in any case, and that
+// every spelling nubasim took before the tables existed still parses.
+func checkSpellings[E interface {
+	~int
+	String() string
+}](t *testing.T, names []spelling, parse func(string) (E, error), legacy string) {
+	t.Helper()
+	for v, n := range names {
+		for _, s := range []string{n.Table, n.Flag, strings.ToUpper(n.Flag), strings.ToLower(n.Table)} {
+			if got, err := parse(s); err != nil || got != E(v) || got.String() != n.Table {
+				t.Errorf("parse(%q) = %v, %v; want %s", s, got, err, n.Table)
+			}
+		}
+	}
+	for _, s := range strings.Split(legacy, "|") {
+		if _, err := parse(s); err != nil {
+			t.Errorf("legacy spelling: %v", err)
+		}
+	}
+}
+
+// TestParseAcceptsWhatStringPrints pins the one-table-per-enum contract
+// (the names themselves are TestStringers' and the goldens').
+func TestParseAcceptsWhatStringPrints(t *testing.T) {
+	checkSpellings(t, archNames[:], ParseArch, "uba|uba-mem|sm-side|uba-sm|nuba")
+	checkSpellings(t, placementNames[:], ParsePlacement,
+		"ft|first-touch|rr|round-robin|lab|migration|pagerep|page-replication")
+	checkSpellings(t, replicationNames[:], ParseReplication, "none|no-rep|full|mdr")
+
+	if _, err := ParseReplication("half"); err == nil || !strings.Contains(err.Error(), `"half"`) ||
+		!strings.Contains(err.Error(), ReplicationUsage()) {
+		t.Errorf("ParseReplication(half) = %v; want an error naming the value and the valid set", err)
+	}
+	if ArchUsage() != "uba | sm-side | nuba" || PlacementUsage() != "ft | rr | lab | migration | pagerep" ||
+		ReplicationUsage() != "none | full | mdr" {
+		t.Errorf("flag help moved: %q, %q, %q", ArchUsage(), PlacementUsage(), ReplicationUsage())
+	}
+	if Arch(9).String() != "Arch(9)" || PlacementPolicy(-1).String() != "PlacementPolicy(-1)" {
+		t.Error("out-of-range values must still print their number")
+	}
+	// String sits under Config.Fingerprint's %+v, once per job of a sweep.
+	if n := testing.AllocsPerRun(100, func() {
+		_, _, _ = NUBA.String(), LAB.String(), FullRep.String()
+	}); n != 0 {
+		t.Errorf("String allocates %v objects per three calls, want 0", n)
+	}
+}

@@ -49,7 +49,6 @@ func (g *GPU) recordPlacementAccess(req *sim.MemReq, part int) {
 	if g.drv.Replications != before {
 		// A replica was just created: charge the 4 KB copy and the
 		// shootdown that redirects the reader partition to it.
-		g.stats.PageReplicas++
 		g.chargePageCopy(p.PPN, p.Replicas[part])
 		g.shootdown(vpn)
 		if g.tracer != nil {

@@ -203,7 +203,6 @@ func (g *GPU) runMigrationScan(now sim.Cycle) {
 	for _, a := range g.drv.MigrationCandidates(now) {
 		old := a.Page.PPN
 		g.drv.ApplyMigration(a.Page, a.To, now+migrationBusy)
-		g.stats.PageMigrations++
 		g.shootdown(a.Page.VPN)
 		g.chargePageCopy(old, a.Page.PPN)
 		if g.tracer != nil {

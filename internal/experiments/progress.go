@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the engine's progress/ETA layer and the only place in
-// the experiments package allowed to read the wall clock: lint.policy
+// the experiments package allowed to read the wall clock: lint.RepoPolicy
 // allowlists it for no-wallclock. Simulated results never depend on
 // anything computed here — wall-clock time feeds progress lines and
 // ETA estimates only, so confining it keeps the byte-identical-report

@@ -183,20 +183,47 @@ func (k *Kernel) String() string {
 	return s
 }
 
-// opName maps opcodes to mnemonics for diagnostics.
-var opName = map[Op]string{
-	OpNop: "nop", OpMov: "mov", OpAdd: "add", OpSub: "sub", OpMul: "mul",
-	OpMad: "mad", OpShl: "shl", OpShr: "shr", OpAnd: "and", OpOr: "or",
-	OpXor: "xor", OpMin: "min", OpMax: "max", OpDiv: "div", OpRem: "rem",
-	OpHash: "hash", OpFma: "fma", OpSetp: "setp", OpSel: "sel", OpBra: "bra",
-	OpLd: "ld.global", OpLdRO: "ld.global.ro", OpSt: "st.global",
-	OpAtom: "atom.global.add", OpBar: "bar.sync", OpExit: "exit",
+// ops states each opcode once: its mnemonic (String, and what the
+// parser matches), the source-operand count when it is a plain ALU op —
+// "name rd, a[, b[, c]]", read by the parser from here; 0 for the ops
+// with a grammar arm of their own — and its issue-to-result latency.
+var ops = [...]struct {
+	name string
+	srcs int8
+	lat  uint8
+}{
+	OpNop:  {"nop", 0, 2},
+	OpMov:  {"mov", 1, 2},
+	OpAdd:  {"add", 2, 2},
+	OpSub:  {"sub", 2, 2},
+	OpMul:  {"mul", 2, 5},
+	OpMad:  {"mad", 3, 5},
+	OpShl:  {"shl", 2, 2},
+	OpShr:  {"shr", 2, 2},
+	OpAnd:  {"and", 2, 2},
+	OpOr:   {"or", 2, 2},
+	OpXor:  {"xor", 2, 2},
+	OpMin:  {"min", 2, 2},
+	OpMax:  {"max", 2, 2},
+	OpDiv:  {"div", 2, 20},
+	OpRem:  {"rem", 2, 20},
+	OpHash: {"hash", 1, 2},
+	OpFma:  {"fma", 1, 4},
+	OpSetp: {"setp", 0, 2},
+	OpSel:  {"sel", 0, 2},
+	OpBra:  {"bra", 0, 2},
+	OpLd:   {"ld.global", 0, 2},
+	OpLdRO: {"ld.global.ro", 0, 2},
+	OpSt:   {"st.global", 0, 2},
+	OpAtom: {"atom.global.add", 0, 2},
+	OpBar:  {"bar.sync", 0, 2},
+	OpExit: {"exit", 0, 2},
 }
 
-// Name returns the mnemonic of op.
+// String returns the mnemonic of op.
 func (o Op) String() string {
-	if n, ok := opName[o]; ok {
-		return n
+	if int(o) < len(ops) {
+		return ops[o].name
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -205,16 +232,16 @@ func (o Op) String() string {
 func (o Op) IsMem() bool { return o == OpLd || o == OpLdRO || o == OpSt || o == OpAtom }
 
 // Latency returns the issue-to-result latency in cycles of a non-memory
-// op. Memory latency is determined by the memory system.
-func (o Op) Latency() int64 {
-	switch o {
-	case OpDiv, OpRem:
-		return 20
-	case OpFma:
-		return 4
-	case OpMul, OpMad:
-		return 5
-	default:
-		return 2
+// op — an array read: it is on the issue path. Memory latency is
+// determined by the memory system.
+func (o Op) Latency() int64 { return int64(latency[o]) }
+
+// latency is ops' lat column on its own, dense: the issue path reads one
+// cache line of it, not a 32-byte row of ops per opcode (which measured
+// slower than the switch it replaced on idle_sparse; CHANGES.md, PR 26).
+var latency = func() (l [len(ops)]uint8) {
+	for op, d := range ops {
+		l[op] = d.lat
 	}
-}
+	return l
+}()

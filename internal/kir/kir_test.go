@@ -587,3 +587,29 @@ func TestWarpResetMatchesNewWarp(t *testing.T) {
 		t.Fatalf("a reused warp allocated %.0f objects per run", allocs)
 	}
 }
+
+// TestOpsTableComplete: every opcode has its row — a mnemonic String
+// prints and a latency the SM can schedule by — and every plain ALU row
+// parses back to its own opcode with the operand count it declares.
+func TestOpsTableComplete(t *testing.T) {
+	if len(ops) != int(OpExit)+1 {
+		t.Fatalf("ops has %d rows for %d opcodes", len(ops), int(OpExit)+1)
+	}
+	for i, d := range ops {
+		op := Op(i)
+		if d.name == "" || op.String() != d.name || op.Latency() < 1 {
+			t.Errorf("op %d: name %q, latency %d", i, d.name, op.Latency())
+		}
+		got, nsrc, err := aluOp(d.name)
+		if d.srcs == 0 {
+			if err == nil {
+				t.Errorf("%s has a grammar arm of its own and must not parse as a plain ALU op", d.name)
+			}
+		} else if err != nil || got != op || nsrc != int(d.srcs) {
+			t.Errorf("aluOp(%q) = %v, %d, %v", d.name, got, nsrc, err)
+		}
+	}
+	if OpDiv.Latency() != 20 || OpFma.Latency() != 4 || OpMad.Latency() != 5 || OpAdd.Latency() != 2 {
+		t.Error("a latency moved; every digest moves with it")
+	}
+}

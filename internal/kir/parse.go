@@ -419,43 +419,14 @@ func (p *parser) predIndex(s string) (int, error) {
 	return n, nil
 }
 
+// aluOp looks a plain ALU mnemonic up in the ops table.
 func aluOp(m string) (Op, int, error) {
-	switch m {
-	case "mov":
-		return OpMov, 1, nil
-	case "add":
-		return OpAdd, 2, nil
-	case "sub":
-		return OpSub, 2, nil
-	case "mul":
-		return OpMul, 2, nil
-	case "mad":
-		return OpMad, 3, nil
-	case "shl":
-		return OpShl, 2, nil
-	case "shr":
-		return OpShr, 2, nil
-	case "and":
-		return OpAnd, 2, nil
-	case "or":
-		return OpOr, 2, nil
-	case "xor":
-		return OpXor, 2, nil
-	case "min":
-		return OpMin, 2, nil
-	case "max":
-		return OpMax, 2, nil
-	case "div":
-		return OpDiv, 2, nil
-	case "rem":
-		return OpRem, 2, nil
-	case "hash":
-		return OpHash, 1, nil
-	case "fma":
-		return OpFma, 1, nil
-	default:
-		return OpNop, 0, fmt.Errorf("unknown instruction %q", m)
+	for op, d := range ops {
+		if d.srcs > 0 && d.name == m {
+			return Op(op), int(d.srcs), nil
+		}
 	}
+	return OpNop, 0, fmt.Errorf("unknown instruction %q", m)
 }
 
 func parseCmp(s string) (Cmp, error) {

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // BenchmarkNubalint measures a full analyzer pass — every rule over
 // the real module with the real policy — excluding the one-time
@@ -16,21 +13,13 @@ func BenchmarkNubalint(b *testing.B) {
 	if err != nil {
 		b.Fatalf("FindModule: %v", err)
 	}
-	pol, err := ParsePolicy(filepath.Join(mod.Dir, "lint.policy"))
-	if err != nil {
-		b.Fatalf("ParsePolicy: %v", err)
-	}
-	prog, err := Load(mod, []string{"./..."})
+	prog, err := Load(mod)
 	if err != nil {
 		b.Fatalf("Load: %v", err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		diags, err := Run(prog, pol)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(diags) != 0 {
+		if diags := Run(prog, RepoPolicy); len(diags) != 0 {
 			b.Fatalf("repo not lint-clean: %d findings", len(diags))
 		}
 	}

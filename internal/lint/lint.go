@@ -1,13 +1,16 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/token"
-	"sort"
+	"slices"
 )
 
 // Diagnostic is one finding, in vet style: file:line:col: rule: message.
-// File is module-relative so output is stable across checkouts.
+// File is module-relative so output is stable across checkouts; a
+// finding about the policy itself has no position and prints as
+// rule: message.
 type Diagnostic struct {
 	File    string
 	Line    int
@@ -17,19 +20,23 @@ type Diagnostic struct {
 }
 
 func (d Diagnostic) String() string {
+	if d.File == "" {
+		return d.Rule + ": " + d.Message
+	}
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Rule, d.Message)
 }
 
 // Run analyzes the program's packages under the policy and returns the
-// findings sorted by (file, line, col, rule). Malformed
-// //nubalint:ignore directives are findings too.
+// findings sorted by (file, line, col, rule, message). Malformed
+// //nubalint:ignore directives are findings too, and so is a policy
+// entry that names nothing in the module.
 //
 // The per-package rules (nondet-map-range, no-wallclock,
 // import-layering) run package by package; the liveness rules then run
 // once over the module-wide use graph (see usegraph.go), so a config
 // knob read only from a package the analysis never loaded still counts
 // as dead.
-func Run(prog *Program, pol *Policy) ([]Diagnostic, error) {
+func Run(prog *Program, pol *Policy) []Diagnostic {
 	// Index every file's suppression directives up front — module-wide
 	// rules emit into files of packages other than the one being
 	// walked, and a malformed directive is itself a finding.
@@ -56,6 +63,11 @@ func Run(prog *Program, pol *Policy) ([]Diagnostic, error) {
 		rawEmit(pos, rule, msg)
 	})
 
+	policyFinding := func(msg string) {
+		diags = append(diags, Diagnostic{Rule: RulePolicy, Message: msg})
+	}
+	checkPolicy(prog, pol, policyFinding)
+
 	for _, pkg := range prog.Pkgs {
 		c := &pkgCtx{prog: prog, pol: pol, pkg: pkg, emitPos: emit}
 		checkMapRange(c)
@@ -63,26 +75,13 @@ func Run(prog *Program, pol *Policy) ([]Diagnostic, error) {
 		checkLayering(c)
 	}
 
-	pc := &progCtx{prog: prog, pol: pol, emitPos: emit}
-	if err := checkConfigLiveness(pc); err != nil {
-		return nil, err
-	}
-	if err := checkMetricsLiveness(pc); err != nil {
-		return nil, err
-	}
+	pc := &progCtx{prog: prog, emitPos: emit, stale: policyFinding}
+	checkConfigLiveness(pc, pol.Config)
+	checkMetricsLiveness(pc, pol.Metrics)
 
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return a.Rule < b.Rule
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(cmp.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line), cmp.Compare(a.Col, b.Col),
+			cmp.Compare(a.Rule, b.Rule), cmp.Compare(a.Message, b.Message))
 	})
-	return diags, nil
+	return diags
 }

@@ -3,15 +3,38 @@ package lint
 import (
 	"go/parser"
 	"go/token"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// fixturePolicy is the policy of the testdata/src module: simcore and
+// clockok are its "model" packages, engine sits above them and app may
+// only reach engine; model reads params and writes stats, report reads
+// stats.
+var fixturePolicy = &Policy{
+	Layers: map[string][]string{
+		"simcore":  nil,
+		"clockok":  nil,
+		"engine":   {"clockok", "simcore"},
+		"app":      {".", "engine"},
+		"dispatch": nil, // exercises the use graph's indirect call edges
+		"params":   nil,
+		"stats":    nil,
+		"model":    {"params", "stats"},
+		"report":   {"stats"},
+	},
+	Simulation: func(pkg string) bool { return pkg == "simcore" || pkg == "clockok" },
+	Allow:      map[string][]string{RuleWallclock: {"clockok/clock.go"}},
+	Config:     Audit{Structs: []string{"params.Config"}, Readers: []string{"model"}},
+	Metrics:    Audit{Structs: []string{"stats.Stats"}, Writers: []string{"model"}, Readers: []string{"report"}},
+}
+
 // loadFixture loads the testdata/src module (a self-contained fixture
-// module with its own go.mod and lint.policy).
-func loadFixture(t *testing.T) (*Program, *Policy) {
+// module with its own go.mod).
+func loadFixture(t *testing.T) *Program {
 	t.Helper()
 	mod, err := FindModule("testdata/src")
 	if err != nil {
@@ -20,33 +43,28 @@ func loadFixture(t *testing.T) (*Program, *Policy) {
 	if mod.Path != "example.com/fixture" {
 		t.Fatalf("fixture module path = %q", mod.Path)
 	}
-	prog, err := Load(mod, nil)
+	prog, err := Load(mod)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	pol, err := ParsePolicy(filepath.Join(mod.Dir, "lint.policy"))
-	if err != nil {
-		t.Fatalf("ParsePolicy: %v", err)
-	}
-	return prog, pol
+	return prog
 }
 
-// renderFixture runs one fully independent analysis of the fixture —
-// its own load, its own policy parse — and renders it the way the CLI
-// prints it.
-func renderFixture(t *testing.T) string {
-	t.Helper()
-	prog, pol := loadFixture(t)
-	diags, err := Run(prog, pol)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+// render prints findings the way the CLI does.
+func render(diags []Diagnostic) string {
 	var b strings.Builder
 	for _, d := range diags {
 		b.WriteString(d.String())
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// renderFixture runs one fully independent analysis of the fixture, on
+// its own load.
+func renderFixture(t *testing.T) string {
+	t.Helper()
+	return render(Run(loadFixture(t), fixturePolicy))
 }
 
 // TestFixtureGolden locks the analyzer's full output on the fixture
@@ -69,11 +87,7 @@ func TestFixtureGolden(t *testing.T) {
 // (plus the directive pseudo-rule), so a rule that silently stops
 // matching cannot hide behind a stale golden file.
 func TestEveryRuleFires(t *testing.T) {
-	prog, pol := loadFixture(t)
-	diags, err := Run(prog, pol)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	diags := Run(loadFixture(t), fixturePolicy)
 	seen := make(map[string]bool)
 	for _, d := range diags {
 		seen[d.Rule] = true
@@ -90,11 +104,7 @@ func TestEveryRuleFires(t *testing.T) {
 // same-line time.Since in StampIgnored, the sorted-keys idiom in Keys,
 // and the allowlisted clockok/clock.go.
 func TestSuppressionsHold(t *testing.T) {
-	prog, pol := loadFixture(t)
-	diags, err := Run(prog, pol)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	diags := Run(loadFixture(t), fixturePolicy)
 	for _, d := range diags {
 		if d.File == "clockok/clock.go" {
 			t.Errorf("allowlisted file flagged: %s", d)
@@ -158,35 +168,64 @@ func TestDirectiveNamingUnknownRule(t *testing.T) {
 	}
 }
 
-// TestPolicyParseErrors asserts the policy parser rejects malformed and
-// unknown input instead of silently ignoring it.
-func TestPolicyParseErrors(t *testing.T) {
-	bad := []string{
-		"layer internal/core internal/sim",  // missing '='
-		"scope made-up-rule = internal/sim", // unknown rule
-		"allow made-up-rule = x.go",         // unknown rule
-		"frobnicate a = b",                  // unknown directive
-		"layer a = b\nlayer a = c",          // duplicate layer
-		"seams no-wallclock = a.T.F",        // retired verb
-		"funcs no-wallclock = a.T.F",        // retired verb
-	}
-	for _, src := range bad {
-		if _, err := ParsePolicyData(src, "test.policy"); err == nil {
-			t.Errorf("ParsePolicyData(%q) succeeded, want error", src)
-		}
-	}
-	good := "# comment\n\nlayer a = b c\nscope no-wallclock = *\nallow no-wallclock = a/clock.go\n"
-	pol, err := ParsePolicyData(good, "test.policy")
-	if err != nil {
-		t.Fatalf("ParsePolicyData(good): %v", err)
+// TestPolicyLookups pins the three questions the rules ask a policy.
+func TestPolicyLookups(t *testing.T) {
+	pol := &Policy{
+		Layers:     map[string][]string{"a": {"b", "c"}, "cmd/*": {"."}},
+		Simulation: func(string) bool { return true },
+		Allow:      map[string][]string{RuleWallclock: {"a/clock.go"}},
 	}
 	if !pol.InScope(RuleWallclock, "anything") {
-		t.Error("scope '*' did not match")
+		t.Error("Simulation said yes and no-wallclock is out of scope")
 	}
-	if !pol.Allowed(RuleWallclock, "a/clock.go", "a") {
-		t.Error("allow entry did not match")
+	if !pol.Allowed(RuleWallclock, "a/clock.go", "a") || pol.Allowed(RuleMapRange, "a/clock.go", "a") {
+		t.Error("allow entry did not match its rule and file only")
 	}
 	if allowed, declared := pol.LayerFor("a"); !declared || !allowed["b"] || !allowed["c"] || allowed["d"] {
 		t.Errorf("LayerFor(a) = %v, %v", allowed, declared)
+	}
+	if allowed, declared := pol.LayerFor("cmd/x"); !declared || !allowed["."] {
+		t.Errorf("LayerFor(cmd/x) = %v, %v; the glob key did not match", allowed, declared)
+	}
+	if _, declared := pol.LayerFor("z"); declared {
+		t.Error("LayerFor(z) is declared by no key")
+	}
+}
+
+// TestStalePolicyEntryIsAFinding asserts a policy entry that names
+// nothing in the module — a typo, or a package since deleted — is one
+// finding naming it, not a rule that silently covers less: the contract
+// TestDirectiveNamingUnknownRule holds ignore directives to.
+func TestStalePolicyEntryIsAFinding(t *testing.T) {
+	prog := loadFixture(t)
+	clean := render(Run(prog, fixturePolicy))
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Policy)
+		want   string
+	}{
+		{"layer subject", func(p *Policy) { p.Layers["internal/ghost"] = []string{"simcore"} },
+			"policy: layer entry internal/ghost matches no package or file of the module\n"},
+		{"layer value", func(p *Policy) { p.Layers["engine"] = []string{"clockok", "simcore", "internal/cahce"} },
+			"policy: layer engine allows internal/cahce, which is not a package of the module\n"},
+		{"allow", func(p *Policy) {
+			p.Allow = map[string][]string{RuleWallclock: {"clockok/clock.go", "internal/experiments/progres.go"}}
+		}, "policy: no-wallclock allow entry internal/experiments/progres.go matches no package or file of the module\n"},
+		{"allow rule", func(p *Policy) {
+			p.Allow = map[string][]string{RuleWallclock: {"clockok/clock.go"}, "no-wallclok": {"clockok"}}
+		}, "policy: allow entry for unknown rule no-wallclok\n"},
+		{"struct", func(p *Policy) { p.Config.Structs = []string{"params.Config", "params.Confg"} },
+			"policy: config-liveness struct params.Confg is not a struct type of the module (want pkg.Type)\n"},
+		{"writer", func(p *Policy) { p.Metrics.Writers = []string{"model", "modle"} },
+			"policy: metrics-liveness writer modle matches no package or file of the module\n"},
+	} {
+		pol := *fixturePolicy
+		pol.Layers = maps.Clone(pol.Layers)
+		tc.mutate(&pol)
+		// A finding with no position sorts first; the rest must be the
+		// fixture's own, unmoved.
+		if got := render(Run(prog, &pol)); got != tc.want+clean {
+			t.Errorf("%s: got\n%s\nwant the clean output preceded by\n%s", tc.name, got, tc.want)
+		}
 	}
 }

@@ -1,21 +1,8 @@
 // Package lint implements nubalint, the repo's stdlib-only static
 // analyzer. It loads and type-checks every package in the module with
-// go/parser + go/types (no x/tools dependency) and enforces the
-// simulator's determinism and layering invariants:
-//
-//	nondet-map-range    no unordered map iteration in simulation-core code
-//	no-wallclock        no time.Now/time.Since/math/rand in simulation-core code
-//	import-layering     the package DAG declared in lint.policy holds
-//	config-liveness     every audited config knob is read by the simulator
-//	metrics-liveness    every counter is written by the model and reported
-//
-// Which packages each rule covers, which files are allowlisted, and the
-// allowed import edges all come from a committed policy file (see
-// policy.go). Individual findings can be suppressed in place with a
-//
-//	//nubalint:ignore <rule> <reason>
-//
-// directive on the flagged line or the line above it (see directives.go).
+// go/parser + go/types (no x/tools dependency) and holds it to the five
+// rules listed in rules.go under a Policy (policy.go). What the rules
+// are for, and the //nubalint:ignore contract, is DESIGN.md §7.
 package lint
 
 import (
@@ -237,40 +224,18 @@ func goSources(dir string) ([]string, error) {
 	return names, nil
 }
 
-// Load parses and type-checks the module packages matching the given
-// patterns. Patterns follow the go tool's shape: "./..." loads every
-// package, "./x/..." a subtree, "./x" (or "x") a single package, and "."
-// the root package. Directories named testdata, hidden directories, and
-// nested modules are never traversed.
-func Load(mod Module, patterns []string) (*Program, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	all, err := packageDirs(mod.Dir)
+// Load parses and type-checks every package of the module: the liveness
+// rules are module-wide, so a part of it is not a thing nubalint can
+// lint. Directories named testdata, hidden directories, and nested
+// modules are never traversed.
+func Load(mod Module) (*Program, error) {
+	rels, err := packageDirs(mod.Dir)
 	if err != nil {
 		return nil, err
 	}
-	want := make(map[string]bool)
-	for _, pat := range patterns {
-		matched := false
-		for _, rel := range all {
-			if matchPattern(pat, rel) {
-				want[rel] = true
-				matched = true
-			}
-		}
-		if !matched {
-			return nil, fmt.Errorf("lint: pattern %q matched no packages", pat)
-		}
-	}
-
+	sort.Strings(rels)
 	l := newLoader(mod)
 	prog := &Program{Fset: l.fset, Mod: mod}
-	var rels []string
-	for rel := range want {
-		rels = append(rels, rel)
-	}
-	sort.Strings(rels)
 	for _, rel := range rels {
 		p, err := l.load(rel)
 		if err != nil {
@@ -279,23 +244,6 @@ func Load(mod Module, patterns []string) (*Program, error) {
 		prog.Pkgs = append(prog.Pkgs, p)
 	}
 	return prog, nil
-}
-
-// matchPattern reports whether the module-relative package dir rel
-// matches a go-tool-style pattern.
-func matchPattern(pat, rel string) bool {
-	pat = strings.TrimPrefix(filepath.ToSlash(pat), "./")
-	switch {
-	case pat == "..." || pat == "":
-		return true
-	case strings.HasSuffix(pat, "/..."):
-		prefix := strings.TrimSuffix(pat, "/...")
-		return rel == prefix || strings.HasPrefix(rel, prefix+"/")
-	case pat == ".":
-		return rel == ""
-	default:
-		return rel == pat
-	}
 }
 
 // packageDirs walks the module and returns every module-relative

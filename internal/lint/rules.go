@@ -5,39 +5,25 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// Rule names, as spelled in lint.policy and ignore directives.
+// Rule names, as spelled in a Policy, in //nubalint:ignore directives
+// and in findings. What each has caught, and why it exists, is DESIGN.md
+// §7's table.
 const (
-	// RuleMapRange flags `for ... := range m` over a map in a
-	// simulation-core package: Go randomizes map iteration order, so any
-	// order-dependent use breaks run-to-run reproducibility. The
-	// collect-keys-then-sort idiom (the loop only appends keys to a
-	// slice that the same block later sorts) is recognized as clean.
-	RuleMapRange = "nondet-map-range"
-	// RuleWallclock flags time.Now/time.Since/time.Until calls and
-	// math/rand imports in simulation-core packages. Simulated time is
-	// sim.Cycle and randomness is the seeded xorshift in internal/sim;
-	// wall-clock reads belong to the engine's progress/ETA layer, which
-	// the policy allowlists.
-	RuleWallclock = "no-wallclock"
-	// RuleLayering flags module-internal imports not permitted by the
-	// package DAG declared in lint.policy.
-	RuleLayering = "import-layering"
-	// RuleConfigLive flags exported parameter-struct fields that no
-	// simulator package ever reads (module-wide, over the use graph):
-	// a paper knob plumbed into internal/config but never wired into
-	// the model is a silent modeling-fidelity bug. See liveness.go.
-	RuleConfigLive = "config-liveness"
-	// RuleMetricsLive flags counter fields that are never written from
-	// a simulator package (dead) or written but never read from the
-	// reporting path (unreported). See liveness.go.
-	RuleMetricsLive = "metrics-liveness"
-	// RuleDirective reports malformed //nubalint:ignore comments: a
-	// directive that silently fails to parse would hide real findings.
-	RuleDirective = "directive"
+	RuleMapRange    = "nondet-map-range" // range over a map in simulation code, unless the loop only collects keys that are then sorted
+	RuleWallclock   = "no-wallclock"     // time.Now/Since/Until or math/rand in simulation code
+	RuleLayering    = "import-layering"  // a module-internal import outside Policy.Layers
+	RuleConfigLive  = "config-liveness"  // an audited config field no model package reads
+	RuleMetricsLive = "metrics-liveness" // an audited counter never written by the model, or never reported
+
+	// The two pseudo-rules report the analyzer's own inputs; neither can
+	// be scoped, allowed or ignored.
+	RuleDirective = "directive" // a malformed //nubalint:ignore
+	RulePolicy    = "policy"    // a Policy entry that names nothing in the module
 )
 
 // AllRules lists the rules in documentation order.
@@ -48,16 +34,9 @@ func AllRules() []string {
 	}
 }
 
-// knownRule reports whether name is a rule a policy line or ignore
-// directive may name.
-func knownRule(name string) bool {
-	for _, r := range AllRules() {
-		if r == name {
-			return true
-		}
-	}
-	return false
-}
+// knownRule reports whether name is a rule an ignore directive or a
+// Policy.Allow key may name.
+func knownRule(name string) bool { return slices.Contains(AllRules(), name) }
 
 // emitFunc reports a diagnostic at a token position, applying
 // directive suppression (bound in Run).
@@ -274,9 +253,6 @@ func checkWallclock(c *pkgCtx) {
 // --- import-layering -------------------------------------------------
 
 func checkLayering(c *pkgCtx) {
-	if !c.pol.InScope(RuleLayering, c.pkg.RelName()) {
-		return
-	}
 	allowed, declared := c.pol.LayerFor(c.pkg.RelName())
 	for _, f := range c.pkg.Files {
 		for _, imp := range f.Imports {
@@ -288,7 +264,7 @@ func checkLayering(c *pkgCtx) {
 			switch {
 			case !declared:
 				c.emitPos(imp.Pos(), RuleLayering,
-					fmt.Sprintf("package %s has no layer entry in lint.policy but imports %s", c.pkg.RelName(), rel))
+					fmt.Sprintf("package %s has no layer entry in the lint policy but imports %s", c.pkg.RelName(), rel))
 			case !allowed[rel]:
 				c.emitPos(imp.Pos(), RuleLayering,
 					fmt.Sprintf("package %s may not import %s (allowed: %s)", c.pkg.RelName(), rel, allowedList(allowed)))

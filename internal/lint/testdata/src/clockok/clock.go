@@ -1,4 +1,4 @@
-// Package clockok is the fixture's progress/clock layer: lint.policy
+// Package clockok is the fixture's progress/clock layer: fixturePolicy
 // allowlists this file for no-wallclock, so its time.Now is clean.
 package clockok
 

@@ -2,8 +2,8 @@
 // config-liveness.
 package params
 
-// Config is the audited parameter struct (see lint.policy: structs
-// config-liveness = params.Config, readers = model).
+// Config is the audited parameter struct (fixturePolicy in lint_test.go:
+// Config.Structs = params.Config, Config.Readers = model).
 type Config struct {
 	// LineBytes is read directly by model.Step: live.
 	LineBytes int

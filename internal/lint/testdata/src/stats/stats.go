@@ -3,7 +3,7 @@
 package stats
 
 // Stats mirrors the real metrics.Stats shape (writers = model,
-// readers = report in lint.policy).
+// readers = report in fixturePolicy).
 type Stats struct {
 	// Ticks is written by model and read by report: clean.
 	Ticks int64

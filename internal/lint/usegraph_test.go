@@ -17,7 +17,7 @@ import (
 // node spec ("pkg.Func" / "pkg.Type.Method").
 func dispatchGraph(t *testing.T) (*useGraph, func(spec string) *funcNode) {
 	t.Helper()
-	prog, _ := loadFixture(t)
+	prog := loadFixture(t)
 	g := buildUseGraph(prog)
 	return g, func(spec string) *funcNode {
 		t.Helper()

@@ -251,9 +251,8 @@ type Controller struct {
 	applyAt      sim.Cycle
 	epochEnd     sim.Cycle
 
-	// Decisions/EpochsReplicating mirror the metrics counters for tests.
-	Decisions         int64
-	EpochsReplicating int64
+	// Decisions numbers the epoch evaluations (DecisionEvent.Epoch).
+	Decisions int64
 
 	// OnDecision, when non-nil, is invoked at every epoch boundary with
 	// the evaluation the controller just performed — the tracing layer's
@@ -308,14 +307,13 @@ func (c *Controller) NextEvent() sim.Cycle {
 
 // StateSig returns a signature of the controller's observable state:
 // the replication mode, the pending decision and its apply time, the
-// epoch boundary and the decision counters.
+// epoch boundary and the decision count.
 func (c *Controller) StateSig() uint64 {
 	h := sim.MixSigBool(sim.SigSeed, c.replicate)
 	h = sim.MixSigBool(h, c.nextDecision)
 	h = sim.MixSig(h, uint64(c.applyAt))
 	h = sim.MixSig(h, uint64(c.epochEnd))
 	h = sim.MixSig(h, uint64(c.Decisions))
-	h = sim.MixSig(h, uint64(c.EpochsReplicating))
 	return h
 }
 
@@ -335,7 +333,6 @@ func (c *Controller) Tick(now sim.Cycle) {
 	c.Decisions++
 	c.stats.MDRDecisions++
 	if c.replicate {
-		c.EpochsReplicating++
 		c.stats.MDREpochsReplicating++
 	}
 	ev := DecisionEvent{Now: now, Epoch: c.Decisions, Replicating: c.replicate}

@@ -10,7 +10,7 @@ import (
 // counters that the headline Stats.String line omits — per-thread
 // instruction counts, the L1/TLB hit breakdowns, NoC serialization and
 // UBA coherence traffic. Every Stats counter must be consumed by a
-// reporting surface (metrics-liveness in lint.policy); this table is
+// reporting surface (metrics-liveness, internal/lint); this table is
 // that surface for the counters below.
 func DetailTable(s *Stats) string {
 	t := &Table{Header: []string{"counter", "value", "note"}}

@@ -54,8 +54,13 @@ type (
 	AddressMapping = config.AddressMapping
 	// Stats holds the measured statistics of one run.
 	Stats = metrics.Stats
-	// Benchmark is one entry of the Table 2 workload suite.
+	// Benchmark is one entry of the Table 2 workload suite — or a
+	// caller's own kernels: Benchmark{Abbr: "mine", Build: ...} runs
+	// whatever launches Build returns (examples/customkernel).
 	Benchmark = workload.Benchmark
+	// Alloc is what a Benchmark's Build binds its buffers with: it
+	// reserves a page-aligned virtual range and returns its base.
+	Alloc = workload.Alloc
 	// System is an assembled GPU ready to run kernels.
 	System = core.GPU
 	// Kernel is a compiled kernel in the PTX-like IR.
@@ -114,6 +119,17 @@ const (
 	FixedChannel = config.FixedChannel
 	PAE          = config.PAE
 )
+
+// ParseArch, ParsePlacement and ParseReplication parse the -arch,
+// -placement and -replication flag values: the short spelling the
+// matching *Usage function lists ("uba | sm-side | nuba") or the name
+// result tables print ("UBA-SM", "Full-Rep"), in any case.
+func ParseArch(s string) (Arch, error)                     { return config.ParseArch(s) }
+func ParsePlacement(s string) (PlacementPolicy, error)     { return config.ParsePlacement(s) }
+func ParseReplication(s string) (ReplicationPolicy, error) { return config.ParseReplication(s) }
+func ArchUsage() string                                    { return config.ArchUsage() }
+func PlacementUsage() string                               { return config.PlacementUsage() }
+func ReplicationUsage() string                             { return config.ReplicationUsage() }
 
 // Baseline returns the Table 1 memory-side UBA GPU.
 func Baseline() Config { return config.Baseline() }
@@ -226,10 +242,9 @@ type RunOption func(*runConfig)
 
 // runConfig is the merged option set of one Run call.
 type runConfig struct {
-	trace    *TraceOptions
-	launches func(sys *System) ([]*Launch, error)
-	engine   Engine
-	arm      func(sys *System) error
+	trace  *TraceOptions
+	engine Engine
+	arm    func(sys *System) error
 }
 
 // WithTrace attaches observability sinks to the run: the NDJSON epoch
@@ -240,14 +255,6 @@ type runConfig struct {
 // streams but does not close files.
 func WithTrace(topts *TraceOptions) RunOption {
 	return func(rc *runConfig) { rc.trace = topts }
-}
-
-// WithLaunches replaces the benchmark's kernels with caller-constructed
-// launches (the low-level entry point for custom kernels). The build
-// function binds buffers through sys.NewBuffer; the Benchmark argument
-// of Run then only labels the run (an empty one reads "custom").
-func WithLaunches(build func(sys *System) ([]*Launch, error)) RunOption {
-	return func(rc *runConfig) { rc.launches = build }
 }
 
 // WithEngine selects the cycle-loop engine (default EngineHybrid). All
@@ -269,7 +276,7 @@ func WithArm(arm func(sys *System) error) RunOption {
 // cannot take down a whole sweep process; the original panic value and
 // goroutine stack ride along for diagnosis.
 type PanicError struct {
-	// Label identifies the run ("MVT", "custom", ...).
+	// Label identifies the run: the benchmark's Abbr.
 	Label string
 	// Value is the recovered panic value.
 	Value any
@@ -283,7 +290,7 @@ func (e *PanicError) Error() string {
 
 // Run is the single entry point for one simulation: it assembles a GPU
 // for cfg, attaches tracing when requested (WithTrace), builds the
-// benchmark's kernels — or the caller's (WithLaunches) — into the
+// benchmark's kernels (b.Build, which may be the caller's own) into the
 // address space, executes them to completion under ctx and bundles the
 // measurements. A long simulation stops promptly once ctx is canceled
 // and returns an error wrapping ctx.Err() — a caller's host-time budget
@@ -305,17 +312,10 @@ func Run(ctx context.Context, cfg Config, b Benchmark, opts ...RunOption) (res *
 	for _, o := range opts {
 		o(&rc)
 	}
-	build := rc.launches
-	label := b.Abbr
-	if build == nil {
-		build = func(g *System) ([]*Launch, error) { return b.Build(g.NewBuffer) }
-	} else if label == "" {
-		label = "custom"
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			res = nil
-			err = &PanicError{Label: label, Value: r, Stack: debug.Stack()}
+			err = &PanicError{Label: b.Abbr, Value: r, Stack: debug.Stack()}
 		}
 	}()
 	g, err := core.New(cfg)
@@ -335,10 +335,10 @@ func Run(ctx context.Context, cfg Config, b Benchmark, opts ...RunOption) (res *
 			o.EpochCycles = cfg.MDREpoch
 		}
 		tr = trace.New(o, cfg.CoreClockGHz)
-		tr.Begin(trace.Meta{Bench: label, Config: cfg.Name(), Partitions: cfg.NumPartitions()})
+		tr.Begin(trace.Meta{Bench: b.Abbr, Config: cfg.Name(), Partitions: cfg.NumPartitions()})
 		g.AttachTracer(tr)
 	}
-	launches, err := build(g)
+	launches, err := b.Build(g.NewBuffer)
 	if err != nil {
 		return nil, err
 	}
