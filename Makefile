@@ -54,11 +54,25 @@ race:
 # slices through EnqueueLocal/EnqueueRemote off the inter-half links, so
 # the per-component sleep check (DESIGN.md §9 "Sleep deadlines") runs to
 # natural completion on all three builders' doors.
+# The sanitizer also offers every parked head on every stepped cycle and
+# fails the run on one taken before its park ended (DESIGN.md §9 "Parks"),
+# and each benchmark is here for the parks it reaches: AN the LSU's (a full
+# L1 MSHR file, ended by the reply's door) and the slice arbiter's; SM on
+# NUBA the SM send queue's, the SM-request links' and both crossbars' stage
+# 1 and stage 2 (port serialization, full input queues, full middle and
+# egress links), SM on the two UBAs the same crossbar parks with SMs as the
+# injectors; and LBM the one nothing else fills for long — the slice outbox
+# parked on a full channel queue, bounded by the data bus (2.85 M refusals
+# at scale 0.25) — from a NUBA slice beside its channel and, on the
+# memory-side UBA, with the reply crossbar backed up behind it. DWT2D, BH
+# and MVT park little: they are the sleep check's.
 # The full capped suite runs under `go test .` (TestSanitizeSuite).
 sanitize:
 	$(GO) run ./cmd/nubasim -bench DWT2D,BH,MVT,AN,SM -scale 0.125 -engine sanitize
 	$(GO) run ./cmd/nubasim -arch uba -bench SM -scale 0.125 -engine sanitize
 	$(GO) run ./cmd/nubasim -arch sm-side -bench SM -scale 0.125 -engine sanitize
+	$(GO) run ./cmd/nubasim -arch nuba -bench LBM -scale 0.125 -engine sanitize
+	$(GO) run ./cmd/nubasim -arch uba -bench LBM -scale 0.125 -engine sanitize
 
 # The seeded fault-injection stress matrix (docs/ROBUSTNESS.md): every
 # fault class injected into a short run and caught by the layer that

@@ -70,10 +70,12 @@ func TestMultiBenchmarkMode(t *testing.T) {
 		t.Errorf("-replication half: exit %d, stderr %q", code, stderr)
 	}
 
-	// One benchmark, -v: the cycle loop's own counters, on stderr only.
+	// One benchmark, -v: the cycle loop's own counters, on stderr only — what
+	// it stepped and ticked, then the offers made and refused site by site.
 	if stdout, stderr, code = run("-bench", "LEU", "-scale", "0.125", "-v"); code != 0 ||
 		!regexp.MustCompile(`(?m)^engine: cycles stepped=[1-9][0-9]* skipped=[1-9][0-9]*; ticks ran/slept, SM [1-9][0-9]*/[1-9]`).MatchString(stderr) ||
-		strings.Contains(stdout, "engine:") {
+		!regexp.MustCompile(`(?m)^offers: made/refused, SM send [1-9][0-9]*/[0-9]+, LSU head [1-9].*, channel enqueue [1-9][0-9]*/[0-9]+$`).MatchString(stderr) ||
+		strings.Contains(stdout, "engine:") || strings.Contains(stdout, "offers:") {
 		t.Errorf("-v on one benchmark: exit %d, stderr %q", code, stderr)
 	}
 

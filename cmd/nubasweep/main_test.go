@@ -77,13 +77,16 @@ func TestSweepFrontDoor(t *testing.T) {
 		t.Errorf("-exp all must print every experiment once, in presentation order; got headers:\n%s", strings.Join(headers, "\n"))
 	}
 
-	// BP on NUBA with 2 MB pages livelocks at this scale (the NUBA + MDR
+	// BP on NUBA with 2 MB pages wedges at this scale (the NUBA + MDR
 	// deadlock): with no flag set it is a FAILED JOBS line and, on stderr,
-	// the full hang report — not a spin to MaxCycles.
+	// the full hang report — not a spin to MaxCycles. Every full slice's
+	// arbiter is parked on its MSHR file, so every wake hint is Never and
+	// the watchdog calls it a deadlock at the first batch boundary, without
+	// waiting out its window.
 	stdout, stderr, code := run("-exp", "fig14-page", "-bench", "BP", "-scale", "0.125")
 	if code != 1 || !strings.Contains(stdout, "FAILED JOBS (1)") ||
-		!strings.Contains(stdout, "core: watchdog: no forward progress") ||
-		!strings.Contains(stderr, "hang detected at cycle") || !strings.Contains(stderr, "\n  LLC slice ") {
+		!strings.Contains(stdout, "core: watchdog: deadlock at cycle") ||
+		!strings.Contains(stderr, "hang detected at cycle") || !strings.Contains(stderr, " arb-parked ") {
 		t.Errorf("fig14-page on BP: exit %d\n%s%s", code, stdout, stderr)
 	}
 	if stdout, stderr, code = run("-exp", "fig12", "-bench", "BP", "-watchdog", "1"); code != 2 || stdout != "" ||

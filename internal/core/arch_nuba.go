@@ -20,7 +20,8 @@ func (g *GPU) buildNUBA() {
 	local := func() *sim.Link[*sim.MemReq] {
 		return sim.NewLink[*sim.MemReq](g.cfg.LocalLinkLatency, g.cfg.LocalLinkBytes, g.cfg.LocalLinkBuffer)
 	}
-	g.smReq, g.sliceReply = newLinkSet[*sim.MemReq](len(g.sms)), newLinkSet[*sim.MemReq](len(g.slices))
+	g.smReq = newLinkSet[*sim.MemReq]("SM-request link", len(g.sms))
+	g.sliceReply = newLinkSet[*sim.MemReq]("slice-reply link", len(g.slices))
 	for i := range g.sms {
 		g.smReq.add(g, i, local(), "SM-request link", i, -1)
 	}
@@ -63,7 +64,9 @@ func (g *GPU) replicating() bool {
 func (g *GPU) nubaSend(smID, part int) func(*sim.MemReq, sim.Cycle) bool {
 	return func(req *sim.MemReq, now sim.Cycle) bool {
 		if !g.smReq.l[smID].CanSend(now) {
-			return false
+			// The link's drain runs after the SMs: a full link shows room the
+			// cycle after its own head moves.
+			return g.tellSM(smID, g.smReq.retryAt(smID, now, aheadOfFabric))
 		}
 		req.Channel, req.Slice = g.mapper.Home(req.Addr)
 		local := g.slices[req.Slice].Part == part
@@ -80,29 +83,35 @@ func (g *GPU) nubaSend(smID, part int) func(*sim.MemReq, sim.Cycle) bool {
 
 // acceptSMRequest consumes a request leaving an SM's link: into a slice of
 // the SM's partition (the home, or the replica slice), or onto the NoC.
-func (g *GPU) acceptSMRequest(smID int, req *sim.MemReq, now sim.Cycle) bool {
+func (g *GPU) acceptSMRequest(smID int, req *sim.MemReq, now sim.Cycle) sim.Cycle {
 	part := g.sms[smID].Part
 	switch {
 	case req.ReplicaSlice >= 0:
-		return g.slices[req.ReplicaSlice].EnqueueLocal(req)
+		g.slices[req.ReplicaSlice].EnqueueLocal(req)
 	case g.slices[req.Slice].Part == part:
-		return g.slices[req.Slice].EnqueueLocal(req)
+		g.slices[req.Slice].EnqueueLocal(req)
 	default:
-		return g.nubaInjectNoC(g.partitionSlice(part, req.Addr), req.Slice, req, false, now)
+		return g.nubaInjectNoC(g.partitionSlice(part, req.Addr), req.Slice, req, false, now, aheadOfFabric)
 	}
+	return accepted // the LMR queue is elastic
 }
 
 // nubaInjectNoC injects a request or reply into the slice-to-slice NoC
 // from srcSlice toward dstSlice.
-func (g *GPU) nubaInjectNoC(srcSlice, dstSlice int, req *sim.MemReq, reply bool, now sim.Cycle) bool {
+func (g *GPU) nubaInjectNoC(srcSlice, dstSlice int, req *sim.MemReq, reply bool, now, lag sim.Cycle) sim.Cycle {
 	req.Remote = true
-	return g.cross(srcSlice, g.slicesPerMod, dstSlice, g.slicesPerMod, req, reply, now)
+	return g.cross(srcSlice, g.slicesPerMod, dstSlice, g.slicesPerMod, req, reply, now, lag)
 }
 
 // nubaSendLocalReply puts a reply on a slice's link toward its
-// partition's SMs.
-func (g *GPU) nubaSendLocalReply(sliceID int, req *sim.MemReq, now sim.Cycle) bool {
-	return g.sliceReply.send(sliceID, now, req, sim.MessageBytes(req, true))
+// partition's SMs. The link's drain always delivers, after the crossbars
+// and before the slices: a full link shows room lag cycles after its
+// head's arrival.
+func (g *GPU) nubaSendLocalReply(sliceID int, req *sim.MemReq, now, lag sim.Cycle) sim.Cycle {
+	if g.sliceReply.send(sliceID, now, req, sim.MessageBytes(req, true)) {
+		return accepted
+	}
+	return g.sliceReply.retryAt(sliceID, now, lag)
 }
 
 // nubaSliceReply routes a finished request from a slice: locally over the
@@ -113,29 +122,29 @@ func (g *GPU) nubaSliceReply(sliceID, part int) func(*sim.MemReq, sim.Cycle) boo
 		// Home slice answering a forwarded replica miss: return the line
 		// to the replica slice.
 		if req.ReplicaSlice >= 0 && req.ReplicaSlice != sliceID {
-			return g.nubaInjectNoC(sliceID, req.ReplicaSlice, req, true, now)
+			return g.tellSlice(sliceID, g.nubaInjectNoC(sliceID, req.ReplicaSlice, req, true, now, behindFabric))
 		}
 		rp := g.sms[req.SM].Part
 		if rp == part {
-			return g.nubaSendLocalReply(sliceID, req, now)
+			return g.tellSlice(sliceID, g.nubaSendLocalReply(sliceID, req, now, behindFabric))
 		}
-		return g.nubaInjectNoC(sliceID, g.partitionSlice(rp, req.Addr), req, true, now)
+		return g.tellSlice(sliceID, g.nubaInjectNoC(sliceID, g.partitionSlice(rp, req.Addr), req, true, now, behindFabric))
 	}
 }
 
 // nubaForward sends a replica-slice miss to the line's home slice.
 func (g *GPU) nubaForward(sliceID int) func(*sim.MemReq, sim.Cycle) bool {
 	return func(req *sim.MemReq, now sim.Cycle) bool {
-		return g.nubaInjectNoC(sliceID, req.Slice, req, false, now)
+		return g.tellSlice(sliceID, g.nubaInjectNoC(sliceID, req.Slice, req, false, now, behindFabric))
 	}
 }
 
 // nubaAcceptReply consumes a reply leaving the NoC at a slice: the fill
 // of a replica miss, or a pass-through toward a local SM.
-func (g *GPU) nubaAcceptReply(sliceID int, req *sim.MemReq, now sim.Cycle) bool {
+func (g *GPU) nubaAcceptReply(sliceID int, req *sim.MemReq, now sim.Cycle) sim.Cycle {
 	if req.ReplicaSlice == sliceID && req.Slice != sliceID {
 		g.slices[sliceID].AcceptReplicaFill(req, now)
-		return true
+		return accepted
 	}
-	return g.nubaSendLocalReply(sliceID, req, now)
+	return g.nubaSendLocalReply(sliceID, req, now, aheadOfFabric)
 }

@@ -22,7 +22,7 @@ func (g *GPU) buildUBA() {
 // ubaSliceReply returns replies over the crossbar toward the SM.
 func (g *GPU) ubaSliceReply(sliceID int) func(*sim.MemReq, sim.Cycle) bool {
 	return func(req *sim.MemReq, now sim.Cycle) bool {
-		return g.cross(sliceID, g.slicesPerMod, req.SM, g.smsPerMod, req, true, now)
+		return g.tellSlice(sliceID, g.cross(sliceID, g.slicesPerMod, req.SM, g.smsPerMod, req, true, now, behindFabric))
 	}
 }
 
@@ -48,8 +48,8 @@ func (g *GPU) ubaMemSend(smID int) func(*sim.MemReq, sim.Cycle) bool {
 	return func(req *sim.MemReq, now sim.Cycle) bool {
 		req.Channel, req.Slice = g.mapper.Home(req.Addr)
 		req.Remote = true // every UBA L1 miss traverses the NoC
-		if !g.cross(smID, g.smsPerMod, req.Slice, g.slicesPerMod, req, false, now) {
-			return false
+		if retry := g.cross(smID, g.smsPerMod, req.Slice, g.slicesPerMod, req, false, now, aheadOfFabric); retry != accepted {
+			return g.tellSM(smID, retry)
 		}
 		g.recordPlacementAccess(req, g.sms[smID].Part)
 		return true
@@ -71,7 +71,7 @@ func (g *GPU) buildUBASMSide() {
 	// artificial bottleneck relative to the paper's SM-side UBA (which
 	// performs within ~1% of the memory-side baseline).
 	w := g.cfg.NoCPortBytes() * max(g.slicesPerMod, 1)
-	g.inter = newLinkSet[noc.Msg](g.mods * g.mods)
+	g.inter = newLinkSet[noc.Msg]("inter-half link", g.mods*g.mods)
 	for h := 0; h < 2; h++ {
 		l := sim.NewLink[noc.Msg](g.cfg.NoCLatency, w, 8*g.cfg.NoCPortBuffer)
 		g.inter.add(g, g.interLink(h, 1-h), l, "inter-half link", h, -1)
@@ -105,8 +105,8 @@ func (g *GPU) smSideSend(smID int) func(*sim.MemReq, sim.Cycle) bool {
 		req.Slice = g.smSideSlice(smID, req.Addr)
 		req.Channel = g.mapper.Channel(req.Addr)
 		req.Remote = true
-		if !g.cross(smID, g.smsPerMod, req.Slice, g.slicesPerMod, req, false, now) {
-			return false // the slice is in the SM's half: always the half's crossbar
+		if retry := g.cross(smID, g.smsPerMod, req.Slice, g.slicesPerMod, req, false, now, aheadOfFabric); retry != accepted {
+			return g.tellSM(smID, retry) // the slice is in the SM's half: always the half's crossbar
 		}
 		if req.IsWrite() {
 			g.invalQueue.Push(g.reqs.Get(sim.MemReq{
@@ -128,7 +128,7 @@ func (g *GPU) drainInvalQueue(now sim.Cycle) {
 			return
 		}
 		half := g.moduleOfSlice(inv.Slice)
-		if !g.sendInter(1-half, half, noc.Msg{Req: inv, Dst: inv.Slice, Bytes: sim.ReqBytes, Inval: true}, now) {
+		if g.sendInter(1-half, half, noc.Msg{Req: inv, Dst: inv.Slice, Bytes: sim.ReqBytes, Inval: true}, now) != accepted {
 			return
 		}
 		g.stats.CoherenceTraffic += sim.ReqBytes
@@ -142,9 +142,9 @@ func (g *GPU) smSideMiss(req *sim.MemReq, now sim.Cycle) bool {
 	ch := g.homeChannel(req)
 	srcHalf := g.moduleOfSlice(req.Slice)
 	if g.moduleOfChannel(ch) == srcHalf {
-		return g.chans[ch].Enqueue(req)
+		return g.tellSlice(req.Slice, g.enqueue(ch, req, now))
 	}
-	return g.sendInter(srcHalf, 1-srcHalf, noc.Msg{Req: req, Dst: ch, Bytes: sim.MessageBytes(req, false)}, now)
+	return g.sendInter(srcHalf, 1-srcHalf, noc.Msg{Req: req, Dst: ch, Bytes: sim.MessageBytes(req, false)}, now) == accepted
 }
 
 // smSideRespond routes a finished DRAM read back to the slice that
@@ -160,7 +160,7 @@ func (g *GPU) smSideRespond(req *sim.MemReq) {
 		g.slices[req.Slice].AcceptFill(req, now)
 		return
 	}
-	if !g.sendInter(chHalf, 1-chHalf, noc.Msg{Req: req, Dst: req.Slice, Bytes: sim.MessageBytes(req, true), Reply: true}, now) {
+	if g.sendInter(chHalf, 1-chHalf, noc.Msg{Req: req, Dst: req.Slice, Bytes: sim.MessageBytes(req, true), Reply: true}, now) != accepted {
 		g.migFillRetry = append(g.migFillRetry, req)
 	}
 }
@@ -176,14 +176,14 @@ func (g *GPU) retryFills() {
 
 // acceptInterHalf consumes what leaves an inter-half link: an invalidation
 // or a fill for a slice, or a miss for a channel.
-func (g *GPU) acceptInterHalf(_ int, msg noc.Msg, now sim.Cycle) bool {
+func (g *GPU) acceptInterHalf(_ int, msg noc.Msg, now sim.Cycle) sim.Cycle {
 	switch {
 	case msg.Inval:
-		return g.slices[msg.Dst].EnqueueRemote(msg.Req)
+		g.slices[msg.Dst].EnqueueRemote(msg.Req)
 	case msg.Reply:
 		g.slices[msg.Dst].AcceptFill(msg.Req, now)
-		return true
 	default:
-		return g.chans[msg.Dst].Enqueue(msg.Req)
+		return g.enqueue(msg.Dst, msg.Req, now)
 	}
+	return accepted
 }

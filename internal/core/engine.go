@@ -95,8 +95,29 @@ func EngineUsage() string {
 	return b.String()
 }
 
-// SetEngine selects the cycle-loop strategy for subsequent runs.
-func (g *GPU) SetEngine(e Engine) { g.engine = e }
+// SetEngine selects the cycle-loop strategy for subsequent runs. Hybrid
+// obeys the components' parks (DESIGN.md §9 "Parks"); the other two
+// install the GPU's park audit in every component that parks, which
+// switches the parks off — naive so as to stay the reference, sanitize so
+// as to fail the run (step) on a head taken before its park ended.
+func (g *GPU) SetEngine(e Engine) {
+	g.engine = e
+	var a *sim.ParkAudit
+	if e != EngineHybrid {
+		a = &g.audit
+	}
+	for _, s := range g.sms {
+		s.Audit = a
+	}
+	for _, sl := range g.slices {
+		sl.Audit = a
+	}
+	for m, x := range g.reqXbars {
+		x.SetAudit(a)
+		g.replyXbars[m].SetAudit(a)
+	}
+	g.smReq.w.Audit, g.inter.w.Audit, g.sliceReply.w.Audit = a, a, a
+}
 
 // The kinds of component that sleep (DESIGN.md §9), and their row labels.
 const kindSM, kindSlice, kindChan = 0, 1, 2
@@ -113,20 +134,85 @@ type EngineStats struct {
 	// slice-reply — the stepped cycles whose drain found no link occupied
 	// (all of them for a set the architecture leaves empty).
 	EmptyDrains [3]int64
+	// Sites counts, per place a send can be refused (siteLabel), the heads
+	// offered there and the offers refused: what parking a refused head
+	// (DESIGN.md §9 "Parks") saves is the refusals naive counts and hybrid
+	// does not.
+	Sites [numSites]sim.Offers
+}
+
+// The sites of EngineStats.Sites, in the order step reaches them.
+const (
+	siteSMSend = iota
+	siteLSU
+	siteSMReqDrain
+	siteReqStage1
+	siteReqStage2
+	siteReqEgress
+	siteReplyStage1
+	siteReplyStage2
+	siteReplyEgress
+	siteInterDrain
+	siteSliceReplyDrain
+	siteArbiter
+	siteOutbox
+	siteEnqueue
+	numSites
+)
+
+var siteLabel = [numSites]string{
+	"SM send", "LSU head", "SM-request drain",
+	"req-xbar stage 1", "req-xbar stage 2", "req-xbar egress",
+	"reply-xbar stage 1", "reply-xbar stage 2", "reply-xbar egress",
+	"inter-domain drain", "slice-reply drain",
+	"slice arbiter", "slice outbox", "channel enqueue",
 }
 
 // EngineStats returns the counters so far.
 func (g *GPU) EngineStats() EngineStats {
 	es := g.es
 	es.EmptyDrains = [3]int64{g.smReq.idle, g.inter.idle, g.sliceReply.idle}
+	for _, s := range g.sms {
+		es.Sites[siteSMSend].Add(s.SendOffers)
+		es.Sites[siteLSU].Add(s.LSUOffers)
+	}
+	for m, rq := range g.reqXbars {
+		rp := g.replyXbars[m]
+		es.Sites[siteReqStage1].Add(rq.Stage1)
+		es.Sites[siteReqStage2].Add(rq.Stage2)
+		es.Sites[siteReqEgress].Add(rq.Egress)
+		es.Sites[siteReplyStage1].Add(rp.Stage1)
+		es.Sites[siteReplyStage2].Add(rp.Stage2)
+		es.Sites[siteReplyEgress].Add(rp.Egress)
+	}
+	es.Sites[siteSMReqDrain] = g.smReq.offers
+	es.Sites[siteInterDrain] = g.inter.offers
+	es.Sites[siteSliceReplyDrain] = g.sliceReply.offers
+	for _, sl := range g.slices {
+		es.Sites[siteArbiter].Add(sl.ArbOffers)
+		es.Sites[siteOutbox].Add(sl.OutOffers)
+	}
+	for _, ch := range g.chans {
+		es.Sites[siteEnqueue].Add(ch.Enqueues())
+	}
 	return es
 }
 
-// String renders the counters as nubasim -v's one "engine:" line.
+// String renders the counters as the two lines nubasim -v prints after
+// "engine:": what the cycle loop did, then ("offers:") the offers made and
+// refused at each site that saw any.
 func (es EngineStats) String() string {
-	return fmt.Sprintf("cycles stepped=%d skipped=%d; ticks ran/slept, SM %d/%d, LLC slice %d/%d, DRAM channel %d/%d; drains that found the set empty, SM-request %d, inter-domain %d, slice-reply %d",
+	var b strings.Builder
+	fmt.Fprintf(&b, "cycles stepped=%d skipped=%d; ticks ran/slept, SM %d/%d, LLC slice %d/%d, DRAM channel %d/%d; drains that found the set empty, SM-request %d, inter-domain %d, slice-reply %d",
 		es.Stepped, es.Skipped, es.Ran[kindSM], es.Slept[kindSM], es.Ran[kindSlice], es.Slept[kindSlice], es.Ran[kindChan], es.Slept[kindChan],
 		es.EmptyDrains[0], es.EmptyDrains[1], es.EmptyDrains[2])
+	b.WriteString("\noffers: made/refused")
+	for i, o := range es.Sites {
+		if o.Offered > 0 {
+			fmt.Fprintf(&b, ", %s %d/%d", siteLabel[i], o.Offered, o.Refused)
+		}
+	}
+	return b.String()
 }
 
 // componentWake returns the earliest cycle at which any component could

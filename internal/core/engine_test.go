@@ -395,6 +395,38 @@ func BenchmarkMoveFabric(b *testing.B) {
 	}
 }
 
+// BenchmarkStepCongested is one stepped cycle of a scale-0.25 NUBA GPU
+// mid-run on Stringmatch (bench/'s atomic_remote kernel): 82 % of its
+// atomics cross the crossbar, so on most cycles most senders — SMs, request
+// links, crossbar stages, slice outboxes — hold a head their receiver
+// refuses. What parking those heads (DESIGN.md §9 "Parks") saves, at the
+// granularity of step; compare across commits.
+func BenchmarkStepCongested(b *testing.B) {
+	sm, err := workload.ByAbbr("SM")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := MustNew(config.Baseline().Scale(0.25).WithArch(config.NUBA))
+	launches, err := sm.Build(g.NewBuffer)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l := launches[0]
+	g.prewarm(l)
+	g.assignCTAs(l)
+	for i := 0; i < 20000; i++ { // past the cold start
+		g.step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if g.quiet() {
+			g.assignCTAs(l)
+		}
+		g.step()
+	}
+}
+
 // BenchmarkStepOnePartitionBusy is one stepped cycle of the shape NUBA's
 // premise predicts and bench/ has no row for: one SM streaming through
 // its partition's slice and channel on a scale-0.25 NUBA GPU, the other

@@ -67,9 +67,10 @@ type GPU struct {
 	// The two consumers the builder chooses, as method expressions:
 	// acceptReply takes what leaves a reply crossbar at output dst (an SM,
 	// or a NUBA slice), acceptInter what leaves inter-domain link k. Both
-	// refuse by returning false.
-	acceptReply func(g *GPU, dst int, req *sim.MemReq, now sim.Cycle) bool
-	acceptInter func(g *GPU, k int, msg noc.Msg, now sim.Cycle) bool
+	// refuse by returning something other than accepted: the refusal's bound
+	// (links.go).
+	acceptReply func(g *GPU, dst int, req *sim.MemReq, now sim.Cycle) sim.Cycle
+	acceptInter func(g *GPU, k int, msg noc.Msg, now sim.Cycle) sim.Cycle
 
 	mdrProf *mdr.Profiler
 	mdrCtl  *mdr.Controller
@@ -85,8 +86,17 @@ type GPU struct {
 	// simulated state.
 	busyStride sim.Cycle
 	es         EngineStats
-	// unsound is the first unsound sleep the sanitizer found (checkSleeper).
+	// unsound is the first unsound sleep or park the sanitizer found
+	// (checkSleeper, step); audit is where the components report the latter
+	// (SetEngine).
 	unsound error
+	audit   sim.ParkAudit
+	// sleepSigs is the sanitizer's memo of each sleeper's signature after
+	// its last check, by kind (checkSleeper).
+	sleepSigs [3]struct {
+		sig []uint64
+		at  []sim.Cycle
+	}
 	// flt is the armed fault-injection state (fault.go); nil unless a
 	// test called Inject.
 	flt *coreFault

@@ -146,7 +146,37 @@ func (g *GPU) homeChannel(req *sim.MemReq) int {
 
 // sliceMiss issues an LLC miss or writeback to the owning channel.
 func (g *GPU) sliceMiss(req *sim.MemReq, now sim.Cycle) bool {
-	return g.chans[g.homeChannel(req)].Enqueue(req)
+	return g.tellSlice(req.Slice, g.enqueue(g.homeChannel(req), req, now))
+}
+
+// enqueue offers req to channel ch on behalf of a sender that runs ahead
+// of the channels in step: accepted, or the channel's bound on the cycle a
+// slot could be free.
+func (g *GPU) enqueue(ch int, req *sim.MemReq, now sim.Cycle) sim.Cycle {
+	if g.chans[ch].Enqueue(req) {
+		return accepted
+	}
+	return g.chans[ch].RetryAt(now)
+}
+
+// tellSM and tellSlice turn what a receiver returned — accepted, or a
+// refusal's bound — into the bool the SM's Send port and the slice's Send*
+// ports return, handing the bound to the sender first (DESIGN.md §9
+// "Parks").
+func (g *GPU) tellSM(sm int, retry sim.Cycle) bool {
+	if retry == accepted {
+		return true
+	}
+	g.sms[sm].ParkSend(retry)
+	return false
+}
+
+func (g *GPU) tellSlice(slice int, retry sim.Cycle) bool {
+	if retry == accepted {
+		return true
+	}
+	g.slices[slice].ParkOutbox(retry)
+	return false
 }
 
 // retirePageCopyRead reports whether a finished DRAM read is page-copy
@@ -205,7 +235,7 @@ func (g *GPU) buildInterModule() {
 	g.acceptInter = (*GPU).acceptInterModule
 	per := g.cfg.InterModuleGBs / (2 * float64(mods-1) * g.cfg.CoreClockGHz)
 	w := max(int(per+0.5), 1)
-	g.inter = newLinkSet[noc.Msg](mods * mods)
+	g.inter = newLinkSet[noc.Msg]("inter-module link", mods*mods)
 	for a := 0; a < mods; a++ {
 		for b := 0; b < mods; b++ {
 			if a != b {
@@ -220,9 +250,13 @@ func (g *GPU) buildInterModule() {
 // src to domain dst.
 func (g *GPU) interLink(src, dst int) int { return src*g.mods + dst }
 
-// sendInter puts msg on that link.
-func (g *GPU) sendInter(src, dst int, msg noc.Msg, now sim.Cycle) bool {
-	return g.inter.send(g.interLink(src, dst), now, msg, msg.Bytes)
+// sendInter puts msg on that link. Its refusals carry no bound: whoever is
+// refused asks again next cycle.
+func (g *GPU) sendInter(src, dst int, msg noc.Msg, now sim.Cycle) sim.Cycle {
+	if g.inter.send(g.interLink(src, dst), now, msg, msg.Bytes) {
+		return accepted
+	}
+	return now + 1
 }
 
 // cross sends req (or its reply) from endpoint src toward endpoint dst,
@@ -230,36 +264,42 @@ func (g *GPU) sendInter(src, dst int, msg noc.Msg, now sim.Cycle) bool {
 // srcPerMod and dstPerMod. It is the one place that knows what a domain
 // boundary means: within a domain the message enters the domain's request
 // or reply crossbar, ports local to the domain; across it the inter-domain
-// link, addressed to the destination itself.
-func (g *GPU) cross(src, srcPerMod, dst, dstPerMod int, req *sim.MemReq, reply bool, now sim.Cycle) bool {
+// link, addressed to the destination itself. lag is where the sender
+// stands (aheadOfFabric, behindFabric), for the bound a refusal returns.
+func (g *GPU) cross(src, srcPerMod, dst, dstPerMod int, req *sim.MemReq, reply bool, now, lag sim.Cycle) sim.Cycle {
 	msg := noc.Msg{Req: req, Dst: dst, Bytes: sim.MessageBytes(req, reply), Reply: reply}
 	srcMod, dstMod := src/srcPerMod, dst/dstPerMod
 	if srcMod != dstMod {
 		return g.sendInter(srcMod, dstMod, msg, now)
 	}
 	msg.Dst = dst % dstPerMod
+	x, port := g.reqXbars[srcMod], src%srcPerMod
 	if reply {
-		return g.replyXbars[srcMod].Inject(src%srcPerMod, now, msg)
+		x = g.replyXbars[srcMod]
 	}
-	return g.reqXbars[srcMod].Inject(src%srcPerMod, now, msg)
+	if x.Inject(port, now, msg) {
+		return accepted
+	}
+	return x.RetryInject(port, now, lag)
 }
 
 // acceptInterModule consumes what leaves an MCM inter-module link: a
 // request for its home slice, or a reply for the architecture's consumer.
-func (g *GPU) acceptInterModule(_ int, msg noc.Msg, now sim.Cycle) bool {
+func (g *GPU) acceptInterModule(_ int, msg noc.Msg, now sim.Cycle) sim.Cycle {
 	if msg.Reply {
 		return g.acceptReply(g, msg.Dst, msg.Req, now)
 	}
-	return g.slices[msg.Dst].EnqueueRemote(msg.Req)
+	g.slices[msg.Dst].EnqueueRemote(msg.Req)
+	return accepted
 }
 
 // deliverToSM hands a reply to its SM: what leaves a NUBA slice-reply
 // link, and what leaves a UBA reply crossbar — at the port of req.SM, where
 // cross addressed it.
-func (g *GPU) deliverToSM(_ int, req *sim.MemReq, now sim.Cycle) bool {
+func (g *GPU) deliverToSM(_ int, req *sim.MemReq, now sim.Cycle) sim.Cycle {
 	g.accountService(req)
 	g.sms[req.SM].AcceptReply(req, now)
-	return true
+	return accepted
 }
 
 // moveFabric is the fabric phase of step, the same on every architecture:
@@ -295,6 +335,6 @@ func (g *GPU) moveXbars(now sim.Cycle) {
 		// Port indices are local to the module.
 		slice0, dst0 := m*rq.OutPorts(), m*rp.OutPorts()
 		rq.Drain(now, func(p int, msg noc.Msg) bool { return g.slices[slice0+p].EnqueueRemote(msg.Req) })
-		rp.Drain(now, func(p int, msg noc.Msg) bool { return g.acceptReply(g, dst0+p, msg.Req, now) })
+		rp.Drain(now, func(p int, msg noc.Msg) bool { return g.acceptReply(g, dst0+p, msg.Req, now) == accepted })
 	}
 }

@@ -181,6 +181,10 @@ func (g *GPU) step() {
 		}
 	}
 
+	if check && g.unsound == nil && g.audit.First() != "" {
+		g.unsound = fmt.Errorf("core: sanitize: unsound park: %s", g.audit.First())
+	}
+
 	if g.mdrCtl != nil {
 		g.mdrCtl.Tick(now)
 	}

@@ -101,31 +101,56 @@ func TestNaiveIgnoresSleep(t *testing.T) {
 	}
 }
 
-// A lost wake-up — work to do, a deadline that says never — is the bug
-// class sleep deadlines introduce. It must not burn to MaxCycles: it is
-// a HangError within the first sampling interval (of a window shortened
-// to 4096 cycles here), and the report must show the signature: a live
-// hint of +1 next to asleep-until=never.
+// A lost wake-up — work to do, a deadline or a park that says never — is
+// the bug class sleep deadlines and parks introduce. It must not burn to
+// MaxCycles: it is a HangError within the first sampling interval (of a
+// window shortened to 4096 cycles here), and the report must show the
+// signature: a live hint of +1 next to asleep-until=never for an SM whose
+// door forgot its deadline; for a link whose head is parked till long after
+// the run, the park on the link's own line, and on its SM's line the send
+// queue and the LSU parked behind it.
 func TestLostWakeIsAHang(t *testing.T) {
-	g, row := napping(t, EngineHybrid)
-	g.wd = newWatchdog(4096)
-	*row.sleep = sim.Never
-	err := g.runUntilIdle(context.Background())
-	var he *HangError
-	if !errors.As(err, &he) {
-		t.Fatalf("want *HangError, got %v", err)
-	}
-	if he.Report.Cycle > 4096 {
-		t.Errorf("hang declared at cycle %d; a lost wake-up must not wait out MaxCycles", he.Report.Cycle)
-	}
-	s := he.Report.String()
-	var line string
-	for _, l := range strings.Split(s, "\n") {
-		if strings.Contains(l, "SM 0 ") {
-			line = l
+	hang := func(t *testing.T, g *GPU) (*HangError, string) {
+		t.Helper()
+		g.wd = newWatchdog(4096)
+		start := g.cycle
+		err := g.runUntilIdle(context.Background())
+		var he *HangError
+		if !errors.As(err, &he) {
+			t.Fatalf("want *HangError, got %v", err)
 		}
+		if he.Report.Cycle > start+2*4096 {
+			t.Errorf("hang declared at cycle %d, %d cycles in; a lost wake-up must not wait out MaxCycles", he.Report.Cycle, he.Report.Cycle-start)
+		}
+		return he, he.Report.String()
 	}
-	if !strings.Contains(line, "wake=+1") || !strings.HasSuffix(line, "asleep-until=never") {
-		t.Errorf("report does not show the lost wake-up on SM 0's line:\n%s", s)
+	lineOf := func(report, name string) string {
+		for _, l := range strings.Split(report, "\n") {
+			if strings.Contains(l, name+" ") {
+				return l
+			}
+		}
+		return ""
 	}
+	t.Run("asleep-forever", func(t *testing.T) {
+		g, row := napping(t, EngineHybrid)
+		*row.sleep = sim.Never
+		_, s := hang(t, g)
+		if line := lineOf(s, "SM 0"); !strings.Contains(line, "wake=+1") || !strings.HasSuffix(line, "asleep-until=never") {
+			t.Errorf("report does not show the lost wake-up on SM 0's line:\n%s", s)
+		}
+	})
+	t.Run("parked-forever", func(t *testing.T) {
+		g, k, _ := parked(t, EngineHybrid)
+		far := parkFar(g, k)
+		he, s := hang(t, g)
+		until := fmt.Sprintf("%+d", far-he.Report.Cycle)
+		if line := lineOf(s, fmt.Sprintf("SM-request link %d", k)); !strings.HasSuffix(line, "asleep-until="+until) {
+			t.Errorf("report does not show the park (%s) on the link's line:\n%s", until, s)
+		}
+		if line := lineOf(s, fmt.Sprintf("SM %d", k)); !strings.Contains(line, fmt.Sprintf("wake=%+d", far+1-he.Report.Cycle)) ||
+			!strings.Contains(line, fmt.Sprintf(" send-parked-until=%d lsu-parked=send@%d", far+1, far+1)) {
+			t.Errorf("report does not show what the park holds up on SM %d's line:\n%s", k, s)
+		}
+	})
 }

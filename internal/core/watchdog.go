@@ -148,7 +148,7 @@ func (r *HangReport) String() string {
 	}
 	b.WriteByte('\n')
 	rel := func(t sim.Cycle) string {
-		if t == sim.Never {
+		if t >= sim.Never {
 			return "never"
 		}
 		return fmt.Sprintf("%+d", t-r.Cycle)

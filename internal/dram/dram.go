@@ -105,7 +105,9 @@ type Channel struct {
 	RowHits    int64
 	RowMisses  int64
 	BusyCycles int64
-	stallFull  int64
+	// offered counts Enqueue calls, stallFull those refused.
+	offered   int64
+	stallFull int64
 	// groupBusy splits BusyCycles by the bank group that sourced the
 	// burst (the tracing layer's bank-group-pressure probe).
 	groupBusy []int64
@@ -207,6 +209,7 @@ func (c *Channel) CanEnqueue() bool { return len(c.queue) < cap(c.queue) }
 // Enqueue adds a request to the channel queue, reporting acceptance. The
 // bank, bank group and row are decoded here, once per request.
 func (c *Channel) Enqueue(req *sim.MemReq) bool {
+	c.offered++
 	if !c.CanEnqueue() {
 		c.stallFull++
 		return false
@@ -224,6 +227,28 @@ func (c *Channel) Enqueue(req *sim.MemReq) bool {
 	})
 	return true
 }
+
+// RetryAt returns a lower bound on the core cycle at which an Enqueue
+// refused at core cycle now could succeed, for a sender that step runs
+// ahead of the channels (all of them but the page-copy queue). A slot frees
+// only when a CAS issues, which takes a tick — this cycle's if now is on
+// the memory clock, the channels ticking last — at a memory cycle on which
+// the data bus can take the burst of at least one kind and tCCD has passed
+// since the last CAS; the sender sees the slot the cycle after. It is a
+// pure observation.
+func (c *Channel) RetryAt(now sim.Cycle) sim.Cycle {
+	div := sim.Cycle(c.cfg.MemClockDiv)
+	m := (now + div - 1) / div
+	m = max(m, c.busFreeAt-int64(max(c.t.TCL, c.t.TWL)))
+	if c.lastCASAt >= 0 {
+		m = max(m, c.lastCASAt+int64(min(c.t.TCCDS, c.t.TCCDL)))
+	}
+	return m*div + 1
+}
+
+// Enqueues returns how many requests were offered to Enqueue and how many
+// it refused.
+func (c *Channel) Enqueues() sim.Offers { return sim.Offers{Offered: c.offered, Refused: c.stallFull} }
 
 // remove drops entry i, keeping the rest in arrival order.
 func (c *Channel) remove(i int) {

@@ -232,3 +232,52 @@ func TestDoorsWake(t *testing.T) {
 		})
 	}
 }
+
+// A refused Enqueue's bound (DESIGN.md §9 "Parks") must never be late and
+// should seldom be early: a sender that step runs ahead of the channels —
+// a slice, an inter-half link's drain — keeps a seeded mix of reads and
+// writes queued against a channel it fills, and every core cycle on which
+// it is refused, RetryAt's answer is compared with the cycle it is in fact
+// next accepted.
+func TestRetryAtBoundsTheNextFreeSlot(t *testing.T) {
+	ch, _, cfg := newChan(t)
+	ch.Respond = func(*sim.MemReq) {}
+	div := sim.Cycle(cfg.MemClockDiv)
+	rng := sim.NewRNG(7)
+	next := func() *sim.MemReq {
+		v := rng.Uint64()
+		kind := sim.Load
+		if v&3 == 0 {
+			kind = sim.Store
+		}
+		// A few rows of a few banks: row hits, conflicts and closed banks.
+		return &sim.MemReq{Kind: kind, Addr: (v >> 8 % 64) * addrmap.RowBytes / 4}
+	}
+	var bounds []sim.Cycle // of the refusals since the last acceptance
+	refused, exact := 0, 0
+	req := next()
+	for now := sim.Cycle(1); now <= 40_000; now++ {
+		// The sender's phase of step, then the channel's.
+		if ch.Enqueue(req) {
+			for _, b := range bounds {
+				if b > now {
+					t.Fatalf("cycle %d: accepted, but a refusal had said not before %d", now, b)
+				}
+				if b == now {
+					exact++
+				}
+			}
+			refused += len(bounds)
+			bounds = bounds[:0]
+			req = next()
+		} else {
+			bounds = append(bounds, ch.RetryAt(now))
+		}
+		if now%div == 0 {
+			ch.Tick(int64(now / div))
+		}
+	}
+	if refused < 10_000 || 5*exact < 4*refused {
+		t.Errorf("%d refusals, %d of them bounded by the very cycle of the next acceptance; want the queue held full and the bound exact four times in five", refused, exact)
+	}
+}

@@ -84,7 +84,26 @@ type Slice struct {
 	// Tick writes it from NextEvent; the doors work arrives through
 	// (Enqueue*, Accept*Fill, Flush) clear it (DESIGN.md §9).
 	sleepUntil sim.Cycle
+
+	// The slice's two parks (DESIGN.md §9 "Parks"). out: a Send* port
+	// refused the outbox's head and said (ParkOutbox) that it will until
+	// this cycle; the head is not offered before it. arb: the arbiter's pick
+	// was refused by a full MSHR file, which only a fill can change and a
+	// new arrival can route around — parked until sim.Never, and the five
+	// doors clear it. Audit switches both off (sim.ParkAudit); installed by
+	// the core.
+	out, arb sim.Park
+	Audit    *sim.ParkAudit
+	// ArbOffers counts the requests the arbiter offered to the tag pipeline,
+	// OutOffers the completions deliver offered downstream, and the refusals
+	// of each.
+	ArbOffers, OutOffers sim.Offers
 }
+
+// ParkOutbox is how the core's Send* ports say, with a refusal, the
+// earliest cycle at which offering the same completion again could
+// succeed. A port that says nothing is asked again next cycle.
+func (s *Slice) ParkOutbox(until sim.Cycle) { s.out.Until = until }
 
 // SleepUntil is where the deadline lives; the caller gates, Tick does not.
 func (s *Slice) SleepUntil() *sim.Cycle { return &s.sleepUntil }
@@ -122,10 +141,13 @@ func (s *Slice) Tags() *cache.Cache { return s.tags }
 func (s *Slice) QueueDepths() (lmr, rmr int) { return s.lmr.Len(), s.rmr.Len() }
 
 // EnqueueLocal offers a request to the LMR queue.
-func (s *Slice) EnqueueLocal(req *sim.MemReq) bool { s.sleepUntil = 0; return s.lmr.Push(req) }
+func (s *Slice) EnqueueLocal(req *sim.MemReq) bool { s.wake(); return s.lmr.Push(req) }
 
 // EnqueueRemote offers a request to the RMR queue.
-func (s *Slice) EnqueueRemote(req *sim.MemReq) bool { s.sleepUntil = 0; return s.rmr.Push(req) }
+func (s *Slice) EnqueueRemote(req *sim.MemReq) bool { s.wake(); return s.rmr.Push(req) }
+
+// wake is what every door does: end the sleep and the arbiter's park.
+func (s *Slice) wake() { s.sleepUntil, s.arb.Until = 0, 0 }
 
 // Pending reports whether the slice still holds work.
 func (s *Slice) Pending() bool {
@@ -139,18 +161,19 @@ func (s *Slice) Pending() bool {
 // sim.Never means the slice is drained or only waiting on external fills
 // (MSHR entries), which re-activate it through AcceptFill.
 func (s *Slice) NextEvent(now sim.Cycle) sim.Cycle {
-	if !s.lmr.Empty() || !s.rmr.Empty() || !s.outbox.Empty() {
+	if s.arb.Until == 0 && (!s.lmr.Empty() || !s.rmr.Empty()) {
 		return now + 1
+	}
+	wake := sim.Never
+	if !s.outbox.Empty() {
+		wake = s.out.Until // 0 unless the head is parked
 	}
 	if c, ok := s.pipe.Peek(); ok {
 		// pipe is FIFO with a fixed tag latency, so the head's ready
 		// cycle is the minimum over the whole pipeline.
-		if c.ready <= now {
-			return now + 1
-		}
-		return c.ready
+		wake = min(wake, c.ready)
 	}
-	return sim.Never
+	return max(wake, now+1)
 }
 
 // StateSig returns a signature of the slice's observable state: queue
@@ -180,7 +203,7 @@ func (s *Slice) StateSig() uint64 {
 // queue via SendMiss; lines that cannot be queued are retried by the
 // caller draining the outbox.
 func (s *Slice) Flush(now sim.Cycle) {
-	s.sleepUntil = 0
+	s.wake()
 	for _, line := range s.tags.InvalidateAll() {
 		s.outbox.Push(completion{ready: now, kind: outToMem, req: s.newWriteback(line)})
 	}
@@ -200,13 +223,18 @@ func (s *Slice) Tick(now sim.Cycle) {
 }
 
 // deliver drains the outbox in order; a send failure blocks the head
-// (back-pressure).
+// (back-pressure), which parks until the cycle the port named, if it named
+// one.
 func (s *Slice) deliver(now sim.Cycle) {
+	if !s.out.Begin(now, s.Audit) {
+		return
+	}
 	for {
 		c, ok := s.outbox.Peek()
 		if !ok || c.ready > now {
 			return
 		}
+		s.OutOffers.Offered++
 		var sent bool
 		switch c.kind {
 		case outReply:
@@ -220,8 +248,11 @@ func (s *Slice) deliver(now sim.Cycle) {
 			sent = true
 		}
 		if !sent {
+			s.OutOffers.Refused++
+			s.out.Refused(now)
 			return
 		}
+		s.out.Taken(now, s.Audit, "LLC slice outbox", s.ID)
 		s.outbox.Pop()
 	}
 }
@@ -242,6 +273,9 @@ func (s *Slice) retirePipe(now sim.Cycle) {
 // arbitrate pops one request per cycle, alternating LMR/RMR when both
 // hold requests (Figure 5's round-robin selector).
 func (s *Slice) arbitrate(now sim.Cycle) {
+	if !s.arb.Begin(now, s.Audit) {
+		return
+	}
 	var q *sim.Queue[*sim.MemReq]
 	switch {
 	case s.lmr.Empty() && s.rmr.Empty():
@@ -256,9 +290,15 @@ func (s *Slice) arbitrate(now sim.Cycle) {
 		q = s.lmr
 	}
 	req, _ := q.Peek()
+	s.ArbOffers.Offered++
 	if !s.process(req, now) {
-		return // stalled (MSHR full); leave at head and retry
+		// Stalled (MSHR full): the request stays at the head and the
+		// arbiter parks until a door opens.
+		s.ArbOffers.Refused++
+		s.arb.Until = sim.Never
+		return
 	}
+	s.arb.Taken(now, s.Audit, "LLC slice arbiter", s.ID)
 	q.Pop()
 	if q == s.lmr {
 		s.rrNextRemote = true
@@ -319,7 +359,7 @@ func (s *Slice) process(req *sim.MemReq, now sim.Cycle) bool {
 		}
 		s.stats.LLCMisses++
 		if _, merged, ok := s.mshr.Allocate(s.tags.LineAddr(req.Addr), req, now); !ok {
-			s.stats.LLCAccesses-- // retried next cycle; don't double count
+			s.stats.LLCAccesses-- // retried; don't double count
 			s.stats.LLCMisses--
 			return false
 		} else if merged {
@@ -362,7 +402,7 @@ func (s *Slice) AcceptReplicaFill(req *sim.MemReq, now sim.Cycle) { s.fill(req, 
 
 // fill is the body the two fill doors share.
 func (s *Slice) fill(req *sim.MemReq, now sim.Cycle, replica bool) {
-	s.sleepUntil = 0
+	s.wake()
 	line := s.tags.LineAddr(req.Addr)
 	entry, ok := s.mshr.Release(line)
 	if !ok {
@@ -393,6 +433,13 @@ func (s *Slice) DebugState() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "lmr=%d rmr=%d pipe=%d outbox=%d mshr=%d",
 		s.lmr.Len(), s.rmr.Len(), s.pipe.Len(), s.outbox.Len(), s.mshr.Len())
+	// The parks the last tick left.
+	if s.arb.Until != 0 {
+		b.WriteString(" arb-parked")
+	}
+	if s.out.Until != 0 {
+		b.WriteString(" outbox-parked-until=" + sim.Until(s.out.Until))
+	}
 	if s.mshr.Len() == 0 {
 		return b.String()
 	}

@@ -1,6 +1,7 @@
 package llc
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/nuba-gpu/nuba/internal/config"
@@ -20,7 +21,14 @@ type harness struct {
 
 func newHarness(t *testing.T) *harness {
 	t.Helper()
+	return newHarnessWith(t, func(*config.Config) {})
+}
+
+// newHarnessWith is newHarness with the configuration adjusted by mut.
+func newHarnessWith(t *testing.T, mut func(*config.Config)) *harness {
+	t.Helper()
 	cfg := config.Baseline()
+	mut(&cfg)
 	st := &metrics.Stats{}
 	h := &harness{s: New(2, 1, &cfg, st)}
 	h.s.SendReply = func(r *sim.MemReq, _ sim.Cycle) bool { h.replies = append(h.replies, r); return true }
@@ -243,9 +251,10 @@ func TestBackpressureRetries(t *testing.T) {
 }
 
 // Every door work can come through must clear the sleep deadline
-// (DESIGN.md §9 "Sleep deadlines"): a slice the core has stopped ticking
-// and that a door does not wake never runs again, and the run hangs.
-// One row per door, so a deleted reset fails by name.
+// (DESIGN.md §9 "Sleep deadlines") and the arbiter's park (§9 "Parks"): a
+// slice the core has stopped ticking, or an arbiter that has stopped
+// offering its pick, and that a door does not wake never runs again, and
+// the run hangs. One row per door, so a deleted reset fails by name.
 func TestDoorsWake(t *testing.T) {
 	for _, tc := range []struct {
 		door string
@@ -258,11 +267,13 @@ func TestDoorsWake(t *testing.T) {
 		{"Flush", func(h *harness, _ *sim.MemReq, now sim.Cycle) { h.s.Flush(now) }},
 	} {
 		t.Run(tc.door, func(t *testing.T) {
-			// A miss sent to memory leaves the slice holding an MSHR
-			// entry and nothing to do: asleep until the fill.
-			h := newHarness(t)
+			// A one-entry MSHR file: the first miss goes to memory, the
+			// second stalls the arbiter, which parks, and the slice is left
+			// with nothing to do: asleep until the fill.
+			h := newHarnessWith(t, func(c *config.Config) { c.LLCMSHRs = 1 })
 			miss := load(1, 0x1000, 0)
 			h.s.EnqueueLocal(miss)
+			h.s.EnqueueLocal(load(2, 0x2000, 0))
 			now := sim.Cycle(1)
 			for ; *h.s.SleepUntil() != sim.Never; now++ {
 				if now > 1000 {
@@ -270,13 +281,67 @@ func TestDoorsWake(t *testing.T) {
 				}
 				h.s.Tick(now)
 			}
-			if len(h.misses) != 1 {
-				t.Fatalf("asleep with %d misses sent, want 1", len(h.misses))
+			if len(h.misses) != 1 || h.s.arb.Until != sim.Never {
+				t.Fatalf("asleep with %d misses sent and arbiter parked = %v, want 1 and true", len(h.misses), h.s.arb.Until == sim.Never)
 			}
 			tc.open(h, miss, now)
 			if d := *h.s.SleepUntil(); d > now {
 				t.Fatalf("%s left the slice asleep until %d at cycle %d", tc.door, d, now)
 			}
+			if h.s.arb.Until != 0 {
+				t.Fatalf("%s left the arbiter parked", tc.door)
+			}
 		})
+	}
+}
+
+// A refused head parks (DESIGN.md §9 "Parks"): the arbiter's pick, refused
+// by a full MSHR file, is not offered again until a door opens, and the
+// outbox's head, refused by a port that names a cycle, not before that
+// cycle — where TestBackpressureRetries' port, which names none, is asked
+// every cycle. The slice sleeps through both, and says so in its report.
+func TestRefusedHeadsPark(t *testing.T) {
+	h := newHarnessWith(t, func(c *config.Config) { c.LLCMSHRs = 1 })
+	const until = 400
+	h.s.SendMiss = func(r *sim.MemReq, now sim.Cycle) bool {
+		if now < until {
+			h.s.ParkOutbox(until)
+			return false
+		}
+		h.misses = append(h.misses, r)
+		return true
+	}
+	miss := load(1, 0x1000, 0)
+	h.s.EnqueueLocal(miss)
+	h.s.EnqueueLocal(load(2, 0x2000, 0))
+	h.run(1, 200)
+	arb, out := h.s.ArbOffers, h.s.OutOffers
+	if arb != (sim.Offers{Offered: 2, Refused: 1}) || out != (sim.Offers{Offered: 1, Refused: 1}) {
+		t.Fatalf("after 200 cycles: arbiter %+v, outbox %+v; want one refusal each and no retry", arb, out)
+	}
+	if got, want := h.s.DebugState(), "lmr=1 rmr=0 pipe=0 outbox=1 mshr=1 arb-parked outbox-parked-until=400"; !strings.HasPrefix(got, want) {
+		t.Errorf("report %q, want it to begin %q", got, want)
+	}
+	if w := h.s.NextEvent(200); w != until || *h.s.SleepUntil() != until {
+		t.Errorf("NextEvent = %d, asleep until %d; want the outbox's park, %d", w, *h.s.SleepUntil(), until)
+	}
+	h.run(201, until-1)
+	if h.s.ArbOffers != arb || h.s.OutOffers != out {
+		t.Fatalf("a parked head was offered before cycle %d: arbiter %+v, outbox %+v", until, h.s.ArbOffers, h.s.OutOffers)
+	}
+	h.s.Tick(until)
+	if len(h.misses) != 1 || h.s.OutOffers.Offered != out.Offered+1 {
+		t.Fatalf("cycle %d: %d misses sent, outbox %+v; want the parked head offered and taken", until, len(h.misses), h.s.OutOffers)
+	}
+	// The arbiter stays parked until the fill, whose release of the one
+	// entry lets the second miss through on the next tick.
+	h.run(until+1, until+100)
+	if h.s.ArbOffers != arb {
+		t.Fatalf("the arbiter offered its parked pick with no door open: %+v", h.s.ArbOffers)
+	}
+	h.s.AcceptFill(miss, until+100)
+	h.s.Tick(until + 101)
+	if got := h.s.ArbOffers; got.Offered != arb.Offered+1 || got.Refused != arb.Refused {
+		t.Errorf("the tick after the fill: arbiter %+v, want one more offer, taken", got)
 	}
 }

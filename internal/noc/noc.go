@@ -63,14 +63,17 @@ type Crossbar struct {
 	// order.
 	mid []*sim.Link[Msg]
 	out []*sim.Link[Msg]
-	// Occupancy words, one bit per input queue, middle link and egress
-	// link, set while it holds a message. They are maintained where a
-	// message enters or leaves (Inject, Tick, pop) and are what Tick,
-	// Drain, Pending and NextEvent walk, so an empty carrier costs nothing.
-	inOcc, midOcc, outOcc sim.Bits
-	// arrival[p] is out[p].NextReady(), sim.Never while the port is empty:
-	// a port whose head has not arrived costs Drain and Pop one compare.
-	arrival []sim.Cycle
+	// One occupancy bit and one wake per input queue, middle link and
+	// egress link (sim.Wakes): an input's wake is the end of its head's
+	// park at stage 1, a middle link's the later of its head's arrival and
+	// the end of its park at stage 2, an egress port's its head's arrival.
+	// They are maintained where a message enters or leaves (Inject, Tick,
+	// pop) and are what Tick, Drain, Pending and NextEvent read, so an
+	// empty carrier costs nothing and a parked one a compare.
+	inW, midW, outW sim.Wakes
+	// Stage1, Stage2 and Egress count the heads each walk offered and the
+	// offers refused (accounting, not state).
+	Stage1, Stage2, Egress sim.Offers
 }
 
 // NewCrossbar returns a hierarchical crossbar. latency is the end-to-end
@@ -85,32 +88,35 @@ func NewCrossbar(inPorts, outPorts, width int, latency sim.Cycle, inBuf, outBuf 
 	if stageLat < 1 {
 		stageLat = 1
 	}
-	wi, wm := sim.BitWords(inPorts), sim.BitWords(ig*og)
+	wi, wm, mids := sim.BitWords(inPorts), sim.BitWords(ig*og), ig*og
 	occ := make(sim.Bits, wi+wm+sim.BitWords(outPorts))
+	at := make([]sim.Cycle, inPorts+mids+outPorts)
 	x := &Crossbar{
 		width:    width,
 		stageLat: stageLat,
 		inGroups: ig,
 		in:       make([]inPort, inPorts),
-		mid:      make([]*sim.Link[Msg], ig*og),
+		mid:      make([]*sim.Link[Msg], mids),
 		out:      make([]*sim.Link[Msg], outPorts),
-		inOcc:    occ[:wi],
-		midOcc:   occ[wi : wi+wm],
-		outOcc:   occ[wi+wm:],
-		arrival:  make([]sim.Cycle, outPorts),
+		inW:      sim.NewWakesIn("crossbar input", occ[:wi], at[:inPorts]),
+		midW:     sim.NewWakesIn("crossbar middle link", occ[wi:wi+wm], at[inPorts:inPorts+mids]),
+		outW:     sim.NewWakesIn("crossbar egress port", occ[wi+wm:], at[inPorts+mids:]),
 	}
 	for i := range x.in {
 		x.in[i].q = sim.NewQueue[Msg](inBuf)
 	}
 	for i := range x.out {
 		x.out[i] = sim.NewLink[Msg](stageLat, width, outBuf)
-		x.arrival[i] = sim.Never
 	}
 	for i := range x.mid {
 		x.mid[i] = sim.NewLink[Msg](stageLat, MidSpeedup*width, outBuf)
 	}
 	return x
 }
+
+// SetAudit installs (or, with nil, removes) the park audit on all three
+// walks.
+func (x *Crossbar) SetAudit(a *sim.ParkAudit) { x.inW.Audit, x.midW.Audit, x.outW.Audit = a, a, a }
 
 // InPorts returns the number of input ports.
 func (x *Crossbar) InPorts() int { return len(x.in) }
@@ -137,10 +143,26 @@ func (x *Crossbar) Inject(port int, now sim.Cycle, m Msg) bool {
 	}
 	p.nextFree = now + ser
 	p.busy += int64(ser)
-	p.q.Push(m)
-	x.inOcc.Set(port)
+	if p.q.Push(m); !x.inW.Has(port) {
+		x.inW.Set(port, now)
+	}
 	p.bytes += int64(m.Bytes)
 	return true
+}
+
+// RetryInject returns a lower bound on the cycle at which an Inject at
+// port, refused at cycle now, could succeed: the cycle the port has
+// finished serializing its last message and, while the input queue is
+// full, lag cycles after stage 1 next offers the queue's head — 0 for an
+// injector that runs after Tick in a cycle, 1 for one that runs before it.
+// It is a pure observation.
+func (x *Crossbar) RetryInject(port int, now, lag sim.Cycle) sim.Cycle {
+	p := &x.in[port]
+	t := max(p.nextFree, now+1)
+	if p.q.Full() {
+		t = max(t, x.inW.At(port)+lag)
+	}
+	return t
 }
 
 // Bytes returns the total payload bytes accepted across all input
@@ -153,36 +175,63 @@ func (x *Crossbar) Bytes() int64 {
 	return t
 }
 
-// Tick advances both stages by one cycle.
+// Tick advances both stages by one cycle: input heads into the middle
+// links, then arrived middle-link heads into the egress links.
 func (x *Crossbar) Tick(now sim.Cycle) {
-	// Stage 1: move input heads into the middle links.
-	for i := x.inOcc.Next(0); i >= 0; i = x.inOcc.Next(i + 1) {
-		p := &x.in[i]
-		m, _ := p.q.Peek()
-		k := m.Dst/GroupSize*x.inGroups + i/GroupSize
-		if x.mid[k].Send(now, m, m.Bytes) {
-			x.midOcc.Set(k)
-			if p.q.Pop(); p.q.Empty() {
-				x.inOcc.Clear(i)
-			}
-		}
+	for i := x.inW.First(now); i >= 0; {
+		wake, moved := x.stage1(i, now)
+		i = x.inW.Next(i, now, wake, moved)
 	}
-	// Stage 2: drain arrived middle-link heads into the egress links.
-	for k := x.midOcc.Next(0); k >= 0; k = x.midOcc.Next(k + 1) {
-		link := x.mid[k]
-		for {
-			m, ok := link.Peek(now)
-			if !ok || !x.out[m.Dst].Send(now, m, m.Bytes) {
-				break
-			}
-			link.Pop(now)
-			if x.arrival[m.Dst] == sim.Never {
-				x.outOcc.Set(m.Dst)
-				x.arrival[m.Dst] = x.out[m.Dst].NextReady()
-			}
+	for k := x.midW.First(now); k >= 0; {
+		wake, moved := x.stage2(k, now)
+		k = x.midW.Next(k, now, wake, moved)
+	}
+}
+
+// stage1 offers input i's head to its middle link and returns the input's
+// next wake. Refused, the head parks: a full middle link shows room the
+// cycle after stage 2 — which runs later in the tick — moves that link's
+// own head.
+func (x *Crossbar) stage1(i int, now sim.Cycle) (wake sim.Cycle, moved bool) {
+	p := &x.in[i]
+	m, _ := p.q.Peek()
+	k := m.Dst/GroupSize*x.inGroups + i/GroupSize
+	link := x.mid[k]
+	x.Stage1.Offered++
+	if !link.Send(now, m, m.Bytes) {
+		x.Stage1.Refused++
+		return link.RetryAt(now, x.midW.At(k)+1), false
+	}
+	if !x.midW.Has(k) {
+		x.midW.Set(k, link.NextReady())
+	}
+	if p.q.Pop(); p.q.Empty() {
+		return sim.Never, true
+	}
+	return now + 1, true
+}
+
+// stage2 drains middle link k's arrived messages into their egress links
+// and returns the link's next wake. Refused, the head parks: a full egress
+// link shows room the cycle after its own head arrives, Drain running
+// after Tick.
+func (x *Crossbar) stage2(k int, now sim.Cycle) (wake sim.Cycle, moved bool) {
+	link := x.mid[k]
+	for {
+		if wake = link.NextReady(); wake > now {
+			return wake, moved
 		}
-		if link.Pending() == 0 {
-			x.midOcc.Clear(k)
+		m, _ := link.Peek(now)
+		out := x.out[m.Dst]
+		x.Stage2.Offered++
+		if !out.Send(now, m, m.Bytes) {
+			x.Stage2.Refused++
+			return out.RetryAt(now, x.outW.At(m.Dst)+1), moved
+		}
+		link.Pop(now)
+		moved = true
+		if !x.outW.Has(m.Dst) {
+			x.outW.Set(m.Dst, out.NextReady())
 		}
 	}
 }
@@ -190,34 +239,34 @@ func (x *Crossbar) Tick(now sim.Cycle) {
 // Drain offers every delivered message to sink, egress ports in
 // ascending order and each port's messages in arrival order. A message
 // sink refuses (back-pressure) stays at the head of its port, which is
-// not offered again this cycle.
+// not offered again this cycle — nor parked: a sink gives no bound.
 func (x *Crossbar) Drain(now sim.Cycle, sink func(port int, m Msg) bool) {
-	for p := x.outOcc.Next(0); p >= 0; p = x.outOcc.Next(p + 1) {
-		for x.arrival[p] <= now {
-			if m, _ := x.out[p].Peek(now); !sink(p, m) {
+	for p := x.outW.First(now); p >= 0; {
+		link := x.out[p]
+		wake, moved := link.NextReady(), false
+		for ; wake <= now; wake = link.NextReady() {
+			m, _ := link.Peek(now)
+			x.Egress.Offered++
+			if !sink(p, m) {
+				x.Egress.Refused++
 				break
 			}
-			x.pop(p, now)
+			link.Pop(now)
+			moved = true
 		}
+		p = x.outW.Next(p, now, wake, moved)
 	}
 }
 
 // Pop retrieves the next delivered message at output port, if any has
 // arrived by cycle now.
 func (x *Crossbar) Pop(port int, now sim.Cycle) (Msg, bool) {
-	if x.arrival[port] > now {
+	if x.outW.At(port) > now {
 		return Msg{}, false
 	}
-	return x.pop(port, now), true
-}
-
-// pop consumes the arrived head of an egress link.
-func (x *Crossbar) pop(port int, now sim.Cycle) Msg {
 	m, _ := x.out[port].Pop(now)
-	if x.arrival[port] = x.out[port].NextReady(); x.arrival[port] == sim.Never {
-		x.outOcc.Clear(port)
-	}
-	return m
+	x.outW.Set(port, x.out[port].NextReady())
+	return m, true
 }
 
 // Occupancy returns the number of messages buffered at the input stage
@@ -233,26 +282,15 @@ func (x *Crossbar) Occupancy() int {
 // Occupied returns how many input queues, middle links and egress links
 // hold a message: where a wedged crossbar's traffic sits.
 func (x *Crossbar) Occupied() (in, mid, out int) {
-	return x.inOcc.Count(), x.midOcc.Count(), x.outOcc.Count()
+	return x.inW.Count(), x.midW.Count(), x.outW.Count()
 }
 
-// NextEvent returns the crossbar's wake hint. An occupied input queue
-// tries its middle link on the very next tick, and so does a head that
-// has arrived and was refused: now+1. Otherwise nothing moves before the
-// earliest head arrival over the occupied middle and egress links;
-// sim.Never when empty.
+// NextEvent returns the crossbar's wake hint: the earliest wake over the
+// occupied input queues, middle links and egress ports — a head's arrival,
+// the end of a refused head's park, the next tick for a head that stands
+// unparked — and sim.Never when empty.
 func (x *Crossbar) NextEvent(now sim.Cycle) sim.Cycle {
-	if x.inOcc.Any() {
-		return now + 1
-	}
-	wake := sim.Never
-	for k := x.midOcc.Next(0); k >= 0; k = x.midOcc.Next(k + 1) {
-		wake = min(wake, x.mid[k].NextReady())
-	}
-	for p := x.outOcc.Next(0); p >= 0; p = x.outOcc.Next(p + 1) {
-		wake = min(wake, x.arrival[p])
-	}
-	return max(wake, now+1)
+	return max(min(x.inW.Min(), x.midW.Min(), x.outW.Min()), now+1)
 }
 
 // StateSig returns a signature of the crossbar's observable state: the
@@ -277,7 +315,7 @@ func (x *Crossbar) StateSig() uint64 {
 
 // Pending reports whether any message is buffered or in flight.
 func (x *Crossbar) Pending() bool {
-	return x.inOcc.Any() || x.midOcc.Any() || x.outOcc.Any()
+	return x.inW.Any() || x.midW.Any() || x.outW.Any()
 }
 
 // BusyCycles returns total link-serialization cycles (inputs, middle

@@ -181,30 +181,55 @@ func (x *refCrossbar) BusyCycles() int64 {
 }
 
 // checkWords fails unless every occupancy bit is set iff its queue or
-// link holds a message and every arrival entry is its egress link's head.
+// link holds a message, every wake is Never iff its carrier is empty, a
+// middle link's wake is no earlier than its head's arrival, an egress
+// port's is that arrival, and each set's minimum bounds its wakes from
+// below.
 func checkWords(t *testing.T, x *Crossbar, after string, now sim.Cycle) {
 	t.Helper()
-	for i := range x.in {
-		if x.inOcc.Has(i) != !x.in[i].q.Empty() {
-			t.Fatalf("cycle %d after %s: input bit %d = %v with %d queued", now, after, i, x.inOcc.Has(i), x.in[i].q.Len())
+	check := func(set string, w *sim.Wakes, i, held int, arrives sim.Cycle) {
+		t.Helper()
+		at := w.At(i)
+		if w.Has(i) != (held > 0) || (at == sim.Never) != (held == 0) || at < arrives || at < w.Min() {
+			t.Fatalf("cycle %d after %s: %s %d: bit %v, wake %d (set minimum %d) with %d held, head arriving at %d",
+				now, after, set, i, w.Has(i), at, w.Min(), held, arrives)
 		}
+	}
+	for i := range x.in {
+		check("input", &x.inW, i, x.in[i].q.Len(), 0)
 	}
 	for k, l := range x.mid {
-		if x.midOcc.Has(k) != (l.Pending() > 0) {
-			t.Fatalf("cycle %d after %s: middle bit %d = %v with %d in flight", now, after, k, x.midOcc.Has(k), l.Pending())
-		}
+		check("middle link", &x.midW, k, l.Pending(), l.NextReady())
 	}
 	for p, l := range x.out {
-		if x.outOcc.Has(p) != (l.Pending() > 0) {
-			t.Fatalf("cycle %d after %s: egress bit %d = %v with %d in flight", now, after, p, x.outOcc.Has(p), l.Pending())
-		}
-		if x.arrival[p] != l.NextReady() {
-			t.Fatalf("cycle %d after %s: arrival[%d] = %d, head arrives at %d", now, after, p, x.arrival[p], l.NextReady())
+		check("egress port", &x.outW, p, l.Pending(), l.NextReady())
+		if x.outW.At(p) != l.NextReady() {
+			t.Fatalf("cycle %d after %s: egress wake %d = %d, head arrives at %d", now, after, p, x.outW.At(p), l.NextReady())
 		}
 	}
 	in, mid, out := x.Occupied()
 	if x.Pending() != (in+mid+out > 0) {
 		t.Fatalf("cycle %d after %s: Pending = %v with in=%d mid=%d out=%d", now, after, x.Pending(), in, mid, out)
+	}
+}
+
+// checkParks is called with cycle now's injections done and its Tick about
+// to run, the state both stages of that Tick will meet: a head parked
+// beyond now must be one its link refuses at now. Held on every cycle, that
+// is "refused at every cycle before its wake".
+func checkParks(t *testing.T, x *Crossbar, now sim.Cycle) {
+	t.Helper()
+	for i := range x.in {
+		if m, ok := x.in[i].q.Peek(); ok && x.inW.At(i) > now {
+			if k := m.Dst/GroupSize*x.inGroups + i/GroupSize; x.mid[k].CanSend(now) {
+				t.Fatalf("cycle %d: input %d is parked until %d and middle link %d would take its head", now, i, x.inW.At(i), k)
+			}
+		}
+	}
+	for k, l := range x.mid {
+		if m, ok := l.Peek(now); ok && x.midW.At(k) > now && x.out[m.Dst].CanSend(now) {
+			t.Fatalf("cycle %d: middle link %d is parked until %d and egress link %d would take its head", now, k, x.midW.At(k), m.Dst)
+		}
 	}
 }
 
@@ -278,6 +303,7 @@ func TestCrossbarMatchesReference(t *testing.T) {
 							}
 							checkWords(t, x, "Inject", now)
 						}
+						checkParks(t, x, now)
 						x.Tick(now)
 						ref.Tick(now)
 						checkWords(t, x, "Tick", now)
@@ -389,7 +415,11 @@ func TestCrossbarHintIsEarliestArrival(t *testing.T) {
 // BenchmarkCrossbarTick is one cycle of the 16x16 slice-to-slice crossbar
 // of the scale-0.25 NUBA GPU — offer, Tick, Drain — with each input port
 // kept busy the given share of cycles (the generator of bench/layers.go's
-// noc.tick_load rows, plus the idle fabric that ledger has no row for).
+// noc.tick_load rows, plus the idle fabric that ledger has no row for), and
+// then the case no uniform load reaches: hotspot, every input offering
+// line-sized messages to the one egress group of ports 0–7, so that two
+// middle links and eight egress links carry sixteen inputs' traffic and
+// both stages' heads are refused on most cycles.
 func BenchmarkCrossbarTick(b *testing.B) {
 	const ports, width, latency, buf = 16, 16, 8, 8
 	ser := func(bytes int) float64 { return float64((bytes + width - 1) / width) }
@@ -427,4 +457,24 @@ func BenchmarkCrossbarTick(b *testing.B) {
 			}
 		})
 	}
+	b.Run("hotspot", func(b *testing.B) {
+		rng := sim.NewRNG(1)
+		x := NewCrossbar(ports, ports, width, latency, buf, buf)
+		delivered := 0
+		sink := func(int, Msg) bool { delivered++; return true }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for now := sim.Cycle(1); now <= sim.Cycle(b.N); now++ {
+			for in := 0; in < ports; in++ {
+				if x.CanInject(in, now) {
+					x.Inject(in, now, Msg{Req: req, Dst: int(rng.Uint64() % GroupSize), Bytes: sim.DataBytes})
+				}
+			}
+			x.Tick(now)
+			x.Drain(now, sink)
+		}
+		if b.N > 1000 && delivered == 0 {
+			b.Fatal("nothing delivered")
+		}
+	})
 }

@@ -86,6 +86,25 @@ func (l *Link[T]) Send(now Cycle, v T, bytes int) bool {
 	return true
 }
 
+// RetryAt returns a lower bound on the cycle at which a Send refused at
+// cycle now could succeed: the cycle the byte backlog falls under one
+// cycle's width, and, while the buffer is full, room — the caller's bound
+// on the cycle it would see the slot the head leaves, which only the
+// caller can know (no sooner than the receiver takes the head, and a cycle
+// later than that for a sender that runs ahead of the receiver in a
+// cycle). It is a pure observation.
+func (l *Link[T]) RetryAt(now, room Cycle) Cycle {
+	l.drain(now)
+	t := now + 1
+	if l.backlog >= l.width {
+		t = now + Cycle(l.backlog/l.width)
+	}
+	if l.out.Full() && room > t {
+		t = room
+	}
+	return t
+}
+
 // Peek returns the message at the head of the link if it has arrived by
 // cycle now, without consuming it.
 func (l *Link[T]) Peek(now Cycle) (v T, ok bool) {

@@ -1,0 +1,96 @@
+package sim
+
+import (
+	"slices"
+	"testing"
+)
+
+// A link's serialization bound is exact: with a buffer that never fills,
+// a Send refused at now is refused at every cycle before RetryAt and taken
+// at it. A full buffer's bound is the caller's, and only ever raises it.
+func TestLinkRetryAt(t *testing.T) {
+	rng := NewRNG(3)
+	l := NewLink[int](2, 16, 0)
+	refused := 0
+	for now := Cycle(1); now < 5000; now++ {
+		bytes := 1 + int(rng.Uint64()%200)
+		if l.Send(now, 0, bytes) {
+			l.Pop(now + 1000) // the receiver keeps up
+			continue
+		}
+		refused++
+		at := l.RetryAt(now, 0)
+		if at <= now {
+			t.Fatalf("cycle %d: RetryAt = %d, not in the future", now, at)
+		}
+		for c := now + 1; c <= at; c++ {
+			if probe := *l; probe.CanSend(c) != (c == at) {
+				t.Fatalf("cycle %d: RetryAt = %d, but CanSend(%d) = %v", now, at, c, c != at)
+			}
+		}
+	}
+	if refused < 1000 {
+		t.Fatalf("only %d refusals: the link is not congested", refused)
+	}
+
+	full := NewLink[int](2, 16, 1)
+	full.Send(1, 0, 8)
+	if full.Send(2, 0, 8) || full.RetryAt(2, 9) != 9 || full.RetryAt(2, 0) != 3 {
+		t.Fatalf("full buffer: RetryAt(2, 9) = %d, RetryAt(2, 0) = %d; want the caller's room, 9, and no earlier than next cycle, 3",
+			full.RetryAt(2, 9), full.RetryAt(2, 0))
+	}
+}
+
+// Wakes: a walk visits exactly the occupied carriers whose wake has come,
+// in ascending order, records what the visit returns, and leaves the
+// minimum exact; Set lowers it at once. Under audit every occupied carrier
+// is visited, a park that was not broken stands, and one that was is
+// reported once.
+func TestWakes(t *testing.T) {
+	w := NewWakes("carrier", 130)
+	walk := func(now Cycle, next map[int]Cycle, moved bool) (visited []int) {
+		for i := w.First(now); i >= 0; {
+			visited = append(visited, i)
+			i = w.Next(i, now, next[i], moved)
+		}
+		return visited
+	}
+	if got := walk(5, nil, false); got != nil || w.Min() != Never || w.Any() {
+		t.Fatalf("empty set: visited %v, min %d", got, w.Min())
+	}
+	w.Set(129, 9)
+	w.Set(3, 7)
+	w.Set(64, 20)
+	if w.Min() != 7 || w.Count() != 3 || !w.Has(64) || w.Has(65) || w.At(65) != Never {
+		t.Fatalf("after three Sets: min %d, count %d", w.Min(), w.Count())
+	}
+	if got := walk(6, nil, false); got != nil {
+		t.Fatalf("walk at 6 visited %v with nothing due before 7", got)
+	}
+	// At 9: 3 is refused until 30, 129 empties; 64 is not due.
+	if got := walk(9, map[int]Cycle{3: 30, 129: Never}, false); !slices.Equal(got, []int{3, 129}) {
+		t.Fatalf("walk at 9 visited %v, want [3 129]", got)
+	}
+	if w.Min() != 20 || w.At(3) != 30 || w.Has(129) || w.Count() != 2 {
+		t.Fatalf("after the walk: min %d, wake[3] %d, count %d", w.Min(), w.At(3), w.Count())
+	}
+	w.Set(3, 40) // raised from outside a walk: the minimum stays a lower bound
+	if w.Min() > 20 {
+		t.Fatalf("min %d after raising a wake", w.Min())
+	}
+
+	var audit ParkAudit
+	w.Audit = &audit
+	// Audited at 25: both are visited though only 64 is due; 3's park, not
+	// broken, stands whatever the visit returned.
+	if got := walk(25, map[int]Cycle{3: 26, 64: 50}, false); !slices.Equal(got, []int{3, 64}) || w.At(3) != 40 || w.At(64) != 50 {
+		t.Fatalf("audited walk visited %v, wakes %d and %d; want [3 64], 40 and 50", got, w.At(3), w.At(64))
+	}
+	if audit.First() != "" {
+		t.Fatalf("report %q with no park broken", audit.First())
+	}
+	walk(30, map[int]Cycle{3: 31, 64: 51}, true)
+	if want := "carrier 3: head taken at cycle 30, parked until 40"; audit.First() != want {
+		t.Fatalf("report %q, want %q (the first, only)", audit.First(), want)
+	}
+}

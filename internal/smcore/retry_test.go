@@ -1,6 +1,7 @@
 package smcore
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/nuba-gpu/nuba/internal/config"
@@ -8,16 +9,27 @@ import (
 )
 
 // A load that cannot be tracked this cycle — the L1 MSHR file is full, or
-// it would be a primary miss and the send queue is full — is retried every
-// cycle until the structure drains. A retry must create nothing: building
-// the request before asking (as accessL1 once did, as an argument of
-// MSHRFile.Allocate) burned one MemReq and one request id per stalled
-// cycle, and the send-queue rollback one more.
+// it would be a primary miss and the send queue is full — stalls the LSU,
+// and the stall parks it (DESIGN.md §9 "Parks"): until the structure can
+// drain, the stalled line is not offered to the L1 again. So a stall
+// creates nothing — building the request before asking (as accessL1 once
+// did, as an argument of MSHRFile.Allocate) burned one MemReq and one
+// request id per stalled cycle, and the send-queue rollback one more — and
+// costs nothing either; and the event that frees the structure — a reply,
+// the send queue's head going out — un-parks the LSU on that very cycle.
 
-// holdStalled ticks the rig until stalled() holds, then n more cycles, and
-// returns the request-id sequence and per-cycle allocation count over
-// those n. Memory never answers while it runs.
-func holdStalled(t *testing.T, r *testRig, n int, stalled func() bool) (seqBefore, seqAfter uint64, allocsPerCycle float64) {
+// memStats is the part of the run statistics the LSU moves.
+func memStats(r *testRig) [5]int64 {
+	st := r.stats
+	return [5]int64{st.L1Accesses, st.L1Hits, st.L1Misses, st.TLBAccesses, st.TLBMisses}
+}
+
+// holdStalled ticks the rig until stalled() holds, then a few cycles more
+// so that the LSU is parked on the stalled line, then n cycles over which
+// nothing may happen: no offer at either site, no request, no request id,
+// no movement of the memory statistics, no allocation. It returns the
+// cycle it stopped at. Memory never answers while it runs.
+func holdStalled(t *testing.T, r *testRig, n int, stalled func() bool) sim.Cycle {
 	t.Helper()
 	now := sim.Cycle(0)
 	for !stalled() {
@@ -27,60 +39,116 @@ func holdStalled(t *testing.T, r *testRig, n int, stalled func() bool) (seqBefor
 		}
 		r.tick(now)
 	}
-	// A few more cycles so the LSU is parked on the stalled line.
-	for i := 0; i < 8; i++ {
+	// A finished page walk is a door too: let the walks in flight land, so
+	// that the last park is the one the hold watches.
+	walking := func() bool {
+		for i := 0; i < r.sm.lsu.Len(); i++ {
+			if acc := r.sm.lsu.At(i); acc.nextLine < acc.n && acc.lines[acc.nextLine].state == lineTranslating {
+				return true
+			}
+		}
+		return false
+	}
+	for settle := 0; settle < 8 || walking(); settle++ {
 		now++
 		r.tick(now)
 	}
-	seqBefore = r.sm.reqSeq
-	sentBefore := r.sent
-	allocsPerCycle = testing.AllocsPerRun(n, func() {
+	if r.sm.lsuPark.Until <= now+sim.Cycle(n) {
+		t.Fatalf("cycle %d: the LSU is parked until %d, not through the hold", now, r.sm.lsuPark.Until)
+	}
+	seq, sent, stats := r.sm.reqSeq, r.sent, memStats(r)
+	lsu, send, stalls := r.sm.LSUOffers, r.sm.SendOffers, r.sm.L1MSHRStalls()
+	allocs := testing.AllocsPerRun(n, func() {
 		now++
 		r.tick(now)
 	})
-	if r.sent != sentBefore {
-		t.Fatalf("requests went out during the hold (%d -> %d): not stalled", sentBefore, r.sent)
+	if r.sm.LSUOffers != lsu || r.sm.SendOffers != send || r.sm.L1MSHRStalls() != stalls {
+		t.Errorf("a parked head was offered: LSU %+v -> %+v, send queue %+v -> %+v, MSHR stalls %d -> %d",
+			lsu, r.sm.LSUOffers, send, r.sm.SendOffers, stalls, r.sm.L1MSHRStalls())
 	}
-	return seqBefore, r.sm.reqSeq, allocsPerCycle
+	if r.sent != sent || r.sm.reqSeq != seq {
+		t.Errorf("%d requests went out and %d request ids were burned over %d stalled cycles", r.sent-sent, r.sm.reqSeq-seq, n)
+	}
+	if got := memStats(r); got != stats {
+		t.Errorf("memory statistics moved over the hold: %v -> %v", stats, got)
+	}
+	if allocs != 0 {
+		t.Errorf("%.0f allocations per stalled cycle, want 0", allocs)
+	}
+	return now
 }
 
 func TestStalledLoadRetryCreatesNothing(t *testing.T) {
 	const hold = 500
 	t.Run("mshr-full", func(t *testing.T) {
 		// Two entries, a memory that does not answer: the third distinct
-		// line stalls on the full file.
+		// line stalls on the full file, until the first reply.
 		r := newRigWith(t, 1<<40, func(c *config.Config) { c.L1MSHRs = 2 })
 		r.sm.StartKernel(rigLaunch(t, 4, 4), 0, 4)
-		stalls := r.sm.L1MSHRStalls()
-		before, after, allocs := holdStalled(t, r, hold, func() bool { return r.sm.L1MSHRStalls() > 0 })
-		if got := r.sm.L1MSHRStalls() - stalls; got < hold {
-			t.Fatalf("only %d MSHR-full retries in %d cycles: the file was not held full", got, hold)
+		now := holdStalled(t, r, hold, func() bool { return r.sm.L1MSHRStalls() > 0 })
+		if r.sm.lsuPark.Until != sim.Never || r.sm.lsuStall != stallMSHR {
+			t.Fatalf("parked until %d on stall %d, want for ever on the MSHR file", r.sm.lsuPark.Until, r.sm.lsuStall)
 		}
-		if after != before {
-			t.Errorf("%d request ids burned over %d stalled cycles", after-before, hold)
-		}
-		if allocs != 0 {
-			t.Errorf("%.0f allocations per stalled cycle, want 0", allocs)
+		if !strings.Contains(r.sm.DebugState(), " lsu-parked=mshr") {
+			t.Errorf("the report does not show the park: %s", r.sm.DebugState())
 		}
 		checkDense(t, r)
+		// The reply is the door: the next tick offers the line again, and it
+		// takes the entry the reply released.
+		seq, offers := r.sm.reqSeq, r.sm.LSUOffers
+		r.sm.AcceptReply(r.pending[0], now)
+		r.pending = r.pending[1:]
+		r.sm.Tick(now + 1)
+		if got := r.sm.LSUOffers; got.Offered != offers.Offered+1 || got.Refused != offers.Refused || r.sm.reqSeq != seq+1 {
+			t.Errorf("the tick after the reply: offers %+v -> %+v, %d requests created; want one offer, taken", offers, got, r.sm.reqSeq-seq)
+		}
 	})
 	t.Run("send-queue-full", func(t *testing.T) {
-		// The interconnect refuses everything: the send queue fills and
-		// the next primary miss stalls with MSHR room to spare.
+		// The interconnect refuses everything until cycle release, and says
+		// so: the send queue fills behind its parked head and the next
+		// primary miss stalls with MSHR room to spare.
+		const release = 200000 // a first-touch fault alone is 28 k cycles
 		r := newRigWith(t, 1<<40, func(*config.Config) {})
-		r.sm.Send = func(*sim.MemReq, sim.Cycle) bool { return false }
+		accept := r.sm.Send
+		r.sm.Send = func(req *sim.MemReq, now sim.Cycle) bool {
+			if now < release {
+				r.sm.ParkSend(release)
+				return false
+			}
+			return accept(req, now)
+		}
 		r.sm.StartKernel(rigLaunch(t, 4, 4), 0, 4)
-		before, after, allocs := holdStalled(t, r, hold, func() bool { return r.sm.sendQueue.Full() })
+		now := holdStalled(t, r, hold, func() bool { return r.sm.sendQueue.Full() })
 		if r.sm.L1MSHRStalls() != 0 {
 			t.Fatal("MSHR file filled: this case is meant to stall on the send queue alone")
 		}
-		if after != before {
-			t.Errorf("%d request ids burned over %d stalled cycles", after-before, hold)
+		if r.sm.lsuPark.Until != release || r.sm.lsuStall != stallSend || now >= release {
+			t.Fatalf("cycle %d: parked until %d on stall %d, want until %d on the send queue", now, r.sm.lsuPark.Until, r.sm.lsuStall, release)
 		}
-		if allocs != 0 {
-			t.Errorf("%.0f allocations per stalled cycle, want 0", allocs)
+		if st := r.sm.DebugState(); !strings.Contains(st, " send-parked-until=200000 lsu-parked=send@200000") {
+			t.Errorf("the report does not show the parks: %s", st)
+		}
+		if w := r.sm.NextWake(now); w <= now+1 {
+			t.Errorf("NextWake = %d at cycle %d with both heads parked until %d", w, now, release)
 		}
 		checkDense(t, r)
+		// Nothing is offered before release; at release the queue drains and
+		// the LSU, later in the same tick, gets its line in.
+		lsu, send, seq := r.sm.LSUOffers, r.sm.SendOffers, r.sm.reqSeq
+		for now++; now < release; now++ {
+			r.tick(now)
+		}
+		if r.sm.LSUOffers != lsu || r.sm.SendOffers != send {
+			t.Errorf("a parked head was offered before cycle %d: LSU %+v -> %+v, send queue %+v -> %+v", release, lsu, r.sm.LSUOffers, send, r.sm.SendOffers)
+		}
+		r.tick(release)
+		if got := r.sm.SendOffers.Offered - send.Offered; got < 8 || r.sm.SendOffers.Refused != send.Refused {
+			t.Errorf("cycle %d: %d send-queue heads offered, want the whole queue of 8, none refused", release, got)
+		}
+		if r.sm.LSUOffers.Offered != lsu.Offered+1 || r.sm.reqSeq != seq+1 {
+			t.Errorf("cycle %d: the LSU made %d offers and %d requests, want its stalled line taken the cycle the queue drained",
+				release, r.sm.LSUOffers.Offered-lsu.Offered, r.sm.reqSeq-seq)
+		}
 	})
 }
 

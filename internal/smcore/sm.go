@@ -176,7 +176,36 @@ type SM struct {
 	// Tick writes it from NextWake; the doors work arrives through
 	// (StartKernel, AcceptReply, finishWalk) clear it (DESIGN.md §9).
 	sleepUntil sim.Cycle
+
+	// The SM's two parks (DESIGN.md §9 "Parks"). sendPark: Send refused the
+	// send queue's head and said (ParkSend) that it will until this cycle;
+	// the head is not offered before it. lsuPark: the LSU's walk ended in a
+	// structural stall (lsuStall says which) that cannot clear, nor any
+	// access it passed over act, before this cycle — sim.Never when only a
+	// door can end it; the same three doors clear it. Audit switches both
+	// off (sim.ParkAudit); installed by the core.
+	sendPark, lsuPark sim.Park
+	lsuStall          stall
+	Audit             *sim.ParkAudit
+	// SendOffers counts the send-queue heads offered to Send, LSUOffers the
+	// lines the LSU offered to the L1, and the refusals of each.
+	SendOffers, LSUOffers sim.Offers
 }
+
+// stall says why the L1 refused a line.
+type stall uint8
+
+const (
+	stallNone stall = iota
+	stallPage       // page mid-migration or not yet mapped: no bound, retried next cycle
+	stallMSHR       // MSHR file full: until a reply releases an entry
+	stallSend       // send queue full: until its head is taken
+)
+
+// ParkSend is how the core's Send port says, with a refusal, the earliest
+// cycle at which offering the same request again could succeed. A port
+// that says nothing is asked again next cycle.
+func (s *SM) ParkSend(until sim.Cycle) { s.sendPark.Until = until }
 
 // SleepUntil is where the deadline lives; the caller gates, Tick does not.
 func (s *SM) SleepUntil() *sim.Cycle { return &s.sleepUntil }
@@ -233,7 +262,7 @@ func (s *SM) L1TLB() *vm.TLB { return s.l1TLB }
 // Taking the block as a range rather than a materialized slice keeps the
 // per-launch hot path allocation-free.
 func (s *SM) StartKernel(l *kir.Launch, lo, hi int) {
-	s.sleepUntil = 0
+	s.sleepUntil, s.lsuPark.Until = 0, 0
 	s.launch = l
 	for c := lo; c < hi; c++ {
 		s.ctaQueue.Push(c)
@@ -343,11 +372,20 @@ func (s *SM) Idle() bool {
 // A warp that waits for an LSU entry wakes with the LSU: an entry frees
 // only in a tick the LSU scan below already asks for.
 func (s *SM) NextWake(now sim.Cycle) sim.Cycle {
-	if !s.sendQueue.Empty() {
-		return now + 1
-	}
 	wake := sim.Never
-	for i := 0; i < s.lsu.Len(); i++ {
+	if !s.sendQueue.Empty() {
+		if s.sendPark.Until <= now+1 {
+			return now + 1
+		}
+		wake = s.sendPark.Until // the head is parked
+	}
+	scan := s.lsu.Len()
+	if s.lsuPark.Until > now {
+		// Parked: no access can act before then, which is already the
+		// earliest of the timers the scan below would find.
+		wake, scan = min(wake, s.lsuPark.Until), 0
+	}
+	for i := 0; i < scan; i++ {
 		acc := s.lsu.At(i)
 		if acc.nextLine >= acc.n {
 			return now + 1 // finished access awaiting removal
@@ -436,16 +474,24 @@ func (s *SM) Tick(now sim.Cycle) {
 	s.sleepUntil = s.NextWake(now)
 }
 
-// drainSendQueue pushes pending requests into the interconnect.
+// drainSendQueue pushes pending requests into the interconnect. A refused
+// head parks until the cycle the port named, if it named one.
 func (s *SM) drainSendQueue(now sim.Cycle) {
+	if !s.sendPark.Begin(now, s.Audit) {
+		return
+	}
 	for {
 		req, ok := s.sendQueue.Peek()
 		if !ok {
 			return
 		}
+		s.SendOffers.Offered++
 		if !s.Send(req, now) {
+			s.SendOffers.Refused++
+			s.sendPark.Refused(now)
 			return
 		}
+		s.sendPark.Taken(now, s.Audit, "SM send queue", s.ID)
 		s.sendQueue.Pop()
 	}
 }
@@ -641,8 +687,17 @@ func (s *SM) retireAccess(i int) {
 // in place and younger accesses proceed past them — translation misses
 // must not serialize independent warps (real GPU MMUs sustain many
 // concurrent translations), only structural stalls (MSHR or send queue
-// full) stop the pipeline.
+// full) stop the pipeline. Such a stall parks the LSU: until the stalled
+// line could be taken, or an access the walk passed over could act, the
+// whole walk is a no-op and is not run.
 func (s *SM) tickLSU(now sim.Cycle) {
+	if !s.lsuPark.Begin(now, s.Audit) {
+		return
+	}
+	// early is the first cycle at which an access the walk passed over
+	// could act by itself: the next one for a translation that is retried
+	// every cycle, the end of an L1 TLB hit latency.
+	early := sim.Never
 	ops := 0
 	for i := 0; ops < LSUOpsPerCycle && i < s.lsu.Len(); {
 		acc := s.lsu.At(i)
@@ -657,6 +712,7 @@ func (s *SM) tickLSU(now sim.Cycle) {
 		case lineNeedTranslate:
 			if !s.translate(acc, line, now) {
 				i++ // TLB ports saturated or page mid-migration
+				early = now + 1
 				continue
 			}
 			if line.state == lineTranslating {
@@ -667,6 +723,7 @@ func (s *SM) tickLSU(now sim.Cycle) {
 			// this cycle; longer L1TLBLatency parks the line.
 			if lat := s.cfg.L1TLBLatency; lat > 1 {
 				line.readyAt = now + lat - 1
+				early = min(early, line.readyAt)
 				i++
 				continue
 			}
@@ -674,17 +731,41 @@ func (s *SM) tickLSU(now sim.Cycle) {
 		case lineTranslated:
 			if line.readyAt > now {
 				i++ // waiting out the L1 TLB hit latency
+				early = min(early, line.readyAt)
 				continue
 			}
-			if !s.accessL1(acc, line, now) {
+			s.LSUOffers.Offered++
+			if why := s.accessL1(acc, line, now); why != stallNone {
+				s.LSUOffers.Refused++
+				s.parkLSU(why, early, now)
+				s.lsuPark.Refused(now)
 				return // MSHR or send queue full: structural stall
 			}
+			s.lsuPark.Taken(now, s.Audit, "SM LSU", s.ID)
 			acc.nextLine++
 			ops++
 			if acc.nextLine >= acc.n {
 				s.retireAccess(i)
 			}
 		}
+	}
+}
+
+// parkLSU parks the LSU on the stall its walk just ended in: until the
+// cycle the stall could clear — a reply's arrival (a door) for a full MSHR
+// file; the send queue's own wake for a full send queue, which
+// drainSendQueue serves earlier in the same tick — or, if sooner, until an
+// access the walk passed over could act (early).
+func (s *SM) parkLSU(why stall, early, now sim.Cycle) {
+	until := early
+	switch why {
+	case stallPage:
+		return
+	case stallSend:
+		until = min(until, s.sendPark.Until)
+	}
+	if until > now+1 {
+		s.lsuPark.Until, s.lsuStall = until, why
 	}
 }
 
@@ -716,7 +797,7 @@ func (s *SM) translate(acc *memAccess, line *lineReq, now sim.Cycle) bool {
 // miss. The physical frame is resolved when the LSU next processes the
 // line, so a migration that lands in between stays coherent.
 func (s *SM) finishWalk(acc *memAccess) {
-	s.sleepUntil = 0
+	s.sleepUntil, s.lsuPark.Until = 0, 0
 	line := &acc.lines[acc.nextLine]
 	s.l1TLB.Insert(line.vaddr>>s.pageShift, acc.walkAt)
 	line.state = lineTranslated
@@ -739,14 +820,15 @@ func (s *SM) finishTranslate(line *lineReq, vpn uint64, now sim.Cycle) bool {
 }
 
 // accessL1 performs the L1 lookup for a translated line and creates the
-// downstream request on a miss. It returns false if it could not complete
-// this cycle (MSHR or send queue full); a refused line has created
-// nothing — no request, no request id — so a retry costs only the lookup.
-func (s *SM) accessL1(acc *memAccess, line *lineReq, now sim.Cycle) bool {
+// downstream request on a miss. It returns why it could not complete this
+// cycle, if it could not (MSHR or send queue full); a refused line has
+// created nothing — no request, no request id — so a retry costs only the
+// lookup.
+func (s *SM) accessL1(acc *memAccess, line *lineReq, now sim.Cycle) stall {
 	if line.paddr == 0 {
 		vpn := line.vaddr >> s.pageShift
 		if !s.finishTranslate(line, vpn, now) {
-			return false
+			return stallPage
 		}
 	}
 	ws := &s.warps[acc.warp]
@@ -754,20 +836,20 @@ func (s *SM) accessL1(acc *memAccess, line *lineReq, now sim.Cycle) bool {
 		// Write-through, write-no-allocate: invalidate any stale copy
 		// and forward the line downstream.
 		if s.sendQueue.Full() {
-			return false
+			return stallSend
 		}
 		s.l1.Access(line.paddr, true, int64(now))
 		s.stats.L1Accesses++
 		s.sendQueue.Push(s.newReq(acc, line, now))
-		return true
+		return stallNone
 	}
 	if acc.atomic {
 		// Atomics bypass the L1 and execute at the home LLC slice.
 		if s.sendQueue.Full() {
-			return false
+			return stallSend
 		}
 		s.sendQueue.Push(s.newReq(acc, line, now))
-		return true
+		return stallNone
 	}
 	// Load.
 	s.stats.L1Accesses++
@@ -777,15 +859,18 @@ func (s *SM) accessL1(acc *memAccess, line *lineReq, now sim.Cycle) bool {
 		// The register becomes ready after the configured L1 hit
 		// latency (1 cycle by default, the same as a returning fill).
 		s.completeLine(acc.warp, acc.dstReg, now+s.cfg.L1Latency, now)
-		return true
+		return stallNone
 	}
 	la := s.l1.LineAddr(line.paddr)
 	// A miss either rides behind an outstanding fill of its line or is
 	// the primary, which needs an MSHR entry and must actually go out.
 	merge, ok := s.l1MSHR.Admit(la)
 	if !ok || (!merge && s.sendQueue.Full()) {
-		s.stats.L1Accesses-- // retried next cycle: don't double count
-		return false
+		s.stats.L1Accesses-- // retried: don't double count
+		if !ok {
+			return stallMSHR
+		}
+		return stallSend
 	}
 	s.stats.L1Misses++
 	req := s.newReq(acc, line, now)
@@ -793,7 +878,7 @@ func (s *SM) accessL1(acc *memAccess, line *lineReq, now sim.Cycle) bool {
 	if !merge {
 		s.sendQueue.Push(req)
 	}
-	return true
+	return stallNone
 }
 
 // newReq builds the network request for a line.
@@ -844,7 +929,7 @@ func (s *SM) completeLine(slot int, dstReg int8, readyAt, now sim.Cycle) {
 // AcceptReply handles a data reply (load/atomic) or store acknowledgement
 // arriving from the interconnect.
 func (s *SM) AcceptReply(req *sim.MemReq, now sim.Cycle) {
-	s.sleepUntil = 0
+	s.sleepUntil, s.lsuPark.Until = 0, 0
 	s.stats.MemLatencySum += int64(now - req.Issue)
 	s.stats.MemLatencyCount++
 	if req.Kind == sim.Store {
@@ -998,6 +1083,19 @@ func (s *SM) DebugState() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "live=%d outstanding=%d lsu=%d send=%d ctaQ=%d firstPC=%d",
 		live, out, s.lsu.Len(), s.sendQueue.Len(), s.ctaQueue.Len(), pc)
+	// The parks the last tick left: what is parked and until when.
+	if s.sendPark.Until != 0 {
+		b.WriteString(" send-parked-until=" + sim.Until(s.sendPark.Until))
+	}
+	if s.lsuPark.Until != 0 {
+		why := "mshr"
+		if s.lsuStall == stallSend {
+			why = "send"
+		}
+		if b.WriteString(" lsu-parked=" + why); s.lsuPark.Until != sim.Never {
+			b.WriteString("@" + sim.Until(s.lsuPark.Until))
+		}
+	}
 	for i := range s.sched {
 		sc := &s.sched[i]
 		can := bits.OnesCount64(s.issuable(sc))

@@ -820,4 +820,31 @@ func TestDoorsWake(t *testing.T) {
 			}
 		})
 	}
+	// The same three doors end the LSU's park (DESIGN.md §9 "Parks"): a
+	// two-entry MSHR file and a silent memory park it for ever, with a page
+	// walk still in flight for the last door to finish.
+	for _, tc := range []struct {
+		door string
+		open func(t *testing.T, r *testRig, now sim.Cycle)
+	}{
+		{"StartKernel", func(t *testing.T, r *testRig, _ sim.Cycle) { r.sm.StartKernel(rigLaunch(t, 4, 4), 4, 4) }},
+		{"AcceptReply", func(_ *testing.T, r *testRig, now sim.Cycle) { r.sm.AcceptReply(r.pending[0], now) }},
+		{"finishWalk", func(_ *testing.T, r *testRig, _ sim.Cycle) { translating(r.sm).walked() }},
+	} {
+		t.Run(tc.door+"/lsu-park", func(t *testing.T) {
+			r := newRigWith(t, 1<<40, func(c *config.Config) { c.L1MSHRs = 2 })
+			r.sm.StartKernel(rigLaunch(t, 4, 4), 0, 4)
+			now := sim.Cycle(1)
+			for ; r.sm.lsuPark.Until != sim.Never || translating(r.sm) == nil; now++ {
+				if now > 100_000 {
+					t.Fatal("the LSU never parked on the MSHR file with a walk in flight")
+				}
+				r.tick(now)
+			}
+			tc.open(t, r, now)
+			if r.sm.lsuPark.Until != 0 {
+				t.Fatalf("%s left the LSU parked until %d at cycle %d", tc.door, r.sm.lsuPark.Until, now)
+			}
+		})
+	}
 }
