@@ -91,12 +91,6 @@ type GPU struct {
 	// (SetEngine).
 	unsound error
 	audit   sim.ParkAudit
-	// sleepSigs is the sanitizer's memo of each sleeper's signature after
-	// its last check, by kind (checkSleeper).
-	sleepSigs [3]struct {
-		sig []uint64
-		at  []sim.Cycle
-	}
 	// flt is the armed fault-injection state (fault.go); nil unless a
 	// test called Inject.
 	flt *coreFault

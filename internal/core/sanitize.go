@@ -89,31 +89,10 @@ type sleeper interface {
 // and it ticks the sleeper anyway. A signature or statistic that moves
 // proves the deadline unsound and fails the run (advance). The deadline
 // is put back, so the run sees exactly the deadlines hybrid would.
-//
-// The signature before a tick is the one after the last, when that was
-// the kind's previous tick (every cycle is stepped under the sanitizer, a
-// channel's every MemClockDiv-th): a component that has slept since was
-// not ticked since, and a door that touched it also woke it. Parked
-// components sleep through most of a congested run, so this halves the
-// sanitizer's signature work.
 func (g *GPU) checkSleeper(kind, i int, c sleeper, t sim.Cycle) {
-	m := &g.sleepSigs[kind]
-	if m.sig == nil {
-		n := max(len(g.sms), len(g.slices), len(g.chans))
-		m.sig, m.at = make([]uint64, n), make([]sim.Cycle, n)
-	}
-	prev := g.cycle - 1
-	if kind == kindChan {
-		prev = g.cycle - sim.Cycle(g.cfg.MemClockDiv)
-	}
-	sig := m.sig[i]
-	if m.at[i] != prev || prev == 0 { // at is 0 for "never checked"
-		sig = c.StateSig()
-	}
-	stats, until := *g.stats, *c.SleepUntil()
+	sig, stats, until := c.StateSig(), *g.stats, *c.SleepUntil()
 	c.Tick(t)
-	m.sig[i], m.at[i] = c.StateSig(), g.cycle
-	if g.unsound == nil && (m.sig[i] != sig || *g.stats != stats) {
+	if g.unsound == nil && (c.StateSig() != sig || *g.stats != stats) {
 		g.unsound = fmt.Errorf("core: sanitize: unsound sleep: %s %d changed state when ticked at cycle %d, asleep until %d",
 			kindLabel[kind], i, g.cycle, until)
 	}

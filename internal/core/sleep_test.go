@@ -104,23 +104,24 @@ func TestNaiveIgnoresSleep(t *testing.T) {
 // A lost wake-up — work to do, a deadline or a park that says never — is
 // the bug class sleep deadlines and parks introduce. It must not burn to
 // MaxCycles: it is a HangError within the first sampling interval (of a
-// window shortened to 4096 cycles here), and the report must show the
+// window shortened to 4096 cycles here; the parked scenario is set up well
+// into a run, so its bound counts from there), and the report must show the
 // signature: a live hint of +1 next to asleep-until=never for an SM whose
 // door forgot its deadline; for a link whose head is parked till long after
 // the run, the park on the link's own line, and on its SM's line the send
 // queue and the LSU parked behind it.
 func TestLostWakeIsAHang(t *testing.T) {
-	hang := func(t *testing.T, g *GPU) (*HangError, string) {
+	const window = 4096
+	hang := func(t *testing.T, g *GPU, by sim.Cycle) (*HangError, string) {
 		t.Helper()
-		g.wd = newWatchdog(4096)
-		start := g.cycle
+		g.wd = newWatchdog(window)
 		err := g.runUntilIdle(context.Background())
 		var he *HangError
 		if !errors.As(err, &he) {
 			t.Fatalf("want *HangError, got %v", err)
 		}
-		if he.Report.Cycle > start+2*4096 {
-			t.Errorf("hang declared at cycle %d, %d cycles in; a lost wake-up must not wait out MaxCycles", he.Report.Cycle, he.Report.Cycle-start)
+		if he.Report.Cycle > by {
+			t.Errorf("hang declared at cycle %d, after cycle %d; a lost wake-up must not wait out MaxCycles", he.Report.Cycle, by)
 		}
 		return he, he.Report.String()
 	}
@@ -135,7 +136,7 @@ func TestLostWakeIsAHang(t *testing.T) {
 	t.Run("asleep-forever", func(t *testing.T) {
 		g, row := napping(t, EngineHybrid)
 		*row.sleep = sim.Never
-		_, s := hang(t, g)
+		_, s := hang(t, g, window)
 		if line := lineOf(s, "SM 0"); !strings.Contains(line, "wake=+1") || !strings.HasSuffix(line, "asleep-until=never") {
 			t.Errorf("report does not show the lost wake-up on SM 0's line:\n%s", s)
 		}
@@ -143,7 +144,7 @@ func TestLostWakeIsAHang(t *testing.T) {
 	t.Run("parked-forever", func(t *testing.T) {
 		g, k, _ := parked(t, EngineHybrid)
 		far := parkFar(g, k)
-		he, s := hang(t, g)
+		he, s := hang(t, g, g.cycle+2*window)
 		until := fmt.Sprintf("%+d", far-he.Report.Cycle)
 		if line := lineOf(s, fmt.Sprintf("SM-request link %d", k)); !strings.HasSuffix(line, "asleep-until="+until) {
 			t.Errorf("report does not show the park (%s) on the link's line:\n%s", until, s)

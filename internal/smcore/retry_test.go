@@ -17,6 +17,8 @@ import (
 // request id per stalled cycle, and the send-queue rollback one more — and
 // costs nothing either; and the event that frees the structure — a reply,
 // the send queue's head going out — un-parks the LSU on that very cycle.
+// A port that refuses and names no cycle parks nothing: both heads are
+// retried every cycle, and the retry creates nothing just the same.
 
 // memStats is the part of the run statistics the LSU moves.
 func memStats(r *testRig) [5]int64 {
@@ -25,11 +27,14 @@ func memStats(r *testRig) [5]int64 {
 }
 
 // holdStalled ticks the rig until stalled() holds, then a few cycles more
-// so that the LSU is parked on the stalled line, then n cycles over which
-// nothing may happen: no offer at either site, no request, no request id,
-// no movement of the memory statistics, no allocation. It returns the
-// cycle it stopped at. Memory never answers while it runs.
-func holdStalled(t *testing.T, r *testRig, n int, stalled func() bool) sim.Cycle {
+// so that the LSU has settled on the stalled line, then n cycles over which
+// nothing may be created: no request, no request id, no movement of the
+// memory statistics, no allocation. With parked set the LSU must be parked
+// through the hold and neither site makes an offer; without it — a refuser
+// that names no cycle — nothing may park, and each site offers its head
+// once a cycle and is refused. It returns the cycle it stopped at. Memory
+// never answers while it runs.
+func holdStalled(t *testing.T, r *testRig, n int, parked bool, stalled func() bool) sim.Cycle {
 	t.Helper()
 	now := sim.Cycle(0)
 	for !stalled() {
@@ -53,18 +58,29 @@ func holdStalled(t *testing.T, r *testRig, n int, stalled func() bool) sim.Cycle
 		now++
 		r.tick(now)
 	}
-	if r.sm.lsuPark.Until <= now+sim.Cycle(n) {
+	if parked && r.sm.lsuPark.Until <= now+sim.Cycle(n) {
 		t.Fatalf("cycle %d: the LSU is parked until %d, not through the hold", now, r.sm.lsuPark.Until)
 	}
-	seq, sent, stats := r.sm.reqSeq, r.sent, memStats(r)
+	start, seq, sent, stats := now, r.sm.reqSeq, r.sent, memStats(r)
 	lsu, send, stalls := r.sm.LSUOffers, r.sm.SendOffers, r.sm.L1MSHRStalls()
 	allocs := testing.AllocsPerRun(n, func() {
 		now++
 		r.tick(now)
+		if !parked && (r.sm.sendPark.Until > now || r.sm.lsuPark.Until > now) {
+			t.Fatalf("cycle %d: told nothing, yet parked: send queue until %d, LSU until %d", now, r.sm.sendPark.Until, r.sm.lsuPark.Until)
+		}
 	})
-	if r.sm.LSUOffers != lsu || r.sm.SendOffers != send || r.sm.L1MSHRStalls() != stalls {
-		t.Errorf("a parked head was offered: LSU %+v -> %+v, send queue %+v -> %+v, MSHR stalls %d -> %d",
-			lsu, r.sm.LSUOffers, send, r.sm.SendOffers, stalls, r.sm.L1MSHRStalls())
+	var each sim.Offers // what every held cycle adds at either site
+	if !parked {
+		each = sim.Offers{Offered: 1, Refused: 1}
+	}
+	want := func(o sim.Offers) sim.Offers {
+		c := int64(now - start)
+		return sim.Offers{Offered: o.Offered + c*each.Offered, Refused: o.Refused + c*each.Refused}
+	}
+	if r.sm.LSUOffers != want(lsu) || r.sm.SendOffers != want(send) || r.sm.L1MSHRStalls() != stalls {
+		t.Errorf("over %d stalled cycles: LSU %+v -> %+v, send queue %+v -> %+v, want %+v a cycle at each; MSHR stalls %d -> %d",
+			now-start, lsu, r.sm.LSUOffers, send, r.sm.SendOffers, each, stalls, r.sm.L1MSHRStalls())
 	}
 	if r.sent != sent || r.sm.reqSeq != seq {
 		t.Errorf("%d requests went out and %d request ids were burned over %d stalled cycles", r.sent-sent, r.sm.reqSeq-seq, n)
@@ -85,7 +101,7 @@ func TestStalledLoadRetryCreatesNothing(t *testing.T) {
 		// line stalls on the full file, until the first reply.
 		r := newRigWith(t, 1<<40, func(c *config.Config) { c.L1MSHRs = 2 })
 		r.sm.StartKernel(rigLaunch(t, 4, 4), 0, 4)
-		now := holdStalled(t, r, hold, func() bool { return r.sm.L1MSHRStalls() > 0 })
+		now := holdStalled(t, r, hold, true, func() bool { return r.sm.L1MSHRStalls() > 0 })
 		if r.sm.lsuPark.Until != sim.Never || r.sm.lsuStall != stallMSHR {
 			t.Fatalf("parked until %d on stall %d, want for ever on the MSHR file", r.sm.lsuPark.Until, r.sm.lsuStall)
 		}
@@ -118,7 +134,7 @@ func TestStalledLoadRetryCreatesNothing(t *testing.T) {
 			return accept(req, now)
 		}
 		r.sm.StartKernel(rigLaunch(t, 4, 4), 0, 4)
-		now := holdStalled(t, r, hold, func() bool { return r.sm.sendQueue.Full() })
+		now := holdStalled(t, r, hold, true, func() bool { return r.sm.sendQueue.Full() })
 		if r.sm.L1MSHRStalls() != 0 {
 			t.Fatal("MSHR file filled: this case is meant to stall on the send queue alone")
 		}
@@ -149,6 +165,26 @@ func TestStalledLoadRetryCreatesNothing(t *testing.T) {
 			t.Errorf("cycle %d: the LSU made %d offers and %d requests, want its stalled line taken the cycle the queue drained",
 				release, r.sm.LSUOffers.Offered-lsu.Offered, r.sm.reqSeq-seq)
 		}
+	})
+	t.Run("send-queue-full-silent", func(t *testing.T) {
+		// The interconnect refuses everything and names no cycle, as every
+		// bench/ rig and every unbounded path in the core does: nothing
+		// parks, both heads are offered again on every cycle, and a retry
+		// still creates nothing.
+		r := newRigWith(t, 1<<40, func(*config.Config) {})
+		r.sm.Send = func(*sim.MemReq, sim.Cycle) bool { return false }
+		r.sm.StartKernel(rigLaunch(t, 4, 4), 0, 4)
+		now := holdStalled(t, r, hold, false, func() bool { return r.sm.sendQueue.Full() })
+		if r.sm.L1MSHRStalls() != 0 {
+			t.Fatal("MSHR file filled: this case is meant to stall on the send queue alone")
+		}
+		if st := r.sm.DebugState(); strings.Contains(st, "parked") {
+			t.Errorf("the report shows a park nobody asked for: %s", st)
+		}
+		if w := r.sm.NextWake(now); w != now+1 {
+			t.Errorf("NextWake = %d at cycle %d with two heads to retry next cycle", w, now)
+		}
+		checkDense(t, r)
 	})
 }
 
