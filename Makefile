@@ -95,9 +95,12 @@ golden:
 
 # bench/ is a nested module, invisible to `go build ./...` and
 # `go test ./...` above: build and short-test it here so a rename in the
-# simulator that breaks the benchmark's build is noticed.
+# simulator that breaks the benchmark's build is noticed. The root
+# module's layer benchmarks run once each, so that their own checks
+# (a b.Fatal such as "the quiet GPU has a wake-up") can fail.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 check: vet build lint fmt-check docs-check test race sanitize bench-check
 

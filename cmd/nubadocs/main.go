@@ -13,8 +13,10 @@
 //     a prefix: `TestStress*`);
 //   - every intra-repo Markdown link must resolve to an existing file
 //     or directory;
-//   - every `DESIGN.md §N` pointer must name a numbered `## N.` heading
-//     of DESIGN.md;
+//   - every `DESIGN.md §N` pointer (and in DESIGN.md every `(§N`, N an
+//     integer) must name a numbered `## N.` heading of DESIGN.md, and
+//     every quoted `§N "Name"` a `### Name` heading or `* **Name.**` lead
+//     inside it;
 //   - no checked file may carry a PLACEHOLDER token — a stand-in for a
 //     table nobody generated (EXPERIMENTS.md shipped three from the seed
 //     commit on).
@@ -90,10 +92,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nubadocs:", err)
 		os.Exit(2)
 	}
-	sections := make(map[string]bool)
-	for _, m := range headingRe.FindAllStringSubmatch(string(design), -1) {
-		sections[m[1]] = true
-	}
+	sections := subsections(string(design))
 
 	var problems []string
 	flagMentions, targetMentions, testMentions, linkChecks, sectionChecks := 0, 0, 0, 0, 0
@@ -137,11 +136,21 @@ func main() {
 					fmt.Sprintf("%s: link target %q does not resolve", rel, target))
 			}
 		}
-		for _, m := range sectionRe.FindAllStringSubmatch(text, -1) {
+		pointers := sectionRe
+		if rel == "DESIGN.md" {
+			pointers = designSectionRe
+		}
+		for _, m := range pointers.FindAllStringSubmatch(text, -1) {
 			sectionChecks++
-			if !sections[m[1]] {
+			if sections[m[1]] == nil {
 				problems = append(problems,
-					fmt.Sprintf("%s: DESIGN.md §%s is not a numbered section of DESIGN.md", rel, m[1]))
+					fmt.Sprintf("%s: §%s is not a numbered section of DESIGN.md", rel, m[1]))
+			}
+		}
+		for _, m := range quotedRe.FindAllStringSubmatch(text, -1) {
+			sectionChecks++
+			if name := strings.Join(strings.Fields(m[2]), " "); !sections[m[1]][name] {
+				problems = append(problems, fmt.Sprintf("%s: §%s %q names no sub-section of DESIGN.md §%s", rel, m[1], name, m[1]))
 			}
 		}
 		for _, tok := range placeholderRe.FindAllString(text, -1) {
@@ -347,12 +356,34 @@ func codeSpans(text string) []string {
 }
 
 // sectionRe matches a pointer into the design document ("DESIGN.md §9",
-// possibly wrapped), headingRe one of its numbered section headings
-// ("## 9. The cycle loop").
+// possibly wrapped); in DESIGN.md a bare "(§9" is one too, the paper's
+// "(§7.6" not. quotedRe matches a pointer to a named sub-section ("§9
+// "Parks"", "(§3, "NoC")"), headingRe a numbered section heading ("## 9.
+// The cycle loop") and subRe a sub-section inside one: a "### Name"
+// heading or a "* **Name.**" lead.
 var (
-	sectionRe = regexp.MustCompile(`DESIGN\.md\s+§(\d+)`)
-	headingRe = regexp.MustCompile(`(?m)^## (\d+)\. `)
+	sectionRe       = regexp.MustCompile(`DESIGN\.md\s+§(\d+)`)
+	designSectionRe = regexp.MustCompile(`(?:DESIGN\.md\s+|\()§(\d+)(?:[^\d.]|\.\D)`)
+	quotedRe        = regexp.MustCompile(`§(\d+),?\s+"([^"]+)"`)
+	headingRe       = regexp.MustCompile(`^## (\d+)\. `)
+	subRe           = regexp.MustCompile(`^(?:### (.+)|\* \*\*(.+?)\.\*\*)`)
 )
+
+// subsections maps each numbered section of DESIGN.md to the names of its
+// sub-sections.
+func subsections(design string) map[string]map[string]bool {
+	sections := make(map[string]map[string]bool)
+	var cur map[string]bool
+	for _, line := range strings.Split(design, "\n") {
+		if m := headingRe.FindStringSubmatch(line); m != nil {
+			cur = make(map[string]bool)
+			sections[m[1]] = cur
+		} else if m := subRe.FindStringSubmatch(line); m != nil && cur != nil {
+			cur[strings.TrimSpace(m[1]+m[2])] = true
+		}
+	}
+	return sections
+}
 
 // placeholderRe matches a stand-in left where a command's output was
 // meant to be pasted (PLACEHOLDER, PLACEHOLDER_FIG10, ...).

@@ -41,9 +41,10 @@ func TestDocsCheck(t *testing.T) {
 
 	root := t.TempDir()
 	for name, content := range map[string]string{
-		"cmd/tool/main.go":      "package main\n\nimport \"flag\"\n\nvar real = flag.String(\"real\", \"\", \"\")\n\nfunc main() {}\n",
-		"Makefile":              "GO ?= go\n\n.PHONY: check\n\ncheck:\n\t$(GO) vet ./...\n",
-		"DESIGN.md":             "# design\n\n## 1. What we build\n",
+		"cmd/tool/main.go": "package main\n\nimport \"flag\"\n\nvar real = flag.String(\"real\", \"\", \"\")\n\nfunc main() {}\n",
+		"Makefile":         "GO ?= go\n\n.PHONY: check\n\ncheck:\n\t$(GO) vet ./...\n",
+		"DESIGN.md": "# design\n\n## 1. What we build\n\n* **NoC.** Links.\n\n### Parks\n\n" +
+			"See (§1, \"NoC\"), the paper's (§7.6) and (§2).\n",
 		"EXPERIMENTS.md":        "# experiments\n",
 		"cmd/tool/main_test.go": "package main\n\nimport \"testing\"\n\nfunc TestRealThing(t *testing.T) {}\n",
 		"README.md": "Run `tool -real x` or `make check`; see [the design](DESIGN.md).\n\n" +
@@ -51,6 +52,7 @@ func TestDocsCheck(t *testing.T) {
 			"```sh\nmake nosuchtarget   # retired\n```\n\n" +
 			"Held by `TestRealThing`, `TestReal*` and `tool.TestHelper()`; not by `TestNoSuchThing` or `BenchmarkNo*`.\n\n" +
 			"Why: DESIGN.md §1; the cycle loop was DESIGN.md\n§9 before it moved.\n\n" +
+			"Held there: DESIGN.md §1 \"Parks\", not DESIGN.md §1\n\"Parsk\".\n\n" +
 			"```\nPLACEHOLDER_FIG10\n```\n",
 	} {
 		p := filepath.Join(root, filepath.FromSlash(name))
@@ -71,14 +73,16 @@ func TestDocsCheck(t *testing.T) {
 		"README.md: make nosuchtarget is not a target",
 		"README.md: TestNoSuchThing is not declared",
 		"README.md: BenchmarkNo* is not declared",
-		"README.md: DESIGN.md §9 is not a numbered section",
+		"README.md: §9 is not a numbered section",
+		"DESIGN.md: §2 is not a numbered section",
+		`README.md: §1 "Parsk" names no sub-section of DESIGN.md §1`,
 		"README.md: PLACEHOLDER_FIG10 stands where generated output belongs",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output does not name %q:\n%s", want, out)
 		}
 	}
-	if n := strings.Count(out, "nubadocs:"); n != 7 {
-		t.Errorf("%d problems reported, want exactly the 7 seeded ones:\n%s", n, out)
+	if n := strings.Count(out, "nubadocs:"); n != 9 {
+		t.Errorf("%d problems reported, want exactly the 9 seeded ones:\n%s", n, out)
 	}
 }

@@ -584,8 +584,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: MigrationInterval %d must be positive under migration placement (the page scan would run every cycle)", c.MigrationInterval)
 	case c.MaxCycles < 1:
 		return fmt.Errorf("config: MaxCycles %d must be positive", c.MaxCycles)
-	case c.Arch == NUBA && c.LocalLinkBytes < 1:
-		return fmt.Errorf("config: LocalLinkBytes %d must be positive (the width of NUBA's point-to-point links)", c.LocalLinkBytes)
+	case c.NoCLatency < 0 || c.NoCPortBuffer < 1:
+		return fmt.Errorf("config: NoCLatency %d must not be negative and NoCPortBuffer %d must be positive (a buffer of no size never back-pressures)", c.NoCLatency, c.NoCPortBuffer)
+	case c.Arch == NUBA && (c.LocalLinkBytes < 1 || c.LocalLinkLatency < 0 || c.LocalLinkBuffer < 1):
+		return fmt.Errorf("config: NUBA's links need a positive LocalLinkBytes %d and LocalLinkBuffer %d and a LocalLinkLatency %d not below zero", c.LocalLinkBytes, c.LocalLinkBuffer, c.LocalLinkLatency)
 	}
 	return nil
 }

@@ -212,7 +212,11 @@ func TestValidateRejectsWhatUsedToPanic(t *testing.T) {
 		{"no L2 TLB ways", func(c *Config) { c.L2TLBWays = 0 }, "L2TLBWays 0"},
 		{"L2 TLB not a multiple of its ways", func(c *Config) { c.L2TLBWays = 7 }, "L2TLBWays 7"},
 		{"NUBA without link width", func(c *Config) { *c = c.WithArch(NUBA); c.LocalLinkBytes = 0 }, "LocalLinkBytes 0"},
-		{"UBA never builds the links", func(c *Config) { c.LocalLinkBytes = 0 }, ""},
+		{"NUBA link latency below zero", func(c *Config) { *c = c.WithArch(NUBA); c.LocalLinkLatency = -1 }, "LocalLinkLatency -1"},
+		{"NUBA without link buffers", func(c *Config) { *c = c.WithArch(NUBA); c.LocalLinkBuffer = 0 }, "LocalLinkBuffer 0"},
+		{"UBA never builds the local links", func(c *Config) { c.LocalLinkBytes, c.LocalLinkLatency, c.LocalLinkBuffer = 0, -1, 0 }, ""},
+		{"NoC latency below zero", func(c *Config) { *c = c.WithArch(UBASMSide); c.NoCLatency = -1 }, "NoCLatency -1"},
+		{"no NoC buffers", func(c *Config) { c.NoCPortBuffer = 0 }, "NoCPortBuffer 0"},
 		{"no core clock", func(c *Config) { c.CoreClockGHz = 0 }, "CoreClockGHz 0"},
 		{"no CTA slots", func(c *Config) { c.MaxCTAsPerSM = 0 }, "MaxCTAsPerSM 0"},
 		{"no page walkers", func(c *Config) { c.PageWalkers = 0 }, "PageWalkers 0"},

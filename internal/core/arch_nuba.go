@@ -20,14 +20,16 @@ func (g *GPU) buildNUBA() {
 	local := func() *sim.Link[*sim.MemReq] {
 		return sim.NewLink[*sim.MemReq](g.cfg.LocalLinkLatency, g.cfg.LocalLinkBytes, g.cfg.LocalLinkBuffer)
 	}
-	g.smReq = newLinkSet[*sim.MemReq]("SM-request link", len(g.sms))
-	g.sliceReply = newLinkSet[*sim.MemReq]("slice-reply link", len(g.slices))
-	for i := range g.sms {
-		g.smReq.add(g, i, local(), "SM-request link", i, -1)
+	g.smReq = sim.NewLinks[*sim.MemReq]("SM-request link", len(g.sms))
+	g.sliceReply = sim.NewLinks[*sim.MemReq]("slice-reply link", len(g.slices))
+	for i := range g.smReq.L {
+		g.smReq.L[i] = local()
 	}
-	for j := range g.slices {
-		g.sliceReply.add(g, j, local(), "slice-reply link", j, -1)
+	for j := range g.sliceReply.L {
+		g.sliceReply.L[j] = local()
 	}
+	g.register(linksPart[*sim.MemReq]{&g.smReq}, "SM-request links", -1)
+	g.register(linksPart[*sim.MemReq]{&g.sliceReply}, "slice-reply links", -1)
 	g.buildInterModule()
 
 	if g.cfg.Replication == config.MDR {
@@ -63,10 +65,10 @@ func (g *GPU) replicating() bool {
 // classification, replica routing and MDR profiling happen here.
 func (g *GPU) nubaSend(smID, part int) func(*sim.MemReq, sim.Cycle) bool {
 	return func(req *sim.MemReq, now sim.Cycle) bool {
-		if !g.smReq.l[smID].CanSend(now) {
+		if !g.smReq.L[smID].CanSend(now) {
 			// The link's drain runs after the SMs: a full link shows room the
 			// cycle after its own head moves.
-			return g.tellSM(smID, g.smReq.retryAt(smID, now, aheadOfFabric))
+			return g.tellSM(smID, g.smReq.RetryAt(smID, now, aheadOfFabric))
 		}
 		req.Channel, req.Slice = g.mapper.Home(req.Addr)
 		local := g.slices[req.Slice].Part == part
@@ -77,7 +79,7 @@ func (g *GPU) nubaSend(smID, part int) func(*sim.MemReq, sim.Cycle) bool {
 			g.mdrProf.Observe(req, req.Slice, local, g.partitionSlice(part, req.Addr), now)
 		}
 		g.recordPlacementAccess(req, part)
-		return g.smReq.send(smID, now, req, sim.MessageBytes(req, false))
+		return g.smReq.Send(smID, now, req, sim.MessageBytes(req, false))
 	}
 }
 
@@ -93,7 +95,7 @@ func (g *GPU) acceptSMRequest(smID int, req *sim.MemReq, now sim.Cycle) sim.Cycl
 	default:
 		return g.nubaInjectNoC(g.partitionSlice(part, req.Addr), req.Slice, req, false, now, aheadOfFabric)
 	}
-	return accepted // the LMR queue is elastic
+	return sim.Accepted // the LMR queue is elastic
 }
 
 // nubaInjectNoC injects a request or reply into the slice-to-slice NoC
@@ -108,10 +110,10 @@ func (g *GPU) nubaInjectNoC(srcSlice, dstSlice int, req *sim.MemReq, reply bool,
 // and before the slices: a full link shows room lag cycles after its
 // head's arrival.
 func (g *GPU) nubaSendLocalReply(sliceID int, req *sim.MemReq, now, lag sim.Cycle) sim.Cycle {
-	if g.sliceReply.send(sliceID, now, req, sim.MessageBytes(req, true)) {
-		return accepted
+	if g.sliceReply.Send(sliceID, now, req, sim.MessageBytes(req, true)) {
+		return sim.Accepted
 	}
-	return g.sliceReply.retryAt(sliceID, now, lag)
+	return g.sliceReply.RetryAt(sliceID, now, lag)
 }
 
 // nubaSliceReply routes a finished request from a slice: locally over the
@@ -144,7 +146,7 @@ func (g *GPU) nubaForward(sliceID int) func(*sim.MemReq, sim.Cycle) bool {
 func (g *GPU) nubaAcceptReply(sliceID int, req *sim.MemReq, now sim.Cycle) sim.Cycle {
 	if req.ReplicaSlice == sliceID && req.Slice != sliceID {
 		g.slices[sliceID].AcceptReplicaFill(req, now)
-		return accepted
+		return sim.Accepted
 	}
 	return g.nubaSendLocalReply(sliceID, req, now, aheadOfFabric)
 }

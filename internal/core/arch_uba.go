@@ -48,7 +48,7 @@ func (g *GPU) ubaMemSend(smID int) func(*sim.MemReq, sim.Cycle) bool {
 	return func(req *sim.MemReq, now sim.Cycle) bool {
 		req.Channel, req.Slice = g.mapper.Home(req.Addr)
 		req.Remote = true // every UBA L1 miss traverses the NoC
-		if retry := g.cross(smID, g.smsPerMod, req.Slice, g.slicesPerMod, req, false, now, aheadOfFabric); retry != accepted {
+		if retry := g.cross(smID, g.smsPerMod, req.Slice, g.slicesPerMod, req, false, now, aheadOfFabric); retry != sim.Accepted {
 			return g.tellSM(smID, retry)
 		}
 		g.recordPlacementAccess(req, g.sms[smID].Part)
@@ -71,11 +71,11 @@ func (g *GPU) buildUBASMSide() {
 	// artificial bottleneck relative to the paper's SM-side UBA (which
 	// performs within ~1% of the memory-side baseline).
 	w := g.cfg.NoCPortBytes() * max(g.slicesPerMod, 1)
-	g.inter = newLinkSet[noc.Msg]("inter-half link", g.mods*g.mods)
+	g.inter = sim.NewLinks[noc.Msg]("inter-half link", g.mods*g.mods)
 	for h := 0; h < 2; h++ {
-		l := sim.NewLink[noc.Msg](g.cfg.NoCLatency, w, 8*g.cfg.NoCPortBuffer)
-		g.inter.add(g, g.interLink(h, 1-h), l, "inter-half link", h, -1)
+		g.inter.L[g.interLink(h, 1-h)] = sim.NewLink[noc.Msg](g.cfg.NoCLatency, w, 8*g.cfg.NoCPortBuffer)
 	}
+	g.register(linksPart[noc.Msg]{&g.inter}, "inter-half links", -1)
 	for _, s := range g.sms {
 		s.Send = g.smSideSend(s.ID)
 	}
@@ -105,7 +105,7 @@ func (g *GPU) smSideSend(smID int) func(*sim.MemReq, sim.Cycle) bool {
 		req.Slice = g.smSideSlice(smID, req.Addr)
 		req.Channel = g.mapper.Channel(req.Addr)
 		req.Remote = true
-		if retry := g.cross(smID, g.smsPerMod, req.Slice, g.slicesPerMod, req, false, now, aheadOfFabric); retry != accepted {
+		if retry := g.cross(smID, g.smsPerMod, req.Slice, g.slicesPerMod, req, false, now, aheadOfFabric); retry != sim.Accepted {
 			return g.tellSM(smID, retry) // the slice is in the SM's half: always the half's crossbar
 		}
 		if req.IsWrite() {
@@ -128,7 +128,7 @@ func (g *GPU) drainInvalQueue(now sim.Cycle) {
 			return
 		}
 		half := g.moduleOfSlice(inv.Slice)
-		if g.sendInter(1-half, half, noc.Msg{Req: inv, Dst: inv.Slice, Bytes: sim.ReqBytes, Inval: true}, now) != accepted {
+		if g.sendInter(1-half, half, noc.Msg{Req: inv, Dst: inv.Slice, Bytes: sim.ReqBytes, Inval: true}, now) != sim.Accepted {
 			return
 		}
 		g.stats.CoherenceTraffic += sim.ReqBytes
@@ -144,7 +144,7 @@ func (g *GPU) smSideMiss(req *sim.MemReq, now sim.Cycle) bool {
 	if g.moduleOfChannel(ch) == srcHalf {
 		return g.tellSlice(req.Slice, g.enqueue(ch, req, now))
 	}
-	return g.sendInter(srcHalf, 1-srcHalf, noc.Msg{Req: req, Dst: ch, Bytes: sim.MessageBytes(req, false)}, now) == accepted
+	return g.sendInter(srcHalf, 1-srcHalf, noc.Msg{Req: req, Dst: ch, Bytes: sim.MessageBytes(req, false)}, now) == sim.Accepted
 }
 
 // smSideRespond routes a finished DRAM read back to the slice that
@@ -160,7 +160,7 @@ func (g *GPU) smSideRespond(req *sim.MemReq) {
 		g.slices[req.Slice].AcceptFill(req, now)
 		return
 	}
-	if g.sendInter(chHalf, 1-chHalf, noc.Msg{Req: req, Dst: req.Slice, Bytes: sim.MessageBytes(req, true), Reply: true}, now) != accepted {
+	if g.sendInter(chHalf, 1-chHalf, noc.Msg{Req: req, Dst: req.Slice, Bytes: sim.MessageBytes(req, true), Reply: true}, now) != sim.Accepted {
 		g.migFillRetry = append(g.migFillRetry, req)
 	}
 }
@@ -185,5 +185,5 @@ func (g *GPU) acceptInterHalf(_ int, msg noc.Msg, now sim.Cycle) sim.Cycle {
 	default:
 		return g.enqueue(msg.Dst, msg.Req, now)
 	}
-	return accepted
+	return sim.Accepted
 }

@@ -97,26 +97,20 @@ func EngineUsage() string {
 
 // SetEngine selects the cycle-loop strategy for subsequent runs. Hybrid
 // obeys the components' parks (DESIGN.md §9 "Parks"); the other two
-// install the GPU's park audit in every component that parks, which
-// switches the parks off — naive so as to stay the reference, sanitize so
-// as to fail the run (step) on a head taken before its park ended.
+// install the GPU's park audit in every row that parks, which switches the
+// parks off — naive so as to stay the reference, sanitize so as to fail
+// the run (step) on a head taken before its park ended.
 func (g *GPU) SetEngine(e Engine) {
 	g.engine = e
 	var a *sim.ParkAudit
 	if e != EngineHybrid {
 		a = &g.audit
 	}
-	for _, s := range g.sms {
-		s.Audit = a
+	for i := range g.parts {
+		if p, ok := g.parts[i].component.(parker); ok {
+			p.SetAudit(a)
+		}
 	}
-	for _, sl := range g.slices {
-		sl.Audit = a
-	}
-	for m, x := range g.reqXbars {
-		x.SetAudit(a)
-		g.replyXbars[m].SetAudit(a)
-	}
-	g.smReq.w.Audit, g.inter.w.Audit, g.sliceReply.w.Audit = a, a, a
 }
 
 // The kinds of component that sleep (DESIGN.md §9), and their row labels.
@@ -171,7 +165,7 @@ var siteLabel = [numSites]string{
 // EngineStats returns the counters so far.
 func (g *GPU) EngineStats() EngineStats {
 	es := g.es
-	es.EmptyDrains = [3]int64{g.smReq.idle, g.inter.idle, g.sliceReply.idle}
+	es.EmptyDrains = [3]int64{g.smReq.Idle, g.inter.Idle, g.sliceReply.Idle}
 	for _, s := range g.sms {
 		es.Sites[siteSMSend].Add(s.SendOffers)
 		es.Sites[siteLSU].Add(s.LSUOffers)
@@ -179,15 +173,15 @@ func (g *GPU) EngineStats() EngineStats {
 	for m, rq := range g.reqXbars {
 		rp := g.replyXbars[m]
 		es.Sites[siteReqStage1].Add(rq.Stage1)
-		es.Sites[siteReqStage2].Add(rq.Stage2)
-		es.Sites[siteReqEgress].Add(rq.Egress)
+		es.Sites[siteReqStage2].Add(rq.Mid.Offers)
+		es.Sites[siteReqEgress].Add(rq.Out.Offers)
 		es.Sites[siteReplyStage1].Add(rp.Stage1)
-		es.Sites[siteReplyStage2].Add(rp.Stage2)
-		es.Sites[siteReplyEgress].Add(rp.Egress)
+		es.Sites[siteReplyStage2].Add(rp.Mid.Offers)
+		es.Sites[siteReplyEgress].Add(rp.Out.Offers)
 	}
-	es.Sites[siteSMReqDrain] = g.smReq.offers
-	es.Sites[siteInterDrain] = g.inter.offers
-	es.Sites[siteSliceReplyDrain] = g.sliceReply.offers
+	es.Sites[siteSMReqDrain] = g.smReq.Offers
+	es.Sites[siteInterDrain] = g.inter.Offers
+	es.Sites[siteSliceReplyDrain] = g.sliceReply.Offers
 	for _, sl := range g.slices {
 		es.Sites[siteArbiter].Add(sl.ArbOffers)
 		es.Sites[siteOutbox].Add(sl.OutOffers)
@@ -223,16 +217,13 @@ func (es EngineStats) String() string {
 // SMs first and the scan returns as soon as one active component proves
 // the next cycle must run, so its cost on busy cycles is one SM hint. A
 // sleeping row is not asked: its stored deadline is the hint its last
-// tick computed, and no door has opened since. Nor is an empty link.
+// tick computed, and no door has opened since.
 func (g *GPU) componentWake() sim.Cycle {
 	now := g.cycle
 	next := now + 1
 	wake := sim.Never
 	for i := range g.parts {
 		p := &g.parts[i]
-		if p.occ != nil && *p.occ&p.bit == 0 {
-			continue
-		}
 		var t sim.Cycle
 		if p.sleep != nil && *p.sleep > next {
 			t = *p.sleep

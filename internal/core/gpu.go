@@ -38,7 +38,7 @@ type GPU struct {
 	chans  []*dram.Channel
 
 	// parts is the component table (parts.go): one row per SM,
-	// crossbar, link, slice and channel, the VM system and the core's
+	// crossbar, link set, slice and channel, the VM system and the core's
 	// own queues, in scan order. Every "all components" walk — the wake
 	// scan, quiet, the sanitizer, the watchdog — is a loop over it.
 	parts []part
@@ -58,17 +58,17 @@ type GPU struct {
 	reqXbars   []*noc.Crossbar
 	replyXbars []*noc.Crossbar
 
-	// The point-to-point links (links.go): NUBA's request link per SM and
-	// reply link per slice, within a partition, and the links between
-	// crossbar domains (interLink, nothing on the diagonal). A set the
-	// architecture has no use for stays empty.
-	smReq, sliceReply linkSet[*sim.MemReq]
-	inter             linkSet[noc.Msg]
+	// The point-to-point links: NUBA's request link per SM and reply link
+	// per slice, within a partition, and the links between crossbar domains
+	// (interLink, nothing on the diagonal). A set the architecture has no
+	// use for stays empty.
+	smReq, sliceReply sim.Links[*sim.MemReq]
+	inter             sim.Links[noc.Msg]
 	// The two consumers the builder chooses, as method expressions:
 	// acceptReply takes what leaves a reply crossbar at output dst (an SM,
 	// or a NUBA slice), acceptInter what leaves inter-domain link k. Both
-	// refuse by returning something other than accepted: the refusal's bound
-	// (links.go).
+	// refuse by returning something other than sim.Accepted: the refusal's
+	// bound.
 	acceptReply func(g *GPU, dst int, req *sim.MemReq, now sim.Cycle) sim.Cycle
 	acceptInter func(g *GPU, k int, msg noc.Msg, now sim.Cycle) sim.Cycle
 
@@ -132,8 +132,8 @@ func New(cfg config.Config) (*GPU, error) {
 		invalQueue:  sim.NewQueue[*sim.MemReq](0),
 		nextMigScan: cfg.MigrationInterval,
 		wd:          newWatchdog(watchdogWindow(&cfg)),
-		// Room for NUBA's table, the largest: two rows per SM and slice.
-		parts: make([]part, 0, 2*(cfg.NumSMs+cfg.NumLLCSlices)+cfg.NumChannels+8),
+		// Room for a row per SM, slice and channel and the dozen others.
+		parts: make([]part, 0, cfg.NumSMs+cfg.NumLLCSlices+cfg.NumChannels+16),
 	}
 	g.mapper = addrmap.New(&g.cfg)
 	g.drv = driver.New(&g.cfg, g.mapper)
@@ -147,7 +147,7 @@ func New(cfg config.Config) (*GPU, error) {
 		s.VMRequest = vmRequest
 		s.PageLookup = g.pageLookup(s.Part)
 		g.sms = append(g.sms, s)
-		g.register(smPart{s}, kindLabel[kindSM], i, -1)
+		g.register(smPart{s}, kindLabel[kindSM], i)
 	}
 	for j := 0; j < cfg.NumLLCSlices; j++ {
 		sl := llc.New(j, g.cfg.PartitionOfSlice(j), &g.cfg, g.stats)
@@ -174,16 +174,16 @@ func New(cfg config.Config) (*GPU, error) {
 	}
 
 	for j, sl := range g.slices {
-		g.register(slicePart{sl}, kindLabel[kindSlice], j, -1)
+		g.register(slicePart{sl}, kindLabel[kindSlice], j)
 	}
 	div := sim.Cycle(cfg.MemClockDiv)
 	chanParts := make([]chanPart, len(g.chans))
 	for c, ch := range g.chans {
 		chanParts[c] = chanPart{ch, div}
-		g.register(&chanParts[c], kindLabel[kindChan], c, -1)
+		g.register(&chanParts[c], kindLabel[kindChan], c)
 	}
-	g.register(vmPart{g.vmsys}, "vm system", -1, -1)
-	g.register(coreQueues{g}, "core queues", -1, -1)
+	g.register(vmPart{g.vmsys}, "vm system", -1)
+	g.register(coreQueues{g}, "core queues", -1)
 	return g, nil
 }
 
@@ -256,7 +256,7 @@ func (g *GPU) NoCGeometry() (ports, width int) {
 // fabrics and the inter-domain links — and returns their cumulative bytes
 // and busy cycles and the messages in flight now.
 func (g *GPU) nocTotals() (bytes, busyCycles int64, occupancy int) {
-	bytes, busyCycles, occupancy = g.inter.totals()
+	bytes, busyCycles, occupancy = g.inter.Totals()
 	for m, rq := range g.reqXbars {
 		rp := g.replyXbars[m]
 		bytes += rq.Bytes() + rp.Bytes()

@@ -8,6 +8,7 @@ import (
 
 	"github.com/nuba-gpu/nuba/internal/config"
 	"github.com/nuba-gpu/nuba/internal/kir"
+	"github.com/nuba-gpu/nuba/internal/noc"
 	"github.com/nuba-gpu/nuba/internal/sim"
 )
 
@@ -39,9 +40,9 @@ func parked(t *testing.T, e Engine) (g *GPU, k int, until sim.Cycle) {
 		if err := g.advance(g.cycle + 1); err != nil {
 			t.Fatal(err)
 		}
-		for k := range g.smReq.l {
-			until := g.smReq.w.At(k)
-			if until > g.cycle+1 && until < sim.Never && g.smReq.l[k].NextReady() <= g.cycle && tight(g, k, until) {
+		for k := range g.smReq.L {
+			until := g.smReq.W.At(k)
+			if until > g.cycle+1 && until < sim.Never && g.smReq.L[k].NextReady() <= g.cycle && tight(g, k, until) {
 				return g, k, until
 			}
 		}
@@ -53,7 +54,7 @@ func parked(t *testing.T, e Engine) (g *GPU, k int, until sim.Cycle) {
 // tight reports whether link k's head, parked until the given cycle, is
 // refused by nothing but its input port's serialization, which ends then.
 func tight(g *GPU, k int, until sim.Cycle) bool {
-	req, _ := g.smReq.l[k].Peek(g.cycle)
+	req, _ := g.smReq.L[k].Peek(g.cycle)
 	part := g.sms[k].Part
 	if req.ReplicaSlice >= 0 || g.slices[req.Slice].Part == part {
 		return false
@@ -71,7 +72,7 @@ func tight(g *GPU, k int, until sim.Cycle) bool {
 // went and the park it broke.
 func TestSanitizeCatchesLatePark(t *testing.T) {
 	g, k, until := parked(t, EngineSanitize)
-	g.smReq.w.Set(k, until+1)
+	g.smReq.W.Set(k, until+1)
 	err := g.runUntilIdle(context.Background())
 	want := fmt.Sprintf("sanitize: unsound park: SM-request link %d: head taken at cycle %d, parked until %d", k, until, until+1)
 	if err == nil || !strings.Contains(err.Error(), want) {
@@ -103,7 +104,7 @@ func TestEarlyParkIsHarmless(t *testing.T) {
 	want := fmt.Sprintf("%+v", *clean.Stats())
 	for _, e := range []Engine{EngineHybrid, EngineSanitize} {
 		g, k, until := parked(t, e)
-		g.smReq.w.Set(k, until-1)
+		g.smReq.W.Set(k, until-1)
 		if err := g.runUntilIdle(context.Background()); err != nil {
 			t.Fatalf("%v: a park one cycle early failed the run: %v", e, err)
 		}
@@ -154,7 +155,7 @@ func TestNaiveNeverParks(t *testing.T) {
 // parkFar parks link k's head until long after the run would have ended.
 func parkFar(g *GPU, k int) sim.Cycle {
 	far := g.cycle + 1<<30
-	g.smReq.w.Set(k, far)
+	g.smReq.W.Set(k, far)
 	return far
 }
 
@@ -164,29 +165,42 @@ func parkFar(g *GPU, k int) sim.Cycle {
 // store acknowledgements (four to a cycle on a 32-byte link), it must show
 // its two kinds of sender room where step's order puts it: a slice, which
 // runs after the drain, the cycle the head arrives; the reply crossbar's
-// egress, which runs before it, the cycle after.
+// egress, which runs before it, the cycle after — and a reply waiting
+// there is parked until then, not offered on the cycle between, and taken
+// on that cycle.
 func TestSliceSeesRoomTheCycleTheReplyLinkDrains(t *testing.T) {
 	g := MustNew(tinyConfig(config.NUBA))
 	ack := func() *sim.MemReq { return &sim.MemReq{Kind: sim.Store, SM: 0, ReplicaSlice: -1} }
 	const now = 10
+	// A reply for slice 0's SMs, arrived at its reply-crossbar egress port
+	// long before the link fills.
+	egress := &g.replyXbars[0].Out
+	egress.Send(0, 1, noc.Msg{Req: ack(), Reply: true, Bytes: sim.ReqBytes}, sim.ReqBytes)
 	sent := 0
 	for c := sim.Cycle(now); sent < g.cfg.LocalLinkBuffer; c++ {
-		for g.nubaSendLocalReply(0, ack(), c, behindFabric) == accepted {
+		for g.nubaSendLocalReply(0, ack(), c, behindFabric) == sim.Accepted {
 			sent++
 		}
 	}
-	arrives := g.sliceReply.l[0].NextReady()
+	arrives := g.sliceReply.L[0].NextReady()
 	at := arrives - 1 // refused on a full buffer, nothing else: the backlog has drained
 	if g.slices[0].SendReply(ack(), at) || !strings.Contains(g.slices[0].DebugState(), fmt.Sprintf(" outbox-parked-until=%d", arrives)) {
 		t.Errorf("slice 0 refused at %d by the full link: %q, want its outbox parked until the head's arrival, %d", at, g.slices[0].DebugState(), arrives)
 	}
-	if got := g.nubaSendLocalReply(0, ack(), at, aheadOfFabric); got != arrives+1 {
-		t.Errorf("the reply crossbar refused at %d by the full link: retry at %d, want the cycle after the head's arrival, %d", at, got, arrives+1)
+	g.moveXbars(at)
+	if egress.W.At(0) != arrives+1 || egress.Offers != (sim.Offers{Offered: 1, Refused: 1}) {
+		t.Errorf("the reply crossbar's egress refused at %d by the full link: parked until %d (offers %+v), want the cycle after the head's arrival, %d", at, egress.W.At(0), egress.Offers, arrives+1)
 	}
 	// And that is when each is in fact taken: the drain at the arrival cycle
-	// makes the room a slice finds later in the same cycle.
-	g.sliceReply.drain(g, arrives, func(*GPU, int, *sim.MemReq, sim.Cycle) sim.Cycle { return accepted })
-	if g.nubaSendLocalReply(0, ack(), arrives, behindFabric) != accepted {
+	// makes the room a slice finds later in the same cycle, and the egress
+	// the next.
+	g.moveXbars(arrives)
+	sim.Drain(&g.sliceReply, g, arrives, func(*GPU, int, *sim.MemReq, sim.Cycle) sim.Cycle { return sim.Accepted })
+	if !g.sliceReply.L[0].CanSend(arrives) {
 		t.Errorf("a slice is still refused at %d, after the drain took the head", arrives)
+	}
+	g.moveXbars(arrives + 1)
+	if egress.W.Any() || egress.Offers != (sim.Offers{Offered: 2, Refused: 1}) {
+		t.Errorf("the parked reply: offers %+v by cycle %d, want one refused and one taken then", egress.Offers, arrives+1)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/nuba-gpu/nuba/internal/dram"
 	"github.com/nuba-gpu/nuba/internal/llc"
@@ -44,51 +45,48 @@ type component interface {
 }
 
 // part is one row of the table: a component plus what name() needs. The
-// label and indices are kept raw and only formatted when a diagnostic
-// is rendered.
+// label and index are kept raw and only formatted when a diagnostic is
+// rendered.
 type part struct {
 	component
 	label string
-	i, j  int // -1 when unused: "vm system", "SM 3", "inter-module link 0->1"
+	i     int // -1 when unused: "vm system", "SM 3", "SM-request links"
 	// sleep is where the component's sleep deadline lives (DESIGN.md §9),
-	// nil for a row without one; occ and bit are a link's occupancy word
-	// and its bit in it (linkSet.add), nil for every other row.
+	// nil for a row without one.
 	sleep *sim.Cycle
-	occ   *uint64
-	bit   uint64
 }
 
 func (p *part) name() string {
-	switch {
-	case p.i < 0:
+	if p.i < 0 {
 		return p.label
-	case p.j < 0:
-		return fmt.Sprintf("%s %d", p.label, p.i)
-	default:
-		return fmt.Sprintf("%s %d->%d", p.label, p.i, p.j)
 	}
+	return fmt.Sprintf("%s %d", p.label, p.i)
 }
 
 // register appends a row. It is the only way rows are made, so a row
 // always has all five answers, and a sleeper's row its deadline's address.
-func (g *GPU) register(c component, label string, i, j int) {
-	p := part{component: c, label: label, i: i, j: j}
+func (g *GPU) register(c component, label string, i int) {
+	p := part{component: c, label: label, i: i}
 	if s, ok := c.(sleeper); ok {
 		p.sleep = s.SleepUntil()
 	}
 	g.parts = append(g.parts, p)
 }
 
+// parker is a row whose component parks refused heads (DESIGN.md §9
+// "Parks"); SetEngine hands every one the engine's park audit.
+type parker interface{ SetAudit(a *sim.ParkAudit) }
+
 // The adapters below spell each component's own hint vocabulary
-// (NextWake / NextEvent / NextReady, Idle / Pending) as a component.
-// All but chanPart wrap a single pointer, so storing one in the table
-// allocates nothing.
+// (NextWake / NextEvent, Idle / Pending) as a component. All but chanPart
+// wrap a single pointer, so storing one in the table allocates nothing.
 
 type smPart struct{ *smcore.SM }
 
 func (p smPart) wakeAt(now sim.Cycle) sim.Cycle { return p.NextWake(now) }
 func (p smPart) pending() bool                  { return !p.Idle() }
 func (p smPart) detail(sim.Cycle) string        { return p.DebugState() }
+func (p smPart) SetAudit(a *sim.ParkAudit)      { p.Audit = a }
 
 type xbarPart struct{ *noc.Crossbar }
 
@@ -99,17 +97,35 @@ func (p xbarPart) detail(sim.Cycle) string {
 	return fmt.Sprintf("in=%d mid=%d out=%d", in, mid, out)
 }
 
-type linkPart[T any] struct{ *sim.Link[T] }
+// linksPart is a link set as one row, like a crossbar: its wake is the
+// minimum over its links' (sim.Wakes), so an empty set costs the scan one
+// compare, and its detail names the occupied links and their parks.
+type linksPart[T any] struct{ *sim.Links[T] }
 
-func (p linkPart[T]) wakeAt(sim.Cycle) sim.Cycle { return p.NextReady() }
-func (p linkPart[T]) pending() bool              { return p.Pending() > 0 }
-func (p linkPart[T]) detail(sim.Cycle) string    { return fmt.Sprintf("pending=%d", p.Pending()) }
+func (p linksPart[T]) wakeAt(now sim.Cycle) sim.Cycle { return max(p.W.Min(), now+1) }
+func (p linksPart[T]) pending() bool                  { return p.W.Any() }
+func (p linksPart[T]) SetAudit(a *sim.ParkAudit)      { p.W.Audit = a }
+func (p linksPart[T]) detail(sim.Cycle) string {
+	var b []string
+	for k, l := range p.L {
+		if !p.W.Has(k) {
+			continue
+		}
+		s := fmt.Sprintf("[%d] pending=%d", k, l.Pending())
+		if w := p.W.At(k); w > l.NextReady() {
+			s += " parked-until=" + sim.Until(w)
+		}
+		b = append(b, s)
+	}
+	return strings.Join(b, " ")
+}
 
 type slicePart struct{ *llc.Slice }
 
 func (p slicePart) wakeAt(now sim.Cycle) sim.Cycle { return p.NextEvent(now) }
 func (p slicePart) pending() bool                  { return p.Pending() }
 func (p slicePart) detail(sim.Cycle) string        { return p.DebugState() }
+func (p slicePart) SetAudit(a *sim.ParkAudit)      { p.Audit = a }
 
 // chanPart owns the clock-domain conversion: channels tick on the
 // memory clock, so a channel's next chance to act is the first

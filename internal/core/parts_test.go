@@ -37,26 +37,24 @@ func topologies() []struct {
 	}
 }
 
-// countLinks returns how many links a set holds (nil entries are the
-// diagonal of the inter-domain set).
-func countLinks[T any](s *linkSet[T]) (n int) {
-	for _, l := range s.l {
-		if l != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // The component table must hold exactly one row per thing the builders
 // created — no component missing from the engine's walks, none listed
-// twice — and a freshly built GPU must be idle through every row.
+// twice, one row per link set that holds a link — and a freshly built GPU
+// must be idle through every row.
 func TestPartsTableCoversEveryComponent(t *testing.T) {
 	for _, tc := range topologies() {
 		g := MustNew(tc.cfg)
-		links := countLinks(&g.smReq) + countLinks(&g.sliceReply) + countLinks(&g.inter)
+		sets := map[any]bool{} // the sets that hold a link, until their row is found
+		for _, s := range []struct {
+			set   any
+			links int
+		}{{&g.smReq, len(g.smReq.L)}, {&g.sliceReply, len(g.sliceReply.L)}, {&g.inter, len(g.inter.L)}} {
+			if s.links > 0 {
+				sets[s.set] = true
+			}
+		}
 		want := len(g.sms) + len(g.slices) + len(g.chans) +
-			len(g.reqXbars) + len(g.replyXbars) + links + 2 // + VM system + core queues
+			len(g.reqXbars) + len(g.replyXbars) + len(sets) + 2 // + VM system + core queues
 		if len(g.parts) != want {
 			t.Errorf("%s: table has %d rows, want %d", tc.name, len(g.parts), want)
 		}
@@ -73,21 +71,22 @@ func TestPartsTableCoversEveryComponent(t *testing.T) {
 			if p.pending() {
 				t.Errorf("%s: %s pending on a freshly built GPU", tc.name, p.name())
 			}
-			// Every link row, on every topology, is skipped by the wake
-			// scan while its link is empty; no other row is.
-			isLink := false
-			switch p.component.(type) {
-			case linkPart[*sim.MemReq], linkPart[noc.Msg]:
-				isLink = true
+			var set any
+			switch c := p.component.(type) {
+			case linksPart[*sim.MemReq]:
+				set = c.Links
+			case linksPart[noc.Msg]:
+				set = c.Links
+			default:
+				continue
 			}
-			if isLink != (p.occ != nil && p.bit != 0) {
-				t.Errorf("%s: %s: link=%v but occ=%v bit=%#x", tc.name, p.name(), isLink, p.occ != nil, p.bit)
-			} else if isLink {
-				links--
+			if !sets[set] {
+				t.Errorf("%s: %s is a second row for its set, or a row for none", tc.name, p.name())
 			}
+			delete(sets, set)
 		}
-		if links != 0 {
-			t.Errorf("%s: the three link sets hold %d links without a table row", tc.name, links)
+		if len(sets) != 0 {
+			t.Errorf("%s: %d link sets hold links without a table row", tc.name, len(sets))
 		}
 		if !g.quiet() {
 			t.Errorf("%s: freshly built GPU is not quiet", tc.name)

@@ -11,6 +11,16 @@ import (
 // (arch_nuba.go, arch_uba.go) assemble their fabrics from, the ports no
 // architecture changes, and the one fabric phase of step (moveFabric).
 
+// The two places a sender can stand relative to the fabric phase of step,
+// as the lag it hands a receiver's bound: SMs, the SM-request links' drain
+// and the crossbars' egress drains run before the other link sets drain, so
+// they see a slot a cycle after it frees; slices run after, and see it the
+// same cycle.
+const (
+	aheadOfFabric sim.Cycle = 1
+	behindFabric  sim.Cycle = 0
+)
+
 // partitionSlice picks the slice of a partition that passes through /
 // replicates a given line (the least significant randomized bank bits, as
 // in the home-slice selection).
@@ -154,7 +164,7 @@ func (g *GPU) sliceMiss(req *sim.MemReq, now sim.Cycle) bool {
 // slot could be free.
 func (g *GPU) enqueue(ch int, req *sim.MemReq, now sim.Cycle) sim.Cycle {
 	if g.chans[ch].Enqueue(req) {
-		return accepted
+		return sim.Accepted
 	}
 	return g.chans[ch].RetryAt(now)
 }
@@ -164,7 +174,7 @@ func (g *GPU) enqueue(ch int, req *sim.MemReq, now sim.Cycle) sim.Cycle {
 // ports return, handing the bound to the sender first (DESIGN.md §9
 // "Parks").
 func (g *GPU) tellSM(sm int, retry sim.Cycle) bool {
-	if retry == accepted {
+	if retry == sim.Accepted {
 		return true
 	}
 	g.sms[sm].ParkSend(retry)
@@ -172,7 +182,7 @@ func (g *GPU) tellSM(sm int, retry sim.Cycle) bool {
 }
 
 func (g *GPU) tellSlice(slice int, retry sim.Cycle) bool {
-	if retry == accepted {
+	if retry == sim.Accepted {
 		return true
 	}
 	g.slices[slice].ParkOutbox(retry)
@@ -217,10 +227,10 @@ func (g *GPU) buildXbars(reqIn, reqOut int) {
 		g.replyXbars = append(g.replyXbars, noc.NewCrossbar(reqOut, reqIn, width, lat, buf, buf))
 	}
 	for m, x := range g.reqXbars {
-		g.register(xbarPart{x}, "req crossbar", m, -1)
+		g.register(xbarPart{x}, "req crossbar", m)
 	}
 	for m, x := range g.replyXbars {
-		g.register(xbarPart{x}, "reply crossbar", m, -1)
+		g.register(xbarPart{x}, "reply crossbar", m)
 	}
 }
 
@@ -235,15 +245,15 @@ func (g *GPU) buildInterModule() {
 	g.acceptInter = (*GPU).acceptInterModule
 	per := g.cfg.InterModuleGBs / (2 * float64(mods-1) * g.cfg.CoreClockGHz)
 	w := max(int(per+0.5), 1)
-	g.inter = newLinkSet[noc.Msg]("inter-module link", mods*mods)
+	g.inter = sim.NewLinks[noc.Msg]("inter-module link", mods*mods)
 	for a := 0; a < mods; a++ {
 		for b := 0; b < mods; b++ {
 			if a != b {
-				l := sim.NewLink[noc.Msg](g.cfg.NoCLatency*2, w, 8*g.cfg.NoCPortBuffer)
-				g.inter.add(g, g.interLink(a, b), l, "inter-module link", a, b)
+				g.inter.L[g.interLink(a, b)] = sim.NewLink[noc.Msg](g.cfg.NoCLatency*2, w, 8*g.cfg.NoCPortBuffer)
 			}
 		}
 	}
+	g.register(linksPart[noc.Msg]{&g.inter}, "inter-module links", -1)
 }
 
 // interLink returns the index in g.inter of the link from crossbar domain
@@ -253,8 +263,8 @@ func (g *GPU) interLink(src, dst int) int { return src*g.mods + dst }
 // sendInter puts msg on that link. Its refusals carry no bound: whoever is
 // refused asks again next cycle.
 func (g *GPU) sendInter(src, dst int, msg noc.Msg, now sim.Cycle) sim.Cycle {
-	if g.inter.send(g.interLink(src, dst), now, msg, msg.Bytes) {
-		return accepted
+	if g.inter.Send(g.interLink(src, dst), now, msg, msg.Bytes) {
+		return sim.Accepted
 	}
 	return now + 1
 }
@@ -278,7 +288,7 @@ func (g *GPU) cross(src, srcPerMod, dst, dstPerMod int, req *sim.MemReq, reply b
 		x = g.replyXbars[srcMod]
 	}
 	if x.Inject(port, now, msg) {
-		return accepted
+		return sim.Accepted
 	}
 	return x.RetryInject(port, now, lag)
 }
@@ -290,7 +300,7 @@ func (g *GPU) acceptInterModule(_ int, msg noc.Msg, now sim.Cycle) sim.Cycle {
 		return g.acceptReply(g, msg.Dst, msg.Req, now)
 	}
 	g.slices[msg.Dst].EnqueueRemote(msg.Req)
-	return accepted
+	return sim.Accepted
 }
 
 // deliverToSM hands a reply to its SM: what leaves a NUBA slice-reply
@@ -299,7 +309,7 @@ func (g *GPU) acceptInterModule(_ int, msg noc.Msg, now sim.Cycle) sim.Cycle {
 func (g *GPU) deliverToSM(_ int, req *sim.MemReq, now sim.Cycle) sim.Cycle {
 	g.accountService(req)
 	g.sms[req.SM].AcceptReply(req, now)
-	return accepted
+	return sim.Accepted
 }
 
 // moveFabric is the fabric phase of step, the same on every architecture:
@@ -310,20 +320,19 @@ func (g *GPU) moveFabric(now sim.Cycle) {
 	if !g.invalQueue.Empty() {
 		g.drainInvalQueue(now)
 	}
-	g.smReq.drain(g, now, (*GPU).acceptSMRequest)
+	sim.Drain(&g.smReq, g, now, (*GPU).acceptSMRequest)
 	g.moveXbars(now)
-	g.inter.drain(g, now, g.acceptInter)
-	g.sliceReply.drain(g, now, (*GPU).deliverToSM)
+	sim.Drain(&g.inter, g, now, g.acceptInter)
+	sim.Drain(&g.sliceReply, g, now, (*GPU).deliverToSM)
 	if len(g.migFillRetry) > 0 {
 		g.retryFills()
 	}
 }
 
-// moveXbars runs both fabrics' arbitration and drains their egress
-// ports. Requests egress into slices on every architecture; replies go
-// to g.acceptReply, the architecture's consumer at reply-fabric output
-// dst (an SM for the UBA layouts, a slice for NUBA), which reports
-// back-pressure by returning false.
+// moveXbars runs both fabrics' arbitration and drains their egress ports.
+// Requests egress into slices on every architecture; replies go to
+// g.acceptReply, the architecture's consumer at reply-fabric output dst (an
+// SM for the UBA layouts, a slice for NUBA).
 func (g *GPU) moveXbars(now sim.Cycle) {
 	flt := g.flt
 	for m, rq := range g.reqXbars {
@@ -333,8 +342,26 @@ func (g *GPU) moveXbars(now sim.Cycle) {
 		}
 		rp.Tick(now)
 		// Port indices are local to the module.
-		slice0, dst0 := m*rq.OutPorts(), m*rp.OutPorts()
-		rq.Drain(now, func(p int, msg noc.Msg) bool { return g.slices[slice0+p].EnqueueRemote(msg.Req) })
-		rp.Drain(now, func(p int, msg noc.Msg) bool { return g.acceptReply(g, dst0+p, msg.Req, now) == accepted })
+		sim.Drain(&rq.Out, egress{g, m * rq.OutPorts()}, now, egress.toSlice)
+		sim.Drain(&rp.Out, egress{g, m * rp.OutPorts()}, now, egress.reply)
 	}
+}
+
+// egress is the context of a module's egress drains: the GPU and the global
+// index of the module's output port 0 (a value: sim.Drain's ctx).
+type egress struct {
+	g    *GPU
+	base int
+}
+
+// toSlice takes a request off the request crossbar into its home slice.
+func (e egress) toSlice(p int, msg noc.Msg, _ sim.Cycle) sim.Cycle {
+	e.g.slices[e.base+p].EnqueueRemote(msg.Req)
+	return sim.Accepted // the RMR queue is elastic
+}
+
+// reply hands a reply leaving the reply crossbar to the architecture's
+// consumer, whose refusal is a bound like any other sink's.
+func (e egress) reply(p int, msg noc.Msg, now sim.Cycle) sim.Cycle {
+	return e.g.acceptReply(e.g, e.base+p, msg.Req, now)
 }

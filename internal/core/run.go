@@ -254,8 +254,8 @@ func (g *GPU) collect() {
 
 	g.stats.NoCBytes, g.stats.NoCFlits, _ = g.nocTotals()
 
-	reqBytes, _, _ := g.smReq.totals()
-	replyBytes, _, _ := g.sliceReply.totals()
+	reqBytes, _, _ := g.smReq.Totals()
+	replyBytes, _, _ := g.sliceReply.Totals()
 	g.stats.LocalLinkBytes = reqBytes + replyBytes
 
 	g.stats.PageMigrations = g.drv.Migrations

@@ -103,7 +103,7 @@ func TestSanitizeCatchesImpureHint(t *testing.T) {
 			run := func(e Engine) error {
 				g := MustNew(tinyConfig(config.NUBA))
 				g.SetEngine(e)
-				g.register(&impureRow{jitter: tc.jitter}, "impure row", -1, -1)
+				g.register(&impureRow{jitter: tc.jitter}, "impure row", -1)
 				return g.RunProgram([]*kir.Launch{tinyLaunch(t, g, 32, 4)})
 			}
 			if err := run(EngineHybrid); err != nil {

@@ -58,22 +58,20 @@ type Crossbar struct {
 	stageLat sim.Cycle
 	inGroups int
 	in       []inPort
-	// mid[og*inGroups+ig] carries ingress group ig -> egress group og:
-	// egress-group-major, so ascending index is stage 2's arbitration
-	// order.
-	mid []*sim.Link[Msg]
-	out []*sim.Link[Msg]
-	// One occupancy bit and one wake per input queue, middle link and
-	// egress link (sim.Wakes): an input's wake is the end of its head's
-	// park at stage 1, a middle link's the later of its head's arrival and
-	// the end of its park at stage 2, an egress port's its head's arrival.
-	// They are maintained where a message enters or leaves (Inject, Tick,
-	// pop) and are what Tick, Drain, Pending and NextEvent read, so an
-	// empty carrier costs nothing and a parked one a compare.
-	inW, midW, outW sim.Wakes
-	// Stage1, Stage2 and Egress count the heads each walk offered and the
-	// offers refused (accounting, not state).
-	Stage1, Stage2, Egress sim.Offers
+	// One occupancy bit and one wake per input queue (sim.Wakes): the end of
+	// its head's park at stage 1. Maintained where a message enters or
+	// leaves, it is what Tick, Pending and NextEvent read, so an empty
+	// input costs nothing and a parked one a compare.
+	inW sim.Wakes
+	// The middle links, Mid.L[og*inGroups+ig] carrying ingress group ig ->
+	// egress group og (egress-group-major, so ascending index is stage 2's
+	// arbitration order), and the egress links, one per output port. Stage 2
+	// drains Mid into Out; the receiver drains Out (sim.Drain).
+	Mid, Out sim.Links[Msg]
+	// Stage1 counts the heads stage 1 offered and the offers refused
+	// (accounting, not state); Mid.Offers and Out.Offers count stage 2's and
+	// the egress drain's.
+	Stage1 sim.Offers
 }
 
 // NewCrossbar returns a hierarchical crossbar. latency is the end-to-end
@@ -96,33 +94,31 @@ func NewCrossbar(inPorts, outPorts, width int, latency sim.Cycle, inBuf, outBuf 
 		stageLat: stageLat,
 		inGroups: ig,
 		in:       make([]inPort, inPorts),
-		mid:      make([]*sim.Link[Msg], mids),
-		out:      make([]*sim.Link[Msg], outPorts),
 		inW:      sim.NewWakesIn("crossbar input", occ[:wi], at[:inPorts]),
-		midW:     sim.NewWakesIn("crossbar middle link", occ[wi:wi+wm], at[inPorts:inPorts+mids]),
-		outW:     sim.NewWakesIn("crossbar egress port", occ[wi+wm:], at[inPorts+mids:]),
+		Mid:      sim.Links[Msg]{L: make([]*sim.Link[Msg], mids), W: sim.NewWakesIn("crossbar middle link", occ[wi:wi+wm], at[inPorts:inPorts+mids])},
+		Out:      sim.Links[Msg]{L: make([]*sim.Link[Msg], outPorts), W: sim.NewWakesIn("crossbar egress port", occ[wi+wm:], at[inPorts+mids:])},
 	}
 	for i := range x.in {
 		x.in[i].q = sim.NewQueue[Msg](inBuf)
 	}
-	for i := range x.out {
-		x.out[i] = sim.NewLink[Msg](stageLat, width, outBuf)
+	for i := range x.Out.L {
+		x.Out.L[i] = sim.NewLink[Msg](stageLat, width, outBuf)
 	}
-	for i := range x.mid {
-		x.mid[i] = sim.NewLink[Msg](stageLat, MidSpeedup*width, outBuf)
+	for i := range x.Mid.L {
+		x.Mid.L[i] = sim.NewLink[Msg](stageLat, MidSpeedup*width, outBuf)
 	}
 	return x
 }
 
 // SetAudit installs (or, with nil, removes) the park audit on all three
 // walks.
-func (x *Crossbar) SetAudit(a *sim.ParkAudit) { x.inW.Audit, x.midW.Audit, x.outW.Audit = a, a, a }
+func (x *Crossbar) SetAudit(a *sim.ParkAudit) { x.inW.Audit, x.Mid.W.Audit, x.Out.W.Audit = a, a, a }
 
 // InPorts returns the number of input ports.
 func (x *Crossbar) InPorts() int { return len(x.in) }
 
 // OutPorts returns the number of output ports.
-func (x *Crossbar) OutPorts() int { return len(x.out) }
+func (x *Crossbar) OutPorts() int { return len(x.Out.L) }
 
 // CanInject reports whether input port can accept a message at cycle now.
 func (x *Crossbar) CanInject(port int, now sim.Cycle) bool {
@@ -182,10 +178,7 @@ func (x *Crossbar) Tick(now sim.Cycle) {
 		wake, moved := x.stage1(i, now)
 		i = x.inW.Next(i, now, wake, moved)
 	}
-	for k := x.midW.First(now); k >= 0; {
-		wake, moved := x.stage2(k, now)
-		k = x.midW.Next(k, now, wake, moved)
-	}
+	sim.Drain(&x.Mid, x, now, (*Crossbar).stage2)
 }
 
 // stage1 offers input i's head to its middle link and returns the input's
@@ -196,14 +189,10 @@ func (x *Crossbar) stage1(i int, now sim.Cycle) (wake sim.Cycle, moved bool) {
 	p := &x.in[i]
 	m, _ := p.q.Peek()
 	k := m.Dst/GroupSize*x.inGroups + i/GroupSize
-	link := x.mid[k]
 	x.Stage1.Offered++
-	if !link.Send(now, m, m.Bytes) {
+	if !x.Mid.Send(k, now, m, m.Bytes) {
 		x.Stage1.Refused++
-		return link.RetryAt(now, x.midW.At(k)+1), false
-	}
-	if !x.midW.Has(k) {
-		x.midW.Set(k, link.NextReady())
+		return x.Mid.RetryAt(k, now, 1), false
 	}
 	if p.q.Pop(); p.q.Empty() {
 		return sim.Never, true
@@ -211,63 +200,19 @@ func (x *Crossbar) stage1(i int, now sim.Cycle) (wake sim.Cycle, moved bool) {
 	return now + 1, true
 }
 
-// stage2 drains middle link k's arrived messages into their egress links
-// and returns the link's next wake. Refused, the head parks: a full egress
-// link shows room the cycle after its own head arrives, Drain running
-// after Tick.
-func (x *Crossbar) stage2(k int, now sim.Cycle) (wake sim.Cycle, moved bool) {
-	link := x.mid[k]
-	for {
-		if wake = link.NextReady(); wake > now {
-			return wake, moved
-		}
-		m, _ := link.Peek(now)
-		out := x.out[m.Dst]
-		x.Stage2.Offered++
-		if !out.Send(now, m, m.Bytes) {
-			x.Stage2.Refused++
-			return out.RetryAt(now, x.outW.At(m.Dst)+1), moved
-		}
-		link.Pop(now)
-		moved = true
-		if !x.outW.Has(m.Dst) {
-			x.outW.Set(m.Dst, out.NextReady())
-		}
+// stage2 is the middle links' sink: it moves an arrived head into its
+// egress link. Refused, the head parks: a full egress link shows room the
+// cycle after its own head's wake, the egress drain running after Tick.
+func (x *Crossbar) stage2(_ int, m Msg, now sim.Cycle) sim.Cycle {
+	if x.Out.Send(m.Dst, now, m, m.Bytes) {
+		return sim.Accepted
 	}
-}
-
-// Drain offers every delivered message to sink, egress ports in
-// ascending order and each port's messages in arrival order. A message
-// sink refuses (back-pressure) stays at the head of its port, which is
-// not offered again this cycle — nor parked: a sink gives no bound.
-func (x *Crossbar) Drain(now sim.Cycle, sink func(port int, m Msg) bool) {
-	for p := x.outW.First(now); p >= 0; {
-		link := x.out[p]
-		wake, moved := link.NextReady(), false
-		for ; wake <= now; wake = link.NextReady() {
-			m, _ := link.Peek(now)
-			x.Egress.Offered++
-			if !sink(p, m) {
-				x.Egress.Refused++
-				break
-			}
-			link.Pop(now)
-			moved = true
-		}
-		p = x.outW.Next(p, now, wake, moved)
-	}
+	return x.Out.RetryAt(m.Dst, now, 1)
 }
 
 // Pop retrieves the next delivered message at output port, if any has
 // arrived by cycle now.
-func (x *Crossbar) Pop(port int, now sim.Cycle) (Msg, bool) {
-	if x.outW.At(port) > now {
-		return Msg{}, false
-	}
-	m, _ := x.out[port].Pop(now)
-	x.outW.Set(port, x.out[port].NextReady())
-	return m, true
-}
+func (x *Crossbar) Pop(port int, now sim.Cycle) (Msg, bool) { return x.Out.Pop(port, now) }
 
 // Occupancy returns the number of messages buffered at the input stage
 // — the congestion probe the tracing layer samples at epoch boundaries.
@@ -282,7 +227,7 @@ func (x *Crossbar) Occupancy() int {
 // Occupied returns how many input queues, middle links and egress links
 // hold a message: where a wedged crossbar's traffic sits.
 func (x *Crossbar) Occupied() (in, mid, out int) {
-	return x.inW.Count(), x.midW.Count(), x.outW.Count()
+	return x.inW.Count(), x.Mid.W.Count(), x.Out.W.Count()
 }
 
 // NextEvent returns the crossbar's wake hint: the earliest wake over the
@@ -290,7 +235,7 @@ func (x *Crossbar) Occupied() (in, mid, out int) {
 // the end of a refused head's park, the next tick for a head that stands
 // unparked — and sim.Never when empty.
 func (x *Crossbar) NextEvent(now sim.Cycle) sim.Cycle {
-	return max(min(x.inW.Min(), x.midW.Min(), x.outW.Min()), now+1)
+	return max(min(x.inW.Min(), x.Mid.W.Min(), x.Out.W.Min()), now+1)
 }
 
 // StateSig returns a signature of the crossbar's observable state: the
@@ -304,18 +249,13 @@ func (x *Crossbar) StateSig() uint64 {
 		h = sim.MixSig(h, uint64(p.q.Len()))
 		h = sim.MixSig(h, uint64(p.nextFree))
 	}
-	for _, l := range x.mid {
-		h = sim.MixSig(h, l.StateSig())
-	}
-	for _, l := range x.out {
-		h = sim.MixSig(h, l.StateSig())
-	}
-	return h
+	h = sim.MixSig(h, x.Mid.StateSig())
+	return sim.MixSig(h, x.Out.StateSig())
 }
 
 // Pending reports whether any message is buffered or in flight.
 func (x *Crossbar) Pending() bool {
-	return x.inW.Any() || x.midW.Any() || x.outW.Any()
+	return x.inW.Any() || x.Mid.W.Any() || x.Out.W.Any()
 }
 
 // BusyCycles returns total link-serialization cycles (inputs, middle
@@ -325,11 +265,7 @@ func (x *Crossbar) BusyCycles() int64 {
 	for i := range x.in {
 		t += x.in[i].busy
 	}
-	for _, l := range x.out {
-		t += l.BusyCycles
-	}
-	for _, l := range x.mid {
-		t += l.BusyCycles
-	}
-	return t
+	_, mid, _ := x.Mid.Totals()
+	_, out, _ := x.Out.Totals()
+	return t + mid + out
 }

@@ -10,6 +10,17 @@ func msg(dst, bytes int) Msg {
 	return Msg{Req: &sim.MemReq{}, Dst: dst, Bytes: bytes}
 }
 
+// drain offers x's delivered messages to a sink that names no bound: a
+// message it refuses is offered again the next cycle.
+func drain(x *Crossbar, now sim.Cycle, sink func(port int, m Msg) bool) {
+	sim.Drain(&x.Out, sink, now, func(sink func(int, Msg) bool, p int, m Msg, now sim.Cycle) sim.Cycle {
+		if sink(p, m) {
+			return sim.Accepted
+		}
+		return now + 1
+	})
+}
+
 func tickAndDrain(x *Crossbar, from, to sim.Cycle, got map[int]int) {
 	for now := from; now <= to; now++ {
 		x.Tick(now)

@@ -182,9 +182,8 @@ func (x *refCrossbar) BusyCycles() int64 {
 
 // checkWords fails unless every occupancy bit is set iff its queue or
 // link holds a message, every wake is Never iff its carrier is empty, a
-// middle link's wake is no earlier than its head's arrival, an egress
-// port's is that arrival, and each set's minimum bounds its wakes from
-// below.
+// link's wake is no earlier than its head's arrival, and each set's
+// minimum bounds its wakes from below.
 func checkWords(t *testing.T, x *Crossbar, after string, now sim.Cycle) {
 	t.Helper()
 	check := func(set string, w *sim.Wakes, i, held int, arrives sim.Cycle) {
@@ -198,14 +197,11 @@ func checkWords(t *testing.T, x *Crossbar, after string, now sim.Cycle) {
 	for i := range x.in {
 		check("input", &x.inW, i, x.in[i].q.Len(), 0)
 	}
-	for k, l := range x.mid {
-		check("middle link", &x.midW, k, l.Pending(), l.NextReady())
+	for k, l := range x.Mid.L {
+		check("middle link", &x.Mid.W, k, l.Pending(), l.NextReady())
 	}
-	for p, l := range x.out {
-		check("egress port", &x.outW, p, l.Pending(), l.NextReady())
-		if x.outW.At(p) != l.NextReady() {
-			t.Fatalf("cycle %d after %s: egress wake %d = %d, head arrives at %d", now, after, p, x.outW.At(p), l.NextReady())
-		}
+	for p, l := range x.Out.L {
+		check("egress port", &x.Out.W, p, l.Pending(), l.NextReady())
 	}
 	in, mid, out := x.Occupied()
 	if x.Pending() != (in+mid+out > 0) {
@@ -221,14 +217,14 @@ func checkParks(t *testing.T, x *Crossbar, now sim.Cycle) {
 	t.Helper()
 	for i := range x.in {
 		if m, ok := x.in[i].q.Peek(); ok && x.inW.At(i) > now {
-			if k := m.Dst/GroupSize*x.inGroups + i/GroupSize; x.mid[k].CanSend(now) {
+			if k := m.Dst/GroupSize*x.inGroups + i/GroupSize; x.Mid.L[k].CanSend(now) {
 				t.Fatalf("cycle %d: input %d is parked until %d and middle link %d would take its head", now, i, x.inW.At(i), k)
 			}
 		}
 	}
-	for k, l := range x.mid {
-		if m, ok := l.Peek(now); ok && x.midW.At(k) > now && x.out[m.Dst].CanSend(now) {
-			t.Fatalf("cycle %d: middle link %d is parked until %d and egress link %d would take its head", now, k, x.midW.At(k), m.Dst)
+	for k, l := range x.Mid.L {
+		if m, ok := l.Peek(now); ok && x.Mid.W.At(k) > now && x.Out.L[m.Dst].CanSend(now) {
+			t.Fatalf("cycle %d: middle link %d is parked until %d and egress link %d would take its head", now, k, x.Mid.W.At(k), m.Dst)
 		}
 	}
 }
@@ -241,8 +237,9 @@ type delivery struct {
 
 // Crossbar against the reference under the same seeded traffic: the same
 // (cycle, port, request) delivery sequence through a sink that refuses a
-// seeded share of its offers, the same accounting, and coherent words
-// after every operation that can move a message.
+// seeded share of its offers (naming the next cycle, as the reference
+// retries every cycle), the same accounting, and coherent words after
+// every operation that can move a message.
 func TestCrossbarMatchesReference(t *testing.T) {
 	const (
 		width, latency, buf = 16, 8, 8
@@ -318,7 +315,7 @@ func TestCrossbarMatchesReference(t *testing.T) {
 							}
 							checkWords(t, x, "Pop", now)
 						}
-						x.Drain(now, gotSink)
+						drain(x, now, gotSink)
 						ref.drain(now, wantSink)
 						checkWords(t, x, "Drain", now)
 						if len(got) != len(want) {
@@ -350,9 +347,10 @@ func TestCrossbarMatchesReference(t *testing.T) {
 
 // The wake hint of a crossbar carrying one message: the next tick while
 // it sits at the input, then its middle-link arrival, then its egress
-// arrival, the next tick again while a sink refuses it, and never once it
+// arrival, the next tick again while a sink refuses it naming no later
+// cycle, the end of the park a sink's bound puts it in, and never once it
 // is gone. Nothing moves between those cycles, which is what lets the
-// hybrid engine skip the flight.
+// hybrid engine skip the flight and the park.
 func TestCrossbarHintIsEarliestArrival(t *testing.T) {
 	const width, stageLat = 16, 4
 	x := NewCrossbar(16, 16, width, 2*stageLat, 8, 8)
@@ -373,7 +371,7 @@ func TestCrossbarHintIsEarliestArrival(t *testing.T) {
 		sig := x.StateSig()
 		for now := from; now < until; now++ {
 			x.Tick(now)
-			x.Drain(now, func(int, Msg) bool { t.Fatalf("cycle %d: delivered in flight", now); return true })
+			drain(x, now, func(int, Msg) bool { t.Fatalf("cycle %d: delivered in flight", now); return true })
 			if got := x.NextEvent(now); got != until || x.StateSig() != sig {
 				t.Fatalf("cycle %d: NextEvent = %d (want %d), state changed = %v", now, got, until, x.StateSig() != sig)
 			}
@@ -400,20 +398,26 @@ func TestCrossbarHintIsEarliestArrival(t *testing.T) {
 	idleUntil(atMid+1, atOut)
 	for now := atOut; now < atOut+3; now++ {
 		x.Tick(now)
-		x.Drain(now, refuse)
+		drain(x, now, refuse)
 		if got := x.NextEvent(now); got != now+1 {
 			t.Fatalf("cycle %d, head refused: NextEvent = %d, want %d", now, got, now+1)
 		}
 	}
+	parked, until := atOut+3, atOut+8
+	sim.Drain(&x.Out, until, parked, func(until sim.Cycle, _ int, _ Msg, _ sim.Cycle) sim.Cycle { return until })
+	if got := x.NextEvent(parked); got != until {
+		t.Fatalf("cycle %d, head refused until %d: NextEvent = %d", parked, until, got)
+	}
+	idleUntil(parked+1, until)
 	delivered := 0
-	x.Drain(atOut+3, func(p int, m Msg) bool { delivered++; return p == 9 })
-	if delivered != 1 || x.Pending() || x.NextEvent(atOut+3) != sim.Never {
-		t.Fatalf("after delivery: delivered=%d pending=%v NextEvent=%d", delivered, x.Pending(), x.NextEvent(atOut+3))
+	drain(x, until, func(p int, m Msg) bool { delivered++; return p == 9 })
+	if delivered != 1 || x.Pending() || x.NextEvent(until) != sim.Never {
+		t.Fatalf("after delivery: delivered=%d pending=%v NextEvent=%d", delivered, x.Pending(), x.NextEvent(until))
 	}
 }
 
 // BenchmarkCrossbarTick is one cycle of the 16x16 slice-to-slice crossbar
-// of the scale-0.25 NUBA GPU — offer, Tick, Drain — with each input port
+// of the scale-0.25 NUBA GPU — offer, Tick, drain — with each input port
 // kept busy the given share of cycles (the generator of bench/layers.go's
 // noc.tick_load rows, plus the idle fabric that ledger has no row for), and
 // then the case no uniform load reaches: hotspot, every input offering
@@ -431,7 +435,6 @@ func BenchmarkCrossbarTick(b *testing.B) {
 			rng := sim.NewRNG(1)
 			x := NewCrossbar(ports, ports, width, latency, buf, buf)
 			delivered := 0
-			sink := func(int, Msg) bool { delivered++; return true }
 			b.ReportAllocs()
 			b.ResetTimer()
 			for now := sim.Cycle(1); now <= sim.Cycle(b.N); now++ {
@@ -450,7 +453,7 @@ func BenchmarkCrossbarTick(b *testing.B) {
 					x.Inject(in, now, Msg{Req: req, Dst: int(v >> 40 % ports), Bytes: bytes})
 				}
 				x.Tick(now)
-				x.Drain(now, sink)
+				sim.Drain(&x.Out, &delivered, now, count)
 			}
 			if load > 0 && b.N > 1000 && delivered == 0 {
 				b.Fatal("nothing delivered")
@@ -461,7 +464,6 @@ func BenchmarkCrossbarTick(b *testing.B) {
 		rng := sim.NewRNG(1)
 		x := NewCrossbar(ports, ports, width, latency, buf, buf)
 		delivered := 0
-		sink := func(int, Msg) bool { delivered++; return true }
 		b.ReportAllocs()
 		b.ResetTimer()
 		for now := sim.Cycle(1); now <= sim.Cycle(b.N); now++ {
@@ -471,10 +473,16 @@ func BenchmarkCrossbarTick(b *testing.B) {
 				}
 			}
 			x.Tick(now)
-			x.Drain(now, sink)
+			sim.Drain(&x.Out, &delivered, now, count)
 		}
 		if b.N > 1000 && delivered == 0 {
 			b.Fatal("nothing delivered")
 		}
 	})
+}
+
+// count is the benchmarks' egress sink: it takes every message, counting.
+func count(n *int, _ int, _ Msg, _ sim.Cycle) sim.Cycle {
+	*n++
+	return sim.Accepted
 }

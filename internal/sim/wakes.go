@@ -92,12 +92,11 @@ func (p *Park) Taken(now Cycle, audit *ParkAudit, site string, i int) {
 	}
 }
 
-// Wakes is an array of carriers — the input queues, middle links or egress
-// links of a crossbar, the links of a core link set — with, per carrier,
-// one occupancy bit and one wake: the earliest cycle its head could move
-// (its arrival, or the end of its park), Never while it is empty. The
-// minimum over the array is kept beside them, so a cycle on which nothing
-// is due costs the walk one compare.
+// Wakes is an array of carriers — a crossbar's input queues, the links of a
+// Links — with, per carrier, one occupancy bit and one wake: the earliest
+// cycle its head could move (its arrival, or the end of its park), Never
+// while it is empty. The minimum over the array is kept beside them, so a
+// cycle on which nothing is due costs the walk one compare.
 type Wakes struct {
 	occ Bits
 	at  []Cycle
@@ -154,13 +153,6 @@ func (w *Wakes) Count() int { return w.occ.Count() }
 // Min returns a lower bound on the earliest wake, Never when the set was
 // empty at the last walk and nothing has been Set since.
 func (w *Wakes) Min() Cycle { return w.min }
-
-// Word returns the occupancy word and mask of carrier i, and where its
-// wake lives, for a table row that wants to skip the carrier without
-// asking it.
-func (w *Wakes) Word(i int) (word *uint64, bit uint64, wake *Cycle) {
-	return &w.occ[i>>6], 1 << (uint(i) & 63), &w.at[i]
-}
 
 // First begins a walk at cycle now over the occupied carriers whose wake
 // has come, in ascending order, and returns the first of them, -1 when
