@@ -79,10 +79,13 @@ sanitize:
 # owns it — the forward-progress watchdog, the sanitize engine or the
 # panic-isolating experiment pool — plus partial-report, failure-isolation
 # and cancel-under-fault coverage. Deterministic: failures reproduce exactly.
-# Not a prerequisite of `check`: `test` and `race` both already run
-# TestStress*; this target is for running the matrix alone.
+# Then the whole starved-machine matrix (every architecture and policy, every
+# bounded resource at its minimum, eight benchmarks; ≈ 5 min on two cores),
+# of which `test` runs the replicating-NUBA subset. Not a prerequisite of
+# `check`: `test` and `race` both already run TestStress*.
 stress:
 	$(GO) test -timeout 20m -run 'TestStress' ./internal/experiments/
+	$(GO) test -timeout 30m -run TestStarvedMachine . -starved.all
 
 # What the simulator says, pinned in tier-1: one Stats digest per benchmark
 # (testdata/suite_digests.txt) and the whole `nubasweep -exp all` report on

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -281,11 +282,17 @@ func npbChart(path string) (string, error) {
 func runSuite(ctx context.Context, cfg nuba.Config, opts experiments.Options) error {
 	fmt.Printf("running %d benchmarks on %s...\n", len(opts.Benchmarks), cfg.Name())
 	report, err := experiments.NewRunner(opts).Execute(ctx, experiments.SuiteOn(cfg))
+	return printSuite(os.Stdout, os.Stderr, report, err)
+}
+
+// printSuite is runSuite's output: the table and its failures section on
+// stdout, each hang's report on stderr, and an error if any job failed.
+func printSuite(stdout, stderr io.Writer, report *experiments.Report, err error) error {
 	if report != nil {
-		fmt.Print(report.Text)
+		fmt.Fprint(stdout, report.Text)
 		for _, f := range report.Failures {
 			if f.Hang != "" {
-				fmt.Fprintf(os.Stderr, "%s on %s: %s", f.Bench, f.Config, f.Hang)
+				fmt.Fprintf(stderr, "%s on %s: %s", f.Bench, f.Config, f.Hang)
 			}
 		}
 	}

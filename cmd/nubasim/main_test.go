@@ -2,19 +2,24 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"github.com/nuba-gpu/nuba"
+	"github.com/nuba-gpu/nuba/internal/core"
+	"github.com/nuba-gpu/nuba/internal/experiments"
 )
 
 // TestMultiBenchmarkMode is the CLI smoke test of the batch front door:
-// the binary is built once and run on a clean batch, on a batch with a
-// job that hangs, with the policy names its own tables print, on a
-// benchmark that does not exist, with the retired -watchdog flag, on a scale that is not a GPU and on two that are not an
-// SM-side UBA.
+// the binary is built once and run on two clean batches, with the policy
+// names its own tables print, on a benchmark that does not exist, with the
+// retired -watchdog flag, on a scale that is not a GPU and on two that are
+// not an SM-side UBA. A batch with a failed job is TestBatchWithAHangingJob.
 func TestMultiBenchmarkMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs nubasim")
@@ -45,17 +50,12 @@ func TestMultiBenchmarkMode(t *testing.T) {
 		t.Errorf("clean batch: exit %d\n%s%s", code, stdout, stderr)
 	}
 
-	// LBM on NUBA with round-robin placement deadlocks at this scale
-	// (the NUBA + MDR deadlock): with no flag set it must cost its own row
-	// and nothing else.
+	// LBM on NUBA with round-robin placement, which replicates across
+	// partitions more than any other batch here, drains like the others.
 	stdout, stderr, code = run("-arch", "nuba", "-placement", "rr", "-bench", "LBM,LEU,BH",
 		"-scale", "0.125")
-	if code != 1 || !hasRow(stdout, "LEU") || !hasRow(stdout, "BH") || hasRow(stdout, "LBM") {
-		t.Errorf("batch with a hanging job: exit %d\n%s%s", code, stdout, stderr)
-	}
-	if _, failures, ok := strings.Cut(stdout, "FAILED JOBS (1)"); !ok ||
-		!strings.Contains(failures, "LBM") || !strings.Contains(failures, "watchdog") {
-		t.Errorf("no FAILED JOBS section naming LBM's hang:\n%s", stdout)
+	if code != 0 || !hasRow(stdout, "LBM") || !hasRow(stdout, "LEU") || !hasRow(stdout, "BH") || stderr != "" {
+		t.Errorf("round-robin batch: exit %d\n%s%s", code, stdout, stderr)
 	}
 
 	// The tool takes back the names it prints: "NUBA/LAB/Full-Rep" is a
@@ -101,5 +101,42 @@ func TestMultiBenchmarkMode(t *testing.T) {
 			strings.Count(stderr, "\n") != 1 || strings.Contains(stderr, "panic in run") {
 			t.Errorf("-arch sm-side -scale %s: exit %d, stderr %q", scale, code, stderr)
 		}
+	}
+}
+
+// TestBatchWithAHangingJob: a job that hangs costs its own row and nothing
+// else. The table keeps the other rows and gains a FAILED JOBS section with
+// the hang's one-line error; stderr gets the hang's full report; and the
+// batch is an error, which run turns into exit status 1. The hang is a
+// wedged SM, injected through the runner's Arm hook.
+func TestBatchWithAHangingJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	benches, err := nuba.ParseBenchmarks("LEU,BH")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wedgeBH := func(_, bench string) func(*nuba.System) error {
+		if bench != "BH" {
+			return nil
+		}
+		return func(g *nuba.System) error { return g.Inject(0, core.Fault{Kind: core.WedgeSM, Target: 0, At: 2000}) }
+	}
+	r := experiments.NewRunner(experiments.Options{Benchmarks: benches, Jobs: 1, Arm: wedgeBH})
+	report, err := r.Execute(context.Background(), experiments.SuiteOn(nuba.NUBAConfig().Scale(0.125)))
+	var stdout, stderr bytes.Buffer
+	err = printSuite(&stdout, &stderr, report, err)
+	if err == nil || !strings.Contains(err.Error(), "1 job(s) failed") {
+		t.Errorf("a batch with a failed job must be an error, got %v", err)
+	}
+	table, failures, ok := strings.Cut(stdout.String(), "FAILED JOBS (1)")
+	if !ok || !regexp.MustCompile(`(?m)^LEU +[1-9]`).MatchString(table) || strings.Contains(table, "BH") ||
+		!strings.Contains(failures, "BH") || !strings.Contains(failures, "watchdog") {
+		t.Errorf("want LEU's row and a FAILED JOBS section naming BH's hang:\n%s", stdout.String())
+	}
+	if got := stderr.String(); !strings.HasPrefix(got, "BH on NUBA/") || strings.Count(got, "hang detected at cycle") != 1 ||
+		!strings.Contains(got, "\n  SM 0 ") {
+		t.Errorf("stderr must carry BH's hang report once, naming the wedged SM:\n%s", got)
 	}
 }

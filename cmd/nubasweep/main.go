@@ -18,6 +18,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -119,26 +120,33 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "nubasweep: interrupted")
 			return 130
 		}
-		if report != nil {
-			// A whole or partial report, or — when every benchmark
-			// failed — the failures section alone.
-			fmt.Print(report.Text)
-			for _, f := range report.Failures {
-				if f.Hang != "" && !hangShown[f.Hang] {
-					hangShown[f.Hang] = true
-					fmt.Fprintf(os.Stderr, "%s on %s: %s", f.Bench, f.Config, f.Hang)
-				}
-			}
-		}
-		// One line per experiment that is not whole, and a non-zero exit
-		// so sweeps in scripts and CI notice.
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nubasweep:", err)
-			status = 1
-		} else if n := len(report.Failures); n > 0 {
-			fmt.Fprintf(os.Stderr, "nubasweep: %s: %d job(s) failed; its report is partial\n", e.Name, n)
-			status = 1
-		}
+		status = max(status, printReport(os.Stdout, os.Stderr, e.Name, report, err, hangShown))
 	}
 	return status
+}
+
+// printReport prints one experiment's outcome — a whole or partial
+// report, or, when every benchmark failed, the failures section alone — on
+// stdout, and on stderr each hang report not in hangShown yet. It returns
+// the exit status the experiment earns: 1, with one line on stderr, if its
+// report is not whole, so sweeps in scripts and CI notice.
+func printReport(stdout, stderr io.Writer, name string, report *experiments.Report, err error, hangShown map[string]bool) int {
+	if report != nil {
+		fmt.Fprint(stdout, report.Text)
+		for _, f := range report.Failures {
+			if f.Hang != "" && !hangShown[f.Hang] {
+				hangShown[f.Hang] = true
+				fmt.Fprintf(stderr, "%s on %s: %s", f.Bench, f.Config, f.Hang)
+			}
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "nubasweep:", err)
+		return 1
+	}
+	if n := len(report.Failures); n > 0 {
+		fmt.Fprintf(stderr, "nubasweep: %s: %d job(s) failed; its report is partial\n", name, n)
+		return 1
+	}
+	return 0
 }

@@ -2,21 +2,25 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/nuba-gpu/nuba"
+	"github.com/nuba-gpu/nuba/internal/core"
 	"github.com/nuba-gpu/nuba/internal/experiments"
 )
 
 // TestSweepFrontDoor is the CLI smoke test of the experiment front door:
 // the binary is built once and run on one small experiment with one and
 // with four workers, on a list of two that share their runs, on all of
-// them, on one whose only job hangs, on an experiment that does not exist
+// them, on BP's page-size sweep, on an experiment that does not exist
 // (alone and in a list), on a scale that is not a GPU, with the retired
-// -watchdog flag, and asked for its list.
+// -watchdog flag, and asked for its list. An experiment whose job hangs is
+// TestSweepWithAHangingJob.
 func TestSweepFrontDoor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs nubasweep")
@@ -77,19 +81,12 @@ func TestSweepFrontDoor(t *testing.T) {
 		t.Errorf("-exp all must print every experiment once, in presentation order; got headers:\n%s", strings.Join(headers, "\n"))
 	}
 
-	// BP on NUBA with 2 MB pages wedges at this scale (the NUBA + MDR
-	// deadlock): with no flag set it is a FAILED JOBS line and, on stderr,
-	// the full hang report — not a spin to MaxCycles. Every full slice's
-	// arbiter is parked on its MSHR file, so every wake hint is Never and
-	// the watchdog calls it a deadlock at the first batch boundary, without
-	// waiting out its window.
-	stdout, stderr, code := run("-exp", "fig14-page", "-bench", "BP", "-scale", "0.125")
-	if code != 1 || !strings.Contains(stdout, "FAILED JOBS (1)") ||
-		!strings.Contains(stdout, "core: watchdog: deadlock at cycle") ||
-		!strings.Contains(stderr, "hang detected at cycle") || !strings.Contains(stderr, " arb-parked ") {
+	// BP on NUBA with 2 MB pages, where replica slices forward most.
+	if stdout, stderr, code := run("-exp", "fig14-page", "-bench", "BP", "-scale", "0.125"); code != 0 ||
+		!strings.Contains(stdout, "2 MB ") || stderr != "" {
 		t.Errorf("fig14-page on BP: exit %d\n%s%s", code, stdout, stderr)
 	}
-	if stdout, stderr, code = run("-exp", "fig12", "-bench", "BP", "-watchdog", "1"); code != 2 || stdout != "" ||
+	if stdout, stderr, code := run("-exp", "fig12", "-bench", "BP", "-watchdog", "1"); code != 2 || stdout != "" ||
 		!strings.Contains(stderr, "flag provided but not defined: -watchdog") {
 		t.Errorf("-watchdog: exit %d, stdout %q, stderr %q; the guard is not an option", code, stdout, stderr)
 	}
@@ -113,5 +110,47 @@ func TestSweepFrontDoor(t *testing.T) {
 		if !strings.Contains(list, "\n  "+e.Name+" ") {
 			t.Errorf("-list does not name %s:\n%s", e.Name, list)
 		}
+	}
+}
+
+// TestSweepWithAHangingJob: an experiment whose only benchmark hangs is its
+// FAILED JOBS section alone on stdout, the hang's full report on stderr and
+// exit status 1. fig8 and fig9 share that job, so the second prints its
+// section again but not the report. The hang is a wedged SM, injected
+// through the runner's Arm hook into BH on one of the four configurations.
+func TestSweepWithAHangingJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	bh, err := nuba.BenchmarkByAbbr("BH")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wedged := nuba.NUBAConfig().Scale(0.125)
+	arm := func(cfg, _ string) func(*nuba.System) error {
+		if cfg != wedged.Name() {
+			return nil
+		}
+		return func(g *nuba.System) error { return g.Inject(0, core.Fault{Kind: core.WedgeSM, Target: 0, At: 2000}) }
+	}
+	r := experiments.NewRunner(experiments.Options{Scale: 0.125, Benchmarks: []nuba.Benchmark{bh}, Jobs: 1, Arm: arm})
+	var stdout, stderr bytes.Buffer
+	hangShown := map[string]bool{}
+	for _, name := range []string{"fig8", "fig9"} {
+		e, err := experiments.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := r.Execute(context.Background(), e)
+		if status := printReport(&stdout, &stderr, name, report, err, hangShown); status != 1 {
+			t.Errorf("%s: exit status %d, want 1", name, status)
+		}
+	}
+	if got := stdout.String(); strings.Count(got, "FAILED JOBS (1)") != 2 || strings.Count(got, "core: watchdog:") != 2 {
+		t.Errorf("want each experiment's FAILED JOBS section naming the hang:\n%s", got)
+	}
+	if got := stderr.String(); strings.Count(got, "hang detected at cycle") != 1 || !strings.Contains(got, "\n  SM 0 ") ||
+		strings.Count(got, "every benchmark failed") != 2 {
+		t.Errorf("stderr must carry the hang report once and one line per experiment:\n%s", got)
 	}
 }

@@ -313,8 +313,8 @@ func (s *Slice) onReplicaPath(req *sim.MemReq) bool {
 	return req.ReplicaSlice == s.ID && req.Slice != s.ID
 }
 
-// process runs one request through the tag array. It returns false when
-// the request cannot proceed this cycle.
+// process runs one request through the tag array. It returns false only
+// for a home miss that finds the MSHR file full.
 func (s *Slice) process(req *sim.MemReq, now sim.Cycle) bool {
 	// Coherence invalidation (SM-side UBA): drop the line, no reply.
 	if req.Inval {
@@ -358,7 +358,18 @@ func (s *Slice) process(req *sim.MemReq, now sim.Cycle) bool {
 			return true
 		}
 		s.stats.LLCMisses++
-		if _, merged, ok := s.mshr.Allocate(s.tags.LineAddr(req.Addr), req, now); !ok {
+		line := s.tags.LineAddr(req.Addr)
+		if isReplicaPath && s.mshr.Len()+2 > s.cfg.LLCMSHRs {
+			if _, pending := s.mshr.Lookup(line); !pending {
+				// A forward never takes the file's last entry, so a home
+				// miss, which waits on DRAM alone, can always get one: this
+				// one goes out unmerged and the home slice's MSHR merges it
+				// (DESIGN.md §3 "LLC slice").
+				s.pipe.Push(completion{ready: done, kind: outForward, req: req})
+				return true
+			}
+		}
+		if _, merged, ok := s.mshr.Allocate(line, req, now); !ok {
 			s.stats.LLCAccesses-- // retried; don't double count
 			s.stats.LLCMisses--
 			return false
@@ -404,12 +415,19 @@ func (s *Slice) AcceptReplicaFill(req *sim.MemReq, now sim.Cycle) { s.fill(req, 
 func (s *Slice) fill(req *sim.MemReq, now sim.Cycle, replica bool) {
 	s.wake()
 	line := s.tags.LineAddr(req.Addr)
-	entry, ok := s.mshr.Release(line)
-	if !ok {
-		// Fill without an entry (flush raced): still answer the requester.
+	entry, ok := s.mshr.Lookup(line)
+	if !ok || entry.Primary != req {
+		// An unmerged forward holds no entry; a later miss on its line may
+		// hold one, which only that miss's own fill releases. Answer the
+		// requester alone.
+		if replica {
+			s.install(line, false, true, now, now)
+		}
+		req.Replicated = req.Replicated || replica
 		s.outbox.Push(completion{ready: now, kind: outReply, req: req})
 		return
 	}
+	s.mshr.Release(line)
 	// A home-path line arrives dirty when an atomic waits on it; a replica
 	// holds read-only data.
 	atomic := entry.Primary.Kind == sim.Atomic

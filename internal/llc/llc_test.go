@@ -231,6 +231,105 @@ func TestReplicaPathForwardAndFill(t *testing.T) {
 	}
 }
 
+// replicaLoad is a load for a line whose home is slice 9, replicated at the
+// harness's slice 2.
+func replicaLoad(id uint64, addr uint64, sm int) *sim.MemReq {
+	return &sim.MemReq{ID: id, Kind: sim.Load, Addr: addr, SM: sm, Slice: 9, ReplicaSlice: 2, ReadOnly: true}
+}
+
+// A forward never takes the MSHR file's last entry (DESIGN.md §3 "LLC
+// slice"): with two entries, the first replica-path miss takes one, a
+// second to another line goes to the home slice unmerged, and a home miss
+// still gets the last entry. A replica-path miss to a line that has an
+// entry merges behind it however full the file is, and the unmerged
+// forward's fill answers its own requester and installs the replica.
+func TestForwardLeavesTheLastEntry(t *testing.T) {
+	h := newHarnessWith(t, func(c *config.Config) { c.LLCMSHRs = 2 })
+	a, b, home, a2 := replicaLoad(1, 0x9000, 0), replicaLoad(2, 0xA000, 1), load(3, 0x1000, 0), replicaLoad(4, 0x9000, 1)
+	for _, r := range []*sim.MemReq{a, b, home, a2} {
+		h.s.EnqueueLocal(r)
+	}
+	h.run(1, 200)
+	if len(h.forwards) != 2 || h.forwards[0] != a || h.forwards[1] != b || len(h.misses) != 1 || h.misses[0] != home {
+		t.Fatalf("forwarded %d, sent %d to memory; want a and b forwarded and the home miss sent", len(h.forwards), len(h.misses))
+	}
+	if n, refused := h.s.mshr.Len(), h.s.ArbOffers.Refused; n != 2 || refused != 0 {
+		t.Fatalf("%d entries held, %d refusals; want a's and the home miss's entries and no refusal", n, refused)
+	}
+	h.s.AcceptReplicaFill(b, 200)
+	h.run(201, 205)
+	if len(h.replies) != 1 || h.replies[0] != b || !b.Replicated || h.s.mshr.Len() != 2 {
+		t.Fatalf("b's fill: %d replies, %d entries; want b alone answered, marked replicated, both entries kept", len(h.replies), h.s.mshr.Len())
+	}
+	h.s.AcceptReplicaFill(a, 206)
+	h.run(207, 210)
+	if len(h.replies) != 3 || h.replies[1] != a || h.replies[2] != a2 || h.s.mshr.Len() != 1 {
+		t.Fatalf("a's fill: %d replies, %d entries; want a and a2 answered and the home miss's entry kept", len(h.replies), h.s.mshr.Len())
+	}
+	h.s.EnqueueLocal(replicaLoad(5, 0xA000, 0))
+	h.run(211, 400)
+	if len(h.forwards) != 2 || len(h.replies) != 4 {
+		t.Fatalf("a load of b's line: %d forwards, %d replies; want a hit on the replica b's fill installed", len(h.forwards), len(h.replies))
+	}
+}
+
+// With a one-entry file a replicating slice forwards every miss unmerged —
+// two to one line included — and still serves its home misses.
+func TestOneEntryFileForwardsEveryReplicaMiss(t *testing.T) {
+	h := newHarnessWith(t, func(c *config.Config) { c.LLCMSHRs = 1 })
+	r1, home, r2, r3 := replicaLoad(1, 0x9000, 0), load(2, 0x1000, 0), replicaLoad(3, 0x9000, 1), replicaLoad(4, 0xA000, 0)
+	for _, r := range []*sim.MemReq{r1, home, r2, r3} {
+		h.s.EnqueueLocal(r)
+	}
+	h.run(1, 200)
+	if len(h.forwards) != 3 || len(h.misses) != 1 || h.misses[0] != home {
+		t.Fatalf("forwarded %d, sent %d to memory; want three forwards and the home miss", len(h.forwards), len(h.misses))
+	}
+	if n, refused := h.s.mshr.Len(), h.s.ArbOffers.Refused; n != 1 || refused != 0 {
+		t.Fatalf("%d entries held, %d refusals; want the home miss's entry alone and no refusal", n, refused)
+	}
+	for _, r := range []*sim.MemReq{r1, r2, r3} {
+		h.s.AcceptReplicaFill(r, 200)
+	}
+	h.s.AcceptFill(home, 200)
+	h.run(201, 210)
+	if len(h.replies) != 4 || h.s.Pending() {
+		t.Fatalf("%d replies, pending %v; want every request answered once and the slice drained", len(h.replies), h.s.Pending())
+	}
+}
+
+// An unmerged forward's fill can arrive after a later miss on its line has
+// taken an entry. It answers its own requester and leaves the entry — its
+// primary and the waiter merged behind it — to that entry's own fill:
+// releasing by line alone would answer those two early, and their fill
+// would then find no entry and answer them twice.
+func TestUnmergedForwardFillLeavesALaterEntry(t *testing.T) {
+	h := newHarnessWith(t, func(c *config.Config) { c.LLCMSHRs = 2 })
+	home, early := load(1, 0x1000, 0), replicaLoad(2, 0x9000, 0)
+	h.s.EnqueueLocal(home)
+	h.s.EnqueueLocal(early) // one entry held: early goes out unmerged
+	h.run(1, 200)
+	h.s.AcceptFill(home, 200)
+	later, merged := replicaLoad(3, 0x9000, 1), replicaLoad(4, 0x9000, 0)
+	h.s.EnqueueLocal(later) // the file is empty again: later takes an entry
+	h.s.EnqueueLocal(merged)
+	h.run(201, 400)
+	if len(h.forwards) != 2 || h.forwards[1] != later || h.s.mshr.Len() != 1 {
+		t.Fatalf("%d forwards, %d entries; want early and later forwarded and later's entry held", len(h.forwards), h.s.mshr.Len())
+	}
+	h.replies = h.replies[:0] // the home miss's
+	h.s.AcceptReplicaFill(early, 400)
+	h.run(401, 405)
+	if len(h.replies) != 1 || h.replies[0] != early || h.s.mshr.Len() != 1 {
+		t.Fatalf("early's fill: %d replies, %d entries; want early alone answered and later's entry kept", len(h.replies), h.s.mshr.Len())
+	}
+	h.s.AcceptReplicaFill(later, 406)
+	h.run(407, 410)
+	if len(h.replies) != 3 || h.replies[1] != later || h.replies[2] != merged || h.s.Pending() {
+		t.Fatalf("later's fill: %d replies, pending %v; want later and merged answered once each", len(h.replies), h.s.Pending())
+	}
+}
+
 func TestBackpressureRetries(t *testing.T) {
 	h := newHarness(t)
 	h.blockMem = true
