@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint fmt-check docs-check test test-short race sanitize stress golden bench-check check clean
+.PHONY: build vet lint fmt-check docs-check test test-short race sanitize stress golden experiments bench-check check clean
 
 build:
 	$(GO) build ./...
@@ -95,6 +95,19 @@ stress:
 golden:
 	REGEN=1 $(GO) test -run TestSuiteDigestsGolden .
 	REGEN=1 $(GO) test -run TestEveryExperiment ./internal/experiments
+
+# EXPERIMENTS.md is what nubasweep prints: every fenced block of its output
+# starts with the `$ nubasweep ARGS` line that printed it. This re-runs every
+# such command through the function nubasweep itself runs, one runner per
+# (scale, benchmark list) so figures that share runs simulate them once, and
+# rewrites each block's body; a change that moves a report shows it as a diff
+# of EXPERIMENTS.md. It takes 13 minutes on a 2-vCPU host — 323
+# simulations, of which the full-scale Figure 7 suite is 116 and 5.4
+# minutes — so it is not a step of `check`: `test` runs the
+# same TestExperimentsDoc without REGEN, which parses every block's command
+# and simulates nothing.
+experiments:
+	REGEN=1 $(GO) test -v -timeout 90m -run TestExperimentsDoc ./cmd/nubasweep
 
 # bench/ is a nested module, invisible to `go build ./...` and
 # `go test ./...` above: build and short-test it here so a rename in the

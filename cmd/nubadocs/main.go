@@ -188,18 +188,18 @@ func docFiles(root string) ([]string, error) {
 
 // definedFlags parses every Go file under cmd/ — and the one package
 // that registers flags on the CLIs' behalf, internal/hostprof — and
-// collects the names registered through the flag package
-// (flag.String("name", ...) etc.).
+// collects the names registered through the flag package or a flag set,
+// which these files always name fs (flag.String("name", ...),
+// fs.BoolVar(&v, "name", ...) etc.).
 func definedFlags(root string) (map[string]bool, error) {
-	files, err := filepath.Glob(filepath.Join(root, "cmd", "*", "*.go"))
-	if err != nil {
-		return nil, err
+	var files []string
+	for _, dir := range []string{filepath.Join(root, "cmd", "*"), filepath.Join(root, "internal", "hostprof")} {
+		matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, matches...)
 	}
-	shared, err := filepath.Glob(filepath.Join(root, "internal", "hostprof", "*.go"))
-	if err != nil {
-		return nil, err
-	}
-	files = append(files, shared...)
 	ctors := map[string]bool{
 		"String": true, "Bool": true, "Int": true, "Int64": true,
 		"Uint": true, "Uint64": true, "Float64": true, "Duration": true,
@@ -222,7 +222,7 @@ func definedFlags(root string) (map[string]bool, error) {
 			if !ok || !ctors[sel.Sel.Name] {
 				return true
 			}
-			if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "flag" {
+			if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "flag" && x.Name != "fs" {
 				return true
 			}
 			// The name is the first string-literal argument ("Var"

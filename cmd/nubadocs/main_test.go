@@ -41,14 +41,17 @@ func TestDocsCheck(t *testing.T) {
 
 	root := t.TempDir()
 	for name, content := range map[string]string{
-		"cmd/tool/main.go": "package main\n\nimport \"flag\"\n\nvar real = flag.String(\"real\", \"\", \"\")\n\nfunc main() {}\n",
-		"Makefile":         "GO ?= go\n\n.PHONY: check\n\ncheck:\n\t$(GO) vet ./...\n",
+		"cmd/tool/main.go": "package main\n\nimport \"flag\"\n\nvar real = flag.String(\"real\", \"\", \"\")\n\n" +
+			"func main() { fs := flag.NewFlagSet(\"tool\", flag.ExitOnError); fs.Bool(\"set\", false, \"\"); more(fs) }\n\n" +
+			"func more(fs *flag.FlagSet) { fs.Int(\"param\", 0, \"\") }\n\n" +
+			"type opts struct{}\n\nfunc (opts) String(s string) string { return s }\n\nfunc ghost() { var o opts; o.String(\"ghost\") }\n",
+		"Makefile": "GO ?= go\n\n.PHONY: check\n\ncheck:\n\t$(GO) vet ./...\n",
 		"DESIGN.md": "# design\n\n## 1. What we build\n\n* **NoC.** Links.\n\n### Parks\n\n" +
 			"See (§1, \"NoC\"), the paper's (§7.6) and (§2).\n",
 		"EXPERIMENTS.md":        "# experiments\n",
 		"cmd/tool/main_test.go": "package main\n\nimport \"testing\"\n\nfunc TestRealThing(t *testing.T) {}\n",
-		"README.md": "Run `tool -real x` or `make check`; see [the design](DESIGN.md).\n\n" +
-			"Then `tool -nosuchflag`, [a page](docs/MISSING.md) and:\n\n" +
+		"README.md": "Run `tool -real x -set -param 1` or `make check`; see [the design](DESIGN.md).\n\n" +
+			"Then `tool -nosuchflag -ghost`, [a page](docs/MISSING.md) and:\n\n" +
 			"```sh\nmake nosuchtarget   # retired\n```\n\n" +
 			"Held by `TestRealThing`, `TestReal*` and `tool.TestHelper()`; not by `TestNoSuchThing` or `BenchmarkNo*`.\n\n" +
 			"Why: DESIGN.md §1; the cycle loop was DESIGN.md\n§9 before it moved.\n\n" +
@@ -69,6 +72,7 @@ func TestDocsCheck(t *testing.T) {
 	}
 	for _, want := range []string{
 		"README.md: flag -nosuchflag is not defined",
+		"README.md: flag -ghost is not defined",
 		`README.md: link target "docs/MISSING.md" does not resolve`,
 		"README.md: make nosuchtarget is not a target",
 		"README.md: TestNoSuchThing is not declared",
@@ -82,7 +86,7 @@ func TestDocsCheck(t *testing.T) {
 			t.Errorf("output does not name %q:\n%s", want, out)
 		}
 	}
-	if n := strings.Count(out, "nubadocs:"); n != 9 {
-		t.Errorf("%d problems reported, want exactly the 9 seeded ones:\n%s", n, out)
+	if n := strings.Count(out, "nubadocs:"); n != 10 {
+		t.Errorf("%d problems reported, want exactly the 10 seeded ones:\n%s", n, out)
 	}
 }

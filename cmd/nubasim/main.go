@@ -19,7 +19,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -34,7 +33,7 @@ func main() { os.Exit(run()) }
 // run is main with an exit status, so deferred work — closing the output,
 // finishing the profiles — happens on every path out.
 func run() int {
-	prof := hostprof.Flags()
+	prof := hostprof.Flags(flag.CommandLine)
 	arch := flag.String("arch", "nuba", "architecture: "+nuba.ArchUsage())
 	bench := flag.String("bench", "SGEMM", "benchmark abbreviation(s), comma-separated, or 'all' (see nubasweep -list)")
 	nocGBs := flag.Float64("noc", 1400, "NoC bandwidth in GB/s")
@@ -117,7 +116,12 @@ func run() int {
 		if *verbose {
 			opts.OnEvent = experiments.ProgressPrinter(os.Stderr)
 		}
-		err = runSuite(ctx, cfg, opts)
+		// One experiment on the batch runner: failed jobs are listed
+		// under the table, a hang's full report goes to stderr.
+		fmt.Printf("running %d benchmarks on %s...\n", len(benches), cfg.Name())
+		e := experiments.SuiteOn(cfg)
+		report, rerr := experiments.NewRunner(opts).Execute(ctx, e)
+		err = experiments.PrintReport(os.Stdout, os.Stderr, e, report, rerr, map[string]bool{})
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
@@ -273,31 +277,4 @@ func npbChart(path string) (string, error) {
 		return "", err
 	}
 	return chart.String(), nil
-}
-
-// runSuite simulates the benchmarks as one experiment on the batch
-// runner and prints its compact table in input order. Failed jobs are
-// listed under the table — a hang's full report goes to stderr — and
-// make the run an error.
-func runSuite(ctx context.Context, cfg nuba.Config, opts experiments.Options) error {
-	fmt.Printf("running %d benchmarks on %s...\n", len(opts.Benchmarks), cfg.Name())
-	report, err := experiments.NewRunner(opts).Execute(ctx, experiments.SuiteOn(cfg))
-	return printSuite(os.Stdout, os.Stderr, report, err)
-}
-
-// printSuite is runSuite's output: the table and its failures section on
-// stdout, each hang's report on stderr, and an error if any job failed.
-func printSuite(stdout, stderr io.Writer, report *experiments.Report, err error) error {
-	if report != nil {
-		fmt.Fprint(stdout, report.Text)
-		for _, f := range report.Failures {
-			if f.Hang != "" {
-				fmt.Fprintf(stderr, "%s on %s: %s", f.Bench, f.Config, f.Hang)
-			}
-		}
-	}
-	if err == nil && len(report.Failures) > 0 {
-		err = fmt.Errorf("%d job(s) failed; the table above is partial", len(report.Failures))
-	}
-	return err
 }

@@ -124,9 +124,10 @@ func TestBatchWithAHangingJob(t *testing.T) {
 		return func(g *nuba.System) error { return g.Inject(0, core.Fault{Kind: core.WedgeSM, Target: 0, At: 2000}) }
 	}
 	r := experiments.NewRunner(experiments.Options{Benchmarks: benches, Jobs: 1, Arm: wedgeBH})
-	report, err := r.Execute(context.Background(), experiments.SuiteOn(nuba.NUBAConfig().Scale(0.125)))
+	e := experiments.SuiteOn(nuba.NUBAConfig().Scale(0.125))
+	report, err := r.Execute(context.Background(), e)
 	var stdout, stderr bytes.Buffer
-	err = printSuite(&stdout, &stderr, report, err)
+	err = experiments.PrintReport(&stdout, &stderr, e, report, err, map[string]bool{})
 	if err == nil || !strings.Contains(err.Error(), "1 job(s) failed") {
 		t.Errorf("a batch with a failed job must be an error, got %v", err)
 	}

@@ -34,119 +34,121 @@ func main() { os.Exit(run()) }
 // run is main with an exit status, so deferred work — closing the output,
 // finishing the profiles — happens on every path out.
 func run() int {
-	prof := hostprof.Flags()
-	exp := flag.String("exp", "", "experiment name, comma-separated list of names, or 'all' (see -list)")
-	benchList := flag.String("bench", "", "comma-separated benchmark abbreviations (default: full suite)")
-	scale := flag.Float64("scale", 1, "GPU scale factor (1 = 64-SM baseline)")
-	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "simulations to run in parallel (1 = serial)")
-	verbose := flag.Bool("v", false, "print per-run progress")
-	list := flag.Bool("list", false, "list experiments and benchmarks")
-	engineFlag := flag.String("engine", "hybrid", nuba.EngineUsage())
-	flag.Parse()
-	if err := prof.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "nubasweep:", err)
-		return 2
-	}
-	defer prof.Stop()
-
-	engine, err := nuba.ParseEngine(*engineFlag)
+	c, err := parse(flag.NewFlagSet("nubasweep", flag.ExitOnError), os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nubasweep:", err)
 		return 2
 	}
-	if !(*scale > 0) {
-		fmt.Fprintf(os.Stderr, "nubasweep: -scale must be positive (got %g)\n", *scale)
+	if err := c.prof.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, "nubasweep:", err)
 		return 2
 	}
+	defer c.prof.Stop()
+	if c.verbose {
+		c.opts.OnEvent = experiments.ProgressPrinter(os.Stderr)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	return sweep(ctx, c, experiments.NewRunner(c.opts), os.Stdout, os.Stderr)
+}
 
-	if *list {
-		fmt.Println("experiments:")
-		for _, e := range experiments.All() {
-			fmt.Printf("  %-16s %s\n", e.Name, e.Title)
+// command is one parsed nubasweep command line.
+type command struct {
+	exps    []experiments.Experiment
+	opts    experiments.Options
+	list    bool
+	verbose bool
+	prof    *hostprof.Profiler
+}
+
+// parse defines nubasweep's flags on fs and reads args with them. A
+// command line it accepts names only experiments, benchmarks and an
+// engine that exist, and a positive scale.
+func parse(fs *flag.FlagSet, args []string) (*command, error) {
+	c := &command{prof: hostprof.Flags(fs)}
+	exp := fs.String("exp", "", "experiment name, comma-separated list of names, or 'all' (see -list)")
+	benchList := fs.String("bench", "", "comma-separated benchmark abbreviations (default: full suite)")
+	scale := fs.Float64("scale", 1, "GPU scale factor (1 = 64-SM baseline)")
+	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0), "simulations to run in parallel (1 = serial)")
+	fs.BoolVar(&c.verbose, "v", false, "print per-run progress")
+	fs.BoolVar(&c.list, "list", false, "list experiments and benchmarks")
+	engineFlag := fs.String("engine", "hybrid", nuba.EngineUsage())
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	engine, err := nuba.ParseEngine(*engineFlag)
+	if err != nil {
+		return nil, err
+	}
+	if !(*scale > 0) {
+		return nil, fmt.Errorf("-scale must be positive (got %g)", *scale)
+	}
+	c.opts = experiments.Options{Scale: *scale, Jobs: *jobs, Engine: engine}
+	if c.list {
+		return c, nil
+	}
+	if *exp == "" {
+		return nil, errors.New("-exp required (or -list)")
+	}
+	if *benchList != "" {
+		if c.opts.Benchmarks, err = nuba.ParseBenchmarks(*benchList); err != nil {
+			return nil, err
 		}
-		fmt.Println("benchmarks:")
+	}
+	if *exp == "all" {
+		c.exps = experiments.All()
+		return c, nil
+	}
+	for _, name := range strings.Split(*exp, ",") {
+		e, err := experiments.ByName(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		c.exps = append(c.exps, e)
+	}
+	return c, nil
+}
+
+// sweep is everything nubasweep does once its command line is parsed:
+// it prints the list, or each experiment's report as r renders it, the
+// reports joined by a blank line, and returns the exit status — 1 if any
+// report is not whole, 130 if ctx was canceled. `make experiments`
+// regenerates every EXPERIMENTS.md block through it.
+func sweep(ctx context.Context, c *command, r *experiments.Runner, stdout, stderr io.Writer) int {
+	if c.list {
+		fmt.Fprintln(stdout, "experiments:")
+		for _, e := range experiments.All() {
+			fmt.Fprintf(stdout, "  %-16s %s\n", e.Name, e.Title)
+		}
+		fmt.Fprintln(stdout, "benchmarks:")
 		for _, b := range nuba.Suite() {
 			cls := "low"
 			if b.High {
 				cls = "high"
 			}
-			fmt.Printf("  %-8s %-28s %s-sharing\n", b.Abbr, b.Name, cls)
+			fmt.Fprintf(stdout, "  %-8s %-28s %s-sharing\n", b.Abbr, b.Name, cls)
 		}
 		return 0
 	}
-	if *exp == "" {
-		fmt.Fprintln(os.Stderr, "nubasweep: -exp required (or -list)")
-		return 2
-	}
-	opts := experiments.Options{Scale: *scale, Jobs: *jobs, Engine: engine}
-	if *verbose {
-		opts.OnEvent = experiments.ProgressPrinter(os.Stderr)
-	}
-	if *benchList != "" {
-		if opts.Benchmarks, err = nuba.ParseBenchmarks(*benchList); err != nil {
-			fmt.Fprintln(os.Stderr, "nubasweep:", err)
-			return 2
-		}
-	}
-	var exps []experiments.Experiment
-	if *exp == "all" {
-		exps = experiments.All()
-	} else {
-		for _, name := range strings.Split(*exp, ",") {
-			e, err := experiments.ByName(strings.TrimSpace(name))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "nubasweep:", err)
-				return 2
-			}
-			exps = append(exps, e)
-		}
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	// One runner for the whole invocation: an experiment finds the runs
-	// an earlier one simulated in its memo cache.
-	r := experiments.NewRunner(opts)
 	status := 0
-	hangShown := map[string]bool{} // a job shared by several experiments hangs once
-	for i, e := range exps {
+	shown := map[string]bool{} // a job shared by several experiments hangs once
+	for i, e := range c.exps {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		fmt.Printf("== %s ==\n", e.Title)
+		fmt.Fprintf(stdout, "== %s ==\n", e.Title)
 		report, err := r.Execute(ctx, e)
 		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "nubasweep: interrupted")
+			fmt.Fprintln(stderr, "nubasweep: interrupted")
 			return 130
 		}
-		status = max(status, printReport(os.Stdout, os.Stderr, e.Name, report, err, hangShown))
-	}
-	return status
-}
-
-// printReport prints one experiment's outcome — a whole or partial
-// report, or, when every benchmark failed, the failures section alone — on
-// stdout, and on stderr each hang report not in hangShown yet. It returns
-// the exit status the experiment earns: 1, with one line on stderr, if its
-// report is not whole, so sweeps in scripts and CI notice.
-func printReport(stdout, stderr io.Writer, name string, report *experiments.Report, err error, hangShown map[string]bool) int {
-	if report != nil {
-		fmt.Fprint(stdout, report.Text)
-		for _, f := range report.Failures {
-			if f.Hang != "" && !hangShown[f.Hang] {
-				hangShown[f.Hang] = true
-				fmt.Fprintf(stderr, "%s on %s: %s", f.Bench, f.Config, f.Hang)
-			}
+		if err := experiments.PrintReport(stdout, stderr, e, report, err, shown); err != nil {
+			fmt.Fprintln(stderr, "nubasweep:", err)
+			status = 1
 		}
 	}
-	if err != nil {
-		fmt.Fprintln(stderr, "nubasweep:", err)
-		return 1
-	}
-	if n := len(report.Failures); n > 0 {
-		fmt.Fprintf(stderr, "nubasweep: %s: %d job(s) failed; its report is partial\n", name, n)
-		return 1
-	}
-	return 0
+	return status
 }

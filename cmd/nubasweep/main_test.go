@@ -115,9 +115,10 @@ func TestSweepFrontDoor(t *testing.T) {
 
 // TestSweepWithAHangingJob: an experiment whose only benchmark hangs is its
 // FAILED JOBS section alone on stdout, the hang's full report on stderr and
-// exit status 1. fig8 and fig9 share that job, so the second prints its
-// section again but not the report. The hang is a wedged SM, injected
-// through the runner's Arm hook into BH on one of the four configurations.
+// an error, which sweep turns into exit status 1. fig8 and fig9 share that
+// job, so the second prints its section again but not the report. The hang
+// is a wedged SM, injected through the runner's Arm hook into BH on one of
+// the four configurations.
 func TestSweepWithAHangingJob(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
@@ -133,18 +134,18 @@ func TestSweepWithAHangingJob(t *testing.T) {
 		}
 		return func(g *nuba.System) error { return g.Inject(0, core.Fault{Kind: core.WedgeSM, Target: 0, At: 2000}) }
 	}
-	r := experiments.NewRunner(experiments.Options{Scale: 0.125, Benchmarks: []nuba.Benchmark{bh}, Jobs: 1, Arm: arm})
-	var stdout, stderr bytes.Buffer
-	hangShown := map[string]bool{}
+	var exps []experiments.Experiment
 	for _, name := range []string{"fig8", "fig9"} {
 		e, err := experiments.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		report, err := r.Execute(context.Background(), e)
-		if status := printReport(&stdout, &stderr, name, report, err, hangShown); status != 1 {
-			t.Errorf("%s: exit status %d, want 1", name, status)
-		}
+		exps = append(exps, e)
+	}
+	r := experiments.NewRunner(experiments.Options{Scale: 0.125, Benchmarks: []nuba.Benchmark{bh}, Jobs: 1, Arm: arm})
+	var stdout, stderr bytes.Buffer
+	if status := sweep(context.Background(), &command{exps: exps}, r, &stdout, &stderr); status != 1 {
+		t.Errorf("exit status %d, want 1: the reports are not whole", status)
 	}
 	if got := stdout.String(); strings.Count(got, "FAILED JOBS (1)") != 2 || strings.Count(got, "core: watchdog:") != 2 {
 		t.Errorf("want each experiment's FAILED JOBS section naming the hang:\n%s", got)

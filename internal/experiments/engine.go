@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"sync"
@@ -131,6 +132,26 @@ func (r *Runner) Execute(ctx context.Context, e Experiment) (*Report, error) {
 	}
 	rep.Text = text + rep.Text
 	return rep, nil
+}
+
+// PrintReport prints what Execute returned as the command-line tools show
+// it: the text on stdout, and on stderr each hang report not yet in shown
+// (a job several experiments share hangs once). It returns Execute's error
+// or, for a partial report, one that says so.
+func PrintReport(stdout, stderr io.Writer, e Experiment, report *Report, err error, shown map[string]bool) error {
+	if report != nil {
+		fmt.Fprint(stdout, report.Text)
+		for _, f := range report.Failures {
+			if f.Hang != "" && !shown[f.Hang] {
+				shown[f.Hang] = true
+				fmt.Fprintf(stderr, "%s on %s: %s", f.Bench, f.Config, f.Hang)
+			}
+		}
+	}
+	if err == nil && len(report.Failures) > 0 {
+		err = fmt.Errorf("%s: %d job(s) failed; its report is partial", e.Name, len(report.Failures))
+	}
+	return err
 }
 
 // finished returns the completed cache entry for key, waiting for a

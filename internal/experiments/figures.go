@@ -48,7 +48,7 @@ func fig3(v *view) (string, error) {
 		res := v.res[i][0]
 		one, two, eleven, over := res.Sharing.Buckets()
 		t.AddRow(b.Abbr, class(b), fmt.Sprintf("%d", res.Sharing.Pages()),
-			f2(one), f2(two), f2(eleven), f2(over), pct(res.Sharing.SharedFraction()*100))
+			f2(one), f2(two), f2(eleven), f2(over), fmt.Sprintf("%.1f%%", res.Sharing.SharedFraction()*100))
 	}
 	return t.String(), nil
 }

@@ -23,12 +23,12 @@ type Profiler struct {
 	cpu              *os.File
 }
 
-// Flags registers -cpuprofile and -memprofile on the command line. Call
-// it before flag.Parse, then Start once the flags are parsed.
-func Flags() *Profiler {
+// Flags registers -cpuprofile and -memprofile on fs. Call it before
+// fs.Parse, then Start once the flags are parsed.
+func Flags(fs *flag.FlagSet) *Profiler {
 	p := &Profiler{}
-	flag.StringVar(&p.cpuPath, "cpuprofile", "", "write a CPU profile of this process to `file` (read it with go tool pprof)")
-	flag.StringVar(&p.memPath, "memprofile", "", "write an allocation profile of this process to `file` on exit")
+	fs.StringVar(&p.cpuPath, "cpuprofile", "", "write a CPU profile of this process to `file` (read it with go tool pprof)")
+	fs.StringVar(&p.memPath, "memprofile", "", "write an allocation profile of this process to `file` on exit")
 	return p
 }
 
