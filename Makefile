@@ -19,8 +19,8 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Docs-versus-code drift: flags mentioned in README/docs must exist in
-# cmd/*, quoted `make` targets must exist here, quoted test names must be
-# declared, intra-repo Markdown links must resolve, every `DESIGN.md §N`
+# cmd/*, quoted `make` targets must exist here, quoted test and Go names
+# must be declared, intra-repo Markdown links must resolve, every `DESIGN.md §N`
 # must be a numbered section and no PLACEHOLDER token may stand in for a
 # table (see cmd/nubadocs).
 docs-check:

@@ -11,6 +11,11 @@
 //   - every `TestXxx` / `BenchmarkXxx` in a code span must be a function
 //     declared in some _test.go under the root (a trailing `*` makes it
 //     a prefix: `TestStress*`);
+//   - every other Go name quoted in an inline span or a ```go block must
+//     be declared by some Go file under the root: a CamelCase word
+//     (`sendPark`), and a name with a capital qualified by one of its
+//     packages (`sim.Drain`); names qualified by an imported outside
+//     package (`time.Since`), file names and all-caps words are prose;
 //   - every intra-repo Markdown link must resolve to an existing file
 //     or directory;
 //   - every `DESIGN.md §N` pointer (and in DESIGN.md every `(§N`, N an
@@ -36,6 +41,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -59,53 +65,24 @@ func main() {
 	root := flag.String("root", ".", "repository root")
 	flag.Parse()
 
-	defined, err := definedFlags(*root)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nubadocs:", err)
-		os.Exit(2)
-	}
+	defined := must(definedFlags(*root))
 	if len(defined) == 0 {
 		fmt.Fprintln(os.Stderr, "nubadocs: no flags found under cmd/ — wrong -root?")
 		os.Exit(2)
 	}
 
-	targets, err := makeTargets(*root)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nubadocs:", err)
-		os.Exit(2)
-	}
-
-	tests, err := declaredTests(*root)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nubadocs:", err)
-		os.Exit(2)
-	}
-
-	docs, err := docFiles(*root)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nubadocs:", err)
-		os.Exit(2)
-	}
-
-	design, err := os.ReadFile(filepath.Join(*root, "DESIGN.md"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nubadocs:", err)
-		os.Exit(2)
-	}
-	sections := subsections(string(design))
+	targets := must(makeTargets(*root))
+	mod := must(parseModule(*root))
+	docs := must(docFiles(*root))
+	sections := subsections(string(must(os.ReadFile(filepath.Join(*root, "DESIGN.md")))))
 
 	var problems []string
 	flagMentions, targetMentions, testMentions, linkChecks, sectionChecks := 0, 0, 0, 0, 0
 	for _, doc := range docs {
-		data, err := os.ReadFile(doc)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nubadocs:", err)
-			os.Exit(2)
-		}
 		rel, _ := filepath.Rel(*root, doc)
-		text := string(data)
+		text := string(must(os.ReadFile(doc)))
 
-		spans := codeSpans(text)
+		spans, goSpans := codeSpans(text)
 		for _, f := range mentions(spans, flagRe) {
 			f = strings.TrimRight(f, "-")
 			flagMentions++
@@ -123,10 +100,14 @@ func main() {
 		}
 		for _, name := range mentions(spans, testRe) {
 			testMentions++
-			if !declared(tests, name) {
+			if !declared(mod.tests, name) {
 				problems = append(problems,
 					fmt.Sprintf("%s: %s is not declared in any _test.go", rel, name))
 			}
+		}
+		for _, name := range mod.undeclared(goSpans) {
+			problems = append(problems,
+				fmt.Sprintf("%s: %s is not declared in the module", rel, name))
 		}
 		for _, target := range intraRepoLinks(text) {
 			linkChecks++
@@ -167,6 +148,16 @@ func main() {
 	}
 	fmt.Printf("nubadocs: %d docs ok (%d flag mentions against %d defined flags, %d make targets, %d test names, %d links, %d section pointers)\n",
 		len(docs), flagMentions, len(defined), targetMentions, testMentions, linkChecks, sectionChecks)
+}
+
+// must returns v, or exits 2 naming err: what nubadocs cannot read is no
+// drift it can report.
+func must[T any](v T, err error) T {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nubadocs:", err)
+		os.Exit(2)
+	}
+	return v
 }
 
 // docFiles returns the user-facing Markdown files to check.
@@ -279,11 +270,19 @@ func makeTargets(root string) (map[string]bool, error) {
 // word after make is the target.
 var makeRe = regexp.MustCompile(`(?:^|[\s(])make[ \t]+([A-Za-z0-9][A-Za-z0-9_.-]*)`)
 
-// declaredTests parses every _test.go under root (nested modules
-// included, dot-directories and testdata not) and returns the top-level
-// functions a doc can name as a test.
-func declaredTests(root string) (map[string]bool, error) {
-	tests := make(map[string]bool)
+// module is what the Go files under a root declare: the top-level
+// functions of _test.go files (tests), every declared identifier by
+// package name and under "" (names), and the import paths' last elements
+// (imported).
+type module struct {
+	tests, imported map[string]bool
+	names           map[string]map[string]bool
+}
+
+// parseModule parses every .go file under root (nested modules included,
+// dot-directories and testdata not).
+func parseModule(root string) (*module, error) {
+	m := &module{tests: map[string]bool{}, imported: map[string]bool{}, names: map[string]map[string]bool{"": {}}}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -295,21 +294,43 @@ func declaredTests(root string) (map[string]bool, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, "_test.go") {
+		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
-				tests[fn.Name.Name] = true
-			}
+		for _, imp := range f.Imports {
+			m.imported[path.Base(strings.Trim(imp.Path.Value, `"`))] = true
 		}
+		pkg := strings.TrimSuffix(f.Name.Name, "_test")
+		if m.names[pkg] == nil {
+			m.names[pkg] = map[string]bool{}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var ids []*ast.Ident
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				ids = []*ast.Ident{n.Name}
+				if n.Recv == nil && strings.HasSuffix(p, "_test.go") {
+					m.tests[n.Name.Name] = true
+				}
+			case *ast.TypeSpec:
+				ids = []*ast.Ident{n.Name}
+			case *ast.ValueSpec:
+				ids = n.Names
+			case *ast.Field: // struct fields, interface methods, parameters
+				ids = n.Names
+			}
+			for _, id := range ids {
+				m.names[pkg][id.Name], m.names[""][id.Name] = true, true
+			}
+			return true
+		})
 		return nil
 	})
-	return tests, err
+	return m, err
 }
 
 // testRe matches a test or benchmark name inside a code span, with its
@@ -332,27 +353,71 @@ func declared(tests map[string]bool, name string) bool {
 	return false
 }
 
+// goNameRe matches a possibly qualified Go name inside a code span (not
+// the rest of a path, a flag or a kebab-case word); camelRe a word with an
+// upper case letter after the first (sendPark, SMsPerPartition: a
+// capitalized word may be prose); proseRe an all-caps word, plural or not
+// (NUBA, SMs), or a test name, which the test check owns.
+var (
+	goNameRe = regexp.MustCompile(`(?:^|[^\w./\-])([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`)
+	camelRe  = regexp.MustCompile(`^[A-Za-z][a-z0-9]*[A-Z][A-Za-z0-9]*$`)
+	proseRe  = regexp.MustCompile(`^(?:[A-Z][A-Z0-9]*s?|(?:Test|Benchmark)[A-Z]\w*)$`)
+)
+
+// undeclared returns the Go names quoted in spans that the module does not
+// declare: CamelCase words, and a name with a capital qualified by one of
+// its packages (noc.New; noc.flits is a metric). A name qualified by an
+// imported outside package (time.Since) is exempt.
+func (m *module) undeclared(spans []string) (bad []string) {
+	for _, span := range spans {
+		for _, match := range goNameRe.FindAllStringSubmatch(span, -1) {
+			parts := strings.Split(match[1], ".")
+			pkg := m.names[parts[0]]
+			if len(parts) > 1 && pkg == nil && m.imported[parts[0]] {
+				continue
+			}
+			for i, part := range parts {
+				known := m.names[""][part] || !camelRe.MatchString(part) || proseRe.MatchString(part)
+				if i == 1 && pkg != nil {
+					known = pkg[part] || strings.ToLower(part) == part
+				}
+				if !known {
+					bad = append(bad, match[1])
+					break
+				}
+			}
+		}
+	}
+	return bad
+}
+
 var inlineCodeRe = regexp.MustCompile("`([^`\n]+)`")
 
 // codeSpans returns the document's fenced code blocks and inline code
-// spans — the places where CLI flags are conventionally written.
-func codeSpans(text string) []string {
-	var spans []string
-	inFence := false
+// spans — the places where CLI flags are conventionally written — and,
+// as goSpans, the ones Go names are quoted in: the inline spans and the
+// ```go blocks (the other blocks are shell sessions and program output).
+func codeSpans(text string) (spans, goSpans []string) {
+	inFence, goFence := false, false
 	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+		if t := strings.TrimSpace(line); strings.HasPrefix(t, "```") {
 			inFence = !inFence
+			goFence = inFence && t == "```go"
 			continue
 		}
 		if inFence {
 			spans = append(spans, line)
+			if goFence {
+				goSpans = append(goSpans, line)
+			}
 			continue
 		}
 		for _, m := range inlineCodeRe.FindAllStringSubmatch(line, -1) {
 			spans = append(spans, m[1])
+			goSpans = append(goSpans, m[1])
 		}
 	}
-	return spans
+	return spans, goSpans
 }
 
 // sectionRe matches a pointer into the design document ("DESIGN.md §9",

@@ -49,6 +49,7 @@ func TestDocsCheck(t *testing.T) {
 		"DESIGN.md": "# design\n\n## 1. What we build\n\n* **NoC.** Links.\n\n### Parks\n\n" +
 			"See (§1, \"NoC\"), the paper's (§7.6) and (§2).\n",
 		"EXPERIMENTS.md":        "# experiments\n",
+		"internal/sim/sim.go":   "package sim\n\n// Drain drains.\nfunc Drain() {}\n\n// WakeSet wakes.\ntype WakeSet struct{ nextAt int }\n",
 		"cmd/tool/main_test.go": "package main\n\nimport \"testing\"\n\nfunc TestRealThing(t *testing.T) {}\n",
 		"README.md": "Run `tool -real x -set -param 1` or `make check`; see [the design](DESIGN.md).\n\n" +
 			"Then `tool -nosuchflag -ghost`, [a page](docs/MISSING.md) and:\n\n" +
@@ -56,7 +57,9 @@ func TestDocsCheck(t *testing.T) {
 			"Held by `TestRealThing`, `TestReal*` and `tool.TestHelper()`; not by `TestNoSuchThing` or `BenchmarkNo*`.\n\n" +
 			"Why: DESIGN.md §1; the cycle loop was DESIGN.md\n§9 before it moved.\n\n" +
 			"Held there: DESIGN.md §1 \"Parks\", not DESIGN.md §1\n\"Parsk\".\n\n" +
-			"```\nPLACEHOLDER_FIG10\n```\n",
+			"```\nPLACEHOLDER_FIG10 MeanSpeedup\n```\n\n" +
+			"Go names: `sim.Drain`, `WakeSet.nextAt`, `flag.NewFlagSet`, `sim.flits`, `main.go`, `NUBA`, `SMs`, `T`; " +
+			"not `sendWake` or `sim.Nope`, nor\n\n```go\nsim.Drain(lostName)\n```\n",
 	} {
 		p := filepath.Join(root, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
@@ -81,12 +84,15 @@ func TestDocsCheck(t *testing.T) {
 		"DESIGN.md: §2 is not a numbered section",
 		`README.md: §1 "Parsk" names no sub-section of DESIGN.md §1`,
 		"README.md: PLACEHOLDER_FIG10 stands where generated output belongs",
+		"README.md: sendWake is not declared in the module",
+		"README.md: sim.Nope is not declared in the module",
+		"README.md: lostName is not declared in the module",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output does not name %q:\n%s", want, out)
 		}
 	}
-	if n := strings.Count(out, "nubadocs:"); n != 10 {
-		t.Errorf("%d problems reported, want exactly the 10 seeded ones:\n%s", n, out)
+	if n := strings.Count(out, "nubadocs:"); n != 13 {
+		t.Errorf("%d problems reported, want exactly the 13 seeded ones:\n%s", n, out)
 	}
 }

@@ -1,9 +1,9 @@
-// Package cache implements the set-associative cache model shared by the
-// per-SM L1 data caches and the LLC slices (the MDR shadow-tag samplers
-// are mdr's own shadowTags): LRU replacement, configurable write policy
-// (write-through/write-no-allocate for L1, write-back/write-allocate for
-// the LLC) and a Miss Status Holding Register (MSHR) file for merging
-// outstanding misses.
+// Package cache implements the one set-associative tag array of the
+// model — the per-SM L1 data caches, the LLC slices, the L1 and L2 TLBs
+// (whose lines are page numbers) and MDR's shadow-tag samplers: LRU
+// replacement, configurable write policy (write-through/write-no-allocate
+// for L1, write-back/write-allocate for the LLC) and a Miss Status Holding
+// Register (MSHR) file for merging outstanding misses.
 package cache
 
 import (

@@ -464,10 +464,6 @@ func MCM(a Arch) Config {
 	c := Baseline().Scale(2).WithArch(a)
 	c.NumModules = 4
 	c.InterModuleGBs = 720
-	if a == NUBA {
-		c.Placement = LAB
-		c.Replication = MDR
-	}
 	return c
 }
 
@@ -555,6 +551,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: CoreClockGHz %g must be positive (bandwidths in GB/s become bytes per core cycle through it)", c.CoreClockGHz)
 	case c.MaxCTAsPerSM < 1:
 		return fmt.Errorf("config: MaxCTAsPerSM %d must be positive (an SM that admits no CTA never starts its share of the grid)", c.MaxCTAsPerSM)
+	case c.Arch == UBASMSide && c.NumModules > 1:
+		return fmt.Errorf("config: the SM-side UBA is one chip of two halves and has no inter-module links (NumModules %d)", c.NumModules)
 	// SMs and slices are whole multiples of the channels (above), so a
 	// crossbar domain — an MCM module, a half of the SM-side UBA — holds
 	// its share of all three iff it holds a whole number of channels.

@@ -185,7 +185,9 @@ func TestValidateBoundsFixedCapacityStructures(t *testing.T) {
 // runtime panic — a divide by zero or an index out of range in the module
 // arithmetic, a constructor's own geometry panic, or inside Validate itself
 // — or, the rows from "no core clock" on, one that panicked in the run or
-// could only spin to MaxCycles, and must be a named error instead.
+// could only spin to MaxCycles, and must be a named error instead. The
+// SM-side MCM row panicked nowhere: it built the two-half machine under
+// another fingerprint, so a batch could simulate one machine twice.
 func TestValidateRejectsWhatUsedToPanic(t *testing.T) {
 	smSide := func(f float64) func(*Config) {
 		return func(c *Config) { *c = Baseline().Scale(f).WithArch(UBASMSide) }
@@ -199,6 +201,7 @@ func TestValidateRejectsWhatUsedToPanic(t *testing.T) {
 		{"SM-side, one channel", smSide(0.03125), "two halves"},
 		{"SM-side, three SMs and slices", smSide(0.046875), "two halves"},
 		{"MCM", func(c *Config) { *c = MCM(NUBA) }, ""},
+		{"SM-side MCM", func(c *Config) { *c = MCM(UBASMSide) }, "NumModules 4"},
 		{"slices and channels over three modules", func(c *Config) {
 			c.NumSMs, c.NumLLCSlices, c.NumChannels, c.NumModules = 12, 8, 4, 3
 		}, "across 3 modules"},

@@ -128,7 +128,7 @@ func (g *GPU) drainInvalQueue(now sim.Cycle) {
 			return
 		}
 		half := g.moduleOfSlice(inv.Slice)
-		if g.sendInter(1-half, half, noc.Msg{Req: inv, Dst: inv.Slice, Bytes: sim.ReqBytes, Inval: true}, now) != sim.Accepted {
+		if g.sendInter(1-half, half, noc.Msg{Req: inv, Dst: inv.Slice, Bytes: sim.ReqBytes, Inval: true}, now, aheadOfFabric) != sim.Accepted {
 			return
 		}
 		g.stats.CoherenceTraffic += sim.ReqBytes
@@ -144,7 +144,7 @@ func (g *GPU) smSideMiss(req *sim.MemReq, now sim.Cycle) bool {
 	if g.moduleOfChannel(ch) == srcHalf {
 		return g.tellSlice(req.Slice, g.enqueue(ch, req, now))
 	}
-	return g.sendInter(srcHalf, 1-srcHalf, noc.Msg{Req: req, Dst: ch, Bytes: sim.MessageBytes(req, false)}, now) == sim.Accepted
+	return g.tellSlice(req.Slice, g.sendInter(srcHalf, 1-srcHalf, noc.Msg{Req: req, Dst: ch, Bytes: sim.MessageBytes(req, false)}, now, behindFabric))
 }
 
 // smSideRespond routes a finished DRAM read back to the slice that
@@ -160,7 +160,7 @@ func (g *GPU) smSideRespond(req *sim.MemReq) {
 		g.slices[req.Slice].AcceptFill(req, now)
 		return
 	}
-	if g.sendInter(chHalf, 1-chHalf, noc.Msg{Req: req, Dst: req.Slice, Bytes: sim.MessageBytes(req, true), Reply: true}, now) != sim.Accepted {
+	if g.sendInter(chHalf, 1-chHalf, noc.Msg{Req: req, Dst: req.Slice, Bytes: sim.MessageBytes(req, true), Reply: true}, now, behindFabric) != sim.Accepted {
 		g.migFillRetry = append(g.migFillRetry, req)
 	}
 }

@@ -63,67 +63,18 @@ func TestParseEngineRejectsRetiredParallel(t *testing.T) {
 	}
 }
 
-// runEngine executes the tiny streaming kernel on cfg under the given
-// engine and returns the final statistics.
-func runEngine(t *testing.T, cfg config.Config, e Engine) *metrics.Stats {
-	t.Helper()
-	g := MustNew(cfg)
-	g.SetEngine(e)
-	l := tinyLaunch(t, g, 32, 4)
-	if err := g.RunProgram([]*kir.Launch{l}); err != nil {
-		t.Fatal(err)
-	}
-	return g.Stats()
-}
-
-// The hybrid engine must be cycle-exact: every counter equal to the
-// serial reference, across all architectures and the timer-driven
-// subsystems (MDR epochs, migration scans, MCM inter-module links).
+// The hybrid engine must be cycle-exact when timers wake it: MDR epochs
+// and migration scans (the topologies are TestAdvanceMatchesStep's rows).
 func TestEnginesCycleExact(t *testing.T) {
-	mcm := config.Baseline().Scale(0.125).WithArch(config.NUBA)
-	mcm.NumModules = 2
-	mcm.InterModuleGBs = 256
-	mdrCfg := tinyConfig(config.NUBA)
-	mdrCfg.Replication = config.MDR
-	mdrCfg.MDREpoch = 4096
-	migCfg := tinyConfig(config.NUBA)
-	migCfg.Placement = config.Migration
-	migCfg.MigrationInterval = 4096
-	cases := map[string]config.Config{
-		"uba-mem":  tinyConfig(config.UBAMem),
-		"uba-sm":   tinyConfig(config.UBASMSide),
-		"nuba":     tinyConfig(config.NUBA),
-		"nuba-mdr": mdrCfg,
-		"nuba-mig": migCfg,
-		"nuba-mcm": mcm,
-	}
-	for _, name := range []string{"uba-mem", "uba-sm", "nuba", "nuba-mdr", "nuba-mig", "nuba-mcm"} {
-		cfg := cases[name]
-		naive := runEngine(t, cfg, EngineNaive)
-		hybrid := runEngine(t, cfg, EngineHybrid)
-		if a, b := fmt.Sprintf("%+v", *naive), fmt.Sprintf("%+v", *hybrid); a != b {
-			t.Errorf("%s: engines diverge\nnaive:  %s\nhybrid: %s", name, a, b)
-		}
-	}
+	checkMatchesNaive(t, timedRows("nuba-mdr", "nuba-mig"), EngineHybrid)
 }
 
 // Wake-up ordering ties: when an MDR epoch boundary, a migration scan and
 // a mem-clock boundary all land on the same cycle, the hybrid engine must
-// process them in the same intra-step order as the reference.
+// process them in the same intra-step order as the reference, and the
+// sanitizer must find every hint sound.
 func TestEnginesWakeTies(t *testing.T) {
-	cfg := tinyConfig(config.NUBA)
-	cfg.Replication = config.MDR
-	cfg.Placement = config.Migration
-	// Both timers share a period that is a multiple of MemClockDiv and of
-	// the batch size, so every firing ties with a mem-clock boundary and
-	// lands exactly on a batch lattice point.
-	cfg.MDREpoch = 4 * batchCycles
-	cfg.MigrationInterval = 4 * batchCycles
-	naive := runEngine(t, cfg, EngineNaive)
-	hybrid := runEngine(t, cfg, EngineHybrid)
-	if a, b := fmt.Sprintf("%+v", *naive), fmt.Sprintf("%+v", *hybrid); a != b {
-		t.Errorf("engines diverge under tied wake-ups\nnaive:  %s\nhybrid: %s", a, b)
-	}
+	checkMatchesNaive(t, timedRows("nuba-timer-ties"), EngineHybrid, EngineSanitize)
 }
 
 // A component that re-activates exactly at a fast-forward target: with
@@ -131,14 +82,7 @@ func TestEnginesWakeTies(t *testing.T) {
 // batch boundary the fast-forward aims at, exercising the w == target
 // path of advance.
 func TestEngineReactivationAtFastForwardTarget(t *testing.T) {
-	cfg := tinyConfig(config.NUBA)
-	cfg.Replication = config.MDR
-	cfg.MDREpoch = batchCycles
-	naive := runEngine(t, cfg, EngineNaive)
-	hybrid := runEngine(t, cfg, EngineHybrid)
-	if a, b := fmt.Sprintf("%+v", *naive), fmt.Sprintf("%+v", *hybrid); a != b {
-		t.Errorf("engines diverge with wake at batch boundary\nnaive:  %s\nhybrid: %s", a, b)
-	}
+	checkMatchesNaive(t, timedRows("nuba-epoch-is-batch"), EngineHybrid, EngineSanitize)
 }
 
 // errAfterCtx reports Canceled starting from the nth Err poll — a

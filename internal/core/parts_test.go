@@ -12,28 +12,48 @@ import (
 	"github.com/nuba-gpu/nuba/internal/trace"
 )
 
+// namedConfig is one row of a table of configurations.
+type namedConfig struct {
+	name string
+	cfg  config.Config
+}
+
 // topologies returns the five fabric shapes the builders produce, all
 // at Scale(0.125): the three architectures plus the two-module MCM
 // variants of the two that support it.
-func topologies() []struct {
-	name string
-	cfg  config.Config
-} {
+func topologies() []namedConfig {
 	mcm := func(arch config.Arch) config.Config {
 		cfg := tinyConfig(arch)
 		cfg.NumModules = 2
 		cfg.InterModuleGBs = 256
 		return cfg
 	}
-	return []struct {
-		name string
-		cfg  config.Config
-	}{
+	return []namedConfig{
 		{"nuba", tinyConfig(config.NUBA)},
 		{"uba-mem", tinyConfig(config.UBAMem)},
 		{"uba-sm", tinyConfig(config.UBASMSide)},
 		{"mcm-nuba", mcm(config.NUBA)},
 		{"mcm-uba", mcm(config.UBAMem)},
+	}
+}
+
+// timed returns the NUBA configurations whose timers the engines must wake
+// for: an MDR epoch, a migration scan, the two tied with each other and
+// with a memory-clock boundary on the batch lattice (the engines must run
+// them in step's order), and an MDR epoch equal to the batch, so that
+// every wake lands on the cycle a fast-forward aims at.
+func timed() []namedConfig {
+	mdr, mig, ties, atTarget := tinyConfig(config.NUBA), tinyConfig(config.NUBA), tinyConfig(config.NUBA), tinyConfig(config.NUBA)
+	mdr.Replication, mdr.MDREpoch = config.MDR, 4096
+	mig.Placement, mig.MigrationInterval = config.Migration, 4096
+	ties.Replication, ties.Placement = config.MDR, config.Migration
+	ties.MDREpoch, ties.MigrationInterval = 4*batchCycles, 4*batchCycles
+	atTarget.Replication, atTarget.MDREpoch = config.MDR, batchCycles
+	return []namedConfig{
+		{"nuba-mdr", mdr},
+		{"nuba-mig", mig},
+		{"nuba-timer-ties", ties},
+		{"nuba-epoch-is-batch", atTarget},
 	}
 }
 
@@ -123,11 +143,14 @@ func checkConserved(t *testing.T, name string, g *GPU) {
 	}
 }
 
-// The one cycle loop against plain stepping: on every topology, naive
-// (advance never asks, so it is step in a loop), hybrid (skips) and
-// sanitize (verifies) must end on the same cycle with the same counters
-// and the same NDJSON trace bytes.
-func TestAdvanceMatchesStep(t *testing.T) {
+// checkMatchesNaive is the one cross-engine comparison: each row runs the
+// tiny kernel under naive (advance never asks, so it is step in a loop) and
+// under each of engines — hybrid skips, sanitize verifies and fails the run
+// on an unsound hint, sleep or park — and every run must end on the same
+// cycle with the same counters, the same NDJSON trace bytes and every
+// request retired.
+func checkMatchesNaive(t *testing.T, rows []namedConfig, engines ...Engine) {
+	t.Helper()
 	run := func(cfg config.Config, e Engine) string {
 		g := MustNew(cfg)
 		g.SetEngine(e)
@@ -147,12 +170,36 @@ func TestAdvanceMatchesStep(t *testing.T) {
 		checkConserved(t, fmt.Sprintf("%s/%v", cfg.Name(), e), g)
 		return fmt.Sprintf("cycle=%d\n%+v\n%s", g.cycle, *g.Stats(), series.Bytes())
 	}
-	for _, tc := range topologies() {
+	if len(rows) == 0 {
+		t.Fatal("no rows — comparison is vacuous")
+	}
+	for _, tc := range rows {
 		naive := run(tc.cfg, EngineNaive)
-		for _, e := range []Engine{EngineHybrid, EngineSanitize} {
+		for _, e := range engines {
 			if got := run(tc.cfg, e); got != naive {
 				t.Errorf("%s: %v diverges from naive\nnaive: %s\n%v: %s", tc.name, e, naive, e, got)
 			}
 		}
 	}
+}
+
+// timedRows returns the rows of timed() with the given names.
+func timedRows(names ...string) []namedConfig {
+	var rows []namedConfig
+	for _, tc := range timed() {
+		for _, n := range names {
+			if tc.name == n {
+				rows = append(rows, tc)
+			}
+		}
+	}
+	return rows
+}
+
+// The one cycle loop against plain stepping on every topology. The timed
+// configurations go through the same comparison in TestEnginesCycleExact,
+// TestSanitizeEngineCycleExact, TestSanitizeHintsSoundOnTinyKernels,
+// TestEnginesWakeTies and TestEngineReactivationAtFastForwardTarget.
+func TestAdvanceMatchesStep(t *testing.T) {
+	checkMatchesNaive(t, topologies(), EngineHybrid, EngineSanitize)
 }

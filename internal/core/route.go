@@ -260,13 +260,15 @@ func (g *GPU) buildInterModule() {
 // src to domain dst.
 func (g *GPU) interLink(src, dst int) int { return src*g.mods + dst }
 
-// sendInter puts msg on that link. Its refusals carry no bound: whoever is
-// refused asks again next cycle.
-func (g *GPU) sendInter(src, dst int, msg noc.Msg, now sim.Cycle) sim.Cycle {
-	if g.inter.Send(g.interLink(src, dst), now, msg, msg.Bytes) {
+// sendInter puts msg on that link: accepted, or the link's bound on the
+// cycle it could take msg. lag is where the sender stands against the
+// link's drain (aheadOfFabric, behindFabric).
+func (g *GPU) sendInter(src, dst int, msg noc.Msg, now, lag sim.Cycle) sim.Cycle {
+	k := g.interLink(src, dst)
+	if g.inter.Send(k, now, msg, msg.Bytes) {
 		return sim.Accepted
 	}
-	return now + 1
+	return g.inter.RetryAt(k, now, lag)
 }
 
 // cross sends req (or its reply) from endpoint src toward endpoint dst,
@@ -280,7 +282,7 @@ func (g *GPU) cross(src, srcPerMod, dst, dstPerMod int, req *sim.MemReq, reply b
 	msg := noc.Msg{Req: req, Dst: dst, Bytes: sim.MessageBytes(req, reply), Reply: reply}
 	srcMod, dstMod := src/srcPerMod, dst/dstPerMod
 	if srcMod != dstMod {
-		return g.sendInter(srcMod, dstMod, msg, now)
+		return g.sendInter(srcMod, dstMod, msg, now, lag)
 	}
 	msg.Dst = dst % dstPerMod
 	x, port := g.reqXbars[srcMod], src%srcPerMod

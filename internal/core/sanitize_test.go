@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -10,27 +9,21 @@ import (
 	"github.com/nuba-gpu/nuba/internal/sim"
 )
 
-// A clean sanitize run must be byte-identical to the serial reference:
-// verification is plain naive stepping, so any divergence means the
-// sanitizer itself perturbed the simulation.
+// A clean sanitize run must be byte-identical to the serial reference
+// under MDR: verification is plain naive stepping, so any divergence means
+// the sanitizer itself perturbed the simulation (the topologies run under
+// sanitize in TestAdvanceMatchesStep).
 func TestSanitizeEngineCycleExact(t *testing.T) {
-	mdrCfg := tinyConfig(config.NUBA)
-	mdrCfg.Replication = config.MDR
-	mdrCfg.MDREpoch = 4096
-	cases := map[string]config.Config{
-		"uba-mem":  tinyConfig(config.UBAMem),
-		"uba-sm":   tinyConfig(config.UBASMSide),
-		"nuba":     tinyConfig(config.NUBA),
-		"nuba-mdr": mdrCfg,
-	}
-	for _, name := range []string{"uba-mem", "uba-sm", "nuba", "nuba-mdr"} {
-		cfg := cases[name]
-		naive := runEngine(t, cfg, EngineNaive)
-		san := runEngine(t, cfg, EngineSanitize)
-		if a, b := fmt.Sprintf("%+v", *naive), fmt.Sprintf("%+v", *san); a != b {
-			t.Errorf("%s: sanitize diverges from reference\nnaive:    %s\nsanitize: %s", name, a, b)
-		}
-	}
+	checkMatchesNaive(t, timedRows("nuba-mdr"), EngineSanitize)
+}
+
+// An unbiased sanitize run under migration must report zero violations and
+// match the reference — the dynamic proof that the shipped hints are sound
+// on the paths the tiny kernel exercises (the two-module MCM runs under
+// sanitize in TestAdvanceMatchesStep; the full Table 2 suite runs in the
+// root package's TestSanitizeSuite).
+func TestSanitizeHintsSoundOnTinyKernels(t *testing.T) {
+	checkMatchesNaive(t, timedRows("nuba-mig"), EngineSanitize)
 }
 
 // The sanitizer's reason to exist: a deliberately optimistic hint — the
@@ -117,29 +110,5 @@ func TestSanitizeCatchesImpureHint(t *testing.T) {
 				t.Errorf("diagnostic = %v, want it to say %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// An unbiased sanitize run over every architecture variant must report
-// zero violations — the dynamic proof that the shipped hints are sound
-// on the paths the tiny kernel exercises (the full Table 2 suite runs
-// in the root package's TestSanitizeSuite).
-func TestSanitizeHintsSoundOnTinyKernels(t *testing.T) {
-	mcm := config.Baseline().Scale(0.125).WithArch(config.NUBA)
-	mcm.NumModules = 2
-	mcm.InterModuleGBs = 256
-	migCfg := tinyConfig(config.NUBA)
-	migCfg.Placement = config.Migration
-	migCfg.MigrationInterval = 4096
-	for name, cfg := range map[string]config.Config{
-		"nuba-mig": migCfg,
-		"nuba-mcm": mcm,
-	} {
-		g := MustNew(cfg)
-		g.SetEngine(EngineSanitize)
-		l := tinyLaunch(t, g, 32, 4)
-		if err := g.RunProgram([]*kir.Launch{l}); err != nil {
-			t.Errorf("%s: sanitize violation on a clean run: %v", name, err)
-		}
 	}
 }

@@ -67,8 +67,8 @@ var RepoPolicy = &Policy{
 		"internal/driver":   {"internal/addrmap", "internal/config", "internal/sim"},
 		"internal/dram":     {"internal/addrmap", "internal/config", "internal/sim"},
 		"internal/llc":      {"internal/cache", "internal/config", "internal/metrics", "internal/sim"},
-		"internal/mdr":      {"internal/config", "internal/metrics", "internal/sim"},
-		"internal/vm":       {"internal/config", "internal/driver", "internal/metrics", "internal/sim"},
+		"internal/mdr":      {"internal/cache", "internal/config", "internal/metrics", "internal/sim"},
+		"internal/vm":       {"internal/cache", "internal/config", "internal/driver", "internal/metrics", "internal/sim"},
 		"internal/smcore": {"internal/cache", "internal/config", "internal/kir", "internal/metrics",
 			"internal/sim", "internal/vm"},
 		"internal/core": {"internal/addrmap", "internal/config", "internal/dram", "internal/driver",

@@ -14,72 +14,23 @@
 package mdr
 
 import (
+	"github.com/nuba-gpu/nuba/internal/cache"
 	"github.com/nuba-gpu/nuba/internal/config"
 	"github.com/nuba-gpu/nuba/internal/metrics"
 	"github.com/nuba-gpu/nuba/internal/sim"
 )
 
-// shadowTags is a tiny tag-only cache covering the sampled sets. The
-// paper's hardware budget is 8 sets x 16 ways x 24-bit tags = 384 bytes.
-type shadowTags struct {
-	ways     int
-	sets     int
-	tags     []uint64
-	valid    []bool
-	lastUse  []int64
-	accesses int64
-	hits     int64
-}
-
-func newShadowTags(sets, ways int) *shadowTags {
-	n := sets * ways
-	return &shadowTags{
-		ways: ways, sets: sets,
-		tags: make([]uint64, n), valid: make([]bool, n), lastUse: make([]int64, n),
-	}
-}
-
-// access simulates a lookup+fill of line in sampled set si.
-func (t *shadowTags) access(si int, line uint64, now int64) {
-	t.accesses++
-	base := si * t.ways
-	vi := base
-	for i := base; i < base+t.ways; i++ {
-		if t.valid[i] && t.tags[i] == line {
-			t.hits++
-			t.lastUse[i] = now
-			return
-		}
-		if !t.valid[i] {
-			vi = i
-		} else if t.valid[vi] && t.lastUse[i] < t.lastUse[vi] {
-			vi = i
-		}
-	}
-	t.tags[vi], t.valid[vi], t.lastUse[vi] = line, true, now
-}
-
-func (t *shadowTags) hitRate() (float64, bool) {
-	if t.accesses < 32 {
-		return 0, false // too few samples to trust
-	}
-	return float64(t.hits) / float64(t.accesses), true
-}
-
-func (t *shadowTags) reset() {
-	t.accesses, t.hits = 0, 0
-	// Tags persist across epochs like real cache contents would.
-}
-
 // Profiler collects one epoch of profiling input for the model.
 type Profiler struct {
-	cfg         *config.Config
 	targetSlice int
 	llcSets     int
 	sampleEvery int // a set is sampled if set % sampleEvery == 0
+	sampled     int // the number of sampled sets
 
-	shadowNoRep   *shadowTags
-	shadowFullRep *shadowTags
+	// The shadow tag arrays, one set per sampled set. The paper's
+	// hardware budget is 8 sets x 16 ways x 24-bit tags = 384 bytes.
+	shadowNoRep   *cache.Cache
+	shadowFullRep *cache.Cache
 
 	// Request-classification counters (all L1-miss loads; stores and
 	// atomics are never replicated and excluded from the fractions, as
@@ -99,23 +50,42 @@ func NewProfiler(cfg *config.Config, targetSlice int) *Profiler {
 	}
 	n := (sets + every - 1) / every
 	return &Profiler{
-		cfg:           cfg,
 		targetSlice:   targetSlice,
 		llcSets:       sets,
 		sampleEvery:   every,
-		shadowNoRep:   newShadowTags(n, cfg.LLCWays),
-		shadowFullRep: newShadowTags(n, cfg.LLCWays),
+		sampled:       n,
+		shadowNoRep:   cache.New(n, cfg.LLCWays, cache.WriteThrough),
+		shadowFullRep: cache.New(n, cfg.LLCWays, cache.WriteThrough),
 	}
 }
 
 // sampleIndex returns the shadow set index for addr, or -1 if the
 // address's set is not sampled.
 func (p *Profiler) sampleIndex(addr uint64) int {
-	set := int((addr >> 7) % uint64(p.llcSets))
+	set := int(addr / sim.LineSize % uint64(p.llcSets))
 	if set%p.sampleEvery != 0 {
 		return -1
 	}
 	return set / p.sampleEvery
+}
+
+// shadow simulates a lookup and fill of addr, whose LLC set is sampled set
+// si, in a shadow tag array. The array holds line l of sampled set si as
+// line l*sampled+si, which lies in its set si.
+func (p *Profiler) shadow(tags *cache.Cache, si int, addr uint64, now sim.Cycle) {
+	key := tags.LineAddr(addr)*uint64(p.sampled) + uint64(si)*sim.LineSize
+	if !tags.Access(key, false, int64(now)) {
+		tags.Insert(key, false, false, int64(now))
+	}
+}
+
+// hitRate returns a shadow tag array's hit rate over the epoch, and false
+// on too few samples to trust.
+func hitRate(tags *cache.Cache) (float64, bool) {
+	if tags.Accesses < 32 {
+		return 0, false
+	}
+	return float64(tags.Hits) / float64(tags.Accesses), true
 }
 
 // Observe classifies one L1-miss request. home is its home slice, local
@@ -133,15 +103,14 @@ func (p *Profiler) Observe(req *sim.MemReq, home int, local bool, replicaWouldBe
 			p.remoteOther++
 		}
 	}
-	line := req.Addr >> 7
 	// No-replication shadow: the slice sees exactly its home requests.
 	if home == p.targetSlice {
 		if si := p.sampleIndex(req.Addr); si >= 0 {
-			p.shadowNoRep.access(si, line, int64(now))
+			p.shadow(p.shadowNoRep, si, req.Addr, now)
 			// Under full replication the slice also keeps serving local
 			// requests and remote non-read-only ones.
 			if local || !req.ReadOnly || req.Kind != sim.Load {
-				p.shadowFullRep.access(si, line, int64(now))
+				p.shadow(p.shadowFullRep, si, req.Addr, now)
 			}
 		}
 		return
@@ -150,7 +119,7 @@ func (p *Profiler) Observe(req *sim.MemReq, home int, local bool, replicaWouldBe
 	// loads from this slice's partition, installed as replicas.
 	if !local && req.ReadOnly && req.Kind == sim.Load && replicaWouldBe == p.targetSlice {
 		if si := p.sampleIndex(req.Addr); si >= 0 {
-			p.shadowFullRep.access(si, line, int64(now))
+			p.shadow(p.shadowFullRep, si, req.Addr, now)
 		}
 	}
 }
@@ -171,8 +140,8 @@ type Snapshot struct {
 func (p *Profiler) EndEpoch() Snapshot {
 	total := p.localHome + p.remoteRO + p.remoteOther
 	s := Snapshot{Loads: total}
-	hitNR, okNR := p.shadowNoRep.hitRate()
-	hitFR, okFR := p.shadowFullRep.hitRate()
+	hitNR, okNR := hitRate(p.shadowNoRep)
+	hitFR, okFR := hitRate(p.shadowFullRep)
 	s.HitNoRep, s.HitFullRep = hitNR, hitFR
 	s.HaveSamples = okNR && okFR && total > 0
 	if total > 0 {
@@ -183,8 +152,9 @@ func (p *Profiler) EndEpoch() Snapshot {
 		s.FracRemoteFullRep = float64(p.remoteOther) / ft
 	}
 	p.localHome, p.remoteRO, p.remoteOther = 0, 0, 0
-	p.shadowNoRep.reset()
-	p.shadowFullRep.reset()
+	// The shadow tags persist across epochs like real cache contents.
+	p.shadowNoRep.Accesses, p.shadowNoRep.Hits = 0, 0
+	p.shadowFullRep.Accesses, p.shadowFullRep.Hits = 0, 0
 	return s
 }
 

@@ -165,8 +165,7 @@ type SM struct {
 
 	// reqSeq is the SM-local request-id sequence; ids are striped by SM
 	// so they stay unique across the whole GPU without a shared
-	// allocator (ROADMAP item 2: no cross-partition state on the tick
-	// path).
+	// allocator.
 	reqSeq uint64
 
 	pageShift uint // log2(cfg.PageSize)

@@ -4,22 +4,18 @@
 // the two-level design of Table 1.
 package vm
 
-// TLB is a set-associative translation lookaside buffer with LRU
-// replacement. It tracks only virtual page numbers; physical mappings are
-// always fetched from the driver so migrations and replica placement stay
-// coherent by construction (a TLB shootdown is modeled by flushing the
-// VPN, which forces the latency of a re-walk).
-type TLB struct {
-	sets int
-	ways int
-	tags []tlbEntry
-}
+import (
+	"github.com/nuba-gpu/nuba/internal/cache"
+	"github.com/nuba-gpu/nuba/internal/sim"
+)
 
-type tlbEntry struct {
-	vpn     uint64
-	valid   bool
-	lastUse int64
-}
+// TLB is a set-associative translation lookaside buffer with LRU
+// replacement: a cache.Cache whose lines are virtual page numbers. It
+// tracks only VPNs; physical mappings are always fetched from the driver
+// so migrations and replica placement stay coherent by construction (a
+// TLB shootdown is modeled by flushing the VPN, which forces the latency
+// of a re-walk).
+type TLB cache.Cache
 
 // NewTLB returns a TLB with entries total entries and the given
 // associativity. entries must be a multiple of ways.
@@ -27,54 +23,19 @@ func NewTLB(entries, ways int) *TLB {
 	if entries <= 0 || ways <= 0 || entries%ways != 0 {
 		panic("vm: TLB geometry invalid")
 	}
-	return &TLB{sets: entries / ways, ways: ways, tags: make([]tlbEntry, entries)}
+	return (*TLB)(cache.New(entries/ways, ways, cache.WriteThrough))
 }
 
-func (t *TLB) set(vpn uint64) []tlbEntry {
-	i := int(vpn%uint64(t.sets)) * t.ways
-	return t.tags[i : i+t.ways]
-}
+// tags returns t as the cache it is, and line the line it holds vpn at:
+// one line per page, so vpn's set is vpn % sets.
+func (t *TLB) tags() *cache.Cache { return (*cache.Cache)(t) }
+func line(vpn uint64) uint64      { return vpn * sim.LineSize }
 
 // Lookup probes for vpn at cycle now, updating LRU state.
-func (t *TLB) Lookup(vpn uint64, now int64) bool {
-	set := t.set(vpn)
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.vpn == vpn {
-			e.lastUse = now
-			return true
-		}
-	}
-	return false
-}
+func (t *TLB) Lookup(vpn uint64, now int64) bool { return t.tags().Access(line(vpn), false, now) }
 
 // Insert fills vpn, evicting the LRU entry of its set if needed.
-func (t *TLB) Insert(vpn uint64, now int64) {
-	set := t.set(vpn)
-	vi := 0
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.vpn == vpn {
-			e.lastUse = now
-			return
-		}
-		if !e.valid {
-			vi = i
-			break
-		}
-		if e.lastUse < set[vi].lastUse {
-			vi = i
-		}
-	}
-	set[vi] = tlbEntry{vpn: vpn, valid: true, lastUse: now}
-}
+func (t *TLB) Insert(vpn uint64, now int64) { t.tags().Insert(line(vpn), false, false, now) }
 
 // Flush removes vpn if present (TLB shootdown on migration).
-func (t *TLB) Flush(vpn uint64) {
-	set := t.set(vpn)
-	for i := range set {
-		if set[i].valid && set[i].vpn == vpn {
-			set[i].valid = false
-		}
-	}
-}
+func (t *TLB) Flush(vpn uint64) { t.tags().Invalidate(line(vpn)) }

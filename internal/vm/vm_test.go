@@ -22,6 +22,22 @@ func TestTLBLRU(t *testing.T) {
 	}
 }
 
+// A refill after a shootdown finds the VPN already in its set and does
+// not store it a second time in the hole the shootdown left: the set still
+// holds three distinct pages.
+func TestTLBRefillAfterFlushKeepsOneCopy(t *testing.T) {
+	tlb := NewTLB(3, 3) // one set
+	tlb.Insert(1, 1)
+	tlb.Insert(2, 2)
+	tlb.Insert(3, 3)
+	tlb.Flush(1)
+	tlb.Insert(3, 4) // already present
+	tlb.Insert(5, 5) // takes the hole
+	if !tlb.Lookup(2, 6) || !tlb.Lookup(3, 7) || !tlb.Lookup(5, 8) {
+		t.Fatal("a refill of a present VPN took a way")
+	}
+}
+
 func TestTLBFlush(t *testing.T) {
 	tlb := NewTLB(8, 2)
 	tlb.Insert(5, 0)

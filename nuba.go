@@ -142,7 +142,8 @@ func NUBAConfig() Config { return config.NUBABaseline() }
 func SMSideConfig() Config { return config.SMSideBaseline() }
 
 // MCMConfig returns the Figure 16 four-module MCM GPU of the given
-// architecture.
+// architecture: NUBA or the memory-side UBA (the SM-side UBA's two halves
+// are one chip, and Validate rejects it on more modules).
 func MCMConfig(a Arch) Config { return config.MCM(a) }
 
 // NewSystem assembles a GPU for the configuration.
