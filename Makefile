@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint fmt-check docs-check test test-short race sanitize stress golden experiments bench-check check clean
+.PHONY: build vet lint fmt-check docs-check test test-short race sanitize stress fuzz golden experiments bench-check check clean
 
 build:
 	$(GO) build ./...
@@ -86,6 +86,20 @@ sanitize:
 stress:
 	$(GO) test -timeout 20m -run 'TestStress' ./internal/experiments/
 	$(GO) test -timeout 30m -run TestStarvedMachine . -starved.all
+
+# Native fuzzing beyond the seed corpora: each Fuzz* target in the module
+# runs for FUZZTIME, one after another (`go test -fuzz` takes one target
+# per package per run). `test` already runs every target's seed corpus as
+# plain tests, so this is not a step of `check`. A failing input is saved
+# under the package's testdata/fuzz and replays in `test` until fixed.
+FUZZTIME ?= 30s
+fuzz:
+	@set -e; for f in $$(grep -rl --include='*_test.go' --exclude-dir=bench --exclude-dir=testdata --exclude-dir=.bench_build '^func Fuzz' .); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "$$t $$(dirname $$f)"; \
+			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) $$(dirname $$f); \
+		done; \
+	done
 
 # What the simulator says, pinned in tier-1: one Stats digest per benchmark
 # (testdata/suite_digests.txt) and the whole `nubasweep -exp all` report on

@@ -6,9 +6,16 @@ import "github.com/nuba-gpu/nuba/internal/sim"
 // line fills and merges subsequent misses to the same line behind the
 // first (primary) miss, bounding the number of in-flight misses a cache
 // can sustain.
+//
+// The entries live in an open-addressed table of at least twice the
+// capacity, a power of two, probed linearly from the line's hash: a lookup
+// ends at the line or at an empty slot, and at most half the slots are
+// ever taken, so a probe run stays short.
 type MSHRFile struct {
 	capacity int
-	entries  map[uint64]*MSHREntry
+	n        int
+	slots    []mshrSlot
+	mask     uint64
 	// free holds released entries for the next Allocate; it fills as
 	// misses retire, up to capacity, and is never pre-sized. A recycled
 	// entry keeps its Waiters backing array.
@@ -19,6 +26,12 @@ type MSHRFile struct {
 	// was full.
 	Merges     int64
 	StallsFull int64
+}
+
+// mshrSlot is one table slot; e is nil when the slot is empty.
+type mshrSlot struct {
+	line uint64
+	e    *MSHREntry
 }
 
 // MSHREntry records one outstanding line fill and the requests waiting
@@ -39,28 +52,45 @@ func NewMSHRFile(capacity int) *MSHRFile {
 	if capacity <= 0 {
 		panic("cache: MSHR capacity must be positive")
 	}
-	return &MSHRFile{capacity: capacity, entries: make(map[uint64]*MSHREntry, capacity)}
+	size := 2
+	for size < 2*capacity {
+		size *= 2
+	}
+	return &MSHRFile{capacity: capacity, slots: make([]mshrSlot, size), mask: uint64(size - 1)}
+}
+
+// find returns the slot holding line, or the empty slot that ends its
+// probe run, and whether line is there.
+func (m *MSHRFile) find(line uint64) (uint64, bool) {
+	i := sim.Mix(line) & m.mask
+	for m.slots[i].e != nil {
+		if m.slots[i].line == line {
+			return i, true
+		}
+		i = (i + 1) & m.mask
+	}
+	return i, false
 }
 
 // Len returns the number of outstanding entries.
-func (m *MSHRFile) Len() int { return len(m.entries) }
+func (m *MSHRFile) Len() int { return m.n }
 
 // Full reports whether no new entry can be allocated.
-func (m *MSHRFile) Full() bool { return len(m.entries) >= m.capacity }
+func (m *MSHRFile) Full() bool { return m.n >= m.capacity }
 
 // Lookup returns the outstanding entry for line, if any.
 func (m *MSHRFile) Lookup(line uint64) (*MSHREntry, bool) {
-	e, ok := m.entries[line]
-	return e, ok
+	i, ok := m.find(line)
+	return m.slots[i].e, ok
 }
 
-// Each calls fn on every outstanding entry in no particular order, so fn
-// may only fold entries into something order-independent — the counts of
-// a stall diagnosis.
+// Each calls fn on every outstanding entry in table order, which is a
+// function of the outstanding lines alone.
 func (m *MSHRFile) Each(fn func(*MSHREntry)) {
-	//nubalint:ignore nondet-map-range callers fold the entries into counts, which commute
-	for _, e := range m.entries {
-		fn(e)
+	for _, s := range m.slots {
+		if s.e != nil {
+			fn(s.e)
+		}
 	}
 }
 
@@ -69,7 +99,7 @@ func (m *MSHRFile) Each(fn func(*MSHREntry)) {
 // when it would refuse. A caller that builds its request only once the
 // miss is certain to be tracked asks here first.
 func (m *MSHRFile) Admit(line uint64) (merge, ok bool) {
-	if _, exists := m.entries[line]; exists {
+	if _, exists := m.find(line); exists {
 		return true, true
 	}
 	if m.Full() {
@@ -84,7 +114,9 @@ func (m *MSHRFile) Admit(line uint64) (merge, ok bool) {
 // merged=true is returned. If the file is full and no entry exists,
 // ok=false is returned and the cache must stall the request.
 func (m *MSHRFile) Allocate(line uint64, req *sim.MemReq, now sim.Cycle) (entry *MSHREntry, merged, ok bool) {
-	if e, exists := m.entries[line]; exists {
+	i, exists := m.find(line)
+	if exists {
+		e := m.slots[i].e
 		e.Waiters = append(e.Waiters, req)
 		m.Merges++
 		req.MergedBehind = true
@@ -103,7 +135,8 @@ func (m *MSHRFile) Allocate(line uint64, req *sim.MemReq, now sim.Cycle) (entry 
 	} else {
 		e = &MSHREntry{Line: line, Primary: req, Allocated: now}
 	}
-	m.entries[line] = e
+	m.slots[i] = mshrSlot{line: line, e: e}
+	m.n++
 	return e, false, true
 }
 
@@ -111,10 +144,24 @@ func (m *MSHRFile) Allocate(line uint64, req *sim.MemReq, now sim.Cycle) (entry 
 // ok is false if no entry was outstanding. The entry stays readable until
 // the next Allocate, which may hand the same object out again.
 func (m *MSHRFile) Release(line uint64) (*MSHREntry, bool) {
-	e, ok := m.entries[line]
-	if ok {
-		delete(m.entries, line)
-		m.free = append(m.free, e)
+	i, ok := m.find(line)
+	if !ok {
+		return nil, false
 	}
-	return e, ok
+	e := m.slots[i].e
+	m.free = append(m.free, e)
+	m.n--
+	// Backward-shift deletion: walk the probe run past the hole and move
+	// back into it each entry whose home slot is not between the hole and
+	// where the entry sits, so every lookup still reaches its line before
+	// an empty slot.
+	for j := (i + 1) & m.mask; m.slots[j].e != nil; j = (j + 1) & m.mask {
+		home := sim.Mix(m.slots[j].line) & m.mask
+		if (j-home)&m.mask >= (j-i)&m.mask {
+			m.slots[i] = m.slots[j]
+			i = j
+		}
+	}
+	m.slots[i] = mshrSlot{}
+	return e, true
 }

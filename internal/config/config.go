@@ -565,11 +565,12 @@ func (c *Config) Validate() error {
 	case c.BanksPerChan < 1 || c.BanksPerChan > MaxBanksPerChan:
 		return fmt.Errorf("config: BanksPerChan %d out of [1,%d] (the memory controller tracks banks in one 64-bit mask)",
 			c.BanksPerChan, MaxBanksPerChan)
-	case c.MemQueueDepth < 1:
-		return fmt.Errorf("config: MemQueueDepth %d must be positive (a memory controller with no bounded queue never back-pressures)",
-			c.MemQueueDepth)
-	case c.L1MSHRs < 1 || c.LLCMSHRs < 1:
-		return fmt.Errorf("config: MSHR files must have at least one entry (L1 %d, LLC %d)", c.L1MSHRs, c.LLCMSHRs)
+	case c.MemQueueDepth < 1 || c.MemQueueDepth > maxTableEntries:
+		return fmt.Errorf("config: MemQueueDepth %d out of [1,%d] (a memory controller with no bounded queue never back-pressures; its queue is a fixed array of that many slots)",
+			c.MemQueueDepth, maxTableEntries)
+	case c.L1MSHRs < 1 || c.LLCMSHRs < 1 || c.L1MSHRs > maxTableEntries || c.LLCMSHRs > maxTableEntries:
+		return fmt.Errorf("config: MSHR files must have 1 to %d entries (L1MSHRs %d, LLCMSHRs %d; each is a table of twice that many slots)",
+			maxTableEntries, c.L1MSHRs, c.LLCMSHRs)
 	case c.MDRSampleSets < 1 || c.MemBusBytesPerMemCycle < 1:
 		return fmt.Errorf("config: MDRSampleSets %d and MemBusBytesPerMemCycle %d must be positive", c.MDRSampleSets, c.MemBusBytesPerMemCycle)
 	case c.L1TLBEntries < 1 || c.L1TLBEntries%L1TLBWays != 0 || c.L2TLBWays < 1 || c.L2TLBEntries < 1 || c.L2TLBEntries%c.L2TLBWays != 0:
@@ -594,8 +595,13 @@ func (c *Config) Validate() error {
 const L1TLBWays = 8
 
 // MaxBanksPerChan is the most DRAM banks a channel can have: the FR-FCFS
-// scheduler's per-tick "banks already considered" set is one machine word.
+// scheduler's bank sets are one machine word each.
 const MaxBanksPerChan = 64
+
+// maxTableEntries bounds MemQueueDepth, L1MSHRs and LLCMSHRs: the memory
+// controller and the MSHR files allocate fixed tables of that size up
+// front, and the controller names its slots in 16 bits.
+const maxTableEntries = 4096
 
 // MaxWarpsPerScheduler is the most warp slots one SM warp scheduler can
 // own: its ready, memory-op and timed-wait sets are one machine word each,

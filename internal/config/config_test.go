@@ -159,6 +159,9 @@ func TestValidateBoundsFixedCapacityStructures(t *testing.T) {
 		{"negative L1 MSHRs", func(c *Config) { c.L1MSHRs = -2 }, "MSHR files"},
 		{"no LLC MSHRs", func(c *Config) { c.LLCMSHRs = 0 }, "MSHR files"},
 		{"one MSHR each", func(c *Config) { c.L1MSHRs, c.LLCMSHRs = 1, 1 }, ""},
+		{"largest tables", func(c *Config) {
+			c.MemQueueDepth, c.L1MSHRs, c.LLCMSHRs = maxTableEntries, maxTableEntries, maxTableEntries
+		}, ""},
 		{"no schedulers", func(c *Config) { c.SchedulersPerSM = 0 }, "SchedulersPerSM 0"},
 		{"negative schedulers", func(c *Config) { c.SchedulersPerSM = -1 }, "SchedulersPerSM -1"},
 		{"one scheduler, 64 warps", func(c *Config) { c.SchedulersPerSM = 1 }, ""},
@@ -227,6 +230,9 @@ func TestValidateRejectsWhatUsedToPanic(t *testing.T) {
 		{"migration scan every cycle", func(c *Config) { *c = c.WithArch(NUBA); c.Placement, c.MigrationInterval = Migration, 0 }, "MigrationInterval 0"},
 		{"other placements never scan", func(c *Config) { c.MigrationInterval = 0 }, ""},
 		{"no cycle budget", func(c *Config) { c.MaxCycles = 0 }, "MaxCycles 0"},
+		{"memory queue too deep to allocate", func(c *Config) { c.MemQueueDepth = 1 << 40 }, "MemQueueDepth 1099511627776"},
+		{"L1 MSHR table too large", func(c *Config) { c.L1MSHRs = maxTableEntries + 1 }, "L1MSHRs 4097"},
+		{"LLC MSHR table too large", func(c *Config) { c.LLCMSHRs = 1 << 40 }, "LLCMSHRs 1099511627776"},
 	}
 	for _, tc := range cases {
 		c := Baseline()

@@ -15,6 +15,8 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
+
 	"github.com/nuba-gpu/nuba/internal/addrmap"
 	"github.com/nuba-gpu/nuba/internal/config"
 	"github.com/nuba-gpu/nuba/internal/sim"
@@ -33,7 +35,18 @@ type bank struct {
 	// request's address: requests are recycled (sim.ReqPool), sequence
 	// numbers are not.
 	openedFor uint64
+
+	// head and tail are the slots of the bank's oldest and youngest
+	// queued requests, linked oldest first through entry.next; hit[k] is
+	// the slot of its oldest request of kind k to the open row. Each is
+	// none when there is no such request.
+	head, tail uint16
+	hit        [2]uint16
 }
+
+// none is the empty slot index; Config.Validate bounds MemQueueDepth at
+// 4096, well below it.
+const none = ^uint16(0)
 
 // entry is one queued request with everything the scheduler asks about
 // it, decoded once at Enqueue: the two FR-FCFS passes read entries and
@@ -42,9 +55,19 @@ type entry struct {
 	req   *sim.MemReq
 	row   uint64
 	seq   uint64 // per-channel arrival number, from 1
+	next  uint16 // the bank's next younger request's slot, or none
 	bank  uint8  // Config.Validate bounds BanksPerChan at 64
 	group uint8
 	store bool // req.Kind == sim.Store: a write burst, completes silently
+}
+
+// kind indexes bank.hit and Channel.hits: 0 for a read or atomic, 1 for a
+// store — the two classes the data bus and tWTR tell apart.
+func (e *entry) kind() int {
+	if e.store {
+		return 1
+	}
+	return 0
 }
 
 type completion struct {
@@ -60,13 +83,18 @@ type Channel struct {
 	mapper *addrmap.Mapper
 	t      config.HBMTiming
 
-	// queue holds the pending requests oldest first, in a flat slice of
-	// capacity MemQueueDepth: scans are a range loop and a removal is
-	// one copy over at most that many small entries.
-	queue    []entry
-	seq      uint64
-	banks    []bank
-	allBanks uint64 // one bit per bank: pass 2 has seen them all
+	// slots holds the MemQueueDepth queue entries, free the unused slots'
+	// indices; each bank links its own requests in arrival order. The
+	// masks hold one bit per bank: busy, a request is queued; hits[k], a
+	// request of kind k is to the open row (bank.hit[k]); cmd, the oldest
+	// request is not, so it needs a PRE or an ACT.
+	slots []entry
+	free  []uint16
+	seq   uint64
+	banks []bank
+	busy  uint64
+	hits  [2]uint64
+	cmd   uint64
 
 	busFreeAt int64 // memory cycle the data bus frees up
 	burst     int64 // data-bus cycles per 128 B transaction
@@ -131,14 +159,22 @@ func NewChannel(id int, cfg *config.Config, mapper *addrmap.Mapper) *Channel {
 	if cfg.BanksPerChan < groups {
 		groups = 1
 	}
+	banks := make([]bank, cfg.BanksPerChan)
+	for i := range banks {
+		banks[i].head, banks[i].tail, banks[i].hit = none, none, [2]uint16{none, none}
+	}
+	free := make([]uint16, cfg.MemQueueDepth)
+	for i := range free {
+		free[i] = uint16(i)
+	}
 	return &Channel{
 		id:          id,
 		cfg:         cfg,
 		mapper:      mapper,
 		t:           cfg.Timing,
-		queue:       make([]entry, 0, cfg.MemQueueDepth),
-		banks:       make([]bank, cfg.BanksPerChan),
-		allBanks:    1<<uint(cfg.BanksPerChan) - 1,
+		slots:       make([]entry, cfg.MemQueueDepth),
+		free:        free,
+		banks:       banks,
 		burst:       burst,
 		numGroups:   groups,
 		lastActAt:   -1,
@@ -204,10 +240,14 @@ func (c *Channel) casOK(now int64, g int, store bool) bool {
 }
 
 // CanEnqueue reports whether the request queue has room.
-func (c *Channel) CanEnqueue() bool { return len(c.queue) < cap(c.queue) }
+func (c *Channel) CanEnqueue() bool { return len(c.free) > 0 }
+
+// queued returns the number of requests in the queue.
+func (c *Channel) queued() int { return len(c.slots) - len(c.free) }
 
 // Enqueue adds a request to the channel queue, reporting acceptance. The
-// bank, bank group and row are decoded here, once per request.
+// bank, bank group and row are decoded here, once per request, and the
+// request joins the tail of its bank's list.
 func (c *Channel) Enqueue(req *sim.MemReq) bool {
 	c.offered++
 	if !c.CanEnqueue() {
@@ -217,14 +257,35 @@ func (c *Channel) Enqueue(req *sim.MemReq) bool {
 	c.sleepUntil = 0
 	bi := c.mapper.Bank(req.Addr)
 	c.seq++
-	c.queue = append(c.queue, entry{
+	s := c.free[len(c.free)-1]
+	c.free = c.free[:len(c.free)-1]
+	e := &c.slots[s]
+	*e = entry{
 		req:   req,
 		row:   c.mapper.Row(req.Addr),
 		seq:   c.seq,
+		next:  none,
 		bank:  uint8(bi),
 		group: uint8(c.groupOf(bi)),
 		store: req.Kind == sim.Store,
-	})
+	}
+	b := &c.banks[bi]
+	bit := uint64(1) << uint(bi)
+	open := b.rowOpen && b.row == e.row
+	if b.head == none {
+		b.head = s
+		c.busy |= bit
+		if !open {
+			c.cmd |= bit
+		}
+	} else {
+		c.slots[b.tail].next = s
+	}
+	b.tail = s
+	if k := e.kind(); open && b.hit[k] == none {
+		b.hit[k] = s
+		c.hits[k] |= bit
+	}
 	return true
 }
 
@@ -250,12 +311,58 @@ func (c *Channel) RetryAt(now sim.Cycle) sim.Cycle {
 // it refused.
 func (c *Channel) Enqueues() sim.Offers { return sim.Offers{Offered: c.offered, Refused: c.stallFull} }
 
-// remove drops entry i, keeping the rest in arrival order.
-func (c *Channel) remove(i int) {
-	n := len(c.queue) - 1
-	copy(c.queue[i:], c.queue[i+1:])
-	c.queue[n] = entry{} // drop the request pointer
-	c.queue = c.queue[:n]
+// nextHit returns the first slot from s on along its bank's list holding a
+// request of kind k to row, or none.
+func (c *Channel) nextHit(s uint16, k int, row uint64) uint16 {
+	for ; s != none; s = c.slots[s].next {
+		if e := &c.slots[s]; e.row == row && e.kind() == k {
+			return s
+		}
+	}
+	return none
+}
+
+// setHit records h as bank bi's oldest open-row request of kind k.
+func (c *Channel) setHit(bi int, k int, h uint16) {
+	c.banks[bi].hit[k] = h
+	if h == none {
+		c.hits[k] &^= 1 << uint(bi)
+	} else {
+		c.hits[k] |= 1 << uint(bi)
+	}
+}
+
+// removeHit unlinks bank bi's hit of kind k — the request a CAS just
+// served — and finds the bank's next one of that kind.
+func (c *Channel) removeHit(bi int, k int) {
+	b := &c.banks[bi]
+	s := b.hit[k]
+	e := &c.slots[s]
+	prev := none
+	for p := b.head; p != s; p = c.slots[p].next {
+		prev = p
+	}
+	if prev == none {
+		b.head = e.next
+	} else {
+		c.slots[prev].next = e.next
+	}
+	if b.tail == s {
+		b.tail = prev
+	}
+	c.setHit(bi, k, c.nextHit(e.next, k, b.row))
+	bit := uint64(1) << uint(bi)
+	switch {
+	case b.head == none:
+		c.busy &^= bit
+		c.cmd &^= bit
+	case c.slots[b.head].row != b.row:
+		c.cmd |= bit
+	default:
+		c.cmd &^= bit
+	}
+	*e = entry{} // drop the request pointer
+	c.free = append(c.free, s)
 }
 
 // fawOK reports whether a fourth activate within the window would violate
@@ -292,7 +399,7 @@ func (c *Channel) Tick(now int64) {
 			c.Respond(comp.req)
 		}
 	}
-	if len(c.queue) > 0 {
+	if c.busy != 0 {
 		c.schedule(now)
 	}
 	c.sleepUntil = sim.Never
@@ -301,78 +408,82 @@ func (c *Channel) Tick(now int64) {
 	}
 }
 
-// schedule issues at most one command for the queued requests.
+// schedule issues at most one command for the queued requests. Both
+// passes pick what a scan of the whole queue in arrival order would pick,
+// visiting one candidate per bank: the smallest seq among them is the
+// oldest request the scan would have stopped at.
 func (c *Channel) schedule(now int64) {
-	// FR-FCFS pass 1: the first request whose row is open and whose
+	// FR-FCFS pass 1: the oldest request whose row is open and whose
 	// bank + data bus can take the CAS now. Whether the bus is free by
-	// the time the burst would start depends only on the kind, so it is
-	// decided here, once; with the bus taken for both kinds no CAS can
-	// issue and the scan is skipped.
-	rdBus := c.busFreeAt <= now+int64(c.t.TCL)
-	wrBus := c.busFreeAt <= now+int64(c.t.TWL)
-	if rdBus || wrBus {
-		for i := range c.queue {
-			e := &c.queue[i]
-			b := &c.banks[e.bank]
-			if !b.rowOpen || b.row != e.row || b.readyCAS > now {
-				continue
-			}
-			if e.store {
-				if !wrBus {
-					continue
-				}
-			} else if !rdBus {
-				continue
-			}
-			if !c.casOK(now, int(e.group), e.store) {
-				continue
-			}
-			c.issueCAS(now, e, b, b.openedFor != e.seq)
-			b.openedFor = 0
-			c.remove(i)
-			return
+	// the time the burst would start depends only on the kind, and
+	// readyCAS and tCCD/tWTR only on the bank and the kind, so a bank's
+	// oldest open-row request of a kind is its only candidate of that
+	// kind.
+	best, bestSeq := none, ^uint64(0)
+	busFree := [2]bool{c.busFreeAt <= now+int64(c.t.TCL), c.busFreeAt <= now+int64(c.t.TWL)}
+	for k := range busFree {
+		if !busFree[k] {
+			continue
 		}
+		for m := c.hits[k]; m != 0; m &= m - 1 {
+			b := &c.banks[bits.TrailingZeros64(m)]
+			e := &c.slots[b.hit[k]]
+			if e.seq < bestSeq && b.readyCAS <= now && c.casOK(now, int(e.group), e.store) {
+				best, bestSeq = b.hit[k], e.seq
+			}
+		}
+	}
+	if best != none {
+		e := &c.slots[best]
+		b := &c.banks[e.bank]
+		c.issueCAS(now, e, b, b.openedFor != e.seq)
+		b.openedFor = 0
+		c.removeHit(int(e.bank), e.kind())
+		return
 	}
 	// Pass 2: issue one PRE or ACT for the oldest request of some bank,
 	// preserving bank-level parallelism — considering only each bank's
-	// oldest request avoids thrashing rows under younger requests. Once
-	// every bank has shown its oldest request the rest cannot matter.
-	var seen uint64
-	for i := range c.queue {
-		e := &c.queue[i]
-		bit := uint64(1) << e.bank
-		if seen&bit != 0 {
+	// oldest request avoids thrashing rows under younger requests. A bank
+	// whose oldest request is to its open row waits for pass 1.
+	bestBank, oldest := -1, ^uint64(0)
+	faw := c.fawOK(now)
+	for m := c.cmd; m != 0; m &= m - 1 {
+		bi := bits.TrailingZeros64(m)
+		b := &c.banks[bi]
+		e := &c.slots[b.head]
+		if e.seq > oldest {
 			continue
 		}
-		seen |= bit
-		b := &c.banks[e.bank]
-		switch {
-		case b.rowOpen && b.row == e.row:
-			// Waiting on tRCD or the data bus; pass 1 issues the CAS
-			// when it becomes legal. No command for this bank.
-		case b.rowOpen: // row conflict: precharge
-			if b.readyPre <= now {
-				b.rowOpen = false
-				b.readyAct = max64(b.readyAct, now+int64(c.t.TRP))
-				return
-			}
-		default: // closed: activate
-			if b.readyAct <= now && c.actOK(now, int(e.group)) && c.fawOK(now) {
-				b.rowOpen = true
-				b.row = e.row
-				b.readyCAS = now + int64(c.t.TRCD)
-				b.readyPre = now + int64(c.t.TRAS)
-				b.readyAct = now + int64(c.t.TRC)
-				b.openedFor = e.seq
-				c.recordAct(now, int(e.group))
-				c.RowMisses++
-				return
-			}
-		}
-		if seen == c.allBanks {
-			return
+		if b.rowOpen && b.readyPre <= now ||
+			!b.rowOpen && b.readyAct <= now && faw && c.actOK(now, int(e.group)) {
+			bestBank, oldest = bi, e.seq
 		}
 	}
+	if bestBank < 0 {
+		return
+	}
+	b := &c.banks[bestBank]
+	if b.rowOpen { // row conflict: precharge
+		b.rowOpen = false
+		b.readyAct = max64(b.readyAct, now+int64(c.t.TRP))
+		c.setHit(bestBank, 0, none)
+		c.setHit(bestBank, 1, none)
+		return
+	}
+	// Closed: activate the oldest request's row, which turns the bank's
+	// requests to that row into hits.
+	e := &c.slots[b.head]
+	b.rowOpen = true
+	b.row = e.row
+	b.readyCAS = now + int64(c.t.TRCD)
+	b.readyPre = now + int64(c.t.TRAS)
+	b.readyAct = now + int64(c.t.TRC)
+	b.openedFor = e.seq
+	c.recordAct(now, int(e.group))
+	c.RowMisses++
+	c.cmd &^= 1 << uint(bestBank)
+	c.setHit(bestBank, 0, c.nextHit(b.head, 0, b.row))
+	c.setHit(bestBank, 1, c.nextHit(b.head, 1, b.row))
 }
 
 func (c *Channel) issueCAS(now int64, e *entry, b *bank, rowHit bool) {
@@ -404,7 +515,7 @@ func (c *Channel) issueCAS(now int64, e *entry, b *bank, rowHit bool) {
 
 // Pending reports whether any request or in-flight burst remains.
 func (c *Channel) Pending() bool {
-	return len(c.queue) > 0 || !c.completions.Empty()
+	return c.busy != 0 || !c.completions.Empty()
 }
 
 // NextEvent returns the earliest memory cycle at which the channel could
@@ -414,7 +525,7 @@ func (c *Channel) Pending() bool {
 // pushed in data-bus order (busFreeAt serializes bursts), so the head's
 // done cycle is the minimum in flight.
 func (c *Channel) NextEvent() (int64, bool) {
-	if len(c.queue) > 0 {
+	if c.busy != 0 {
 		return 0, true
 	}
 	if comp, ok := c.completions.Peek(); ok {
@@ -428,7 +539,7 @@ func (c *Channel) NextEvent() (int64, bool) {
 // trackers and every pending burst completion. The traffic counters are
 // accounting and excluded.
 func (c *Channel) StateSig() uint64 {
-	h := sim.MixSig(sim.SigSeed, uint64(len(c.queue)))
+	h := sim.MixSig(sim.SigSeed, uint64(c.queued()))
 	for i := range c.banks {
 		b := &c.banks[i]
 		h = sim.MixSigBool(h, b.rowOpen)
@@ -456,9 +567,14 @@ func max64(a, b int64) int64 {
 
 // DebugState summarizes controller state for stall diagnosis.
 func (c *Channel) DebugState(now int64) string {
-	s := fmt.Sprintf("q=%d busFree=%+d comps=%d", len(c.queue), c.busFreeAt-now, c.completions.Len())
-	if len(c.queue) > 0 {
-		e := &c.queue[0]
+	s := fmt.Sprintf("q=%d busFree=%+d comps=%d", c.queued(), c.busFreeAt-now, c.completions.Len())
+	var e *entry // the oldest request: the oldest of the banks' oldest
+	for m := c.busy; m != 0; m &= m - 1 {
+		if h := &c.slots[c.banks[bits.TrailingZeros64(m)].head]; e == nil || h.seq < e.seq {
+			e = h
+		}
+	}
+	if e != nil {
 		b := &c.banks[e.bank]
 		s += fmt.Sprintf(" head={%v addr=%#x bank=%d grp=%d} bank={open=%v row=%d rdyAct=%+d rdyCAS=%+d rdyPre=%+d} lastAct=%+d",
 			e.req.Kind, e.req.Addr, e.bank, e.group,

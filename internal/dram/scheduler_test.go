@@ -2,6 +2,7 @@ package dram
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"github.com/nuba-gpu/nuba/internal/addrmap"
@@ -18,15 +19,23 @@ import (
 // cycle is agreement on the command issued that cycle.
 
 // viewNew and viewRef render a channel's scheduling state as a
-// comparable string; a row's opener is named by request id in both.
+// comparable string; a row's opener is named by request id in both. The
+// channel's queue is its banks' lists merged in arrival (seq) order.
 func viewNew(c *Channel) string {
 	s := fmt.Sprintf("bus=%d act=%d/%d cas=%d/%d wr=%d/%d r=%d w=%d hit=%d miss=%d busy=%d grp=%v full=%d q=[",
 		c.busFreeAt, c.lastActAt, c.lastActGroup, c.lastCASAt, c.lastCASGroup, c.lastWrEndAt, c.lastWrGroup,
 		c.Reads, c.Writes, c.RowHits, c.RowMisses, c.BusyCycles, c.groupBusy, c.stallFull)
+	var queue []*entry
+	for i := range c.banks {
+		for p := c.banks[i].head; p != none; p = c.slots[p].next {
+			queue = append(queue, &c.slots[p])
+		}
+	}
+	sort.Slice(queue, func(i, j int) bool { return queue[i].seq < queue[j].seq })
 	bySeq := map[uint64]uint64{}
-	for i := range c.queue {
-		s += fmt.Sprintf("%d ", c.queue[i].req.ID)
-		bySeq[c.queue[i].seq] = c.queue[i].req.ID
+	for _, e := range queue {
+		s += fmt.Sprintf("%d ", e.req.ID)
+		bySeq[e.seq] = e.req.ID
 	}
 	s += "] banks="
 	for i := range c.banks {
@@ -75,25 +84,63 @@ type stream struct {
 	depth, banks int
 }
 
+var referenceStreams = []stream{
+	{name: "row-hit-heavy", rows: 4, storePct: 0, offerPct: 100},
+	{name: "scattered", rows: 1 << 16, storePct: 0, offerPct: 100},
+	{name: "mixed-read-write", rows: 64, storePct: 40, offerPct: 100},
+	{name: "write-heavy", rows: 16, storePct: 90, offerPct: 70},
+	{name: "near-empty", rows: 256, storePct: 25, offerPct: 6},
+	{name: "bursty", rows: 32, storePct: 30, offerPct: 35},
+	{name: "shallow-queue", rows: 128, storePct: 30, offerPct: 100, depth: 2},
+	{name: "one-group", rows: 128, storePct: 30, offerPct: 100, banks: 2},
+	{name: "max-banks", rows: 1 << 12, storePct: 20, offerPct: 100, banks: 64},
+}
+
 func TestSchedulerMatchesReference(t *testing.T) {
-	streams := []stream{
-		{name: "row-hit-heavy", rows: 4, storePct: 0, offerPct: 100},
-		{name: "scattered", rows: 1 << 16, storePct: 0, offerPct: 100},
-		{name: "mixed-read-write", rows: 64, storePct: 40, offerPct: 100},
-		{name: "write-heavy", rows: 16, storePct: 90, offerPct: 70},
-		{name: "near-empty", rows: 256, storePct: 25, offerPct: 6},
-		{name: "bursty", rows: 32, storePct: 30, offerPct: 35},
-		{name: "shallow-queue", rows: 128, storePct: 30, offerPct: 100, depth: 2},
-		{name: "one-group", rows: 128, storePct: 30, offerPct: 100, banks: 2},
-		{name: "max-banks", rows: 1 << 12, storePct: 20, offerPct: 100, banks: 64},
-	}
-	for _, st := range streams {
+	for _, st := range referenceStreams {
 		for _, seed := range []uint64{1, 2} {
 			t.Run(fmt.Sprintf("%s/seed%d", st.name, seed), func(t *testing.T) {
 				diffRun(t, st, seed, 4000)
 			})
 		}
 	}
+}
+
+// FuzzSchedulerMatchesReference searches the stream space the table above
+// samples: any row count up to 65536, store and offer shares, queue depth
+// and bank count 1–64, any seed. Values out of range wrap into it, so
+// every input is a valid stream; the seed corpus is the table's streams.
+// `make fuzz` runs it beyond the corpus.
+func FuzzSchedulerMatchesReference(f *testing.F) {
+	for i, st := range referenceStreams {
+		depth, banks := st.depth, st.banks
+		if depth == 0 {
+			depth = 64
+		}
+		if banks == 0 {
+			banks = 16
+		}
+		f.Add(st.rows, uint8(st.storePct), uint8(st.offerPct), uint8(depth), uint8(banks), uint64(i+1))
+	}
+	f.Fuzz(func(t *testing.T, rows uint64, storePct, offerPct, depth, banks uint8, seed uint64) {
+		st := stream{
+			name:     "fuzz",
+			rows:     wrap(rows, 1<<16),
+			storePct: uint64(storePct) % 101,
+			offerPct: wrap(uint64(offerPct), 100),
+			depth:    int(wrap(uint64(depth), 64)),
+			banks:    int(wrap(uint64(banks), 64)),
+		}
+		diffRun(t, st, seed, 2000)
+	})
+}
+
+// wrap maps v into [1, hi], leaving values already there unchanged.
+func wrap(v, hi uint64) uint64 {
+	if v >= 1 && v <= hi {
+		return v
+	}
+	return 1 + v%hi
 }
 
 func diffRun(t *testing.T, st stream, seed uint64, cycles int64) {
