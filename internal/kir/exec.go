@@ -62,35 +62,41 @@ func (l *Launch) Validate() error {
 	return nil
 }
 
-// Value is a warp-wide 64-bit value: uniform (one scalar for all lanes) or
-// per-lane. The zero Value is uniform zero, so fresh register files are
-// valid.
+// Value is a warp-wide 64-bit value in one of three forms: uniform (one
+// scalar for all lanes), affine (lane l holds scalar + stride·l) or
+// per-lane. Uniform is affine with stride 0, so both are stored the same
+// way, without a lane vector. The zero Value is uniform zero, so fresh
+// register files are valid.
 type Value struct {
 	lanes  *[WarpSize]int64
 	scalar int64
+	stride int64
 	// spare is the lane vector the value held before it last went
-	// uniform, kept so the next spread — or the next warp to take over
+	// affine, kept so the next spread — or the next warp to take over
 	// this register file (Warp.Reset) — does not allocate another.
 	spare *[WarpSize]int64
 }
 
 // Uniform reports whether all lanes share one scalar.
-func (v *Value) Uniform() bool { return v.lanes == nil }
+func (v *Value) Uniform() bool { return v.lanes == nil && v.stride == 0 }
 
 // Lane returns the value of the given lane.
 func (v *Value) Lane(l int) int64 {
 	if v.lanes == nil {
-		return v.scalar
+		return v.scalar + v.stride*int64(l)
 	}
 	return v.lanes[l]
 }
 
 // setUniform makes v uniform with the given scalar.
-func (v *Value) setUniform(x int64) {
+func (v *Value) setUniform(x int64) { v.setAffine(x, 0) }
+
+// setAffine makes lane l of v hold base + stride·l.
+func (v *Value) setAffine(base, stride int64) {
 	if v.lanes != nil {
 		v.spare = v.lanes
 	}
-	v.lanes, v.scalar = nil, x
+	v.lanes, v.scalar, v.stride = nil, base, stride
 }
 
 // spread converts v to per-lane form.
@@ -101,7 +107,7 @@ func (v *Value) spread() *[WarpSize]int64 {
 			a = new([WarpSize]int64)
 		}
 		for i := range a {
-			a[i] = v.scalar
+			a[i] = v.scalar + v.stride*int64(i)
 		}
 		v.lanes = a
 	}
@@ -164,32 +170,25 @@ type Warp struct {
 	Regs       []Value
 	Preds      []uint32
 	Exited     bool
-	// tidLanes caches the per-lane %tid values.
-	tidLanes [WarpSize]int64
 }
 
-// laneIndex holds the per-lane %laneid values, shared by all warps.
-var laneIndex = func() (a [WarpSize]int64) {
-	for i := range a {
-		a[i] = int64(i)
-	}
-	return
-}()
-
-// laneRef is a resolved operand: either a scalar or a pointer to per-lane
-// values. It lets the interpreter's inner loops avoid per-lane switch
-// dispatch.
+// laneRef is a resolved operand: a pointer to per-lane values, or the
+// base and stride of an affine one. It lets the interpreter's inner loops
+// avoid per-lane switch dispatch.
 type laneRef struct {
-	lanes  *[WarpSize]int64
-	scalar int64
+	lanes          *[WarpSize]int64
+	scalar, stride int64
 }
 
 func (r laneRef) at(l int) int64 {
 	if r.lanes != nil {
 		return r.lanes[l]
 	}
-	return r.scalar
+	return r.scalar + r.stride*int64(l)
 }
+
+// uniform reports whether every lane of r reads the same scalar.
+func (r laneRef) uniform() bool { return r.lanes == nil && r.stride == 0 }
 
 // resolve evaluates an operand into a laneRef.
 func (w *Warp) resolve(o Operand) laneRef {
@@ -199,7 +198,7 @@ func (w *Warp) resolve(o Operand) laneRef {
 		if v.lanes != nil {
 			return laneRef{lanes: v.lanes}
 		}
-		return laneRef{scalar: v.scalar}
+		return laneRef{scalar: v.scalar, stride: v.stride}
 	case OpdImm:
 		return laneRef{scalar: o.Val}
 	case OpdParam:
@@ -207,7 +206,7 @@ func (w *Warp) resolve(o Operand) laneRef {
 	case OpdSpecial:
 		switch Special(o.Val) {
 		case SpecTid:
-			return laneRef{lanes: &w.tidLanes}
+			return laneRef{scalar: int64(w.WarpInCTA * WarpSize), stride: 1}
 		case SpecCtaid:
 			return laneRef{scalar: int64(w.CTA)}
 		case SpecNtid:
@@ -217,7 +216,7 @@ func (w *Warp) resolve(o Operand) laneRef {
 		case SpecWarpid:
 			return laneRef{scalar: int64(w.WarpInCTA)}
 		case SpecLaneid:
-			return laneRef{lanes: &laneIndex}
+			return laneRef{stride: 1}
 		}
 	}
 	return laneRef{}
@@ -267,9 +266,6 @@ func (w *Warp) Reset(l *Launch, cta, warpInCTA int) {
 		ActiveMask: mask,
 		Regs:       regs,
 		Preds:      preds,
-	}
-	for i := range w.tidLanes {
-		w.tidLanes[i] = int64(warpInCTA*WarpSize + i)
 	}
 }
 
@@ -343,6 +339,52 @@ func alu(op Op, a, b, c int64) int64 {
 	}
 }
 
+// affineALU evaluates an ALU op once for the whole warp when its result
+// is affine in the lane index: base and stride of the result, or ok false
+// when the op must run lane by lane. All-uniform operands always qualify.
+// Beyond them it takes the ops that map lane-linear inputs to a
+// lane-linear output — mov/fma, add, sub, mul/mad with a uniform factor,
+// shl by a uniform amount. These are exact because int64 arithmetic is the
+// ring of integers modulo 2⁶⁴, where multiplication distributes over
+// addition whatever wraps: (x + s·l)·y = x·y + (s·y)·l, and a left shift
+// by k is a multiplication by 2ᵏ.
+func affineALU(op Op, a, b, c laneRef) (base, stride int64, ok bool) {
+	if a.lanes != nil || b.lanes != nil || c.lanes != nil {
+		return 0, 0, false
+	}
+	if a.stride == 0 && b.stride == 0 && c.stride == 0 {
+		return alu(op, a.scalar, b.scalar, c.scalar), 0, true
+	}
+	switch op {
+	case OpMov, OpFma:
+		return a.scalar, a.stride, true
+	case OpAdd:
+		return a.scalar + b.scalar, a.stride + b.stride, true
+	case OpSub:
+		return a.scalar - b.scalar, a.stride - b.stride, true
+	case OpMul, OpMad:
+		switch {
+		case b.stride == 0:
+			base, stride = a.scalar*b.scalar, a.stride*b.scalar
+		case a.stride == 0:
+			base, stride = a.scalar*b.scalar, a.scalar*b.stride
+		default:
+			return 0, 0, false // the product of two lane-linear values is quadratic
+		}
+		if op == OpMad {
+			base, stride = base+c.scalar, stride+c.stride
+		}
+		return base, stride, true
+	case OpShl:
+		if b.stride != 0 {
+			return 0, 0, false
+		}
+		k := uint64(b.scalar & 63)
+		return a.scalar << k, a.stride << k, true
+	}
+	return 0, 0, false
+}
+
 func compare(c Cmp, a, b int64) bool {
 	switch c {
 	case CmpLT:
@@ -400,7 +442,7 @@ func (w *Warp) Exec(mem *MemInfo) StepInfo {
 	case OpSetp:
 		var m uint32
 		ra, rb := w.resolve(in.Src[0]), w.resolve(in.Src[1])
-		if ra.lanes == nil && rb.lanes == nil {
+		if ra.uniform() && rb.uniform() {
 			if compare(in.Cmp, ra.scalar, rb.scalar) {
 				m = ^uint32(0)
 			}
@@ -449,15 +491,14 @@ func (w *Warp) Exec(mem *MemInfo) StepInfo {
 		ra := w.resolve(in.Src[0])
 		rb := w.resolve(in.Src[1])
 		rc := w.resolve(in.Src[2])
-		if ra.lanes == nil && rb.lanes == nil && rc.lanes == nil {
-			v := alu(in.Op, ra.scalar, rb.scalar, rc.scalar)
+		if base, stride, ok := affineALU(in.Op, ra, rb, rc); ok {
 			if full {
-				w.Regs[in.Dst].setUniform(v)
+				w.Regs[in.Dst].setAffine(base, stride)
 			} else {
 				dst := w.Regs[in.Dst].spread()
 				for l := 0; l < WarpSize; l++ {
 					if mask&(1<<uint(l)) != 0 {
-						dst[l] = v
+						dst[l] = base + stride*int64(l)
 					}
 				}
 			}
@@ -507,7 +548,6 @@ func (w *Warp) Exec(mem *MemInfo) StepInfo {
 // and applies the load's register write from the buffer's value model.
 func (w *Warp) execMem(in *Instr, mask uint32, mem *MemInfo) {
 	b := &w.L.Buffers[in.Buf]
-	elem := int64(in.ElemBytes)
 	mem.Buf = int(in.Buf)
 	mem.Store = in.Op == OpSt
 	mem.Atomic = in.Op == OpAtom
@@ -517,26 +557,29 @@ func (w *Warp) execMem(in *Instr, mask uint32, mem *MemInfo) {
 	if mask == 0 {
 		return
 	}
-	size := b.Size
 	ro := w.resolve(in.Src[0])
-	isLoad := in.Op == OpLd || in.Op == OpLdRO || in.Op == OpAtom
-	var dst *[WarpSize]int64
-	if isLoad {
-		dst = w.Regs[in.Dst].spread()
+	var dst *[WarpSize]int64 // the lanes a load writes, if it writes lanes
+	if in.Op != OpSt {
+		if b.Value == nil && mask == w.ActiveMask {
+			w.Regs[in.Dst].setUniform(0) // no value model: every lane reads zero
+		} else {
+			dst = w.Regs[in.Dst].spread()
+		}
 	}
+	base, size, elem := b.Base, b.Size, uint64(in.ElemBytes)
 	for l := 0; l < WarpSize; l++ {
 		if mask&(1<<uint(l)) == 0 {
 			continue
 		}
 		off := uint64(ro.at(l))
-		if off+uint64(elem) > size {
+		if off+elem > size {
 			off %= size // wrap rather than escape the buffer
-			off -= off % uint64(elem)
+			off -= off % elem
 		}
-		mem.Addrs[l] = b.Base + off
-		if isLoad {
+		mem.Addrs[l] = base + off
+		if dst != nil {
 			if b.Value != nil {
-				dst[l] = b.Value(int64(off) / elem)
+				dst[l] = b.Value(int64(off) / int64(elem))
 			} else {
 				dst[l] = 0
 			}

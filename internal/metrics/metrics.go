@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"strings"
 )
 
@@ -167,40 +168,61 @@ func (s *Stats) String() string {
 }
 
 // SharingHistogram records, for each memory page, how many distinct SMs
-// accessed it — the raw data behind Figure 3.
+// accessed it — the raw data behind Figure 3. Each page has one bitset of
+// SMs, words uint64s wide, in sets at the page's first-touch index.
 type SharingHistogram struct {
-	pageSMs map[uint64]map[int]struct{}
+	index map[uint64]int
+	words int
+	sets  []uint64
 }
 
 // NewSharingHistogram returns an empty histogram.
 func NewSharingHistogram() *SharingHistogram {
-	return &SharingHistogram{pageSMs: make(map[uint64]map[int]struct{})}
+	return &SharingHistogram{index: make(map[uint64]int), words: 1}
 }
 
 // Touch records that sm accessed page (a virtual page number).
 func (h *SharingHistogram) Touch(page uint64, sm int) {
-	set, ok := h.pageSMs[page]
-	if !ok {
-		set = make(map[int]struct{}, 2)
-		h.pageSMs[page] = set
+	w := sm / 64
+	if w >= h.words {
+		h.widen(w + 1)
 	}
-	set[sm] = struct{}{}
+	i, ok := h.index[page]
+	if !ok {
+		i = len(h.sets) / h.words
+		h.index[page] = i
+		h.sets = append(h.sets, make([]uint64, h.words)...)
+	}
+	h.sets[i*h.words+w] |= 1 << uint(sm%64)
+}
+
+// widen re-lays every page's bitset out words uint64s wide, for an SM
+// beyond the widest seen so far.
+func (h *SharingHistogram) widen(words int) {
+	sets := make([]uint64, len(h.sets)/h.words*words)
+	for i := 0; i < len(h.sets)/h.words; i++ {
+		copy(sets[i*words:], h.sets[i*h.words:(i+1)*h.words])
+	}
+	h.sets, h.words = sets, words
 }
 
 // Pages returns the number of distinct pages touched.
-func (h *SharingHistogram) Pages() int { return len(h.pageSMs) }
+func (h *SharingHistogram) Pages() int { return len(h.index) }
 
 // Buckets classifies pages by sharer count into the paper's Figure 3
 // buckets: 1, 2–10, 11–25, 26–64 SMs. Fractions sum to 1 over touched pages.
 func (h *SharingHistogram) Buckets() (one, twoTo10, elevenTo25, over25 float64) {
-	n := len(h.pageSMs)
+	n := len(h.index)
 	if n == 0 {
 		return 0, 0, 0, 0
 	}
 	var c1, c2, c3, c4 int
-	//nubalint:ignore nondet-map-range order-independent aggregation (bucket counts commute)
-	for _, set := range h.pageSMs {
-		switch k := len(set); {
+	for i := 0; i < len(h.sets); i += h.words {
+		k := 0
+		for _, w := range h.sets[i : i+h.words] {
+			k += bits.OnesCount64(w)
+		}
+		switch {
 		case k <= 1:
 			c1++
 		case k <= 10:

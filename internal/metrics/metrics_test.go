@@ -75,6 +75,24 @@ func TestSharingHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestSharingHistogramWidens: an SM beyond the widest seen so far widens
+// every page's bitset without losing a sharer.
+func TestSharingHistogramWidens(t *testing.T) {
+	h := NewSharingHistogram()
+	h.Touch(7, 3)
+	h.Touch(9, 63)
+	h.Touch(9, 64)  // second word
+	h.Touch(5, 200) // fourth word: pages 7 and 9 move
+	h.Touch(7, 200)
+	for sm := 100; sm < 130; sm++ {
+		h.Touch(11, sm)
+	}
+	one, two, eleven, over := h.Buckets()
+	if h.Pages() != 4 || one != 0.25 || two != 0.5 || eleven != 0 || over != 0.25 {
+		t.Fatalf("pages %d, buckets %v %v %v %v", h.Pages(), one, two, eleven, over)
+	}
+}
+
 func TestSharingHistogramEmpty(t *testing.T) {
 	h := NewSharingHistogram()
 	if h.SharedFraction() != 0 || h.Pages() != 0 {

@@ -188,6 +188,53 @@ func TestStalledLoadRetryCreatesNothing(t *testing.T) {
 	})
 }
 
+// TestTLBPortStallCountsNothing: an L1 TLB miss the L2 TLB ports refuse
+// is retried every cycle, and a retry is neither another L1 TLB access
+// nor another miss. Over a held port stall the memory statistics do not
+// move; once the ports grant, every L1 TLB miss is one granted request,
+// which is one L2 TLB access.
+func TestTLBPortStallCountsNothing(t *testing.T) {
+	const hold = 500
+	r := newRig(t, 40)
+	request := r.sm.VMRequest
+	refused, granted := 0, int64(0)
+	r.sm.VMRequest = func(part int, vpn uint64, writable bool, now sim.Cycle, done func()) bool {
+		if now <= hold {
+			refused++
+			return false
+		}
+		if !request(part, vpn, writable, now, done) {
+			return false
+		}
+		granted++
+		return true
+	}
+	r.sm.StartKernel(rigLaunch(t, 4, 4), 0, 4)
+	stats := memStats(r)
+	for now := sim.Cycle(1); now <= hold; now++ {
+		r.tick(now)
+	}
+	if got := memStats(r); got != stats {
+		t.Errorf("memory statistics moved over %d cycles of refused translations: %v -> %v", hold, stats, got)
+	}
+	if refused < hold {
+		t.Fatalf("%d refused translations over %d cycles: the stall was not held", refused, hold)
+	}
+	for now := sim.Cycle(hold + 1); ; now++ {
+		r.tick(now)
+		if r.sm.Idle() && len(r.pending) == 0 {
+			break
+		}
+		if now > 400000 {
+			t.Fatal("SM did not go idle")
+		}
+	}
+	if st := r.stats; st.TLBMisses != granted || st.L2TLBAccesses != granted || st.TLBAccesses < st.TLBMisses {
+		t.Errorf("L1 TLB %d accesses %d misses, L2 TLB %d accesses, %d requests granted; want misses = L2 accesses = grants",
+			st.TLBAccesses, st.TLBMisses, st.L2TLBAccesses, granted)
+	}
+}
+
 // checkDense asserts every request id the SM has issued belongs to a
 // request that exists: in flight toward memory, merged behind one, or
 // waiting in the send queue.

@@ -769,22 +769,28 @@ func (s *SM) parkLSU(why stall, early, now sim.Cycle) {
 }
 
 // translate resolves the line's physical address. It returns false when
-// the access could make no progress this cycle.
+// the access could make no progress this cycle: a busy page or a refusal
+// by the L2 TLB ports. Such an attempt is retried and counts nothing; the
+// L1 TLB counts an access, or an access and a miss, once, when it makes
+// progress.
 func (s *SM) translate(acc *memAccess, line *lineReq, now sim.Cycle) bool {
 	vpn := line.vaddr >> s.pageShift
-	s.stats.TLBAccesses++
 	if s.l1TLB.Lookup(vpn, now) {
 		if !s.finishTranslate(line, vpn, now) {
 			return false // page busy (migration in flight)
 		}
+		s.stats.TLBAccesses++
 		return true
-	}
-	s.stats.TLBMisses++
-	if s.hist != nil {
-		s.hist.Touch(vpn, s.ID)
 	}
 	if !s.VMRequest(s.Part, vpn, acc.writable, now, acc.walked) {
 		return false
+	}
+	s.stats.TLBAccesses++
+	s.stats.TLBMisses++
+	// Once per granted request: a refused one is retried until it is
+	// granted or hits behind this SM's own walk of the page, which was.
+	if s.hist != nil {
+		s.hist.Touch(vpn, s.ID)
 	}
 	acc.walkAt = now
 	line.state = lineTranslating
