@@ -122,8 +122,15 @@ var kindLabel = [...]string{"SM", "LLC slice", "DRAM channel"}
 // differs between engines by design, so it stays out of metrics.Stats,
 // the digest, the memo key and every report (docs/OBSERVABILITY.md).
 type EngineStats struct {
-	Stepped, Skipped int64    // cycles run through step / jumped over
-	Ran, Slept       [3]int64 // component ticks on stepped cycles, by kind
+	Stepped, Skipped int64 // cycles run through step / jumped over
+	// Jumps counts the idle windows hybrid jumped over, LongestJump is the
+	// longest of them in cycles.
+	Jumps, LongestJump int64
+	// Ran counts, by kind, the ticks run on stepped cycles, Slept the ticks
+	// a sleep deadline skipped: every tick the kind's walks (walks) could
+	// have run that did not run and that no fault froze (frozen).
+	Ran, Slept    [3]int64
+	walks, frozen [3]int64
 	// EmptyDrains counts, per link set — SM-request, inter-domain,
 	// slice-reply — the stepped cycles whose drain found no link occupied
 	// (all of them for a set the architecture leaves empty).
@@ -165,6 +172,9 @@ var siteLabel = [numSites]string{
 // EngineStats returns the counters so far.
 func (g *GPU) EngineStats() EngineStats {
 	es := g.es
+	for k := range es.Slept {
+		es.Slept[k] = es.walks[k]*int64(g.asleep[k].Len()) - es.Ran[k] - es.frozen[k]
+	}
 	es.EmptyDrains = [3]int64{g.smReq.Idle, g.inter.Idle, g.sliceReply.Idle}
 	for _, s := range g.sms {
 		es.Sites[siteSMSend].Add(s.SendOffers)
@@ -197,9 +207,9 @@ func (g *GPU) EngineStats() EngineStats {
 // refused at each site that saw any.
 func (es EngineStats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "cycles stepped=%d skipped=%d; ticks ran/slept, SM %d/%d, LLC slice %d/%d, DRAM channel %d/%d; drains that found the set empty, SM-request %d, inter-domain %d, slice-reply %d",
+	fmt.Fprintf(&b, "cycles stepped=%d skipped=%d; ticks ran/slept, SM %d/%d, LLC slice %d/%d, DRAM channel %d/%d; drains that found the set empty, SM-request %d, inter-domain %d, slice-reply %d; idle jumps %d, longest %d cycles",
 		es.Stepped, es.Skipped, es.Ran[kindSM], es.Slept[kindSM], es.Ran[kindSlice], es.Slept[kindSlice], es.Ran[kindChan], es.Slept[kindChan],
-		es.EmptyDrains[0], es.EmptyDrains[1], es.EmptyDrains[2])
+		es.EmptyDrains[0], es.EmptyDrains[1], es.EmptyDrains[2], es.Jumps, es.LongestJump)
 	b.WriteString("\noffers: made/refused")
 	for i, o := range es.Sites {
 		if o.Offered > 0 {
@@ -213,26 +223,79 @@ func (es EngineStats) String() string {
 // make progress on its own: g.cycle+1 while something is active, a future
 // cycle when everything is parked on known timers (DRAM bursts, LLC
 // pipelines, link arrivals, scheduler sleeps), and sim.Never when every
-// component is drained or waiting on another one. The table is ordered
-// SMs first and the scan returns as soon as one active component proves
-// the next cycle must run, so its cost on busy cycles is one SM hint. A
-// sleeping row is not asked: its stored deadline is the hint its last
-// tick computed, and no door has opened since.
+// component is drained or waiting on another one. A sleeper is asked only
+// when a door has woken it since its last tick — its deadline has passed;
+// otherwise the deadline is the hint that tick computed. So the scan reads
+// the three sets' deadlines (their minima, when no door has opened), asks
+// every other row, and then the sleepers a door woke, returning as soon
+// as one component proves the next cycle must run.
 func (g *GPU) componentWake() sim.Cycle {
 	now := g.cycle
 	next := now + 1
 	wake := sim.Never
-	for i := range g.parts {
-		p := &g.parts[i]
-		var t sim.Cycle
-		if p.sleep != nil && *p.sleep > next {
-			t = *p.sleep
-		} else if t = p.wakeAt(now); t <= next {
+	var woken [3]bool
+	for k := range g.asleep {
+		t := g.asleep[k].Min()
+		if t <= now {
+			t, woken[k] = g.deadlines(k, now)
+		}
+		if t <= next {
 			return next
 		}
-		if t < wake {
-			wake = t
+		wake = min(wake, t)
+	}
+	for i := g.firstRow(len(g.asleep)); i < len(g.parts); i++ {
+		t := g.parts[i].wakeAt(now)
+		if t <= next {
+			return next
 		}
+		wake = min(wake, t)
+	}
+	for k := range g.asleep {
+		if woken[k] {
+			t := g.askWoken(k, now)
+			if t <= next {
+				return next
+			}
+			wake = min(wake, t)
+		}
+	}
+	return wake
+}
+
+// deadlines returns the least of kind k's deadlines that lie after now —
+// the first that is the next cycle — and whether any has passed: a door
+// has woken its component.
+func (g *GPU) deadlines(k int, now sim.Cycle) (wake sim.Cycle, woken bool) {
+	w := &g.asleep[k]
+	wake = sim.Never
+	for i := range w.Len() {
+		switch t := w.At(i); {
+		case t <= now:
+			woken = true
+		case t == now+1:
+			return t, woken
+		default:
+			wake = min(wake, t)
+		}
+	}
+	return wake, woken
+}
+
+// askWoken returns the least hint of kind k's components a door has woken,
+// or the first that is the next cycle or earlier.
+func (g *GPU) askWoken(k int, now sim.Cycle) sim.Cycle {
+	w, rows := &g.asleep[k], g.parts[g.firstRow(k):]
+	wake := sim.Never
+	for i := range w.Len() {
+		if w.At(i) > now {
+			continue
+		}
+		t := rows[i].wakeAt(now)
+		if t <= now+1 {
+			return t
+		}
+		wake = min(wake, t)
 	}
 	return wake
 }
@@ -274,13 +337,8 @@ func (g *GPU) nextWake() sim.Cycle {
 //   - EngineSanitize steps through the gap checking that nothing changes
 //     (verifyIdleWindow), and fails the run on the first unsound hint.
 //
-// On busy verdicts the hybrid scan backs off: stepping is always
-// cycle-exact, so after a scan proves the machine busy the loop
-// blind-steps a stride of cycles before scanning again. The stride
-// doubles up to half a batch and resets the moment a scan finds idle
-// time, so dense workloads pay for at most two scans per 64-cycle batch
-// while idle-heavy workloads still fast-forward promptly. The sanitizer
-// keeps the stride at zero so it scans — and can verify — every cycle.
+// The scan runs before every cycle hybrid or sanitize steps: on a busy
+// machine it ends at the first component due next cycle.
 func (g *GPU) advance(target sim.Cycle) error {
 	for g.cycle < target && g.unsound == nil {
 		w := g.cycle + 1
@@ -288,15 +346,9 @@ func (g *GPU) advance(target sim.Cycle) error {
 			w = g.nextWake()
 		}
 		if w <= g.cycle+1 {
-			for i := sim.Cycle(0); i <= g.busyStride && g.cycle < target; i++ {
-				g.step()
-			}
-			if g.engine != EngineSanitize && g.busyStride < batchCycles/2 {
-				g.busyStride = 2*g.busyStride + 1
-			}
+			g.step()
 			continue
 		}
-		g.busyStride = 0
 		// Nothing can act in (cycle, end].
 		end := min(w-1, target)
 		if g.engine == EngineSanitize {
@@ -305,6 +357,8 @@ func (g *GPU) advance(target sim.Cycle) error {
 			}
 			continue
 		}
+		g.es.Jumps++
+		g.es.LongestJump = max(g.es.LongestJump, end-g.cycle)
 		g.es.Skipped += end - g.cycle
 		g.cycle = end
 		if w <= target {

@@ -67,6 +67,10 @@ type Fault struct {
 	After  int64
 }
 
+// freezeKind is the fault that freezes each kind of sleeper; no fault
+// freezes a channel.
+var freezeKind = [...]FaultKind{kindSM: WedgeSM, kindSlice: StallLLC}
+
 // coreFault is the armed state behind g.flt.
 type coreFault struct {
 	freezes  []freeze

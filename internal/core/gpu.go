@@ -37,11 +37,16 @@ type GPU struct {
 	slices []*llc.Slice
 	chans  []*dram.Channel
 
-	// parts is the component table (parts.go): one row per SM,
-	// crossbar, link set, slice and channel, the VM system and the core's
-	// own queues, in scan order. Every "all components" walk — the wake
-	// scan, quiet, the sanitizer, the watchdog — is a loop over it.
+	// parts is the component table (parts.go): one row per SM, slice,
+	// channel, crossbar and link set, the VM system and the core's own
+	// queues, in that order. Every "all components" walk — the wake scan,
+	// quiet, the sanitizer, the watchdog — is a loop over it.
 	parts []part
+	// asleep holds the sleep deadlines (DESIGN.md §9 "Sleep deadlines"),
+	// one set per kind (kindSM, kindSlice, kindChan) with a carrier per
+	// component, carved from one allocation: step walks the due ones and
+	// componentWake reads the minima.
+	asleep [3]sim.Wakes
 	// mods is the number of crossbar domains: MCM modules, the two
 	// halves of the SM-side UBA, 1 otherwise; smsPerMod and slicesPerMod
 	// are each domain's share (setMods). These and the wires below are set
@@ -80,12 +85,7 @@ type GPU struct {
 	vaCursor     uint64
 	hitMaxCycles bool
 	engine       Engine
-	// busyStride is the hybrid engine's hint-scan backoff: how many
-	// extra cycles advance blind-steps after a scan proves the
-	// machine busy. Purely an engine-speed knob — never observable in
-	// simulated state.
-	busyStride sim.Cycle
-	es         EngineStats
+	es           EngineStats
 	// unsound is the first unsound sleep or park the sanitizer found
 	// (checkSleeper, step); audit is where the components report the latter
 	// (SetEngine).
@@ -139,6 +139,15 @@ func New(cfg config.Config) (*GPU, error) {
 	g.drv = driver.New(&g.cfg, g.mapper)
 	g.vmsys = vm.NewSystem(&g.cfg, g.drv, g.stats)
 
+	n := [3]int{cfg.NumSMs, cfg.NumLLCSlices, cfg.NumChannels}
+	occ := make(sim.Bits, sim.BitWords(n[0])+sim.BitWords(n[1])+sim.BitWords(n[2]))
+	at := make([]sim.Cycle, n[0]+n[1]+n[2])
+	for k := range g.asleep {
+		words := sim.BitWords(n[k])
+		g.asleep[k] = sim.NewWakesIn(kindLabel[k], occ[:words], at[:n[k]])
+		occ, at = occ[words:], at[n[k]:]
+	}
+
 	// The translation and store-ack ports are the same on every
 	// architecture; the builder installs the rest.
 	vmRequest, storeDone := g.vmsys.Request, g.storeDone
@@ -146,6 +155,7 @@ func New(cfg config.Config) (*GPU, error) {
 		s := smcore.New(i, g.cfg.PartitionOfSM(i), &g.cfg, g.stats, g.hist)
 		s.VMRequest = vmRequest
 		s.PageLookup = g.pageLookup(s.Part)
+		s.Sleep().Move(&g.asleep[kindSM], i)
 		g.sms = append(g.sms, s)
 		g.register(smPart{s}, kindLabel[kindSM], i)
 	}
@@ -153,12 +163,19 @@ func New(cfg config.Config) (*GPU, error) {
 		sl := llc.New(j, g.cfg.PartitionOfSlice(j), &g.cfg, g.stats)
 		sl.StoreDone = storeDone
 		sl.Reqs = &g.reqs
+		sl.Sleep().Move(&g.asleep[kindSlice], j)
 		g.slices = append(g.slices, sl)
+		g.register(slicePart{sl}, kindLabel[kindSlice], j)
 	}
-	for c := 0; c < cfg.NumChannels; c++ {
+	div := sim.Cycle(cfg.MemClockDiv)
+	chanParts := make([]chanPart, cfg.NumChannels)
+	for c := range chanParts {
 		ch := dram.NewChannel(c, &g.cfg, g.mapper)
 		ch.Reqs = &g.reqs
+		ch.Sleep().Move(&g.asleep[kindChan], c)
 		g.chans = append(g.chans, ch)
+		chanParts[c] = chanPart{ch, div}
+		g.register(&chanParts[c], kindLabel[kindChan], c)
 	}
 
 	// The architecture is chosen here and nowhere else: each builder
@@ -173,15 +190,6 @@ func New(cfg config.Config) (*GPU, error) {
 		g.buildUBAMem()
 	}
 
-	for j, sl := range g.slices {
-		g.register(slicePart{sl}, kindLabel[kindSlice], j)
-	}
-	div := sim.Cycle(cfg.MemClockDiv)
-	chanParts := make([]chanPart, len(g.chans))
-	for c, ch := range g.chans {
-		chanParts[c] = chanPart{ch, div}
-		g.register(&chanParts[c], kindLabel[kindChan], c)
-	}
 	g.register(vmPart{g.vmsys}, "vm system", -1)
 	g.register(coreQueues{g}, "core queues", -1)
 	return g, nil

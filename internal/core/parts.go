@@ -19,7 +19,9 @@ import (
 // one slice. A component therefore cannot be ticked by the engine yet
 // invisible to one of the walks: it is in all of them or in none, and
 // "none" is caught by the sanitizer and the cross-engine suites (state
-// changes inside a window every row called idle).
+// changes inside a window every row called idle). The sleepers lead the
+// table — SMs, slices, channels — and the wake scan reads their deadlines'
+// sets (g.asleep) before it asks their rows.
 //
 // Time-driven state (the MDR controller's epoch clock, the migration
 // scan, the trace epoch) deliberately has no row: it fires regardless
@@ -51,9 +53,9 @@ type part struct {
 	component
 	label string
 	i     int // -1 when unused: "vm system", "SM 3", "SM-request links"
-	// sleep is where the component's sleep deadline lives (DESIGN.md §9),
-	// nil for a row without one.
-	sleep *sim.Cycle
+	// sleep is the component's sleep deadline (DESIGN.md §9), nil for a
+	// row without one.
+	sleep *sim.Slot
 }
 
 func (p *part) name() string {
@@ -64,13 +66,22 @@ func (p *part) name() string {
 }
 
 // register appends a row. It is the only way rows are made, so a row
-// always has all five answers, and a sleeper's row its deadline's address.
+// always has all five answers, and a sleeper's row its deadline.
 func (g *GPU) register(c component, label string, i int) {
 	p := part{component: c, label: label, i: i}
-	if s, ok := c.(sleeper); ok {
-		p.sleep = s.SleepUntil()
+	if s, ok := c.(interface{ Sleep() *sim.Slot }); ok {
+		p.sleep = s.Sleep()
 	}
 	g.parts = append(g.parts, p)
+}
+
+// firstRow returns the row of kind k's component 0, and with k = 3 the
+// first row after the sleepers.
+func (g *GPU) firstRow(k int) (row int) {
+	for j := range k {
+		row += g.asleep[j].Len()
+	}
+	return row
 }
 
 // parker is a row whose component parks refused heads (DESIGN.md §9

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"github.com/nuba-gpu/nuba/internal/config"
 	"github.com/nuba-gpu/nuba/internal/kir"
@@ -128,60 +129,21 @@ func (g *GPU) runUntilIdle(ctx context.Context) error {
 // step advances the whole system by one core cycle. It is the only
 // function that sequences component ticks: translation, SMs, the fabric
 // (moveFabric: links, crossbars and the egress deliveries between SMs
-// and slices), slices, channels on the memory clock, then
-// the timers. A frozen component (fault.go) is one whose tick is skipped;
-// so is one whose sleep deadline is in the future — but naive ignores
-// deadlines and the sanitizer ticks the sleeper anyway (checkSleeper).
+// and slices), slices, channels on the memory clock, then the timers.
 func (g *GPU) step() {
 	g.cycle++
 	now := g.cycle
-	flt := g.flt
-	gate, check := g.engine != EngineNaive, g.engine == EngineSanitize
 	g.es.Stepped++
 
 	g.vmsys.Tick(now)
-	for i, s := range g.sms {
-		if flt != nil && flt.frozen(WedgeSM, i, now) {
-			continue
-		}
-		if gate && now < *s.SleepUntil() {
-			if g.es.Slept[kindSM]++; check {
-				g.checkSleeper(kindSM, i, s, now)
-			}
-			continue
-		}
-		g.es.Ran[kindSM]++
-		s.Tick(now)
-	}
+	g.tickKind(kindSM, now, now)
 	g.moveFabric(now)
-	for j, sl := range g.slices {
-		if flt != nil && flt.frozen(StallLLC, j, now) {
-			continue
-		}
-		if gate && now < *sl.SleepUntil() {
-			if g.es.Slept[kindSlice]++; check {
-				g.checkSleeper(kindSlice, j, sl, now)
-			}
-			continue
-		}
-		g.es.Ran[kindSlice]++
-		sl.Tick(now)
-	}
-	if now%sim.Cycle(g.cfg.MemClockDiv) == 0 {
-		mem := int64(now) / int64(g.cfg.MemClockDiv)
-		for c, ch := range g.chans {
-			if gate && now < *ch.SleepUntil() {
-				if g.es.Slept[kindChan]++; check {
-					g.checkSleeper(kindChan, c, ch, mem)
-				}
-				continue
-			}
-			g.es.Ran[kindChan]++
-			ch.Tick(mem)
-		}
+	g.tickKind(kindSlice, now, now)
+	if div := sim.Cycle(g.cfg.MemClockDiv); now%div == 0 {
+		g.tickKind(kindChan, now, now/div)
 	}
 
-	if check && g.unsound == nil && g.audit.First() != "" {
+	if g.engine == EngineSanitize && g.unsound == nil && g.audit.First() != "" {
 		g.unsound = fmt.Errorf("core: sanitize: unsound park: %s", g.audit.First())
 	}
 
@@ -198,6 +160,80 @@ func (g *GPU) step() {
 		g.traceSample(now)
 		g.tr.next = now + g.tracer.EpochCycles()
 	}
+}
+
+// tickKind ticks, in ascending index, kind k's components whose turn it is
+// at cycle now; t is the cycle their Tick takes (the memory clock's, for a
+// channel). A frozen component (fault.go) is one whose tick is skipped; so
+// is, under hybrid, one whose sleep deadline lies ahead, and hybrid walks
+// only the due carriers of the kind's set: a door opened during the walk
+// on a higher index ticks that component this cycle, on a lower index the
+// next. Naive ignores deadlines, and the sanitizer ticks each sleeper
+// anyway (checkSleeper).
+func (g *GPU) tickKind(k int, now, t sim.Cycle) {
+	g.es.walks[k]++
+	w := &g.asleep[k]
+	if g.engine != EngineHybrid {
+		check := g.engine == EngineSanitize
+		for i := range w.Len() {
+			switch {
+			case g.frozen(k, i, now):
+			case check && now < w.At(i):
+				g.checkSleeper(k, i, t)
+			default:
+				g.es.Ran[k]++
+				g.tick(k, i, t)
+			}
+		}
+		return
+	}
+	// The walk is inline, the tick a direct call: on a machine where every
+	// component is awake it costs what a loop over all of them would.
+	flt, ran, lo := g.flt, int64(0), sim.Never
+	occ, at := w.Sweep(now)
+	for j := range occ {
+		for word := occ[j]; word != 0; {
+			b := bits.TrailingZeros64(word)
+			i := j<<6 | b
+			if at[i] <= now && (flt == nil || !g.frozen(k, i, now)) {
+				ran++
+				switch k {
+				case kindSM:
+					g.sms[i].Tick(t)
+				case kindSlice:
+					g.slices[i].Tick(t)
+				default:
+					g.chans[i].Tick(t)
+				}
+			}
+			lo = min(lo, at[i])
+			word = occ[j] & (^uint64(1) << b)
+		}
+	}
+	w.Fold(lo)
+	g.es.Ran[k] += ran
+}
+
+// tick ticks kind k's component i at t, as tickKind's walk does.
+func (g *GPU) tick(k, i int, t sim.Cycle) {
+	switch k {
+	case kindSM:
+		g.sms[i].Tick(t)
+	case kindSlice:
+		g.slices[i].Tick(t)
+	default:
+		g.chans[i].Tick(t)
+	}
+}
+
+// frozen reports whether a fault freezes kind k's component i at cycle now,
+// counting the tick it skips.
+func (g *GPU) frozen(k, i int, now sim.Cycle) bool {
+	if g.flt == nil || k == kindChan || !g.flt.frozen(freezeKind[k], i, now) {
+		return false
+	}
+	g.es.frozen[k]++
+	return true
 }
 
 // runMigrationScan applies the §7.6 migration policy's interval decision.

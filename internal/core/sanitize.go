@@ -77,24 +77,19 @@ func (g *GPU) verifyIdleWindow(wake, end sim.Cycle) error {
 	return nil
 }
 
-// sleeper is a component with a sleep deadline: an SM, a slice, a channel.
-type sleeper interface {
-	Tick(now sim.Cycle)
-	StateSig() uint64
-	SleepUntil() *sim.Cycle
-}
-
 // checkSleeper is the same oracle one component at a time: step hands it
 // every component whose deadline says "skip me", on every stepped cycle,
-// and it ticks the sleeper anyway. A signature or statistic that moves
-// proves the deadline unsound and fails the run (advance). The deadline
-// is put back, so the run sees exactly the deadlines hybrid would.
-func (g *GPU) checkSleeper(kind, i int, c sleeper, t sim.Cycle) {
-	sig, stats, until := c.StateSig(), *g.stats, *c.SleepUntil()
-	c.Tick(t)
-	if g.unsound == nil && (c.StateSig() != sig || *g.stats != stats) {
-		g.unsound = fmt.Errorf("core: sanitize: unsound sleep: %s %d changed state when ticked at cycle %d, asleep until %d",
-			kindLabel[kind], i, g.cycle, until)
+// and it ticks kind k's component i at t anyway. A signature or statistic
+// that moves proves the deadline unsound and fails the run (advance). The
+// deadline is put back, so the run sees exactly the deadlines hybrid
+// would.
+func (g *GPU) checkSleeper(k, i int, t sim.Cycle) {
+	row := &g.parts[g.firstRow(k)+i]
+	sig, stats, until := row.StateSig(), *g.stats, row.sleep.At()
+	g.tick(k, i, t)
+	if g.unsound == nil && (row.StateSig() != sig || *g.stats != stats) {
+		g.unsound = fmt.Errorf("core: sanitize: unsound sleep: %s changed state when ticked at cycle %d, asleep until %d",
+			row.name(), g.cycle, until)
 	}
-	*c.SleepUntil() = until
+	row.sleep.Set(until)
 }

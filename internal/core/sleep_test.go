@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/nuba-gpu/nuba/internal/config"
+	"github.com/nuba-gpu/nuba/internal/kir"
 	"github.com/nuba-gpu/nuba/internal/sim"
 )
 
@@ -29,14 +30,14 @@ func napping(t *testing.T, e Engine, extra ...component) (*GPU, *part) {
 	}
 	g.assignCTAs(tinyLaunch(t, g, 1, 4))
 	row := &g.parts[0]
-	if row.name() != "SM 0" || row.sleep != g.sms[0].SleepUntil() {
+	if row.name() != "SM 0" || row.sleep != g.sms[0].Sleep() {
 		t.Fatalf("row 0 is %q and does not point at SM 0's deadline", row.name())
 	}
 	for g.cycle < 1000 {
 		if err := g.advance(g.cycle + 1); err != nil {
 			t.Fatal(err)
 		}
-		if d := *row.sleep; d > g.cycle+1 && d != sim.Never {
+		if d := row.sleep.At(); d > g.cycle+1 && d != sim.Never {
 			if g.sms[0].Idle() || g.sms[0].LiveRequests() != 0 {
 				t.Fatal("scenario drifted: SM 0 must nap with live warps and nothing in flight")
 			}
@@ -64,8 +65,8 @@ func (busyRow) detail(sim.Cycle) string        { return "" }
 // whole-GPU check (verifyIdleWindow) never looks.
 func TestSanitizeCatchesUnsoundSleep(t *testing.T) {
 	g, row := napping(t, EngineSanitize, busyRow{})
-	due := *row.sleep
-	*row.sleep = due + 1
+	due := row.sleep.At()
+	row.sleep.Set(due + 1)
 	err := g.runUntilIdle(context.Background())
 	if err == nil {
 		t.Fatal("sanitize engine accepted a sleep deadline one cycle late")
@@ -86,7 +87,7 @@ func TestNaiveIgnoresSleep(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, row := napping(t, EngineNaive)
-	*row.sleep = sim.Never
+	row.sleep.Set(sim.Never)
 	if err := g.runUntilIdle(context.Background()); err != nil {
 		t.Fatalf("naive engine honoured a sleep deadline: %v", err)
 	}
@@ -135,7 +136,7 @@ func TestLostWakeIsAHang(t *testing.T) {
 	}
 	t.Run("asleep-forever", func(t *testing.T) {
 		g, row := napping(t, EngineHybrid)
-		*row.sleep = sim.Never
+		row.sleep.Set(sim.Never)
 		_, s := hang(t, g, window)
 		if line := lineOf(s, "SM 0"); !strings.Contains(line, "wake=+1") || !strings.HasSuffix(line, "asleep-until=never") {
 			t.Errorf("report does not show the lost wake-up on SM 0's line:\n%s", s)
@@ -154,4 +155,41 @@ func TestLostWakeIsAHang(t *testing.T) {
 			t.Errorf("report does not show what the park holds up on SM %d's line:\n%s", k, s)
 		}
 	})
+}
+
+// Every tick a kind's walks could run is run, slept or frozen, and none
+// twice: Ran + Slept + frozen is the walks times the kind's count, on all
+// five topologies under all three engines, with an SM wedged for a while
+// and a slice slowed. An SM or slice is walked on every stepped cycle, a
+// channel on every stepped memory-clock boundary — under naive, every
+// boundary — and naive sleeps through none of them.
+func TestTicksAddUp(t *testing.T) {
+	for _, tc := range topologies() {
+		for _, e := range []Engine{EngineHybrid, EngineNaive, EngineSanitize} {
+			g := MustNew(tc.cfg)
+			g.SetEngine(e)
+			if err := g.Inject(1, Fault{Kind: WedgeSM, Target: 0, At: 50, Until: 400},
+				Fault{Kind: SlowLLC, Target: 0, At: 100, Period: 3}); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.RunProgram([]*kir.Launch{tinyLaunch(t, g, 32, 4)}); err != nil {
+				t.Fatalf("%s %v: %v", tc.name, e, err)
+			}
+			es := g.EngineStats()
+			walks := [3]int64{es.Stepped, es.Stepped, es.walks[kindChan]}
+			if e == EngineNaive {
+				walks[kindChan] = int64(g.cycle) / int64(tc.cfg.MemClockDiv)
+			}
+			for k, n := range []int{len(g.sms), len(g.slices), len(g.chans)} {
+				if es.walks[k] != walks[k] || es.Slept[k] < 0 || e == EngineNaive && es.Slept[k] != 0 ||
+					es.Ran[k]+es.Slept[k]+es.frozen[k] != walks[k]*int64(n) {
+					t.Errorf("%s %v %s: %d walks (want %d) of %d: ran %d + slept %d + frozen %d",
+						tc.name, e, kindLabel[k], es.walks[k], walks[k], n, es.Ran[k], es.Slept[k], es.frozen[k])
+				}
+			}
+			if es.frozen[kindSM] == 0 || es.frozen[kindSlice] == 0 {
+				t.Errorf("%s %v: no tick frozen (%v)", tc.name, e, es.frozen)
+			}
+		}
+	}
 }

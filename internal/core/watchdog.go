@@ -205,8 +205,8 @@ func (g *GPU) CaptureHang(reason string, window sim.Cycle, lastProgress sim.Cycl
 		}
 		if pending[p.label]++; pending[p.label] <= hangReportMaxPerKind {
 			c := ComponentState{Name: p.name(), Wake: p.wakeAt(now), Detail: p.detail(now)}
-			if p.sleep != nil && *p.sleep > c.Wake {
-				c.AsleepUntil = *p.sleep
+			if p.sleep != nil && p.sleep.At() > c.Wake {
+				c.AsleepUntil = p.sleep.At()
 			}
 			r.Stuck = append(r.Stuck, c)
 		}

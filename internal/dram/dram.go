@@ -140,14 +140,14 @@ type Channel struct {
 	// burst (the tracing layer's bank-group-pressure probe).
 	groupBusy []int64
 
-	// sleepUntil: ticking the channel before this *core* cycle is a
-	// proven no-op. Tick writes it from NextEvent; Enqueue, the one door
-	// work arrives through, clears it (DESIGN.md §9).
-	sleepUntil sim.Cycle
+	// sleep: ticking the channel before this *core* cycle is a proven
+	// no-op. Tick writes it from NextEvent; Enqueue, the one door work
+	// arrives through, sets it to 0 (DESIGN.md §9).
+	sleep sim.Slot
 }
 
-// SleepUntil is where the deadline lives; the caller gates, Tick does not.
-func (c *Channel) SleepUntil() *sim.Cycle { return &c.sleepUntil }
+// Sleep is where the deadline lives; the caller gates, Tick does not.
+func (c *Channel) Sleep() *sim.Slot { return &c.sleep }
 
 // NewChannel returns channel id of the configuration.
 func NewChannel(id int, cfg *config.Config, mapper *addrmap.Mapper) *Channel {
@@ -254,7 +254,7 @@ func (c *Channel) Enqueue(req *sim.MemReq) bool {
 		c.stallFull++
 		return false
 	}
-	c.sleepUntil = 0
+	c.sleep.Wake()
 	bi := c.mapper.Bank(req.Addr)
 	c.seq++
 	s := c.free[len(c.free)-1]
@@ -402,10 +402,11 @@ func (c *Channel) Tick(now int64) {
 	if c.busy != 0 {
 		c.schedule(now)
 	}
-	c.sleepUntil = sim.Never
+	until := sim.Never
 	if m, ok := c.NextEvent(); ok {
-		c.sleepUntil = m * sim.Cycle(c.cfg.MemClockDiv)
+		until = m * sim.Cycle(c.cfg.MemClockDiv)
 	}
+	c.sleep.Set(until)
 }
 
 // schedule issues at most one command for the queued requests. Both

@@ -211,22 +211,22 @@ func TestDoorsWake(t *testing.T) {
 			// Drained: asleep for ever. With a burst in flight: asleep
 			// until the core cycle its completion lands on.
 			ch.Tick(0)
-			if d := *ch.SleepUntil(); d != sim.Never {
+			if d := ch.Sleep().At(); d != sim.Never {
 				t.Fatalf("drained channel asleep until %d, want Never", d)
 			}
 			ch.Enqueue(&sim.MemReq{Kind: sim.Load, Addr: 0x1000})
 			mem := int64(1)
-			for ; *ch.SleepUntil() <= (mem+1)*div; mem++ {
+			for ; ch.Sleep().At() <= (mem+1)*div; mem++ {
 				if mem > 1000 {
 					t.Fatal("channel never went to sleep")
 				}
 				ch.Tick(mem)
 			}
-			if d := *ch.SleepUntil(); d == sim.Never || d%div != 0 {
+			if d := ch.Sleep().At(); d == sim.Never || d%div != 0 {
 				t.Fatalf("burst in flight: asleep until %d, want a memory-clock boundary", d)
 			}
 			tc.open(ch)
-			if d := *ch.SleepUntil(); d > mem*div {
+			if d := ch.Sleep().At(); d > mem*div {
 				t.Fatalf("%s left the channel asleep until core cycle %d at %d", tc.door, d, mem*div)
 			}
 		})

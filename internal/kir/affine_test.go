@@ -199,7 +199,7 @@ func (r *refWarp) step(in *Instr) (mask uint32, addrs [WarpSize]uint64) {
 			buf := r.l.Buffers[in.Buf]
 			elem := uint64(in.ElemBytes)
 			off := uint64(a)
-			if off+elem > buf.Size {
+			if off >= buf.Size || buf.Size-off < elem {
 				off %= buf.Size
 				off -= off % elem
 			}
@@ -207,9 +207,6 @@ func (r *refWarp) step(in *Instr) (mask uint32, addrs [WarpSize]uint64) {
 			if in.Op != OpSt {
 				m.regs[in.Dst] = 0
 				if buf.Value != nil {
-					// Signed, as the interpreter divides: an offset in the
-					// last element below 2⁶⁴ does not wrap (off+elem
-					// overflows) and reads element -1.
 					m.regs[in.Dst] = buf.Value(int64(off) / int64(elem))
 				}
 			}

@@ -572,7 +572,7 @@ func (w *Warp) execMem(in *Instr, mask uint32, mem *MemInfo) {
 			continue
 		}
 		off := uint64(ro.at(l))
-		if off+elem > size {
+		if off >= size || size-off < elem { // off+elem could overflow
 			off %= size // wrap rather than escape the buffer
 			off -= off % elem
 		}

@@ -276,22 +276,30 @@ skip:
 	}
 }
 
+// An offset past the end wraps into the buffer, and so does a negative one:
+// −1 … −7 bytes is within an element of 2⁶⁴, where off+elem overflows.
 func TestOffsetWrapsInsteadOfEscaping(t *testing.T) {
-	src := `
+	for _, off := range []string{"mov r0, 999999\n  shl r0, r0, 3",
+		"sub r0, r0, 1", "sub r0, r0, 4", "sub r0, r0, 7", "sub r0, r0, 8"} {
+		src := `
 .kernel wrap
 .param .ptr A
-  mov r0, 999999
-  shl r0, r0, 3
+  mov r0, 0
+  ` + off + `
   ld.global.u64 r1, [A + r0]
   exit
 `
-	l := simpleLaunch(t, src, nil, []Binding{{Base: 0x4000, Size: 1024}})
-	w := NewWarp(l, 0, 0)
-	_, mems := execAll(t, w, 20)
-	for lane := 0; lane < 32; lane++ {
-		a := mems[0].Addrs[lane]
-		if a < 0x4000 || a >= 0x4000+1024 {
-			t.Fatalf("lane %d escaped buffer: %#x", lane, a)
+		l := simpleLaunch(t, src, nil, []Binding{{Base: 0x4000, Size: 1024, Value: func(e int64) int64 { return e }}})
+		w := NewWarp(l, 0, 0)
+		_, mems := execAll(t, w, 20)
+		for lane := 0; lane < 32; lane++ {
+			a := mems[0].Addrs[lane]
+			if a < 0x4000 || a > 0x4000+1024-8 {
+				t.Fatalf("%q: lane %d escaped buffer: %#x", off, lane, a)
+			}
+		}
+		if off != "mov r0, 999999\n  shl r0, r0, 3" && (mems[0].Addrs[0] != 0x4000+1016 || w.Regs[1].Lane(0) != 127) {
+			t.Errorf("%q: address %#x, loaded %d; want the last element, %#x and 127", off, mems[0].Addrs[0], w.Regs[1].Lane(0), 0x4000+1016)
 		}
 	}
 }

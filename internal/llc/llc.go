@@ -80,10 +80,10 @@ type Slice struct {
 	// Invalidations counts coherence invalidations applied (SM-side UBA).
 	Invalidations int64
 
-	// sleepUntil: ticking the slice before this cycle is a proven no-op.
-	// Tick writes it from NextEvent; the doors work arrives through
-	// (Enqueue*, Accept*Fill, Flush) clear it (DESIGN.md §9).
-	sleepUntil sim.Cycle
+	// sleep: ticking the slice before this cycle is a proven no-op. Tick
+	// writes it from NextEvent; the doors work arrives through (Enqueue*,
+	// Accept*Fill, Flush) set it to 0 (DESIGN.md §9).
+	sleep sim.Slot
 
 	// The slice's two parks (DESIGN.md §9 "Parks"). out: a Send* port
 	// refused the outbox's head and said (ParkOutbox) that it will until
@@ -105,8 +105,8 @@ type Slice struct {
 // succeed. A port that says nothing is asked again next cycle.
 func (s *Slice) ParkOutbox(until sim.Cycle) { s.out.Until = until }
 
-// SleepUntil is where the deadline lives; the caller gates, Tick does not.
-func (s *Slice) SleepUntil() *sim.Cycle { return &s.sleepUntil }
+// Sleep is where the deadline lives; the caller gates, Tick does not.
+func (s *Slice) Sleep() *sim.Slot { return &s.sleep }
 
 // New returns slice id in partition part.
 func New(id, part int, cfg *config.Config, stats *metrics.Stats) *Slice {
@@ -147,7 +147,7 @@ func (s *Slice) EnqueueLocal(req *sim.MemReq) bool { s.wake(); return s.lmr.Push
 func (s *Slice) EnqueueRemote(req *sim.MemReq) bool { s.wake(); return s.rmr.Push(req) }
 
 // wake is what every door does: end the sleep and the arbiter's park.
-func (s *Slice) wake() { s.sleepUntil, s.arb.Until = 0, 0 }
+func (s *Slice) wake() { s.sleep.Wake(); s.arb.Until = 0 }
 
 // Pending reports whether the slice still holds work.
 func (s *Slice) Pending() bool {
@@ -219,7 +219,7 @@ func (s *Slice) Tick(now sim.Cycle) {
 	s.deliver(now)
 	s.retirePipe(now)
 	s.arbitrate(now)
-	s.sleepUntil = s.NextEvent(now)
+	s.sleep.Set(s.NextEvent(now))
 }
 
 // deliver drains the outbox in order; a send failure blocks the head

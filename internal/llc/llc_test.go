@@ -374,7 +374,7 @@ func TestDoorsWake(t *testing.T) {
 			h.s.EnqueueLocal(miss)
 			h.s.EnqueueLocal(load(2, 0x2000, 0))
 			now := sim.Cycle(1)
-			for ; *h.s.SleepUntil() != sim.Never; now++ {
+			for ; h.s.Sleep().At() != sim.Never; now++ {
 				if now > 1000 {
 					t.Fatal("slice never went to sleep")
 				}
@@ -384,7 +384,7 @@ func TestDoorsWake(t *testing.T) {
 				t.Fatalf("asleep with %d misses sent and arbiter parked = %v, want 1 and true", len(h.misses), h.s.arb.Until == sim.Never)
 			}
 			tc.open(h, miss, now)
-			if d := *h.s.SleepUntil(); d > now {
+			if d := h.s.Sleep().At(); d > now {
 				t.Fatalf("%s left the slice asleep until %d at cycle %d", tc.door, d, now)
 			}
 			if h.s.arb.Until != 0 {
@@ -421,8 +421,8 @@ func TestRefusedHeadsPark(t *testing.T) {
 	if got, want := h.s.DebugState(), "lmr=1 rmr=0 pipe=0 outbox=1 mshr=1 arb-parked outbox-parked-until=400"; !strings.HasPrefix(got, want) {
 		t.Errorf("report %q, want it to begin %q", got, want)
 	}
-	if w := h.s.NextEvent(200); w != until || *h.s.SleepUntil() != until {
-		t.Errorf("NextEvent = %d, asleep until %d; want the outbox's park, %d", w, *h.s.SleepUntil(), until)
+	if w := h.s.NextEvent(200); w != until || h.s.Sleep().At() != until {
+		t.Errorf("NextEvent = %d, asleep until %d; want the outbox's park, %d", w, h.s.Sleep().At(), until)
 	}
 	h.run(201, until-1)
 	if h.s.ArbOffers != arb || h.s.OutOffers != out {

@@ -141,6 +141,9 @@ func (w *Wakes) Set(i int, t Cycle) {
 // At returns carrier i's wake.
 func (w *Wakes) At(i int) Cycle { return w.at[i] }
 
+// Len returns the number of carriers.
+func (w *Wakes) Len() int { return len(w.at) }
+
 // Has reports whether carrier i is occupied.
 func (w *Wakes) Has(i int) bool { return w.occ.Has(i) }
 
@@ -202,4 +205,83 @@ func (w *Wakes) due(from int, now Cycle) int {
 		}
 	}
 	return -1
+}
+
+// Sweep begins a walk that its caller writes inline — GPU.step's over the
+// SMs, slices and channels, where a call per carrier would cost more than
+// the walk saves. It restarts the minimum and returns the occupancy words
+// and the wakes, or nil when no wake has come by now. The caller visits the
+// set bits in ascending order, re-reading a word after each visit, so that
+// a carrier Set due above the cursor is visited in the same walk and one
+// below it in the next; and it ends the walk with Fold of the least wake
+// it leaves behind, visited or passed over.
+func (w *Wakes) Sweep(now Cycle) (Bits, []Cycle) {
+	if w.min > now {
+		return nil, nil
+	}
+	w.min = Never
+	return w.occ, w.at
+}
+
+// Fold lowers the minimum to t.
+func (w *Wakes) Fold(t Cycle) { w.min = min(w.min, t) }
+
+// Slot is a carrier's own handle on its wake in a Wakes: where an SM, a
+// slice or a channel keeps its sleep deadline, the carriers being the
+// GPU's components of one kind (DESIGN.md §9 "Sleep deadlines"). A
+// component writes it at the end of every tick and at every door work
+// arrives through, so it points at what Wakes.Set writes instead of
+// indexing for it. The zero Slot belongs to no set and keeps the wake
+// itself, 0 (due) until written: a component ticked on its own.
+type Slot struct {
+	at   *Cycle  // the carrier's wake, nil while the slot is in no set
+	word *uint64 // the word that holds the carrier's occupancy bit
+	bit  uint64
+	min  *Cycle // the set's minimum
+	own  Cycle  // the wake, while the slot is in no set
+}
+
+// Move makes carrier i of w the home of the slot's wake; w must not move
+// from then on. The carrier's wake stands — Never in a new set, so that a
+// component moved into one sleeps until its first door.
+func (s *Slot) Move(w *Wakes, i int) {
+	*s = Slot{at: &w.at[i], word: &w.occ[i>>6], bit: 1 << (uint(i) & 63), min: &w.min}
+}
+
+// Set records the wake, as Wakes.Set does: Never until a door opens, 0 due
+// now.
+func (s *Slot) Set(t Cycle) {
+	if s.at == nil {
+		s.own = t
+		return
+	}
+	*s.at = t
+	if t == Never {
+		*s.word &^= s.bit
+		return
+	}
+	*s.word |= s.bit
+	if t < *s.min {
+		*s.min = t
+	}
+}
+
+// Wake is Set(0), what a door writes. A wake already 0 is left as it is:
+// its bit is set and the set's minimum is 0 or about to be refolded.
+func (s *Slot) Wake() {
+	if s.at == nil {
+		s.own = 0
+	} else if *s.at != 0 {
+		*s.at = 0
+		*s.word |= s.bit
+		*s.min = 0
+	}
+}
+
+// At returns the wake.
+func (s *Slot) At() Cycle {
+	if s.at == nil {
+		return s.own
+	}
+	return *s.at
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"slices"
 	"testing"
 )
@@ -92,5 +93,106 @@ func TestWakes(t *testing.T) {
 	walk(30, map[int]Cycle{3: 31, 64: 51}, true)
 	if want := "carrier 3: head taken at cycle 30, parked until 40"; audit.First() != want {
 		t.Fatalf("report %q, want %q (the first, only)", audit.First(), want)
+	}
+}
+
+// sweep walks w at now as GPU.step does, inline, calling visit on each
+// carrier due, and returns the carriers visited.
+func sweep(w *Wakes, now Cycle, visit func(i int)) (visited []int) {
+	occ, at := w.Sweep(now)
+	lo := Never
+	for j := range occ {
+		for word := occ[j]; word != 0; {
+			b := bits.TrailingZeros64(word)
+			i := j<<6 | b
+			if at[i] <= now {
+				visited = append(visited, i)
+				visit(i)
+			}
+			lo = min(lo, at[i])
+			word = occ[j] & (^uint64(1) << b)
+		}
+	}
+	w.Fold(lo)
+	return visited
+}
+
+// A carrier Set due during a walk is visited in the same walk when it lies
+// above the cursor — in the same word or a later one — and in the next walk
+// when it lies below; a visit that Sets nothing leaves its carrier due.
+func TestSweepSeesSetsAboveTheCursor(t *testing.T) {
+	w := NewWakes("component", 130)
+	for _, i := range []int{2, 10, 70, 100, 129} {
+		w.Set(i, 50)
+	}
+	w.Set(10, 5)
+	got := sweep(&w, 5, func(i int) {
+		if i == 10 {
+			w.Set(2, 0)   // below the cursor: next walk
+			w.Set(40, 0)  // above, same word
+			w.Set(100, 0) // above, next word, already occupied
+			w.Set(120, 0) // above, next word, empty
+		}
+		if i != 120 {
+			w.Set(i, 60)
+		}
+	})
+	if !slices.Equal(got, []int{10, 40, 100, 120}) {
+		t.Fatalf("walk at 5 visited %v, want [10 40 100 120]", got)
+	}
+	if got := sweep(&w, 6, func(i int) { w.Set(i, 60) }); !slices.Equal(got, []int{2, 120}) || w.Min() != 50 {
+		t.Fatalf("walk at 6 visited %v, min %d; want [2 120] and 50", got, w.Min())
+	}
+	if got := sweep(&w, 49, func(int) {}); got != nil {
+		t.Fatalf("walk at 49 visited %v with nothing due before 50", got)
+	}
+}
+
+// Min is a lower bound on every occupied carrier's wake after any sequence
+// of Sets, walks and Sets made during walks, through the set or through a
+// carrier's Slot.
+func TestWakesMinIsALowerBound(t *testing.T) {
+	rng := NewRNG(7)
+	w := NewWakes("component", 200)
+	slots := make([]Slot, 200)
+	for i := range slots {
+		slots[i].Move(&w, i)
+	}
+	trueMin := func() Cycle {
+		m := Never
+		for i := range w.Len() {
+			if w.Has(i) {
+				m = min(m, w.At(i))
+			}
+		}
+		return m
+	}
+	for now := Cycle(1); now < 20000; now++ {
+		for range rng.Intn(4) {
+			i, t := rng.Intn(200), now+Cycle(rng.Intn(300))
+			switch rng.Intn(4) {
+			case 0:
+				slots[i].Wake()
+				continue
+			case 1:
+				t = Never
+			case 2:
+				slots[i].Set(t)
+				continue
+			}
+			w.Set(i, t)
+		}
+		sweep(&w, now, func(i int) {
+			if rng.Intn(8) == 0 {
+				slots[rng.Intn(200)].Wake() // a door, anywhere
+			}
+			slots[i].Set(now + 1 + Cycle(rng.Intn(100)))
+		})
+		if m := trueMin(); w.Min() > m {
+			t.Fatalf("cycle %d: Min %d above the least wake %d", now, w.Min(), m)
+		}
+		if i := rng.Intn(200); slots[i].At() != w.At(i) || w.Has(i) != (w.At(i) != Never) {
+			t.Fatalf("cycle %d: carrier %d reads %d through its slot, %d (occupied %v) in the set", now, i, slots[i].At(), w.At(i), w.Has(i))
+		}
 	}
 }

@@ -171,10 +171,10 @@ type SM struct {
 	pageShift uint // log2(cfg.PageSize)
 	scratch   kir.MemInfo
 
-	// sleepUntil: ticking the SM before this cycle is a proven no-op.
-	// Tick writes it from NextWake; the doors work arrives through
-	// (StartKernel, AcceptReply, finishWalk) clear it (DESIGN.md §9).
-	sleepUntil sim.Cycle
+	// sleep: ticking the SM before this cycle is a proven no-op. Tick
+	// writes it from NextWake; the doors work arrives through
+	// (StartKernel, AcceptReply, finishWalk) set it to 0 (DESIGN.md §9).
+	sleep sim.Slot
 
 	// The SM's two parks (DESIGN.md §9 "Parks"). sendPark: Send refused the
 	// send queue's head and said (ParkSend) that it will until this cycle;
@@ -206,8 +206,8 @@ const (
 // that says nothing is asked again next cycle.
 func (s *SM) ParkSend(until sim.Cycle) { s.sendPark.Until = until }
 
-// SleepUntil is where the deadline lives; the caller gates, Tick does not.
-func (s *SM) SleepUntil() *sim.Cycle { return &s.sleepUntil }
+// Sleep is where the deadline lives; the caller gates, Tick does not.
+func (s *SM) Sleep() *sim.Slot { return &s.sleep }
 
 // LSUOpsPerCycle is the number of line operations (TLB+L1 lookups) the
 // load-store unit performs per cycle — the L1 has one 128 B port, and the
@@ -261,7 +261,8 @@ func (s *SM) L1TLB() *vm.TLB { return s.l1TLB }
 // Taking the block as a range rather than a materialized slice keeps the
 // per-launch hot path allocation-free.
 func (s *SM) StartKernel(l *kir.Launch, lo, hi int) {
-	s.sleepUntil, s.lsuPark.Until = 0, 0
+	s.sleep.Wake()
+	s.lsuPark.Until = 0
 	s.launch = l
 	for c := lo; c < hi; c++ {
 		s.ctaQueue.Push(c)
@@ -470,7 +471,7 @@ func (s *SM) Tick(now sim.Cycle) {
 			s.execWarp(slot, now)
 		}
 	}
-	s.sleepUntil = s.NextWake(now)
+	s.sleep.Set(s.NextWake(now))
 }
 
 // drainSendQueue pushes pending requests into the interconnect. A refused
@@ -802,7 +803,8 @@ func (s *SM) translate(acc *memAccess, line *lineReq, now sim.Cycle) bool {
 // miss. The physical frame is resolved when the LSU next processes the
 // line, so a migration that lands in between stays coherent.
 func (s *SM) finishWalk(acc *memAccess) {
-	s.sleepUntil, s.lsuPark.Until = 0, 0
+	s.sleep.Wake()
+	s.lsuPark.Until = 0
 	line := &acc.lines[acc.nextLine]
 	s.l1TLB.Insert(line.vaddr>>s.pageShift, acc.walkAt)
 	line.state = lineTranslated
@@ -934,7 +936,8 @@ func (s *SM) completeLine(slot int, dstReg int8, readyAt, now sim.Cycle) {
 // AcceptReply handles a data reply (load/atomic) or store acknowledgement
 // arriving from the interconnect.
 func (s *SM) AcceptReply(req *sim.MemReq, now sim.Cycle) {
-	s.sleepUntil, s.lsuPark.Until = 0, 0
+	s.sleep.Wake()
+	s.lsuPark.Until = 0
 	s.stats.MemLatencySum += int64(now - req.Issue)
 	s.stats.MemLatencyCount++
 	if req.Kind == sim.Store {

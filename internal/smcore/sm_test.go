@@ -772,7 +772,7 @@ func TestDoorsWake(t *testing.T) {
 				r.vmsys.Tick(now)
 			}
 			r.sm.Tick(now)
-			if *r.sm.SleepUntil() > now+1 && ok() {
+			if r.sm.Sleep().At() > now+1 && ok() {
 				return now
 			}
 		}
@@ -815,7 +815,7 @@ func TestDoorsWake(t *testing.T) {
 		t.Run(tc.door, func(t *testing.T) {
 			r := newRig(t, 1<<40)
 			now := tc.run(t, r)
-			if d := *r.sm.SleepUntil(); d > now {
+			if d := r.sm.Sleep().At(); d > now {
 				t.Fatalf("%s left the SM asleep until %d at cycle %d", tc.door, d, now)
 			}
 		})
