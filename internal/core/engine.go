@@ -126,15 +126,16 @@ type EngineStats struct {
 	// Jumps counts the idle windows hybrid jumped over, LongestJump is the
 	// longest of them in cycles.
 	Jumps, LongestJump int64
+	// FabricSkipped counts the stepped cycles whose fabric phase the fabric
+	// deadline skipped (under sanitize: ran anyway, checked).
+	FabricSkipped int64
 	// Ran counts, by kind, the ticks run on stepped cycles, Slept the ticks
 	// a sleep deadline skipped: every tick the kind's walks (walks) could
 	// have run that did not run and that no fault froze (frozen).
 	Ran, Slept    [3]int64
 	walks, frozen [3]int64
-	// EmptyDrains counts, per link set — SM-request, inter-domain,
-	// slice-reply — the stepped cycles whose drain found no link occupied
-	// (all of them for a set the architecture leaves empty).
-	EmptyDrains [3]int64
+	// jumpFrom is the cycle the last jump began at.
+	jumpFrom sim.Cycle
 	// Sites counts, per place a send can be refused (siteLabel), the heads
 	// offered there and the offers refused: what parking a refused head
 	// (DESIGN.md §9 "Parks") saves is the refusals naive counts and hybrid
@@ -175,7 +176,6 @@ func (g *GPU) EngineStats() EngineStats {
 	for k := range es.Slept {
 		es.Slept[k] = es.walks[k]*int64(g.asleep[k].Len()) - es.Ran[k] - es.frozen[k]
 	}
-	es.EmptyDrains = [3]int64{g.smReq.Idle, g.inter.Idle, g.sliceReply.Idle}
 	for _, s := range g.sms {
 		es.Sites[siteSMSend].Add(s.SendOffers)
 		es.Sites[siteLSU].Add(s.LSUOffers)
@@ -207,9 +207,9 @@ func (g *GPU) EngineStats() EngineStats {
 // refused at each site that saw any.
 func (es EngineStats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "cycles stepped=%d skipped=%d; ticks ran/slept, SM %d/%d, LLC slice %d/%d, DRAM channel %d/%d; drains that found the set empty, SM-request %d, inter-domain %d, slice-reply %d; idle jumps %d, longest %d cycles",
+	fmt.Fprintf(&b, "cycles stepped=%d skipped=%d; ticks ran/slept, SM %d/%d, LLC slice %d/%d, DRAM channel %d/%d; fabric phase skipped on %d; idle jumps %d, longest %d cycles",
 		es.Stepped, es.Skipped, es.Ran[kindSM], es.Slept[kindSM], es.Ran[kindSlice], es.Slept[kindSlice], es.Ran[kindChan], es.Slept[kindChan],
-		es.EmptyDrains[0], es.EmptyDrains[1], es.EmptyDrains[2], es.Jumps, es.LongestJump)
+		es.FabricSkipped, es.Jumps, es.LongestJump)
 	b.WriteString("\noffers: made/refused")
 	for i, o := range es.Sites {
 		if o.Offered > 0 {
@@ -226,9 +226,10 @@ func (es EngineStats) String() string {
 // component is drained or waiting on another one. A sleeper is asked only
 // when a door has woken it since its last tick — its deadline has passed;
 // otherwise the deadline is the hint that tick computed. So the scan reads
-// the three sets' deadlines (their minima, when no door has opened), asks
-// every other row, and then the sleepers a door woke, returning as soon
-// as one component proves the next cycle must run.
+// the three sets' deadlines (their minima, when no door has opened), the
+// fabric deadline for every crossbar and link set, asks every other row,
+// and then the sleepers a door woke, returning as soon as one component
+// proves the next cycle must run.
 func (g *GPU) componentWake() sim.Cycle {
 	now := g.cycle
 	next := now + 1
@@ -244,7 +245,11 @@ func (g *GPU) componentWake() sim.Cycle {
 		}
 		wake = min(wake, t)
 	}
-	for i := g.firstRow(len(g.asleep)); i < len(g.parts); i++ {
+	if g.fabric.At() <= next {
+		return next
+	}
+	wake = min(wake, g.fabric.At())
+	for i := g.fabricEnd; i < len(g.parts); i++ {
 		t := g.parts[i].wakeAt(now)
 		if t <= next {
 			return next
@@ -338,8 +343,11 @@ func (g *GPU) nextWake() sim.Cycle {
 //     (verifyIdleWindow), and fails the run on the first unsound hint.
 //
 // The scan runs before every cycle hybrid or sanitize steps: on a busy
-// machine it ends at the first component due next cycle.
-func (g *GPU) advance(target sim.Cycle) error {
+// machine it ends at the first component due next cycle. advance returns
+// the last cycle of the idle window a hybrid jump ended at target in
+// (w-1), for runUntilIdle to carry the jump on; it is below target
+// otherwise.
+func (g *GPU) advance(target sim.Cycle) (idle sim.Cycle, err error) {
 	for g.cycle < target && g.unsound == nil {
 		w := g.cycle + 1
 		if g.engine != EngineNaive {
@@ -353,17 +361,24 @@ func (g *GPU) advance(target sim.Cycle) error {
 		end := min(w-1, target)
 		if g.engine == EngineSanitize {
 			if err := g.verifyIdleWindow(w, end); err != nil {
-				return err
+				return 0, err
 			}
 			continue
 		}
 		g.es.Jumps++
-		g.es.LongestJump = max(g.es.LongestJump, end-g.cycle)
-		g.es.Skipped += end - g.cycle
-		g.cycle = end
+		g.es.jumpFrom = g.cycle
+		g.skipTo(end)
 		if w <= target {
 			g.step()
 		}
+		idle = w - 1
 	}
-	return g.unsound
+	return idle, g.unsound
+}
+
+// skipTo jumps the clock to end, the last jump going on to it.
+func (g *GPU) skipTo(end sim.Cycle) {
+	g.es.Skipped += end - g.cycle
+	g.es.LongestJump = max(g.es.LongestJump, end-g.es.jumpFrom)
+	g.cycle = end
 }

@@ -188,7 +188,7 @@ func TestQuietVsWakeInvariant(t *testing.T) {
 		if quiet {
 			break
 		}
-		if err := g.advance(g.cycle + batchCycles); err != nil {
+		if _, err := g.advance(g.cycle + batchCycles); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -276,12 +276,41 @@ func TestEnginesSkipNoCFlight(t *testing.T) {
 	if w := g.nextWake(); w != atMid || w <= g.cycle+1 {
 		t.Fatalf("reply on a middle link at cycle %d: nextWake = %d, want its arrival %d", g.cycle, w, atMid)
 	}
-	if err := g.advance(atMid); err != nil {
+	if _, err := g.advance(atMid); err != nil {
 		t.Fatal(err)
 	}
 	atOut := atMid + flits(width) + stage
 	if w := g.nextWake(); g.cycle != atMid || w != atOut {
 		t.Fatalf("reply on an egress link at cycle %d: nextWake = %d, want its arrival %d", g.cycle, w, atOut)
+	}
+}
+
+// The fabric deadline is a lower bound on the wake of every occupied
+// fabric carrier after every step — a kernel and its boundary flush,
+// stepped cycle by cycle under hybrid on all five topologies — and the
+// deadline skips the fabric phase on some of those cycles and runs it on
+// others.
+func TestFabricDeadlineIsALowerBound(t *testing.T) {
+	for _, tc := range topologies() {
+		g := MustNew(tc.cfg)
+		l := tinyLaunch(t, g, 16, 2)
+		g.prewarm(l)
+		g.assignCTAs(l)
+		for _, phase := range []func(){func() {}, g.kernelBoundaryFlush} {
+			phase()
+			for !g.quiet() {
+				if g.cycle > 1_000_000 {
+					t.Fatalf("%s: runaway: the kernel did not drain", tc.name)
+				}
+				g.step()
+				if d, least := g.fabric.At(), g.fabric.Least(); d > least {
+					t.Fatalf("%s: cycle %d: fabric deadline %d above an occupied carrier's wake %d", tc.name, g.cycle, d, least)
+				}
+			}
+		}
+		if es := g.EngineStats(); es.FabricSkipped == 0 || es.FabricSkipped == es.Stepped {
+			t.Errorf("%s: the fabric phase was skipped on %d of %d stepped cycles", tc.name, es.FabricSkipped, es.Stepped)
+		}
 	}
 }
 
@@ -295,6 +324,58 @@ func BenchmarkStepEmptyFabric(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.step()
 	}
+	if g.es.FabricSkipped != g.es.Stepped {
+		b.Fatalf("the quiet GPU ran its fabric phase on %d of %d cycles", g.es.Stepped-g.es.FabricSkipped, g.es.Stepped)
+	}
+}
+
+// benchWindow times b.N stepped cycles of the same window: start builds a
+// GPU ready to run (fast-forwarded past its cold start) and returns its
+// step, and every window steps a fresh one is started with the timer
+// stopped. So ns/op is the mean over the window's first cycles however far
+// b.N reaches — a faster binary that runs more iterations times the same
+// cycles, not a later phase of the kernel.
+func benchWindow(b *testing.B, window int, start func() (step func())) {
+	var step func()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%window == 0 {
+			b.StopTimer()
+			step = start()
+			b.StartTimer()
+		}
+		step()
+	}
+}
+
+// running returns a benchWindow start: a GPU of cfg mid-run on benchmark
+// abbr, stepped warm cycles past its cold start, whose step reassigns the
+// launch when the GPU drains.
+func running(b *testing.B, cfg config.Config, abbr string, warm int) func() func() {
+	bm, err := workload.ByAbbr(abbr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return func() func() {
+		g := MustNew(cfg)
+		launches, err := bm.Build(g.NewBuffer)
+		if err != nil {
+			b.Fatal(err)
+		}
+		l := launches[0]
+		g.prewarm(l)
+		g.assignCTAs(l)
+		for range warm {
+			g.step()
+		}
+		return func() {
+			if g.quiet() {
+				g.assignCTAs(l)
+			}
+			g.step()
+		}
+	}
 }
 
 // BenchmarkMoveFabric is one stepped cycle of a scale-0.25 GPU mid-run on
@@ -303,10 +384,6 @@ func BenchmarkStepEmptyFabric(b *testing.B) {
 // MCM's inter-module links (all three drained by moveFabric; the whole
 // step is timed, so compare a fabric with itself across commits).
 func BenchmarkMoveFabric(b *testing.B) {
-	bh, err := workload.ByAbbr("BH")
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name string
 		cfg  config.Config
@@ -316,25 +393,7 @@ func BenchmarkMoveFabric(b *testing.B) {
 		{"mcm-nuba", config.MCM(config.NUBA).Scale(0.25)},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			g := MustNew(tc.cfg)
-			launches, err := bh.Build(g.NewBuffer)
-			if err != nil {
-				b.Fatal(err)
-			}
-			l := launches[0]
-			g.prewarm(l)
-			g.assignCTAs(l)
-			for i := 0; i < 20000; i++ { // past the cold start
-				g.step()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if g.quiet() {
-					g.assignCTAs(l)
-				}
-				g.step()
-			}
+			benchWindow(b, 10_000, running(b, tc.cfg, "BH", 20_000))
 		})
 	}
 }
@@ -346,29 +405,7 @@ func BenchmarkMoveFabric(b *testing.B) {
 // refuses. What parking those heads (DESIGN.md §9 "Parks") saves, at the
 // granularity of step; compare across commits.
 func BenchmarkStepCongested(b *testing.B) {
-	sm, err := workload.ByAbbr("SM")
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := MustNew(config.Baseline().Scale(0.25).WithArch(config.NUBA))
-	launches, err := sm.Build(g.NewBuffer)
-	if err != nil {
-		b.Fatal(err)
-	}
-	l := launches[0]
-	g.prewarm(l)
-	g.assignCTAs(l)
-	for i := 0; i < 20000; i++ { // past the cold start
-		g.step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if g.quiet() {
-			g.assignCTAs(l)
-		}
-		g.step()
-	}
+	benchWindow(b, 10_000, running(b, config.Baseline().Scale(0.25).WithArch(config.NUBA), "SM", 20_000))
 }
 
 // BenchmarkStepOnePartitionBusy is one stepped cycle of the shape NUBA's
@@ -376,17 +413,17 @@ func BenchmarkStepCongested(b *testing.B) {
 // its partition's slice and channel on a scale-0.25 NUBA GPU, the other
 // seven partitions asleep.
 func BenchmarkStepOnePartitionBusy(b *testing.B) {
-	g := MustNew(config.Baseline().Scale(0.25).WithArch(config.NUBA))
-	l := tinyLaunch(b, g, 1, 64)
-	g.prewarm(l)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if g.sms[0].Idle() {
-			g.assignCTAs(l)
+	benchWindow(b, 10_000, func() func() {
+		g := MustNew(config.Baseline().Scale(0.25).WithArch(config.NUBA))
+		l := tinyLaunch(b, g, 1, 64)
+		g.prewarm(l)
+		return func() {
+			if g.sms[0].Idle() {
+				g.assignCTAs(l)
+			}
+			g.step()
 		}
-		g.step()
-	}
+	})
 }
 
 // BenchmarkComponentWake is the hint scan alone over a quiet scale-0.25

@@ -47,6 +47,10 @@ type GPU struct {
 	// component, carved from one allocation: step walks the due ones and
 	// componentWake reads the minima.
 	asleep [3]sim.Wakes
+	// fabric bounds the wake of every carrier moveFabric walks (DESIGN.md
+	// §9 "Sleep deadlines"); fabricEnd is the row after the fabric's own.
+	fabric    sim.Deadline
+	fabricEnd int
 	// mods is the number of crossbar domains: MCM modules, the two
 	// halves of the SM-side UBA, 1 otherwise; smsPerMod and slicesPerMod
 	// are each domain's share (setMods). These and the wires below are set
@@ -189,6 +193,13 @@ func New(cfg config.Config) (*GPU, error) {
 	default:
 		g.buildUBAMem()
 	}
+	g.fabricEnd = len(g.parts)
+	for m, x := range g.reqXbars {
+		x.Join(&g.fabric)
+		g.replyXbars[m].Join(&g.fabric)
+	}
+	g.fabric.Join(&g.smReq.W, &g.inter.W, &g.sliceReply.W)
+	g.fabric.Refold()
 
 	g.register(vmPart{g.vmsys}, "vm system", -1)
 	g.register(coreQueues{g}, "core queues", -1)

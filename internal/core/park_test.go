@@ -37,7 +37,7 @@ func parked(t *testing.T, e Engine) (g *GPU, k int, until sim.Cycle) {
 	g.SetEngine(e)
 	g.assignCTAs(tinyLaunch(t, g, 32, 8))
 	for g.cycle < 200_000 {
-		if err := g.advance(g.cycle + 1); err != nil {
+		if _, err := g.advance(g.cycle + 1); err != nil {
 			t.Fatal(err)
 		}
 		for k := range g.smReq.L {

@@ -92,8 +92,12 @@ const batchCycles = 64
 // clamped at MaxCycles so a runaway workload stops exactly at the
 // configured limit instead of overshooting by up to a whole batch.
 // However the loop ends, the statistics reflect the cycles simulated.
+// A hybrid jump goes on over every whole batch its idle window covers
+// (DESIGN.md §9 "The loop"): the state is frozen there, so those
+// boundaries run no scan and no quiet(), and the rest is checked as ever.
 func (g *GPU) runUntilIdle(ctx context.Context) error {
 	var err error
+	var idle sim.Cycle // the last cycle of the window the last jump proved idle
 	for {
 		if cerr := ctx.Err(); cerr != nil {
 			err = fmt.Errorf("core: run canceled at cycle %d: %w", g.cycle, cerr)
@@ -103,13 +107,16 @@ func (g *GPU) runUntilIdle(ctx context.Context) error {
 		if maxC := sim.Cycle(g.cfg.MaxCycles); g.cycle < maxC && target > maxC {
 			target = maxC
 		}
-		if err = g.advance(target); err != nil {
+		frozen := target <= idle
+		if frozen {
+			g.skipTo(target)
+		} else if idle, err = g.advance(target); err != nil {
 			break
 		}
 		if f := g.flt; f != nil && f.panicAt > 0 && g.cycle >= f.panicAt {
 			panic(fmt.Sprintf("core: injected fault: panic at cycle %d", g.cycle))
 		}
-		if g.quiet() {
+		if !frozen && g.quiet() {
 			break
 		}
 		if err = g.wd.check(g); err != nil {
@@ -129,7 +136,8 @@ func (g *GPU) runUntilIdle(ctx context.Context) error {
 // step advances the whole system by one core cycle. It is the only
 // function that sequences component ticks: translation, SMs, the fabric
 // (moveFabric: links, crossbars and the egress deliveries between SMs
-// and slices), slices, channels on the memory clock, then the timers.
+// and slices) when a carrier is due or a core queue waits on it, slices,
+// channels on the memory clock, then the timers.
 func (g *GPU) step() {
 	g.cycle++
 	now := g.cycle
@@ -137,7 +145,12 @@ func (g *GPU) step() {
 
 	g.vmsys.Tick(now)
 	g.tickKind(kindSM, now, now)
-	g.moveFabric(now)
+	if g.fabric.At() <= now || g.engine == EngineNaive || !g.invalQueue.Empty() || len(g.migFillRetry) > 0 {
+		g.moveFabric(now)
+		g.fabric.Refold() // every walk has ended: the members' minima are exact
+	} else if g.es.FabricSkipped++; g.engine == EngineSanitize {
+		g.checkFabric(now)
+	}
 	g.tickKind(kindSlice, now, now)
 	if div := sim.Cycle(g.cfg.MemClockDiv); now%div == 0 {
 		g.tickKind(kindChan, now, now/div)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/nuba-gpu/nuba/internal/sim"
 )
@@ -92,4 +93,34 @@ func (g *GPU) checkSleeper(k, i int, t sim.Cycle) {
 			row.name(), g.cycle, until)
 	}
 	row.sleep.Set(until)
+}
+
+// checkFabric is the same oracle for the fabric phase: step hands it every
+// cycle whose phase the fabric deadline skips, and it runs the phase anyway.
+// A fabric row whose signature moves, or a fabric site whose offers taken
+// do, proves the deadline unsound and fails the run (a parked head the
+// audit offers and the receiver refuses again moves neither). It does not
+// refold the deadline, which stays the stale one hybrid would keep.
+func (g *GPU) checkFabric(now sim.Cycle) {
+	rows, sigs := g.parts[g.firstRow(len(g.asleep)):g.fabricEnd], make([]uint64, 0, 16)
+	for i := range rows {
+		sigs = append(sigs, rows[i].StateSig())
+	}
+	due, before := g.fabric.At(), g.EngineStats().Sites
+	g.moveFabric(now)
+	after, moved := g.EngineStats().Sites, []string(nil)
+	for i := range rows {
+		if rows[i].StateSig() != sigs[i] {
+			moved = append(moved, rows[i].name())
+		}
+	}
+	for s := siteSMReqDrain; s <= siteSliceReplyDrain; s++ {
+		if after[s].Offered-after[s].Refused != before[s].Offered-before[s].Refused {
+			moved = append(moved, siteLabel[s]+" offers")
+		}
+	}
+	if moved != nil && g.unsound == nil {
+		g.unsound = fmt.Errorf("core: sanitize: unsound fabric deadline: %s moved at cycle %d, the deadline said nothing was due before %s",
+			strings.Join(moved, ", "), now, sim.Until(due))
+	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"github.com/nuba-gpu/nuba/internal/config"
 	"github.com/nuba-gpu/nuba/internal/kir"
+	"github.com/nuba-gpu/nuba/internal/noc"
 	"github.com/nuba-gpu/nuba/internal/sim"
 )
 
@@ -110,5 +111,30 @@ func TestSanitizeCatchesImpureHint(t *testing.T) {
 				t.Errorf("diagnostic = %v, want it to say %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// A fabric deadline that stayed late — here, a reply injected into a
+// crossbar after the deadline lost its members — is an unsound gate:
+// hybrid skips the phase that would move the reply, and the sanitizer,
+// which runs every skipped phase, fails the run naming the crossbar.
+func TestSanitizeCatchesStaleFabricDeadline(t *testing.T) {
+	for _, e := range []Engine{EngineHybrid, EngineSanitize} {
+		g := MustNew(tinyConfig(config.NUBA))
+		g.SetEngine(e)
+		reply := noc.Msg{Req: &sim.MemReq{Kind: sim.Load, SM: 0}, Dst: 0, Bytes: sim.DataBytes, Reply: true}
+		if !g.replyXbars[0].Inject(1, g.cycle, reply) {
+			t.Fatal("inject rejected")
+		}
+		g.fabric = sim.Deadline{} // no members: every refold says Never
+		g.fabric.Refold()
+		g.step()
+		in, _, _ := g.replyXbars[0].Occupied()
+		switch {
+		case e == EngineHybrid && (in != 1 || g.es.FabricSkipped != 1):
+			t.Errorf("hybrid: %d input queues hold the reply after a skipped phase (skipped %d), want 1", in, g.es.FabricSkipped)
+		case e == EngineSanitize && (g.unsound == nil || !strings.Contains(g.unsound.Error(), "unsound fabric deadline: reply crossbar 0")):
+			t.Errorf("sanitize: %v, want an unsound fabric deadline naming reply crossbar 0", g.unsound)
+		}
 	}
 }

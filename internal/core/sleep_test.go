@@ -34,7 +34,7 @@ func napping(t *testing.T, e Engine, extra ...component) (*GPU, *part) {
 		t.Fatalf("row 0 is %q and does not point at SM 0's deadline", row.name())
 	}
 	for g.cycle < 1000 {
-		if err := g.advance(g.cycle + 1); err != nil {
+		if _, err := g.advance(g.cycle + 1); err != nil {
 			t.Fatal(err)
 		}
 		if d := row.sleep.At(); d > g.cycle+1 && d != sim.Never {

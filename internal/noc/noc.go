@@ -114,6 +114,9 @@ func NewCrossbar(inPorts, outPorts, width int, latency sim.Cycle, inBuf, outBuf 
 // walks.
 func (x *Crossbar) SetAudit(a *sim.ParkAudit) { x.inW.Audit, x.Mid.W.Audit, x.Out.W.Audit = a, a, a }
 
+// Join makes the crossbar's three sets members of d.
+func (x *Crossbar) Join(d *sim.Deadline) { d.Join(&x.inW, &x.Mid.W, &x.Out.W) }
+
 // InPorts returns the number of input ports.
 func (x *Crossbar) InPorts() int { return len(x.in) }
 

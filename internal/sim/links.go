@@ -16,9 +16,8 @@ const Accepted Cycle = 0
 type Links[T any] struct {
 	L []*Link[T] // nil where the topology has no link
 	W Wakes
-	// Idle counts the drains that found no link occupied, Offers the heads
-	// offered to the sink and those it refused (accounting, not state).
-	Idle   int64
+	// Offers counts the heads offered to the sink and those it refused
+	// (accounting, not state).
 	Offers Offers
 }
 
@@ -64,10 +63,6 @@ func (s *Links[T]) Pop(k int, now Cycle) (T, bool) {
 // method expression as sink, costs one indirect call a message and
 // allocates nothing; a capturing closure as ctx escapes and allocates.
 func Drain[T, C any](s *Links[T], ctx C, now Cycle, sink func(ctx C, k int, v T, now Cycle) Cycle) {
-	if !s.W.Any() {
-		s.Idle++
-		return
-	}
 	for k := s.W.First(now); k >= 0; {
 		l := s.L[k]
 		wake, moved := l.NextReady(), false

@@ -58,8 +58,8 @@ func TestLinks(t *testing.T) {
 	}
 
 	drain(1)
-	if s.Idle != 1 {
-		t.Errorf("Idle = %d after one drain of an empty set", s.Idle)
+	if s.W.Min() != Never {
+		t.Errorf("an empty set's minimum is %d after a drain, want Never", s.W.Min())
 	}
 	// Sent out of index order; link 3 carries two messages.
 	s.Send(68, 1, 680, 1)
@@ -121,9 +121,6 @@ func TestLinks(t *testing.T) {
 		t.Errorf("audit report %q, want %q", audit.First(), want)
 	}
 	s.W.Audit = nil
-	if s.Idle != 1 {
-		t.Errorf("Idle = %d; only the first drain found the set empty", s.Idle)
-	}
 	if b, busy, pending := s.Totals(); b != 8 || busy != 8 || pending != 0 {
 		t.Errorf("Totals = %d bytes, %d busy cycles, %d pending; want 8, 8, 0", b, busy, pending)
 	}
@@ -140,5 +137,8 @@ func TestLinks(t *testing.T) {
 	})
 	if b, busy, pending := zero.Totals(); b != 0 || busy != 0 || pending != 0 || zero.StateSig() != SigSeed {
 		t.Error("a zero Links has totals or a signature")
+	}
+	if zero.W.Min() != Never {
+		t.Errorf("a zero Links is due at %d, want Never", zero.W.Min())
 	}
 }

@@ -96,13 +96,18 @@ func (p *Park) Taken(now Cycle, audit *ParkAudit, site string, i int) {
 // Links — with, per carrier, one occupancy bit and one wake: the earliest
 // cycle its head could move (its arrival, or the end of its park), Never
 // while it is empty. The minimum over the array is kept beside them, so a
-// cycle on which nothing is due costs the walk one compare.
+// cycle on which nothing is due costs the walk one compare. The zero value
+// is a set of no carriers, never due.
 type Wakes struct {
 	occ Bits
 	at  []Cycle
 	// min is a lower bound on every wake: exact after a walk, lowered by
 	// Set, left stale (low) when Set raises the wake that held it.
 	min Cycle
+	// deadline is the Deadline the set is a member of, which Set lowers
+	// with min, and next the member that joined it before.
+	deadline *Deadline
+	next     *Wakes
 	// Audit, when set, makes a walk visit every occupied carrier whatever
 	// its wake says, and is told of a head that moved before its wake.
 	Audit *ParkAudit
@@ -135,6 +140,9 @@ func (w *Wakes) Set(i int, t Cycle) {
 	w.occ.Set(i)
 	if t < w.min {
 		w.min = t
+		if d := w.deadline; d != nil && t < d.at {
+			d.at = t
+		}
 	}
 }
 
@@ -155,7 +163,12 @@ func (w *Wakes) Count() int { return w.occ.Count() }
 
 // Min returns a lower bound on the earliest wake, Never when the set was
 // empty at the last walk and nothing has been Set since.
-func (w *Wakes) Min() Cycle { return w.min }
+func (w *Wakes) Min() Cycle {
+	if len(w.at) == 0 {
+		return Never
+	}
+	return w.min
+}
 
 // First begins a walk at cycle now over the occupied carriers whose wake
 // has come, in ascending order, and returns the first of them, -1 when
@@ -225,6 +238,49 @@ func (w *Wakes) Sweep(now Cycle) (Bits, []Cycle) {
 
 // Fold lowers the minimum to t.
 func (w *Wakes) Fold(t Cycle) { w.min = min(w.min, t) }
+
+// Deadline is a lower bound on the wakes of its member sets — the GPU's
+// fabric (DESIGN.md §9 "Sleep deadlines"). A Set that lowers a member's
+// minimum lowers it too, and Refold, once the members' walks have ended,
+// makes it their least minimum. The zero Deadline is due until refolded.
+type Deadline struct {
+	at   Cycle
+	last *Wakes // the member that joined last, the head of their list
+}
+
+// Join makes the sets members, from the next Refold on; they must not
+// move from then on. A set of no carriers is never due and is left out.
+func (d *Deadline) Join(sets ...*Wakes) {
+	for _, w := range sets {
+		if w.Len() > 0 {
+			w.deadline, w.next, d.last = d, d.last, w
+		}
+	}
+}
+
+// At returns the deadline.
+func (d *Deadline) At() Cycle { return d.at }
+
+// Refold makes the deadline the least of the members' minima.
+func (d *Deadline) Refold() {
+	t := Never
+	for w := d.last; w != nil; w = w.next {
+		t = min(t, w.min)
+	}
+	d.at = t
+}
+
+// Least walks every member's occupied carriers for the least wake, what the
+// deadline bounds from below.
+func (d *Deadline) Least() Cycle {
+	t := Never
+	for w := d.last; w != nil; w = w.next {
+		for i := w.occ.Next(0); i >= 0; i = w.occ.Next(i + 1) {
+			t = min(t, w.at[i])
+		}
+	}
+	return t
+}
 
 // Slot is a carrier's own handle on its wake in a Wakes: where an SM, a
 // slice or a channel keeps its sleep deadline, the carriers being the

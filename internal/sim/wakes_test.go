@@ -196,3 +196,77 @@ func TestWakesMinIsALowerBound(t *testing.T) {
 		}
 	}
 }
+
+// The zero Wakes is a set of no carriers: never due, and a walk of it
+// visits nothing — so a set an architecture leaves unbuilt costs a
+// Deadline nothing.
+func TestZeroWakesIsNeverDue(t *testing.T) {
+	var w Wakes
+	if w.Min() != Never || w.Any() || w.Len() != 0 {
+		t.Fatalf("zero Wakes: Min %d, Any %v, Len %d; want Never, false, 0", w.Min(), w.Any(), w.Len())
+	}
+	if i := w.First(5); i != -1 || w.Min() != Never {
+		t.Fatalf("a walk of the zero Wakes began at %d and left Min %d", i, w.Min())
+	}
+	var d Deadline
+	if d.At() != 0 {
+		t.Fatalf("a zero Deadline is at %d before its first Refold, want 0 (due)", d.At())
+	}
+	d.Join(&w)
+	if d.Refold(); d.At() != Never {
+		t.Fatalf("a Deadline over the zero Wakes is at %d, want Never", d.At())
+	}
+}
+
+// A Deadline is a lower bound on every occupied carrier of its members
+// after any sequence of Sets and walks, Sets made during walks included,
+// and the least of their minima once refolded.
+func TestDeadlineIsALowerBound(t *testing.T) {
+	rng := NewRNG(11)
+	var d Deadline
+	sets := []*Wakes{new(Wakes), ptr(NewWakes("a", 70)), ptr(NewWakes("b", 3))}
+	for _, w := range sets {
+		d.Join(w)
+	}
+	d.Refold()
+	set := func(now Cycle, walked *Wakes) {
+		w := sets[1+rng.Intn(2)]
+		if w == walked {
+			return // a sink sends into another set than the one it drains
+		}
+		t := now + Cycle(rng.Intn(50))
+		if rng.Intn(3) == 0 {
+			t = Never
+		}
+		w.Set(rng.Intn(w.Len()), t)
+	}
+	for now := Cycle(1); now < 20000; now++ {
+		for range rng.Intn(3) {
+			set(now, nil)
+		}
+		if d.At() > d.Least() {
+			t.Fatalf("cycle %d: deadline %d above the least wake %d", now, d.At(), d.Least())
+		}
+		if d.At() > now && rng.Intn(4) != 0 {
+			continue // nothing is due: the walks are skipped
+		}
+		for _, w := range sets[1:] {
+			for i := w.First(now); i >= 0; {
+				if rng.Intn(4) == 0 {
+					set(now, w) // a sink sends into a set, walked or not
+				}
+				next := now + 1 + Cycle(rng.Intn(20))
+				if rng.Intn(3) == 0 {
+					next = Never
+				}
+				i = w.Next(i, now, next, true)
+			}
+		}
+		d.Refold()
+		if m := min(sets[0].Min(), sets[1].Min(), sets[2].Min()); d.At() != m || m > d.Least() {
+			t.Fatalf("cycle %d: refolded deadline %d, least minimum %d, least wake %d", now, d.At(), m, d.Least())
+		}
+	}
+}
+
+func ptr[T any](v T) *T { return &v }
