@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint fmt-check docs-check test test-short race sanitize stress fuzz golden experiments bench-smoke bench-check check clean
+.PHONY: build vet lint fmt-check docs-check test test-short race sanitize stress fuzz golden experiments bench-smoke bench-check lines check clean
 
 build:
 	$(GO) build ./...
@@ -134,6 +134,11 @@ bench-smoke:
 # simulator that breaks the benchmark's build is noticed.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+# ROADMAP 10's size of the simulator: lines of non-test Go outside bench/
+# (the benchmark's own module) and testdata/.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -not -path '*/testdata/*' -exec cat {} + | wc -l
 
 check: vet build lint fmt-check docs-check test bench-smoke race sanitize bench-check
 

@@ -28,8 +28,8 @@ func (g *GPU) buildNUBA() {
 	for j := range g.sliceReply.L {
 		g.sliceReply.L[j] = local()
 	}
-	g.register(linksPart[*sim.MemReq]{&g.smReq}, "SM-request links", -1)
-	g.register(linksPart[*sim.MemReq]{&g.sliceReply}, "slice-reply links", -1)
+	g.register(&g.smReq, "SM-request links", -1)
+	g.register(&g.sliceReply, "slice-reply links", -1)
 	g.buildInterModule()
 
 	if g.cfg.Replication == config.MDR {

@@ -75,7 +75,7 @@ func (g *GPU) buildUBASMSide() {
 	for h := 0; h < 2; h++ {
 		g.inter.L[g.interLink(h, 1-h)] = sim.NewLink[noc.Msg](g.cfg.NoCLatency, w, 8*g.cfg.NoCPortBuffer)
 	}
-	g.register(linksPart[noc.Msg]{&g.inter}, "inter-half links", -1)
+	g.register(&g.inter, "inter-half links", -1)
 	for _, s := range g.sms {
 		s.Send = g.smSideSend(s.ID)
 	}

@@ -223,42 +223,38 @@ func (es EngineStats) String() string {
 // make progress on its own: g.cycle+1 while something is active, a future
 // cycle when everything is parked on known timers (DRAM bursts, LLC
 // pipelines, link arrivals, scheduler sleeps), and sim.Never when every
-// component is drained or waiting on another one. A sleeper is asked only
-// when a door has woken it since its last tick — its deadline has passed;
-// otherwise the deadline is the hint that tick computed. So the scan reads
-// the three sets' deadlines (their minima, when no door has opened), the
-// fabric deadline for every crossbar and link set, asks every other row,
-// and then the sleepers a door woke, returning as soon as one component
-// proves the next cycle must run.
+// component is drained or waiting on another one. A sleeper's deadline is
+// the hint its last tick computed; only one that has passed — a door has
+// woken the component since — sends the scan to ask it. The cheap proofs
+// come first: the fabric deadline for every crossbar and link set, the
+// minima of the three sets that no door has opened, and every other row;
+// then one pass (kindWake) over each set whose minimum has passed. The scan
+// returns as soon as one component proves the next cycle must run.
 func (g *GPU) componentWake() sim.Cycle {
 	now := g.cycle
 	next := now + 1
-	wake := sim.Never
-	var woken [3]bool
-	for k := range g.asleep {
-		t := g.asleep[k].Min()
-		if t <= now {
-			t, woken[k] = g.deadlines(k, now)
-		}
-		if t <= next {
-			return next
-		}
-		wake = min(wake, t)
-	}
-	if g.fabric.At() <= next {
+	wake := g.fabric.At()
+	if wake <= next {
 		return next
 	}
-	wake = min(wake, g.fabric.At())
+	for k := range g.asleep {
+		if t := g.asleep[k].Min(); t > now {
+			if t <= next {
+				return next
+			}
+			wake = min(wake, t)
+		}
+	}
 	for i := g.fabricEnd; i < len(g.parts); i++ {
-		t := g.parts[i].wakeAt(now)
+		t := g.parts[i].NextWake(now)
 		if t <= next {
 			return next
 		}
 		wake = min(wake, t)
 	}
 	for k := range g.asleep {
-		if woken[k] {
-			t := g.askWoken(k, now)
+		if g.asleep[k].Min() <= now {
+			t := g.kindWake(k, now)
 			if t <= next {
 				return next
 			}
@@ -268,35 +264,17 @@ func (g *GPU) componentWake() sim.Cycle {
 	return wake
 }
 
-// deadlines returns the least of kind k's deadlines that lie after now —
-// the first that is the next cycle — and whether any has passed: a door
-// has woken its component.
-func (g *GPU) deadlines(k int, now sim.Cycle) (wake sim.Cycle, woken bool) {
-	w := &g.asleep[k]
-	wake = sim.Never
-	for i := range w.Len() {
-		switch t := w.At(i); {
-		case t <= now:
-			woken = true
-		case t == now+1:
-			return t, woken
-		default:
-			wake = min(wake, t)
-		}
-	}
-	return wake, woken
-}
-
-// askWoken returns the least hint of kind k's components a door has woken,
-// or the first that is the next cycle or earlier.
-func (g *GPU) askWoken(k int, now sim.Cycle) sim.Cycle {
+// kindWake returns the least wake of kind k's components, or the first
+// that is the next cycle or earlier: a deadline that lies after now, or
+// the hint of a component whose deadline a door has reset.
+func (g *GPU) kindWake(k int, now sim.Cycle) sim.Cycle {
 	w, rows := &g.asleep[k], g.parts[g.firstRow(k):]
 	wake := sim.Never
 	for i := range w.Len() {
-		if w.At(i) > now {
-			continue
+		t := w.At(i)
+		if t <= now {
+			t = rows[i].NextWake(now)
 		}
-		t := rows[i].wakeAt(now)
 		if t <= now+1 {
 			return t
 		}

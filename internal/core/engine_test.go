@@ -225,7 +225,12 @@ loop:
 // skipping it changes nothing: a two-CTA remote-load kernel ends on the
 // same cycle with the same statistics under all three engines, on NUBA
 // (round-robin pages, so three loads in four cross the slice-to-slice
-// fabric) and on the memory-side UBA (every miss crosses both).
+// fabric) and on the memory-side UBA (every miss crosses both). Each engine
+// is a subtest of its own, so a hybrid hang does not keep the sanitizer's
+// verdict on the same run from being heard. With the fabric otherwise idle,
+// a link send that forgets to lower the fabric deadline fails the sanitize
+// leg as an unsound wake hint; on the busy runs of `make sanitize` the next
+// fabric phase repairs the deadline before it shows.
 func TestEnginesSkipNoCFlight(t *testing.T) {
 	const iters = 256
 	for _, arch := range []config.Arch{config.NUBA, config.UBAMem} {
@@ -233,25 +238,27 @@ func TestEnginesSkipNoCFlight(t *testing.T) {
 		cfg.Placement = config.RoundRobin
 		var want string
 		for _, e := range []Engine{EngineNaive, EngineHybrid, EngineSanitize} {
-			g := MustNew(cfg)
-			g.SetEngine(e)
-			k := kir.MustParse(hopKernel)
-			kir.AnalyzeReadOnly(k)
-			size := uint64(2 * iters * sim.LineSize)
-			l := &kir.Launch{Kernel: k, GridDim: 2, CTAThreads: 32, Scalars: []int64{iters},
-				Buffers: []kir.Binding{{Base: g.NewBuffer(size), Size: size}}}
-			if err := g.RunProgram([]*kir.Launch{l}); err != nil {
-				t.Fatalf("%v/%v: %v", arch, e, err)
-			}
-			st := g.Stats()
-			if st.RemoteAccesses < iters {
-				t.Fatalf("%v/%v: %d remote accesses: the kernel does not cross the NoC", arch, e, st.RemoteAccesses)
-			}
-			if got := fmt.Sprintf("%+v", *st); e == EngineNaive {
-				want = got
-			} else if got != want {
-				t.Errorf("%v: %v diverges from naive\nnaive: %s\n%v: %s", arch, e, want, e, got)
-			}
+			t.Run(fmt.Sprintf("%v/%v", arch, e), func(t *testing.T) {
+				g := MustNew(cfg)
+				g.SetEngine(e)
+				k := kir.MustParse(hopKernel)
+				kir.AnalyzeReadOnly(k)
+				size := uint64(2 * iters * sim.LineSize)
+				l := &kir.Launch{Kernel: k, GridDim: 2, CTAThreads: 32, Scalars: []int64{iters},
+					Buffers: []kir.Binding{{Base: g.NewBuffer(size), Size: size}}}
+				if err := g.RunProgram([]*kir.Launch{l}); err != nil {
+					t.Fatal(err)
+				}
+				st := g.Stats()
+				if st.RemoteAccesses < iters {
+					t.Fatalf("%d remote accesses: the kernel does not cross the NoC", st.RemoteAccesses)
+				}
+				if got := fmt.Sprintf("%+v", *st); e == EngineNaive {
+					want = got
+				} else if want != "" && got != want {
+					t.Errorf("diverges from naive\nnaive: %s\n%v: %s", want, e, got)
+				}
+			})
 		}
 	}
 

@@ -161,7 +161,7 @@ func New(cfg config.Config) (*GPU, error) {
 		s.PageLookup = g.pageLookup(s.Part)
 		s.Sleep().Move(&g.asleep[kindSM], i)
 		g.sms = append(g.sms, s)
-		g.register(smPart{s}, kindLabel[kindSM], i)
+		g.register(s, kindLabel[kindSM], i)
 	}
 	for j := 0; j < cfg.NumLLCSlices; j++ {
 		sl := llc.New(j, g.cfg.PartitionOfSlice(j), &g.cfg, g.stats)
@@ -169,17 +169,14 @@ func New(cfg config.Config) (*GPU, error) {
 		sl.Reqs = &g.reqs
 		sl.Sleep().Move(&g.asleep[kindSlice], j)
 		g.slices = append(g.slices, sl)
-		g.register(slicePart{sl}, kindLabel[kindSlice], j)
+		g.register(sl, kindLabel[kindSlice], j)
 	}
-	div := sim.Cycle(cfg.MemClockDiv)
-	chanParts := make([]chanPart, cfg.NumChannels)
-	for c := range chanParts {
+	for c := 0; c < cfg.NumChannels; c++ {
 		ch := dram.NewChannel(c, &g.cfg, g.mapper)
 		ch.Reqs = &g.reqs
 		ch.Sleep().Move(&g.asleep[kindChan], c)
 		g.chans = append(g.chans, ch)
-		chanParts[c] = chanPart{ch, div}
-		g.register(&chanParts[c], kindLabel[kindChan], c)
+		g.register(ch, kindLabel[kindChan], c)
 	}
 
 	// The architecture is chosen here and nowhere else: each builder
@@ -201,7 +198,7 @@ func New(cfg config.Config) (*GPU, error) {
 	g.fabric.Join(&g.smReq.W, &g.inter.W, &g.sliceReply.W)
 	g.fabric.Refold()
 
-	g.register(vmPart{g.vmsys}, "vm system", -1)
+	g.register(g.vmsys, "vm system", -1)
 	g.register(coreQueues{g}, "core queues", -1)
 	return g, nil
 }

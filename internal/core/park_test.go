@@ -184,8 +184,8 @@ func TestSliceSeesRoomTheCycleTheReplyLinkDrains(t *testing.T) {
 	}
 	arrives := g.sliceReply.L[0].NextReady()
 	at := arrives - 1 // refused on a full buffer, nothing else: the backlog has drained
-	if g.slices[0].SendReply(ack(), at) || !strings.Contains(g.slices[0].DebugState(), fmt.Sprintf(" outbox-parked-until=%d", arrives)) {
-		t.Errorf("slice 0 refused at %d by the full link: %q, want its outbox parked until the head's arrival, %d", at, g.slices[0].DebugState(), arrives)
+	if g.slices[0].SendReply(ack(), at) || !strings.Contains(g.slices[0].DebugState(at), fmt.Sprintf(" outbox-parked-until=%d", arrives)) {
+		t.Errorf("slice 0 refused at %d by the full link: %q, want its outbox parked until the head's arrival, %d", at, g.slices[0].DebugState(at), arrives)
 	}
 	g.moveXbars(at)
 	if egress.W.At(0) != arrives+1 || egress.Offers != (sim.Offers{Offered: 1, Refused: 1}) {

@@ -78,7 +78,7 @@ func TestPartsTableCoversEveryComponent(t *testing.T) {
 		if len(g.parts) != want {
 			t.Errorf("%s: table has %d rows, want %d", tc.name, len(g.parts), want)
 		}
-		if _, ok := g.parts[0].component.(smPart); !ok {
+		if g.parts[0].component != component(g.sms[0]) {
 			t.Errorf("%s: first row is %q; SMs must lead the scan order", tc.name, g.parts[0].name())
 		}
 		names := make(map[string]bool, len(g.parts))
@@ -88,15 +88,12 @@ func TestPartsTableCoversEveryComponent(t *testing.T) {
 				t.Errorf("%s: duplicate row %q", tc.name, p.name())
 			}
 			names[p.name()] = true
-			if p.pending() {
+			if !p.Idle() {
 				t.Errorf("%s: %s pending on a freshly built GPU", tc.name, p.name())
 			}
-			var set any
-			switch c := p.component.(type) {
-			case linksPart[*sim.MemReq]:
-				set = c.Links
-			case linksPart[noc.Msg]:
-				set = c.Links
+			set := any(p.component)
+			switch set.(type) {
+			case *sim.Links[*sim.MemReq], *sim.Links[noc.Msg]:
 			default:
 				continue
 			}

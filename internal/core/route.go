@@ -227,10 +227,10 @@ func (g *GPU) buildXbars(reqIn, reqOut int) {
 		g.replyXbars = append(g.replyXbars, noc.NewCrossbar(reqOut, reqIn, width, lat, buf, buf))
 	}
 	for m, x := range g.reqXbars {
-		g.register(xbarPart{x}, "req crossbar", m)
+		g.register(x, "req crossbar", m)
 	}
 	for m, x := range g.replyXbars {
-		g.register(xbarPart{x}, "reply crossbar", m)
+		g.register(x, "reply crossbar", m)
 	}
 }
 
@@ -253,7 +253,7 @@ func (g *GPU) buildInterModule() {
 			}
 		}
 	}
-	g.register(linksPart[noc.Msg]{&g.inter}, "inter-module links", -1)
+	g.register(&g.inter, "inter-module links", -1)
 }
 
 // interLink returns the index in g.inter of the link from crossbar domain

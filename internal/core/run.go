@@ -267,7 +267,7 @@ func (g *GPU) runMigrationScan(now sim.Cycle) {
 // quiet reports whether every component has drained.
 func (g *GPU) quiet() bool {
 	for i := range g.parts {
-		if g.parts[i].pending() {
+		if !g.parts[i].Idle() {
 			return false
 		}
 	}

@@ -67,16 +67,16 @@ type impureRow struct {
 	jitter bool
 }
 
-func (r *impureRow) wakeAt(now sim.Cycle) sim.Cycle {
+func (r *impureRow) NextWake(now sim.Cycle) sim.Cycle {
 	r.scans++
 	if r.jitter {
 		return now + 2 + sim.Cycle(r.scans%2)
 	}
 	return sim.Never
 }
-func (r *impureRow) pending() bool           { return false }
-func (r *impureRow) StateSig() uint64        { return sim.MixSig(sim.SigSeed, r.scans) }
-func (r *impureRow) detail(sim.Cycle) string { return "" }
+func (r *impureRow) Idle() bool                  { return true }
+func (r *impureRow) StateSig() uint64            { return sim.MixSig(sim.SigSeed, r.scans) }
+func (r *impureRow) DebugState(sim.Cycle) string { return "" }
 
 // A hint scan must be a pure observation, or the scan itself is a
 // simulation event that naive (which never scans) does not replay. The

@@ -53,10 +53,10 @@ func napping(t *testing.T, e Engine, extra ...component) (*GPU, *part) {
 // window, so every cycle is a stepped one.
 type busyRow struct{}
 
-func (busyRow) wakeAt(now sim.Cycle) sim.Cycle { return now + 1 }
-func (busyRow) pending() bool                  { return false }
-func (busyRow) StateSig() uint64               { return sim.SigSeed }
-func (busyRow) detail(sim.Cycle) string        { return "" }
+func (busyRow) NextWake(now sim.Cycle) sim.Cycle { return now + 1 }
+func (busyRow) Idle() bool                       { return true }
+func (busyRow) StateSig() uint64                 { return sim.SigSeed }
+func (busyRow) DebugState(sim.Cycle) string      { return "" }
 
 // A deadline one cycle late is an unsound sleep: hybrid would skip the
 // tick that issues the next instruction. The sanitizer ticks every

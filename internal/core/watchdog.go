@@ -200,11 +200,11 @@ func (g *GPU) CaptureHang(reason string, window sim.Cycle, lastProgress sim.Cycl
 	pending := map[string]int{} // by kind
 	for i := range g.parts {
 		p := &g.parts[i]
-		if !p.pending() {
+		if p.Idle() {
 			continue
 		}
 		if pending[p.label]++; pending[p.label] <= hangReportMaxPerKind {
-			c := ComponentState{Name: p.name(), Wake: p.wakeAt(now), Detail: p.detail(now)}
+			c := ComponentState{Name: p.name(), Wake: p.NextWake(now), Detail: p.DebugState(now)}
 			if p.sleep != nil && p.sleep.At() > c.Wake {
 				c.AsleepUntil = p.sleep.At()
 			}

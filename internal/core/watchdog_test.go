@@ -139,7 +139,6 @@ func TestHangReportRendering(t *testing.T) {
 	x := noc.NewCrossbar(16, 16, 16, 8, 8, 8)
 	x.Inject(0, 990, noc.Msg{Req: &sim.MemReq{}, Dst: 9, Bytes: sim.ReqBytes})
 	x.Tick(991)
-	xbar := xbarPart{x}
 	r := HangReport{
 		Cycle: 1000, LastProgress: 500, Window: 400, Reason: "no-progress",
 		Stuck: []ComponentState{
@@ -147,7 +146,7 @@ func TestHangReportRendering(t *testing.T) {
 			{Name: "LLC slice 1", Wake: sim.Never, Detail: "mshr=2"},
 			{Name: "LLC slice 2", Wake: 1001, AsleepUntil: sim.Never, Detail: "lmr=1"},
 			{Name: "DRAM channel 0", Wake: 1004, AsleepUntil: 1040, Detail: "q=1"},
-			{Name: "req crossbar 0", Wake: xbar.wakeAt(1000), Detail: xbar.detail(1000)},
+			{Name: "req crossbar 0", Wake: x.NextWake(1000), Detail: x.DebugState(1000)},
 		},
 		omitted: []kindCount{{"SM", 60}, {"LLC slice", 3}},
 	}
@@ -177,7 +176,7 @@ func TestCaptureHangCapsPerKind(t *testing.T) {
 	}
 	pending, kindOf := map[string]int{}, map[string]string{}
 	for i := range g.parts {
-		if p := &g.parts[i]; p.pending() {
+		if p := &g.parts[i]; !p.Idle() {
 			pending[p.label]++
 			kindOf[p.name()] = p.label
 		}

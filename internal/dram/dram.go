@@ -141,7 +141,7 @@ type Channel struct {
 	groupBusy []int64
 
 	// sleep: ticking the channel before this *core* cycle is a proven
-	// no-op. Tick writes it from NextEvent; Enqueue, the one door work
+	// no-op. Tick writes it from NextWake; Enqueue, the one door work
 	// arrives through, sets it to 0 (DESIGN.md §9).
 	sleep sim.Slot
 }
@@ -402,11 +402,7 @@ func (c *Channel) Tick(now int64) {
 	if c.busy != 0 {
 		c.schedule(now)
 	}
-	until := sim.Never
-	if m, ok := c.NextEvent(); ok {
-		until = m * sim.Cycle(c.cfg.MemClockDiv)
-	}
-	c.sleep.Set(until)
+	c.sleep.Set(c.NextWake(now * sim.Cycle(c.cfg.MemClockDiv)))
 }
 
 // schedule issues at most one command for the queued requests. Both
@@ -514,18 +510,31 @@ func (c *Channel) issueCAS(now int64, e *entry, b *bank, rowHit bool) {
 	c.completions.Push(completion{done: end, req: e.req})
 }
 
-// Pending reports whether any request or in-flight burst remains.
-func (c *Channel) Pending() bool {
-	return c.busy != 0 || !c.completions.Empty()
+// Idle reports whether no request or in-flight burst remains.
+func (c *Channel) Idle() bool {
+	return c.busy == 0 && c.completions.Empty()
 }
 
-// NextEvent returns the earliest memory cycle at which the channel could
+// NextWake is the channel's wake hint in core cycles: the first
+// memory-clock boundary after core cycle now at which its next event
+// (nextEvent) can happen, sim.Never when it holds no work. It is the one
+// place the hint crosses from the memory clock to the core clock.
+func (c *Channel) NextWake(now sim.Cycle) sim.Cycle {
+	m, ok := c.nextEvent()
+	if !ok {
+		return sim.Never
+	}
+	div := sim.Cycle(c.cfg.MemClockDiv)
+	return max(m*div, (now/div+1)*div)
+}
+
+// nextEvent returns the earliest memory cycle at which the channel could
 // make progress, and whether any work remains. With requests queued the
 // controller may issue a command every memory cycle (0, i.e. immediately);
 // otherwise only the head burst completion remains. Completions are
 // pushed in data-bus order (busFreeAt serializes bursts), so the head's
 // done cycle is the minimum in flight.
-func (c *Channel) NextEvent() (int64, bool) {
+func (c *Channel) nextEvent() (int64, bool) {
 	if c.busy != 0 {
 		return 0, true
 	}
@@ -566,8 +575,10 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// DebugState summarizes controller state for stall diagnosis.
-func (c *Channel) DebugState(now int64) string {
+// DebugState summarizes controller state for stall diagnosis, its
+// timings relative to the memory cycle of core cycle now.
+func (c *Channel) DebugState(now sim.Cycle) string {
+	now /= sim.Cycle(c.cfg.MemClockDiv)
 	s := fmt.Sprintf("q=%d busFree=%+d comps=%d", c.queued(), c.busFreeAt-now, c.completions.Len())
 	var e *entry // the oldest request: the oldest of the banks' oldest
 	for m := c.busy; m != 0; m &= m - 1 {

@@ -45,7 +45,7 @@ func TestReadCompletes(t *testing.T) {
 	if ch.Reads != 1 || ch.RowMisses != 1 || ch.RowHits != 0 {
 		t.Fatalf("counters: reads=%d hits=%d misses=%d", ch.Reads, ch.RowHits, ch.RowMisses)
 	}
-	if ch.Pending() {
+	if !ch.Idle() {
 		t.Fatal("channel still pending after drain")
 	}
 }
@@ -196,7 +196,8 @@ func TestUtilizationCounter(t *testing.T) {
 // clear the sleep deadline (DESIGN.md §9 "Sleep deadlines"): a channel
 // the core has stopped ticking and that Enqueue does not wake never
 // issues the request. A table of one, like its siblings in llc and
-// smcore. The deadline is in core cycles.
+// smcore. The deadline is in core cycles, and it is the channel's hint:
+// while requests are queued, the next memory-clock boundary.
 func TestDoorsWake(t *testing.T) {
 	for _, tc := range []struct {
 		door string
@@ -221,6 +222,9 @@ func TestDoorsWake(t *testing.T) {
 					t.Fatal("channel never went to sleep")
 				}
 				ch.Tick(mem)
+				if d, w := ch.Sleep().At(), ch.NextWake(mem*div); ch.busy != 0 && (d != (mem+1)*div || w != d) {
+					t.Fatalf("requests queued at memory cycle %d: asleep until %d, hint %d, want both %d", mem, d, w, (mem+1)*div)
+				}
 			}
 			if d := ch.Sleep().At(); d == sim.Never || d%div != 0 {
 				t.Fatalf("burst in flight: asleep until %d, want a memory-clock boundary", d)

@@ -191,11 +191,11 @@ func diffRun(t *testing.T, st stream, seed uint64, cycles int64) {
 		if got.StateSig() != ref.StateSig() {
 			t.Fatalf("cycle %d: StateSig %#x, reference %#x", now, got.StateSig(), ref.StateSig())
 		}
-		ge, gok := got.NextEvent()
+		ge, gok := got.nextEvent()
 		re, rok := ref.NextEvent()
-		if ge != re || gok != rok || got.Pending() != ref.Pending() {
+		if ge != re || gok != rok || got.Idle() == ref.Pending() {
 			t.Fatalf("cycle %d: NextEvent %d/%v pending %v, reference %d/%v pending %v",
-				now, ge, gok, got.Pending(), re, rok, ref.Pending())
+				now, ge, gok, !got.Idle(), re, rok, ref.Pending())
 		}
 	}
 	if fmt.Sprint(gotDone) != fmt.Sprint(refDone) {

@@ -81,7 +81,7 @@ type Slice struct {
 	Invalidations int64
 
 	// sleep: ticking the slice before this cycle is a proven no-op. Tick
-	// writes it from NextEvent; the doors work arrives through (Enqueue*,
+	// writes it from NextWake; the doors work arrives through (Enqueue*,
 	// Accept*Fill, Flush) set it to 0 (DESIGN.md §9).
 	sleep sim.Slot
 
@@ -90,10 +90,9 @@ type Slice struct {
 	// this cycle; the head is not offered before it. arb: the arbiter's pick
 	// was refused by a full MSHR file, which only a fill can change and a
 	// new arrival can route around — parked until sim.Never, and the five
-	// doors clear it. Audit switches both off (sim.ParkAudit); installed by
-	// the core.
+	// doors clear it. audit switches both off (SetAudit).
 	out, arb sim.Park
-	Audit    *sim.ParkAudit
+	audit    *sim.ParkAudit
 	// ArbOffers counts the requests the arbiter offered to the tag pipeline,
 	// OutOffers the completions deliver offered downstream, and the refusals
 	// of each.
@@ -149,18 +148,22 @@ func (s *Slice) EnqueueRemote(req *sim.MemReq) bool { s.wake(); return s.rmr.Pus
 // wake is what every door does: end the sleep and the arbiter's park.
 func (s *Slice) wake() { s.sleep.Wake(); s.arb.Until = 0 }
 
-// Pending reports whether the slice still holds work.
-func (s *Slice) Pending() bool {
-	return !s.lmr.Empty() || !s.rmr.Empty() || !s.pipe.Empty() ||
-		!s.outbox.Empty() || s.mshr.Len() > 0
+// Idle reports whether the slice holds no work.
+func (s *Slice) Idle() bool {
+	return s.lmr.Empty() && s.rmr.Empty() && s.pipe.Empty() &&
+		s.outbox.Empty() && s.mshr.Len() == 0
 }
 
-// NextEvent returns the earliest cycle at which the slice could make
+// SetAudit installs (or, with nil, removes) the park audit
+// (sim.ParkAudit) on both parks.
+func (s *Slice) SetAudit(a *sim.ParkAudit) { s.audit = a }
+
+// NextWake returns the earliest cycle at which the slice could make
 // progress on its own: the next cycle while requests are queued or
 // completions await delivery, the pipeline head's retirement otherwise.
 // sim.Never means the slice is drained or only waiting on external fills
 // (MSHR entries), which re-activate it through AcceptFill.
-func (s *Slice) NextEvent(now sim.Cycle) sim.Cycle {
+func (s *Slice) NextWake(now sim.Cycle) sim.Cycle {
 	if s.arb.Until == 0 && (!s.lmr.Empty() || !s.rmr.Empty()) {
 		return now + 1
 	}
@@ -219,14 +222,14 @@ func (s *Slice) Tick(now sim.Cycle) {
 	s.deliver(now)
 	s.retirePipe(now)
 	s.arbitrate(now)
-	s.sleep.Set(s.NextEvent(now))
+	s.sleep.Set(s.NextWake(now))
 }
 
 // deliver drains the outbox in order; a send failure blocks the head
 // (back-pressure), which parks until the cycle the port named, if it named
 // one.
 func (s *Slice) deliver(now sim.Cycle) {
-	if !s.out.Begin(now, s.Audit) {
+	if !s.out.Begin(now, s.audit) {
 		return
 	}
 	for {
@@ -252,7 +255,7 @@ func (s *Slice) deliver(now sim.Cycle) {
 			s.out.Refused(now)
 			return
 		}
-		s.out.Taken(now, s.Audit, "LLC slice outbox", s.ID)
+		s.out.Taken(now, s.audit, "LLC slice outbox", s.ID)
 		s.outbox.Pop()
 	}
 }
@@ -273,7 +276,7 @@ func (s *Slice) retirePipe(now sim.Cycle) {
 // arbitrate pops one request per cycle, alternating LMR/RMR when both
 // hold requests (Figure 5's round-robin selector).
 func (s *Slice) arbitrate(now sim.Cycle) {
-	if !s.arb.Begin(now, s.Audit) {
+	if !s.arb.Begin(now, s.audit) {
 		return
 	}
 	var q *sim.Queue[*sim.MemReq]
@@ -298,7 +301,7 @@ func (s *Slice) arbitrate(now sim.Cycle) {
 		s.arb.Until = sim.Never
 		return
 	}
-	s.arb.Taken(now, s.Audit, "LLC slice arbiter", s.ID)
+	s.arb.Taken(now, s.audit, "LLC slice arbiter", s.ID)
 	q.Pop()
 	if q == s.lmr {
 		s.rrNextRemote = true
@@ -447,7 +450,7 @@ func (s *Slice) fill(req *sim.MemReq, now sim.Cycle, replica bool) {
 // misses are outstanding, what the MSHR entries wait on: how many
 // primaries are fills from memory, how many are replica-path forwards to
 // each home slice, and the cycle the oldest was allocated.
-func (s *Slice) DebugState() string {
+func (s *Slice) DebugState(sim.Cycle) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "lmr=%d rmr=%d pipe=%d outbox=%d mshr=%d",
 		s.lmr.Len(), s.rmr.Len(), s.pipe.Len(), s.outbox.Len(), s.mshr.Len())

@@ -293,8 +293,8 @@ func TestOneEntryFileForwardsEveryReplicaMiss(t *testing.T) {
 	}
 	h.s.AcceptFill(home, 200)
 	h.run(201, 210)
-	if len(h.replies) != 4 || h.s.Pending() {
-		t.Fatalf("%d replies, pending %v; want every request answered once and the slice drained", len(h.replies), h.s.Pending())
+	if len(h.replies) != 4 || !h.s.Idle() {
+		t.Fatalf("%d replies, idle %v; want every request answered once and the slice drained", len(h.replies), h.s.Idle())
 	}
 }
 
@@ -325,8 +325,8 @@ func TestUnmergedForwardFillLeavesALaterEntry(t *testing.T) {
 	}
 	h.s.AcceptReplicaFill(later, 406)
 	h.run(407, 410)
-	if len(h.replies) != 3 || h.replies[1] != later || h.replies[2] != merged || h.s.Pending() {
-		t.Fatalf("later's fill: %d replies, pending %v; want later and merged answered once each", len(h.replies), h.s.Pending())
+	if len(h.replies) != 3 || h.replies[1] != later || h.replies[2] != merged || !h.s.Idle() {
+		t.Fatalf("later's fill: %d replies, idle %v; want later and merged answered once each", len(h.replies), h.s.Idle())
 	}
 }
 
@@ -339,7 +339,7 @@ func TestBackpressureRetries(t *testing.T) {
 	if len(h.misses) != 0 {
 		t.Fatal("miss escaped despite blocked channel")
 	}
-	if !h.s.Pending() {
+	if h.s.Idle() {
 		t.Fatal("slice dropped the request")
 	}
 	h.blockMem = false
@@ -418,11 +418,11 @@ func TestRefusedHeadsPark(t *testing.T) {
 	if arb != (sim.Offers{Offered: 2, Refused: 1}) || out != (sim.Offers{Offered: 1, Refused: 1}) {
 		t.Fatalf("after 200 cycles: arbiter %+v, outbox %+v; want one refusal each and no retry", arb, out)
 	}
-	if got, want := h.s.DebugState(), "lmr=1 rmr=0 pipe=0 outbox=1 mshr=1 arb-parked outbox-parked-until=400"; !strings.HasPrefix(got, want) {
+	if got, want := h.s.DebugState(200), "lmr=1 rmr=0 pipe=0 outbox=1 mshr=1 arb-parked outbox-parked-until=400"; !strings.HasPrefix(got, want) {
 		t.Errorf("report %q, want it to begin %q", got, want)
 	}
-	if w := h.s.NextEvent(200); w != until || h.s.Sleep().At() != until {
-		t.Errorf("NextEvent = %d, asleep until %d; want the outbox's park, %d", w, h.s.Sleep().At(), until)
+	if w := h.s.NextWake(200); w != until || h.s.Sleep().At() != until {
+		t.Errorf("NextWake = %d, asleep until %d; want the outbox's park, %d", w, h.s.Sleep().At(), until)
 	}
 	h.run(201, until-1)
 	if h.s.ArbOffers != arb || h.s.OutOffers != out {

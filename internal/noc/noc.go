@@ -19,6 +19,8 @@
 package noc
 
 import (
+	"fmt"
+
 	"github.com/nuba-gpu/nuba/internal/sim"
 )
 
@@ -60,7 +62,7 @@ type Crossbar struct {
 	in       []inPort
 	// One occupancy bit and one wake per input queue (sim.Wakes): the end of
 	// its head's park at stage 1. Maintained where a message enters or
-	// leaves, it is what Tick, Pending and NextEvent read, so an empty
+	// leaves, it is what Tick, Idle and NextWake read, so an empty
 	// input costs nothing and a parked one a compare.
 	inW sim.Wakes
 	// The middle links, Mid.L[og*inGroups+ig] carrying ingress group ig ->
@@ -233,11 +235,17 @@ func (x *Crossbar) Occupied() (in, mid, out int) {
 	return x.inW.Count(), x.Mid.W.Count(), x.Out.W.Count()
 }
 
-// NextEvent returns the crossbar's wake hint: the earliest wake over the
+// DebugState is Occupied for a hang report.
+func (x *Crossbar) DebugState(sim.Cycle) string {
+	in, mid, out := x.Occupied()
+	return fmt.Sprintf("in=%d mid=%d out=%d", in, mid, out)
+}
+
+// NextWake returns the crossbar's wake hint: the earliest wake over the
 // occupied input queues, middle links and egress ports — a head's arrival,
 // the end of a refused head's park, the next tick for a head that stands
 // unparked — and sim.Never when empty.
-func (x *Crossbar) NextEvent(now sim.Cycle) sim.Cycle {
+func (x *Crossbar) NextWake(now sim.Cycle) sim.Cycle {
 	return max(min(x.inW.Min(), x.Mid.W.Min(), x.Out.W.Min()), now+1)
 }
 
@@ -256,9 +264,9 @@ func (x *Crossbar) StateSig() uint64 {
 	return sim.MixSig(h, x.Out.StateSig())
 }
 
-// Pending reports whether any message is buffered or in flight.
-func (x *Crossbar) Pending() bool {
-	return x.inW.Any() || x.Mid.W.Any() || x.Out.W.Any()
+// Idle reports whether no message is buffered or in flight.
+func (x *Crossbar) Idle() bool {
+	return !x.inW.Any() && !x.Mid.W.Any() && !x.Out.W.Any()
 }
 
 // BusyCycles returns total link-serialization cycles (inputs, middle

@@ -47,7 +47,7 @@ func TestDeliveryAcrossGroups(t *testing.T) {
 	if got[63] != 1 {
 		t.Fatalf("message not delivered: %v", got)
 	}
-	if x.Pending() {
+	if !x.Idle() {
 		t.Fatal("still pending after delivery")
 	}
 }

@@ -204,8 +204,8 @@ func checkWords(t *testing.T, x *Crossbar, after string, now sim.Cycle) {
 		check("egress port", &x.Out.W, p, l.Pending(), l.NextReady())
 	}
 	in, mid, out := x.Occupied()
-	if x.Pending() != (in+mid+out > 0) {
-		t.Fatalf("cycle %d after %s: Pending = %v with in=%d mid=%d out=%d", now, after, x.Pending(), in, mid, out)
+	if x.Idle() != (in+mid+out == 0) {
+		t.Fatalf("cycle %d after %s: Idle = %v with in=%d mid=%d out=%d", now, after, x.Idle(), in, mid, out)
 	}
 }
 
@@ -321,11 +321,11 @@ func TestCrossbarMatchesReference(t *testing.T) {
 						if len(got) != len(want) {
 							t.Fatalf("cycle %d: %d messages delivered, reference %d", now, len(got), len(want))
 						}
-						if x.Pending() != ref.Pending() {
-							t.Fatalf("cycle %d: Pending = %v, reference %v", now, x.Pending(), ref.Pending())
+						if x.Idle() == ref.Pending() {
+							t.Fatalf("cycle %d: Idle = %v, reference pending %v", now, x.Idle(), ref.Pending())
 						}
-						if w := x.NextEvent(now); w < now+1 || (w == sim.Never) != (ref.NextEvent(now) == sim.Never) {
-							t.Fatalf("cycle %d: NextEvent = %d, reference %d", now, w, ref.NextEvent(now))
+						if w := x.NextWake(now); w < now+1 || (w == sim.Never) != (ref.NextEvent(now) == sim.Never) {
+							t.Fatalf("cycle %d: NextWake = %d, reference %d", now, w, ref.NextEvent(now))
 						}
 					}
 					for i := range want {
@@ -354,14 +354,14 @@ func TestCrossbarMatchesReference(t *testing.T) {
 func TestCrossbarHintIsEarliestArrival(t *testing.T) {
 	const width, stageLat = 16, 4
 	x := NewCrossbar(16, 16, width, 2*stageLat, 8, 8)
-	if got := x.NextEvent(9); got != sim.Never {
-		t.Fatalf("empty crossbar: NextEvent = %d, want never", got)
+	if got := x.NextWake(9); got != sim.Never {
+		t.Fatalf("empty crossbar: NextWake = %d, want never", got)
 	}
 	if !x.Inject(0, 10, msg(9, sim.ReqBytes)) {
 		t.Fatal("inject rejected")
 	}
-	if got := x.NextEvent(10); got != 11 {
-		t.Fatalf("message at the input: NextEvent = %d, want 11", got)
+	if got := x.NextWake(10); got != 11 {
+		t.Fatalf("message at the input: NextWake = %d, want 11", got)
 	}
 	refuse := func(int, Msg) bool { return false }
 	// idleUntil ticks and drains through (from, until) and requires that
@@ -372,8 +372,8 @@ func TestCrossbarHintIsEarliestArrival(t *testing.T) {
 		for now := from; now < until; now++ {
 			x.Tick(now)
 			drain(x, now, func(int, Msg) bool { t.Fatalf("cycle %d: delivered in flight", now); return true })
-			if got := x.NextEvent(now); got != until || x.StateSig() != sig {
-				t.Fatalf("cycle %d: NextEvent = %d (want %d), state changed = %v", now, got, until, x.StateSig() != sig)
+			if got := x.NextWake(now); got != until || x.StateSig() != sig {
+				t.Fatalf("cycle %d: NextWake = %d (want %d), state changed = %v", now, got, until, x.StateSig() != sig)
 			}
 		}
 	}
@@ -383,8 +383,8 @@ func TestCrossbarHintIsEarliestArrival(t *testing.T) {
 	if in, mid, out := x.Occupied(); in != 0 || mid != 1 || out != 0 {
 		t.Fatalf("after stage 1: in=%d mid=%d out=%d", in, mid, out)
 	}
-	if got := x.NextEvent(11); got != atMid {
-		t.Fatalf("on the middle link: NextEvent = %d, want its arrival %d", got, atMid)
+	if got := x.NextWake(11); got != atMid {
+		t.Fatalf("on the middle link: NextWake = %d, want its arrival %d", got, atMid)
 	}
 	idleUntil(12, atMid)
 	x.Tick(atMid)
@@ -392,27 +392,27 @@ func TestCrossbarHintIsEarliestArrival(t *testing.T) {
 	if in, mid, out := x.Occupied(); in != 0 || mid != 0 || out != 1 {
 		t.Fatalf("after stage 2: in=%d mid=%d out=%d", in, mid, out)
 	}
-	if got := x.NextEvent(atMid); got != atOut {
-		t.Fatalf("on the egress link: NextEvent = %d, want its arrival %d", got, atOut)
+	if got := x.NextWake(atMid); got != atOut {
+		t.Fatalf("on the egress link: NextWake = %d, want its arrival %d", got, atOut)
 	}
 	idleUntil(atMid+1, atOut)
 	for now := atOut; now < atOut+3; now++ {
 		x.Tick(now)
 		drain(x, now, refuse)
-		if got := x.NextEvent(now); got != now+1 {
-			t.Fatalf("cycle %d, head refused: NextEvent = %d, want %d", now, got, now+1)
+		if got := x.NextWake(now); got != now+1 {
+			t.Fatalf("cycle %d, head refused: NextWake = %d, want %d", now, got, now+1)
 		}
 	}
 	parked, until := atOut+3, atOut+8
 	sim.Drain(&x.Out, until, parked, func(until sim.Cycle, _ int, _ Msg, _ sim.Cycle) sim.Cycle { return until })
-	if got := x.NextEvent(parked); got != until {
-		t.Fatalf("cycle %d, head refused until %d: NextEvent = %d", parked, until, got)
+	if got := x.NextWake(parked); got != until {
+		t.Fatalf("cycle %d, head refused until %d: NextWake = %d", parked, until, got)
 	}
 	idleUntil(parked+1, until)
 	delivered := 0
 	drain(x, until, func(p int, m Msg) bool { delivered++; return p == 9 })
-	if delivered != 1 || x.Pending() || x.NextEvent(until) != sim.Never {
-		t.Fatalf("after delivery: delivered=%d pending=%v NextEvent=%d", delivered, x.Pending(), x.NextEvent(until))
+	if delivered != 1 || !x.Idle() || x.NextWake(until) != sim.Never {
+		t.Fatalf("after delivery: delivered=%d idle=%v NextWake=%d", delivered, x.Idle(), x.NextWake(until))
 	}
 }
 

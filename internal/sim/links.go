@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Accepted is what a sink returns for a message it took. Anything else is a
 // refusal, and the value is its bound: the earliest cycle at which offering
 // the same message again could succeed (DESIGN.md §9 "Parks").
@@ -79,6 +84,34 @@ func Drain[T, C any](s *Links[T], ctx C, now Cycle, sink func(ctx C, k int, v T,
 		}
 		k = s.W.Next(k, now, wake, moved)
 	}
+}
+
+// NextWake is the set's wake hint: its least wake — the earliest head
+// arrival or end of park over its links — at least now+1, and Never when
+// every link is empty. An empty set costs one compare.
+func (s *Links[T]) NextWake(now Cycle) Cycle { return max(s.W.Min(), now+1) }
+
+// Idle reports whether every link is empty.
+func (s *Links[T]) Idle() bool { return !s.W.Any() }
+
+// SetAudit installs (or, with nil, removes) the park audit.
+func (s *Links[T]) SetAudit(a *ParkAudit) { s.W.Audit = a }
+
+// DebugState names the occupied links for a hang report: how many
+// messages each holds, and the end of its head's park.
+func (s *Links[T]) DebugState(Cycle) string {
+	var b []string
+	for k, l := range s.L {
+		if !s.W.Has(k) {
+			continue
+		}
+		d := fmt.Sprintf("[%d] pending=%d", k, l.Pending())
+		if w := s.W.At(k); w > l.NextReady() {
+			d += " parked-until=" + Until(w)
+		}
+		b = append(b, d)
+	}
+	return strings.Join(b, " ")
 }
 
 // StateSig folds the links' signatures (Link.StateSig).

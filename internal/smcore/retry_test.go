@@ -105,8 +105,8 @@ func TestStalledLoadRetryCreatesNothing(t *testing.T) {
 		if r.sm.lsuPark.Until != sim.Never || r.sm.lsuStall != stallMSHR {
 			t.Fatalf("parked until %d on stall %d, want for ever on the MSHR file", r.sm.lsuPark.Until, r.sm.lsuStall)
 		}
-		if !strings.Contains(r.sm.DebugState(), " lsu-parked=mshr") {
-			t.Errorf("the report does not show the park: %s", r.sm.DebugState())
+		if !strings.Contains(r.sm.DebugState(now), " lsu-parked=mshr") {
+			t.Errorf("the report does not show the park: %s", r.sm.DebugState(now))
 		}
 		checkDense(t, r)
 		// The reply is the door: the next tick offers the line again, and it
@@ -141,7 +141,7 @@ func TestStalledLoadRetryCreatesNothing(t *testing.T) {
 		if r.sm.lsuPark.Until != release || r.sm.lsuStall != stallSend || now >= release {
 			t.Fatalf("cycle %d: parked until %d on stall %d, want until %d on the send queue", now, r.sm.lsuPark.Until, r.sm.lsuStall, release)
 		}
-		if st := r.sm.DebugState(); !strings.Contains(st, " send-parked-until=200000 lsu-parked=send@200000") {
+		if st := r.sm.DebugState(now); !strings.Contains(st, " send-parked-until=200000 lsu-parked=send@200000") {
 			t.Errorf("the report does not show the parks: %s", st)
 		}
 		if w := r.sm.NextWake(now); w <= now+1 {
@@ -178,7 +178,7 @@ func TestStalledLoadRetryCreatesNothing(t *testing.T) {
 		if r.sm.L1MSHRStalls() != 0 {
 			t.Fatal("MSHR file filled: this case is meant to stall on the send queue alone")
 		}
-		if st := r.sm.DebugState(); strings.Contains(st, "parked") {
+		if st := r.sm.DebugState(now); strings.Contains(st, "parked") {
 			t.Errorf("the report shows a park nobody asked for: %s", st)
 		}
 		if w := r.sm.NextWake(now); w != now+1 {

@@ -181,11 +181,11 @@ type SM struct {
 	// the head is not offered before it. lsuPark: the LSU's walk ended in a
 	// structural stall (lsuStall says which) that cannot clear, nor any
 	// access it passed over act, before this cycle — sim.Never when only a
-	// door can end it; the same three doors clear it. Audit switches both
-	// off (sim.ParkAudit); installed by the core.
+	// door can end it; the same three doors clear it. audit switches both
+	// off (SetAudit).
 	sendPark, lsuPark sim.Park
 	lsuStall          stall
-	Audit             *sim.ParkAudit
+	audit             *sim.ParkAudit
 	// SendOffers counts the send-queue heads offered to Send, LSUOffers the
 	// lines the LSU offered to the L1, and the refusals of each.
 	SendOffers, LSUOffers sim.Offers
@@ -363,6 +363,10 @@ func (s *SM) Idle() bool {
 	return s.liveWarps == 0 && s.ctaQueue.Empty() && s.lsu.Empty() && s.sendQueue.Empty()
 }
 
+// SetAudit installs (or, with nil, removes) the park audit
+// (sim.ParkAudit) on both parks.
+func (s *SM) SetAudit(a *sim.ParkAudit) { s.audit = a }
+
 // NextWake returns a conservative earliest cycle at which ticking the SM
 // could change its state: now+1 while anything can make progress, a
 // future cycle when progress waits only on a known timer (a scoreboard
@@ -477,7 +481,7 @@ func (s *SM) Tick(now sim.Cycle) {
 // drainSendQueue pushes pending requests into the interconnect. A refused
 // head parks until the cycle the port named, if it named one.
 func (s *SM) drainSendQueue(now sim.Cycle) {
-	if !s.sendPark.Begin(now, s.Audit) {
+	if !s.sendPark.Begin(now, s.audit) {
 		return
 	}
 	for {
@@ -491,7 +495,7 @@ func (s *SM) drainSendQueue(now sim.Cycle) {
 			s.sendPark.Refused(now)
 			return
 		}
-		s.sendPark.Taken(now, s.Audit, "SM send queue", s.ID)
+		s.sendPark.Taken(now, s.audit, "SM send queue", s.ID)
 		s.sendQueue.Pop()
 	}
 }
@@ -691,7 +695,7 @@ func (s *SM) retireAccess(i int) {
 // line could be taken, or an access the walk passed over could act, the
 // whole walk is a no-op and is not run.
 func (s *SM) tickLSU(now sim.Cycle) {
-	if !s.lsuPark.Begin(now, s.Audit) {
+	if !s.lsuPark.Begin(now, s.audit) {
 		return
 	}
 	// early is the first cycle at which an access the walk passed over
@@ -741,7 +745,7 @@ func (s *SM) tickLSU(now sim.Cycle) {
 				s.lsuPark.Refused(now)
 				return // MSHR or send queue full: structural stall
 			}
-			s.lsuPark.Taken(now, s.Audit, "SM LSU", s.ID)
+			s.lsuPark.Taken(now, s.audit, "SM LSU", s.ID)
 			acc.nextLine++
 			ops++
 			if acc.nextLine >= acc.n {
@@ -1067,7 +1071,7 @@ func (s *SM) liveAtBarrierDenominator(cs *ctaState) int {
 // an LSU entry, wait out a scoreboard timer (and the earliest), wait for a
 // load or atomic reply, sit at a barrier, or have exited and are draining
 // stores.
-func (s *SM) DebugState() string {
+func (s *SM) DebugState(sim.Cycle) string {
 	live, out := 0, 0
 	pc := -1
 	bar, drain := make([]int, len(s.sched)), make([]int, len(s.sched))

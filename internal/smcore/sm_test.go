@@ -237,19 +237,19 @@ func TestSMDebugState(t *testing.T) {
 	idle := "live=0 outstanding=0 lsu=0 send=0 ctaQ=0 firstPC=-1" +
 		" sched0[ready=0 lsu-wait=0 timed=0 load-wait=0 barrier=0 drain=0]" +
 		" sched1[ready=0 lsu-wait=0 timed=0 load-wait=0 barrier=0 drain=0]"
-	if got := r.sm.DebugState(); got != idle {
+	if got := r.sm.DebugState(0); got != idle {
 		t.Fatalf("idle SM:\n got %s\nwant %s", got, idle)
 	}
 	// 4 CTAs x 2 warps, one per scheduler: all ready at launch.
 	r.sm.StartKernel(rigLaunch(t, 4, 2), 0, 4)
-	if got, want := r.sm.DebugState(), "sched0[ready=4 lsu-wait=0 timed=0 load-wait=0 barrier=0 drain=0]"; !strings.Contains(got, want) {
+	if got, want := r.sm.DebugState(0), "sched0[ready=4 lsu-wait=0 timed=0 load-wait=0 barrier=0 drain=0]"; !strings.Contains(got, want) {
 		t.Fatalf("at launch: %s\nwant it to contain %s", got, want)
 	}
 	// Three cycles in, scheduler 0's greedy warp waits out a multiply.
 	for now := sim.Cycle(1); now <= 3; now++ {
 		r.tick(now)
 	}
-	if got, want := r.sm.DebugState(), "sched0[ready=3 lsu-wait=0 timed=1(min=5) load-wait=0"; !strings.Contains(got, want) {
+	if got, want := r.sm.DebugState(3), "sched0[ready=3 lsu-wait=0 timed=1(min=5) load-wait=0"; !strings.Contains(got, want) {
 		t.Fatalf("cycle 3: %s\nwant it to contain %s", got, want)
 	}
 	// With memory silent every warp ends up behind its first load, and
@@ -263,7 +263,7 @@ func TestSMDebugState(t *testing.T) {
 	want := "live=8 outstanding=16 lsu=0 send=0 ctaQ=0 firstPC=10" +
 		" sched0[ready=0 lsu-wait=0 timed=0 load-wait=4 barrier=0 drain=0]" +
 		" sched1[ready=0 lsu-wait=0 timed=0 load-wait=4 barrier=0 drain=0]"
-	if got := r.sm.DebugState(); got != want {
+	if got := r.sm.DebugState(50000); got != want {
 		t.Fatalf("blocked SM:\n got %s\nwant %s", got, want)
 	}
 }
@@ -585,7 +585,7 @@ func TestReadySetMatchesScanOracle(t *testing.T) {
 					}
 					// The hint holds "given no new input"; the rig's inputs
 					// are page-walk completions and memory replies.
-					hint := min(r.sm.NextWake(now), r.vmsys.NextEvent())
+					hint := min(r.sm.NextWake(now), r.vmsys.NextWake(now))
 					for _, at := range r.ready {
 						hint = min(hint, at)
 					}

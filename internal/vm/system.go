@@ -226,16 +226,19 @@ func (s *System) Tick(now sim.Cycle) {
 	}
 }
 
-// Pending reports whether translations remain in flight.
-func (s *System) Pending() bool {
-	return len(s.events) > 0 || len(s.walks) > 0 || !s.walkQueue.Empty()
+// Idle reports whether no translation is in flight.
+func (s *System) Idle() bool {
+	return len(s.events) == 0 && len(s.walks) == 0 && s.walkQueue.Empty()
 }
 
-// NextEvent returns the cycle the earliest queued timing event fires, or
+// DebugState is the hang report's line for the system.
+func (s *System) DebugState(sim.Cycle) string { return "in-flight page walks" }
+
+// NextWake returns the cycle the earliest queued timing event fires, or
 // sim.Never when none is scheduled. Every in-flight walk (and every
 // queued walk, which a completion event admits) is driven by a heap
 // event, so Tick is a no-op on any cycle before this one.
-func (s *System) NextEvent() sim.Cycle {
+func (s *System) NextWake(sim.Cycle) sim.Cycle {
 	if len(s.events) == 0 {
 		return sim.Never
 	}

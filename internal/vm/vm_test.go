@@ -149,7 +149,7 @@ func TestWalkerSaturation(t *testing.T) {
 	if st.PageWalks != 6 {
 		t.Fatalf("walks=%d", st.PageWalks)
 	}
-	if s.Pending() {
+	if !s.Idle() {
 		t.Fatal("system still pending")
 	}
 }
