@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/nuba-gpu/nuba"
 	"github.com/nuba-gpu/nuba/internal/experiments"
@@ -64,8 +65,9 @@ func docBlocks(lines []string) ([]docBlock, error) {
 // output with no command line and on an experiment no block runs. With
 // REGEN=1 (`make experiments`) it runs every command through sweep, the
 // function nubasweep runs after parsing, and rewrites each body with the
-// command's stdout. Commands with the same scale and benchmarks share one
-// runner, so a simulation several blocks read runs once.
+// command's stdout and logs how many simulations it ran and its wall time.
+// Commands with the same scale and benchmarks share one runner, so a
+// simulation several blocks read runs once.
 func TestExperimentsDoc(t *testing.T) {
 	path := filepath.Join("..", "..", "EXPERIMENTS.md")
 	data, err := os.ReadFile(path)
@@ -105,6 +107,7 @@ func TestExperimentsDoc(t *testing.T) {
 		return
 	}
 
+	start := time.Now()
 	runners := map[string]*experiments.Runner{}
 	sims := 0
 	progress := experiments.ProgressPrinter(os.Stderr)
@@ -129,7 +132,7 @@ func TestExperimentsDoc(t *testing.T) {
 		body := strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n")
 		lines = append(lines[:b.start], append(body, lines[b.end:]...)...)
 	}
-	t.Logf("%d blocks, %d runners, %d simulations", len(blocks), len(runners), sims)
+	t.Logf("%d blocks, %d runners, %d simulations in %v", len(blocks), len(runners), sims, time.Since(start).Round(time.Second))
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -428,15 +428,17 @@ func (c Config) WithNoC(gbs float64) Config {
 	return c
 }
 
-// Scale returns a copy of c with compute, LLC slice count and memory
-// channels scaled by factor, keeping the 2:2:1 SM:slice:channel ratio and
-// per-slice capacity constant, as in the Figure 14 GPU-size sweep. factor
-// must make all counts integral (0.5, 1, 2 for the baseline).
+// Scale returns a copy of c with compute, LLC slice count, memory
+// channels and the aggregate NoC and inter-module bandwidths scaled by
+// factor, keeping the 2:2:1 SM:slice:channel ratio, every bandwidth per SM
+// and per-slice capacity constant, as in the Figure 14 GPU-size sweep.
+// factor must make all counts integral (0.5, 1, 2 for the baseline).
 func (c Config) Scale(factor float64) Config {
 	c.NumSMs = int(float64(c.NumSMs) * factor)
 	c.NumLLCSlices = int(float64(c.NumLLCSlices) * factor)
 	c.NumChannels = int(float64(c.NumChannels) * factor)
 	c.NoCBandwidthGBs *= factor
+	c.InterModuleGBs *= factor
 	return c
 }
 

@@ -86,6 +86,92 @@ func TestScalePreservesRatios(t *testing.T) {
 	}
 }
 
+// scaledFields are the Config fields Scale multiplies by its factor: the
+// component counts and the aggregate bandwidths of the links between them,
+// so every count and bandwidth per SM stays what it was.
+var scaledFields = []string{"NumSMs", "NumLLCSlices", "NumChannels", "NoCBandwidthGBs", "InterModuleGBs"}
+
+// Why a smaller GPU keeps the value of each field Scale leaves alone.
+const (
+	choice     = "a choice, not a size"
+	timing     = "a clock, latency or interval: a smaller GPU runs no slower"
+	perSM      = "per SM: every SM keeps its own"
+	perSlice   = "per LLC slice: Scale keeps per-slice capacity"
+	perChannel = "per memory channel"
+	perLink    = "one link's or port's width or buffer: the aggregate scales with the link count"
+	footprint  = "translation is sized by the footprints, which do not scale"
+)
+
+// keptFields names every Config field Scale leaves alone, with its reason.
+var keptFields = map[string]string{
+	"Arch": choice, "Seed": choice, "AddressMap": choice, "Placement": choice,
+	"LABThreshold": choice, "Replication": choice, "ColdStart": choice,
+	"CoreClockGHz": timing, "MemClockDiv": timing, "L1Latency": timing,
+	"L1TLBLatency": timing, "L2TLBLatency": timing, "PageWalkLatency": timing,
+	"PageFaultLatency": timing, "LLCLatency": timing, "Timing": timing,
+	"NoCLatency": timing, "LocalLinkLatency": timing, "MDREpoch": timing,
+	"MDREvalDelay": timing, "MigrationInterval": timing,
+	"WarpsPerSM": perSM, "WarpSize": perSM, "SchedulersPerSM": perSM,
+	"MaxCTAsPerSM": perSM, "L1Bytes": perSM, "L1Ways": perSM, "L1MSHRs": perSM,
+	"L1TLBEntries":  perSM,
+	"LLCSliceBytes": perSlice, "LLCWays": perSlice, "LLCMSHRs": perSlice,
+	"MDRSampleSets": perSlice,
+	"BanksPerChan":  perChannel, "MemQueueDepth": perChannel, "MemBusBytesPerMemCycle": perChannel,
+	"NoCPortBuffer": perLink, "LocalLinkBytes": perLink, "LocalLinkBuffer": perLink,
+	"L2TLBEntries": footprint, "L2TLBWays": footprint, "L2TLBPorts": footprint,
+	"PageWalkers": footprint, "PageSize": footprint,
+	"MigrationThreshold": "accesses to one page in one interval",
+	"NumModules":         "Scale shrinks each module, not how many there are",
+	"MaxCycles":          "a safety net, not a model parameter",
+}
+
+// TestScaleKeepsRatios holds Scale to what the scaled experiments assume:
+// every field either scales with NumSMs or is kept, for a reason, at its
+// full-size value. A field on neither list fails, so a new one must take a
+// side. The MCM is the one base with inter-module links.
+func TestScaleKeepsRatios(t *testing.T) {
+	scaled := map[string]bool{}
+	for _, name := range scaledFields {
+		scaled[name] = true
+	}
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if _, kept := keptFields[name]; kept == scaled[name] {
+			t.Errorf("field %s must be on exactly one of scaledFields and keptFields", name)
+		}
+	}
+	bases := []struct {
+		name string
+		c    Config
+	}{{"UBA", Baseline()}, {"NUBA", NUBABaseline()}, {"MCM", MCM(NUBA)}}
+	for _, b := range bases {
+		base := b.c
+		for _, f := range []float64{0.25, 0.5, 1, 2} {
+			c := base.Scale(f)
+			bv, cv := reflect.ValueOf(base), reflect.ValueOf(c)
+			for i := 0; i < typ.NumField(); i++ {
+				name := typ.Field(i).Name
+				from, to := bv.Field(i), cv.Field(i)
+				switch {
+				case !scaled[name]:
+					if !reflect.DeepEqual(from.Interface(), to.Interface()) {
+						t.Errorf("%s ×%v: kept field %s moved %v → %v", b.name, f, name, from, to)
+					}
+				case from.CanInt():
+					if want := int64(float64(from.Int()) * f); to.Int() != want {
+						t.Errorf("%s ×%v: %s = %d, want %d", b.name, f, name, to.Int(), want)
+					}
+				default:
+					if want := from.Float() * f; to.Float() != want {
+						t.Errorf("%s ×%v: %s = %v, want %v", b.name, f, name, to.Float(), want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestWithPartitionPreservesCapacity(t *testing.T) {
 	base := Baseline()
 	total := base.NumLLCSlices * base.LLCSliceBytes
