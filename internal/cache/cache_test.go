@@ -210,7 +210,7 @@ func TestMSHRMergeAndRelease(t *testing.T) {
 		t.Fatalf("stall counter = %d", m.StallsFull)
 	}
 	e, ok = m.Release(ln(0))
-	if !ok || len(e.Waiters) != 1 || e.Waiters[0] != r2 {
+	if !ok || e.Waiters != r2 || r2.Next != nil {
 		t.Fatal("release lost waiters")
 	}
 	if _, ok := m.Release(ln(0)); ok {

@@ -16,10 +16,10 @@ type MSHRFile struct {
 	n        int
 	slots    []mshrSlot
 	mask     uint64
-	// free holds released entries for the next Allocate; it fills as
-	// misses retire, up to capacity, and is never pre-sized. A recycled
-	// entry keeps its Waiters backing array.
-	free []*MSHREntry
+	// free chains released entries through next for the next Allocate;
+	// an empty chain refills from a sim.Slab of length slab.
+	free *MSHREntry
+	slab int
 
 	// Merges counts secondary misses folded into an existing entry;
 	// StallsFull counts allocation attempts rejected because the file
@@ -41,10 +41,13 @@ type MSHREntry struct {
 	Line uint64
 	// Primary is the request that triggered the fill.
 	Primary *sim.MemReq
-	// Waiters are secondary requests merged behind Primary.
-	Waiters []*sim.MemReq
+	// Waiters is the first secondary request merged behind Primary, nil
+	// if none; the rest follow it in merge order through sim.MemReq.Next.
+	Waiters *sim.MemReq
+	tail    **sim.MemReq // where the next waiter links in
 	// Allocated is the cycle the entry was created.
 	Allocated sim.Cycle
+	next      *MSHREntry // the free chain's link while released
 }
 
 // NewMSHRFile returns a file with the given entry capacity.
@@ -117,7 +120,8 @@ func (m *MSHRFile) Allocate(line uint64, req *sim.MemReq, now sim.Cycle) (entry 
 	i, exists := m.find(line)
 	if exists {
 		e := m.slots[i].e
-		e.Waiters = append(e.Waiters, req)
+		req.Next, *e.tail = nil, req
+		e.tail = &req.Next
 		m.Merges++
 		req.MergedBehind = true
 		return e, true, true
@@ -126,15 +130,13 @@ func (m *MSHRFile) Allocate(line uint64, req *sim.MemReq, now sim.Cycle) (entry 
 		m.StallsFull++
 		return nil, false, false
 	}
-	var e *MSHREntry
-	if n := len(m.free); n > 0 {
-		e = m.free[n-1]
-		m.free = m.free[:n-1]
-		clear(e.Waiters) // the previous miss's requests are not ours to keep alive
-		*e = MSHREntry{Line: line, Primary: req, Waiters: e.Waiters[:0], Allocated: now}
+	e := m.free
+	if e == nil {
+		e = sim.Slab(&m.slab, &m.free, func(e *MSHREntry) **MSHREntry { return &e.next })
 	} else {
-		e = &MSHREntry{Line: line, Primary: req, Allocated: now}
+		m.free = e.next
 	}
+	*e = MSHREntry{Line: line, Primary: req, Allocated: now, tail: &e.Waiters}
 	m.slots[i] = mshrSlot{line: line, e: e}
 	m.n++
 	return e, false, true
@@ -149,7 +151,7 @@ func (m *MSHRFile) Release(line uint64) (*MSHREntry, bool) {
 		return nil, false
 	}
 	e := m.slots[i].e
-	m.free = append(m.free, e)
+	e.next, m.free = m.free, e
 	m.n--
 	// Backward-shift deletion: walk the probe run past the hole and move
 	// back into it each entry whose home slot is not between the hole and

@@ -23,10 +23,13 @@ func randomMSHROps(seed uint64, n int) []byte {
 
 // FuzzMSHRFile holds MSHRFile to a map: after every Allocate, Admit,
 // Lookup or Release the file must report what the map does — the same
-// entries under the same lines, Len, Full, Each's set, the counters — and
-// Each must list its entries in the same order twice. The first byte of
-// an op sequence picks a capacity of 1–8, every later byte an op (its top
-// three bits) on a line (the rest, modulo mshrLines).
+// entries under the same lines, each with the requests merged behind it in
+// merge order, Len, Full, Each's set, the counters — and Each must list
+// its entries in the same order twice. Requests come from a sim.ReqPool and
+// go back to it once their entry is released, as the SM's do, so entries
+// and requests are both recycled with stale links in them. The first byte
+// of an op sequence picks a capacity of 1–8, every later byte an op (its
+// top three bits) on a line (the rest, modulo mshrLines).
 func FuzzMSHRFile(f *testing.F) {
 	f.Add([]byte{0, 0x01, 0x21, 0x61, 0x61})                   // capacity 1: allocate, merge, release, release again
 	f.Add([]byte{1, 0x00, 0x01, 0x02, 0x42, 0x60, 0x02, 0x61}) // capacity 2: fill, stall, drain
@@ -40,6 +43,8 @@ func FuzzMSHRFile(f *testing.F) {
 		capacity := 1 + int(ops[0])%8
 		m := NewMSHRFile(capacity)
 		model := map[uint64]*MSHREntry{}
+		waiters := map[uint64][]*sim.MemReq{} // by line, in merge order
+		var reqs sim.ReqPool
 		var merges, stalls int64
 		for step, op := range ops[1:] {
 			line := ln(uint64(op&0x1f) % mshrLines)
@@ -47,21 +52,23 @@ func FuzzMSHRFile(f *testing.F) {
 			want, exists := model[line]
 			switch op >> 5 {
 			case 0, 1: // Allocate
-				req := &sim.MemReq{ID: uint64(step)}
+				req := reqs.Get(sim.MemReq{ID: uint64(step)})
 				e, merged, ok := m.Allocate(line, req, now)
 				switch {
 				case exists:
 					merges++
-					if !ok || !merged || e != want || e.Waiters[len(e.Waiters)-1] != req {
+					if !ok || !merged || e != want {
 						t.Fatalf("op %d: Allocate(%#x) on an outstanding line = %p/%v/%v, want a merge into %p", step, line, e, merged, ok, want)
 					}
+					waiters[line] = append(waiters[line], req)
 				case len(model) >= capacity:
 					stalls++
 					if ok {
 						t.Fatalf("op %d: Allocate(%#x) succeeded in a full file", step, line)
 					}
+					reqs.Put(req)
 				default:
-					if !ok || merged || e.Line != line || e.Primary != req || len(e.Waiters) != 0 || e.Allocated != now {
+					if !ok || merged || e.Line != line || e.Primary != req || e.Waiters != nil || e.Allocated != now {
 						t.Fatalf("op %d: Allocate(%#x) = %+v/%v/%v, want a fresh entry", step, line, e, merged, ok)
 					}
 					model[line] = e
@@ -79,16 +86,26 @@ func FuzzMSHRFile(f *testing.F) {
 				if ok != exists || e != want {
 					t.Fatalf("op %d: Release(%#x) = %p/%v, want %p/%v", step, line, e, ok, want, exists)
 				}
-				if ok && e.Line != line {
-					t.Fatalf("op %d: released entry reads line %#x, want %#x", step, e.Line, line)
+				if ok {
+					if e.Line != line {
+						t.Fatalf("op %d: released entry reads line %#x, want %#x", step, e.Line, line)
+					}
+					checkWaiters(t, step, e, waiters[line])
+					reqs.Put(e.Primary)
+					for r := e.Waiters; r != nil; {
+						next := r.Next
+						reqs.Put(r)
+						r = next
+					}
 				}
 				delete(model, line)
+				delete(waiters, line)
 			default: // Lookup
 				if e, ok := m.Lookup(line); ok != exists || e != want {
 					t.Fatalf("op %d: Lookup(%#x) = %p/%v, want %p/%v", step, line, e, ok, want, exists)
 				}
 			}
-			checkMSHRFile(t, step, m, model, capacity)
+			checkMSHRFile(t, step, m, model, waiters, capacity)
 			if m.Merges != merges || m.StallsFull != stalls {
 				t.Fatalf("op %d: Merges %d StallsFull %d, want %d %d", step, m.Merges, m.StallsFull, merges, stalls)
 			}
@@ -96,14 +113,18 @@ func FuzzMSHRFile(f *testing.F) {
 	})
 }
 
-// checkMSHRFile compares every line's Lookup, Len, Full and Each with the
-// model.
-func checkMSHRFile(t *testing.T, step int, m *MSHRFile, model map[uint64]*MSHREntry, capacity int) {
+// checkMSHRFile compares every line's Lookup and waiters, Len, Full and
+// Each with the model.
+func checkMSHRFile(t *testing.T, step int, m *MSHRFile, model map[uint64]*MSHREntry, waiters map[uint64][]*sim.MemReq, capacity int) {
 	t.Helper()
 	for i := uint64(0); i < mshrLines; i++ {
 		want, exists := model[ln(i)]
-		if e, ok := m.Lookup(ln(i)); ok != exists || e != want {
+		e, ok := m.Lookup(ln(i))
+		if ok != exists || e != want {
 			t.Fatalf("op %d: line %#x reads %p/%v, want %p/%v", step, ln(i), e, ok, want, exists)
+		}
+		if ok {
+			checkWaiters(t, step, e, waiters[ln(i)])
 		}
 	}
 	if m.Len() != len(model) || m.Full() != (len(model) >= capacity) {
@@ -118,6 +139,24 @@ func checkMSHRFile(t *testing.T, step int, m *MSHRFile, model map[uint64]*MSHREn
 	for i, e := range first {
 		if model[e.Line] != e || second[i] != e {
 			t.Fatalf("op %d: Each's entry %d (line %#x) is not the model's, or moved between two walks", step, i, e.Line)
+		}
+	}
+}
+
+// checkWaiters compares e's waiter chain with the requests merged behind
+// it, in merge order.
+func checkWaiters(t *testing.T, step int, e *MSHREntry, want []*sim.MemReq) {
+	t.Helper()
+	var got []*sim.MemReq
+	for r := e.Waiters; r != nil && len(got) <= len(want); r = r.Next {
+		got = append(got, r)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("op %d: line %#x chains %d waiters, want %d", step, e.Line, len(got), len(want))
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("op %d: line %#x waiter %d is request %d, want %d", step, e.Line, k, got[k].ID, want[k].ID)
 		}
 	}
 }

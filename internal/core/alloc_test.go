@@ -19,6 +19,12 @@ import (
 // little else; putting one allocation per miss or per writeback back
 // anywhere on the path fails the bound.
 //
+// The warm-up, the run that fills those lists, has its own bound: requests
+// and MSHR entries come from slabs of up to sim's slabCap objects and
+// merged waiters chain through the requests themselves, so filling the
+// machine costs one allocation per slab, not one per object or per
+// doubling of a waiter slice.
+//
 // Counting runtime.MemStats.Mallocs over a single-goroutine simulation is
 // deterministic: the same launch allocates the same objects every time.
 
@@ -30,6 +36,12 @@ import (
 // parent of the change that introduced the free lists measured 5.0 on
 // NUBA and 16.4 on memory-side UBA.
 const maxObjectsPerLLCAccess = 0.25
+
+// maxWarmUpObjects bounds the heap objects of a whole grid-256 run on the
+// 8-SM test GPU. The run measures 5,501 on NUBA and 5,404 on memory-side
+// UBA; with the request and MSHR lists growing one object at a time, and
+// waiters in slices, it measured 12,305 and 11,010.
+const maxWarmUpObjects = 7000
 
 func runCounted(t *testing.T, arch config.Arch, grid int) (objects uint64, llcAccesses int64) {
 	t.Helper()
@@ -62,6 +74,14 @@ func TestRequestPathAllocatesNothingPerAccess(t *testing.T) {
 		if per > maxObjectsPerLLCAccess {
 			t.Errorf("%v: %.3f heap objects per extra LLC access, bound %.2f: something on the request path allocates per access",
 				arch, per, maxObjectsPerLLCAccess)
+		}
+	}
+}
+
+func TestWarmUpAllocatesPerSlab(t *testing.T) {
+	for _, arch := range []config.Arch{config.NUBA, config.UBAMem} {
+		if obj, _ := runCounted(t, arch, 256); obj > maxWarmUpObjects {
+			t.Errorf("%v: a whole run made %d heap objects, bound %d: a free list on the request path grows one object at a time", arch, obj, maxWarmUpObjects)
 		}
 	}
 }

@@ -434,13 +434,13 @@ func (s *Slice) fill(req *sim.MemReq, now sim.Cycle, replica bool) {
 	// A home-path line arrives dirty when an atomic waits on it; a replica
 	// holds read-only data.
 	atomic := entry.Primary.Kind == sim.Atomic
-	for _, r := range entry.Waiters {
+	for r := entry.Waiters; r != nil; r = r.Next {
 		atomic = atomic || r.Kind == sim.Atomic
 	}
 	s.install(line, atomic && !replica, replica, now, now)
 	entry.Primary.Replicated = entry.Primary.Replicated || replica
 	s.outbox.Push(completion{ready: now, kind: outReply, req: entry.Primary})
-	for _, r := range entry.Waiters {
+	for r := entry.Waiters; r != nil; r = r.Next {
 		r.Replicated = r.Replicated || replica
 		s.outbox.Push(completion{ready: now, kind: outReply, req: r})
 	}

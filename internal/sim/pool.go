@@ -1,7 +1,9 @@
 package sim
 
-// ReqPool is a free list of MemReqs. One simulation is one goroutine, so
-// the list needs no lock; it grows on demand and is never pre-filled.
+// ReqPool is a free list of MemReqs, chained through MemReq.Next. One
+// simulation is one goroutine, so the list needs no lock. It is never
+// pre-filled: an empty list refills from one fresh slab (Slab), so a pool
+// that grows to n requests allocates about n/slabCap times, not n.
 //
 // The ownership rule (DESIGN.md §3): the component that creates a request
 // retires it, on its own list. Put therefore ignores a request this list
@@ -13,23 +15,43 @@ package sim
 // A nil *ReqPool is valid: Get allocates and Put drops, which is what a
 // slice or channel built without a GPU around it wants.
 type ReqPool struct {
-	free []*MemReq
-	out  int64 // requests handed out by Get
-	back int64 // requests returned by Put
+	free *MemReq // idle requests, chained through Next
+	slab int     // length of the next refill
+	out  int64   // requests handed out by Get
+	back int64   // requests returned by Put
+}
+
+// slabCap is the longest slab a free list refills from: long enough that
+// a machine's working set costs few allocations, short enough that a
+// list's unused tail stays small on a machine that needs few requests.
+const slabCap = 16
+
+// Slab refills the empty free list *free from one fresh slab of *size
+// objects: it chains all but the first through link, returns the first and
+// doubles *size for the next refill, from 1 up to slabCap.
+func Slab[T any](size *int, free **T, link func(*T) **T) *T {
+	s := make([]T, max(*size, 1))
+	*size = min(2*len(s), slabCap)
+	for i := len(s) - 1; i > 0; i-- {
+		*link(&s[i]), *free = *free, &s[i]
+	}
+	return &s[0]
 }
 
 // Get returns a request holding exactly v: a recycled one is overwritten
 // whole, never field-patched.
 func (p *ReqPool) Get(v MemReq) *MemReq {
 	var r *MemReq
-	if p != nil && len(p.free) > 0 {
-		n := len(p.free) - 1
-		r, p.free = p.free[n], p.free[:n]
-	} else {
+	switch {
+	case p == nil:
 		r = new(MemReq)
+	case p.free == nil:
+		r = Slab(&p.slab, &p.free, func(r *MemReq) **MemReq { return &r.Next })
+	default:
+		r, p.free = p.free, p.free.Next
 	}
 	*r = v
-	r.pool, r.idle = p, false
+	r.pool, r.idle, r.Next = p, false, nil
 	if p != nil {
 		p.out++
 	}
@@ -46,7 +68,7 @@ func (p *ReqPool) Put(r *MemReq) {
 	}
 	r.idle = true
 	p.back++
-	p.free = append(p.free, r)
+	r.Next, p.free = p.free, r
 }
 
 // Live returns how many requests Get handed out that Put has not seen

@@ -1,6 +1,18 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// freeLen counts the requests on p's free list.
+func freeLen(p *ReqPool) int {
+	n := 0
+	for r := p.free; r != nil; r = r.Next {
+		n++
+	}
+	return n
+}
 
 func TestReqPoolRecyclesAndResetsWhole(t *testing.T) {
 	var p ReqPool
@@ -42,8 +54,8 @@ func TestReqPoolIgnoresRequestsItDidNotCreate(t *testing.T) {
 	foreign := other.Get(MemReq{ID: 8})
 	p.Put(foreign)
 	p.Put(foreign) // still not p's: no panic, no effect
-	if p.Live() != 0 || len(p.free) != 0 {
-		t.Fatalf("foreign requests entered the list: live %d, free %d", p.Live(), len(p.free))
+	if p.Live() != 0 || freeLen(&p) != 0 {
+		t.Fatalf("foreign requests entered the list: live %d, free %d", p.Live(), freeLen(&p))
 	}
 	if other.Live() != 1 {
 		t.Fatalf("owner's count disturbed: live %d", other.Live())
@@ -81,5 +93,42 @@ func TestReqPoolSteadyStateAllocatesNothing(t *testing.T) {
 	cycle() // grow to the working set
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Fatalf("%.0f allocations per steady-state cycle", n)
+	}
+}
+
+// TestReqPoolWarmsUpOneAllocationPerSlab grows fresh pools to n requests:
+// each pool costs one allocation for itself (its requests point back at
+// it) and one per slab, whose lengths double from 1 up to slabCap, never
+// one per request.
+func TestReqPoolWarmsUpOneAllocationPerSlab(t *testing.T) {
+	const n = 100
+	slabs := 0
+	for got, size := 0, 1; got < n; size = min(2*size, slabCap) {
+		got += size
+		slabs++
+	}
+	held := make([]*MemReq, n)
+	allocs := testing.AllocsPerRun(20, func() {
+		p := new(ReqPool)
+		for i := range held {
+			held[i] = p.Get(MemReq{ID: uint64(i)})
+		}
+		for _, r := range held {
+			p.Put(r)
+		}
+		if freeLen(p) < n {
+			t.Fatalf("free list holds %d of %d returned requests", freeLen(p), n)
+		}
+	})
+	if allocs > float64(slabs+1) {
+		t.Fatalf("a fresh pool of %d requests made %.0f allocations, want at most %d (%d slabs and the pool)", n, allocs, slabs+1, slabs)
+	}
+}
+
+// TestMemReqFitsOneSizeClass keeps a request within 128 B, the size class
+// a slab of them packs without waste.
+func TestMemReqFitsOneSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(MemReq{}); n > 128 {
+		t.Fatalf("MemReq is %d B, want at most 128", n)
 	}
 }

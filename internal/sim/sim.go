@@ -107,6 +107,11 @@ type MemReq struct {
 	// slice drops the line and produces no reply.
 	Inval bool
 
+	// Next links the request into at most one list at a time: its pool's
+	// free list while idle, one MSHR entry's waiter chain while merged.
+	// Read it before handing the request on (DESIGN.md §3).
+	Next *MemReq
+
 	// pool is the free list that handed the request out (nil for one
 	// built with a literal); idle marks it returned. See ReqPool.
 	pool *ReqPool

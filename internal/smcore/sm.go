@@ -960,7 +960,8 @@ func (s *SM) AcceptReply(req *sim.MemReq, now sim.Cycle) {
 			s.l1.Insert(la, false, false, int64(now))
 			// Complete the primary and every merged waiter.
 			s.finishLoad(entry.Primary, now)
-			for _, wr := range entry.Waiters {
+			for wr, next := entry.Waiters, (*sim.MemReq)(nil); wr != nil; wr = next {
+				next = wr.Next // finishLoad's Put rewrites it
 				s.finishLoad(wr, now)
 			}
 			return

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"fmt"
+
 	"github.com/nuba-gpu/nuba/internal/config"
 	"github.com/nuba-gpu/nuba/internal/driver"
 	"github.com/nuba-gpu/nuba/internal/metrics"
@@ -231,8 +233,13 @@ func (s *System) Idle() bool {
 	return len(s.events) == 0 && len(s.walks) == 0 && s.walkQueue.Empty()
 }
 
-// DebugState is the hang report's line for the system.
-func (s *System) DebugState(sim.Cycle) string { return "in-flight page walks" }
+// DebugState is the hang report's line for the system: walks started and
+// not finished, walks waiting for a walker, busy walkers and the cycle the
+// next timing event fires.
+func (s *System) DebugState(now sim.Cycle) string {
+	q := s.walkQueue.Len()
+	return fmt.Sprintf("walks=%d queued=%d walkers=%d/%d next=%s", len(s.walks)-q, q, s.walkersBusy, s.cfg.PageWalkers, sim.Until(s.NextWake(now)))
+}
 
 // NextWake returns the cycle the earliest queued timing event fires, or
 // sim.Never when none is scheduled. Every in-flight walk (and every

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/nuba-gpu/nuba/internal/addrmap"
@@ -151,6 +152,27 @@ func TestWalkerSaturation(t *testing.T) {
 	}
 	if !s.Idle() {
 		t.Fatal("system still pending")
+	}
+}
+
+// TestDebugStateNamesQueuedWalks fills the walker pool so that one walk
+// waits for a walker: the hang report's line names the walks in flight,
+// the queued one and the cycle the first walk completes.
+func TestDebugStateNamesQueuedWalks(t *testing.T) {
+	s, _, cfg := newSystem(t)
+	cfg.PageWalkers = 2
+	if got, want := s.DebugState(0), "walks=0 queued=0 walkers=0/2 next=never"; got != want {
+		t.Fatalf("idle system reports %q, want %q", got, want)
+	}
+	for i := 0; i < 3; i++ {
+		now := sim.Cycle(i)
+		s.Tick(now)
+		s.Request(0, uint64(300+i), false, now, func() {})
+	}
+	// Each first touch holds its walker for the walk, from the L2 miss on.
+	next := cfg.L2TLBLatency + cfg.PageWalkLatency
+	if got, want := s.DebugState(2), fmt.Sprintf("walks=2 queued=1 walkers=2/2 next=%d", next); got != want {
+		t.Fatalf("saturated system reports %q, want %q", got, want)
 	}
 }
 
