@@ -180,8 +180,11 @@ func (c *Cache) Invalidate(addr uint64) (found, wasDirty bool) {
 
 // InvalidateAll flushes the whole cache (the software-coherence flush at
 // synchronization and kernel boundaries) and returns the dirty line
-// addresses that a write-back cache must write downstream.
-func (c *Cache) InvalidateAll() (dirtyLines []uint64) {
+// addresses that a write-back cache must write downstream, in dirtyLines'
+// storage: a caller that passes back what the last flush returned
+// allocates only when a flush finds more dirty lines than any before.
+func (c *Cache) InvalidateAll(dirtyLines []uint64) []uint64 {
+	dirtyLines = dirtyLines[:0]
 	for i := range c.lines {
 		l := &c.lines[i]
 		if l.valid {

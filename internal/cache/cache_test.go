@@ -87,7 +87,7 @@ func TestInvalidateAllReturnsDirtyLines(t *testing.T) {
 	c.Insert(ln(0), true, false, 0)
 	c.Insert(ln(1), false, false, 1)
 	c.Insert(ln(2), true, false, 2)
-	dirty := c.InvalidateAll()
+	dirty := c.InvalidateAll(nil)
 	if len(dirty) != 2 {
 		t.Fatalf("expected 2 dirty lines, got %d", len(dirty))
 	}

@@ -19,11 +19,13 @@ import (
 // little else; putting one allocation per miss or per writeback back
 // anywhere on the path fails the bound.
 //
-// The warm-up, the run that fills those lists, has its own bound: requests
-// and MSHR entries come from slabs of up to sim's slabCap objects and
-// merged waiters chain through the requests themselves, so filling the
-// machine costs one allocation per slab, not one per object or per
-// doubling of a waiter slice.
+// The warm-up, the run that fills those lists, has its own bound: requests,
+// MSHR entries and LSU access records come from slabs and merged waiters
+// chain through the requests themselves, so filling the machine costs one
+// allocation per slab, not one per object or per doubling of a waiter
+// slice. The same goes for the state an SM sizes at a launch — warp
+// contexts, register files, lane vectors, the CTA table — and for the
+// driver's page records.
 //
 // Counting runtime.MemStats.Mallocs over a single-goroutine simulation is
 // deterministic: the same launch allocates the same objects every time.
@@ -38,10 +40,11 @@ import (
 const maxObjectsPerLLCAccess = 0.25
 
 // maxWarmUpObjects bounds the heap objects of a whole grid-256 run on the
-// 8-SM test GPU. The run measures 5,501 on NUBA and 5,404 on memory-side
-// UBA; with the request and MSHR lists growing one object at a time, and
-// waiters in slices, it measured 12,305 and 11,010.
-const maxWarmUpObjects = 7000
+// 8-SM test GPU. The run measures 1,325 on NUBA and 1,173 on memory-side
+// UBA. With warp state built one object at a time it measured 5,501 and
+// 5,404; with the request and MSHR lists growing one object at a time as
+// well, and waiters in slices, 12,305 and 11,010.
+const maxWarmUpObjects = 2000
 
 func runCounted(t *testing.T, arch config.Arch, grid int) (objects uint64, llcAccesses int64) {
 	t.Helper()
@@ -81,7 +84,7 @@ func TestRequestPathAllocatesNothingPerAccess(t *testing.T) {
 func TestWarmUpAllocatesPerSlab(t *testing.T) {
 	for _, arch := range []config.Arch{config.NUBA, config.UBAMem} {
 		if obj, _ := runCounted(t, arch, 256); obj > maxWarmUpObjects {
-			t.Errorf("%v: a whole run made %d heap objects, bound %d: a free list on the request path grows one object at a time", arch, obj, maxWarmUpObjects)
+			t.Errorf("%v: a whole run made %d heap objects, bound %d: a free list or a launch's warp state grows one object at a time", arch, obj, maxWarmUpObjects)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"github.com/nuba-gpu/nuba/internal/dram"
 	"github.com/nuba-gpu/nuba/internal/driver"
 	"github.com/nuba-gpu/nuba/internal/energy"
+	"github.com/nuba-gpu/nuba/internal/kir"
 	"github.com/nuba-gpu/nuba/internal/llc"
 	"github.com/nuba-gpu/nuba/internal/mdr"
 	"github.com/nuba-gpu/nuba/internal/metrics"
@@ -33,9 +34,10 @@ type GPU struct {
 	drv    *driver.Driver
 	vmsys  *vm.System
 
-	sms    []*smcore.SM
-	slices []*llc.Slice
-	chans  []*dram.Channel
+	sms          []*smcore.SM
+	slices       []*llc.Slice
+	chans        []*dram.Channel
+	prewarmWarps kir.Warps // the prewarm's warp contexts (prewarm.go)
 
 	// parts is the component table (parts.go): one row per SM, slice,
 	// channel, crossbar and link set, the VM system and the core's own

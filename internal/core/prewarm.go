@@ -27,80 +27,68 @@ import (
 // round-robin turn.
 const prewarmQuantum = 16
 
-type prewarmCTA struct {
-	warps  []*kir.Warp
-	atBar  []bool
-	exited int
+// prewarmSM is one SM's share of the prewarm: the CTAs of its block not
+// yet started, as the timed run will assign them, and the warps of the
+// one it runs now, reset in place for the next.
+type prewarmSM struct {
+	next, end int
+	warps     []kir.Warp
+	atBar     []bool
+	exited    int
 }
 
 // prewarm functionally executes the launch, allocating pages on first
 // touch with the configured placement policy.
 func (g *GPU) prewarm(l *kir.Launch) {
-	n := g.cfg.NumSMs
-	// Each SM's next CTA and the end of its block, as the timed run
-	// will assign them.
-	todo := make([]struct{ next, end int }, n)
-	for smID := range todo {
-		todo[smID].next, todo[smID].end = ctaRange(l.GridDim, n, smID)
+	n, wpc := g.cfg.NumSMs, l.WarpsPerCTA()
+	// The SMs that get CTAs, a prefix of at most GridDim, share the GPU's
+	// one set of warp contexts, wpc apiece.
+	sms := make([]prewarmSM, min(n, l.GridDim))
+	warps := g.prewarmWarps.Fit(l, len(sms)*wpc)
+	atBar := make([]bool, len(warps))
+	for smID := range sms {
+		p := &sms[smID]
+		p.next, p.end = ctaRange(l.GridDim, n, smID)
+		p.warps, p.atBar, p.exited = warps[smID*wpc:(smID+1)*wpc], atBar[smID*wpc:(smID+1)*wpc], wpc
 	}
-	current := make([]*prewarmCTA, n)
-	// Each SM runs its CTAs one after another through one prewarmCTA,
-	// whose warps are reset in place.
-	ctas := make([]prewarmCTA, n)
 	shift := g.mapper.PageShift()
 
 	var mem kir.MemInfo
-	live := n
-	for live > 0 {
-		live = 0
-		for smID := 0; smID < n; smID++ {
-			cta := current[smID]
-			if cta == nil {
-				if todo[smID].next == todo[smID].end {
+	for live := true; live; {
+		live = false
+		for smID := range sms {
+			p := &sms[smID]
+			if p.exited == wpc { // no CTA running: start the next
+				if p.next == p.end {
 					continue
 				}
-				cta = &ctas[smID]
-				cta.reset(l, todo[smID].next)
-				todo[smID].next++
-				current[smID] = cta
+				p.startNext(l)
 			}
-			live++
-			g.prewarmQuantumRun(l, cta, smID, shift, &mem)
-			if cta.exited == len(cta.warps) {
-				current[smID] = nil
-			}
+			live = true
+			g.prewarmQuantumRun(l, p, smID, shift, &mem)
 		}
 	}
 }
 
-// reset makes p the warps of CTA cta, none of them run yet.
-func (p *prewarmCTA) reset(l *kir.Launch, cta int) {
-	if p.warps == nil {
-		wpc := l.WarpsPerCTA()
-		p.atBar = make([]bool, wpc)
-		for w := 0; w < wpc; w++ {
-			p.warps = append(p.warps, new(kir.Warp))
-		}
-	}
+// startNext makes p's warps those of its next CTA, none of them run yet.
+func (p *prewarmSM) startNext(l *kir.Launch) {
 	for w := range p.warps {
-		p.warps[w].Reset(l, cta, w)
+		p.warps[w].Reset(l, p.next, w)
 	}
+	p.next++
 	clear(p.atBar)
 	p.exited = 0
 }
 
-// prewarmQuantumRun advances every warp of the CTA by up to
+// prewarmQuantumRun advances every warp of the SM's CTA by up to
 // prewarmQuantum instructions and releases the CTA barrier once every
 // non-exited warp reached it.
-func (g *GPU) prewarmQuantumRun(l *kir.Launch, cta *prewarmCTA, smID int, shift uint, mem *kir.MemInfo) {
+func (g *GPU) prewarmQuantumRun(l *kir.Launch, cta *prewarmSM, smID int, shift uint, mem *kir.MemInfo) {
 	part := g.cfg.PartitionOfSM(smID)
-	for wi, w := range cta.warps {
-		if w.Exited || cta.atBar[wi] {
-			continue
-		}
-		for step := 0; step < prewarmQuantum; step++ {
-			res := w.Exec(mem)
-			switch res.Kind {
+	for wi := range cta.warps {
+		w := &cta.warps[wi]
+		for step := 0; step < prewarmQuantum && !w.Exited && !cta.atBar[wi]; step++ {
+			switch w.Exec(mem).Kind {
 			case kir.StepMem:
 				g.prewarmTouch(l, mem, part, shift)
 			case kir.StepBarrier:
@@ -108,22 +96,14 @@ func (g *GPU) prewarmQuantumRun(l *kir.Launch, cta *prewarmCTA, smID int, shift 
 			case kir.StepExit:
 				cta.exited++
 			}
-			if w.Exited || cta.atBar[wi] {
-				break
-			}
 		}
 	}
-	running := 0
-	for wi, w := range cta.warps {
-		if !w.Exited && !cta.atBar[wi] {
-			running++
+	for wi := range cta.warps {
+		if !cta.warps[wi].Exited && !cta.atBar[wi] {
+			return
 		}
 	}
-	if running == 0 {
-		for wi := range cta.atBar {
-			cta.atBar[wi] = false
-		}
-	}
+	clear(cta.atBar)
 }
 
 // prewarmTouch allocates the pages of a memory access on first touch.

@@ -40,6 +40,10 @@ type Page struct {
 	BusyUntil sim.Cycle
 }
 
+// pageSlab caps the Page slabs: 14 records and an 8-byte allocation header
+// fill a 1,024-byte size class, 73 bytes a record where one alone takes 80.
+const pageSlab = 14
+
 // Driver is the page placement engine. It owns the virtual-to-physical
 // mapping used by the vm package.
 type Driver struct {
@@ -47,7 +51,9 @@ type Driver struct {
 	mapper *addrmap.Mapper
 	rng    *sim.RNG
 
-	pages map[uint64]*Page
+	pages   map[uint64]*Page
+	slab    []Page // where Allocate carves Page records (sim.Carve)
+	slabLen int
 	// pagesPerChannel is the LAB book-keeping array: one counter per
 	// channel, exactly the 32-entry array the paper's driver keeps.
 	pagesPerChannel []int64
@@ -164,7 +170,8 @@ func (d *Driver) Allocate(vpn uint64, homePart int, writable bool) *Page {
 	ch := d.chooseChannel(homePart)
 	ppn := d.mapper.ComposeFrame(d.frameSeq[ch], ch)
 	d.frameSeq[ch]++
-	p := &Page{VPN: vpn, PPN: ppn, Channel: ch, Writable: writable}
+	p := sim.Carve(&d.slabLen, &d.slab, pageSlab)
+	*p = Page{VPN: vpn, PPN: ppn, Channel: ch, Writable: writable}
 	if d.cfg.Placement == config.Migration || d.cfg.Placement == config.PageReplication {
 		p.accesses = make([]int32, d.cfg.NumChannels)
 	}

@@ -217,10 +217,11 @@ func (r *refWarp) step(in *Instr) (mask uint32, addrs [WarpSize]uint64) {
 	return mask, addrs
 }
 
-// runAgainstLanes executes src on warp warpInCTA of CTA cta and fails at
-// the first instruction after which a register lane, a predicate lane, the
-// access mask or a guarded lane's address differs from the reference.
-func runAgainstLanes(t *testing.T, src string, x, y int64, cta, warpInCTA int) {
+// runAgainstLanes executes src on warp warpInCTA of CTA cta, in the one
+// context ws is fitted to, and fails at the first instruction after which a
+// register lane, a predicate lane, the access mask or a guarded lane's
+// address differs from the reference.
+func runAgainstLanes(t *testing.T, ws *Warps, src string, x, y int64, cta, warpInCTA int) {
 	t.Helper()
 	k, err := Parse(src)
 	if err != nil {
@@ -231,7 +232,8 @@ func runAgainstLanes(t *testing.T, src string, x, y int64, cta, warpInCTA int) {
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	w := NewWarp(l, cta, warpInCTA)
+	w := &ws.Fit(l, 1)[0]
+	w.Reset(l, cta, warpInCTA)
 	ref := &refWarp{l: l, cta: cta, warpInCTA: warpInCTA}
 	var mem MemInfo
 	for !w.Exited {
@@ -355,8 +357,11 @@ func FuzzExecMatchesLanes(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, prog []byte, x, y int64, cta uint8) {
 		src := decodeProg(prog)
+		// Both warps run in one set of contexts: the second spreads into
+		// the lane vectors the first left in the pool, stale lanes and all.
+		var ws Warps
 		for warp := 0; warp < 2; warp++ {
-			runAgainstLanes(t, src, x, y, int(cta)%4, warp)
+			runAgainstLanes(t, &ws, src, x, y, int(cta)%4, warp)
 		}
 	})
 }
@@ -422,7 +427,7 @@ func TestAffineKernelSpreadsNothing(t *testing.T) {
 			for !w.Exited {
 				w.Exec(&mem)
 				for r := range w.Regs {
-					if v := &w.Regs[r]; v.lanes != nil || v.spare != nil {
+					if v := &w.Regs[r]; v.lanes != nil {
 						t.Fatalf("CTA %d warp %d: r%d spread to lanes at PC %d", cta, wi, r, w.PC)
 					}
 				}

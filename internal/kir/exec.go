@@ -71,10 +71,6 @@ type Value struct {
 	lanes  *[WarpSize]int64
 	scalar int64
 	stride int64
-	// spare is the lane vector the value held before it last went
-	// affine, kept so the next spread — or the next warp to take over
-	// this register file (Warp.Reset) — does not allocate another.
-	spare *[WarpSize]int64
 }
 
 // Uniform reports whether all lanes share one scalar.
@@ -88,23 +84,23 @@ func (v *Value) Lane(l int) int64 {
 	return v.lanes[l]
 }
 
-// setUniform makes v uniform with the given scalar.
-func (v *Value) setUniform(x int64) { v.setAffine(x, 0) }
-
-// setAffine makes lane l of v hold base + stride·l.
-func (v *Value) setAffine(base, stride int64) {
+// setAffine makes lane l of v hold base + stride·l; the lane vector v held,
+// if any, goes back to p.
+func (v *Value) setAffine(p *lanePool, base, stride int64) {
 	if v.lanes != nil {
-		v.spare = v.lanes
+		p.free = append(p.free, v.lanes)
 	}
 	v.lanes, v.scalar, v.stride = nil, base, stride
 }
 
-// spread converts v to per-lane form.
-func (v *Value) spread() *[WarpSize]int64 {
+// spread converts v to per-lane form, in a lane vector taken from p.
+func (v *Value) spread(p *lanePool) *[WarpSize]int64 {
 	if v.lanes == nil {
-		a := v.spare
-		if a == nil {
-			a = new([WarpSize]int64)
+		var a *[WarpSize]int64
+		if n := len(p.free); n > 0 {
+			a, p.free = p.free[n-1], p.free[:n-1]
+		} else {
+			a = sim.Carve(&p.size, &p.slab, laneSlab)
 		}
 		for i := range a {
 			a[i] = v.scalar + v.stride*int64(i)
@@ -113,6 +109,17 @@ func (v *Value) spread() *[WarpSize]int64 {
 	}
 	return v.lanes
 }
+
+// lanePool holds the lane vectors of a set of warps that no register holds
+// and carves new ones from slabs of at most laneSlab: a longer slab's
+// unused tail costs more bytes than its fewer allocations save.
+type lanePool struct {
+	free []*[WarpSize]int64
+	slab [][WarpSize]int64
+	size int // length of the next slab
+}
+
+const laneSlab = 4
 
 // MemInfo describes the memory access produced by executing a load, store
 // or atomic: the per-lane virtual addresses before coalescing.
@@ -170,6 +177,7 @@ type Warp struct {
 	Regs       []Value
 	Preds      []uint32
 	Exited     bool
+	pool       *lanePool // where its registers' lane vectors come from and go
 }
 
 // laneRef is a resolved operand: a pointer to per-lane values, or the
@@ -222,51 +230,62 @@ func (w *Warp) resolve(o Operand) laneRef {
 	return laneRef{}
 }
 
-// NewWarp returns warp warpInCTA of CTA cta, ready at PC 0.
+// NewWarp returns warp warpInCTA of CTA cta, ready at PC 0: the one
+// context of a Warps of its own.
 func NewWarp(l *Launch, cta, warpInCTA int) *Warp {
-	w := &Warp{}
+	w := &new(Warps).Fit(l, 1)[0]
 	w.Reset(l, cta, warpInCTA)
 	return w
 }
 
 // Reset makes w warp warpInCTA of CTA cta of launch l, ready at PC 0 —
-// exactly the warp NewWarp returns — reusing the register file and the
-// lane vectors w already owns. A hardware warp slot runs many warps over
-// a kernel; this is what lets it do so without allocating.
+// exactly the warp NewWarp returns — in the register file w already owns,
+// returning its lane vectors to its pool. A hardware warp slot runs many
+// warps over a kernel; this is what lets it do so without allocating. The
+// file must fit l: w comes from a Warps fitted for l, or from NewWarp.
 func (w *Warp) Reset(l *Launch, cta, warpInCTA int) {
-	threads := l.CTAThreads - warpInCTA*WarpSize
-	if threads > WarpSize {
-		threads = WarpSize
+	threads := min(l.CTAThreads-warpInCTA*WarpSize, WarpSize)
+	w.L, w.CTA, w.WarpInCTA, w.PC, w.Exited = l, cta, warpInCTA, 0, false
+	w.ActiveMask = ^uint32(0) >> uint(WarpSize-threads)
+	w.Regs, w.Preds = w.Regs[:l.Kernel.NumRegs], w.Preds[:l.Kernel.NumPreds]
+	for i := range w.Regs {
+		w.Regs[i].setAffine(w.pool, 0, 0)
 	}
-	var mask uint32
-	if threads >= 32 {
-		mask = ^uint32(0)
-	} else {
-		mask = (1 << uint(threads)) - 1
+	clear(w.Preds)
+}
+
+// Warps is a set of warp contexts that share storage: one register-file
+// slab, one predicate slab and one pool of lane vectors. A register's
+// vector goes back to the pool when the register goes uniform or affine
+// or its warp is reset, for any warp of the set to take next.
+type Warps struct {
+	warps []Warp
+	taken int // contexts Take has handed out
+	regs  []Value
+	preds []uint32
+	lanes lanePool
+}
+
+// Fit makes n contexts for warps of launch l and returns them, each to be
+// Reset as a warp. The previous contexts' lane vectors go back to the
+// pool; the slabs are reallocated only when too small.
+func (ws *Warps) Fit(l *Launch, n int) []Warp {
+	for i := range ws.regs {
+		ws.regs[i].setAffine(&ws.lanes, 0, 0)
 	}
-	regs, preds := w.Regs, w.Preds
-	if cap(regs) < l.Kernel.NumRegs {
-		regs = make([]Value, l.Kernel.NumRegs)
-	} else {
-		regs = regs[:l.Kernel.NumRegs]
-		for i := range regs {
-			regs[i].setUniform(0)
-		}
+	nr, np := l.Kernel.NumRegs, l.Kernel.NumPreds
+	ws.warps, ws.regs, ws.preds = sim.Resize(ws.warps, n), sim.Resize(ws.regs, n*nr), sim.Resize(ws.preds, n*np)
+	ws.taken = 0
+	for i := range ws.warps {
+		ws.warps[i] = Warp{Regs: ws.regs[i*nr : (i+1)*nr : (i+1)*nr], Preds: ws.preds[i*np : (i+1)*np : (i+1)*np], pool: &ws.lanes}
 	}
-	if cap(preds) < l.Kernel.NumPreds {
-		preds = make([]uint32, l.Kernel.NumPreds)
-	} else {
-		preds = preds[:l.Kernel.NumPreds]
-		clear(preds)
-	}
-	*w = Warp{
-		L:          l,
-		CTA:        cta,
-		WarpInCTA:  warpInCTA,
-		ActiveMask: mask,
-		Regs:       regs,
-		Preds:      preds,
-	}
+	return ws.warps
+}
+
+// Take returns the next context of the last Fit not yet taken.
+func (ws *Warps) Take() *Warp {
+	ws.taken++
+	return &ws.warps[ws.taken-1]
 }
 
 // Current returns the instruction at PC, or nil if the warp has exited.
@@ -460,7 +479,7 @@ func (w *Warp) Exec(mem *MemInfo) StepInfo {
 	case OpSel:
 		pm := w.Preds[in.PredSrc]
 		ra, rb := w.resolve(in.Src[0]), w.resolve(in.Src[1])
-		dst := w.Regs[in.Dst].spread()
+		dst := w.Regs[in.Dst].spread(w.pool)
 		for l := 0; l < WarpSize; l++ {
 			if mask&(1<<uint(l)) == 0 {
 				continue
@@ -493,9 +512,9 @@ func (w *Warp) Exec(mem *MemInfo) StepInfo {
 		rc := w.resolve(in.Src[2])
 		if base, stride, ok := affineALU(in.Op, ra, rb, rc); ok {
 			if full {
-				w.Regs[in.Dst].setAffine(base, stride)
+				w.Regs[in.Dst].setAffine(w.pool, base, stride)
 			} else {
-				dst := w.Regs[in.Dst].spread()
+				dst := w.Regs[in.Dst].spread(w.pool)
 				for l := 0; l < WarpSize; l++ {
 					if mask&(1<<uint(l)) != 0 {
 						dst[l] = base + stride*int64(l)
@@ -503,7 +522,7 @@ func (w *Warp) Exec(mem *MemInfo) StepInfo {
 				}
 			}
 		} else {
-			dst := w.Regs[in.Dst].spread()
+			dst := w.Regs[in.Dst].spread(w.pool)
 			switch op := in.Op; op {
 			// Specialized loops for the hottest opcodes avoid the alu()
 			// switch per lane.
@@ -561,9 +580,9 @@ func (w *Warp) execMem(in *Instr, mask uint32, mem *MemInfo) {
 	var dst *[WarpSize]int64 // the lanes a load writes, if it writes lanes
 	if in.Op != OpSt {
 		if b.Value == nil && mask == w.ActiveMask {
-			w.Regs[in.Dst].setUniform(0) // no value model: every lane reads zero
+			w.Regs[in.Dst].setAffine(w.pool, 0, 0) // no value model: every lane reads zero
 		} else {
-			dst = w.Regs[in.Dst].spread()
+			dst = w.Regs[in.Dst].spread(w.pool)
 		}
 	}
 	base, size, elem := b.Base, b.Size, uint64(in.ElemBytes)

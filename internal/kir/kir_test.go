@@ -596,6 +596,40 @@ func TestWarpResetMatchesNewWarp(t *testing.T) {
 	}
 }
 
+// TestWarpsAllocateNothingOnceWarm: a set of warp contexts that has run a
+// kernel whose loads spread registers runs the launch again — Fit, then
+// every warp of every CTA Reset in turn — without allocating: a lane
+// vector goes back to the pool when its register goes uniform or its warp
+// is reset, and the next spread takes it.
+func TestWarpsAllocateNothingOnceWarm(t *testing.T) {
+	l := simpleLaunch(t, resetKernel, []int64{5}, []Binding{
+		{Base: 1 << 20, Size: 1 << 16, Value: func(i int64) int64 { return i ^ 0x55 }},
+		{Base: 1 << 24, Size: 1 << 16}})
+	var ws Warps
+	var mem MemInfo
+	spread := 0
+	run := func() {
+		warps := ws.Fit(l, l.WarpsPerCTA())
+		for cta := 0; cta < l.GridDim; cta++ {
+			for wi := range warps {
+				w := &warps[wi]
+				for w.Reset(l, cta, wi); !w.Exited; w.Exec(&mem) {
+					if w.Regs[5].lanes != nil {
+						spread++
+					}
+				}
+			}
+		}
+	}
+	run()
+	if spread == 0 {
+		t.Fatal("no load spread r5: the kernel does not exercise the pool")
+	}
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("a warm Warps allocated %.0f objects per launch", allocs)
+	}
+}
+
 // TestOpsTableComplete: every opcode has its row — a mnemonic String
 // prints and a latency the SM can schedule by — and every plain ALU row
 // parses back to its own opcode with the operand count it declares.

@@ -48,8 +48,9 @@ type Slice struct {
 	cfg   *config.Config
 	stats *metrics.Stats
 
-	tags *cache.Cache
-	mshr *cache.MSHRFile
+	tags  *cache.Cache
+	mshr  *cache.MSHRFile
+	dirty []uint64 // the last flush's dirty lines, storage for the next
 
 	lmr *sim.Queue[*sim.MemReq]
 	rmr *sim.Queue[*sim.MemReq]
@@ -207,7 +208,8 @@ func (s *Slice) StateSig() uint64 {
 // caller draining the outbox.
 func (s *Slice) Flush(now sim.Cycle) {
 	s.wake()
-	for _, line := range s.tags.InvalidateAll() {
+	s.dirty = s.tags.InvalidateAll(s.dirty)
+	for _, line := range s.dirty {
 		s.outbox.Push(completion{ready: now, kind: outToMem, req: s.newWriteback(line)})
 	}
 }

@@ -38,6 +38,30 @@ func Slab[T any](size *int, free **T, link func(*T) **T) *T {
 	return &s[0]
 }
 
+// Resize returns s cleared and of length n, reallocated only when too
+// short: what sizes a table once for the largest user it has had.
+func Resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// Carve is Slab for objects that never come back: it returns the next
+// object of *slab, first refilling an empty *slab with a fresh slab of
+// *size objects and doubling *size for the next refill, from 1 up to limit.
+func Carve[T any](size *int, slab *[]T, limit int) *T {
+	if len(*slab) == 0 {
+		*slab = make([]T, max(*size, 1))
+		*size = min(2*len(*slab), limit)
+	}
+	x := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return x
+}
+
 // Get returns a request holding exactly v: a recycled one is overwritten
 // whole, never field-patched.
 func (p *ReqPool) Get(v MemReq) *MemReq {

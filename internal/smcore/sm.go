@@ -12,6 +12,7 @@ package smcore
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"github.com/nuba-gpu/nuba/internal/cache"
@@ -48,7 +49,8 @@ type lineReq struct {
 // are recycled through SM.freeAcc: enqueueMem takes one, tickLSU returns
 // it when the access leaves the LSU.
 type memAccess struct {
-	warp     int // warp slot
+	next     *memAccess // free-list link
+	warp     int        // warp slot
 	store    bool
 	atomic   bool
 	ro       bool
@@ -58,8 +60,8 @@ type memAccess struct {
 	n        int // coalesced lines in use: lines[:n]
 	// walkAt is the cycle lines[nextLine] missed the L1 TLB and went to
 	// the shared VM system; walked is the completion callback handed to
-	// VMRequest, bound once when the access is first built rather than
-	// once per miss. One callback is enough because the LSU works on
+	// VMRequest, bound at the record's first miss rather than once per
+	// miss. One callback is enough because the LSU works on
 	// lines in order, so only lines[nextLine] can be mid-translation —
 	// and it is safe to point into a recycled object because an access
 	// with a line still translating never leaves the LSU.
@@ -134,17 +136,19 @@ type SM struct {
 	l1TLB  *vm.TLB
 
 	launch    *kir.Launch
-	ctaQueue  *sim.Queue[int] // CTA ids assigned by the distributed scheduler
+	next, end int // the assigned CTA ids not yet resident
 	ctas      []ctaState
+	ctaSlots  []int // the backing of every ctas[i].slots
 	warps     []warpSlot
 	freeSlots []int
+	contexts  *kir.Warps // as many warp contexts as the launch can have live
 	nextAge   int64
 	liveWarps int
 	sched     []scheduler // the warp schedulers, one ready set each
 
 	lsu       *sim.Queue[*memAccess]
-	freeAcc   []*memAccess
-	accMade   int // memAccess objects ever allocated; all on freeAcc when the LSU is empty
+	freeAcc   *memAccess
+	accLive   int // access records off freeAcc: 0 when the LSU is empty
 	sendQueue *sim.Queue[*sim.MemReq]
 	// reqs recycles the requests this SM creates: every one of them
 	// comes back through AcceptReply, where it retires.
@@ -209,6 +213,9 @@ func (s *SM) ParkSend(until sim.Cycle) { s.sendPark.Until = until }
 // Sleep is where the deadline lives; the caller gates, Tick does not.
 func (s *SM) Sleep() *sim.Slot { return &s.sleep }
 
+// lsuEntries is the number of warp memory instructions the LSU holds.
+const lsuEntries = 16
+
 // LSUOpsPerCycle is the number of line operations (TLB+L1 lookups) the
 // load-store unit performs per cycle — the L1 has one 128 B port, and the
 // coalescer feeds it one line per cycle.
@@ -226,10 +233,10 @@ func New(id, part int, cfg *config.Config, stats *metrics.Stats,
 		l1:        cache.New(cfg.L1Sets(), cfg.L1Ways, cache.WriteThrough),
 		l1MSHR:    cache.NewMSHRFile(cfg.L1MSHRs),
 		l1TLB:     vm.NewTLB(cfg.L1TLBEntries, config.L1TLBWays),
-		ctaQueue:  sim.NewQueue[int](0),
+		contexts:  new(kir.Warps),
 		warps:     make([]warpSlot, cfg.WarpsPerSM),
 		sched:     make([]scheduler, cfg.SchedulersPerSM),
-		lsu:       sim.NewQueue[*memAccess](16),
+		lsu:       sim.NewQueue[*memAccess](lsuEntries),
 		sendQueue: sim.NewQueue[*sim.MemReq](8),
 	}
 	slots := make([][config.MaxWarpsPerScheduler]int16, len(s.sched))
@@ -251,47 +258,50 @@ func (s *SM) LiveRequests() int64 { return s.reqs.Live() }
 
 // LiveAccesses returns how many LSU access records are off the SM's free
 // list: the LSU's occupancy, and zero once it has drained.
-func (s *SM) LiveAccesses() int { return s.accMade - len(s.freeAcc) }
+func (s *SM) LiveAccesses() int { return s.accLive }
 
 // L1TLB exposes the TLB (for shootdowns and tests).
 func (s *SM) L1TLB() *vm.TLB { return s.l1TLB }
 
-// StartKernel resets per-kernel state and assigns the contiguous CTA id
-// block [lo, hi) (produced by the distributed CTA scheduler) to this SM.
-// Taking the block as a range rather than a materialized slice keeps the
-// per-launch hot path allocation-free.
+// StartKernel assigns the contiguous CTA id block [lo, hi) (produced by
+// the distributed CTA scheduler) to this SM and sizes its warp state once
+// for the most the launch can have live at once: the warp contexts, the
+// CTA table and the free-slot stack, which grow only for a launch that
+// needs more. The SM must have drained, as the core leaves it between
+// kernels; an empty block only wakes it.
 func (s *SM) StartKernel(l *kir.Launch, lo, hi int) {
 	s.sleep.Wake()
 	s.lsuPark.Until = 0
-	s.launch = l
-	for c := lo; c < hi; c++ {
-		s.ctaQueue.Push(c)
+	if lo == hi {
+		return
+	}
+	s.launch, s.next, s.end = l, lo, hi
+	wpc := l.WarpsPerCTA()
+	ctas := min(s.cfg.MaxCTAsPerSM, hi-lo)
+	warps := min(s.cfg.WarpsPerSM, ctas*wpc)
+	// A slot takes a context when it first runs a warp of this launch: at
+	// most warps slots do, since the free-slot stack hands back the slots
+	// the last warps left.
+	s.contexts.Fit(l, warps)
+	for i := range s.warps {
+		s.warps[i].w = nil
+	}
+	s.freeSlots = slices.Grow(s.freeSlots, max(warps-len(s.freeSlots), 0))
+	s.ctas, s.ctaSlots = sim.Resize(s.ctas, ctas), sim.Resize(s.ctaSlots, ctas*wpc)
+	for i := range s.ctas {
+		s.ctas[i].slots = s.ctaSlots[i*wpc : i*wpc : (i+1)*wpc]
 	}
 	s.fillCTAs()
 }
 
 // FlushL1 invalidates the L1 (software coherence at kernel boundaries).
-func (s *SM) FlushL1() { s.l1.InvalidateAll() }
+func (s *SM) FlushL1() { s.l1.InvalidateAll(nil) }
 
-// fillCTAs activates CTAs from the queue while warp slots and CTA slots
+// fillCTAs activates the assigned CTAs while warp slots and CTA slots
 // are available.
 func (s *SM) fillCTAs() {
-	if s.launch == nil {
-		return
-	}
-	wpc := s.launch.WarpsPerCTA()
-	for {
-		if s.ctaQueue.Empty() {
-			return
-		}
-		if s.residentCTAs() >= s.cfg.MaxCTAsPerSM {
-			return
-		}
-		if s.cfg.WarpsPerSM-s.liveWarps < wpc {
-			return
-		}
-		ctaID, _ := s.ctaQueue.Pop()
-		cs := ctaState{id: ctaID, live: wpc, total: wpc, active: true}
+	for s.next < s.end && s.cfg.WarpsPerSM-s.liveWarps >= s.launch.WarpsPerCTA() {
+		wpc := s.launch.WarpsPerCTA()
 		ctaSlot := -1
 		for i := range s.ctas {
 			if !s.ctas[i].active {
@@ -300,17 +310,18 @@ func (s *SM) fillCTAs() {
 			}
 		}
 		if ctaSlot < 0 {
-			s.ctas = append(s.ctas, ctaState{})
-			ctaSlot = len(s.ctas) - 1
+			return // MaxCTAsPerSM resident
 		}
-		cs.slots = s.ctas[ctaSlot].slots[:0]
+		ctaID := s.next
+		s.next++
+		cs := ctaState{id: ctaID, live: wpc, total: wpc, active: true, slots: s.ctas[ctaSlot].slots[:0]}
 		for wi := 0; wi < wpc; wi++ {
 			slot := s.takeSlot()
 			ws := &s.warps[slot]
-			// The slot keeps its warp object across the warps it runs.
+			// The slot keeps its warp context across the warps it runs.
 			w := ws.w
 			if w == nil {
-				w = new(kir.Warp)
+				w = s.contexts.Take()
 			}
 			w.Reset(s.launch, ctaID, wi)
 			sc := s.schedOf(slot)
@@ -333,16 +344,6 @@ func (s *SM) fillCTAs() {
 	}
 }
 
-func (s *SM) residentCTAs() int {
-	n := 0
-	for i := range s.ctas {
-		if s.ctas[i].active {
-			n++
-		}
-	}
-	return n
-}
-
 func (s *SM) takeSlot() int {
 	if n := len(s.freeSlots); n > 0 {
 		slot := s.freeSlots[n-1]
@@ -360,7 +361,7 @@ func (s *SM) takeSlot() int {
 // Idle reports whether the SM has finished all assigned work and drained
 // all outstanding memory traffic.
 func (s *SM) Idle() bool {
-	return s.liveWarps == 0 && s.ctaQueue.Empty() && s.lsu.Empty() && s.sendQueue.Empty()
+	return s.liveWarps == 0 && s.next == s.end && s.lsu.Empty() && s.sendQueue.Empty()
 }
 
 // SetAudit installs (or, with nil, removes) the park audit
@@ -429,7 +430,7 @@ func (s *SM) NextWake(now sim.Cycle) sim.Cycle {
 // state and the LSU's in-flight accesses.
 func (s *SM) StateSig() uint64 {
 	h := sim.MixSig(sim.SigSeed, uint64(s.liveWarps))
-	h = sim.MixSig(h, uint64(s.ctaQueue.Len()))
+	h = sim.MixSig(h, uint64(s.end-s.next))
 	h = sim.MixSig(h, uint64(s.sendQueue.Len()))
 	h = sim.MixSig(h, uint64(s.nextAge))
 	h = sim.MixSig(h, s.reqSeq)
@@ -648,10 +649,6 @@ func (s *SM) enqueueMem(slot int, res kir.StepInfo, now sim.Cycle) {
 			acc.n++
 		}
 	}
-	if acc.n == 0 {
-		s.freeAcc = append(s.freeAcc, acc)
-		return
-	}
 	if res.DstReg >= 0 {
 		// The destination becomes ready only when every line returns.
 		ws.regReadyAt[res.DstReg] = pendingForever
@@ -665,24 +662,27 @@ func (s *SM) enqueueMem(slot int, res kir.StepInfo, now sim.Cycle) {
 }
 
 // newAccess returns an empty access: a recycled one with everything but
-// its bound callback reset (lines are overwritten as they are added), or
-// a new one with the callback bound.
+// its bound callback reset (lines are overwritten as they are added). An
+// empty free list means all accLive records are live: it refills from a
+// slab one longer, doubling from 1 up to the lsuEntries the LSU can hold.
 func (s *SM) newAccess() *memAccess {
-	if n := len(s.freeAcc); n > 0 {
-		acc := s.freeAcc[n-1]
-		s.freeAcc = s.freeAcc[:n-1]
-		acc.nextLine, acc.n = 0, 0
-		return acc
+	acc := s.freeAcc
+	if acc == nil {
+		n := min(s.accLive+1, lsuEntries-s.accLive)
+		acc = sim.Slab(&n, &s.freeAcc, func(a *memAccess) **memAccess { return &a.next })
+	} else {
+		s.freeAcc = acc.next
 	}
-	acc := &memAccess{}
-	acc.walked = func() { s.finishWalk(acc) }
-	s.accMade++
+	acc.nextLine, acc.n = 0, 0
+	s.accLive++
 	return acc
 }
 
-// retireAccess removes the finished access at LSU position i.
+// retireAccess moves the finished access at LSU position i to the free list.
 func (s *SM) retireAccess(i int) {
-	s.freeAcc = append(s.freeAcc, s.lsu.RemoveAt(i))
+	acc := s.lsu.RemoveAt(i)
+	acc.next, s.freeAcc = s.freeAcc, acc
+	s.accLive--
 }
 
 // tickLSU processes up to LSUOpsPerCycle line operations per cycle:
@@ -786,6 +786,9 @@ func (s *SM) translate(acc *memAccess, line *lineReq, now sim.Cycle) bool {
 		}
 		s.stats.TLBAccesses++
 		return true
+	}
+	if acc.walked == nil {
+		acc.walked = func() { s.finishWalk(acc) }
 	}
 	if !s.VMRequest(s.Part, vpn, acc.writable, now, acc.walked) {
 		return false
@@ -1095,7 +1098,7 @@ func (s *SM) DebugState(sim.Cycle) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "live=%d outstanding=%d lsu=%d send=%d ctaQ=%d firstPC=%d",
-		live, out, s.lsu.Len(), s.sendQueue.Len(), s.ctaQueue.Len(), pc)
+		live, out, s.lsu.Len(), s.sendQueue.Len(), s.end-s.next, pc)
 	// The parks the last tick left: what is parked and until when.
 	if s.sendPark.Until != 0 {
 		b.WriteString(" send-parked-until=" + sim.Until(s.sendPark.Until))

@@ -163,6 +163,30 @@ func TestSMCoalescing(t *testing.T) {
 	}
 }
 
+// TestWarpContextsAcrossLaunches: an SM sizes its warp contexts per launch
+// and a slot takes one the first time it runs a warp of the launch. Here
+// the first launch's three-warp CTAs leave two of the eight slots unused,
+// so the second launch's one-warp CTAs reach slots that never ran a warp
+// beside slots that did; it must run as it does on a fresh SM, no two live
+// slots sharing a context.
+func TestWarpContextsAcrossLaunches(t *testing.T) {
+	eight := func(c *config.Config) { c.WarpsPerSM, c.MaxCTAsPerSM = 8, 8 }
+	wide, narrow := rigLaunch(t, 4, 3), rigLaunch(t, 8, 3)
+	wide.CTAThreads, narrow.CTAThreads = 3*kir.WarpSize, kir.WarpSize
+	fresh := newRigWith(t, 10, eight)
+	fresh.sm.StartKernel(narrow, 0, 8)
+	fresh.runToIdle(t, 100000)
+	r := newRigWith(t, 10, eight)
+	r.sm.StartKernel(wide, 0, 4)
+	r.runToIdle(t, 100000)
+	before := r.stats.Instructions
+	r.sm.StartKernel(narrow, 0, 8)
+	r.runToIdle(t, 200000)
+	if got, want := r.stats.Instructions-before, fresh.stats.Instructions; got != want {
+		t.Fatalf("the second launch issued %d instructions, %d on a fresh SM", got, want)
+	}
+}
+
 func TestSML1CapturesReuse(t *testing.T) {
 	// Second kernel run over the same data with the same SM: loads hit
 	// in L1 (data cached by the first run's fills).
@@ -690,8 +714,8 @@ func TestGreedySurvivesSlotRecycle(t *testing.T) {
 	if want := (grid - 4) * perWarp; inheritedWhileOlderReady != want {
 		t.Fatalf("a recycled greedy slot issued ahead of an older ready warp %d times, want %d", inheritedWhileOlderReady, want)
 	}
-	if !r.sm.ctaQueue.Empty() || r.sm.liveWarps != 3 {
-		t.Fatalf("after the greedy run: %d CTAs queued, %d warps live; want 0 and 3", r.sm.ctaQueue.Len(), r.sm.liveWarps)
+	if r.sm.next != r.sm.end || r.sm.liveWarps != 3 {
+		t.Fatalf("after the greedy run: %d CTAs queued, %d warps live; want 0 and 3", r.sm.end-r.sm.next, r.sm.liveWarps)
 	}
 	r.runToIdle(t, 1000)
 	if r.stats.Instructions != grid*perWarp {
