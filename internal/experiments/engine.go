@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"sync"
 
 	"github.com/nuba-gpu/nuba"
@@ -120,18 +119,15 @@ func (r *Runner) Execute(ctx context.Context, e Experiment) (*Report, error) {
 	}
 
 	rep := &Report{Failures: failures}
-	if len(failures) > 0 {
-		rep.Text = failuresSection(failures)
-	}
+	var err error
 	if len(v.benches) == 0 {
-		return rep, fmt.Errorf("experiments: %s: every benchmark failed (%d job failures)", e.Name, len(failures))
-	}
-	text, err := e.render(v)
-	if err != nil {
+		err = fmt.Errorf("experiments: %s: every benchmark failed (%d job failures)", e.Name, len(failures))
+	} else if rep.fig, err = e.render(v); err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", e.Name, err)
 	}
-	rep.Text = text + rep.Text
-	return rep, nil
+	rep.fig.failed(failures)
+	rep.Text = rep.fig.String()
+	return rep, err
 }
 
 // PrintReport prints what Execute returned as the command-line tools show
@@ -186,19 +182,18 @@ func newJobFailure(j *Job, err error) JobFailure {
 	return jf
 }
 
-// failuresSection renders the explicit failures block appended to a
-// partial report.
-func failuresSection(fs []JobFailure) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "\nFAILED JOBS (%d) — the tables above exclude these benchmarks:\n", len(fs))
-	for _, f := range fs {
+// failed adds the explicit failures section of a partial report.
+func (f *figure) failed(fs []JobFailure) {
+	if len(fs) > 0 {
+		f.line("\nFAILED JOBS (%d) — the tables above exclude these benchmarks:\n", len(fs))
+	}
+	for _, jf := range fs {
 		kind := "error"
-		if f.Panic {
+		if jf.Panic {
 			kind = "panic"
 		}
-		fmt.Fprintf(&b, "  %-16s %-8s %s: %s\n", f.Config, f.Bench, kind, f.Err)
+		f.line("  %-16s %-8s %s: %s\n", jf.Config, jf.Bench, kind, jf.Err)
 	}
-	return b.String()
 }
 
 // Prefetch simulates the given jobs across the worker pool, deduplicating

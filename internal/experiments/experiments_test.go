@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -29,9 +30,9 @@ func TestNamesAndByName(t *testing.T) {
 	}
 }
 
-// execute runs the named experiment on r and returns its report text,
-// failing the test on an error or a job failure.
-func execute(t *testing.T, r *Runner, name string) string {
+// execute runs the named experiment on r and returns its report, failing
+// the test on an error or a job failure.
+func execute(t *testing.T, r *Runner, name string) *Report {
 	t.Helper()
 	e, err := ByName(name)
 	if err != nil {
@@ -44,12 +45,12 @@ func execute(t *testing.T, r *Runner, name string) string {
 	if len(rep.Failures) != 0 {
 		t.Fatalf("%s: unexpected job failures: %+v", name, rep.Failures)
 	}
-	return rep.Text
+	return rep
 }
 
 func TestTable2RunsWithoutSimulation(t *testing.T) {
 	r := NewRunner(Options{})
-	out := execute(t, r, "table2")
+	out := execute(t, r, "table2").Text
 	for _, b := range workload.Suite() {
 		if !strings.Contains(out, b.Abbr) {
 			t.Fatalf("table2 missing %s:\n%s", b.Abbr, out)
@@ -67,7 +68,7 @@ func TestFig3SmallSubset(t *testing.T) {
 	bp, _ := workload.ByAbbr("BP")
 	sg, _ := workload.ByAbbr("SGEMM")
 	r := NewRunner(Options{Scale: 0.125, Benchmarks: []workload.Benchmark{bp, sg}})
-	out := execute(t, r, "fig3")
+	out := execute(t, r, "fig3").Text
 	if !strings.Contains(out, "BP") || !strings.Contains(out, "SGEMM") {
 		t.Fatalf("fig3 output:\n%s", out)
 	}
@@ -125,6 +126,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 // and checks that it renders, from finished runs alone, without a
 // failure: the plan derived from Configs is all a renderer can read, so
 // rendering after a Prefetch of the plan must leave the cache untouched.
+// Each figure's scalars have distinct names, and each prints in the
+// report as it stands in the figure.
 // The reports, joined exactly as `nubasweep -exp all -bench BH,AN -scale
 // 0.125` prints them, are then held to testdata/all_s0125.txt: all three
 // architectures, PAE and the MCM layouts say what they said at the last
@@ -150,12 +153,23 @@ func TestEveryExperiment(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := len(r.cache)
-			out := execute(t, r, e.Name)
+			rep := execute(t, r, e.Name)
+			out := rep.Text
 			if out == "" {
 				t.Fatal("empty report")
 			}
 			if len(r.cache) != before {
 				t.Fatalf("rendering simulated %d runs the plan missed", len(r.cache)-before)
+			}
+			named := map[string]bool{}
+			for _, s := range rep.fig.scalars {
+				if named[s.name] {
+					t.Errorf("two scalars named %q", s.name)
+				}
+				named[s.name] = true
+				if !strings.Contains(out, s.String()) {
+					t.Errorf("scalar %q prints as %q, which the report does not show", s.name, s)
+				}
 			}
 			if i > 0 {
 				got.WriteByte('\n')
@@ -187,17 +201,30 @@ func TestEveryExperiment(t *testing.T) {
 	}
 }
 
-// TestEmptySharingClassRendersNA: a subset with no high-sharing benchmark
-// has no high-sharing harmonic mean to report — not a -100% one.
+// TestEmptySharingClassRendersNA: a subset with no low-sharing benchmark
+// (LEU is high-sharing) has no low-sharing harmonic mean to report — not a
+// -100% one. The figure holds it as NaN, and the report prints it as n/a.
 func TestEmptySharingClassRendersNA(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed experiment")
 	}
 	r := NewRunner(Options{Scale: 0.125, Benchmarks: []workload.Benchmark{stressBench(t, "LEU")}})
 	for _, name := range []string{"fig7", "fig14-llc", "fig14-lab"} {
-		out := execute(t, r, name)
-		if !strings.Contains(out, "n/a") || strings.Contains(out, "-100.0%") {
-			t.Errorf("%s renders the empty high-sharing class as:\n%s", name, out)
+		rep := execute(t, r, name)
+		if out := rep.Text; !strings.Contains(out, "n/a") || strings.Contains(out, "-100.0%") {
+			t.Errorf("%s renders the empty low-sharing class as:\n%s", name, out)
+		}
+		low := 0
+		for _, s := range rep.fig.scalars {
+			if strings.HasSuffix(s.name, "/low") {
+				low++
+				if !math.IsNaN(s.value) {
+					t.Errorf("%s: %s = %v, want NaN", name, s.name, s.value)
+				}
+			}
+		}
+		if low == 0 {
+			t.Errorf("%s: no low-sharing mean in the figure", name)
 		}
 	}
 }
@@ -250,7 +277,7 @@ func TestFig7SmallSubset(t *testing.T) {
 	}
 	bp, _ := workload.ByAbbr("BP")
 	r := NewRunner(Options{Scale: 0.125, Benchmarks: []workload.Benchmark{bp}})
-	out := execute(t, r, "fig7")
+	out := execute(t, r, "fig7").Text
 	if !strings.Contains(out, "NUBA") || !strings.Contains(out, "%") {
 		t.Fatalf("fig7 output:\n%s", out)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/nuba-gpu/nuba"
 	"github.com/nuba-gpu/nuba/internal/energy"
@@ -15,7 +14,7 @@ import (
 // the run of one benchmark on the j-th declared configuration.
 
 // table2 prints the suite with the paper's and the scaled footprints.
-func table2(v *view) (string, error) {
+func table2(v *view) (figure, error) {
 	t := &metrics.Table{Header: []string{"Benchmark", "Abbr", "Sharing", "Paper MB/RO", "Sim MB", "Launches"}}
 	for _, b := range v.benches {
 		var total uint64
@@ -27,22 +26,20 @@ func table2(v *view) (string, error) {
 		}
 		launches, err := b.Build(alloc)
 		if err != nil {
-			return "", fmt.Errorf("%s: %w", b.Abbr, err)
+			return figure{}, fmt.Errorf("%s: %w", b.Abbr, err)
 		}
 		t.AddRow(b.Name, b.Abbr, class(b),
 			fmt.Sprintf("%.0f / %.2f", b.PaperMB, b.PaperROMB),
-			mbs(float64(total)/workload.MB), fmt.Sprintf("%d", len(launches)))
+			fmt.Sprintf("%.2f MB", float64(total)/workload.MB), fmt.Sprintf("%d", len(launches)))
 	}
-	return t.String(), nil
+	return figure{table: t}, nil
 }
 
-func fig3Configs() []nuba.Config {
-	return []nuba.Config{nuba.Baseline()}
-}
+func fig3Configs() []nuba.Config { return []nuba.Config{nuba.Baseline()} }
 
 // fig3 reports the page sharing histogram per benchmark on the baseline
 // UBA GPU, as in Figure 3.
-func fig3(v *view) (string, error) {
+func fig3(v *view) (figure, error) {
 	t := &metrics.Table{Header: []string{"Bench", "Class", "Pages", "1 SM", "2-10", "11-25", ">25", "Shared%"}}
 	for i, b := range v.benches {
 		res := v.res[i][0]
@@ -50,7 +47,7 @@ func fig3(v *view) (string, error) {
 		t.AddRow(b.Abbr, class(b), fmt.Sprintf("%d", res.Sharing.Pages()),
 			f2(one), f2(two), f2(eleven), f2(over), fmt.Sprintf("%.1f%%", res.Sharing.SharedFraction()*100))
 	}
-	return t.String(), nil
+	return figure{table: t}, nil
 }
 
 // The four headline iso-resource configurations of Section 7, shared by
@@ -74,74 +71,60 @@ func isoConfigs() []nuba.Config {
 }
 
 // fig7 reports speedup of NUBA-No-Rep and NUBA over the memory-side UBA.
-func fig7(v *view) (string, error) {
-	t := &metrics.Table{Header: []string{"Bench", "Class", "UBA-SM", "NUBA-No-Rep", "NUBA"}}
-	chart := &metrics.BarChart{Title: "NUBA speedup over UBA (%)", Width: 50}
-	var noRep, full byClass
+func fig7(v *view) (figure, error) {
+	f := figure{
+		table: &metrics.Table{Header: []string{"Bench", "Class", "UBA-SM", "NUBA-No-Rep", "NUBA"}},
+		chart: &metrics.BarChart{Title: "NUBA speedup over UBA (%)", Width: 50},
+	}
 	for i, b := range v.benches {
 		row := v.res[i]
 		base := row[isoUBAMem]
-		sm := speedupPct(row[isoUBASM], base)
-		nr := speedupPct(row[isoNoRep], base)
-		nb := speedupPct(row[isoNUBA], base)
-		noRep.add(b, 1+nr/100)
-		full.add(b, 1+nb/100)
-		t.AddRow(b.Abbr, class(b), pct(sm), pct(nr), pct(nb))
-		chart.Add(b.Abbr, nb)
+		nb := speedup(row[isoNUBA], base)
+		f.table.AddRow(b.Abbr, class(b), gain(speedup(row[isoUBASM], base)), gain(speedup(row[isoNoRep], base)), gain(nb))
+		f.chart.Add(b.Abbr, (nb-1)*100)
 	}
-	var bld strings.Builder
-	bld.WriteString(t.String())
-	bld.WriteByte('\n')
-	bld.WriteString(chart.String())
-	groupSummary(&bld, "NUBA-No-Rep vs UBA", &noRep)
-	groupSummary(&bld, "NUBA        vs UBA", &full)
-	bld.WriteString("(paper: NUBA +30.4% low, +15.1% high, +23.1% overall vs memory-side UBA)\n")
-	return bld.String(), nil
+	f.group("NUBA-No-Rep vs UBA", v, isoNoRep, isoUBAMem)
+	f.group("NUBA        vs UBA", v, isoNUBA, isoUBAMem)
+	f.line("%s\n", paper("NUBA +30.4% low, +15.1% high, +23.1% overall vs memory-side UBA"))
+	return f, nil
 }
 
 // fig8 reports the perceived bandwidth in replies per cycle.
-func fig8(v *view) (string, error) {
-	t := &metrics.Table{Header: []string{"Bench", "UBA-mem", "NUBA-No-Rep", "NUBA", "Gain"}}
+func fig8(v *view) (figure, error) {
+	f := figure{table: &metrics.Table{Header: []string{"Bench", "UBA-mem", "NUBA-No-Rep", "NUBA", "Gain"}}}
 	var gains []float64
 	for i, b := range v.benches {
 		row := v.res[i]
 		u := row[isoUBAMem].Stats.RepliesPerCycle()
 		nr := row[isoNoRep].Stats.RepliesPerCycle()
 		nb := row[isoNUBA].Stats.RepliesPerCycle()
-		gain := 0.0
+		g := 1.0
 		if u > 0 {
-			gain = (nb/u - 1) * 100
+			g = nb / u
 		}
-		gains = append(gains, 1+gain/100)
-		t.AddRow(b.Abbr, f3(u), f3(nr), f3(nb), pct(gain))
+		gains = append(gains, g)
+		f.table.AddRow(b.Abbr, f3(u), f3(nr), f3(nb), gain(g))
 	}
-	var bld strings.Builder
-	bld.WriteString(t.String())
-	fmt.Fprintf(&bld, "harmonic-mean perceived-bandwidth gain: %s (paper: +38.9%%)\n", hmean(gains))
-	return bld.String(), nil
+	f.line("harmonic-mean perceived-bandwidth gain: %s %s\n", f.add("gain", hmean(gains), improvement), paper("+38.9%"))
+	return f, nil
 }
 
 // fig9 reports the L1 miss service breakdown.
-func fig9(v *view) (string, error) {
-	t := &metrics.Table{Header: []string{"Bench", "UBA local", "NoRep local", "NUBA local", "NUBA replica"}}
-	var localSum, n float64
+func fig9(v *view) (figure, error) {
+	f := figure{table: &metrics.Table{Header: []string{"Bench", "UBA local", "NoRep local", "NUBA local", "NUBA replica"}}}
+	var localSum float64
 	for i, b := range v.benches {
-		row := v.res[i]
-		u := row[isoUBAMem].Stats
-		nr := row[isoNoRep].Stats
-		nb := row[isoNUBA].Stats
+		u, nr, nb := v.res[i][isoUBAMem].Stats, v.res[i][isoNoRep].Stats, v.res[i][isoNUBA].Stats
 		repFrac := 0.0
 		if tot := nb.LocalAccesses + nb.RemoteAccesses; tot > 0 {
 			repFrac = float64(nb.ReplicatedAccesses) / float64(tot)
 		}
 		localSum += nb.LocalFraction()
-		n++
-		t.AddRow(b.Abbr, f2(u.LocalFraction()), f2(nr.LocalFraction()), f2(nb.LocalFraction()), f2(repFrac))
+		f.table.AddRow(b.Abbr, f2(u.LocalFraction()), f2(nr.LocalFraction()), f2(nb.LocalFraction()), f2(repFrac))
 	}
-	var bld strings.Builder
-	bld.WriteString(t.String())
-	fmt.Fprintf(&bld, "mean NUBA local fraction: %.1f%% (paper: 63.9%% of L1 misses local)\n", 100*localSum/n)
-	return bld.String(), nil
+	f.line("mean NUBA local fraction: %s %s\n", f.add("NUBA local", 100*localSum/float64(len(v.benches)), "%.1f%%"),
+		paper("63.9% of L1 misses local"))
+	return f, nil
 }
 
 // fig10Configs is the UBA baseline followed by the Figure 10 sweep: each
@@ -158,32 +141,29 @@ func fig10Configs() []nuba.Config {
 }
 
 // fig10 sweeps the NoC bandwidth and reports performance vs NoC power.
-func fig10(v *view) (string, error) {
-	t := &metrics.Table{Header: []string{"Config", "NoC GB/s", "Perf vs UBA@1400", "NoC power (W)"}}
+func fig10(v *view) (figure, error) {
+	f := figure{table: &metrics.Table{Header: []string{"Config", "NoC GB/s", "Perf vs UBA@1400", "NoC power (W)"}}}
 	for j := 1; j < len(v.cfgs); j++ {
 		cfg := &v.cfgs[j]
-		var speedups []float64
 		var power float64
 		for _, row := range v.res {
-			base, res := row[0], row[j]
-			speedups = append(speedups, float64(base.Stats.Cycles)/float64(res.Stats.Cycles))
-			power += energy.NoCPowerW(energy.Breakdown{NoCNJ: res.Stats.NoCEnergyNJ},
-				res.Stats.Cycles, cfg.CoreClockGHz)
+			power += energy.NoCPowerW(energy.Breakdown{NoCNJ: row[j].Stats.NoCEnergyNJ},
+				row[j].Stats.Cycles, cfg.CoreClockGHz)
 		}
 		power /= float64(len(v.benches))
-		t.AddRow(cfg.Arch.String(), fmt.Sprintf("%.0f", cfg.NoCBandwidthGBs), hmean(speedups), f2(power))
+		name := fmt.Sprintf("%s@%.0f", cfg.Arch, cfg.NoCBandwidthGBs)
+		f.table.AddRow(cfg.Arch.String(), fmt.Sprintf("%.0f", cfg.NoCBandwidthGBs),
+			f.add(name+" perf", hmean(v.speedups(j, 0)), improvement).String(),
+			f.add(name+" power", power, "%.2f").String())
 	}
-	var bld strings.Builder
-	bld.WriteString(t.String())
-	bld.WriteString("(paper: NUBA@700 ~= UBA@5600 performance at 12.1x / 9.4x lower NoC power)\n")
-	return bld.String(), nil
+	f.line("%s\n", paper("NUBA@700 ~= UBA@5600 performance at 12.1x / 9.4x lower NoC power"))
+	return f, nil
 }
 
-// fig11Configs is UBA, then NUBA under first-touch, round-robin and LAB
-// placement.
-func fig11Configs() []nuba.Config {
+// placed is UBA, then NUBA under each of the page placement policies.
+func placed(policies ...nuba.PlacementPolicy) []nuba.Config {
 	cfgs := []nuba.Config{nuba.Baseline()}
-	for _, p := range []nuba.PlacementPolicy{nuba.FirstTouch, nuba.RoundRobin, nuba.LAB} {
+	for _, p := range policies {
 		cfg := nuba.NUBAConfig()
 		cfg.Placement = p
 		cfgs = append(cfgs, cfg)
@@ -191,23 +171,20 @@ func fig11Configs() []nuba.Config {
 	return cfgs
 }
 
+func fig11Configs() []nuba.Config { return placed(nuba.FirstTouch, nuba.RoundRobin, nuba.LAB) }
+
 // fig11 compares page allocation policies on NUBA (with MDR active, as
 // in the paper's Figure 11).
-func fig11(v *view) (string, error) {
-	t := &metrics.Table{Header: []string{"Bench", "Class", "FT vs UBA", "RR vs UBA", "LAB vs UBA"}}
-	var ftS, rrS, labS []float64
+func fig11(v *view) (figure, error) {
+	f := figure{table: &metrics.Table{Header: []string{"Bench", "Class", "FT vs UBA", "RR vs UBA", "LAB vs UBA"}}}
 	for i, b := range v.benches {
 		ub, ft, rr, lab := v.res[i][0], v.res[i][1], v.res[i][2], v.res[i][3]
-		ftS = append(ftS, float64(ub.Stats.Cycles)/float64(ft.Stats.Cycles))
-		rrS = append(rrS, float64(ub.Stats.Cycles)/float64(rr.Stats.Cycles))
-		labS = append(labS, float64(ub.Stats.Cycles)/float64(lab.Stats.Cycles))
-		t.AddRow(b.Abbr, class(b), pct(speedupPct(ft, ub)), pct(speedupPct(rr, ub)), pct(speedupPct(lab, ub)))
+		f.table.AddRow(b.Abbr, class(b), gain(speedup(ft, ub)), gain(speedup(rr, ub)), gain(speedup(lab, ub)))
 	}
-	var bld strings.Builder
-	bld.WriteString(t.String())
-	fmt.Fprintf(&bld, "harmonic means vs UBA: FT %s  RR %s  LAB %s\n", hmean(ftS), hmean(rrS), hmean(labS))
-	bld.WriteString("(paper: LAB +14.8% vs UBA; LAB beats FT by 88.9% and RR by 14.3% on NUBA)\n")
-	return bld.String(), nil
+	f.line("harmonic means vs UBA: FT %s  RR %s  LAB %s\n", f.add("FT", hmean(v.speedups(1, 0)), improvement),
+		f.add("RR", hmean(v.speedups(2, 0)), improvement), f.add("LAB", hmean(v.speedups(3, 0)), improvement))
+	f.line("%s\n", paper("LAB +14.8% vs UBA; LAB beats FT by 88.9% and RR by 14.3% on NUBA"))
+	return f, nil
 }
 
 // fig12Configs is NUBA (LAB placement) under no, full and model-driven
@@ -221,44 +198,34 @@ func fig12Configs() []nuba.Config {
 }
 
 // fig12 compares replication policies on NUBA with LAB placement.
-func fig12(v *view) (string, error) {
-	t := &metrics.Table{Header: []string{"Bench", "Class", "Full-Rep", "MDR", "LLCmiss No/Full"}}
-	var fullS, mdrS []float64
+func fig12(v *view) (figure, error) {
+	f := figure{table: &metrics.Table{Header: []string{"Bench", "Class", "Full-Rep", "MDR", "LLCmiss No/Full"}}}
 	for i, b := range v.benches {
 		rn, rf, rm := v.res[i][0], v.res[i][1], v.res[i][2]
-		fullS = append(fullS, float64(rn.Stats.Cycles)/float64(rf.Stats.Cycles))
-		mdrS = append(mdrS, float64(rn.Stats.Cycles)/float64(rm.Stats.Cycles))
-		t.AddRow(b.Abbr, class(b), pct(speedupPct(rf, rn)), pct(speedupPct(rm, rn)),
+		f.table.AddRow(b.Abbr, class(b), gain(speedup(rf, rn)), gain(speedup(rm, rn)),
 			fmt.Sprintf("%.2f/%.2f", 1-rn.Stats.LLCHitRate(), 1-rf.Stats.LLCHitRate()))
 	}
-	var bld strings.Builder
-	bld.WriteString(t.String())
-	fmt.Fprintf(&bld, "harmonic means vs No-Rep: Full-Rep %s  MDR %s\n", hmean(fullS), hmean(mdrS))
-	bld.WriteString("(paper: MDR +15.1% vs No-Rep; Full-Rep helps 2MM/AN/SN/RN, hurts SC/BT/GRU/BICG)\n")
-	return bld.String(), nil
+	f.line("harmonic means vs No-Rep: Full-Rep %s  MDR %s\n",
+		f.add("Full-Rep", hmean(v.speedups(1, 0)), improvement), f.add("MDR", hmean(v.speedups(2, 0)), improvement))
+	f.line("%s\n", paper("MDR +15.1% vs No-Rep; Full-Rep helps 2MM/AN/SN/RN, hurts SC/BT/GRU/BICG"))
+	return f, nil
 }
 
 // fig13 reports the energy breakdown.
-func fig13(v *view) (string, error) {
-	t := &metrics.Table{Header: []string{"Bench", "UBA NoC%", "NUBA NoC%", "NoC energy vs UBA", "Total vs UBA"}}
+func fig13(v *view) (figure, error) {
+	f := figure{table: &metrics.Table{Header: []string{"Bench", "UBA NoC%", "NUBA NoC%", "NoC energy vs UBA", "Total vs UBA"}}}
 	var mn, mt float64
 	for i, b := range v.benches {
-		u := v.res[i][isoUBAMem].Stats
-		nb := v.res[i][isoNUBA].Stats
-		uNoC := u.NoCEnergyNJ / u.TotalEnergyNJ() * 100
-		nNoC := nb.NoCEnergyNJ / nb.TotalEnergyNJ() * 100
-		nocR := (nb.NoCEnergyNJ/u.NoCEnergyNJ - 1) * 100
-		totR := (nb.TotalEnergyNJ()/u.TotalEnergyNJ() - 1) * 100
-		mn += nb.NoCEnergyNJ / u.NoCEnergyNJ
-		mt += nb.TotalEnergyNJ() / u.TotalEnergyNJ()
-		t.AddRow(b.Abbr, f2(uNoC), f2(nNoC), pct(nocR), pct(totR))
+		u, nb := v.res[i][isoUBAMem].Stats, v.res[i][isoNUBA].Stats
+		noc, tot := nb.NoCEnergyNJ/u.NoCEnergyNJ, nb.TotalEnergyNJ()/u.TotalEnergyNJ()
+		mn, mt = mn+noc, mt+tot
+		f.table.AddRow(b.Abbr, f2(u.NoCEnergyNJ/u.TotalEnergyNJ()*100), f2(nb.NoCEnergyNJ/nb.TotalEnergyNJ()*100),
+			gain(noc), gain(tot))
 	}
-	mn /= float64(len(v.benches))
-	mt /= float64(len(v.benches))
-	var bld strings.Builder
-	bld.WriteString(t.String())
-	fmt.Fprintf(&bld, "mean NUBA/UBA: NoC energy %.2fx, total energy %.2fx (paper: NoC -54.5%%, total -16.0%%)\n", mn, mt)
-	return bld.String(), nil
+	n := float64(len(v.benches))
+	f.line("mean NUBA/UBA: NoC energy %sx, total energy %sx %s\n", f.add("NoC energy", mn/n, "%.2f"),
+		f.add("total energy", mt/n, "%.2f"), paper("NoC -54.5%, total -16.0%"))
+	return f, nil
 }
 
 // sensitivity is one Figure 14 sweep: UBA versus NUBA under each of a
@@ -307,18 +274,13 @@ func (s sensitivity) configs() []nuba.Config {
 }
 
 // render reports the harmonic-mean NUBA improvement under each variant.
-func (s sensitivity) render(v *view) (string, error) {
-	t := &metrics.Table{Header: []string{s.label, "NUBA vs UBA (low)", "(high)", "(all)"}}
+func (s sensitivity) render(v *view) (figure, error) {
+	f := figure{table: &metrics.Table{Header: []string{s.label, "NUBA vs UBA (low)", "(high)", "(all)"}}}
 	for k, vr := range s.variants {
-		var c byClass
-		for i, b := range v.benches {
-			ub, nb := v.res[i][2*k], v.res[i][2*k+1]
-			c.add(b, float64(ub.Stats.Cycles)/float64(nb.Stats.Cycles))
-		}
-		low, high, all := c.hmeans()
-		t.AddRow(vr.name, low, high, all)
+		low, high, all := f.classes(vr.name, v, 2*k+1, 2*k)
+		f.table.AddRow(vr.name, low.String(), high.String(), all.String())
 	}
-	return t.String(), nil
+	return f, nil
 }
 
 // fig14AddrMapConfigs is the UBA+PAE versus NUBA pair.
@@ -329,16 +291,11 @@ func fig14AddrMapConfigs() []nuba.Config {
 }
 
 // fig14AddrMap compares NUBA (fixed-channel) against UBA with PAE.
-func fig14AddrMap(v *view) (string, error) {
-	var c byClass
-	for i, b := range v.benches {
-		ub, nb := v.res[i][0], v.res[i][1]
-		c.add(b, float64(ub.Stats.Cycles)/float64(nb.Stats.Cycles))
-	}
-	var bld strings.Builder
-	groupSummary(&bld, "NUBA vs UBA+PAE", &c)
-	bld.WriteString("(paper: +19.7% average improvement over UBA with PAE)\n")
-	return bld.String(), nil
+func fig14AddrMap(v *view) (figure, error) {
+	var f figure
+	f.group("NUBA vs UBA+PAE", v, 1, 0)
+	f.line("%s\n", paper("+19.7% average improvement over UBA with PAE"))
+	return f, nil
 }
 
 // fig14LABConfigs is the UBA baseline followed by one NUBA(No-Rep)
@@ -354,70 +311,47 @@ func fig14LABConfigs() []nuba.Config {
 	return cfgs
 }
 
-func fig14LAB(v *view) (string, error) {
-	t := &metrics.Table{Header: []string{"LAB threshold", "vs UBA (low)", "(high)", "(all)"}}
+func fig14LAB(v *view) (figure, error) {
+	f := figure{table: &metrics.Table{Header: []string{"LAB threshold", "vs UBA (low)", "(high)", "(all)"}}}
 	for j := 1; j < len(v.cfgs); j++ {
-		var c byClass
-		for i, b := range v.benches {
-			ub, nb := v.res[i][0], v.res[i][j]
-			c.add(b, float64(ub.Stats.Cycles)/float64(nb.Stats.Cycles))
-		}
-		low, high, all := c.hmeans()
-		t.AddRow(fmt.Sprintf("%.2f", v.cfgs[j].LABThreshold), low, high, all)
+		name := fmt.Sprintf("%.2f", v.cfgs[j].LABThreshold)
+		low, high, all := f.classes(name, v, j, 0)
+		f.table.AddRow(name, low.String(), high.String(), all.String())
 	}
-	var bld strings.Builder
-	bld.WriteString(t.String())
-	bld.WriteString("(paper: 0.8 -> +14.5%, 0.9 -> +14.8%, 0.95 -> +13.1% vs UBA)\n")
-	return bld.String(), nil
+	f.line("%s\n", paper("0.8 -> +14.5%, 0.9 -> +14.8%, 0.95 -> +13.1% vs UBA"))
+	return f, nil
 }
 
 // fig16Configs is the monolithic 2x GPU as UBA and NUBA, then the
 // four-module MCM as UBA and NUBA.
 func fig16Configs() []nuba.Config {
 	return []nuba.Config{
-		nuba.Baseline().Scale(2),
-		nuba.NUBAConfig().Scale(2),
-		nuba.MCMConfig(nuba.UBAMem),
-		nuba.MCMConfig(nuba.NUBA),
+		nuba.Baseline().Scale(2), nuba.NUBAConfig().Scale(2),
+		nuba.MCMConfig(nuba.UBAMem), nuba.MCMConfig(nuba.NUBA),
 	}
 }
 
 // fig16 compares UBA and NUBA in the four-module MCM configuration
 // against the monolithic 2x GPU.
-func fig16(v *view) (string, error) {
-	var mono, mcm byClass
-	for i, b := range v.benches {
-		mu, mn, xu, xn := v.res[i][0], v.res[i][1], v.res[i][2], v.res[i][3]
-		mono.add(b, float64(mu.Stats.Cycles)/float64(mn.Stats.Cycles))
-		mcm.add(b, float64(xu.Stats.Cycles)/float64(xn.Stats.Cycles))
-	}
-	var bld strings.Builder
-	groupSummary(&bld, "monolithic 2x NUBA vs UBA", &mono)
-	groupSummary(&bld, "MCM 4-module NUBA vs UBA ", &mcm)
-	bld.WriteString("(paper: +30.1% monolithic vs +40.0% MCM)\n")
-	return bld.String(), nil
+func fig16(v *view) (figure, error) {
+	var f figure
+	f.group("monolithic 2x NUBA vs UBA", v, 1, 0)
+	f.group("MCM 4-module NUBA vs UBA ", v, 3, 2)
+	f.line("%s\n", paper("+30.1% monolithic vs +40.0% MCM"))
+	return f, nil
 }
 
-// altConfigs is UBA, then NUBA under LAB, migration and page replication
-// — the §7.6 placement alternatives.
-func altConfigs() []nuba.Config {
-	mig := nuba.NUBAConfig()
-	mig.Placement = nuba.Migration
-	rep := nuba.NUBAConfig()
-	rep.Placement = nuba.PageReplication
-	return []nuba.Config{nuba.Baseline(), nuba.NUBAConfig(), mig, rep}
-}
+// altConfigs is LAB and the §7.6 placement alternatives.
+func altConfigs() []nuba.Config { return placed(nuba.LAB, nuba.Migration, nuba.PageReplication) }
 
 // altPlacement compares LAB against the §7.6 alternatives.
-func altPlacement(v *view) (string, error) {
-	t := &metrics.Table{Header: []string{"Bench", "Class", "LAB", "Migration", "PageRep", "Migrations", "PageReplicas"}}
+func altPlacement(v *view) (figure, error) {
+	f := figure{table: &metrics.Table{Header: []string{"Bench", "Class", "LAB", "Migration", "PageRep", "Migrations", "PageReplicas"}}}
 	for i, b := range v.benches {
 		ub, rl, rm, rp := v.res[i][0], v.res[i][1], v.res[i][2], v.res[i][3]
-		t.AddRow(b.Abbr, class(b), pct(speedupPct(rl, ub)), pct(speedupPct(rm, ub)), pct(speedupPct(rp, ub)),
+		f.table.AddRow(b.Abbr, class(b), gain(speedup(rl, ub)), gain(speedup(rm, ub)), gain(speedup(rp, ub)),
 			fmt.Sprintf("%d", rm.Stats.PageMigrations), fmt.Sprintf("%d", rp.Stats.PageReplicas))
 	}
-	var bld strings.Builder
-	bld.WriteString(t.String())
-	bld.WriteString("(paper: migration/replication ~+26% on low-sharing but up to -80.4% on high-sharing)\n")
-	return bld.String(), nil
+	f.line("%s\n", paper("migration/replication ~+26% on low-sharing but up to -80.4% on high-sharing"))
+	return f, nil
 }

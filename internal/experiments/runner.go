@@ -2,15 +2,17 @@
 // evaluation (Section 7) on the simulator. An experiment declares its
 // configurations once (Experiment.Configs); its job plan is those
 // configurations crossed with the runner's benchmarks; the worker pool
-// simulates the plan into a memo cache; and a renderer then prints rows
-// in the shape the paper reports from the finished runs alone. Renderers
-// simulate nothing, so the output is byte-identical for any worker
-// count, and figures sharing runs (fig7/8/9/13 all reuse the
+// simulates the plan into a memo cache; and a renderer then returns the
+// experiment's figure, its table and summary numbers, from the finished
+// runs alone, for one printer to put in the shape the paper reports.
+// Renderers simulate nothing, so the output is byte-identical for any
+// worker count, and figures sharing runs (fig7/8/9/13 all reuse the
 // iso-resource runs) never recompute. See DESIGN.md §6.
 package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -75,6 +77,7 @@ type JobFailure struct {
 type Report struct {
 	Text     string
 	Failures []JobFailure
+	fig      figure // what Text prints
 }
 
 // Runner executes experiments, memoizing runs shared between figures
@@ -120,8 +123,8 @@ type Experiment struct {
 	// derive from it, with Options.Scale applied. Nil for experiments
 	// that need no simulation (table2).
 	Configs func() []nuba.Config
-	// render prints the report from the experiment's finished runs.
-	render func(v *view) (string, error)
+	// render returns the figure of the experiment's finished runs.
+	render func(v *view) (figure, error)
 }
 
 // All returns every experiment in presentation order.
@@ -180,55 +183,122 @@ func SuiteOn(cfg nuba.Config) Experiment {
 	}
 }
 
-func suiteTable(v *view) (string, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %-12s %-8s %-10s %-8s %-8s\n", "Bench", "Cycles", "IPC", "Replies/c", "L1miss", "Local")
+func suiteTable(v *view) (figure, error) {
+	var f figure
+	f.line("%-8s %-12s %-8s %-10s %-8s %-8s\n", "Bench", "Cycles", "IPC", "Replies/c", "L1miss", "Local")
 	for i, bench := range v.benches {
 		st := v.res[i][0].Stats
-		fmt.Fprintf(&b, "%-8s %-12d %-8.3f %-10.3f %-8.3f %-8.3f\n",
+		f.line("%-8s %-12d %-8.3f %-10.3f %-8.3f %-8.3f\n",
 			bench.Abbr, st.Cycles, st.IPC(), st.RepliesPerCycle(), st.L1MissRate(), st.LocalFraction())
 	}
-	return b.String(), nil
+	return f, nil
 }
 
-// speedupPct returns (base/cand - 1) * 100.
-func speedupPct(cand, base *nuba.Result) float64 {
-	if cand.Stats.Cycles == 0 {
-		return 0
-	}
-	return (float64(base.Stats.Cycles)/float64(cand.Stats.Cycles) - 1) * 100
+// figure is what a renderer returns: a table, fig7's chart, and summary
+// lines whose every number is a named scalar, in print order. String is
+// the one place a figure becomes text.
+type figure struct {
+	table   *metrics.Table
+	chart   *metrics.BarChart
+	scalars []scalar
+	lines   []line // each printed as fmt.Fprintf(w, format, args...)
 }
 
-// hmean renders the paper-style harmonic-mean improvement of a set of
-// per-benchmark multiplicative speedups, or "n/a" for an empty set (a
-// sharing class with no benchmark in the subset).
-func hmean(speedups []float64) string {
-	if len(speedups) == 0 {
+type line struct {
+	format string
+	args   []any
+}
+
+// A scalar prints with its verb, and as n/a when NaN: a mean over no
+// benchmark, such as an empty sharing class.
+type scalar struct {
+	name, verb string
+	value      float64
+}
+
+const improvement = "%+.1f%%" // the verb of a signed improvement percentage
+
+func (s scalar) String() string {
+	if math.IsNaN(s.value) {
 		return "n/a"
 	}
-	return pct((metrics.HarmonicMeanSpeedup(speedups) - 1) * 100)
+	return fmt.Sprintf(s.verb, s.value)
 }
 
-// byClass splits per-benchmark speedups by sharing class.
-type byClass struct{ low, high []float64 }
+// paper is the paper's own result, printed beside the simulator's.
+type paper string
 
-func (c *byClass) add(b workload.Benchmark, speedup float64) {
-	if b.High {
-		c.high = append(c.high, speedup)
-	} else {
-		c.low = append(c.low, speedup)
+func (p paper) String() string { return "(paper: " + string(p) + ")" }
+
+// add records a scalar and returns it for a line or a table cell.
+func (f *figure) add(name string, value float64, verb string) scalar {
+	f.scalars = append(f.scalars, scalar{name, verb, value})
+	return f.scalars[len(f.scalars)-1]
+}
+
+func (f *figure) line(format string, args ...any) { f.lines = append(f.lines, line{format, args}) }
+
+// classes adds name's harmonic-mean improvements of configuration cand over
+// base on the low-sharing, the high-sharing and all benchmarks, as the
+// scalars name/low, name/high and name/all.
+func (f *figure) classes(name string, v *view, cand, base int) (low, high, all scalar) {
+	var lo, hi []float64
+	for i, row := range v.res {
+		if s := speedup(row[cand], row[base]); v.benches[i].High {
+			hi = append(hi, s)
+		} else {
+			lo = append(lo, s)
+		}
 	}
+	return f.add(name+"/low", hmean(lo), improvement), f.add(name+"/high", hmean(hi), improvement),
+		f.add(name+"/all", hmean(append(lo, hi...)), improvement)
 }
 
-// hmeans renders the low-sharing, high-sharing and overall improvements.
-func (c *byClass) hmeans() (low, high, all string) {
-	return hmean(c.low), hmean(c.high), hmean(append(append([]float64{}, c.low...), c.high...))
+// group adds label's class improvements as one line.
+func (f *figure) group(label string, v *view, cand, base int) {
+	low, high, all := f.classes(strings.Join(strings.Fields(label), " "), v, cand, base)
+	f.line("%s: low-sharing %s  high-sharing %s  all %s\n", label, low, high, all)
 }
 
-// groupSummary renders Low/High/All harmonic-mean improvements.
-func groupSummary(b *strings.Builder, label string, c *byClass) {
-	low, high, all := c.hmeans()
-	fmt.Fprintf(b, "%s: low-sharing %s  high-sharing %s  all %s\n", label, low, high, all)
+func (f *figure) String() string {
+	var b strings.Builder
+	if f.table != nil {
+		b.WriteString(f.table.String())
+	}
+	if f.chart != nil {
+		b.WriteByte('\n')
+		b.WriteString(f.chart.String())
+	}
+	for _, l := range f.lines {
+		fmt.Fprintf(&b, l.format, l.args...)
+	}
+	return b.String()
+}
+
+// speedup returns base/cand, the cycle ratio of cand over base.
+func speedup(cand, base *nuba.Result) float64 {
+	if cand.Stats.Cycles == 0 {
+		return 1
+	}
+	return float64(base.Stats.Cycles) / float64(cand.Stats.Cycles)
+}
+
+// speedups returns each benchmark's speedup of configuration cand over base.
+func (v *view) speedups(cand, base int) []float64 {
+	out := make([]float64, len(v.res))
+	for i, row := range v.res {
+		out[i] = speedup(row[cand], row[base])
+	}
+	return out
+}
+
+// hmean returns the paper-style harmonic-mean improvement, in percent, of
+// per-benchmark multiplicative speedups, or NaN for none.
+func hmean(speedups []float64) float64 {
+	if len(speedups) == 0 {
+		return math.NaN()
+	}
+	return (metrics.HarmonicMeanSpeedup(speedups) - 1) * 100
 }
 
 func class(b workload.Benchmark) string {
@@ -238,7 +308,7 @@ func class(b workload.Benchmark) string {
 	return "low"
 }
 
-func pct(x float64) string { return fmt.Sprintf("%+.1f%%", x) }
-func f3(x float64) string  { return fmt.Sprintf("%.3f", x) }
-func f2(x float64) string  { return fmt.Sprintf("%.2f", x) }
-func mbs(x float64) string { return fmt.Sprintf("%.2f MB", x) }
+// gain prints a speedup as a signed improvement percentage.
+func gain(ratio float64) string { return fmt.Sprintf(improvement, (ratio-1)*100) }
+func f3(x float64) string       { return fmt.Sprintf("%.3f", x) }
+func f2(x float64) string       { return fmt.Sprintf("%.2f", x) }
