@@ -24,22 +24,33 @@ const (
 	WriteBack
 )
 
+// A line is 16 B. Its key is the line address with the flags in the
+// offset bits, which every line address has zero: no tag can overlap them,
+// and a hit test is one compare per way.
 type line struct {
-	tag     uint64 // line address (addr >> lineShift)
-	valid   bool
-	dirty   bool
-	replica bool // holds a replicated copy of a remote line (NUBA/MDR)
+	key     uint64
 	lastUse int64
 }
+
+// The flags of line.key; the last constant does not compile unless they
+// fit in the offset bits.
+const (
+	valid   uint64 = 1 << iota
+	dirty          // modified since the fill (write-back only)
+	replica        // a replicated copy of a remote line (NUBA/MDR)
+	_       = sim.LineSize - replica<<1
+)
+
+// hit reports whether l holds line address tag.
+func (l *line) hit(tag uint64) bool { return l.key&^(dirty|replica) == tag|valid }
 
 // Cache is a single-ported set-associative cache. It tracks only tags and
 // metadata — the simulator never models data contents.
 type Cache struct {
-	sets      int
-	ways      int
-	lineShift uint
-	policy    Policy
-	lines     []line
+	sets   int
+	ways   int
+	policy Policy
+	lines  []line
 
 	// Accesses, Hits, Misses, Evictions and Writebacks are cumulative
 	// counters maintained by Access/Insert.
@@ -58,18 +69,15 @@ func New(sets, ways int, policy Policy) *Cache {
 	}
 	c := &Cache{sets: sets, ways: ways, policy: policy}
 	c.lines = make([]line, sets*ways)
-	for s := sim.LineSize; s > 1; s >>= 1 {
-		c.lineShift++
-	}
 	return c
 }
 
 // LineAddr returns the line-aligned address of addr.
-func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift << c.lineShift }
+func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ (sim.LineSize - 1) }
 
 // SetIndex returns the set addr maps to.
 func (c *Cache) SetIndex(addr uint64) int {
-	return int((addr >> c.lineShift) % uint64(c.sets))
+	return int(addr / sim.LineSize % uint64(c.sets))
 }
 
 func (c *Cache) set(addr uint64) []line {
@@ -87,17 +95,17 @@ func (c *Cache) set(addr uint64) []line {
 // Access never allocates; use Insert when the fill returns.
 func (c *Cache) Access(addr uint64, write bool, now int64) (hit bool) {
 	c.Accesses++
-	tag := addr >> c.lineShift
+	tag := c.LineAddr(addr)
 	set := c.set(addr)
 	for i := range set {
 		l := &set[i]
-		if l.valid && l.tag == tag {
+		if l.hit(tag) {
 			c.Hits++
 			if write {
 				if c.policy == WriteThrough {
-					l.valid = false // write-no-allocate: drop stale copy
+					l.key &^= valid // write-no-allocate: drop stale copy
 				} else {
-					l.dirty = true
+					l.key |= dirty
 					l.lastUse = now
 				}
 			} else {
@@ -113,9 +121,9 @@ func (c *Cache) Access(addr uint64, write bool, now int64) (hit bool) {
 // Probe reports whether addr is present without touching LRU state or
 // counters. Used by coherence checks and tests.
 func (c *Cache) Probe(addr uint64) bool {
-	tag := addr >> c.lineShift
+	tag := c.LineAddr(addr)
 	for _, l := range c.set(addr) {
-		if l.valid && l.tag == tag {
+		if l.hit(tag) {
 			return true
 		}
 	}
@@ -123,18 +131,24 @@ func (c *Cache) Probe(addr uint64) bool {
 }
 
 // Insert fills the line containing addr, evicting the LRU way if needed.
-// dirty marks the fill as modified (write-allocate); replica marks it as a
-// replicated remote line. It returns the evicted line address and whether
-// that eviction requires a writeback.
-func (c *Cache) Insert(addr uint64, dirty, replica bool, now int64) (victim uint64, writeback bool) {
-	tag := addr >> c.lineShift
+// isDirty marks the fill as modified (write-allocate); isReplica marks it
+// as a replicated remote line. It returns the evicted line address and
+// whether that eviction requires a writeback.
+func (c *Cache) Insert(addr uint64, isDirty, isReplica bool, now int64) (victim uint64, writeback bool) {
+	tag := c.LineAddr(addr)
+	flags := valid
+	if isDirty {
+		flags |= dirty
+	}
+	if isReplica {
+		flags |= replica
+	}
 	set := c.set(addr)
 	// Refill of a line that raced in already: just update.
 	for i := range set {
 		l := &set[i]
-		if l.valid && l.tag == tag {
-			l.dirty = l.dirty || dirty
-			l.replica = replica
+		if l.hit(tag) {
+			l.key = l.key&^replica | flags
 			l.lastUse = now
 			return 0, false
 		}
@@ -142,7 +156,7 @@ func (c *Cache) Insert(addr uint64, dirty, replica bool, now int64) (victim uint
 	vi := 0
 	for i := range set {
 		l := &set[i]
-		if !l.valid {
+		if l.key&valid == 0 {
 			vi = i
 			break
 		}
@@ -151,50 +165,54 @@ func (c *Cache) Insert(addr uint64, dirty, replica bool, now int64) (victim uint
 		}
 	}
 	v := &set[vi]
-	if v.valid {
+	if v.key&valid != 0 {
 		c.Evictions++
-		victim = v.tag << c.lineShift
-		if v.dirty && c.policy == WriteBack {
+		victim = c.LineAddr(v.key)
+		if v.key&dirty != 0 && c.policy == WriteBack {
 			c.Writebacks++
 			writeback = true
 		}
 	}
-	*v = line{tag: tag, valid: true, dirty: dirty, replica: replica, lastUse: now}
+	*v = line{key: tag | flags, lastUse: now}
 	return victim, writeback
 }
 
 // Invalidate drops the line containing addr if present and reports whether
 // it was found; wasDirty additionally reports whether it held dirty data.
 func (c *Cache) Invalidate(addr uint64) (found, wasDirty bool) {
-	tag := addr >> c.lineShift
+	tag := c.LineAddr(addr)
 	set := c.set(addr)
 	for i := range set {
 		l := &set[i]
-		if l.valid && l.tag == tag {
-			l.valid = false
-			return true, l.dirty
+		if l.hit(tag) {
+			l.key &^= valid
+			return true, l.key&dirty != 0
 		}
 	}
 	return false, false
 }
 
-// InvalidateAll flushes the whole cache (the software-coherence flush at
-// synchronization and kernel boundaries) and returns the dirty line
-// addresses that a write-back cache must write downstream, in dirtyLines'
-// storage: a caller that passes back what the last flush returned
-// allocates only when a flush finds more dirty lines than any before.
-func (c *Cache) InvalidateAll(dirtyLines []uint64) []uint64 {
-	dirtyLines = dirtyLines[:0]
+// DirtyLines counts the lines that InvalidateAll would hand to writeback.
+func (c *Cache) DirtyLines() (n int) {
 	for i := range c.lines {
-		l := &c.lines[i]
-		if l.valid {
-			if l.dirty && c.policy == WriteBack {
-				dirtyLines = append(dirtyLines, l.tag<<c.lineShift)
-			}
-			l.valid = false
+		if c.lines[i].key&(valid|dirty) == valid|dirty && c.policy == WriteBack {
+			n++
 		}
 	}
-	return dirtyLines
+	return n
+}
+
+// InvalidateAll flushes the whole cache (the software-coherence flush at
+// synchronization and kernel boundaries) and hands each dirty line address
+// that a write-back cache must write downstream to writeback, in set order.
+func (c *Cache) InvalidateAll(writeback func(line uint64)) {
+	for i := range c.lines {
+		l := &c.lines[i]
+		if l.key&(valid|dirty) == valid|dirty && c.policy == WriteBack {
+			writeback(c.LineAddr(l.key))
+		}
+		l.key &^= valid
+	}
 }
 
 // InvalidateReplicas drops all replica lines (used when MDR turns
@@ -204,8 +222,8 @@ func (c *Cache) InvalidateReplicas() int {
 	n := 0
 	for i := range c.lines {
 		l := &c.lines[i]
-		if l.valid && l.replica {
-			l.valid = false
+		if l.key&(valid|replica) == valid|replica {
+			l.key &^= valid
 			n++
 		}
 	}
@@ -216,7 +234,7 @@ func (c *Cache) InvalidateReplicas() int {
 func (c *Cache) Occupancy() float64 {
 	n := 0
 	for i := range c.lines {
-		if c.lines[i].valid {
+		if c.lines[i].key&valid != 0 {
 			n++
 		}
 	}

@@ -52,7 +52,7 @@ func FuzzMSHRFile(f *testing.F) {
 			want, exists := model[line]
 			switch op >> 5 {
 			case 0, 1: // Allocate
-				req := reqs.Get(sim.MemReq{ID: uint64(step)})
+				req := reqs.Get(sim.MemReq{ID: uint32(step)})
 				e, merged, ok := m.Allocate(line, req, now)
 				switch {
 				case exists:

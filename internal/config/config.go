@@ -7,6 +7,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"github.com/nuba-gpu/nuba/internal/sim"
@@ -529,6 +530,9 @@ func (c *Config) Validate() error {
 	case c.NumSMs <= 0 || c.NumLLCSlices <= 0 || c.NumChannels <= 0:
 		return fmt.Errorf("config: SMs/slices/channels must be positive (%d/%d/%d)",
 			c.NumSMs, c.NumLLCSlices, c.NumChannels)
+	case max(c.NumSMs, c.NumLLCSlices, c.NumChannels, c.WarpsPerSM) > math.MaxInt16:
+		return fmt.Errorf("config: NumSMs %d, NumLLCSlices %d, NumChannels %d and WarpsPerSM %d must each be at most %d (a request carries their indices as int16)",
+			c.NumSMs, c.NumLLCSlices, c.NumChannels, c.WarpsPerSM, math.MaxInt16)
 	case c.NumSMs%c.NumChannels != 0:
 		return fmt.Errorf("config: %d SMs not divisible across %d partitions", c.NumSMs, c.NumChannels)
 	case c.NumLLCSlices%c.NumChannels != 0:

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -225,7 +226,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 // TestValidateBoundsFixedCapacityStructures covers the sizes the memory
 // path's fixed-capacity structures are built from: each bad value used to
 // be a panic deep in a run (or, for the queue depth and the bank mask, a
-// silently different scheduler) and must be a named error instead.
+// silently different scheduler; for the int16 indices a request carries,
+// a silently wrapped index) and must be a named error instead.
 func TestValidateBoundsFixedCapacityStructures(t *testing.T) {
 	cases := []struct {
 		name string
@@ -254,6 +256,13 @@ func TestValidateBoundsFixedCapacityStructures(t *testing.T) {
 		{"64 warps each", func(c *Config) { c.WarpsPerSM = 2 * MaxWarpsPerScheduler }, ""},
 		{"65 warps on one scheduler", func(c *Config) { c.WarpsPerSM = 2*MaxWarpsPerScheduler + 1 }, "64-bit mask"},
 		{"one scheduler, 65 warps", func(c *Config) { c.WarpsPerSM, c.SchedulersPerSM = 65, 1 }, "64-bit mask"},
+		{"largest int16 indices", func(c *Config) {
+			c.NumSMs, c.NumLLCSlices, c.NumChannels = math.MaxInt16, math.MaxInt16, math.MaxInt16
+		}, ""},
+		{"32768 SMs", func(c *Config) { c.NumSMs = math.MaxInt16 + 1 }, "NumSMs 32768"},
+		{"32768 slices", func(c *Config) { c.NumLLCSlices = math.MaxInt16 + 1 }, "NumLLCSlices 32768"},
+		{"32768 channels", func(c *Config) { c.NumChannels = math.MaxInt16 + 1 }, "NumChannels 32768"},
+		{"32768 warps", func(c *Config) { c.WarpsPerSM, c.SchedulersPerSM = math.MaxInt16+1, 512 }, "WarpsPerSM 32768"},
 	}
 	for _, tc := range cases {
 		c := Baseline()

@@ -70,13 +70,14 @@ func (g *GPU) nubaSend(smID, part int) func(*sim.MemReq, sim.Cycle) bool {
 			// cycle after its own head moves.
 			return g.tellSM(smID, g.smReq.RetryAt(smID, now, aheadOfFabric))
 		}
-		req.Channel, req.Slice = g.mapper.Home(req.Addr)
+		ch, sl := g.mapper.Home(req.Addr)
+		req.Channel, req.Slice = int16(ch), int16(sl)
 		local := g.slices[req.Slice].Part == part
 		if !local && req.ReadOnly && req.Kind == sim.Load && g.replicating() {
-			req.ReplicaSlice = g.partitionSlice(part, req.Addr)
+			req.ReplicaSlice = int16(g.partitionSlice(part, req.Addr))
 		}
 		if g.mdrProf != nil {
-			g.mdrProf.Observe(req, req.Slice, local, g.partitionSlice(part, req.Addr), now)
+			g.mdrProf.Observe(req, int(req.Slice), local, g.partitionSlice(part, req.Addr), now)
 		}
 		g.recordPlacementAccess(req, part)
 		return g.smReq.Send(smID, now, req, sim.MessageBytes(req, false))
@@ -93,7 +94,7 @@ func (g *GPU) acceptSMRequest(smID int, req *sim.MemReq, now sim.Cycle) sim.Cycl
 	case g.slices[req.Slice].Part == part:
 		g.slices[req.Slice].EnqueueLocal(req)
 	default:
-		return g.nubaInjectNoC(g.partitionSlice(part, req.Addr), req.Slice, req, false, now, aheadOfFabric)
+		return g.nubaInjectNoC(g.partitionSlice(part, req.Addr), int(req.Slice), req, false, now, aheadOfFabric)
 	}
 	return sim.Accepted // the LMR queue is elastic
 }
@@ -123,8 +124,8 @@ func (g *GPU) nubaSliceReply(sliceID, part int) func(*sim.MemReq, sim.Cycle) boo
 	return func(req *sim.MemReq, now sim.Cycle) bool {
 		// Home slice answering a forwarded replica miss: return the line
 		// to the replica slice.
-		if req.ReplicaSlice >= 0 && req.ReplicaSlice != sliceID {
-			return g.tellSlice(sliceID, g.nubaInjectNoC(sliceID, req.ReplicaSlice, req, true, now, behindFabric))
+		if req.ReplicaSlice >= 0 && int(req.ReplicaSlice) != sliceID {
+			return g.tellSlice(sliceID, g.nubaInjectNoC(sliceID, int(req.ReplicaSlice), req, true, now, behindFabric))
 		}
 		rp := g.sms[req.SM].Part
 		if rp == part {
@@ -137,14 +138,14 @@ func (g *GPU) nubaSliceReply(sliceID, part int) func(*sim.MemReq, sim.Cycle) boo
 // nubaForward sends a replica-slice miss to the line's home slice.
 func (g *GPU) nubaForward(sliceID int) func(*sim.MemReq, sim.Cycle) bool {
 	return func(req *sim.MemReq, now sim.Cycle) bool {
-		return g.tellSlice(sliceID, g.nubaInjectNoC(sliceID, req.Slice, req, false, now, behindFabric))
+		return g.tellSlice(sliceID, g.nubaInjectNoC(sliceID, int(req.Slice), req, false, now, behindFabric))
 	}
 }
 
 // nubaAcceptReply consumes a reply leaving the NoC at a slice: the fill
 // of a replica miss, or a pass-through toward a local SM.
 func (g *GPU) nubaAcceptReply(sliceID int, req *sim.MemReq, now sim.Cycle) sim.Cycle {
-	if req.ReplicaSlice == sliceID && req.Slice != sliceID {
+	if int(req.ReplicaSlice) == sliceID && int(req.Slice) != sliceID {
 		g.slices[sliceID].AcceptReplicaFill(req, now)
 		return sim.Accepted
 	}

@@ -22,7 +22,7 @@ func (g *GPU) buildUBA() {
 // ubaSliceReply returns replies over the crossbar toward the SM.
 func (g *GPU) ubaSliceReply(sliceID int) func(*sim.MemReq, sim.Cycle) bool {
 	return func(req *sim.MemReq, now sim.Cycle) bool {
-		return g.tellSlice(sliceID, g.cross(sliceID, g.slicesPerMod, req.SM, g.smsPerMod, req, true, now, behindFabric))
+		return g.tellSlice(sliceID, g.cross(sliceID, g.slicesPerMod, int(req.SM), g.smsPerMod, req, true, now, behindFabric))
 	}
 }
 
@@ -46,9 +46,10 @@ func (g *GPU) buildUBAMem() {
 // link) to the home slice.
 func (g *GPU) ubaMemSend(smID int) func(*sim.MemReq, sim.Cycle) bool {
 	return func(req *sim.MemReq, now sim.Cycle) bool {
-		req.Channel, req.Slice = g.mapper.Home(req.Addr)
+		ch, sl := g.mapper.Home(req.Addr)
+		req.Channel, req.Slice = int16(ch), int16(sl)
 		req.Remote = true // every UBA L1 miss traverses the NoC
-		if retry := g.cross(smID, g.smsPerMod, req.Slice, g.slicesPerMod, req, false, now, aheadOfFabric); retry != sim.Accepted {
+		if retry := g.cross(smID, g.smsPerMod, int(req.Slice), g.slicesPerMod, req, false, now, aheadOfFabric); retry != sim.Accepted {
 			return g.tellSM(smID, retry)
 		}
 		g.recordPlacementAccess(req, g.sms[smID].Part)
@@ -102,16 +103,16 @@ func (g *GPU) mirrorSlice(slice int) int {
 // stores, emits the cross-half coherence invalidation.
 func (g *GPU) smSideSend(smID int) func(*sim.MemReq, sim.Cycle) bool {
 	return func(req *sim.MemReq, now sim.Cycle) bool {
-		req.Slice = g.smSideSlice(smID, req.Addr)
-		req.Channel = g.mapper.Channel(req.Addr)
+		req.Slice = int16(g.smSideSlice(smID, req.Addr))
+		req.Channel = int16(g.mapper.Channel(req.Addr))
 		req.Remote = true
-		if retry := g.cross(smID, g.smsPerMod, req.Slice, g.slicesPerMod, req, false, now, aheadOfFabric); retry != sim.Accepted {
+		if retry := g.cross(smID, g.smsPerMod, int(req.Slice), g.slicesPerMod, req, false, now, aheadOfFabric); retry != sim.Accepted {
 			return g.tellSM(smID, retry) // the slice is in the SM's half: always the half's crossbar
 		}
 		if req.IsWrite() {
 			g.invalQueue.Push(g.reqs.Get(sim.MemReq{
 				Kind: sim.Store, Addr: req.Addr, Size: 0, SM: -1, DstReg: -1,
-				Slice: g.mirrorSlice(req.Slice), Channel: -1, ReplicaSlice: -1, Inval: true,
+				Slice: int16(g.mirrorSlice(int(req.Slice))), Channel: -1, ReplicaSlice: -1, Inval: true,
 			}))
 		}
 		g.recordPlacementAccess(req, g.sms[smID].Part)
@@ -127,8 +128,8 @@ func (g *GPU) drainInvalQueue(now sim.Cycle) {
 		if !ok {
 			return
 		}
-		half := g.moduleOfSlice(inv.Slice)
-		if g.sendInter(1-half, half, noc.Msg{Req: inv, Dst: inv.Slice, Bytes: sim.ReqBytes, Inval: true}, now, aheadOfFabric) != sim.Accepted {
+		half := g.moduleOfSlice(int(inv.Slice))
+		if g.sendInter(1-half, half, noc.Msg{Req: inv, Dst: int(inv.Slice), Bytes: sim.ReqBytes, Inval: true}, now, aheadOfFabric) != sim.Accepted {
 			return
 		}
 		g.stats.CoherenceTraffic += sim.ReqBytes
@@ -140,11 +141,11 @@ func (g *GPU) drainInvalQueue(now sim.Cycle) {
 // over the inter-half link when the channel sits in the other half.
 func (g *GPU) smSideMiss(req *sim.MemReq, now sim.Cycle) bool {
 	ch := g.homeChannel(req)
-	srcHalf := g.moduleOfSlice(req.Slice)
+	srcHalf := g.moduleOfSlice(int(req.Slice))
 	if g.moduleOfChannel(ch) == srcHalf {
-		return g.tellSlice(req.Slice, g.enqueue(ch, req, now))
+		return g.tellSlice(int(req.Slice), g.enqueue(ch, req, now))
 	}
-	return g.tellSlice(req.Slice, g.sendInter(srcHalf, 1-srcHalf, noc.Msg{Req: req, Dst: ch, Bytes: sim.MessageBytes(req, false)}, now, behindFabric))
+	return g.tellSlice(int(req.Slice), g.sendInter(srcHalf, 1-srcHalf, noc.Msg{Req: req, Dst: ch, Bytes: sim.MessageBytes(req, false)}, now, behindFabric))
 }
 
 // smSideRespond routes a finished DRAM read back to the slice that
@@ -155,12 +156,12 @@ func (g *GPU) smSideRespond(req *sim.MemReq) {
 		return
 	}
 	now := g.cycle
-	chHalf := g.moduleOfChannel(req.Channel)
-	if chHalf == g.moduleOfSlice(req.Slice) {
+	chHalf := g.moduleOfChannel(int(req.Channel))
+	if chHalf == g.moduleOfSlice(int(req.Slice)) {
 		g.slices[req.Slice].AcceptFill(req, now)
 		return
 	}
-	if g.sendInter(chHalf, 1-chHalf, noc.Msg{Req: req, Dst: req.Slice, Bytes: sim.MessageBytes(req, true), Reply: true}, now, behindFabric) != sim.Accepted {
+	if g.sendInter(chHalf, 1-chHalf, noc.Msg{Req: req, Dst: int(req.Slice), Bytes: sim.MessageBytes(req, true), Reply: true}, now, behindFabric) != sim.Accepted {
 		g.migFillRetry = append(g.migFillRetry, req)
 	}
 }

@@ -93,7 +93,7 @@ func (g *GPU) shootdown(vpn uint64) {
 func (g *GPU) chargePageCopy(src, dst uint64) {
 	from, to := g.mapper.FrameToAddr(src), g.mapper.FrameToAddr(dst)
 	// A page lives in one channel.
-	fromCh, toCh := g.mapper.Channel(from), g.mapper.Channel(to)
+	fromCh, toCh := int16(g.mapper.Channel(from)), int16(g.mapper.Channel(to))
 	lines := int(g.cfg.PageSize) / sim.LineSize
 	for i := 0; i < lines; i++ {
 		off := uint64(i * sim.LineSize)
@@ -149,14 +149,14 @@ func (g *GPU) storeDone(req *sim.MemReq, now sim.Cycle) {
 // undecoded (-1) and is decoded here, the first time it is offered.
 func (g *GPU) homeChannel(req *sim.MemReq) int {
 	if req.Channel < 0 {
-		req.Channel = g.mapper.Channel(req.Addr)
+		req.Channel = int16(g.mapper.Channel(req.Addr))
 	}
-	return req.Channel
+	return int(req.Channel)
 }
 
 // sliceMiss issues an LLC miss or writeback to the owning channel.
 func (g *GPU) sliceMiss(req *sim.MemReq, now sim.Cycle) bool {
-	return g.tellSlice(req.Slice, g.enqueue(g.homeChannel(req), req, now))
+	return g.tellSlice(int(req.Slice), g.enqueue(g.homeChannel(req), req, now))
 }
 
 // enqueue offers req to channel ch on behalf of a sender that runs ahead

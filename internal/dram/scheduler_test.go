@@ -32,7 +32,7 @@ func viewNew(c *Channel) string {
 		}
 	}
 	sort.Slice(queue, func(i, j int) bool { return queue[i].seq < queue[j].seq })
-	bySeq := map[uint64]uint64{}
+	bySeq := map[uint64]uint32{}
 	for _, e := range queue {
 		s += fmt.Sprintf("%d ", e.req.ID)
 		bySeq[e.seq] = e.req.ID
@@ -40,7 +40,7 @@ func viewNew(c *Channel) string {
 	s += "] banks="
 	for i := range c.banks {
 		b := &c.banks[i]
-		opener := uint64(0)
+		opener := uint32(0)
 		if b.openedFor != 0 {
 			opener = bySeq[b.openedFor]
 		}
@@ -60,7 +60,7 @@ func viewRef(c *refChannel) string {
 	s += "] banks="
 	for i := range c.banks {
 		b := &c.banks[i]
-		opener := uint64(0)
+		opener := uint32(0)
 		if b.openedFor != nil {
 			opener = b.openedFor.ID
 		}
@@ -160,7 +160,7 @@ func diffRun(t *testing.T, st stream, seed uint64, cycles int64) {
 	ref.Respond = func(r *sim.MemReq) { refDone = append(refDone, fmt.Sprintf("%d@%d", r.ID, now)) }
 
 	rng := sim.NewRNG(seed*0x9e3779b97f4a7c15 + uint64(len(st.name)))
-	id := uint64(0)
+	id := uint32(0)
 	for now = 1; now <= cycles; now++ {
 		// Both queues hold the same requests, so they refuse together.
 		for rng.Uint64()%100 < st.offerPct {

@@ -21,11 +21,10 @@ type Event struct {
 	// Bench and Config identify the run.
 	Bench  string
 	Config string
-	// Cycles, IPC and LocalFrac summarize a finished run; a failed one
-	// leaves them zero.
-	Cycles    int64
-	IPC       float64
-	LocalFrac float64
+	// Cycles and IPC summarize a finished run; a failed one leaves them
+	// zero.
+	Cycles int64
+	IPC    float64
 	// Err is the error text of a failed run, empty for a finished one.
 	Err string
 	// Done counts simulated jobs, failed ones included; Total the jobs
@@ -60,7 +59,7 @@ func (r *Runner) emitLocked(cfgName, abbr string, res *nuba.Result, err error) {
 	if err != nil {
 		ev.Err = err.Error()
 	} else {
-		ev.Cycles, ev.IPC, ev.LocalFrac = res.Stats.Cycles, res.Stats.IPC(), res.Stats.LocalFraction()
+		ev.Cycles, ev.IPC = res.Stats.Cycles, res.Stats.IPC()
 	}
 	if r.planned > r.done && r.done > 0 {
 		ev.Remaining = time.Duration(float64(ev.Elapsed) / float64(r.done) * float64(r.planned-r.done))

@@ -48,9 +48,8 @@ type Slice struct {
 	cfg   *config.Config
 	stats *metrics.Stats
 
-	tags  *cache.Cache
-	mshr  *cache.MSHRFile
-	dirty []uint64 // the last flush's dirty lines, storage for the next
+	tags *cache.Cache
+	mshr *cache.MSHRFile
 
 	lmr *sim.Queue[*sim.MemReq]
 	rmr *sim.Queue[*sim.MemReq]
@@ -208,10 +207,10 @@ func (s *Slice) StateSig() uint64 {
 // caller draining the outbox.
 func (s *Slice) Flush(now sim.Cycle) {
 	s.wake()
-	s.dirty = s.tags.InvalidateAll(s.dirty)
-	for _, line := range s.dirty {
+	s.outbox.Reserve(s.tags.DirtyLines())
+	s.tags.InvalidateAll(func(line uint64) {
 		s.outbox.Push(completion{ready: now, kind: outToMem, req: s.newWriteback(line)})
-	}
+	})
 }
 
 // DropReplicas invalidates replica lines (MDR turning off, or kernel
@@ -315,7 +314,7 @@ func (s *Slice) arbitrate(now sim.Cycle) {
 // onReplicaPath reports whether req is at this slice as its replica
 // slice, not its home: a miss here is forwarded to req.Slice.
 func (s *Slice) onReplicaPath(req *sim.MemReq) bool {
-	return req.ReplicaSlice == s.ID && req.Slice != s.ID
+	return int(req.ReplicaSlice) == s.ID && int(req.Slice) != s.ID
 }
 
 // process runs one request through the tag array. It returns false only
@@ -403,7 +402,7 @@ func (s *Slice) install(addr uint64, dirty, replica bool, now, wbAt sim.Cycle) {
 // has no SM and no reply; the memory controller retires it when the
 // write burst completes.
 func (s *Slice) newWriteback(line uint64) *sim.MemReq {
-	return s.Reqs.Get(sim.MemReq{Kind: sim.Store, Addr: line, Size: sim.LineSize, SM: -1, Slice: s.ID, Channel: -1, ReplicaSlice: -1})
+	return s.Reqs.Get(sim.MemReq{Kind: sim.Store, Addr: line, Size: sim.LineSize, SM: -1, Slice: int16(s.ID), Channel: -1, ReplicaSlice: -1})
 }
 
 // AcceptFill handles data returning from the memory controller (home

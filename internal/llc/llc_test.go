@@ -50,7 +50,7 @@ func (h *harness) run(from, to sim.Cycle) {
 	}
 }
 
-func load(id uint64, addr uint64, sm int) *sim.MemReq {
+func load(id uint32, addr uint64, sm int16) *sim.MemReq {
 	return &sim.MemReq{ID: id, Kind: sim.Load, Addr: addr, SM: sm, Slice: 2, ReplicaSlice: -1}
 }
 
@@ -115,8 +115,8 @@ func TestArbiterAlternatesQueues(t *testing.T) {
 	h := newHarness(t)
 	// Fill both queues; the round-robin arbiter must alternate.
 	for i := 0; i < 4; i++ {
-		h.s.EnqueueLocal(load(uint64(10+i), uint64(0x100000+i*128), 0))
-		h.s.EnqueueRemote(load(uint64(20+i), uint64(0x200000+i*128), 1))
+		h.s.EnqueueLocal(load(uint32(10+i), uint64(0x100000+i*128), 0))
+		h.s.EnqueueRemote(load(uint32(20+i), uint64(0x200000+i*128), 1))
 	}
 	h.run(1, 400)
 	if len(h.misses) != 8 {
@@ -125,7 +125,7 @@ func TestArbiterAlternatesQueues(t *testing.T) {
 	// The first eight misses alternate local/remote by construction:
 	// ids 10,20,11,21,...
 	for i := 0; i < 4; i++ {
-		if h.misses[2*i].ID != uint64(10+i) || h.misses[2*i+1].ID != uint64(20+i) {
+		if h.misses[2*i].ID != uint32(10+i) || h.misses[2*i+1].ID != uint32(20+i) {
 			t.Fatalf("arbitration order broken: %d %d", h.misses[2*i].ID, h.misses[2*i+1].ID)
 		}
 	}
@@ -233,7 +233,7 @@ func TestReplicaPathForwardAndFill(t *testing.T) {
 
 // replicaLoad is a load for a line whose home is slice 9, replicated at the
 // harness's slice 2.
-func replicaLoad(id uint64, addr uint64, sm int) *sim.MemReq {
+func replicaLoad(id uint32, addr uint64, sm int16) *sim.MemReq {
 	return &sim.MemReq{ID: id, Kind: sim.Load, Addr: addr, SM: sm, Slice: 9, ReplicaSlice: 2, ReadOnly: true}
 }
 

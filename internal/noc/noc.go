@@ -31,15 +31,16 @@ const GroupSize = 8
 const MidSpeedup = 3
 
 // Msg is one network message: a memory request or reply en route to the
-// component attached to output port Dst.
+// component attached to output port Dst. Its two flags share the last
+// word, so a Msg is 32 B.
 type Msg struct {
 	Req *sim.MemReq
-	// Reply distinguishes replies (data toward the SM) from requests.
-	Reply bool
 	// Dst is the destination output port.
 	Dst int
 	// Bytes is the on-wire size.
 	Bytes int
+	// Reply distinguishes replies (data toward the SM) from requests.
+	Reply bool
 	// Inval marks SM-side UBA coherence invalidations.
 	Inval bool
 }

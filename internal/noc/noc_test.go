@@ -80,7 +80,7 @@ func TestPerFlowOrdering(t *testing.T) {
 	x := NewCrossbar(64, 64, 16, 64, 64, 64)
 	// Tag messages via the request ID.
 	for i := 0; i < 10; i++ {
-		m := Msg{Req: &sim.MemReq{ID: uint64(i)}, Dst: 40, Bytes: 8}
+		m := Msg{Req: &sim.MemReq{ID: uint32(i)}, Dst: 40, Bytes: 8}
 		ok := false
 		for now := sim.Cycle(i * 10); now < sim.Cycle(i*10+10); now++ {
 			if x.Inject(3, now, m) {
@@ -93,7 +93,7 @@ func TestPerFlowOrdering(t *testing.T) {
 			t.Fatalf("inject %d failed", i)
 		}
 	}
-	var seen []uint64
+	var seen []uint32
 	for now := sim.Cycle(0); now < 500; now++ {
 		x.Tick(now)
 		for {
@@ -108,7 +108,7 @@ func TestPerFlowOrdering(t *testing.T) {
 		t.Fatalf("delivered %d/10", len(seen))
 	}
 	for i, id := range seen {
-		if id != uint64(i) {
+		if id != uint32(i) {
 			t.Fatalf("reordered: %v", seen)
 		}
 	}

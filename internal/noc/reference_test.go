@@ -232,7 +232,7 @@ func checkParks(t *testing.T, x *Crossbar, now sim.Cycle) {
 type delivery struct {
 	cycle sim.Cycle
 	port  int
-	id    uint64
+	id    uint32
 }
 
 // Crossbar against the reference under the same seeded traffic: the same
@@ -261,7 +261,7 @@ func TestCrossbarMatchesReference(t *testing.T) {
 					// The sink's verdict is a function of what it is offered, so
 					// both sides meet the same back-pressure for the same offer.
 					refuses := func(p int, m Msg) bool {
-						return sim.Mix(seed^uint64(now)<<24^uint64(p)<<16^m.Req.ID)%100 < refusePct
+						return sim.Mix(seed^uint64(now)<<24^uint64(p)<<16^uint64(m.Req.ID))%100 < refusePct
 					}
 					sink := func(log *[]delivery) func(int, Msg) bool {
 						return func(p int, m Msg) bool {
@@ -273,7 +273,7 @@ func TestCrossbarMatchesReference(t *testing.T) {
 						}
 					}
 					gotSink, wantSink := sink(&got), sink(&want)
-					var id uint64
+					var id uint32
 					for now = 1; now <= cycles || ref.Pending(); now++ {
 						if now > 20*cycles {
 							t.Fatal("reference never drained")

@@ -36,7 +36,7 @@ func (q *Queue[T]) Push(v T) bool {
 		return false
 	}
 	if q.count == len(q.buf) {
-		q.grow()
+		q.Reserve(q.count) // double
 	}
 	q.buf[(q.head+q.count)%len(q.buf)] = v
 	q.count++
@@ -91,8 +91,13 @@ func (q *Queue[T]) RemoveAt(i int) T {
 	return v
 }
 
-func (q *Queue[T]) grow() {
-	nb := make([]T, 2*len(q.buf))
+// Reserve makes room for n more entries in one allocation of the exact
+// size, so the next n pushes do not grow the buffer.
+func (q *Queue[T]) Reserve(n int) {
+	if q.count+n <= len(q.buf) {
+		return
+	}
+	nb := make([]T, q.count+n)
 	for i := 0; i < q.count; i++ {
 		nb[i] = q.buf[(q.head+i)%len(q.buf)]
 	}

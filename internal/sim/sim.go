@@ -58,43 +58,58 @@ func (k ReqKind) String() string {
 // allocation churn; direction is implied by which queue carries it. Whoever
 // created it retires it to a ReqPool, after which the object is another
 // access's: nothing may hold the pointer past that hand-off.
+//
+// A MemReq is one 64 B host cache line (DESIGN.md §3): the word-sized
+// fields first, then the int16 indices (Config.Validate bounds the machine
+// they index), then the narrow fields.
 type MemReq struct {
-	// ID is a globally unique request identifier, assigned by the SM.
-	ID uint64
-	// Kind is the operation performed.
-	Kind ReqKind
 	// Addr is the physical address of the first byte of the transaction.
 	// Line requests are aligned to the 128 B line size.
 	Addr uint64
 	// VAddr is the virtual address that produced Addr, kept for
 	// sharing-degree accounting and debugging.
 	VAddr uint64
+	// Issue is the cycle at which the request left the SM's L1.
+	Issue Cycle
+
+	// Next links the request into at most one list at a time: its pool's
+	// free list while idle, one MSHR entry's waiter chain while merged.
+	// Read it before handing the request on (DESIGN.md §3).
+	Next *MemReq
+
+	// pool is the free list that handed the request out (nil for one built
+	// with a literal; see ReqPool); idle, the last field, marks it returned.
+	pool *ReqPool
+
+	// ID numbers the request within its issuing SM (SM names the SM).
+	ID uint32
+	// SM is the index of the issuing SM.
+	SM int16
+	// Warp is the issuing hardware warp slot within the SM.
+	Warp int16
+	// Slice is the home LLC slice as determined by the address mapping
+	// policy. For replicated requests this remains the home slice; the
+	// replica slice is carried in ReplicaSlice.
+	Slice int16
+	// Channel is the home memory channel, decoded once where the request
+	// is created or first routed and read by everything that routes
+	// toward memory; -1 until then.
+	Channel int16
+	// ReplicaSlice is the local slice that holds (or will hold) a
+	// replica when the request takes the replication path; -1 otherwise.
+	ReplicaSlice int16
+
+	// Kind is the operation performed.
+	Kind ReqKind
+	// DstReg is the destination register the reply feeds (-1 for stores).
+	DstReg int8
 	// Size is the transaction size in bytes (always the 128 B line size
 	// for global accesses in this model).
-	Size uint32
+	Size uint8
 	// ReadOnly marks requests produced by ld.global.ro instructions,
 	// i.e. loads that the compiler proved touch read-only data within
 	// the kernel. Only these are candidates for MDR replication.
 	ReadOnly bool
-	// SM is the index of the issuing SM.
-	SM int
-	// Warp is the issuing hardware warp slot within the SM.
-	Warp int
-	// DstReg is the destination register the reply feeds (-1 for stores).
-	DstReg int8
-	// Slice is the home LLC slice as determined by the address mapping
-	// policy. For replicated requests this remains the home slice; the
-	// replica slice is carried in ReplicaSlice.
-	Slice int
-	// Channel is the home memory channel, decoded once where the request
-	// is created or first routed and read by everything that routes
-	// toward memory; -1 until then.
-	Channel int
-	// ReplicaSlice is the local slice that holds (or will hold) a
-	// replica when the request takes the replication path; -1 otherwise.
-	ReplicaSlice int
-	// Issue is the cycle at which the request left the SM's L1.
-	Issue Cycle
 	// Remote records whether the request crossed the inter-partition NoC.
 	Remote bool
 	// Replicated records whether the request was serviced through the
@@ -106,16 +121,7 @@ type MemReq struct {
 	// Inval marks an SM-side UBA coherence invalidation: the receiving
 	// slice drops the line and produces no reply.
 	Inval bool
-
-	// Next links the request into at most one list at a time: its pool's
-	// free list while idle, one MSHR entry's waiter chain while merged.
-	// Read it before handing the request on (DESIGN.md §3).
-	Next *MemReq
-
-	// pool is the free list that handed the request out (nil for one
-	// built with a literal); idle marks it returned. See ReqPool.
-	pool *ReqPool
-	idle bool
+	idle  bool
 }
 
 // IsWrite reports whether the request modifies memory.

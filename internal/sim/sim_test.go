@@ -46,6 +46,30 @@ func TestQueueUnbounded(t *testing.T) {
 	}
 }
 
+// TestQueueReserveGrowsOnce: Reserve(n) grows the buffer once, to the
+// exact size, so n pushes after it fit, and wrapped entries keep their order.
+func TestQueueReserveGrowsOnce(t *testing.T) {
+	q := NewQueue[int](0)
+	for i := 0; i < 8; i++ {
+		q.Push(i)
+	}
+	q.Pop()
+	q.Pop()
+	q.Push(8) // wraps around the ring
+	q.Reserve(100)
+	for i := 9; i < 109; i++ {
+		q.Push(i)
+	}
+	if len(q.buf) != 107 {
+		t.Fatalf("buffer of %d slots for 107 entries", len(q.buf))
+	}
+	for i := 2; i < 109; i++ {
+		if v, _ := q.Pop(); v != i {
+			t.Fatalf("order broken at %d: %d", i, v)
+		}
+	}
+}
+
 func TestQueueAtAndRemoveAt(t *testing.T) {
 	q := NewQueue[int](8)
 	// Exercise wraparound: push/pop a few first.

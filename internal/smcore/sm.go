@@ -167,9 +167,8 @@ type SM struct {
 	// mapping exists yet.
 	PageLookup func(vpn uint64, now sim.Cycle) (ppn uint64, busy, ok bool)
 
-	// reqSeq is the SM-local request-id sequence; ids are striped by SM
-	// so they stay unique across the whole GPU without a shared
-	// allocator.
+	// reqSeq counts the requests this SM created; a request's ID is its
+	// low 32 bits.
 	reqSeq uint64
 
 	pageShift uint // log2(cfg.PageSize)
@@ -909,14 +908,14 @@ func (s *SM) newReq(acc *memAccess, line *lineReq, now sim.Cycle) *sim.MemReq {
 	}
 	s.reqSeq++
 	return s.reqs.Get(sim.MemReq{
-		ID:           uint64(s.ID+1)<<40 | s.reqSeq,
+		ID:           uint32(s.reqSeq),
 		Kind:         kind,
 		Addr:         s.l1.LineAddr(line.paddr),
 		VAddr:        line.vaddr,
 		Size:         sim.LineSize,
 		ReadOnly:     acc.ro,
-		SM:           s.ID,
-		Warp:         acc.warp,
+		SM:           int16(s.ID),
+		Warp:         int16(acc.warp),
 		DstReg:       dst,
 		Channel:      -1, // decoded by Send
 		ReplicaSlice: -1,
@@ -952,7 +951,7 @@ func (s *SM) AcceptReply(req *sim.MemReq, now sim.Cycle) {
 		if s.warps[req.Warp].outstanding < 0 {
 			panic(fmt.Sprintf("SM%d warp %d negative outstanding on store id=%d addr=%#x", s.ID, req.Warp, req.ID, req.Addr))
 		}
-		s.maybeRecycle(req.Warp)
+		s.maybeRecycle(int(req.Warp))
 		s.reqs.Put(req)
 		return
 	}
@@ -984,7 +983,7 @@ func (s *SM) finishLoad(req *sim.MemReq, now sim.Cycle) {
 	if s.warps[req.Warp].outstanding < 0 {
 		panic(fmt.Sprintf("SM%d warp %d negative outstanding on load id=%d addr=%#x merged=%v", s.ID, req.Warp, req.ID, req.Addr, req.MergedBehind))
 	}
-	s.completeLine(req.Warp, req.DstReg, now+1, now)
+	s.completeLine(int(req.Warp), req.DstReg, now+1, now)
 	s.reqs.Put(req)
 }
 
