@@ -553,8 +553,10 @@ func (c *Config) Validate() error {
 			c.WarpsPerSM, c.SchedulersPerSM, MaxWarpsPerScheduler)
 	case c.MemClockDiv <= 0:
 		return fmt.Errorf("config: MemClockDiv must be positive")
-	case !(c.CoreClockGHz > 0):
-		return fmt.Errorf("config: CoreClockGHz %g must be positive (bandwidths in GB/s become bytes per core cycle through it)", c.CoreClockGHz)
+	case !positiveFinite(c.CoreClockGHz):
+		return fmt.Errorf("config: CoreClockGHz %g must be positive and finite (bandwidths in GB/s become bytes per core cycle through it)", c.CoreClockGHz)
+	case !positiveFinite(c.NoCBandwidthGBs):
+		return fmt.Errorf("config: NoCBandwidthGBs %g must be positive and finite (it sets the crossbar's port width)", c.NoCBandwidthGBs)
 	case c.MaxCTAsPerSM < 1:
 		return fmt.Errorf("config: MaxCTAsPerSM %d must be positive (an SM that admits no CTA never starts its share of the grid)", c.MaxCTAsPerSM)
 	case c.Arch == UBASMSide && c.NumModules > 1:
@@ -566,6 +568,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: SM-side UBA needs an even number of channels to split into two halves (NumChannels %d)", c.NumChannels)
 	case c.NumModules > 1 && c.NumChannels%c.NumModules != 0:
 		return fmt.Errorf("config: %d channels (with their SMs and slices) not divisible across %d modules", c.NumChannels, c.NumModules)
+	case c.NumModules > 1 && !positiveFinite(c.InterModuleGBs):
+		return fmt.Errorf("config: InterModuleGBs %g must be positive and finite on %d modules (it sets the inter-module links' width)", c.InterModuleGBs, c.NumModules)
 	case c.LABThreshold <= 0 || c.LABThreshold > 1:
 		return fmt.Errorf("config: LAB threshold %.2f out of (0,1]", c.LABThreshold)
 	case c.BanksPerChan < 1 || c.BanksPerChan > MaxBanksPerChan:
@@ -596,6 +600,9 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is a number above zero and below +Inf.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // L1TLBWays is the associativity of every SM's L1 TLB.
 const L1TLBWays = 8

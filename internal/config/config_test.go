@@ -328,6 +328,16 @@ func TestValidateRejectsWhatUsedToPanic(t *testing.T) {
 		{"memory queue too deep to allocate", func(c *Config) { c.MemQueueDepth = 1 << 40 }, "MemQueueDepth 1099511627776"},
 		{"L1 MSHR table too large", func(c *Config) { c.L1MSHRs = maxTableEntries + 1 }, "L1MSHRs 4097"},
 		{"LLC MSHR table too large", func(c *Config) { c.LLCMSHRs = 1 << 40 }, "LLCMSHRs 1099511627776"},
+		// FuzzConfig found the first: a NaN NoC bandwidth gave the crossbar a
+		// negative port width and New panicked. The rest are the same hole, a
+		// bandwidth or clock that is zero, NaN or infinite.
+		{"NaN NoC bandwidth", func(c *Config) { c.NoCBandwidthGBs = math.NaN() }, "NoCBandwidthGBs NaN"},
+		{"infinite NoC bandwidth", func(c *Config) { c.NoCBandwidthGBs = math.Inf(1) }, "NoCBandwidthGBs +Inf"},
+		{"no NoC bandwidth", func(c *Config) { c.NoCBandwidthGBs = 0 }, "NoCBandwidthGBs 0"},
+		{"infinite core clock", func(c *Config) { c.CoreClockGHz = math.Inf(1) }, "CoreClockGHz +Inf"},
+		{"MCM without inter-module bandwidth", func(c *Config) { *c = MCM(NUBA); c.InterModuleGBs = 0 }, "InterModuleGBs 0"},
+		{"MCM with NaN inter-module bandwidth", func(c *Config) { *c = MCM(NUBA); c.InterModuleGBs = math.NaN() }, "InterModuleGBs NaN"},
+		{"a monolithic GPU has no inter-module links", func(c *Config) { c.InterModuleGBs = math.NaN() }, ""},
 	}
 	for _, tc := range cases {
 		c := Baseline()

@@ -221,9 +221,6 @@ func (g *GPU) Stats() *metrics.Stats { return g.stats }
 // Sharing returns the page-sharing histogram (Figure 3 data).
 func (g *GPU) Sharing() *metrics.SharingHistogram { return g.hist }
 
-// Driver exposes the page-placement engine.
-func (g *GPU) Driver() *driver.Driver { return g.drv }
-
 // Config returns the configuration the GPU was built with.
 func (g *GPU) Config() *config.Config { return &g.cfg }
 
