@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint fmt-check docs-check test test-short race sanitize stress fuzz golden experiments bench-smoke bench-check lines check clean
+.PHONY: build vet fmt-check test test-short race sanitize stress fuzz golden experiments bench-smoke bench-check lines check clean
 
 build:
 	$(GO) build ./...
@@ -10,22 +10,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Determinism, layering and liveness invariants over the whole module
-# (DESIGN.md §7; the policy is lint.RepoPolicy in internal/lint/policy.go).
-lint:
-	$(GO) run ./cmd/nubalint
-
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Docs-versus-code drift: flags mentioned in README/docs must exist in
-# cmd/*, quoted `make` targets must exist here, quoted test and Go names
-# must be declared, intra-repo Markdown links must resolve, every `DESIGN.md §N`
-# must be a numbered section and no PLACEHOLDER token may stand in for a
-# table (see cmd/nubadocs).
-docs-check:
-	$(GO) run ./cmd/nubadocs
-
+# Also the repository's self-checks: TestRepoLintsClean holds the module to
+# the determinism, layering and liveness rules (DESIGN.md §7) and TestDocs
+# holds the docs to the code (flags, targets, test and Go names, links,
+# DESIGN.md § pointers, PLACEHOLDER tokens).
 test:
 	$(GO) test ./...
 
@@ -140,7 +131,7 @@ bench-check:
 lines:
 	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -not -path '*/testdata/*' -exec cat {} + | wc -l
 
-check: vet build lint fmt-check docs-check test bench-smoke race sanitize bench-check
+check: vet build fmt-check test bench-smoke race sanitize bench-check
 
 clean:
 	$(GO) clean ./...

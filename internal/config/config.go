@@ -231,7 +231,6 @@ type Config struct {
 	// SM organization.
 	NumSMs          int
 	WarpsPerSM      int
-	WarpSize        int
 	SchedulersPerSM int // dual GTO schedulers in the baseline
 	MaxCTAsPerSM    int
 
@@ -331,7 +330,6 @@ func Baseline() Config {
 
 		NumSMs:          64,
 		WarpsPerSM:      64,
-		WarpSize:        32,
 		SchedulersPerSM: 2,
 		MaxCTAsPerSM:    32,
 
@@ -526,7 +524,23 @@ func (c *Config) L1Sets() int { return c.L1Bytes / (c.L1Ways * sim.LineSize) }
 // Validate checks structural invariants and returns a descriptive error
 // for the first violation found.
 func (c *Config) Validate() error {
+	t := &c.Timing
 	switch {
+	case c.Arch < 0 || int(c.Arch) >= len(archNames):
+		return fmt.Errorf("config: Arch %d out of range (want %s)", c.Arch, ArchUsage())
+	case c.AddressMap < 0 || c.AddressMap > PAE:
+		return fmt.Errorf("config: AddressMap %d out of range (want %s or %s)", c.AddressMap, FixedChannel, PAE)
+	case c.Placement < 0 || int(c.Placement) >= len(placementNames):
+		return fmt.Errorf("config: Placement %d out of range (want %s)", c.Placement, PlacementUsage())
+	case c.Replication < 0 || int(c.Replication) >= len(replicationNames):
+		return fmt.Errorf("config: Replication %d out of range (want %s)", c.Replication, ReplicationUsage())
+	case min(c.L1Latency, c.L1TLBLatency, c.L2TLBLatency, c.PageWalkLatency, c.PageFaultLatency, c.LLCLatency, c.MDREvalDelay) < 0:
+		return fmt.Errorf("config: latencies must not be negative (L1Latency %d, L1TLBLatency %d, L2TLBLatency %d, PageWalkLatency %d, PageFaultLatency %d, LLCLatency %d, MDREvalDelay %d)",
+			c.L1Latency, c.L1TLBLatency, c.L2TLBLatency, c.PageWalkLatency, c.PageFaultLatency, c.LLCLatency, c.MDREvalDelay)
+	case min(t.TRC, t.TRCD, t.TRP, t.TCL, t.TWL, t.TRAS, t.TRRDL, t.TRRDS, t.TFAW, t.TRTP, t.TCCDL, t.TCCDS, t.TWTRL, t.TWTRS, t.TWR) < 0:
+		return fmt.Errorf("config: HBM timings must not be negative (Timing %+v)", *t)
+	case c.MDREpoch < 1:
+		return fmt.Errorf("config: MDREpoch %d must be positive (MDR re-evaluates, and a trace samples by default, once per epoch)", c.MDREpoch)
 	case c.NumSMs <= 0 || c.NumLLCSlices <= 0 || c.NumChannels <= 0:
 		return fmt.Errorf("config: SMs/slices/channels must be positive (%d/%d/%d)",
 			c.NumSMs, c.NumLLCSlices, c.NumChannels)
@@ -543,8 +557,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: cache associativity must be positive (L1Ways %d, LLCWays %d)", c.L1Ways, c.LLCWays)
 	case c.L1Sets() <= 0 || c.LLCSets() <= 0:
 		return fmt.Errorf("config: cache geometry yields no sets (L1 %d, LLC %d)", c.L1Sets(), c.LLCSets())
-	case c.WarpSize <= 0 || c.WarpsPerSM <= 0:
-		return fmt.Errorf("config: warp geometry invalid (%d warps of %d)", c.WarpsPerSM, c.WarpSize)
+	case c.WarpsPerSM <= 0:
+		return fmt.Errorf("config: WarpsPerSM %d must be positive", c.WarpsPerSM)
 	case c.SchedulersPerSM < 1:
 		return fmt.Errorf("config: SchedulersPerSM %d must be positive (warp slots are dealt to schedulers round-robin)",
 			c.SchedulersPerSM)

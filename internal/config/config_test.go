@@ -16,7 +16,7 @@ func TestBaselineMatchesTable1(t *testing.T) {
 	if c.NumSMs != 64 || c.NumLLCSlices != 64 || c.NumChannels != 32 {
 		t.Fatal("SM/slice/channel counts wrong")
 	}
-	if c.WarpsPerSM != 64 || c.WarpSize != 32 || c.SchedulersPerSM != 2 {
+	if c.WarpsPerSM != 64 || c.SchedulersPerSM != 2 {
 		t.Fatal("SM geometry wrong")
 	}
 	if c.L1Bytes != 48*1024 || c.L1Ways != 6 || c.L1Sets() != 64 || c.L1MSHRs != 128 {
@@ -112,7 +112,7 @@ var keptFields = map[string]string{
 	"PageFaultLatency": timing, "LLCLatency": timing, "Timing": timing,
 	"NoCLatency": timing, "LocalLinkLatency": timing, "MDREpoch": timing,
 	"MDREvalDelay": timing, "MigrationInterval": timing,
-	"WarpsPerSM": perSM, "WarpSize": perSM, "SchedulersPerSM": perSM,
+	"WarpsPerSM": perSM, "SchedulersPerSM": perSM,
 	"MaxCTAsPerSM": perSM, "L1Bytes": perSM, "L1Ways": perSM, "L1MSHRs": perSM,
 	"L1TLBEntries":  perSM,
 	"LLCSliceBytes": perSlice, "LLCWays": perSlice, "LLCMSHRs": perSlice,
@@ -211,7 +211,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		mk(func(c *Config) { c.NumSMs = 63 }),
 		mk(func(c *Config) { c.NumLLCSlices = 33 }),
 		mk(func(c *Config) { c.PageSize = 3000 }),
-		mk(func(c *Config) { c.WarpSize = 0 }),
 		mk(func(c *Config) { c.MemClockDiv = 0 }),
 		mk(func(c *Config) { c.LABThreshold = 0 }),
 		mk(func(c *Config) { c.NumModules = 3 }),
@@ -338,6 +337,22 @@ func TestValidateRejectsWhatUsedToPanic(t *testing.T) {
 		{"MCM without inter-module bandwidth", func(c *Config) { *c = MCM(NUBA); c.InterModuleGBs = 0 }, "InterModuleGBs 0"},
 		{"MCM with NaN inter-module bandwidth", func(c *Config) { *c = MCM(NUBA); c.InterModuleGBs = math.NaN() }, "InterModuleGBs NaN"},
 		{"a monolithic GPU has no inter-module links", func(c *Config) { c.InterModuleGBs = math.NaN() }, ""},
+		// These panicked nowhere: an enum out of range, a negative latency
+		// or timing and an epoch below one each ran to the end without a
+		// word. An Arch of 3 ran as the memory-side UBA; an LLCLatency of -5
+		// ran NUBA's two-CTA launch in 1,280 cycles, not 1,792.
+		{"Arch 3", func(c *Config) { c.Arch = 3 }, "Arch 3"},
+		{"Arch -1", func(c *Config) { c.Arch = -1 }, "Arch -1"},
+		{"Placement 9", func(c *Config) { c.Placement = 9 }, "Placement 9"},
+		{"Replication 9", func(c *Config) { c.Replication = 9 }, "Replication 9"},
+		{"AddressMap 9", func(c *Config) { c.AddressMap = 9 }, "AddressMap 9"},
+		{"negative LLC latency", func(c *Config) { *c = c.WithArch(NUBA); c.LLCLatency = -5 }, "LLCLatency -5"},
+		{"negative page walk", func(c *Config) { c.PageWalkLatency = -1 }, "PageWalkLatency -1"},
+		{"negative MDR evaluation", func(c *Config) { c.MDREvalDelay = -1 }, "MDREvalDelay -1"},
+		{"negative HBM timing", func(c *Config) { c.Timing.TRCD = -1 }, "TRCD:-1"},
+		{"zero latencies", func(c *Config) { c.LLCLatency, c.L1Latency, c.Timing.TCL = 0, 0, 0 }, ""},
+		{"no MDR epoch", func(c *Config) { c.MDREpoch = 0 }, "MDREpoch 0"},
+		{"negative MDR epoch", func(c *Config) { *c = c.WithArch(NUBA); c.MDREpoch = -20000 }, "MDREpoch -20000"},
 	}
 	for _, tc := range cases {
 		c := Baseline()

@@ -48,7 +48,6 @@ var fuzzKnobs = []func(*config.Config, int16){
 	func(c *config.Config, v int16) { c.MemClockDiv = fuzzInt(v, 8) },
 	func(c *config.Config, v int16) { c.NumSMs = fuzzInt(v, 32) },
 	func(c *config.Config, v int16) { c.WarpsPerSM = fuzzInt(v, 128) },
-	func(c *config.Config, v int16) { c.WarpSize = fuzzInt(v, 64) },
 	func(c *config.Config, v int16) { c.SchedulersPerSM = fuzzInt(v, 8) },
 	func(c *config.Config, v int16) { c.MaxCTAsPerSM = fuzzInt(v, 64) },
 	func(c *config.Config, v int16) { c.L1Bytes = sim.LineSize * fuzzInt(v, 768) },

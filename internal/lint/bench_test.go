@@ -4,8 +4,8 @@ import "testing"
 
 // BenchmarkNubalint measures a full analyzer pass — every rule over
 // the real module with the real policy — excluding the one-time
-// parse/type-check (Load), which is amortized across rules in the CLI
-// too. This is the `make lint` inner loop; the module-wide use graph is
+// parse/type-check (Load), which every rule shares. This is the inner
+// loop of TestRepoLintsClean; the module-wide use graph is
 // built once per Run and shared by every rule that needs it, so the
 // benchmark catches a rule accidentally rebuilding it.
 func BenchmarkNubalint(b *testing.B) {

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -12,7 +13,8 @@ import (
 //   - config-liveness: every exported field of Policy.Config.Structs
 //     must be read by code in — or transitively called from — its
 //     Readers. A knob that is only written by defaults (or read by
-//     nothing but tests, which nubalint never loads) is a finding.
+//     nothing but tests, which the loader never reads, or by nothing
+//     but an audited struct's own Validate) is a finding.
 //
 //   - metrics-liveness: every exported counter field of
 //     Policy.Metrics.Structs must be written from its Writers (a
@@ -66,20 +68,51 @@ func (c *progCtx) resolveStruct(rule, spec string) *types.Struct {
 	return nil
 }
 
-// auditedFields visits the exported fields of the audit's structs, each
-// with the spec it came from.
-func (c *progCtx) auditedFields(rule string, specs []string, visit func(spec string, f *types.Var)) {
+// auditedStruct is one resolved Audit.Structs entry.
+type auditedStruct struct {
+	spec string
+	st   *types.Struct
+}
+
+// auditedStructs resolves the audit's struct specs in order, dropping
+// the stale ones.
+func (c *progCtx) auditedStructs(rule string, specs []string) []auditedStruct {
+	var out []auditedStruct
 	for _, spec := range specs {
-		st := c.resolveStruct(rule, spec)
-		if st == nil {
-			continue
+		if st := c.resolveStruct(rule, spec); st != nil {
+			out = append(out, auditedStruct{spec, st})
 		}
-		for i := 0; i < st.NumFields(); i++ {
-			if f := st.Field(i); f.Exported() {
-				visit(spec, f)
+	}
+	return out
+}
+
+// visitFields visits the exported fields of the structs, each with the
+// spec it came from.
+func visitFields(structs []auditedStruct, visit func(spec string, f *types.Var)) {
+	for _, a := range structs {
+		for i := 0; i < a.st.NumFields(); i++ {
+			if f := a.st.Field(i); f.Exported() {
+				visit(a.spec, f)
 			}
 		}
 	}
+}
+
+// validates reports whether n is the Validate method of one of the
+// structs.
+func (n *funcNode) validates(structs []auditedStruct) bool {
+	if n.fn == nil || n.fn.Name() != "Validate" {
+		return false
+	}
+	recv := n.fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return slices.ContainsFunc(structs, func(a auditedStruct) bool { return a.st == t.Underlying() })
 }
 
 // --- config-liveness --------------------------------------------------
@@ -89,8 +122,18 @@ func checkConfigLiveness(c *progCtx, a Audit) {
 		return
 	}
 	g := c.useGraph()
+	structs := c.auditedStructs(RuleConfigLive, a.Structs)
 	reach := g.reachableFrom(a.Readers)
-	c.auditedFields(RuleConfigLive, a.Structs, func(spec string, f *types.Var) {
+	// An audited struct's Validate reads each knob it bounds, and the
+	// model calls it, but a knob read there and nowhere else changes no
+	// simulated cycle: that read is no use. What Validate calls stays
+	// reachable.
+	for n := range reach {
+		if n.validates(structs) {
+			delete(reach, n)
+		}
+	}
+	visitFields(structs, func(spec string, f *types.Var) {
 		if !g.hasRead(f, reach) {
 			c.emitPos(f.Pos(), RuleConfigLive,
 				fmt.Sprintf("config knob %s.%s is never read by a simulator package (readers: %s); wire it into the model or delete it",
@@ -108,7 +151,7 @@ func checkMetricsLiveness(c *progCtx, a Audit) {
 	g := c.useGraph()
 	writeReach := g.reachableFrom(a.Writers)
 	readReach := g.reachableFrom(a.Readers)
-	c.auditedFields(RuleMetricsLive, a.Structs, func(spec string, f *types.Var) {
+	visitFields(c.auditedStructs(RuleMetricsLive, a.Structs), func(spec string, f *types.Var) {
 		switch {
 		case !g.hasWrite(f, writeReach):
 			c.emitPos(f.Pos(), RuleMetricsLive,

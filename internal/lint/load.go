@@ -1,5 +1,5 @@
 // Package lint implements nubalint, the repo's stdlib-only static
-// analyzer. It loads and type-checks every package in the module with
+// analyzer, which TestRepoLintsClean runs over the module. It loads and type-checks every package in the module with
 // go/parser + go/types (no x/tools dependency) and holds it to the five
 // rules listed in rules.go under a Policy (policy.go). What the rules
 // are for, and the //nubalint:ignore contract, is DESIGN.md §7.

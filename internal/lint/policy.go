@@ -48,8 +48,8 @@ var modelPkgs = []string{
 	"internal/dram", "internal/smcore", "internal/vm", "internal/driver",
 }
 
-// RepoPolicy is this repository's policy: what `nubalint`, `make lint`
-// and TestRepoLintsClean hold the module to (DESIGN.md §7).
+// RepoPolicy is this repository's policy: what TestRepoLintsClean holds
+// the module to (DESIGN.md §7).
 var RepoPolicy = &Policy{
 	// Leaves first. _test.go files are exempt by construction (the
 	// loader never reads them).
@@ -83,7 +83,6 @@ var RepoPolicy = &Policy{
 
 		// Tooling is outside the simulator DAG entirely.
 		"internal/lint":     nil,
-		"cmd/nubalint":      {"internal/lint"},
 		"internal/hostprof": nil,
 
 		// CLIs and examples reach the simulator only through the public

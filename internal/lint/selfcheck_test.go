@@ -3,8 +3,8 @@ package lint
 import "testing"
 
 // TestRepoLintsClean runs the real analyzer, under RepoPolicy, over the
-// real module — what `go run ./cmd/nubalint` does — with all five rules. The repo
-// must stay finding-free: a new unsorted map range on the report path,
+// real module with all five rules. The repo must stay finding-free: a
+// new unsorted map range on the report path,
 // a stray time.Now in a model package, an import edge outside the DAG
 // (a non-pool import of the fault-injection harness is one), a config
 // knob no simulator package reads or a Stats counter nothing writes or

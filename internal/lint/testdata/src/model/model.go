@@ -7,9 +7,13 @@ import (
 	"example.com/fixture/stats"
 )
 
-// Step consumes the live knobs and bumps the counters. The += on Ticks
-// is a write, not a read: reporting must happen in the report package.
+// Step validates the config, consumes the live knobs and bumps the
+// counters. The += on Ticks is a write, not a read: reporting must
+// happen in the report package.
 func Step(cfg *params.Config, st *stats.Stats) {
+	if cfg.Validate() != nil {
+		return
+	}
 	st.Ticks += int64(cfg.LineBytes / cfg.Derived())
 	st.Unreported++
 }

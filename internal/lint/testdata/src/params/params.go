@@ -16,6 +16,9 @@ type Config struct {
 	// Intentional is deliberately unread; the directive keeps it.
 	//nubalint:ignore config-liveness reserved knob kept to exercise suppression
 	Intentional int
+	// BoundOnly is read only by Validate, which the model calls: a
+	// config-liveness finding, since a bound on a knob is no use of it.
+	BoundOnly int
 }
 
 // Default returns the baseline config. Writing a knob here does not
