@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check test test-short race sanitize stress fuzz golden experiments bench-smoke bench-check lines check clean
+.PHONY: build vet fmt-check test test-short race stress fuzz golden experiments bench-smoke bench-check lines check clean
 
 build:
 	$(GO) build ./...
@@ -14,9 +14,11 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Also the repository's self-checks: TestRepoLintsClean holds the module to
-# the determinism, layering and liveness rules (DESIGN.md §7) and TestDocs
+# the determinism, layering and liveness rules (DESIGN.md §7), TestDocs
 # holds the docs to the code (flags, targets, test and Go names, links,
-# DESIGN.md § pointers, PLACEHOLDER tokens).
+# DESIGN.md § pointers, PLACEHOLDER tokens), and the sanitize rows of
+# TestEnginesByteIdenticalFullRuns run nine benchmarks to completion under
+# the hint-soundness checker (DESIGN.md §9).
 test:
 	$(GO) test ./...
 
@@ -32,38 +34,6 @@ test-short:
 # the detector.
 race:
 	$(GO) test -race -timeout 30m -skip TestEveryExperiment ./internal/experiments/...
-
-# Hint-soundness smoke: a cheap five-benchmark subset to natural
-# completion under the sanitizer engine (every claimed-idle window
-# stepped and verified; see DESIGN.md §9). AN is the LSU-bound one: its
-# SMs spend the run with warps waiting for an LSU entry, the state whose
-# wake hint is "never" rather than "next cycle". SM (Stringmatch) is the
-# fabric's: the other four stay ≥ 97 % local on NUBA, its atomics are 82 %
-# remote, and on the memory-side UBA every miss crosses both crossbars —
-# the flights the crossbar's earliest-arrival hint lets the engine skip.
-# The SM-side UBA is the one layout whose coherence invalidations enter
-# slices through EnqueueLocal/EnqueueRemote off the inter-half links, so
-# the per-component sleep check (DESIGN.md §9 "Sleep deadlines") runs to
-# natural completion on all three builders' doors.
-# The sanitizer also offers every parked head on every stepped cycle and
-# fails the run on one taken before its park ended (DESIGN.md §9 "Parks"),
-# and each benchmark is here for the parks it reaches: AN the LSU's (a full
-# L1 MSHR file, ended by the reply's door) and the slice arbiter's; SM on
-# NUBA the SM send queue's, the SM-request links' and both crossbars' stage
-# 1 and stage 2 (port serialization, full input queues, full middle and
-# egress links), SM on the two UBAs the same crossbar parks with SMs as the
-# injectors; and LBM the one nothing else fills for long — the slice outbox
-# parked on a full channel queue, bounded by the data bus (2.85 M refusals
-# at scale 0.25) — from a NUBA slice beside its channel and, on the
-# memory-side UBA, with the reply crossbar backed up behind it. DWT2D, BH
-# and MVT park little: they are the sleep check's.
-# The full capped suite runs under `go test .` (TestSanitizeSuite).
-sanitize:
-	$(GO) run ./cmd/nubasim -bench DWT2D,BH,MVT,AN,SM -scale 0.125 -engine sanitize
-	$(GO) run ./cmd/nubasim -arch uba -bench SM -scale 0.125 -engine sanitize
-	$(GO) run ./cmd/nubasim -arch sm-side -bench SM -scale 0.125 -engine sanitize
-	$(GO) run ./cmd/nubasim -arch nuba -bench LBM -scale 0.125 -engine sanitize
-	$(GO) run ./cmd/nubasim -arch uba -bench LBM -scale 0.125 -engine sanitize
 
 # The seeded fault-injection stress matrix (docs/ROBUSTNESS.md): every
 # fault class injected into a short run and caught by the layer that
@@ -131,7 +101,7 @@ bench-check:
 lines:
 	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -not -path '*/testdata/*' -exec cat {} + | wc -l
 
-check: vet build fmt-check test bench-smoke race sanitize bench-check
+check: vet build fmt-check test bench-smoke race bench-check
 
 clean:
 	$(GO) clean ./...

@@ -47,7 +47,6 @@ func run() int {
 	traceOn := flag.Bool("trace", false, "emit an NDJSON epoch trace and a Chrome trace (docs/OBSERVABILITY.md)")
 	traceOut := flag.String("trace-out", "trace", "trace output path prefix; writes <prefix>.ndjson and <prefix>.trace.json (multi-benchmark runs insert the benchmark abbreviation)")
 	traceEpoch := flag.Int64("trace-epoch", 0, "trace sampling interval in cycles (0 = the config's MDR epoch)")
-	engineFlag := flag.String("engine", "hybrid", nuba.EngineUsage())
 	flag.Parse()
 	if err := prof.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "nubasim:", err)
@@ -55,13 +54,8 @@ func run() int {
 	}
 	defer prof.Stop()
 
-	engine, err := nuba.ParseEngine(*engineFlag)
-	if err != nil {
+	if err := nuba.CheckScale(*scale); err != nil {
 		fmt.Fprintln(os.Stderr, "nubasim:", err)
-		return 2
-	}
-	if !(*scale > 0) {
-		fmt.Fprintf(os.Stderr, "nubasim: -scale must be positive (got %g)\n", *scale)
 		return 2
 	}
 
@@ -100,19 +94,19 @@ func run() int {
 	tr := traceArgs{on: *traceOn, out: *traceOut, epoch: *traceEpoch}
 	switch {
 	case len(benches) == 1:
-		err = runOne(ctx, cfg, benches[0], tr, engine, *verbose)
+		err = runOne(ctx, cfg, benches[0], tr, *verbose)
 	case tr.on:
 		// A traced suite is a debugging run, not a throughput one: one
 		// benchmark after another, each with its own pair of files.
 		for _, b := range benches {
 			btr := tr
 			btr.out = tr.out + "." + b.Abbr
-			if err = runOne(ctx, cfg, b, btr, engine, false); err != nil {
+			if err = runOne(ctx, cfg, b, btr, false); err != nil {
 				break
 			}
 		}
 	default:
-		opts := experiments.Options{Benchmarks: benches, Jobs: *jobs, Engine: engine}
+		opts := experiments.Options{Benchmarks: benches, Jobs: *jobs}
 		if *verbose {
 			opts.OnEvent = experiments.ProgressPrinter(os.Stderr)
 		}
@@ -188,7 +182,7 @@ func openTrace(prefix string, epoch int64) (*nuba.TraceOptions, []*sink, error) 
 }
 
 // runOne simulates a single benchmark and prints the full statistics.
-func runOne(ctx context.Context, cfg nuba.Config, b nuba.Benchmark, tr traceArgs, engine nuba.Engine, verbose bool) error {
+func runOne(ctx context.Context, cfg nuba.Config, b nuba.Benchmark, tr traceArgs, verbose bool) error {
 	fmt.Printf("running %s (%s) on %s...\n", b.Abbr, b.Name, cfg.Name())
 	var topts *nuba.TraceOptions
 	var sinks []*sink
@@ -199,7 +193,7 @@ func runOne(ctx context.Context, cfg nuba.Config, b nuba.Benchmark, tr traceArgs
 			return err
 		}
 	}
-	res, err := nuba.Run(ctx, cfg, b, nuba.WithTrace(topts), nuba.WithEngine(engine))
+	res, err := nuba.Run(ctx, cfg, b, nuba.WithTrace(topts))
 	for _, s := range sinks {
 		if cerr := s.Close(); cerr != nil && err == nil {
 			err = cerr

@@ -18,7 +18,7 @@ import (
 // TestMultiBenchmarkMode is the CLI smoke test of the batch front door:
 // the binary is built once and run on two clean batches, with the policy
 // names its own tables print, on a benchmark that does not exist, with the
-// retired -watchdog flag, on a scale that is not a GPU and on two that are
+// retired -watchdog flag, on scales that are not a GPU and on one that is
 // not an SM-side UBA. A batch with a failed job is TestBatchWithAHangingJob.
 func TestMultiBenchmarkMode(t *testing.T) {
 	if testing.Short() {
@@ -86,21 +86,25 @@ func TestMultiBenchmarkMode(t *testing.T) {
 		!strings.Contains(stderr, "flag provided but not defined: -watchdog") {
 		t.Errorf("-watchdog: exit %d, stdout %q, stderr %q; the guard is not an option", code, stdout, stderr)
 	}
-	for _, scale := range []string{"0", "-1"} {
-		if stdout, stderr, code = run("-bench", "BH,LEU", "-scale", scale); code != 2 ||
-			stdout != "" || !strings.Contains(stderr, "-scale must be positive") {
+	// A scale must give whole, positive SM, slice and channel counts.
+	for scale, want := range map[string]string{
+		"0":        "nubasim: -scale must be positive (got 0)\n",
+		"-1":       "nubasim: -scale must be positive (got -1)\n",
+		"0.7":      "nubasim: -scale 0.7 gives 44.8 SMs, 44.8 LLC slices and 22.4 channels; want whole, positive counts\n",
+		"0.3":      "nubasim: -scale 0.3 gives 19.2 SMs, 19.2 LLC slices and 9.6 channels; want whole, positive counts\n",
+		"0.046875": "nubasim: -scale 0.046875 gives 3 SMs, 3 LLC slices and 1.5 channels; want whole, positive counts\n",
+	} {
+		if stdout, stderr, code = run("-bench", "BH,LEU", "-scale", scale); code != 2 || stdout != "" || stderr != want {
 			t.Errorf("-scale %s: exit %d, stdout %q, stderr %q", scale, code, stdout, stderr)
 		}
 	}
-	// One channel cannot be split into halves (2/2/1 and 3/3/1 SMs, slices
-	// and channels): a one-line configuration error, where building the GPU
+	// One channel cannot be split into halves (2/2/1 SMs, slices and
+	// channels): a one-line configuration error, where building the GPU
 	// used to divide by zero and index out of range.
-	for _, scale := range []string{"0.03125", "0.046875"} {
-		if _, stderr, code = run("-arch", "sm-side", "-bench", "BH", "-scale", scale); code != 1 ||
-			!strings.HasPrefix(stderr, "nubasim: config: SM-side UBA needs an even number of channels") ||
-			strings.Count(stderr, "\n") != 1 || strings.Contains(stderr, "panic in run") {
-			t.Errorf("-arch sm-side -scale %s: exit %d, stderr %q", scale, code, stderr)
-		}
+	if _, stderr, code = run("-arch", "sm-side", "-bench", "BH", "-scale", "0.03125"); code != 1 ||
+		!strings.HasPrefix(stderr, "nubasim: config: SM-side UBA needs an even number of channels") ||
+		strings.Count(stderr, "\n") != 1 || strings.Contains(stderr, "panic in run") {
+		t.Errorf("-arch sm-side -scale 0.03125: exit %d, stderr %q", code, stderr)
 	}
 }
 

@@ -62,8 +62,8 @@ type command struct {
 }
 
 // parse defines nubasweep's flags on fs and reads args with them. A
-// command line it accepts names only experiments, benchmarks and an
-// engine that exist, and a positive scale.
+// command line it accepts names only experiments and benchmarks that
+// exist, and a scale that gives whole SM, slice and channel counts.
 func parse(fs *flag.FlagSet, args []string) (*command, error) {
 	c := &command{prof: hostprof.Flags(fs)}
 	exp := fs.String("exp", "", "experiment name, comma-separated list of names, or 'all' (see -list)")
@@ -72,21 +72,16 @@ func parse(fs *flag.FlagSet, args []string) (*command, error) {
 	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0), "simulations to run in parallel (1 = serial)")
 	fs.BoolVar(&c.verbose, "v", false, "print per-run progress")
 	fs.BoolVar(&c.list, "list", false, "list experiments and benchmarks")
-	engineFlag := fs.String("engine", "hybrid", nuba.EngineUsage())
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
 	if fs.NArg() > 0 {
 		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	engine, err := nuba.ParseEngine(*engineFlag)
-	if err != nil {
+	if err := nuba.CheckScale(*scale); err != nil {
 		return nil, err
 	}
-	if !(*scale > 0) {
-		return nil, fmt.Errorf("-scale must be positive (got %g)", *scale)
-	}
-	c.opts = experiments.Options{Scale: *scale, Jobs: *jobs, Engine: engine}
+	c.opts = experiments.Options{Scale: *scale, Jobs: *jobs}
 	if c.list {
 		return c, nil
 	}
@@ -94,6 +89,7 @@ func parse(fs *flag.FlagSet, args []string) (*command, error) {
 		return nil, errors.New("-exp required (or -list)")
 	}
 	if *benchList != "" {
+		var err error
 		if c.opts.Benchmarks, err = nuba.ParseBenchmarks(*benchList); err != nil {
 			return nil, err
 		}

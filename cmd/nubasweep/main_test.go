@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
+	"fmt"
+	"io"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -109,6 +112,26 @@ func TestSweepFrontDoor(t *testing.T) {
 	for _, e := range experiments.All() {
 		if !strings.Contains(list, "\n  "+e.Name+" ") {
 			t.Errorf("-list does not name %s:\n%s", e.Name, list)
+		}
+	}
+}
+
+// TestParseScale: -scale takes the factors that give whole SM, LLC slice
+// and channel counts, and refuses the others naming what they would give
+// (Config.Scale truncates, which breaks every bandwidth per SM).
+func TestParseScale(t *testing.T) {
+	for _, tc := range []struct{ scale, err string }{
+		{"2", "<nil>"}, {"1", "<nil>"}, {"0.5", "<nil>"}, {"0.25", "<nil>"}, {"0.125", "<nil>"},
+		{"0", "-scale must be positive (got 0)"},
+		{"-1", "-scale must be positive (got -1)"},
+		{"0.7", "-scale 0.7 gives 44.8 SMs, 44.8 LLC slices and 22.4 channels"},
+		{"0.3", "-scale 0.3 gives 19.2 SMs, 19.2 LLC slices and 9.6 channels"},
+	} {
+		fs := flag.NewFlagSet("nubasweep", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		_, err := parse(fs, []string{"-exp", "fig12", "-scale", tc.scale})
+		if !strings.HasPrefix(fmt.Sprint(err), tc.err) {
+			t.Errorf("-scale %s: error %v, want %q", tc.scale, err, tc.err)
 		}
 	}
 }

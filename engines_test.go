@@ -25,9 +25,10 @@ import (
 //     grow at the test's 0.125 scale (NW alone exceeds the 80 M-cycle
 //     safety limit there).
 //   - TestEnginesByteIdenticalFullRuns runs a cheap subset to natural
-//     completion through the public Run path, covering the
-//     kernel-boundary flush, the final drain and the finished NDJSON +
-//     Chrome trace streams that a capped run never reaches.
+//     completion through the public Run path, under naive and under
+//     sanitize, covering the kernel-boundary flush, the final drain and
+//     the finished NDJSON + Chrome trace streams that a capped run never
+//     reaches.
 //
 // Any hint that is not conservative shows up as a diverging counter, a
 // diverging trace byte, or one engine draining where the other hits the
@@ -217,64 +218,106 @@ func TestSanitizeSuite(t *testing.T) {
 	}
 }
 
-// fullRunSubset is one representative per cheap workload class, kept
-// under ~1 s each so both engines complete naturally in test budget:
-// wavelet stencil, irregular tree, decomposition, RNN, CNN, matvec.
-var fullRunSubset = []string{"DWT2D", "BH", "LEU", "GRU", "SN", "MVT"}
+// fullRuns are TestEnginesByteIdenticalFullRuns' rows, all at scale
+// 0.125: each listed engine runs the benchmark on the architecture to
+// natural completion and must match hybrid byte for byte. The naive rows
+// are one cheap workload per class; the sanitize rows are the
+// hint-soundness smoke, each there for the sleeps and parks it reaches
+// (DESIGN.md §9 "Sleep deadlines" and "Parks").
+var fullRuns = []struct {
+	arch    Arch
+	bench   string
+	engines []Engine
+}{
+	// A wavelet stencil, an irregular tree and a matvec. They park
+	// little: under sanitize they are the sleep check's.
+	{NUBA, "DWT2D", []Engine{EngineNaive, EngineSanitize}},
+	{NUBA, "BH", []Engine{EngineNaive, EngineSanitize}},
+	{NUBA, "MVT", []Engine{EngineNaive, EngineSanitize}},
+	// A decomposition, an RNN and a CNN.
+	{NUBA, "LEU", []Engine{EngineNaive}},
+	{NUBA, "GRU", []Engine{EngineNaive}},
+	{NUBA, "SN", []Engine{EngineNaive}},
+	// AN is LSU-bound: its SMs spend the run with warps waiting for an LSU
+	// entry, the state whose wake hint is "never" rather than "next
+	// cycle". It reaches the LSU's parks (a full L1 MSHR file, ended by the
+	// reply's door) and the slice arbiter's.
+	{NUBA, "AN", []Engine{EngineSanitize}},
+	// SM (Stringmatch) is the fabric's: the others stay ≥ 97 % local on
+	// NUBA, its atomics are 82 % remote. It reaches the parks of the SM
+	// send queue, the SM-request links and both crossbars' stage 1 and
+	// stage 2 (port serialization, full input queues, full middle and
+	// egress links).
+	{NUBA, "SM", []Engine{EngineSanitize}},
+	// On the memory-side UBA every miss crosses both crossbars: the
+	// flights the crossbar's earliest-arrival hint lets hybrid skip, and
+	// the same crossbar parks with SMs as the injectors.
+	{UBAMem, "SM", []Engine{EngineSanitize}},
+	// The SM-side UBA is the one layout whose coherence invalidations
+	// enter slices through EnqueueLocal/EnqueueRemote off the inter-half
+	// links: the sleep check's doors on the third builder.
+	{UBASMSide, "SM", []Engine{EngineSanitize}},
+	// LBM holds channel queues full: the slice outbox parked on a full
+	// channel queue, bounded by the data bus, the park nothing else fills
+	// for long — from a NUBA slice beside its channel and, on the
+	// memory-side UBA, with the reply crossbar backed up behind it.
+	{NUBA, "LBM", []Engine{EngineSanitize}},
+	{UBAMem, "LBM", []Engine{EngineSanitize}},
+}
 
 func TestEnginesByteIdenticalFullRuns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("simulation-backed; runs the subset twice to completion")
+		t.Skip("simulation-backed; runs each row to completion under hybrid and its engines")
 	}
-	cfg := NUBAConfig().Scale(0.125)
-	benches := make([]Benchmark, 0, len(fullRunSubset))
-	for _, abbr := range fullRunSubset {
-		b, err := BenchmarkByAbbr(abbr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		benches = append(benches, b)
-	}
-
 	type capture struct {
 		report string
 		series []byte
 		chrome []byte
 	}
-	runAll := func(e Engine) []capture {
+	// run reports a failed run and returns false, so that a hybrid hang
+	// does not keep the sanitizer's verdict on the same row from being heard.
+	run := func(t *testing.T, cfg Config, b Benchmark, e Engine) (capture, bool) {
 		t.Helper()
-		caps := make([]capture, len(benches))
-		for i, b := range benches {
-			var series, chrome bytes.Buffer
-			res, err := Run(context.Background(), cfg, b, WithEngine(e),
-				WithTrace(&TraceOptions{Series: &series, Chrome: &chrome}))
-			if err != nil {
-				t.Fatalf("%s: %v engine: %v", b.Abbr, e, err)
-			}
-			caps[i] = capture{
-				report: fmt.Sprintf("%+v\n%s", *res.Stats, DetailTable(res.Stats)),
-				series: series.Bytes(),
-				chrome: chrome.Bytes(),
-			}
+		var series, chrome bytes.Buffer
+		res, err := Run(context.Background(), cfg, b, WithEngine(e),
+			WithTrace(&TraceOptions{Series: &series, Chrome: &chrome}))
+		if err != nil {
+			t.Errorf("%v engine: %v", e, err)
+			return capture{}, false
 		}
-		return caps
+		return capture{
+			report: fmt.Sprintf("%+v\n%s", *res.Stats, DetailTable(res.Stats)),
+			series: series.Bytes(),
+			chrome: chrome.Bytes(),
+		}, true
 	}
-
-	naive := runAll(EngineNaive)
-	hybrid := runAll(EngineHybrid)
-	for i, b := range benches {
-		if naive[i].report != hybrid[i].report {
-			t.Errorf("%s: reports diverge between engines\nnaive: %s\nhybrid: %s",
-				b.Abbr, naive[i].report, hybrid[i].report)
+	for _, row := range fullRuns {
+		cfg := Baseline().WithArch(row.arch).Scale(0.125)
+		b, err := BenchmarkByAbbr(row.bench)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(naive[i].series, hybrid[i].series) {
-			t.Errorf("%s: NDJSON epoch traces diverge between naive and hybrid", b.Abbr)
-		}
-		if !bytes.Equal(naive[i].chrome, hybrid[i].chrome) {
-			t.Errorf("%s: Chrome traces diverge between naive and hybrid", b.Abbr)
-		}
-		if len(naive[i].series) == 0 || len(naive[i].chrome) == 0 {
-			t.Errorf("%s: empty trace — comparison is vacuous", b.Abbr)
-		}
+		t.Run(cfg.Arch.String()+"/"+row.bench, func(t *testing.T) {
+			t.Parallel()
+			hybrid, ok := run(t, cfg, b, EngineHybrid)
+			if ok && (len(hybrid.series) == 0 || len(hybrid.chrome) == 0) {
+				t.Errorf("empty trace — comparison is vacuous")
+			}
+			for _, e := range row.engines {
+				got, gotOK := run(t, cfg, b, e)
+				if !ok || !gotOK {
+					continue
+				}
+				if got.report != hybrid.report {
+					t.Errorf("reports diverge between engines\n%v: %s\nhybrid: %s", e, got.report, hybrid.report)
+				}
+				if !bytes.Equal(got.series, hybrid.series) {
+					t.Errorf("NDJSON epoch traces diverge between %v and hybrid", e)
+				}
+				if !bytes.Equal(got.chrome, hybrid.chrome) {
+					t.Errorf("Chrome traces diverge between %v and hybrid", e)
+				}
+			}
+		})
 	}
 }

@@ -431,7 +431,7 @@ func (c Config) WithNoC(gbs float64) Config {
 // channels and the aggregate NoC and inter-module bandwidths scaled by
 // factor, keeping the 2:2:1 SM:slice:channel ratio, every bandwidth per SM
 // and per-slice capacity constant, as in the Figure 14 GPU-size sweep.
-// factor must make all counts integral (0.5, 1, 2 for the baseline).
+// factor must make all counts integral (nuba.CheckScale checks a -scale).
 func (c Config) Scale(factor float64) Config {
 	c.NumSMs = int(float64(c.NumSMs) * factor)
 	c.NumLLCSlices = int(float64(c.NumLLCSlices) * factor)

@@ -150,7 +150,7 @@ func (g *GPU) smSideMiss(req *sim.MemReq, now sim.Cycle) bool {
 
 // smSideRespond routes a finished DRAM read back to the slice that
 // missed, over the inter-half link when it sits in the other half. A
-// saturated link delays the fill one cycle through migFillRetry.
+// saturated link delays the fill one cycle through fillRetry.
 func (g *GPU) smSideRespond(req *sim.MemReq) {
 	if g.retirePageCopyRead(req) {
 		return
@@ -162,14 +162,14 @@ func (g *GPU) smSideRespond(req *sim.MemReq) {
 		return
 	}
 	if g.sendInter(chHalf, 1-chHalf, noc.Msg{Req: req, Dst: int(req.Slice), Bytes: sim.MessageBytes(req, true), Reply: true}, now, behindFabric) != sim.Accepted {
-		g.migFillRetry = append(g.migFillRetry, req)
+		g.fillRetry = append(g.fillRetry, req)
 	}
 }
 
 // retryFills re-attempts fills that found the inter-half link saturated.
 func (g *GPU) retryFills() {
-	pending := g.migFillRetry
-	g.migFillRetry = g.migFillRetry[:0]
+	pending := g.fillRetry
+	g.fillRetry = g.fillRetry[:0]
 	for _, req := range pending {
 		g.smSideRespond(req)
 	}

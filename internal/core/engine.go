@@ -30,70 +30,8 @@ const (
 	EngineSanitize
 )
 
-// engines is the single registry behind String, ParseEngine,
-// EngineNames and EngineUsage — the flag spelling, the enum value and
-// the one-line description stay in sync by construction. Order is the
-// flag-help display order, default first.
-var engines = []struct {
-	e    Engine
-	name string
-	desc string
-}{
-	{EngineHybrid, "hybrid", "idle-skip cycle loop (default)"},
-	{EngineNaive, "naive", "tick every component every cycle (serial reference)"},
-	{EngineSanitize, "sanitize", "hybrid with per-cycle hint-soundness checks (slow)"},
-}
-
-// String returns the engine's flag spelling.
-func (e Engine) String() string {
-	for _, r := range engines {
-		if r.e == e {
-			return r.name
-		}
-	}
-	return "hybrid"
-}
-
-// ParseEngine parses a -engine flag value. The empty string selects the
-// default engine.
-func ParseEngine(s string) (Engine, error) {
-	if s == "" {
-		return EngineHybrid, nil
-	}
-	for _, r := range engines {
-		if r.name == s {
-			return r.e, nil
-		}
-	}
-	return EngineHybrid, fmt.Errorf("core: unknown engine %q (want %s)", s, strings.Join(EngineNames(), ", "))
-}
-
-// EngineNames returns the flag spellings of every engine, in registry
-// order (default first).
-func EngineNames() []string {
-	names := make([]string, len(engines))
-	for i, r := range engines {
-		names[i] = r.name
-	}
-	return names
-}
-
-// EngineUsage returns the -engine flag help text, built from the
-// registry so CLI help never drifts from the parser.
-func EngineUsage() string {
-	var b strings.Builder
-	b.WriteString("cycle-loop engine: ")
-	for i, r := range engines {
-		if i > 0 {
-			b.WriteString(" | ")
-		}
-		b.WriteString(r.name)
-	}
-	for _, r := range engines {
-		fmt.Fprintf(&b, "; %s = %s", r.name, r.desc)
-	}
-	return b.String()
-}
+// String returns the engine's name, for test names and messages.
+func (e Engine) String() string { return [...]string{"hybrid", "naive", "sanitize"}[e] }
 
 // SetEngine selects the cycle-loop strategy for subsequent runs. Hybrid
 // obeys the components' parks (DESIGN.md §9 "Parks"); the other two

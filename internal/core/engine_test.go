@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,53 +14,6 @@ import (
 	"github.com/nuba-gpu/nuba/internal/sim"
 	"github.com/nuba-gpu/nuba/internal/workload"
 )
-
-func TestParseEngine(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Engine
-		err  bool
-	}{
-		{"", EngineHybrid, false},
-		{"hybrid", EngineHybrid, false},
-		{"naive", EngineNaive, false},
-		{"sanitize", EngineSanitize, false},
-		{"turbo", EngineHybrid, true},
-	} {
-		got, err := ParseEngine(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("ParseEngine(%q) = %v, %v; want %v, err=%v", tc.in, got, err, tc.want, tc.err)
-		}
-	}
-	if EngineHybrid.String() != "hybrid" || EngineNaive.String() != "naive" || EngineSanitize.String() != "sanitize" {
-		t.Errorf("engine String() drifted: %q, %q, %q", EngineHybrid, EngineNaive, EngineSanitize)
-	}
-	// The registry round-trips: every advertised name parses back to an
-	// engine that spells itself the same way, so CLI help (EngineUsage)
-	// can never drift from the parser.
-	for _, name := range EngineNames() {
-		e, err := ParseEngine(name)
-		if err != nil || e.String() != name {
-			t.Errorf("registry round-trip broken for %q: %v, %v", name, e, err)
-		}
-		if !strings.Contains(EngineUsage(), name) {
-			t.Errorf("EngineUsage() omits engine %q: %s", name, EngineUsage())
-		}
-	}
-}
-
-// The retired partition-parallel engine's spelling must fail like any
-// other unknown engine, with an error that lists the three survivors —
-// the text `nubasim -engine parallel` prints before exiting 2.
-func TestParseEngineRejectsRetiredParallel(t *testing.T) {
-	_, err := ParseEngine("parallel")
-	if err == nil {
-		t.Fatal(`ParseEngine("parallel") succeeded`)
-	}
-	if want := `unknown engine "parallel" (want hybrid, naive, sanitize)`; !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q does not contain %q", err, want)
-	}
-}
 
 // The hybrid engine must be cycle-exact when timers wake it: MDR epochs
 // and migration scans (the topologies are TestAdvanceMatchesStep's rows).
@@ -229,8 +181,9 @@ loop:
 // is a subtest of its own, so a hybrid hang does not keep the sanitizer's
 // verdict on the same run from being heard. With the fabric otherwise idle,
 // a link send that forgets to lower the fabric deadline fails the sanitize
-// leg as an unsound wake hint; on the busy runs of `make sanitize` the next
-// fabric phase repairs the deadline before it shows.
+// leg as an unsound wake hint; on the busy sanitize rows of
+// TestEnginesByteIdenticalFullRuns the next fabric phase repairs the
+// deadline before it shows.
 func TestEnginesSkipNoCFlight(t *testing.T) {
 	const iters = 256
 	for _, arch := range []config.Arch{config.NUBA, config.UBAMem} {

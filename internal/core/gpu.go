@@ -114,9 +114,9 @@ type GPU struct {
 	// invalQueue holds SM-side UBA coherence invalidations awaiting
 	// inter-half link space.
 	invalQueue *sim.Queue[*sim.MemReq]
-	// migFillRetry holds SM-side fills that found the inter-half link
+	// fillRetry holds SM-side fills that found the inter-half link
 	// saturated; retried every cycle.
-	migFillRetry []*sim.MemReq
+	fillRetry []*sim.MemReq
 
 	// tracer, when non-nil, receives epoch samples and span events
 	// (AttachTracer); tr is the sampler's counter snapshot (trace.go).

@@ -84,9 +84,10 @@ func (g *GPU) firstRow(k int) (row int) {
 // "Parks"); SetEngine hands every one the engine's park audit.
 type parker interface{ SetAudit(a *sim.ParkAudit) }
 
-// coreQueues is the state the GPU itself owns between components: the
-// migration and invalidation queues and the fill-retry list, all
-// retried every cycle while non-empty.
+// coreQueues is the state the GPU itself owns between components, all
+// retried every cycle while non-empty: the page-migration queue, and the
+// SM-side UBA's invalidation queue and fill-retry list (fills that found
+// the inter-half link full).
 type coreQueues struct{ *GPU }
 
 func (p coreQueues) NextWake(now sim.Cycle) sim.Cycle {
@@ -96,13 +97,13 @@ func (p coreQueues) NextWake(now sim.Cycle) sim.Cycle {
 	return now + 1
 }
 func (p coreQueues) Idle() bool {
-	return p.migQueue.Empty() && p.invalQueue.Empty() && len(p.migFillRetry) == 0
+	return p.migQueue.Empty() && p.invalQueue.Empty() && len(p.fillRetry) == 0
 }
 func (p coreQueues) StateSig() uint64 {
 	h := sim.MixSig(sim.SigSeed, uint64(p.migQueue.Len()))
 	h = sim.MixSig(h, uint64(p.invalQueue.Len()))
-	return sim.MixSig(h, uint64(len(p.migFillRetry)))
+	return sim.MixSig(h, uint64(len(p.fillRetry)))
 }
 func (p coreQueues) DebugState(sim.Cycle) string {
-	return fmt.Sprintf("migQ=%d invalQ=%d fillRetry=%d", p.migQueue.Len(), p.invalQueue.Len(), len(p.migFillRetry))
+	return fmt.Sprintf("migQ=%d invalQ=%d fillRetry=%d", p.migQueue.Len(), p.invalQueue.Len(), len(p.fillRetry))
 }

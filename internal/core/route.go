@@ -326,7 +326,7 @@ func (g *GPU) moveFabric(now sim.Cycle) {
 	g.moveXbars(now)
 	sim.Drain(&g.inter, g, now, g.acceptInter)
 	sim.Drain(&g.sliceReply, g, now, (*GPU).deliverToSM)
-	if len(g.migFillRetry) > 0 {
+	if len(g.fillRetry) > 0 {
 		g.retryFills()
 	}
 }

@@ -145,7 +145,7 @@ func (g *GPU) step() {
 
 	g.vmsys.Tick(now)
 	g.tickKind(kindSM, now, now)
-	if g.fabric.At() <= now || g.engine == EngineNaive || !g.invalQueue.Empty() || len(g.migFillRetry) > 0 {
+	if g.fabric.At() <= now || g.engine == EngineNaive || !g.invalQueue.Empty() || len(g.fillRetry) > 0 {
 		g.moveFabric(now)
 		g.fabric.Refold() // every walk has ended: the members' minima are exact
 	} else if g.es.FabricSkipped++; g.engine == EngineSanitize {

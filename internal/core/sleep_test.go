@@ -94,11 +94,13 @@ func TestNaiveIgnoresSleep(t *testing.T) {
 	if a, b := fmt.Sprintf("%+v", *clean.Stats()), fmt.Sprintf("%+v", *g.Stats()); a != b {
 		t.Errorf("naive with a poisoned deadline diverges from hybrid\nhybrid: %s\nnaive:  %s", a, b)
 	}
-	if es := g.EngineStats(); es.Slept != [3]int64{} || es.Skipped != 0 {
-		t.Errorf("naive slept or skipped: %v", es)
+	// Naive never asks a deadline: no tick slept, no fabric phase skipped,
+	// no idle window jumped.
+	if es := g.EngineStats(); es.Slept != [3]int64{} || es.Skipped != 0 || es.FabricSkipped != 0 || es.Jumps != 0 {
+		t.Errorf("naive slept, skipped or jumped: %v", es)
 	}
-	if es := clean.EngineStats(); es.Slept[kindSM] == 0 || es.Skipped == 0 {
-		t.Errorf("hybrid neither slept nor skipped: %v", es)
+	if es := clean.EngineStats(); es.Slept[kindSM] == 0 || es.Skipped == 0 || es.FabricSkipped == 0 || es.Jumps == 0 {
+		t.Errorf("hybrid neither slept, skipped nor jumped: %v", es)
 	}
 }
 

@@ -9,6 +9,7 @@ package core
 
 import (
 	"github.com/nuba-gpu/nuba/internal/mdr"
+	"github.com/nuba-gpu/nuba/internal/metrics"
 	"github.com/nuba-gpu/nuba/internal/sim"
 	"github.com/nuba-gpu/nuba/internal/trace"
 )
@@ -21,14 +22,9 @@ type traceState struct {
 	last  sim.Cycle // previous sample boundary
 	epoch int64     // samples emitted so far
 
-	llcAcc     int64
-	llcHits    int64
-	placement  int64 // local + remote accesses
-	local      int64
-	replicated int64
-	replies    int64
-	nocBytes   int64
-	groupBusy  []int64
+	prev      metrics.Stats // the Stats at the previous sample boundary
+	nocBytes  int64
+	groupBusy []int64
 
 	// mdrReplies/mdrCycle measure observed bandwidth per MDR epoch
 	// (which may differ from the sampling epoch under -trace-epoch).
@@ -59,7 +55,7 @@ func (g *GPU) traceSample(now sim.Cycle) {
 	if elapsed <= 0 {
 		return
 	}
-	stats := g.stats
+	stats, prev := g.stats, &g.tr.prev
 	g.tr.epoch++
 	s := trace.EpochSample{Epoch: g.tr.epoch, Cycle: now, Cycles: int64(elapsed)}
 
@@ -90,27 +86,23 @@ func (g *GPU) traceSample(now sim.Cycle) {
 		s.NoCUtil = float64(s.NoCBytes) / (float64(elapsed) * float64(capacity))
 	}
 
-	dAcc := stats.LLCAccesses - g.tr.llcAcc
-	dHits := stats.LLCHits - g.tr.llcHits
-	g.tr.llcAcc, g.tr.llcHits = stats.LLCAccesses, stats.LLCHits
+	dAcc := stats.LLCAccesses - prev.LLCAccesses
+	dHits := stats.LLCHits - prev.LLCHits
 	if dAcc > 0 {
 		s.LLCHitRate = float64(dHits) / float64(dAcc)
 		s.LLCMissRate = float64(dAcc-dHits) / float64(dAcc)
 	}
 
-	place := stats.LocalAccesses + stats.RemoteAccesses
-	dPlace := place - g.tr.placement
-	dLocal := stats.LocalAccesses - g.tr.local
-	dRep := stats.ReplicatedAccesses - g.tr.replicated
-	g.tr.placement, g.tr.local, g.tr.replicated = place, stats.LocalAccesses, stats.ReplicatedAccesses
+	dLocal := stats.LocalAccesses - prev.LocalAccesses
+	dPlace := dLocal + stats.RemoteAccesses - prev.RemoteAccesses
+	dRep := stats.ReplicatedAccesses - prev.ReplicatedAccesses
 	if dPlace > 0 {
 		s.LocalFrac = float64(dLocal) / float64(dPlace)
 		s.RepHitRate = float64(dRep) / float64(dPlace)
 	}
 
-	dReplies := stats.Replies - g.tr.replies
-	g.tr.replies = stats.Replies
-	s.RepliesPerCycle = float64(dReplies) / float64(elapsed)
+	s.RepliesPerCycle = float64(stats.Replies-prev.Replies) / float64(elapsed)
+	*prev = *stats
 
 	s.DRAMGroupBusy = g.traceGroupBusy(elapsed)
 

@@ -259,16 +259,16 @@ func (r *Runner) admit(keys []string) []int {
 	return fresh
 }
 
-// simulate runs one admitted job with the runner's engine and arm hook
-// applied and completes its cache entry. A failed run stays cached with
-// its error (re-running would fail identically) and counts and reports
-// as a simulated job like a finished one; a canceled one is evicted, and
+// simulate runs one admitted job with the runner's arm hook applied and
+// completes its cache entry. A failed run stays cached with its error
+// (re-running would fail identically) and counts and reports as a
+// simulated job like a finished one; a canceled one is evicted, and
 // un-planned, so a later call can simulate it.
 func (r *Runner) simulate(ctx context.Context, key string, j *Job) {
 	var res *nuba.Result
 	err := ctx.Err()
 	if err == nil {
-		opts := []nuba.RunOption{nuba.WithEngine(r.opts.Engine)}
+		var opts []nuba.RunOption
 		if r.opts.Arm != nil {
 			opts = append(opts, nuba.WithArm(r.opts.Arm(j.Config.Name(), j.Bench.Abbr)))
 		}

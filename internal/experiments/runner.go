@@ -37,10 +37,6 @@ type Options struct {
 	// job, finished or failed (counts, elapsed time, ETA). Calls are
 	// serialized. ProgressPrinter is the sink the CLIs pass.
 	OnEvent func(Event)
-	// Engine selects the cycle-loop engine (default nuba.EngineHybrid).
-	// It never enters the memo key: all engines are cycle-exact, so the
-	// engine changes only how fast a job simulates, never its result.
-	Engine nuba.Engine
 	// Arm, when non-nil, is asked per job for a nuba.WithArm hook to run
 	// on that job's assembled system (nil = none). The stress tests
 	// inject faults through it (docs/ROBUSTNESS.md); production sweeps

@@ -27,6 +27,7 @@ package nuba
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"strings"
 
@@ -179,6 +180,23 @@ func ParseBenchmarks(list string) ([]Benchmark, error) {
 	return out, nil
 }
 
+// CheckScale checks a -scale flag value: Baseline().Scale(factor) keeps
+// every bandwidth per SM only if the factor gives whole, positive SM,
+// LLC slice and channel counts (Config.Scale truncates).
+func CheckScale(factor float64) error {
+	if !(factor > 0) {
+		return fmt.Errorf("-scale must be positive (got %g)", factor)
+	}
+	c := Baseline()
+	sms, slices, chans := float64(c.NumSMs)*factor, float64(c.NumLLCSlices)*factor, float64(c.NumChannels)*factor
+	for _, n := range []float64{sms, slices, chans} {
+		if n < 1 || n != math.Trunc(n) || math.IsInf(n, 0) {
+			return fmt.Errorf("-scale %g gives %g SMs, %g LLC slices and %g channels; want whole, positive counts", factor, sms, slices, chans)
+		}
+	}
+	return nil
+}
+
 // ParseKernel compiles kernel assembly (see internal/kir for the grammar)
 // and runs the read-only data-flow analysis.
 func ParseKernel(src string) (*Kernel, error) {
@@ -211,8 +229,8 @@ func (r *Result) IPC() float64 { return r.Stats.IPC() }
 // Engine selects what the cycle loop does with windows the wake hints
 // claim idle (skip, never ask, verify). All engines are cycle-exact —
 // reports and traces are byte-identical — and differ only in wall-clock
-// speed; EngineNaive is the reference the cross-engine tests compare
-// against.
+// speed. The command-line tools run EngineHybrid; the other two are the
+// oracles the cross-engine tests hold it to.
 type Engine = core.Engine
 
 // Cycle-loop engines.
@@ -230,13 +248,6 @@ const (
 	// a verification tool, not a production engine.
 	EngineSanitize = core.EngineSanitize
 )
-
-// ParseEngine parses a -engine flag value (EngineUsage lists them).
-func ParseEngine(s string) (Engine, error) { return core.ParseEngine(s) }
-
-// EngineUsage returns -engine flag help text listing every engine with
-// a one-line description, for CLIs to pass to flag.String.
-func EngineUsage() string { return core.EngineUsage() }
 
 // RunOption configures a Run call.
 type RunOption func(*runConfig)
