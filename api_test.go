@@ -148,6 +148,19 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 }
 
+// TestRunRefusesUnknownEngine: an engine value that is none of the three
+// does not run, and the error names it.
+func TestRunRefusesUnknownEngine(t *testing.T) {
+	bench, err := BenchmarkByAbbr("BP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), NUBAConfig().Scale(0.125), bench, WithEngine(Engine(3)))
+	if res != nil || err == nil || err.Error() != "nuba: unknown engine Engine(3)" {
+		t.Fatalf("Engine(3): got %v, %v; want nuba: unknown engine Engine(3)", res, err)
+	}
+}
+
 func TestSpeedupHelper(t *testing.T) {
 	a := &Result{Stats: &Stats{Cycles: 50}}
 	b := &Result{Stats: &Stats{Cycles: 100}}

@@ -30,10 +30,19 @@ const (
 	EngineSanitize
 )
 
-// String returns the engine's name, for test names and messages.
-func (e Engine) String() string { return [...]string{"hybrid", "naive", "sanitize"}[e] }
+var engineNames = [...]string{"hybrid", "naive", "sanitize"}
 
-// SetEngine selects the cycle-loop strategy for subsequent runs. Hybrid
+// String returns the engine's name, for test names and messages, and
+// Engine(N) for a value that is none of the three.
+func (e Engine) String() string {
+	if int(e) >= len(engineNames) {
+		return fmt.Sprintf("Engine(%d)", e)
+	}
+	return engineNames[e]
+}
+
+// SetEngine selects the cycle-loop strategy for subsequent runs; e must
+// be one of the three constants (nuba.Run refuses any other). Hybrid
 // obeys the components' parks (DESIGN.md §9 "Parks"); the other two
 // install the GPU's park audit in every row that parks, which switches the
 // parks off — naive so as to stay the reference, sanitize so as to fail

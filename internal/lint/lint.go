@@ -27,9 +27,8 @@ func (d Diagnostic) String() string {
 }
 
 // Run analyzes the program's packages under the policy and returns the
-// findings sorted by (file, line, col, rule, message). Malformed
-// //nubalint:ignore directives are findings too, and so is a policy
-// entry that names nothing in the module.
+// findings sorted by (file, line, col, rule, message). A policy entry
+// that names nothing in the module is a finding too.
 //
 // The per-package rules (nondet-map-range, no-wallclock,
 // import-layering) run package by package; the liveness rules then run
@@ -37,30 +36,13 @@ func (d Diagnostic) String() string {
 // knob read only from a package the analysis never loaded still counts
 // as dead.
 func Run(prog *Program, pol *Policy) []Diagnostic {
-	// Index every file's suppression directives up front — module-wide
-	// rules emit into files of packages other than the one being
-	// walked, and a malformed directive is itself a finding.
 	var diags []Diagnostic
-	rawEmit := func(pos token.Pos, rule, msg string) {
+	emit := emitFunc(func(pos token.Pos, rule, msg string) {
 		posn := prog.Fset.Position(pos)
 		diags = append(diags, Diagnostic{
 			File: prog.RelFile(pos), Line: posn.Line, Col: posn.Column,
 			Rule: rule, Message: msg,
 		})
-	}
-	indexes := make(map[string]*directiveIndex) // by module-relative file
-	for _, pkg := range prog.Pkgs {
-		for _, f := range pkg.Files {
-			indexes[prog.RelFile(f.Pos())] = collectDirectives(prog.Fset, f, rawEmit)
-		}
-	}
-	emit := emitFunc(func(pos token.Pos, rule, msg string) {
-		rel := prog.RelFile(pos)
-		line := prog.Fset.Position(pos).Line
-		if idx, ok := indexes[rel]; ok && idx.suppresses(rule, line) {
-			return
-		}
-		rawEmit(pos, rule, msg)
 	})
 
 	policyFinding := func(msg string) {

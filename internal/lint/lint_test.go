@@ -1,8 +1,6 @@
 package lint
 
 import (
-	"go/parser"
-	"go/token"
 	"maps"
 	"os"
 	"path/filepath"
@@ -69,7 +67,7 @@ func renderFixture(t *testing.T) string {
 
 // TestFixtureGolden locks the analyzer's full output on the fixture
 // module against testdata/golden.txt: every rule's positive hit, every
-// suppression, and the exact diagnostic text.
+// clean variant, and the exact diagnostic text.
 func TestFixtureGolden(t *testing.T) {
 	got := renderFixture(t)
 
@@ -83,26 +81,24 @@ func TestFixtureGolden(t *testing.T) {
 	}
 }
 
-// TestEveryRuleFires asserts the fixture exercises every rule
-// (plus the directive pseudo-rule), so a rule that silently stops
-// matching cannot hide behind a stale golden file.
+// TestEveryRuleFires asserts the fixture exercises every rule, so a rule
+// that silently stops matching cannot hide behind a stale golden file.
 func TestEveryRuleFires(t *testing.T) {
 	diags := Run(loadFixture(t), fixturePolicy)
 	seen := make(map[string]bool)
 	for _, d := range diags {
 		seen[d.Rule] = true
 	}
-	for _, rule := range append(AllRules(), RuleDirective) {
+	for _, rule := range AllRules() {
 		if !seen[rule] {
 			t.Errorf("fixture produced no %s finding", rule)
 		}
 	}
 }
 
-// TestSuppressionsHold asserts the directive-suppressed and allowlisted
-// sites stay clean: the suppressed map range in SumIgnored, the
-// same-line time.Since in StampIgnored, the sorted-keys idiom in Keys,
-// and the allowlisted clockok/clock.go.
+// TestSuppressionsHold asserts the sanctioned and allowlisted sites stay
+// clean: the sorted-keys idiom in Keys and the allowlisted
+// clockok/clock.go.
 func TestSuppressionsHold(t *testing.T) {
 	diags := Run(loadFixture(t), fixturePolicy)
 	for _, d := range diags {
@@ -116,25 +112,14 @@ func TestSuppressionsHold(t *testing.T) {
 	}
 	cleanLines := make(map[int]bool)
 	for i, line := range strings.Split(string(src), "\n") {
-		if strings.Contains(line, "//nubalint:ignore") || strings.Contains(line, "sort.Strings(ks)") {
-			// The directive line, the line after it, and the sorted
-			// collection loop above the sort call must all be clean.
-			cleanLines[i+1] = true
-			cleanLines[i+2] = true
+		if strings.Contains(line, "sort.Strings(ks)") {
+			// The sorted collection loop above the sort call is clean.
 			cleanLines[i-1] = true
 		}
 	}
 	for _, d := range diags {
 		if d.File == "simcore/simcore.go" && cleanLines[d.Line] {
-			t.Errorf("suppressed or idiomatic site flagged: %s", d)
-		}
-	}
-
-	// The liveness suppression must hold too: the Intentional knob
-	// carries an ignore directive.
-	for _, d := range diags {
-		if strings.Contains(d.Message, "Intentional") {
-			t.Errorf("ignored config knob flagged: %s", d)
+			t.Errorf("idiomatic site flagged: %s", d)
 		}
 	}
 }
@@ -148,23 +133,6 @@ func TestJSONDeterministic(t *testing.T) {
 	first, second := renderFixture(t), renderFixture(t)
 	if first != second {
 		t.Errorf("output differs across runs:\n--- 1 ---\n%s--- 2 ---\n%s", first, second)
-	}
-}
-
-// TestDirectiveNamingUnknownRule asserts an ignore directive for a rule
-// that does not exist (a typo, or a rule since deleted) is a finding,
-// not a silent no-op.
-func TestDirectiveNamingUnknownRule(t *testing.T) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "x.go",
-		"package x\n\n//nubalint:ignore retired-rule the rule is gone\nvar V int\n", parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	collectDirectives(fset, f, func(_ token.Pos, rule, msg string) { got = append(got, rule+": "+msg) })
-	if len(got) != 1 || got[0] != "directive: directive names unknown rule retired-rule" {
-		t.Errorf("findings = %q, want one unknown-rule directive finding", got)
 	}
 }
 
@@ -194,8 +162,7 @@ func TestPolicyLookups(t *testing.T) {
 
 // TestStalePolicyEntryIsAFinding asserts a policy entry that names
 // nothing in the module — a typo, or a package since deleted — is one
-// finding naming it, not a rule that silently covers less: the contract
-// TestDirectiveNamingUnknownRule holds ignore directives to.
+// finding naming it, not a rule that silently covers less.
 func TestStalePolicyEntryIsAFinding(t *testing.T) {
 	prog := loadFixture(t)
 	clean := render(Run(prog, fixturePolicy))

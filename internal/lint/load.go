@@ -2,7 +2,7 @@
 // analyzer, which TestRepoLintsClean runs over the module. It loads and type-checks every package in the module with
 // go/parser + go/types (no x/tools dependency) and holds it to the five
 // rules listed in rules.go under a Policy (policy.go). What the rules
-// are for, and the //nubalint:ignore contract, is DESIGN.md §7.
+// are for is DESIGN.md §7.
 package lint
 
 import (

@@ -26,7 +26,8 @@ type Policy struct {
 	// edit here.
 	Simulation func(pkg string) bool
 	// Allow exempts whole files or packages from a rule (keyed by the
-	// Rule* constants). Single sites use //nubalint:ignore instead.
+	// Rule* constants). There is no per-site suppression: a finding
+	// elsewhere is fixed in the code.
 	Allow map[string][]string
 	// Config and Metrics are the audits behind config-liveness and
 	// metrics-liveness (liveness.go).
@@ -164,9 +165,9 @@ func (p *Policy) Allowed(rule, relFile, relName string) bool {
 }
 
 // checkPolicy reports every name in the policy that matches nothing in
-// the loaded module, under the "policy" pseudo-rule: the contract a
-// //nubalint:ignore is held to. Audit.Structs are resolved, and
-// reported, by the liveness rules themselves.
+// the loaded module, under the "policy" pseudo-rule, so that a typo or a
+// package since deleted cannot silently narrow a rule. Audit.Structs are
+// resolved, and reported, by the liveness rules themselves.
 func checkPolicy(prog *Program, pol *Policy, report func(msg string)) {
 	pkgs := make(map[string]bool)
 	var names []string // every package and file of the module

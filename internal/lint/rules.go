@@ -10,9 +10,8 @@ import (
 	"strings"
 )
 
-// Rule names, as spelled in a Policy, in //nubalint:ignore directives
-// and in findings. What each has caught, and why it exists, is DESIGN.md
-// §7's table.
+// Rule names, as spelled in a Policy and in findings. What each has
+// caught, and why it exists, is DESIGN.md §7's table.
 const (
 	RuleMapRange    = "nondet-map-range" // range over a map in simulation code, unless the loop only collects keys that are then sorted
 	RuleWallclock   = "no-wallclock"     // time.Now/Since/Until or math/rand in simulation code
@@ -20,10 +19,9 @@ const (
 	RuleConfigLive  = "config-liveness"  // an audited config field no model package reads
 	RuleMetricsLive = "metrics-liveness" // an audited counter never written by the model, or never reported
 
-	// The two pseudo-rules report the analyzer's own inputs; neither can
-	// be scoped, allowed or ignored.
-	RuleDirective = "directive" // a malformed //nubalint:ignore
-	RulePolicy    = "policy"    // a Policy entry that names nothing in the module
+	// The pseudo-rule reports the analyzer's own input; it cannot be
+	// scoped or allowed.
+	RulePolicy = "policy" // a Policy entry that names nothing in the module
 )
 
 // AllRules lists the rules in documentation order.
@@ -34,12 +32,10 @@ func AllRules() []string {
 	}
 }
 
-// knownRule reports whether name is a rule an ignore directive or a
-// Policy.Allow key may name.
+// knownRule reports whether name is a rule a Policy.Allow key may name.
 func knownRule(name string) bool { return slices.Contains(AllRules(), name) }
 
-// emitFunc reports a diagnostic at a token position, applying
-// directive suppression (bound in Run).
+// emitFunc reports a diagnostic at a token position (bound in Run).
 type emitFunc func(pos token.Pos, rule, msg string)
 
 // pkgCtx bundles what every per-package rule needs for one package.
@@ -74,7 +70,7 @@ func checkMapRange(c *pkgCtx) {
 				return true
 			}
 			c.emitPos(rs.For, RuleMapRange,
-				"range over map has nondeterministic iteration order; iterate sorted keys or add //nubalint:ignore with a reason")
+				"range over map has nondeterministic iteration order; iterate sorted keys")
 			return true
 		})
 	}

@@ -13,9 +13,6 @@ type Config struct {
 	// Threshold is read only through the Derived helper, which the
 	// model calls — liveness is reachability, not direct reads.
 	Threshold int
-	// Intentional is deliberately unread; the directive keeps it.
-	//nubalint:ignore config-liveness reserved knob kept to exercise suppression
-	Intentional int
 	// BoundOnly is read only by Validate, which the model calls: a
 	// config-liveness finding, since a bound on a knob is no use of it.
 	BoundOnly int
@@ -24,7 +21,7 @@ type Config struct {
 // Default returns the baseline config. Writing a knob here does not
 // make it live: only reads from the reader set count.
 func Default() Config {
-	return Config{LineBytes: 128, DeadKnob: 7, Threshold: 3, Intentional: 1}
+	return Config{LineBytes: 128, DeadKnob: 7, Threshold: 3}
 }
 
 // Derived is the helper whose read of Threshold counts because the

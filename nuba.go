@@ -270,7 +270,8 @@ func WithTrace(topts *TraceOptions) RunOption {
 }
 
 // WithEngine selects the cycle-loop engine (default EngineHybrid). All
-// engines produce byte-identical results.
+// engines produce byte-identical results; Run refuses a value that is
+// none of the three.
 func WithEngine(e Engine) RunOption {
 	return func(rc *runConfig) { rc.engine = e }
 }
@@ -323,6 +324,9 @@ func Run(ctx context.Context, cfg Config, b Benchmark, opts ...RunOption) (res *
 	var rc runConfig
 	for _, o := range opts {
 		o(&rc)
+	}
+	if rc.engine > EngineSanitize {
+		return nil, fmt.Errorf("nuba: unknown engine %v", rc.engine)
 	}
 	defer func() {
 		if r := recover(); r != nil {

@@ -1,7 +1,6 @@
 package nuba
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -15,43 +14,6 @@ import (
 // fault here names its target).
 func inject(f core.Fault) func(*System) error {
 	return func(g *System) error { return g.Inject(0, f) }
-}
-
-// TestWatchdogSuiteNoFalsePositives is the watchdog's false-positive
-// proof over the whole Table 2 suite. Every whole-suite test runs
-// guarded, but at cappedConfig's own window — 224,000 cycles — the guard
-// cannot reach a verdict inside the 256 Ki-cycle cap. The suite is
-// prewarmed and never pays a page fault, so zeroing the fault penalty
-// moves no simulated cycle and only pulls the window down to its 64 Ki
-// floor: at a quarter of the production window, every capped run
-// (runCapped, engines_test.go) must end exactly as the reference does —
-// same drained/capped outcome (any *HangError fails the helper
-// immediately), same counters, same trace bytes. The watchdog reads only
-// pure state signatures, so byte-identity is the contract, not just a
-// nice-to-have.
-func TestWatchdogSuiteNoFalsePositives(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-backed; runs every benchmark, plus the shared reference")
-	}
-	tight := cappedConfig()
-	tight.PageFaultLatency = 0
-	for _, b := range Suite() {
-		ref := cappedReference(t, b)
-		got := runCapped(t, tight, b, EngineHybrid)
-		if ref.outcome != got.outcome {
-			t.Errorf("%s: outcomes diverge\nreference:    %s\ntight window: %s", b.Abbr, ref.outcome, got.outcome)
-		}
-		if ref.report != got.report {
-			t.Errorf("%s: reports diverge at the tight window\nreference:    %s\ntight window: %s",
-				b.Abbr, ref.report, got.report)
-		}
-		if !bytes.Equal(ref.series, got.series) {
-			t.Errorf("%s: NDJSON epoch traces diverge at the tight window", b.Abbr)
-		}
-		if len(ref.series) == 0 {
-			t.Errorf("%s: empty trace — comparison is vacuous", b.Abbr)
-		}
-	}
 }
 
 // TestRunRecoversInjectedPanic: a panic inside the simulator surfaces
