@@ -21,7 +21,7 @@ func TestSmokeAllArchitectures(t *testing.T) {
 			t.Fatalf("%s: %v", cfg.Name(), err)
 		}
 		st := res.Stats
-		t.Logf("%s: %s", cfg.Name(), st)
+		t.Logf("%s: cycles=%d ipc=%.3f", cfg.Name(), st.Cycles, st.IPC())
 		if st.Cycles <= 0 || st.Instructions <= 0 || st.Replies == 0 {
 			t.Fatalf("%s: empty run: %+v", cfg.Name(), st)
 		}
@@ -126,7 +126,7 @@ func TestRunLaunchesAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Cycles == 0 || res.Energy.TotalNJ() <= 0 {
+	if res.Stats.Cycles == 0 || res.Stats.TotalEnergyNJ() <= 0 {
 		t.Fatal("empty result")
 	}
 	if res.Sharing.Pages() == 0 {
@@ -158,6 +158,31 @@ func TestRunRefusesUnknownEngine(t *testing.T) {
 	res, err := Run(context.Background(), NUBAConfig().Scale(0.125), bench, WithEngine(Engine(3)))
 	if res != nil || err == nil || err.Error() != "nuba: unknown engine Engine(3)" {
 		t.Fatalf("Engine(3): got %v, %v; want nuba: unknown engine Engine(3)", res, err)
+	}
+}
+
+// TestRunDigestIsTheCycleLoops: the digest of a Result's Stats is the one
+// the cycle loop left, though Run has since filled the energy fields, so
+// a digest read from a Result compares with testdata/suite_digests.txt.
+func TestRunDigestIsTheCycleLoops(t *testing.T) {
+	bench, err := BenchmarkByAbbr("LEU")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := NUBAConfig().Scale(0.125)
+	res, err := Run(context.Background(), cfg, bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop, err := run(cfg, bench, EngineHybrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loop.outcome != "drained" || res.Stats.TotalEnergyNJ() <= 0 {
+		t.Fatalf("want a drained run with its energy filled in: %s, %g nJ", loop.outcome, res.Stats.TotalEnergyNJ())
+	}
+	if got := res.Stats.Digest(); got != loop.digest {
+		t.Errorf("Run's digest %016x, the cycle loop's %016x", got, loop.digest)
 	}
 }
 

@@ -221,9 +221,9 @@ func runOne(ctx context.Context, cfg nuba.Config, b nuba.Benchmark, tr traceArgs
 	fmt.Printf("page sharing:      1SM %.2f | 2-10 %.2f | 11-25 %.2f | >25 %.2f (%d pages)\n",
 		one, two, eleven, over, res.Sharing.Pages())
 	fmt.Printf("energy (mJ):       NoC %.3f | DRAM %.3f | core %.3f | LLC %.3f | static %.3f\n",
-		res.Energy.NoCNJ/1e6, res.Energy.DRAMNJ/1e6, res.Energy.CoreNJ/1e6,
-		res.Energy.LLCNJ/1e6, res.Energy.StaticNJ/1e6)
-	fmt.Printf("NoC power:         %.2f W\n", nuba.NoCPowerW(res.Energy, st.Cycles, cfg.CoreClockGHz))
+		st.NoCEnergyNJ/1e6, st.DRAMEnergyNJ/1e6, st.CoreEnergyNJ/1e6,
+		st.LLCEnergyNJ/1e6, st.StaticEnergyNJ/1e6)
+	fmt.Printf("NoC power:         %.2f W\n", st.NoCPowerW(cfg.CoreClockGHz))
 	if st.MDRDecisions > 0 {
 		fmt.Printf("MDR epochs:        %d (%d replicating)\n", st.MDRDecisions, st.MDREpochsReplicating)
 	}

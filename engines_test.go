@@ -49,8 +49,7 @@ type capture struct {
 // tolerates (and records) the MaxCycles error a capped run ends in and
 // returns any other: a sanitizer diagnostic, a *HangError. It drives
 // internal/core directly because the public Run returns no Result for a
-// capped run, and folds energy into the counters of a drained one, while
-// the digest golden pins the counters the cycle loop left.
+// capped run.
 func run(cfg Config, b Benchmark, e Engine) (capture, error) {
 	g, err := core.New(cfg)
 	if err != nil {

@@ -79,5 +79,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ncycles=%d ipc=%.2f local=%.2f replies/cyc=%.3f\n",
-		res.Stats.Cycles, res.IPC(), res.Stats.LocalFraction(), res.Stats.RepliesPerCycle())
+		res.Stats.Cycles, res.Stats.IPC(), res.Stats.LocalFraction(), res.Stats.RepliesPerCycle())
 }

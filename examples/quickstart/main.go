@@ -36,7 +36,7 @@ func main() {
 
 	fmt.Printf("%-28s %12s %12s\n", "", "UBA", "NUBA")
 	fmt.Printf("%-28s %12d %12d\n", "cycles", base.Stats.Cycles, res.Stats.Cycles)
-	fmt.Printf("%-28s %12.2f %12.2f\n", "warp IPC", base.IPC(), res.IPC())
+	fmt.Printf("%-28s %12.2f %12.2f\n", "warp IPC", base.Stats.IPC(), res.Stats.IPC())
 	fmt.Printf("%-28s %12.3f %12.3f\n", "perceived BW (replies/cyc)",
 		base.Stats.RepliesPerCycle(), res.Stats.RepliesPerCycle())
 	fmt.Printf("%-28s %12.2f %12.2f\n", "local access fraction",

@@ -42,7 +42,6 @@ loop:
 func tinyLaunch(t testing.TB, g *GPU, grid int, iters int64) *kir.Launch {
 	t.Helper()
 	k := kir.MustParse(tinyStream)
-	kir.AnalyzeReadOnly(k)
 	size := uint64(grid) * 256 * uint64(iters) * 8
 	l := &kir.Launch{Kernel: k, GridDim: grid, CTAThreads: 256,
 		Scalars: []int64{iters},

@@ -195,7 +195,6 @@ func TestEnginesSkipNoCFlight(t *testing.T) {
 				g := MustNew(cfg)
 				g.SetEngine(e)
 				k := kir.MustParse(hopKernel)
-				kir.AnalyzeReadOnly(k)
 				size := uint64(2 * iters * sim.LineSize)
 				l := &kir.Launch{Kernel: k, GridDim: 2, CTAThreads: 32, Scalars: []int64{iters},
 					Buffers: []kir.Binding{{Base: g.NewBuffer(size), Size: size}}}

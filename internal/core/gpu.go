@@ -281,10 +281,11 @@ func (g *GPU) nocTotals() (bytes, busyCycles int64, occupancy int) {
 	return bytes, busyCycles, occupancy
 }
 
-// EnergyBreakdown computes and stores the run's energy model outputs.
-func (g *GPU) EnergyBreakdown(p energy.Params) energy.Breakdown {
+// EnergyBreakdown runs the energy model on the run's counters, filling the
+// five energy fields of its Stats.
+func (g *GPU) EnergyBreakdown(p energy.Params) {
 	ports, width := g.NoCGeometry()
-	return energy.Compute(&g.cfg, g.stats, ports, width, p)
+	energy.Compute(&g.cfg, g.stats, ports, width, p)
 }
 
 // NewBuffer reserves a page-aligned virtual address range of the given

@@ -238,7 +238,6 @@ func TestWatchdogRidesOutAColdFault(t *testing.T) {
   ld.global.u64 r2, [A + r1]
   exit
 `)
-	kir.AnalyzeReadOnly(k)
 	for _, mult := range []sim.Cycle{1, 4, 16} {
 		cfg := tinyConfig(config.NUBA)
 		cfg.ColdStart = true

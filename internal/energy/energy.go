@@ -55,34 +55,11 @@ func DefaultParams() Params {
 	}
 }
 
-// Breakdown is the per-component energy of one run, in nanojoules.
-type Breakdown struct {
-	NoCNJ    float64
-	DRAMNJ   float64
-	CoreNJ   float64
-	LLCNJ    float64
-	StaticNJ float64
-}
-
-// TotalNJ sums all components.
-func (b Breakdown) TotalNJ() float64 {
-	return b.NoCNJ + b.DRAMNJ + b.CoreNJ + b.LLCNJ + b.StaticNJ
-}
-
-// NoCPowerW returns the average NoC power over the run.
-func NoCPowerW(b Breakdown, cycles int64, clockGHz float64) float64 {
-	if cycles == 0 {
-		return 0
-	}
-	seconds := float64(cycles) / (clockGHz * 1e9)
-	return b.NoCNJ * 1e-9 / seconds
-}
-
-// Compute derives the run's energy breakdown from its statistics.
-// nocPorts and nocWidth describe the crossbar actually built for the
-// architecture (they differ between UBA variants and NUBA); the results
-// are also written into the Stats energy fields.
-func Compute(cfg *config.Config, st *metrics.Stats, nocPorts, nocWidth int, p Params) Breakdown {
+// Compute derives the run's energy from its statistics and writes it into
+// the five Stats energy fields. nocPorts and nocWidth describe the
+// crossbar actually built for the architecture (they differ between UBA
+// variants and NUBA).
+func Compute(cfg *config.Config, st *metrics.Stats, nocPorts, nocWidth int, p Params) {
 	seconds := float64(st.Cycles) / (cfg.CoreClockGHz * 1e9)
 
 	radixFactor := 1 + float64(nocPorts)/64
@@ -90,17 +67,9 @@ func Compute(cfg *config.Config, st *metrics.Stats, nocPorts, nocWidth int, p Pa
 	nocStatic := p.NoCStaticWPerUnit * float64(nocPorts) * float64(nocPorts) * float64(nocWidth) * seconds * 1e9
 	localLinks := float64(st.LocalLinkBytes) * p.LocalLinkByteNJ
 
-	b := Breakdown{
-		NoCNJ:    nocDynamic + nocStatic + localLinks,
-		DRAMNJ:   float64(st.DRAMReads+st.DRAMWrites) * p.DRAMLineNJ,
-		CoreNJ:   float64(st.Instructions)*p.PerWarpInstrNJ + float64(st.L1Accesses)*p.L1AccessNJ,
-		LLCNJ:    float64(st.LLCAccesses) * p.LLCAccessNJ,
-		StaticNJ: p.GPUStaticW * seconds * 1e9,
-	}
-	st.NoCEnergyNJ = b.NoCNJ
-	st.DRAMEnergyNJ = b.DRAMNJ
-	st.CoreEnergyNJ = b.CoreNJ
-	st.LLCEnergyNJ = b.LLCNJ
-	st.StaticEnergyNJ = b.StaticNJ
-	return b
+	st.NoCEnergyNJ = nocDynamic + nocStatic + localLinks
+	st.DRAMEnergyNJ = float64(st.DRAMReads+st.DRAMWrites) * p.DRAMLineNJ
+	st.CoreEnergyNJ = float64(st.Instructions)*p.PerWarpInstrNJ + float64(st.L1Accesses)*p.L1AccessNJ
+	st.LLCEnergyNJ = float64(st.LLCAccesses) * p.LLCAccessNJ
+	st.StaticEnergyNJ = p.GPUStaticW * seconds * 1e9
 }

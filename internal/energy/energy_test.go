@@ -19,52 +19,37 @@ func baseStats() *metrics.Stats {
 	}
 }
 
-func TestComputeFillsStats(t *testing.T) {
+// computed returns baseStats with the energy fields Compute fills for a
+// crossbar of the given ports and link width.
+func computed(ports, width int) *metrics.Stats {
 	cfg := config.Baseline()
 	st := baseStats()
-	b := Compute(&cfg, st, 128, 16, DefaultParams())
-	if b.TotalNJ() <= 0 {
-		t.Fatal("no energy")
-	}
-	if st.NoCEnergyNJ != b.NoCNJ || st.DRAMEnergyNJ != b.DRAMNJ {
-		t.Fatal("stats not filled")
-	}
-	if b.NoCNJ <= 0 || b.DRAMNJ <= 0 || b.CoreNJ <= 0 || b.LLCNJ <= 0 || b.StaticNJ <= 0 {
-		t.Fatalf("zero component: %+v", b)
+	Compute(&cfg, st, ports, width, DefaultParams())
+	return st
+}
+
+func TestComputeFillsStats(t *testing.T) {
+	st := computed(128, 16)
+	if st.NoCEnergyNJ <= 0 || st.DRAMEnergyNJ <= 0 || st.CoreEnergyNJ <= 0 || st.LLCEnergyNJ <= 0 || st.StaticEnergyNJ <= 0 {
+		t.Fatalf("zero component: %+v", *st)
 	}
 }
 
 func TestNoCPowerScalesQuadraticallyWithPorts(t *testing.T) {
-	cfg := config.Baseline()
-	small := Compute(&cfg, baseStats(), 64, 16, DefaultParams())
-	big := Compute(&cfg, baseStats(), 128, 16, DefaultParams())
-	if big.NoCNJ <= small.NoCNJ {
+	small, big := computed(64, 16).NoCEnergyNJ, computed(128, 16).NoCEnergyNJ
+	if big <= small {
 		t.Fatal("NoC energy did not grow with radix")
 	}
 	// Static part quadruples when ports double; with dynamic included
 	// the ratio must still exceed 2x for this traffic mix.
-	if big.NoCNJ/small.NoCNJ < 1.5 {
-		t.Fatalf("ratio %v too small", big.NoCNJ/small.NoCNJ)
+	if big/small < 1.5 {
+		t.Fatalf("ratio %v too small", big/small)
 	}
 }
 
 func TestNoCPowerScalesWithWidth(t *testing.T) {
-	cfg := config.Baseline()
-	narrow := Compute(&cfg, baseStats(), 128, 8, DefaultParams())
-	wide := Compute(&cfg, baseStats(), 128, 64, DefaultParams())
-	if wide.NoCNJ <= narrow.NoCNJ {
+	if narrow, wide := computed(128, 8).NoCEnergyNJ, computed(128, 64).NoCEnergyNJ; wide <= narrow {
 		t.Fatal("NoC energy did not grow with link width")
-	}
-}
-
-func TestNoCPowerW(t *testing.T) {
-	b := Breakdown{NoCNJ: 1e9} // 1 J
-	// 1 J over (1.4e9 cycles / 1.4 GHz = 1 s) = 1 W.
-	if w := NoCPowerW(b, 1_400_000_000, 1.4); w < 0.99 || w > 1.01 {
-		t.Fatalf("power %v", w)
-	}
-	if NoCPowerW(b, 0, 1.4) != 0 {
-		t.Fatal("zero cycles should give zero power")
 	}
 }
 

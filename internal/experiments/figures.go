@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/nuba-gpu/nuba"
-	"github.com/nuba-gpu/nuba/internal/energy"
 	"github.com/nuba-gpu/nuba/internal/metrics"
 	"github.com/nuba-gpu/nuba/internal/workload"
 )
@@ -79,8 +78,8 @@ func fig7(v *view) (figure, error) {
 	for i, b := range v.benches {
 		row := v.res[i]
 		base := row[isoUBAMem]
-		nb := speedup(row[isoNUBA], base)
-		f.table.AddRow(b.Abbr, class(b), gain(speedup(row[isoUBASM], base)), gain(speedup(row[isoNoRep], base)), gain(nb))
+		nb := nuba.Speedup(row[isoNUBA], base)
+		f.table.AddRow(b.Abbr, class(b), gain(nuba.Speedup(row[isoUBASM], base)), gain(nuba.Speedup(row[isoNoRep], base)), gain(nb))
 		f.chart.Add(b.Abbr, (nb-1)*100)
 	}
 	f.group("NUBA-No-Rep vs UBA", v, isoNoRep, isoUBAMem)
@@ -147,8 +146,7 @@ func fig10(v *view) (figure, error) {
 		cfg := &v.cfgs[j]
 		var power float64
 		for _, row := range v.res {
-			power += energy.NoCPowerW(energy.Breakdown{NoCNJ: row[j].Stats.NoCEnergyNJ},
-				row[j].Stats.Cycles, cfg.CoreClockGHz)
+			power += row[j].Stats.NoCPowerW(cfg.CoreClockGHz)
 		}
 		power /= float64(len(v.benches))
 		name := fmt.Sprintf("%s@%.0f", cfg.Arch, cfg.NoCBandwidthGBs)
@@ -179,7 +177,7 @@ func fig11(v *view) (figure, error) {
 	f := figure{table: &metrics.Table{Header: []string{"Bench", "Class", "FT vs UBA", "RR vs UBA", "LAB vs UBA"}}}
 	for i, b := range v.benches {
 		ub, ft, rr, lab := v.res[i][0], v.res[i][1], v.res[i][2], v.res[i][3]
-		f.table.AddRow(b.Abbr, class(b), gain(speedup(ft, ub)), gain(speedup(rr, ub)), gain(speedup(lab, ub)))
+		f.table.AddRow(b.Abbr, class(b), gain(nuba.Speedup(ft, ub)), gain(nuba.Speedup(rr, ub)), gain(nuba.Speedup(lab, ub)))
 	}
 	f.line("harmonic means vs UBA: FT %s  RR %s  LAB %s\n", f.add("FT", hmean(v.speedups(1, 0)), improvement),
 		f.add("RR", hmean(v.speedups(2, 0)), improvement), f.add("LAB", hmean(v.speedups(3, 0)), improvement))
@@ -202,7 +200,7 @@ func fig12(v *view) (figure, error) {
 	f := figure{table: &metrics.Table{Header: []string{"Bench", "Class", "Full-Rep", "MDR", "LLCmiss No/Full"}}}
 	for i, b := range v.benches {
 		rn, rf, rm := v.res[i][0], v.res[i][1], v.res[i][2]
-		f.table.AddRow(b.Abbr, class(b), gain(speedup(rf, rn)), gain(speedup(rm, rn)),
+		f.table.AddRow(b.Abbr, class(b), gain(nuba.Speedup(rf, rn)), gain(nuba.Speedup(rm, rn)),
 			fmt.Sprintf("%.2f/%.2f", 1-rn.Stats.LLCHitRate(), 1-rf.Stats.LLCHitRate()))
 	}
 	f.line("harmonic means vs No-Rep: Full-Rep %s  MDR %s\n",
@@ -349,7 +347,7 @@ func altPlacement(v *view) (figure, error) {
 	f := figure{table: &metrics.Table{Header: []string{"Bench", "Class", "LAB", "Migration", "PageRep", "Migrations", "PageReplicas"}}}
 	for i, b := range v.benches {
 		ub, rl, rm, rp := v.res[i][0], v.res[i][1], v.res[i][2], v.res[i][3]
-		f.table.AddRow(b.Abbr, class(b), gain(speedup(rl, ub)), gain(speedup(rm, ub)), gain(speedup(rp, ub)),
+		f.table.AddRow(b.Abbr, class(b), gain(nuba.Speedup(rl, ub)), gain(nuba.Speedup(rm, ub)), gain(nuba.Speedup(rp, ub)),
 			fmt.Sprintf("%d", rm.Stats.PageMigrations), fmt.Sprintf("%d", rp.Stats.PageReplicas))
 	}
 	f.line("%s\n", paper("migration/replication ~+26% on low-sharing but up to -80.4% on high-sharing"))

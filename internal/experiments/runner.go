@@ -240,7 +240,7 @@ func (f *figure) line(format string, args ...any) { f.lines = append(f.lines, li
 func (f *figure) classes(name string, v *view, cand, base int) (low, high, all scalar) {
 	var lo, hi []float64
 	for i, row := range v.res {
-		if s := speedup(row[cand], row[base]); v.benches[i].High {
+		if s := nuba.Speedup(row[cand], row[base]); v.benches[i].High {
 			hi = append(hi, s)
 		} else {
 			lo = append(lo, s)
@@ -271,19 +271,11 @@ func (f *figure) String() string {
 	return b.String()
 }
 
-// speedup returns base/cand, the cycle ratio of cand over base.
-func speedup(cand, base *nuba.Result) float64 {
-	if cand.Stats.Cycles == 0 {
-		return 1
-	}
-	return float64(base.Stats.Cycles) / float64(cand.Stats.Cycles)
-}
-
 // speedups returns each benchmark's speedup of configuration cand over base.
 func (v *view) speedups(cand, base int) []float64 {
 	out := make([]float64, len(v.res))
 	for i, row := range v.res {
-		out[i] = speedup(row[cand], row[base])
+		out[i] = nuba.Speedup(row[cand], row[base])
 	}
 	return out
 }

@@ -227,7 +227,6 @@ func runAgainstLanes(t *testing.T, ws *Warps, src string, x, y int64, cta, warpI
 	if err != nil {
 		t.Fatalf("generated program does not parse: %v\n%s", err, src)
 	}
-	AnalyzeReadOnly(k)
 	l := &Launch{Kernel: k, GridDim: 4, CTAThreads: 2 * WarpSize, Scalars: []int64{x, y}, Buffers: fuzzBindings()}
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
@@ -411,7 +410,6 @@ comp:
 // the register file a whole warp allocates nothing.
 func TestAffineKernelSpreadsNothing(t *testing.T) {
 	k := MustParse(streamSrc)
-	AnalyzeReadOnly(k)
 	const grid, threads, iters = 8, 256, 4
 	size := uint64(grid * threads * iters * 8)
 	l := &Launch{Kernel: k, GridDim: grid, CTAThreads: threads, Scalars: []int64{iters, 2, 2},

@@ -14,6 +14,9 @@ package kir
 // assume may execute. A buffer that is read-only in this kernel may be
 // read-write in the next one; the runtime flushes replicas at kernel
 // boundaries for exactly that reason (Section 5.3).
+//
+// Parse runs the pass on every kernel it compiles; a hand-built Kernel
+// needs it before launch. It is idempotent.
 func AnalyzeReadOnly(k *Kernel) {
 	written := make([]bool, len(k.Buffers))
 	for i := range k.Code {

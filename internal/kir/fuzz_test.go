@@ -61,7 +61,6 @@ func FuzzParse(f *testing.F) {
 			}
 			return
 		}
-		AnalyzeReadOnly(k)
 		for i := range k.Code {
 			in := &k.Code[i]
 			ro := in.Op.IsMem() && k.Buffers[in.Buf].ReadOnly

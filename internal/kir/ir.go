@@ -152,7 +152,8 @@ type Kernel struct {
 	// NumRegs and NumPreds are the highest used counts, for allocation.
 	NumRegs  int
 	NumPreds int
-	// Analyzed records that AnalyzeReadOnly ran.
+	// Analyzed records that AnalyzeReadOnly ran (Parse runs it; a
+	// hand-built Kernel must).
 	Analyzed bool
 }
 

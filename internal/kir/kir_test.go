@@ -1,6 +1,7 @@
 package kir
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -33,7 +34,6 @@ func simpleLaunch(t *testing.T, src string, scalars []int64, bufs []Binding) *La
 	if err != nil {
 		t.Fatal(err)
 	}
-	AnalyzeReadOnly(k)
 	l := &Launch{Kernel: k, GridDim: 4, CTAThreads: 64, Scalars: scalars, Buffers: bufs}
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
@@ -319,7 +319,6 @@ func TestAnalyzeReadOnly(t *testing.T) {
   exit
 `
 	k := MustParse(src)
-	AnalyzeReadOnly(k)
 	if !k.Buffers[0].ReadOnly || k.Buffers[1].ReadOnly || k.Buffers[2].ReadOnly {
 		t.Fatalf("RO classification wrong: %+v", k.Buffers)
 	}
@@ -336,6 +335,12 @@ func TestAnalyzeReadOnly(t *testing.T) {
 	if roLoads != 1 || plainLoads != 1 {
 		t.Fatalf("rewrites wrong: ro=%d plain=%d", roLoads, plainLoads)
 	}
+	// Parse ran the pass; running it again changes nothing.
+	code := slices.Clone(k.Code)
+	AnalyzeReadOnly(k)
+	if !slices.Equal(code, k.Code) || !k.Buffers[0].ReadOnly || k.Buffers[1].ReadOnly {
+		t.Fatal("AnalyzeReadOnly is not idempotent")
+	}
 }
 
 func TestAnalyzeDemotesUnsoundRO(t *testing.T) {
@@ -349,7 +354,6 @@ func TestAnalyzeDemotesUnsoundRO(t *testing.T) {
   exit
 `
 	k := MustParse(src)
-	AnalyzeReadOnly(k)
 	for _, in := range k.Code {
 		if in.Op == OpLdRO {
 			t.Fatal("unsound .ro load survived analysis")
@@ -367,7 +371,6 @@ func TestPartialTailWarp(t *testing.T) {
   st.global.u64 [OUT + r1], r0
   exit
 `)
-	AnalyzeReadOnly(k)
 	l := &Launch{Kernel: k, GridDim: 1, CTAThreads: 64, Scalars: nil,
 		Buffers: []Binding{{Base: 0, Size: 4096}}}
 	if err := l.Validate(); err != nil {
@@ -387,7 +390,6 @@ func TestPartialTailWarp(t *testing.T) {
 
 func TestLaunchValidate(t *testing.T) {
 	k := MustParse(".kernel v\n.param .ptr A\n.param .u64 n\n  exit\n")
-	AnalyzeReadOnly(k)
 	good := &Launch{Kernel: k, GridDim: 1, CTAThreads: 32,
 		Scalars: []int64{1}, Buffers: []Binding{{Base: 0, Size: 64}}}
 	if err := good.Validate(); err != nil {
@@ -404,7 +406,7 @@ func TestLaunchValidate(t *testing.T) {
 			t.Errorf("case %d: invalid launch accepted", i)
 		}
 	}
-	unanalyzed := MustParse(".kernel u\n  exit\n")
+	unanalyzed := &Kernel{Name: "u", Code: []Instr{{Op: OpExit}}}
 	if err := (&Launch{Kernel: unanalyzed, GridDim: 1, CTAThreads: 32}).Validate(); err == nil {
 		t.Error("unanalyzed kernel accepted")
 	}
@@ -433,7 +435,6 @@ func TestUniformFastPathMatchesLaneful(t *testing.T) {
   exit
 `
 		k := MustParse(src)
-		AnalyzeReadOnly(k)
 		l := &Launch{Kernel: k, GridDim: 1, CTAThreads: 32,
 			Scalars: []int64{a, b}, Buffers: []Binding{{Base: 0, Size: 64}}}
 		w := NewWarp(l, 0, 0)

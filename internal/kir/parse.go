@@ -6,7 +6,8 @@ import (
 	"strings"
 )
 
-// Parse compiles the textual kernel assembly into a verified Kernel.
+// Parse compiles the textual kernel assembly into a verified Kernel and
+// runs the read-only analysis of Section 5.2 on it (AnalyzeReadOnly).
 //
 // Grammar (one statement per line; '//' or '#' start a comment):
 //
@@ -24,6 +25,7 @@ func Parse(src string) (*Kernel, error) {
 	if err := p.run(src); err != nil {
 		return nil, err
 	}
+	AnalyzeReadOnly(p.k)
 	return p.k, nil
 }
 

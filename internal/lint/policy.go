@@ -80,7 +80,7 @@ var RepoPolicy = &Policy{
 		// examples need; internal/experiments is the engine above it.
 		".": {"internal/config", "internal/core", "internal/energy", "internal/kir",
 			"internal/metrics", "internal/trace", "internal/workload"},
-		"internal/experiments": {".", "internal/energy", "internal/metrics", "internal/workload"},
+		"internal/experiments": {".", "internal/metrics", "internal/workload"},
 
 		// Tooling is outside the simulator DAG entirely.
 		"internal/lint":     nil,

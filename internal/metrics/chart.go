@@ -7,11 +7,11 @@ import (
 )
 
 // DetailTable renders the single-run deep-dive table: the secondary
-// counters that the headline Stats.String line omits — per-thread
-// instruction counts, the L1/TLB hit breakdowns, NoC serialization and
-// UBA coherence traffic. Every Stats counter must be consumed by a
-// reporting surface (metrics-liveness, internal/lint); this table is
-// that surface for the counters below.
+// counters that a run's headline summary (IPC, bandwidth, hit rates)
+// omits — per-thread instruction counts, the L1/TLB hit breakdowns, NoC
+// serialization and UBA coherence traffic. Every Stats counter must be
+// consumed by a reporting surface (metrics-liveness, internal/lint); this
+// table is that surface for the counters below.
 func DetailTable(s *Stats) string {
 	t := &Table{Header: []string{"counter", "value", "note"}}
 	row := func(name string, v int64, note string) {

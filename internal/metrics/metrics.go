@@ -88,7 +88,9 @@ type Stats struct {
 	MemLatencySum   int64
 	MemLatencyCount int64
 
-	// Energy in nanojoules, filled by the energy model at the end of a run.
+	// Energy in nanojoules, derived from the counters above by the energy
+	// model (energy.Compute) after a run drains; the cycle loop leaves
+	// these zero.
 	NoCEnergyNJ    float64
 	DRAMEnergyNJ   float64
 	CoreEnergyNJ   float64
@@ -96,12 +98,16 @@ type Stats struct {
 	StaticEnergyNJ float64
 }
 
-// Digest is FNV-1a over every field, name and value, in declaration
+// Digest is FNV-1a over every counter, name and value, in declaration
 // order: two runs share a digest exactly when they share every simulated
-// statistic (testdata/suite_digests.txt).
+// statistic (testdata/suite_digests.txt). The five energy fields are
+// hashed as zero, since they are derived from the counters, so a run's
+// digest is the same before and after the energy model fills them.
 func (s *Stats) Digest() uint64 {
+	c := *s
+	c.NoCEnergyNJ, c.DRAMEnergyNJ, c.CoreEnergyNJ, c.LLCEnergyNJ, c.StaticEnergyNJ = 0, 0, 0, 0, 0
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", *s)
+	fmt.Fprintf(h, "%+v", c)
 	return h.Sum64()
 }
 
@@ -161,10 +167,14 @@ func (s *Stats) TotalEnergyNJ() float64 {
 	return s.NoCEnergyNJ + s.DRAMEnergyNJ + s.CoreEnergyNJ + s.LLCEnergyNJ + s.StaticEnergyNJ
 }
 
-// String formats the headline statistics on one line.
-func (s *Stats) String() string {
-	return fmt.Sprintf("cycles=%d ipc=%.3f replies/cyc=%.3f l1miss=%.3f llchit=%.3f local=%.3f",
-		s.Cycles, s.IPC(), s.RepliesPerCycle(), s.L1MissRate(), s.LLCHitRate(), s.LocalFraction())
+// NoCPowerW returns the run's average NoC power in watts, given the core
+// clock in GHz that its Cycles count.
+func (s *Stats) NoCPowerW(coreClockGHz float64) float64 {
+	if s.Cycles == 0 {
+		return 0
+	}
+	seconds := float64(s.Cycles) / (coreClockGHz * 1e9)
+	return s.NoCEnergyNJ * 1e-9 / seconds
 }
 
 // SharingHistogram records, for each memory page, how many distinct SMs

@@ -44,8 +44,17 @@ func TestStatsZeroSafe(t *testing.T) {
 			t.Fatalf("zero stats produced %v", v)
 		}
 	}
-	if s.String() == "" {
-		t.Fatal("empty String()")
+}
+
+func TestNoCPowerW(t *testing.T) {
+	s := &Stats{Cycles: 1_400_000_000, NoCEnergyNJ: 1e9} // 1 J
+	// 1 J over (1.4e9 cycles / 1.4 GHz = 1 s) = 1 W.
+	if w := s.NoCPowerW(1.4); w < 0.99 || w > 1.01 {
+		t.Fatalf("power %v", w)
+	}
+	s.Cycles = 0
+	if s.NoCPowerW(1.4) != 0 {
+		t.Fatal("zero cycles should give zero power")
 	}
 }
 

@@ -124,7 +124,6 @@ loop:
 func rigLaunch(t testing.TB, grid int, iters int64) *kir.Launch {
 	t.Helper()
 	k := kir.MustParse(rigKernel)
-	kir.AnalyzeReadOnly(k)
 	size := uint64(grid) * 64 * uint64(iters) * 8
 	l := &kir.Launch{Kernel: k, GridDim: grid, CTAThreads: 64,
 		Scalars: []int64{iters},
@@ -228,7 +227,6 @@ func TestSMBarrierSynchronizesCTA(t *testing.T) {
   exit
 `
 	k := kir.MustParse(src)
-	kir.AnalyzeReadOnly(k)
 	l := &kir.Launch{Kernel: k, GridDim: 1, CTAThreads: 128,
 		Buffers: []kir.Binding{{Base: 1 << 20, Size: 4096}}}
 	if err := l.Validate(); err != nil {
@@ -525,7 +523,6 @@ loop:
 func oracleLaunch(t *testing.T, src string, grid, ctaThreads int, iters int64) *kir.Launch {
 	t.Helper()
 	k := kir.MustParse(src)
-	kir.AnalyzeReadOnly(k)
 	size := uint64(grid*ctaThreads)*uint64(iters+3)*8 + 4096
 	l := &kir.Launch{Kernel: k, GridDim: grid, CTAThreads: ctaThreads,
 		Scalars: []int64{iters},
@@ -689,7 +686,6 @@ func TestGreedySurvivesSlotRecycle(t *testing.T) {
   mov r3, 3
   exit
 `)
-	kir.AnalyzeReadOnly(k)
 	const grid, perWarp = 10, 4
 	l := &kir.Launch{Kernel: k, GridDim: grid, CTAThreads: 32}
 	if err := l.Validate(); err != nil {

@@ -36,8 +36,9 @@ const SchemaVersion = "nuba-trace/1"
 // that sink; both nil means tracing is off.
 type Options struct {
 	// EpochCycles is the sampling interval of the time series in core
-	// cycles. Zero or negative selects the configuration's MDR epoch
-	// (the natural resolution of the paper's temporal mechanisms).
+	// cycles. New wants it positive; nuba.Run reads zero or negative as
+	// the configuration's MDR epoch (the natural resolution of the
+	// paper's temporal mechanisms).
 	EpochCycles sim.Cycle
 	// Series receives the NDJSON epoch time series (one JSON object per
 	// line; see docs/OBSERVABILITY.md).
@@ -66,14 +67,15 @@ type Tracer struct {
 }
 
 // New returns a tracer over the given sinks. coreGHz converts cycles to
-// the microseconds of the Chrome timeline. An EpochCycles of zero or
-// less falls back to 20000 (the paper's MDR epoch).
+// the microseconds of the Chrome timeline. Both o.EpochCycles and
+// coreGHz must be positive; nuba.Run fills a zero EpochCycles in from
+// the configuration's MDR epoch.
 func New(o Options, coreGHz float64) *Tracer {
 	if o.EpochCycles <= 0 {
-		o.EpochCycles = 20000
+		panic("trace: EpochCycles must be positive")
 	}
-	if coreGHz <= 0 {
-		coreGHz = 1
+	if !(coreGHz > 0) {
+		panic("trace: core clock must be positive")
 	}
 	return &Tracer{epoch: o.EpochCycles, ghz: coreGHz, series: o.Series, chrome: o.Chrome}
 }

@@ -7,6 +7,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/nuba-gpu/nuba/internal/sim"
 )
 
 func newTestTracer() (*Tracer, *bytes.Buffer, *bytes.Buffer) {
@@ -21,13 +23,6 @@ func TestOptionsEnabled(t *testing.T) {
 	}
 	if !(Options{Series: &bytes.Buffer{}}).Enabled() || !(Options{Chrome: &bytes.Buffer{}}).Enabled() {
 		t.Fatal("either sink alone must enable tracing")
-	}
-}
-
-func TestDefaults(t *testing.T) {
-	tr := New(Options{Series: &bytes.Buffer{}}, 0)
-	if tr.EpochCycles() != 20000 {
-		t.Fatalf("default epoch = %d, want 20000", tr.EpochCycles())
 	}
 }
 
@@ -112,9 +107,27 @@ func TestChromeValidTraceEvents(t *testing.T) {
 	}
 }
 
+// New has no defaults: nuba.Run fills the interval in from the
+// configuration, and a non-positive one or clock is a caller's bug.
+func TestNewRefusesNonPositive(t *testing.T) {
+	for _, c := range []struct {
+		epoch int64
+		ghz   float64
+	}{{0, 1}, {-1, 1}, {1000, 0}, {1000, math.NaN()}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(EpochCycles %d, %g GHz) did not panic", c.epoch, c.ghz)
+				}
+			}()
+			New(Options{EpochCycles: sim.Cycle(c.epoch)}, c.ghz)
+		}()
+	}
+}
+
 func TestChromeEmptyIsValidArray(t *testing.T) {
 	var chrome bytes.Buffer
-	tr := New(Options{Chrome: &chrome}, 1)
+	tr := New(Options{EpochCycles: 1000, Chrome: &chrome}, 1)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +143,7 @@ func (w failWriter) Write(p []byte) (int, error) { return 0, w.err }
 
 func TestWriteErrorSurfacedByClose(t *testing.T) {
 	sinkErr := errors.New("disk full")
-	tr := New(Options{Series: failWriter{sinkErr}}, 1)
+	tr := New(Options{EpochCycles: 1000, Series: failWriter{sinkErr}}, 1)
 	tr.Begin(Meta{})
 	tr.KernelSpan("k", 1, 0, 1) // must not panic after the error
 	if err := tr.Close(); !errors.Is(err, sinkErr) {

@@ -23,17 +23,11 @@ import "github.com/nuba-gpu/nuba/internal/kir"
 //     (AN/SN/RN) or thrashes (GRU), which is exactly the trade-off MDR
 //     arbitrates.
 
-func compileKernel(src string) *kir.Kernel {
-	k := kir.MustParse(src)
-	kir.AnalyzeReadOnly(k)
-	return k
-}
-
 // kStream: CTA-tiled streaming with a tunable per-element compute loop
 // and `passes` repeated sweeps over the tile. Each CTA owns a contiguous
 // tile of ntid*iters elements, so accesses are coalesced within warps and
 // pages are private to the owning SM under contiguous CTA assignment.
-var kStream = compileKernel(`
+var kStream = kir.MustParse(`
 .kernel stream
 .param .ptr A
 .param .ptr B
@@ -71,7 +65,7 @@ comp:
 
 // kStencil2D: five-point stencil over a rows-per-CTA tile, swept `passes`
 // times; boundary rows are shared with adjacent CTAs (mostly the same SM).
-var kStencil2D = compileKernel(`
+var kStencil2D = kir.MustParse(`
 .kernel stencil2d
 .param .ptr A
 .param .ptr B
@@ -118,7 +112,7 @@ loop:
 
 // kMatvec: y = A*x with A stored column-major so lanes coalesce over
 // rows; the x vector is a small buffer shared (read-only) by every SM.
-var kMatvec = compileKernel(`
+var kMatvec = kir.MustParse(`
 .kernel matvec
 .param .ptr A
 .param .ptr X
@@ -148,7 +142,7 @@ loop:
 // kMatvecRow: y = A*x with A row-major and one thread per row — the
 // uncoalesced transposed sweep of BICG's second kernel, touching every
 // page of A from a different SM than the column-major first kernel.
-var kMatvecRow = compileKernel(`
+var kMatvecRow = kir.MustParse(`
 .kernel matvecrow
 .param .ptr A
 .param .ptr X
@@ -179,7 +173,7 @@ loop:
 // (warp-uniform loads), B rows are read by every CTA row — the shared
 // read-only panels that make GEMM-family benchmarks high-sharing, with a
 // small lockstep window (the k sweep) that replication serves locally.
-var kGemm = compileKernel(`
+var kGemm = kir.MustParse(`
 .kernel gemm
 .param .ptr A
 .param .ptr B
@@ -217,7 +211,7 @@ loop:
 // lanes spread over many lines (gather-style fan-out), the live working
 // set is ~window elements shared by every SM, and the whole input is
 // covered after taps steps. The weight vector is read warp-uniform.
-var kDNNConv = compileKernel(`
+var kDNNConv = kir.MustParse(`
 .kernel dnnconv
 .param .ptr IN
 .param .ptr W
@@ -254,7 +248,7 @@ loop:
 // hash, and combine into a small read-write table with atomics. Irregular
 // stores, but >80% of pages (the input) stay private — the paper's
 // low-sharing irregular class.
-var kMapReduce = compileKernel(`
+var kMapReduce = kir.MustParse(`
 .kernel mapreduce
 .param .ptr IN
 .param .ptr TABLE
@@ -284,7 +278,7 @@ loop:
 // lookups into a large shared read-only tree. Upper levels are hot (small
 // index range), deep levels cold — replication of the whole tree thrashes
 // the LLC, the case MDR must detect.
-var kGather = compileKernel(`
+var kGather = kir.MustParse(`
 .kernel gather
 .param .ptr KEYS
 .param .ptr TREE
@@ -333,7 +327,7 @@ walk:
 // intermediate sharing degrees (streamcluster's 2-10 SM class); gstride
 // tiles the groups across the center buffer and the per-iteration window
 // advance (spread across lanes) controls the shared working-set size.
-var kCluster = compileKernel(`
+var kCluster = kir.MustParse(`
 .kernel cluster
 .param .ptr PTS
 .param .ptr CTR
@@ -385,7 +379,7 @@ cloop:
 // neighbors live a whole plane away, so CTAs far apart in schedule order
 // (different SMs) touch the same pages — 3DCONV's high-sharing pattern —
 // and a compute loop makes it relatively bandwidth-insensitive.
-var kStencil3D = compileKernel(`
+var kStencil3D = kir.MustParse(`
 .kernel stencil3d
 .param .ptr A
 .param .ptr B
@@ -438,7 +432,7 @@ comp:
 // matrix, writes the current band. One launch per band; the reference
 // window shifts with the band so its pages are shared across bands' SM
 // sets.
-var kWavefront = compileKernel(`
+var kWavefront = kir.MustParse(`
 .kernel wavefront
 .param .ptr REF
 .param .ptr MAT

@@ -70,8 +70,6 @@ type (
 	Launch = kir.Launch
 	// Binding places one buffer parameter in the virtual address space.
 	Binding = kir.Binding
-	// EnergyBreakdown is the per-component energy of a run.
-	EnergyBreakdown = energy.Breakdown
 	// SharingHistogram is the Figure 3 page-sharing data of a run.
 	SharingHistogram = metrics.SharingHistogram
 	// TraceOptions select the observability sinks of a traced run: an
@@ -199,21 +197,13 @@ func CheckScale(factor float64) error {
 
 // ParseKernel compiles kernel assembly (see internal/kir for the grammar)
 // and runs the read-only data-flow analysis.
-func ParseKernel(src string) (*Kernel, error) {
-	k, err := kir.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	kir.AnalyzeReadOnly(k)
-	return k, nil
-}
+func ParseKernel(src string) (*Kernel, error) { return kir.Parse(src) }
 
 // Result bundles everything measured in one run.
 type Result struct {
-	// Stats are the hardware counters (IPC, bandwidth, breakdowns).
+	// Stats are the hardware counters (IPC, bandwidth, breakdowns) and
+	// the modeled energy derived from them.
 	Stats *Stats
-	// Energy is the modeled energy breakdown.
-	Energy EnergyBreakdown
 	// Sharing is the page-sharing histogram.
 	Sharing *SharingHistogram
 	// System is the GPU the run executed on, for deeper inspection. Run's
@@ -222,9 +212,6 @@ type Result struct {
 	// job costs its measurements and not its whole machine.
 	System *System
 }
-
-// IPC is shorthand for Stats.IPC.
-func (r *Result) IPC() float64 { return r.Stats.IPC() }
 
 // Engine selects what the cycle loop does with windows the wake hints
 // claim idle (skip, never ask, verify). All engines are cycle-exact —
@@ -367,16 +354,8 @@ func Run(ctx context.Context, cfg Config, b Benchmark, opts ...RunOption) (res *
 	if runErr != nil {
 		return nil, runErr
 	}
-	bd := g.EnergyBreakdown(energy.DefaultParams())
-	return &Result{Stats: g.Stats(), Energy: bd, Sharing: g.Sharing(), System: g}, nil
-}
-
-// NoCPowerW converts a run's NoC energy into average NoC power in
-// watts, given the run's cycle count and the core clock in GHz. It is
-// the public face of the internal energy model's power conversion, so
-// CLIs and examples need not import sim internals.
-func NoCPowerW(bd EnergyBreakdown, cycles int64, coreClockGHz float64) float64 {
-	return energy.NoCPowerW(bd, cycles, coreClockGHz)
+	g.EnergyBreakdown(energy.DefaultParams())
+	return &Result{Stats: g.Stats(), Sharing: g.Sharing(), System: g}, nil
 }
 
 // DetailTable renders the single-run deep-dive counter table (L1/TLB
@@ -384,8 +363,9 @@ func NoCPowerW(bd EnergyBreakdown, cycles int64, coreClockGHz float64) float64 {
 // want more than the headline Stats line.
 func DetailTable(s *Stats) string { return metrics.DetailTable(s) }
 
-// Speedup returns a.IPC()/b.IPC() — but since runs execute identical work,
-// it uses the inverse cycle ratio, the paper's speedup definition.
+// Speedup returns candidate's IPC over baseline's — but since runs execute
+// identical work, it uses the inverse cycle ratio, the paper's speedup
+// definition.
 func Speedup(candidate, baseline *Result) float64 {
 	if candidate.Stats.Cycles == 0 {
 		return 0

@@ -30,6 +30,29 @@ var tracedBP = sync.OnceValues(func() (struct{ series, chrome []byte }, error) {
 	return out, nil
 })
 
+// TestRunDefaultsTraceEpoch: a traced Run with no EpochCycles samples
+// once per MDR epoch of its configuration.
+func TestRunDefaultsTraceEpoch(t *testing.T) {
+	b, err := BenchmarkByAbbr("LEU")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := NUBAConfig().Scale(0.125)
+	cfg.MDREpoch = 5000
+	var series bytes.Buffer
+	if _, err := Run(context.Background(), cfg, b, WithTrace(&TraceOptions{Series: &series})); err != nil {
+		t.Fatal(err)
+	}
+	meta, _, _ := bytes.Cut(series.Bytes(), []byte("\n"))
+	var m struct {
+		Type        string `json:"type"`
+		EpochCycles int64  `json:"epoch_cycles"`
+	}
+	if err := json.Unmarshal(meta, &m); err != nil || m.Type != "meta" || m.EpochCycles != 5000 {
+		t.Fatalf("meta line %s (err %v): want epoch_cycles 5000", meta, err)
+	}
+}
+
 // The acceptance bar of the tracing subsystem: for one (Config,
 // Benchmark) the trace byte streams are identical whether the run has
 // the process to itself or shares it with another simulation, and across
