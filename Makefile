@@ -98,8 +98,9 @@ bench-smoke:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
-# ROADMAP 10's size of the simulator: lines of non-test Go outside bench/
-# (the benchmark's own module) and testdata/.
+# The size of the simulator that ROADMAP's "Keep deleting" item tracks:
+# lines of non-test Go outside bench/ (the benchmark's own module) and
+# testdata/.
 lines:
 	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -not -path '*/testdata/*' -exec cat {} + | wc -l
 

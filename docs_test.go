@@ -217,6 +217,7 @@ var externalFlags = map[string]bool{
 	"r":      true, // jq -r
 	"top":    true, // go tool pprof -top
 	"cum":    true, // go tool pprof -cum
+	"peek":   true, // go tool pprof -peek
 	"sample": true, // go tool pprof -sample_index (the match stops at the underscore)
 }
 

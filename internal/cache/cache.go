@@ -165,8 +165,12 @@ func (c *Cache) Insert(addr uint64, isDirty, isReplica bool, now int64) (victim 
 		}
 	}
 	v := &set[vi]
+	// A way a flush has yet to write back (invalid, still dirty) is not
+	// empty: its line goes out with the eviction, not lost.
 	if v.key&valid != 0 {
 		c.Evictions++
+	}
+	if v.key&(valid|dirty) != 0 {
 		victim = c.LineAddr(v.key)
 		if v.key&dirty != 0 && c.policy == WriteBack {
 			c.Writebacks++
@@ -185,34 +189,38 @@ func (c *Cache) Invalidate(addr uint64) (found, wasDirty bool) {
 	for i := range set {
 		l := &set[i]
 		if l.hit(tag) {
-			l.key &^= valid
-			return true, l.key&dirty != 0
+			wasDirty = l.key&dirty != 0
+			l.key &^= valid | dirty // dropped: no flush writes it back
+			return true, wasDirty
 		}
 	}
 	return false, false
 }
 
-// DirtyLines counts the lines that InvalidateAll would hand to writeback.
-func (c *Cache) DirtyLines() (n int) {
-	for i := range c.lines {
-		if c.lines[i].key&(valid|dirty) == valid|dirty && c.policy == WriteBack {
-			n++
-		}
+// InvalidateAll drops every line (the software-coherence flush at
+// synchronization and kernel boundaries). A write-back cache's dirty lines
+// stay marked, awaiting writeback: NextWriteback hands them out.
+func (c *Cache) InvalidateAll() {
+	drop := valid
+	if c.policy != WriteBack {
+		drop |= dirty
 	}
-	return n
+	for i := range c.lines {
+		c.lines[i].key &^= drop
+	}
 }
 
-// InvalidateAll flushes the whole cache (the software-coherence flush at
-// synchronization and kernel boundaries) and hands each dirty line address
-// that a write-back cache must write downstream to writeback, in set order.
-func (c *Cache) InvalidateAll(writeback func(line uint64)) {
-	for i := range c.lines {
-		l := &c.lines[i]
-		if l.key&(valid|dirty) == valid|dirty && c.policy == WriteBack {
-			writeback(c.LineAddr(l.key))
+// NextWriteback hands out the first line at or after way index from (set
+// order) that InvalidateAll left awaiting writeback, and clears its mark.
+// next is where the following call resumes, -1 when no line is left.
+func (c *Cache) NextWriteback(from int) (line uint64, next int) {
+	for i := from; i < len(c.lines); i++ {
+		if l := &c.lines[i]; l.key&(valid|dirty) == dirty {
+			l.key &^= dirty
+			return c.LineAddr(l.key), i + 1
 		}
-		l.key &^= valid
 	}
+	return 0, -1
 }
 
 // InvalidateReplicas drops all replica lines (used when MDR turns
@@ -223,7 +231,7 @@ func (c *Cache) InvalidateReplicas() int {
 	for i := range c.lines {
 		l := &c.lines[i]
 		if l.key&(valid|replica) == valid|replica {
-			l.key &^= valid
+			l.key &^= valid | dirty
 			n++
 		}
 	}

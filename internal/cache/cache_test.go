@@ -84,19 +84,66 @@ func TestWriteBackDirtyOnWriteHit(t *testing.T) {
 	}
 }
 
+// writebacks drains what InvalidateAll left awaiting writeback.
+func writebacks(c *Cache) (lines []uint64) {
+	for line, next := c.NextWriteback(0); next >= 0; line, next = c.NextWriteback(next) {
+		lines = append(lines, line)
+	}
+	return lines
+}
+
 func TestInvalidateAllReturnsDirtyLines(t *testing.T) {
 	c := New(4, 2, WriteBack)
 	c.Insert(ln(0), true, false, 0)
 	c.Insert(ln(1), false, false, 1)
 	c.Insert(ln(2), true, false, 2)
-	n := c.DirtyLines()
-	var dirty []uint64
-	c.InvalidateAll(func(line uint64) { dirty = append(dirty, line) })
-	if n != 2 || len(dirty) != 2 || dirty[0] != ln(0) || dirty[1] != ln(2) {
-		t.Fatalf("counted %d dirty lines, flushed %#x; want ln(0) and ln(2)", n, dirty)
-	}
+	c.Insert(ln(4), true, false, 3) // set 0 again, second way
+	c.InvalidateAll()
 	if c.Occupancy() != 0 {
 		t.Fatal("cache not empty after flush")
+	}
+	if got := writebacks(c); len(got) != 3 || got[0] != ln(0) || got[1] != ln(4) || got[2] != ln(2) {
+		t.Fatalf("flushed %#x; want ln(0), ln(4) and ln(2), in set order", got)
+	}
+	if got := writebacks(c); len(got) != 0 {
+		t.Fatalf("a second drain handed out %#x; each mark clears as it is handed out", got)
+	}
+}
+
+// A dirty line dropped by Invalidate (an SM-side UBA coherence
+// invalidation) or by InvalidateReplicas is gone, not awaiting writeback:
+// the next flush hands out only the lines that were still dirty.
+func TestDroppedLineIsNoWriteback(t *testing.T) {
+	c := New(4, 2, WriteBack)
+	c.Insert(ln(0), true, false, 0)
+	c.Insert(ln(1), true, false, 1)
+	if found, wasDirty := c.Invalidate(ln(0)); !found || !wasDirty {
+		t.Fatalf("Invalidate = %v, %v; want the dirty line found", found, wasDirty)
+	}
+	c.InvalidateAll()
+	if got := writebacks(c); len(got) != 1 || got[0] != ln(1) {
+		t.Fatalf("flushed %#x; want ln(1) alone", got)
+	}
+	w := New(4, 2, WriteThrough)
+	w.Insert(ln(0), true, false, 0)
+	w.InvalidateAll()
+	if got := writebacks(w); len(got) != 0 {
+		t.Fatalf("a write-through flush handed out %#x", got)
+	}
+}
+
+// A way a flush has yet to write back is not empty: a fill that takes it
+// evicts its line as a writeback, and the flush no longer hands it out.
+func TestInsertEvictsAnAwaitedWriteback(t *testing.T) {
+	c := New(1, 2, WriteBack)
+	c.Insert(ln(0), true, false, 0)
+	c.InvalidateAll()
+	victim, wb := c.Insert(ln(1), false, false, 1)
+	if !wb || victim != ln(0) {
+		t.Fatalf("Insert over an awaited writeback: victim %#x, writeback %v; want ln(0) written back", victim, wb)
+	}
+	if got := writebacks(c); len(got) != 0 {
+		t.Fatalf("the flush still handed out %#x", got)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"github.com/nuba-gpu/nuba/internal/kir"
 )
 
-// The allocation gate (ROADMAP item 1): the memory-request path allocates
+// The allocation gate: the memory-request path allocates
 // nothing in steady state. The same streaming kernel runs at G and at 2G
 // CTAs on a fresh GPU each; the second run does everything the first does
 // plus G more CTAs' worth of loads, stores, misses, fills and writebacks,
@@ -40,10 +40,11 @@ import (
 const maxObjectsPerLLCAccess = 0.25
 
 // maxWarmUpObjects bounds the heap objects of a whole grid-256 run on the
-// 8-SM test GPU. The run measures 1,325 on NUBA and 1,173 on memory-side
-// UBA. With warp state built one object at a time it measured 5,501 and
-// 5,404; with the request and MSHR lists growing one object at a time as
-// well, and waiters in slices, 12,305 and 11,010.
+// 8-SM test GPU. The run measures about 1,075 on NUBA and 930 on
+// memory-side UBA; 1,236 and 1,116 while the kernel-boundary flush made all
+// its writebacks at once. With warp state built one object at a time it
+// measured 5,501 and 5,404; with the request and MSHR lists growing one
+// object at a time as well, and waiters in slices, 12,305 and 11,010.
 const maxWarmUpObjects = 2000
 
 func runCounted(t *testing.T, arch config.Arch, grid int) (objects uint64, llcAccesses int64) {

@@ -283,7 +283,7 @@ func (g *GPU) kernelBoundaryFlush() {
 	}
 	for _, sl := range g.slices {
 		sl.DropReplicas()
-		sl.Flush(g.cycle)
+		sl.Flush()
 	}
 }
 

@@ -34,10 +34,17 @@ const (
 	outStoreAck                    // store committed at the LLC
 )
 
+// An outcome is what leaves the tag pipeline: what to do with which
+// request. The outbox holds outcomes due on the cycle they were pushed.
+type outcome struct {
+	kind outcomeKind
+	req  *sim.MemReq
+}
+
+// A completion is an outcome in the tag pipeline, due at ready.
 type completion struct {
 	ready sim.Cycle
-	kind  outcomeKind
-	req   *sim.MemReq
+	outcome
 }
 
 // Slice is one LLC slice.
@@ -58,7 +65,14 @@ type Slice struct {
 	rrNextRemote bool
 
 	pipe   *sim.Queue[completion]
-	outbox *sim.Queue[completion] // completions awaiting downstream space
+	outbox *sim.Queue[outcome] // outcomes awaiting downstream space
+
+	// A draining flush: flushAt is the tag array's writeback cursor
+	// (cache.NextWriteback), -1 when no flush drains, and held the
+	// writeback made from it that awaits the port, nil until the next is
+	// made. Its writebacks go ahead of the outbox, one at a time.
+	flushAt int
+	held    *sim.MemReq
 
 	// Wiring installed by the core.
 	//
@@ -124,10 +138,11 @@ func New(id, part int, cfg *config.Config, stats *metrics.Stats) *Slice {
 		// the same guarantee (requests always sink at the slice) while
 		// the MSHR file still bounds the misses a slice can have in
 		// flight, so queueing delay under congestion is preserved.
-		lmr:    sim.NewQueue[*sim.MemReq](0),
-		rmr:    sim.NewQueue[*sim.MemReq](0),
-		pipe:   sim.NewQueue[completion](0),
-		outbox: sim.NewQueue[completion](0),
+		lmr:     sim.NewQueue[*sim.MemReq](0),
+		rmr:     sim.NewQueue[*sim.MemReq](0),
+		pipe:    sim.NewQueue[completion](0),
+		outbox:  sim.NewQueue[outcome](0),
+		flushAt: -1,
 	}
 }
 
@@ -151,7 +166,7 @@ func (s *Slice) wake() { s.sleep.Wake(); s.arb.Until = 0 }
 // Idle reports whether the slice holds no work.
 func (s *Slice) Idle() bool {
 	return s.lmr.Empty() && s.rmr.Empty() && s.pipe.Empty() &&
-		s.outbox.Empty() && s.mshr.Len() == 0
+		s.outbox.Empty() && s.flushAt < 0 && s.mshr.Len() == 0
 }
 
 // SetAudit installs (or, with nil, removes) the park audit
@@ -160,7 +175,8 @@ func (s *Slice) SetAudit(a *sim.ParkAudit) { s.audit = a }
 
 // NextWake returns the earliest cycle at which the slice could make
 // progress on its own: the next cycle while requests are queued or
-// completions await delivery, the pipeline head's retirement otherwise.
+// a flush or the outbox awaits delivery, the pipeline head's retirement
+// otherwise.
 // sim.Never means the slice is drained or only waiting on external fills
 // (MSHR entries), which re-activate it through AcceptFill.
 func (s *Slice) NextWake(now sim.Cycle) sim.Cycle {
@@ -168,7 +184,7 @@ func (s *Slice) NextWake(now sim.Cycle) sim.Cycle {
 		return now + 1
 	}
 	wake := sim.Never
-	if !s.outbox.Empty() {
+	if s.flushAt >= 0 || !s.outbox.Empty() {
 		wake = s.out.Until // 0 unless the head is parked
 	}
 	if c, ok := s.pipe.Peek(); ok {
@@ -181,8 +197,9 @@ func (s *Slice) NextWake(now sim.Cycle) sim.Cycle {
 
 // StateSig returns a signature of the slice's observable state: queue
 // depths, the round-robin arbiter position, every in-flight pipeline
-// and outbox completion (ready cycle and kind) and the outstanding MSHR
-// count. Counters are excluded.
+// completion (ready cycle and kind), every outbox kind, a draining flush's
+// cursor and held writeback and the outstanding MSHR count. Counters are
+// excluded.
 func (s *Slice) StateSig() uint64 {
 	h := sim.MixSig(sim.SigSeed, uint64(s.lmr.Len()))
 	h = sim.MixSig(h, uint64(s.rmr.Len()))
@@ -193,24 +210,28 @@ func (s *Slice) StateSig() uint64 {
 		h = sim.MixSig(h, uint64(c.kind))
 	}
 	for i := 0; i < s.outbox.Len(); i++ {
-		c := s.outbox.At(i)
-		h = sim.MixSig(h, uint64(c.ready))
-		h = sim.MixSig(h, uint64(c.kind))
+		h = sim.MixSig(h, uint64(s.outbox.At(i).kind))
 	}
+	h = sim.MixSig(h, uint64(s.flushAt))
+	h = sim.MixSigBool(h, s.held != nil)
 	h = sim.MixSig(h, uint64(s.mshr.Len()))
 	return h
 }
 
-// Flush invalidates the whole slice (kernel-boundary software coherence),
-// sending writebacks for dirty lines straight to the memory controller
-// queue via SendMiss; lines that cannot be queued are retried by the
-// caller draining the outbox.
-func (s *Slice) Flush(now sim.Cycle) {
+// Flush invalidates the whole slice (kernel-boundary software coherence).
+// Its dirty lines stay marked in the tag array, which is the flush's
+// queue: deliver writes them back through SendMiss in set order, making
+// each writeback only once the one before it was taken. They go ahead of
+// the outbox, which is therefore required empty, as is the pipeline whose
+// completions would enter it: the order is the one a flush that queued
+// every writeback at once would have.
+func (s *Slice) Flush() {
+	if !s.outbox.Empty() || !s.pipe.Empty() {
+		panic(fmt.Sprintf("llc: slice %d flushed with %d completions in its pipeline and %d in its outbox", s.ID, s.pipe.Len(), s.outbox.Len()))
+	}
+	s.tags.InvalidateAll()
+	s.flushAt = 0
 	s.wake()
-	s.outbox.Reserve(s.tags.DirtyLines())
-	s.tags.InvalidateAll(func(line uint64) {
-		s.outbox.Push(completion{ready: now, kind: outToMem, req: s.newWriteback(line)})
-	})
 }
 
 // DropReplicas invalidates replica lines (MDR turning off, or kernel
@@ -226,16 +247,16 @@ func (s *Slice) Tick(now sim.Cycle) {
 	s.sleep.Set(s.NextWake(now))
 }
 
-// deliver drains the outbox in order; a send failure blocks the head
-// (back-pressure), which parks until the cycle the port named, if it named
-// one.
+// deliver drains a flush's writebacks, then the outbox, in order; a send
+// failure blocks the head (back-pressure), which parks until the cycle the
+// port named, if it named one.
 func (s *Slice) deliver(now sim.Cycle) {
 	if !s.out.Begin(now, s.audit) {
 		return
 	}
 	for {
-		c, ok := s.outbox.Peek()
-		if !ok || c.ready > now {
+		c, ok := s.head()
+		if !ok {
 			return
 		}
 		s.OutOffers.Offered++
@@ -257,8 +278,28 @@ func (s *Slice) deliver(now sim.Cycle) {
 			return
 		}
 		s.out.Taken(now, s.audit, "LLC slice outbox", s.ID)
-		s.outbox.Pop()
+		if s.held != nil {
+			s.held = nil
+		} else {
+			s.outbox.Pop()
+		}
 	}
+}
+
+// head returns what deliver offers next: a draining flush's writeback,
+// made from the tag array's next dirty line if none is held, or else the
+// outbox's head.
+func (s *Slice) head() (outcome, bool) {
+	if s.flushAt >= 0 && s.held == nil {
+		line, next := s.tags.NextWriteback(s.flushAt)
+		if s.flushAt = next; next >= 0 {
+			s.held = s.newWriteback(line)
+		}
+	}
+	if s.held != nil {
+		return outcome{outToMem, s.held}, true
+	}
+	return s.outbox.Peek()
 }
 
 // retirePipe moves completions whose tag/data latency elapsed into the
@@ -270,7 +311,7 @@ func (s *Slice) retirePipe(now sim.Cycle) {
 			return
 		}
 		s.pipe.Pop()
-		s.outbox.Push(c)
+		s.outbox.Push(c.outcome)
 	}
 }
 
@@ -342,7 +383,7 @@ func (s *Slice) process(req *sim.MemReq, now sim.Cycle) bool {
 		if req.SM < 0 {
 			s.Reqs.Put(req)
 		} else {
-			s.pipe.Push(completion{ready: done, kind: outStoreAck, req: req})
+			s.pipe.Push(completion{done, outcome{outStoreAck, req}})
 		}
 		return true
 
@@ -358,7 +399,7 @@ func (s *Slice) process(req *sim.MemReq, now sim.Cycle) bool {
 			if isReplicaPath {
 				req.Replicated = true
 			}
-			s.pipe.Push(completion{ready: done, kind: outReply, req: req})
+			s.pipe.Push(completion{done, outcome{outReply, req}})
 			return true
 		}
 		s.stats.LLCMisses++
@@ -369,7 +410,7 @@ func (s *Slice) process(req *sim.MemReq, now sim.Cycle) bool {
 				// miss, which waits on DRAM alone, can always get one: this
 				// one goes out unmerged and the home slice's MSHR merges it
 				// (DESIGN.md §3 "LLC slice").
-				s.pipe.Push(completion{ready: done, kind: outForward, req: req})
+				s.pipe.Push(completion{done, outcome{outForward, req}})
 				return true
 			}
 		}
@@ -381,9 +422,9 @@ func (s *Slice) process(req *sim.MemReq, now sim.Cycle) bool {
 			return true
 		}
 		if isReplicaPath {
-			s.pipe.Push(completion{ready: done, kind: outForward, req: req})
+			s.pipe.Push(completion{done, outcome{outForward, req}})
 		} else {
-			s.pipe.Push(completion{ready: done, kind: outToMem, req: req})
+			s.pipe.Push(completion{done, outcome{outToMem, req}})
 		}
 		return true
 	}
@@ -394,7 +435,7 @@ func (s *Slice) process(req *sim.MemReq, now sim.Cycle) bool {
 // victim, sends the victim's writeback down the pipeline for cycle wbAt.
 func (s *Slice) install(addr uint64, dirty, replica bool, now, wbAt sim.Cycle) {
 	if victim, wb := s.tags.Insert(addr, dirty, replica, int64(now)); wb {
-		s.pipe.Push(completion{ready: wbAt, kind: outToMem, req: s.newWriteback(victim)})
+		s.pipe.Push(completion{wbAt, outcome{outToMem, s.newWriteback(victim)}})
 	}
 }
 
@@ -428,7 +469,7 @@ func (s *Slice) fill(req *sim.MemReq, now sim.Cycle, replica bool) {
 			s.install(line, false, true, now, now)
 		}
 		req.Replicated = req.Replicated || replica
-		s.outbox.Push(completion{ready: now, kind: outReply, req: req})
+		s.outbox.Push(outcome{outReply, req})
 		return
 	}
 	s.mshr.Release(line)
@@ -440,10 +481,10 @@ func (s *Slice) fill(req *sim.MemReq, now sim.Cycle, replica bool) {
 	}
 	s.install(line, atomic && !replica, replica, now, now)
 	entry.Primary.Replicated = entry.Primary.Replicated || replica
-	s.outbox.Push(completion{ready: now, kind: outReply, req: entry.Primary})
+	s.outbox.Push(outcome{outReply, entry.Primary})
 	for r := entry.Waiters; r != nil; r = r.Next {
 		r.Replicated = r.Replicated || replica
-		s.outbox.Push(completion{ready: now, kind: outReply, req: r})
+		s.outbox.Push(outcome{outReply, r})
 	}
 }
 
@@ -461,6 +502,13 @@ func (s *Slice) DebugState(sim.Cycle) string {
 	}
 	if s.out.Until != 0 {
 		b.WriteString(" outbox-parked-until=" + sim.Until(s.out.Until))
+	}
+	// A draining flush: the cursor and the writeback it holds, if any.
+	if s.flushAt >= 0 {
+		fmt.Fprintf(&b, " flush-at=%d", s.flushAt)
+		if s.held != nil {
+			fmt.Fprintf(&b, " flush-held=%#x", s.held.Addr)
+		}
 	}
 	if s.mshr.Len() == 0 {
 		return b.String()

@@ -1,6 +1,7 @@
 package llc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -165,7 +166,7 @@ func TestAtomicDirtiesLine(t *testing.T) {
 		t.Fatal("atomic not replied")
 	}
 	// Flush must write the dirtied line back.
-	h.s.Flush(211)
+	h.s.Flush()
 	h.run(212, 220)
 	found := false
 	for _, m := range h.misses[1:] {
@@ -349,6 +350,121 @@ func TestBackpressureRetries(t *testing.T) {
 	}
 }
 
+// A flush drains from the tag array: its writebacks go out in set order,
+// each made only once the one before it was taken, so the slice holds no
+// more requests than the port has taken plus the one it offers. A refused
+// writeback is kept and offered again, the same request, once its park
+// ends; until the last is taken the slice is not idle and sleeps to the
+// park, and its report names the flush. Audited, the slice offers the
+// parked head every cycle, and the port sees the same writebacks in the
+// same order.
+func TestFlushDrainsOneWritebackAtATime(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		audited bool
+	}{{"parked", false}, {"audited", true}} {
+		audited := tc.audited
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t)
+			reqs := &sim.ReqPool{}
+			h.s.Reqs = reqs
+			audit := &sim.ParkAudit{}
+			if audited {
+				h.s.SetAudit(audit)
+			}
+			// Three dirty lines: one in set 1, then two in set 0.
+			sets := uint64(h.s.cfg.LLCSets())
+			lines := []uint64{sim.LineSize, sets * sim.LineSize, 2 * sets * sim.LineSize}
+			for i, a := range lines {
+				h.s.EnqueueLocal(&sim.MemReq{ID: uint32(i), Kind: sim.Store, Addr: a, SM: 0, Slice: 2, ReplicaSlice: -1})
+			}
+			h.run(1, 300)
+			if len(h.acks) != 3 || !h.s.Idle() {
+				t.Fatalf("%d stores acked, idle %v; want three and the slice drained", len(h.acks), h.s.Idle())
+			}
+			// The port holds the last writeback it took until it takes the
+			// next, and refuses, naming the cycle it opens, until gap cycles
+			// after each one it takes.
+			const gap = 50
+			var sent []uint64
+			var port, refused *sim.MemReq
+			var openAt sim.Cycle
+			h.s.SendMiss = func(r *sim.MemReq, now sim.Cycle) bool {
+				if refused != nil && r != refused {
+					t.Errorf("cycle %d: offered a new request for %#x, want the refused one for %#x again", now, r.Addr, refused.Addr)
+				}
+				if now < openAt {
+					if refused != nil && !audited {
+						t.Errorf("cycle %d: the refused writeback was offered again before its park ended at %d", now, openAt)
+					}
+					refused = r
+					h.s.ParkOutbox(openAt)
+					return false
+				}
+				if port != nil {
+					reqs.Put(port)
+				}
+				port, refused, openAt = r, nil, now+gap
+				sent = append(sent, r.Addr)
+				return true
+			}
+			h.s.Flush()
+			for now := sim.Cycle(301); len(sent) < len(lines); now++ {
+				if now > 1000 {
+					t.Fatalf("%d of %d writebacks sent by cycle %d", len(sent), len(lines), now)
+				}
+				h.s.Tick(now)
+				held := int64(0)
+				if port != nil {
+					held = 1
+				}
+				if live := reqs.Live(); live > held+1 {
+					t.Fatalf("cycle %d: %d requests live, the port holding %d", now, live, held)
+				}
+				if len(sent) == len(lines) {
+					break
+				}
+				if h.s.Idle() {
+					t.Fatalf("cycle %d: idle with %d of %d writebacks sent", now, len(sent), len(lines))
+				}
+				if w := h.s.NextWake(now); !audited && w != openAt {
+					t.Fatalf("cycle %d: NextWake = %d, want the park's end %d", now, w, openAt)
+				}
+				if now == 301 && !audited {
+					want := fmt.Sprintf("lmr=0 rmr=0 pipe=0 outbox=0 mshr=0 outbox-parked-until=%d flush-at=2 flush-held=%#x", openAt, lines[2])
+					if got := h.s.DebugState(now); got != want {
+						t.Errorf("report %q, want %q", got, want)
+					}
+				}
+			}
+			if want := []uint64{lines[1], lines[2], lines[0]}; fmt.Sprint(sent) != fmt.Sprint(want) {
+				t.Errorf("written back %#x, want %#x: set order", sent, want)
+			}
+			if !h.s.Idle() || strings.Contains(h.s.DebugState(0), "flush") {
+				t.Errorf("after the last writeback: idle %v, report %q; want idle and no flush named", h.s.Idle(), h.s.DebugState(0))
+			}
+			if e := audit.First(); e != "" {
+				t.Errorf("audit: %s", e)
+			}
+		})
+	}
+}
+
+// A flush's writebacks go ahead of the outbox, which is only the order a
+// flush that queued them all at once would have when nothing is ahead of
+// them: Flush refuses a slice with completions in its pipeline or outbox.
+func TestFlushWantsNothingInItsWay(t *testing.T) {
+	h := newHarness(t)
+	h.s.EnqueueLocal(load(1, 0x1000, 0))
+	h.s.Tick(1) // the load enters the tag pipeline
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "flushed with 1 completions in its pipeline") {
+			t.Fatalf("Flush with a busy pipeline: recovered %v, want a panic naming it", r)
+		}
+	}()
+	h.s.Flush()
+}
+
 // Every door work can come through must clear the sleep deadline
 // (DESIGN.md §9 "Sleep deadlines") and the arbiter's park (§9 "Parks"): a
 // slice the core has stopped ticking, or an arbiter that has stopped
@@ -363,7 +479,7 @@ func TestDoorsWake(t *testing.T) {
 		{"EnqueueRemote", func(h *harness, _ *sim.MemReq, _ sim.Cycle) { h.s.EnqueueRemote(load(9, 0x9000, 0)) }},
 		{"AcceptFill", func(h *harness, miss *sim.MemReq, now sim.Cycle) { h.s.AcceptFill(miss, now) }},
 		{"AcceptReplicaFill", func(h *harness, miss *sim.MemReq, now sim.Cycle) { h.s.AcceptReplicaFill(miss, now) }},
-		{"Flush", func(h *harness, _ *sim.MemReq, now sim.Cycle) { h.s.Flush(now) }},
+		{"Flush", func(h *harness, _ *sim.MemReq, _ sim.Cycle) { h.s.Flush() }},
 	} {
 		t.Run(tc.door, func(t *testing.T) {
 			// A one-entry MSHR file: the first miss goes to memory, the

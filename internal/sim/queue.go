@@ -36,7 +36,7 @@ func (q *Queue[T]) Push(v T) bool {
 		return false
 	}
 	if q.count == len(q.buf) {
-		q.Reserve(q.count) // double
+		q.grow(q.count) // double
 	}
 	q.buf[(q.head+q.count)%len(q.buf)] = v
 	q.count++
@@ -91,9 +91,9 @@ func (q *Queue[T]) RemoveAt(i int) T {
 	return v
 }
 
-// Reserve makes room for n more entries in one allocation of the exact
-// size, so the next n pushes do not grow the buffer.
-func (q *Queue[T]) Reserve(n int) {
+// grow makes room for n more entries in one allocation of the exact size,
+// so the next n pushes do not grow the buffer.
+func (q *Queue[T]) grow(n int) {
 	if q.count+n <= len(q.buf) {
 		return
 	}

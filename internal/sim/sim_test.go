@@ -46,7 +46,7 @@ func TestQueueUnbounded(t *testing.T) {
 	}
 }
 
-// TestQueueReserveGrowsOnce: Reserve(n) grows the buffer once, to the
+// TestQueueReserveGrowsOnce: grow(n) grows the buffer once, to the
 // exact size, so n pushes after it fit, and wrapped entries keep their order.
 func TestQueueReserveGrowsOnce(t *testing.T) {
 	q := NewQueue[int](0)
@@ -56,7 +56,7 @@ func TestQueueReserveGrowsOnce(t *testing.T) {
 	q.Pop()
 	q.Pop()
 	q.Push(8) // wraps around the ring
-	q.Reserve(100)
+	q.grow(100)
 	for i := 9; i < 109; i++ {
 		q.Push(i)
 	}

@@ -294,7 +294,7 @@ func (s *SM) StartKernel(l *kir.Launch, lo, hi int) {
 }
 
 // FlushL1 invalidates the L1 (software coherence at kernel boundaries).
-func (s *SM) FlushL1() { s.l1.InvalidateAll(nil) }
+func (s *SM) FlushL1() { s.l1.InvalidateAll() }
 
 // fillCTAs activates the assigned CTAs while warp slots and CTA slots
 // are available.
