@@ -22,6 +22,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"time"
 
 	"github.com/nuba-gpu/nuba"
 	"github.com/nuba-gpu/nuba/internal/experiments"
@@ -108,7 +109,7 @@ func run() int {
 	default:
 		opts := experiments.Options{Benchmarks: benches, Jobs: *jobs}
 		if *verbose {
-			opts.OnEvent = experiments.ProgressPrinter(os.Stderr)
+			opts.OnEvent = experiments.ProgressPrinter(os.Stderr, time.Now)
 		}
 		// One experiment on the batch runner: failed jobs are listed
 		// under the table, a hang's full report goes to stderr.

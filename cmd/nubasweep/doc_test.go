@@ -310,12 +310,13 @@ func TestExperimentsDoc(t *testing.T) {
 	start := time.Now()
 	runners := map[string]*experiments.Runner{}
 	sims := 0
-	progress := experiments.ProgressPrinter(os.Stderr)
 	for k := len(blocks) - 1; k >= 0; k-- { // back to front, so earlier line numbers hold
 		c := cmds[k]
 		key := fmt.Sprint(c.opts.Scale, abbrs(c.opts.Benchmarks))
 		if runners[key] == nil {
 			opts := c.opts
+			// Each runner counts its own jobs, so each has its own clock.
+			progress := experiments.ProgressPrinter(os.Stderr, time.Now)
 			opts.OnEvent = func(ev experiments.Event) {
 				sims++
 				if testing.Verbose() {

@@ -23,6 +23,7 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
+	"time"
 
 	"github.com/nuba-gpu/nuba"
 	"github.com/nuba-gpu/nuba/internal/experiments"
@@ -45,7 +46,7 @@ func run() int {
 	}
 	defer c.prof.Stop()
 	if c.verbose {
-		c.opts.OnEvent = experiments.ProgressPrinter(os.Stderr)
+		c.opts.OnEvent = experiments.ProgressPrinter(os.Stderr, time.Now)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

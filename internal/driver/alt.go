@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"cmp"
 	"slices"
 
 	"github.com/nuba-gpu/nuba/internal/config"
@@ -56,18 +57,10 @@ func (d *Driver) MigrationCandidates(now sim.Cycle) []Action {
 		return nil
 	}
 	// Visit pages in VPN order: the action list feeds simulated work, so
-	// map iteration order here would leak into cycle counts.
-	vpns := make([]uint64, 0, len(d.pages))
-	for vpn := range d.pages {
-		vpns = append(vpns, vpn)
-	}
-	slices.Sort(vpns)
+	// the order pages were first touched in must not leak into cycle counts.
+	slices.SortFunc(d.counted, func(a, b *Page) int { return cmp.Compare(a.VPN, b.VPN) })
 	var actions []Action
-	for _, vpn := range vpns {
-		p := d.pages[vpn]
-		if p.accesses == nil {
-			continue
-		}
+	for _, p := range d.counted {
 		best, bestCount := p.Channel, int32(0)
 		var total int32
 		for ch, c := range p.accesses {

@@ -54,6 +54,9 @@ type Driver struct {
 	pages   map[uint64]*Page
 	slab    []Page // where Allocate carves Page records (sim.Carve)
 	slabLen int
+	// counted holds every page record under Migration placement, the
+	// pages MigrationCandidates scans; nil under every other placement.
+	counted []*Page
 	// pagesPerChannel is the LAB book-keeping array: one counter per
 	// channel, exactly the 32-entry array the paper's driver keeps.
 	pagesPerChannel []int64
@@ -174,6 +177,9 @@ func (d *Driver) Allocate(vpn uint64, homePart int, writable bool) *Page {
 	*p = Page{VPN: vpn, PPN: ppn, Channel: ch, Writable: writable}
 	if d.cfg.Placement == config.Migration || d.cfg.Placement == config.PageReplication {
 		p.accesses = make([]int32, d.cfg.NumChannels)
+	}
+	if d.cfg.Placement == config.Migration {
+		d.counted = append(d.counted, p)
 	}
 	d.pages[vpn] = p
 	d.pagesPerChannel[ch]++

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/nuba-gpu/nuba/internal/addrmap"
@@ -195,6 +196,24 @@ func TestMigrationCandidates(t *testing.T) {
 	// Counters reset: a second scan finds nothing.
 	if acts := d.MigrationCandidates(200); len(acts) != 0 {
 		t.Fatalf("stale candidates: %v", acts)
+	}
+
+	// The scan visits pages in VPN order, not in the order they were
+	// first touched: the actions feed simulated work.
+	d, cfg = newDriver(t, config.Migration)
+	cfg.MigrationThreshold = 8
+	for _, vpn := range []uint64{90, 70, 80} {
+		p := d.Allocate(vpn, 0, false)
+		for i := 0; i < 20; i++ {
+			d.RecordAccess(p, 3)
+		}
+	}
+	var order []uint64
+	for _, a := range d.MigrationCandidates(300) {
+		order = append(order, a.Page.VPN)
+	}
+	if !slices.Equal(order, []uint64{70, 80, 90}) {
+		t.Fatalf("scan order %v, want [70 80 90]", order)
 	}
 }
 

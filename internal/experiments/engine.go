@@ -253,9 +253,6 @@ func (r *Runner) admit(keys []string) []int {
 		fresh = append(fresh, k)
 	}
 	r.planned += len(fresh)
-	if len(fresh) > 0 {
-		r.markStarted()
-	}
 	return fresh
 }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/nuba-gpu/nuba"
 	"github.com/nuba-gpu/nuba/internal/core"
@@ -383,12 +384,28 @@ func TestFailedJobCountsAsProgress(t *testing.T) {
 	if bp.Bench != "BP" || !strings.Contains(bp.Err, "panic") || bp.Cycles != 0 || bp.IPC != 0 {
 		t.Errorf("failed job's event: %+v", bp)
 	}
-	if last.Err != "" || last.Cycles == 0 || last.Done != 2 || last.Total != 2 || last.Remaining != 0 {
+	if last.Err != "" || last.Cycles == 0 || last.Done != 2 || last.Total != 2 {
 		t.Errorf("last event must close the batch: %+v", last)
 	}
-	var line strings.Builder
-	ProgressPrinter(&line)(bp)
-	if !strings.Contains(line.String(), "[1/2] BP") || !strings.Contains(line.String(), "FAILED: ") {
-		t.Errorf("progress line of a failed job: %q", line.String())
+	// The printer's clock advances 2.25 s a read after the one that
+	// starts it: the mid-batch line extrapolates the one job left, the
+	// last line has nothing left to estimate.
+	clock := time.Unix(0, 0)
+	now := func() time.Time { c := clock; clock = clock.Add(2250 * time.Millisecond); return c }
+	var out strings.Builder
+	progress := ProgressPrinter(&out, now)
+	progress(bp)
+	progress(last)
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("want one progress line per event, got %q", out.String())
+	}
+	if l := lines[0]; !strings.HasPrefix(l, "  [1/2] BP ") || !strings.Contains(l, " FAILED: ") ||
+		!strings.HasSuffix(l, " elapsed=2.3s eta=2s") {
+		t.Errorf("progress line of a failed mid-batch job: %q", l)
+	}
+	if l := lines[1]; !strings.HasPrefix(l, "  [2/2] LEU ") || !strings.Contains(l, " cycles=") ||
+		!strings.HasSuffix(l, " elapsed=4.5s") {
+		t.Errorf("progress line of the last job: %q", l)
 	}
 }

@@ -8,15 +8,9 @@ import (
 	"github.com/nuba-gpu/nuba"
 )
 
-// This file is the engine's progress/ETA layer and the only place in
-// the experiments package allowed to read the wall clock: lint.RepoPolicy
-// allowlists it for no-wallclock. Simulated results never depend on
-// anything computed here — wall-clock time feeds progress lines and
-// ETA estimates only, so confining it keeps the byte-identical-report
-// guarantee machine-checkable.
-
 // Event is one structured progress notification from the engine: one
-// per simulated job, finished or failed.
+// per simulated job, finished or failed. It carries no time: the engine
+// holds no clock, so nothing it computes can depend on one.
 type Event struct {
 	// Bench and Config identify the run.
 	Bench  string
@@ -30,17 +24,6 @@ type Event struct {
 	// Done counts simulated jobs, failed ones included; Total the jobs
 	// planned so far.
 	Done, Total int
-	// Elapsed is the wall-clock time since the first simulation
-	// started; Remaining is the linear-extrapolation ETA.
-	Elapsed, Remaining time.Duration
-}
-
-// markStarted records the wall-clock start of the first simulation, for
-// elapsed/ETA reporting. Callers hold r.mu.
-func (r *Runner) markStarted() {
-	if r.started.IsZero() {
-		r.started = time.Now()
-	}
 }
 
 // emitLocked reports one simulated job — its result, or the error it
@@ -50,36 +33,34 @@ func (r *Runner) emitLocked(cfgName, abbr string, res *nuba.Result, err error) {
 	if r.opts.OnEvent == nil {
 		return
 	}
-	ev := Event{
-		Bench:  abbr,
-		Config: cfgName,
-		Done:   r.done, Total: r.planned,
-		Elapsed: time.Since(r.started),
-	}
+	ev := Event{Bench: abbr, Config: cfgName, Done: r.done, Total: r.planned}
 	if err != nil {
 		ev.Err = err.Error()
 	} else {
 		ev.Cycles, ev.IPC = res.Stats.Cycles, res.Stats.IPC()
 	}
-	if r.planned > r.done && r.done > 0 {
-		ev.Remaining = time.Duration(float64(ev.Elapsed) / float64(r.done) * float64(r.planned-r.done))
-	}
 	r.opts.OnEvent(ev)
 }
 
 // ProgressPrinter returns the OnEvent sink the command-line tools share:
-// one line per simulated job with counts, elapsed time and the
-// linear-extrapolation ETA, a failed job as a FAILED line.
-func ProgressPrinter(w io.Writer) func(Event) {
+// one line per simulated job with counts, the time elapsed since the
+// printer was made and the linear-extrapolation ETA, a failed job as a
+// FAILED line. now is the clock both read from: the tools pass time.Now.
+func ProgressPrinter(w io.Writer, now func() time.Time) func(Event) {
+	start := now()
 	return func(ev Event) {
 		outcome := fmt.Sprintf("cycles=%-9d ipc=%.2f", ev.Cycles, ev.IPC)
 		if ev.Err != "" {
 			outcome = "FAILED: " + ev.Err
 		}
+		elapsed := now().Sub(start)
 		line := fmt.Sprintf("  [%d/%d] %-7s on %-28s %s elapsed=%s",
-			ev.Done, ev.Total, ev.Bench, ev.Config, outcome, ev.Elapsed.Round(1e8))
-		if ev.Remaining > 0 {
-			line += fmt.Sprintf(" eta=%s", ev.Remaining.Round(1e9))
+			ev.Done, ev.Total, ev.Bench, ev.Config, outcome, elapsed.Round(1e8))
+		if ev.Total > ev.Done && ev.Done > 0 {
+			eta := time.Duration(float64(elapsed) / float64(ev.Done) * float64(ev.Total-ev.Done))
+			if eta > 0 {
+				line += fmt.Sprintf(" eta=%s", eta.Round(1e9))
+			}
 		}
 		fmt.Fprintln(w, line)
 	}

@@ -15,7 +15,6 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/nuba-gpu/nuba"
 	"github.com/nuba-gpu/nuba/internal/metrics"
@@ -34,8 +33,8 @@ type Options struct {
 	// set; zero or negative selects runtime.GOMAXPROCS(0).
 	Jobs int
 	// OnEvent, when non-nil, receives a structured Event per simulated
-	// job, finished or failed (counts, elapsed time, ETA). Calls are
-	// serialized. ProgressPrinter is the sink the CLIs pass.
+	// job, finished or failed (its counters and the batch's counts).
+	// Calls are serialized. ProgressPrinter is the sink the CLIs pass.
 	OnEvent func(Event)
 	// Arm, when non-nil, is asked per job for a nuba.WithArm hook to run
 	// on that job's assembled system (nil = none). The stress tests
@@ -85,9 +84,8 @@ type Runner struct {
 
 	mu      sync.Mutex
 	cache   map[string]*cacheEntry
-	planned int       // jobs scheduled across Execute/Prefetch calls
-	done    int       // jobs simulated, finished or failed
-	started time.Time // first simulation start, for elapsed/ETA
+	planned int // jobs scheduled across Execute/Prefetch calls
+	done    int // jobs simulated, finished or failed
 }
 
 // cacheEntry is one job's slot in the memo cache: admit creates it, the

@@ -180,54 +180,35 @@ type Warp struct {
 	pool       *lanePool // where its registers' lane vectors come from and go
 }
 
-// laneRef is a resolved operand: a pointer to per-lane values, or the
-// base and stride of an affine one. It lets the interpreter's inner loops
-// avoid per-lane switch dispatch.
-type laneRef struct {
-	lanes          *[WarpSize]int64
-	scalar, stride int64
-}
-
-func (r laneRef) at(l int) int64 {
-	if r.lanes != nil {
-		return r.lanes[l]
-	}
-	return r.scalar + r.stride*int64(l)
-}
-
-// uniform reports whether every lane of r reads the same scalar.
-func (r laneRef) uniform() bool { return r.lanes == nil && r.stride == 0 }
-
-// resolve evaluates an operand into a laneRef.
-func (w *Warp) resolve(o Operand) laneRef {
+// resolve evaluates an operand into a Value: a register's own (which
+// shares its lane vector, if any), or the uniform or affine value of any
+// other operand, so the interpreter's inner loops need no per-lane
+// switch on the operand kind.
+func (w *Warp) resolve(o Operand) Value {
 	switch o.Kind {
 	case OpdReg:
-		v := &w.Regs[o.Val]
-		if v.lanes != nil {
-			return laneRef{lanes: v.lanes}
-		}
-		return laneRef{scalar: v.scalar, stride: v.stride}
+		return w.Regs[o.Val]
 	case OpdImm:
-		return laneRef{scalar: o.Val}
+		return Value{scalar: o.Val}
 	case OpdParam:
-		return laneRef{scalar: w.L.Scalars[o.Val]}
+		return Value{scalar: w.L.Scalars[o.Val]}
 	case OpdSpecial:
 		switch Special(o.Val) {
 		case SpecTid:
-			return laneRef{scalar: int64(w.WarpInCTA * WarpSize), stride: 1}
+			return Value{scalar: int64(w.WarpInCTA * WarpSize), stride: 1}
 		case SpecCtaid:
-			return laneRef{scalar: int64(w.CTA)}
+			return Value{scalar: int64(w.CTA)}
 		case SpecNtid:
-			return laneRef{scalar: int64(w.L.CTAThreads)}
+			return Value{scalar: int64(w.L.CTAThreads)}
 		case SpecNctaid:
-			return laneRef{scalar: int64(w.L.GridDim)}
+			return Value{scalar: int64(w.L.GridDim)}
 		case SpecWarpid:
-			return laneRef{scalar: int64(w.WarpInCTA)}
+			return Value{scalar: int64(w.WarpInCTA)}
 		case SpecLaneid:
-			return laneRef{stride: 1}
+			return Value{stride: 1}
 		}
 	}
-	return laneRef{}
+	return Value{}
 }
 
 // NewWarp returns warp warpInCTA of CTA cta, ready at PC 0: the one
@@ -367,7 +348,7 @@ func alu(op Op, a, b, c int64) int64 {
 // ring of integers modulo 2⁶⁴, where multiplication distributes over
 // addition whatever wraps: (x + s·l)·y = x·y + (s·y)·l, and a left shift
 // by k is a multiplication by 2ᵏ.
-func affineALU(op Op, a, b, c laneRef) (base, stride int64, ok bool) {
+func affineALU(op Op, a, b, c Value) (base, stride int64, ok bool) {
 	if a.lanes != nil || b.lanes != nil || c.lanes != nil {
 		return 0, 0, false
 	}
@@ -461,13 +442,13 @@ func (w *Warp) Exec(mem *MemInfo) StepInfo {
 	case OpSetp:
 		var m uint32
 		ra, rb := w.resolve(in.Src[0]), w.resolve(in.Src[1])
-		if ra.uniform() && rb.uniform() {
+		if ra.Uniform() && rb.Uniform() {
 			if compare(in.Cmp, ra.scalar, rb.scalar) {
 				m = ^uint32(0)
 			}
 		} else {
 			for l := 0; l < WarpSize; l++ {
-				if compare(in.Cmp, ra.at(l), rb.at(l)) {
+				if compare(in.Cmp, ra.Lane(l), rb.Lane(l)) {
 					m |= 1 << uint(l)
 				}
 			}
@@ -485,9 +466,9 @@ func (w *Warp) Exec(mem *MemInfo) StepInfo {
 				continue
 			}
 			if pm&(1<<uint(l)) != 0 {
-				dst[l] = ra.at(l)
+				dst[l] = ra.Lane(l)
 			} else {
-				dst[l] = rb.at(l)
+				dst[l] = rb.Lane(l)
 			}
 		}
 		w.PC++
@@ -529,31 +510,31 @@ func (w *Warp) Exec(mem *MemInfo) StepInfo {
 			case OpAdd:
 				for l := 0; l < WarpSize; l++ {
 					if mask&(1<<uint(l)) != 0 {
-						dst[l] = ra.at(l) + rb.at(l)
+						dst[l] = ra.Lane(l) + rb.Lane(l)
 					}
 				}
 			case OpMul:
 				for l := 0; l < WarpSize; l++ {
 					if mask&(1<<uint(l)) != 0 {
-						dst[l] = ra.at(l) * rb.at(l)
+						dst[l] = ra.Lane(l) * rb.Lane(l)
 					}
 				}
 			case OpMad:
 				for l := 0; l < WarpSize; l++ {
 					if mask&(1<<uint(l)) != 0 {
-						dst[l] = ra.at(l)*rb.at(l) + rc.at(l)
+						dst[l] = ra.Lane(l)*rb.Lane(l) + rc.Lane(l)
 					}
 				}
 			case OpShl:
 				for l := 0; l < WarpSize; l++ {
 					if mask&(1<<uint(l)) != 0 {
-						dst[l] = ra.at(l) << uint64(rb.at(l)&63)
+						dst[l] = ra.Lane(l) << uint64(rb.Lane(l)&63)
 					}
 				}
 			default:
 				for l := 0; l < WarpSize; l++ {
 					if mask&(1<<uint(l)) != 0 {
-						dst[l] = alu(op, ra.at(l), rb.at(l), rc.at(l))
+						dst[l] = alu(op, ra.Lane(l), rb.Lane(l), rc.Lane(l))
 					}
 				}
 			}
@@ -590,7 +571,7 @@ func (w *Warp) execMem(in *Instr, mask uint32, mem *MemInfo) {
 		if mask&(1<<uint(l)) == 0 {
 			continue
 		}
-		off := uint64(ro.at(l))
+		off := uint64(ro.Lane(l))
 		if off >= size || size-off < elem { // off+elem could overflow
 			off %= size // wrap rather than escape the buffer
 			off -= off % elem

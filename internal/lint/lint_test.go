@@ -8,15 +8,13 @@ import (
 	"testing"
 )
 
-// fixturePolicy is the policy of the testdata/src module: simcore and
-// clockok are its "model" packages, engine sits above them and app may
-// only reach engine; model reads params and writes stats, report reads
-// stats.
+// fixturePolicy is the policy of the testdata/src module: simcore is its
+// "model" package, engine sits above it and app may only reach engine;
+// model reads params and writes stats, report reads stats.
 var fixturePolicy = &Policy{
 	Layers: map[string][]string{
 		"simcore":  nil,
-		"clockok":  nil,
-		"engine":   {"clockok", "simcore"},
+		"engine":   {"simcore"},
 		"app":      {".", "engine"},
 		"dispatch": nil, // exercises the use graph's indirect call edges
 		"params":   nil,
@@ -24,8 +22,7 @@ var fixturePolicy = &Policy{
 		"model":    {"params", "stats"},
 		"report":   {"stats"},
 	},
-	Simulation: func(pkg string) bool { return pkg == "simcore" || pkg == "clockok" },
-	Allow:      map[string][]string{RuleWallclock: {"clockok/clock.go"}},
+	Simulation: func(pkg string) bool { return pkg == "simcore" },
 	Config:     Audit{Structs: []string{"params.Config"}, Readers: []string{"model"}},
 	Metrics:    Audit{Structs: []string{"stats.Stats"}, Writers: []string{"model"}, Readers: []string{"report"}},
 }
@@ -96,34 +93,6 @@ func TestEveryRuleFires(t *testing.T) {
 	}
 }
 
-// TestSuppressionsHold asserts the sanctioned and allowlisted sites stay
-// clean: the sorted-keys idiom in Keys and the allowlisted
-// clockok/clock.go.
-func TestSuppressionsHold(t *testing.T) {
-	diags := Run(loadFixture(t), fixturePolicy)
-	for _, d := range diags {
-		if d.File == "clockok/clock.go" {
-			t.Errorf("allowlisted file flagged: %s", d)
-		}
-	}
-	src, err := os.ReadFile(filepath.Join("testdata", "src", "simcore", "simcore.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanLines := make(map[int]bool)
-	for i, line := range strings.Split(string(src), "\n") {
-		if strings.Contains(line, "sort.Strings(ks)") {
-			// The sorted collection loop above the sort call is clean.
-			cleanLines[i-1] = true
-		}
-	}
-	for _, d := range diags {
-		if d.File == "simcore/simcore.go" && cleanLines[d.Line] {
-			t.Errorf("idiomatic site flagged: %s", d)
-		}
-	}
-}
-
 // TestJSONDeterministic asserts two fully independent analyses of the
 // same tree render byte-identical, identically ordered output — (file,
 // line, col, rule), no map-iteration noise anywhere in the engine. This
@@ -136,18 +105,14 @@ func TestJSONDeterministic(t *testing.T) {
 	}
 }
 
-// TestPolicyLookups pins the three questions the rules ask a policy.
+// TestPolicyLookups pins the two questions the rules ask a policy.
 func TestPolicyLookups(t *testing.T) {
 	pol := &Policy{
 		Layers:     map[string][]string{"a": {"b", "c"}, "cmd/*": {"."}},
 		Simulation: func(string) bool { return true },
-		Allow:      map[string][]string{RuleWallclock: {"a/clock.go"}},
 	}
 	if !pol.InScope(RuleWallclock, "anything") {
 		t.Error("Simulation said yes and no-wallclock is out of scope")
-	}
-	if !pol.Allowed(RuleWallclock, "a/clock.go", "a") || pol.Allowed(RuleMapRange, "a/clock.go", "a") {
-		t.Error("allow entry did not match its rule and file only")
 	}
 	if allowed, declared := pol.LayerFor("a"); !declared || !allowed["b"] || !allowed["c"] || allowed["d"] {
 		t.Errorf("LayerFor(a) = %v, %v", allowed, declared)
@@ -173,14 +138,8 @@ func TestStalePolicyEntryIsAFinding(t *testing.T) {
 	}{
 		{"layer subject", func(p *Policy) { p.Layers["internal/ghost"] = []string{"simcore"} },
 			"policy: layer entry internal/ghost matches no package or file of the module\n"},
-		{"layer value", func(p *Policy) { p.Layers["engine"] = []string{"clockok", "simcore", "internal/cahce"} },
+		{"layer value", func(p *Policy) { p.Layers["engine"] = []string{"simcore", "internal/cahce"} },
 			"policy: layer engine allows internal/cahce, which is not a package of the module\n"},
-		{"allow", func(p *Policy) {
-			p.Allow = map[string][]string{RuleWallclock: {"clockok/clock.go", "internal/experiments/progres.go"}}
-		}, "policy: no-wallclock allow entry internal/experiments/progres.go matches no package or file of the module\n"},
-		{"allow rule", func(p *Policy) {
-			p.Allow = map[string][]string{RuleWallclock: {"clockok/clock.go"}, "no-wallclok": {"clockok"}}
-		}, "policy: allow entry for unknown rule no-wallclok\n"},
 		{"struct", func(p *Policy) { p.Config.Structs = []string{"params.Config", "params.Confg"} },
 			"policy: config-liveness struct params.Confg is not a struct type of the module (want pkg.Type)\n"},
 		{"writer", func(p *Policy) { p.Metrics.Writers = []string{"model", "modle"} },

@@ -23,12 +23,9 @@ type Policy struct {
 	// Simulation reports whether a package is simulation code — the
 	// scope of nondet-map-range and no-wallclock. A predicate, not a
 	// list, so that a package created tomorrow is covered without an
-	// edit here.
+	// edit here. Within it neither rule has an exception, by file or by
+	// site: a finding is fixed in the code.
 	Simulation func(pkg string) bool
-	// Allow exempts whole files or packages from a rule (keyed by the
-	// Rule* constants). There is no per-site suppression: a finding
-	// elsewhere is fixed in the code.
-	Allow map[string][]string
 	// Config and Metrics are the audits behind config-liveness and
 	// metrics-liveness (liveness.go).
 	Config, Metrics Audit
@@ -94,16 +91,10 @@ var RepoPolicy = &Policy{
 
 	// Everything under internal/ is simulation code except the two
 	// tooling packages. The module root, cmd/ and examples/ are engine
-	// and UI layers where wall-clock progress and goroutine fan-out are
-	// legitimate.
+	// and UI layers where the wall clock (the CLIs hand time.Now to the
+	// progress printer) and goroutine fan-out are legitimate.
 	Simulation: func(pkg string) bool {
 		return strings.HasPrefix(pkg, "internal/") && pkg != "internal/lint" && pkg != "internal/hostprof"
-	},
-
-	// The engine's progress/ETA layer is the one sanctioned wall-clock
-	// reader inside the experiments package.
-	Allow: map[string][]string{
-		RuleWallclock: {"internal/experiments/progress.go"},
 	},
 
 	Config: Audit{
@@ -153,17 +144,6 @@ func (p *Policy) LayerFor(relName string) (allowed map[string]bool, declared boo
 	return allowed, declared
 }
 
-// Allowed reports whether rule exempts the given module-relative file
-// (or its package relName) via an Allow entry.
-func (p *Policy) Allowed(rule, relFile, relName string) bool {
-	for _, pat := range p.Allow[rule] {
-		if matchPkg(pat, relFile) || matchPkg(pat, relName) {
-			return true
-		}
-	}
-	return false
-}
-
 // checkPolicy reports every name in the policy that matches nothing in
 // the loaded module, under the "policy" pseudo-rule, so that a typo or a
 // package since deleted cannot silently narrow a rule. Audit.Structs are
@@ -193,12 +173,6 @@ func checkPolicy(prog *Program, pol *Policy, report func(msg string)) {
 				report(fmt.Sprintf("layer %s allows %s, which is not a package of the module", pat, v))
 			}
 		}
-	}
-	for rule, pats := range pol.Allow {
-		if !knownRule(rule) {
-			report("allow entry for unknown rule " + rule)
-		}
-		want(rule+" allow entry", pats)
 	}
 	want(RuleConfigLive+" reader", pol.Config.Readers)
 	want(RuleMetricsLive+" writer", pol.Metrics.Writers)

@@ -5,36 +5,16 @@ package simcore
 
 import (
 	"math/rand"
-	"sort"
 	"time"
 )
 
-// Sum ranges over a map unsorted: nondet-map-range positive.
+// Sum ranges over a map: nondet-map-range positive.
 func Sum(m map[string]int) int {
 	total := 0
 	for _, v := range m {
 		total += v
 	}
 	return total
-}
-
-// Keys collects keys and sorts them: the sanctioned idiom, clean.
-func Keys(m map[string]int) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-// KeysUnsorted collects keys but never sorts: nondet-map-range positive.
-func KeysUnsorted(m map[string]int) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	return ks
 }
 
 // Stamp reads the wall clock: no-wallclock positive (and the math/rand
